@@ -55,8 +55,6 @@ use crate::ir::{AffineExpr, ArrayRef, Extent, Kernel, LoopDim, Program, RhsExpr,
 use intern::{Interner, KW_FOR, KW_KERNEL, KW_SEQ};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Maximum parenthesis nesting inside one right-hand-side expression.
 /// Untrusted `source` requests (`eatss-serve`) reach this parser; a
@@ -912,8 +910,9 @@ pub fn parse_named_program(name: &str, src: &str) -> Result<Program, ParseError>
     parse_with(Some(name), src)
 }
 
-/// Parses a batch of `(name, source)` pairs, optionally in parallel on a
-/// scoped worker pool, returning per-input results in input order.
+/// Parses a batch of `(name, source)` pairs, optionally in parallel on
+/// [`eatss_trace::par_map_ordered`], returning per-input results in input
+/// order.
 ///
 /// Determinism contract (same as the PR 2 sweep pool): each input is
 /// parsed independently with [`parse_named_program`] and results merge
@@ -926,35 +925,11 @@ pub fn parse_files(
     sources: &[(String, String)],
     jobs: usize,
 ) -> Vec<Result<Program, ParseError>> {
-    let workers = match jobs {
+    let jobs = match jobs {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
-    }
-    .min(sources.len().max(1));
-    if workers <= 1 {
-        return sources
-            .iter()
-            .map(|(name, src)| parse_named_program(name, src))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<Program, ParseError>>>> =
-        sources.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((name, src)) = sources.get(i) else {
-                    break;
-                };
-                *slots[i].lock().unwrap() = Some(parse_named_program(name, src));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every input parsed"))
-        .collect()
+    };
+    eatss_trace::par_map_ordered(sources, jobs, |(name, src)| parse_named_program(name, src))
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! with a deterministic parallel executor.
 //!
 //! The sweep is embarrassingly parallel across benchmarks, so
-//! [`run_oracle_sweep`] uses the same scoped worker-pool shape as the
-//! core crate's parallel sweep (PR 2): an atomic work index hands
-//! benchmark indices to `jobs` workers, each worker produces a fully
+//! [`run_oracle_sweep`] maps them over
+//! [`eatss_trace::par_map_ordered`]: each worker produces a fully
 //! buffered per-benchmark report, and the merge concatenates them in
 //! canonical benchmark order. Random tile samples are drawn from a
 //! per-benchmark RNG seeded by mixing the sweep seed with the benchmark
@@ -21,8 +20,6 @@ use eatss_gpusim::GpuArch;
 use eatss_ppcg::oracle::{sample_tile_config, sweep_rng, verify_sizes};
 use eatss_ppcg::{verify, verify_batch, OracleError, OracleOptions};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Sweep knobs (see the `oracle_sweep` binary for the CLI surface).
 #[derive(Debug, Clone)]
@@ -215,35 +212,9 @@ pub fn run_oracle_sweep(opts: &OracleSweepOptions) -> OracleSweepSummary {
     let oracle_opts = OracleOptions::default();
     let benches = eatss_kernels::polybench();
 
-    let reports: Vec<BenchReport> = if opts.jobs <= 1 {
-        benches
-            .iter()
-            .map(|b| sweep_benchmark(b, &eatss, &arch, &oracle_opts, opts))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<BenchReport>>> =
-            benches.iter().map(|_| Mutex::new(None)).collect();
-        let workers = opts.jobs.min(benches.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(bench) = benches.get(i) else { break };
-                    let report = sweep_benchmark(bench, &eatss, &arch, &oracle_opts, opts);
-                    *slots[i].lock().expect("slot poisoned") = Some(report);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot poisoned")
-                    .expect("every benchmark processed by a worker")
-            })
-            .collect()
-    };
+    let reports = eatss_trace::par_map_ordered(&benches, opts.jobs, |bench| {
+        sweep_benchmark(bench, &eatss, &arch, &oracle_opts, opts)
+    });
 
     let mut summary = OracleSweepSummary {
         configs: 0,

@@ -9,7 +9,7 @@ use eatss_gpusim::{DeviceProfile, GpuArch};
 use eatss_kernels::Dataset;
 
 /// Resolves one `--profiles` entry: a builtin name (`"ga100"`,
-/// case-insensitive) or a path to a JSON/TOML profile file.
+/// case-insensitive) or a path to a JSON profile file.
 ///
 /// # Errors
 ///

@@ -12,7 +12,7 @@
 //!                              results instead of running the selector
 //!   --arch NAME|PATH           target GPU: a builtin device profile
 //!                              (ga100, xavier, h100, orin, nano) or a
-//!                              JSON/TOML profile file (default: ga100)
+//!                              JSON profile file (default: ga100)
 //!   --split <0..1>             shared-memory split factor (default: 0.5)
 //!   --warp-frac <f>            warp fraction (default: 0.5)
 //!   --fp32                     single precision (default: FP64)
@@ -125,7 +125,7 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--arch" => {
                 let spec = next_value(&mut args, "--arch")?;
-                // A builtin profile name, or a path to a JSON/TOML
+                // A builtin profile name, or a path to a JSON
                 // device-profile file.
                 opts.arch = match eatss_gpusim::DeviceProfile::builtin(&spec) {
                     Some(profile) => profile.into_arch(),

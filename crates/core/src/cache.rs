@@ -5,18 +5,15 @@
 //! commonplace in deep learning frameworks". Such toolchains see the same
 //! kernels repeatedly (often with the same shapes); [`TileCache`] keys
 //! solved selections by the full structural key of
-//! (program, sizes, architecture, configuration) — the 64-bit
-//! [`fingerprint`] only picks the bucket, and colliding keys coexist in
-//! it, so a hash collision can never serve the wrong kernel's tiles.
+//! (program, sizes, architecture, configuration) — see [`encode_key`] —
+//! so two requests share an entry iff they are interchangeable.
 
 use crate::config::EatssConfig;
 use crate::model::{EatssError, EatssSolution, ModelGenerator};
 use eatss_affine::ir::{ArrayRef, Extent, RhsExpr};
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::{Entry as Slot, HashMap};
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,8 +30,18 @@ pub struct TileCacheStats {
     pub errors: u64,
 }
 
-/// One bucket of colliding entries: `(full key, memoized result)` pairs.
-type Bucket = Vec<(Vec<u8>, Result<EatssSolution, EatssError>)>;
+/// What a selection request resolves to (failures are memoized too).
+pub type SelectResult = Result<EatssSolution, EatssError>;
+
+/// One memoized selection.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    pub(crate) result: SelectResult,
+    /// On-disk size of the journal record currently backing this entry
+    /// (0 when it lives in memory only) — maintained by
+    /// [`PersistentTileCache`](crate::persist::PersistentTileCache).
+    pub(crate) disk_bytes: u64,
+}
 
 /// A memoizing front end over the EATSS pipeline for JIT-style use.
 ///
@@ -63,12 +70,8 @@ type Bucket = Vec<(Vec<u8>, Result<EatssSolution, EatssError>)>;
 #[derive(Debug)]
 pub struct TileCache {
     arch: GpuArch,
-    /// Buckets by fingerprint; each bucket holds `(full key, result)`
-    /// pairs so fingerprint collisions stay distinguishable.
-    entries: HashMap<u64, Bucket>,
-    /// How a full key is folded into a bucket index — swappable in tests
-    /// to force collisions.
-    fingerprinter: fn(&[u8]) -> u64,
+    /// Memoized selections by full structural key ([`encode_key`]).
+    entries: HashMap<Vec<u8>, Entry>,
     stats: TileCacheStats,
 }
 
@@ -78,19 +81,6 @@ impl TileCache {
         TileCache {
             arch,
             entries: HashMap::new(),
-            fingerprinter: hash_key,
-            stats: TileCacheStats::default(),
-        }
-    }
-
-    /// Like [`TileCache::new`] but with a custom bucket function — used
-    /// by tests to force every key into one bucket and exercise the
-    /// collision path.
-    pub fn with_fingerprinter(arch: GpuArch, fingerprinter: fn(&[u8]) -> u64) -> Self {
-        TileCache {
-            arch,
-            entries: HashMap::new(),
-            fingerprinter,
             stats: TileCacheStats::default(),
         }
     }
@@ -102,12 +92,12 @@ impl TileCache {
 
     /// Number of memoized formulations (feasible or not).
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// Whether nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Hit/miss counters.
@@ -135,28 +125,21 @@ impl TileCache {
         config: &EatssConfig,
     ) -> Result<&EatssSolution, EatssError> {
         let key = encode_key(&self.arch, program, sizes, config);
-        let bucket_id = (self.fingerprinter)(&key);
-        let bucket = self.entries.entry(bucket_id).or_default();
-        let pos = match bucket.iter().position(|(k, _)| *k == key) {
-            Some(pos) => {
+        let entry = match self.entries.entry(key) {
+            Slot::Occupied(slot) => {
                 self.stats.hits += 1;
-                pos
+                slot.into_mut()
             }
-            None => {
-                self.stats.misses += 1;
-                let result = ModelGenerator::new(&self.arch, config.clone())
-                    .build(program, Some(sizes))
-                    .and_then(|model| model.solve());
-                match &result {
-                    Err(EatssError::Unsatisfiable { .. }) => self.stats.infeasible += 1,
-                    Err(_) => self.stats.errors += 1,
-                    Ok(_) => {}
-                }
-                bucket.push((key, result));
-                bucket.len() - 1
+            Slot::Vacant(slot) => {
+                let result = solve(&self.arch, program, sizes, config);
+                count_miss(&mut self.stats, &result);
+                slot.insert(Entry {
+                    result,
+                    disk_bytes: 0,
+                })
             }
         };
-        match &bucket[pos].1 {
+        match &entry.result {
             Ok(solution) => Ok(solution),
             Err(e) => Err(e.clone()),
         }
@@ -164,74 +147,59 @@ impl TileCache {
 
     /// Looks up a pre-encoded key (see [`encode_key`]), counting a hit
     /// when present. Absence counts nothing — the caller decides whether
-    /// it becomes a miss (via [`TileCache::insert_key`]) or is abandoned.
-    pub fn lookup_key(&mut self, key: &[u8]) -> Option<Result<EatssSolution, EatssError>> {
-        let bucket_id = (self.fingerprinter)(key);
-        let entry = self
-            .entries
-            .get(&bucket_id)?
-            .iter()
-            .find(|(k, _)| k == key)?;
+    /// it becomes a miss (via `insert_key`) or is abandoned.
+    pub fn lookup_key(&mut self, key: &[u8]) -> Option<SelectResult> {
+        let entry = self.entries.get(key)?;
         self.stats.hits += 1;
-        Some(entry.1.clone())
+        Some(entry.result.clone())
     }
 
     /// Memoizes an externally computed result, counting a miss plus the
     /// infeasible/error classification — the counterpart to a
-    /// [`TileCache::lookup_key`] that came back empty. An existing entry
-    /// for the same key is replaced.
-    pub fn insert_key(&mut self, key: Vec<u8>, result: Result<EatssSolution, EatssError>) {
-        self.stats.misses += 1;
-        match &result {
-            Err(EatssError::Unsatisfiable { .. }) => self.stats.infeasible += 1,
-            Err(_) => self.stats.errors += 1,
-            Ok(_) => {}
-        }
-        self.put_key(key, result);
+    /// [`TileCache::lookup_key`] that came back empty. `disk_bytes` and
+    /// the return value are as in `replay_key`.
+    pub(crate) fn insert_key(&mut self, key: Vec<u8>, result: SelectResult, disk_bytes: u64) -> u64 {
+        count_miss(&mut self.stats, &result);
+        self.replay_key(key, result, disk_bytes)
     }
 
-    /// Memoizes a result without touching any statistics — used to
-    /// warm-start the cache from a journal, where entries were counted by
-    /// the process that first solved them.
-    pub fn replay_key(&mut self, key: Vec<u8>, result: Result<EatssSolution, EatssError>) {
-        self.put_key(key, result);
-    }
-
-    fn put_key(&mut self, key: Vec<u8>, result: Result<EatssSolution, EatssError>) {
-        let bucket_id = (self.fingerprinter)(&key);
-        let bucket = self.entries.entry(bucket_id).or_default();
-        match bucket.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = result,
-            None => bucket.push((key, result)),
-        }
-    }
-
-    /// Runs the pipeline for one request without consulting or updating
-    /// the cache — the solve half of [`TileCache::select`], split out for
-    /// wrappers that manage lookup/insert themselves.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the formulation or solver produced.
-    pub fn solve_for(
-        &self,
-        program: &Program,
-        sizes: &ProblemSizes,
-        config: &EatssConfig,
-    ) -> Result<EatssSolution, EatssError> {
-        ModelGenerator::new(&self.arch, config.clone())
-            .build(program, Some(sizes))
-            .and_then(|model| model.solve())
-    }
-
-    /// Iterates every memoized `(key, result)` pair, in no particular
-    /// order — the source set for journal compaction.
-    pub fn encoded_entries(
-        &self,
-    ) -> impl Iterator<Item = (&[u8], &Result<EatssSolution, EatssError>)> {
+    /// Memoizes a result without touching any statistics (journal replay:
+    /// entries were counted by the process that first solved them),
+    /// recording the size of the journal record that backs it. Returns
+    /// the size of the record it supersedes (0 when the key was new or
+    /// memory-only).
+    pub(crate) fn replay_key(&mut self, key: Vec<u8>, result: SelectResult, disk_bytes: u64) -> u64 {
         self.entries
-            .values()
-            .flat_map(|bucket| bucket.iter().map(|(k, r)| (k.as_slice(), r)))
+            .insert(key, Entry { result, disk_bytes })
+            .map_or(0, |old| old.disk_bytes)
+    }
+
+    /// Iterates every memoized `(key, entry)` pair, in no particular
+    /// order — the source set for journal compaction.
+    pub(crate) fn entries_mut(&mut self) -> impl Iterator<Item = (&[u8], &mut Entry)> {
+        self.entries.iter_mut().map(|(k, e)| (k.as_slice(), e))
+    }
+}
+
+/// Runs the pipeline for one request without consulting any cache — the
+/// solve half of [`TileCache::select`].
+pub(crate) fn solve(
+    arch: &GpuArch,
+    program: &Program,
+    sizes: &ProblemSizes,
+    config: &EatssConfig,
+) -> SelectResult {
+    ModelGenerator::new(arch, config.clone())
+        .build(program, Some(sizes))
+        .and_then(|model| model.solve())
+}
+
+fn count_miss(stats: &mut TileCacheStats, result: &SelectResult) {
+    stats.misses += 1;
+    match result {
+        Err(EatssError::Unsatisfiable { .. }) => stats.infeasible += 1,
+        Err(_) => stats.errors += 1,
+        Ok(_) => {}
     }
 }
 
@@ -295,32 +263,6 @@ pub fn encode_key(
 
 fn put(k: &mut Vec<u8>, v: u64) {
     k.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Folds a canonical key into its 64-bit bucket fingerprint.
-fn hash_key(key: &[u8]) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// Folds an already-encoded key (from [`encode_key`]) into the same
-/// 64-bit fingerprint [`fingerprint`] computes — used to pick journal
-/// shards without re-encoding the request.
-pub fn fingerprint_key(key: &[u8]) -> u64 {
-    hash_key(key)
-}
-
-/// Structural fingerprint of a selection request — the bucket hash of
-/// [`encode_key`]. Collisions are possible (it is 64 bits); the cache
-/// itself always compares the full encoding.
-pub fn fingerprint(
-    arch: &GpuArch,
-    program: &Program,
-    sizes: &ProblemSizes,
-    config: &EatssConfig,
-) -> u64 {
-    hash_key(&encode_key(arch, program, sizes, config))
 }
 
 fn encode_ref(r: &ArrayRef, k: &mut Vec<u8>) {
@@ -469,47 +411,9 @@ mod tests {
     }
 
     #[test]
-    fn colliding_fingerprints_keep_distinct_entries() {
-        // Every request lands in bucket 0; structurally different
-        // programs must still be solved and served independently.
-        let mut cache = TileCache::with_fingerprinter(GpuArch::ga100(), |_| 0);
-        let matmul = mm(("C", "A", "B"));
-        let stencil = parse_program(
-            "kernel st(M, N, P) {
-               for (i: M) for (j: N) for (k: P)
-                 C[i][j] += A[i][j-1] + A[i][j+1];
-             }",
-        )
-        .unwrap();
-        let a = cache
-            .select(&matmul, &sizes(2000), &EatssConfig::default())
-            .unwrap()
-            .clone();
-        let b = cache
-            .select(&stencil, &sizes(2000), &EatssConfig::default())
-            .unwrap()
-            .clone();
-        assert_eq!(cache.stats().misses, 2, "collision must not alias");
-        assert_eq!(cache.len(), 2);
-        // Both entries stay retrievable with their own tiles.
-        let a2 = cache
-            .select(&matmul, &sizes(2000), &EatssConfig::default())
-            .unwrap()
-            .clone();
-        let b2 = cache
-            .select(&stencil, &sizes(2000), &EatssConfig::default())
-            .unwrap()
-            .clone();
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(a.tiles, a2.tiles);
-        assert_eq!(b.tiles, b2.tiles);
-    }
-
-    #[test]
     fn distinct_architectures_do_not_alias() {
-        // ga100 and a hypothetical variant differing only in fields the
-        // old fingerprint ignored (sm_count, threads/block cap) must
-        // produce different fingerprints.
+        // ga100 and a hypothetical variant differing only in sm_count or
+        // the threads/block cap must produce different keys.
         let program = mm(("C", "A", "B"));
         let cfg = EatssConfig::default();
         let base = GpuArch::ga100();
@@ -517,11 +421,8 @@ mod tests {
         fewer_sms.sm_count = 1;
         let mut smaller_blocks = base.clone();
         smaller_blocks.max_threads_per_block = 128;
-        let f0 = fingerprint(&base, &program, &sizes(2000), &cfg);
-        assert_ne!(f0, fingerprint(&fewer_sms, &program, &sizes(2000), &cfg));
-        assert_ne!(
-            f0,
-            fingerprint(&smaller_blocks, &program, &sizes(2000), &cfg)
-        );
+        let k0 = encode_key(&base, &program, &sizes(2000), &cfg);
+        assert_ne!(k0, encode_key(&fewer_sms, &program, &sizes(2000), &cfg));
+        assert_ne!(k0, encode_key(&smaller_blocks, &program, &sizes(2000), &cfg));
     }
 }

@@ -117,8 +117,11 @@ impl RecoveryStats {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the record checksum. Hand-rolled (no
-/// external crates) and stable across platforms and releases.
+/// FNV-1a 64-bit over `bytes` — the record checksum, and the hash that
+/// routes a key to its shard. Hand-rolled (no external crates) and stable
+/// across platforms and releases, which shard routing relies on: replay
+/// reads shards in index order, so a key whose route changed between
+/// builds could have its newer record superseded by an older one.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -172,6 +175,20 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 
 fn bad_data(detail: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
+/// One on-disk record (see the module docs): length, checksum, payload.
+fn encode_record(key: &[u8], value: &[u8]) -> Vec<u8> {
+    let payload_len = 4 + key.len() + value.len();
+    let mut record = Vec::with_capacity(RECORD_PREFIX_BYTES as usize + payload_len);
+    record.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    record.extend_from_slice(&[0u8; 8]); // checksum patched below
+    record.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    record.extend_from_slice(key);
+    record.extend_from_slice(value);
+    let checksum = fnv1a64(&record[RECORD_PREFIX_BYTES as usize..]);
+    record[4..12].copy_from_slice(&checksum.to_le_bytes());
+    record
 }
 
 /// Best-effort directory fsync so renames and creations are durable.
@@ -241,14 +258,7 @@ impl Journal {
                 self.config.max_record_bytes
             )));
         }
-        let mut record = Vec::with_capacity(RECORD_PREFIX_BYTES as usize + payload_len);
-        record.extend_from_slice(&(payload_len as u32).to_le_bytes());
-        record.extend_from_slice(&[0u8; 8]); // checksum patched below
-        record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        record.extend_from_slice(key);
-        record.extend_from_slice(value);
-        let checksum = fnv1a64(&record[RECORD_PREFIX_BYTES as usize..]);
-        record[4..12].copy_from_slice(&checksum.to_le_bytes());
+        let record = encode_record(key, value);
 
         let sync = self.config.sync;
         let shard_index = self.shard_of(fingerprint) as usize;
@@ -304,17 +314,7 @@ impl Journal {
                 let mut tmp = File::create(&tmp_path)?;
                 tmp.write_all(&header_bytes(index as u32, self.config.shards))?;
                 for (key, value) in group {
-                    let payload_len = 4 + key.len() + value.len();
-                    let mut record =
-                        Vec::with_capacity(RECORD_PREFIX_BYTES as usize + payload_len);
-                    record.extend_from_slice(&(payload_len as u32).to_le_bytes());
-                    record.extend_from_slice(&[0u8; 8]);
-                    record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                    record.extend_from_slice(key);
-                    record.extend_from_slice(&value);
-                    let checksum = fnv1a64(&record[RECORD_PREFIX_BYTES as usize..]);
-                    record[4..12].copy_from_slice(&checksum.to_le_bytes());
-                    tmp.write_all(&record)?;
+                    tmp.write_all(&encode_record(key, &value))?;
                 }
                 tmp.sync_all()?;
             }

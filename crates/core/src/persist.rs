@@ -1,7 +1,7 @@
 //! A [`TileCache`] that survives restarts — and `kill -9`.
 //!
-//! [`PersistentTileCache`] pairs the in-memory collision-safe cache with
-//! the sharded append-only [`Journal`](crate::journal::Journal): every
+//! [`PersistentTileCache`] pairs the in-memory cache with the sharded
+//! append-only [`Journal`](crate::journal::Journal): every
 //! *committed* result (a proved-optimal solution or a proved
 //! infeasibility) is appended to disk before it is served, and opening
 //! the cache replays the journal to warm-start the index. Anytime
@@ -14,15 +14,14 @@
 //! decode (a corrupt record that slipped past the journal checksum, or a
 //! future format) is counted and skipped, never trusted.
 
-use crate::cache::{encode_key, fingerprint_key, TileCache, TileCacheStats};
+use crate::cache::{encode_key, solve, SelectResult, TileCache, TileCacheStats};
 use crate::config::EatssConfig;
-use crate::journal::{Journal, JournalConfig, RecoveryStats, RECORD_PREFIX_BYTES};
+use crate::journal::{fnv1a64, Journal, JournalConfig, RecoveryStats, RECORD_PREFIX_BYTES};
 use crate::model::{EatssError, EatssSolution, SolutionProvenance};
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_smt::SolverStats;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::time::Duration;
@@ -35,11 +34,20 @@ const VALUE_VERSION: u8 = 2;
 const TAG_SOLUTION: u8 = 0;
 const TAG_INFEASIBLE: u8 = 1;
 
+/// Whether a result is *committed* — a fully solved selection or a
+/// proved infeasibility — and therefore worth keeping. Anytime/fallback
+/// solutions (a bigger budget could beat them) and transient errors
+/// (faults, exhaustion — retrying may succeed) are not.
+pub fn is_committed(result: &SelectResult) -> bool {
+    match result {
+        Ok(s) => s.provenance == SolutionProvenance::Solved,
+        Err(e) => matches!(e, EatssError::Unsatisfiable { .. }),
+    }
+}
+
 /// Encodes a cache result for the journal. Returns `None` for results
-/// that must not be persisted: anytime/fallback solutions (a bigger
-/// budget could beat them) and transient errors (faults, exhaustion —
-/// retrying may succeed).
-pub fn encode_result(result: &Result<EatssSolution, EatssError>) -> Option<Vec<u8>> {
+/// that are not [committed](is_committed) and so must not be persisted.
+pub fn encode_result(result: &SelectResult) -> Option<Vec<u8>> {
     let mut v = Vec::with_capacity(160);
     v.push(VALUE_VERSION);
     match result {
@@ -120,7 +128,7 @@ impl<'a> Cursor<'a> {
 
 /// Decodes a journaled value. `None` means the bytes are not a valid
 /// persisted result (corrupt or from the future) — the entry is dropped.
-pub fn decode_result(bytes: &[u8]) -> Option<Result<EatssSolution, EatssError>> {
+pub fn decode_result(bytes: &[u8]) -> Option<SelectResult> {
     let mut c = Cursor { bytes, pos: 0 };
     if c.u8()? != VALUE_VERSION {
         return None;
@@ -189,7 +197,7 @@ pub fn decode_result(bytes: &[u8]) -> Option<Result<EatssSolution, EatssError>> 
 /// A journaled, warm-starting tile cache.
 ///
 /// All of [`TileCache`]'s semantics carry over — full structural keys,
-/// collision-safe buckets, hit/miss/infeasible statistics — plus:
+/// hit/miss/infeasible statistics — plus:
 ///
 /// * committed results (optimal solutions, proved infeasibilities) are
 ///   appended to an on-disk journal *before* they are served, so an `Ok`
@@ -209,11 +217,10 @@ pub struct PersistentTileCache {
     undecodable: u64,
     /// Entries appended to the journal over this cache's lifetime.
     persisted: u64,
-    /// On-disk record size of the *latest* record per key. Superseded
+    /// On-disk bytes of the *latest* record per key — the sum of the
+    /// entries' `disk_bytes`, maintained incrementally. Superseded
     /// records, undecodable values and corrupt skipped bytes are the
     /// complement: garbage.
-    live_sizes: HashMap<Vec<u8>, u64>,
-    /// Sum of `live_sizes` values (maintained incrementally).
     live_bytes: u64,
 }
 
@@ -236,7 +243,6 @@ impl PersistentTileCache {
         let mut mem = TileCache::new(arch);
         let mut replayed = 0;
         let mut undecodable = 0;
-        let mut live_sizes: HashMap<Vec<u8>, u64> = HashMap::new();
         let mut live_bytes = 0u64;
         for (key, value) in records {
             match decode_result(&value) {
@@ -245,9 +251,7 @@ impl PersistentTileCache {
                 // the append-order duplicates, which replay idempotently).
                 Some(result) => {
                     let size = record_size(&key, &value);
-                    let old = live_sizes.insert(key.clone(), size);
-                    live_bytes = live_bytes + size - old.unwrap_or(0);
-                    mem.replay_key(key, result);
+                    live_bytes = live_bytes + size - mem.replay_key(key, result, size);
                     replayed += 1;
                 }
                 None => undecodable += 1,
@@ -259,7 +263,6 @@ impl PersistentTileCache {
             replayed,
             undecodable,
             persisted: 0,
-            live_sizes,
             live_bytes,
         })
     }
@@ -273,17 +276,8 @@ impl PersistentTileCache {
             replayed: 0,
             undecodable: 0,
             persisted: 0,
-            live_sizes: HashMap::new(),
             live_bytes: 0,
         }
-    }
-
-    /// Accounts a freshly appended record as the live one for its key,
-    /// demoting any previous record to garbage.
-    fn note_live(&mut self, key: &[u8], value: &[u8]) {
-        let size = record_size(key, value);
-        let old = self.live_sizes.insert(key.to_vec(), size);
-        self.live_bytes = self.live_bytes + size - old.unwrap_or(0);
     }
 
     /// Whether a journal backs this cache.
@@ -328,7 +322,7 @@ impl PersistentTileCache {
     }
 
     /// Looks up a pre-encoded key, counting a hit when present.
-    pub fn lookup_key(&mut self, key: &[u8]) -> Option<Result<EatssSolution, EatssError>> {
+    pub fn lookup_key(&mut self, key: &[u8]) -> Option<SelectResult> {
         self.mem.lookup_key(key)
     }
 
@@ -340,20 +334,23 @@ impl PersistentTileCache {
     ///
     /// # Errors
     ///
-    /// Journal I/O failures (the in-memory index is left unchanged).
-    pub fn insert_key(
-        &mut self,
-        key: Vec<u8>,
-        result: Result<EatssSolution, EatssError>,
-    ) -> io::Result<()> {
+    /// Journal I/O failures (the in-memory index is left unchanged);
+    /// each one also bumps the `journal.append_errors` trace counter.
+    pub fn insert_key(&mut self, key: Vec<u8>, result: SelectResult) -> io::Result<()> {
+        let mut size = 0;
         if let Some(journal) = &mut self.journal {
             if let Some(value) = encode_result(&result) {
-                journal.append(fingerprint_key(&key), &key, &value)?;
+                if let Err(e) = journal.append(fnv1a64(&key), &key, &value) {
+                    eatss_trace::counter_add("journal.append_errors", 1);
+                    return Err(e);
+                }
                 self.persisted += 1;
-                self.note_live(&key, &value);
+                size = record_size(&key, &value);
             }
         }
-        self.mem.insert_key(key, result);
+        // The new record is the live one for its key; the one it
+        // supersedes (if any) becomes garbage.
+        self.live_bytes = self.live_bytes + size - self.mem.insert_key(key, result, size);
         Ok(())
     }
 
@@ -364,35 +361,30 @@ impl PersistentTileCache {
     /// # Errors
     ///
     /// The (possibly cached) [`EatssError`], like [`TileCache::select`].
-    /// Journal write failures surface as... they do not: a failed append
-    /// downgrades the entry to memory-only rather than failing the
-    /// selection (the solve already succeeded; durability is reported
-    /// via [`PersistentTileCache::persisted`]).
+    /// A journal write failure does not fail the selection — the solve
+    /// already succeeded — but, as with
+    /// [`PersistentTileCache::insert_key`], the result is then not
+    /// memoized either: the next request solves and appends again, and
+    /// the failure shows in the `journal.append_errors` trace counter.
     pub fn select(
         &mut self,
         program: &Program,
         sizes: &ProblemSizes,
         config: &EatssConfig,
-    ) -> Result<EatssSolution, EatssError> {
+    ) -> SelectResult {
         let key = encode_key(self.mem.arch(), program, sizes, config);
         if let Some(cached) = self.mem.lookup_key(&key) {
             return cached;
         }
-        let result = self.mem.solve_for(program, sizes, config);
-        if let Some(journal) = &mut self.journal {
-            if let Some(value) = encode_result(&result) {
-                if journal.append(fingerprint_key(&key), &key, &value).is_ok() {
-                    self.persisted += 1;
-                    self.note_live(&key, &value);
-                }
-            }
-        }
-        self.mem.insert_key(key, result.clone());
+        let result = solve(self.mem.arch(), program, sizes, config);
+        // An append failure is counted by `insert_key`; see `# Errors`.
+        let _ = self.insert_key(key, result.clone());
         result
     }
 
     /// Rewrites the journal to exactly the live committed entries,
-    /// dropping superseded duplicates and unreadable values.
+    /// dropping superseded duplicates and unreadable values (and moving
+    /// every record to the shard its key routes to under this build).
     ///
     /// # Errors
     ///
@@ -401,20 +393,17 @@ impl PersistentTileCache {
         let Some(journal) = &mut self.journal else {
             return Ok(());
         };
-        journal.compact(self.mem.encoded_entries().filter_map(|(key, result)| {
-            encode_result(result).map(|value| (fingerprint_key(key), key, value))
+        // The journal then holds exactly one record per committed entry:
+        // re-anchor the accounting on what is written, so the garbage
+        // ratio returns to 0.
+        let mut live_bytes = 0;
+        journal.compact(self.mem.entries_mut().filter_map(|(key, entry)| {
+            let value = encode_result(&entry.result)?;
+            entry.disk_bytes = record_size(key, &value);
+            live_bytes += entry.disk_bytes;
+            Some((fnv1a64(key), key, value))
         }))?;
-        // The journal now holds exactly one record per live key: rebuild
-        // the accounting from scratch so the garbage ratio returns to 0.
-        self.live_sizes.clear();
-        self.live_bytes = 0;
-        for (key, result) in self.mem.encoded_entries() {
-            if let Some(value) = encode_result(result) {
-                let size = record_size(key, &value);
-                self.live_sizes.insert(key.to_vec(), size);
-                self.live_bytes += size;
-            }
-        }
+        self.live_bytes = live_bytes;
         Ok(())
     }
 
@@ -439,11 +428,7 @@ impl PersistentTileCache {
     /// Bytes of the journal occupied by the latest record of each live
     /// key (0 for ephemeral).
     pub fn live_bytes(&self) -> u64 {
-        if self.journal.is_some() {
-            self.live_bytes
-        } else {
-            0
-        }
+        self.live_bytes
     }
 
     /// Fraction of journal record bytes that a [`compact`]
@@ -575,6 +560,7 @@ mod tests {
                 ..SolverStats::default()
             },
         };
+        assert!(is_committed(&Ok(solution.clone())));
         let encoded = encode_result(&Ok(solution.clone())).unwrap();
         let decoded = decode_result(&encoded).unwrap().unwrap();
         assert_eq!(decoded.tiles.sizes(), solution.tiles.sizes());
@@ -603,13 +589,16 @@ mod tests {
         // of the journal.
         let mut anytime = EatssSolution::ppcg_default(3);
         anytime.provenance = SolutionProvenance::SolvedIncomplete;
-        assert!(encode_result(&Ok(anytime)).is_none());
-        assert!(encode_result(&Ok(EatssSolution::ppcg_default(3))).is_none());
-        assert!(encode_result(&Err(EatssError::Exhausted {
-            reason: "deadline".into()
-        }))
-        .is_none());
-        assert!(encode_result(&Err(EatssError::EmptyProgram)).is_none());
+        for result in [
+            Ok(anytime),
+            Ok(EatssSolution::ppcg_default(3)),
+            Err(EatssError::Exhausted {
+                reason: "deadline".into(),
+            }),
+            Err(EatssError::EmptyProgram),
+        ] {
+            assert!(!is_committed(&result) && encode_result(&result).is_none());
+        }
     }
 
     #[test]
@@ -659,6 +648,47 @@ mod tests {
         cache.compact().unwrap();
         assert_eq!(cache.garbage_ratio(), 0.0);
         assert!(cache.live_bytes() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shard_routing_is_pinned_to_fnv1a() {
+        // Routing must not move between toolchains (std's default hasher
+        // may): FNV-1a 64 of the key, modulo the shard count.
+        let key = b"eatss/shard-routing-pin".to_vec();
+        assert_eq!(fnv1a64(&key), 0x289b_d277_f541_ca79);
+        let dir = temp_dir("route");
+        let mut cache =
+            PersistentTileCache::open(&dir, GpuArch::ga100(), JournalConfig::default()).unwrap();
+        let empty = cache.shard_bytes();
+        let infeasible = Err(EatssError::Unsatisfiable { reason: "r".into() });
+        cache.insert_key(key, infeasible).unwrap();
+        let grown: Vec<usize> = (0..empty.len())
+            .filter(|&i| cache.shard_bytes()[i] > empty[i])
+            .collect();
+        assert_eq!(grown, [1], "0x…ca79 % 8 shards");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_append_is_not_memoized() {
+        let dir = temp_dir("append-error");
+        let tiny = JournalConfig {
+            max_record_bytes: 8,
+            ..JournalConfig::default()
+        };
+        let mut cache = PersistentTileCache::open(&dir, GpuArch::ga100(), tiny).unwrap();
+        let cfg = EatssConfig::default();
+        // The solve succeeds and is returned, but the entry is neither
+        // journaled nor served from memory.
+        cache.select(&mm(), &sizes(2000), &cfg).unwrap();
+        cache.select(&mm(), &sizes(2000), &cfg).unwrap();
+        assert_eq!((cache.persisted(), cache.len(), cache.stats().hits), (0, 0, 0));
+        let key = encode_key(&GpuArch::ga100(), &mm(), &sizes(8), &cfg);
+        let infeasible = Err(EatssError::Unsatisfiable { reason: "r".into() });
+        let err = cache.insert_key(key, infeasible).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!((cache.live_bytes(), cache.garbage_ratio()), (0, 0.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -484,18 +484,21 @@ pub fn run_with(
     // on the canonical configuration list, never on scheduling, so the
     // parallel executor stays bit-identical to the sequential one.
     let chains = warm_chains(&configs, options.warm_start);
-    let contributions: Vec<Result<PointContribution, PipelineError>> =
-        if jobs <= 1 || chains.len() <= 1 {
-            run_chains_sequential(eatss, program, sizes, &configs, chains, options)
-        } else {
-            run_parallel(eatss, program, sizes, &configs, chains, options, jobs)
-        };
+    // Chains run on a scoped pool (inline for one job); whatever order
+    // they finished in, their points go back into canonical order.
+    let mut contributions: Vec<_> = eatss_trace::par_map_ordered(&chains, jobs, |chain| {
+        run_chain(eatss, program, sizes, &configs, chain, options)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    contributions.sort_by_key(|(index, _)| *index);
     // Merge in canonical order. The first systemic error (by canonical
     // index) aborts, exactly as the sequential loop would.
     let mut points = Vec::new();
     let mut infeasible = Vec::new();
     let mut failures = Vec::new();
-    for contribution in contributions {
+    for (_, contribution) in contributions {
         let c = contribution?;
         points.extend(c.point);
         infeasible.extend(c.infeasible);
@@ -553,8 +556,10 @@ fn warm_chains(configs: &[EatssConfig], warm_start: bool) -> Vec<Vec<usize>> {
 }
 
 /// Processes one chain: points in chain order, each solved with the
-/// hints accumulated from its predecessors, each writing its result into
-/// the point's canonical slot.
+/// hints accumulated from its predecessors (the accumulation order is
+/// part of the contract). Returns each point's result with its canonical
+/// index; no point is skipped on error — the merge step decides
+/// (deterministically) which error wins.
 fn run_chain(
     eatss: &Eatss,
     program: &Program,
@@ -562,87 +567,17 @@ fn run_chain(
     configs: &[EatssConfig],
     chain: &[usize],
     options: &SweepOptions,
-    slots: &mut [Option<Result<PointContribution, PipelineError>>],
-) {
+) -> Vec<(usize, Result<PointContribution, PipelineError>)> {
     let mut hints = WarmStart::new();
-    for &i in chain {
-        let warm = if options.warm_start {
-            WarmMode::Seed(&mut hints)
-        } else {
-            WarmMode::Cold
-        };
-        let result = process_point(eatss, program, sizes, configs[i].clone(), options, i, warm);
-        slots[i] = Some(result);
-    }
-}
-
-/// Runs every chain on the caller's thread, returning contributions in
-/// canonical configuration order.
-fn run_chains_sequential(
-    eatss: &Eatss,
-    program: &Program,
-    sizes: &ProblemSizes,
-    configs: &[EatssConfig],
-    chains: Vec<Vec<usize>>,
-    options: &SweepOptions,
-) -> Vec<Result<PointContribution, PipelineError>> {
-    let mut slots: Vec<Option<Result<PointContribution, PipelineError>>> =
-        (0..configs.len()).map(|_| None).collect();
-    for chain in &chains {
-        run_chain(eatss, program, sizes, configs, chain, options, &mut slots);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index belongs to exactly one chain"))
-        .collect()
-}
-
-/// The deterministic parallel executor: a scoped worker pool pulls
-/// *chains* from a shared atomic counter and writes each point's result
-/// into its canonical slot. Chains are internally sequential (their hint
-/// accumulation order is part of the contract); no point is skipped on
-/// error — the merge step decides (deterministically) which error wins.
-fn run_parallel(
-    eatss: &Eatss,
-    program: &Program,
-    sizes: &ProblemSizes,
-    configs: &[EatssConfig],
-    chains: Vec<Vec<usize>>,
-    options: &SweepOptions,
-    jobs: usize,
-) -> Vec<Result<PointContribution, PipelineError>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<PointContribution, PipelineError>>>> =
-        configs.iter().map(|_| Mutex::new(None)).collect();
-    let workers = jobs.min(chains.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                let Some(chain) = chains.get(c) else { break };
-                let mut hints = WarmStart::new();
-                for &i in chain {
-                    let warm = if options.warm_start {
-                        WarmMode::Seed(&mut hints)
-                    } else {
-                        WarmMode::Cold
-                    };
-                    let result =
-                        process_point(eatss, program, sizes, configs[i].clone(), options, i, warm);
-                    *slots[i].lock().expect("slot poisoned") = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("every index processed by a worker")
+    chain
+        .iter()
+        .map(|&i| {
+            let warm = if options.warm_start {
+                WarmMode::Seed(&mut hints)
+            } else {
+                WarmMode::Cold
+            };
+            (i, process_point(eatss, program, sizes, configs[i].clone(), options, i, warm))
         })
         .collect()
 }

@@ -5,15 +5,13 @@
 //! Figs 7/8/10) makes the architecture description an *input*, not a
 //! constant. A [`DeviceProfile`] wraps a [`GpuArch`] with:
 //!
-//! * a zero-dependency loader for JSON (via [`eatss_trace::json`]) and a
-//!   TOML subset (`key = value` lines plus one `[power]` table);
+//! * a zero-dependency JSON loader (via [`eatss_trace::json`]);
 //! * [`DeviceProfile::validate`], which rejects non-physical profiles —
 //!   zero SMs, negative energy coefficients, bandwidth inversions, a TDP
 //!   below the idle floor;
-//! * pretty-printers ([`DeviceProfile::to_json_pretty`],
-//!   [`DeviceProfile::to_toml`]) whose output re-parses to a
-//!   bit-identical profile (Rust's `f64` Display emits the shortest
-//!   round-tripping decimal);
+//! * a pretty-printer ([`DeviceProfile::to_json_pretty`]) whose output
+//!   re-parses to a bit-identical profile (Rust's `f64` Display emits the
+//!   shortest round-tripping decimal);
 //! * a registry of committed builtin profiles (`profiles/*.json`,
 //!   embedded at compile time) behind [`DeviceProfile::builtin`].
 //!
@@ -33,8 +31,8 @@ use crate::arch::{GpuArch, PowerCoefficients};
 /// Why a profile failed to load or validate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProfileError {
-    /// The document is not syntactically valid JSON/TOML, or contains a
-    /// field the schema does not know.
+    /// The document is not syntactically valid JSON, or contains a field
+    /// the schema does not know.
     Parse(String),
     /// A required field is absent.
     MissingField(&'static str),
@@ -130,40 +128,26 @@ impl DeviceProfile {
             .map(|(_, p)| p.clone())
     }
 
-    /// Parses a profile from either supported format, sniffed from the
-    /// first non-whitespace byte (`{` → JSON, anything else → TOML).
-    /// Parsing does not validate — follow with [`DeviceProfile::validate`]
-    /// before trusting the numbers (or use [`DeviceProfile::load`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileError::Parse`] / [`ProfileError::MissingField`] /
-    /// [`ProfileError::BadField`] on malformed input.
-    pub fn parse(text: &str) -> Result<Self, ProfileError> {
-        match text.trim_start().chars().next() {
-            Some('{') => Self::from_json(text),
-            _ => Self::from_toml(text),
-        }
-    }
-
     /// Reads and parses a profile file, then validates it.
     ///
     /// # Errors
     ///
     /// [`ProfileError::Io`] when the file cannot be read; otherwise the
-    /// same conditions as [`DeviceProfile::parse`] and
+    /// same conditions as [`DeviceProfile::from_json`] and
     /// [`DeviceProfile::validate`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ProfileError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path)
             .map_err(|e| ProfileError::Io(format!("{}: {e}", path.display())))?;
-        let profile = Self::parse(&text)?;
+        let profile = Self::from_json(&text)?;
         profile.validate()?;
         Ok(profile)
     }
 
     /// Parses the JSON profile format (see `crates/gpusim/profiles/` for
-    /// the canonical shape). Does not validate.
+    /// the canonical shape). Does not validate — follow with
+    /// [`DeviceProfile::validate`] before trusting the numbers (or use
+    /// [`DeviceProfile::load`]).
     ///
     /// # Errors
     ///
@@ -206,67 +190,6 @@ impl DeviceProfile {
         raw.into_profile()
     }
 
-    /// Parses the TOML-subset profile format: `#` comments, top-level
-    /// `key = value` lines and a single `[power]` table; strings use
-    /// JSON string syntax. Does not validate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DeviceProfile::from_json`].
-    pub fn from_toml(text: &str) -> Result<Self, ProfileError> {
-        let mut raw = RawProfile::default();
-        let mut in_power = false;
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = strip_toml_comment(line);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(table) = line.strip_prefix('[') {
-                let table = table
-                    .strip_suffix(']')
-                    .ok_or_else(|| ProfileError::Parse(format!("line {lineno}: unclosed `[`")))?
-                    .trim();
-                if table != "power" {
-                    return Err(ProfileError::Parse(format!(
-                        "line {lineno}: unknown table `[{table}]` (only `[power]` is known)"
-                    )));
-                }
-                in_power = true;
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                ProfileError::Parse(format!("line {lineno}: expected `key = value`"))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            if key.is_empty() {
-                return Err(ProfileError::Parse(format!("line {lineno}: empty key")));
-            }
-            if value.starts_with('"') {
-                let parsed = Json::parse(value)
-                    .map_err(|e| ProfileError::Parse(format!("line {lineno}: {e}")))?;
-                let s = parsed
-                    .as_str()
-                    .ok_or_else(|| ProfileError::Parse(format!("line {lineno}: bad string")))?;
-                if in_power || key != "name" {
-                    return Err(bad(key, "expected a number"));
-                }
-                raw.name = Some(s.to_owned());
-            } else {
-                let n: f64 = value.parse().map_err(|_| {
-                    ProfileError::Parse(format!("line {lineno}: `{value}` is not a number"))
-                })?;
-                if in_power {
-                    raw.power.insert(key.to_owned(), n);
-                } else {
-                    raw.scalars.insert(key.to_owned(), n);
-                }
-            }
-        }
-        raw.into_profile()
-    }
-
     /// Pretty-prints the canonical JSON form: fixed field order, 2-space
     /// indent, trailing newline. Re-parsing the output yields a
     /// bit-identical profile; the committed `profiles/*.json` are byte-
@@ -287,23 +210,6 @@ impl DeviceProfile {
             s.push_str(&format!("    \"{key}\": {value}{comma}\n"));
         }
         s.push_str("  }\n}\n");
-        s
-    }
-
-    /// Pretty-prints the canonical TOML form (same field order as the
-    /// JSON printer, `[power]` table last). Re-parsing the output yields
-    /// a bit-identical profile.
-    pub fn to_toml(&self) -> String {
-        let a = &self.arch;
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!("name = \"{}\"\n", json::escape(&a.name)));
-        for (key, value) in self.scalar_fields() {
-            s.push_str(&format!("{key} = {value}\n"));
-        }
-        s.push_str("\n[power]\n");
-        for (key, value) in power_fields(&a.power) {
-            s.push_str(&format!("{key} = {value}\n"));
-        }
         s
     }
 
@@ -481,23 +387,7 @@ fn bad(field: &str, reason: &str) -> ProfileError {
     }
 }
 
-/// Cuts a TOML line at the first `#` that is outside a quoted string.
-fn strip_toml_comment(line: &str) -> &str {
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' if in_string => escaped = true,
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// The field soup both parsers produce before schema checking.
+/// The field soup the parser produces before schema checking.
 #[derive(Default)]
 struct RawProfile {
     name: Option<String>,
@@ -686,33 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_is_bit_identical() {
-        for name in DeviceProfile::builtin_names() {
-            let profile = DeviceProfile::builtin(name).unwrap();
-            let toml = profile.to_toml();
-            let reparsed = DeviceProfile::from_toml(&toml).unwrap();
-            assert_bit_identical(profile.arch(), reparsed.arch());
-            // `parse` sniffs the format.
-            let sniffed = DeviceProfile::parse(&toml).unwrap();
-            assert_bit_identical(profile.arch(), sniffed.arch());
-        }
-    }
-
-    #[test]
-    fn toml_tolerates_comments_and_escaped_names() {
-        let toml = "# a hash-mark name\nname = \"dev \\\"#1\\\"\" # trailing\n".to_owned()
-            + &DeviceProfile::builtin("nano")
-                .unwrap()
-                .to_toml()
-                .lines()
-                .skip(1)
-                .collect::<Vec<_>>()
-                .join("\n");
-        let profile = DeviceProfile::from_toml(&toml).unwrap();
-        assert_eq!(profile.arch().name, "dev \"#1\"");
-    }
-
-    #[test]
     fn ga100_profile_matches_legacy_constructor() {
         let legacy = crate::arch::legacy::ga100();
         let loaded = DeviceProfile::builtin("ga100").unwrap();
@@ -818,11 +681,6 @@ mod tests {
             DeviceProfile::from_json("{"),
             Err(ProfileError::Parse(_))
         ));
-        // TOML: unknown table.
-        assert!(matches!(
-            DeviceProfile::from_toml("[thermal]\nx = 1\n"),
-            Err(ProfileError::Parse(_))
-        ));
     }
 
     #[test]
@@ -847,6 +705,13 @@ mod tests {
         assert!(matches!(
             DeviceProfile::load(dir.join("absent.json")),
             Err(ProfileError::Io(_))
+        ));
+        // JSON is the only format: anything else is a typed parse error.
+        let toml = path.with_file_name("dev.toml");
+        std::fs::write(&toml, "name = \"Orin\"\nsm_count = 16\n").unwrap();
+        assert!(matches!(
+            DeviceProfile::load(&toml),
+            Err(ProfileError::Parse(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

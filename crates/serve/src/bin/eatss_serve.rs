@@ -27,7 +27,7 @@ OPTIONS:
   --max-deadline-ms N    upper clamp for requested deadlines (default 30000)
   --read-timeout-ms N    mid-frame stall budget (default 5000)
   --arch NAME|PATH       default device: a builtin profile (ga100, xavier,
-                         h100, orin, nano) or a profile file (default ga100)
+                         h100, orin, nano) or a JSON profile file (default ga100)
   --shards N             journal shard count (default 8)
   --no-sync              journal without per-append fsync (faster, test-only)
   --access-log PATH      append one JSON line per request to PATH

@@ -3,6 +3,7 @@
 //! responses, explicit timeouts.
 
 use crate::protocol::{object_line, str_field, FrameReader, ProtocolError};
+use crate::transport::{Socket, Stream};
 use eatss_trace::json::{number, Json};
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -11,43 +12,9 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl io::Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => io::Read::read(s, buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => io::Read::read(s, buf),
-        }
-    }
-}
-
-impl io::Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A connected protocol client.
 pub struct Client {
-    stream: ClientStream,
+    stream: Stream,
     reader: FrameReader,
 }
 
@@ -69,10 +36,13 @@ impl Client {
     pub fn connect_tcp_timeout(addr: &str, timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
+        Client::over(stream, timeout)
+    }
+
+    fn over(stream: impl Socket + 'static, timeout: Duration) -> io::Result<Client> {
+        stream.set_timeouts(timeout, timeout)?;
         Ok(Client {
-            stream: ClientStream::Tcp(stream),
+            stream: Box::new(stream),
             reader: FrameReader::new(1 << 20),
         })
     }
@@ -84,13 +54,7 @@ impl Client {
     /// Connection or socket-option failures.
     #[cfg(unix)]
     pub fn connect_unix(path: &Path) -> io::Result<Client> {
-        let stream = UnixStream::connect(path)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-        Ok(Client {
-            stream: ClientStream::Unix(stream),
-            reader: FrameReader::new(1 << 20),
-        })
+        Client::over(UnixStream::connect(path)?, Duration::from_secs(30))
     }
 
     /// Sends one raw line and reads one response line, parsed.
@@ -320,7 +284,9 @@ mod tests {
         args.verify = true;
         let parsed = parse_request(&args.to_line()).unwrap();
         assert_eq!(parsed.id.as_deref(), Some("x"));
-        let s = parsed.select.unwrap();
+        let crate::protocol::Op::Select(s) = parsed.op else {
+            panic!("expected a select, got {:?}", parsed.op);
+        };
         assert_eq!(s.kernel.as_deref(), Some("gemm"));
         assert_eq!(s.deadline_ms, Some(100));
         assert!(s.evaluate);

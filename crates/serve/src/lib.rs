@@ -29,9 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod dispatch;
 pub mod flight;
+mod handlers;
 pub mod protocol;
 pub mod server;
+mod transport;
 
 pub use client::Client;
 pub use flight::{FlightRecorder, RequestRecord, TraceWhich};
@@ -40,70 +43,3 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use server::{start, Endpoint, ServerAddr, ServerConfig, ServerHandle, ServerStats};
-
-use eatss::PipelineError;
-use std::fmt;
-
-/// Everything the daemon can answer `status: "error"` (or `overloaded`)
-/// with — the service-level extension of the core crate's
-/// [`PipelineError`] taxonomy. Pipeline failures keep their stage
-/// classification; the other variants are service-only conditions that
-/// have no pipeline stage.
-#[derive(Debug)]
-pub enum ServeError {
-    /// The request never became a valid pipeline invocation.
-    Protocol(ProtocolError),
-    /// The pipeline itself failed (formulate/solve/compile/measure).
-    Pipeline(PipelineError),
-    /// Admission control shed the request.
-    Overloaded {
-        /// Suggested client backoff.
-        retry_after_ms: u64,
-    },
-    /// The solve panicked; the daemon caught it and kept serving.
-    WorkerPanic(String),
-    /// The daemon is draining and accepts no new work.
-    ShuttingDown,
-}
-
-impl ServeError {
-    /// Stable wire identifier (`error.kind` in responses).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServeError::Protocol(e) => e.kind(),
-            ServeError::Pipeline(_) => "pipeline",
-            ServeError::Overloaded { .. } => "overloaded",
-            ServeError::WorkerPanic(_) => "worker_panic",
-            ServeError::ShuttingDown => "shutting_down",
-        }
-    }
-}
-
-impl fmt::Display for ServeError {
-    /// `Display` is the wire `error.message`; keep it one line.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Protocol(e) => write!(f, "{e}"),
-            ServeError::Pipeline(e) => write!(f, "{e}"),
-            ServeError::Overloaded { retry_after_ms } => {
-                write!(f, "overloaded; retry in {retry_after_ms} ms")
-            }
-            ServeError::WorkerPanic(msg) => write!(f, "solver panicked: {msg}"),
-            ServeError::ShuttingDown => write!(f, "server is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<ProtocolError> for ServeError {
-    fn from(e: ProtocolError) -> Self {
-        ServeError::Protocol(e)
-    }
-}
-
-impl From<PipelineError> for ServeError {
-    fn from(e: PipelineError) -> Self {
-        ServeError::Pipeline(e)
-    }
-}

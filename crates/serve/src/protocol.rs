@@ -3,7 +3,9 @@
 //! One request per line, one response per line, UTF-8, `\n`-terminated.
 //! The grammar is documented in DESIGN.md §12; parsing reuses
 //! [`eatss_trace::json`] so the daemon carries no protocol dependency the
-//! tracer does not already have.
+//! tracer does not already have. Both directions of the format live
+//! here: [`parse_request`] reads request lines, and [`Response::to_line`]
+//! is the only place a response line is assembled.
 //!
 //! Every malformed input maps to a typed [`ProtocolError`] — the server
 //! turns recoverable ones (bad JSON, missing fields, unknown kernels)
@@ -11,9 +13,15 @@
 //! (oversized frames, timeouts, EOF) into a best-effort error response
 //! followed by a close. Nothing a client sends can panic the daemon.
 
-use crate::flight::TraceWhich;
-use eatss::{EatssConfig, Precision, ThreadBlockCap};
-use eatss_trace::json::{escape, Json};
+use crate::flight::{RequestRecord, TraceWhich};
+use crate::server::ServerStats;
+use eatss::{
+    EatssConfig, EatssSolution, PipelineError, Precision, RecoveryStats, SweepPoint,
+    ThreadBlockCap, TileCacheStats,
+};
+use eatss_gpusim::SimReport;
+use eatss_trace::json::{escape, number, Json};
+use eatss_trace::{MetricsSnapshot, Trace};
 use std::fmt;
 use std::io::{self, Read};
 
@@ -114,14 +122,17 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// The operation a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The operation a request asks for, with its payload.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Solve (or serve from cache) a tile selection.
-    Select,
+    Select(SelectRequest),
     /// Sweep the paper's configuration grid on the requested device and
-    /// return the energy-vs-performance Pareto front.
-    Pareto,
+    /// return the energy-vs-performance Pareto front. A pareto request
+    /// is a select request measured across the whole grid, so it shares
+    /// the select payload (the per-point split/warp knobs are simply
+    /// ignored by the sweep).
+    Pareto(SelectRequest),
     /// Liveness probe.
     Ping,
     /// Server + cache counters.
@@ -131,14 +142,14 @@ pub enum Op {
     Metrics,
     /// Flight-recorder export: Chrome `trace_events` for recorded
     /// requests.
-    Trace,
+    Trace(TraceQuery),
     /// Compact the cache journal.
     Compact,
     /// Graceful shutdown (drain, flush, exit).
     Shutdown,
 }
 
-/// Payload of an [`Op::Trace`] request: which ring, how many records.
+/// Payload of a `trace` request: which ring, how many records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceQuery {
     /// Which flight-recorder ring to export.
@@ -223,10 +234,6 @@ pub struct Request {
     pub id: Option<String>,
     /// The operation.
     pub op: Op,
-    /// Payload for [`Op::Select`].
-    pub select: Option<SelectRequest>,
-    /// Payload for [`Op::Trace`].
-    pub trace: Option<TraceQuery>,
 }
 
 /// Parses one request line.
@@ -242,7 +249,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     let id = match obj.get("id") {
         None | Some(Json::Null) => None,
         Some(Json::Str(s)) => Some(s.clone()),
-        Some(Json::Num(n)) => Some(eatss_trace::json::number(*n)),
+        Some(Json::Num(n)) => Some(number(*n)),
         Some(_) => {
             return Err(ProtocolError::BadField {
                 field: "id",
@@ -252,37 +259,17 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     };
 
     let op = match obj.get("op").and_then(Json::as_str).unwrap_or("select") {
-        "select" => Op::Select,
-        "pareto" => Op::Pareto,
+        "select" => Op::Select(parse_select(&value)?),
+        "pareto" => Op::Pareto(parse_select(&value)?),
         "ping" => Op::Ping,
         "stats" => Op::Stats,
         "metrics" => Op::Metrics,
-        "trace" => Op::Trace,
+        "trace" => Op::Trace(parse_trace(&value)?),
         "compact" => Op::Compact,
         "shutdown" => Op::Shutdown,
         other => return Err(ProtocolError::UnknownOp(other.to_string())),
     };
-
-    // A pareto request is a select request measured across the whole
-    // configuration grid, so it shares the select payload (the per-point
-    // split/warp knobs are simply ignored by the sweep).
-    let select = if op == Op::Select || op == Op::Pareto {
-        Some(parse_select(&value)?)
-    } else {
-        None
-    };
-    let trace = if op == Op::Trace {
-        Some(parse_trace(&value)?)
-    } else {
-        None
-    };
-
-    Ok(Request {
-        id,
-        op,
-        select,
-        trace,
-    })
+    Ok(Request { id, op })
 }
 
 fn parse_trace(value: &Json) -> Result<TraceQuery, ProtocolError> {
@@ -510,7 +497,316 @@ impl FrameReader {
     }
 }
 
-/// Builds one response line (without the trailing newline) from
+/// What a clean `verify: true` pass covered (batched oracle).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct VerifySummary {
+    pub(crate) configs: u64,
+    pub(crate) points: u64,
+}
+
+/// The answer to an `{"op":"pareto"}` request: the device-scoped
+/// non-dominated front plus sweep bookkeeping.
+#[derive(Debug)]
+pub(crate) struct ParetoReport {
+    /// Device profile the sweep ran on.
+    pub(crate) device: String,
+    /// Non-dominated points, ascending energy / descending throughput
+    /// (the deterministic order of [`eatss::pareto_front`]).
+    pub(crate) front: Vec<SweepPoint>,
+    /// Measured sweep points overall (front ⊆ points).
+    pub(crate) points: usize,
+    /// Configurations recorded infeasible (measured via fallback).
+    pub(crate) infeasible: usize,
+    /// Batched-oracle verdict over every front configuration
+    /// (`verify: true` requests only).
+    pub(crate) verify: Option<Result<VerifySummary, String>>,
+}
+
+/// Every line the daemon can answer with. [`Response::to_line`] is the
+/// wire format: field names, field order and number formatting are part
+/// of the protocol (pinned byte for byte by the golden test below).
+#[derive(Debug)]
+pub(crate) enum Response<'a> {
+    /// `status: ok` for a `select`: the tiles, and — when asked for —
+    /// their measurement and oracle verdict. `cache` is `hit`, `miss` or
+    /// `coalesced`; `fell_back` marks the `32^d` deadline fallback.
+    Selected {
+        solution: &'a EatssSolution,
+        cache: &'a str,
+        fell_back: bool,
+        latency_ms: f64,
+        eval: Option<&'a Result<SimReport, String>>,
+        verify: Option<&'a Result<VerifySummary, String>>,
+    },
+    /// `status: infeasible`: the formulation is proved unsatisfiable.
+    Infeasible {
+        reason: &'a str,
+        cache: &'a str,
+        latency_ms: f64,
+    },
+    /// `status: ok` for a `pareto`: the front and its bookkeeping.
+    Pareto {
+        report: &'a ParetoReport,
+        cache: &'a str,
+        latency_ms: f64,
+    },
+    /// `status: overloaded`: admission control shed the request.
+    Overloaded { retry_after_ms: u64 },
+    /// `status: error` with a stable `kind` and a one-line `message`.
+    Error { kind: &'a str, message: String },
+    /// `stats`: server counters, cache counters (with the journal's
+    /// `replayed`/`persisted`/`journal_bytes`/`durable`), and what journal
+    /// recovery found at startup.
+    Stats {
+        server: &'a ServerStats,
+        cache: TileCacheStats,
+        replayed: u64,
+        persisted: u64,
+        journal_bytes: u64,
+        durable: bool,
+        recovery: RecoveryStats,
+    },
+    /// `ping`.
+    Pong,
+    /// `metrics`: the registry as JSON plus Prometheus text.
+    Metrics(&'a MetricsSnapshot),
+    /// `trace`: flight records and their events merged into one Chrome
+    /// trace document (embedded raw — `to_chrome_json_compact` emits no
+    /// newlines, so the response stays one line).
+    Trace {
+        requests: &'a [RequestRecord],
+        trace: &'a Trace,
+    },
+    /// Bare `status: ok` (`compact`, `shutdown`).
+    Ok,
+}
+
+impl From<&ProtocolError> for Response<'static> {
+    fn from(error: &ProtocolError) -> Self {
+        Response::Error {
+            kind: error.kind(),
+            message: error.to_string(),
+        }
+    }
+}
+
+impl From<&PipelineError> for Response<'static> {
+    /// A pipeline failure keeps its stage classification in the message.
+    fn from(error: &PipelineError) -> Self {
+        Response::Error {
+            kind: "pipeline",
+            message: error.to_string(),
+        }
+    }
+}
+
+impl Response<'static> {
+    /// The daemon is draining and accepts no new work.
+    pub(crate) fn shutting_down() -> Self {
+        Response::Error {
+            kind: "shutting_down",
+            message: "server is shutting down".to_string(),
+        }
+    }
+}
+
+impl Response<'_> {
+    /// The wire `status` field.
+    pub(crate) fn status(&self) -> &'static str {
+        match self {
+            Response::Infeasible { .. } => "infeasible",
+            Response::Overloaded { .. } => "overloaded",
+            Response::Error { .. } => "error",
+            _ => "ok",
+        }
+    }
+
+    /// Renders the response line (without the trailing newline),
+    /// echoing the request's correlation `id` when it carried one.
+    pub(crate) fn to_line(&self, id: Option<&str>) -> String {
+        let mut fields = vec![("v", PROTOCOL_VERSION.to_string())];
+        if let Some(id) = id {
+            fields.push(("id", str_field(id)));
+        }
+        fields.push(("status", str_field(self.status())));
+        match self {
+            Response::Selected {
+                solution,
+                cache,
+                fell_back,
+                latency_ms,
+                eval,
+                verify,
+            } => {
+                fields.push(("tiles", int_array(solution.tiles.sizes())));
+                fields.push(("objective", solution.objective.to_string()));
+                fields.push(("provenance", str_field(&solution.provenance.to_string())));
+                fields.push(("optimal", solution.optimal.to_string()));
+                fields.push(("solver_calls", solution.solver_calls.to_string()));
+                fields.push((
+                    "solve_ms",
+                    number(solution.solve_time.as_secs_f64() * 1000.0),
+                ));
+                fields.push(("cache", str_field(cache)));
+                fields.push(("fell_back", fell_back.to_string()));
+                fields.push(("latency_ms", number(*latency_ms)));
+                match eval {
+                    Some(Ok(report)) => fields.push((
+                        "eval",
+                        object_line(&[
+                            ("time_ms", number(report.time_s * 1000.0)),
+                            ("power_w", number(report.avg_power_w)),
+                            ("energy_j", number(report.energy_j)),
+                            ("gflops", number(report.gflops)),
+                            ("ppw", number(report.ppw)),
+                        ]),
+                    )),
+                    Some(Err(message)) => {
+                        fields.push(("eval_error", error_object("measure", message)));
+                    }
+                    None => {}
+                }
+                push_verify(&mut fields, *verify);
+            }
+            Response::Infeasible {
+                reason,
+                cache,
+                latency_ms,
+            } => {
+                fields.push(("reason", str_field(reason)));
+                fields.push(("cache", str_field(cache)));
+                fields.push(("latency_ms", number(*latency_ms)));
+            }
+            Response::Pareto {
+                report,
+                cache,
+                latency_ms,
+            } => {
+                let front: Vec<String> = report
+                    .front
+                    .iter()
+                    .map(|p| {
+                        let strict = p.config.cap == ThreadBlockCap::Strict;
+                        object_line(&[
+                            ("tiles", int_array(p.solution.tiles.sizes())),
+                            ("split", number(p.config.split_factor)),
+                            ("warp_frac", number(p.config.warp_fraction)),
+                            ("strict_cap", strict.to_string()),
+                            ("provenance", str_field(&p.solution.provenance.to_string())),
+                            ("energy_j", number(p.report.energy_j)),
+                            ("gflops", number(p.report.gflops)),
+                            ("ppw", number(p.report.ppw)),
+                            ("time_ms", number(p.report.time_s * 1000.0)),
+                        ])
+                    })
+                    .collect();
+                fields.push(("device", str_field(&report.device)));
+                fields.push(("front", format!("[{}]", front.join(","))));
+                fields.push(("points", report.points.to_string()));
+                fields.push(("infeasible", report.infeasible.to_string()));
+                fields.push(("cache", str_field(cache)));
+                fields.push(("latency_ms", number(*latency_ms)));
+                push_verify(&mut fields, report.verify.as_ref());
+            }
+            Response::Overloaded { retry_after_ms } => {
+                fields.push(("retry_after_ms", retry_after_ms.to_string()));
+            }
+            Response::Error { kind, message } => {
+                fields.push(("error", error_object(kind, message)));
+            }
+            Response::Stats {
+                server,
+                cache,
+                replayed,
+                persisted,
+                journal_bytes,
+                durable,
+                recovery,
+            } => {
+                fields.push(("server", object_line(&server.fields())));
+                fields.push((
+                    "cache",
+                    object_line(&[
+                        ("hits", cache.hits.to_string()),
+                        ("misses", cache.misses.to_string()),
+                        ("infeasible", cache.infeasible.to_string()),
+                        ("errors", cache.errors.to_string()),
+                        ("replayed", replayed.to_string()),
+                        ("persisted", persisted.to_string()),
+                        ("journal_bytes", journal_bytes.to_string()),
+                        ("durable", durable.to_string()),
+                    ]),
+                ));
+                fields.push((
+                    "recovery",
+                    object_line(&[
+                        ("records_recovered", recovery.records_recovered.to_string()),
+                        (
+                            "corrupt_records_skipped",
+                            recovery.corrupt_records_skipped.to_string(),
+                        ),
+                        (
+                            "torn_tails_truncated",
+                            recovery.torn_tails_truncated.to_string(),
+                        ),
+                        ("bytes_discarded", recovery.bytes_discarded.to_string()),
+                    ]),
+                ));
+            }
+            Response::Pong => fields.push(("pong", "true".into())),
+            Response::Metrics(snapshot) => {
+                fields.push(("metrics", snapshot.to_json()));
+                fields.push(("prometheus", str_field(&snapshot.to_prometheus())));
+            }
+            Response::Trace { requests, trace } => {
+                let requests: Vec<String> = requests
+                    .iter()
+                    .map(|r| {
+                        let mut fields = Vec::with_capacity(6);
+                        if let Some(id) = &r.id {
+                            fields.push(("id", str_field(id)));
+                        }
+                        fields.push(("kernel", str_field(&r.kernel)));
+                        fields.push(("lane", r.lane.to_string()));
+                        fields.push(("outcome", str_field(&r.outcome)));
+                        fields.push(("cache", str_field(&r.cache)));
+                        fields.push(("dur_us", r.dur_us.to_string()));
+                        object_line(&fields)
+                    })
+                    .collect();
+                fields.push(("requests", format!("[{}]", requests.join(","))));
+                fields.push(("trace", trace.to_chrome_json_compact()));
+            }
+            Response::Ok => {}
+        }
+        object_line(&fields)
+    }
+}
+
+fn int_array(values: &[i64]) -> String {
+    let items: Vec<String> = values.iter().map(i64::to_string).collect();
+    format!("[{}]", items.join(","))
+}
+
+fn error_object(kind: &str, message: &str) -> String {
+    object_line(&[("kind", str_field(kind)), ("message", str_field(message))])
+}
+
+fn push_verify(fields: &mut Vec<(&str, String)>, verify: Option<&Result<VerifySummary, String>>) {
+    match verify {
+        Some(Ok(summary)) => fields.push((
+            "verify",
+            object_line(&[
+                ("configs", summary.configs.to_string()),
+                ("points", summary.points.to_string()),
+            ]),
+        )),
+        Some(Err(message)) => fields.push(("verify_error", error_object("oracle", message))),
+        None => {}
+    }
+}
+
+/// Builds one JSON object line (without the trailing newline) from
 /// `(key, raw-JSON-value)` pairs. Values must already be valid JSON
 /// fragments; use [`str_field`]/[`eatss_trace::json::number`] helpers.
 pub fn object_line(fields: &[(&str, String)]) -> String {
@@ -538,11 +834,25 @@ pub fn str_field(s: &str) -> String {
 mod tests {
     use super::*;
 
+    fn select(line: &str) -> SelectRequest {
+        match parse_request(line).unwrap().op {
+            Op::Select(s) | Op::Pareto(s) => s,
+            other => panic!("expected a select payload, got {other:?}"),
+        }
+    }
+
+    fn trace(line: &str) -> TraceQuery {
+        match parse_request(line).unwrap().op {
+            Op::Trace(q) => q,
+            other => panic!("expected a trace query, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_minimal_select() {
         let r = parse_request(r#"{"kernel": "gemm"}"#).unwrap();
-        assert_eq!(r.op, Op::Select);
-        let s = r.select.unwrap();
+        assert!(matches!(r.op, Op::Select(_)));
+        let s = select(r#"{"kernel": "gemm"}"#);
         assert_eq!(s.kernel.as_deref(), Some("gemm"));
         assert_eq!(s.sizes, SizeSpec::Dataset("standard".into()));
         assert_eq!(s.split, 0.5);
@@ -559,7 +869,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.id.as_deref(), Some("r1"));
-        let s = r.select.unwrap();
+        let Op::Select(s) = r.op else {
+            panic!("expected select");
+        };
         assert_eq!(s.sizes, SizeSpec::Uniform(4000));
         assert_eq!(s.deadline_ms, Some(250));
         assert!(s.fp32 && s.strict_cap && s.evaluate && s.verify);
@@ -570,15 +882,14 @@ mod tests {
 
     #[test]
     fn device_field_parses_and_aliases_arch() {
-        let r = parse_request(r#"{"kernel": "gemm", "device": "orin"}"#).unwrap();
-        assert_eq!(r.select.unwrap().arch.as_deref(), Some("orin"));
+        let s = select(r#"{"kernel": "gemm", "device": "orin"}"#);
+        assert_eq!(s.arch.as_deref(), Some("orin"));
         // Legacy spelling still works …
-        let r = parse_request(r#"{"kernel": "gemm", "arch": "xavier"}"#).unwrap();
-        assert_eq!(r.select.unwrap().arch.as_deref(), Some("xavier"));
+        let s = select(r#"{"kernel": "gemm", "arch": "xavier"}"#);
+        assert_eq!(s.arch.as_deref(), Some("xavier"));
         // … and the canonical one wins when both are present.
-        let r =
-            parse_request(r#"{"kernel": "gemm", "device": "h100", "arch": "xavier"}"#).unwrap();
-        assert_eq!(r.select.unwrap().arch.as_deref(), Some("h100"));
+        let s = select(r#"{"kernel": "gemm", "device": "h100", "arch": "xavier"}"#);
+        assert_eq!(s.arch.as_deref(), Some("h100"));
         assert!(matches!(
             parse_request(r#"{"kernel": "gemm", "device": 3}"#),
             Err(ProtocolError::BadField { field: "device", .. })
@@ -588,8 +899,9 @@ mod tests {
     #[test]
     fn pareto_op_carries_a_select_payload() {
         let r = parse_request(r#"{"op": "pareto", "kernel": "gemm", "device": "nano"}"#).unwrap();
-        assert_eq!(r.op, Op::Pareto);
-        let s = r.select.expect("pareto reuses the select payload");
+        let Op::Pareto(s) = r.op else {
+            panic!("pareto reuses the select payload");
+        };
         assert_eq!(s.kernel.as_deref(), Some("gemm"));
         assert_eq!(s.arch.as_deref(), Some("nano"));
         // Same shape validation as select: a kernel (or source) is
@@ -608,8 +920,8 @@ mod tests {
 
     #[test]
     fn explicit_sizes_parse() {
-        let r = parse_request(r#"{"kernel": "gemm", "sizes": {"M": 100, "N": 200}}"#).unwrap();
-        let SizeSpec::Explicit(pairs) = r.select.unwrap().sizes else {
+        let s = select(r#"{"kernel": "gemm", "sizes": {"M": 100, "N": 200}}"#);
+        let SizeSpec::Explicit(pairs) = s.sizes else {
             panic!("expected explicit sizes");
         };
         assert!(pairs.contains(&("M".into(), 100)));
@@ -620,16 +932,12 @@ mod tests {
     fn parses_metrics_and_trace_ops() {
         let r = parse_request(r#"{"op": "metrics"}"#).unwrap();
         assert_eq!(r.op, Op::Metrics);
-        assert!(r.select.is_none() && r.trace.is_none());
 
-        let r = parse_request(r#"{"op": "trace"}"#).unwrap();
-        assert_eq!(r.op, Op::Trace);
-        let q = r.trace.unwrap();
+        let q = trace(r#"{"op": "trace"}"#);
         assert_eq!(q.which, TraceWhich::Slowest);
         assert_eq!(q.limit, 1);
 
-        let r = parse_request(r#"{"op": "trace", "which": "recent", "limit": 8}"#).unwrap();
-        let q = r.trace.unwrap();
+        let q = trace(r#"{"op": "trace", "which": "recent", "limit": 8}"#);
         assert_eq!(q.which, TraceWhich::Recent);
         assert_eq!(q.limit, 8);
 
@@ -706,6 +1014,159 @@ mod tests {
             reader.next_frame(&mut partial),
             Err(ProtocolError::ConnectionClosed)
         ));
+    }
+
+
+    /// One literal line per response shape, captured from the build
+    /// before the encoder moved into this module (with `latency_ms` then
+    /// set to 1.5): the wire format must not drift by a byte.
+    #[test]
+    fn response_lines_match_the_golden_capture() {
+        use eatss::{EatssError, SolutionProvenance};
+        use eatss_affine::tiling::TileConfig;
+        use std::time::Duration;
+
+        let solved = |tiles| EatssSolution {
+            tiles: TileConfig::new(tiles),
+            objective: 6160,
+            solver_calls: 9,
+            solve_time: Duration::from_micros(2500),
+            optimal: true,
+            provenance: SolutionProvenance::Solved,
+            stats: Default::default(),
+        };
+        let measured = |time_s, avg_power_w, energy_j, gflops, ppw| SimReport {
+            time_s,
+            avg_power_w,
+            energy_j,
+            gflops,
+            ppw,
+            ..SimReport::invalid("gemm")
+        };
+        let solution = solved(vec![16, 384, 1]);
+        let fallback = EatssSolution::ppcg_default(3);
+        let eval = Ok(measured(0.00125, 187.5, 0.234375, 12800.0, 68.25));
+        let eval_error = Err("injected \"fault\"".to_string());
+        let verify = Ok(VerifySummary { configs: 2, points: 9826 });
+        let verify_error = Err("mismatch at C[0][1]".to_string());
+        let selected = |solution, cache, fell_back, eval, verify| Response::Selected {
+            solution,
+            cache,
+            fell_back,
+            latency_ms: 1.5,
+            eval,
+            verify,
+        };
+
+        let point = |tiles, split_factor, cap, energy_j, gflops| SweepPoint {
+            config: EatssConfig {
+                split_factor,
+                cap,
+                ..EatssConfig::default()
+            },
+            solution: solved(tiles),
+            report: measured(0.00125, 0.0, energy_j, gflops, 64.5),
+        };
+        let front = |verify| ParetoReport {
+            device: "GA100".into(),
+            front: vec![
+                point(vec![16, 384, 1], 0.0, ThreadBlockCap::Virtual, 0.21875, 11000.0),
+                point(vec![32, 64, 8], 0.67, ThreadBlockCap::Strict, 0.25, 12800.5),
+            ],
+            points: 6,
+            infeasible: 1,
+            verify,
+        };
+        let (plain, verified, refuted) = (
+            front(None),
+            front(Some(Ok(VerifySummary { configs: 2, points: 640 }))),
+            front(Some(Err("oracle said no".to_string()))),
+        );
+        let pareto = |report, cache| Response::Pareto {
+            report,
+            cache,
+            latency_ms: 1.5,
+        };
+
+        let error = |kind, message: &str| Response::Error {
+            kind,
+            message: message.to_string(),
+        };
+        let pipeline = |e| Response::from(&PipelineError::from_eatss(e, "serve"));
+        let infeasible = Response::Infeasible {
+            reason: "WAF 16 exceeds extent 8",
+            cache: "miss",
+            latency_ms: 1.5,
+        };
+        let stats = Response::Stats {
+            server: &ServerStats {
+                connections: 101,
+                requests: 102,
+                ok: 103,
+                infeasible: 104,
+                errors: 105,
+                shed: 106,
+                coalesced: 107,
+                protocol_errors: 108,
+                panics_caught: 109,
+                fallbacks: 110,
+                warm_seeded: 111,
+                verified: 112,
+            },
+            cache: TileCacheStats {
+                hits: 5,
+                misses: 3,
+                infeasible: 1,
+                errors: 1,
+            },
+            replayed: 0,
+            persisted: 2,
+            journal_bytes: 374,
+            durable: true,
+            recovery: RecoveryStats::default(),
+        };
+
+        #[rustfmt::skip]
+        let cases = [
+            (Response::Pong, Some("p1"), r#"{"v":1,"id":"p1","status":"ok","pong":true}"#),
+            (Response::Ok, None, r#"{"v":1,"status":"ok"}"#),
+            (selected(&solution, "miss", false, None, None), Some("r1"), r#"{"v":1,"id":"r1","status":"ok","tiles":[16,384,1],"objective":6160,"provenance":"solved","optimal":true,"solver_calls":9,"solve_ms":2.5,"cache":"miss","fell_back":false,"latency_ms":1.5}"#),
+            (selected(&solution, "hit", false, Some(&eval), Some(&verify)), Some("r\"2"), r#"{"v":1,"id":"r\"2","status":"ok","tiles":[16,384,1],"objective":6160,"provenance":"solved","optimal":true,"solver_calls":9,"solve_ms":2.5,"cache":"hit","fell_back":false,"latency_ms":1.5,"eval":{"time_ms":1.25,"power_w":187.5,"energy_j":0.234375,"gflops":12800,"ppw":68.25},"verify":{"configs":2,"points":9826}}"#),
+            (selected(&fallback, "coalesced", true, Some(&eval_error), Some(&verify_error)), None, r#"{"v":1,"status":"ok","tiles":[32,32,32],"objective":0,"provenance":"fallback","optimal":false,"solver_calls":0,"solve_ms":0,"cache":"coalesced","fell_back":true,"latency_ms":1.5,"eval_error":{"kind":"measure","message":"injected \"fault\""},"verify_error":{"kind":"oracle","message":"mismatch at C[0][1]"}}"#),
+            (infeasible, Some("r3"), r#"{"v":1,"id":"r3","status":"infeasible","reason":"WAF 16 exceeds extent 8","cache":"miss","latency_ms":1.5}"#),
+            (pipeline(EatssError::EmptyProgram), Some("r4"), r#"{"v":1,"id":"r4","status":"error","error":{"kind":"pipeline","message":"[formulate] serve: program has no kernels"}}"#),
+            (pipeline(EatssError::UnboundParameter("N".into())), Some("r4b"), r#"{"v":1,"id":"r4b","status":"error","error":{"kind":"pipeline","message":"[formulate] serve: problem-size parameter `N` is unbound"}}"#),
+            (pareto(&plain, "miss"), Some("q1"), r#"{"v":1,"id":"q1","status":"ok","device":"GA100","front":[{"tiles":[16,384,1],"split":0,"warp_frac":0.5,"strict_cap":false,"provenance":"solved","energy_j":0.21875,"gflops":11000,"ppw":64.5,"time_ms":1.25},{"tiles":[32,64,8],"split":0.67,"warp_frac":0.5,"strict_cap":true,"provenance":"solved","energy_j":0.25,"gflops":12800.5,"ppw":64.5,"time_ms":1.25}],"points":6,"infeasible":1,"cache":"miss","latency_ms":1.5}"#),
+            (pareto(&verified, "coalesced"), Some("q2"), r#"{"v":1,"id":"q2","status":"ok","device":"GA100","front":[{"tiles":[16,384,1],"split":0,"warp_frac":0.5,"strict_cap":false,"provenance":"solved","energy_j":0.21875,"gflops":11000,"ppw":64.5,"time_ms":1.25},{"tiles":[32,64,8],"split":0.67,"warp_frac":0.5,"strict_cap":true,"provenance":"solved","energy_j":0.25,"gflops":12800.5,"ppw":64.5,"time_ms":1.25}],"points":6,"infeasible":1,"cache":"coalesced","latency_ms":1.5,"verify":{"configs":2,"points":640}}"#),
+            (pareto(&refuted, "miss"), None, r#"{"v":1,"status":"ok","device":"GA100","front":[{"tiles":[16,384,1],"split":0,"warp_frac":0.5,"strict_cap":false,"provenance":"solved","energy_j":0.21875,"gflops":11000,"ppw":64.5,"time_ms":1.25},{"tiles":[32,64,8],"split":0.67,"warp_frac":0.5,"strict_cap":true,"provenance":"solved","energy_j":0.25,"gflops":12800.5,"ppw":64.5,"time_ms":1.25}],"points":6,"infeasible":1,"cache":"miss","latency_ms":1.5,"verify_error":{"kind":"oracle","message":"oracle said no"}}"#),
+            (error("pareto", "no measurable point"), Some("q3"), r#"{"v":1,"id":"q3","status":"error","error":{"kind":"pareto","message":"no measurable point"}}"#),
+            (error("worker_panic", "chaos: requested panic"), Some("w1"), r#"{"v":1,"id":"w1","status":"error","error":{"kind":"worker_panic","message":"chaos: requested panic"}}"#),
+            (Response::Overloaded { retry_after_ms: 150 }, Some("o1"), r#"{"v":1,"id":"o1","status":"overloaded","retry_after_ms":150}"#),
+            (Response::shutting_down(), Some("s1"), r#"{"v":1,"id":"s1","status":"error","error":{"kind":"shutting_down","message":"server is shutting down"}}"#),
+            (error("empty_flight", "no requests recorded yet"), Some("t1"), r#"{"v":1,"id":"t1","status":"error","error":{"kind":"empty_flight","message":"no requests recorded yet"}}"#),
+            (error("io", "disk full"), Some("c1"), r#"{"v":1,"id":"c1","status":"error","error":{"kind":"io","message":"disk full"}}"#),
+            (stats, Some("st"), r#"{"v":1,"id":"st","status":"ok","server":{"connections":101,"requests":102,"ok":103,"infeasible":104,"errors":105,"shed":106,"coalesced":107,"protocol_errors":108,"panics_caught":109,"fallbacks":110,"warm_seeded":111,"verified":112},"cache":{"hits":5,"misses":3,"infeasible":1,"errors":1,"replayed":0,"persisted":2,"journal_bytes":374,"durable":true},"recovery":{"records_recovered":0,"corrupt_records_skipped":0,"torn_tails_truncated":0,"bytes_discarded":0}}"#),
+        ];
+        for (response, id, golden) in cases {
+            assert_eq!(response.to_line(id), golden);
+        }
+        #[rustfmt::skip]
+        let protocol_errors = [
+            (ProtocolError::FrameTooLarge { limit: 1048576 }, r#"{"v":1,"status":"error","error":{"kind":"frame_too_large","message":"frame exceeds 1048576 byte limit"}}"#),
+            (ProtocolError::ConnectionClosed, r#"{"v":1,"status":"error","error":{"kind":"connection_closed","message":"connection closed mid-frame"}}"#),
+            (ProtocolError::Timeout, r#"{"v":1,"status":"error","error":{"kind":"timeout","message":"socket timeout"}}"#),
+            (ProtocolError::BadJson("expected value at 0".into()), r#"{"v":1,"status":"error","error":{"kind":"bad_json","message":"invalid JSON: expected value at 0"}}"#),
+            (ProtocolError::NotAnObject, r#"{"v":1,"status":"error","error":{"kind":"not_an_object","message":"request must be a JSON object"}}"#),
+            (ProtocolError::MissingField("kernel"), r#"{"v":1,"status":"error","error":{"kind":"missing_field","message":"missing field 'kernel'"}}"#),
+            (ProtocolError::BadField { field: "split", expected: "number in [0, 1]" }, r#"{"v":1,"status":"error","error":{"kind":"bad_field","message":"field 'split': expected number in [0, 1]"}}"#),
+            (ProtocolError::UnknownKernel("gemmm".into()), r#"{"v":1,"status":"error","error":{"kind":"unknown_kernel","message":"unknown kernel 'gemmm'"}}"#),
+            (ProtocolError::BadSource("1:8: expected `(`".into()), r#"{"v":1,"status":"error","error":{"kind":"bad_source","message":"source does not parse: 1:8: expected `(`"}}"#),
+            (ProtocolError::UnknownOp("teleport".into()), r#"{"v":1,"status":"error","error":{"kind":"unknown_op","message":"unknown op 'teleport'"}}"#),
+            (ProtocolError::Io("broken pipe".into()), r#"{"v":1,"status":"error","error":{"kind":"io","message":"i/o error: broken pipe"}}"#),
+        ];
+        for (e, golden) in protocol_errors {
+            assert_eq!(Response::from(&e).to_line(None), golden);
+        }
     }
 
     #[test]

@@ -1,5 +1,9 @@
-//! The daemon: accept loop, admission control, worker pool, response
-//! writing.
+//! The daemon: configuration, shared state, start-up and shutdown.
+//!
+//! The moving parts live in one module per concern — [`crate::transport`]
+//! (sockets, accept and connection loops), [`crate::dispatch`] (admission
+//! control and the worker pool) and [`crate::handlers`] (what each op
+//! does) — and the response format lives in [`crate::protocol`].
 //!
 //! Thread layout (all `std::thread`, no async runtime):
 //!
@@ -25,38 +29,24 @@
 //! 4. *Durability* — committed results go through
 //!    [`PersistentTileCache::insert_key`], which journals *before* the
 //!    response is sent: an `ok` answer implies the entry survives
-//!    `kill -9`.
+//!    `kill -9` (an append that fails is counted and logged, not hidden).
 
-use crate::flight::{FlightRecorder, RequestRecord};
-use crate::protocol::{
-    object_line, parse_request, str_field, FrameReader, Op, ProtocolError, SelectRequest,
-    SizeSpec, TraceQuery, PROTOCOL_VERSION,
-};
-use crate::ServeError;
-use eatss::cache::encode_key;
-use eatss::{
-    Eatss, EatssError, EatssSolution, EvaluateError, JournalConfig, ModelGenerator,
-    PersistentTileCache, SolutionProvenance, TileCacheStats,
-};
-use eatss_affine::ir::Extent;
-use eatss_affine::parser::{parse_program, ParseError};
-use eatss_affine::{ProblemSizes, Program};
-use eatss_gpusim::{FaultPlan, Gpu, GpuArch, SimReport};
-use eatss_kernels::Dataset;
-use eatss_ppcg::oracle::verify_sizes;
-use eatss_smt::{CancelToken, SolverConfig, WarmStart};
-use eatss_trace::json::number;
-use eatss_trace::{instant, lane_scope, span, Event, Histogram, Provenance, Trace};
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use crate::dispatch::{auto_compact, worker_loop, Dispatch, Lru};
+use crate::flight::FlightRecorder;
+use crate::handlers::SelectSummary;
+use crate::protocol::{object_line, str_field};
+use crate::transport::{acceptor_loop, listen, Stream};
+use eatss::{JournalConfig, PersistentTileCache, TileCacheStats};
+use eatss_affine::Program;
+use eatss_gpusim::{FaultPlan, GpuArch};
+use eatss_smt::{CancelToken, WarmStart};
+use eatss_trace::{Histogram, Provenance};
 use std::fs::{File, OpenOptions};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io::{self, Write};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -139,277 +129,176 @@ impl Default for ServerConfig {
     }
 }
 
-/// Point-in-time server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// Declares the server counters once: the public [`ServerStats`]
+/// snapshot, the atomic [`Counters`] behind it, and the `stats` op's
+/// field list all follow this order.
+macro_rules! server_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Point-in-time server counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// Every counter with its wire name, in `stats` response order.
+            pub(crate) fn fields(&self) -> Vec<(&'static str, String)> {
+                vec![$((stringify!($name), self.$name.to_string()),)*]
+            }
+        }
+
+        #[derive(Debug, Default)]
+        pub(crate) struct Counters {
+            $(pub(crate) $name: AtomicU64,)*
+        }
+
+        impl Counters {
+            pub(crate) fn snapshot(&self) -> ServerStats {
+                ServerStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+server_counters! {
     /// Connections accepted.
-    pub connections: u64,
+    connections,
     /// Request lines parsed (any op).
-    pub requests: u64,
+    requests,
     /// `ok` responses.
-    pub ok: u64,
+    ok,
     /// `infeasible` responses.
-    pub infeasible: u64,
+    infeasible,
     /// `error` responses (protocol + pipeline + panic).
-    pub errors: u64,
+    errors,
     /// Requests shed by admission control.
-    pub shed: u64,
+    shed,
     /// Requests answered by joining an in-flight identical solve.
-    pub coalesced: u64,
+    coalesced,
     /// Malformed lines / framing violations.
-    pub protocol_errors: u64,
+    protocol_errors,
     /// Worker panics converted to error responses.
-    pub panics_caught: u64,
+    panics_caught,
     /// Deadline/budget exhaustion answered with the `32^d` fallback.
-    pub fallbacks: u64,
+    fallbacks,
     /// Solves whose branch-and-bound incumbent was seeded from a prior
     /// solve of the same program structure (warm-start pool hits).
-    pub warm_seeded: u64,
+    warm_seeded,
     /// Responses whose tiles were verified through the batched
     /// differential oracle (`verify: true` requests answered clean).
-    pub verified: u64,
+    verified,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    infeasible: AtomicU64,
-    errors: AtomicU64,
-    shed: AtomicU64,
-    coalesced: AtomicU64,
-    protocol_errors: AtomicU64,
-    panics_caught: AtomicU64,
-    fallbacks: AtomicU64,
-    warm_seeded: AtomicU64,
-    verified: AtomicU64,
+/// Bumps one server counter.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-impl Counters {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
-            verified: self.verified.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One admitted unit of solver work.
-struct Job {
-    /// Coalescing key: cache key ‖ evaluate flag ‖ verify flag ‖ chaos
-    /// marker (‖ a trailing op marker byte for pareto jobs).
-    coalesce_key: Vec<u8>,
-    /// Pure structural cache key.
-    cache_key: Vec<u8>,
-    arch: GpuArch,
-    program: Program,
-    sizes: ProblemSizes,
-    cfg: eatss::EatssConfig,
-    deadline: Duration,
-    evaluate: bool,
-    verify: bool,
-    /// Run the §V-B/§V-D configuration sweep and answer with the
-    /// energy-vs-performance Pareto front instead of a single selection.
-    pareto: bool,
-    chaos: Option<String>,
-    lane: u64,
-    /// When admission enqueued the job (queue-wait measurement).
-    admitted_at: Instant,
-}
-
-/// What a worker hands back to every waiter of a job. Short-lived (one
-/// channel hop per waiter), so the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Outcome {
-    Done {
-        result: Result<EatssSolution, EatssError>,
-        eval: Option<Result<SimReport, String>>,
-        verify: Option<Result<VerifySummary, String>>,
-        fell_back: bool,
-        served_from_cache: bool,
-        /// Queue wait measured at worker pop (0 on the fast path).
-        queue_us: u64,
-        /// Worker time for the job (0 on the fast path).
-        solve_us: u64,
-    },
-    Pareto {
-        result: Result<ParetoReport, String>,
-        queue_us: u64,
-        solve_us: u64,
-    },
-    Panicked(String),
-}
-
-/// The answer to an `{"op":"pareto"}` request: the device-scoped
-/// non-dominated front plus sweep bookkeeping.
-#[derive(Debug, Clone)]
-struct ParetoReport {
-    /// Device profile the sweep ran on.
-    device: String,
-    /// Non-dominated points, ascending energy / descending throughput
-    /// (the deterministic order of [`eatss::pareto_front`]).
-    front: Vec<ParetoEntry>,
-    /// Measured sweep points overall (front ⊆ points).
-    points: usize,
-    /// Configurations recorded infeasible (measured via fallback).
-    infeasible: usize,
-    /// Batched-oracle verdict over every front configuration
-    /// (`verify: true` requests only).
-    verify: Option<Result<VerifySummary, String>>,
-}
-
-/// One point of a [`ParetoReport`] front.
-#[derive(Debug, Clone)]
-struct ParetoEntry {
-    tiles: Vec<i64>,
-    split: f64,
-    warp_fraction: f64,
-    strict_cap: bool,
-    provenance: String,
-    energy_j: f64,
-    gflops: f64,
-    ppw: f64,
-    time_ms: f64,
-}
-
-/// What a clean `verify: true` pass covered (batched oracle).
-#[derive(Debug, Clone, Copy)]
-struct VerifySummary {
-    configs: u64,
-    points: u64,
-}
-
-struct Dispatch {
-    queue: VecDeque<Job>,
-    /// Waiters per coalesce key, present from admission until broadcast.
-    in_flight: HashMap<Vec<u8>, Vec<mpsc::Sender<Outcome>>>,
-    active: usize,
-}
-
-enum Admission {
-    Admitted(mpsc::Receiver<Outcome>),
-    Coalesced(mpsc::Receiver<Outcome>),
-    Shed { retry_after_ms: u64 },
-    ShuttingDown,
-}
-
-struct Shared {
-    config: ServerConfig,
-    cache: Mutex<PersistentTileCache>,
-    dispatch: Mutex<Dispatch>,
-    work_cv: Condvar,
-    idle_cv: Condvar,
+pub(crate) struct Shared {
+    pub(crate) config: ServerConfig,
+    pub(crate) cache: Mutex<PersistentTileCache>,
+    pub(crate) dispatch: Mutex<Dispatch>,
+    pub(crate) work_cv: Condvar,
+    pub(crate) idle_cv: Condvar,
     shutdown: AtomicBool,
     shutdown_signal: Mutex<bool>,
     shutdown_cv: Condvar,
-    cancel: CancelToken,
-    counters: Counters,
-    conns: Mutex<Vec<StreamShutdown>>,
+    pub(crate) cancel: CancelToken,
+    pub(crate) counters: Counters,
+    /// Every accepted connection: a handle to close its socket at
+    /// shutdown, and its thread to join afterwards.
+    pub(crate) conns: Mutex<Vec<(Stream, JoinHandle<()>)>>,
     /// Warm-start hints pooled by program structure: requests for the
     /// same (arch, program) at different sizes or configs share every
     /// constraint shape except the tile bounds, so prior optima seed the
     /// next solve's incumbent. Bounded LRU; purely an accelerator —
     /// complete solves return identical results with or without hints.
-    warm: Mutex<Vec<(u64, WarmStart)>>,
-    /// Parse-path cache for inline `source` requests: FNV of the source
-    /// bytes → parsed [`Program`]. Repeated submissions of the same
-    /// kernel text (autotuners resweeping, clients retrying) skip the
-    /// front end entirely. Bounded LRU like [`Shared::warm`]; the full
-    /// source is kept and compared on hit, so a hash collision can never
+    pub(crate) warm: Mutex<Lru<u64, WarmStart>>,
+    /// Parse-path cache for inline `source` requests: (FNV of the source
+    /// bytes, source) → parsed [`Program`]. Repeated submissions of the
+    /// same kernel text (autotuners resweeping, clients retrying) skip
+    /// the front end entirely. Bounded LRU like [`Shared::warm`]; the
+    /// full source is part of the key, so a hash collision can never
     /// serve the wrong program.
-    parse_cache: Mutex<Vec<(u64, String, Program)>>,
+    pub(crate) parse_cache: Mutex<Lru<(u64, String), Program>>,
     /// Bounded per-request span-tree rings (`trace` op).
-    flight: Mutex<FlightRecorder>,
+    pub(crate) flight: Mutex<FlightRecorder>,
     /// Line-buffered JSON-lines access log (one `write_all` per line).
     access_log: Option<Mutex<File>>,
     /// Cached histogram handles — registry lookup paid once at startup,
     /// `record` stays one atomic add on the hot path.
-    hist: ServeHistograms,
+    pub(crate) hist: ServeHistograms,
     /// Provenance captured once at startup (`Provenance::collect` shells
     /// out to git; not a per-request cost).
-    provenance: Provenance,
+    pub(crate) provenance: Provenance,
 }
 
 /// `&'static` handles into the trace crate's histogram registry.
-struct ServeHistograms {
-    request_us: &'static Histogram,
-    queue_us: &'static Histogram,
-    solve_us: &'static Histogram,
-    journal_append_us: &'static Histogram,
-    parse_us: &'static Histogram,
+pub(crate) struct ServeHistograms {
+    pub(crate) request_us: &'static Histogram,
+    pub(crate) queue_us: &'static Histogram,
+    pub(crate) solve_us: &'static Histogram,
+    pub(crate) journal_append_us: &'static Histogram,
+    pub(crate) parse_us: &'static Histogram,
 }
-
-impl ServeHistograms {
-    fn new() -> Self {
-        ServeHistograms {
-            request_us: eatss_trace::histogram("serve.request_us"),
-            queue_us: eatss_trace::histogram("serve.queue_us"),
-            solve_us: eatss_trace::histogram("serve.solve_us"),
-            journal_append_us: eatss_trace::histogram("serve.journal_append_us"),
-            parse_us: eatss_trace::histogram("serve.parse_us"),
-        }
-    }
-}
-
-/// Lanes with a request currently in flight, across every in-process
-/// server (collection is process-global, so lane bookkeeping must be
-/// too: a harvest by one server must not drop another server's
-/// still-accumulating events). Held across the harvest so a lane
-/// registered mid-harvest cannot be missed.
-static ACTIVE_LANES: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
 
 /// Entries kept in [`Shared::warm`].
 const WARM_POOL_CAP: usize = 32;
 
 /// Entries kept in [`Shared::parse_cache`].
-const PARSE_CACHE_CAP: usize = 64;
+pub(crate) const PARSE_CACHE_CAP: usize = 64;
 
 impl Shared {
-    fn shutting_down(&self) -> bool {
+    pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn admit(&self, job: Job) -> Admission {
-        let mut d = self.dispatch.lock().unwrap();
-        if self.shutting_down() {
-            return Admission::ShuttingDown;
+    /// Wakes whoever parks in [`ServerHandle::wait_shutdown_requested`].
+    pub(crate) fn request_shutdown(&self) {
+        *self.shutdown_signal.lock().unwrap() = true;
+        self.shutdown_cv.notify_all();
+    }
+
+    /// Access-log line for a management op.
+    pub(crate) fn log_op(&self, op: &str, id: Option<&str>, outcome: &str) {
+        self.log_access(op, id, vec![("outcome", str_field(outcome))]);
+    }
+
+    /// Access-log line for a `select`/`pareto` request.
+    pub(crate) fn log_select(
+        &self,
+        op: &str,
+        id: Option<&str>,
+        kernel: &str,
+        device: &str,
+        summary: &SelectSummary,
+        latency_us: u64,
+    ) {
+        let mut fields = vec![
+            ("kernel", str_field(kernel)),
+            ("device", str_field(device)),
+            ("deadline_ms", summary.deadline_ms.to_string()),
+            ("outcome", str_field(summary.outcome)),
+            ("cache", str_field(summary.cache)),
+            ("queue_us", summary.queue_us.to_string()),
+            ("solve_us", summary.solve_us.to_string()),
+            ("fell_back", summary.fell_back.to_string()),
+            ("latency_us", latency_us.to_string()),
+            ("git_sha", str_field(&self.provenance.git_sha)),
+        ];
+        if let Some(reason) = &summary.journal_error {
+            // The answer went out, but its journal append failed: the
+            // entry will not survive a restart.
+            fields.push(("journal_error", str_field(reason)));
         }
-        let (tx, rx) = mpsc::channel();
-        if let Some(waiters) = d.in_flight.get_mut(&job.coalesce_key) {
-            waiters.push(tx);
-            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Admission::Coalesced(rx);
-        }
-        if d.queue.len() >= self.config.queue_capacity {
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
-            let backlog = (d.queue.len() + d.active) as u64;
-            let workers = self.config.workers.max(1) as u64;
-            return Admission::Shed {
-                retry_after_ms: (backlog * 50 / workers).clamp(50, 5000),
-            };
-        }
-        d.in_flight.insert(job.coalesce_key.clone(), vec![tx]);
-        d.queue.push_back(job);
-        drop(d);
-        self.work_cv.notify_one();
-        Admission::Admitted(rx)
+        self.log_access(op, id, fields);
     }
 
     /// Appends one line to the access log (best-effort; a full line per
     /// `write_all` keeps partial lines out of the file on crash).
-    fn log_access(&self, fields: Vec<(&str, String)>) {
+    fn log_access(&self, op: &str, id: Option<&str>, fields: Vec<(&str, String)>) {
         let Some(log) = &self.access_log else {
             return;
         };
@@ -417,123 +306,15 @@ impl Shared {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let mut all = vec![("ts_ms", ts_ms.to_string())];
+        let mut all = vec![("ts_ms", ts_ms.to_string()), ("op", str_field(op))];
+        if let Some(id) = id {
+            all.push(("id", str_field(id)));
+        }
         all.extend(fields);
         let mut line = object_line(&all);
         line.push('\n');
         let mut file = log.lock().unwrap();
         let _ = file.write_all(line.as_bytes());
-    }
-}
-
-/// Closes a connection's socket from the shutdown path.
-enum StreamShutdown {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl StreamShutdown {
-    fn close(&self) {
-        // Read-half only: a blocked reader wakes with EOF, but a
-        // response still in flight for a drained job reaches the
-        // client before the connection thread exits.
-        match self {
-            StreamShutdown::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Read);
-            }
-            #[cfg(unix)]
-            StreamShutdown::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Read);
-            }
-        }
-    }
-}
-
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn configure(&self, read: Duration, write: Duration) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(Some(read))?;
-                s.set_write_timeout(Some(write))
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                s.set_read_timeout(Some(read))?;
-                s.set_write_timeout(Some(write))
-            }
-        }
-    }
-
-    fn closer(&self) -> io::Result<StreamShutdown> {
-        match self {
-            Stream::Tcp(s) => s.try_clone().map(StreamShutdown::Tcp),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.try_clone().map(StreamShutdown::Unix),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> io::Result<Option<Stream>> {
-        match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    // Responses are single small writes; Nagle would
-                    // hold them behind delayed ACKs (~40 ms each way).
-                    let _ = s.set_nodelay(true);
-                    Ok(Some(Stream::Tcp(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            #[cfg(unix)]
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Ok(Some(Stream::Unix(s))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-        }
     }
 }
 
@@ -618,8 +399,7 @@ impl ServerHandle {
     pub fn shutdown(self) -> ServerStats {
         let shared = &self.shared;
         shared.shutdown.store(true, Ordering::SeqCst);
-        *shared.shutdown_signal.lock().unwrap() = true;
-        shared.shutdown_cv.notify_all();
+        shared.request_shutdown();
         shared.work_cv.notify_all();
 
         // Wait for the queue to drain within the budget, then cancel.
@@ -639,10 +419,14 @@ impl ServerHandle {
         }
         // Workers exit once the queue is empty; cancellation guarantees
         // in-flight solves reach a checkpoint. Unblock readers.
-        for closer in shared.conns.lock().unwrap().iter() {
-            closer.close();
+        let conns = std::mem::take(&mut *shared.conns.lock().unwrap());
+        for (conn, _) in &conns {
+            conn.close_read();
         }
-        for t in self.threads {
+        // Connection threads last: each finishes writing (and counting)
+        // the response it holds, so the returned stats are complete.
+        let conn_threads = conns.into_iter().map(|(_, thread)| thread);
+        for t in self.threads.into_iter().chain(conn_threads) {
             let _ = t.join();
         }
         let mut cache = shared.cache.lock().unwrap();
@@ -673,27 +457,9 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     };
     // A journal can be reopened already past the garbage threshold
     // (superseded records, corrupt tails): reclaim before serving.
-    if let Some(threshold) = config.compact_garbage_ratio {
-        if cache.garbage_ratio() > threshold && cache.compact().is_ok() {
-            eatss_trace::counter_add("journal.auto_compactions", 1);
-        }
-    }
+    auto_compact(&mut cache, config.compact_garbage_ratio);
 
-    let (listener, addr) = match &config.endpoint {
-        Endpoint::Tcp(spec) => {
-            let l = TcpListener::bind(spec)?;
-            l.set_nonblocking(true)?;
-            let addr = ServerAddr::Tcp(l.local_addr()?);
-            (Listener::Tcp(l), addr)
-        }
-        #[cfg(unix)]
-        Endpoint::Unix(path) => {
-            let _ = std::fs::remove_file(path);
-            let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            (Listener::Unix(l), ServerAddr::Unix(path.clone()))
-        }
-    };
+    let (listener, addr) = listen(&config.endpoint)?;
 
     let access_log = match &config.access_log {
         Some(path) => Some(Mutex::new(
@@ -707,11 +473,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let shared = Arc::new(Shared {
         config,
         cache: Mutex::new(cache),
-        dispatch: Mutex::new(Dispatch {
-            queue: VecDeque::new(),
-            in_flight: HashMap::new(),
-            active: 0,
-        }),
+        dispatch: Mutex::new(Dispatch::default()),
         work_cv: Condvar::new(),
         idle_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
@@ -720,11 +482,17 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         cancel: CancelToken::new(),
         counters: Counters::default(),
         conns: Mutex::new(Vec::new()),
-        warm: Mutex::new(Vec::new()),
-        parse_cache: Mutex::new(Vec::new()),
+        warm: Mutex::new(Lru::new(WARM_POOL_CAP)),
+        parse_cache: Mutex::new(Lru::new(PARSE_CACHE_CAP)),
         flight: Mutex::new(flight),
         access_log,
-        hist: ServeHistograms::new(),
+        hist: ServeHistograms {
+            request_us: eatss_trace::histogram("serve.request_us"),
+            queue_us: eatss_trace::histogram("serve.queue_us"),
+            solve_us: eatss_trace::histogram("serve.solve_us"),
+            journal_append_us: eatss_trace::histogram("serve.journal_append_us"),
+            parse_us: eatss_trace::histogram("serve.parse_us"),
+        },
         provenance: Provenance::collect(None),
     });
 
@@ -753,1501 +521,33 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: Listener) {
-    // Connection threads are detached: they exit on EOF, fatal protocol
-    // error, or shutdown (their socket is closed under them).
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok(Some(stream)) => {
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                if stream
-                    .configure(
-                        Duration::from_millis(100),
-                        shared.config.write_timeout,
-                    )
-                    .is_err()
-                {
-                    continue;
-                }
-                if let Ok(closer) = stream.closer() {
-                    shared.conns.lock().unwrap().push(closer);
-                }
-                let shared = Arc::clone(shared);
-                let _ = std::thread::Builder::new()
-                    .name("eatss-conn".to_string())
-                    .spawn(move || connection_loop(&shared, stream));
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, mut stream: Stream) {
-    let mut reader = FrameReader::new(shared.config.max_frame_bytes);
-    let mut stalled = Duration::ZERO;
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match reader.next_frame(&mut stream) {
-            Ok(Some(line)) => {
-                stalled = Duration::ZERO;
-                let keep = handle_line(shared, &mut stream, &line);
-                if !keep {
-                    return;
-                }
-            }
-            Ok(None) => return, // clean EOF
-            Err(ProtocolError::Timeout) => {
-                // 100 ms poll tick: only a *mid-frame* stall counts
-                // against the read timeout (slow-loris); idle keep-alive
-                // connections just keep polling.
-                if reader.buffered() {
-                    stalled += Duration::from_millis(100);
-                    if stalled >= shared.config.read_timeout {
-                        shared
-                            .counters
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        let _ =
-                            write_error(&mut stream, None, &ServeError::from(ProtocolError::Timeout));
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                // Best-effort notice; framing is lost, so close.
-                let _ = write_error(&mut stream, None, &ServeError::from(e));
-                return;
-            }
-        }
-    }
-}
-
-/// Handles one request line. Returns whether the connection should stay
-/// open.
-fn handle_line(shared: &Arc<Shared>, stream: &mut Stream, line: &str) -> bool {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(e) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let fatal = e.is_fatal();
-            let _ = write_error(stream, None, &ServeError::from(e));
-            return !fatal;
-        }
-    };
-    let id = request.id.clone();
-    match request.op {
-        Op::Ping => {
-            let _ = write_line(
-                stream,
-                &with_id(&id, vec![("status", str_field("ok")), ("pong", "true".into())]),
-            );
-            log_op(shared, "ping", &id, "ok");
-            true
-        }
-        Op::Stats => {
-            refresh_gauges(shared);
-            let _ = write_line(stream, &stats_response(shared, &id));
-            log_op(shared, "stats", &id, "ok");
-            true
-        }
-        Op::Metrics => {
-            refresh_gauges(shared);
-            let snap = eatss_trace::metrics_snapshot();
-            let _ = write_line(
-                stream,
-                &with_id(
-                    &id,
-                    vec![
-                        ("status", str_field("ok")),
-                        ("metrics", snap.to_json()),
-                        ("prometheus", str_field(&snap.to_prometheus())),
-                    ],
-                ),
-            );
-            log_op(shared, "metrics", &id, "ok");
-            true
-        }
-        Op::Trace => {
-            let query = request.trace.expect("trace op carries a query");
-            let _ = write_line(stream, &trace_response(shared, &id, query));
-            log_op(shared, "trace", &id, "ok");
-            true
-        }
-        Op::Compact => {
-            let outcome = shared.cache.lock().unwrap().compact();
-            let (line, label) = match outcome {
-                Ok(()) => (with_id(&id, vec![("status", str_field("ok"))]), "ok"),
-                Err(e) => {
-                    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    (error_fields(&id, "io", &e.to_string()), "error")
-                }
-            };
-            let _ = write_line(stream, &line);
-            log_op(shared, "compact", &id, label);
-            true
-        }
-        Op::Shutdown => {
-            let _ = write_line(stream, &with_id(&id, vec![("status", str_field("ok"))]));
-            log_op(shared, "shutdown", &id, "ok");
-            *shared.shutdown_signal.lock().unwrap() = true;
-            shared.shutdown_cv.notify_all();
-            true
-        }
-        Op::Select => {
-            let select = request.select.expect("select op carries a payload");
-            handle_select(shared, stream, &id, &select, false)
-        }
-        Op::Pareto => {
-            let select = request.select.expect("pareto op carries a payload");
-            handle_select(shared, stream, &id, &select, true)
-        }
-    }
-}
-
-/// Access-log line for a management op (select requests log richer
-/// fields from [`handle_select`]).
-fn log_op(shared: &Arc<Shared>, op: &str, id: &Option<String>, outcome: &str) {
-    let mut fields = vec![("op", str_field(op))];
-    if let Some(id) = id {
-        fields.push(("id", str_field(id)));
-    }
-    fields.push(("outcome", str_field(outcome)));
-    shared.log_access(fields);
-}
-
-/// Answers a `trace` op: the selected flight records merged into one
-/// Chrome trace document (embedded raw — `to_chrome_json_compact` emits
-/// no newlines, so the response stays one line).
-fn trace_response(shared: &Arc<Shared>, id: &Option<String>, query: TraceQuery) -> String {
-    refresh_gauges(shared);
-    let records = shared.flight.lock().unwrap().select(query.which, query.limit);
-    if records.is_empty() {
-        return error_fields(id, "empty_flight", "no requests recorded yet");
-    }
-    let mut requests = Vec::with_capacity(records.len());
-    let mut events: Vec<Event> = Vec::new();
-    for r in &records {
-        let mut fields = vec![
-            ("kernel", str_field(&r.kernel)),
-            ("lane", r.lane.to_string()),
-            ("outcome", str_field(&r.outcome)),
-            ("cache", str_field(&r.cache)),
-            ("dur_us", r.dur_us.to_string()),
-        ];
-        if let Some(rid) = &r.id {
-            fields.insert(0, ("id", str_field(rid)));
-        }
-        requests.push(object_line(&fields));
-        events.extend(r.events.iter().cloned());
-    }
-    events.sort_by_key(|e| (e.lane, e.seq));
-    let trace = Trace {
-        provenance: shared.provenance.clone(),
-        events,
-        metrics: eatss_trace::metrics_snapshot(),
-    };
-    with_id(
-        id,
-        vec![
-            ("status", str_field("ok")),
-            ("requests", format!("[{}]", requests.join(","))),
-            ("trace", trace.to_chrome_json_compact()),
-        ],
-    )
-}
-
-/// Publishes the self-monitoring gauges. Called from the introspection
-/// ops (stats/metrics/trace), not per request — gauge freshness tracks
-/// observation, and the request hot path stays gauge-free.
-fn refresh_gauges(shared: &Arc<Shared>) {
-    let (depth, active) = {
-        let d = shared.dispatch.lock().unwrap();
-        (d.queue.len(), d.active)
-    };
-    eatss_trace::gauge_set("serve.queue_depth", depth as f64);
-    eatss_trace::gauge_set("serve.in_flight", active as f64);
-    let s = shared.counters.snapshot();
-    let shed_rate = if s.requests > 0 {
-        s.shed as f64 / s.requests as f64
-    } else {
-        0.0
-    };
-    eatss_trace::gauge_set("serve.shed_rate", shed_rate);
-    // Mirror the lifetime request counters (monotone, gauge-typed
-    // because the registry's counters are delta-only).
-    eatss_trace::gauge_set("serve.requests", s.requests as f64);
-    eatss_trace::gauge_set("serve.ok", s.ok as f64);
-    eatss_trace::gauge_set("serve.errors", s.errors as f64);
-    eatss_trace::gauge_set("serve.shed", s.shed as f64);
-    eatss_trace::gauge_set("serve.coalesced", s.coalesced as f64);
-    let (garbage, bytes, live, shards) = {
-        let cache = shared.cache.lock().unwrap();
-        (
-            cache.garbage_ratio(),
-            cache.journal_bytes(),
-            cache.live_bytes(),
-            cache.shard_bytes(),
-        )
-    };
-    eatss_trace::gauge_set("journal.garbage_ratio", garbage);
-    eatss_trace::gauge_set("journal.bytes", bytes as f64);
-    eatss_trace::gauge_set("journal.live_bytes", live as f64);
-    eatss_trace::gauge_set(
-        "journal.largest_segment_bytes",
-        shards.iter().copied().max().unwrap_or(0) as f64,
-    );
-}
-
-/// What the request wrapper needs to know about how a `select` ended —
-/// feeds the latency histogram, the flight recorder, and the access log.
-struct SelectSummary {
-    outcome: &'static str,
-    cache: &'static str,
-    deadline_ms: u64,
-    queue_us: u64,
-    solve_us: u64,
-    fell_back: bool,
-}
-
-impl Default for SelectSummary {
-    fn default() -> Self {
-        SelectSummary {
-            outcome: "error",
-            cache: "none",
-            deadline_ms: 0,
-            queue_us: 0,
-            solve_us: 0,
-            fell_back: false,
-        }
-    }
-}
-
-/// The observability wrapper around a `select` request: allocates a
-/// process-unique trace lane, runs the request under it, then harvests
-/// the lane's events into the flight recorder, records the end-to-end
-/// latency histogram, and writes the access-log line. Worker-side spans
-/// land on the same lane (the job carries it), and the worker closes
-/// them before broadcasting the outcome, so the harvest here sees the
-/// complete span tree.
-fn handle_select(
-    shared: &Arc<Shared>,
-    stream: &mut Stream,
-    id: &Option<String>,
-    select: &SelectRequest,
-    pareto: bool,
-) -> bool {
-    let started = Instant::now();
-    let lane = eatss_trace::alloc_lane();
-    ACTIVE_LANES.lock().unwrap().insert(lane);
-    let mut summary = SelectSummary::default();
-    let keep = {
-        let _lane = lane_scope(lane);
-        handle_select_inner(shared, stream, id, select, pareto, started, lane, &mut summary)
-    };
-    let dur_us = started.elapsed().as_micros() as u64;
-    shared.hist.request_us.record(dur_us);
-    // Remove this lane and harvest it under the registry lock: a lane
-    // registered mid-harvest stays protected, lanes of abandoned
-    // requests do not accumulate in the process-global event buffer.
-    let events = {
-        let mut active = ACTIVE_LANES.lock().unwrap();
-        active.remove(&lane);
-        eatss_trace::harvest_lane(lane, |l| active.contains(&l))
-    };
-    let kernel = select
-        .kernel
-        .clone()
-        .unwrap_or_else(|| "<source>".to_string());
-    shared.flight.lock().unwrap().push(RequestRecord {
-        id: id.clone(),
-        kernel: kernel.clone(),
-        lane,
-        outcome: summary.outcome.to_string(),
-        cache: summary.cache.to_string(),
-        dur_us,
-        events,
-    });
-    let mut fields = vec![("op", str_field(if pareto { "pareto" } else { "select" }))];
-    if let Some(id) = id {
-        fields.push(("id", str_field(id)));
-    }
-    fields.push(("kernel", str_field(&kernel)));
-    fields.push((
-        "device",
-        str_field(select.arch.as_deref().unwrap_or(&shared.config.default_arch.name)),
-    ));
-    fields.push(("deadline_ms", summary.deadline_ms.to_string()));
-    fields.push(("outcome", str_field(summary.outcome)));
-    fields.push(("cache", str_field(summary.cache)));
-    fields.push(("queue_us", summary.queue_us.to_string()));
-    fields.push(("solve_us", summary.solve_us.to_string()));
-    fields.push(("fell_back", summary.fell_back.to_string()));
-    fields.push(("latency_us", dur_us.to_string()));
-    fields.push(("git_sha", str_field(&shared.provenance.git_sha)));
-    shared.log_access(fields);
-    keep
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_select_inner(
-    shared: &Arc<Shared>,
-    stream: &mut Stream,
-    id: &Option<String>,
-    select: &SelectRequest,
-    pareto: bool,
-    started: Instant,
-    lane: u64,
-    summary: &mut SelectSummary,
-) -> bool {
-    let mut sp = span("serve", "request");
-    sp.arg("kernel", select.kernel.clone().unwrap_or_default());
-
-    let (program, sizes, arch) = match resolve_request(shared, select) {
-        Ok(parts) => parts,
-        Err(e) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(stream, id.as_deref(), &ServeError::from(e));
-            return true;
-        }
-    };
-    let cfg = select.eatss_config();
-    let deadline = select
-        .deadline_ms
-        .map(Duration::from_millis)
-        .unwrap_or(shared.config.default_deadline)
-        .min(shared.config.max_deadline);
-    summary.deadline_ms = deadline.as_millis() as u64;
-
-    let cache_key = encode_key(&arch, &program, &sizes, &cfg);
-    let chaos = select.chaos.clone().filter(|_| shared.config.allow_chaos);
-
-    // Fast path: answer cache hits without touching the queue. Evaluate
-    // runs inline off the cached solution (compile + simulate, no
-    // solver). Pareto requests span many configurations, so one cached
-    // selection cannot answer them — they always go through the queue
-    // (their per-config solves still hit the cache worker-side).
-    if chaos.is_none() && !pareto {
-        let cached = shared.cache.lock().unwrap().lookup_key(&cache_key);
-        if let Some(result) = cached {
-            let eval = if select.evaluate {
-                result
-                    .as_ref()
-                    .ok()
-                    .map(|s| run_eval(shared, &arch, &program, s, &sizes, &cfg))
-            } else {
-                None
-            };
-            let verify = if select.verify {
-                result
-                    .as_ref()
-                    .ok()
-                    .map(|s| run_verify(shared, &arch, &program, s, &sizes))
-            } else {
-                None
-            };
-            let outcome = Outcome::Done {
-                result,
-                eval,
-                verify,
-                fell_back: false,
-                served_from_cache: true,
-                queue_us: 0,
-                solve_us: 0,
-            };
-            let _ =
-                write_outcome(shared, stream, id.as_deref(), &outcome, "hit", started, summary);
-            return true;
-        }
-    }
-
-    let mut coalesce_key = cache_key.clone();
-    coalesce_key.push(select.evaluate as u8);
-    coalesce_key.push(select.verify as u8);
-    if let Some(c) = &chaos {
-        coalesce_key.extend_from_slice(c.as_bytes());
-    }
-    if pareto {
-        // Op marker: a pareto request must never coalesce with a select
-        // of the same configuration (the outcomes have different shapes).
-        // Select keys are unchanged, so journaled/legacy behaviour is
-        // untouched.
-        coalesce_key.push(0xEA);
-    }
-    let job = Job {
-        coalesce_key,
-        cache_key,
-        arch,
-        program,
-        sizes,
-        cfg,
-        deadline,
-        evaluate: select.evaluate,
-        verify: select.verify,
-        pareto,
-        chaos,
-        lane,
-        admitted_at: Instant::now(),
-    };
-    let (rx, cache_tag) = match shared.admit(job) {
-        Admission::Admitted(rx) => (rx, "miss"),
-        Admission::Coalesced(rx) => (rx, "coalesced"),
-        Admission::Shed { retry_after_ms } => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            summary.outcome = "overloaded";
-            let _ = write_line(
-                stream,
-                &with_id_opt(
-                    id.as_deref(),
-                    vec![
-                        ("status", str_field("overloaded")),
-                        ("retry_after_ms", retry_after_ms.to_string()),
-                    ],
-                ),
-            );
-            return true;
-        }
-        Admission::ShuttingDown => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            summary.outcome = "shutting_down";
-            let _ = write_error(stream, id.as_deref(), &ServeError::ShuttingDown);
-            return true;
-        }
-    };
-
-    match rx.recv() {
-        Ok(outcome) => {
-            let _ =
-                write_outcome(shared, stream, id.as_deref(), &outcome, cache_tag, started, summary);
-            true
-        }
-        Err(_) => {
-            // Worker side dropped without sending — only possible on a
-            // hard shutdown race.
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            summary.outcome = "shutting_down";
-            let _ = write_error(stream, id.as_deref(), &ServeError::ShuttingDown);
-            false
-        }
-    }
-}
-
-fn resolve_request(
-    shared: &Arc<Shared>,
-    select: &SelectRequest,
-) -> Result<(Program, ProblemSizes, GpuArch), ProtocolError> {
-    // Any built-in device profile is addressable; the registry is the
-    // single source of device truth (`crates/gpusim/profiles/`).
-    let arch = match select.arch.as_deref() {
-        None => shared.config.default_arch.clone(),
-        Some(name) => match eatss_gpusim::DeviceProfile::builtin(name) {
-            Some(profile) => profile.into_arch(),
-            None => {
-                return Err(ProtocolError::BadField {
-                    field: "device",
-                    expected: "a built-in device profile (\"ga100\", \"xavier\", \"h100\", \"orin\" or \"nano\")",
-                })
-            }
-        },
-    };
-
-    if let Some(name) = &select.kernel {
-        let bench =
-            eatss_kernels::by_name(name).ok_or_else(|| ProtocolError::UnknownKernel(name.clone()))?;
-        let program = bench
-            .program()
-            .map_err(|e| ProtocolError::BadSource(e.to_string()))?;
-        let sizes = match &select.sizes {
-            SizeSpec::Dataset(d) if d == "xl" => bench.sizes(Dataset::ExtraLarge),
-            SizeSpec::Dataset(_) => bench.sizes(Dataset::Standard),
-            SizeSpec::Uniform(n) => bench.sizes_uniform(*n),
-            SizeSpec::Explicit(pairs) => ProblemSizes::new(pairs.iter().map(|(k, v)| (k.as_str(), *v))),
-        };
-        return Ok((program, sizes, arch));
-    }
-
-    let source = require_source(select)?;
-    let t0 = Instant::now();
-    let parsed = cached_parse(&shared.parse_cache, source);
-    shared
-        .hist
-        .parse_us
-        .record(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
-    let (program, cache_hit) = parsed.map_err(|e| ProtocolError::BadSource(e.to_string()))?;
-    if cache_hit {
-        eatss_trace::counter_add("parse.cache_hits", 1);
-    }
-    let sizes = match &select.sizes {
-        SizeSpec::Uniform(n) => {
-            let params = param_names(&program);
-            ProblemSizes::uniform(params.iter().map(String::as_str), *n)
-        }
-        SizeSpec::Explicit(pairs) => ProblemSizes::new(pairs.iter().map(|(k, v)| (k.as_str(), *v))),
-        SizeSpec::Dataset(_) => {
-            // Named datasets only exist for named benchmarks.
-            return Err(ProtocolError::MissingField("sizes"));
-        }
-    };
-    Ok((program, sizes, arch))
-}
-
-/// A select request must name either a registered `kernel` or carry
-/// inline `source`. The protocol layer lets both be absent (other ops
-/// share the envelope), so the resolver enforces it as a typed
-/// `bad_field` error instead of panicking the worker.
-fn require_source(select: &SelectRequest) -> Result<&str, ProtocolError> {
-    select.source.as_deref().ok_or(ProtocolError::BadField {
-        field: "source",
-        expected: "either `kernel` or `source` on a select request",
-    })
-}
-
-/// FNV-1a over the raw source bytes — the [`Shared::parse_cache`] key.
-fn fnv_source(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Parses `source`, consulting the shared parse cache first. Returns the
-/// program and whether it was a cache hit. Parsing happens outside the
-/// lock; on a hit the entry's full source is compared so a hash
-/// collision degrades to a miss, never a wrong program. Parse errors are
-/// not cached — a failing client retrying pays the parse each time, but
-/// the cache can never pin a stale error.
-fn cached_parse(
-    parse_cache: &Mutex<Vec<(u64, String, Program)>>,
-    source: &str,
-) -> Result<(Program, bool), ParseError> {
-    let key = fnv_source(source.as_bytes());
-    {
-        let mut cache = parse_cache.lock().unwrap();
-        if let Some(i) = cache
-            .iter()
-            .position(|(k, src, _)| *k == key && src == source)
-        {
-            let entry = cache.remove(i);
-            let program = entry.2.clone();
-            cache.push(entry);
-            return Ok((program, true));
-        }
-    }
-    let program = parse_program(source)?;
-    let mut cache = parse_cache.lock().unwrap();
-    if !cache
-        .iter()
-        .any(|(k, src, _)| *k == key && src == source)
-    {
-        if cache.len() == PARSE_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push((key, source.to_owned(), program.clone()));
-    }
-    Ok((program, false))
-}
-
-fn param_names(program: &Program) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for kernel in &program.kernels {
-        for dim in &kernel.dims {
-            if let Extent::Param(p) = &dim.extent {
-                names.insert(p.clone());
-            }
-        }
-    }
-    names
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut d = shared.dispatch.lock().unwrap();
-            loop {
-                if let Some(job) = d.queue.pop_front() {
-                    d.active += 1;
-                    break job;
-                }
-                if shared.shutting_down() {
-                    return;
-                }
-                let (next, _) = shared
-                    .work_cv
-                    .wait_timeout(d, Duration::from_millis(100))
-                    .unwrap();
-                d = next;
-            }
-        };
-
-        let queue_wait_us = job.admitted_at.elapsed().as_micros() as u64;
-        shared.hist.queue_us.record(queue_wait_us);
-        let solve_started = Instant::now();
-        let mut outcome = match catch_unwind(AssertUnwindSafe(|| run_job(shared, &job))) {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                shared.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
-                instant("serve", "worker_panic", vec![]);
-                Outcome::Panicked(panic_message(payload.as_ref()))
-            }
-        };
-        let worker_us = solve_started.elapsed().as_micros() as u64;
-        shared.hist.solve_us.record(worker_us);
-        match &mut outcome {
-            Outcome::Done {
-                queue_us, solve_us, ..
-            }
-            | Outcome::Pareto {
-                queue_us, solve_us, ..
-            } => {
-                *queue_us = queue_wait_us;
-                *solve_us = worker_us;
-            }
-            Outcome::Panicked(_) => {}
-        }
-
-        // Durability before visibility: journal committed results before
-        // any waiter hears about them.
-        if let Outcome::Done {
-            result,
-            served_from_cache: false,
-            ..
-        } = &outcome
-        {
-            if is_committed(result) {
-                let _lane = lane_scope(job.lane);
-                let append_started = Instant::now();
-                {
-                    let _sp = span("serve", "journal_append");
-                    let _ = shared
-                        .cache
-                        .lock()
-                        .unwrap()
-                        .insert_key(job.cache_key.clone(), result.clone());
-                }
-                shared
-                    .hist
-                    .journal_append_us
-                    .record(append_started.elapsed().as_micros() as u64);
-                maybe_auto_compact(shared);
-            }
-        }
-
-        let waiters = {
-            let mut d = shared.dispatch.lock().unwrap();
-            d.active -= 1;
-            let waiters = d.in_flight.remove(&job.coalesce_key);
-            if d.queue.is_empty() && d.active == 0 {
-                shared.idle_cv.notify_all();
-            }
-            waiters
-        };
-        if let Some(waiters) = waiters {
-            // How many requests one solve answered (1 = no coalescing).
-            eatss_trace::gauge_set("serve.coalesce_width", waiters.len() as f64);
-            for tx in waiters {
-                let _ = tx.send(outcome.clone());
-            }
-        }
-    }
-}
-
-/// Garbage-ratio-driven journal compaction: when the appended record
-/// pushes the ratio past the configured threshold, compact in place
-/// (still on the worker thread, after the append, before the broadcast
-/// — admission keeps flowing, only this worker stalls).
-fn maybe_auto_compact(shared: &Arc<Shared>) {
-    let Some(threshold) = shared.config.compact_garbage_ratio else {
-        return;
-    };
-    let mut cache = shared.cache.lock().unwrap();
-    if cache.is_durable() && cache.garbage_ratio() > threshold {
-        let _sp = span("serve", "auto_compact");
-        if cache.compact().is_ok() {
-            eatss_trace::counter_add("journal.auto_compactions", 1);
-        }
-    }
-}
-
-/// Hashes the structural identity a warm-start pool entry is keyed on:
-/// architecture plus program shape (sizes and configs are deliberately
-/// excluded — those are exactly the axes warm hints transfer across).
-fn warm_key(arch: &GpuArch, program: &Program) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    arch.name.hash(&mut h);
-    format!("{program:?}").hash(&mut h);
-    h.finish()
-}
-
-/// Copies the pooled hints for a structure key (empty when absent),
-/// refreshing its LRU position.
-fn warm_lookup(shared: &Arc<Shared>, key: u64) -> WarmStart {
-    let mut pool = shared.warm.lock().unwrap();
-    match pool.iter().position(|(k, _)| *k == key) {
-        Some(i) => {
-            let entry = pool.remove(i);
-            let hints = entry.1.clone();
-            pool.push(entry);
-            hints
-        }
-        None => WarmStart::new(),
-    }
-}
-
-/// Publishes a worker's post-solve hints for a structure key
-/// (last-writer-wins), evicting the least-recently-used entry past the
-/// pool cap.
-fn warm_publish(shared: &Arc<Shared>, key: u64, hints: WarmStart) {
-    if hints.is_empty() {
-        return;
-    }
-    let mut pool = shared.warm.lock().unwrap();
-    if let Some(i) = pool.iter().position(|(k, _)| *k == key) {
-        pool.remove(i);
-    }
-    if pool.len() == WARM_POOL_CAP {
-        pool.remove(0);
-    }
-    pool.push((key, hints));
-}
-
-fn is_committed(result: &Result<EatssSolution, EatssError>) -> bool {
-    match result {
-        Ok(s) => s.provenance == SolutionProvenance::Solved,
-        Err(EatssError::Unsatisfiable { .. }) => true,
-        Err(_) => false,
-    }
-}
-
-fn run_job(shared: &Arc<Shared>, job: &Job) -> Outcome {
-    let _lane = lane_scope(job.lane);
-    let mut sp = span("serve", "solve");
-    sp.arg("deadline_ms", job.deadline.as_millis() as i64);
-
-    if let Some(chaos) = &job.chaos {
-        if chaos == "panic" {
-            panic!("chaos: requested panic");
-        }
-        if let Some(ms) = chaos.strip_prefix("sleep:").and_then(|s| s.parse::<u64>().ok()) {
-            std::thread::sleep(Duration::from_millis(ms.min(60_000)));
-        }
-    }
-
-    if job.pareto {
-        return run_pareto(shared, job);
-    }
-
-    // A racing identical request may have committed between this job's
-    // admission (cache miss) and now; serve the committed entry.
-    if let Some(result) = shared.cache.lock().unwrap().lookup_key(&job.cache_key) {
-        let eval = if job.evaluate {
-            result
-                .as_ref()
-                .ok()
-                .map(|s| run_eval(shared, &job.arch, &job.program, s, &job.sizes, &job.cfg))
-        } else {
-            None
-        };
-        let verify = if job.verify {
-            result
-                .as_ref()
-                .ok()
-                .map(|s| run_verify(shared, &job.arch, &job.program, s, &job.sizes))
-        } else {
-            None
-        };
-        return Outcome::Done {
-            result,
-            eval,
-            verify,
-            fell_back: false,
-            served_from_cache: true,
-            queue_us: 0,
-            solve_us: 0,
-        };
-    }
-
-    let solver_config = SolverConfig {
-        deadline: Some(job.deadline),
-        cancel: Some(shared.cancel.clone()),
-        ..SolverConfig::default()
-    };
-    // Pull the warm-start hints pooled for this program structure; solve
-    // against a local copy (workers must not hold the pool lock while
-    // solving), then publish the updated hints back.
-    let structure = warm_key(&job.arch, &job.program);
-    let mut hints = warm_lookup(shared, structure);
-    let solved = ModelGenerator::new(&job.arch, job.cfg.clone())
-        .with_solver_config(solver_config)
-        .build(&job.program, Some(&job.sizes))
-        .and_then(|model| model.solve_warm(&mut hints));
-    if let Ok(s) = &solved {
-        if s.stats.warm_seeds > 0 {
-            shared.counters.warm_seeded.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    warm_publish(shared, structure, hints);
-
-    // The anytime ladder's last rung: budget exhausted with nothing
-    // feasible found ⇒ PPCG's default 32^d tiling, marked as fallback.
-    let (result, fell_back) = match solved {
-        Err(EatssError::Exhausted { .. }) => {
-            shared.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-            (Ok(EatssSolution::ppcg_default(job.program.max_depth())), true)
-        }
-        other => (other, false),
-    };
-
-    let eval = if job.evaluate {
-        result
-            .as_ref()
-            .ok()
-            .map(|s| run_eval(shared, &job.arch, &job.program, s, &job.sizes, &job.cfg))
-    } else {
-        None
-    };
-    let verify = if job.verify {
-        result
-            .as_ref()
-            .ok()
-            .map(|s| run_verify(shared, &job.arch, &job.program, s, &job.sizes))
-    } else {
-        None
-    };
-
-    Outcome::Done {
-        result,
-        eval,
-        verify,
-        fell_back,
-        served_from_cache: false,
-        queue_us: 0,
-        solve_us: 0,
-    }
-}
-
-/// Answers an `{"op":"pareto"}` job: sweeps the §V-B splits at the
-/// requested warp fraction (both thread-block cap readings, default
-/// precision) on the requested device, journals every fully-solved
-/// configuration under its own structural cache key — so later `select`
-/// requests for those configurations are warm, and the front survives
-/// `kill -9` exactly like single selections — and returns the
-/// non-dominated energy-vs-performance front.
-fn run_pareto(shared: &Arc<Shared>, job: &Job) -> Outcome {
-    let mut sp = span("serve", "pareto");
-    sp.arg("device", job.arch.name.clone());
-    let eatss = Eatss::new(job.arch.clone());
-    // One rung, the job's deadline per configuration: the daemon's
-    // latency contract is per-request, not per-campaign — a point that
-    // exhausts its slice degrades to the measured 32^d fallback instead
-    // of stalling the worker.
-    let options = eatss::SweepOptions {
-        attempts: vec![eatss::SolveAttempt {
-            node_limit: 2_000_000,
-            deadline: Some(job.deadline),
-            coarsen: false,
-        }],
-        fallback_to_default: true,
-        jobs: 1,
-        warm_start: true,
-    };
-    let outcome = match eatss::sweep::run_with(
-        &eatss,
-        &job.program,
-        &job.sizes,
-        &eatss::sweep::PAPER_SPLITS,
-        &[job.cfg.warp_fraction],
-        &options,
-    ) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            return Outcome::Pareto {
-                result: Err(e.to_string()),
-                queue_us: 0,
-                solve_us: 0,
-            }
-        }
-    };
-
-    // Durability before visibility, per configuration: journal each
-    // fully-solved point before any waiter hears about the front.
-    {
-        let mut cache = shared.cache.lock().unwrap();
-        for point in &outcome.points {
-            if point.solution.provenance == SolutionProvenance::Solved {
-                let key = encode_key(&job.arch, &job.program, &job.sizes, &point.config);
-                let _ = cache.insert_key(key, Ok(point.solution.clone()));
-            }
-        }
-    }
-    maybe_auto_compact(shared);
-
-    let front_points = outcome.pareto_front();
-    let verify = if job.verify {
-        Some(run_verify_front(&job.arch, &job.program, &front_points, &job.sizes))
-    } else {
-        None
-    };
-    let front = front_points
-        .iter()
-        .map(|p| ParetoEntry {
-            tiles: p.solution.tiles.sizes().to_vec(),
-            split: p.config.split_factor,
-            warp_fraction: p.config.warp_fraction,
-            strict_cap: p.config.cap == eatss::ThreadBlockCap::Strict,
-            provenance: p.solution.provenance.to_string(),
-            energy_j: p.report.energy_j,
-            gflops: p.report.gflops,
-            ppw: p.report.ppw,
-            time_ms: p.report.time_s * 1000.0,
-        })
-        .collect();
-    Outcome::Pareto {
-        result: Ok(ParetoReport {
-            device: job.arch.name.clone(),
-            front,
-            points: outcome.points.len(),
-            infeasible: outcome.infeasible.len(),
-            verify,
-        }),
-        queue_us: 0,
-        solve_us: 0,
-    }
-}
-
-/// Verifies every front point's tiles bitwise against the reference
-/// interpreter in one batched oracle call (same shrink rule and seed as
-/// `verify: true` selections). Unlike [`run_verify`], every config here
-/// is a real answer the daemon is returning, so all of them must map and
-/// agree.
-fn run_verify_front(
-    arch: &GpuArch,
-    program: &Program,
-    front: &[&eatss::SweepPoint],
-    sizes: &ProblemSizes,
-) -> Result<VerifySummary, String> {
-    if front.is_empty() {
-        return Ok(VerifySummary {
-            configs: 0,
-            points: 0,
-        });
-    }
-    let shrunk = verify_sizes(program, sizes, VERIFY_SPACE_CAP, VERIFY_TIME_CAP);
-    let configs: Vec<_> = front.iter().map(|p| p.solution.tiles.clone()).collect();
-    let verdicts = eatss_ppcg::verify_batch(
-        program,
-        &configs,
-        arch,
-        &shrunk,
-        &eatss_ppcg::OracleOptions::default(),
-        VERIFY_SEED,
-    );
-    let mut summary = VerifySummary {
-        configs: 0,
-        points: 0,
-    };
-    for verdict in verdicts {
-        match verdict {
-            Ok(report) => {
-                summary.configs += 1;
-                summary.points += report.points;
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(summary)
-}
-
-fn run_eval(
-    shared: &Arc<Shared>,
-    arch: &GpuArch,
-    program: &Program,
-    solution: &EatssSolution,
-    sizes: &ProblemSizes,
-    cfg: &eatss::EatssConfig,
-) -> Result<SimReport, String> {
-    let gpu = match &shared.config.fault_plan {
-        Some(plan) => Gpu::with_faults(arch.clone(), plan.clone()),
-        None => Gpu::new(arch.clone()),
-    };
-    Eatss::with_gpu(gpu)
-        .evaluate(program, &solution.tiles, sizes, cfg)
-        .map_err(|e: EvaluateError| e.to_string())
-}
-
-/// Verifies the selected tiles bitwise against the reference interpreter
-/// through the batched differential oracle: the selection and the `32^d`
-/// PPCG default (the daemon's fallback answer) go through one
-/// [`eatss_ppcg::verify_batch`] call at shrunk verification sizes, so the
-/// reference interpretation and the shared emulator plans are paid once
-/// per request, not per config. Only the selected tiles' verdict gates
-/// the response; an unmappable fallback config is not an error.
-fn run_verify(
-    shared: &Arc<Shared>,
-    arch: &GpuArch,
-    program: &Program,
-    solution: &EatssSolution,
-    sizes: &ProblemSizes,
-) -> Result<VerifySummary, String> {
-    let _ = shared;
-    let shrunk = verify_sizes(program, sizes, VERIFY_SPACE_CAP, VERIFY_TIME_CAP);
-    let configs = vec![
-        solution.tiles.clone(),
-        eatss_affine::tiling::TileConfig::ppcg_default(program.max_depth()),
-    ];
-    let verdicts = eatss_ppcg::verify_batch(
-        program,
-        &configs,
-        arch,
-        &shrunk,
-        &eatss_ppcg::OracleOptions::default(),
-        VERIFY_SEED,
-    );
-    let mut summary = VerifySummary {
-        configs: 0,
-        points: 0,
-    };
-    for (i, verdict) in verdicts.into_iter().enumerate() {
-        match verdict {
-            Ok(report) => {
-                summary.configs += 1;
-                summary.points += report.points;
-            }
-            // The fallback config failing to *map* is not a finding;
-            // the selected tiles (index 0) must map and agree.
-            Err(eatss_ppcg::OracleError::Compile(e)) if i > 0 => {
-                let _ = e;
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(summary)
-}
-
-/// Spatial / time-loop caps for `verify: true` oracle runs — the same
-/// shrink rule the sweep uses, sized so verification stays interactive.
-const VERIFY_SPACE_CAP: i64 = 17;
-const VERIFY_TIME_CAP: i64 = 3;
-/// Store seed for `verify: true` oracle runs.
-const VERIFY_SEED: u64 = 0xEA75_50AC;
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
-fn write_outcome(
-    shared: &Arc<Shared>,
-    stream: &mut Stream,
-    id: Option<&str>,
-    outcome: &Outcome,
-    cache_tag: &str,
-    started: Instant,
-    summary: &mut SelectSummary,
-) -> io::Result<()> {
-    summary.cache = match cache_tag {
-        "hit" => "hit",
-        "coalesced" => "coalesced",
-        _ => "miss",
-    };
-    let line = match outcome {
-        Outcome::Panicked(message) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            summary.outcome = "error";
-            error_fields_opt(id, "worker_panic", message)
-        }
-        Outcome::Pareto {
-            result,
-            queue_us,
-            solve_us,
-        } => {
-            summary.queue_us = *queue_us;
-            summary.solve_us = *solve_us;
-            match result {
-                Ok(report) => {
-                    shared.counters.ok.fetch_add(1, Ordering::Relaxed);
-                    summary.outcome = "ok";
-                    pareto_fields(shared, id, report, cache_tag, started)
-                }
-                Err(message) => {
-                    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    summary.outcome = "error";
-                    error_fields_opt(id, "pareto", message)
-                }
-            }
-        }
-        Outcome::Done {
-            result,
-            eval,
-            verify,
-            fell_back,
-            queue_us,
-            solve_us,
-            ..
-        } => {
-            summary.queue_us = *queue_us;
-            summary.solve_us = *solve_us;
-            summary.fell_back = *fell_back;
-            match result {
-            Ok(solution) => {
-                shared.counters.ok.fetch_add(1, Ordering::Relaxed);
-                summary.outcome = "ok";
-                let mut fields = vec![
-                    ("status", str_field("ok")),
-                    (
-                        "tiles",
-                        format!(
-                            "[{}]",
-                            solution
-                                .tiles
-                                .sizes()
-                                .iter()
-                                .map(i64::to_string)
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        ),
-                    ),
-                    ("objective", solution.objective.to_string()),
-                    ("provenance", str_field(&solution.provenance.to_string())),
-                    ("optimal", solution.optimal.to_string()),
-                    ("solver_calls", solution.solver_calls.to_string()),
-                    (
-                        "solve_ms",
-                        number(solution.solve_time.as_secs_f64() * 1000.0),
-                    ),
-                    ("cache", str_field(cache_tag)),
-                    ("fell_back", fell_back.to_string()),
-                    (
-                        "latency_ms",
-                        number(started.elapsed().as_secs_f64() * 1000.0),
-                    ),
-                ];
-                match eval {
-                    Some(Ok(report)) => {
-                        fields.push((
-                            "eval",
-                            object_line(&[
-                                ("time_ms", number(report.time_s * 1000.0)),
-                                ("power_w", number(report.avg_power_w)),
-                                ("energy_j", number(report.energy_j)),
-                                ("gflops", number(report.gflops)),
-                                ("ppw", number(report.ppw)),
-                            ]),
-                        ));
-                    }
-                    Some(Err(message)) => {
-                        fields.push((
-                            "eval_error",
-                            object_line(&[
-                                ("kind", str_field("measure")),
-                                ("message", str_field(message)),
-                            ]),
-                        ));
-                    }
-                    None => {}
-                }
-                match verify {
-                    Some(Ok(summary)) => {
-                        shared.counters.verified.fetch_add(1, Ordering::Relaxed);
-                        fields.push((
-                            "verify",
-                            object_line(&[
-                                ("configs", summary.configs.to_string()),
-                                ("points", summary.points.to_string()),
-                            ]),
-                        ));
-                    }
-                    Some(Err(message)) => {
-                        fields.push((
-                            "verify_error",
-                            object_line(&[
-                                ("kind", str_field("oracle")),
-                                ("message", str_field(message)),
-                            ]),
-                        ));
-                    }
-                    None => {}
-                }
-                with_id_opt(id, fields)
-            }
-            Err(EatssError::Unsatisfiable { reason }) => {
-                shared.counters.infeasible.fetch_add(1, Ordering::Relaxed);
-                summary.outcome = "infeasible";
-                with_id_opt(
-                    id,
-                    vec![
-                        ("status", str_field("infeasible")),
-                        ("reason", str_field(reason)),
-                        ("cache", str_field(cache_tag)),
-                        (
-                            "latency_ms",
-                            number(started.elapsed().as_secs_f64() * 1000.0),
-                        ),
-                    ],
-                )
-            }
-            Err(e) => {
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                summary.outcome = "error";
-                let serve_error =
-                    ServeError::Pipeline(eatss::PipelineError::from_eatss(e.clone(), "serve"));
-                error_line(id, &serve_error)
-            }
-        }
-        }
-    };
-    write_line(stream, &line)
-}
-
-/// Renders an ok pareto response: the device, the front as an ordered
-/// JSON array, and the sweep's bookkeeping counts.
-fn pareto_fields(
-    shared: &Arc<Shared>,
-    id: Option<&str>,
-    report: &ParetoReport,
-    cache_tag: &str,
-    started: Instant,
-) -> String {
-    let front: Vec<String> = report
-        .front
-        .iter()
-        .map(|e| {
-            object_line(&[
-                (
-                    "tiles",
-                    format!(
-                        "[{}]",
-                        e.tiles
-                            .iter()
-                            .map(i64::to_string)
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    ),
-                ),
-                ("split", number(e.split)),
-                ("warp_frac", number(e.warp_fraction)),
-                ("strict_cap", e.strict_cap.to_string()),
-                ("provenance", str_field(&e.provenance)),
-                ("energy_j", number(e.energy_j)),
-                ("gflops", number(e.gflops)),
-                ("ppw", number(e.ppw)),
-                ("time_ms", number(e.time_ms)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("status", str_field("ok")),
-        ("device", str_field(&report.device)),
-        ("front", format!("[{}]", front.join(","))),
-        ("points", report.points.to_string()),
-        ("infeasible", report.infeasible.to_string()),
-        ("cache", str_field(cache_tag)),
-        (
-            "latency_ms",
-            number(started.elapsed().as_secs_f64() * 1000.0),
-        ),
-    ];
-    match &report.verify {
-        Some(Ok(summary)) => {
-            shared.counters.verified.fetch_add(1, Ordering::Relaxed);
-            fields.push((
-                "verify",
-                object_line(&[
-                    ("configs", summary.configs.to_string()),
-                    ("points", summary.points.to_string()),
-                ]),
-            ));
-        }
-        Some(Err(message)) => {
-            fields.push((
-                "verify_error",
-                object_line(&[
-                    ("kind", str_field("oracle")),
-                    ("message", str_field(message)),
-                ]),
-            ));
-        }
-        None => {}
-    }
-    with_id_opt(id, fields)
-}
-
-fn stats_response(shared: &Arc<Shared>, id: &Option<String>) -> String {
-    let s = shared.counters.snapshot();
-    let (cache_stats, recovery, replayed, persisted, journal_bytes, durable) = {
-        let cache = shared.cache.lock().unwrap();
-        (
-            cache.stats(),
-            cache.recovery(),
-            cache.replayed(),
-            cache.persisted(),
-            cache.journal_bytes(),
-            cache.is_durable(),
-        )
-    };
-    with_id(
-        id,
-        vec![
-            ("status", str_field("ok")),
-            (
-                "server",
-                object_line(&[
-                    ("connections", s.connections.to_string()),
-                    ("requests", s.requests.to_string()),
-                    ("ok", s.ok.to_string()),
-                    ("infeasible", s.infeasible.to_string()),
-                    ("errors", s.errors.to_string()),
-                    ("shed", s.shed.to_string()),
-                    ("coalesced", s.coalesced.to_string()),
-                    ("protocol_errors", s.protocol_errors.to_string()),
-                    ("panics_caught", s.panics_caught.to_string()),
-                    ("fallbacks", s.fallbacks.to_string()),
-                    ("warm_seeded", s.warm_seeded.to_string()),
-                    ("verified", s.verified.to_string()),
-                ]),
-            ),
-            (
-                "cache",
-                object_line(&[
-                    ("hits", cache_stats.hits.to_string()),
-                    ("misses", cache_stats.misses.to_string()),
-                    ("infeasible", cache_stats.infeasible.to_string()),
-                    ("errors", cache_stats.errors.to_string()),
-                    ("replayed", replayed.to_string()),
-                    ("persisted", persisted.to_string()),
-                    ("journal_bytes", journal_bytes.to_string()),
-                    ("durable", durable.to_string()),
-                ]),
-            ),
-            (
-                "recovery",
-                object_line(&[
-                    ("records_recovered", recovery.records_recovered.to_string()),
-                    (
-                        "corrupt_records_skipped",
-                        recovery.corrupt_records_skipped.to_string(),
-                    ),
-                    (
-                        "torn_tails_truncated",
-                        recovery.torn_tails_truncated.to_string(),
-                    ),
-                    ("bytes_discarded", recovery.bytes_discarded.to_string()),
-                ]),
-            ),
-        ],
-    )
-}
-
-fn with_id(id: &Option<String>, fields: Vec<(&str, String)>) -> String {
-    with_id_opt(id.as_deref(), fields)
-}
-
-fn with_id_opt(id: Option<&str>, mut fields: Vec<(&str, String)>) -> String {
-    let mut all = vec![("v", PROTOCOL_VERSION.to_string())];
-    if let Some(id) = id {
-        all.push(("id", str_field(id)));
-    }
-    all.append(&mut fields);
-    object_line(&all)
-}
-
-fn error_fields(id: &Option<String>, kind: &str, message: &str) -> String {
-    error_fields_opt(id.as_deref(), kind, message)
-}
-
-fn error_fields_opt(id: Option<&str>, kind: &str, message: &str) -> String {
-    with_id_opt(
-        id,
-        vec![
-            ("status", str_field("error")),
-            (
-                "error",
-                object_line(&[
-                    ("kind", str_field(kind)),
-                    ("message", str_field(message)),
-                ]),
-            ),
-        ],
-    )
-}
-
-fn error_line(id: Option<&str>, error: &ServeError) -> String {
-    error_fields_opt(id, error.kind(), &error.to_string())
-}
-
-fn write_error(stream: &mut Stream, id: Option<&str>, error: &ServeError) -> io::Result<()> {
-    write_line(stream, &error_line(id, error))
-}
-
-fn write_line(stream: &mut Stream, line: &str) -> io::Result<()> {
-    // One write per frame: a separate 1-byte newline write would be a
-    // second small packet Nagle delays behind the peer's ACK.
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(line);
-    framed.push('\n');
-    stream.write_all(framed.as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn select_with(kernel: Option<&str>, source: Option<&str>) -> SelectRequest {
-        SelectRequest {
-            kernel: kernel.map(str::to_owned),
-            source: source.map(str::to_owned),
-            sizes: SizeSpec::Uniform(64),
-            split: 0.5,
-            warp_fraction: 1.0,
-            fp32: false,
-            strict_cap: false,
-            arch: None,
-            deadline_ms: None,
-            evaluate: false,
-            verify: false,
-            chaos: None,
-        }
-    }
+    use crate::handlers::{cached_parse, require_source};
+    use crate::protocol::{parse_request, Op, ProtocolError};
+    use eatss::journal::fnv1a64;
+    use eatss_affine::parser::parse_program;
 
     const NEST: &str = "kernel k(N) { for (i: N) A[i] = B[i] + 1; }";
 
     #[test]
     fn require_source_is_a_typed_error_not_a_panic() {
-        let select = select_with(None, None);
+        let line = format!(r#"{{"source": "{NEST}", "n": 64}}"#);
+        let Op::Select(mut select) = parse_request(&line).unwrap().op else {
+            panic!("expected a select");
+        };
+        assert_eq!(require_source(&select), Ok(NEST));
+        select.source = None;
         match require_source(&select) {
             Err(ProtocolError::BadField { field, .. }) => assert_eq!(field, "source"),
             other => panic!("expected bad_field, got {other:?}"),
         }
-        assert_eq!(require_source(&select_with(None, Some(NEST))), Ok(NEST));
     }
 
     #[test]
     fn cached_parse_hits_on_repeat_and_preserves_the_program() {
-        let cache = Mutex::new(Vec::new());
+        let cache = Mutex::new(Lru::new(PARSE_CACHE_CAP));
         let (first, hit) = cached_parse(&cache, NEST).unwrap();
         assert!(!hit, "first parse must be a miss");
         let (second, hit) = cached_parse(&cache, NEST).unwrap();
@@ -2259,15 +559,15 @@ mod tests {
 
     #[test]
     fn cached_parse_does_not_cache_errors() {
-        let cache = Mutex::new(Vec::new());
+        let cache = Mutex::new(Lru::new(PARSE_CACHE_CAP));
         assert!(cached_parse(&cache, "kernel oops").is_err());
-        assert!(cache.lock().unwrap().is_empty());
+        assert_eq!(cache.lock().unwrap().len(), 0);
         assert!(cached_parse(&cache, "kernel oops").is_err());
     }
 
     #[test]
     fn cached_parse_evicts_least_recently_used_at_cap() {
-        let cache = Mutex::new(Vec::new());
+        let cache = Mutex::new(Lru::new(PARSE_CACHE_CAP));
         let sources: Vec<String> = (0..=PARSE_CACHE_CAP)
             .map(|i| format!("kernel k{i}(N) {{ for (i: N) A[i] = B[i]; }}"))
             .collect();
@@ -2284,9 +584,9 @@ mod tests {
 
     #[test]
     fn fnv_distinguishes_realistic_sources() {
-        let a = fnv_source(NEST.as_bytes());
-        let b = fnv_source(b"kernel k(N) { for (i: N) A[i] = B[i] + 2; }");
+        let a = fnv1a64(NEST.as_bytes());
+        let b = fnv1a64(b"kernel k(N) { for (i: N) A[i] = B[i] + 2; }");
         assert_ne!(a, b);
-        assert_eq!(a, fnv_source(NEST.as_bytes()));
+        assert_eq!(a, fnv1a64(NEST.as_bytes()));
     }
 }

@@ -1,0 +1,115 @@
+//! The daemon has one way to answer a `select`: whichever route a result
+//! takes to the client (connection-thread hit, a worker that finds the
+//! key already committed, a fresh solve), the answer is the same; and a
+//! journal append that fails is visible rather than dropped.
+
+use eatss::JournalConfig;
+use eatss_serve::client::{Client, SelectArgs};
+use eatss_serve::server::{start, ServerConfig, ServerHandle};
+use eatss_trace::json::Json;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+
+fn connect(handle: &ServerHandle) -> Client {
+    Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).expect("connect")
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eatss-one-path-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn text<'a>(reply: &'a Json, field: &str) -> &'a str {
+    reply.get(field).and_then(Json::as_str).unwrap_or("")
+}
+
+#[test]
+fn hit_raced_hit_and_fresh_solve_answer_alike() {
+    let handle = start(ServerConfig {
+        allow_chaos: true,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = connect(&handle);
+    let mut args = SelectArgs::kernel("gemm");
+    args.n = Some(512);
+    args.evaluate = true;
+    args.verify = true;
+
+    let fresh = client.select(&args).unwrap();
+    assert_eq!(handle.cache_stats().misses, 1);
+    let hit = client.select(&args).unwrap();
+    // A chaos directive skips the connection-thread lookup, so the job
+    // reaches a worker, which finds the key already committed.
+    args.chaos = Some("sleep:0".to_string());
+    let raced = client.select(&args).unwrap();
+    let stats = handle.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (2, 1), "only the first request solved");
+    assert_eq!(
+        [text(&fresh, "cache"), text(&hit, "cache"), text(&raced, "cache")],
+        ["miss", "hit", "miss"]
+    );
+
+    let comparable = |reply: &Json| -> BTreeMap<String, Json> {
+        let mut fields = reply.as_object().expect("object").clone();
+        for varying in ["cache", "latency_ms", "solve_ms"] {
+            assert!(fields.remove(varying).is_some(), "{varying} present");
+        }
+        fields
+    };
+    assert_eq!(text(&fresh, "status"), "ok");
+    assert!(fresh.get("eval").is_some() && fresh.get("verify").is_some());
+    assert_eq!(comparable(&fresh), comparable(&hit));
+    assert_eq!(comparable(&fresh), comparable(&raced));
+    handle.shutdown();
+}
+
+#[test]
+fn failed_journal_append_still_answers_but_is_counted_and_logged() {
+    let dir = temp_dir("append-error");
+    let log_path = dir.join("access.jsonl");
+    let config = |max_record_bytes| ServerConfig {
+        cache_dir: Some(dir.join("journal")),
+        journal: JournalConfig {
+            max_record_bytes,
+            ..JournalConfig::default()
+        },
+        access_log: Some(log_path.clone()),
+        ..ServerConfig::default()
+    };
+    // No selection fits a 16-byte record: every append is refused.
+    let handle = start(config(16)).unwrap();
+    let mut client = connect(&handle);
+    let mut args = SelectArgs::kernel("gemm");
+    args.n = Some(512);
+    let reply = client.select(&args).unwrap();
+    assert_eq!((text(&reply, "status"), text(&reply, "cache")), ("ok", "miss"));
+
+    let metrics = client.metrics().unwrap();
+    let append_errors = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("journal.append_errors"))
+        .and_then(Json::as_f64)
+        .expect("journal.append_errors counter");
+    assert!(append_errors >= 1.0);
+    handle.shutdown();
+
+    let log = std::fs::read_to_string(&log_path).unwrap();
+    let line = log
+        .lines()
+        .map(|l| Json::parse(l).expect("access log line parses"))
+        .find(|l| text(l, "op") == "select")
+        .expect("select line");
+    assert_eq!(text(&line, "outcome"), "ok");
+    assert!(text(&line, "journal_error").contains("exceeds the 16-byte cap"));
+
+    // The answer was never durable: a restart knows nothing of the key.
+    let handle = start(config(JournalConfig::default().max_record_bytes)).unwrap();
+    assert_eq!(handle.replayed(), 0);
+    let reply = connect(&handle).select(&args).unwrap();
+    assert_eq!(text(&reply, "cache"), "miss");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

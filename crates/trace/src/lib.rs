@@ -17,6 +17,9 @@
 //!   guarantee extends to traces (structurally; timestamps still vary);
 //! * two **sinks** ([`Trace::to_jsonl`], [`Trace::to_chrome_json`]) — the
 //!   latter is Chrome `trace_events` JSON openable at `ui.perfetto.dev`;
+//! * the workspace's one ordered scoped worker pool ([`par_map_ordered`]),
+//!   here because this is the base crate every parallel caller already
+//!   depends on;
 //! * a **leveled logging** façade ([`error!`], [`info!`], [`debug!`]) that
 //!   echoes to stderr and, when collecting, records log events in the
 //!   trace.
@@ -39,11 +42,13 @@ mod event;
 pub mod histogram;
 pub mod json;
 mod metrics;
+mod par;
 mod sink;
 
 pub use event::{ArgValue, Event, EventKind};
 pub use histogram::{histogram, Histogram, HistogramSnapshot};
 pub use metrics::{counter_add, gauge_set, metrics_snapshot, MetricsSnapshot};
+pub use par::par_map_ordered;
 pub use sink::{Provenance, Trace, TraceFormat};
 
 /// Log verbosity. `Off` suppresses everything, including errors.
