@@ -452,105 +452,6 @@ pub fn store_layout(store: &Store) -> Vec<(String, usize, Vec<i64>)> {
         .collect()
 }
 
-impl crate::plan::BatchPlan {
-    /// Compiles every kernel of `program` once against `store`'s slot
-    /// layout. The returned plans are shared by every store in a batch
-    /// whose layout matches (see [`run_program_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError::UnboundParameter`] on unbound sizes.
-    pub fn compile(
-        program: &Program,
-        sizes: &ProblemSizes,
-        store: &Store,
-    ) -> Result<Self, InterpError> {
-        let mut kernels = Vec::with_capacity(program.kernels.len());
-        for kernel in &program.kernels {
-            let trips: Vec<i64> = (0..kernel.depth())
-                .map(|d| kernel.trip_count(d, sizes))
-                .collect::<Result<_, _>>()
-                .map_err(InterpError::UnboundParameter)?;
-            let plan = if trips.iter().any(|&t| t <= 0) {
-                None
-            } else {
-                crate::plan::ExecPlan::compile(kernel, &trips, store)
-            };
-            kernels.push((trips, plan));
-        }
-        Ok(crate::plan::BatchPlan {
-            kernels,
-            layout: store_layout(store),
-        })
-    }
-
-    /// Executes the whole program over one store through the shared
-    /// plans. A store whose layout diverges from the compile-time one
-    /// falls back to the ordinary per-store path ([`run_program`]);
-    /// results are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError::UnboundParameter`] on unbound sizes.
-    pub fn run(
-        &self,
-        program: &Program,
-        sizes: &ProblemSizes,
-        store: &mut Store,
-    ) -> Result<(), InterpError> {
-        if store_layout(store) != self.layout {
-            return run_program(program, sizes, store);
-        }
-        for (kernel, (trips, plan)) in program.kernels.iter().zip(&self.kernels) {
-            if trips.iter().any(|&t| t <= 0) {
-                continue;
-            }
-            match plan {
-                Some(plan) => drive_plan(plan, trips, store),
-                None => reference::run_kernel(kernel, sizes, store)?,
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Executes a whole program over every store of a batch, compiling each
-/// kernel's plan **once** (against `stores[0]`'s layout) instead of once
-/// per store, and deduplicating identical runs: a store whose
-/// pre-execution contents are bitwise identical to `stores[0]`'s must
-/// produce the bitwise-identical result (the interpretation is a pure
-/// function of program, sizes, and store contents), so it receives a
-/// copy of `stores[0]`'s result instead of a re-execution. Stores with
-/// different contents (or layouts) execute through the shared plans.
-///
-/// # Errors
-///
-/// Returns [`InterpError::UnboundParameter`] on unbound sizes.
-pub fn run_program_batch(
-    program: &Program,
-    sizes: &ProblemSizes,
-    stores: &mut [Store],
-) -> Result<(), InterpError> {
-    let Some((first, rest)) = stores.split_first_mut() else {
-        return Ok(());
-    };
-    let batch = crate::plan::BatchPlan::compile(program, sizes, first)?;
-    let input = first.clone();
-    batch.run(program, sizes, first)?;
-    let input_layout = store_layout(&input);
-    for store in rest {
-        let identical = store_layout(store) == input_layout
-            && compare_stores(store, &input).is_empty()
-            && compare_stores(&input, store).is_empty();
-        if identical {
-            *store = first.clone();
-        } else {
-            batch.run(program, sizes, store)?;
-        }
-    }
-    Ok(())
-}
-
 /// Executes one kernel in *tiled* order (tile loops around point loops,
 /// Fig. 4 of the paper) — used to prove tiling is semantics-preserving.
 /// Points execute through a compiled plan, exactly as [`run_kernel`].
@@ -840,66 +741,6 @@ mod tests {
         assert_eq!(a, b);
         b.insert("y", Array::zeros(vec![4]));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn batch_matches_per_store_runs() {
-        let p = parse_program(
-            "kernel mm(M, N, P) {
-               for (i: M) for (j: N) for (k: P)
-                 C[i][j] += A[i][k] * B[k][j];
-             }",
-        )
-        .unwrap();
-        let n = 5;
-        let sizes = sizes3(n);
-        // Three stores: #0 and #2 identical (dedup copy), #1 different
-        // contents with the same layout (runs through the shared plans).
-        let seed = |salt: i64| {
-            let mut store = Store::new();
-            store.allocate_for(&p, &sizes).unwrap();
-            store.insert(
-                "A",
-                Array::from_fn(vec![n, n], |i| ((i[0] * 2 + i[1] + salt) % 5) as f64),
-            );
-            store.insert(
-                "B",
-                Array::from_fn(vec![n, n], |i| ((i[0] - 3 * i[1]) % 4) as f64),
-            );
-            store
-        };
-        let mut batched = [seed(0), seed(1), seed(0)];
-        let mut singles = [seed(0), seed(1), seed(0)];
-        run_program_batch(&p, &sizes, &mut batched).unwrap();
-        for s in &mut singles {
-            run_program(&p, &sizes, s).unwrap();
-        }
-        for (i, (b, s)) in batched.iter().zip(&singles).enumerate() {
-            let mismatches = compare_stores(b, s);
-            assert!(mismatches.is_empty(), "store {i}: {mismatches:?}");
-        }
-    }
-
-    #[test]
-    fn batch_layout_divergence_falls_back_per_store() {
-        let p = parse_program("kernel ax(N) { for (i: N) y[i] = 2.0 * x[i]; }").unwrap();
-        let sizes = ProblemSizes::new([("N", 4)]);
-        let seed = || {
-            let mut store = Store::new();
-            store.allocate_for(&p, &sizes).unwrap();
-            store.insert("x", Array::from_fn(vec![4], |i| i[0] as f64));
-            store
-        };
-        let mut odd = Store::new();
-        // Different insertion order → different slot numbering: the
-        // shared plans must not be applied to this store.
-        odd.insert("x", Array::from_fn(vec![4], |i| (i[0] + 1) as f64));
-        odd.insert("y", Array::zeros(vec![4]));
-        let mut batched = [seed(), odd.clone()];
-        run_program_batch(&p, &sizes, &mut batched).unwrap();
-        run_program(&p, &sizes, &mut odd).unwrap();
-        assert!(compare_stores(&batched[1], &odd).is_empty());
-        assert_eq!(batched[0].get("y").unwrap().get(&[3]), 6.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl<'a> Interner<'a> {
 
     pub(crate) fn intern(&mut self, s: &'a str) -> u32 {
         let mask = self.table.len() - 1;
-        let mut slot = (fnv1a(s.as_bytes()) as usize) & mask;
+        let mut slot = (eatss_trace::fnv1a64(s.as_bytes()) as usize) & mask;
         loop {
             match self.table[slot] {
                 EMPTY => break,
@@ -71,7 +71,7 @@ impl<'a> Interner<'a> {
         let mask = new_len - 1;
         let mut table = vec![EMPTY; new_len];
         for (sym, s) in self.syms.iter().enumerate() {
-            let mut slot = (fnv1a(s.as_bytes()) as usize) & mask;
+            let mut slot = (eatss_trace::fnv1a64(s.as_bytes()) as usize) & mask;
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
@@ -79,15 +79,6 @@ impl<'a> Interner<'a> {
         }
         self.table = table;
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

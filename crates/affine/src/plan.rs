@@ -64,25 +64,6 @@ pub fn simd_enabled() -> bool {
     SIMD_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Compiled execution state shared across a *batch* of stores with one
-/// slot layout: slot-resolved address functions and opcode tapes are
-/// compiled once per kernel and reused for every store in the batch.
-///
-/// Built by [`BatchPlan::compile`](crate::interp) and driven by
-/// [`run_program_batch`](crate::interp::run_program_batch); a store whose
-/// layout diverges from the compile-time one silently falls back to the
-/// per-store path, so sharing is purely a performance property.
-#[derive(Debug, Default)]
-pub struct BatchPlan {
-    /// One entry per kernel: trip counts and the compiled plan (`None`
-    /// when the kernel does not lower; the tree-walking reference runs
-    /// instead).
-    pub(crate) kernels: Vec<(Vec<i64>, Option<ExecPlan>)>,
-    /// Layout fingerprint the plans were compiled against:
-    /// `(array name, slot, extents)` in name order.
-    pub(crate) layout: Vec<(String, usize, Vec<i64>)>,
-}
-
 /// A source for pre-routed reads (the compiled analogue of
 /// [`ReadHook`](crate::interp::ReadHook)): `read` receives the route id
 /// chosen at compile time and the evaluated subscript indices.

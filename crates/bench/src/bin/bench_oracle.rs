@@ -13,13 +13,11 @@
 //!   ([`eatss_ppcg::ExecEngine::Plan`]) against its reference engine,
 //!   one emulated launch sequence per configuration.
 //!
-//! Each comparison also runs a **batched** arm: the interpreter through
-//! [`eatss_affine::interp::run_program_batch`] (one compile + one
-//! execution shared across the sweep's identically seeded stores) and
-//! the emulator through [`eatss_ppcg::execute_compiled_batch`] (compiled
-//! plans shared across configurations by route signature). Batched arms
-//! are timed against the same references and report both the ratio over
-//! the reference and the speedup over the unbatched fast path.
+//! The emulator also runs a **batched** arm — the path the oracle takes:
+//! [`eatss_ppcg::execute_compiled_batch`] (compiled plans shared across
+//! configurations by route signature), timed against the same reference
+//! and reporting both the ratio over the reference and the speedup over
+//! the per-config fast path.
 //!
 //! All sides of every comparison execute from identically seeded stores
 //! and every run is cross-checked bitwise — a divergence is a bug, not a
@@ -85,12 +83,9 @@ struct KernelRow {
     configs: usize,
     interp: EnginePair,
     emulator: EnginePair,
-    /// Batched interpreter arm: fast = one `run_program_batch` over the
-    /// sweep's stores, reference = the tree-walker per config.
-    interp_batched: EnginePair,
     /// Batched emulator arm: fast = one `execute_compiled_batch`,
     /// reference = the reference engine per config.
-    emulator_batched: EnginePair,
+    emulator_batch: EnginePair,
     /// What [`ExecEngine::Auto`] resolves to for this kernel's domain.
     auto_engine: &'static str,
 }
@@ -222,7 +217,7 @@ fn run_interp(
 /// Runs every configuration through [`execute_compiled_batch`]: plans are
 /// compiled once per distinct route signature and shared across the
 /// batch. Store seeding stays outside the timed region.
-fn run_emulator_batched(
+fn run_emulator_batch(
     program: &Program,
     sizes: &ProblemSizes,
     plans: &[ConfigPlan],
@@ -252,41 +247,15 @@ fn run_emulator_batched(
     (EngineSample { wall_s, points }, outcomes)
 }
 
-/// Runs the sweep's interpretations through one
-/// [`interp::run_program_batch`] call: the execution plan compiles once
-/// and stores whose inputs are bitwise-identical share one execution.
-/// Store seeding stays outside the timed region.
-fn run_interp_batched(
-    program: &Program,
-    sizes: &ProblemSizes,
-    configs: usize,
-    points_per_config: u64,
-) -> (EngineSample, Vec<Store>) {
-    let mut stores: Vec<Store> = (0..configs)
-        .map(|_| seed_store(program, sizes, SEED).expect("store seeds"))
-        .collect();
-    let started = Instant::now();
-    interp::run_program_batch(program, sizes, &mut stores).expect("interpretation");
-    let wall_s = started.elapsed().as_secs_f64();
-    (
-        EngineSample {
-            wall_s,
-            points: points_per_config * configs as u64,
-        },
-        stores,
-    )
-}
-
 /// Bitwise cross-check: the fast paths must reproduce the references
 /// exactly — same stores, same counters.
 fn cross_check(
     name: &str,
     emul_fast: &[ConfigOutcome],
     emul_ref: &[ConfigOutcome],
-    emul_batched: &[ConfigOutcome],
+    emul_batch: &[ConfigOutcome],
     interp_fast: &Store,
     interp_ref: &Store,
-    interp_batched: &[Store],
 ) {
     assert_eq!(
         emul_fast.len(),
@@ -294,7 +263,7 @@ fn cross_check(
         "{name}: config count differs"
     );
     assert_eq!(
-        emul_batched.len(),
+        emul_batch.len(),
         emul_ref.len(),
         "{name}: batched config count differs"
     );
@@ -310,7 +279,7 @@ fn cross_check(
             emul[0]
         );
     }
-    for (i, (b, r)) in emul_batched.iter().zip(emul_ref).enumerate() {
+    for (i, (b, r)) in emul_batch.iter().zip(emul_ref).enumerate() {
         assert_eq!(
             b.stats, r.stats,
             "{name} config {i}: batched execution counters diverge"
@@ -328,14 +297,6 @@ fn cross_check(
         "{name}: interpreted stores diverge: {}",
         itp[0]
     );
-    for (i, b) in interp_batched.iter().enumerate() {
-        let itp = compare_stores(b, interp_ref);
-        assert!(
-            itp.is_empty(),
-            "{name} store {i}: batched interpretation diverges: {}",
-            itp[0]
-        );
-    }
 }
 
 fn engine_json(s: &EngineSample) -> String {
@@ -428,29 +389,25 @@ fn main() {
 
         let mut emulator: Option<EnginePair> = None;
         let mut interp_best: Option<EnginePair> = None;
-        let mut emulator_batched: Option<EnginePair> = None;
-        let mut interp_batched_best: Option<EnginePair> = None;
+        let mut emulator_batch: Option<EnginePair> = None;
         let mut checked = false;
         for _ in 0..reps(smoke) {
             let (ef, emul_fast) = run_emulator(&program, &sizes, &plans, ExecEngine::Plan);
             let (er, emul_ref) = run_emulator(&program, &sizes, &plans, ExecEngine::Reference);
-            let (eb, emul_batched) = run_emulator_batched(&program, &sizes, &plans);
+            let (eb, emul_batch) = run_emulator_batch(&program, &sizes, &plans);
             // The emulated domain is tile-independent, so every config
             // executes the same number of points.
             let per_config = emul_fast[0].stats.points;
             let (inf, interp_fast) = run_interp(&program, &sizes, plans.len(), per_config, true);
             let (inr, interp_ref) = run_interp(&program, &sizes, plans.len(), per_config, false);
-            let (inb, interp_batch) =
-                run_interp_batched(&program, &sizes, plans.len(), per_config);
             if !checked {
                 cross_check(
                     b.name,
                     &emul_fast,
                     &emul_ref,
-                    &emul_batched,
+                    &emul_batch,
                     &interp_fast,
                     &interp_ref,
-                    &interp_batch,
                 );
                 checked = true;
             }
@@ -469,48 +426,37 @@ fn main() {
                 },
             );
             keep_min(
-                &mut emulator_batched,
+                &mut emulator_batch,
                 EnginePair {
                     fast: eb,
                     reference: er,
                 },
             );
-            keep_min(
-                &mut interp_batched_best,
-                EnginePair {
-                    fast: inb,
-                    reference: inr,
-                },
-            );
         }
-        let (emulator, interp, emulator_batched, interp_batched) = (
+        let (emulator, interp, emulator_batch) = (
             emulator.expect("reps >= 1"),
             interp_best.expect("reps >= 1"),
-            emulator_batched.expect("reps >= 1"),
-            interp_batched_best.expect("reps >= 1"),
+            emulator_batch.expect("reps >= 1"),
         );
 
         println!(
-            "{:<12} interp x{:<4.1} ({:>8.4} s vs {:>8.4} s, batched {:>8.4} s x{:<5.1}) | emulator x{:<4.1} ({:>8.4} s vs {:>8.4} s, batched {:>8.4} s x{:<4.1})",
+            "{:<12} interp x{:<4.1} ({:>8.4} s vs {:>8.4} s) | emulator x{:<4.1} ({:>8.4} s vs {:>8.4} s, batched {:>8.4} s x{:<4.1})",
             b.name,
             interp.wall_ratio(),
             interp.fast.wall_s,
             interp.reference.wall_s,
-            interp_batched.fast.wall_s,
-            interp_batched.wall_ratio(),
             emulator.wall_ratio(),
             emulator.fast.wall_s,
             emulator.reference.wall_s,
-            emulator_batched.fast.wall_s,
-            emulator_batched.wall_ratio(),
+            emulator_batch.fast.wall_s,
+            emulator_batch.wall_ratio(),
         );
         rows.push(KernelRow {
             name: b.name.to_owned(),
             configs: plans.len(),
             interp,
             emulator,
-            interp_batched,
-            emulator_batched,
+            emulator_batch,
             auto_engine: if trips(&program, &sizes).iter().product::<i64>()
                 >= eatss_ppcg::AUTO_PLAN_THRESHOLD_EMULATOR_POINTS
             {
@@ -522,8 +468,7 @@ fn main() {
     }
 
     // Flag sub-1.0 wall_ratios the suite actually pays: the interp fast
-    // path and the batched arms are unconditional, so any loss there is a
-    // finding. The emulator's forced-`Plan` arm only reaches production
+    // path is unconditional, so any loss there is a finding. The emulator's forced-`Plan` arm only reaches production
     // through `ExecEngine::Auto`, which routes domains below
     // `AUTO_PLAN_THRESHOLD_EMULATOR_POINTS` to the reference walker — a
     // forced-plan loss on such a domain is exactly the case Auto avoids,
@@ -533,10 +478,9 @@ fn main() {
         for (side, pair, flagged) in [
             ("interp", &r.interp, true),
             ("emulator", &r.emulator, r.auto_engine == "plan"),
-            ("interp_batched", &r.interp_batched, true),
             (
                 "emulator_batched",
-                &r.emulator_batched,
+                &r.emulator_batch,
                 r.auto_engine == "plan",
             ),
         ] {
@@ -567,8 +511,7 @@ fn main() {
     let interp_ref = sum(&|r| r.interp.reference.wall_s);
     let emul_fast = sum(&|r| r.emulator.fast.wall_s);
     let emul_ref = sum(&|r| r.emulator.reference.wall_s);
-    let interp_batched = sum(&|r| r.interp_batched.fast.wall_s);
-    let emul_batched = sum(&|r| r.emulator_batched.fast.wall_s);
+    let emul_batch = sum(&|r| r.emulator_batch.fast.wall_s);
     let points: u64 = rows.iter().map(|r| r.interp.fast.points).sum();
     let configs: usize = rows.iter().map(|r| r.configs).sum();
     // The acceptance headline: compiled path over `interp::reference`.
@@ -586,15 +529,14 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"configs\": {}, \"points\": {}, \"auto_engine\": \"{}\", \"interp\": {}, \"emulator\": {}, \"interp_batched\": {}, \"emulator_batched\": {}}}{}",
+            "    {{\"name\": \"{}\", \"configs\": {}, \"points\": {}, \"auto_engine\": \"{}\", \"interp\": {}, \"emulator\": {}, \"emulator_batched\": {}}}{}",
             r.name,
             r.configs,
             r.interp.fast.points,
             r.auto_engine,
             pair_json(&r.interp),
             pair_json(&r.emulator),
-            pair_json(&r.interp_batched),
-            pair_json(&r.emulator_batched),
+            pair_json(&r.emulator_batch),
             if i + 1 == rows.len() { "" } else { "," }
         );
     }
@@ -614,7 +556,6 @@ fn main() {
         "],\n  \"aggregate\": {{\"kernels\": {}, \"configs\": {}, \"points\": {}, \
          \"interp\": {{\"fast_wall_s\": {:.6}, \"reference_wall_s\": {:.6}, \"wall_ratio\": {:.3}}}, \
          \"emulator\": {{\"fast_wall_s\": {:.6}, \"reference_wall_s\": {:.6}, \"wall_ratio\": {:.3}}}, \
-         \"interp_batched\": {{\"fast_wall_s\": {:.6}, \"reference_wall_s\": {:.6}, \"wall_ratio\": {:.3}, \"vs_fast_ratio\": {:.3}}}, \
          \"emulator_batched\": {{\"fast_wall_s\": {:.6}, \"reference_wall_s\": {:.6}, \"wall_ratio\": {:.3}, \"vs_fast_ratio\": {:.3}}}, \
          \"wall_ratio\": {:.3}}}\n}}\n",
         rows.len(),
@@ -626,14 +567,10 @@ fn main() {
         emul_fast,
         emul_ref,
         emul_ref / emul_fast.max(1e-9),
-        interp_batched,
-        interp_ref,
-        interp_ref / interp_batched.max(1e-9),
-        interp_fast / interp_batched.max(1e-9),
-        emul_batched,
+        emul_batch,
         emul_ref,
-        emul_ref / emul_batched.max(1e-9),
-        emul_fast / emul_batched.max(1e-9),
+        emul_ref / emul_batch.max(1e-9),
+        emul_fast / emul_batch.max(1e-9),
         wall_ratio
     );
 
@@ -648,13 +585,10 @@ fn main() {
         emul_ref / emul_fast.max(1e-9)
     );
     println!(
-        "aggregate batched interp: {:.4} s (x{:.2} vs reference, x{:.2} vs fast) | batched emulator: {:.4} s (x{:.2} vs reference, x{:.2} vs fast)",
-        interp_batched,
-        interp_ref / interp_batched.max(1e-9),
-        interp_fast / interp_batched.max(1e-9),
-        emul_batched,
-        emul_ref / emul_batched.max(1e-9),
-        emul_fast / emul_batched.max(1e-9)
+        "aggregate batched emulator: {:.4} s (x{:.2} vs reference, x{:.2} vs fast)",
+        emul_batch,
+        emul_ref / emul_batch.max(1e-9),
+        emul_fast / emul_batch.max(1e-9)
     );
     println!(
         "{} kernel(s), {} config(s), {} interpreted point(s)",

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p eatss-bench --bin oracle_sweep -- \
-//!     [--seed N] [--random N] [--space-cap N] [--time-cap N] [--jobs N] [--batched]
+//!     [--seed N] [--random N] [--space-cap N] [--time-cap N] [--jobs N]
 //! ```
 //!
 //! For every PolyBench kernel, runs solve → map → emulate on shrunk
@@ -14,9 +14,8 @@
 //! set via `EATSS_ORACLE_SEED`. With `--jobs N` benchmarks are verified
 //! by N worker threads; random samples come from per-benchmark seeded
 //! RNGs, so the output is byte-identical to the sequential run (see
-//! `eatss_bench::oracle`). `--batched` routes each benchmark through the
-//! batched oracle (one reference interpretation, shared emulator plans)
-//! with verdicts — and report bytes — identical to the per-config path.
+//! `eatss_bench::oracle`). Each benchmark's configurations are verified as
+//! one batch (one reference interpretation, shared emulator plans).
 //! Exits non-zero on a failure count > 0.
 
 use eatss_bench::oracle::{run_oracle_sweep, OracleSweepOptions};
@@ -52,7 +51,6 @@ fn parse_args() -> Result<OracleSweepOptions, String> {
             "--jobs" => {
                 opts.jobs = parse("--jobs", next_value(&mut args, "--jobs")?)?.max(1) as usize;
             }
-            "--batched" => opts.batched = true,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -65,7 +63,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("{e}");
             eprintln!(
-                "usage: oracle_sweep [--seed N] [--random N] [--space-cap N] [--time-cap N] [--jobs N] [--batched]"
+                "usage: oracle_sweep [--seed N] [--random N] [--space-cap N] [--time-cap N] [--jobs N]"
             );
             return ExitCode::from(2);
         }

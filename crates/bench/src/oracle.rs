@@ -18,7 +18,7 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_ppcg::oracle::{sample_tile_config, sweep_rng, verify_sizes};
-use eatss_ppcg::{verify, verify_batch, OracleError, OracleOptions};
+use eatss_ppcg::{verify_batch, OracleError, OracleOptions};
 use std::fmt::Write as _;
 
 /// Sweep knobs (see the `oracle_sweep` binary for the CLI surface).
@@ -35,11 +35,6 @@ pub struct OracleSweepOptions {
     pub time_cap: i64,
     /// Worker threads (1 = sequential; the report is identical either way).
     pub jobs: usize,
-    /// Verify each benchmark's configurations through the batched oracle
-    /// ([`verify_batch`]): one reference interpretation per benchmark and
-    /// shared emulator plans, with verdicts identical to the per-config
-    /// [`verify`] path.
-    pub batched: bool,
 }
 
 impl Default for OracleSweepOptions {
@@ -50,7 +45,6 @@ impl Default for OracleSweepOptions {
             space_cap: 17,
             time_cap: 3,
             jobs: 1,
-            batched: false,
         }
     }
 }
@@ -73,12 +67,7 @@ pub struct OracleSweepSummary {
 /// keyed by the sweep seed. Independent of benchmark order and worker
 /// scheduling.
 pub fn bench_seed(seed: u64, name: &str) -> u64 {
-    let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    eatss_trace::fnv1a64_from(seed ^ eatss_trace::FNV1A64_OFFSET, name.as_bytes())
 }
 
 /// Max trip count per dim position across kernels — the sampling domain.
@@ -171,14 +160,10 @@ fn sweep_benchmark(
         plan.push((format!("random#{i}"), sample_tile_config(&mut rng, &trips)));
     }
 
-    let verdicts: Vec<Result<eatss_ppcg::OracleReport, OracleError>> = if opts.batched {
-        let configs: Vec<TileConfig> = plan.iter().map(|(_, t)| t.clone()).collect();
-        verify_batch(&program, &configs, arch, &sizes, oracle_opts, opts.seed)
-    } else {
-        plan.iter()
-            .map(|(_, tiles)| verify(&program, tiles, arch, &sizes, oracle_opts, opts.seed))
-            .collect()
-    };
+    // One batch per benchmark: one reference interpretation, shared
+    // emulator plans.
+    let configs: Vec<TileConfig> = plan.iter().map(|(_, t)| t.clone()).collect();
+    let verdicts = verify_batch(&program, &configs, arch, &sizes, oracle_opts, opts.seed);
     for ((label, tiles), verdict) in plan.iter().zip(verdicts) {
         match verdict {
             Ok(report) => {

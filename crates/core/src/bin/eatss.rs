@@ -452,40 +452,42 @@ fn run(opts: &Options) -> Result<(), String> {
             compile: opts.config.compile_options(&opts.arch),
             ..eatss_ppcg::OracleOptions::default()
         };
+        // One batch: the reference interpretation runs once for both.
+        let labels = ["EATSS", "32^d"];
         let configs = [
-            ("EATSS", solution.tiles.clone()),
-            ("32^d", TileConfig::ppcg_default(program.max_depth())),
+            solution.tiles.clone(),
+            TileConfig::ppcg_default(program.max_depth()),
         ];
-        for (label, tiles) in &configs {
-            let started = std::time::Instant::now();
-            match eatss_ppcg::verify(
-                &program,
-                tiles,
-                &opts.arch,
-                &small,
-                &oracle_opts,
-                opts.verify_seed,
-            ) {
-                Ok(report) => {
-                    let wall = started.elapsed().as_secs_f64();
-                    println!(
-                        "verify {label:<6}: OK — {} point(s), {} block(s), \
-                         {} staged elem(s), {} array(s) bitwise-equal \
-                         ({:.1} ms, {:.0} points/s, seed {})",
-                        report.points,
-                        report.blocks,
-                        report.staged_elems,
-                        report.arrays_compared,
-                        wall * 1e3,
-                        report.points as f64 / wall.max(1e-9),
-                        opts.verify_seed
-                    )
-                }
-                Err(e) => {
-                    return Err(format!("verify {label}: {e}"));
-                }
-            }
+        let started = std::time::Instant::now();
+        let verdicts = eatss_ppcg::verify_batch(
+            &program,
+            &configs,
+            &opts.arch,
+            &small,
+            &oracle_opts,
+            opts.verify_seed,
+        );
+        let wall = started.elapsed().as_secs_f64();
+        let mut points = 0;
+        for (label, verdict) in labels.iter().zip(verdicts) {
+            let report = verdict.map_err(|e| format!("verify {label}: {e}"))?;
+            points += report.points;
+            println!(
+                "verify {label:<6}: OK — {} point(s), {} block(s), \
+                 {} staged elem(s), {} array(s) bitwise-equal (seed {})",
+                report.points,
+                report.blocks,
+                report.staged_elems,
+                report.arrays_compared,
+                opts.verify_seed
+            );
         }
+        println!(
+            "verify: {} config(s) in {:.1} ms, {:.0} points/s",
+            configs.len(),
+            wall * 1e3,
+            points as f64 / wall.max(1e-9)
+        );
     }
 
     if opts.evaluate {

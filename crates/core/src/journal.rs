@@ -117,19 +117,12 @@ impl RecoveryStats {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the record checksum, and the hash that
-/// routes a key to its shard. Hand-rolled (no external crates) and stable
-/// across platforms and releases, which shard routing relies on: replay
-/// reads shards in index order, so a key whose route changed between
-/// builds could have its newer record superseded by an older one.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64-bit — the record checksum, and the hash that routes a key
+/// to its shard. Stable across platforms and releases, which shard
+/// routing relies on: replay reads shards in index order, so a key whose
+/// route changed between builds could have its newer record superseded by
+/// an older one.
+pub use eatss_trace::fnv1a64;
 
 struct Shard {
     path: PathBuf,

@@ -7,7 +7,8 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_smt::{
-    Domain, IntExpr, SolveError, Solver, SolverConfig, SolverStats, StopReason, WarmStart,
+    Domain, IntExpr, MaximizeOutcome, SolveError, Solver, SolverConfig, SolverStats, StopReason,
+    WarmStart,
 };
 use std::error::Error;
 use std::fmt;
@@ -417,46 +418,9 @@ impl EatssModel {
     ///
     /// Same conditions as [`EatssModel::solve`].
     pub fn solve_binary(self) -> Result<EatssSolution, EatssError> {
-        let mut span = eatss_trace::span("eatss", "solve");
-        let result = self.solve_binary_impl();
-        finish_solve_span(&mut span, &result);
-        result
-    }
-
-    fn solve_binary_impl(mut self) -> Result<EatssSolution, EatssError> {
-        let started = Instant::now();
-        let hi = self.solver.hull_bounds(&self.objective).hi();
-        let outcome = self.solver.maximize_binary(&self.objective, hi)?;
-        let solve_time = started.elapsed();
-        let Some(model) = outcome.model else {
-            return Err(no_model_error(
-                outcome.complete,
-                outcome.stop,
-                "no tile assignment satisfies the resource constraints",
-            ));
-        };
-        // A model without an objective value would mean the maximize loop
-        // lost track of what it measured — surface it, never mask it as 0.
-        let objective = outcome.best.ok_or(EatssError::MissingObjective)?;
-        let mut sizes = Vec::with_capacity(self.tile_vars.len());
-        for v in &self.tile_vars {
-            match v {
-                Some(var) => sizes.push(model.eval(var)?),
-                None => sizes.push(1),
-            }
-        }
-        Ok(EatssSolution {
-            tiles: TileConfig::new(sizes),
-            objective,
-            solver_calls: outcome.solver_calls,
-            solve_time,
-            optimal: outcome.optimal,
-            provenance: if outcome.optimal {
-                SolutionProvenance::Solved
-            } else {
-                SolutionProvenance::SolvedIncomplete
-            },
-            stats: self.solver.stats().clone(),
+        self.solve_with(None, |solver, objective| {
+            let hi = solver.hull_bounds(objective).hi();
+            solver.maximize_binary(objective, hi)
         })
     }
 
@@ -467,10 +431,7 @@ impl EatssModel {
     /// Returns [`EatssError::Unsatisfiable`] when no feasible tile
     /// assignment exists.
     pub fn solve(self) -> Result<EatssSolution, EatssError> {
-        let mut span = eatss_trace::span("eatss", "solve");
-        let result = self.solve_impl(None);
-        finish_solve_span(&mut span, &result);
-        result
+        self.solve_with(None, Solver::maximize)
     }
 
     /// Like [`EatssModel::solve`], but seeds the branch-and-bound
@@ -489,35 +450,44 @@ impl EatssModel {
     /// Returns [`EatssError::Unsatisfiable`] when no feasible tile
     /// assignment exists.
     pub fn solve_warm(self, warm: &mut WarmStart) -> Result<EatssSolution, EatssError> {
+        let hints = warm.len() as u64;
+        self.solve_with(Some(hints), |solver, objective| {
+            let outcome = solver.maximize_warm(objective, warm)?;
+            if let Some(model) = &outcome.model {
+                warm.observe(model);
+            }
+            Ok(outcome)
+        })
+    }
+
+    /// One `eatss.solve` span around one maximization and the tail that
+    /// turns its outcome into a solution.
+    fn solve_with(
+        mut self,
+        warm_hints: Option<u64>,
+        maximize: impl FnOnce(&mut Solver, &IntExpr) -> Result<MaximizeOutcome, SolveError>,
+    ) -> Result<EatssSolution, EatssError> {
         let mut span = eatss_trace::span("eatss", "solve");
-        if span.is_active() {
-            span.arg("warm_hints", warm.len() as u64);
+        if let Some(hints) = warm_hints {
+            span.arg("warm_hints", hints);
         }
-        let result = self.solve_impl(Some(warm));
+        let started = Instant::now();
+        let result = maximize(&mut self.solver, &self.objective)
+            .map_err(EatssError::from)
+            .and_then(|outcome| self.into_solution(outcome, started));
         finish_solve_span(&mut span, &result);
         result
     }
 
-    fn solve_impl(mut self, warm: Option<&mut WarmStart>) -> Result<EatssSolution, EatssError> {
-        let started = Instant::now();
-        let outcome = match warm {
-            Some(warm) => {
-                let outcome = self.solver.maximize_warm(&self.objective, warm)?;
-                if let Some(model) = &outcome.model {
-                    warm.observe(model);
-                }
-                outcome
-            }
-            None => self.solver.maximize(&self.objective)?,
-        };
+    /// Extracts the tiles of a finished maximization.
+    fn into_solution(
+        self,
+        outcome: MaximizeOutcome,
+        started: Instant,
+    ) -> Result<EatssSolution, EatssError> {
         let solve_time = started.elapsed();
         let Some(model) = outcome.model else {
-            return Err(no_model_error(
-                outcome.complete,
-                outcome.stop,
-                "no tile assignment satisfies the resource constraints \
-                 (try a smaller warp-alignment factor)",
-            ));
+            return Err(no_model_error(outcome.complete, outcome.stop));
         };
         // A model without an objective value would mean the maximize loop
         // lost track of what it measured — surface it, never mask it as 0.
@@ -567,10 +537,12 @@ fn finish_solve_span(
 
 /// Distinguishes a *proved* empty space from a budget that ran out before
 /// any model was found.
-fn no_model_error(complete: bool, stop: Option<StopReason>, unsat_reason: &str) -> EatssError {
+fn no_model_error(complete: bool, stop: Option<StopReason>) -> EatssError {
     if complete {
         EatssError::Unsatisfiable {
-            reason: unsat_reason.to_owned(),
+            reason: "no tile assignment satisfies the resource constraints \
+                     (try a smaller warp-alignment factor)"
+                .to_owned(),
         }
     } else {
         EatssError::Exhausted {

@@ -52,6 +52,16 @@ pub struct SolveAttempt {
 }
 
 /// Degradation policy for a sweep.
+///
+/// Two things are not options. A point that cannot be solved or measured
+/// always degrades to PPCG's default `32^d` tiling. And the per-point
+/// maximizations are always warm-started along chains (see
+/// `warm_chains`): results are identical to cold solves — a warm floor
+/// sits strictly below a feasible objective value, so only
+/// provably-suboptimal subtrees are pruned — and each chain's hint
+/// sequence is fixed by the canonical configuration list, chains never
+/// sharing state, so parallel and sequential sweeps stay bit-identical
+/// even when search budgets bind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
     /// The retry ladder, tried in order; later rungs run only when the
@@ -60,9 +70,6 @@ pub struct SweepOptions {
     /// budget cannot revive an empty space, and coarsening only shrinks
     /// it.
     pub attempts: Vec<SolveAttempt>,
-    /// Degrade unsolvable points to PPCG's default `32^d` tiling instead
-    /// of dropping them.
-    pub fallback_to_default: bool,
     /// Worker threads for the sweep. `1` (the default) runs points
     /// sequentially on the caller's thread; `0` uses the machine's
     /// available parallelism. Results are identical regardless of the
@@ -71,22 +78,6 @@ pub struct SweepOptions {
     /// fractions × caps), including which systemic error — if any — is
     /// reported.
     pub jobs: usize,
-    /// Warm-start the per-point maximizations. Configurations that share
-    /// a (warp fraction, cap) pair differ only in the shared-memory split
-    /// — larger splits leave less capacity, so the tightest split's
-    /// optimum is feasible under every looser sibling. Each such group is
-    /// solved as a chain from tightest to loosest split, feeding every
-    /// solved model into a group-local [`WarmStart`] that seeds the next
-    /// point's branch-and-bound incumbent instead of climbing from
-    /// scratch.
-    ///
-    /// Results are identical to cold solves: a warm floor sits strictly
-    /// below a feasible objective value, so only provably-suboptimal
-    /// subtrees are pruned. Each chain's hint sequence is fixed by the
-    /// canonical configuration list — groups never share state — so
-    /// parallel and sequential sweeps stay bit-identical even when
-    /// search budgets bind.
-    pub warm_start: bool,
 }
 
 impl Default for SweepOptions {
@@ -108,20 +99,9 @@ impl Default for SweepOptions {
                     coarsen: true,
                 },
             ],
-            fallback_to_default: true,
             jobs: 1,
-            warm_start: true,
         }
     }
-}
-
-/// How a point's maximization relates to the sweep's warm-start state.
-enum WarmMode<'a> {
-    /// Solve cold (warm starting disabled).
-    Cold,
-    /// Solve with the chain's accumulated hints and record the resulting
-    /// model back into them for the next point in the chain.
-    Seed(&'a mut WarmStart),
 }
 
 /// One solved and measured configuration.
@@ -144,8 +124,8 @@ pub struct SweepOutcome {
     pub points: Vec<SweepPoint>,
     /// Configurations whose formulation was proved unsatisfiable or
     /// stayed exhausted through the whole retry ladder (with reason).
-    /// With fallback enabled these configurations *also* appear in
-    /// [`SweepOutcome::points`] under default tiling.
+    /// These configurations *also* appear in [`SweepOutcome::points`]
+    /// under default tiling.
     pub infeasible: Vec<(EatssConfig, String)>,
     /// Configurations that produced no measurement at all — even the
     /// fallback failed — with stage-attributed errors.
@@ -261,7 +241,7 @@ fn solve_with_retries(
     sizes: &ProblemSizes,
     config: &EatssConfig,
     options: &SweepOptions,
-    warm: &mut WarmMode<'_>,
+    warm: &mut WarmStart,
 ) -> Result<EatssSolution, EatssError> {
     let mut last = EatssError::Exhausted {
         reason: "retry ladder is empty".to_owned(),
@@ -282,10 +262,7 @@ fn solve_with_retries(
             })
             .with_domain_coarsening(attempt.coarsen)
             .build(program, Some(sizes))
-            .and_then(|model| match warm {
-                WarmMode::Cold => model.solve(),
-                WarmMode::Seed(chain) => model.solve_warm(chain),
-            });
+            .and_then(|model| model.solve_warm(warm));
         match result {
             Ok(solution) => {
                 span.arg("outcome", "solved");
@@ -323,7 +300,7 @@ fn process_point(
     config: EatssConfig,
     options: &SweepOptions,
     index: usize,
-    mut warm: WarmMode<'_>,
+    warm: &mut WarmStart,
 ) -> Result<PointContribution, PipelineError> {
     // Events for point `i` go to lane `i + 1` (lane 0 is the control
     // lane), so parallel and sequential sweeps drain to the same
@@ -343,7 +320,7 @@ fn process_point(
     );
     let mut infeasible = None;
     let mut failures = Vec::new();
-    let solved = match solve_with_retries(eatss, program, sizes, &config, options, &mut warm) {
+    let solved = match solve_with_retries(eatss, program, sizes, &config, options, warm) {
         Ok(solution) => Some(solution),
         Err(e @ (EatssError::Unsatisfiable { .. } | EatssError::Exhausted { .. })) => {
             if eatss_trace::collecting() {
@@ -377,7 +354,7 @@ fn process_point(
             }
         }
     }
-    if measured.is_none() && options.fallback_to_default {
+    if measured.is_none() {
         if eatss_trace::collecting() {
             eatss_trace::counter_add("sweep.fallbacks", 1);
             eatss_trace::instant("sweep", "fallback", Vec::new());
@@ -477,13 +454,12 @@ pub fn run_with(
         span.arg("configs", attempted);
         span.arg("jobs", jobs);
     }
-    // The unit of scheduling is a warm-start chain: with warm starting
-    // off every configuration is its own single-point chain; with it on,
-    // configurations sharing a (warp fraction, cap) pair form one chain
-    // ordered tightest-split-first. A chain's hint sequence depends only
-    // on the canonical configuration list, never on scheduling, so the
-    // parallel executor stays bit-identical to the sequential one.
-    let chains = warm_chains(&configs, options.warm_start);
+    // The unit of scheduling is a warm-start chain: configurations
+    // sharing a (warp fraction, cap) pair, ordered tightest-split-first.
+    // A chain's hint sequence depends only on the canonical configuration
+    // list, never on scheduling, so the parallel executor stays
+    // bit-identical to the sequential one.
+    let chains = warm_chains(&configs);
     // Chains run on a scoped pool (inline for one job); whatever order
     // they finished in, their points go back into canonical order.
     let mut contributions: Vec<_> = eatss_trace::par_map_ordered(&chains, jobs, |chain| {
@@ -524,18 +500,14 @@ pub fn run_with(
 
 /// Partitions canonical configuration indices into warm-start chains.
 ///
-/// With warm starting off every index is its own chain (maximal
-/// parallelism, no shared state). With it on, indices sharing a
-/// (warp fraction, cap) pair form one chain sorted by *descending* split
-/// factor: larger splits reserve more shared memory away from tiles, so
+/// Indices sharing a (warp fraction, cap) pair — configurations that
+/// differ only in the shared-memory split — form one chain sorted by
+/// *descending* split factor: larger splits reserve more shared memory away from tiles, so
 /// the tightest point solves first and its optimum is a feasible — and
 /// near-optimal — hint for every looser sibling. Ties keep canonical
 /// order (the sort is stable), so the partition is a pure function of
 /// the configuration list.
-fn warm_chains(configs: &[EatssConfig], warm_start: bool) -> Vec<Vec<usize>> {
-    if !warm_start {
-        return (0..configs.len()).map(|i| vec![i]).collect();
-    }
+fn warm_chains(configs: &[EatssConfig]) -> Vec<Vec<usize>> {
     let mut keyed: Vec<((u64, ThreadBlockCap), Vec<usize>)> = Vec::new();
     for (i, c) in configs.iter().enumerate() {
         let key = (c.warp_fraction.to_bits(), c.cap);
@@ -572,12 +544,8 @@ fn run_chain(
     chain
         .iter()
         .map(|&i| {
-            let warm = if options.warm_start {
-                WarmMode::Seed(&mut hints)
-            } else {
-                WarmMode::Cold
-            };
-            (i, process_point(eatss, program, sizes, configs[i].clone(), options, i, warm))
+            let point = process_point(eatss, program, sizes, configs[i].clone(), options, i, &mut hints);
+            (i, point)
         })
         .collect()
 }
@@ -670,21 +638,6 @@ mod tests {
         assert!(out.best_by_ppw().is_some());
     }
 
-    #[test]
-    fn disabling_fallback_restores_hard_failure() {
-        let eatss = Eatss::new(GpuArch::ga100());
-        let sizes = ProblemSizes::new([("M", 3), ("N", 3), ("P", 3)]);
-        let opts = SweepOptions {
-            fallback_to_default: false,
-            ..SweepOptions::default()
-        };
-        let err = sweep_with(&eatss, &sizes, &opts).unwrap_err();
-        assert!(matches!(
-            err,
-            PipelineError::NoMeasurablePoint { attempted: 2, .. }
-        ));
-    }
-
     fn sweep_with(
         eatss: &Eatss,
         sizes: &ProblemSizes,
@@ -705,7 +658,6 @@ mod tests {
                 deadline: None,
                 coarsen: false,
             }],
-            fallback_to_default: true,
             ..SweepOptions::default()
         };
         let out = sweep_with(&eatss, &sizes, &opts).unwrap();
@@ -733,7 +685,6 @@ mod tests {
                         coarsen: false,
                     },
                 ],
-                fallback_to_default: true,
                 ..SweepOptions::default()
             },
         )
@@ -960,47 +911,42 @@ mod tests {
 
     #[test]
     fn warm_sweep_is_bit_identical_to_cold() {
-        // The default warm-started sweep must produce exactly the tiles,
-        // objectives and measurements of a fully cold sweep — the warm
-        // floor only removes provably-suboptimal search work.
+        // Every point of the (always warm-started) sweep must carry
+        // exactly the tiles and objective of a cold solve of the same
+        // configuration — the warm floor only removes
+        // provably-suboptimal search work.
         let eatss = Eatss::new(GpuArch::ga100());
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
-        let warm = run_with(
-            &eatss,
-            &mm(),
-            &sizes,
-            &PAPER_SPLITS,
-            &[0.5, 1.0],
-            &SweepOptions::default(),
-        )
-        .unwrap();
-        let cold = run_with(
-            &eatss,
-            &mm(),
-            &sizes,
-            &PAPER_SPLITS,
-            &[0.5, 1.0],
-            &SweepOptions {
-                warm_start: false,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert_outcomes_identical(&warm, &cold);
-        // The snapshot actually engaged: at least one later point found a
-        // feasible hint and seeded its incumbent from it, and a seeded
-        // search never expands more nodes than its cold twin (the floor
-        // only adds pruning).
-        let seeded: Vec<_> = warm
-            .points
-            .iter()
-            .zip(&cold.points)
-            .filter(|(w, _)| w.solution.stats.warm_seeds > 0)
-            .collect();
-        assert!(!seeded.is_empty(), "no sweep point used a warm seed");
-        for (w, c) in seeded {
-            assert!(w.solution.stats.nodes <= c.solution.stats.nodes);
+        let options = SweepOptions::default();
+        let warm = run_with(&eatss, &mm(), &sizes, &PAPER_SPLITS, &[0.5, 1.0], &options).unwrap();
+        assert_eq!(warm.points.len(), 12);
+        let rung = &options.attempts[0];
+        let mut seeded = 0;
+        for w in &warm.points {
+            let cold = crate::ModelGenerator::new(eatss.arch(), w.config.clone())
+                .with_solver_config(SolverConfig {
+                    node_limit: rung.node_limit,
+                    deadline: rung.deadline,
+                    ..SolverConfig::default()
+                })
+                .with_domain_coarsening(rung.coarsen)
+                .build(&mm(), Some(&sizes))
+                .unwrap()
+                .solve()
+                .unwrap();
+            assert_eq!(w.solution.tiles.sizes(), cold.tiles.sizes());
+            assert_eq!(w.solution.objective, cold.objective);
+            assert_eq!(w.solution.provenance, cold.provenance);
+            // A seeded search never expands more nodes than its cold
+            // twin (the floor only adds pruning).
+            if w.solution.stats.warm_seeds > 0 {
+                seeded += 1;
+                assert!(w.solution.stats.nodes <= cold.stats.nodes);
+            }
         }
+        // The chains actually engaged: some later point found a feasible
+        // hint and seeded its incumbent from it.
+        assert!(seeded > 0, "no sweep point used a warm seed");
     }
 
     #[test]

@@ -27,6 +27,29 @@ fn verify_flag_checks_eatss_and_default_tiles() {
 }
 
 #[test]
+fn traced_verify_is_one_oracle_batch_of_two() {
+    // EATSS tiles and the 32^d default go through the oracle as one
+    // batch, so the reference interpretation runs once.
+    let trace = std::env::temp_dir().join(format!("eatss-cli-verify-{}.jsonl", std::process::id()));
+    let out = eatss()
+        .args(["gemm", "--verify", "--log-level", "off", "--trace-format", "jsonl", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("spawn eatss");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert_eq!(stdout.matches("OK —").count(), 2, "{stdout}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    let ends: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains(r#""cat":"oracle","name":"verify","ph":"E""#))
+        .collect();
+    assert_eq!(ends.len(), 1, "{ends:?}");
+    assert!(ends[0].contains(r#""configs":2"#), "{}", ends[0]);
+}
+
+#[test]
 fn verify_seed_is_reported_for_reproducibility() {
     let out = eatss()
         .args([

@@ -7,22 +7,14 @@
 //! are exactly reproducible while the tile-space plots keep a realistic
 //! scatter.
 
-/// FNV-1a offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a absorption step over a 64-bit word.
-pub fn fnv_step(mut h: u64, v: u64) -> u64 {
-    for i in 0..8 {
-        let byte = (v >> (8 * i)) & 0xff;
-        h ^= byte;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// One FNV-1a absorption step over a 64-bit word (little-endian bytes).
+pub fn fnv_step(h: u64, v: u64) -> u64 {
+    eatss_trace::fnv1a64_from(h, &v.to_le_bytes())
 }
 
 /// Mixes a seed and a salt into a uniform value in `[-1, 1]`.
 pub fn signed_unit(seed: u64, salt: u64) -> f64 {
-    let mut h = fnv_step(FNV_OFFSET, seed);
+    let mut h = fnv_step(eatss_trace::FNV1A64_OFFSET, seed);
     h = fnv_step(h, salt);
     // xorshift finalizer for avalanche.
     h ^= h >> 33;

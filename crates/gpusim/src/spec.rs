@@ -264,7 +264,7 @@ impl KernelExecSpec {
 
     /// A stable 64-bit fingerprint of the launch (noise seeding).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::noise::FNV_OFFSET;
+        let mut h = eatss_trace::FNV1A64_OFFSET;
         for b in self.name.as_bytes() {
             h = crate::noise::fnv_step(h, *b as u64);
         }

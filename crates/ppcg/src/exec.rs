@@ -16,8 +16,9 @@
 //!
 //! # Execution engines
 //!
-//! By default each kernel is compiled once per
-//! [`execute_mapped_kernel`] call into an
+//! By default each kernel is compiled once per distinct staged-route
+//! signature (once per [`execute_compiled`] call, once per batch under
+//! [`execute_compiled_batch`]) into an
 //! [`ExecPlan`](eatss_affine::plan::ExecPlan): reads that match a staged
 //! group are pre-routed to its buffer at compile time (one slot lookup
 //! instead of a string-compare group search per read per point), all
@@ -309,8 +310,9 @@ fn route_of(staged: &[StagedGroup<'_>], r: &ArrayRef) -> Option<usize> {
 /// trip counts, and — per statement read — the staged route it resolves
 /// to. The first two are batch invariants; only the route assignment
 /// follows a mapping's staging decisions, so configurations that stage
-/// the same reads share one compiled plan. An entry holding `None`
-/// caches a kernel the plan compiler cannot lower.
+/// the same reads share one compiled plan; a single configuration is a
+/// batch of one. An entry holding `None` caches a kernel the plan
+/// compiler cannot lower.
 #[derive(Default)]
 struct KernelPlanCache {
     entries: Vec<(Vec<Option<usize>>, Option<ExecPlan>)>,
@@ -402,30 +404,15 @@ impl RouteSource for StagedRouter<'_, '_> {
     }
 }
 
-/// Executes one compiled kernel over the store.
-///
-/// # Errors
-///
-/// See [`ExecError`].
-pub fn execute_mapped_kernel(
+/// Executes one compiled kernel over the store, taking its plan from
+/// `cache` (compiled on the first use of a route signature).
+fn execute_mapped_kernel(
     kernel: &Kernel,
     mapping: &GpuMapping,
     sizes: &ProblemSizes,
     store: &mut Store,
     opts: &ExecOptions,
-) -> Result<ExecStats, ExecError> {
-    execute_mapped_kernel_cached(kernel, mapping, sizes, store, opts, None)
-}
-
-/// [`execute_mapped_kernel`] with an optional shared plan cache — the
-/// batched path's hook (see [`execute_compiled_batch`]).
-fn execute_mapped_kernel_cached(
-    kernel: &Kernel,
-    mapping: &GpuMapping,
-    sizes: &ProblemSizes,
-    store: &mut Store,
-    opts: &ExecOptions,
-    cache: Option<&mut KernelPlanCache>,
+    cache: &mut KernelPlanCache,
 ) -> Result<ExecStats, ExecError> {
     let mut span = eatss_trace::span("exec", "kernel");
     if span.is_active() {
@@ -484,17 +471,10 @@ fn execute_mapped_kernel_cached(
             trips.iter().product::<i64>() >= AUTO_PLAN_THRESHOLD_EMULATOR_POINTS
         }
     };
-    let owned: Option<ExecPlan>;
-    let exec: Option<&ExecPlan> = if !use_plan {
-        None
+    let exec: Option<&ExecPlan> = if use_plan {
+        cache.lookup_or_compile(kernel, &trips, store, &staged)
     } else {
-        match cache {
-            Some(cache) => cache.lookup_or_compile(kernel, &trips, store, &staged),
-            None => {
-                owned = ExecPlan::compile_routed(kernel, &trips, store, |r| route_of(&staged, r));
-                owned.as_ref()
-            }
-        }
+        None
     };
     let mut scratch = match exec {
         Some(plan) => plan.scratch(),
@@ -975,9 +955,26 @@ pub fn execute_compiled(
     store: &mut Store,
     opts: &ExecOptions,
 ) -> Result<ExecStats, ExecError> {
+    let mut caches = kernel_plan_caches(program);
+    execute_with_caches(program, mappings, sizes, store, opts, &mut caches)
+}
+
+fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
+    program.kernels.iter().map(|_| KernelPlanCache::default()).collect()
+}
+
+/// Every kernel in order, each against its own plan cache.
+fn execute_with_caches(
+    program: &Program,
+    mappings: &[GpuMapping],
+    sizes: &ProblemSizes,
+    store: &mut Store,
+    opts: &ExecOptions,
+    caches: &mut [KernelPlanCache],
+) -> Result<ExecStats, ExecError> {
     let mut stats = ExecStats::default();
-    for (kernel, mapping) in program.kernels.iter().zip(mappings) {
-        stats.absorb(execute_mapped_kernel(kernel, mapping, sizes, store, opts)?);
+    for ((kernel, mapping), cache) in program.kernels.iter().zip(mappings).zip(caches) {
+        stats.absorb(execute_mapped_kernel(kernel, mapping, sizes, store, opts, cache)?);
     }
     Ok(stats)
 }
@@ -991,9 +988,9 @@ pub fn execute_compiled(
 /// configuration. Plans are therefore cached per kernel keyed by route
 /// signature ([`KernelPlanCache`]), so configs that stage the same reads
 /// reuse one compiled plan instead of recompiling per config. A store
-/// whose layout diverges from `stores[0]` falls back to the uncached
-/// [`execute_compiled`]; results are bitwise-identical to running each
-/// config through `execute_compiled` on its own.
+/// whose layout diverges from `stores[0]` runs through
+/// [`execute_compiled`] against caches of its own; results are
+/// bitwise-identical to running each config through `execute_compiled`.
 pub fn execute_compiled_batch(
     program: &Program,
     configs: &[Vec<GpuMapping>],
@@ -1010,11 +1007,7 @@ pub fn execute_compiled_batch(
         return Vec::new();
     };
     let layout = eatss_affine::interp::store_layout(first);
-    let mut caches: Vec<KernelPlanCache> = program
-        .kernels
-        .iter()
-        .map(|_| KernelPlanCache::default())
-        .collect();
+    let mut caches = kernel_plan_caches(program);
     configs
         .iter()
         .zip(stores.iter_mut())
@@ -1022,20 +1015,7 @@ pub fn execute_compiled_batch(
             if eatss_affine::interp::store_layout(store) != layout {
                 return execute_compiled(program, mappings, sizes, store, opts);
             }
-            let mut stats = ExecStats::default();
-            for ((kernel, mapping), cache) in
-                program.kernels.iter().zip(mappings).zip(&mut caches)
-            {
-                stats.absorb(execute_mapped_kernel_cached(
-                    kernel,
-                    mapping,
-                    sizes,
-                    store,
-                    opts,
-                    Some(cache),
-                )?);
-            }
-            Ok(stats)
+            execute_with_caches(program, mappings, sizes, store, opts, &mut caches)
         })
         .collect()
 }
@@ -1204,12 +1184,12 @@ mod tests {
             })
             .collect();
         for opts in [plan_opts(), ExecOptions::default()] {
-            let mut batched: Vec<Store> = configs
+            let mut stores: Vec<Store> = configs
                 .iter()
                 .map(|_| seed_store(&p, &sizes, 42).unwrap())
                 .collect();
-            let results = execute_compiled_batch(&p, &configs, &sizes, &mut batched, &opts);
-            for ((mappings, store), result) in configs.iter().zip(&batched).zip(results) {
+            let results = execute_compiled_batch(&p, &configs, &sizes, &mut stores, &opts);
+            for ((mappings, store), result) in configs.iter().zip(&stores).zip(results) {
                 let mut solo = seed_store(&p, &sizes, 42).unwrap();
                 let solo_stats =
                     execute_compiled(&p, mappings, &sizes, &mut solo, &opts).unwrap();

@@ -50,7 +50,7 @@ pub mod oracle;
 pub mod space;
 
 pub use exec::{
-    execute_compiled, execute_compiled_batch, execute_mapped_kernel, BarrierFidelity, ExecEngine,
+    execute_compiled, execute_compiled_batch, BarrierFidelity, ExecEngine,
     ExecError, ExecOptions, ExecStats, AUTO_PLAN_THRESHOLD_EMULATOR_POINTS,
     AUTO_PLAN_THRESHOLD_POINTS,
 };

@@ -6,7 +6,7 @@
 //! solve → map → codegen semantics → emulate, compared against the
 //! reference interpreter on the same deterministically seeded inputs.
 
-use crate::exec::{execute_compiled, ExecError, ExecOptions};
+use crate::exec::{execute_compiled_batch, ExecError, ExecOptions};
 use crate::mapping::{CompileError, CompileOptions};
 use crate::Ppcg;
 use eatss_affine::interp::{compare_stores, run_program, InterpError, Store, StoreMismatch};
@@ -24,14 +24,10 @@ pub struct OracleOptions {
     pub compile: CompileOptions,
     /// Emulator options (barrier fidelity).
     pub exec: ExecOptions,
-    /// Mismatches kept in a failure report (the total is still counted).
-    pub max_mismatches: usize,
 }
 
-impl OracleOptions {
-    /// Default report size when `max_mismatches` is zero.
-    const DEFAULT_MAX_MISMATCHES: usize = 8;
-}
+/// Mismatches kept in a failure report (the total is still counted).
+const MAX_MISMATCHES: usize = 8;
 
 /// What a successful verification covered.
 #[derive(Debug, Clone, Copy, Default)]
@@ -155,9 +151,7 @@ pub fn seed_store(
     Ok(seeded)
 }
 
-/// Runs one program × tile configuration through compile → emulate and
-/// compares against the reference interpreter on identically seeded
-/// stores.
+/// Verifies one tile configuration: a [`verify_batch`] of one.
 ///
 /// # Errors
 ///
@@ -170,72 +164,22 @@ pub fn verify(
     options: &OracleOptions,
     seed: u64,
 ) -> Result<OracleReport, OracleError> {
-    let mut span = eatss_trace::span("oracle", "verify");
-    if span.is_active() {
-        span.arg("program", program.name.as_str());
-        span.arg("tiles", tiles.to_string());
-        span.arg("seed", seed);
-    }
-    let compiled = Ppcg::new(arch.clone()).compile(program, tiles, sizes, &options.compile)?;
-
-    let mut emulated = seed_store(program, sizes, seed)?;
-    let stats = execute_compiled(
-        program,
-        &compiled.mappings,
-        sizes,
-        &mut emulated,
-        &options.exec,
-    )?;
-
-    let mut reference = seed_store(program, sizes, seed)?;
-    run_program(program, sizes, &mut reference)?;
-
-    let mismatches = compare_stores(&emulated, &reference);
-    eatss_trace::counter_add("oracle.points", stats.points);
-    eatss_trace::counter_add("oracle.configs", 1);
-    if !mismatches.is_empty() {
-        eatss_trace::counter_add("oracle.mismatches", mismatches.len() as u64);
-        eatss_trace::error!(
-            "oracle: {}: tiles {} disagree on {} element(s)",
-            program.name,
-            tiles,
-            mismatches.len()
-        );
-        let keep = if options.max_mismatches == 0 {
-            OracleOptions::DEFAULT_MAX_MISMATCHES
-        } else {
-            options.max_mismatches
-        };
-        let total = mismatches.len();
-        let mut kept = mismatches;
-        kept.truncate(keep);
-        return Err(OracleError::Mismatch {
-            tiles: tiles.to_string(),
-            mismatches: kept,
-            total,
-        });
-    }
-    let arrays = reference.arrays().count() as u64;
-    Ok(OracleReport {
-        kernels: program.kernels.len() as u64,
-        launches: stats.launches,
-        blocks: stats.blocks,
-        points: stats.points,
-        barriers: stats.barriers,
-        staged_elems: stats.staged_elems,
-        arrays_compared: arrays,
-    })
+    verify_batch(program, std::slice::from_ref(tiles), arch, sizes, options, seed)
+        .pop()
+        .expect("one verdict per configuration")
 }
 
-/// [`verify`] over many tile configurations at once, sharing the
-/// expensive invariants across the batch: the reference interpretation
-/// runs once (it does not depend on tiles), and the emulator executes
-/// through [`execute_compiled_batch`], which compiles each distinct
-/// per-kernel route signature once instead of once per configuration.
+/// Runs one program under each tile configuration through compile →
+/// emulate and compares against the reference interpreter on identically
+/// seeded stores. The expensive invariants are shared across the batch:
+/// the reference interpretation runs once (it does not depend on tiles),
+/// and the emulator executes through [`execute_compiled_batch`], which
+/// compiles each distinct per-kernel route signature once instead of once
+/// per configuration.
 ///
-/// Returns one `Result` per configuration, in order, with exactly the
-/// same verdicts, reports, and trace counters [`verify`] would produce
-/// config-by-config.
+/// Returns one verdict per configuration, in order; a configuration's
+/// verdict, report and trace counters do not depend on what else is in
+/// the batch.
 pub fn verify_batch(
     program: &Program,
     configs: &[TileConfig],
@@ -244,7 +188,7 @@ pub fn verify_batch(
     options: &OracleOptions,
     seed: u64,
 ) -> Vec<Result<OracleReport, OracleError>> {
-    let mut span = eatss_trace::span("oracle", "verify_batch");
+    let mut span = eatss_trace::span("oracle", "verify");
     if span.is_active() {
         span.arg("program", program.name.as_str());
         span.arg("configs", configs.len() as u64);
@@ -252,97 +196,75 @@ pub fn verify_batch(
     }
     // Compile every config first; only mappable ones enter the batch.
     let ppcg = Ppcg::new(arch.clone());
-    let compiled: Vec<Result<Vec<crate::GpuMapping>, OracleError>> = configs
-        .iter()
-        .map(|tiles| {
-            ppcg.compile(program, tiles, sizes, &options.compile)
-                .map(|c| c.mappings)
-                .map_err(OracleError::from)
-        })
-        .collect();
-
-    let mut stores = Vec::new();
+    let mut results: Vec<Result<OracleReport, OracleError>> = Vec::with_capacity(configs.len());
     let mut mappable: Vec<usize> = Vec::new();
-    let mut batch_configs: Vec<Vec<crate::GpuMapping>> = Vec::new();
-    for (i, c) in compiled.iter().enumerate() {
-        if let Ok(mappings) = c {
-            match seed_store(program, sizes, seed) {
-                Ok(store) => {
-                    stores.push(store);
-                    mappable.push(i);
-                    batch_configs.push(mappings.clone());
-                }
-                Err(e) => return configs.iter().map(|_| Err(e.clone().into())).collect(),
+    let mut mappings: Vec<Vec<crate::GpuMapping>> = Vec::new();
+    for (i, tiles) in configs.iter().enumerate() {
+        match ppcg.compile(program, tiles, sizes, &options.compile) {
+            Ok(compiled) => {
+                mappable.push(i);
+                mappings.push(compiled.mappings);
+                results.push(Ok(OracleReport::default()));
             }
+            Err(e) => results.push(Err(e.into())),
         }
     }
 
-    let reference = {
-        let mut store = match seed_store(program, sizes, seed) {
-            Ok(store) => store,
-            Err(e) => return configs.iter().map(|_| Err(e.clone().into())).collect(),
-        };
-        match run_program(program, sizes, &mut store) {
-            Ok(()) => store,
-            Err(e) => return configs.iter().map(|_| Err(e.clone().into())).collect(),
+    // One seeded store per mappable config plus the reference's; an
+    // interpreter failure (unbound size) is every mappable config's.
+    let seeded_and_interpreted = || -> Result<(Vec<Store>, Store), InterpError> {
+        let stores = mappable
+            .iter()
+            .map(|_| seed_store(program, sizes, seed))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut reference = seed_store(program, sizes, seed)?;
+        run_program(program, sizes, &mut reference)?;
+        Ok((stores, reference))
+    };
+    let (mut stores, reference) = match seeded_and_interpreted() {
+        Ok(ready) => ready,
+        Err(e) => {
+            for &i in &mappable {
+                results[i] = Err(e.clone().into());
+            }
+            return results;
         }
     };
 
-    let stats = crate::exec::execute_compiled_batch(
-        program,
-        &batch_configs,
-        sizes,
-        &mut stores,
-        &options.exec,
-    );
+    let stats = execute_compiled_batch(program, &mappings, sizes, &mut stores, &options.exec);
 
-    let mut results: Vec<Result<OracleReport, OracleError>> = compiled
-        .into_iter()
-        .map(|c| c.map(|_| OracleReport::default()))
-        .collect();
-    let arrays = reference.arrays().count() as u64;
-    for ((&i, store), stat) in mappable.iter().zip(&stores).zip(stats) {
-        let tiles = &configs[i];
-        results[i] = match stat {
-            Err(e) => Err(e.into()),
-            Ok(stats) => {
-                let mismatches = compare_stores(store, &reference);
-                eatss_trace::counter_add("oracle.points", stats.points);
-                eatss_trace::counter_add("oracle.configs", 1);
-                if mismatches.is_empty() {
-                    Ok(OracleReport {
-                        kernels: program.kernels.len() as u64,
-                        launches: stats.launches,
-                        blocks: stats.blocks,
-                        points: stats.points,
-                        barriers: stats.barriers,
-                        staged_elems: stats.staged_elems,
-                        arrays_compared: arrays,
-                    })
-                } else {
-                    eatss_trace::counter_add("oracle.mismatches", mismatches.len() as u64);
-                    eatss_trace::error!(
-                        "oracle: {}: tiles {} disagree on {} element(s)",
-                        program.name,
-                        tiles,
-                        mismatches.len()
-                    );
-                    let keep = if options.max_mismatches == 0 {
-                        OracleOptions::DEFAULT_MAX_MISMATCHES
-                    } else {
-                        options.max_mismatches
-                    };
-                    let total = mismatches.len();
-                    let mut kept = mismatches;
-                    kept.truncate(keep);
-                    Err(OracleError::Mismatch {
-                        tiles: tiles.to_string(),
-                        mismatches: kept,
-                        total,
-                    })
-                }
+    let arrays_compared = reference.arrays().count() as u64;
+    for ((&i, store), stats) in mappable.iter().zip(&stores).zip(stats) {
+        results[i] = stats.map_err(OracleError::from).and_then(|stats| {
+            let mut mismatches = compare_stores(store, &reference);
+            eatss_trace::counter_add("oracle.points", stats.points);
+            eatss_trace::counter_add("oracle.configs", 1);
+            if mismatches.is_empty() {
+                return Ok(OracleReport {
+                    kernels: program.kernels.len() as u64,
+                    launches: stats.launches,
+                    blocks: stats.blocks,
+                    points: stats.points,
+                    barriers: stats.barriers,
+                    staged_elems: stats.staged_elems,
+                    arrays_compared,
+                });
             }
-        };
+            let total = mismatches.len();
+            eatss_trace::counter_add("oracle.mismatches", total as u64);
+            eatss_trace::error!(
+                "oracle: {}: tiles {} disagree on {} element(s)",
+                program.name,
+                configs[i],
+                total
+            );
+            mismatches.truncate(MAX_MISMATCHES);
+            Err(OracleError::Mismatch {
+                tiles: configs[i].to_string(),
+                mismatches,
+                total,
+            })
+        });
     }
     results
 }

@@ -662,9 +662,7 @@ fn run_pareto(job: &Job) -> Finished {
             deadline: Some(job.deadline),
             coarsen: false,
         }],
-        fallback_to_default: true,
         jobs: 1,
-        warm_start: true,
     };
     let outcome = match eatss::sweep::run_with(
         &eatss,

@@ -15,9 +15,8 @@
 //!   ([`BoolExpr`]),
 //! * [`Solver::assert`] constraints, [`Solver::check`] satisfiability and
 //!   read back a [`Model`],
-//! * use [`Solver::push`]/[`Solver::pop`] scopes to iteratively assert
-//!   `OBJ > best` and re-solve — the exact §IV-L loop — via
-//!   [`Solver::maximize`].
+//! * iteratively demand `OBJ > best` and re-solve — the exact §IV-L loop
+//!   — via [`Solver::maximize`].
 //!
 //! # Examples
 //!

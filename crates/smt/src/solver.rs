@@ -1,5 +1,5 @@
-//! The constraint solver's public API: variables, assertions, scopes, and
-//! the paper's iterative maximization loop.
+//! The constraint solver's public API: variables, assertions, and the
+//! paper's iterative maximization loop.
 //!
 //! The search itself lives in the `search` module (trail-based DFS with
 //! worklist propagation and objective-bound pruning); the pre-rewrite
@@ -24,8 +24,6 @@ pub enum SolveError {
     UnknownVariable(String),
     /// A `div` or `mod` divisor evaluated to zero.
     DivisionByZero,
-    /// [`Solver::pop`] was called with no matching [`Solver::push`].
-    PopWithoutPush,
 }
 
 impl fmt::Display for SolveError {
@@ -35,7 +33,6 @@ impl fmt::Display for SolveError {
                 write!(f, "expression mentions unregistered variable `{name}`")
             }
             SolveError::DivisionByZero => write!(f, "division by zero during evaluation"),
-            SolveError::PopWithoutPush => write!(f, "pop called without a matching push"),
         }
     }
 }
@@ -246,7 +243,6 @@ pub struct Solver {
     names: Vec<String>,
     base_domains: Vec<Domain>,
     constraints: Vec<(BoolExpr, Vec<VarId>)>,
-    scopes: Vec<usize>,
     stats: SolverStats,
     config: SolverConfig,
 }
@@ -269,7 +265,6 @@ impl Solver {
             names: Vec::new(),
             base_domains: Vec::new(),
             constraints: Vec::new(),
-            scopes: Vec::new(),
             stats: SolverStats::default(),
             config,
         }
@@ -298,28 +293,11 @@ impl Solver {
         self.names.len()
     }
 
-    /// Adds a constraint to the current scope.
+    /// Adds a constraint.
     pub fn assert(&mut self, constraint: BoolExpr) {
         let mut vars = Vec::new();
         constraint.collect_vars(&mut vars);
         self.constraints.push((constraint, vars));
-    }
-
-    /// Opens a backtracking scope ([`Solver::pop`] removes constraints
-    /// asserted after the matching `push`).
-    pub fn push(&mut self) {
-        self.scopes.push(self.constraints.len());
-    }
-
-    /// Closes the most recent scope.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::PopWithoutPush`] if no scope is open.
-    pub fn pop(&mut self) -> Result<(), SolveError> {
-        let mark = self.scopes.pop().ok_or(SolveError::PopWithoutPush)?;
-        self.constraints.truncate(mark);
-        Ok(())
     }
 
     /// Accumulated search statistics.
@@ -731,82 +709,6 @@ impl Solver {
         })
     }
 
-    /// Minimizes `objective` (implemented as maximization of its negation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Solver::maximize`].
-    pub fn minimize(&mut self, objective: &IntExpr) -> Result<MaximizeOutcome, SolveError> {
-        let neg = -objective.clone();
-        let mut outcome = self.maximize(&neg)?;
-        outcome.best = outcome.best.map(|v| -v);
-        Ok(outcome)
-    }
-
-    /// Enumerates up to `max_models` distinct satisfying assignments by
-    /// adding blocking clauses. Intended for tests and small spaces.
-    ///
-    /// Blocking clauses range over the variables actually mentioned by the
-    /// asserted constraints, so models are distinct *projections onto the
-    /// constrained variables* — an unconstrained auxiliary variable no
-    /// longer multiplies the model count (or the clause size) by its domain
-    /// size. When no variable is constrained at all, every variable counts,
-    /// preserving full cross-product enumeration.
-    ///
-    /// Enumeration is anytime like `check`/`maximize`: the node budget and
-    /// deadline apply to the whole enumeration, and the models found before
-    /// a budget ran out are returned.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Solver::check`].
-    pub fn enumerate(&mut self, max_models: usize) -> Result<Vec<Model>, SolveError> {
-        let deadline_at = self.config.deadline.map(|d| Instant::now() + d);
-        let nodes_at_entry = self.stats.nodes;
-        // The blocking-clause support set: variables constrained *before*
-        // enumeration begins (blocking clauses added below never widen it).
-        let mut constrained = vec![false; self.names.len()];
-        for (_, vars) in &self.constraints {
-            for v in vars {
-                if let Some(flag) = constrained.get_mut(v.index()) {
-                    *flag = true;
-                }
-            }
-        }
-        let targets: Vec<usize> = if constrained.iter().any(|&c| c) {
-            (0..self.names.len()).filter(|&i| constrained[i]).collect()
-        } else {
-            (0..self.names.len()).collect()
-        };
-        self.push();
-        let mut models = Vec::new();
-        while models.len() < max_models {
-            let used = self.stats.nodes - nodes_at_entry;
-            let Some(remaining) = self.config.node_limit.checked_sub(used).filter(|&r| r > 0)
-            else {
-                self.record_stop(StopReason::NodeLimit);
-                break;
-            };
-            let result = match self.check_inner(deadline_at, remaining, SearchMode::Satisfy) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.pop()?;
-                    return Err(e);
-                }
-            };
-            let Some(model) = result.model else { break };
-            let blocking = BoolExpr::any(targets.iter().map(|&i| {
-                let id = VarId(i as u32);
-                let var = IntExpr::var(id, &self.names[i]);
-                let v = model.value_of(id).expect("model covers all vars");
-                var.ne_expr(v)
-            }));
-            models.push(model);
-            self.assert(blocking);
-        }
-        self.pop()?;
-        Ok(models)
-    }
 }
 
 /// Attaches the per-call [`SolverStats`] delta to a solver span and flows
@@ -932,14 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn minimize_negates_correctly() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 3, 10);
-        let out = s.minimize(&x).unwrap();
-        assert_eq!(out.best, Some(3));
-    }
-
-    #[test]
     fn paper_matmul_example_formulation() {
         // §IV-A: maximize Ti*Tj + (2*16*Tj) subject to the GA100 FP64
         // constraints with a 50% split and WARP_ALIGNMENT_FACTOR = 16:
@@ -972,32 +866,6 @@ mod tests {
         // And our solution must satisfy all constraints.
         assert!(i * j + k * j <= cap && i * k <= cap);
         assert_eq!(out.best.unwrap(), i * j + 32 * j);
-    }
-
-    #[test]
-    fn push_pop_scopes() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 0, 10);
-        s.assert(x.ge(1));
-        s.push();
-        s.assert(x.le(0));
-        assert!(s.check().unwrap().model.is_none());
-        s.pop().unwrap();
-        assert!(s.check().unwrap().model.is_some());
-        assert!(matches!(s.pop(), Err(SolveError::PopWithoutPush)));
-    }
-
-    #[test]
-    fn enumerate_finds_all_models() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 1, 3);
-        let y = s.int_var("y", 1, 3);
-        s.assert(x.lt(y.clone()));
-        let models = s.enumerate(100).unwrap();
-        // (1,2), (1,3), (2,3)
-        assert_eq!(models.len(), 3);
-        // Enumeration must not leave blocking clauses behind.
-        assert!(s.check().unwrap().model.is_some());
     }
 
     #[test]
@@ -1140,11 +1008,12 @@ mod tests {
             1,
         );
         let hull = s.hull_bounds(&obj);
+        let asserted = s.assertions().count();
         let out = s.maximize_binary(&obj, hull.hi()).unwrap();
         assert!(!out.complete);
         assert_eq!(out.stop, Some(StopReason::Deadline));
-        // Scopes fully popped even on the interrupted path.
-        assert!(matches!(s.pop(), Err(SolveError::PopWithoutPush)));
+        // The probes assert nothing, even on the interrupted path.
+        assert_eq!(s.assertions().count(), asserted);
     }
 
     #[test]
@@ -1257,9 +1126,10 @@ mod tests {
         let out = s.maximize_binary(&x, 10).unwrap();
         assert!(out.model.is_none());
         assert!(out.optimal);
-        // Scopes fully popped: the base problem is still just the assert.
+        // The probes assert nothing: the base problem is still just the
+        // one assert.
         assert!(s.check().unwrap().model.is_none());
-        assert!(matches!(s.pop(), Err(SolveError::PopWithoutPush)));
+        assert_eq!(s.assertions().count(), 1);
     }
 
     #[test]
@@ -1333,50 +1203,6 @@ mod tests {
         let stats = s.stats();
         assert!(stats.solve_time > Duration::ZERO);
         assert!(stats.propagation_time > Duration::ZERO);
-    }
-
-    #[test]
-    fn enumerate_ignores_unconstrained_auxiliary_variables() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 1, 3);
-        let y = s.int_var("y", 1, 3);
-        // 1000 spectator values that no constraint mentions.
-        let _aux = s.int_var("aux", 1, 1000);
-        s.assert(x.lt(y.clone()));
-        let models = s.enumerate(10_000).unwrap();
-        // Distinct projections onto {x, y}: (1,2), (1,3), (2,3) — not
-        // 3 × 1000 cross-products with the spectator.
-        assert_eq!(models.len(), 3);
-        assert!(s.check().unwrap().model.is_some());
-    }
-
-    #[test]
-    fn enumerate_without_constraints_keeps_cross_product() {
-        let mut s = Solver::new();
-        let _x = s.int_var("x", 1, 2);
-        let _y = s.int_var("y", 1, 3);
-        let models = s.enumerate(100).unwrap();
-        assert_eq!(models.len(), 6);
-    }
-
-    #[test]
-    fn enumerate_is_anytime_under_node_budget() {
-        let mut s = Solver::with_config(SolverConfig {
-            node_limit: 40,
-            ..SolverConfig::default()
-        });
-        let x = s.int_var("x", 1, 100);
-        let y = s.int_var("y", 1, 100);
-        s.assert((x.clone() + y.clone()).ge(2));
-        let models = s.enumerate(10_000).unwrap();
-        // The budget is cumulative across the whole enumeration: some
-        // models are found, then the search stops instead of spinning
-        // through all 10^4 assignments.
-        assert!(!models.is_empty(), "anytime: partial results returned");
-        assert!(models.len() < 10_000);
-        assert!(s.stats().node_limit_hits >= 1);
-        // Blocking clauses fully popped.
-        assert!(matches!(s.pop(), Err(SolveError::PopWithoutPush)));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * two **sinks** ([`Trace::to_jsonl`], [`Trace::to_chrome_json`]) — the
 //!   latter is Chrome `trace_events` JSON openable at `ui.perfetto.dev`;
 //! * the workspace's one ordered scoped worker pool ([`par_map_ordered`]),
-//!   here because this is the base crate every parallel caller already
-//!   depends on;
+//!   and its one FNV-1a ([`fnv1a64`]), here because this is the base
+//!   crate every caller already depends on;
 //! * a **leveled logging** façade ([`error!`], [`info!`], [`debug!`]) that
 //!   echoes to stderr and, when collecting, records log events in the
 //!   trace.
@@ -39,6 +39,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 mod event;
+mod hash;
 pub mod histogram;
 pub mod json;
 mod metrics;
@@ -46,6 +47,7 @@ mod par;
 mod sink;
 
 pub use event::{ArgValue, Event, EventKind};
+pub use hash::{fnv1a64, fnv1a64_from, FNV1A64_OFFSET};
 pub use histogram::{histogram, Histogram, HistogramSnapshot};
 pub use metrics::{counter_add, gauge_set, metrics_snapshot, MetricsSnapshot};
 pub use par::par_map_ordered;

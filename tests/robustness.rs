@@ -87,7 +87,6 @@ fn fault_injected_sweep_exercises_all_provenances() {
             deadline: Some(Duration::from_millis(50)),
             coarsen: false,
         }],
-        fallback_to_default: true,
         ..SweepOptions::default()
     };
     let program = mm();
@@ -209,7 +208,6 @@ fn exhausted_ladder_degrades_instead_of_failing() {
             deadline: None,
             coarsen: false,
         }],
-        fallback_to_default: true,
         ..SweepOptions::default()
     };
     let out = eatss
