@@ -3,8 +3,8 @@
 //! Produces random — but always grammatically valid — programs in the
 //! affine-C dialect, for two consumers:
 //!
-//! * the `bench_parse` bin, which needs corpora large and varied enough
-//!   that parser throughput numbers mean something;
+//! * the `bench_engines` gate and the `benchmark/` tour, which need
+//!   corpora large and varied enough that parser timings mean something;
 //! * the fuzz/differential test suites, which feed the same generated
 //!   source to both parser engines and through the
 //!   parse → pretty → re-parse fixpoint.
@@ -271,15 +271,6 @@ fn gen_subscript(rng: &mut Rng, depth: usize, out: &mut String) {
             }
         }
     }
-}
-
-/// Total bytes of a corpus generated from `seeds` with `cfg` — the
-/// denominator `bench_parse` reports MB/s against.
-pub fn corpus_bytes(seeds: &[u64], cfg: &GenConfig) -> usize {
-    seeds
-        .iter()
-        .map(|&s| generate_program(s, cfg).len())
-        .sum()
 }
 
 #[cfg(test)]

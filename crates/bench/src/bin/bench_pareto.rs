@@ -14,8 +14,9 @@
 //!    must reduce evals-to-best on each other device compared to a cold
 //!    search with the same budget and seed.
 //!
-//! Any gate failing prints a `REGRESSION` line and exits non-zero, so CI
-//! can run `--mode smoke` as a tripwire.
+//! Any gate failing is recorded in the report's `regressions`, printed as
+//! a `REGRESSION` line, and makes the exit code non-zero, so CI can run
+//! `--mode smoke` as a tripwire.
 //!
 //! Usage: `bench_pareto [--mode smoke|full] [--out PATH]`
 //!   --mode smoke   2 kernels, uniform sizes, single warp fraction (CI)
@@ -31,8 +32,10 @@ use eatss_gpusim::{DeviceProfile, GpuArch};
 use eatss_kernels::Dataset;
 use eatss_ppcg::oracle::verify_sizes;
 use eatss_ppcg::{OracleOptions, TileSpace};
-use eatss_trace::json::number;
-use std::fmt::Write as _;
+use eatss_trace::json::Json;
+use eatss_trace::Report;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
 /// Shrink caps for the differential-oracle pass (the daemon's
 /// `verify: true` rule).
@@ -47,27 +50,6 @@ const SOURCE_SEED: u64 = 7;
 const TARGET_SEED: u64 = 9;
 const TRANSFER_BUDGET: usize = 40;
 
-struct FrontRow {
-    tiles: Vec<i64>,
-    split: f64,
-    warp_fraction: f64,
-    strict_cap: bool,
-    provenance: String,
-    energy_j: f64,
-    gflops: f64,
-    ppw: f64,
-}
-
-struct DeviceRun {
-    device: String,
-    kernel: String,
-    points: usize,
-    infeasible: usize,
-    front: Vec<FrontRow>,
-    verified_configs: u64,
-    verified_points: u64,
-}
-
 struct TransferRow {
     source: String,
     target: String,
@@ -78,29 +60,22 @@ struct TransferRow {
     warm_best: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args
-        .iter()
-        .position(|a| a == "--mode")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "full".to_owned());
-    let smoke = match mode.as_str() {
-        "smoke" => true,
-        "full" => false,
-        other => {
-            eprintln!("unknown mode `{other}` (expected smoke|full)");
-            eprintln!("usage: bench_pareto [--mode smoke|full] [--out PATH]");
-            std::process::exit(2);
+fn main() -> ExitCode {
+    let mut smoke = false;
+    let mut out = PathBuf::from("BENCH_pareto.json");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match (arg.as_str(), args.next().as_deref()) {
+            ("--mode", Some("smoke")) => smoke = true,
+            ("--mode", Some("full")) => smoke = false,
+            ("--out", Some(path)) => out = PathBuf::from(path),
+            _ => {
+                eprintln!("usage: bench_pareto [--mode smoke|full] [--out PATH]");
+                return ExitCode::from(2);
+            }
         }
-    };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pareto.json".to_owned());
+    }
+    let mode = if smoke { "smoke" } else { "full" };
 
     let kernels: &[&str] = if smoke {
         &["gemm", "mvt"]
@@ -116,7 +91,7 @@ fn main() {
     );
 
     let mut regressions: Vec<String> = Vec::new();
-    let mut runs: Vec<DeviceRun> = Vec::new();
+    let mut runs: Vec<Json> = Vec::new();
     let mut t = Table::new(vec![
         "device",
         "kernel",
@@ -171,27 +146,15 @@ fn main() {
                 fmt_f(front.last().map_or(f64::NAN, |p| p.report.gflops)),
                 vp.to_string(),
             ]);
-            runs.push(DeviceRun {
-                device: (*device).to_string(),
-                kernel: (*name).to_string(),
-                points: outcome.points.len(),
-                infeasible: outcome.infeasible.len(),
-                front: front
-                    .iter()
-                    .map(|p| FrontRow {
-                        tiles: p.solution.tiles.sizes().to_vec(),
-                        split: p.config.split_factor,
-                        warp_fraction: p.config.warp_fraction,
-                        strict_cap: p.config.cap == ThreadBlockCap::Strict,
-                        provenance: p.solution.provenance.to_string(),
-                        energy_j: p.report.energy_j,
-                        gflops: p.report.gflops,
-                        ppw: p.report.ppw,
-                    })
-                    .collect(),
-                verified_configs: vc,
-                verified_points: vp,
-            });
+            runs.push(Json::object([
+                ("device", (*device).into()),
+                ("kernel", (*name).into()),
+                ("points", outcome.points.len().into()),
+                ("infeasible", outcome.infeasible.len().into()),
+                ("verified_configs", vc.into()),
+                ("verified_points", vp.into()),
+                ("front", front.iter().map(|p| front_row(p)).collect::<Vec<_>>().into()),
+            ]));
         }
     }
     println!("{}", t.render());
@@ -225,16 +188,43 @@ fn main() {
     }
     println!("{}", tt.render());
 
-    write_report(&out_path, &mode, &runs, &transfers, &regressions);
-    println!("wrote {out_path}");
-
-    if regressions.is_empty() {
+    let mut report = Report::new("pareto", mode);
+    report.sections.insert("devices".to_owned(), runs.into());
+    report.sections.insert(
+        "transfer".to_owned(),
+        transfers.iter().map(TransferRow::to_json).collect::<Vec<_>>().into(),
+    );
+    report.regressions = regressions;
+    if report.regressions.is_empty() {
         println!("all fronts non-dominated, oracle-verified; transfer reduces evals-to-best");
-    } else {
-        for r in &regressions {
-            eprintln!("REGRESSION: {r}");
-        }
-        std::process::exit(1);
+    }
+    report.finish(&out)
+}
+
+fn front_row(p: &SweepPoint) -> Json {
+    Json::object([
+        ("tiles", p.solution.tiles.sizes().to_vec().into()),
+        ("split", p.config.split_factor.into()),
+        ("warp_frac", p.config.warp_fraction.into()),
+        ("strict_cap", (p.config.cap == ThreadBlockCap::Strict).into()),
+        ("provenance", p.solution.provenance.to_string().into()),
+        ("energy_j", p.report.energy_j.into()),
+        ("gflops", p.report.gflops.into()),
+        ("ppw", p.report.ppw.into()),
+    ])
+}
+
+impl TransferRow {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("source", self.source.as_str().into()),
+            ("target", self.target.as_str().into()),
+            ("prior_samples", self.prior_samples.into()),
+            ("cold_evals_to_best", self.cold_evals_to_best.into()),
+            ("warm_evals_to_best", self.warm_evals_to_best.into()),
+            ("cold_best_gflops", self.cold_best.into()),
+            ("warm_best_gflops", self.warm_best.into()),
+        ])
     }
 }
 
@@ -397,79 +387,4 @@ fn run_transfer(targets: &[&str], regressions: &mut Vec<String>) -> Vec<Transfer
         ));
     }
     rows
-}
-
-fn write_report(
-    out_path: &str,
-    mode: &str,
-    runs: &[DeviceRun],
-    transfers: &[TransferRow],
-    regressions: &[String],
-) {
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"pareto\",\n  \"mode\": \"{mode}\",\n  \"provenance\": {},\n  \"devices\": [\n",
-        eatss_trace::Provenance::collect(Some(1)).to_json()
-    );
-    for (i, r) in runs.iter().enumerate() {
-        let front: Vec<String> = r
-            .front
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"tiles\": [{}], \"split\": {}, \"warp_frac\": {}, \"strict_cap\": {}, \"provenance\": \"{}\", \"energy_j\": {}, \"gflops\": {}, \"ppw\": {}}}",
-                    p.tiles
-                        .iter()
-                        .map(i64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    number(p.split),
-                    number(p.warp_fraction),
-                    p.strict_cap,
-                    p.provenance,
-                    number(p.energy_j),
-                    number(p.gflops),
-                    number(p.ppw)
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            json,
-            "    {{\"device\": \"{}\", \"kernel\": \"{}\", \"points\": {}, \"infeasible\": {}, \"verified_configs\": {}, \"verified_points\": {}, \"front\": [{}]}}{}",
-            r.device,
-            r.kernel,
-            r.points,
-            r.infeasible,
-            r.verified_configs,
-            r.verified_points,
-            front.join(", "),
-            if i + 1 == runs.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n  \"transfer\": [\n");
-    for (i, r) in transfers.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"source\": \"{}\", \"target\": \"{}\", \"prior_samples\": {}, \"cold_evals_to_best\": {}, \"warm_evals_to_best\": {}, \"cold_best_gflops\": {}, \"warm_best_gflops\": {}}}{}",
-            r.source,
-            r.target,
-            r.prior_samples,
-            r.cold_evals_to_best,
-            r.warm_evals_to_best,
-            number(r.cold_best),
-            number(r.warm_best),
-            if i + 1 == transfers.len() { "" } else { "," }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"regressions\": [{}]\n}}\n",
-        regressions
-            .iter()
-            .map(|r| format!("\"{}\"", eatss_trace::json::escape(r)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::fs::write(out_path, &json).expect("write pareto report");
 }

@@ -198,12 +198,18 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// I/O failures, or [`io::ErrorKind::InvalidData`] when a shard file
-    /// carries a foreign magic/version or was written with a different
-    /// shard count (resharding is not implicit — it would silently strand
-    /// committed entries).
+    /// I/O failures; [`io::ErrorKind::InvalidInput`] for a shard count of
+    /// zero (nothing is created); or [`io::ErrorKind::InvalidData`] when a
+    /// shard file carries a foreign magic/version or was written with a
+    /// different shard count (resharding is not implicit — it would
+    /// silently strand committed entries).
     pub fn open(dir: &Path, config: JournalConfig) -> io::Result<(Journal, ReplayedEntries)> {
-        assert!(config.shards > 0, "journal needs at least one shard");
+        if config.shards == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "journal needs at least one shard",
+            ));
+        }
         fs::create_dir_all(dir)?;
         let mut shards = Vec::with_capacity(config.shards as usize);
         let mut recovery = RecoveryStats::default();
@@ -479,6 +485,20 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn zero_shards_is_an_error_that_touches_nothing() {
+        let dir = temp_dir("zero-shards");
+        let cfg = JournalConfig {
+            shards: 0,
+            ..JournalConfig::default()
+        };
+        let Err(err) = Journal::open(&dir, cfg) else {
+            panic!("zero shards must be rejected");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "a rejected open must not create the directory");
     }
 
     #[test]

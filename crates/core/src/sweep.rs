@@ -134,7 +134,7 @@ pub struct SweepOutcome {
 
 impl SweepOutcome {
     /// The point with the highest performance-per-watt (the paper's
-    /// selection criterion). Invalid reports and non-finite PPW values
+    /// selection rule). Invalid reports and non-finite PPW values
     /// (e.g. a NaN from a corrupted measurement) are never selected.
     pub fn best_by_ppw(&self) -> Option<&SweepPoint> {
         self.points

@@ -151,7 +151,7 @@ mod tests {
     }
 
     /// The transition point sits where the footprint crosses capacity —
-    /// the exact criterion the analytic residency rule tests.
+    /// the exact condition the analytic residency rule tests.
     #[test]
     fn residency_threshold_matches_capacity() {
         let misses_at = |tj: u64| {

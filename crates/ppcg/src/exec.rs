@@ -62,8 +62,9 @@ pub enum ExecEngine {
     /// Per-kernel heuristic: kernels whose total iteration count is
     /// below [`AUTO_PLAN_THRESHOLD_EMULATOR_POINTS`] run on the
     /// reference walker (plan compilation plus per-row route dispatch
-    /// cost more than they save on tiny domains — bench_oracle measured
-    /// jacobi-1d at wall_ratio 0.982 under an unconditional `Plan`);
+    /// cost more than they save on tiny domains — jacobi-1d measured
+    /// wall_ratio 0.982 under an unconditional `Plan` when the threshold
+    /// was set, and `bench_engines` still reports that row, ungated);
     /// everything larger gets the compiled plan.
     #[default]
     Auto,
@@ -85,9 +86,9 @@ pub const AUTO_PLAN_THRESHOLD_POINTS: i64 = 1024;
 /// The *emulator's* [`ExecEngine::Auto`] crossover, sitting higher than
 /// the generic [`AUTO_PLAN_THRESHOLD_POINTS`]: emulated plan rows also
 /// pay route dispatch and per-row staging-box checks, so the compile
-/// amortizes later. bench_oracle measured the forced-`Plan` emulator at
-/// wall_ratio 0.982 on a 51-point domain (jacobi-1d) and only ~1.0 near
-/// 900 points (fdtd-2d); no PolyBench kernel at sweep sizes has a domain
+/// amortizes later. When the threshold was set the forced-`Plan` emulator
+/// measured wall_ratio 0.982 on a 51-point domain (jacobi-1d) and only
+/// ~1.0 near 900 points (fdtd-2d); no PolyBench kernel at sweep sizes has a domain
 /// between these thresholds, so raising the emulator's floor changes no
 /// current routing except keeping tiny stencil domains on the reference
 /// walker.

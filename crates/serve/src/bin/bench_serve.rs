@@ -19,13 +19,16 @@
 //!   latency histogram (scraped via the `metrics` op) matches the
 //!   client-sampled percentiles within one log-2 bucket width.
 //!
-//! Writes `BENCH_serve.json` and exits non-zero if any assertion fails.
+//! Writes `BENCH_serve.json` through [`eatss_trace::Report`]; every failed
+//! assertion is one of its `regressions`, and the exit code is non-zero
+//! iff there is one.
 
 use eatss::SyncPolicy;
 use eatss_gpusim::FaultPlan;
 use eatss_serve::client::{Client, SelectArgs};
-use eatss_serve::server::{start, Endpoint, ServerConfig, ServerHandle};
+use eatss_serve::server::{start, Endpoint, ServerConfig};
 use eatss_trace::json::Json;
+use eatss_trace::Report;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -103,52 +106,28 @@ const WARP_FRACS: &[f64] = &[0.125, 0.25, 0.5, 1.0];
 const SIZES: &[i64] = &[512, 1024, 2000];
 
 fn main() -> ExitCode {
-    let mut mode = "full";
+    let mut smoke = false;
     let mut out = PathBuf::from("BENCH_serve.json");
     let mut seed = 42u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--mode" => {
-                let m = args.next().unwrap_or_default();
-                mode = match m.as_str() {
-                    "smoke" => "smoke",
-                    "full" => "full",
-                    _ => {
-                        eprintln!("error: --mode wants smoke|full");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--out" => out = PathBuf::from(args.next().unwrap_or_default()),
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --seed wants a number");
-                        std::process::exit(2);
-                    })
-            }
-            other => {
-                eprintln!("error: unknown argument '{other}'");
+        let value = args.next();
+        let number = value.as_deref().and_then(|v| v.parse().ok());
+        match (arg.as_str(), value.as_deref(), number) {
+            ("--mode", Some("smoke"), _) => smoke = true,
+            ("--mode", Some("full"), _) => smoke = false,
+            ("--out", Some(path), _) => out = PathBuf::from(path),
+            ("--seed", _, Some(n)) => seed = n,
+            _ => {
+                eprintln!("usage: bench_serve [--mode smoke|full] [--out PATH] [--seed N]");
                 return ExitCode::from(2);
             }
         }
     }
-    let plan = match mode {
-        "smoke" => Plan {
-            mode,
-            clients: 4,
-            requests_per_client: 30,
-            burst: 40,
-        },
-        _ => Plan {
-            mode,
-            clients: 12,
-            requests_per_client: 100,
-            burst: 64,
-        },
+    let plan = if smoke {
+        Plan { mode: "smoke", clients: 4, requests_per_client: 30, burst: 40 }
+    } else {
+        Plan { mode: "full", clients: 12, requests_per_client: 100, burst: 64 }
     };
     // Worker panics are expected (chaos) and caught; one line each is
     // plenty.
@@ -166,12 +145,12 @@ fn main() -> ExitCode {
         }
     };
     let addr = handle.tcp_addr().expect("tcp endpoint").to_string();
-    eprintln!("bench_serve[{mode}]: server on {addr}, cache at {}", cache_dir.display());
+    eprintln!("bench_serve[{}]: server on {addr}, cache at {}", plan.mode, cache_dir.display());
 
     // ── Phase 1: concurrent chaos load ─────────────────────────────────
     let load_started = Instant::now();
-    let mut report = run_load(&addr, &plan, seed);
-    report.overloaded += run_burst(&addr, &plan, seed ^ 0x9e37_79b9);
+    let mut load = run_load(&addr, &plan, seed);
+    load.overloaded += run_burst(&addr, &plan, seed ^ 0x9e37_79b9);
     let (coalesce_clients, coalesced_responses) = run_coalesce(&addr);
     let load_wall_s = load_started.elapsed().as_secs_f64();
 
@@ -186,7 +165,7 @@ fn main() -> ExitCode {
     let handle = start(server_config(&cache_dir)).expect("clean restart");
     let addr2 = handle.tcp_addr().expect("tcp endpoint").to_string();
     let replayed = handle.replayed();
-    let committed = dedupe(&report.committed);
+    let committed = dedupe(&load.committed);
     let mut warm_hits = 0u64;
     let mut lost: Vec<String> = Vec::new();
     {
@@ -213,7 +192,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    let zero_lost_entries = lost.is_empty();
 
     // ── Phase 2b: corrupt shards, restart, recovery must hold ─────────
     handle.shutdown();
@@ -239,160 +217,158 @@ fn main() -> ExitCode {
     handle.shutdown();
 
     let zero_crash = zero_crash_after_load && alive_after_corruption;
-    let shed_well_formed = report.bad_overloaded == 0;
-    let coalescing_observed = coalesced_responses > 0 && server_stats.coalesced > 0;
 
     // ── Report ─────────────────────────────────────────────────────────
-    report.latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    load.latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let pct = |p: f64| -> f64 {
-        if report.latencies_ms.is_empty() {
+        if load.latencies_ms.is_empty() {
             return 0.0;
         }
-        let idx = ((report.latencies_ms.len() as f64 - 1.0) * p).round() as usize;
-        report.latencies_ms[idx]
+        let idx = ((load.latencies_ms.len() as f64 - 1.0) * p).round() as usize;
+        load.latencies_ms[idx]
     };
-    let total_requests = report.ok + report.infeasible + report.errors + report.overloaded;
+    let total_requests = load.ok + load.infeasible + load.errors + load.overloaded;
     let hit_rate = if cache_stats.hits + cache_stats.misses > 0 {
         cache_stats.hits as f64 / (cache_stats.hits + cache_stats.misses) as f64
     } else {
         0.0
     };
 
-    let json = format!(
-        r#"{{
-  "mode": "{mode}",
-  "seed": {seed},
-  "load_wall_s": {load_wall_s:.2},
-  "requests": {{
-    "total": {total},
-    "ok": {ok},
-    "infeasible": {infeasible},
-    "errors": {errors},
-    "overloaded": {overloaded},
-    "fallbacks_seen": {fallbacks},
-    "malformed_sent": {malformed},
-    "slowloris_connections": {slowloris},
-    "dropped_connections": {dropped},
-    "panic_requests": {panics}
-  }},
-  "latency_ms": {{ "p50": {p50:.3}, "p99": {p99:.3}, "max": {maxl:.3}, "count": {lat_count} }},
-  "server": {{
-    "requests": {srv_requests},
-    "shed": {srv_shed},
-    "coalesced": {srv_coalesced},
-    "protocol_errors": {srv_protocol_errors},
-    "panics_caught": {srv_panics},
-    "fallbacks": {srv_fallbacks}
-  }},
-  "cache": {{
-    "hits": {c_hits},
-    "misses": {c_misses},
-    "infeasible": {c_infeasible},
-    "hit_rate": {hit_rate:.4}
-  }},
-  "coalesce": {{
-    "burst_clients": {coalesce_clients},
-    "coalesced_responses": {coalesced_responses},
-    "server_coalesced": {srv_coalesced}
-  }},
-  "histogram_agreement": {{
-    "samples": {agr_samples},
-    "client_p50_us": {agr_client_p50:.1},
-    "server_p50_us": {agr_server_p50},
-    "client_p99_us": {agr_client_p99:.1},
-    "server_p99_us": {agr_server_p99},
-    "within_one_bucket": {agr_ok}
-  }},
-  "restart": {{
-    "replayed": {replayed},
-    "committed_unique": {committed_n},
-    "warm_hits": {warm_hits},
-    "corruption": {{
-      "bits_flipped": {flipped},
-      "bytes_truncated": {truncated},
-      "corrupt_records_skipped": {rec_skipped},
-      "torn_tails_truncated": {rec_torn},
-      "records_recovered": {rec_ok}
-    }}
-  }},
-  "assertions": {{
-    "zero_crash": {zero_crash},
-    "zero_lost_entries": {zero_lost_entries},
-    "shed_well_formed": {shed_well_formed},
-    "corruption_detected": {recovered_detected},
-    "coalescing_observed": {coalescing_observed},
-    "histograms_agree": {agr_ok}
-  }}
-}}
-"#,
-        mode = plan.mode,
-        total = total_requests,
-        ok = report.ok,
-        infeasible = report.infeasible,
-        errors = report.errors,
-        overloaded = report.overloaded,
-        fallbacks = report.fallbacks_seen,
-        malformed = report.malformed_sent,
-        slowloris = report.slowloris,
-        dropped = report.dropped,
-        panics = report.panics_requested,
-        p50 = pct(0.50),
-        p99 = pct(0.99),
-        maxl = pct(1.0),
-        lat_count = report.latencies_ms.len(),
-        srv_requests = server_stats.requests,
-        srv_shed = server_stats.shed,
-        srv_coalesced = server_stats.coalesced,
-        srv_protocol_errors = server_stats.protocol_errors,
-        srv_panics = server_stats.panics_caught,
-        srv_fallbacks = server_stats.fallbacks,
-        c_hits = cache_stats.hits,
-        c_misses = cache_stats.misses,
-        c_infeasible = cache_stats.infeasible,
-        committed_n = committed.len(),
-        rec_skipped = recovery.corrupt_records_skipped,
-        rec_torn = recovery.torn_tails_truncated,
-        rec_ok = recovery.records_recovered,
-        agr_samples = agreement.samples,
-        agr_client_p50 = agreement.client_p50_us,
-        agr_server_p50 = agreement.server_p50_us,
-        agr_client_p99 = agreement.client_p99_us,
-        agr_server_p99 = agreement.server_p99_us,
-        agr_ok = agreement.within_one_bucket,
-    );
-    if let Err(e) = fs::write(&out, &json) {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("bench_serve: wrote {}", out.display());
-    let _ = fs::remove_dir_all(&cache_dir);
+    let mut report = Report::new("serve", plan.mode);
+    report.sections.extend([
+        ("seed", seed.into()),
+        ("load_wall_s", load_wall_s.into()),
+        (
+            "requests",
+            Json::object([
+                ("total", total_requests.into()),
+                ("ok", load.ok.into()),
+                ("infeasible", load.infeasible.into()),
+                ("errors", load.errors.into()),
+                ("overloaded", load.overloaded.into()),
+                ("fallbacks_seen", load.fallbacks_seen.into()),
+                ("malformed_sent", load.malformed_sent.into()),
+                ("slowloris_connections", load.slowloris.into()),
+                ("dropped_connections", load.dropped.into()),
+                ("panic_requests", load.panics_requested.into()),
+            ]),
+        ),
+        (
+            "latency_ms",
+            Json::object([
+                ("p50", pct(0.50).into()),
+                ("p99", pct(0.99).into()),
+                ("max", pct(1.0).into()),
+                ("count", load.latencies_ms.len().into()),
+            ]),
+        ),
+        (
+            "server",
+            Json::object([
+                ("requests", server_stats.requests.into()),
+                ("shed", server_stats.shed.into()),
+                ("coalesced", server_stats.coalesced.into()),
+                ("protocol_errors", server_stats.protocol_errors.into()),
+                ("panics_caught", server_stats.panics_caught.into()),
+                ("fallbacks", server_stats.fallbacks.into()),
+            ]),
+        ),
+        (
+            "cache",
+            Json::object([
+                ("hits", cache_stats.hits.into()),
+                ("misses", cache_stats.misses.into()),
+                ("infeasible", cache_stats.infeasible.into()),
+                ("hit_rate", hit_rate.into()),
+            ]),
+        ),
+        (
+            "coalesce",
+            Json::object([
+                ("burst_clients", coalesce_clients.into()),
+                ("coalesced_responses", coalesced_responses.into()),
+                ("server_coalesced", server_stats.coalesced.into()),
+            ]),
+        ),
+        (
+            "histogram_agreement",
+            Json::object([
+                ("samples", agreement.samples.into()),
+                ("client_p50_us", agreement.client_p50_us.into()),
+                ("server_p50_us", agreement.server_p50_us.into()),
+                ("client_p99_us", agreement.client_p99_us.into()),
+                ("server_p99_us", agreement.server_p99_us.into()),
+            ]),
+        ),
+        (
+            "restart",
+            Json::object([
+                ("replayed", replayed.into()),
+                ("committed_unique", committed.len().into()),
+                ("warm_hits", warm_hits.into()),
+                (
+                    "corruption",
+                    Json::object([
+                        ("bits_flipped", flipped.into()),
+                        ("bytes_truncated", truncated.into()),
+                        ("corrupt_records_skipped", recovery.corrupt_records_skipped.into()),
+                        ("torn_tails_truncated", recovery.torn_tails_truncated.into()),
+                        ("records_recovered", recovery.records_recovered.into()),
+                    ]),
+                ),
+            ]),
+        ),
+    ].map(|(name, value): (&str, Json)| (name.to_owned(), value)));
 
-    if !lost.is_empty() {
-        eprintln!("LOST ENTRIES:");
-        for l in lost.iter().take(10) {
-            eprintln!("  {l}");
+    let assertions = [
+        ("zero_crash", zero_crash, "the daemon stopped answering pings".to_owned()),
+        (
+            "zero_lost_entries",
+            lost.is_empty(),
+            format!(
+                "{} committed entr(ies) not a warm hit after restart, first: {}",
+                lost.len(),
+                lost.first().map_or("", String::as_str)
+            ),
+        ),
+        (
+            "shed_well_formed",
+            load.bad_overloaded == 0,
+            format!("{} overloaded response(s) without retry_after_ms", load.bad_overloaded),
+        ),
+        (
+            "corruption_detected",
+            recovered_detected,
+            "flipped bits and torn tails went unnoticed by journal recovery".to_owned(),
+        ),
+        (
+            "coalescing_observed",
+            coalesced_responses > 0 && server_stats.coalesced > 0,
+            "no identical in-flight request joined a running solve".to_owned(),
+        ),
+        (
+            "histograms_agree",
+            agreement.within_one_bucket,
+            "serve.request_us quantiles are more than one log-2 bucket from the client's samples".to_owned(),
+        ),
+    ];
+    report.sections.insert(
+        "assertions".to_owned(),
+        Json::object(assertions.iter().map(|(name, held, _)| (*name, (*held).into()))),
+    );
+    for (name, held, why) in assertions {
+        if !held {
+            report.regressions.push(format!("{name}: {why}"));
         }
     }
-    let pass = zero_crash
-        && zero_lost_entries
-        && shed_well_formed
-        && recovered_detected
-        && coalescing_observed
-        && agreement.within_one_bucket;
-    if !pass {
-        eprintln!(
-            "bench_serve: ASSERTION FAILED (zero_crash={zero_crash} zero_lost_entries={zero_lost_entries} shed_well_formed={shed_well_formed} corruption_detected={recovered_detected} coalescing_observed={coalescing_observed} histograms_agree={})",
-            agreement.within_one_bucket
-        );
-        return ExitCode::FAILURE;
-    }
+    let _ = fs::remove_dir_all(&cache_dir);
     eprintln!(
-        "bench_serve: PASS — {total_requests} requests, p50 {:.2} ms, p99 {:.2} ms, hit rate {:.1}%",
+        "bench_serve: {total_requests} requests, p50 {:.2} ms, p99 {:.2} ms, hit rate {:.1}%",
         pct(0.50),
         pct(0.99),
         hit_rate * 100.0
     );
-    ExitCode::SUCCESS
+    report.finish(&out)
 }
 
 fn server_config(cache_dir: &Path) -> ServerConfig {
@@ -519,7 +495,7 @@ fn client_thread(addr: &str, requests: usize, seed: u64) -> ClientReport {
         let started = Instant::now();
         match client.select(&args) {
             Ok(reply) => {
-                let latency = started.elapsed().as_secs_f64() * 1000.0;
+                let latency = started.elapsed().as_nanos() as f64 / 1e6;
                 let status = reply.get("status").and_then(Json::as_str).unwrap_or("");
                 match status {
                     "ok" => {
@@ -671,7 +647,7 @@ fn run_agreement(addr: &str, plan: &Plan) -> Agreement {
             status == "ok" || status == "infeasible",
             "agreement request answered {status}"
         );
-        latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
+        latencies_us.push(started.elapsed().as_nanos() as f64 / 1e3);
     }
     latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     // Same rank the histogram estimator targets: ceil(q * n), 1-based.
@@ -788,7 +764,3 @@ fn corrupt_journal(dir: &Path, seed: u64) -> (u64, u64) {
     eprintln!("bench_serve: corrupted journal — {flipped} bit flips, {truncated} tail bytes cut");
     (flipped, truncated)
 }
-
-// Silence dead-code lint for the handle type parameter in signatures.
-#[allow(dead_code)]
-fn _assert_send(_: &ServerHandle) {}

@@ -134,3 +134,20 @@ fn kill9_loses_no_committed_entry_and_warm_starts() {
     assert_eq!(status(&reply), "ok");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn zero_shards_is_a_start_up_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("eatss-serve-shards0-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_eatss-serve"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "0", "--cache-dir"])
+        .arg(&dir)
+        .output()
+        .expect("spawn eatss-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: failed to start:"), "{stderr}");
+    assert!(stderr.contains("at least one shard"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.exists(), "a rejected start must not create the cache directory");
+}

@@ -9,8 +9,9 @@
 //! * **differential testing**: the fast engine must return the same
 //!   sat/unsat verdicts and the same optimal objective values on every
 //!   formulation (see `crates/smt/tests/differential.rs`), and
-//! * **benchmarking**: `BENCH_solver.json` reports the fast engine's
-//!   node-count and wall-clock reduction against this baseline.
+//! * **gating**: `bench_engines` checks the fast engine's optimum against
+//!   this baseline on every PolyBench formulation and fails if the fast
+//!   engine is ever the slower one (`BENCH_engines.json`).
 //!
 //! The reference runs exhaustively, with no budgets: callers are expected
 //! to hand it formulations the old engine could already finish (all of the

@@ -18,8 +18,9 @@
 //! * two **sinks** ([`Trace::to_jsonl`], [`Trace::to_chrome_json`]) — the
 //!   latter is Chrome `trace_events` JSON openable at `ui.perfetto.dev`;
 //! * the workspace's one ordered scoped worker pool ([`par_map_ordered`]),
-//!   and its one FNV-1a ([`fnv1a64`]), here because this is the base
-//!   crate every caller already depends on;
+//!   its one FNV-1a ([`fnv1a64`]) and its one bench-report envelope
+//!   ([`Report`], printed through [`json::Json`]), here because this is
+//!   the base crate every caller already depends on;
 //! * a **leveled logging** façade ([`error!`], [`info!`], [`debug!`]) that
 //!   echoes to stderr and, when collecting, records log events in the
 //!   trace.
@@ -44,6 +45,7 @@ pub mod histogram;
 pub mod json;
 mod metrics;
 mod par;
+mod report;
 mod sink;
 
 pub use event::{ArgValue, Event, EventKind};
@@ -51,6 +53,7 @@ pub use hash::{fnv1a64, fnv1a64_from, FNV1A64_OFFSET};
 pub use histogram::{histogram, Histogram, HistogramSnapshot};
 pub use metrics::{counter_add, gauge_set, metrics_snapshot, MetricsSnapshot};
 pub use par::par_map_ordered;
+pub use report::Report;
 pub use sink::{Provenance, Trace, TraceFormat};
 
 /// Log verbosity. `Off` suppresses everything, including errors.

@@ -10,7 +10,8 @@ use crate::event::{ArgValue, Event, EventKind};
 use crate::json::{escape, number};
 use crate::metrics::MetricsSnapshot;
 
-/// Run provenance stamped into trace headers and `BENCH_solver.json`.
+/// Run provenance stamped into trace headers and, through
+/// [`crate::Report`], every `BENCH_*.json`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Provenance {
     /// `git rev-parse HEAD` of the working tree, or `"unknown"`.

@@ -5,8 +5,8 @@
 //! identical execution counters, for every PolyBench kernel across the
 //! pinned adversarial tile configurations and seeded random samples.
 //!
-//! The benchmark `bench_oracle` in `eatss-bench` measures the same pairs
-//! it proves equal here.
+//! The `bench_engines` gate in `eatss-bench` re-checks the same pairs on
+//! the oracle-sweep configurations before timing them.
 
 use eatss_affine::interp::{self, compare_stores, Store};
 use eatss_affine::plan::set_simd_enabled;

@@ -44,7 +44,7 @@ fn matmul_formulation(config: SolverConfig, waf: i64) -> (Solver, IntExpr) {
 
 #[test]
 fn maximize_under_deadline_is_anytime_on_matmul() {
-    // Acceptance criterion: a 10 ms wall-clock budget on the matmul
+    // Acceptance check: a 10 ms wall-clock budget on the matmul
     // formulation returns a feasible model with `complete == false`
     // rather than erroring or blocking. The waf=2 space (512 candidate
     // values per variable) is far too large to prove optimal in 10 ms in
@@ -196,7 +196,7 @@ fn nan_faults_never_panic_the_selectors() {
 
 #[test]
 fn exhausted_ladder_degrades_instead_of_failing() {
-    // Acceptance criterion: a sweep containing an unsolvable point
+    // Acceptance check: a sweep containing an unsolvable point
     // completes without panicking and yields a measurable DefaultFallback
     // point with 32^d tiles. Here *every* point is unsolvable because the
     // ladder's only rung has a zero node budget.
