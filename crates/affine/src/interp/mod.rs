@@ -23,7 +23,7 @@
 //! slots, subscripts lowered to linear address functions, right-hand
 //! sides flattened to postfix opcode tapes — and execute through the
 //! plan. The original tree-walking interpreter is retained verbatim in
-//! [`reference`] and remains the executable specification; the fast path
+//! [`mod@reference`] and remains the executable specification; the fast path
 //! is differentially proven to produce bitwise-identical stores.
 
 use crate::ir::{ArrayRef, Kernel, Program};

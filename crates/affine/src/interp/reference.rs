@@ -9,7 +9,7 @@
 //! solver rewrite.
 //!
 //! Subscript indices are evaluated into a fixed stack buffer
-//! ([`IndexBuf`], rank ≤ [`MAX_RANK`]) instead of a fresh `Vec<i64>` per
+//! (`IndexBuf`, rank ≤ [`MAX_RANK`]) instead of a fresh `Vec<i64>` per
 //! read; deeper shapes spill to the heap. The unhooked common path is a
 //! dedicated walker with no closure dispatch; only executors that
 //! install a [`ReadHook`] pay for the indirection.

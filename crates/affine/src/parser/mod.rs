@@ -29,7 +29,7 @@
 //! * the lexer produces **span tokens** — a kind plus a byte range over
 //!   the input `&str`; no per-token heap allocation, numbers are decoded
 //!   only when a grammar position consumes them;
-//! * identifiers are **interned** ([`intern`]) into `u32` symbols, with
+//! * identifiers are **interned** (`intern`) into `u32` symbols, with
 //!   the contextual keywords `kernel`/`for`/`seq` pre-interned by
 //!   length/byte dispatch, so every hot name comparison (keyword checks,
 //!   duplicate iterators, dimension lookups) is a `u32` equality;
@@ -40,7 +40,7 @@
 //!   by a single scan only on the error path, and the caret snippet of
 //!   [`render_snippet`] is rendered only on display.
 //!
-//! The retired tokenize-everything engine survives as [`reference`];
+//! The retired tokenize-everything engine survives as [`mod@reference`];
 //! differential property tests pin this engine to it — identical
 //! [`Program`] IR on every accepted input and identical [`ParseError`]
 //! positions and messages on every rejected one (including the baseline's

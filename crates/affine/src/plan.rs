@@ -11,12 +11,12 @@
 //!   each access lowers to a precomputed linear address function —
 //!   constant base offset plus one stride per loop dimension. When
 //!   interval analysis over the iteration domain proves every subscript
-//!   in bounds, the access is a single dot product ([`Addr::Linear`]);
-//!   otherwise per-subscript bounds checks are kept ([`Addr::Checked`]),
+//!   in bounds, the access is a single dot product (`Addr::Linear`);
+//!   otherwise per-subscript bounds checks are kept (`Addr::Checked`),
 //!   preserving the interpreter's OOB conventions (reads 0, writes
 //!   dropped) exactly.
 //! * **RHS trees → opcode tapes.** Each statement's expression is
-//!   flattened into a postfix [`Op`] tape evaluated over a fixed-size
+//!   flattened into a postfix `Op` tape evaluated over a fixed-size
 //!   value stack — no recursion, no `Box` dispatch. Tape order equals
 //!   the tree-walker's evaluation order, so reads happen in the same
 //!   sequence (observable through routed reads).
@@ -313,7 +313,7 @@ impl ExecPlan {
     /// Executes `count` iteration points along `dim`, starting from the
     /// current `point` and stepping by `step` — bit-for-bit equivalent
     /// to `count` calls to [`ExecPlan::exec_point`], but every
-    /// [`Addr::Linear`] address is resolved once at row entry and then
+    /// `Addr::Linear` address is resolved once at row entry and then
     /// advanced incrementally by `step × stride` per point.
     ///
     /// `point[dim]` is clobbered (it tracks the row for checked and

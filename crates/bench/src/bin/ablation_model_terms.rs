@@ -7,10 +7,7 @@
 //! * the register-per-SM constraint (§IV-G),
 //! * the L1/shared capacity constraints (§IV-E/J),
 //! * the spatial-locality objective term (§IV-K),
-//! * the parallelism objective term (§IV-K),
-//!
-//! plus a comparison of the §IV-L linear maximization against the
-//! binary-search extension.
+//! * the parallelism objective term (§IV-K).
 
 use eatss::{Ablation, Eatss, EatssConfig, ModelGenerator};
 use eatss_bench::table::fmt_f;
@@ -117,40 +114,4 @@ fn main() {
         println!("--- {name} ---");
         println!("{}", t.render());
     }
-
-    // Linear (§IV-L) vs binary-search maximization.
-    println!("Maximization strategy: §IV-L linear climb vs binary search\n");
-    let mut t = Table::new(vec![
-        "benchmark",
-        "linear calls",
-        "binary calls",
-        "same optimum",
-    ]);
-    for name in ["gemm", "covariance", "conv-2d", "mttkrp"] {
-        let b = eatss_kernels::by_name(name).expect("registered");
-        let program = b.program().expect("parses");
-        let sizes = b.sizes(Dataset::ExtraLarge);
-        let config = EatssConfig {
-            warp_fraction: if program.max_depth() > 3 { 0.125 } else { 0.5 },
-            ..EatssConfig::default()
-        };
-        let linear = ModelGenerator::new(&arch, config.clone())
-            .build(&program, Some(&sizes))
-            .expect("builds")
-            .solve();
-        let binary = ModelGenerator::new(&arch, config.clone())
-            .build(&program, Some(&sizes))
-            .expect("builds")
-            .solve_binary();
-        match (linear, binary) {
-            (Ok(l), Ok(bi)) => t.row(vec![
-                name.into(),
-                l.solver_calls.to_string(),
-                bi.solver_calls.to_string(),
-                (l.objective == bi.objective).to_string(),
-            ]),
-            _ => t.row(vec![name.into(), "infeasible".into()]),
-        }
-    }
-    println!("{}", t.render());
 }

@@ -1,5 +1,6 @@
-//! Runs every table/figure experiment in-process and writes each output
-//! under `results/` — the one-command regeneration entry point.
+//! Runs every table/figure experiment — each one its own sibling
+//! binary, spawned in turn — and writes each output under `results/`:
+//! the one-command regeneration entry point.
 //!
 //! ```text
 //! cargo run --release -p eatss-bench --bin run_all -- [out-dir] \

@@ -8,28 +8,6 @@
 use eatss_gpusim::{DeviceProfile, GpuArch};
 use eatss_kernels::Dataset;
 
-/// Resolves one `--profiles` entry: a builtin name (`"ga100"`,
-/// case-insensitive) or a path to a JSON profile file.
-///
-/// # Errors
-///
-/// A human-readable message naming the entry when it is neither a
-/// builtin nor a loadable, valid profile file.
-pub fn resolve(spec: &str) -> Result<GpuArch, String> {
-    if let Some(profile) = DeviceProfile::builtin(spec) {
-        return Ok(profile.into_arch());
-    }
-    if std::path::Path::new(spec).exists() {
-        return DeviceProfile::load(spec)
-            .map(DeviceProfile::into_arch)
-            .map_err(|e| format!("profile file {spec}: {e}"));
-    }
-    Err(format!(
-        "unknown device `{spec}` (expected a builtin profile {:?} or a profile file path)",
-        DeviceProfile::builtin_names()
-    ))
-}
-
 /// The Fig 7 dataset pairing generalized to the fleet: datacenter-class
 /// parts (≥ 32 SMs) run the EXTRALARGE sets, embedded parts STANDARD.
 pub fn dataset_for(arch: &GpuArch) -> Dataset {
@@ -53,10 +31,10 @@ pub fn from_args(args: &[String], flag: &str) -> Option<Vec<GpuArch>> {
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|spec| match resolve(spec) {
-            Ok(arch) => arch,
+        .map(|spec| match DeviceProfile::resolve(spec) {
+            Ok(profile) => profile.into_arch(),
             Err(e) => {
-                eprintln!("{e}");
+                eprintln!("{flag} {spec}: {e}");
                 std::process::exit(2);
             }
         })
@@ -71,6 +49,12 @@ pub fn from_args(args: &[String], flag: &str) -> Option<Vec<GpuArch>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn resolve(spec: &str) -> Result<GpuArch, String> {
+        DeviceProfile::resolve(spec)
+            .map(DeviceProfile::into_arch)
+            .map_err(|e| e.to_string())
+    }
 
     #[test]
     fn resolve_accepts_builtins_case_insensitively() {

@@ -31,6 +31,9 @@
 //!   --trace-format jsonl|chrome  trace serialization (default: chrome)
 //!   --log-level off|error|info|debug  stderr verbosity (default: info)
 //! ```
+//!
+//! Exit status: 0 on success; 2 for a usage error (the message, then the
+//! usage text); 1 for a well-formed run that fails (the message alone).
 
 use eatss::{Eatss, EatssConfig, ModelGenerator, Precision, SweepOptions, ThreadBlockCap};
 use eatss_affine::parser::parse_program;
@@ -125,22 +128,9 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--arch" => {
                 let spec = next_value(&mut args, "--arch")?;
-                // A builtin profile name, or a path to a JSON
-                // device-profile file.
-                opts.arch = match eatss_gpusim::DeviceProfile::builtin(&spec) {
-                    Some(profile) => profile.into_arch(),
-                    None if std::path::Path::new(&spec).exists() => {
-                        eatss_gpusim::DeviceProfile::load(&spec)
-                            .map_err(|e| format!("--arch {spec}: {e}"))?
-                            .into_arch()
-                    }
-                    None => {
-                        return Err(format!(
-                            "unknown arch `{spec}` (expected one of {:?} or a profile file)",
-                            eatss_gpusim::DeviceProfile::builtin_names()
-                        ))
-                    }
-                };
+                opts.arch = eatss_gpusim::DeviceProfile::resolve(&spec)
+                    .map_err(|e| format!("--arch {spec}: {e}"))?
+                    .into_arch();
             }
             "--split" => {
                 opts.config.split_factor = next_value(&mut args, "--split")?
@@ -394,20 +384,14 @@ fn run(opts: &Options) -> Result<(), String> {
         println!("{}", model.to_smtlib());
     }
 
-    let solution = if let Some(deadline) = opts.deadline {
-        ModelGenerator::new(&opts.arch, opts.config.clone())
-            .with_solver_config(SolverConfig {
-                deadline: Some(deadline),
-                ..SolverConfig::default()
-            })
-            .build(&program, Some(&sizes))
-            .and_then(|m| m.solve())
-            .map_err(|e| e.to_string())?
-    } else {
-        eatss
-            .select_tiles(&program, &sizes, &opts.config)
-            .map_err(|e| e.to_string())?
-    };
+    let solution = ModelGenerator::new(&opts.arch, opts.config.clone())
+        .with_solver_config(SolverConfig {
+            deadline: opts.deadline,
+            ..SolverConfig::default()
+        })
+        .build(&program, Some(&sizes))
+        .and_then(|m| m.solve())
+        .map_err(|e| e.to_string())?;
     println!("tiles     : {}", solution.tiles);
     println!("objective : {}", solution.objective);
     println!(
@@ -550,11 +534,12 @@ fn main() -> ExitCode {
             Err(e) => eatss_trace::error!("cannot write trace `{path}`: {e}"),
         }
     }
+    // A failed run is not a usage error: the message alone, exit 1.
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eatss_trace::error!("{e}");
-            usage()
+            ExitCode::FAILURE
         }
     }
 }

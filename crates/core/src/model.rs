@@ -409,29 +409,15 @@ impl EatssModel {
         (self.solver, self.objective)
     }
 
-    /// Like [`EatssModel::solve`], but maximizes by binary search over
-    /// the objective's interval hull instead of the paper's linear
-    /// `OBJ > best` climb — `O(log range)` solver calls (an extension;
-    /// compared against the faithful loop by the ablation bench).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`EatssModel::solve`].
-    pub fn solve_binary(self) -> Result<EatssSolution, EatssError> {
-        self.solve_with(None, |solver, objective| {
-            let hi = solver.hull_bounds(objective).hi();
-            solver.maximize_binary(objective, hi)
-        })
-    }
-
-    /// Maximizes the objective with the §IV-L loop and extracts tiles.
+    /// Maximizes the objective with the §IV-L loop and extracts tiles: a
+    /// [`solve_warm`](EatssModel::solve_warm) with no hints.
     ///
     /// # Errors
     ///
     /// Returns [`EatssError::Unsatisfiable`] when no feasible tile
     /// assignment exists.
     pub fn solve(self) -> Result<EatssSolution, EatssError> {
-        self.solve_with(None, Solver::maximize)
+        self.solve_warm(&mut WarmStart::new())
     }
 
     /// Like [`EatssModel::solve`], but seeds the branch-and-bound
@@ -449,32 +435,20 @@ impl EatssModel {
     ///
     /// Returns [`EatssError::Unsatisfiable`] when no feasible tile
     /// assignment exists.
-    pub fn solve_warm(self, warm: &mut WarmStart) -> Result<EatssSolution, EatssError> {
-        let hints = warm.len() as u64;
-        self.solve_with(Some(hints), |solver, objective| {
-            let outcome = solver.maximize_warm(objective, warm)?;
-            if let Some(model) = &outcome.model {
-                warm.observe(model);
-            }
-            Ok(outcome)
-        })
-    }
-
-    /// One `eatss.solve` span around one maximization and the tail that
-    /// turns its outcome into a solution.
-    fn solve_with(
-        mut self,
-        warm_hints: Option<u64>,
-        maximize: impl FnOnce(&mut Solver, &IntExpr) -> Result<MaximizeOutcome, SolveError>,
-    ) -> Result<EatssSolution, EatssError> {
+    pub fn solve_warm(mut self, warm: &mut WarmStart) -> Result<EatssSolution, EatssError> {
         let mut span = eatss_trace::span("eatss", "solve");
-        if let Some(hints) = warm_hints {
-            span.arg("warm_hints", hints);
-        }
+        span.arg("warm_hints", warm.len() as u64);
         let started = Instant::now();
-        let result = maximize(&mut self.solver, &self.objective)
+        let result = self
+            .solver
+            .maximize_warm(&self.objective, warm)
             .map_err(EatssError::from)
-            .and_then(|outcome| self.into_solution(outcome, started));
+            .and_then(|outcome| {
+                if let Some(model) = &outcome.model {
+                    warm.observe(model);
+                }
+                self.into_solution(outcome, started)
+            });
         finish_solve_span(&mut span, &result);
         result
     }
@@ -504,8 +478,8 @@ impl EatssModel {
             objective,
             solver_calls: outcome.solver_calls,
             solve_time,
-            optimal: outcome.optimal,
-            provenance: if outcome.optimal {
+            optimal: outcome.complete,
+            provenance: if outcome.complete {
                 SolutionProvenance::Solved
             } else {
                 SolutionProvenance::SolvedIncomplete
@@ -766,22 +740,6 @@ mod tests {
             ..Ablation::default()
         });
         assert!(no_par.objective <= full.objective);
-    }
-
-    #[test]
-    fn solve_binary_matches_linear_for_matmul() {
-        let linear = ga(EatssConfig::default())
-            .build(&matmul(), None)
-            .unwrap()
-            .solve()
-            .unwrap();
-        let binary = ga(EatssConfig::default())
-            .build(&matmul(), None)
-            .unwrap()
-            .solve_binary()
-            .unwrap();
-        assert_eq!(linear.objective, binary.objective);
-        assert!(binary.optimal);
     }
 
     #[test]

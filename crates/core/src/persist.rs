@@ -1,7 +1,7 @@
 //! A [`TileCache`] that survives restarts — and `kill -9`.
 //!
 //! [`PersistentTileCache`] pairs the in-memory cache with the sharded
-//! append-only [`Journal`](crate::journal::Journal): every
+//! append-only [`Journal`]: every
 //! *committed* result (a proved-optimal solution or a proved
 //! infeasibility) is appended to disk before it is served, and opening
 //! the cache replays the journal to warm-start the index. Anytime
@@ -62,23 +62,7 @@ pub fn encode_result(result: &SelectResult) -> Option<Vec<u8>> {
             v.extend_from_slice(&s.solver_calls.to_le_bytes());
             v.extend_from_slice(&(s.solve_time.as_micros() as u64).to_le_bytes());
             v.push(u8::from(s.optimal));
-            for c in [
-                s.stats.checks,
-                s.stats.nodes,
-                s.stats.propagations,
-                s.stats.values_pruned,
-                s.stats.backtracks,
-                s.stats.node_limit_hits,
-                s.stats.deadline_hits,
-                s.stats.cancellations,
-                s.stats.bound_prunes,
-                s.stats.hull_rebuilds,
-                s.stats.warm_seeds,
-                s.stats.warm_cut_hits,
-                s.stats.solve_time.as_micros() as u64,
-                s.stats.propagation_time.as_micros() as u64,
-                s.stats.search_time.as_micros() as u64,
-            ] {
+            for c in s.stats.values() {
                 v.extend_from_slice(&c.to_le_bytes());
             }
             Some(v)
@@ -151,7 +135,7 @@ pub fn decode_result(bytes: &[u8]) -> Option<SelectResult> {
                 1 => true,
                 _ => return None,
             };
-            let mut counters = [0u64; 15];
+            let mut counters = [0u64; SolverStats::NAMES.len()];
             for slot in &mut counters {
                 *slot = c.u64()?;
             }
@@ -162,23 +146,7 @@ pub fn decode_result(bytes: &[u8]) -> Option<SelectResult> {
                 solve_time,
                 optimal,
                 provenance: SolutionProvenance::Solved,
-                stats: SolverStats {
-                    checks: counters[0],
-                    nodes: counters[1],
-                    propagations: counters[2],
-                    values_pruned: counters[3],
-                    backtracks: counters[4],
-                    node_limit_hits: counters[5],
-                    deadline_hits: counters[6],
-                    cancellations: counters[7],
-                    bound_prunes: counters[8],
-                    hull_rebuilds: counters[9],
-                    warm_seeds: counters[10],
-                    warm_cut_hits: counters[11],
-                    solve_time: Duration::from_micros(counters[12]),
-                    propagation_time: Duration::from_micros(counters[13]),
-                    search_time: Duration::from_micros(counters[14]),
-                },
+                stats: SolverStats::from_values(counters),
             })
         }
         TAG_INFEASIBLE => {
@@ -201,8 +169,8 @@ pub fn decode_result(bytes: &[u8]) -> Option<SelectResult> {
 ///
 /// * committed results (optimal solutions, proved infeasibilities) are
 ///   appended to an on-disk journal *before* they are served, so an `Ok`
-///   response implies durability (under [`SyncPolicy::Always`]
-///   (crate::journal::SyncPolicy::Always));
+///   response implies durability (under
+///   [`SyncPolicy::Always`](crate::journal::SyncPolicy::Always));
 /// * opening the cache replays the journal, warm-starting the index
 ///   across restarts and hard kills;
 /// * [`PersistentTileCache::compact`] rewrites the journal to the live
@@ -431,8 +399,8 @@ impl PersistentTileCache {
         self.live_bytes
     }
 
-    /// Fraction of journal record bytes that a [`compact`]
-    /// (PersistentTileCache::compact) would reclaim: superseded records,
+    /// Fraction of journal record bytes that a
+    /// [`compact`](PersistentTileCache::compact) would reclaim: superseded records,
     /// undecodable values and checksum-skipped regions. 0 for an
     /// ephemeral or empty journal.
     pub fn garbage_ratio(&self) -> f64 {
@@ -539,6 +507,16 @@ mod tests {
 
     #[test]
     fn result_codec_round_trips() {
+        // What the build before `SolverStats` generated its own codec
+        // order wrote for this solution: journals written by any
+        // version-2 build must keep replaying, so these bytes may only
+        // change together with `VALUE_VERSION`.
+        const GOLDEN: &str = "0200030000001000000000000000800100000000000001000000000000001018\
+             00000000000009000000d2040000000000000101000000000000000200000000\
+             0000000300000000000000040000000000000005000000000000000600000000\
+             0000000700000000000000080000000000000009000000000000000a00000000\
+             0000000b000000000000000c000000000000000d000000000000000e00000000\
+             0000000f00000000000000";
         let solution = EatssSolution {
             tiles: TileConfig::new(vec![16, 384, 1]),
             objective: 6160,
@@ -547,27 +525,34 @@ mod tests {
             optimal: true,
             provenance: SolutionProvenance::Solved,
             stats: SolverStats {
-                checks: 9,
-                nodes: 1000,
-                propagations: 2000,
-                values_pruned: 77,
-                backtracks: 13,
-                bound_prunes: 5,
-                hull_rebuilds: 9,
-                solve_time: Duration::from_micros(1200),
-                propagation_time: Duration::from_micros(700),
-                search_time: Duration::from_micros(500),
-                ..SolverStats::default()
+                checks: 1,
+                nodes: 2,
+                propagations: 3,
+                values_pruned: 4,
+                backtracks: 5,
+                node_limit_hits: 6,
+                deadline_hits: 7,
+                cancellations: 8,
+                bound_prunes: 9,
+                hull_rebuilds: 10,
+                warm_seeds: 11,
+                warm_cut_hits: 12,
+                solve_time: Duration::from_micros(13),
+                propagation_time: Duration::from_micros(14),
+                search_time: Duration::from_micros(15),
             },
         };
         assert!(is_committed(&Ok(solution.clone())));
         let encoded = encode_result(&Ok(solution.clone())).unwrap();
+        let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
         let decoded = decode_result(&encoded).unwrap().unwrap();
         assert_eq!(decoded.tiles.sizes(), solution.tiles.sizes());
         assert_eq!(decoded.objective, solution.objective);
         assert_eq!(decoded.solver_calls, solution.solver_calls);
         assert_eq!(decoded.solve_time, solution.solve_time);
         assert_eq!(decoded.optimal, solution.optimal);
+        assert_eq!(decoded.provenance, solution.provenance);
         assert_eq!(decoded.stats, solution.stats);
 
         let reason = "WAF 16 exceeds extent 8";

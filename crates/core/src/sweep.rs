@@ -15,7 +15,8 @@
 //! budget on exhaustion, then a coarsened (geometric) tile domain. When
 //! every rung fails — or the formulation is *proved* infeasible — the
 //! point degrades to PPCG's default `32^d` tiling so it still yields a
-//! measurement, tagged [`SolutionProvenance::DefaultFallback`]. Points
+//! measurement, tagged
+//! [`DefaultFallback`](crate::SolutionProvenance::DefaultFallback). Points
 //! whose measurement itself fails land in [`SweepOutcome::failures`] with
 //! full stage attribution. The sweep as a whole errors only when *no*
 //! configuration produced a measurable point.

@@ -92,3 +92,26 @@ fn bad_verify_seed_is_rejected() {
         .expect("spawn eatss");
     assert!(!out.status.success());
 }
+
+#[test]
+fn usage_errors_exit_2_and_failed_runs_exit_1() {
+    // A bad flag is a usage error: the message, the usage text, exit 2.
+    let out = eatss()
+        .args(["gemm", "--no-such-flag"])
+        .output()
+        .expect("spawn eatss");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--no-such-flag") && stderr.contains("usage:"), "{stderr}");
+
+    // A well-formed request that fails — an unreadable kernel file, an
+    // unsatisfiable formulation — prints its error alone and exits 1.
+    let unreadable = vec!["/no/such/kernel.eatss"];
+    let unsat = vec!["gemm", "--size", "NI=8", "--size", "NJ=8", "--size", "NK=8"];
+    for (args, message) in [(unreadable, "cannot read"), (unsat, "unsatisfiable")] {
+        let out = eatss().args(&args).output().expect("spawn eatss");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message) && !stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}

@@ -47,6 +47,8 @@ pub enum ProfileError {
     Invalid(String),
     /// The profile file could not be read.
     Io(String),
+    /// A device argument names neither a builtin profile nor a file.
+    UnknownDevice(String),
 }
 
 impl fmt::Display for ProfileError {
@@ -59,6 +61,11 @@ impl fmt::Display for ProfileError {
             }
             ProfileError::Invalid(msg) => write!(f, "non-physical profile: {msg}"),
             ProfileError::Io(msg) => write!(f, "profile io error: {msg}"),
+            ProfileError::UnknownDevice(spec) => write!(
+                f,
+                "unknown device `{spec}` (expected a builtin profile {:?} or a profile file path)",
+                DeviceProfile::builtin_names()
+            ),
         }
     }
 }
@@ -126,6 +133,21 @@ impl DeviceProfile {
             .iter()
             .find(|(n, _)| *n == lower)
             .map(|(_, p)| p.clone())
+    }
+
+    /// Resolves a device argument (`--arch`, `--profiles`): a builtin
+    /// profile name, else the path of an existing profile file.
+    ///
+    /// # Errors
+    ///
+    /// [`ProfileError::UnknownDevice`] when `spec` is neither; otherwise
+    /// the same conditions as [`DeviceProfile::load`].
+    pub fn resolve(spec: &str) -> Result<Self, ProfileError> {
+        match Self::builtin(spec) {
+            Some(profile) => Ok(profile),
+            None if Path::new(spec).exists() => Self::load(spec),
+            None => Err(ProfileError::UnknownDevice(spec.to_owned())),
+        }
     }
 
     /// Reads and parses a profile file, then validates it.
@@ -713,6 +735,19 @@ mod tests {
             DeviceProfile::load(&toml),
             Err(ProfileError::Parse(_))
         ));
+        // `resolve` takes a builtin name first, then an existing file
+        // (whose load errors it passes on), and otherwise names the
+        // builtins.
+        assert_eq!(DeviceProfile::resolve("ORIN").ok(), DeviceProfile::builtin("orin"));
+        assert_eq!(DeviceProfile::resolve(path.to_str().unwrap()), Ok(loaded));
+        assert!(matches!(
+            DeviceProfile::resolve(broken.to_str().unwrap()),
+            Err(ProfileError::Invalid(_))
+        ));
+        let absent = dir.join("absent.json");
+        let unknown = DeviceProfile::resolve(absent.to_str().unwrap()).unwrap_err();
+        assert!(matches!(unknown, ProfileError::UnknownDevice(_)));
+        assert!(unknown.to_string().contains(r#"["ga100", "xavier", "h100", "orin", "nano"]"#));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,13 +19,13 @@
 //! By default each kernel is compiled once per distinct staged-route
 //! signature (once per [`execute_compiled`] call, once per batch under
 //! [`execute_compiled_batch`]) into an
-//! [`ExecPlan`](eatss_affine::plan::ExecPlan): reads that match a staged
+//! [`ExecPlan`]: reads that match a staged
 //! group are pre-routed to its buffer at compile time (one slot lookup
 //! instead of a string-compare group search per read per point), all
 //! other accesses lower to linear address functions, and the RHS runs as
 //! a postfix opcode tape. [`ExecEngine::Reference`] forces the original
 //! per-point tree-walk through
-//! [`exec_point_hooked`](eatss_affine::interp::exec_point_hooked); both
+//! [`exec_point_hooked`]; both
 //! engines produce bitwise-identical stores and identical [`ExecStats`]
 //! (differentially tested over the whole benchmark suite).
 //!
@@ -78,7 +78,7 @@ pub enum ExecEngine {
 }
 
 /// Iteration-count floor below which compiling an
-/// [`ExecPlan`](eatss_affine::plan::ExecPlan) stops paying for itself in
+/// [`ExecPlan`] stops paying for itself in
 /// general: one compile amortizes over the kernel's points; under ~1k
 /// points the compile dominates.
 pub const AUTO_PLAN_THRESHOLD_POINTS: i64 = 1024;
@@ -987,7 +987,7 @@ fn execute_with_caches(
 /// store carries the layout of `stores[0]` — the slot layout are
 /// invariant; only the staged-route assignment varies with the tile
 /// configuration. Plans are therefore cached per kernel keyed by route
-/// signature ([`KernelPlanCache`]), so configs that stage the same reads
+/// signature (`KernelPlanCache`), so configs that stage the same reads
 /// reuse one compiled plan instead of recompiling per config. A store
 /// whose layout diverges from `stores[0]` runs through
 /// [`execute_compiled`] against caches of its own; results are

@@ -84,22 +84,10 @@ fn main() -> ExitCode {
             }
             "--arch" => {
                 let spec = next_value(&mut args, "--arch");
-                config.default_arch = match eatss_gpusim::DeviceProfile::builtin(&spec) {
-                    Some(profile) => profile.into_arch(),
-                    None if std::path::Path::new(&spec).exists() => {
-                        match eatss_gpusim::DeviceProfile::load(&spec) {
-                            Ok(profile) => profile.into_arch(),
-                            Err(e) => {
-                                eprintln!("error: --arch {spec}: {e}");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    }
-                    None => {
-                        eprintln!(
-                            "error: unknown arch '{spec}' (expected one of {:?} or a profile file)",
-                            eatss_gpusim::DeviceProfile::builtin_names()
-                        );
+                config.default_arch = match eatss_gpusim::DeviceProfile::resolve(&spec) {
+                    Ok(profile) => profile.into_arch(),
+                    Err(e) => {
+                        eprintln!("error: --arch {spec}: {e}");
                         return ExitCode::from(2);
                     }
                 };

@@ -4,7 +4,7 @@
 //! The grammar is documented in DESIGN.md §12; parsing reuses
 //! [`eatss_trace::json`] so the daemon carries no protocol dependency the
 //! tracer does not already have. Both directions of the format live
-//! here: [`parse_request`] reads request lines, and [`Response::to_line`]
+//! here: [`parse_request`] reads request lines, and `Response::to_line`
 //! is the only place a response line is assembled.
 //!
 //! Every malformed input maps to a typed [`ProtocolError`] — the server

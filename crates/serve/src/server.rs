@@ -1,8 +1,8 @@
 //! The daemon: configuration, shared state, start-up and shutdown.
 //!
-//! The moving parts live in one module per concern — [`crate::transport`]
-//! (sockets, accept and connection loops), [`crate::dispatch`] (admission
-//! control and the worker pool) and [`crate::handlers`] (what each op
+//! The moving parts live in one module per concern — `crate::transport`
+//! (sockets, accept and connection loops), `crate::dispatch` (admission
+//! control and the worker pool) and `crate::handlers` (what each op
 //! does) — and the response format lives in [`crate::protocol`].
 //!
 //! Thread layout (all `std::thread`, no async runtime):

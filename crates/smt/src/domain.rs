@@ -106,11 +106,6 @@ impl Domain {
         self.values.len() != before
     }
 
-    /// Intersects with an interval; returns `true` if anything was removed.
-    pub fn clamp_to(&mut self, iv: Interval) -> bool {
-        self.retain(|&v| iv.contains(v))
-    }
-
     /// Iterates over remaining values in ascending order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = i64> + '_ {
         self.values.iter().copied()
@@ -161,14 +156,6 @@ mod tests {
         let d = Domain::from_values(vec![4, 9, 16]);
         assert_eq!(d.hull(), Interval::new(4, 16));
         assert!(Domain::from_values(vec![]).hull().is_empty());
-    }
-
-    #[test]
-    fn clamp_to_reports_change() {
-        let mut d = Domain::range(0, 10);
-        assert!(d.clamp_to(Interval::new(2, 7)));
-        assert_eq!(d.len(), 6);
-        assert!(!d.clamp_to(Interval::new(0, 100)));
     }
 
     #[test]

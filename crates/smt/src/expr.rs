@@ -133,11 +133,6 @@ impl IntExpr {
         BoolExpr::cmp(CmpOp::Eq, self.clone(), rhs.into())
     }
 
-    /// Constraint `self != rhs`.
-    pub fn ne_expr(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Ne, self.clone(), rhs.into())
-    }
-
     /// Collects the variables mentioned by this expression into `out`
     /// (deduplicated, in first-occurrence order).
     pub fn collect_vars(&self, out: &mut Vec<VarId>) {

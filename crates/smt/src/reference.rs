@@ -21,7 +21,9 @@ use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
 use crate::interval::Interval;
 use crate::model::Model;
-use crate::search::{assignment_of, tri_bool, Tri};
+use crate::search::{
+    assignment_of, branch_order, tri_bool, Tri, MAX_PROPAGATION_ROUNDS, PROBE_LIMIT,
+};
 use crate::solver::{SolveError, Solver};
 
 /// Result of a reference [`check`], with the work done to get it.
@@ -50,8 +52,6 @@ pub struct ReferenceMaximize {
 struct NaiveSearch<'a> {
     names: &'a [String],
     constraints: &'a [(BoolExpr, Vec<VarId>)],
-    max_rounds: u32,
-    descending: bool,
     nodes: u64,
 }
 
@@ -76,12 +76,7 @@ impl NaiveSearch<'_> {
             .enumerate()
             .filter(|(_, d)| d.len() > 1)
             .min_by_key(|(_, d)| d.len())?;
-        let candidates: Vec<i64> = if self.descending {
-            domains[var_idx].iter().rev().collect()
-        } else {
-            domains[var_idx].iter().collect()
-        };
-        for value in candidates {
+        for value in branch_order(&domains[var_idx]) {
             self.nodes += 1;
             let mut child = domains.clone();
             child[var_idx] = Domain::singleton(value);
@@ -96,7 +91,7 @@ impl NaiveSearch<'_> {
     /// constraint each round — the O(V·C) behaviour the fast engine
     /// replaced. Returns `false` on inconsistency.
     fn propagate(&mut self, domains: &mut [Domain]) -> bool {
-        for _ in 0..self.max_rounds {
+        for _ in 0..MAX_PROPAGATION_ROUNDS {
             let mut changed = false;
             for (constraint, vars) in self.constraints {
                 let hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
@@ -107,7 +102,7 @@ impl NaiveSearch<'_> {
                 }
                 for &var in vars {
                     let idx = var.index();
-                    if domains[idx].len() <= 1 || domains[idx].len() > 4096 {
+                    if domains[idx].len() <= 1 || domains[idx].len() > PROBE_LIMIT {
                         continue;
                     }
                     let mut probe = hulls.clone();
@@ -152,8 +147,6 @@ fn run_check(
     let mut search = NaiveSearch {
         names: solver.names(),
         constraints,
-        max_rounds: solver.config().max_propagation_rounds,
-        descending: solver.config().descending_values,
         nodes: 0,
     };
     let found = search.dfs(solver.base_domains().to_vec());

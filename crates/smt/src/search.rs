@@ -47,7 +47,19 @@ const BUDGET_POLL_PERIOD: u64 = 64;
 
 /// Domains larger than this are filtered by hull reasoning only; exact
 /// per-value probing is reserved for small domains where it pays off.
-const PROBE_LIMIT: usize = 4096;
+pub(crate) const PROBE_LIMIT: usize = 4096;
+
+/// Propagation budget per search node, in constraint visits relative to a
+/// full pass: filtering stops after `MAX_PROPAGATION_ROUNDS × constraints`
+/// visits — weaker pruning, never unsoundness.
+pub(crate) const MAX_PROPAGATION_ROUNDS: u32 = 16;
+
+/// A branching variable's candidates, largest first: large tiles score
+/// high, so the maximization climbs in few improvements (like Z3's
+/// default behaviour on these formulations).
+pub(crate) fn branch_order(domain: &Domain) -> Vec<i64> {
+    domain.iter().rev().collect()
+}
 
 /// An objective being maximized under an incumbent. The search treats
 /// `objective > incumbent` as a *virtual constraint*: it sits in the
@@ -58,23 +70,15 @@ const PROBE_LIMIT: usize = 4096;
 /// stack of asserted `OBJ > best` constraints with a single incumbent the
 /// search tightens in place. `incumbent` is `None` until a first model is
 /// found (the bound is inert then — any model improves on nothing).
-pub(crate) struct ObjectiveBound<'a> {
-    pub(crate) objective: &'a IntExpr,
-    pub(crate) incumbent: Option<i64>,
-}
-
-/// Per-call search budget: node cap plus an absolute wall-clock deadline.
-pub(crate) struct Budget {
-    pub(crate) node_cap: u64,
-    pub(crate) deadline_at: Option<Instant>,
+struct ObjectiveBound<'a> {
+    objective: &'a IntExpr,
+    incumbent: Option<i64>,
 }
 
 /// What a [`Search`] is asked to do.
 pub(crate) enum SearchMode<'a> {
     /// Find any satisfying assignment (plain `check`).
     Satisfy,
-    /// Find an assignment beating a fixed incumbent (binary-search probe).
-    Bounded(ObjectiveBound<'a>),
     /// Single-pass branch-and-bound maximization: improving leaves tighten
     /// the incumbent in place and the search continues to exhaustion.
     /// `floor`, when present, seeds the incumbent below a known-achievable
@@ -87,6 +91,19 @@ pub(crate) enum SearchMode<'a> {
         objective: &'a IntExpr,
         floor: Option<i64>,
     },
+}
+
+/// What one [`Search`] found.
+#[derive(Default)]
+pub(crate) struct Pass {
+    /// The satisfying assignment — when maximizing, the best one.
+    pub(crate) values: Option<Vec<i64>>,
+    /// Objective value of `values` when maximizing.
+    pub(crate) best: Option<i64>,
+    /// Incumbent improvements taken when maximizing.
+    pub(crate) improvements: u32,
+    /// Why the search stopped early, if it did.
+    pub(crate) stop: Option<StopReason>,
 }
 
 /// One `check` call's worth of search state.
@@ -108,16 +125,14 @@ pub(crate) struct Search<'a> {
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
     nodes_at_entry: u64,
-    node_cap: u64,
     deadline_at: Option<Instant>,
     stop: Option<StopReason>,
+    /// Present when maximizing: an improving leaf does not end the search
+    /// — it becomes the new incumbent and the search continues, so one
+    /// exhaustive pass proves optimality (no restart per improvement).
     bound: Option<ObjectiveBound<'a>>,
     /// Variables of the bound objective (watch the virtual constraint).
     bound_vars: Vec<VarId>,
-    /// Branch-and-bound mode: an improving leaf does not end the search —
-    /// it becomes the new incumbent and the search continues, so one
-    /// exhaustive pass proves optimality (no restart per improvement).
-    optimize: bool,
     /// Best (objective value, assignment) found so far in optimize mode.
     best: Option<(i64, Vec<i64>)>,
     /// Number of incumbent improvements in optimize mode.
@@ -136,23 +151,15 @@ impl<'a> Search<'a> {
         constraints: &'a [(BoolExpr, Vec<VarId>)],
         config: &'a SolverConfig,
         stats: &'a mut SolverStats,
-        budget: Budget,
+        deadline_at: Option<Instant>,
         mode: SearchMode<'a>,
     ) -> Self {
-        let Budget {
-            node_cap,
-            deadline_at,
-        } = budget;
-        let (bound, optimize) = match mode {
-            SearchMode::Satisfy => (None, false),
-            SearchMode::Bounded(b) => (Some(b), false),
-            SearchMode::Optimize { objective, floor } => (
-                Some(ObjectiveBound {
-                    objective,
-                    incumbent: floor,
-                }),
-                true,
-            ),
+        let bound = match mode {
+            SearchMode::Satisfy => None,
+            SearchMode::Optimize { objective, floor } => Some(ObjectiveBound {
+                objective,
+                incumbent: floor,
+            }),
         };
         let domains = base_domains.to_vec();
         // The only full O(V) hull construction in a check: every later
@@ -189,36 +196,18 @@ impl<'a> Search<'a> {
             queue: VecDeque::with_capacity(constraints.len() + 1),
             in_queue: vec![false; constraints.len() + 1],
             nodes_at_entry,
-            node_cap,
             deadline_at,
             stop: None,
             bound,
             bound_vars,
-            optimize,
             best: None,
             improvements: 0,
             restart: false,
         }
     }
 
-    /// Why the search stopped early, if it did.
-    pub(crate) fn stop(&self) -> Option<StopReason> {
-        self.stop
-    }
-
-    /// Best (value, assignment) found in optimize mode, consuming it.
-    pub(crate) fn take_best(&mut self) -> Option<(i64, Vec<i64>)> {
-        self.best.take()
-    }
-
-    /// Number of incumbent improvements recorded in optimize mode.
-    pub(crate) fn improvements(&self) -> u32 {
-        self.improvements
-    }
-
-    /// Runs the search to completion (or budget) and returns a satisfying
-    /// assignment if one was found.
-    pub(crate) fn run(&mut self) -> Option<Vec<i64>> {
+    /// Runs the search to completion (or budget).
+    pub(crate) fn run(mut self) -> Pass {
         // Seed the worklist with every constraint (plus the virtual
         // incumbent bound): the root propagation must consider all once.
         for ci in 0..self.constraints.len() {
@@ -227,7 +216,7 @@ impl<'a> Search<'a> {
         if self.bound.is_some() {
             self.enqueue(self.constraints.len() as u32);
         }
-        loop {
+        let found = loop {
             let found = self.dfs();
             // Branch-and-bound re-dive: an improving leaf unwinds to the
             // root, where only the tightened incumbent bound needs
@@ -235,12 +224,24 @@ impl<'a> Search<'a> {
             // watchers, and root-level narrows are permanent — pruning
             // learned in earlier dives is never re-derived). Everything
             // else about the root state is already at fixpoint.
-            if self.optimize && self.restart && self.stop.is_none() {
+            if self.restart && self.stop.is_none() {
                 self.restart = false;
                 self.enqueue(self.constraints.len() as u32);
                 continue;
             }
-            return found;
+            break found;
+        };
+        // A maximizing search never returns from `dfs` with a model —
+        // improving leaves are recorded and the search continues.
+        let (best, values) = match self.best {
+            Some((value, values)) => (Some(value), Some(values)),
+            None => (None, found),
+        };
+        Pass {
+            values,
+            best,
+            improvements: self.improvements,
+            stop: self.stop,
         }
     }
 
@@ -255,7 +256,7 @@ impl<'a> Search<'a> {
         if self.stop.is_some() {
             return true;
         }
-        if self.nodes_used() >= self.node_cap {
+        if self.nodes_used() >= self.config.node_limit {
             self.stop = Some(StopReason::NodeLimit);
             return true;
         }
@@ -342,19 +343,17 @@ impl<'a> Search<'a> {
                     self.stats.bound_prunes += 1;
                     return None;
                 };
-                if self.optimize {
-                    // Branch-and-bound: record the improvement, tighten
-                    // the incumbent in place, and unwind to the root for
-                    // a re-dive (see `run`) — exhausting a dive without
-                    // an improvement is the optimality proof.
-                    if let Some(b) = &mut self.bound {
-                        b.incumbent = Some(value);
-                    }
-                    self.best = Some((value, values));
-                    self.improvements += 1;
-                    self.restart = true;
-                    return None;
+                // Branch-and-bound: record the improvement, tighten the
+                // incumbent in place, and unwind to the root for a
+                // re-dive (see `run`) — exhausting a dive without an
+                // improvement is the optimality proof.
+                if let Some(b) = &mut self.bound {
+                    b.incumbent = Some(value);
                 }
+                self.best = Some((value, values));
+                self.improvements += 1;
+                self.restart = true;
+                return None;
             }
             return Some(values);
         }
@@ -365,12 +364,7 @@ impl<'a> Search<'a> {
             .enumerate()
             .filter(|(_, d)| d.len() > 1)
             .min_by_key(|(_, d)| d.len())?;
-        let candidates: Vec<i64> = if self.config.descending_values {
-            self.domains[var_idx].iter().rev().collect()
-        } else {
-            self.domains[var_idx].iter().collect()
-        };
-        for value in candidates {
+        for value in branch_order(&self.domains[var_idx]) {
             if self.out_of_budget() {
                 return None;
             }
@@ -395,8 +389,8 @@ impl<'a> Search<'a> {
         let started = Instant::now();
         // The visit budget mirrors the old engine's `rounds × constraints`
         // worst case; hitting it merely weakens pruning, never soundness.
-        let mut visits_left = (self.config.max_propagation_rounds as u64)
-            .saturating_mul(self.constraints.len().max(1) as u64);
+        let mut visits_left =
+            (MAX_PROPAGATION_ROUNDS as u64).saturating_mul(self.constraints.len().max(1) as u64);
         let ok = loop {
             let Some(ci) = self.queue.pop_front() else {
                 break true;

@@ -7,9 +7,8 @@
 
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
-use crate::interval::Interval;
 use crate::model::Model;
-use crate::search::{bounds, Budget, ObjectiveBound, Search, SearchMode};
+use crate::search::{Pass, Search, SearchMode};
 use crate::stats::SolverStats;
 use std::error::Error;
 use std::fmt;
@@ -92,24 +91,14 @@ pub struct SolverConfig {
     /// Maximum search-tree nodes per `check` call before giving up
     /// (`complete = false` in the result).
     pub node_limit: u64,
-    /// Wall-clock budget. For a plain [`Solver::check`] it bounds that
-    /// call; for [`Solver::maximize`] / [`Solver::minimize`] /
-    /// [`Solver::maximize_binary`] it bounds the *whole* optimization
-    /// loop, which then returns its best-so-far model with
-    /// `complete = false` (anytime solving). [`Solver::enumerate`] is
-    /// likewise bounded as a whole.
+    /// Wall-clock budget for one [`Solver::check`] or one whole
+    /// [`Solver::maximize`] / [`Solver::maximize_warm`], which then
+    /// returns its best-so-far model with `complete = false` (anytime
+    /// solving).
     pub deadline: Option<Duration>,
     /// Cooperative cancellation flag, checked at the same cadence as the
     /// deadline.
     pub cancel: Option<CancelToken>,
-    /// Propagation budget per search node, measured in constraint visits
-    /// relative to a full pass (the worklist engine stops filtering after
-    /// `max_propagation_rounds × constraints` visits — weaker pruning,
-    /// never unsoundness).
-    pub max_propagation_rounds: u32,
-    /// Try larger values first (helps the maximization loop converge in
-    /// few iterations, like Z3's default behaviour on these formulations).
-    pub descending_values: bool,
 }
 
 impl PartialEq for SolverConfig {
@@ -119,11 +108,7 @@ impl PartialEq for SolverConfig {
             (Some(a), Some(b)) => Arc::ptr_eq(&a.0, &b.0),
             _ => false,
         };
-        self.node_limit == other.node_limit
-            && self.deadline == other.deadline
-            && token_eq
-            && self.max_propagation_rounds == other.max_propagation_rounds
-            && self.descending_values == other.descending_values
+        self.node_limit == other.node_limit && self.deadline == other.deadline && token_eq
     }
 }
 
@@ -135,8 +120,6 @@ impl Default for SolverConfig {
             node_limit: 2_000_000,
             deadline: None,
             cancel: None,
-            max_propagation_rounds: 16,
-            descending_values: true,
         }
     }
 }
@@ -163,9 +146,8 @@ pub struct MaximizeOutcome {
     pub best: Option<i64>,
     /// Number of `check` calls performed by the §IV-L loop.
     pub solver_calls: u32,
-    /// Whether optimality was proved (final `check` was exhaustive-unsat).
-    pub optimal: bool,
-    /// `true` if no budget interrupted the loop. `false` means the
+    /// `true` if no budget interrupted the search: the model is proved
+    /// optimal, or its absence proves unsatisfiability. `false` means the
     /// outcome is *anytime*: the model (if any) is feasible but possibly
     /// suboptimal, and a `None` model does not prove unsatisfiability.
     pub complete: bool,
@@ -288,11 +270,6 @@ impl Solver {
         IntExpr::var(id, name)
     }
 
-    /// Number of registered variables.
-    pub fn num_vars(&self) -> usize {
-        self.names.len()
-    }
-
     /// Adds a constraint.
     pub fn assert(&mut self, constraint: BoolExpr) {
         let mut vars = Vec::new();
@@ -303,21 +280,6 @@ impl Solver {
     /// Accumulated search statistics.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
-    }
-
-    /// The active limits.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Replaces the limits for subsequent calls.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
-    /// Resets the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// The constraints currently asserted, in assertion order.
@@ -362,15 +324,6 @@ impl Solver {
         Ok(())
     }
 
-    /// Interval-evaluates an integer expression under the variables'
-    /// base domains — a sound (possibly loose) bound on its value over
-    /// the whole space, useful as the `hi` hint for
-    /// [`Solver::maximize_binary`].
-    pub fn hull_bounds(&self, expr: &IntExpr) -> Interval {
-        let hulls: Vec<Interval> = self.base_domains.iter().map(Domain::hull).collect();
-        bounds(expr, &hulls)
-    }
-
     /// Decides satisfiability of the asserted constraints.
     ///
     /// # Errors
@@ -378,76 +331,12 @@ impl Solver {
     /// Returns [`SolveError::UnknownVariable`] if a constraint references a
     /// variable from another solver.
     pub fn check(&mut self) -> Result<SolveResult, SolveError> {
-        let deadline_at = self.config.deadline.map(|d| Instant::now() + d);
-        self.check_inner(deadline_at, self.config.node_limit, SearchMode::Satisfy)
-    }
-
-    /// [`Solver::check`] against an absolute deadline, an explicit node
-    /// budget, and an optional branch-and-bound incumbent. The optimization
-    /// loops compute the deadline once at entry so the budget is global
-    /// across all their `check` calls; [`Solver::enumerate`] additionally
-    /// shrinks the node budget as models are found.
-    fn check_inner(
-        &mut self,
-        deadline_at: Option<Instant>,
-        node_cap: u64,
-        mode: SearchMode<'_>,
-    ) -> Result<SolveResult, SolveError> {
-        self.validate()?;
-        let mut span = eatss_trace::span("smt", "check");
-        let stats_before = if span.is_active() { Some(self.stats.clone()) } else { None };
-        let started = Instant::now();
-        self.stats.checks += 1;
-        if let Some(reason) = budget_stop(deadline_at, self.config.cancel.as_ref()) {
-            self.record_stop(reason);
-            self.stats.solve_time += started.elapsed();
-            finish_solver_span(&mut span, stats_before.as_ref(), &self.stats, Some(reason), false);
-            return Ok(SolveResult {
-                model: None,
-                complete: false,
-                stop: Some(reason),
-            });
-        }
-        let propagation_before = self.stats.propagation_time;
-        let mut search = Search::new(
-            &self.names,
-            &self.base_domains,
-            &self.constraints,
-            &self.config,
-            &mut self.stats,
-            Budget {
-                node_cap,
-                deadline_at,
-            },
-            mode,
-        );
-        let found = search.run();
-        let stop = search.stop();
-        if let Some(reason) = stop {
-            self.record_stop(reason);
-        }
-        let model = found.map(|values| Model::new(values, self.names.clone()));
-        let elapsed = started.elapsed();
-        self.stats.solve_time += elapsed;
-        let propagation_delta = self
-            .stats
-            .propagation_time
-            .saturating_sub(propagation_before);
-        self.stats.search_time += elapsed.saturating_sub(propagation_delta);
-        finish_solver_span(&mut span, stats_before.as_ref(), &self.stats, stop, model.is_some());
+        let found = self.search(SearchMode::Satisfy)?;
         Ok(SolveResult {
-            model,
-            complete: stop.is_none(),
-            stop,
+            model: found.model,
+            complete: found.complete,
+            stop: found.stop,
         })
-    }
-
-    fn record_stop(&mut self, reason: StopReason) {
-        match reason {
-            StopReason::NodeLimit => self.stats.node_limit_hits += 1,
-            StopReason::Deadline => self.stats.deadline_hits += 1,
-            StopReason::Cancelled => self.stats.cancellations += 1,
-        }
     }
 
     /// Maximizes `objective` with the paper's §IV-L improvement semantics
@@ -469,7 +358,10 @@ impl Solver {
     ///
     /// Propagates [`Solver::check`] errors.
     pub fn maximize(&mut self, objective: &IntExpr) -> Result<MaximizeOutcome, SolveError> {
-        self.maximize_impl(objective, None)
+        self.search(SearchMode::Optimize {
+            objective,
+            floor: None,
+        })
     }
 
     /// [`Solver::maximize`] seeded from previous solutions of structurally
@@ -497,7 +389,7 @@ impl Solver {
     ) -> Result<MaximizeOutcome, SolveError> {
         self.validate()?;
         let floor = self.warm_floor(objective, warm);
-        self.maximize_impl(objective, floor)
+        self.search(SearchMode::Optimize { objective, floor })
     }
 
     /// Best feasible hint value minus one, or `None` when no hint survives
@@ -538,205 +430,103 @@ impl Solver {
         floor
     }
 
-    fn maximize_impl(
-        &mut self,
-        objective: &IntExpr,
-        floor: Option<i64>,
-    ) -> Result<MaximizeOutcome, SolveError> {
+    /// The one search driver: [`Solver::check`] runs it as an `smt:check`
+    /// span, the maximizers as `smt:maximize`. Each pass builds one
+    /// [`Search`] — so [`SolverStats::hull_rebuilds`] equals
+    /// [`SolverStats::checks`] unless a budget was already spent on entry
+    /// — against a deadline fixed once at entry. A `Satisfy` pass reports
+    /// its model with no `best` and one solver call.
+    fn search(&mut self, mode: SearchMode<'_>) -> Result<MaximizeOutcome, SolveError> {
         self.validate()?;
-        let mut span = eatss_trace::span("smt", "maximize");
-        let stats_before = if span.is_active() { Some(self.stats.clone()) } else { None };
-        if span.is_active() {
-            if let Some(f) = floor {
-                span.arg("warm_floor", f);
-            }
+        let (name, maximizing, floor) = match mode {
+            SearchMode::Satisfy => ("check", false, None),
+            SearchMode::Optimize { floor, .. } => ("maximize", true, floor),
+        };
+        let mut span = eatss_trace::span("smt", name);
+        let stats_before = span.is_active().then(|| self.stats.clone());
+        if let Some(f) = floor {
+            span.arg("warm_floor", f);
         }
         let deadline_at = self.config.deadline.map(|d| Instant::now() + d);
         let started = Instant::now();
         self.stats.checks += 1;
-        if let Some(reason) = budget_stop(deadline_at, self.config.cancel.as_ref()) {
-            self.record_stop(reason);
-            self.stats.solve_time += started.elapsed();
-            finish_solver_span(&mut span, stats_before.as_ref(), &self.stats, Some(reason), false);
-            return Ok(MaximizeOutcome {
-                model: None,
-                best: None,
-                solver_calls: 1,
-                optimal: false,
-                complete: false,
-                stop: Some(reason),
-            });
-        }
         let propagation_before = self.stats.propagation_time;
-        let mut search = Search::new(
-            &self.names,
-            &self.base_domains,
-            &self.constraints,
-            &self.config,
-            &mut self.stats,
-            Budget {
-                node_cap: self.config.node_limit,
+        let pre_stop = budget_stop(deadline_at, self.config.cancel.as_ref());
+        let searched = pre_stop.is_none();
+        let Pass {
+            values,
+            best,
+            improvements,
+            stop,
+        } = if searched {
+            Search::new(
+                &self.names,
+                &self.base_domains,
+                &self.constraints,
+                &self.config,
+                &mut self.stats,
                 deadline_at,
-            },
-            SearchMode::Optimize { objective, floor },
-        );
-        // In optimize mode the search never returns from `run` with a
-        // model — improving leaves are recorded and the search continues.
-        let none = search.run();
-        debug_assert!(none.is_none());
-        let best = search.take_best();
-        let improvements = search.improvements();
-        let stop = search.stop();
-        if let Some(reason) = stop {
-            self.record_stop(reason);
+                mode,
+            )
+            .run()
+        } else {
+            Pass {
+                stop: pre_stop,
+                ..Pass::default()
+            }
+        };
+        match stop {
+            Some(StopReason::NodeLimit) => self.stats.node_limit_hits += 1,
+            Some(StopReason::Deadline) => self.stats.deadline_hits += 1,
+            Some(StopReason::Cancelled) => self.stats.cancellations += 1,
+            None => {}
         }
         let elapsed = started.elapsed();
-        eatss_trace::histogram("smt.maximize_us").record(elapsed.as_micros() as u64);
         self.stats.solve_time += elapsed;
-        let propagation_delta = self
-            .stats
-            .propagation_time
-            .saturating_sub(propagation_before);
-        self.stats.search_time += elapsed.saturating_sub(propagation_delta);
-        let (best_value, model) = match best {
-            Some((v, values)) => (Some(v), Some(Model::new(values, self.names.clone()))),
-            None => (None, None),
-        };
-        finish_solver_span(&mut span, stats_before.as_ref(), &self.stats, stop, model.is_some());
-        if span.is_active() {
-            if let Some(v) = best_value {
-                span.arg("best", v);
+        if searched {
+            if maximizing {
+                eatss_trace::histogram("smt.maximize_us").record(elapsed.as_micros() as u64);
             }
-            span.arg("solver_calls", improvements + 1);
+            let propagation_delta = self
+                .stats
+                .propagation_time
+                .saturating_sub(propagation_before);
+            self.stats.search_time += elapsed.saturating_sub(propagation_delta);
+        }
+        let model = values.map(|values| Model::new(values, self.names.clone()));
+        // Traced only (`stats_before` is `None` otherwise, so the untraced
+        // hot path pays one atomic load): the per-call delta goes on the
+        // span and flows into the metrics registry.
+        if let Some(before) = &stats_before {
+            let delta = self.stats.delta_since(before);
+            delta.flow_to_registry();
+            span.arg("nodes", delta.nodes);
+            span.arg("propagations", delta.propagations);
+            span.arg("values_pruned", delta.values_pruned);
+            span.arg("backtracks", delta.backtracks);
+            span.arg("bound_prunes", delta.bound_prunes);
+            span.arg("hull_rebuilds", delta.hull_rebuilds);
+            span.arg("propagation_us", delta.propagation_time.as_micros() as u64);
+            span.arg("search_us", delta.search_time.as_micros() as u64);
+            span.arg("sat", model.is_some());
+            span.arg("complete", stop.is_none());
+            if let Some(reason) = stop {
+                span.arg("stop", reason.to_string());
+            }
+            if searched && maximizing {
+                if let Some(v) = best {
+                    span.arg("best", v);
+                }
+                span.arg("solver_calls", improvements + 1);
+            }
         }
         Ok(MaximizeOutcome {
             model,
-            best: best_value,
+            best,
             solver_calls: improvements + 1,
-            optimal: stop.is_none(),
             complete: stop.is_none(),
             stop,
         })
-    }
-
-    /// Maximizes `objective` by binary search over its value range instead
-    /// of the paper's linear `OBJ > best` loop — an extension that needs
-    /// `O(log range)` solver calls. Produces the same optimum as
-    /// [`Solver::maximize`]; exposed so the ablation benches can compare
-    /// the two strategies (§V-G discusses solver-call counts). Each probe
-    /// also prunes by its own bound (subtrees that cannot exceed the
-    /// probed midpoint).
-    ///
-    /// `hi` must be an upper bound on the objective over the feasible
-    /// space (e.g. from interval arithmetic); values above it are never
-    /// probed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Solver::maximize`].
-    pub fn maximize_binary(
-        &mut self,
-        objective: &IntExpr,
-        hi: i64,
-    ) -> Result<MaximizeOutcome, SolveError> {
-        // The inner `check` calls carry the counter deltas into the
-        // registry; this outer span only groups the probes.
-        let mut span = eatss_trace::span("smt", "maximize_binary");
-        let deadline_at = self.config.deadline.map(|d| Instant::now() + d);
-        let mut calls = 0u32;
-        // First find any model to anchor the lower bound.
-        let first = self.check_inner(deadline_at, self.config.node_limit, SearchMode::Satisfy)?;
-        calls += 1;
-        let Some(first_model) = first.model else {
-            span.arg("solver_calls", calls);
-            span.arg("sat", false);
-            return Ok(MaximizeOutcome {
-                model: None,
-                best: None,
-                solver_calls: calls,
-                optimal: first.complete,
-                complete: first.stop.is_none(),
-                stop: first.stop,
-            });
-        };
-        let mut best_value = first_model.eval(objective)?;
-        let mut best_model = first_model;
-        let mut stop: Option<StopReason> = None;
-        let mut lo = best_value; // known achievable
-        let mut hi = hi.max(lo);
-        while lo < hi {
-            if let Some(reason) = budget_stop(deadline_at, self.config.cancel.as_ref()) {
-                self.record_stop(reason);
-                stop = Some(reason);
-                break;
-            }
-            // Probe the upper half: is there a model with value > mid?
-            // The incumbent bound enforces strict improvement over `mid`
-            // inside the search (propagation filtering plus an exact leaf
-            // check), so no `objective > mid` assertion needs pushing.
-            let mid = lo + (hi - lo) / 2;
-            let bound = SearchMode::Bounded(ObjectiveBound {
-                objective,
-                incumbent: Some(mid),
-            });
-            let result = self.check_inner(deadline_at, self.config.node_limit, bound)?;
-            calls += 1;
-            match result.model {
-                Some(model) => {
-                    let value = model.eval(objective)?;
-                    best_value = value.max(best_value);
-                    best_model = model;
-                    lo = best_value;
-                }
-                None => {
-                    // The half is treated as empty either way; an
-                    // interrupted probe just forfeits the optimality proof.
-                    stop = stop.or(result.stop);
-                    hi = mid;
-                }
-            }
-        }
-        span.arg("solver_calls", calls);
-        span.arg("sat", true);
-        span.arg("best", best_value);
-        Ok(MaximizeOutcome {
-            model: Some(best_model),
-            best: Some(best_value),
-            solver_calls: calls,
-            optimal: stop.is_none(),
-            complete: stop.is_none(),
-            stop,
-        })
-    }
-
-}
-
-/// Attaches the per-call [`SolverStats`] delta to a solver span and flows
-/// it into the trace metrics registry. `before` is `None` (and everything
-/// is skipped) when the span was created with collection disabled, so the
-/// untraced hot path pays nothing beyond one atomic load.
-fn finish_solver_span(
-    span: &mut eatss_trace::Span,
-    before: Option<&SolverStats>,
-    after: &SolverStats,
-    stop: Option<StopReason>,
-    sat: bool,
-) {
-    let Some(before) = before else { return };
-    let delta = after.delta_since(before);
-    delta.flow_to_registry();
-    span.arg("nodes", delta.nodes);
-    span.arg("propagations", delta.propagations);
-    span.arg("values_pruned", delta.values_pruned);
-    span.arg("backtracks", delta.backtracks);
-    span.arg("bound_prunes", delta.bound_prunes);
-    span.arg("hull_rebuilds", delta.hull_rebuilds);
-    span.arg("propagation_us", delta.propagation_time.as_micros() as u64);
-    span.arg("search_us", delta.search_time.as_micros() as u64);
-    span.arg("sat", sat);
-    span.arg("complete", stop.is_none());
-    if let Some(reason) = stop {
-        span.arg("stop", reason.to_string());
     }
 }
 
@@ -753,6 +543,7 @@ pub(crate) fn budget_stop(
     }
     None
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,7 +604,7 @@ mod tests {
         s.assert((x.clone() * y.clone()).le(100));
         let obj = x.clone() + y.clone();
         let out = s.maximize(&obj).unwrap();
-        assert!(out.optimal);
+        assert!(out.complete);
         // Best of x + y with x*y <= 100 and x,y in [1,64]: x=1, y=64 -> 65.
         assert_eq!(out.best, Some(65));
         assert!(out.solver_calls >= 2, "at least one improve + final unsat");
@@ -830,7 +621,7 @@ mod tests {
         assert!(out.model.is_none());
         assert_eq!(out.best, None);
         assert_eq!(out.solver_calls, 1);
-        assert!(out.optimal);
+        assert!(out.complete);
     }
 
     #[test]
@@ -853,7 +644,7 @@ mod tests {
         s.assert((ti.clone() * tk.clone()).le(cap));
         let obj = bsize + IntExpr::constant(2 * 16) * tj.clone();
         let out = s.maximize(&obj).unwrap();
-        assert!(out.optimal);
+        assert!(out.complete);
         let m = out.model.unwrap();
         let (i, j, k) = (
             m.value_of_name("Ti").unwrap(),
@@ -893,19 +684,22 @@ mod tests {
 
     #[test]
     fn zero_deadline_reports_deadline_stop() {
-        let mut s = Solver::with_config(SolverConfig {
+        let build = |config| {
+            let mut s = Solver::with_config(config);
+            let x = s.int_var("x", 1, 10);
+            s.assert(x.ge(1));
+            s
+        };
+        let mut s = build(SolverConfig {
             deadline: Some(Duration::ZERO),
             ..SolverConfig::default()
         });
-        let x = s.int_var("x", 1, 10);
-        s.assert(x.ge(1));
         let r = s.check().unwrap();
         assert!(!r.complete);
         assert_eq!(r.stop, Some(StopReason::Deadline));
         assert_eq!(s.stats().deadline_hits, 1);
         // An expired budget proves nothing: the problem is satisfiable.
-        s.set_config(SolverConfig::default());
-        assert!(s.check().unwrap().model.is_some());
+        assert!(build(SolverConfig::default()).check().unwrap().model.is_some());
     }
 
     #[test]
@@ -959,7 +753,6 @@ mod tests {
         );
         let out = s.maximize(&obj).unwrap();
         assert!(!out.complete, "10ms cannot prove optimality here");
-        assert!(!out.optimal);
         assert_eq!(out.stop, Some(StopReason::Deadline));
         let m = out.model.expect("anytime: best-so-far model returned");
         // The returned model must satisfy the full formulation.
@@ -973,9 +766,8 @@ mod tests {
         assert!(i * j + k * j <= 12_288 && i * k <= 12_288);
         assert_eq!(out.best.unwrap(), i * j + 32 * j);
         assert!(s.stats().deadline_hits >= 1);
-        // Scope hygiene: the formulation itself is still satisfiable
-        // once the budget is lifted.
-        s.set_config(SolverConfig::default());
+        // The formulation itself is satisfiable once the budget is lifted.
+        let (mut s, _) = matmul_formulation(SolverConfig::default(), 2);
         assert!(s.check().unwrap().model.is_some());
     }
 
@@ -994,26 +786,6 @@ mod tests {
         assert!(out.model.is_none(), "cancelled before any model was found");
         assert!(!out.complete);
         assert_eq!(out.stop, Some(StopReason::Cancelled));
-    }
-
-    #[test]
-    fn maximize_binary_honours_deadline() {
-        // waf=1 (full 1024^3 space) and a sub-millisecond budget: the
-        // binary probes cannot all finish, in debug or release builds.
-        let (mut s, obj) = matmul_formulation(
-            SolverConfig {
-                deadline: Some(Duration::from_micros(500)),
-                ..SolverConfig::default()
-            },
-            1,
-        );
-        let hull = s.hull_bounds(&obj);
-        let asserted = s.assertions().count();
-        let out = s.maximize_binary(&obj, hull.hi()).unwrap();
-        assert!(!out.complete);
-        assert_eq!(out.stop, Some(StopReason::Deadline));
-        // The probes assert nothing, even on the interrupted path.
-        assert_eq!(s.assertions().count(), asserted);
     }
 
     #[test]
@@ -1060,8 +832,6 @@ mod tests {
         let _ = s.check().unwrap();
         let _ = s.check().unwrap();
         assert_eq!(s.stats().checks, 2);
-        s.reset_stats();
-        assert_eq!(s.stats().checks, 0);
     }
 
     #[test]
@@ -1094,52 +864,6 @@ mod tests {
         );
         assert_eq!(xv.min(yv), 5);
         assert_eq!(xv.max(yv), 9);
-    }
-
-    #[test]
-    fn maximize_binary_matches_iterative() {
-        let build = || {
-            let mut s = Solver::new();
-            let x = s.int_var("x", 1, 64);
-            let y = s.int_var("y", 1, 64);
-            s.assert((x.clone() * y.clone()).le(100));
-            s.assert(x.modulo(4).eq_expr(0));
-            let obj = x.clone() * y.clone() + y;
-            (s, obj)
-        };
-        let (mut a, obj_a) = build();
-        let linear = a.maximize(&obj_a).unwrap();
-        let (mut b, obj_b) = build();
-        let binary = b.maximize_binary(&obj_b, 64 * 64 + 64).unwrap();
-        assert_eq!(linear.best, binary.best);
-        assert!(binary.optimal);
-        // log2(range) probes: far fewer than a fine-grained linear climb
-        // would need in the worst case.
-        assert!(binary.solver_calls <= 16, "{} calls", binary.solver_calls);
-    }
-
-    #[test]
-    fn maximize_binary_unsat_and_scope_hygiene() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 1, 10);
-        s.assert(x.gt(100));
-        let out = s.maximize_binary(&x, 10).unwrap();
-        assert!(out.model.is_none());
-        assert!(out.optimal);
-        // The probes assert nothing: the base problem is still just the
-        // one assert.
-        assert!(s.check().unwrap().model.is_none());
-        assert_eq!(s.assertions().count(), 1);
-    }
-
-    #[test]
-    fn maximize_binary_with_tight_hint() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 1, 1000);
-        s.assert(x.modulo(7).eq_expr(0));
-        // hi below the true optimum is corrected by the achieved value.
-        let out = s.maximize_binary(&x, 994).unwrap();
-        assert_eq!(out.best, Some(994));
     }
 
     /// Brute-force cross-check on a small non-linear problem.
@@ -1175,7 +899,7 @@ mod tests {
         // return, this count explodes past `checks`.
         let (mut s, obj) = matmul_formulation(SolverConfig::default(), 16);
         let out = s.maximize(&obj).unwrap();
-        assert!(out.optimal);
+        assert!(out.complete);
         let _ = s.check().unwrap();
         let stats = s.stats();
         assert_eq!(stats.checks, 2, "maximize is a single search pass");
@@ -1189,7 +913,7 @@ mod tests {
     fn maximize_prunes_with_incumbent_bound() {
         let (mut s, obj) = matmul_formulation(SolverConfig::default(), 16);
         let out = s.maximize(&obj).unwrap();
-        assert!(out.optimal);
+        assert!(out.complete);
         assert!(
             s.stats().bound_prunes > 0,
             "branch-and-bound must cut subtrees that cannot beat the incumbent"
@@ -1213,7 +937,7 @@ mod tests {
         // removes provably-suboptimal work, never the optimum leaf.
         let (mut cold, obj) = matmul_formulation(SolverConfig::default(), 16);
         let cold_out = cold.maximize(&obj).unwrap();
-        assert!(cold_out.optimal);
+        assert!(cold_out.complete);
         let cold_model = cold_out.model.clone().unwrap();
 
         let mut warm_start = WarmStart::new();
@@ -1222,7 +946,7 @@ mod tests {
         let (mut warm, obj2) = matmul_formulation(SolverConfig::default(), 16);
         let warm_out = warm.maximize_warm(&obj2, &warm_start).unwrap();
         assert_eq!(warm_out.best, cold_out.best);
-        assert_eq!(warm_out.optimal, cold_out.optimal);
+        assert_eq!(warm_out.complete, cold_out.complete);
         let warm_model = warm_out.model.unwrap();
         let cold_bindings: Vec<_> = cold_model.bindings().map(|(n, v)| (n.to_owned(), v)).collect();
         let warm_bindings: Vec<_> = warm_model.bindings().map(|(n, v)| (n.to_owned(), v)).collect();
@@ -1260,7 +984,7 @@ mod tests {
         warm.observe(&Model::new(vec![3], vec!["x".to_owned()]));
 
         let out = s.maximize_warm(&obj, &warm).unwrap();
-        assert!(out.optimal);
+        assert!(out.complete);
         assert_eq!(out.best, Some(65));
         assert_eq!(s.stats().warm_seeds, 0, "no usable hint, no seed");
         assert_eq!(s.stats().warm_cut_hits, 0);
@@ -1282,7 +1006,7 @@ mod tests {
             vec!["x".to_owned(), "y".to_owned()],
         ));
         let out = s.maximize_warm(&obj, &warm).unwrap();
-        assert!(out.optimal);
+        assert!(out.complete);
         assert_eq!(out.best, Some(65));
         assert_eq!(s.stats().warm_seeds, 1);
         assert_eq!(s.stats().warm_cut_hits, 1);

@@ -3,83 +3,130 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Counters accumulated across all `check` calls on one
-/// [`Solver`](crate::Solver).
-///
-/// The paper's §V-G reports Z3 overheads (number of solver calls and
-/// per-call latency); these counters let the reproduction report the same
-/// quantities for the stand-in solver.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Number of `check` invocations (a `maximize` performs several).
-    pub checks: u64,
-    /// Search-tree nodes expanded (variable assignments tried).
-    pub nodes: u64,
-    /// Domain-filtering passes executed.
-    pub propagations: u64,
-    /// Candidate values pruned by propagation.
-    pub values_pruned: u64,
-    /// Backtracks taken (assignments that led to a dead end).
-    pub backtracks: u64,
-    /// Searches stopped by the per-call node budget.
-    pub node_limit_hits: u64,
-    /// Searches stopped by the wall-clock deadline.
-    pub deadline_hits: u64,
-    /// Searches stopped by a [`CancelToken`](crate::CancelToken).
-    pub cancellations: u64,
-    /// Subtrees pruned because the objective's interval upper bound could
-    /// not beat the branch-and-bound incumbent.
-    pub bound_prunes: u64,
-    /// Full O(vars) hull constructions. The worklist engine builds the
-    /// hull vector exactly once per `check` and maintains it incrementally
-    /// afterwards, so this equals [`SolverStats::checks`] — the regression
-    /// tests pin that invariant so per-probe rebuilds cannot creep back in.
-    pub hull_rebuilds: u64,
-    /// `maximize` calls whose branch-and-bound incumbent was seeded from a
-    /// [`WarmStart`](crate::WarmStart) hint (warm-started maximizes).
-    pub warm_seeds: u64,
-    /// Warm-start hints that evaluated feasible under the current
-    /// formulation and therefore contributed a reusable incumbent cut.
-    pub warm_cut_hits: u64,
-    /// Wall-clock time spent inside `check`.
-    pub solve_time: Duration,
-    /// Portion of [`SolverStats::solve_time`] spent filtering domains
-    /// (worklist propagation).
-    pub propagation_time: Duration,
-    /// Portion of [`SolverStats::solve_time`] spent in the search proper
-    /// (branching, bound checks, backtracking) — `solve_time` minus
-    /// propagation.
-    pub search_time: Duration,
+/// Declares the solver counters once: the public [`SolverStats`] struct,
+/// [`SolverStats::NAMES`], the `u64` form the journal stores, the
+/// fieldwise delta, the `smt.*` registry names and `Display` all follow
+/// this order — event counts first, then durations.
+macro_rules! solver_counters {
+    (
+        counts { $($(#[$count_doc:meta])* $count:ident,)* }
+        times { $($(#[$time_doc:meta])* $time:ident,)* }
+    ) => {
+        /// Counters accumulated across all `check` calls on one
+        /// [`Solver`](crate::Solver).
+        ///
+        /// The paper's §V-G reports Z3 overheads (number of solver calls
+        /// and per-call latency); these counters let the reproduction
+        /// report the same quantities for the stand-in solver.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct SolverStats {
+            $($(#[$count_doc])* pub $count: u64,)*
+            $($(#[$time_doc])* pub $time: Duration,)*
+        }
+
+        impl SolverStats {
+            /// Every counter's name, in declaration order.
+            pub const NAMES: &'static [&'static str] =
+                &[$(stringify!($count),)* $(stringify!($time),)*];
+
+            /// Every counter as a `u64` in [`SolverStats::NAMES`] order,
+            /// durations in whole microseconds.
+            pub fn values(&self) -> [u64; Self::NAMES.len()] {
+                [$(self.$count,)* $(self.$time.as_micros() as u64,)*]
+            }
+
+            /// The inverse of [`SolverStats::values`].
+            pub fn from_values(values: [u64; Self::NAMES.len()]) -> Self {
+                let [$($count,)* $($time,)*] = values;
+                SolverStats {
+                    $($count,)*
+                    $($time: Duration::from_micros($time),)*
+                }
+            }
+
+            /// The change since an `earlier` snapshot of the same stats
+            /// object (all counters are monotonic, so fieldwise
+            /// subtraction is exact).
+            pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
+                SolverStats {
+                    $($count: self.$count.saturating_sub(earlier.$count),)*
+                    $($time: self.$time.saturating_sub(earlier.$time),)*
+                }
+            }
+
+            /// Each counter's `eatss-trace` registry name: `smt.<count>`,
+            /// `smt.<time>_us`.
+            const REGISTRY_NAMES: &'static [&'static str] = &[
+                $(concat!("smt.", stringify!($count)),)*
+                $(concat!("smt.", stringify!($time), "_us"),)*
+            ];
+        }
+
+        impl fmt::Display for SolverStats {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let fields: [(&str, String); Self::NAMES.len()] = [
+                    $((stringify!($count), self.$count.to_string()),)*
+                    $((stringify!($time), format!("{:?}", self.$time)),)*
+                ];
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{name}={value}")?;
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+solver_counters! {
+    counts {
+        /// Number of `check` invocations (a `maximize` is one).
+        checks,
+        /// Search-tree nodes expanded (variable assignments tried).
+        nodes,
+        /// Domain-filtering passes executed.
+        propagations,
+        /// Candidate values pruned by propagation.
+        values_pruned,
+        /// Backtracks taken (assignments that led to a dead end).
+        backtracks,
+        /// Searches stopped by the per-call node budget.
+        node_limit_hits,
+        /// Searches stopped by the wall-clock deadline.
+        deadline_hits,
+        /// Searches stopped by a [`CancelToken`](crate::CancelToken).
+        cancellations,
+        /// Subtrees pruned because the objective's interval upper bound
+        /// could not beat the branch-and-bound incumbent.
+        bound_prunes,
+        /// Full O(vars) hull constructions. The worklist engine builds the
+        /// hull vector exactly once per `check` and maintains it
+        /// incrementally afterwards, so this equals
+        /// [`SolverStats::checks`] — the regression tests pin that
+        /// invariant so per-probe rebuilds cannot creep back in.
+        hull_rebuilds,
+        /// `maximize` calls whose branch-and-bound incumbent was seeded
+        /// from a [`WarmStart`](crate::WarmStart) hint (warm-started
+        /// maximizes).
+        warm_seeds,
+        /// Warm-start hints that evaluated feasible under the current
+        /// formulation and therefore contributed a reusable incumbent cut.
+        warm_cut_hits,
+    }
+    times {
+        /// Wall-clock time spent inside `check`.
+        solve_time,
+        /// Portion of [`SolverStats::solve_time`] spent filtering domains
+        /// (worklist propagation).
+        propagation_time,
+        /// Portion of [`SolverStats::solve_time`] spent in the search
+        /// proper (branching, bound checks, backtracking) — `solve_time`
+        /// minus propagation.
+        search_time,
+    }
 }
 
 impl SolverStats {
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = SolverStats::default();
-    }
-
-    /// The change since an `earlier` snapshot of the same stats object
-    /// (all counters are monotonic, so fieldwise subtraction is exact).
-    pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            checks: self.checks.saturating_sub(earlier.checks),
-            nodes: self.nodes.saturating_sub(earlier.nodes),
-            propagations: self.propagations.saturating_sub(earlier.propagations),
-            values_pruned: self.values_pruned.saturating_sub(earlier.values_pruned),
-            backtracks: self.backtracks.saturating_sub(earlier.backtracks),
-            node_limit_hits: self.node_limit_hits.saturating_sub(earlier.node_limit_hits),
-            deadline_hits: self.deadline_hits.saturating_sub(earlier.deadline_hits),
-            cancellations: self.cancellations.saturating_sub(earlier.cancellations),
-            bound_prunes: self.bound_prunes.saturating_sub(earlier.bound_prunes),
-            hull_rebuilds: self.hull_rebuilds.saturating_sub(earlier.hull_rebuilds),
-            warm_seeds: self.warm_seeds.saturating_sub(earlier.warm_seeds),
-            warm_cut_hits: self.warm_cut_hits.saturating_sub(earlier.warm_cut_hits),
-            solve_time: self.solve_time.saturating_sub(earlier.solve_time),
-            propagation_time: self.propagation_time.saturating_sub(earlier.propagation_time),
-            search_time: self.search_time.saturating_sub(earlier.search_time),
-        }
-    }
-
     /// Adds these counters to the `eatss-trace` metrics registry under
     /// `smt.*` names. Called with per-`check` deltas by the instrumented
     /// solver entry points, so at the end of a trace session the registry
@@ -89,60 +136,9 @@ impl SolverStats {
         if !eatss_trace::collecting() {
             return;
         }
-        eatss_trace::counter_add("smt.checks", self.checks);
-        eatss_trace::counter_add("smt.nodes", self.nodes);
-        eatss_trace::counter_add("smt.propagations", self.propagations);
-        eatss_trace::counter_add("smt.values_pruned", self.values_pruned);
-        eatss_trace::counter_add("smt.backtracks", self.backtracks);
-        eatss_trace::counter_add("smt.node_limit_hits", self.node_limit_hits);
-        eatss_trace::counter_add("smt.deadline_hits", self.deadline_hits);
-        eatss_trace::counter_add("smt.cancellations", self.cancellations);
-        eatss_trace::counter_add("smt.bound_prunes", self.bound_prunes);
-        eatss_trace::counter_add("smt.hull_rebuilds", self.hull_rebuilds);
-        eatss_trace::counter_add("smt.warm_seeds", self.warm_seeds);
-        eatss_trace::counter_add("smt.warm_cut_hits", self.warm_cut_hits);
-        eatss_trace::counter_add("smt.solve_time_us", self.solve_time.as_micros() as u64);
-        eatss_trace::counter_add(
-            "smt.propagation_time_us",
-            self.propagation_time.as_micros() as u64,
-        );
-        eatss_trace::counter_add("smt.search_time_us", self.search_time.as_micros() as u64);
-    }
-
-    /// Mean time per `check` call, or zero if none were made.
-    pub fn mean_check_time(&self) -> Duration {
-        if self.checks == 0 {
-            Duration::ZERO
-        } else {
-            self.solve_time / self.checks as u32
+        for (name, value) in Self::REGISTRY_NAMES.iter().zip(self.values()) {
+            eatss_trace::counter_add(name, value);
         }
-    }
-}
-
-impl fmt::Display for SolverStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "checks={} nodes={} propagations={} pruned={} backtracks={} \
-             bound_prunes={} hull_rebuilds={} warm_seeds={} warm_cut_hits={} \
-             node_limit_hits={} deadline_hits={} cancellations={} time={:?} \
-             propagation_time={:?} search_time={:?}",
-            self.checks,
-            self.nodes,
-            self.propagations,
-            self.values_pruned,
-            self.backtracks,
-            self.bound_prunes,
-            self.hull_rebuilds,
-            self.warm_seeds,
-            self.warm_cut_hits,
-            self.node_limit_hits,
-            self.deadline_hits,
-            self.cancellations,
-            self.solve_time,
-            self.propagation_time,
-            self.search_time
-        )
     }
 }
 
@@ -151,42 +147,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_check_time_handles_zero_checks() {
-        let s = SolverStats::default();
-        assert_eq!(s.mean_check_time(), Duration::ZERO);
-    }
+    fn every_enumeration_covers_the_same_fifteen_names_in_order() {
+        let names: Vec<&str> = "checks nodes propagations values_pruned backtracks \
+             node_limit_hits deadline_hits cancellations bound_prunes hull_rebuilds warm_seeds \
+             warm_cut_hits solve_time propagation_time search_time"
+            .split(' ')
+            .collect();
+        assert_eq!(SolverStats::NAMES, names);
+        // Counter `i` holds `i + 1` events or microseconds.
+        let stats = SolverStats::from_values(std::array::from_fn(|i| i as u64 + 1));
+        assert_eq!((stats.checks, stats.warm_cut_hits), (1, 12));
+        assert_eq!(stats.search_time, Duration::from_micros(15));
+        assert_eq!(stats.values(), std::array::from_fn(|i| i as u64 + 1));
 
-    #[test]
-    fn mean_check_time_divides() {
-        let s = SolverStats {
-            checks: 4,
-            solve_time: Duration::from_millis(100),
-            ..SolverStats::default()
-        };
-        assert_eq!(s.mean_check_time(), Duration::from_millis(25));
-    }
+        let registry: Vec<String> = (names.iter())
+            .map(|name| match name.ends_with("_time") {
+                true => format!("smt.{name}_us"),
+                false => format!("smt.{name}"),
+            })
+            .collect();
+        assert_eq!(SolverStats::REGISTRY_NAMES, registry);
 
-    #[test]
-    fn reset_clears_everything() {
-        let mut s = SolverStats {
-            checks: 1,
-            nodes: 2,
-            propagations: 3,
-            values_pruned: 4,
-            backtracks: 5,
-            node_limit_hits: 6,
-            deadline_hits: 7,
-            cancellations: 8,
-            bound_prunes: 9,
-            hull_rebuilds: 10,
-            warm_seeds: 11,
-            warm_cut_hits: 12,
-            solve_time: Duration::from_secs(1),
-            propagation_time: Duration::from_millis(600),
-            search_time: Duration::from_millis(400),
-        };
-        s.reset();
-        assert_eq!(s, SolverStats::default());
+        let shown = stats.to_string();
+        let shown: Vec<&str> = shown.split(' ').map(|f| f.split('=').next().unwrap()).collect();
+        assert_eq!(shown, names);
+
+        let doubled = SolverStats::from_values(std::array::from_fn(|i| 2 * (i as u64 + 1)));
+        assert_eq!(doubled.delta_since(&stats), stats);
     }
 
     #[test]

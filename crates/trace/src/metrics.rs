@@ -58,7 +58,7 @@ impl MetricsSnapshot {
     /// Serializes the whole registry as one JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`. Each
     /// histogram carries its count, p50/p90/p99/max estimates (bucket
-    /// upper bounds — see [`crate::histogram`]) and its occupied
+    /// upper bounds — see [`mod@crate::histogram`]) and its occupied
     /// `[lo, hi, count]` buckets.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");

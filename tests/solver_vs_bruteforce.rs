@@ -7,7 +7,7 @@ use eatss::{EatssConfig, ModelGenerator, Precision, ThreadBlockCap};
 use eatss_affine::analysis::AccessAnalysis;
 use eatss_affine::parser::parse_program;
 use eatss_affine::ProblemSizes;
-use eatss_gpusim::GpuArch;
+use eatss_gpusim::{DeviceProfile, GpuArch};
 
 /// Brute-force optimum of the matmul formulation over aligned tiles.
 fn matmul_bruteforce(
@@ -24,13 +24,14 @@ fn matmul_bruteforce(
         .min(arch.max_shared_per_block as i64 / elem);
     let cap_l1 = (l1sh as f64 * (1.0 - split)) as i64;
     let l2 = arch.l2_bytes as i64 / elem;
+    let tpb = arch.max_threads_per_block as i64;
     let mut best: Option<(i64, [i64; 3])> = None;
-    let candidates = |hi: i64| (1..=hi).filter(move |t| t % waf == 0);
+    let candidates = |hi: i64| (1..=hi.min(tpb)).filter(move |t| t % waf == 0);
     for ti in candidates(upper[0]) {
         for tj in candidates(upper[1]) {
             for tk in candidates(upper[2]) {
                 let bsize = ti * tj;
-                if config.cap == ThreadBlockCap::Strict && bsize > 1024 {
+                if config.cap == ThreadBlockCap::Strict && bsize > tpb {
                     continue;
                 }
                 if bsize * 3 * fp > arch.regs_per_sm as i64 {
@@ -72,56 +73,58 @@ fn matmul_program() -> eatss_affine::Program {
 
 #[test]
 fn solver_matches_bruteforce_across_configs() {
-    let arch = GpuArch::ga100();
     let program = matmul_program();
     // Sanity: the brute force replicates the real H-weights.
     let analysis = AccessAnalysis::analyze(&program.kernels[0]);
     assert_eq!(analysis.h_weights(16), vec![0, 32, 0]);
 
-    for split in [0.0, 0.5, 0.67, 1.0] {
-        for frac in [0.25, 0.5] {
-            for cap in [ThreadBlockCap::Virtual, ThreadBlockCap::Strict] {
-                for precision in [Precision::F32, Precision::F64] {
-                    let config = EatssConfig {
-                        split_factor: split,
-                        warp_fraction: frac,
-                        cap,
-                        precision,
-                    };
-                    if split == 1.0 {
-                        // §IV-H replaces the L1 bound with the per-SM L2
-                        // share; the brute force above does not model
-                        // that branch — skip it here (covered by unit
-                        // tests in eatss::model).
-                        continue;
-                    }
-                    let n = 480i64;
-                    let sizes =
-                        ProblemSizes::new([("M", n), ("N", n), ("P", n)]);
-                    let solved = ModelGenerator::new(&arch, config.clone())
-                        .build(&program, Some(&sizes))
-                        .expect("build succeeds")
-                        .solve();
-                    let brute = matmul_bruteforce(&arch, &config, &[n, n, n]);
-                    match (solved, brute) {
-                        (Ok(solution), Some((best_obj, _))) => {
-                            assert_eq!(
-                                solution.objective, best_obj,
-                                "split {split} frac {frac} cap {cap:?} \
-                                 {precision:?}: solver found {} (tiles {}), \
-                                 brute force {best_obj}",
-                                solution.objective, solution.tiles
-                            );
+    for device in DeviceProfile::builtin_names() {
+        let arch = DeviceProfile::builtin(device).expect("builtin").into_arch();
+        for split in [0.0, 0.5, 0.67, 1.0] {
+            for frac in [0.25, 0.5] {
+                for cap in [ThreadBlockCap::Virtual, ThreadBlockCap::Strict] {
+                    for precision in [Precision::F32, Precision::F64] {
+                        let config = EatssConfig {
+                            split_factor: split,
+                            warp_fraction: frac,
+                            cap,
+                            precision,
+                        };
+                        if split == 1.0 {
+                            // §IV-H replaces the L1 bound with the per-SM L2
+                            // share; the brute force above does not model
+                            // that branch — skip it here (covered by unit
+                            // tests in eatss::model).
+                            continue;
                         }
-                        (Err(_), None) => {} // both infeasible: consistent
-                        (Ok(s), None) => panic!(
-                            "solver found {} but brute force says infeasible",
-                            s.tiles
-                        ),
-                        (Err(e), Some((obj, t))) => panic!(
-                            "solver infeasible ({e}) but brute force found \
-                             {obj} at {t:?}"
-                        ),
+                        let n = 480i64;
+                        let sizes =
+                            ProblemSizes::new([("M", n), ("N", n), ("P", n)]);
+                        let solved = ModelGenerator::new(&arch, config.clone())
+                            .build(&program, Some(&sizes))
+                            .expect("build succeeds")
+                            .solve();
+                        let brute = matmul_bruteforce(&arch, &config, &[n, n, n]);
+                        match (solved, brute) {
+                            (Ok(solution), Some((best_obj, _))) => {
+                                assert_eq!(
+                                    solution.objective, best_obj,
+                                    "{device} split {split} frac {frac} cap {cap:?} \
+                                     {precision:?}: solver found {} (tiles {}), \
+                                     brute force {best_obj}",
+                                    solution.objective, solution.tiles
+                                );
+                            }
+                            (Err(_), None) => {} // both infeasible: consistent
+                            (Ok(s), None) => panic!(
+                                "{device}: solver found {} but brute force says infeasible",
+                                s.tiles
+                            ),
+                            (Err(e), Some((obj, t))) => panic!(
+                                "{device}: solver infeasible ({e}) but brute force found \
+                                 {obj} at {t:?}"
+                            ),
+                        }
                     }
                 }
             }
