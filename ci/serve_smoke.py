@@ -4,10 +4,13 @@
 Drives the real `eatss-serve` binary end to end: a chaos mix of valid,
 infeasible, and malformed requests; SIGKILL with a request mid-flight;
 restart on the same cache directory; then asserts the warm-start hit
-rate is positive and the recovery counters are clean. Along the way it
-scrapes the `metrics` op (mid-load and after restart, asserting the
-stage histograms and self-monitoring gauges are live) and validates the
-`trace` op's Chrome export with `trace_check` when its path is given.
+rate is positive and the recovery counters are clean. Two inline sources
+that differ only in which array each read names ride along: they must be
+two cache entries with two answers before the kill and after the restart.
+Along the way it scrapes the `metrics` op (mid-load and after restart,
+asserting the stage histograms and self-monitoring gauges are live) and
+validates the `trace` op's Chrome export with `trace_check` when its path
+is given.
 
 Usage: serve_smoke.py /path/to/eatss-serve [/path/to/trace_check]
 """
@@ -21,12 +24,26 @@ import sys
 import tempfile
 import time
 
+
+def identity_source(*reads):
+    """One 2-D kernel shape; only the arrays the four reads name vary."""
+    rhs = " + ".join(f"{a}[i][j+{k}]" for k, a in enumerate(reads))
+    return {
+        "source": f"kernel k(N) {{ for (i: N) for (j: N) B[i][j] = {rhs}; }}",
+        "n": 4000,
+    }
+
+
+# Same name lengths, different line sharing, different optima: a cache key
+# blind to array identity would answer the second with the first's tiles.
+IDENTITY = [identity_source("A", "A", "A", "A"), identity_source("A", "C", "D", "E")]
+
 SELECTS = [
     {"kernel": "gemm", "n": 1024},
     {"kernel": "atax", "n": 2000},
     {"kernel": "bicg", "n": 512},
     {"kernel": "gemm", "n": 8},  # provably unsatisfiable: a cached verdict
-]
+] + IDENTITY
 
 
 def spawn(binary, cache_dir):
@@ -111,6 +128,10 @@ def main():
         assert reply["status"] in ("ok", "infeasible"), reply
         assert reply["cache"] == "miss", reply
         committed.append((args, reply["status"], reply.get("tiles")))
+    # The array-identity pair: two misses above, and two different answers
+    # (phase 2 asserts both come back as hits with these same tiles).
+    shared, distinct = (tiles for args, _, tiles in committed if args in IDENTITY)
+    assert shared and distinct and shared != distinct, (shared, distinct)
     # Malformed garbage must get typed errors, not kill the connection.
     sock.sendall(b"this is not json\n")
     assert json.loads(lines.readline())["error"]["kind"] == "bad_json"

@@ -1,15 +1,10 @@
 //! An interpreter for the affine IR.
 //!
 //! Executes programs on real (small) arrays, giving the IR an executable
-//! semantics independent of any GPU. Used by the test suite to prove
-//! that:
-//!
-//! * the parser's IR means what the source says (matmul really multiplies
-//!   matrices, stencils really smooth),
-//! * the tiling transformation is semantics-preserving: executing the
-//!   iteration space in tiled order produces bitwise-identical results
-//!   for reduction-style kernels and identical results for data-parallel
-//!   ones.
+//! semantics independent of any GPU: the parser's IR means what the
+//! source says (matmul really multiplies matrices, stencils really
+//! smooth), and the `eatss-ppcg` execution oracle compares what generated
+//! tiled code computes against this interpreter, bit for bit.
 //!
 //! Arrays are dense row-major `f64` buffers indexed by the reference
 //! subscripts; out-of-bounds accesses (stencil halos) read 0 and drop
@@ -17,17 +12,15 @@
 //!
 //! # Two execution engines
 //!
-//! The module-level entry points ([`run_program`], [`run_kernel`],
-//! [`run_kernel_tiled`]) compile each kernel into an
-//! [`ExecPlan`](crate::plan::ExecPlan) — arrays resolved to dense store
-//! slots, subscripts lowered to linear address functions, right-hand
-//! sides flattened to postfix opcode tapes — and execute through the
-//! plan. The original tree-walking interpreter is retained verbatim in
+//! The module-level entry points ([`run_program`], [`run_kernel`])
+//! compile each kernel into an [`ExecPlan`](crate::plan::ExecPlan) —
+//! arrays resolved to dense store slots, subscripts lowered to linear
+//! address functions, right-hand sides flattened to postfix opcode
+//! tapes — and execute through the plan. The original tree-walking interpreter is retained verbatim in
 //! [`mod@reference`] and remains the executable specification; the fast path
 //! is differentially proven to produce bitwise-identical stores.
 
 use crate::ir::{ArrayRef, Kernel, Program};
-use crate::tiling::TiledNest;
 use crate::ProblemSizes;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -452,93 +445,10 @@ pub fn store_layout(store: &Store) -> Vec<(String, usize, Vec<i64>)> {
         .collect()
 }
 
-/// Executes one kernel in *tiled* order (tile loops around point loops,
-/// Fig. 4 of the paper) — used to prove tiling is semantics-preserving.
-/// Points execute through a compiled plan, exactly as [`run_kernel`].
-///
-/// # Errors
-///
-/// Returns [`InterpError::UnboundParameter`] on unbound sizes.
-pub fn run_kernel_tiled(
-    nest: &TiledNest,
-    sizes: &ProblemSizes,
-    store: &mut Store,
-) -> Result<(), InterpError> {
-    let kernel = &nest.kernel;
-    let trips: Vec<i64> = (0..kernel.depth())
-        .map(|d| kernel.trip_count(d, sizes))
-        .collect::<Result<_, _>>()
-        .map_err(InterpError::UnboundParameter)?;
-    if trips.iter().any(|&t| t <= 0) {
-        return Ok(());
-    }
-    let plan = match crate::plan::ExecPlan::compile(kernel, &trips, store) {
-        Some(plan) => plan,
-        None => return reference::run_kernel_tiled(nest, sizes, store),
-    };
-    if trips.is_empty() {
-        plan.exec_point(store, &[]);
-        return Ok(());
-    }
-    let mut scratch = plan.scratch();
-    let mut origin = vec![0i64; trips.len()];
-    tiled_tiles(nest, &plan, &mut scratch, store, &trips, 0, &mut origin);
-    Ok(())
-}
-
-/// Tile loops of the tiled execution order: recurse over tile origins,
-/// then run the points of each tile (innermost dimension as a plan row).
-fn tiled_tiles(
-    nest: &TiledNest,
-    plan: &crate::plan::ExecPlan,
-    scratch: &mut crate::plan::RowScratch,
-    store: &mut Store,
-    trips: &[i64],
-    dim: usize,
-    origin: &mut Vec<i64>,
-) {
-    if dim == trips.len() {
-        let mut point = origin.clone();
-        tiled_points(nest, plan, scratch, store, trips, 0, origin, &mut point);
-        return;
-    }
-    let step = nest.tile(dim);
-    let mut t = 0;
-    while t < trips[dim] {
-        origin[dim] = t;
-        tiled_tiles(nest, plan, scratch, store, trips, dim + 1, origin);
-        t += step;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tiled_points(
-    nest: &TiledNest,
-    plan: &crate::plan::ExecPlan,
-    scratch: &mut crate::plan::RowScratch,
-    store: &mut Store,
-    trips: &[i64],
-    dim: usize,
-    origin: &[i64],
-    point: &mut Vec<i64>,
-) {
-    let upper = trips[dim].min(origin[dim] + nest.tile(dim));
-    if dim == trips.len() - 1 {
-        point[dim] = origin[dim];
-        plan.exec_row(store, point, dim, upper - origin[dim], 1, scratch);
-        return;
-    }
-    for v in origin[dim]..upper {
-        point[dim] = v;
-        tiled_points(nest, plan, scratch, store, trips, dim + 1, origin, point);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use crate::tiling::TileConfig;
 
     fn sizes3(n: i64) -> ProblemSizes {
         ProblemSizes::new([("M", n), ("N", n), ("P", n)])
@@ -614,76 +524,6 @@ mod tests {
         run_program(&p, &sizes, &mut store).unwrap();
         let y = store.get("y").unwrap();
         assert_eq!(y.get(&[3]), 7.5);
-    }
-
-    #[test]
-    fn tiled_execution_matches_untiled_for_matmul() {
-        let p = parse_program(
-            "kernel mm(M, N, P) {
-               for (i: M) for (j: N) for (k: P)
-                 C[i][j] += A[i][k] * B[k][j];
-             }",
-        )
-        .unwrap();
-        let kernel = &p.kernels[0];
-        let n = 7;
-        let sizes = sizes3(n);
-        let init = |store: &mut Store| {
-            store.allocate_for(&p, &sizes).unwrap();
-            store.insert(
-                "A",
-                Array::from_fn(vec![n, n], |i| ((i[0] * 13 + i[1] * 7) % 5) as f64),
-            );
-            store.insert(
-                "B",
-                Array::from_fn(vec![n, n], |i| ((i[0] * 3 + i[1]) % 4) as f64),
-            );
-        };
-        let mut untiled = Store::new();
-        init(&mut untiled);
-        run_kernel(kernel, &sizes, &mut untiled).unwrap();
-        for tiles in [vec![2, 3, 4], vec![8, 8, 8], vec![1, 7, 2]] {
-            let nest = TiledNest::new(kernel, &TileConfig::new(tiles.clone())).unwrap();
-            let mut tiled = Store::new();
-            init(&mut tiled);
-            run_kernel_tiled(&nest, &sizes, &mut tiled).unwrap();
-            // Reductions are reassociated by tiling; on small integer
-            // inputs the sums are exact in f64, so results are identical.
-            assert_eq!(
-                tiled.get("C").unwrap(),
-                untiled.get("C").unwrap(),
-                "tiles {tiles:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn tiled_execution_matches_untiled_for_stencil() {
-        let p = parse_program(
-            "kernel jac(N) {
-               for (i: N) for (j: N)
-                 B[i][j] = 0.25 * (A[i][j-1] + A[i][j+1] + A[i-1][j] + A[i+1][j]);
-             }",
-        )
-        .unwrap();
-        let kernel = &p.kernels[0];
-        let sizes = ProblemSizes::new([("N", 9)]);
-        let init = |store: &mut Store| {
-            store.allocate_for(&p, &sizes).unwrap();
-            store.insert(
-                "A",
-                Array::from_fn(vec![11, 11], |i| (i[0] * i[1]) as f64),
-            );
-        };
-        let mut untiled = Store::new();
-        init(&mut untiled);
-        run_kernel(kernel, &sizes, &mut untiled).unwrap();
-        let nest =
-            TiledNest::new(kernel, &TileConfig::new(vec![4, 3])).unwrap();
-        let mut tiled = Store::new();
-        init(&mut tiled);
-        run_kernel_tiled(&nest, &sizes, &mut tiled).unwrap();
-        assert_eq!(tiled.get("B").unwrap(), untiled.get("B").unwrap());
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use super::{InterpError, ReadHook, Store, MAX_RANK};
 use crate::ir::{AffineExpr, ArrayRef, Kernel, Program, RhsExpr, Statement};
-use crate::tiling::TiledNest;
 use crate::ProblemSizes;
 
 /// A small stack buffer for evaluated subscript indices: fixed storage
@@ -147,8 +146,8 @@ fn write_value(stmt: &Statement, store: &mut Store, point: &[i64], value: f64) {
 
 /// Executes every statement of `kernel` at one iteration point, in textual
 /// order, over the store. This is the per-point semantics shared by all
-/// execution orders ([`run_kernel`], [`run_kernel_tiled`], and external
-/// executors such as the GPU emulator in `eatss-ppcg`).
+/// execution orders ([`run_kernel`] and external executors such as the
+/// GPU emulator in `eatss-ppcg`).
 pub fn exec_point(kernel: &Kernel, store: &mut Store, point: &[i64]) {
     for stmt in &kernel.stmts {
         let value = eval_rhs(&stmt.rhs, stmt, store, point);
@@ -222,23 +221,4 @@ pub fn run_kernel(
             point[d] = 0;
         }
     }
-}
-
-/// Executes one kernel in tiled order through the tree-walker.
-///
-/// # Errors
-///
-/// Returns [`InterpError::UnboundParameter`] on unbound sizes.
-pub fn run_kernel_tiled(
-    nest: &TiledNest,
-    sizes: &ProblemSizes,
-    store: &mut Store,
-) -> Result<(), InterpError> {
-    let points = nest
-        .enumerate_points(sizes)
-        .map_err(InterpError::UnboundParameter)?;
-    for point in points {
-        exec_point(&nest.kernel, store, &point);
-    }
-    Ok(())
 }

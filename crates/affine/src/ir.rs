@@ -132,11 +132,6 @@ impl AffineExpr {
         &self.terms
     }
 
-    /// Whether any iterator appears.
-    pub fn uses_any_iter(&self) -> bool {
-        !self.terms.is_empty()
-    }
-
     /// Whether iterator `dim` appears with non-zero coefficient.
     pub fn uses(&self, dim: usize) -> bool {
         self.coeff(dim) != 0
@@ -337,18 +332,6 @@ pub struct Statement {
 }
 
 impl Statement {
-    /// All references of the statement: the write first, then reads (the
-    /// write repeated as a read for accumulations).
-    pub fn all_refs(&self) -> Vec<&ArrayRef> {
-        let mut v = Vec::with_capacity(self.reads.len() + 2);
-        v.push(&self.write);
-        if self.is_accumulation {
-            v.push(&self.write);
-        }
-        v.extend(self.reads.iter());
-        v
-    }
-
     /// Unique references (write + reads, deduplicated structurally).
     pub fn unique_refs(&self) -> Vec<&ArrayRef> {
         let mut v: Vec<&ArrayRef> = Vec::new();
@@ -573,7 +556,7 @@ mod tests {
         assert_eq!(e.offset(), 5);
         let mut f = AffineExpr::var(1);
         f.add_term(1, -1);
-        assert!(!f.uses_any_iter());
+        assert!(f.terms().is_empty());
     }
 
     #[test]
@@ -639,11 +622,10 @@ mod tests {
     }
 
     #[test]
-    fn statement_all_refs_repeats_accumulation_write() {
+    fn statement_unique_refs_count_the_accumulated_write_once() {
         let k = matmul();
         let s = &k.stmts[0];
-        assert_eq!(s.all_refs().len(), 4); // Out (write), Out (read), In, Ker
-        assert_eq!(s.unique_refs().len(), 3);
+        assert_eq!(s.unique_refs().len(), 3); // Out, In, Ker
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!   spatial reuse), the CMA loop selection of §IV-D, the L1 / shared-memory
 //!   reference split of §IV-E, distinct-cache-line reference counting
 //!   (§IV-G) and the `H_i` objective weights of §IV-K,
-//! * a [`tiling`] transformation producing the tiled nest PPCG would
-//!   generate, used by the code generator and the GPU simulator,
-//! * a reference [`interp`]reter giving the IR an executable semantics,
-//!   which the test suite uses to prove that tiling is
-//!   semantics-preserving,
+//! * [`tiling`]: tile-size configurations and their validation against
+//!   a nest (the GPU mapper and code generator in `eatss-ppcg` give a
+//!   configuration its loop structure),
+//! * an [`interp`]reter giving the IR an executable semantics — the
+//!   side of the `eatss-ppcg` execution oracle that says what a program
+//!   computes,
 //! * a [`pretty`]-printer that round-trips with the parser.
 //!
 //! # Examples
@@ -49,6 +50,5 @@ pub mod parser;
 pub mod plan;
 pub mod pretty;
 pub mod tiling;
-pub mod transform;
 
 pub use ir::{AffineExpr, ArrayRef, Extent, Kernel, LoopDim, ProblemSizes, Program, Statement};

@@ -1,12 +1,12 @@
-//! The loop tiling transformation.
+//! Tile-size configurations.
 //!
 //! Tiling rewrites a depth-`L` nest into `L` *tile loops* (stepping by the
 //! tile size) around `L` *point loops* (bounded by `min(N, t + T)` guards),
-//! exactly as in Fig. 4 of the paper. The [`TiledNest`] produced here is
-//! consumed by the PPCG stand-in's GPU mapper and code generator, and by
-//! the GPU simulator's traffic model.
+//! exactly as in Fig. 4 of the paper. Nothing in this crate performs that
+//! rewrite: a tiling here is a [`TileConfig`] checked against a nest's
+//! depth ([`TileConfig::validate_for`]); the PPCG stand-in's GPU mapper
+//! and code generator give it its loop structure.
 
-use crate::ir::{Kernel, ProblemSizes};
 use std::error::Error;
 use std::fmt;
 
@@ -101,6 +101,31 @@ impl TileConfig {
             sizes: self.sizes[..depth].to_vec(),
         }
     }
+
+    /// Checks that this configuration can tile a depth-`depth` nest: one
+    /// positive size per dimension.
+    ///
+    /// Tile sizes larger than a dimension's trip count are legal (the
+    /// point loop's `min` guard clips them), matching PPCG.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TilingError`] on arity mismatch or non-positive sizes.
+    pub fn validate_for(&self, depth: usize) -> Result<(), TilingError> {
+        if self.len() != depth {
+            return Err(TilingError::WrongArity {
+                expected: depth,
+                got: self.len(),
+            });
+        }
+        match self.sizes.iter().position(|&value| value <= 0) {
+            Some(dim) => Err(TilingError::NonPositiveTile {
+                dim,
+                value: self.sizes[dim],
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for TileConfig {
@@ -116,140 +141,6 @@ impl fmt::Display for TileConfig {
     }
 }
 
-/// A kernel together with a validated tiling of its loop nest.
-#[derive(Debug, Clone)]
-pub struct TiledNest {
-    /// The untiled kernel.
-    pub kernel: Kernel,
-    /// Validated tile sizes (same arity as the kernel depth).
-    pub tiles: TileConfig,
-}
-
-impl TiledNest {
-    /// Applies `tiles` to `kernel`, validating arity and positivity.
-    ///
-    /// Tile sizes larger than a dimension's trip count are legal (the
-    /// point loop's `min` guard clips them), matching PPCG.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TilingError`] on arity mismatch or non-positive sizes.
-    pub fn new(kernel: &Kernel, tiles: &TileConfig) -> Result<Self, TilingError> {
-        if tiles.len() != kernel.depth() {
-            return Err(TilingError::WrongArity {
-                expected: kernel.depth(),
-                got: tiles.len(),
-            });
-        }
-        for (dim, &value) in tiles.sizes().iter().enumerate() {
-            if value <= 0 {
-                return Err(TilingError::NonPositiveTile { dim, value });
-            }
-        }
-        Ok(TiledNest {
-            kernel: kernel.clone(),
-            tiles: tiles.clone(),
-        })
-    }
-
-    /// Tile size of dimension `dim`.
-    pub fn tile(&self, dim: usize) -> i64 {
-        self.tiles.sizes()[dim]
-    }
-
-    /// Number of tiles along dimension `dim` under `sizes`
-    /// (`ceil(N / T)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unbound parameter name.
-    pub fn num_tiles(&self, dim: usize, sizes: &ProblemSizes) -> Result<i64, String> {
-        let n = self.kernel.trip_count(dim, sizes)?;
-        Ok(div_ceil(n, self.tile(dim)))
-    }
-
-    /// Effective (clipped) tile extent along `dim`: `min(T, N)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unbound parameter name.
-    pub fn clipped_tile(&self, dim: usize, sizes: &ProblemSizes) -> Result<i64, String> {
-        let n = self.kernel.trip_count(dim, sizes)?;
-        Ok(self.tile(dim).min(n))
-    }
-
-    /// Total number of tiles (product over all dimensions).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first unbound parameter name.
-    pub fn total_tiles(&self, sizes: &ProblemSizes) -> Result<i64, String> {
-        let mut total = 1i64;
-        for d in 0..self.kernel.depth() {
-            total = total.saturating_mul(self.num_tiles(d, sizes)?);
-        }
-        Ok(total)
-    }
-
-    /// Enumerates every iteration point by walking tile loops then point
-    /// loops with `min` guards — the loop structure of Fig. 4. Intended
-    /// for small problem sizes in tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first unbound parameter name.
-    pub fn enumerate_points(&self, sizes: &ProblemSizes) -> Result<Vec<Vec<i64>>, String> {
-        let depth = self.kernel.depth();
-        let trips: Vec<i64> = (0..depth)
-            .map(|d| self.kernel.trip_count(d, sizes))
-            .collect::<Result<_, _>>()?;
-        let mut points = Vec::new();
-        let mut tile_origin = vec![0i64; depth];
-        self.walk_tiles(&trips, 0, &mut tile_origin, &mut points);
-        Ok(points)
-    }
-
-    fn walk_tiles(
-        &self,
-        trips: &[i64],
-        dim: usize,
-        origin: &mut Vec<i64>,
-        points: &mut Vec<Vec<i64>>,
-    ) {
-        if dim == trips.len() {
-            let mut point = origin.clone();
-            self.walk_points(trips, 0, origin, &mut point, points);
-            return;
-        }
-        let step = self.tile(dim);
-        let mut t = 0;
-        while t < trips[dim] {
-            origin[dim] = t;
-            self.walk_tiles(trips, dim + 1, origin, points);
-            t += step;
-        }
-    }
-
-    fn walk_points(
-        &self,
-        trips: &[i64],
-        dim: usize,
-        origin: &[i64],
-        point: &mut Vec<i64>,
-        points: &mut Vec<Vec<i64>>,
-    ) {
-        if dim == trips.len() {
-            points.push(point.clone());
-            return;
-        }
-        let upper = trips[dim].min(origin[dim] + self.tile(dim));
-        for v in origin[dim]..upper {
-            point[dim] = v;
-            self.walk_points(trips, dim + 1, origin, point, points);
-        }
-    }
-}
-
 /// Ceiling division for positive divisors.
 pub fn div_ceil(n: i64, d: i64) -> i64 {
     debug_assert!(d > 0, "div_ceil requires a positive divisor");
@@ -259,69 +150,19 @@ pub fn div_ceil(n: i64, d: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_program;
-
-    fn matmul() -> Kernel {
-        parse_program(
-            "kernel mm(M, N, P) {
-               for (i: M) for (j: N) for (k: P)
-                 C[i][j] += A[i][k] * B[k][j];
-             }",
-        )
-        .unwrap()
-        .kernels
-        .remove(0)
-    }
 
     #[test]
     fn arity_and_positivity_are_validated() {
-        let k = matmul();
-        assert!(matches!(
-            TiledNest::new(&k, &TileConfig::new(vec![32, 32])),
+        assert_eq!(
+            TileConfig::new(vec![32, 32]).validate_for(3),
             Err(TilingError::WrongArity { expected: 3, got: 2 })
-        ));
-        assert!(matches!(
-            TiledNest::new(&k, &TileConfig::new(vec![32, 0, 32])),
+        );
+        assert_eq!(
+            TileConfig::new(vec![32, 0, 32]).validate_for(3),
             Err(TilingError::NonPositiveTile { dim: 1, value: 0 })
-        ));
-    }
-
-    #[test]
-    fn tile_counts_round_up() {
-        let k = matmul();
-        let t = TiledNest::new(&k, &TileConfig::new(vec![32, 64, 16])).unwrap();
-        let sizes = ProblemSizes::new([("M", 100), ("N", 64), ("P", 17)]);
-        assert_eq!(t.num_tiles(0, &sizes).unwrap(), 4); // ceil(100/32)
-        assert_eq!(t.num_tiles(1, &sizes).unwrap(), 1);
-        assert_eq!(t.num_tiles(2, &sizes).unwrap(), 2); // ceil(17/16)
-        assert_eq!(t.total_tiles(&sizes).unwrap(), 8);
-        assert_eq!(t.clipped_tile(1, &sizes).unwrap(), 64);
-        assert_eq!(t.clipped_tile(0, &sizes).unwrap(), 32);
-    }
-
-    #[test]
-    fn oversized_tiles_are_clipped() {
-        let k = matmul();
-        let t = TiledNest::new(&k, &TileConfig::new(vec![1024, 1024, 1024])).unwrap();
-        let sizes = ProblemSizes::new([("M", 10), ("N", 10), ("P", 10)]);
-        assert_eq!(t.total_tiles(&sizes).unwrap(), 1);
-        assert_eq!(t.clipped_tile(0, &sizes).unwrap(), 10);
-    }
-
-    #[test]
-    fn enumeration_preserves_iteration_space() {
-        let k = matmul();
-        let sizes = ProblemSizes::new([("M", 7), ("N", 5), ("P", 9)]);
-        let t = TiledNest::new(&k, &TileConfig::new(vec![3, 2, 4])).unwrap();
-        let mut pts = t.enumerate_points(&sizes).unwrap();
-        assert_eq!(pts.len() as i64, 7 * 5 * 9);
-        pts.sort();
-        pts.dedup();
-        assert_eq!(pts.len() as i64, 7 * 5 * 9, "no duplicates");
-        // Every point must be within bounds.
-        assert!(pts
-            .iter()
-            .all(|p| p[0] < 7 && p[1] < 5 && p[2] < 9 && p.iter().all(|&v| v >= 0)));
+        );
+        // Oversized tiles are legal: the point loops clip them.
+        assert_eq!(TileConfig::new(vec![1024, 1, 7]).validate_for(3), Ok(()));
     }
 
     #[test]

@@ -39,9 +39,6 @@ use rand::{Rng, SeedableRng};
 pub enum Strategy {
     /// Pure random sampling (the OpenTuner-style baseline).
     Random,
-    /// Greedy neighbourhood search: move to the best 1-dimension
-    /// neighbour (next/previous candidate value) until a local optimum.
-    HillClimb,
     /// Random bootstrap followed by an RBF surrogate with an exploration
     /// bonus — the ytopt-style Bayesian baseline (default).
     #[default]
@@ -217,13 +214,6 @@ impl Autotuner {
         // once every pool entry had been tried.
         let budget = self.options.budget.min(pool.len());
 
-        // Hill climbing follows its own trajectory (whole-space
-        // neighbourhoods, so the space-size clamp applies).
-        if self.options.strategy == Strategy::HillClimb {
-            let hill_budget = self.options.budget.min(total);
-            return self.hill_climb(space, &mut objective, hill_budget);
-        }
-
         let warm_start = prior.filter(|p| !p.is_empty());
         if let Some(p) = warm_start {
             // Deterministic seeding: descending predicted value, original
@@ -298,101 +288,6 @@ impl Autotuner {
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("objective must be finite"));
         let tuning_seconds = history.len() as f64 * self.options.seconds_per_eval;
         match best {
-            Some((tiles, value)) => TuneResult {
-                best_tiles: Some(tiles),
-                best_value: value,
-                history,
-                tuning_seconds,
-            },
-            None => TuneResult {
-                best_tiles: None,
-                best_value: f64::NEG_INFINITY,
-                history,
-                tuning_seconds,
-            },
-        }
-    }
-}
-
-impl Autotuner {
-    /// Greedy 1-exchange neighbourhood search from a random start.
-    fn hill_climb<F>(
-        &mut self,
-        space: &TileSpace,
-        objective: &mut F,
-        budget: usize,
-    ) -> TuneResult
-    where
-        F: FnMut(&TileConfig) -> Option<f64>,
-    {
-        let candidates = space.candidates().to_vec();
-        let depth = space.len().max(1);
-        let _ = depth;
-        let mut history: Vec<(TileConfig, Option<f64>)> = Vec::new();
-        let mut evaluate = |cfg: &TileConfig,
-                            history: &mut Vec<(TileConfig, Option<f64>)>|
-         -> Option<f64> {
-            if let Some((_, v)) = history.iter().find(|(c, _)| c == cfg) {
-                return *v; // revisits are free (memoized measurement)
-            }
-            let v = objective(cfg);
-            history.push((cfg.clone(), v));
-            v
-        };
-        // Random start (retry a few times if invalid).
-        let mut current: Option<(TileConfig, f64)> = None;
-        for _ in 0..10 {
-            if history.len() >= budget {
-                break;
-            }
-            let idx = self.rng.gen_range(0..space.len());
-            let cfg = space.config(idx);
-            if let Some(v) = evaluate(&cfg, &mut history) {
-                current = Some((cfg, v));
-                break;
-            }
-        }
-        'climb: while let Some((ref cfg, best)) = current.clone() {
-            if history.len() >= budget {
-                break;
-            }
-            let sizes = cfg.sizes().to_vec();
-            let mut improved = false;
-            for (dim, &t) in sizes.iter().enumerate() {
-                let pos = candidates.iter().position(|&c| c == t);
-                let neighbours: Vec<i64> = match pos {
-                    Some(p) => [p.checked_sub(1), Some(p + 1)]
-                        .into_iter()
-                        .flatten()
-                        .filter_map(|q| candidates.get(q).copied())
-                        .collect(),
-                    None => continue,
-                };
-                for n in neighbours {
-                    if history.len() >= budget {
-                        break 'climb;
-                    }
-                    let mut s = sizes.clone();
-                    s[dim] = n;
-                    let cfg2 = TileConfig::new(s);
-                    if let Some(v) = evaluate(&cfg2, &mut history) {
-                        if v > best {
-                            current = Some((cfg2, v));
-                            improved = true;
-                            break;
-                        }
-                    }
-                }
-                if improved {
-                    break;
-                }
-            }
-            if !improved {
-                break; // local optimum
-            }
-        }
-        let tuning_seconds = history.len() as f64 * self.options.seconds_per_eval;
-        match current {
             Some((tiles, value)) => TuneResult {
                 best_tiles: Some(tiles),
                 best_value: value,
@@ -531,21 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn hill_climb_reaches_local_optimum_of_unimodal_objective() {
-        let space = TileSpace::new(2, vec![4, 8, 16, 32, 64, 128, 256]);
-        let mut tuner = Autotuner::new(TuneOptions {
-            strategy: Strategy::HillClimb,
-            budget: 60,
-            seed: 11,
-            ..TuneOptions::default()
-        });
-        let r = tuner.tune(&space, quad_objective);
-        // The quadratic bowl is unimodal over the candidate lattice, so a
-        // greedy climb must end at the optimum.
-        assert_eq!(r.best_tiles.unwrap().sizes(), &[32, 64]);
-    }
-
-    #[test]
     fn random_strategy_never_uses_surrogate_order() {
         let space = TileSpace::new(3, vec![4, 8, 16, 32]);
         let run = |strategy: Strategy| {
@@ -572,7 +452,7 @@ mod tests {
     #[test]
     fn strategies_all_find_something_valid() {
         let space = TileSpace::new(2, vec![4, 8, 16, 32, 64]);
-        for strategy in [Strategy::Random, Strategy::HillClimb, Strategy::Surrogate] {
+        for strategy in [Strategy::Random, Strategy::Surrogate] {
             let mut tuner = Autotuner::new(TuneOptions {
                 strategy,
                 budget: 15,

@@ -8,8 +8,8 @@
 //!    ordering (ascending energy, strictly increasing throughput) is
 //!    asserted, including across a recomputation.
 //! 2. *Correctness* — every front point's tiles are verified bitwise
-//!    against the reference interpreter through the batched differential
-//!    oracle at shrunk sizes.
+//!    against the reference interpreter through [`Eatss::verify`], each
+//!    under the code its own configuration compiles to on that device.
 //! 3. *Transfer* — the RBF surrogate fitted on the GA100's tuning history
 //!    must reduce evals-to-best on each other device compared to a cold
 //!    search with the same budget and seed.
@@ -24,24 +24,17 @@
 //!   --out PATH     JSON report path (default BENCH_pareto.json)
 
 use eatss::sweep::{SweepOutcome, SweepPoint, PAPER_SPLITS};
-use eatss::{Eatss, EatssConfig, ThreadBlockCap};
+use eatss::{Eatss, EatssConfig, ThreadBlockCap, VERIFY_SEED};
 use eatss_autotune::{Autotuner, SurrogatePrior, TuneOptions, TuneResult};
 use eatss_bench::table::fmt_f;
 use eatss_bench::Table;
-use eatss_gpusim::{DeviceProfile, GpuArch};
+use eatss_gpusim::DeviceProfile;
 use eatss_kernels::Dataset;
-use eatss_ppcg::oracle::verify_sizes;
-use eatss_ppcg::{OracleOptions, TileSpace};
+use eatss_ppcg::TileSpace;
 use eatss_trace::json::Json;
 use eatss_trace::Report;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Shrink caps for the differential-oracle pass (the daemon's
-/// `verify: true` rule).
-const VERIFY_SPACE_CAP: i64 = 17;
-const VERIFY_TIME_CAP: i64 = 3;
-const VERIFY_SEED: u64 = 0xEA75_50AC;
 
 /// Transfer-experiment seeds: the prior is fitted under one seed and the
 /// cold/warm comparison runs under another, so the reduction cannot come
@@ -130,7 +123,7 @@ fn main() -> ExitCode {
             let front = outcome.pareto_front();
             check_front(device, name, &outcome, &front, &mut regressions);
 
-            let (vc, vp) = match verify_front(&arch, &program, &sizes, &front) {
+            let (vc, vp) = match verify_front(&eatss, &program, &sizes, &front) {
                 Ok(pair) => pair,
                 Err(e) => {
                     regressions.push(format!("{device}/{name}: oracle: {e}"));
@@ -281,23 +274,18 @@ fn check_front(
 }
 
 /// The correctness gate: every front point's tiles agree bitwise with the
-/// reference interpreter (one batched oracle call per front).
+/// reference interpreter, under its own configuration's codegen.
 fn verify_front(
-    arch: &GpuArch,
+    eatss: &Eatss,
     program: &eatss_affine::Program,
     sizes: &eatss_affine::ProblemSizes,
     front: &[&SweepPoint],
 ) -> Result<(u64, u64), String> {
-    let shrunk = verify_sizes(program, sizes, VERIFY_SPACE_CAP, VERIFY_TIME_CAP);
-    let configs: Vec<_> = front.iter().map(|p| p.solution.tiles.clone()).collect();
-    let verdicts = eatss_ppcg::verify_batch(
-        program,
-        &configs,
-        arch,
-        &shrunk,
-        &OracleOptions::default(),
-        VERIFY_SEED,
-    );
+    let configs: Vec<_> = front
+        .iter()
+        .map(|p| (&p.config, &p.solution.tiles))
+        .collect();
+    let verdicts = eatss.verify(program, sizes, &configs, VERIFY_SEED);
     let (mut vc, mut vp) = (0u64, 0u64);
     for (i, verdict) in verdicts.into_iter().enumerate() {
         match verdict {
@@ -305,7 +293,7 @@ fn verify_front(
                 vc += 1;
                 vp += report.points;
             }
-            Err(e) => return Err(format!("front point {i} ({}): {e}", configs[i])),
+            Err(e) => return Err(format!("front point {i} ({}): {e}", configs[i].1)),
         }
     }
     Ok((vc, vp))

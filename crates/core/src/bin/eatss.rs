@@ -13,11 +13,12 @@
 //!   --arch NAME|PATH           target GPU: a builtin device profile
 //!                              (ga100, xavier, h100, orin, nano) or a
 //!                              JSON profile file (default: ga100)
-//!   --split <0..1>             shared-memory split factor (default: 0.5)
-//!   --warp-frac <f>            warp fraction (default: 0.5)
+//!   --split <F>                shared-memory split factor in [0, 1] (default: 0.5)
+//!   --warp-frac <F>            warp fraction in (0, 1] (default: 0.5)
 //!   --fp32                     single precision (default: FP64)
 //!   --strict-cap               literal B_size <= T_P_B (default: virtual)
-//!   --size NAME=VALUE          bind a problem-size parameter (repeatable)
+//!   --size NAME=VALUE          bind a problem-size parameter to a positive
+//!                              integer (repeatable)
 //!   --dataset standard|xl      use a registered benchmark's dataset
 //!   --sweep                    run the split x warp-fraction sweep
 //!   --jobs <N>                 sweep worker threads (0 = all cores; default 1)
@@ -26,7 +27,7 @@
 //!   --emit-cuda                print the generated CUDA for the selection
 //!   --evaluate                 measure the selection on the GPU model
 //!   --verify                   check the selection with the execution oracle
-//!   --verify-seed <N>          oracle input seed (default: 0xEA755)
+//!   --verify-seed <N>          oracle input seed (default: 0xEA7550AC)
 //!   --trace <out.json>         record a pipeline trace (implies --evaluate)
 //!   --trace-format jsonl|chrome  trace serialization (default: chrome)
 //!   --log-level off|error|info|debug  stderr verbosity (default: info)
@@ -35,7 +36,9 @@
 //! Exit status: 0 on success; 2 for a usage error (the message, then the
 //! usage text); 1 for a well-formed run that fails (the message alone).
 
-use eatss::{Eatss, EatssConfig, ModelGenerator, Precision, SweepOptions, ThreadBlockCap};
+use eatss::{
+    ConfigRangeError, Eatss, EatssConfig, ModelGenerator, Precision, SweepOptions, ThreadBlockCap,
+};
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{Kernel, ProblemSizes, Program};
@@ -116,7 +119,7 @@ fn parse_args() -> Result<Options, String> {
         emit_cuda: false,
         evaluate: false,
         verify: false,
-        verify_seed: 0xEA755,
+        verify_seed: eatss::VERIFY_SEED,
         trace: None,
         trace_format: TraceFormat::Chrome,
         log_level: Level::Info,
@@ -150,6 +153,9 @@ fn parse_args() -> Result<Options, String> {
                     .split_once('=')
                     .ok_or_else(|| format!("--size expects NAME=VALUE, got `{kv}`"))?;
                 let v: i64 = v.parse().map_err(|e| format!("--size {k}: {e}"))?;
+                if v < 1 {
+                    return Err(format!("--size {k}: expected a positive integer, got {v}"));
+                }
                 opts.sizes.push((k.to_owned(), v));
             }
             "--dataset" => {
@@ -212,6 +218,13 @@ fn parse_args() -> Result<Options, String> {
             }
         }
     }
+    opts.config.validate().map_err(|e| {
+        let flag = match e {
+            ConfigRangeError::SplitFactor => "--split",
+            ConfigRangeError::WarpFraction => "--warp-frac",
+        };
+        format!("{flag}: expected {}", e.expected())
+    })?;
     if opts.kernel_dir.is_some() {
         if !opts.input.is_empty() {
             return Err("--kernel-dir cannot be combined with an input kernel".to_owned());
@@ -430,27 +443,13 @@ fn run(opts: &Options) -> Result<(), String> {
     if opts.verify {
         // Differential oracle: emulate the compiled GPU execution on
         // shrunk sizes and compare element-wise against the interpreter,
-        // for both the selected tiles and the PPCG default.
-        let small = eatss_ppcg::verify_sizes(&program, &sizes, 19, 3);
-        let oracle_opts = eatss_ppcg::OracleOptions {
-            compile: opts.config.compile_options(&opts.arch),
-            ..eatss_ppcg::OracleOptions::default()
-        };
-        // One batch: the reference interpretation runs once for both.
+        // for both the selected tiles and the PPCG default — one batch,
+        // so the reference interpretation runs once for both.
         let labels = ["EATSS", "32^d"];
-        let configs = [
-            solution.tiles.clone(),
-            TileConfig::ppcg_default(program.max_depth()),
-        ];
+        let default = TileConfig::ppcg_default(program.max_depth());
+        let configs = [(&opts.config, &solution.tiles), (&opts.config, &default)];
         let started = std::time::Instant::now();
-        let verdicts = eatss_ppcg::verify_batch(
-            &program,
-            &configs,
-            &opts.arch,
-            &small,
-            &oracle_opts,
-            opts.verify_seed,
-        );
+        let verdicts = eatss.verify(&program, &sizes, &configs, opts.verify_seed);
         let wall = started.elapsed().as_secs_f64();
         let mut points = 0;
         for (label, verdict) in labels.iter().zip(verdicts) {

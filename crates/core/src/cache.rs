@@ -203,12 +203,28 @@ fn count_miss(stats: &mut TileCacheStats, result: &SelectResult) {
     }
 }
 
+/// Format byte opening every key [`encode_key`] writes. Keys from before
+/// it existed open with the low byte of the architecture name's length
+/// (4–6 for the builtin profiles); the high bit keeps the two apart, so a
+/// journal record keyed under an older encoding can never answer a
+/// lookup. Bump it whenever the encoding below changes meaning.
+const KEY_FORMAT: u8 = 0x81;
+
+/// Whether `key` was written by this build's [`encode_key`] — journal
+/// replay drops records for which it was not.
+pub(crate) fn is_current_key(key: &[u8]) -> bool {
+    key.first() == Some(&KEY_FORMAT)
+}
+
 /// Canonical byte encoding of a selection request: kernel shapes, access
 /// functions, bound sizes, architecture resources and configuration
-/// knobs. Kernel and array *names* are deliberately excluded — JITs
-/// generate fresh names for structurally identical kernels. Two requests
-/// are interchangeable iff their encodings are equal; this is the full
-/// key the cache compares on lookup.
+/// knobs. Kernel, iterator, parameter and array *names* are deliberately
+/// excluded — JITs generate fresh names for structurally identical
+/// kernels — but array *identity* is not: every reference carries its
+/// array's number in order of first occurrence in the program, because
+/// which references share an array decides cache-line sharing and hence
+/// the formulation. Two requests are interchangeable iff their encodings
+/// are equal; this is the full key the cache compares on lookup.
 pub fn encode_key(
     arch: &GpuArch,
     program: &Program,
@@ -216,6 +232,7 @@ pub fn encode_key(
     config: &EatssConfig,
 ) -> Vec<u8> {
     let mut k = Vec::with_capacity(256);
+    k.push(KEY_FORMAT);
     put(&mut k, arch.name.len() as u64);
     k.extend_from_slice(arch.name.as_bytes());
     put(&mut k, arch.l1_shared_bytes);
@@ -232,6 +249,9 @@ pub fn encode_key(
         (config.cap == crate::config::ThreadBlockCap::Strict) as u64,
     );
     put(&mut k, program.kernels.len() as u64);
+    // Arrays in order of first occurrence; programs name a handful, so a
+    // linear scan beats hashing.
+    let mut arrays: Vec<&str> = Vec::new();
     for kernel in &program.kernels {
         put(&mut k, kernel.depth() as u64);
         for dim in &kernel.dims {
@@ -249,11 +269,11 @@ pub fn encode_key(
         }
         put(&mut k, kernel.stmts.len() as u64);
         for stmt in &kernel.stmts {
-            encode_ref(&stmt.write, &mut k);
+            encode_ref(&stmt.write, &mut arrays, &mut k);
             put(&mut k, stmt.is_accumulation as u64);
             put(&mut k, stmt.reads.len() as u64);
             for r in &stmt.reads {
-                encode_ref(r, &mut k);
+                encode_ref(r, &mut arrays, &mut k);
             }
             encode_rhs(&stmt.rhs, &mut k);
         }
@@ -265,11 +285,16 @@ fn put(k: &mut Vec<u8>, v: u64) {
     k.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_ref(r: &ArrayRef, k: &mut Vec<u8>) {
-    // The array identity matters for grouping, but names are JIT-fresh;
-    // encode the subscript structure and the name length as a proxy.
+fn encode_ref<'p>(r: &'p ArrayRef, arrays: &mut Vec<&'p str>, k: &mut Vec<u8>) {
+    let id = arrays
+        .iter()
+        .position(|&a| a == r.array)
+        .unwrap_or_else(|| {
+            arrays.push(&r.array);
+            arrays.len() - 1
+        });
+    put(k, id as u64);
     put(k, r.subscripts.len() as u64);
-    put(k, r.array.len() as u64);
     for s in &r.subscripts {
         put(k, s.terms().len() as u64);
         for &(d, c) in s.terms() {

@@ -62,6 +62,27 @@ pub struct EatssConfig {
     pub cap: ThreadBlockCap,
 }
 
+/// The knob of an [`EatssConfig`] that lies outside its range — what
+/// [`EatssConfig::validate`] reports to a front end, which names the
+/// flag or wire field itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigRangeError {
+    /// `split_factor` is not a number in `[0, 1]`.
+    SplitFactor,
+    /// `warp_fraction` is not a number in `(0, 1]`.
+    WarpFraction,
+}
+
+impl ConfigRangeError {
+    /// The range the knob must lie in, phrased to follow "expected".
+    pub fn expected(self) -> &'static str {
+        match self {
+            ConfigRangeError::SplitFactor => "number in [0, 1]",
+            ConfigRangeError::WarpFraction => "number in (0, 1]",
+        }
+    }
+}
+
 impl Default for EatssConfig {
     /// The paper's default operating point: FP64, 50% split, half-warp
     /// alignment (the §IV-A example).
@@ -82,6 +103,25 @@ impl EatssConfig {
             split_factor,
             ..EatssConfig::default()
         }
+    }
+
+    /// Checks the knobs a user can set freely against the ranges the
+    /// formulation is defined on: `split_factor ∈ [0, 1]` and
+    /// `warp_fraction ∈ (0, 1]`, both finite (a NaN is in no range).
+    /// Every front end asks here before solving, so none answers for a
+    /// configuration another would refuse.
+    ///
+    /// # Errors
+    ///
+    /// The first knob out of range.
+    pub fn validate(&self) -> Result<(), ConfigRangeError> {
+        if !(0.0..=1.0).contains(&self.split_factor) {
+            return Err(ConfigRangeError::SplitFactor);
+        }
+        if !(self.warp_fraction > 0.0 && self.warp_fraction <= 1.0) {
+            return Err(ConfigRangeError::WarpFraction);
+        }
+        Ok(())
     }
 
     /// The warp-alignment factor in threads (≥ 1).
@@ -125,6 +165,30 @@ mod tests {
                 ..EatssConfig::default()
             };
             assert_eq!(c.warp_alignment_factor(&arch), waf);
+        }
+    }
+
+    #[test]
+    fn validate_holds_the_ranges() {
+        let with = |split_factor, warp_fraction| EatssConfig {
+            split_factor,
+            warp_fraction,
+            ..EatssConfig::default()
+        };
+        for ok in [with(0.0, 1.0), with(1.0, 0.03125), EatssConfig::default()] {
+            assert_eq!(ok.validate(), Ok(()));
+        }
+        for split in [-1.0, 2.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                with(split, 0.5).validate(),
+                Err(ConfigRangeError::SplitFactor)
+            );
+        }
+        for frac in [0.0, -1.0, 1.5, f64::NAN] {
+            assert_eq!(
+                with(0.5, frac).validate(),
+                Err(ConfigRangeError::WarpFraction)
+            );
         }
     }
 

@@ -56,7 +56,7 @@ pub mod sweep;
 pub use cache::{TileCache, TileCacheStats};
 pub use journal::{Journal, JournalConfig, RecoveryStats, ReplayedEntries, SyncPolicy};
 pub use persist::PersistentTileCache;
-pub use config::{EatssConfig, Precision, ThreadBlockCap};
+pub use config::{ConfigRangeError, EatssConfig, Precision, ThreadBlockCap};
 pub use error::{PipelineError, PipelineStage};
 pub use evaluate::{
     evaluate_program, evaluate_program_repeated, evaluate_program_with, EvaluateError,
@@ -64,8 +64,20 @@ pub use evaluate::{
 pub use model::{Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance};
 pub use sweep::{pareto_front, SolveAttempt, SweepOptions, SweepOutcome, SweepPoint};
 
+use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{Gpu, GpuArch, SimReport};
+use eatss_ppcg::{verify_batch, verify_sizes, OracleError, OracleOptions, OracleReport};
+
+/// Shrink caps of [`Eatss::verify`] for spatial and time-loop
+/// parameters: small enough that an exhaustive interpretation stays
+/// interactive, large enough for ragged tiles and multi-step launches.
+const VERIFY_SPACE_CAP: i64 = 17;
+const VERIFY_TIME_CAP: i64 = 3;
+
+/// The oracle input seed front ends pass to [`Eatss::verify`] unless the
+/// user names one.
+pub const VERIFY_SEED: u64 = 0xEA75_50AC;
 
 /// The EATSS pipeline: model generation → iterative solving → PPCG
 /// compilation → simulated measurement.
@@ -128,12 +140,54 @@ impl Eatss {
     pub fn evaluate(
         &self,
         program: &Program,
-        tiles: &eatss_affine::tiling::TileConfig,
+        tiles: &TileConfig,
         sizes: &ProblemSizes,
         config: &EatssConfig,
     ) -> Result<SimReport, EvaluateError> {
         let options = config.compile_options(self.arch());
         evaluate_program_with(&self.gpu, program, tiles, sizes, &options, 1)
+    }
+
+    /// Checks tile configurations with the execution oracle: each is
+    /// compiled the way *its* configuration compiles it for this device
+    /// (split, precision, shared-memory budget — the code an answer
+    /// stands for), emulated at shrunk sizes and compared bitwise with
+    /// the interpreter on stores seeded from `seed`. Configurations that
+    /// compile alike share one [`verify_batch`], so the reference
+    /// interpretation and the emulator plans are paid once per group.
+    ///
+    /// Returns one verdict per entry of `configs`, in order.
+    pub fn verify(
+        &self,
+        program: &Program,
+        sizes: &ProblemSizes,
+        configs: &[(&EatssConfig, &TileConfig)],
+        seed: u64,
+    ) -> Vec<Result<OracleReport, OracleError>> {
+        let shrunk = verify_sizes(program, sizes, VERIFY_SPACE_CAP, VERIFY_TIME_CAP);
+        let compile: Vec<_> = configs
+            .iter()
+            .map(|(config, _)| config.compile_options(self.arch()))
+            .collect();
+        let mut verdicts = vec![None; configs.len()];
+        while let Some(first) = verdicts.iter().position(Option::is_none) {
+            let group: Vec<usize> = (first..configs.len())
+                .filter(|&i| compile[i] == compile[first])
+                .collect();
+            let tiles: Vec<TileConfig> = group.iter().map(|&i| configs[i].1.clone()).collect();
+            let options = OracleOptions {
+                compile: compile[first].clone(),
+                ..OracleOptions::default()
+            };
+            let batch = verify_batch(program, &tiles, self.arch(), &shrunk, &options, seed);
+            for (i, verdict) in group.into_iter().zip(batch) {
+                verdicts[i] = Some(verdict);
+            }
+        }
+        verdicts
+            .into_iter()
+            .map(|v| v.expect("every configuration is in one group"))
+            .collect()
     }
 
     /// Runs the paper's configuration sweep (§V-B generates three
@@ -169,5 +223,34 @@ impl Eatss {
         options: &SweepOptions,
     ) -> Result<SweepOutcome, PipelineError> {
         sweep::run_with(self, program, sizes, splits, warp_fractions, options)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verify_compiles_each_config_the_way_it_is_configured() {
+        let bench = eatss_kernels::by_name("gemm").expect("registered");
+        let program = bench.program().expect("parses");
+        let sizes = bench.sizes(eatss_kernels::Dataset::Standard);
+        let tiles = TileConfig::ppcg_default(program.max_depth());
+        let (unstaged, staged) = (EatssConfig::with_split(0.0), EatssConfig::with_split(0.5));
+        // Mixed splits in one call: verdicts come back in input order,
+        // each from its own split's codegen.
+        let verdicts = Eatss::new(GpuArch::ga100()).verify(
+            &program,
+            &sizes,
+            &[(&staged, &tiles), (&unstaged, &tiles), (&staged, &tiles)],
+            VERIFY_SEED,
+        );
+        let staged_elems: Vec<u64> = verdicts
+            .iter()
+            .map(|v| v.as_ref().expect("32^d verifies").staged_elems)
+            .collect();
+        // No shared memory under a 0.0 split: nothing may be staged.
+        assert_eq!(staged_elems[1], 0);
+        assert!(staged_elems[0] > 0 && staged_elems[2] == staged_elems[0]);
     }
 }

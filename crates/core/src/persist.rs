@@ -12,9 +12,12 @@
 //! The value encoding is deliberately dumb: fixed-width little-endian
 //! fields, no varints, one format version byte. A value that fails to
 //! decode (a corrupt record that slipped past the journal checksum, or a
-//! future format) is counted and skipped, never trusted.
+//! future format) is counted and skipped, never trusted — and so is a
+//! record whose *key* is not in this build's [`encode_key`] format: no
+//! lookup could name it, and a key written under an older encoding may
+//! describe a different kernel than the same bytes would today.
 
-use crate::cache::{encode_key, solve, SelectResult, TileCache, TileCacheStats};
+use crate::cache::{encode_key, is_current_key, solve, SelectResult, TileCache, TileCacheStats};
 use crate::config::EatssConfig;
 use crate::journal::{fnv1a64, Journal, JournalConfig, RecoveryStats, RECORD_PREFIX_BYTES};
 use crate::model::{EatssError, EatssSolution, SolutionProvenance};
@@ -181,7 +184,8 @@ pub struct PersistentTileCache {
     journal: Option<Journal>,
     /// Journal records that decoded to valid results on open.
     replayed: u64,
-    /// Journal records whose value failed to decode (dropped).
+    /// Journal records dropped on open: the value failed to decode, or
+    /// the key is not in this build's format.
     undecodable: u64,
     /// Entries appended to the journal over this cache's lifetime.
     persisted: u64,
@@ -213,7 +217,7 @@ impl PersistentTileCache {
         let mut undecodable = 0;
         let mut live_bytes = 0u64;
         for (key, value) in records {
-            match decode_result(&value) {
+            match decode_result(&value).filter(|_| is_current_key(&key)) {
                 // Later records supersede earlier ones for the same key
                 // (compaction leaves one; a crashed compaction may leave
                 // the append-order duplicates, which replay idempotently).
@@ -264,7 +268,7 @@ impl PersistentTileCache {
     }
 
     /// Journal records dropped on open because their value no longer
-    /// decodes.
+    /// decodes or their key predates this build's key format.
     pub fn undecodable(&self) -> u64 {
         self.undecodable
     }
@@ -401,7 +405,7 @@ impl PersistentTileCache {
 
     /// Fraction of journal record bytes that a
     /// [`compact`](PersistentTileCache::compact) would reclaim: superseded records,
-    /// undecodable values and checksum-skipped regions. 0 for an
+    /// undecodable values, old-format keys and checksum-skipped regions. 0 for an
     /// ephemeral or empty journal.
     pub fn garbage_ratio(&self) -> f64 {
         let Some(journal) = &self.journal else {
@@ -633,6 +637,37 @@ mod tests {
         cache.compact().unwrap();
         assert_eq!(cache.garbage_ratio(), 0.0);
         assert!(cache.live_bytes() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_format_keys_are_skipped_at_replay_and_reclaimed_by_compact() {
+        let dir = temp_dir("old-key");
+        let cfg = EatssConfig::default();
+        let open =
+            || PersistentTileCache::open(&dir, GpuArch::ga100(), JournalConfig::default()).unwrap();
+        let key = encode_key(&GpuArch::ga100(), &mm(), &sizes(2000), &cfg);
+        // What a build before the key-format byte left behind: a valid
+        // record under a key that opens with the arch-name length.
+        let old_key = &key[1..];
+        {
+            let mut cache = open();
+            let s = cache.select(&mm(), &sizes(2000), &cfg).unwrap();
+            cache.insert_key(old_key.to_vec(), Ok(s)).unwrap();
+        }
+        let mut cache = open();
+        assert_eq!(
+            (cache.replayed(), cache.undecodable(), cache.len()),
+            (1, 1, 1)
+        );
+        assert!(cache.lookup_key(old_key).is_none(), "never served");
+        assert!(cache.lookup_key(&key).is_some());
+        assert!(cache.garbage_ratio() > 0.4, "{}", cache.garbage_ratio());
+        cache.compact().unwrap();
+        assert_eq!(cache.garbage_ratio(), 0.0);
+        drop(cache);
+        let cache = open();
+        assert_eq!((cache.replayed(), cache.undecodable()), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -104,6 +104,56 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--no-such-flag") && stderr.contains("usage:"), "{stderr}");
 
+    // So is a configuration no front end accepts (the daemon answers the
+    // same values with `bad_field`): out-of-range or NaN knobs, sizes < 1.
+    for (flag, value, expected) in [
+        ("--split", "2.0", "--split: expected number in [0, 1]"),
+        ("--split", "-1", "--split: expected number in [0, 1]"),
+        ("--split", "nan", "--split: expected number in [0, 1]"),
+        (
+            "--warp-frac",
+            "-1",
+            "--warp-frac: expected number in (0, 1]",
+        ),
+        ("--warp-frac", "0", "--warp-frac: expected number in (0, 1]"),
+        (
+            "--warp-frac",
+            "nan",
+            "--warp-frac: expected number in (0, 1]",
+        ),
+        ("--size", "NI=0", "--size NI: expected a positive integer"),
+        ("--size", "NI=-5", "--size NI: expected a positive integer"),
+    ] {
+        let out = eatss()
+            .args(["gemm", flag, value])
+            .output()
+            .expect("spawn eatss");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(expected) && stderr.contains("usage:"),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: no answer is printed"
+        );
+    }
+    // The ends of the ranges are in them.
+    let out = eatss()
+        .args([
+            "gemm",
+            "--split",
+            "1",
+            "--warp-frac",
+            "1",
+            "--log-level",
+            "off",
+        ])
+        .output()
+        .expect("spawn eatss");
+    assert_eq!(out.status.code(), Some(0));
+
     // A well-formed request that fails — an unreadable kernel file, an
     // unsatisfiable formulation — prints its error alone and exits 1.
     let unreadable = vec!["/no/such/kernel.eatss"];

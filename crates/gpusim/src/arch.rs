@@ -137,13 +137,6 @@ impl GpuArch {
     pub fn sector_bytes(&self) -> u64 {
         32
     }
-
-    /// Maximum concurrently resident blocks across the whole device for a
-    /// kernel using `threads` threads, `regs` registers/thread and
-    /// `shared` bytes of shared memory per block (ignoring grid size).
-    pub fn device_block_capacity(&self, blocks_per_sm: u32) -> u64 {
-        self.sm_count as u64 * blocks_per_sm as u64
-    }
 }
 
 /// The historical hard-wired constructors, kept verbatim so tests can pin
@@ -286,10 +279,5 @@ mod tests {
         let s = GpuArch::xavier().to_string();
         assert!(s.contains("Xavier"));
         assert!(s.contains("8 SMs"));
-    }
-
-    #[test]
-    fn device_capacity_multiplies() {
-        assert_eq!(GpuArch::ga100().device_block_capacity(2), 216);
     }
 }

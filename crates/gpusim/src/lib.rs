@@ -17,9 +17,7 @@
 //!   phases plus staging-synchronization and launch overheads;
 //! * **power** ([`power`]) — constant + static + dynamic decomposition
 //!   (Fig. 1) with per-activity energies and a TDP cap that models the
-//!   automatic DVFS behaviour the paper exploits;
-//! * a validation-scale set-associative LRU [`cache`] simulator used to
-//!   sanity-check the analytic residency rules in tests.
+//!   automatic DVFS behaviour the paper exploits.
 //!
 //! All "measurement noise" is deterministic ([`noise`]), so experiments
 //! are reproducible bit-for-bit.
@@ -57,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-pub mod cache;
 pub mod fault;
 pub mod metrics;
 pub mod noise;
@@ -68,10 +65,8 @@ pub mod spec;
 pub mod stats;
 pub mod timing;
 pub mod traffic;
-pub mod validation;
 
 pub use arch::{GpuArch, PowerCoefficients};
-pub use cache::{AccessOutcome, CacheSim, CacheStats};
 pub use fault::{FaultKind, FaultPlan, SimFault};
 pub use metrics::SimReport;
 pub use occupancy::{occupancy, Occupancy};
@@ -103,11 +98,6 @@ impl Gpu {
             arch,
             fault_plan: Some(plan),
         }
-    }
-
-    /// Installs or clears the fault plan on an existing device.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
     }
 
     /// The device's architecture description.
@@ -216,28 +206,6 @@ impl Gpu {
         let _stage = eatss_trace::span("sim", "power");
         power::finish(&self.arch, spec, &occ, &traffic, timing)
     }
-
-    /// Simulates a sequence of kernel launches (a program such as 2mm),
-    /// aggregating time, energy and traffic; the average power is the
-    /// time-weighted mean.
-    pub fn simulate_program(&self, specs: &[KernelExecSpec]) -> SimReport {
-        let reports: Vec<SimReport> = specs.iter().map(|s| self.simulate(s)).collect();
-        SimReport::sequence(&reports)
-    }
-
-    /// [`Gpu::simulate_program`], surfacing the first injected launch
-    /// failure as an error.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gpu::try_simulate`].
-    pub fn try_simulate_program(&self, specs: &[KernelExecSpec]) -> Result<SimReport, SimFault> {
-        let reports: Vec<SimReport> = specs
-            .iter()
-            .map(|s| self.try_simulate(s))
-            .collect::<Result<_, _>>()?;
-        Ok(SimReport::sequence(&reports))
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +289,7 @@ mod tests {
         let gpu = Gpu::new(GpuArch::ga100());
         let a = gpu.simulate(&gemm_like_spec(32));
         let b = gpu.simulate(&gemm_like_spec(64));
-        let seq = gpu.simulate_program(&[gemm_like_spec(32), gemm_like_spec(64)]);
+        let seq = SimReport::sequence(&[a.clone(), b.clone()]);
         assert!((seq.time_s - (a.time_s + b.time_s)).abs() < 1e-12);
         assert!((seq.energy_j - (a.energy_j + b.energy_j)).abs() < 1e-9);
         let w_avg = seq.energy_j / seq.time_s;
@@ -412,19 +380,7 @@ mod tests {
         let r = gpu.try_simulate(&gemm_like_spec(32)).unwrap();
         assert!(!r.valid);
         // One invalid launch poisons the whole program sequence.
-        let seq = gpu.simulate_program(&[gemm_like_spec(64), gemm_like_spec(32)]);
+        let seq = SimReport::sequence(&[gpu.simulate(&gemm_like_spec(64)), r]);
         assert!(!seq.valid);
-        // try_simulate_program surfaces launch failures as errors.
-        let mut gpu2 = gpu.clone();
-        gpu2.set_fault_plan(Some(
-            FaultPlan::new(3).force("gemm64", FaultKind::LaunchFailure),
-        ));
-        let err = gpu2
-            .try_simulate_program(&[gemm_like_spec(32), gemm_like_spec(64)])
-            .unwrap_err();
-        assert_eq!(err.kernel, "gemm64");
-        // Clearing the plan restores clean simulation.
-        gpu2.set_fault_plan(None);
-        assert!(gpu2.simulate(&gemm_like_spec(64)).valid);
     }
 }

@@ -60,17 +60,6 @@ impl RefAccess {
         .saturated()
     }
 
-    /// Dynamic accesses per element of block footprint (the reuse factor
-    /// the block extracts from on-chip memories). Degenerate (zero or
-    /// negative) footprints extract no reuse.
-    pub fn reuse_factor(&self) -> f64 {
-        if self.block_footprint_elems <= 0 {
-            0.0
-        } else {
-            self.accesses_per_block as f64 / self.block_footprint_elems as f64
-        }
-    }
-
     /// Rejects references no consistent kernel can produce: negative
     /// footprints, access counts or contiguity runs.
     ///
@@ -346,19 +335,7 @@ mod tests {
         let r = RefAccess::streaming("x", 1_000_000, 256, true);
         assert_eq!(r.block_footprint_elems, 256);
         assert_eq!(r.accesses_per_block, 256);
-        assert!((r.reuse_factor() - 1.0).abs() < 1e-12);
         assert!(!r.is_write);
-    }
-
-    #[test]
-    fn reuse_factor_handles_zero_footprint() {
-        let mut r = RefAccess::streaming("x", 0, 0, true);
-        r.block_footprint_elems = 0;
-        assert_eq!(r.reuse_factor(), 0.0);
-        // Negative footprints (representable but meaningless) extract
-        // no reuse either, instead of a negative factor.
-        r.block_footprint_elems = -5;
-        assert_eq!(r.reuse_factor(), 0.0);
     }
 
     #[test]
@@ -371,7 +348,6 @@ mod tests {
         assert_eq!(r.tile_footprint_elems, 100);
         assert_eq!(r.contiguous_x_elems, 100);
         assert_eq!(r.accesses_per_block, 256, "accesses are repeats, kept");
-        assert!((r.reuse_factor() - 2.56).abs() < 1e-12);
         assert!(r.is_saturated());
     }
 

@@ -234,11 +234,6 @@ pub fn model(arch: &GpuArch, spec: &KernelExecSpec, occ: &Occupancy) -> TrafficR
     }
 }
 
-/// Convenience: total sectors for use as the Fig. 9 proxy.
-pub fn sectors_read(report: &TrafficReport) -> u64 {
-    report.l2_sectors_read.max(0.0) as u64
-}
-
 #[allow(clippy::too_many_arguments)]
 #[cfg(test)]
 mod tests {

@@ -204,12 +204,6 @@ pub fn polybench() -> Vec<Benchmark> {
     all().into_iter().filter(|b| b.polybench).collect()
 }
 
-/// All kernels outside Polybench (includes the §V-D case study plus
-/// extra stress kernels such as the 5-D `b2mm`).
-pub fn non_polybench() -> Vec<Benchmark> {
-    all().into_iter().filter(|b| !b.polybench).collect()
-}
-
 /// Exactly the three non-Polybench kernels of the paper's §V-D case
 /// study (conv-2d, heat-3d, mttkrp).
 pub fn case_study() -> Vec<Benchmark> {
@@ -242,7 +236,6 @@ mod tests {
     #[test]
     fn registry_counts() {
         assert_eq!(polybench().len(), 17);
-        assert_eq!(non_polybench().len(), 4);
         assert_eq!(case_study().len(), 3);
         assert_eq!(all().len(), 21);
         assert!(by_name("gemm").is_some());
@@ -324,7 +317,7 @@ mod tests {
 
     #[test]
     fn highdim_kernels_are_4d() {
-        for b in non_polybench() {
+        for b in all().into_iter().filter(|b| !b.polybench) {
             let p = b.program().unwrap();
             let depth = p.max_depth();
             assert!(depth >= 4, "{} has depth {depth}, expected 4+", b.name);

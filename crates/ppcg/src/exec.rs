@@ -77,21 +77,15 @@ pub enum ExecEngine {
     Reference,
 }
 
-/// Iteration-count floor below which compiling an
-/// [`ExecPlan`] stops paying for itself in
-/// general: one compile amortizes over the kernel's points; under ~1k
-/// points the compile dominates.
-pub const AUTO_PLAN_THRESHOLD_POINTS: i64 = 1024;
-
-/// The *emulator's* [`ExecEngine::Auto`] crossover, sitting higher than
-/// the generic [`AUTO_PLAN_THRESHOLD_POINTS`]: emulated plan rows also
-/// pay route dispatch and per-row staging-box checks, so the compile
-/// amortizes later. When the threshold was set the forced-`Plan` emulator
-/// measured wall_ratio 0.982 on a 51-point domain (jacobi-1d) and only
-/// ~1.0 near 900 points (fdtd-2d); no PolyBench kernel at sweep sizes has a domain
-/// between these thresholds, so raising the emulator's floor changes no
-/// current routing except keeping tiny stencil domains on the reference
-/// walker.
+/// The [`ExecEngine::Auto`] crossover: iteration-count floor below which
+/// compiling an [`ExecPlan`] stops paying for itself. One compile
+/// amortizes over the kernel's points, and emulated plan rows also pay
+/// route dispatch and per-row staging-box checks. When the threshold was
+/// set the forced-`Plan` emulator measured wall_ratio 0.982 on a 51-point
+/// domain (jacobi-1d) and only ~1.0 near 900 points (fdtd-2d); no
+/// PolyBench kernel at sweep sizes has a domain between 1024 and this
+/// floor, so it keeps tiny stencil domains on the reference walker and
+/// routes everything else to the plan engine.
 pub const AUTO_PLAN_THRESHOLD_EMULATOR_POINTS: i64 = 2048;
 
 /// Emulator knobs.

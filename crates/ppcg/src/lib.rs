@@ -52,7 +52,6 @@ pub mod space;
 pub use exec::{
     execute_compiled, execute_compiled_batch, BarrierFidelity, ExecEngine,
     ExecError, ExecOptions, ExecStats, AUTO_PLAN_THRESHOLD_EMULATOR_POINTS,
-    AUTO_PLAN_THRESHOLD_POINTS,
 };
 pub use mapping::{CompileError, CompileOptions, GpuMapping};
 pub use oracle::{

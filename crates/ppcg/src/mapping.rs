@@ -3,7 +3,7 @@
 
 use eatss_affine::analysis::{AccessAnalysis, MemoryKind, RefGroup};
 use eatss_affine::ir::{ArrayRef, Kernel};
-use eatss_affine::tiling::{div_ceil, TileConfig, TiledNest, TilingError};
+use eatss_affine::tiling::{div_ceil, TileConfig, TilingError};
 use eatss_affine::ProblemSizes;
 use eatss_gpusim::{GpuArch, KernelExecSpec, RefAccess};
 use std::error::Error;
@@ -173,10 +173,9 @@ impl GpuMapping {
             tiles = TileConfig::new(sz);
         }
         let tiles = &tiles;
-        let nest = TiledNest::new(kernel, tiles)?;
-        let clipped = |d: usize| -> Result<i64, CompileError> {
-            Ok(nest.tile(d).min(trip(d)?))
-        };
+        tiles.validate_for(depth)?;
+        let tile = |d: usize| tiles.sizes()[d];
+        let clipped = |d: usize| -> Result<i64, CompileError> { Ok(tile(d).min(trip(d)?)) };
 
         // --- choose mapped dimensions (x first) -------------------------
         let parallel = analysis.parallel.clone();
@@ -215,7 +214,7 @@ impl GpuMapping {
 
         let mut grid_extents = Vec::with_capacity(mapped_dims.len());
         for &d in &mapped_dims {
-            grid_extents.push(div_ceil(trip(d)?, nest.tile(d)));
+            grid_extents.push(div_ceil(trip(d)?, tile(d)));
         }
         let grid_blocks: i64 = grid_extents.iter().product();
         let grid_x_blocks = grid_extents.first().copied().unwrap_or(1);
@@ -232,7 +231,7 @@ impl GpuMapping {
                 // the grid each iteration rather than tiling them.
                 launch_count = launch_count.saturating_mul(trip(d)?);
             } else {
-                serial_steps = serial_steps.saturating_mul(div_ceil(trip(d)?, nest.tile(d)));
+                serial_steps = serial_steps.saturating_mul(div_ceil(trip(d)?, tile(d)));
             }
         }
 
@@ -336,8 +335,7 @@ impl GpuMapping {
                 } else if g.representative.uses_dim(d) {
                     accesses = accesses.saturating_mul(trip(d)?);
                 } else {
-                    accesses =
-                        accesses.saturating_mul(div_ceil(trip(d)?, nest.tile(d)));
+                    accesses = accesses.saturating_mul(div_ceil(trip(d)?, tile(d)));
                 }
             }
             let staged =

@@ -30,10 +30,6 @@ pub const MOTIVATION_CANDIDATES: [i64; 15] = [
     4, 8, 16, 24, 32, 48, 64, 96, 128, 160, 192, 256, 320, 384, 512,
 ];
 
-/// Smaller per-dimension candidate lists for higher-dimensional kernels,
-/// keeping spaces in the paper's 200–800 range (§V-A).
-pub const COMPACT_CANDIDATES: [i64; 6] = [4, 8, 16, 32, 64, 128];
-
 impl TileSpace {
     /// Space over explicit candidates.
     pub fn new(depth: usize, candidates: Vec<i64>) -> Self {
@@ -67,11 +63,6 @@ impl TileSpace {
     /// Whether the space is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Candidate sizes per dimension.
-    pub fn candidates(&self) -> &[i64] {
-        &self.candidates
     }
 
     /// Iterates over every configuration in row-major (last dimension

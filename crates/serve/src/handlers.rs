@@ -20,8 +20,7 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{DeviceProfile, Gpu, SimReport};
 use eatss_kernels::Dataset;
-use eatss_ppcg::oracle::verify_sizes;
-use eatss_ppcg::{verify_batch, OracleError, OracleOptions, OracleReport};
+use eatss_ppcg::OracleError;
 use eatss_smt::{SolverConfig, WarmStart};
 use eatss_trace::{lane_scope, span, Event, Trace};
 use std::collections::BTreeSet;
@@ -548,7 +547,7 @@ fn answer(shared: &Shared, query: &Query, result: SelectResult, fell_back: bool)
     // the response.
     let verify = solved.filter(|_| query.verify).map(|s| {
         let fallback = TileConfig::ppcg_default(query.program.max_depth());
-        run_verify(query, &query.cfg, &[s.tiles.clone(), fallback], 1)
+        run_verify(query, &[(&query.cfg, &s.tiles), (&query.cfg, &fallback)], 1)
     });
     Outcome::Done {
         result,
@@ -694,21 +693,13 @@ fn run_pareto(job: &Job) -> Finished {
     let front_points = outcome.pareto_front();
     // Unlike a selection's fallback config, every front point is a real
     // answer the daemon is returning: all of them must map and agree,
-    // each under its own split's codegen — one oracle batch per split.
+    // each under its own split's codegen.
     let verify = query.verify.then(|| {
-        let mut summary = VerifySummary::default();
-        for split in eatss::sweep::PAPER_SPLITS {
-            let group: Vec<_> =
-                front_points.iter().filter(|p| p.config.split_factor == split).collect();
-            let Some(first) = group.first() else {
-                continue;
-            };
-            let tiles: Vec<_> = group.iter().map(|p| p.solution.tiles.clone()).collect();
-            let part = run_verify(query, &first.config, &tiles, tiles.len())?;
-            summary.configs += part.configs;
-            summary.points += part.points;
-        }
-        Ok(summary)
+        let front: Vec<_> = front_points
+            .iter()
+            .map(|p| (&p.config, &p.solution.tiles))
+            .collect();
+        run_verify(query, &front, front.len())
     });
     Finished {
         outcome: Outcome::Pareto(Ok(ParetoReport {
@@ -732,26 +723,24 @@ fn run_eval(shared: &Shared, query: &Query, solution: &EatssSolution) -> Result<
         .map_err(|e| e.to_string())
 }
 
-/// Spatial / time-loop caps for `verify: true` oracle runs — the same
-/// shrink rule the sweep uses, sized so verification stays interactive.
-const VERIFY_SPACE_CAP: i64 = 17;
-const VERIFY_TIME_CAP: i64 = 3;
-/// Store seed for `verify: true` oracle runs.
-const VERIFY_SEED: u64 = 0xEA75_50AC;
-
-/// Verifies `configs` bitwise against the reference interpreter in one
-/// [`verify_batch`] call at shrunk verification sizes, so the reference
-/// interpretation and the shared emulator plans are paid once per
-/// request, not per config. The first `required` configs must map and
-/// agree; a later one that fails to *map* is not a finding.
+/// Verifies `configs` bitwise against the reference interpreter through
+/// [`Eatss::verify`] — each compiled the way its configuration compiles
+/// it for the query's device, the code the daemon's answer stands for.
+/// The first `required` configs must map and agree; a later one that
+/// fails to *map* is not a finding.
 fn run_verify(
     query: &Query,
-    cfg: &EatssConfig,
-    configs: &[TileConfig],
+    configs: &[(&EatssConfig, &TileConfig)],
     required: usize,
 ) -> Result<VerifySummary, String> {
+    let verdicts = Eatss::new(query.arch.clone()).verify(
+        &query.program,
+        &query.sizes,
+        configs,
+        eatss::VERIFY_SEED,
+    );
     let mut summary = VerifySummary::default();
-    for (i, verdict) in oracle_verdicts(query, cfg, configs).into_iter().enumerate() {
+    for (i, verdict) in verdicts.into_iter().enumerate() {
         match verdict {
             Ok(report) => {
                 summary.configs += 1;
@@ -762,46 +751,4 @@ fn run_verify(
         }
     }
     Ok(summary)
-}
-
-/// The oracle's verdict on each of `configs`, compiled the way `cfg`
-/// compiles them for the query's device (its split, precision and
-/// shared-memory budget) — the code the daemon's answer stands for.
-fn oracle_verdicts(
-    query: &Query,
-    cfg: &EatssConfig,
-    configs: &[TileConfig],
-) -> Vec<Result<OracleReport, OracleError>> {
-    let shrunk = verify_sizes(&query.program, &query.sizes, VERIFY_SPACE_CAP, VERIFY_TIME_CAP);
-    let options = OracleOptions {
-        compile: cfg.compile_options(&query.arch),
-        ..OracleOptions::default()
-    };
-    verify_batch(&query.program, configs, &query.arch, &shrunk, &options, VERIFY_SEED)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn verify_compiles_what_the_request_configured() {
-        let bench = eatss_kernels::by_name("gemm").expect("registered");
-        let staged = |split: f64| {
-            let query = Query {
-                arch: eatss_gpusim::GpuArch::ga100(),
-                program: bench.program().expect("parses"),
-                sizes: bench.sizes(Dataset::Standard),
-                cfg: EatssConfig::with_split(split),
-                evaluate: false,
-                verify: true,
-            };
-            let tiles = TileConfig::ppcg_default(query.program.max_depth());
-            let verdicts = oracle_verdicts(&query, &query.cfg, &[tiles]);
-            verdicts[0].as_ref().expect("32^d verifies").staged_elems
-        };
-        // No shared memory under a 0.0 split: nothing may be staged.
-        assert_eq!(staged(0.0), 0);
-        assert!(staged(0.5) > 0);
-    }
 }

@@ -16,8 +16,8 @@
 use crate::flight::{RequestRecord, TraceWhich};
 use crate::server::ServerStats;
 use eatss::{
-    EatssConfig, EatssSolution, PipelineError, Precision, RecoveryStats, SweepPoint,
-    ThreadBlockCap, TileCacheStats,
+    ConfigRangeError, EatssConfig, EatssSolution, PipelineError, Precision, RecoveryStats,
+    SweepPoint, ThreadBlockCap, TileCacheStats,
 };
 use eatss_gpusim::SimReport;
 use eatss_trace::json::{escape, number, Json};
@@ -338,19 +338,19 @@ fn parse_select(value: &Json) -> Result<SelectRequest, ProtocolError> {
     };
 
     let split = opt_f64(value, "split")?.unwrap_or(0.5);
-    if !(0.0..=1.0).contains(&split) {
-        return Err(ProtocolError::BadField {
-            field: "split",
-            expected: "number in [0, 1]",
-        });
-    }
     let warp_fraction = opt_f64(value, "warp_frac")?.unwrap_or(0.5);
-    if !(warp_fraction > 0.0 && warp_fraction <= 1.0) {
-        return Err(ProtocolError::BadField {
-            field: "warp_frac",
-            expected: "number in (0, 1]",
-        });
-    }
+    let knobs = EatssConfig {
+        split_factor: split,
+        warp_fraction,
+        ..EatssConfig::default()
+    };
+    knobs.validate().map_err(|e| ProtocolError::BadField {
+        field: match e {
+            ConfigRangeError::SplitFactor => "split",
+            ConfigRangeError::WarpFraction => "warp_frac",
+        },
+        expected: e.expected(),
+    })?;
 
     let deadline_ms = match opt_f64(value, "deadline_ms")? {
         None => None,

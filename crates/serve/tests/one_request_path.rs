@@ -66,6 +66,42 @@ fn hit_raced_hit_and_fresh_solve_answer_alike() {
 }
 
 #[test]
+fn sources_that_differ_only_in_array_identity_get_their_own_answers() {
+    // Same shape, same name lengths; in the first every read shares one
+    // array (and so its cache lines), in the second none do — a different
+    // register constraint, a different optimum, and it must be a
+    // different cache entry.
+    let source = |reads: [&str; 4]| SelectArgs {
+        source: Some(format!(
+            "kernel k(N) {{ for (i: N) for (j: N) \
+             B[i][j] = {}[i][j] + {}[i][j+1] + {}[i][j+2] + {}[i][j+3]; }}",
+            reads[0], reads[1], reads[2], reads[3]
+        )),
+        n: Some(4000),
+        ..SelectArgs::default()
+    };
+    let handle = start(ServerConfig::default()).unwrap();
+    let mut client = connect(&handle);
+    let tiles = |reply: &Json| -> Vec<f64> {
+        let tiles = reply.get("tiles").and_then(Json::as_array).expect("tiles");
+        tiles.iter().filter_map(Json::as_f64).collect()
+    };
+    for (reads, optimum) in [
+        (["A", "A", "A", "A"], [384.0, 16.0]),
+        (["A", "C", "D", "E"], [144.0, 16.0]),
+    ] {
+        let reply = client.select(&source(reads)).unwrap();
+        assert_eq!(
+            (text(&reply, "status"), text(&reply, "cache")),
+            ("ok", "miss"),
+            "{reads:?}"
+        );
+        assert_eq!(tiles(&reply), optimum, "{reads:?}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn failed_journal_append_still_answers_but_is_counted_and_logged() {
     let dir = temp_dir("append-error");
     let log_path = dir.join("access.jsonl");

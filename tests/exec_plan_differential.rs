@@ -10,7 +10,7 @@
 
 use eatss_affine::interp::{self, compare_stores, Store};
 use eatss_affine::plan::set_simd_enabled;
-use eatss_affine::tiling::{TileConfig, TiledNest};
+use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_ppcg::oracle::{sample_tile_config, sweep_rng, verify_sizes};
@@ -80,37 +80,6 @@ fn compiled_interp_matches_reference_on_polybench() {
     }
 }
 
-/// The plan-backed tiled interpreter reproduces the tree-walker bitwise
-/// across adversarial and random tile configurations (non-divisible
-/// boundaries, degenerate tiles, single ragged blocks).
-#[test]
-fn compiled_tiled_interp_matches_reference_on_adversarial_tiles() {
-    for bench in eatss_kernels::polybench() {
-        let program = bench.program().expect("registry parses");
-        let sizes = shrunk(&program, &bench.sizes(eatss_kernels::Dataset::Standard));
-        let trips = trips(&program, &sizes);
-        for (c, tiles) in adversarial_tiles(program.max_depth(), &trips, 4, SEED)
-            .iter()
-            .enumerate()
-        {
-            let mut fast = seed_store(&program, &sizes, SEED).expect("store seeds");
-            let mut reference = seed_store(&program, &sizes, SEED).expect("store seeds");
-            for kernel in &program.kernels {
-                let nest = match TiledNest::new(kernel, tiles) {
-                    Ok(nest) => nest,
-                    // Tile vectors shorter than a kernel's depth are a
-                    // configuration error, not an execution case.
-                    Err(_) => continue,
-                };
-                interp::run_kernel_tiled(&nest, &sizes, &mut fast).expect("fast tiled interp");
-                interp::reference::run_kernel_tiled(&nest, &sizes, &mut reference)
-                    .expect("reference tiled interp");
-            }
-            assert_bitwise(&format!("{} config {c} ({tiles})", bench.name), &fast, &reference);
-        }
-    }
-}
-
 /// The emulator's plan engine reproduces its reference engine bitwise —
 /// same stores *and* identical execution counters — across adversarial
 /// and random configurations of every mappable PolyBench kernel.
@@ -168,9 +137,10 @@ fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
 /// setting, so only these tests need the lock.)
 static SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Runs both fast paths — the tiled plan interpreter and, where the
-/// configuration is mappable, the emulator's plan engine — with the
-/// chunked (SIMD-style) row loop forced on or off.
+/// Runs both fast paths — the plan interpreter (whose rows span a whole
+/// innermost trip count, whatever the tiles) and, where the configuration
+/// is mappable, the emulator's plan engine (whose rows are tile-clipped)
+/// — with the chunked (SIMD-style) row loop forced on or off.
 fn run_fast_paths(
     program: &Program,
     sizes: &ProblemSizes,
@@ -180,11 +150,7 @@ fn run_fast_paths(
     set_simd_enabled(simd);
     let mut out = Vec::new();
     let mut store = seed_store(program, sizes, SEED).expect("store seeds");
-    for kernel in &program.kernels {
-        if let Ok(nest) = TiledNest::new(kernel, tiles) {
-            interp::run_kernel_tiled(&nest, sizes, &mut store).expect("tiled interp");
-        }
-    }
+    interp::run_program(program, sizes, &mut store).expect("plan interp");
     out.push(store);
     let ppcg = Ppcg::new(GpuArch::ga100());
     if let Ok(compiled) = ppcg.compile(program, tiles, sizes, &CompileOptions::default()) {
@@ -234,8 +200,8 @@ fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random tiles over random kernels: both fast paths stay bitwise
-    /// equal to their references.
+    /// Random tiles over random kernels: the emulator's plan engine stays
+    /// bitwise equal to its reference engine.
     #[test]
     fn compiled_paths_match_references_on_random_tiles(
         kernel_idx in 0usize..17,
@@ -249,19 +215,6 @@ proptest! {
         let mut rng = sweep_rng(tile_seed);
         let tiles = sample_tile_config(&mut rng, &trips);
 
-        // Tiled interpretation.
-        let mut fast = seed_store(&program, &sizes, SEED).expect("store seeds");
-        let mut reference = seed_store(&program, &sizes, SEED).expect("store seeds");
-        for kernel in &program.kernels {
-            if let Ok(nest) = TiledNest::new(kernel, &tiles) {
-                interp::run_kernel_tiled(&nest, &sizes, &mut fast).expect("fast tiled interp");
-                interp::reference::run_kernel_tiled(&nest, &sizes, &mut reference)
-                    .expect("reference tiled interp");
-            }
-        }
-        assert_bitwise(&format!("{} interp ({tiles})", bench.name), &fast, &reference);
-
-        // Emulated execution.
         let ppcg = Ppcg::new(GpuArch::ga100());
         if let Ok(compiled) = ppcg.compile(&program, &tiles, &sizes, &CompileOptions::default()) {
             let mut fast = seed_store(&program, &sizes, SEED).expect("store seeds");

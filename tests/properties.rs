@@ -1,37 +1,17 @@
 //! Property-based integration tests (proptest) over the whole stack.
 
+use eatss::cache::encode_key;
+use eatss::{EatssConfig, TileCache};
+use eatss_affine::ir::Extent;
 use eatss_affine::parser::parse_program;
-use eatss_affine::tiling::{TileConfig, TiledNest};
-use eatss_affine::ProblemSizes;
-use eatss_gpusim::{occupancy, traffic, CacheSim, GpuArch, KernelExecSpec, RefAccess};
+use eatss_affine::tiling::TileConfig;
+use eatss_affine::{ProblemSizes, Program};
+use eatss_gpusim::{occupancy, traffic, GpuArch, KernelExecSpec, RefAccess};
 use eatss_ppcg::{CompileOptions, GpuMapping};
 use eatss_smt::{Solver, SolverConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// Tiling never loses or duplicates iteration points, for arbitrary
-    /// sizes and tile shapes.
-    #[test]
-    fn tiling_preserves_iteration_space(
-        m in 1i64..12, n in 1i64..12, p in 1i64..12,
-        ti in 1i64..15, tj in 1i64..15, tk in 1i64..15,
-    ) {
-        let program = parse_program(
-            "kernel mm(M, N, P) {
-               for (i: M) for (j: N) for (k: P)
-                 C[i][j] += A[i][k] * B[k][j];
-             }",
-        ).expect("static source");
-        let sizes = ProblemSizes::new([("M", m), ("N", n), ("P", p)]);
-        let nest = TiledNest::new(&program.kernels[0], &TileConfig::new(vec![ti, tj, tk]))
-            .expect("positive tiles");
-        let mut pts = nest.enumerate_points(&sizes).expect("bound sizes");
-        prop_assert_eq!(pts.len() as i64, m * n * p);
-        pts.sort();
-        pts.dedup();
-        prop_assert_eq!(pts.len() as i64, m * n * p);
-    }
-
     /// The solver's maximize returns a model satisfying every asserted
     /// constraint, and no strictly better feasible value exists among a
     /// random sample of assignments.
@@ -123,44 +103,6 @@ proptest! {
             }
             prop_assert_eq!(out.best, best);
         }
-    }
-
-    /// Cache simulator invariants: counters are consistent and misses are
-    /// bounded by compulsory-below, accesses-above.
-    #[test]
-    fn cache_sim_invariants(addrs in prop::collection::vec(0u64..4096, 1..300)) {
-        let mut sim = CacheSim::new(1024, 64, 4);
-        for &a in &addrs {
-            sim.access(a);
-        }
-        let st = sim.stats();
-        prop_assert_eq!(st.accesses, addrs.len() as u64);
-        prop_assert_eq!(st.hits + st.misses, st.accesses);
-        let mut lines: Vec<u64> = addrs.iter().map(|a| a / 64).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        prop_assert!(st.misses >= lines.len() as u64, "at least compulsory");
-        prop_assert!(st.misses <= addrs.len() as u64);
-        prop_assert!(sim.resident_lines() <= 16);
-    }
-
-    /// LRU stack property: a larger fully-associative LRU cache never
-    /// misses more than a smaller one on the same trace.
-    #[test]
-    fn lru_inclusion_property(addrs in prop::collection::vec(0u64..8192, 1..300)) {
-        let mut small = CacheSim::fully_associative(512, 64);
-        let mut large = CacheSim::fully_associative(2048, 64);
-        let mut small_misses = 0;
-        let mut large_misses = 0;
-        for &a in &addrs {
-            if small.access(a) == eatss_gpusim::AccessOutcome::Miss {
-                small_misses += 1;
-            }
-            if large.access(a) == eatss_gpusim::AccessOutcome::Miss {
-                large_misses += 1;
-            }
-        }
-        prop_assert!(large_misses <= small_misses);
     }
 
     /// Occupancy is always within hardware limits, and the launch either
@@ -351,5 +293,151 @@ proptest! {
             Err(eatss::EatssError::Unsatisfiable { .. }) => {} // clean outcome
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error: {other}"))),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Metamorphic properties of the structural cache key: what may not change
+// a selection may not change the key, and what can change a selection
+// must.
+
+/// `program` and `sizes` with every array, iterator and parameter given a
+/// fresh name whose length differs from the original's (and from its
+/// neighbours').
+fn renamed(program: &Program, sizes: &ProblemSizes) -> (Program, ProblemSizes) {
+    fn fresh(table: &mut Vec<(String, String)>, prefix: &str, old: &str) -> String {
+        if let Some((_, new)) = table.iter().find(|(o, _)| o == old) {
+            return new.clone();
+        }
+        let new = format!(
+            "{prefix}{}{}",
+            "_".repeat(old.len() + table.len()),
+            table.len()
+        );
+        table.push((old.to_owned(), new.clone()));
+        new
+    }
+    let (mut arrays, mut params) = (Vec::new(), Vec::new());
+    let mut program = program.clone();
+    for kernel in &mut program.kernels {
+        for (d, dim) in kernel.dims.iter_mut().enumerate() {
+            dim.name = format!("it{}{d}", "x".repeat(d + dim.name.len()));
+            if let Extent::Param(p) = &mut dim.extent {
+                *p = fresh(&mut params, "P", p);
+            }
+        }
+        for stmt in &mut kernel.stmts {
+            for r in std::iter::once(&mut stmt.write).chain(&mut stmt.reads) {
+                r.array = fresh(&mut arrays, "arr", &r.array);
+            }
+        }
+    }
+    let sizes = ProblemSizes::new(
+        params
+            .iter()
+            .map(|(old, new)| (new.as_str(), sizes.get(old).expect("bound parameter"))),
+    );
+    (program, sizes)
+}
+
+#[test]
+fn renaming_leaves_the_key_and_the_selection_unchanged() {
+    let arch = GpuArch::ga100();
+    let config = EatssConfig::default();
+    let eatss = eatss::Eatss::new(arch.clone());
+    for bench in eatss_kernels::polybench() {
+        let program = bench.program().expect("registry parses");
+        let sizes = bench.sizes(eatss_kernels::Dataset::Standard);
+        let (program2, sizes2) = renamed(&program, &sizes);
+        assert_ne!(program2, program, "{}: the renaming renames", bench.name);
+        assert_eq!(
+            encode_key(&arch, &program2, &sizes2, &config),
+            encode_key(&arch, &program, &sizes, &config),
+            "{}",
+            bench.name
+        );
+        let tiles = |p, s| eatss.select_tiles(p, s, &config).ok().map(|s| s.tiles);
+        assert_eq!(
+            tiles(&program2, &sizes2),
+            tiles(&program, &sizes),
+            "{}",
+            bench.name
+        );
+    }
+}
+
+/// Four 2-D kernels of identical shape and name lengths that differ only
+/// in which reads share an array. Line sharing changes the reference
+/// count, hence the register constraint, hence the optimum — so each
+/// needs its own key — while renaming an array (`Out10`) changes nothing.
+#[test]
+fn array_identity_is_part_of_the_key() {
+    let kernel = |out: &str, reads: [&str; 4]| {
+        parse_program(&format!(
+            "kernel k(N) {{ for (i: N) for (j: N)
+               {out}[i][j] = {}[i][j] + {}[i][j+1] + {}[i][j+2] + {}[i][j+3]; }}",
+            reads[0], reads[1], reads[2], reads[3]
+        ))
+        .expect("static source")
+    };
+    let variants = [
+        (kernel("B", ["A", "A", "A", "A"]), [384, 16]),
+        (kernel("B", ["A", "C", "D", "E"]), [144, 16]),
+        (kernel("B", ["A", "C", "C", "E"]), [192, 16]),
+        (kernel("B", ["A", "C", "D", "D"]), [192, 16]),
+    ];
+    let arch = GpuArch::ga100();
+    let sizes = ProblemSizes::new([("N", 4000)]);
+    let config = EatssConfig::default();
+    let mut cache = TileCache::new(arch.clone());
+    let mut keys = Vec::new();
+    for (program, optimum) in &variants {
+        let tiles = cache
+            .select(program, &sizes, &config)
+            .expect("satisfiable")
+            .tiles
+            .clone();
+        assert_eq!(tiles.sizes(), optimum);
+        keys.push(encode_key(&arch, program, &sizes, &config));
+    }
+    for (i, a) in keys.iter().enumerate() {
+        for b in &keys[i + 1..] {
+            assert_ne!(
+                a, b,
+                "variants that select differently must not share a key"
+            );
+        }
+    }
+    let renamed = kernel("Out10", ["A", "C", "D", "E"]);
+    assert_eq!(encode_key(&arch, &renamed, &sizes, &config), keys[1]);
+    let tiles = cache
+        .select(&renamed, &sizes, &config)
+        .expect("satisfiable")
+        .tiles
+        .clone();
+    assert_eq!(tiles.sizes(), variants[1].1);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.misses, stats.hits),
+        (4, 1),
+        "four misses, then the rename hits"
+    );
+}
+
+#[test]
+fn pretty_then_parse_leaves_the_key_unchanged() {
+    let arch = GpuArch::ga100();
+    let config = EatssConfig::default();
+    for bench in eatss_kernels::all() {
+        let program = bench.program().expect("registry parses");
+        let sizes = bench.sizes(eatss_kernels::Dataset::Standard);
+        let printed = eatss_affine::pretty::pretty_program(&program);
+        let reparsed = parse_program(&printed).expect("printed source parses");
+        assert_eq!(
+            encode_key(&arch, &reparsed, &sizes, &config),
+            encode_key(&arch, &program, &sizes, &config),
+            "{}",
+            bench.name
+        );
     }
 }
