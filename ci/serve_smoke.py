@@ -104,7 +104,6 @@ def check_trace_op(sock, lines, trace_check, cache_dir):
     subprocess.run(
         [
             trace_check,
-            "--format", "chrome",
             "--expect-histogram", "serve.request_us",
             path,
         ],
@@ -136,6 +135,10 @@ def main():
     sock.sendall(b"this is not json\n")
     assert json.loads(lines.readline())["error"]["kind"] == "bad_json"
     assert request(sock, lines, {"kernel": "nope"})["error"]["kind"] == "unknown_kernel"
+    # A `sizes` the daemon cannot use is an error, never a reason to
+    # answer for the default dataset instead.
+    reply = request(sock, lines, {"kernel": "gemm", "sizes": [1, 2]})
+    assert reply.get("error", {}).get("kind") == "bad_field", reply
     assert request(sock, lines, {"op": "ping"})["status"] == "ok"
     # Mid-load observability: histograms have samples, gauges are live,
     # and the flight recorder can export its slowest request.

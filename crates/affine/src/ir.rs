@@ -390,6 +390,20 @@ impl Kernel {
         v
     }
 
+    /// Names of the problem-size parameters the loop extents use, in
+    /// first-use order.
+    pub fn params(&self) -> Vec<&str> {
+        let mut v: Vec<&str> = Vec::new();
+        for d in &self.dims {
+            if let Extent::Param(p) = &d.extent {
+                if !v.contains(&p.as_str()) {
+                    v.push(p);
+                }
+            }
+        }
+        v
+    }
+
     /// Concrete trip count of dimension `dim` under `sizes`.
     ///
     /// # Errors
@@ -442,6 +456,19 @@ impl Program {
     /// default-tiling notation).
     pub fn max_depth(&self) -> usize {
         self.kernels.iter().map(Kernel::depth).max().unwrap_or(0)
+    }
+
+    /// Names of the problem-size parameters of all kernels, in first-use
+    /// order — what a front end must bind before the program can be
+    /// sized.
+    pub fn params(&self) -> Vec<&str> {
+        let mut v: Vec<&str> = Vec::new();
+        for p in self.kernels.iter().flat_map(Kernel::params) {
+            if !v.contains(&p) {
+                v.push(p);
+            }
+        }
+        v
     }
 
     /// Total floating-point operations of all kernels under `sizes`.

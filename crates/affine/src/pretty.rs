@@ -5,7 +5,7 @@
 //! enforced by tests here and a property test in the integration suite.
 //! Useful for dumping transformed programs and for golden tests.
 
-use crate::ir::{Extent, Kernel, Program, RhsExpr, Statement};
+use crate::ir::{Kernel, Program, RhsExpr, Statement};
 use std::fmt::Write as _;
 
 /// Renders a whole program in the affine dialect.
@@ -37,16 +37,7 @@ pub fn pretty_program(program: &Program) -> String {
 /// Renders one kernel.
 pub fn pretty_kernel(kernel: &Kernel) -> String {
     let mut out = String::new();
-    // Parameters: extent params in first-use order.
-    let mut params: Vec<&str> = Vec::new();
-    for d in &kernel.dims {
-        if let Extent::Param(p) = &d.extent {
-            if !params.contains(&p.as_str()) {
-                params.push(p);
-            }
-        }
-    }
-    let _ = writeln!(out, "kernel {}({}) {{", kernel.name, params.join(", "));
+    let _ = writeln!(out, "kernel {}({}) {{", kernel.name, kernel.params().join(", "));
     let names = kernel.dim_names();
     let mut indent = String::from("  ");
     for dim in &kernel.dims {

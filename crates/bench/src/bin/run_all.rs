@@ -3,13 +3,10 @@
 //! the one-command regeneration entry point.
 //!
 //! ```text
-//! cargo run --release -p eatss-bench --bin run_all -- [out-dir] \
-//!     [--trace OUT.json] [--trace-format jsonl|chrome] \
-//!     [--log-level off|error|info|debug]
+//! cargo run --release -p eatss-bench --bin run_all -- [out-dir]
 //! ```
 
-use eatss_trace::{Level, Provenance, TraceFormat};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const EXPERIMENTS: [&str; 18] = [
@@ -33,71 +30,31 @@ const EXPERIMENTS: [&str; 18] = [
     "ext_precision_study",
 ];
 
-struct Options {
-    out_dir: PathBuf,
-    trace: Option<String>,
-    trace_format: TraceFormat,
-    log_level: Level,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        out_dir: PathBuf::from("results"),
-        trace: None,
-        trace_format: TraceFormat::Chrome,
-        log_level: Level::Info,
-    };
-    let mut positional = None;
-    let mut args = std::env::args().skip(1);
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace" => opts.trace = Some(next_value(&mut args, "--trace")?),
-            "--trace-format" => {
-                let text = next_value(&mut args, "--trace-format")?;
-                opts.trace_format = TraceFormat::parse(&text)
-                    .ok_or_else(|| format!("unknown trace format `{text}`"))?;
-            }
-            "--log-level" => {
-                let text = next_value(&mut args, "--log-level")?;
-                opts.log_level = Level::parse(&text)
-                    .ok_or_else(|| format!("unknown log level `{text}`"))?;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`"));
-            }
-            dir => {
-                if positional.replace(dir.to_owned()).is_some() {
-                    return Err("multiple output directories given".to_owned());
-                }
-            }
+/// The output directory: the one optional positional argument.
+fn parse_args() -> Result<PathBuf, String> {
+    let mut out_dir = None;
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with('-') {
+            return Err(format!("unknown option `{arg}`"));
+        }
+        if out_dir.replace(PathBuf::from(arg)).is_some() {
+            return Err("multiple output directories given".to_owned());
         }
     }
-    if let Some(dir) = positional {
-        opts.out_dir = PathBuf::from(dir);
-    }
-    Ok(opts)
+    Ok(out_dir.unwrap_or_else(|| PathBuf::from("results")))
 }
 
-fn run_experiments(opts: &Options) -> usize {
+fn run_experiments(out_dir: &Path) -> usize {
     // Each experiment binary lives next to this one.
     let self_path = std::env::current_exe().expect("current exe path");
     let bin_dir = self_path.parent().expect("exe has a parent directory");
     let mut failures = 0;
     for name in EXPERIMENTS {
         let bin = bin_dir.join(name);
-        let out_file = opts.out_dir.join(format!("{name}.txt"));
+        let out_file = out_dir.join(format!("{name}.txt"));
         print!("{name:<32} ");
-        let mut span = eatss_trace::span("bench", "experiment");
-        if span.is_active() {
-            span.arg("name", name);
-        }
-        let output = Command::new(&bin).output();
-        match output {
+        match Command::new(&bin).output() {
             Ok(output) if output.status.success() => {
-                span.arg("ok", true);
                 if let Err(e) = std::fs::write(&out_file, &output.stdout) {
                     println!("write failed: {e}");
                     failures += 1;
@@ -106,12 +63,10 @@ fn run_experiments(opts: &Options) -> usize {
                 }
             }
             Ok(output) => {
-                span.arg("ok", false);
                 println!("FAILED (status {})", output.status);
                 failures += 1;
             }
             Err(e) => {
-                span.arg("ok", false);
                 println!("FAILED to launch ({e}); build with `cargo build --release -p eatss-bench` first");
                 failures += 1;
             }
@@ -121,33 +76,18 @@ fn run_experiments(opts: &Options) -> usize {
 }
 
 fn main() -> std::process::ExitCode {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    let out_dir = match parse_args() {
+        Ok(out_dir) => out_dir,
         Err(e) => {
             eatss_trace::error!("{e}");
             return std::process::ExitCode::from(2);
         }
     };
-    eatss_trace::set_log_level(opts.log_level);
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eatss_trace::error!("cannot create {}: {e}", opts.out_dir.display());
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eatss_trace::error!("cannot create {}: {e}", out_dir.display());
         return std::process::ExitCode::FAILURE;
     }
-    if opts.trace.is_some() {
-        eatss_trace::start_collecting();
-    }
-    let failures = run_experiments(&opts);
-    if let Some(path) = &opts.trace {
-        let trace = eatss_trace::drain(Provenance::collect(None));
-        match trace.write(std::path::Path::new(path), opts.trace_format) {
-            Ok(()) => eatss_trace::info!(
-                "trace: {} event(s) written to {path} ({:?})",
-                trace.events.len(),
-                opts.trace_format
-            ),
-            Err(e) => eatss_trace::error!("cannot write trace `{path}`: {e}"),
-        }
-    }
+    let failures = run_experiments(&out_dir);
     if failures == 0 {
         println!("\nall {} experiments regenerated", EXPERIMENTS.len());
         std::process::ExitCode::SUCCESS

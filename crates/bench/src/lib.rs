@@ -16,3 +16,10 @@ pub mod table;
 
 pub use explore::{explore_space, BaselineSummary, Variant};
 pub use table::Table;
+
+/// The line an experiment prints between what repeats exactly and what
+/// it measured on the wall clock. CI's `results-gate` compares a
+/// regenerated `results/*.txt` with the committed one up to this line
+/// (the whole file when it has none).
+pub const MEASURED_BELOW: &str =
+    "--- measured wall-clock seconds below: these differ from run to run ---";

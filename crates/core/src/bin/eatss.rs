@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! eatss <kernel.eatss | benchmark-name> [options]
-//! eatss serve [daemon flags]     run the tuning service (delegates to
-//!                                the sibling `eatss-serve` binary)
 //!
 //! options:
 //!   --kernel NAME              alias for the positional input
@@ -17,8 +15,8 @@
 //!   --warp-frac <F>            warp fraction in (0, 1] (default: 0.5)
 //!   --fp32                     single precision (default: FP64)
 //!   --strict-cap               literal B_size <= T_P_B (default: virtual)
-//!   --size NAME=VALUE          bind a problem-size parameter to a positive
-//!                              integer (repeatable)
+//!   --size NAME=VALUE          bind a problem-size parameter of the kernel
+//!                              to a positive integer (repeatable)
 //!   --dataset standard|xl      use a registered benchmark's dataset
 //!   --sweep                    run the split x warp-fraction sweep
 //!   --jobs <N>                 sweep worker threads (0 = all cores; default 1)
@@ -27,9 +25,10 @@
 //!   --emit-cuda                print the generated CUDA for the selection
 //!   --evaluate                 measure the selection on the GPU model
 //!   --verify                   check the selection with the execution oracle
-//!   --verify-seed <N>          oracle input seed (default: 0xEA7550AC)
-//!   --trace <out.json>         record a pipeline trace (implies --evaluate)
-//!   --trace-format jsonl|chrome  trace serialization (default: chrome)
+//!   --verify-seed <N>          oracle input seed, decimal or 0x-prefixed hex
+//!                              (default: 0xEA7550AC)
+//!   --trace <out.json>         record a pipeline trace as Chrome
+//!                              `trace_events` JSON (implies --evaluate)
 //!   --log-level off|error|info|debug  stderr verbosity (default: info)
 //! ```
 //!
@@ -45,7 +44,7 @@ use eatss_affine::{Kernel, ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_ppcg::Ppcg;
 use eatss_smt::SolverConfig;
-use eatss_trace::{Level, Provenance, TraceFormat};
+use eatss_trace::{Level, Provenance};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -65,7 +64,6 @@ struct Options {
     verify: bool,
     verify_seed: u64,
     trace: Option<String>,
-    trace_format: TraceFormat,
     log_level: Level,
 }
 
@@ -76,31 +74,9 @@ fn usage() -> ExitCode {
          [--size NAME=VALUE]... [--dataset standard|xl] [--sweep] [--jobs N] \
          [--deadline-ms N] [--emit-smt] [--emit-cuda] [--evaluate] \
          [--verify] [--verify-seed N] \
-         [--trace OUT.json] [--trace-format jsonl|chrome] \
-         [--log-level off|error|info|debug]\n       \
-         eatss serve [daemon flags]   run the tuning service (see `eatss-serve --help`)"
+         [--trace OUT.json] [--log-level off|error|info|debug]"
     );
     ExitCode::from(2)
-}
-
-/// Spawns the `eatss-serve` daemon: the binary next to this one if it
-/// exists (the cargo layout), else whatever `PATH` resolves.
-fn run_serve(args: Vec<String>) -> ExitCode {
-    let program = std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(|dir| dir.join("eatss-serve")))
-        .filter(|sibling| sibling.exists())
-        .unwrap_or_else(|| std::path::PathBuf::from("eatss-serve"));
-    match std::process::Command::new(&program).args(&args).status() {
-        Ok(status) => ExitCode::from(status.code().unwrap_or(1).clamp(0, 255) as u8),
-        Err(e) => {
-            eatss_trace::error!(
-                "cannot launch `{}`: {e} (build it with `cargo build -p eatss-serve`)",
-                program.display()
-            );
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -121,7 +97,6 @@ fn parse_args() -> Result<Options, String> {
         verify: false,
         verify_seed: eatss::VERIFY_SEED,
         trace: None,
-        trace_format: TraceFormat::Chrome,
         log_level: Level::Info,
     };
     let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -182,9 +157,12 @@ fn parse_args() -> Result<Options, String> {
             "--evaluate" => opts.evaluate = true,
             "--verify" => opts.verify = true,
             "--verify-seed" => {
-                opts.verify_seed = next_value(&mut args, "--verify-seed")?
-                    .parse()
-                    .map_err(|e| format!("--verify-seed: {e}"))?;
+                let text = next_value(&mut args, "--verify-seed")?;
+                opts.verify_seed = match text.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => text.parse(),
+                }
+                .map_err(|e| format!("--verify-seed: {e}"))?;
             }
             "--kernel" => {
                 let name = next_value(&mut args, "--kernel")?;
@@ -197,11 +175,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.kernel_dir = Some(next_value(&mut args, "--kernel-dir")?);
             }
             "--trace" => opts.trace = Some(next_value(&mut args, "--trace")?),
-            "--trace-format" => {
-                let text = next_value(&mut args, "--trace-format")?;
-                opts.trace_format = TraceFormat::parse(&text)
-                    .ok_or_else(|| format!("unknown trace format `{text}`"))?;
-            }
             "--log-level" => {
                 let text = next_value(&mut args, "--log-level")?;
                 opts.log_level = Level::parse(&text)
@@ -240,22 +213,45 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn load_program(opts: &Options) -> Result<(Program, ProblemSizes), String> {
+/// Why a run ended early. A usage error prints the usage text and exits
+/// 2; a well-formed run that fails prints its error alone and exits 1.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Run(message)
+    }
+}
+
+fn load_program(opts: &Options) -> Result<(Program, ProblemSizes), Failure> {
     // A registered benchmark name wins; otherwise treat the input as a
     // path to a kernel file.
-    if let Some(bench) = eatss_kernels::by_name(&opts.input) {
-        let program = bench.program().map_err(|e| e.to_string())?;
-        let mut sizes =
-            bench.sizes(opts.dataset.unwrap_or(eatss_kernels::Dataset::ExtraLarge));
-        for (k, v) in &opts.sizes {
-            sizes.set(k.clone(), *v);
+    let (program, mut sizes) = match eatss_kernels::by_name(&opts.input) {
+        Some(bench) => (
+            bench.program().map_err(|e| e.to_string())?,
+            bench.sizes(opts.dataset.unwrap_or(eatss_kernels::Dataset::ExtraLarge)),
+        ),
+        None => {
+            let source = std::fs::read_to_string(&opts.input)
+                .map_err(|e| format!("cannot read `{}`: {e}", opts.input))?;
+            let program = parse_program(&source).map_err(|e| e.to_string())?;
+            (program, ProblemSizes::default())
         }
-        return Ok((program, sizes));
+    };
+    let params = program.params();
+    for (name, value) in &opts.sizes {
+        if !params.contains(&name.as_str()) {
+            return Err(Failure::Usage(format!(
+                "--size {name}: `{}` has no such parameter (it has {})",
+                program.name,
+                params.join(", ")
+            )));
+        }
+        sizes.set(name.clone(), *value);
     }
-    let source = std::fs::read_to_string(&opts.input)
-        .map_err(|e| format!("cannot read `{}`: {e}", opts.input))?;
-    let program = parse_program(&source).map_err(|e| e.to_string())?;
-    let sizes = ProblemSizes::new(opts.sizes.iter().map(|(k, v)| (k.clone(), *v)));
     Ok((program, sizes))
 }
 
@@ -314,9 +310,9 @@ fn run_kernel_dir(dir: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run(opts: &Options) -> Result<(), String> {
+fn run(opts: &Options) -> Result<(), Failure> {
     if let Some(dir) = &opts.kernel_dir {
-        return run_kernel_dir(dir, opts);
+        return Ok(run_kernel_dir(dir, opts)?);
     }
     let (program, sizes) = load_program(opts)?;
     let eatss = Eatss::new(opts.arch.clone());
@@ -500,14 +496,6 @@ fn run(opts: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    // `eatss serve ...` delegates to the sibling `eatss-serve` daemon
-    // binary (this crate cannot depend on the serve crate — the
-    // dependency runs the other way); remaining flags pass through.
-    let mut argv = std::env::args().skip(1);
-    if argv.next().as_deref() == Some("serve") {
-        return run_serve(argv.collect());
-    }
-
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(e) => {
@@ -524,19 +512,21 @@ fn main() -> ExitCode {
     // pipeline is exactly when you want one.
     if let Some(path) = &opts.trace {
         let trace = eatss_trace::drain(Provenance::collect(Some(opts.jobs)));
-        match trace.write(std::path::Path::new(path), opts.trace_format) {
-            Ok(()) => eatss_trace::info!(
-                "trace: {} event(s) written to {path} ({:?})",
-                trace.events.len(),
-                opts.trace_format
-            ),
+        match trace.write(std::path::Path::new(path)) {
+            Ok(()) => {
+                eatss_trace::info!("trace: {} event(s) written to {path}", trace.events.len())
+            }
             Err(e) => eatss_trace::error!("cannot write trace `{path}`: {e}"),
         }
     }
-    // A failed run is not a usage error: the message alone, exit 1.
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eatss_trace::error!("{e}");
+            usage()
+        }
+        // A failed run is not a usage error: the message alone, exit 1.
+        Err(Failure::Run(e)) => {
             eatss_trace::error!("{e}");
             ExitCode::FAILURE
         }

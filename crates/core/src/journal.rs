@@ -1,5 +1,6 @@
 //! Crash-safe, fingerprint-sharded append-only journal — the durability
-//! layer under [`PersistentTileCache`](crate::persist::PersistentTileCache).
+//! layer under a [`TileCache`](crate::TileCache) built with
+//! [`TileCache::open`](crate::TileCache::open).
 //!
 //! # File format (version 1)
 //!

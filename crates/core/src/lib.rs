@@ -54,8 +54,11 @@ pub mod persist;
 pub mod sweep;
 
 pub use cache::{TileCache, TileCacheStats};
+/// The name `benchmark/src/tour.rs` (the ruler, which a product PR may not
+/// edit) still uses for a journaled [`TileCache`]. The next `[benchmark]`
+/// PR switches it to `TileCache` and deletes this line.
+pub use cache::TileCache as PersistentTileCache;
 pub use journal::{Journal, JournalConfig, RecoveryStats, ReplayedEntries, SyncPolicy};
-pub use persist::PersistentTileCache;
 pub use config::{ConfigRangeError, EatssConfig, Precision, ThreadBlockCap};
 pub use error::{PipelineError, PipelineStage};
 pub use evaluate::{
@@ -192,13 +195,13 @@ impl Eatss {
 
     /// Runs the paper's configuration sweep (§V-B generates three
     /// shared-memory levels per benchmark; §V-D adds warp fractions) and
-    /// returns every point plus the PPW-best one. Unsolvable points
-    /// degrade to PPCG's default `32^d` tiling (see [`SweepOptions`]).
+    /// returns every point plus the PPW-best one, under the default
+    /// degradation policy. Unsolvable points degrade to PPCG's default
+    /// `32^d` tiling (see [`SweepOptions`]).
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] when no configuration at all could be
-    /// measured, or on systemic solver/formulation failures.
+    /// Same conditions as [`Eatss::sweep_with`].
     pub fn sweep(
         &self,
         program: &Program,
@@ -206,14 +209,24 @@ impl Eatss {
         splits: &[f64],
         warp_fractions: &[f64],
     ) -> Result<SweepOutcome, PipelineError> {
-        sweep::run(self, program, sizes, splits, warp_fractions)
+        self.sweep_with(program, sizes, splits, warp_fractions, &SweepOptions::default())
     }
 
     /// Like [`Eatss::sweep`], but under an explicit degradation policy.
     ///
+    /// With [`SweepOptions::jobs`] > 1 the configurations are distributed
+    /// over a scoped worker pool; results are merged back in the canonical
+    /// configuration order, so the outcome — points, bookkeeping, and even
+    /// which systemic error aborts the sweep — is identical to a sequential
+    /// run.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`Eatss::sweep`].
+    /// [`PipelineError::NoMeasurablePoint`] when no configuration —
+    /// including the `32^d` fallbacks — yields a measurement;
+    /// [`PipelineError`] with stage attribution on systemic failures
+    /// (solver errors, unbound parameters — conditions no retry or
+    /// fallback can repair).
     pub fn sweep_with(
         &self,
         program: &Program,

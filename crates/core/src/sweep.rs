@@ -211,29 +211,6 @@ pub fn pareto_front(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     front
 }
 
-/// Runs the sweep with the default degradation policy.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::NoMeasurablePoint`] only when not a single
-/// configuration — including the `32^d` fallbacks — could be measured.
-pub fn run(
-    eatss: &Eatss,
-    program: &Program,
-    sizes: &ProblemSizes,
-    splits: &[f64],
-    warp_fractions: &[f64],
-) -> Result<SweepOutcome, PipelineError> {
-    run_with(
-        eatss,
-        program,
-        sizes,
-        splits,
-        warp_fractions,
-        &SweepOptions::default(),
-    )
-}
-
 /// Solves one configuration through the retry ladder. Retries only on
 /// [`EatssError::Exhausted`]; every other error is definitive.
 fn solve_with_retries(
@@ -408,21 +385,8 @@ fn record_measure_failure(reason: &str, fallback: bool) {
     }
 }
 
-/// Runs the sweep under an explicit degradation policy.
-///
-/// With [`SweepOptions::jobs`] > 1 the configurations are distributed
-/// over a scoped worker pool; results are merged back in the canonical
-/// configuration order, so the outcome — points, bookkeeping, and even
-/// which systemic error aborts the sweep — is identical to a sequential
-/// run.
-///
-/// # Errors
-///
-/// [`PipelineError::NoMeasurablePoint`] when no configuration yields a
-/// measurement; [`PipelineError`] with stage attribution on systemic
-/// failures (solver errors, unbound parameters — conditions no retry or
-/// fallback can repair).
-pub fn run_with(
+/// The body of [`Eatss::sweep_with`], which documents the contract.
+pub(crate) fn run_with(
     eatss: &Eatss,
     program: &Program,
     sizes: &ProblemSizes,

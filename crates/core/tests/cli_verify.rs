@@ -30,9 +30,9 @@ fn verify_flag_checks_eatss_and_default_tiles() {
 fn traced_verify_is_one_oracle_batch_of_two() {
     // EATSS tiles and the 32^d default go through the oracle as one
     // batch, so the reference interpretation runs once.
-    let trace = std::env::temp_dir().join(format!("eatss-cli-verify-{}.jsonl", std::process::id()));
+    let trace = std::env::temp_dir().join(format!("eatss-cli-verify-{}.json", std::process::id()));
     let out = eatss()
-        .args(["gemm", "--verify", "--log-level", "off", "--trace-format", "jsonl", "--trace"])
+        .args(["gemm", "--verify", "--log-level", "off", "--trace"])
         .arg(&trace)
         .output()
         .expect("spawn eatss");
@@ -41,30 +41,27 @@ fn traced_verify_is_one_oracle_batch_of_two() {
     assert_eq!(stdout.matches("OK —").count(), 2, "{stdout}");
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let _ = std::fs::remove_file(&trace);
-    let ends: Vec<&str> = text
+    // The Chrome document holds one complete ("X") event per line.
+    let spans: Vec<&str> = text
         .lines()
-        .filter(|l| l.contains(r#""cat":"oracle","name":"verify","ph":"E""#))
+        .filter(|l| l.contains(r#""name":"verify","cat":"oracle","ph":"X""#))
         .collect();
-    assert_eq!(ends.len(), 1, "{ends:?}");
-    assert!(ends[0].contains(r#""configs":2"#), "{}", ends[0]);
+    assert_eq!(spans.len(), 1, "{spans:?}");
+    assert!(spans[0].contains(r#""configs":2"#), "{}", spans[0]);
 }
 
 #[test]
 fn verify_seed_is_reported_for_reproducibility() {
-    let out = eatss()
-        .args([
-            "gemm",
-            "--verify",
-            "--verify-seed",
-            "1234",
-            "--log-level",
-            "off",
-        ])
-        .output()
-        .expect("spawn eatss");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("seed 1234)"), "{stdout}");
+    // Decimal, or hex the way the usage text prints the default.
+    for (given, seed) in [("1234", 1234u64), ("0xEA7550AC", 0xEA75_50AC)] {
+        let out = eatss()
+            .args(["gemm", "--verify", "--verify-seed", given, "--log-level", "off"])
+            .output()
+            .expect("spawn eatss");
+        assert!(out.status.success(), "{given}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("seed {seed})")), "{given}: {stdout}");
+    }
 }
 
 #[test]
@@ -123,6 +120,8 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
         ),
         ("--size", "NI=0", "--size NI: expected a positive integer"),
         ("--size", "NI=-5", "--size NI: expected a positive integer"),
+        // A name the kernel does not have is not silently dropped.
+        ("--size", "Ni=64", "--size Ni: `gemm` has no such parameter (it has NI, NJ, NK)"),
     ] {
         let out = eatss()
             .args(["gemm", flag, value])

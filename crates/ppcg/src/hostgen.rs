@@ -4,7 +4,6 @@
 //! kernels).
 
 use crate::mapping::GpuMapping;
-use eatss_affine::ir::Extent;
 use eatss_affine::{ProblemSizes, Program};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -59,14 +58,8 @@ pub fn emit_host(
                 }
             })
             .collect();
-        for d in &kernel.dims {
-            if let Extent::Param(p) = &d.extent {
-                let v = sizes.get(p).unwrap_or(0);
-                let arg = format!("{v} /* {p} */");
-                if !args.contains(&arg) {
-                    args.push(arg);
-                }
-            }
+        for p in kernel.params() {
+            args.push(format!("{} /* {p} */", sizes.get(p).unwrap_or(0)));
         }
         // Time (explicit-serial) dims become host loops, one per dim, with
         // the iterator passed down so the kernel sees the current step.

@@ -6,7 +6,7 @@ use crate::handlers::{run_job, Outcome};
 use crate::protocol::Response;
 use crate::server::{bump, Shared};
 use eatss::cache::SelectResult;
-use eatss::{EatssConfig, PersistentTileCache};
+use eatss::{EatssConfig, TileCache};
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_trace::{instant, lane_scope, span};
@@ -197,7 +197,7 @@ fn journal(shared: &Shared, lane: u64, commits: Vec<(Vec<u8>, SelectResult)>) ->
 /// ratio is past the configured threshold, compact in place. After an
 /// append this runs still on the worker thread, before the broadcast —
 /// admission keeps flowing, only this worker stalls.
-pub(crate) fn auto_compact(cache: &mut PersistentTileCache, threshold: Option<f64>) {
+pub(crate) fn auto_compact(cache: &mut TileCache, threshold: Option<f64>) {
     if cache.is_durable() && threshold.is_some_and(|t| cache.garbage_ratio() > t) {
         let _sp = span("serve", "auto_compact");
         if cache.compact().is_ok() {

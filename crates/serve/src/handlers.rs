@@ -14,7 +14,6 @@ use eatss::cache::{encode_key, SelectResult};
 use eatss::journal::fnv1a64;
 use eatss::persist::is_committed;
 use eatss::{Eatss, EatssConfig, EatssError, EatssSolution, ModelGenerator, PipelineError};
-use eatss_affine::ir::Extent;
 use eatss_affine::parser::{parse_program, ParseError};
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
@@ -450,10 +449,7 @@ fn resolve_request(shared: &Shared, select: &SelectRequest) -> Result<Query, Pro
             eatss_trace::counter_add("parse.cache_hits", 1);
         }
         let sizes = match &select.sizes {
-            SizeSpec::Uniform(n) => {
-                let params = param_names(&program);
-                ProblemSizes::uniform(params.iter().map(String::as_str), *n)
-            }
+            SizeSpec::Uniform(n) => ProblemSizes::uniform(program.params(), *n),
             SizeSpec::Explicit(pairs) => explicit(pairs),
             // Named datasets only exist for named benchmarks.
             SizeSpec::Dataset(_) => return Err(ProtocolError::MissingField("sizes")),
@@ -505,18 +501,6 @@ pub(crate) fn cached_parse(
         .unwrap()
         .put((hash, source.to_owned()), program.clone());
     Ok((program, false))
-}
-
-fn param_names(program: &Program) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for kernel in &program.kernels {
-        for dim in &kernel.dims {
-            if let Extent::Param(p) = &dim.extent {
-                names.insert(p.clone());
-            }
-        }
-    }
-    names
 }
 
 /// How a job ended, as every waiter hears it. Short-lived (one per job,
@@ -663,8 +647,7 @@ fn run_pareto(job: &Job) -> Finished {
         }],
         jobs: 1,
     };
-    let outcome = match eatss::sweep::run_with(
-        &eatss,
+    let outcome = match eatss.sweep_with(
         &query.program,
         &query.sizes,
         &eatss::sweep::PAPER_SPLITS,

@@ -4,9 +4,10 @@
 //! service speaking JSON-lines over TCP or a unix socket. A request
 //! names a kernel (PolyBench benchmark or inline DSL source), problem
 //! sizes, configuration knobs, and an optional deadline; the response
-//! carries the selected tiles with provenance, served from a journaled
-//! [`PersistentTileCache`](eatss::PersistentTileCache) that warm-starts
-//! across restarts — including `kill -9`.
+//! carries the selected tiles with provenance, served from a
+//! [`TileCache`](eatss::TileCache) whose journal (when the daemon is
+//! given a cache directory) warm-starts it across restarts — including
+//! `kill -9`.
 //!
 //! See DESIGN.md §12 for the protocol grammar, the journal byte layout,
 //! the crash-safety argument, and the overload semantics. The

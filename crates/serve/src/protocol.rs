@@ -300,40 +300,41 @@ fn parse_select(value: &Json) -> Result<SelectRequest, ProtocolError> {
         return Err(ProtocolError::MissingField("kernel"));
     }
 
-    let sizes = if let Some(n) = value.get("n") {
-        let n = n.as_f64().ok_or(ProtocolError::BadField {
-            field: "n",
-            expected: "positive integer",
-        })?;
-        if !(n.fract() == 0.0 && (1.0..=1e15).contains(&n)) {
-            return Err(ProtocolError::BadField {
-                field: "n",
-                expected: "positive integer",
-            });
-        }
-        SizeSpec::Uniform(n as i64)
-    } else if let Some(map) = value.get("sizes").and_then(Json::as_object) {
-        let mut pairs = Vec::with_capacity(map.len());
-        for (k, v) in map {
-            let n = v.as_f64().filter(|n| n.fract() == 0.0 && *n >= 1.0).ok_or(
-                ProtocolError::BadField {
-                    field: "sizes",
-                    expected: "object of positive integers",
-                },
-            )?;
-            pairs.push((k.clone(), n as i64));
-        }
-        SizeSpec::Explicit(pairs)
-    } else {
-        match value.get("dataset") {
-            None => SizeSpec::Dataset("standard".to_string()),
-            Some(Json::Str(s)) if s == "standard" || s == "xl" => SizeSpec::Dataset(s.clone()),
-            Some(_) => {
-                return Err(ProtocolError::BadField {
-                    field: "dataset",
-                    expected: "\"standard\" or \"xl\"",
-                })
+    // `n`, `sizes` and `dataset` are three spellings of one thing: a
+    // request gives at most one, and what it gives must be usable — a
+    // spelling the daemon ignored would be answered for other sizes
+    // than the client sent.
+    let mut given = ["n", "sizes", "dataset"]
+        .into_iter()
+        .filter_map(|field| value.get(field).map(|v| (field, v)));
+    let first = given.next();
+    if let Some((field, _)) = given.next() {
+        return Err(ProtocolError::BadField {
+            field,
+            expected: "only one of `n`, `sizes` and `dataset`",
+        });
+    }
+    let sizes = match first {
+        None => SizeSpec::Dataset("standard".to_string()),
+        Some(("n", n)) => SizeSpec::Uniform(size_value(n, "n", "positive integer")?),
+        Some(("sizes", map)) => {
+            let expected = "object of positive integers";
+            let map = map.as_object().ok_or(ProtocolError::BadField {
+                field: "sizes",
+                expected,
+            })?;
+            let mut pairs = Vec::with_capacity(map.len());
+            for (k, v) in map {
+                pairs.push((k.clone(), size_value(v, "sizes", expected)?));
             }
+            SizeSpec::Explicit(pairs)
+        }
+        Some((_, Json::Str(s))) if s == "standard" || s == "xl" => SizeSpec::Dataset(s.clone()),
+        Some(_) => {
+            return Err(ProtocolError::BadField {
+                field: "dataset",
+                expected: "\"standard\" or \"xl\"",
+            })
         }
     };
 
@@ -382,6 +383,21 @@ fn parse_select(value: &Json) -> Result<SelectRequest, ProtocolError> {
         verify: opt_bool(value, "verify")?.unwrap_or(false),
         chaos: opt_str(value, "chaos")?,
     })
+}
+
+/// One problem-size value, under whichever field it arrived: an integer
+/// in `1..=1e15`, so `as i64` is exact and products of a few sizes stay
+/// far from saturating.
+fn size_value(
+    value: &Json,
+    field: &'static str,
+    expected: &'static str,
+) -> Result<i64, ProtocolError> {
+    value
+        .as_f64()
+        .filter(|n| n.fract() == 0.0 && (1.0..=1e15).contains(n))
+        .map(|n| n as i64)
+        .ok_or(ProtocolError::BadField { field, expected })
 }
 
 fn opt_str(value: &Json, field: &'static str) -> Result<Option<String>, ProtocolError> {
@@ -985,6 +1001,28 @@ mod tests {
             parse_request(r#"{"kernel": "gemm", "n": 2.5}"#),
             Err(ProtocolError::BadField { field: "n", .. })
         ));
+        // `n`, `sizes` and `dataset` are exclusive (the error names the
+        // second one given), a `sizes` that is not an object is not
+        // skipped, and every size is held to the range of `n`.
+        for (line, named) in [
+            (r#"{"kernel": "gemm", "sizes": [1, 2]}"#, "sizes"),
+            (r#"{"kernel": "gemm", "sizes": 5}"#, "sizes"),
+            (r#"{"kernel": "gemm", "n": 64, "sizes": {"NI": 4000}}"#, "sizes"),
+            (r#"{"kernel": "gemm", "n": 64, "dataset": "xl"}"#, "dataset"),
+            (r#"{"kernel": "gemm", "sizes": {"NI": 64}, "dataset": "xl"}"#, "dataset"),
+            (r#"{"kernel": "gemm", "sizes": {"NI": 1e300}}"#, "sizes"),
+            (r#"{"kernel": "gemm", "sizes": {"NI": 1e18}, "evaluate": true}"#, "sizes"),
+            (r#"{"kernel": "gemm", "n": 1e18}"#, "n"),
+        ] {
+            match parse_request(line) {
+                Err(ProtocolError::BadField { field, .. }) => assert_eq!(field, named, "{line}"),
+                other => panic!("{line}: expected bad_field, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            select(r#"{"kernel": "gemm", "sizes": {"NI": 1e15}}"#).sizes,
+            SizeSpec::Explicit(vec![("NI".into(), 1_000_000_000_000_000)])
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!    panicking solve becomes a `worker_panic` error response and the
 //!    worker returns to its loop.
 //! 4. *Durability* — committed results go through
-//!    [`PersistentTileCache::insert_key`], which journals *before* the
+//!    [`TileCache::insert_key`], which journals *before* the
 //!    response is sent: an `ok` answer implies the entry survives
 //!    `kill -9` (an append that fails is counted and logged, not hidden).
 
@@ -36,7 +36,7 @@ use crate::flight::FlightRecorder;
 use crate::handlers::SelectSummary;
 use crate::protocol::{object_line, str_field};
 use crate::transport::{acceptor_loop, listen, Stream};
-use eatss::{JournalConfig, PersistentTileCache, TileCacheStats};
+use eatss::{JournalConfig, TileCache, TileCacheStats};
 use eatss_affine::Program;
 use eatss_gpusim::{FaultPlan, GpuArch};
 use eatss_smt::{CancelToken, WarmStart};
@@ -198,7 +198,7 @@ pub(crate) fn bump(counter: &AtomicU64) {
 
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    pub(crate) cache: Mutex<PersistentTileCache>,
+    pub(crate) cache: Mutex<TileCache>,
     pub(crate) dispatch: Mutex<Dispatch>,
     pub(crate) work_cv: Condvar,
     pub(crate) idle_cv: Condvar,
@@ -450,10 +450,8 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     }
 
     let mut cache = match &config.cache_dir {
-        Some(dir) => {
-            PersistentTileCache::open(dir, config.default_arch.clone(), config.journal.clone())?
-        }
-        None => PersistentTileCache::ephemeral(config.default_arch.clone()),
+        Some(dir) => TileCache::open(dir, config.default_arch.clone(), config.journal.clone())?,
+        None => TileCache::new(config.default_arch.clone()),
     };
     // A journal can be reopened already past the garbage threshold
     // (superseded records, corrupt tails): reclaim before serving.

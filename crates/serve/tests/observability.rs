@@ -4,7 +4,7 @@
 //! auto-compaction.
 
 use eatss::cache::encode_key;
-use eatss::{EatssConfig, JournalConfig, PersistentTileCache};
+use eatss::{EatssConfig, JournalConfig, TileCache};
 use eatss_affine::parser::parse_program;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
@@ -233,10 +233,9 @@ fn garbage_ratio_past_threshold_triggers_auto_compaction() {
     // Build a journal whose garbage ratio is exactly 0.5 by superseding
     // one record with an equal-size copy.
     {
-        let mut cache =
-            PersistentTileCache::open(&dir, GpuArch::ga100(), JournalConfig::default()).unwrap();
+        let mut cache = TileCache::open(&dir, GpuArch::ga100(), JournalConfig::default()).unwrap();
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
-        let solution = cache.select(&mm(), &sizes, &cfg).unwrap();
+        let solution = cache.select(&mm(), &sizes, &cfg).unwrap().clone();
         let key = encode_key(&GpuArch::ga100(), &mm(), &sizes, &cfg);
         cache.insert_key(key, Ok(solution)).unwrap();
         assert!((cache.garbage_ratio() - 0.5).abs() < 1e-9);
@@ -267,10 +266,9 @@ fn garbage_ratio_past_threshold_triggers_auto_compaction() {
 
     // With auto-compaction disabled the garbage survives startup.
     {
-        let mut cache =
-            PersistentTileCache::open(&dir, GpuArch::ga100(), JournalConfig::default()).unwrap();
+        let mut cache = TileCache::open(&dir, GpuArch::ga100(), JournalConfig::default()).unwrap();
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
-        let cached = cache.select(&mm(), &sizes, &cfg).unwrap();
+        let cached = cache.select(&mm(), &sizes, &cfg).unwrap().clone();
         let key = encode_key(&GpuArch::ga100(), &mm(), &sizes, &cfg);
         cache.insert_key(key, Ok(cached)).unwrap();
     }

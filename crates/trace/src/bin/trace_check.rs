@@ -1,29 +1,27 @@
 //! `trace_check` — validates an emitted trace file. Used by the CI trace
-//! smoke job and handy when hacking on the sinks.
+//! smoke job and handy when hacking on the sink.
 //!
 //! ```text
-//! trace_check <file> [--format chrome|jsonl] [--expect CAT:NAME]... \
+//! trace_check <file> [--expect CAT:NAME]... \
 //!             [--expect-counter NAME]... [--expect-histogram NAME]...
 //! ```
 //!
-//! For `chrome` (the default) the file must parse as JSON, contain a
-//! non-empty `traceEvents` array of well-formed `trace_events` entries,
-//! and — for each `--expect CAT:NAME` — contain at least one complete
-//! (`"X"`) span with that category and name. For `jsonl` every line must
-//! parse and the first must be a header carrying provenance. Each
-//! `--expect-counter NAME` must name a registry counter present in the
-//! trace — a trailing `"C"` sample in `chrome`, a key under
-//! `metrics.counters` in the `jsonl` header. Each `--expect-histogram
-//! NAME` must name a histogram (a `"C"` sample carrying `count`/`p50`/
-//! `p99`/`max` args in `chrome`, a key under `metrics.histograms` in
-//! `jsonl`) whose quantile estimates are sane: `p50 <= p99 <= max` and
-//! a nonzero count.
+//! The file must parse as JSON, contain a non-empty `traceEvents` array
+//! of well-formed Chrome `trace_events` entries, and — for each `--expect
+//! CAT:NAME` — contain at least one complete (`"X"`) span with that
+//! category and name. Each `--expect-counter NAME` must name a registry
+//! counter present in the trace as a trailing `"C"` sample. Each
+//! `--expect-histogram NAME` must name a histogram (a `"C"` sample
+//! carrying `count`/`p50`/`p99`/`max` args) whose quantile estimates are
+//! sane: `p50 <= p99 <= max` and a nonzero count.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use eatss_trace::json::Json;
-use eatss_trace::TraceFormat;
+
+const USAGE: &str = "usage: trace_check <file> [--expect CAT:NAME]... \
+                     [--expect-counter NAME]... [--expect-histogram NAME]...";
 
 fn main() -> ExitCode {
     match run() {
@@ -40,18 +38,12 @@ fn main() -> ExitCode {
 
 fn run() -> Result<String, String> {
     let mut file = None;
-    let mut format = TraceFormat::Chrome;
     let mut expects: Vec<String> = Vec::new();
     let mut expect_counters: Vec<String> = Vec::new();
     let mut expect_histograms: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--format" => {
-                let value = argv.next().ok_or("--format needs a value")?;
-                format = TraceFormat::parse(&value)
-                    .ok_or_else(|| format!("unknown format '{value}' (jsonl|chrome)"))?;
-            }
             "--expect" => expects.push(argv.next().ok_or("--expect needs CAT:NAME")?),
             "--expect-counter" => {
                 expect_counters.push(argv.next().ok_or("--expect-counter needs NAME")?)
@@ -59,22 +51,14 @@ fn run() -> Result<String, String> {
             "--expect-histogram" => {
                 expect_histograms.push(argv.next().ok_or("--expect-histogram needs NAME")?)
             }
-            "--help" | "-h" => {
-                return Ok(
-                    "usage: trace_check <file> [--format chrome|jsonl] [--expect CAT:NAME]... [--expect-counter NAME]... [--expect-histogram NAME]..."
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Ok(USAGE.to_string()),
             _ if file.is_none() => file = Some(arg),
             _ => return Err(format!("unexpected argument '{arg}'")),
         }
     }
-    let file = file.ok_or("usage: trace_check <file> [--format chrome|jsonl] [--expect CAT:NAME]... [--expect-counter NAME]... [--expect-histogram NAME]...")?;
+    let file = file.ok_or(USAGE)?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("read {file}: {e}"))?;
-    match format {
-        TraceFormat::Chrome => check_chrome(&text, &expects, &expect_counters, &expect_histograms),
-        TraceFormat::Jsonl => check_jsonl(&text, &expects, &expect_counters, &expect_histograms),
-    }
+    check_chrome(&text, &expects, &expect_counters, &expect_histograms)
 }
 
 /// `(count, p50, p99, max)` of a histogram found in the trace.
@@ -151,78 +135,6 @@ fn check_chrome(
     Ok(format!(
         "ok: {} trace events, {span_count} spans ({} distinct), {} counter(s), {} histogram(s)",
         events.len(),
-        spans.len(),
-        counters.len(),
-        histograms.len()
-    ))
-}
-
-fn check_jsonl(
-    text: &str,
-    expects: &[String],
-    expect_counters: &[String],
-    expect_histograms: &[String],
-) -> Result<String, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("empty file")?;
-    let header = Json::parse(header).map_err(|e| format!("invalid header: {e}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("header") {
-        return Err("first line is not a header".to_string());
-    }
-    header
-        .get("provenance")
-        .and_then(|p| p.get("git_sha"))
-        .and_then(Json::as_str)
-        .ok_or("header missing provenance.git_sha")?;
-    let counters: BTreeSet<String> = header
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(Json::as_object)
-        .map(|o| o.keys().cloned().collect())
-        .unwrap_or_default();
-    let mut histograms: BTreeMap<String, HistogramSummary> = BTreeMap::new();
-    if let Some(map) = header
-        .get("metrics")
-        .and_then(|m| m.get("histograms"))
-        .and_then(Json::as_object)
-    {
-        for (name, h) in map {
-            let field = |key| h.get(key).and_then(Json::as_f64);
-            if let (Some(count), Some(p50), Some(p99), Some(max)) =
-                (field("count"), field("p50"), field("p99"), field("max"))
-            {
-                histograms.insert(name.clone(), (count, p50, p99, max));
-            }
-        }
-    }
-    let mut spans: BTreeSet<String> = BTreeSet::new();
-    let mut count = 0usize;
-    for (i, line) in lines.enumerate() {
-        let event = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
-        if event.get("type").and_then(Json::as_str) != Some("event") {
-            return Err(format!("line {}: not an event", i + 2));
-        }
-        let cat = event
-            .get("cat")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing cat", i + 2))?;
-        let name = event
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing name", i + 2))?;
-        if event.get("ph").and_then(Json::as_str) == Some("E") {
-            spans.insert(format!("{cat}:{name}"));
-        }
-        count += 1;
-    }
-    if count == 0 {
-        return Err("no events after header".to_string());
-    }
-    check_expects(expects, &spans)?;
-    check_expected_counters(expect_counters, &counters)?;
-    check_expected_histograms(expect_histograms, &histograms)?;
-    Ok(format!(
-        "ok: {count} events, {} distinct spans, {} counter(s), {} histogram(s)",
         spans.len(),
         counters.len(),
         histograms.len()

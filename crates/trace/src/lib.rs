@@ -15,8 +15,8 @@
 //!   [`drain`] sorts by `(lane, seq)` so the merged stream is identical
 //!   for sequential and `--jobs N` parallel sweeps — the PR 2 bit-identical
 //!   guarantee extends to traces (structurally; timestamps still vary);
-//! * two **sinks** ([`Trace::to_jsonl`], [`Trace::to_chrome_json`]) — the
-//!   latter is Chrome `trace_events` JSON openable at `ui.perfetto.dev`;
+//! * one **sink** ([`Trace::to_chrome_json`]): Chrome `trace_events` JSON,
+//!   openable at `ui.perfetto.dev` and embedded by the daemon's `trace` op;
 //! * the workspace's one ordered scoped worker pool ([`par_map_ordered`]),
 //!   its one FNV-1a ([`fnv1a64`]) and its one bench-report envelope
 //!   ([`Report`], printed through [`json::Json`]), here because this is
@@ -54,7 +54,7 @@ pub use histogram::{histogram, Histogram, HistogramSnapshot};
 pub use metrics::{counter_add, gauge_set, metrics_snapshot, MetricsSnapshot};
 pub use par::par_map_ordered;
 pub use report::Report;
-pub use sink::{Provenance, Trace, TraceFormat};
+pub use sink::{Provenance, Trace};
 
 /// Log verbosity. `Off` suppresses everything, including errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

@@ -1,5 +1,5 @@
-//! Trace output: run provenance, the drained [`Trace`] container, and the
-//! two serializers (JSON-lines and Chrome `trace_events`/Perfetto).
+//! Trace output: run provenance, the drained [`Trace`] container, and its
+//! serializer (Chrome `trace_events`/Perfetto).
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -69,26 +69,6 @@ impl Provenance {
     }
 }
 
-/// Output format for [`Trace::write`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line; header line first.
-    Jsonl,
-    /// A single Chrome `trace_events` JSON document (Perfetto-compatible).
-    Chrome,
-}
-
-impl TraceFormat {
-    /// Parses a CLI-style format name (`jsonl|chrome`).
-    pub fn parse(text: &str) -> Option<TraceFormat> {
-        match text {
-            "jsonl" => Some(TraceFormat::Jsonl),
-            "chrome" => Some(TraceFormat::Chrome),
-            _ => None,
-        }
-    }
-}
-
 /// A drained collection session: canonically ordered events, the metrics
 /// snapshot, and run provenance. Produced by [`crate::drain`].
 #[derive(Clone, Debug, PartialEq)]
@@ -102,55 +82,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Serializes to the requested format and writes to `path`.
-    pub fn write(&self, path: &Path, format: TraceFormat) -> std::io::Result<()> {
-        let body = match format {
-            TraceFormat::Jsonl => self.to_jsonl(),
-            TraceFormat::Chrome => self.to_chrome_json(),
-        };
-        std::fs::write(path, body)
-    }
-
-    /// JSON-lines serialization: a header object (provenance + metrics)
-    /// followed by one object per event.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"type\":\"header\",\"provenance\":{},\"metrics\":{}}}",
-            self.provenance.to_json(),
-            self.metrics.to_json()
-        );
-        out.push('\n');
-        for event in &self.events {
-            let _ = write!(
-                out,
-                "{{\"type\":\"event\",\"seq\":{},\"lane\":{},\"ts_us\":{},\"cat\":\"{}\",\"name\":\"{}\",\"ph\":\"{}\"",
-                event.seq,
-                event.lane,
-                event.ts_us,
-                escape(event.cat),
-                escape(&event.name),
-                event.kind.code()
-            );
-            match &event.kind {
-                EventKind::Begin { id, parent } => {
-                    let _ = write!(out, ",\"id\":{id},\"parent\":{parent}");
-                }
-                EventKind::End { id, dur_us } => {
-                    let _ = write!(out, ",\"id\":{id},\"dur_us\":{dur_us}");
-                }
-                EventKind::Instant { level } => {
-                    let _ = write!(out, ",\"level\":\"{}\"", level.label());
-                }
-            }
-            if !event.args.is_empty() {
-                let _ = write!(out, ",\"args\":{}", args_json(&event.args));
-            }
-            out.push('}');
-            out.push('\n');
-        }
-        out
+    /// Writes the [Chrome document](Trace::to_chrome_json) to `path`.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_chrome_json())
     }
 
     /// Chrome `trace_events` serialization. Spans become complete (`"X"`)

@@ -1,5 +1,5 @@
 //! Trace-layer invariants: span balance/nesting, lane-canonical merging,
-//! metrics registry semantics, and golden-file checks for both sinks.
+//! metrics registry semantics, and the golden-file check for the sink.
 //!
 //! The collector is process-global, so every test that records events
 //! takes `SESSION` first.
@@ -9,7 +9,6 @@ use std::sync::Mutex;
 use eatss_trace::json::Json;
 use eatss_trace::{
     ArgValue, Event, EventKind, HistogramSnapshot, Level, MetricsSnapshot, Provenance, Trace,
-    TraceFormat,
 };
 
 static SESSION: Mutex<()> = Mutex::new(());
@@ -337,41 +336,6 @@ fn chrome_output_matches_golden_file_and_is_valid_trace_events_json() {
 }
 
 #[test]
-fn jsonl_output_parses_line_by_line() {
-    let rendered = fixed_trace().to_jsonl();
-    let lines: Vec<&str> = rendered.lines().collect();
-    assert_eq!(lines.len(), 6); // header + 5 events
-    let header = Json::parse(lines[0]).expect("header parses");
-    assert_eq!(header.get("type").and_then(Json::as_str), Some("header"));
-    assert_eq!(
-        header
-            .get("provenance")
-            .and_then(|p| p.get("jobs"))
-            .and_then(Json::as_f64),
-        Some(2.0)
-    );
-    assert_eq!(
-        header
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get("smt.nodes"))
-            .and_then(Json::as_f64),
-        Some(42.0)
-    );
-    let hist = header
-        .get("metrics")
-        .and_then(|m| m.get("histograms"))
-        .and_then(|h| h.get("serve.solve_us"))
-        .expect("histogram in header");
-    assert_eq!(hist.get("count").and_then(Json::as_f64), Some(3.0));
-    assert_eq!(hist.get("p99").and_then(Json::as_f64), Some(2047.0));
-    for line in &lines[1..] {
-        let event = Json::parse(line).expect("event parses");
-        assert_eq!(event.get("type").and_then(Json::as_str), Some("event"));
-    }
-}
-
-#[test]
 fn compact_chrome_output_is_single_line_and_equivalent() {
     let pretty = fixed_trace().to_chrome_json();
     let compact = fixed_trace().to_chrome_json_compact();
@@ -382,11 +346,4 @@ fn compact_chrome_output_is_single_line_and_equivalent() {
         a.get("traceEvents").and_then(Json::as_array).map(|events| events.len()),
         b.get("traceEvents").and_then(Json::as_array).map(|events| events.len())
     );
-}
-
-#[test]
-fn trace_format_parses() {
-    assert_eq!(TraceFormat::parse("chrome"), Some(TraceFormat::Chrome));
-    assert_eq!(TraceFormat::parse("jsonl"), Some(TraceFormat::Jsonl));
-    assert_eq!(TraceFormat::parse("xml"), None);
 }
