@@ -18,10 +18,10 @@
 //! are microsecond-scale. Timings are min-of-N and exist to drive that
 //! rule; `bash benchmark/run.sh` owns every reported number.
 //!
-//! Usage: `bench_engines [--mode smoke|full] [--out PATH]`
-//!   --mode smoke   4 kernels, 2 random configurations, small corpus, 3 reps (CI)
-//!   --mode full    all 17 kernels at the oracle-sweep caps, 7 reps (default)
-//!   --out PATH     report path (default: BENCH_engines.json)
+//! Takes no arguments: all 17 PolyBench kernels at the oracle-sweep caps,
+//! 7 repetitions. The table it prints is log output; a failed gate is a
+//! `REGRESSION:` line on stderr and the exit code is non-zero iff there
+//! is one.
 
 use eatss::{Eatss, EatssConfig, EatssModel, ModelGenerator};
 use eatss_affine::interp::{self, compare_stores, Store};
@@ -38,13 +38,12 @@ use eatss_ppcg::{
     execute_compiled, execute_compiled_batch, seed_store, CompileOptions, ExecEngine, ExecOptions,
     ExecStats, GpuMapping, Ppcg, AUTO_PLAN_THRESHOLD_EMULATOR_POINTS,
 };
-use eatss_trace::json::Json;
-use eatss_trace::Report;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xEA75_50AC;
+/// Repetitions per engine; the minimum wall counts.
+const REPS: usize = 7;
 
 /// One fast engine timed against its reference on one input.
 struct EnginePair {
@@ -58,83 +57,52 @@ struct EnginePair {
     /// routes to the reference walker (a forced-plan loss there is the
     /// case `Auto` exists to avoid).
     gated: bool,
-    /// Subject-specific columns (node counts, points, bytes).
-    detail: Vec<(&'static str, Json)>,
 }
 
 /// How many times faster than its reference the fast engine ran; NaN
-/// (printed as `null`, never a regression) when nothing was timed.
+/// (never a regression) when nothing was timed.
 fn wall_ratio(fast: Duration, reference: Duration) -> f64 {
     reference.as_secs_f64() / fast.as_secs_f64()
 }
 
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
-/// Records one subject's rows as a report section and applies the gate
-/// rule — `wall_ratio < 1.0` is a regression — to each gated row
-/// (`per_row`) or to their aggregate.
+/// Prints one subject's rows and applies the gate rule — `wall_ratio <
+/// 1.0` is a regression — to each gated row (`per_row`) or to their
+/// aggregate.
 fn record(
-    report: &mut Report,
+    regressions: &mut Vec<String>,
     table: &mut Table,
     subject: &str,
     per_row: bool,
     rows: &[EnginePair],
 ) {
-    let mut row = |name: String, fast: Duration, reference: Duration, gate: bool, note: &str| {
+    let mut row = |name: &str, fast: Duration, reference: Duration, gate: bool, note: &str| {
         let ratio = wall_ratio(fast, reference);
         if gate && ratio < 1.0 {
-            report.regressions.push(format!(
+            regressions.push(format!(
                 "{subject} {name}: wall_ratio {ratio:.3} < 1.0 — fast engine slower than its reference"
             ));
         }
         table.row(vec![
             subject.to_owned(),
-            name.clone(),
+            name.to_owned(),
             format!("{:.6}", fast.as_secs_f64()),
             format!("{:.6}", reference.as_secs_f64()),
             format!("x{ratio:.2}"),
             note.to_owned(),
         ]);
-        vec![
-            ("name", name.into()),
-            ("fast_wall_s", fast.as_secs_f64().into()),
-            ("reference_wall_s", reference.as_secs_f64().into()),
-            ("wall_ratio", round3(ratio).into()),
-        ]
     };
     let rows = || rows.iter().filter(|r| r.subject == subject);
-    let json_rows = rows()
-        .map(|r| {
-            let note = if r.gated { "" } else { "not gated" };
-            let mut fields = row(
-                r.name.clone(),
-                r.fast,
-                r.reference,
-                r.gated && per_row,
-                note,
-            );
-            fields.push(("gated", r.gated.into()));
-            fields.extend(r.detail.iter().cloned());
-            Json::object(fields)
-        })
-        .collect();
+    for r in rows() {
+        let note = if r.gated { "" } else { "not gated" };
+        row(&r.name, r.fast, r.reference, r.gated && per_row, note);
+    }
     let gated = || rows().filter(|r| r.gated);
-    let aggregate = row(
-        "aggregate".to_owned(),
+    row(
+        "aggregate",
         gated().map(|r| r.fast).sum(),
         gated().map(|r| r.reference).sum(),
         !per_row,
         &format!("{} gated row(s)", gated().count()),
-    );
-    report.sections.insert(
-        subject.to_owned(),
-        Json::object([
-            ("gated_per_row", per_row.into()),
-            ("rows", Json::Arr(json_rows)),
-            ("aggregate", Json::object(aggregate)),
-        ]),
     );
 }
 
@@ -142,7 +110,7 @@ fn record(
 /// returns the wall time of the measured region with what it computed.
 type Engine<'a, T> = &'a mut dyn FnMut() -> (Duration, T);
 
-/// The one timing loop. Runs every engine `reps` times, interleaved so
+/// The one timing loop. Runs every engine [`REPS`] times, interleaved so
 /// none systematically benefits from cache warm-up, and keeps the minimum
 /// wall per engine. The last engine is the reference: on the first
 /// repetition — before any timing counts — every other engine's output
@@ -150,13 +118,12 @@ type Engine<'a, T> = &'a mut dyn FnMut() -> (Duration, T);
 /// On success returns the minima and the first repetition's outputs, both
 /// in engine order.
 fn time_engines<T>(
-    reps: usize,
     engines: &mut [Engine<'_, T>],
     agree: impl Fn(&T, &T) -> Result<(), String>,
 ) -> Result<(Vec<Duration>, Vec<T>), String> {
     let mut best = vec![Duration::MAX; engines.len()];
     let mut first = Vec::with_capacity(engines.len());
-    for rep in 0..reps {
+    for rep in 0..REPS {
         for (slot, engine) in best.iter_mut().zip(engines.iter_mut()) {
             let (wall, out) = engine();
             *slot = (*slot).min(wall);
@@ -184,54 +151,40 @@ fn build_model(b: &Benchmark) -> Option<EatssModel> {
         .ok()
 }
 
-fn solver_pair(b: &Benchmark, reps: usize) -> Result<Vec<EnginePair>, String> {
+fn solver_pair(b: &Benchmark) -> Result<Vec<EnginePair>, String> {
     if build_model(b).is_none() {
         return Ok(Vec::new());
     }
     let rebuild = || build_model(b).expect("model rebuilds").into_parts();
-    // Each engine reports (optimum, search nodes, solver calls).
+    // Each engine reports its optimum.
     let mut fast = || {
         let (mut solver, objective) = rebuild();
         let started = Instant::now();
         let outcome = solver.maximize(&objective).expect("fast maximize");
-        (
-            started.elapsed(),
-            (outcome.best, solver.stats().nodes, outcome.solver_calls),
-        )
+        (started.elapsed(), outcome.best)
     };
     let mut reference = || {
         let (solver, objective) = rebuild();
         let started = Instant::now();
         let outcome =
             eatss_smt::reference::maximize(&solver, &objective).expect("reference maximize");
-        (
-            started.elapsed(),
-            (outcome.best, outcome.nodes, outcome.solver_calls),
-        )
+        (started.elapsed(), outcome.best)
     };
-    let (walls, outs) = time_engines(reps, &mut [&mut fast, &mut reference], |f, r| {
-        if f.0 == r.0 {
+    let (walls, outs) = time_engines(&mut [&mut fast, &mut reference], |f, r| {
+        if f == r {
             Ok(())
         } else {
-            Err(format!("optimum {:?} vs reference {:?}", f.0, r.0))
+            Err(format!("optimum {f:?} vs reference {r:?}"))
         }
     })?;
-    // Both engines agree, so the fast engine's verdict suffices
-    // (fdtd-apml has no model at all on GA100).
-    let (best, fast_nodes, solver_calls) = outs[0];
     Ok(vec![EnginePair {
         subject: "solver",
         name: b.name.to_owned(),
         fast: walls[0],
         reference: walls[1],
-        gated: best.is_some(),
-        detail: vec![
-            ("infeasible", best.is_none().into()),
-            ("best", best.into()),
-            ("solver_calls", solver_calls.into()),
-            ("fast_nodes", fast_nodes.into()),
-            ("reference_nodes", outs[1].1.into()),
-        ],
+        // Both engines agree, so the fast engine's verdict suffices
+        // (fdtd-apml has no model at all on GA100).
+        gated: outs[0].is_some(),
     }])
 }
 
@@ -295,7 +248,6 @@ fn exec_pairs(
     eatss: &Eatss,
     arch: &GpuArch,
     sweep: &OracleSweepOptions,
-    reps: usize,
 ) -> Result<Vec<EnginePair>, String> {
     let program = b.program().expect("registry parses");
     let sizes = sweep_sizes(&program, &b.sizes(Dataset::Standard), sweep);
@@ -320,7 +272,6 @@ fn exec_pairs(
             (wall, last.expect("at least one configuration"))
         };
     let (interp_walls, _) = time_engines(
-        reps,
         &mut [&mut || interpret(interp::run_program), &mut || {
             interpret(interp::reference::run_program)
         }],
@@ -356,8 +307,7 @@ fn exec_pairs(
         let stats = results.into_iter().map(|r| r.expect("emulated execution"));
         (wall, stores.into_iter().zip(stats).collect())
     };
-    let (emul_walls, emul_outs) = time_engines(
-        reps,
+    let (emul_walls, _) = time_engines(
         &mut [
             &mut || emulate(ExecEngine::Plan),
             &mut || emulate_batched(),
@@ -376,26 +326,15 @@ fn exec_pairs(
         },
     )?;
 
-    // The emulated domain is tile-independent, so every configuration
-    // executes the same number of points.
-    let points = emul_outs[0]
-        .iter()
-        .map(|(_, stats)| stats.points)
-        .sum::<u64>();
+    // Whether `ExecEngine::Auto` routes this domain to the plan engine.
     let auto_plan =
         trips(&program, &sizes).iter().product::<i64>() >= AUTO_PLAN_THRESHOLD_EMULATOR_POINTS;
-    let auto_engine = if auto_plan { "plan" } else { "reference" };
     let pair = |subject, fast: Duration, reference: Duration, gated: bool| EnginePair {
         subject,
         name: b.name.to_owned(),
         fast,
         reference,
         gated,
-        detail: vec![
-            ("configs", configs.len().into()),
-            ("points", points.into()),
-            ("auto_engine", auto_engine.into()),
-        ],
     };
     Ok(vec![
         // The interpreter's fast path is unconditional: always gated.
@@ -411,8 +350,7 @@ fn synthetic_tier(name: &'static str, seeds: u64, cfg: &GenConfig) -> (&'static 
     (name, (0..seeds).map(|s| generate_program(s, cfg)).collect())
 }
 
-fn corpus(smoke: bool) -> Vec<(&'static str, Vec<String>)> {
-    let scale = if smoke { 1 } else { 8 };
+fn corpus() -> Vec<(&'static str, Vec<String>)> {
     let cfg = |kernels, max_depth, max_stmts, max_expr_terms, trivia| GenConfig {
         kernels,
         max_depth,
@@ -421,9 +359,9 @@ fn corpus(smoke: bool) -> Vec<(&'static str, Vec<String>)> {
         trivia,
     };
     vec![
-        synthetic_tier("tiny", 40 * scale, &cfg(1, 2, 1, 2, false)),
-        synthetic_tier("small", 30 * scale, &cfg(2, 3, 2, 4, true)),
-        synthetic_tier("medium", 20 * scale, &cfg(4, 4, 4, 6, true)),
+        synthetic_tier("tiny", 320, &cfg(1, 2, 1, 2, false)),
+        synthetic_tier("small", 240, &cfg(2, 3, 2, 4, true)),
+        synthetic_tier("medium", 160, &cfg(4, 4, 4, 6, true)),
         // Machine-generated kernel suites: one program holding an entire
         // workload's nests (the directory-ingest / generated-benchmark
         // shape). This is where the engines structurally diverge: the
@@ -431,22 +369,14 @@ fn corpus(smoke: bool) -> Vec<(&'static str, Vec<String>)> {
         // token, ~20x the source) before parsing, so large inputs churn
         // the allocator and fall out of cache, while the single-pass
         // engine's working set stays flat.
-        synthetic_tier(
-            "suite",
-            2,
-            &cfg(if smoke { 500 } else { 4000 }, 4, 3, 5, true),
-        ),
-        synthetic_tier(
-            "suite-xl",
-            1,
-            &cfg(if smoke { 1000 } else { 20000 }, 4, 3, 5, true),
-        ),
+        synthetic_tier("suite", 2, &cfg(4000, 4, 3, 5, true)),
+        synthetic_tier("suite-xl", 1, &cfg(20000, 4, 3, 5, true)),
         // The real 17+3 registry nests — small sources, but the shapes
         // the daemon actually sees; repeated so the tier is long enough
         // to time.
         (
             "registry",
-            (0..if smoke { 4 } else { 32 })
+            (0..32)
                 .flat_map(|_| eatss_kernels::all())
                 .map(|b| b.source.to_owned())
                 .collect(),
@@ -454,14 +384,13 @@ fn corpus(smoke: bool) -> Vec<(&'static str, Vec<String>)> {
     ]
 }
 
-fn parser_pair(tier: &str, sources: &[String], reps: usize) -> Result<Vec<EnginePair>, String> {
+fn parser_pair(tier: &str, sources: &[String]) -> Result<Vec<EnginePair>, String> {
     let parse_all = |parse: fn(&str, &str) -> Result<Program, parser::ParseError>| {
         let started = Instant::now();
         let programs: Vec<_> = sources.iter().map(|src| parse("bench", src)).collect();
         (started.elapsed(), programs)
     };
     let (walls, _) = time_engines(
-        reps,
         &mut [&mut || parse_all(parse_named_program), &mut || {
             parse_all(parser::reference::parse_named_program)
         }],
@@ -483,76 +412,48 @@ fn parser_pair(tier: &str, sources: &[String], reps: usize) -> Result<Vec<Engine
         fast: walls[0],
         reference: walls[1],
         gated: true,
-        detail: vec![
-            ("programs", sources.len().into()),
-            (
-                "bytes",
-                sources.iter().map(String::len).sum::<usize>().into(),
-            ),
-        ],
     }])
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out = PathBuf::from("BENCH_engines.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match (arg.as_str(), args.next().as_deref()) {
-            ("--mode", Some("smoke")) => smoke = true,
-            ("--mode", Some("full")) => smoke = false,
-            ("--out", Some(path)) => out = PathBuf::from(path),
-            _ => {
-                eprintln!("usage: bench_engines [--mode smoke|full] [--out PATH]");
-                return ExitCode::from(2);
-            }
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: bench_engines   (takes no arguments)");
+        return ExitCode::from(2);
     }
-    let reps = if smoke { 3 } else { 7 };
-    let mut kernels = eatss_kernels::polybench();
-    let sweep = if smoke {
-        kernels.truncate(4);
-        // The sweep's own caps stay: they put these kernels' domains
-        // above `AUTO_PLAN_THRESHOLD_EMULATOR_POINTS`, so the emulator
-        // rows are gated in CI too.
-        OracleSweepOptions {
-            random: 2,
-            ..OracleSweepOptions::default()
-        }
-    } else {
-        OracleSweepOptions::default()
-    };
-
-    let mut report = Report::new("engines", if smoke { "smoke" } else { "full" });
-    report.sections.insert("reps".to_owned(), reps.into());
-    report.sections.insert("seed".to_owned(), SEED.into());
+    let sweep = OracleSweepOptions::default();
+    let mut regressions = Vec::new();
     let mut table = Table::new(["subject", "input", "fast s", "ref s", "ratio", ""]);
     let mut rows = Vec::new();
     // A diverging pair is a regression and its timing does not count.
     let mut keep = |what: String, pairs: Result<Vec<EnginePair>, String>| match pairs {
         Ok(pairs) => rows.extend(pairs),
-        Err(why) => report
-            .regressions
-            .push(format!("{what}: engines diverge: {why}")),
+        Err(why) => regressions.push(format!("{what}: engines diverge: {why}")),
     };
     let arch = GpuArch::ga100();
     let eatss = Eatss::new(arch.clone());
-    for b in &kernels {
-        keep(format!("solver {}", b.name), solver_pair(b, reps));
+    for b in &eatss_kernels::polybench() {
+        keep(format!("solver {}", b.name), solver_pair(b));
         keep(
             format!("execution {}", b.name),
-            exec_pairs(b, &eatss, &arch, &sweep, reps),
+            exec_pairs(b, &eatss, &arch, &sweep),
         );
     }
-    for (tier, sources) in corpus(smoke) {
-        keep(format!("parser {tier}"), parser_pair(tier, &sources, reps));
+    for (tier, sources) in corpus() {
+        keep(format!("parser {tier}"), parser_pair(tier, &sources));
     }
 
-    record(&mut report, &mut table, "solver", false, &rows);
-    record(&mut report, &mut table, "interp", true, &rows);
-    record(&mut report, &mut table, "emulator", true, &rows);
-    record(&mut report, &mut table, "emulator_batched", true, &rows);
-    record(&mut report, &mut table, "parser", false, &rows);
+    record(&mut regressions, &mut table, "solver", false, &rows);
+    record(&mut regressions, &mut table, "interp", true, &rows);
+    record(&mut regressions, &mut table, "emulator", true, &rows);
+    record(&mut regressions, &mut table, "emulator_batched", true, &rows);
+    record(&mut regressions, &mut table, "parser", false, &rows);
     println!("{}", table.render());
-    report.finish(&out)
+    for r in &regressions {
+        eprintln!("REGRESSION: {r}");
+    }
+    if regressions.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

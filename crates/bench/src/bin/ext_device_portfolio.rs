@@ -1,7 +1,8 @@
-//! **bench_pareto** — device-portfolio fleet benchmark: the paper's
-//! configuration sweep on every committed [`DeviceProfile`], reduced to
-//! per-device energy-vs-performance Pareto fronts, with three acceptance
-//! gates wired to the exit code:
+//! **Extension study (device portfolio)** — the paper's configuration
+//! sweep on every committed [`DeviceProfile`], reduced to per-device
+//! energy-vs-performance Pareto fronts, then the GA100's tuning history
+//! transferred to every other device through the RBF surrogate. Three
+//! checks are wired to the exit code:
 //!
 //! 1. *Dominance* — every front point is re-checked against a brute-force
 //!    dominance oracle over the whole sweep, and the front's deterministic
@@ -11,30 +12,26 @@
 //!    against the reference interpreter through [`Eatss::verify`], each
 //!    under the code its own configuration compiles to on that device.
 //! 3. *Transfer* — the RBF surrogate fitted on the GA100's tuning history
-//!    must reduce evals-to-best on each other device compared to a cold
-//!    search with the same budget and seed.
+//!    must reduce evals-to-best on more of the other devices than it
+//!    slows down, compared to a cold search with the same budget and seed.
 //!
-//! Any gate failing is recorded in the report's `regressions`, printed as
-//! a `REGRESSION` line, and makes the exit code non-zero, so CI can run
-//! `--mode smoke` as a tripwire.
-//!
-//! Usage: `bench_pareto [--mode smoke|full] [--out PATH]`
-//!   --mode smoke   2 kernels, uniform sizes, single warp fraction (CI)
-//!   --mode full    4 kernels at per-device datasets, two warp fractions
-//!   --out PATH     JSON report path (default BENCH_pareto.json)
+//! A failed check is a `REGRESSION:` line on stderr and a non-zero exit
+//! (`run_all` shows both). Everything printed on stdout repeats exactly
+//! and is committed as `results/ext_device_portfolio.txt`.
 
 use eatss::sweep::{SweepOutcome, SweepPoint, PAPER_SPLITS};
-use eatss::{Eatss, EatssConfig, ThreadBlockCap, VERIFY_SEED};
+use eatss::{Eatss, EatssConfig, VERIFY_SEED};
 use eatss_autotune::{Autotuner, SurrogatePrior, TuneOptions, TuneResult};
+use eatss_bench::profiles::dataset_for;
 use eatss_bench::table::fmt_f;
 use eatss_bench::Table;
 use eatss_gpusim::DeviceProfile;
-use eatss_kernels::Dataset;
 use eatss_ppcg::TileSpace;
-use eatss_trace::json::Json;
-use eatss_trace::Report;
-use std::path::PathBuf;
 use std::process::ExitCode;
+
+const KERNELS: [&str; 4] = ["gemm", "2mm", "mvt", "jacobi-2d"];
+const WARP_FRACTIONS: [f64; 2] = [0.5, 0.25];
+const TRANSFER_TARGETS: [&str; 4] = ["xavier", "h100", "orin", "nano"];
 
 /// Transfer-experiment seeds: the prior is fitted under one seed and the
 /// cold/warm comparison runs under another, so the reduction cannot come
@@ -43,49 +40,22 @@ const SOURCE_SEED: u64 = 7;
 const TARGET_SEED: u64 = 9;
 const TRANSFER_BUDGET: usize = 40;
 
-struct TransferRow {
-    source: String,
-    target: String,
-    prior_samples: usize,
-    cold_evals_to_best: usize,
-    warm_evals_to_best: usize,
-    cold_best: f64,
-    warm_best: f64,
-}
-
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out = PathBuf::from("BENCH_pareto.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match (arg.as_str(), args.next().as_deref()) {
-            ("--mode", Some("smoke")) => smoke = true,
-            ("--mode", Some("full")) => smoke = false,
-            ("--out", Some(path)) => out = PathBuf::from(path),
-            _ => {
-                eprintln!("usage: bench_pareto [--mode smoke|full] [--out PATH]");
-                return ExitCode::from(2);
-            }
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: ext_device_portfolio   (takes no arguments)");
+        return ExitCode::from(2);
     }
-    let mode = if smoke { "smoke" } else { "full" };
-
-    let kernels: &[&str] = if smoke {
-        &["gemm", "mvt"]
-    } else {
-        &["gemm", "2mm", "mvt", "jacobi-2d"]
-    };
-    let fractions: &[f64] = if smoke { &[0.5] } else { &[0.5, 0.25] };
     let devices = DeviceProfile::builtin_names();
     println!(
-        "device-portfolio Pareto fronts: {} devices x {} kernels ({mode} mode)\n",
+        "Extension (device portfolio): Pareto fronts of the configuration sweep, \
+         {} devices x {} kernels x {} warp fractions\n",
         devices.len(),
-        kernels.len()
+        KERNELS.len(),
+        WARP_FRACTIONS.len()
     );
 
     let mut regressions: Vec<String> = Vec::new();
-    let mut runs: Vec<Json> = Vec::new();
-    let mut t = Table::new(vec![
+    let mut summary = Table::new(vec![
         "device",
         "kernel",
         "points",
@@ -94,26 +64,29 @@ fn main() -> ExitCode {
         "max GF",
         "verified pts",
     ]);
+    let mut fronts = Table::new(vec![
+        "device",
+        "kernel",
+        "tiles",
+        "split",
+        "warp frac",
+        "cap",
+        "provenance",
+        "J",
+        "GFLOP/s",
+        "PPW",
+    ]);
 
     for device in &devices {
         let arch = DeviceProfile::builtin(device)
             .expect("builtin profile")
             .into_arch();
         let eatss = Eatss::new(arch.clone());
-        for name in kernels {
+        for name in KERNELS {
             let b = eatss_kernels::by_name(name).expect("registered benchmark");
             let program = b.program().expect("benchmark parses");
-            // Dataset heuristic: datacenter-class parts (>= 32 SMs) run
-            // the EXTRALARGE sets, embedded parts the STANDARD ones —
-            // the Fig 7 GA100/Xavier pairing generalized to the fleet.
-            let sizes = if smoke {
-                b.sizes_uniform(1024)
-            } else if arch.sm_count >= 32 {
-                b.sizes(Dataset::ExtraLarge)
-            } else {
-                b.sizes(Dataset::Standard)
-            };
-            let outcome = match eatss.sweep(&program, &sizes, &PAPER_SPLITS, fractions) {
+            let sizes = b.sizes(dataset_for(&arch));
+            let outcome = match eatss.sweep(&program, &sizes, &PAPER_SPLITS, &WARP_FRACTIONS) {
                 Ok(o) => o,
                 Err(e) => {
                     regressions.push(format!("{device}/{name}: sweep failed: {e}"));
@@ -123,102 +96,57 @@ fn main() -> ExitCode {
             let front = outcome.pareto_front();
             check_front(device, name, &outcome, &front, &mut regressions);
 
-            let (vc, vp) = match verify_front(&eatss, &program, &sizes, &front) {
-                Ok(pair) => pair,
+            let verified_points = match verify_front(&eatss, &program, &sizes, &front) {
+                Ok(points) => points,
                 Err(e) => {
                     regressions.push(format!("{device}/{name}: oracle: {e}"));
-                    (0, 0)
+                    0
                 }
             };
-            t.row(vec![
+            summary.row(vec![
                 (*device).into(),
-                (*name).into(),
+                name.into(),
                 outcome.points.len().to_string(),
                 front.len().to_string(),
                 fmt_f(front.first().map_or(f64::NAN, |p| p.report.energy_j)),
                 fmt_f(front.last().map_or(f64::NAN, |p| p.report.gflops)),
-                vp.to_string(),
+                verified_points.to_string(),
             ]);
-            runs.push(Json::object([
-                ("device", (*device).into()),
-                ("kernel", (*name).into()),
-                ("points", outcome.points.len().into()),
-                ("infeasible", outcome.infeasible.len().into()),
-                ("verified_configs", vc.into()),
-                ("verified_points", vp.into()),
-                ("front", front.iter().map(|p| front_row(p)).collect::<Vec<_>>().into()),
-            ]));
+            for p in &front {
+                fronts.row(vec![
+                    (*device).into(),
+                    name.into(),
+                    p.solution.tiles.to_string(),
+                    format!("{:.2}", p.config.split_factor),
+                    format!("{:.3}", p.config.warp_fraction),
+                    format!("{:?}", p.config.cap),
+                    p.solution.provenance.to_string(),
+                    fmt_f(p.report.energy_j),
+                    fmt_f(p.report.gflops),
+                    fmt_f(p.report.ppw),
+                ]);
+            }
         }
     }
-    println!("{}", t.render());
+    println!("{}", summary.render());
+    println!("Front points, ascending energy within each device x kernel:\n");
+    println!("{}", fronts.render());
 
     // --- surrogate transfer: GA100 history seeds every other device ---
-    let transfer_targets: &[&str] = if smoke {
-        &["xavier"]
-    } else {
-        &["xavier", "h100", "orin", "nano"]
-    };
-    let transfers = run_transfer(transfer_targets, &mut regressions);
-    let mut tt = Table::new(vec![
-        "source",
-        "target",
-        "prior n",
-        "cold evals-to-best",
-        "warm evals-to-best",
-        "cold best GF",
-        "warm best GF",
-    ]);
-    for r in &transfers {
-        tt.row(vec![
-            r.source.clone(),
-            r.target.clone(),
-            r.prior_samples.to_string(),
-            r.cold_evals_to_best.to_string(),
-            r.warm_evals_to_best.to_string(),
-            fmt_f(r.cold_best),
-            fmt_f(r.warm_best),
-        ]);
-    }
-    println!("{}", tt.render());
-
-    let mut report = Report::new("pareto", mode);
-    report.sections.insert("devices".to_owned(), runs.into());
-    report.sections.insert(
-        "transfer".to_owned(),
-        transfers.iter().map(TransferRow::to_json).collect::<Vec<_>>().into(),
+    println!(
+        "Surrogate transfer: gemm tuned on GA100 (budget {TRANSFER_BUDGET}), its history \
+         seeding the search on each other device:\n"
     );
-    report.regressions = regressions;
-    if report.regressions.is_empty() {
-        println!("all fronts non-dominated, oracle-verified; transfer reduces evals-to-best");
-    }
-    report.finish(&out)
-}
+    println!("{}", run_transfer(&mut regressions).render());
 
-fn front_row(p: &SweepPoint) -> Json {
-    Json::object([
-        ("tiles", p.solution.tiles.sizes().to_vec().into()),
-        ("split", p.config.split_factor.into()),
-        ("warp_frac", p.config.warp_fraction.into()),
-        ("strict_cap", (p.config.cap == ThreadBlockCap::Strict).into()),
-        ("provenance", p.solution.provenance.to_string().into()),
-        ("energy_j", p.report.energy_j.into()),
-        ("gflops", p.report.gflops.into()),
-        ("ppw", p.report.ppw.into()),
-    ])
-}
-
-impl TransferRow {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("source", self.source.as_str().into()),
-            ("target", self.target.as_str().into()),
-            ("prior_samples", self.prior_samples.into()),
-            ("cold_evals_to_best", self.cold_evals_to_best.into()),
-            ("warm_evals_to_best", self.warm_evals_to_best.into()),
-            ("cold_best_gflops", self.cold_best.into()),
-            ("warm_best_gflops", self.warm_best.into()),
-        ])
+    for r in &regressions {
+        eprintln!("REGRESSION: {r}");
     }
+    if !regressions.is_empty() {
+        return ExitCode::FAILURE;
+    }
+    println!("all fronts non-dominated, oracle-verified; transfer reduces evals-to-best");
+    ExitCode::SUCCESS
 }
 
 /// The dominance gate: ordering, brute-force non-domination, and
@@ -274,29 +202,27 @@ fn check_front(
 }
 
 /// The correctness gate: every front point's tiles agree bitwise with the
-/// reference interpreter, under its own configuration's codegen.
+/// reference interpreter, under its own configuration's codegen. Returns
+/// the iteration points compared.
 fn verify_front(
     eatss: &Eatss,
     program: &eatss_affine::Program,
     sizes: &eatss_affine::ProblemSizes,
     front: &[&SweepPoint],
-) -> Result<(u64, u64), String> {
+) -> Result<u64, String> {
     let configs: Vec<_> = front
         .iter()
         .map(|p| (&p.config, &p.solution.tiles))
         .collect();
     let verdicts = eatss.verify(program, sizes, &configs, VERIFY_SEED);
-    let (mut vc, mut vp) = (0u64, 0u64);
+    let mut points = 0u64;
     for (i, verdict) in verdicts.into_iter().enumerate() {
         match verdict {
-            Ok(report) => {
-                vc += 1;
-                vp += report.points;
-            }
+            Ok(report) => points += report.points,
             Err(e) => return Err(format!("front point {i} ({}): {e}", configs[i].1)),
         }
     }
-    Ok((vc, vp))
+    Ok(points)
 }
 
 /// The transfer gate: tune gemm on the GA100, fit the surrogate prior
@@ -304,8 +230,18 @@ fn verify_front(
 /// best in strictly fewer evaluations than the cold search on more
 /// targets than it slows down. Per-target outcomes (including honest
 /// negatives — a datacenter prior can mislead an embedded part and vice
-/// versa) are recorded in the JSON rather than failing individually.
-fn run_transfer(targets: &[&str], regressions: &mut Vec<String>) -> Vec<TransferRow> {
+/// versa) are rows of the returned table rather than failures of their
+/// own.
+fn run_transfer(regressions: &mut Vec<String>) -> Table {
+    let mut table = Table::new(vec![
+        "source",
+        "target",
+        "prior n",
+        "cold evals-to-best",
+        "warm evals-to-best",
+        "cold best GF",
+        "warm best GF",
+    ]);
     let b = eatss_kernels::by_name("gemm").expect("gemm registered");
     let program = b.program().expect("gemm parses");
     let sizes = b.sizes_uniform(1024);
@@ -337,11 +273,11 @@ fn run_transfer(targets: &[&str], regressions: &mut Vec<String>) -> Vec<Transfer
     let prior = SurrogatePrior::from_result(&fitted);
     if prior.is_empty() {
         regressions.push("transfer: empty GA100 prior (no successful evaluations)".into());
-        return Vec::new();
+        return table;
     }
 
-    let mut rows = Vec::new();
-    for target in targets {
+    let (mut faster, mut slower) = (0, 0);
+    for target in TRANSFER_TARGETS {
         let arch = DeviceProfile::builtin(target).expect("builtin profile").into_arch();
         let eatss = Eatss::new(arch);
         let opts = TuneOptions {
@@ -357,22 +293,22 @@ fn run_transfer(targets: &[&str], regressions: &mut Vec<String>) -> Vec<Transfer
             regressions.push(format!("transfer ga100->{target}: no successful evaluations"));
             continue;
         };
-        rows.push(TransferRow {
-            source: "ga100".to_string(),
-            target: (*target).to_string(),
-            prior_samples: prior.len(),
-            cold_evals_to_best: cold_evals,
-            warm_evals_to_best: warm_evals,
-            cold_best: cold.best_value,
-            warm_best: warm.best_value,
-        });
+        faster += usize::from(warm_evals < cold_evals);
+        slower += usize::from(warm_evals > cold_evals);
+        table.row(vec![
+            "ga100".into(),
+            target.into(),
+            prior.len().to_string(),
+            cold_evals.to_string(),
+            warm_evals.to_string(),
+            fmt_f(cold.best_value),
+            fmt_f(warm.best_value),
+        ]);
     }
-    let faster = rows.iter().filter(|r| r.warm_evals_to_best < r.cold_evals_to_best).count();
-    let slower = rows.iter().filter(|r| r.warm_evals_to_best > r.cold_evals_to_best).count();
-    if !rows.is_empty() && faster <= slower {
+    if !table.is_empty() && faster <= slower {
         regressions.push(format!(
             "transfer: warm start reduced evals-to-best on {faster} target(s) but slowed {slower}"
         ));
     }
-    rows
+    table
 }

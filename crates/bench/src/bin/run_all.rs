@@ -6,29 +6,9 @@
 //! cargo run --release -p eatss-bench --bin run_all -- [out-dir]
 //! ```
 
+use eatss_bench::EXPERIMENTS;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-const EXPERIMENTS: [&str; 18] = [
-    "tab01_arch_params",
-    "tab02_access_patterns",
-    "tab03_testbed",
-    "tab04_vendor_comparison",
-    "fig01_power_vs_size",
-    "fig02_tilespace_sorted",
-    "fig03_tilespace_scatter",
-    "fig07_polybench",
-    "fig08_shmem_splits",
-    "fig09_l2_power_correlation",
-    "fig10_nonpolybench_speedup",
-    "fig11_nonpolybench_hist",
-    "fig12_size_sensitivity",
-    "fig13_size_sensitivity_np",
-    "fig14_vs_ytopt",
-    "secVg_solver_overhead",
-    "ablation_model_terms",
-    "ext_precision_study",
-];
 
 /// The output directory: the one optional positional argument.
 fn parse_args() -> Result<PathBuf, String> {
@@ -63,7 +43,10 @@ fn run_experiments(out_dir: &Path) -> usize {
                 }
             }
             Ok(output) => {
-                println!("FAILED (status {})", output.status);
+                // The experiment's own account of why (a failed check's
+                // `REGRESSION:` lines) belongs in the log.
+                println!("FAILED ({})", output.status);
+                print!("{}", String::from_utf8_lossy(&output.stderr));
                 failures += 1;
             }
             Err(e) => {

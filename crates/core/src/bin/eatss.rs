@@ -18,7 +18,11 @@
 //!   --size NAME=VALUE          bind a problem-size parameter of the kernel
 //!                              to a positive integer (repeatable)
 //!   --dataset standard|xl      use a registered benchmark's dataset
-//!   --sweep                    run the split x warp-fraction sweep
+//!   --sweep                    run the split x warp-fraction x cap sweep in
+//!                              FP64 and measure every point; the per-point
+//!                              flags (--split --warp-frac --fp32 --strict-cap
+//!                              --emit-smt --emit-cuda --evaluate --verify)
+//!                              cannot be combined with it
 //!   --jobs <N>                 sweep worker threads (0 = all cores; default 1)
 //!   --deadline-ms <N>          wall-clock solve budget per point (anytime)
 //!   --emit-smt                 print the SMT-LIB formulation
@@ -79,8 +83,23 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Flags that configure or inspect one selection. A sweep chooses its own
+/// splits, warp fractions and caps in FP64 and measures every point, so
+/// it refuses them rather than answer for a request it did not run.
+const NOT_WITH_SWEEP: [&str; 8] = [
+    "--fp32",
+    "--split",
+    "--warp-frac",
+    "--strict-cap",
+    "--verify",
+    "--evaluate",
+    "--emit-smt",
+    "--emit-cuda",
+];
+
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
+    let mut per_point_flag = None;
     let mut opts = Options {
         input: String::new(),
         kernel_dir: None,
@@ -103,6 +122,9 @@ fn parse_args() -> Result<Options, String> {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
     while let Some(arg) = args.next() {
+        if per_point_flag.is_none() && NOT_WITH_SWEEP.contains(&arg.as_str()) {
+            per_point_flag = Some(arg.clone());
+        }
         match arg.as_str() {
             "--arch" => {
                 let spec = next_value(&mut args, "--arch")?;
@@ -198,6 +220,12 @@ fn parse_args() -> Result<Options, String> {
         };
         format!("{flag}: expected {}", e.expected())
     })?;
+    if let (true, Some(flag)) = (opts.sweep, per_point_flag) {
+        return Err(format!(
+            "{flag} cannot be combined with --sweep (it selects in FP64 across \
+             every split, warp fraction and cap, and measures every point)"
+        ));
+    }
     if opts.kernel_dir.is_some() {
         if !opts.input.is_empty() {
             return Err("--kernel-dir cannot be combined with an input kernel".to_owned());

@@ -138,6 +138,40 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
             "{flag} {value}: no answer is printed"
         );
     }
+    // A sweep picks its own splits, warp fractions and caps in FP64 and
+    // measures every point: a per-point flag it would ignore is refused,
+    // not answered with the sweep of another request.
+    for flag in [
+        vec!["--fp32"],
+        vec!["--split", "0.9"],
+        vec!["--warp-frac", "0.25"],
+        vec!["--strict-cap"],
+        vec!["--verify"],
+        vec!["--evaluate"],
+        vec!["--emit-smt"],
+        vec!["--emit-cuda"],
+    ] {
+        let out = eatss()
+            .args(["gemm", "--sweep"])
+            .args(&flag)
+            .output()
+            .expect("spawn eatss");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{} cannot be combined with --sweep", flag[0]))
+                && stderr.contains("usage:"),
+            "{flag:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag:?}: no sweep is printed");
+    }
+    // What a sweep does honour stays legal beside it.
+    let out = eatss()
+        .args(["gemm", "--sweep", "--dataset", "standard", "--arch", "xavier"])
+        .args(["--jobs", "2", "--deadline-ms", "500", "--log-level", "off"])
+        .output()
+        .expect("spawn eatss");
+    assert_eq!(out.status.code(), Some(0));
     // The ends of the ranges are in them.
     let out = eatss()
         .args([

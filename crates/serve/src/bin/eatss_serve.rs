@@ -5,7 +5,6 @@
 //! `shutdown` op, then drains gracefully and prints a final stats line.
 
 use eatss::SyncPolicy;
-use eatss_gpusim::FaultPlan;
 use eatss_serve::server::{start, Endpoint, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -36,8 +35,6 @@ OPTIONS:
                          auto-compact the journal once its garbage ratio
                          exceeds F in (0,1); 'off' disables (default 0.5)
   --chaos                honour test-only `chaos` request fields
-  --fault-seed N         inject measurement faults (gpusim FaultPlan seed)
-  --fault-rates L,I,N    fault rates: launch-failure, invalid, nan (default 0.01,0.01,0.01)
   --help                 this text
 ";
 
@@ -47,8 +44,6 @@ fn main() -> ExitCode {
         workers: 4,
         ..ServerConfig::default()
     };
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_rates = (0.01, 0.01, 0.01);
 
     let mut args = std::env::args().skip(1);
     let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -116,18 +111,6 @@ fn main() -> ExitCode {
                 };
             }
             "--chaos" => config.allow_chaos = true,
-            "--fault-seed" => {
-                fault_seed = Some(parse_num(&next_value(&mut args, "--fault-seed")) as u64)
-            }
-            "--fault-rates" => {
-                let spec = next_value(&mut args, "--fault-rates");
-                let parts: Vec<f64> = spec.split(',').filter_map(|p| p.parse().ok()).collect();
-                if parts.len() != 3 {
-                    eprintln!("error: --fault-rates wants L,I,N");
-                    return ExitCode::from(2);
-                }
-                fault_rates = (parts[0], parts[1], parts[2]);
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -137,10 +120,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if let Some(seed) = fault_seed {
-        config.fault_plan =
-            Some(FaultPlan::new(seed).with_rates(fault_rates.0, fault_rates.1, fault_rates.2));
     }
     // Worker panics are isolated by catch_unwind and answered as error
     // responses; keep the stderr record to one line each.

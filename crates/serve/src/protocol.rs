@@ -130,8 +130,9 @@ pub enum Op {
     /// Sweep the paper's configuration grid on the requested device and
     /// return the energy-vs-performance Pareto front. A pareto request
     /// is a select request measured across the whole grid, so it shares
-    /// the select payload (the per-point split/warp knobs are simply
-    /// ignored by the sweep).
+    /// the select payload — minus `fp32`, `split` and `strict_cap`, which
+    /// the grid fixes (FP64, every split, both caps) and the parser
+    /// refuses.
     Pareto(SelectRequest),
     /// Liveness probe.
     Ping,
@@ -260,7 +261,21 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
 
     let op = match obj.get("op").and_then(Json::as_str).unwrap_or("select") {
         "select" => Op::Select(parse_select(&value)?),
-        "pareto" => Op::Pareto(parse_select(&value)?),
+        "pareto" => {
+            // Answering with the grid's front for a knob the grid
+            // overrides would answer a request the client never sent.
+            if let Some(field) = ["fp32", "split", "strict_cap"]
+                .into_iter()
+                .find(|field| value.get(field).is_some())
+            {
+                return Err(ProtocolError::BadField {
+                    field,
+                    expected: "no such field on a pareto request \
+                               (it sweeps every split and both caps in FP64)",
+                });
+            }
+            Op::Pareto(parse_select(&value)?)
+        }
         "ping" => Op::Ping,
         "stats" => Op::Stats,
         "metrics" => Op::Metrics,
@@ -1013,6 +1028,11 @@ mod tests {
             (r#"{"kernel": "gemm", "sizes": {"NI": 1e300}}"#, "sizes"),
             (r#"{"kernel": "gemm", "sizes": {"NI": 1e18}, "evaluate": true}"#, "sizes"),
             (r#"{"kernel": "gemm", "n": 1e18}"#, "n"),
+            // A pareto fixes precision, split and cap itself: a request
+            // that sets one is refused, not answered with the grid's front.
+            (r#"{"op": "pareto", "kernel": "gemm", "fp32": true}"#, "fp32"),
+            (r#"{"op": "pareto", "kernel": "gemm", "n": 1024, "split": 0.9}"#, "split"),
+            (r#"{"op": "pareto", "kernel": "gemm", "strict_cap": false}"#, "strict_cap"),
         ] {
             match parse_request(line) {
                 Err(ProtocolError::BadField { field, .. }) => assert_eq!(field, named, "{line}"),
@@ -1023,6 +1043,10 @@ mod tests {
             select(r#"{"kernel": "gemm", "sizes": {"NI": 1e15}}"#).sizes,
             SizeSpec::Explicit(vec![("NI".into(), 1_000_000_000_000_000)])
         );
+        // What a pareto does honour stays legal on it.
+        let honoured = r#"{"op": "pareto", "kernel": "gemm", "n": 1024, "warp_frac": 0.25,
+            "device": "nano", "deadline_ms": 500, "verify": true}"#;
+        assert!(matches!(parse_request(honoured), Ok(Request { op: Op::Pareto(_), .. })));
     }
 
     #[test]

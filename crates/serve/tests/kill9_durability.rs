@@ -151,3 +151,21 @@ fn zero_shards_is_a_start_up_error_not_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!dir.exists(), "a rejected start must not create the cache directory");
 }
+
+#[test]
+fn fault_injection_is_not_a_launcher_flag() {
+    // `--fault-rates 7,-3,nan` used to reach `FaultPlan::with_rates`'
+    // assert (exit 101). Faults are configured in process
+    // (`ServerConfig::fault_plan`); the launcher has no flag for them.
+    // (The trailing `--help` only matters if a flag comes back: the
+    // launcher then exits 0 instead of serving until the test times out.)
+    for flag in ["--fault-seed", "--fault-rates"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_eatss-serve"))
+            .args([flag, "1", "--help"])
+            .output()
+            .expect("spawn eatss-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("unknown argument '{flag}'")), "{stderr}");
+    }
+}

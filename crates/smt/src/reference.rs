@@ -11,7 +11,7 @@
 //!   formulation (see `crates/smt/tests/differential.rs`), and
 //! * **gating**: `bench_engines` checks the fast engine's optimum against
 //!   this baseline on every PolyBench formulation and fails if the fast
-//!   engine is ever the slower one (`BENCH_engines.json`).
+//!   engine is ever the slower one (the exit code is the gate).
 //!
 //! The reference runs exhaustively, with no budgets: callers are expected
 //! to hand it formulations the old engine could already finish (all of the

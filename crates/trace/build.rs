@@ -1,8 +1,8 @@
 use std::process::Command;
 
 /// Bakes the compiler version into the crate so run provenance
-/// (`Provenance::collect`) can stamp trace headers and the `BENCH_*.json`
-/// reports without shelling out at runtime.
+/// (`Provenance::collect`) can stamp trace headers without shelling out
+/// for it at runtime.
 fn main() {
     let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
     let version = Command::new(rustc)

@@ -1,11 +1,12 @@
-//! Minimal JSON support: an escaper/number formatter for the sinks, a
-//! small recursive-descent parser used by `trace_check`, the golden-file
-//! tests and the CI smoke job, and the printer ([`Json`]'s `Display`)
-//! every bench [`crate::Report`] is written with. No external crates —
-//! the registry is unreachable in this environment.
+//! Minimal JSON support: an escaper/number formatter for the sinks and
+//! the daemon's one response encoder, and a small recursive-descent
+//! parser used by the daemon's protocol, `trace_check`, the golden-file
+//! tests and the CI smoke job. Nothing here prints a [`Json`] value:
+//! every writer assembles its line from [`escape`] and [`number`]. No
+//! external crates — the registry is unreachable in this environment.
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 /// Escapes `text` for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
@@ -38,9 +39,8 @@ pub fn number(value: f64) -> String {
     }
 }
 
-/// A JSON value, parsed or built. Objects do not preserve insertion
-/// order; a `BTreeMap` keeps lookups simple and both comparisons and
-/// printed output canonical.
+/// A parsed JSON value. Objects do not preserve insertion order; a
+/// `BTreeMap` keeps lookups simple and comparisons canonical.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -58,11 +58,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
     /// Parses a complete JSON document, rejecting trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
@@ -122,124 +117,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-/// Integers become [`Json::Num`]; exact up to 2^53, which every count
-/// and seed a report carries is below.
-macro_rules! json_from_int {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Json {
-            fn from(v: $t) -> Json {
-                Json::Num(v as f64)
-            }
-        }
-    )*};
-}
-json_from_int!(u32, u64, usize, i64);
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-impl<T: Into<Json>> From<Option<T>> for Json {
-    fn from(v: Option<T>) -> Json {
-        v.map_or(Json::Null, Into::into)
-    }
-}
-
-impl<T: Into<Json>> From<Vec<T>> for Json {
-    fn from(v: Vec<T>) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-
-/// Prints the value as a JSON document that [`Json::parse`] reads back:
-/// two-space indentation, except that an array of scalars (a tile
-/// vector) and an object of scalars and such arrays (a table row) stay
-/// on one line. Non-finite numbers print as `null` (see [`number`]).
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.print(f, 0)
-    }
-}
-
-impl Json {
-    fn is_scalar(&self) -> bool {
-        !matches!(self, Json::Arr(_) | Json::Obj(_))
-    }
-
-    fn is_scalar_or_vector(&self) -> bool {
-        match self {
-            Json::Arr(items) => items.iter().all(Json::is_scalar),
-            Json::Obj(_) => false,
-            _ => true,
-        }
-    }
-
-    fn print(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => f.write_str(&number(*n)),
-            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
-            Json::Arr(items) => {
-                let inline = items.iter().all(Json::is_scalar);
-                f.write_char('[')?;
-                for (i, item) in items.iter().enumerate() {
-                    separate(f, i, inline, depth + 1)?;
-                    item.print(f, depth + 1)?;
-                }
-                close(f, ']', items.is_empty() || inline, depth)
-            }
-            Json::Obj(map) => {
-                let inline = map.values().all(Json::is_scalar_or_vector);
-                f.write_char('{')?;
-                for (i, (key, value)) in map.iter().enumerate() {
-                    separate(f, i, inline, depth + 1)?;
-                    write!(f, "\"{}\": ", escape(key))?;
-                    value.print(f, depth + 1)?;
-                }
-                close(f, '}', map.is_empty() || inline, depth)
-            }
-        }
-    }
-}
-
-/// What goes before element `index` of a container printed at `depth`.
-fn separate(f: &mut fmt::Formatter<'_>, index: usize, inline: bool, depth: usize) -> fmt::Result {
-    match (inline, index) {
-        (true, 0) => Ok(()),
-        (true, _) => f.write_str(", "),
-        (false, 0) => write!(f, "\n{:width$}", "", width = 2 * depth),
-        (false, _) => write!(f, ",\n{:width$}", "", width = 2 * depth),
-    }
-}
-
-fn close(f: &mut fmt::Formatter<'_>, bracket: char, inline: bool, depth: usize) -> fmt::Result {
-    if !inline {
-        write!(f, "\n{:width$}", "", width = 2 * depth)?;
-    }
-    f.write_char(bracket)
 }
 
 struct Parser<'a> {
@@ -417,6 +294,10 @@ mod tests {
     fn escape_handles_quotes_and_control() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+        // Every arm of `escape`, plus multi-byte UTF-8, reads back.
+        let s = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é ✓";
+        let quoted = format!("\"{}\"", escape(s));
+        assert_eq!(Json::parse(&quoted), Ok(Json::Str(s.to_owned())));
     }
 
     #[test]
@@ -441,42 +322,6 @@ mod tests {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("{\"a\": ").is_err());
         assert!(Json::parse("[1,]").is_err());
-    }
-
-    #[test]
-    fn printing_then_parsing_is_a_fixpoint() {
-        // Every `escape` arm, nesting both ways, empty containers, and
-        // the numbers that print oddly (negative zero, sub-1e-7, > 2^53).
-        let doc = Json::object([
-            ("text", "quote\" backslash\\ nl\n cr\r tab\t bell\u{7} é".into()),
-            ("nums", vec![0.0, -0.0, 1.5, -3.0, 2.5e-9, 1e300, 9007199254740993.0].into()),
-            ("rows", vec![Json::object([("k\"ey", 1u64.into())]), Json::Arr(vec![])].into()),
-            ("empty", Json::object([])),
-            ("flags", vec![Json::Bool(true), Json::Null].into()),
-        ]);
-        let text = doc.to_string();
-        assert_eq!(Json::parse(&text).unwrap(), doc);
-        assert_eq!(Json::parse(&text).unwrap().to_string(), text);
-    }
-
-    #[test]
-    fn non_finite_numbers_print_as_null() {
-        let doc: Json = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0].into();
-        assert_eq!(doc.to_string(), "[null, null, null, 1]");
-        let back = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(back.to_string(), doc.to_string());
-    }
-
-    #[test]
-    fn rows_and_vectors_stay_on_one_line() {
-        let doc = Json::object([
-            ("rows", vec![Json::object([("a", 1u64.into()), ("tiles", vec![16u64, 32].into())])].into()),
-            ("seed", 7u64.into()),
-        ]);
-        assert_eq!(
-            doc.to_string(),
-            "{\n  \"rows\": [\n    {\"a\": 1, \"tiles\": [16, 32]}\n  ],\n  \"seed\": 7\n}"
-        );
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * one **sink** ([`Trace::to_chrome_json`]): Chrome `trace_events` JSON,
 //!   openable at `ui.perfetto.dev` and embedded by the daemon's `trace` op;
 //! * the workspace's one ordered scoped worker pool ([`par_map_ordered`]),
-//!   its one FNV-1a ([`fnv1a64`]) and its one bench-report envelope
-//!   ([`Report`], printed through [`json::Json`]), here because this is
-//!   the base crate every caller already depends on;
+//!   its one FNV-1a ([`fnv1a64`]) and its one JSON reader
+//!   ([`json::Json::parse`]), here because this is the base crate every
+//!   caller already depends on;
 //! * a **leveled logging** façade ([`error!`], [`info!`], [`debug!`]) that
 //!   echoes to stderr and, when collecting, records log events in the
 //!   trace.
@@ -45,7 +45,6 @@ pub mod histogram;
 pub mod json;
 mod metrics;
 mod par;
-mod report;
 mod sink;
 
 pub use event::{ArgValue, Event, EventKind};
@@ -53,7 +52,6 @@ pub use hash::{fnv1a64, fnv1a64_from, FNV1A64_OFFSET};
 pub use histogram::{histogram, Histogram, HistogramSnapshot};
 pub use metrics::{counter_add, gauge_set, metrics_snapshot, MetricsSnapshot};
 pub use par::par_map_ordered;
-pub use report::Report;
 pub use sink::{Provenance, Trace};
 
 /// Log verbosity. `Off` suppresses everything, including errors.

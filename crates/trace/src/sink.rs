@@ -10,8 +10,7 @@ use crate::event::{ArgValue, Event, EventKind};
 use crate::json::{escape, number};
 use crate::metrics::MetricsSnapshot;
 
-/// Run provenance stamped into trace headers and, through
-/// [`crate::Report`], every `BENCH_*.json`.
+/// Run provenance stamped into trace headers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Provenance {
     /// `git rev-parse HEAD` of the working tree, or `"unknown"`.
