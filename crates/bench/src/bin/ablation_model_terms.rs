@@ -8,6 +8,11 @@
 //! * the L1/shared capacity constraints (§IV-E/J),
 //! * the spatial-locality objective term (§IV-K),
 //! * the parallelism objective term (§IV-K).
+//!
+//! A row marked `(tie)` is not a finding about its tiles: some other
+//! tiling attains the same `OBJ`, so the variant's formulation does not
+//! determine the selection and the measured columns belong to whichever
+//! optimum the search met first.
 
 use eatss::{Ablation, Eatss, EatssConfig, ModelGenerator};
 use eatss_bench::table::fmt_f;
@@ -68,6 +73,7 @@ fn main() {
         let mut t = Table::new(vec![
             "variant",
             "tiles",
+            "OBJ",
             "GFLOP/s",
             "energy (J)",
             "PPW",
@@ -75,12 +81,18 @@ fn main() {
         ]);
         let mut full_ppw = None;
         for (label, ablation) in variants {
-            let model = ModelGenerator::new(&arch, config.clone())
-                .with_ablation(ablation)
-                .build(&program, Some(&sizes))
-                .expect("model builds");
-            let row = match model.solve() {
+            let generator = ModelGenerator::new(&arch, config.clone()).with_ablation(ablation);
+            let build = || generator.build(&program, Some(&sizes)).expect("model builds");
+            let row = match build().solve() {
                 Ok(solution) => {
+                    let tied = build()
+                        .has_other_optimum(&solution)
+                        .expect("the tie check is unbudgeted");
+                    let tiles = if tied {
+                        format!("{} (tie)", solution.tiles)
+                    } else {
+                        solution.tiles.to_string()
+                    };
                     let report = eatss
                         .evaluate(&program, &solution.tiles, &sizes, &config)
                         .expect("selection compiles");
@@ -93,7 +105,8 @@ fn main() {
                     if report.valid {
                         vec![
                             label.into(),
-                            solution.tiles.to_string(),
+                            tiles,
+                            solution.objective.to_string(),
                             fmt_f(report.gflops),
                             fmt_f(report.energy_j),
                             fmt_f(report.ppw),
@@ -102,7 +115,8 @@ fn main() {
                     } else {
                         vec![
                             label.into(),
-                            solution.tiles.to_string(),
+                            tiles,
+                            solution.objective.to_string(),
                             "unexecutable".into(),
                         ]
                     }

@@ -4,8 +4,11 @@
 //! configurations. The paper reports ~1.3 s end-to-end on average with
 //! 4–7 solver calls of ~0.29 s each for Z3; the stand-in solver should be
 //! in a comparable (or faster) regime. Counts (calls, nodes, prunes) come
-//! first; the seconds follow [`MEASURED_BELOW`].
+//! first — the per-depth means, then the ten longest formulations of the
+//! 32-point sweep grid by name, so a regression in the tail says which
+//! kernel it is; the seconds follow [`MEASURED_BELOW`].
 
+use eatss::sweep::{grid, PAPER_WARP_FRACTIONS};
 use eatss::{EatssConfig, ModelGenerator};
 use eatss_bench::table::fmt_f;
 use eatss_bench::{Table, MEASURED_BELOW};
@@ -26,6 +29,58 @@ struct Sample {
 fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let (sum, n) = values.fold((0.0, 0usize), |(sum, n), v| (sum + v, n + 1));
     sum / n.max(1) as f64
+}
+
+/// The ten formulations with the most search nodes over the sweep grid
+/// the ruler's `sweep-front` runs — every kernel on the paper's two
+/// testbeds (§V-A datasets), 4 splits × 4 warp fractions × 2 thread-block
+/// caps — each solved cold, so the counts repeat exactly.
+fn longest_formulations() -> Table {
+    let mut solved = Vec::new();
+    for b in eatss_kernels::all() {
+        let program = b.program().expect("benchmark parses");
+        for (device, arch, dataset) in [
+            ("ga100", GpuArch::ga100(), Dataset::ExtraLarge),
+            ("xavier", GpuArch::xavier(), Dataset::Standard),
+        ] {
+            let sizes = b.sizes(dataset);
+            for config in grid(&[0.0, 0.5, 0.67, 1.0], &PAPER_WARP_FRACTIONS) {
+                let solution = ModelGenerator::new(&arch, config.clone())
+                    .build(&program, Some(&sizes))
+                    .and_then(|model| model.solve());
+                if let Ok(solution) = solution {
+                    solved.push((b.name, device, config, solution));
+                }
+            }
+        }
+    }
+    // Stable sort: ties keep the grid order above.
+    solved.sort_by_key(|(.., solution)| std::cmp::Reverse(solution.stats.nodes));
+    let mut table = Table::new(vec![
+        "kernel",
+        "device",
+        "split",
+        "warp frac",
+        "cap",
+        "solver calls",
+        "nodes",
+        "bound prunes",
+        "tiles",
+    ]);
+    for (kernel, device, config, solution) in solved.into_iter().take(10) {
+        table.row(vec![
+            kernel.to_owned(),
+            device.to_owned(),
+            format!("{:.2}", config.split_factor),
+            format!("{:.3}", config.warp_fraction),
+            format!("{:?}", config.cap),
+            solution.solver_calls.to_string(),
+            solution.stats.nodes.to_string(),
+            solution.stats.bound_prunes.to_string(),
+            solution.tiles.to_string(),
+        ]);
+    }
+    table
 }
 
 fn main() {
@@ -103,8 +158,10 @@ fn main() {
         "{configs_run} configurations solved; overall mean {} solver calls",
         fmt_f(mean_c)
     );
+    println!("\nTen longest formulations of the 32-point sweep grid (cold solves, by nodes):\n");
+    println!("{}", longest_formulations().render());
     println!(
-        "\nShape check (paper, with Z3): 1.1 s (2D), 1.4 s (3D/4D), 2.2 s \
+        "Shape check (paper, with Z3): 1.1 s (2D), 1.4 s (3D/4D), 2.2 s \
          (5D) end-to-end; 0.29 s per call; 4-7 calls per formulation."
     );
     println!("\n{MEASURED_BELOW}\n");

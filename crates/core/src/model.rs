@@ -7,7 +7,7 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_smt::{
-    Domain, IntExpr, MaximizeOutcome, SolveError, Solver, SolverConfig, SolverStats, StopReason,
+    BoolExpr, Domain, IntExpr, MaximizeOutcome, SolveError, Solver, SolverConfig, SolverStats, StopReason,
     WarmStart,
 };
 use std::error::Error;
@@ -424,12 +424,18 @@ impl EatssModel {
     /// incumbent from `warm` (prior feasible models of *related*
     /// formulations) and records this solve's model back into it.
     ///
-    /// The returned solution is bit-identical to [`EatssModel::solve`] on
-    /// the same formulation when the search runs to completion: a warm
-    /// floor is always strictly below a feasible objective value, so it
-    /// can only prune provably-suboptimal subtrees (see `eatss-smt`'s
-    /// [`WarmStart`] docs for the full argument). Only `solver_calls` and
-    /// the solver's internal work counters may differ.
+    /// When the search runs to completion the verdict, the objective
+    /// value and the optimality flag are those of [`EatssModel::solve`] on
+    /// the same formulation: a warm floor is always strictly below a
+    /// feasible objective value, so it can only prune provably-suboptimal
+    /// subtrees (see `eatss-smt`'s [`WarmStart`] docs for the full
+    /// argument). The tiles are the same too whenever the optimum is
+    /// unique, and on every full-objective formulation of the sweep grid
+    /// today, tied or not; with equal-valued optima that differ in the
+    /// objective's own variables (mttkrp with the spatial term ablated) a
+    /// warm and a cold solve may each return a different one
+    /// ([`EatssModel::has_other_optimum`] tells). `solver_calls` and the
+    /// solver's work counters differ freely.
     ///
     /// # Errors
     ///
@@ -451,6 +457,32 @@ impl EatssModel {
             });
         finish_solve_span(&mut span, &result);
         result
+    }
+
+    /// Whether some *other* tile assignment attains `solution`'s objective
+    /// value: one extra [`Solver::check`] of `OBJ == objective ∧ T ≠ tiles`
+    /// on this (unsolved) formulation. When it does, the formulation does
+    /// not determine the tiles — which of the tied optima a search returns
+    /// is its tie-break, not a property of the model.
+    ///
+    /// # Errors
+    ///
+    /// [`EatssError::Exhausted`] when a search budget ran out before the
+    /// question was settled.
+    pub fn has_other_optimum(mut self, solution: &EatssSolution) -> Result<bool, EatssError> {
+        let differs = self
+            .tile_vars
+            .iter()
+            .zip(solution.tiles.sizes())
+            .filter_map(|(var, &size)| Some(var.as_ref()?.eq_expr(size).not()));
+        self.solver.assert(BoolExpr::any(differs));
+        self.solver.assert(self.objective.eq_expr(solution.objective));
+        let other = self.solver.check()?;
+        match other.model {
+            Some(_) => Ok(true),
+            None if other.complete => Ok(false),
+            None => Err(no_model_error(false, other.stop)),
+        }
     }
 
     /// Extracts the tiles of a finished maximization.

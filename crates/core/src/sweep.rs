@@ -57,9 +57,13 @@ pub struct SolveAttempt {
 /// Two things are not options. A point that cannot be solved or measured
 /// always degrades to PPCG's default `32^d` tiling. And the per-point
 /// maximizations are always warm-started along chains (see
-/// `warm_chains`): results are identical to cold solves — a warm floor
-/// sits strictly below a feasible objective value, so only
-/// provably-suboptimal subtrees are pruned — and each chain's hint
+/// `warm_chains`): verdicts, objective values and optimality flags are
+/// those of cold solves — a warm floor sits strictly below a feasible
+/// objective value, so only provably-suboptimal subtrees are pruned — and
+/// so are the tiles wherever the optimum is unique. Among tied optima a
+/// warm solve may in principle meet a different one first; on the
+/// full-objective formulations the sweeps build today it does not
+/// (`warm_sweep_is_bit_identical_to_cold` pins it). Each chain's hint
 /// sequence is fixed by the canonical configuration list, chains never
 /// sharing state, so parallel and sequential sweeps stay bit-identical
 /// even when search budgets bind.
@@ -385,16 +389,9 @@ fn record_measure_failure(reason: &str, fallback: bool) {
     }
 }
 
-/// The body of [`Eatss::sweep_with`], which documents the contract.
-pub(crate) fn run_with(
-    eatss: &Eatss,
-    program: &Program,
-    sizes: &ProblemSizes,
-    splits: &[f64],
-    warp_fractions: &[f64],
-    options: &SweepOptions,
-) -> Result<SweepOutcome, PipelineError> {
-    // The canonical configuration order: splits × fractions × caps.
+/// The configurations a sweep solves, in its canonical order: splits ×
+/// warp fractions × both thread-block caps.
+pub fn grid(splits: &[f64], warp_fractions: &[f64]) -> Vec<EatssConfig> {
     let mut configs = Vec::with_capacity(splits.len() * warp_fractions.len() * 2);
     for &split in splits {
         for &frac in warp_fractions {
@@ -408,6 +405,19 @@ pub(crate) fn run_with(
             }
         }
     }
+    configs
+}
+
+/// The body of [`Eatss::sweep_with`], which documents the contract.
+pub(crate) fn run_with(
+    eatss: &Eatss,
+    program: &Program,
+    sizes: &ProblemSizes,
+    splits: &[f64],
+    warp_fractions: &[f64],
+    options: &SweepOptions,
+) -> Result<SweepOutcome, PipelineError> {
+    let configs = grid(splits, warp_fractions);
     let attempted = configs.len();
     let jobs = match options.jobs {
         0 => std::thread::available_parallelism().map_or(1, usize::from),

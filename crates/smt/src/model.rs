@@ -66,44 +66,7 @@ impl Model {
     /// expression mentions a variable not registered with the solver that
     /// produced this model.
     pub fn eval(&self, expr: &IntExpr) -> Result<i64, SolveError> {
-        Ok(match &*expr.0 {
-            IntNode::Const(v) => *v,
-            IntNode::Var(id, name) => self
-                .value_of(*id)
-                .ok_or_else(|| SolveError::UnknownVariable(name.clone()))?,
-            IntNode::Add(xs) => {
-                let mut acc: i64 = 0;
-                for x in xs {
-                    acc = acc.saturating_add(self.eval(x)?);
-                }
-                acc
-            }
-            IntNode::Mul(xs) => {
-                let mut acc: i64 = 1;
-                for x in xs {
-                    acc = acc.saturating_mul(self.eval(x)?);
-                }
-                acc
-            }
-            IntNode::Sub(a, b) => self.eval(a)?.saturating_sub(self.eval(b)?),
-            IntNode::Neg(a) => -self.eval(a)?,
-            IntNode::Div(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(SolveError::DivisionByZero);
-                }
-                self.eval(a)?.div_euclid(d)
-            }
-            IntNode::Mod(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(SolveError::DivisionByZero);
-                }
-                self.eval(a)?.rem_euclid(d)
-            }
-            IntNode::Min(a, b) => self.eval(a)?.min(self.eval(b)?),
-            IntNode::Max(a, b) => self.eval(a)?.max(self.eval(b)?),
-        })
+        eval_int(expr, &self.values)
     }
 
     /// Evaluates a boolean constraint under this assignment.
@@ -112,30 +75,79 @@ impl Model {
     ///
     /// Same conditions as [`Model::eval`].
     pub fn eval_bool(&self, expr: &BoolExpr) -> Result<bool, SolveError> {
-        Ok(match &*expr.0 {
-            BoolNode::True => true,
-            BoolNode::False => false,
-            BoolNode::Cmp(op, a, b) => op.eval(self.eval(a)?, self.eval(b)?),
-            BoolNode::And(xs) => {
-                for x in xs {
-                    if !self.eval_bool(x)? {
-                        return Ok(false);
-                    }
-                }
-                true
-            }
-            BoolNode::Or(xs) => {
-                for x in xs {
-                    if self.eval_bool(x)? {
-                        return Ok(true);
-                    }
-                }
-                false
-            }
-            BoolNode::Not(a) => !self.eval_bool(a)?,
-            BoolNode::Implies(a, b) => !self.eval_bool(a)? || self.eval_bool(b)?,
-        })
+        eval_bool(expr, &self.values)
     }
+}
+
+/// [`Model::eval`] over a bare assignment (one value per variable, in
+/// registration order) — the search evaluates candidate leaves and warm
+/// hints this way, without building a [`Model`].
+pub(crate) fn eval_int(expr: &IntExpr, values: &[i64]) -> Result<i64, SolveError> {
+    Ok(match &*expr.0 {
+        IntNode::Const(v) => *v,
+        IntNode::Var(id, name) => *values
+            .get(id.index())
+            .ok_or_else(|| SolveError::UnknownVariable(name.clone()))?,
+        IntNode::Add(xs) => {
+            let mut acc: i64 = 0;
+            for x in xs {
+                acc = acc.saturating_add(eval_int(x, values)?);
+            }
+            acc
+        }
+        IntNode::Mul(xs) => {
+            let mut acc: i64 = 1;
+            for x in xs {
+                acc = acc.saturating_mul(eval_int(x, values)?);
+            }
+            acc
+        }
+        IntNode::Sub(a, b) => eval_int(a, values)?.saturating_sub(eval_int(b, values)?),
+        IntNode::Neg(a) => -eval_int(a, values)?,
+        IntNode::Div(a, b) => {
+            let d = eval_int(b, values)?;
+            if d == 0 {
+                return Err(SolveError::DivisionByZero);
+            }
+            eval_int(a, values)?.div_euclid(d)
+        }
+        IntNode::Mod(a, b) => {
+            let d = eval_int(b, values)?;
+            if d == 0 {
+                return Err(SolveError::DivisionByZero);
+            }
+            eval_int(a, values)?.rem_euclid(d)
+        }
+        IntNode::Min(a, b) => eval_int(a, values)?.min(eval_int(b, values)?),
+        IntNode::Max(a, b) => eval_int(a, values)?.max(eval_int(b, values)?),
+    })
+}
+
+/// [`Model::eval_bool`] over a bare assignment.
+pub(crate) fn eval_bool(expr: &BoolExpr, values: &[i64]) -> Result<bool, SolveError> {
+    Ok(match &*expr.0 {
+        BoolNode::True => true,
+        BoolNode::False => false,
+        BoolNode::Cmp(op, a, b) => op.eval(eval_int(a, values)?, eval_int(b, values)?),
+        BoolNode::And(xs) => {
+            for x in xs {
+                if !eval_bool(x, values)? {
+                    return Ok(false);
+                }
+            }
+            true
+        }
+        BoolNode::Or(xs) => {
+            for x in xs {
+                if eval_bool(x, values)? {
+                    return Ok(true);
+                }
+            }
+            false
+        }
+        BoolNode::Not(a) => !eval_bool(a, values)?,
+        BoolNode::Implies(a, b) => !eval_bool(a, values)? || eval_bool(b, values)?,
+    })
 }
 
 impl fmt::Display for Model {

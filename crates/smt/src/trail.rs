@@ -49,8 +49,8 @@ impl Trail {
         self.next_id += 1;
     }
 
-    /// Number of open decision levels.
-    #[cfg(test)]
+    /// Number of open decision levels (0 at the root, where narrowing is
+    /// permanent).
     pub(crate) fn depth(&self) -> usize {
         self.marks.len()
     }

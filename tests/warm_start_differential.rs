@@ -1,11 +1,14 @@
 //! Warm- vs cold-solve differential tests across the full PolyBench
 //! suite: a [`WarmStart`] floor may only remove provably-suboptimal
-//! search work, so warm solves must return the *same* verdicts, optima
-//! and tiles as cold solves on every formulation — including infeasible
-//! ones, and including hint sets polluted with models from foreign
-//! benchmarks.
+//! search work, so warm solves must return the *same* verdicts and optima
+//! as cold solves on every formulation — including infeasible ones, and
+//! including hint sets polluted with models from foreign benchmarks — and
+//! on these full-objective formulations the same tiles too. Tiles are
+//! *not* promised in general: the last test is a formulation whose optimum
+//! is tied among the objective's own variables, where warm and cold each
+//! return a different, equally optimal tiling.
 
-use eatss::{EatssConfig, EatssError, ModelGenerator};
+use eatss::{Ablation, EatssConfig, EatssError, ModelGenerator};
 use eatss_gpusim::GpuArch;
 use eatss_kernels::{polybench, Dataset};
 use eatss_smt::WarmStart;
@@ -84,4 +87,53 @@ fn warm_solves_match_cold_across_polybench() {
         let warm = solve(&arch, program, sizes, Some(&mut polluted));
         assert_eq!(&warm, cold, "{name}: cross-benchmark hints changed the verdict");
     }
+}
+
+/// What warm starting does *not* preserve. With the spatial term ablated
+/// mttkrp's objective is `Π T` alone and many tilings attain its maximum;
+/// a cold solve and a solve seeded with that solve's own optimum each
+/// meet a different one first. Verdict, objective value and optimality
+/// hold; the tiles need not, so they are not compared.
+#[test]
+fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
+    let b = eatss_kernels::by_name("mttkrp").expect("registered");
+    let program = b.program().expect("benchmark parses");
+    let sizes = b.sizes(Dataset::ExtraLarge);
+    let generator = ModelGenerator::new(
+        &GpuArch::ga100(),
+        EatssConfig {
+            warp_fraction: 0.125,
+            ..EatssConfig::default()
+        },
+    )
+    .with_ablation(Ablation {
+        no_spatial_term: true,
+        ..Ablation::default()
+    });
+    let build = || generator.build(&program, Some(&sizes)).expect("formulation builds");
+
+    let cold = build().solve().expect("feasible");
+    assert!(cold.optimal);
+    assert!(
+        build().has_other_optimum(&cold).expect("unbudgeted"),
+        "the case needs a tie: some other tiling must attain {}",
+        cold.objective
+    );
+
+    let mut own = WarmStart::new();
+    let first = build().solve_warm(&mut own).expect("feasible");
+    assert_eq!(first.tiles.sizes(), cold.tiles.sizes(), "no hints yet: a cold solve");
+    let seeded = build().solve_warm(&mut own).expect("feasible");
+    assert_eq!(seeded.objective, cold.objective);
+    assert!(seeded.optimal);
+    assert_eq!(seeded.stats.warm_seeds, 1);
+
+    // Both tilings are feasible under the formulation: every hint is
+    // re-validated against all of its constraints before it may seed a
+    // floor, and a third solve accepts each tiling it was handed (one if
+    // the seeded solve happened to return the cold tiles again).
+    let handed = own.len() as u64;
+    let third = build().solve_warm(&mut own).expect("feasible");
+    assert_eq!(third.stats.warm_cut_hits, handed);
+    assert_eq!(third.objective, cold.objective);
 }
