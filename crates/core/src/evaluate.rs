@@ -1,4 +1,4 @@
-//! End-to-end evaluation: PPCG compilation + GPU-model measurement.
+//! End-to-end evaluation: PPCG mapping + GPU-model measurement.
 
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
@@ -40,7 +40,9 @@ impl From<SimFault> for EvaluateError {
     }
 }
 
-/// Compiles `program` with `tiles` and measures it on the GPU model.
+/// Maps `program` with `tiles` ([`Ppcg::map`] — the CUDA text
+/// [`Ppcg::compile`] would add is never read here, so it is not emitted)
+/// and measures it on the GPU model.
 ///
 /// Stencil time loops multiply the single-launch measurement by the
 /// launch count, and multi-kernel programs aggregate as a sequence —
@@ -99,22 +101,20 @@ pub fn evaluate_program_with(
     repeats: i64,
 ) -> Result<SimReport, EvaluateError> {
     let arch = gpu.arch();
-    let ppcg = Ppcg::new(arch.clone());
-    let compiled = {
-        let mut stage = eatss_trace::span("pipeline", "codegen");
+    let mappings = {
+        let mut stage = eatss_trace::span("pipeline", "map");
         if stage.is_active() {
             stage.arg("program", program.name.as_str());
             stage.arg("tiles", tiles.to_string());
         }
-        ppcg.compile(program, tiles, sizes, options)?
+        Ppcg::map(arch, program, tiles, sizes, options)?
     };
     let mut stage = eatss_trace::span("pipeline", "simulate");
     if stage.is_active() {
         stage.arg("program", program.name.as_str());
-        stage.arg("launches", compiled.mappings.len());
+        stage.arg("launches", mappings.len());
     }
-    let reports: Vec<SimReport> = compiled
-        .mappings
+    let reports: Vec<SimReport> = mappings
         .iter()
         .map(|m| {
             gpu.try_simulate(&m.to_exec_spec())

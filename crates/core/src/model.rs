@@ -264,29 +264,29 @@ impl ModelGenerator {
             }
         }
 
-        // §IV-B: tile variables with warp alignment.
+        // §IV-B: tile variables range over the warp-aligned candidates
+        // `align, 2·align, … ≤ upper` — the domain is the presolve, so the
+        // root probes `upper/align` values per variable, not `upper`. The
+        // alignment constraint is still asserted below: it is the paper's
+        // formulation, what `--emit-smt` prints and what the reference
+        // engine and every leaf's exact check evaluate.
         let mut solver = Solver::with_config(self.solver_config.clone());
         let mut tile_vars: Vec<Option<IntExpr>> = Vec::with_capacity(depth);
         let align = if self.ablation.no_warp_alignment { 1 } else { waf };
+        // Coarsened: geometric multiples only, so the candidate count per
+        // variable drops from `upper/align` to `log2(upper/align)`, keeping
+        // hopeless budgets from thrashing. Either way an empty candidate
+        // set (align > upper) is an honest unsatisfiability.
+        let next = |&v: &i64| if self.coarsen { v.checked_mul(2) } else { v.checked_add(align) };
         for d in 0..depth {
             if is_time[d] {
                 tile_vars.push(None);
                 continue;
             }
-            let t = if self.coarsen {
-                // Geometric multiples of the alignment factor only: the
-                // candidate count per variable drops from `upper/align`
-                // to `log2(upper/align)`, keeping hopeless budgets from
-                // thrashing. An empty candidate set (align > upper) stays
-                // an honest unsatisfiability, as with the full domain.
-                let values: Vec<i64> =
-                    std::iter::successors(Some(align), |&v| v.checked_mul(2))
-                        .take_while(|&v| v <= upper[d])
-                        .collect();
-                solver.int_var_in(&format!("T{d}"), Domain::from_values(values))
-            } else {
-                solver.int_var(&format!("T{d}"), 1, upper[d])
-            };
+            let candidates: Vec<i64> = std::iter::successors(Some(align), next)
+                .take_while(|&v| v <= upper[d])
+                .collect();
+            let t = solver.int_var_in(&format!("T{d}"), Domain::from_values(candidates));
             if !self.ablation.no_warp_alignment {
                 solver.assert(t.modulo(waf).eq_expr(0));
             }
@@ -842,6 +842,83 @@ mod tests {
         assert!(t[0] * t[1] + t[2] * t[1] <= 12_288, "{t:?}");
         assert!(t[0] * t[2] <= 6_144, "{t:?}");
         assert!(s.objective > 0);
+    }
+
+    /// Each tile variable's declared domain, in dimension order.
+    fn tile_domains(model: &EatssModel) -> Vec<Vec<i64>> {
+        model
+            .tile_vars
+            .iter()
+            .flatten()
+            .map(|t| {
+                let mut var = Vec::new();
+                t.collect_vars(&mut var);
+                model.solver.domain_of(var[0]).expect("own variable").values().to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tile_variables_range_over_the_aligned_candidates() {
+        // §IV-B: T_d ∈ {WAF, 2·WAF, …} ≤ min(T_P_B, N_d) — as a domain (the
+        // presolve) *and* as the asserted constraint (the formulation).
+        let gemm = eatss_kernels::by_name("gemm").unwrap();
+        let program = gemm.program().unwrap();
+        // 200 is no multiple of 16 and clips below T_P_B; XL does not clip.
+        for sizes in [gemm.sizes(eatss_kernels::Dataset::ExtraLarge), gemm.sizes_uniform(200)] {
+            for device in eatss_gpusim::DeviceProfile::builtin_names() {
+                let arch = eatss_gpusim::DeviceProfile::builtin(device).unwrap().into_arch();
+                for warp_fraction in [0.5, 0.125] {
+                    let config = EatssConfig { warp_fraction, ..EatssConfig::default() };
+                    let waf = config.warp_alignment_factor(&arch);
+                    let uppers: Vec<i64> = (0..3)
+                        .map(|d| {
+                            let n = program.kernels[0].trip_count(d, &sizes).unwrap();
+                            n.min(arch.max_threads_per_block as i64)
+                        })
+                        .collect();
+                    let expect = |keep: &dyn Fn(i64) -> bool| -> Vec<Vec<i64>> {
+                        uppers.iter().map(|&u| (1..=u).filter(|&t| keep(t)).collect()).collect()
+                    };
+                    let generator = ModelGenerator::new(&arch, config);
+                    let what = format!("{device}, warp fraction {warp_fraction}, uppers {uppers:?}");
+
+                    let model = generator.build(&program, Some(&sizes)).unwrap();
+                    assert_eq!(tile_domains(&model), expect(&|t| t % waf == 0), "{what}");
+                    let aligned = format!("((T0 mod {waf}) == 0)");
+                    let asserted: Vec<String> =
+                        model.solver.assertions().map(ToString::to_string).collect();
+                    assert!(asserted.contains(&aligned), "{what}: `{aligned}` not in {asserted:?}");
+
+                    let unaligned = generator
+                        .clone()
+                        .with_ablation(Ablation { no_warp_alignment: true, ..Ablation::default() })
+                        .build(&program, Some(&sizes))
+                        .unwrap();
+                    assert_eq!(tile_domains(&unaligned), expect(&|_| true), "{what}");
+
+                    let coarse = generator
+                        .with_domain_coarsening(true)
+                        .build(&program, Some(&sizes))
+                        .unwrap();
+                    let doubling = |t: i64| t % waf == 0 && (t / waf).count_ones() == 1;
+                    assert_eq!(tile_domains(&coarse), expect(&doubling), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extent_below_the_alignment_is_refuted_without_search() {
+        // N < WAF: the candidate set is empty, and the root propagation
+        // proves it — no node is opened.
+        let sizes = ProblemSizes::new([("M", 8), ("N", 64), ("P", 64)]);
+        let model = ga(EatssConfig::default()).build(&matmul(), Some(&sizes)).unwrap();
+        assert_eq!(tile_domains(&model)[0], Vec::<i64>::new());
+        let (mut solver, objective) = model.into_parts();
+        let outcome = solver.maximize(&objective).unwrap();
+        assert!(outcome.model.is_none() && outcome.complete);
+        assert_eq!(solver.stats().nodes, 0);
     }
 
     #[test]

@@ -81,6 +81,29 @@ fn verify_works_on_a_time_loop_benchmark() {
     assert_eq!(stdout.matches("OK —").count(), 2, "{stdout}");
 }
 
+/// `--emit-smt` prints the formulation that is solved: each tile variable
+/// ranges over its warp-aligned candidates (hull plus congruence), and the
+/// paper's §IV-B alignment constraint is still asserted beside them. The
+/// CUDA text stays reachable through `--emit-cuda`.
+#[test]
+fn emit_smt_prints_the_aligned_domain_and_the_alignment_assertion() {
+    let out = eatss()
+        .args(["gemm", "--emit-smt", "--emit-cuda", "--log-level", "off"])
+        .output()
+        .expect("spawn eatss");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for line in [
+        "(assert (and (>= T0 16) (<= T0 1024)))",
+        "(assert (= (mod (- T0 16) 16) 0))",
+        "(assert (= (mod T0 16) 0))",
+        "(maximize ",
+        "__global__",
+    ] {
+        assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
+    }
+}
+
 #[test]
 fn bad_verify_seed_is_rejected() {
     let out = eatss()

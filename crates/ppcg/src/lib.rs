@@ -14,6 +14,14 @@
 //! 3. **code generation** ([`codegen`]) — emitting the tiled CUDA-C text
 //!    (tile loops, `min` guards, `__shared__` staging, `__syncthreads`).
 //!
+//! [`Ppcg::map`] is role 2 alone and is what measurement and the
+//! [`oracle`] consume: the GPU model simulates a mapping's exec spec and
+//! the emulator executes the mapping itself, so neither reads the text.
+//! [`Ppcg::compile`] is `map` + role 3, for whoever wants the CUDA source
+//! (`eatss --emit-cuda`, the examples); `tests/golden_codegen.rs` pins
+//! that text byte for byte and `tests/pipeline.rs` its shape over the
+//! whole registry.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,7 +42,7 @@
 //!     &sizes,
 //!     &CompileOptions::default(),
 //! )?;
-//! assert_eq!(compiled.specs.len(), 1);
+//! assert_eq!(compiled.mappings.len(), 1);
 //! assert!(compiled.cuda_source.contains("__global__"));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -61,7 +69,7 @@ pub use space::TileSpace;
 
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
-use eatss_gpusim::{GpuArch, KernelExecSpec};
+use eatss_gpusim::GpuArch;
 
 /// The PPCG stand-in compiler.
 #[derive(Debug, Clone)]
@@ -69,12 +77,10 @@ pub struct Ppcg {
     arch: GpuArch,
 }
 
-/// A compiled program: one simulator spec per kernel plus the generated
+/// A compiled program: one GPU mapping per kernel plus the generated
 /// CUDA source.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    /// One execution spec per kernel, in program order.
-    pub specs: Vec<KernelExecSpec>,
     /// One GPU mapping per kernel, in program order.
     pub mappings: Vec<GpuMapping>,
     /// Generated CUDA-C source for the whole program.
@@ -92,7 +98,14 @@ impl Ppcg {
         &self.arch
     }
 
-    /// Compiles a program under a (program-wide) tile configuration.
+    /// Maps every kernel of a program under a (program-wide) tile
+    /// configuration: one [`GpuMapping`] per kernel, in program order.
+    ///
+    /// This is what measurement (`eatss::evaluate_program*`) and the
+    /// [`oracle`] consume — a mapping lowers to a simulator spec
+    /// ([`GpuMapping::to_exec_spec`]) and is what the emulator executes —
+    /// so neither pays for CUDA text. It needs only the architecture, hence
+    /// no `self`.
     ///
     /// Kernels shallower than the configuration use its prefix, mirroring
     /// how the paper applies one tile tuple to multi-kernel programs such
@@ -102,6 +115,39 @@ impl Ppcg {
     ///
     /// Returns [`CompileError`] when the tiling is malformed, a problem
     /// size is unbound, or a kernel cannot be mapped.
+    pub fn map(
+        arch: &GpuArch,
+        program: &Program,
+        tiles: &TileConfig,
+        sizes: &ProblemSizes,
+        options: &CompileOptions,
+    ) -> Result<Vec<GpuMapping>, CompileError> {
+        let mut mappings = Vec::with_capacity(program.kernels.len());
+        for kernel in &program.kernels {
+            if kernel.depth() > tiles.len() {
+                return Err(CompileError::NotEnoughTileSizes {
+                    kernel: kernel.name.clone(),
+                    depth: kernel.depth(),
+                    got: tiles.len(),
+                });
+            }
+            let ktiles = tiles.truncated(kernel.depth());
+            let mut stage = eatss_trace::span("ppcg", "map");
+            if stage.is_active() {
+                stage.arg("kernel", kernel.name.as_str());
+            }
+            mappings.push(GpuMapping::compute(kernel, &ktiles, arch, sizes, options)?);
+        }
+        Ok(mappings)
+    }
+
+    /// Compiles a program: [`Ppcg::map`], then the CUDA-C text emitted
+    /// over the mappings it returned (one `__global__` per kernel, then the
+    /// host driver).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Ppcg::map`]; emission itself cannot fail.
     pub fn compile(
         &self,
         program: &Program,
@@ -115,34 +161,14 @@ impl Ppcg {
             span.arg("tiles", tiles.to_string());
             span.arg("kernels", program.kernels.len());
         }
-        let mut specs = Vec::with_capacity(program.kernels.len());
-        let mut mappings = Vec::with_capacity(program.kernels.len());
+        let mappings = Ppcg::map(&self.arch, program, tiles, sizes, options)?;
         let mut cuda = codegen::program_header(&program.name, tiles);
-        for kernel in &program.kernels {
-            if kernel.depth() > tiles.len() {
-                return Err(CompileError::NotEnoughTileSizes {
-                    kernel: kernel.name.clone(),
-                    depth: kernel.depth(),
-                    got: tiles.len(),
-                });
+        for (kernel, mapping) in program.kernels.iter().zip(&mappings) {
+            let mut stage = eatss_trace::span("ppcg", "codegen");
+            if stage.is_active() {
+                stage.arg("kernel", kernel.name.as_str());
             }
-            let ktiles = tiles.truncated(kernel.depth());
-            let mapping = {
-                let mut stage = eatss_trace::span("ppcg", "map");
-                if stage.is_active() {
-                    stage.arg("kernel", kernel.name.as_str());
-                }
-                GpuMapping::compute(kernel, &ktiles, &self.arch, sizes, options)?
-            };
-            {
-                let mut stage = eatss_trace::span("ppcg", "codegen");
-                if stage.is_active() {
-                    stage.arg("kernel", kernel.name.as_str());
-                }
-                cuda.push_str(&codegen::emit_kernel(kernel, &mapping));
-            }
-            specs.push(mapping.to_exec_spec());
-            mappings.push(mapping);
+            cuda.push_str(&codegen::emit_kernel(kernel, mapping));
         }
         {
             let _stage = eatss_trace::span("ppcg", "hostgen");
@@ -152,7 +178,6 @@ impl Ppcg {
             span.arg("cuda_bytes", cuda.len());
         }
         Ok(CompiledProgram {
-            specs,
             mappings,
             cuda_source: cuda,
         })

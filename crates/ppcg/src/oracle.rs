@@ -169,9 +169,9 @@ pub fn verify(
         .expect("one verdict per configuration")
 }
 
-/// Runs one program under each tile configuration through compile →
-/// emulate and compares against the reference interpreter on identically
-/// seeded stores. The expensive invariants are shared across the batch:
+/// Runs one program under each tile configuration through map
+/// ([`Ppcg::map`] — no CUDA text is emitted) → emulate and compares
+/// against the reference interpreter on identically seeded stores. The expensive invariants are shared across the batch:
 /// the reference interpretation runs once (it does not depend on tiles),
 /// and the emulator executes through [`execute_compiled_batch`], which
 /// compiles each distinct per-kernel route signature once instead of once
@@ -194,16 +194,15 @@ pub fn verify_batch(
         span.arg("configs", configs.len() as u64);
         span.arg("seed", seed);
     }
-    // Compile every config first; only mappable ones enter the batch.
-    let ppcg = Ppcg::new(arch.clone());
+    // Map every config first; only mappable ones enter the batch.
     let mut results: Vec<Result<OracleReport, OracleError>> = Vec::with_capacity(configs.len());
     let mut mappable: Vec<usize> = Vec::new();
     let mut mappings: Vec<Vec<crate::GpuMapping>> = Vec::new();
     for (i, tiles) in configs.iter().enumerate() {
-        match ppcg.compile(program, tiles, sizes, &options.compile) {
-            Ok(compiled) => {
+        match Ppcg::map(arch, program, tiles, sizes, &options.compile) {
+            Ok(mapped) => {
                 mappable.push(i);
-                mappings.push(compiled.mappings);
+                mappings.push(mapped);
                 results.push(Ok(OracleReport::default()));
             }
             Err(e) => results.push(Err(e.into())),

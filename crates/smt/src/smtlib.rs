@@ -30,20 +30,10 @@ pub fn to_smtlib(solver: &Solver, objective: Option<&IntExpr>) -> String {
     for name in solver.var_names() {
         let _ = writeln!(out, "(declare-const {name} Int)");
     }
-    // Domain bounds are part of the formulation.
+    // Domains are part of the formulation.
     for (i, name) in solver.var_names().enumerate() {
         if let Some(dom) = solver.domain_of(crate::VarId(i as u32)) {
-            let hull = dom.hull();
-            if !hull.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "(assert (and (>= {name} {}) (<= {name} {})))",
-                    hull.lo(),
-                    hull.hi()
-                );
-            } else {
-                let _ = writeln!(out, "(assert false) ; empty domain for {name}");
-            }
+            domain_sexp(&mut out, name, dom.values());
         }
     }
     for c in solver.assertions() {
@@ -56,15 +46,46 @@ pub fn to_smtlib(solver: &Solver, objective: Option<&IntExpr>) -> String {
     out
 }
 
+/// Asserts that `name` ranges over exactly `values` (sorted, distinct):
+/// the hull; plus a congruence when they are an arithmetic progression of
+/// step above 1; plus, only when they are neither contiguous nor a
+/// progression, the explicit disjunction.
+fn domain_sexp(out: &mut String, name: &str, values: &[i64]) {
+    let (Some(&lo), Some(&hi)) = (values.first(), values.last()) else {
+        let _ = writeln!(out, "(assert false) ; empty domain for {name}");
+        return;
+    };
+    let _ = writeln!(
+        out,
+        "(assert (and (>= {name} {}) (<= {name} {})))",
+        const_sexp(lo),
+        const_sexp(hi)
+    );
+    let step = values.get(1).map_or(1, |second| second - lo);
+    if values.windows(2).all(|w| w[1] - w[0] == step) {
+        if step > 1 {
+            let _ = writeln!(out, "(assert (= (mod (- {name} {}) {step}) 0))", const_sexp(lo));
+        }
+    } else {
+        out.push_str("(assert (or");
+        for &v in values {
+            let _ = write!(out, " (= {name} {})", const_sexp(v));
+        }
+        out.push_str("))\n");
+    }
+}
+
+fn const_sexp(v: i64) -> String {
+    if v < 0 {
+        format!("(- {})", v.unsigned_abs())
+    } else {
+        v.to_string()
+    }
+}
+
 fn int_sexp(expr: &IntExpr) -> String {
     match &*expr.0 {
-        IntNode::Const(v) => {
-            if *v < 0 {
-                format!("(- {})", -v)
-            } else {
-                v.to_string()
-            }
-        }
+        IntNode::Const(v) => const_sexp(*v),
         IntNode::Var(_, name) => name.clone(),
         IntNode::Add(xs) => nary("+", xs),
         IntNode::Mul(xs) => nary("*", xs),
@@ -129,7 +150,7 @@ fn nary_bool(op: &str, xs: &[BoolExpr]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IntExpr, Solver};
+    use crate::{Domain, IntExpr, Solver};
 
     #[test]
     fn exports_declarations_bounds_and_assertions() {
@@ -146,6 +167,45 @@ mod tests {
         assert!(script.contains("(assert (<= (* Ti Tj) 12288))"));
         assert!(script.contains("(assert (= (mod Ti 16) 0))"));
         assert!(script.ends_with("(check-sat)\n(get-model)\n"));
+    }
+
+    #[test]
+    fn contiguous_domain_is_its_hull_alone() {
+        let mut s = Solver::new();
+        s.int_var("x", 3, 9);
+        s.int_var("one", 5, 5);
+        let script = to_smtlib(&s, None);
+        assert!(script.contains("(assert (and (>= x 3) (<= x 9)))"));
+        assert!(script.contains("(assert (and (>= one 5) (<= one 5)))"));
+        assert!(!script.contains("(mod "), "{script}");
+        assert!(!script.contains("(or"), "{script}");
+    }
+
+    #[test]
+    fn progression_domain_adds_a_congruence() {
+        let mut s = Solver::new();
+        s.int_var_in("T", Domain::from_values((1..=64).map(|k| 16 * k).collect()));
+        s.int_var_in("u", Domain::from_values(vec![-7, -2, 3]));
+        let script = to_smtlib(&s, None);
+        assert!(script.contains("(assert (and (>= T 16) (<= T 1024)))"));
+        assert!(script.contains("(assert (= (mod (- T 16) 16) 0))"));
+        assert!(script.contains("(assert (and (>= u (- 7)) (<= u 3)))"));
+        assert!(script.contains("(assert (= (mod (- u (- 7)) 5) 0))"));
+        assert!(!script.contains("(or"), "{script}");
+    }
+
+    #[test]
+    fn irregular_domain_is_spelled_out() {
+        // The `coarsen` rung's doubling candidates: the hull alone would
+        // admit 48, which the solver does not.
+        let mut s = Solver::new();
+        s.int_var_in("T", Domain::from_values(vec![16, 32, 64, 128]));
+        s.int_var_in("none", Domain::from_values(vec![]));
+        let script = to_smtlib(&s, None);
+        assert!(script.contains("(assert (and (>= T 16) (<= T 128)))"));
+        assert!(script.contains("(assert (or (= T 16) (= T 32) (= T 64) (= T 128)))"));
+        assert!(!script.contains("(mod "), "{script}");
+        assert!(script.contains("(assert false) ; empty domain for none"));
     }
 
     #[test]

@@ -415,7 +415,6 @@ impl Solver {
         objective: &IntExpr,
         warm: &WarmStart,
     ) -> Result<MaximizeOutcome, SolveError> {
-        self.validate()?;
         let floor = self.warm_floor(objective, warm);
         self.search(SearchMode::Optimize { objective, floor })
     }

@@ -13,6 +13,7 @@ use eatss::{Eatss, EatssConfig};
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
+use eatss_integration::trips;
 use eatss_ppcg::oracle::{sample_tile_config, sweep_rng, verify_sizes};
 use eatss_ppcg::{verify, OracleOptions};
 
@@ -22,17 +23,6 @@ fn shrunk(program: &Program, sizes: &ProblemSizes) -> ProblemSizes {
     // Deep nests get smaller spatial extents to bound point counts.
     let cap = if program.max_depth() >= 4 { 7 } else { 13 };
     verify_sizes(program, sizes, cap, 2)
-}
-
-/// Max trip count per dim position across kernels — the sampling domain.
-fn trips(program: &Program, sizes: &ProblemSizes) -> Vec<i64> {
-    let mut out = vec![1i64; program.max_depth()];
-    for k in &program.kernels {
-        for (d, slot) in out.iter_mut().enumerate().take(k.depth()) {
-            *slot = (*slot).max(k.trip_count(d, sizes).unwrap_or(1));
-        }
-    }
-    out
 }
 
 fn check(name: &str, program: &Program, tiles: &TileConfig, sizes: &ProblemSizes) {

@@ -5,7 +5,7 @@
 use eatss::{Eatss, EatssConfig};
 use eatss_affine::tiling::TileConfig;
 use eatss_gpusim::GpuArch;
-use eatss_integration::load;
+use eatss_integration::{load, trips};
 use eatss_kernels::Dataset;
 
 /// The full pipeline runs for every benchmark on the GA100 with the
@@ -114,8 +114,50 @@ fn cuda_codegen_is_structurally_sound_for_all_benchmarks() {
             "{}",
             b.name
         );
-        assert_eq!(compiled.specs.len(), program.kernels.len(), "{}", b.name);
+        assert_eq!(compiled.mappings.len(), program.kernels.len(), "{}", b.name);
     }
+}
+
+/// `Ppcg::map` — what measurement and the oracle consume — is exactly the
+/// mapping half of `Ppcg::compile`, on every registered kernel and for
+/// the errors either can return.
+#[test]
+fn map_is_the_mapping_half_of_compile() {
+    use eatss_ppcg::oracle::{sample_tile_config, sweep_rng};
+    use eatss_ppcg::{CompileOptions, Ppcg};
+    let arch = GpuArch::ga100();
+    let ppcg = Ppcg::new(arch.clone());
+    let options = CompileOptions::default();
+    let both = |program: &eatss_affine::Program, tiles: &TileConfig, sizes: &eatss_affine::ProblemSizes| {
+        let mapped = Ppcg::map(&arch, program, tiles, sizes, &options);
+        let compiled = ppcg.compile(program, tiles, sizes, &options).map(|c| c.mappings);
+        // `GpuMapping` is not `PartialEq`; its `Debug` prints every field.
+        assert_eq!(format!("{mapped:?}"), format!("{compiled:?}"), "{} {tiles}", program.name);
+        mapped
+    };
+    let mut rng = sweep_rng(24);
+    let benchmarks = eatss_kernels::all();
+    assert_eq!(benchmarks.len(), 21);
+    for b in benchmarks {
+        let (program, sizes) = load(b.name, Dataset::Standard);
+        let depth = program.max_depth();
+        let random = sample_tile_config(&mut rng, &trips(&program, &sizes));
+        for tiles in [TileConfig::ppcg_default(depth), random] {
+            let mapped = both(&program, &tiles, &sizes).expect("registry kernels map");
+            assert_eq!(mapped.len(), program.kernels.len(), "{}", b.name);
+        }
+        // A tile tuple shorter than the deepest kernel.
+        let short = both(&program, &TileConfig::ppcg_default(depth - 1), &sizes);
+        assert!(
+            matches!(short, Err(eatss_ppcg::CompileError::NotEnoughTileSizes { .. })),
+            "{}: {short:?}",
+            b.name
+        );
+    }
+    let serial = eatss_affine::parser::parse_program("kernel s(N) { for (i: N) A[i] = A[i-1] + 1.0; }")
+        .expect("parses");
+    let sizes = eatss_affine::ProblemSizes::new([("N", 100)]);
+    assert!(both(&serial, &TileConfig::ppcg_default(1), &sizes).is_err());
 }
 
 /// Bigger problems take longer and consume more energy, given fixed

@@ -193,11 +193,13 @@ fn no_polybench_formulation_searches_more_than_its_domains_hold() {
     // A search that refutes each subtree once is linear in what it
     // branches over: across the whole sweep grid, on every builtin device
     // at the dataset the paper pairs it with, no formulation may take more
-    // than `K × Σ|D_i|` nodes, `D_i` being tile variable i's candidates
-    // after alignment. Measured maximum over the 2 720 formulations: 0.496
-    // (syr2k on xavier, split 0, warp fraction 0.125, Virtual — 381 nodes
-    // against 768 candidates); the re-diving search took 23 362 there,
-    // thirty times the domains. K leaves half as much again.
+    // than `K × Σ|D_i|` nodes, `D_i` being tile variable i's declared
+    // domain — `build` declares each variable over its warp-aligned
+    // candidates, so the domain's length is the count. Measured maximum
+    // over the 2 720 formulations: 0.496 (syr2k on xavier, split 0, warp
+    // fraction 0.125, Virtual — 381 nodes against 768 candidates); the
+    // re-diving search took 23 362 there, thirty times the domains. K
+    // leaves half as much again.
     const K: f64 = 0.75;
     let mut worst = (0.0, String::new());
     for device in DeviceProfile::builtin_names() {
@@ -210,7 +212,6 @@ fn no_polybench_formulation_searches_more_than_its_domains_hold() {
             let program = bench.program().expect("parses");
             let sizes = bench.sizes(dataset);
             for config in sweep_grid() {
-                let waf = config.warp_alignment_factor(&arch);
                 let generator = ModelGenerator::new(&arch, config.clone());
                 let build = || generator.build(&program, Some(&sizes)).expect("build succeeds");
                 let Ok(solution) = build().solve() else {
@@ -223,10 +224,7 @@ fn no_polybench_formulation_searches_more_than_its_domains_hold() {
                 }
                 let candidates: usize = vars
                     .iter()
-                    .map(|&v| {
-                        let domain = solver.domain_of(v).expect("own variable");
-                        domain.iter().filter(|t| t % waf == 0).count()
-                    })
+                    .map(|&v| solver.domain_of(v).expect("own variable").len())
                     .sum();
                 let ratio = solution.stats.nodes as f64 / candidates as f64;
                 if ratio > worst.0 {

@@ -21,3 +21,15 @@ pub fn load(name: &str, dataset: Dataset) -> (Program, ProblemSizes) {
     let sizes = b.sizes(dataset);
     (program, sizes)
 }
+
+/// Max trip count per dim position across kernels — the domain
+/// `sample_tile_config` draws tiles from.
+pub fn trips(program: &Program, sizes: &ProblemSizes) -> Vec<i64> {
+    let mut out = vec![1i64; program.max_depth()];
+    for k in &program.kernels {
+        for (d, slot) in out.iter_mut().enumerate().take(k.depth()) {
+            *slot = (*slot).max(k.trip_count(d, sizes).unwrap_or(1));
+        }
+    }
+    out
+}

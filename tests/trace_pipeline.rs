@@ -1,5 +1,5 @@
 //! Cross-crate observability tests: the `eatss-trace` layer wired through
-//! the real solve → codegen → simulate pipeline.
+//! the real solve → map → simulate pipeline.
 //!
 //! Trace collection is process-global, so every test here serializes on
 //! `SESSION` (a poisoned lock is recovered — a failed test must not take
@@ -11,6 +11,7 @@ use eatss::{Eatss, EatssConfig, SweepOptions};
 use eatss_affine::parser::parse_program;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
+use eatss_ppcg::Ppcg;
 use eatss_trace::{EventKind, Provenance};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -80,14 +81,16 @@ fn registry_counters_match_solver_stats() {
 
 /// A full selection + evaluation covers every pipeline stage, the span
 /// stream is balanced, and the simulator spans nest under the pipeline's
-/// `simulate` stage.
+/// `simulate` stage. Evaluation maps without emitting CUDA text — the
+/// codegen spans belong to an explicit `Ppcg::compile` only.
 #[test]
 fn full_pipeline_trace_covers_solve_codegen_simulate() {
     let _guard = session();
     let program = mm();
     let sz = sizes(512, 512, 512);
     let config = EatssConfig::default();
-    let eatss = Eatss::new(GpuArch::ga100());
+    let arch = GpuArch::ga100();
+    let eatss = Eatss::new(arch.clone());
     eatss_trace::start_collecting();
     let solution = eatss
         .select_tiles(&program, &sz, &config)
@@ -99,23 +102,44 @@ fn full_pipeline_trace_covers_solve_codegen_simulate() {
     assert!(report.valid);
     trace.check_balance().expect("balanced spans");
 
+    let has = |names: &std::collections::BTreeSet<(String, String)>, cat: &str, name: &str| {
+        names.contains(&(cat.to_string(), name.to_string()))
+    };
     let names = trace.span_names();
     for (cat, name) in [
         ("eatss", "solve"),
-        ("pipeline", "codegen"),
+        ("pipeline", "map"),
         ("pipeline", "simulate"),
-        ("ppcg", "compile"),
         ("ppcg", "map"),
-        ("ppcg", "codegen"),
-        ("ppcg", "hostgen"),
         ("sim", "launch"),
         ("sim", "occupancy"),
         ("sim", "timing"),
         ("sim", "power"),
     ] {
+        assert!(has(&names, cat, name), "missing span {cat}:{name} (got {names:?})");
+    }
+    // The regression guard: text emission must not creep back onto the
+    // measurement path.
+    for name in ["compile", "codegen", "hostgen"] {
         assert!(
-            names.contains(&(cat.to_string(), name.to_string())),
-            "missing span {cat}:{name} (got {names:?})"
+            !has(&names, "ppcg", name),
+            "evaluate emitted CUDA text: span ppcg:{name} (got {names:?})"
+        );
+    }
+
+    // An explicit compile is where the text is produced.
+    eatss_trace::start_collecting();
+    let compiled = Ppcg::new(arch.clone())
+        .compile(&program, &solution.tiles, &sz, &config.compile_options(&arch))
+        .expect("mm compiles");
+    let compile_trace = eatss_trace::drain(Provenance::collect(None));
+    assert!(compiled.cuda_source.contains("__global__"));
+    compile_trace.check_balance().expect("balanced spans");
+    let compile_names = compile_trace.span_names();
+    for name in ["compile", "map", "codegen", "hostgen"] {
+        assert!(
+            has(&compile_names, "ppcg", name),
+            "missing span ppcg:{name} (got {compile_names:?})"
         );
     }
 
