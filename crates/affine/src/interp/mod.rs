@@ -85,22 +85,28 @@ impl Array {
     /// The buffer is filled through a single linear cursor: the row-major
     /// multi-index is maintained incrementally rather than re-flattened
     /// per element.
-    pub fn from_fn(extents: Vec<i64>, mut f: impl FnMut(&[i64]) -> f64) -> Self {
+    pub fn from_fn(extents: Vec<i64>, f: impl FnMut(&[i64]) -> f64) -> Self {
         let mut a = Array::zeros(extents);
-        let mut idx = vec![0i64; a.extents.len()];
-        for slot in a.data.iter_mut() {
+        a.fill_with(f);
+        a
+    }
+
+    /// Overwrites every element with `f` of its index, in row-major order
+    /// through the same linear cursor as [`Array::from_fn`].
+    pub fn fill_with(&mut self, mut f: impl FnMut(&[i64]) -> f64) {
+        let mut idx = vec![0i64; self.extents.len()];
+        for slot in self.data.iter_mut() {
             *slot = f(&idx);
             // Advance the odometer (last dimension fastest); it runs out
             // exactly when the linear cursor does.
             for d in (0..idx.len()).rev() {
                 idx[d] += 1;
-                if idx[d] < a.extents[d] {
+                if idx[d] < self.extents[d] {
                     break;
                 }
                 idx[d] = 0;
             }
         }
-        a
     }
 
     /// Array extents.
@@ -221,6 +227,15 @@ impl Store {
         self.index
             .iter()
             .map(|(k, &slot)| (k.as_str(), &self.slots[slot]))
+    }
+
+    /// Iterates over `(name, array)` pairs in slot order, mutably.
+    pub fn arrays_mut(&mut self) -> impl Iterator<Item = (&str, &mut Array)> {
+        let mut names = vec![""; self.slots.len()];
+        for (name, &slot) in &self.index {
+            names[slot] = name.as_str();
+        }
+        names.into_iter().zip(self.slots.iter_mut())
     }
 
     /// Pre-allocates every array a program touches (zeros), sizing each

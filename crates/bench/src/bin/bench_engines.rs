@@ -36,7 +36,7 @@ use eatss_kernels::{Benchmark, Dataset};
 use eatss_ppcg::oracle::{sample_tile_config, sweep_rng};
 use eatss_ppcg::{
     execute_compiled, execute_compiled_batch, seed_store, CompileOptions, ExecEngine, ExecOptions,
-    ExecStats, GpuMapping, Ppcg, AUTO_PLAN_THRESHOLD_EMULATOR_POINTS,
+    ExecStats, GpuMapping, Ppcg,
 };
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -51,11 +51,9 @@ struct EnginePair {
     name: String,
     fast: Duration,
     reference: Duration,
-    /// Whether the row enters its subject's aggregate and gate. Off for
-    /// an infeasible formulation (it measures refutation, not
-    /// optimization) and for an emulator domain [`ExecEngine::Auto`]
-    /// routes to the reference walker (a forced-plan loss there is the
-    /// case `Auto` exists to avoid).
+    /// Whether the row enters its subject's aggregate and gate. Off only
+    /// for an infeasible formulation (it measures refutation, not
+    /// optimization).
     gated: bool,
 }
 
@@ -326,21 +324,18 @@ fn exec_pairs(
         },
     )?;
 
-    // Whether `ExecEngine::Auto` routes this domain to the plan engine.
-    let auto_plan =
-        trips(&program, &sizes).iter().product::<i64>() >= AUTO_PLAN_THRESHOLD_EMULATOR_POINTS;
-    let pair = |subject, fast: Duration, reference: Duration, gated: bool| EnginePair {
+    // Both fast paths are unconditional: every row is gated.
+    let pair = |subject, fast: Duration, reference: Duration| EnginePair {
         subject,
         name: b.name.to_owned(),
         fast,
         reference,
-        gated,
+        gated: true,
     };
     Ok(vec![
-        // The interpreter's fast path is unconditional: always gated.
-        pair("interp", interp_walls[0], interp_walls[1], true),
-        pair("emulator", emul_walls[0], emul_walls[2], auto_plan),
-        pair("emulator_batched", emul_walls[1], emul_walls[2], auto_plan),
+        pair("interp", interp_walls[0], interp_walls[1]),
+        pair("emulator", emul_walls[0], emul_walls[2]),
+        pair("emulator_batched", emul_walls[1], emul_walls[2]),
     ])
 }
 

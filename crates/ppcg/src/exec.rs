@@ -29,6 +29,14 @@
 //! engines produce bitwise-identical stores and identical [`ExecStats`]
 //! (differentially tested over the whole benchmark suite).
 //!
+//! The plan engine executes every point inside a *row* — one
+//! `exec_row_routed` call over points that differ in one coordinate.
+//! Within a thread, the innermost loop that iterates becomes a row; across
+//! threads, a run of x-adjacent threads that each own exactly one point
+//! becomes one row along mapped dim 0 (the same points in the same order
+//! as thread by thread). Rows run per kernel are tallied in the
+//! `exec.rows` trace counter, beside `exec.points` and `exec.blocks`.
+//!
 //! What is *not* modeled: warp scheduling, memory timing, and racy
 //! unsynchronized accesses (blocks and threads are independent by
 //! construction of the mapping, so any interleaving is equivalent —
@@ -41,6 +49,7 @@ use eatss_affine::ir::{ArrayRef, Kernel};
 use eatss_affine::plan::{ExecPlan, RouteSource, RowScratch};
 use eatss_affine::{ProblemSizes, Program};
 use std::fmt;
+use std::ops::Range;
 
 /// How faithfully `__syncthreads()` phases are honored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,34 +68,16 @@ pub enum BarrierFidelity {
 /// Which execution core runs the statements at each point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// Per-kernel heuristic: kernels whose total iteration count is
-    /// below [`AUTO_PLAN_THRESHOLD_EMULATOR_POINTS`] run on the
-    /// reference walker (plan compilation plus per-row route dispatch
-    /// cost more than they save on tiny domains — jacobi-1d measured
-    /// wall_ratio 0.982 under an unconditional `Plan` when the threshold
-    /// was set, and `bench_engines` still reports that row, ungated);
-    /// everything larger gets the compiled plan.
-    #[default]
-    Auto,
     /// Compile the kernel into an [`ExecPlan`] (staged reads pre-routed,
-    /// addresses linearized, RHS as an opcode tape). Kernels the plan
-    /// compiler cannot lower silently fall back to the reference walk.
+    /// addresses linearized, RHS as an opcode tape) and run its points
+    /// as rows. Kernels the plan compiler cannot lower silently fall back
+    /// to the reference walk.
+    #[default]
     Plan,
     /// The original tree-walking per-point execution, retained as the
     /// executable specification the plan engine is tested against.
     Reference,
 }
-
-/// The [`ExecEngine::Auto`] crossover: iteration-count floor below which
-/// compiling an [`ExecPlan`] stops paying for itself. One compile
-/// amortizes over the kernel's points, and emulated plan rows also pay
-/// route dispatch and per-row staging-box checks. When the threshold was
-/// set the forced-`Plan` emulator measured wall_ratio 0.982 on a 51-point
-/// domain (jacobi-1d) and only ~1.0 near 900 points (fdtd-2d); no
-/// PolyBench kernel at sweep sizes has a domain between 1024 and this
-/// floor, so it keeps tiny stencil domains on the reference walker and
-/// routes everything else to the plan engine.
-pub const AUTO_PLAN_THRESHOLD_EMULATOR_POINTS: i64 = 2048;
 
 /// Emulator knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -399,6 +390,36 @@ impl RouteSource for StagedRouter<'_, '_> {
     }
 }
 
+/// The plan engine's state for one kernel: the compiled plan, its
+/// reusable row scratch, and the rows run so far (the `exec.rows` tally).
+struct PlanRows<'p> {
+    plan: &'p ExecPlan,
+    scratch: RowScratch,
+    rows: u64,
+}
+
+impl PlanRows<'_> {
+    /// Executes `count > 0` points along `dim` from `point`, `step` apart,
+    /// as one row; the first out-of-box staged read is the error.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        store: &mut Store,
+        point: &mut [i64],
+        dim: usize,
+        count: i64,
+        step: i64,
+        router: &mut StagedRouter<'_, '_>,
+        stats: &mut ExecStats,
+    ) -> Result<(), ExecError> {
+        stats.points += count as u64;
+        self.rows += 1;
+        self.plan
+            .exec_row_routed(store, point, dim, count, step, &mut self.scratch, router);
+        router.failure.take().map_or(Ok(()), Err)
+    }
+}
+
 /// Executes one compiled kernel over the store, taking its plan from
 /// `cache` (compiled on the first use of a route signature).
 fn execute_mapped_kernel(
@@ -459,42 +480,35 @@ fn execute_mapped_kernel(
     // Choose the execution core once per kernel: staged reads resolve to
     // their route here, at compile time, instead of a group search per
     // read per point.
-    let use_plan = match opts.engine {
-        ExecEngine::Reference => false,
-        ExecEngine::Plan => true,
-        ExecEngine::Auto => {
-            trips.iter().product::<i64>() >= AUTO_PLAN_THRESHOLD_EMULATOR_POINTS
-        }
-    };
-    let exec: Option<&ExecPlan> = if use_plan {
-        cache.lookup_or_compile(kernel, &trips, store, &staged)
-    } else {
-        None
-    };
-    let mut scratch = match exec {
-        Some(plan) => plan.scratch(),
-        None => RowScratch::default(),
+    let mut plan: Option<PlanRows<'_>> = match opts.engine {
+        ExecEngine::Plan => cache
+            .lookup_or_compile(kernel, &trips, store, &staged)
+            .map(|plan| PlanRows {
+                plan,
+                scratch: plan.scratch(),
+                rows: 0,
+            }),
+        ExecEngine::Reference => None,
     };
 
-    // Thread coordinates in linear order, x fastest (CUDA convention) —
-    // built once per kernel, shared by every launch and tile step.
+    // Thread coordinates in linear order, x fastest (CUDA convention),
+    // one `thread_extents.len()`-wide record per thread — built once per
+    // kernel, shared by every launch and tile step.
+    let rank = mapping.thread_extents.len();
     let threads_total: i64 = mapping.thread_extents.iter().product();
-    let thread_coords: Vec<Vec<i64>> = {
-        let mut all = Vec::with_capacity(threads_total as usize);
-        let mut c = vec![0i64; mapping.thread_extents.len()];
-        'outer: loop {
-            all.push(c.clone());
-            for (p, v) in c.iter_mut().enumerate() {
-                *v += 1;
-                if *v < mapping.thread_extents[p] {
-                    continue 'outer;
-                }
-                *v = 0;
+    let mut thread_coords: Vec<i64> = Vec::with_capacity(threads_total as usize * rank);
+    let mut c = vec![0i64; rank];
+    'threads: loop {
+        thread_coords.extend_from_slice(&c);
+        for (p, v) in c.iter_mut().enumerate() {
+            *v += 1;
+            if *v < mapping.thread_extents[p] {
+                continue 'threads;
             }
-            break;
+            *v = 0;
         }
-        all
-    };
+        break;
+    }
 
     // --- launch loop over time-dim values ----------------------------------
     let mut tvals: Vec<i64> = vec![0; time_dims.len()];
@@ -508,8 +522,7 @@ fn execute_mapped_kernel(
             &tvals,
             &serial_dims,
             &thread_coords,
-            exec,
-            &mut scratch,
+            plan.as_mut(),
             &mut staged,
             store,
             opts,
@@ -518,12 +531,15 @@ fn execute_mapped_kernel(
         let mut d = time_dims.len();
         loop {
             if d == 0 {
+                let rows = plan.as_ref().map_or(0, |p| p.rows);
                 if span.is_active() {
                     span.arg("points", stats.points);
                     span.arg("blocks", stats.blocks);
+                    span.arg("rows", rows);
                 }
                 eatss_trace::counter_add("exec.points", stats.points);
                 eatss_trace::counter_add("exec.blocks", stats.blocks);
+                eatss_trace::counter_add("exec.rows", rows);
                 return Ok(stats);
             }
             d -= 1;
@@ -546,9 +562,8 @@ fn run_launch(
     time_dims: &[usize],
     tvals: &[i64],
     serial_dims: &[usize],
-    thread_coords: &[Vec<i64>],
-    exec: Option<&ExecPlan>,
-    scratch: &mut RowScratch,
+    thread_coords: &[i64],
+    mut plan: Option<&mut PlanRows<'_>>,
     staged: &mut [StagedGroup<'_>],
     store: &mut Store,
     opts: &ExecOptions,
@@ -593,8 +608,7 @@ fn run_launch(
                 &sorigins,
                 &origins,
                 thread_coords,
-                exec,
-                scratch,
+                plan.as_deref_mut(),
                 staged,
                 store,
                 opts,
@@ -645,9 +659,8 @@ fn run_step(
     serial_dims: &[usize],
     sorigins: &[i64],
     origins: &[i64],
-    thread_coords: &[Vec<i64>],
-    exec: Option<&ExecPlan>,
-    scratch: &mut RowScratch,
+    thread_coords: &[i64],
+    mut plan: Option<&mut PlanRows<'_>>,
     staged: &mut [StagedGroup<'_>],
     store: &mut Store,
     opts: &ExecOptions,
@@ -721,43 +734,88 @@ fn run_step(
     }
 
     // --- compute phase ------------------------------------------------------
+    // Threads run in linear order, one chunk of `thread_extents[0]`
+    // x-adjacent threads at a time (a chunk shares every coordinate but
+    // x). Thread x of a chunk owns the x points `origin₀ + x`, `+ width`,
+    // … below `end₀`, so threads under `multi` own several, threads from
+    // there up to `live` exactly one, and the rest none. When every other
+    // loop of the chunk's threads contributes exactly one iteration, the
+    // one-point threads run as one row along mapped dim 0 after the
+    // multi-point threads: the per-thread point sequence, point for
+    // point. The skip-barrier mode keeps the per-thread loop — each
+    // thread's own cyclic load is what it models.
     let mut point = vec![0i64; depth];
     for (i, &d) in time_dims.iter().enumerate() {
         point[d] = tvals[i];
     }
-    for (tl, coord) in thread_coords.iter().enumerate() {
-        if opts.barrier_fidelity == BarrierFidelity::SkipLoadBarrier {
-            // This thread loads only its cyclic share before computing.
-            let nthreads = thread_coords.len();
-            for g in staged.iter_mut() {
-                let array = store.get(&g.array);
-                let elems = g.data.len();
-                let mut idx: Vec<i64> = g.bounds.iter().map(|&(lo, _)| lo).collect();
-                for flat in 0..elems {
-                    if flat % nthreads == tl {
-                        g.data[flat] = array.map_or(0.0, |a| a.get(&idx));
-                    }
-                    for p in (0..idx.len()).rev() {
-                        idx[p] += 1;
-                        if idx[p] <= g.bounds[p].1 {
-                            break;
+    let rank = mapping.thread_extents.len();
+    let width = mapping.thread_extents[0];
+    let x_dim = mapping.mapped_dims[0];
+    let x_span = (origins[0] + tiles[x_dim]).min(trips[x_dim]) - origins[0];
+    let fusable = plan.is_some()
+        && opts.barrier_fidelity == BarrierFidelity::Faithful
+        && serial_dims
+            .iter()
+            .zip(sorigins)
+            .all(|(&d, &s)| (s + tiles[d]).min(trips[d]) - s == 1);
+    let mut row_point = point.clone();
+    for (&d, &s) in serial_dims.iter().zip(sorigins) {
+        row_point[d] = s;
+    }
+    let nthreads = thread_coords.len() / rank;
+    for (c, chunk) in thread_coords.chunks(rank * width as usize).enumerate() {
+        let (multi, live) = if fusable {
+            match inner_mapped_loops(mapping, tiles, trips, origins, &chunk[..rank], &mut row_point, 1..rank) {
+                InnerLoops::Empty => continue,
+                InnerLoops::Singleton => ((x_span - width).clamp(0, width), x_span.min(width)),
+                InnerLoops::Multi => (width, width),
+            }
+        } else {
+            (width, width)
+        };
+        for (x, coord) in chunk.chunks(rank).take(multi as usize).enumerate() {
+            if opts.barrier_fidelity == BarrierFidelity::SkipLoadBarrier {
+                // This thread loads only its cyclic share before computing.
+                let tl = c * width as usize + x;
+                for g in staged.iter_mut() {
+                    let array = store.get(&g.array);
+                    let elems = g.data.len();
+                    let mut idx: Vec<i64> = g.bounds.iter().map(|&(lo, _)| lo).collect();
+                    for flat in 0..elems {
+                        if flat % nthreads == tl {
+                            g.data[flat] = array.map_or(0.0, |a| a.get(&idx));
                         }
-                        idx[p] = g.bounds[p].0;
+                        for p in (0..idx.len()).rev() {
+                            idx[p] += 1;
+                            if idx[p] <= g.bounds[p].1 {
+                                break;
+                            }
+                            idx[p] = g.bounds[p].0;
+                        }
                     }
                 }
             }
+            // Serial point loops (dim order), then mapped cyclic point
+            // loops — the loop structure of the generated kernel.
+            let mut router = StagedRouter {
+                staged,
+                kernel: &kernel.name,
+                failure: None,
+            };
+            run_thread_points(
+                kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, &mut point,
+                0, plan.as_deref_mut(), &mut router, store, stats,
+            )?;
         }
-        // Serial point loops (dim order), then mapped cyclic point loops —
-        // the loop structure of the generated kernel.
-        let mut router = StagedRouter {
-            staged,
-            kernel: &kernel.name,
-            failure: None,
-        };
-        run_thread_points(
-            kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, &mut point,
-            0, exec, scratch, &mut router, store, stats,
-        )?;
+        if let (true, Some(plan)) = (live > multi, plan.as_deref_mut()) {
+            let mut router = StagedRouter {
+                staged,
+                kernel: &kernel.name,
+                failure: None,
+            };
+            row_point[x_dim] = origins[0] + multi;
+            plan.run(store, &mut row_point, x_dim, live - multi, 1, &mut router, stats)?;
+        }
     }
     if !staged.is_empty() {
         stats.barriers += 1; // barrier after the compute phase
@@ -765,13 +823,9 @@ fn run_step(
     Ok(())
 }
 
-/// Recursively enumerates this thread's points: serial point dims first
-/// (in dim order), then the mapped dims' cyclic loops (x innermost), and
-/// executes the kernel statements at each point through the chosen engine
-/// (staged reads pre-routed by the plan, or the reference staging hook).
-/// Classification of the mapped cyclic loops strictly inside position
-/// `below` for one thread: do they contribute no point at all, exactly
-/// one (coordinates assigned into `point`), or more than one?
+/// Classification of the mapped cyclic loops at `positions` for one
+/// thread: do they contribute no point at all, exactly one (coordinates
+/// assigned into `point`), or more than one?
 enum InnerLoops {
     Empty,
     Singleton,
@@ -785,9 +839,9 @@ fn inner_mapped_loops(
     origins: &[i64],
     coord: &[i64],
     point: &mut [i64],
-    below: usize,
+    positions: Range<usize>,
 ) -> InnerLoops {
-    for pos in (0..below).rev() {
+    for pos in positions.rev() {
         let d = mapping.mapped_dims[pos];
         let end = (origins[pos] + tiles[d]).min(trips[d]);
         let start = origins[pos] + coord[pos];
@@ -802,6 +856,10 @@ fn inner_mapped_loops(
     InnerLoops::Singleton
 }
 
+/// Recursively enumerates this thread's points: serial point dims first
+/// (in dim order), then the mapped dims' cyclic loops (x innermost), and
+/// executes the kernel statements at each point through the chosen engine
+/// (staged reads pre-routed by the plan, or the reference staging hook).
 #[allow(clippy::too_many_arguments)]
 fn run_thread_points(
     kernel: &Kernel,
@@ -814,8 +872,7 @@ fn run_thread_points(
     coord: &[i64],
     point: &mut Vec<i64>,
     level: usize,
-    exec: Option<&ExecPlan>,
-    scratch: &mut RowScratch,
+    mut plan: Option<&mut PlanRows<'_>>,
     router: &mut StagedRouter<'_, '_>,
     store: &mut Store,
     stats: &mut ExecStats,
@@ -827,18 +884,14 @@ fn run_thread_points(
             // When every mapped cyclic loop is a singleton for this
             // thread (tile extent ≤ thread extent), the innermost serial
             // point loop is the hot loop: run it as a plan row.
-            if let Some(plan) = exec {
-                match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, mapping.mapped_dims.len()) {
+            if let Some(plan) = plan.as_deref_mut() {
+                match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, 0..mapping.mapped_dims.len()) {
                     InnerLoops::Empty => return Ok(()),
                     InnerLoops::Singleton => {
                         let count = end - sorigins[level];
                         if count > 0 {
-                            stats.points += count as u64;
                             point[d] = sorigins[level];
-                            plan.exec_row_routed(store, point, d, count, 1, scratch, router);
-                            if let Some(e) = router.failure.take() {
-                                return Err(e);
-                            }
+                            plan.run(store, point, d, count, 1, router, stats)?;
                         }
                         return Ok(());
                     }
@@ -851,7 +904,7 @@ fn run_thread_points(
             point[d] = v;
             run_thread_points(
                 kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, point,
-                level + 1, exec, scratch, router, store, stats,
+                level + 1, plan.as_deref_mut(), router, store, stats,
             )?;
             v += 1;
         }
@@ -868,18 +921,14 @@ fn run_thread_points(
         // This cyclic loop is the innermost one that iterates when every
         // loop inside it is a singleton for this thread: run it as a
         // plan row (point-loop multiplicity > 1, or the x loop itself).
-        if let Some(plan) = exec {
-            match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, pos) {
+        if let Some(plan) = plan.as_deref_mut() {
+            match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, 0..pos) {
                 InnerLoops::Empty => return Ok(()),
                 InnerLoops::Singleton => {
-                    let count = if start < end { (end - start + step - 1) / step } else { 0 };
-                    if count > 0 {
-                        stats.points += count as u64;
+                    if start < end {
                         point[d] = start;
-                        plan.exec_row_routed(store, point, d, count, step, scratch, router);
-                        if let Some(e) = router.failure.take() {
-                            return Err(e);
-                        }
+                        let count = (end - start + step - 1) / step;
+                        plan.run(store, point, d, count, step, router, stats)?;
                     }
                     return Ok(());
                 }
@@ -891,50 +940,40 @@ fn run_thread_points(
             point[d] = v;
             run_thread_points(
                 kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, point,
-                level + 1, exec, scratch, router, store, stats,
+                level + 1, plan.as_deref_mut(), router, store, stats,
             )?;
             v += mapping.thread_extents[pos];
         }
         return Ok(());
     }
-    // A full point: execute every statement through the chosen engine.
+    // A full point. Only the reference walker gets here: under a plan the
+    // x loop (nothing is mapped inside it) is always a row.
     stats.points += 1;
-    match exec {
-        Some(plan) => plan.exec_point_routed(store, point, router),
-        None => {
-            let staged_ref = router.staged;
-            let mut failure: Option<ExecError> = None;
-            {
-                let kernel_name = router.kernel;
-                let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
-                    let g = staged_ref
-                        .iter()
-                        .find(|g| g.array == r.array && same_group(g.representative, r))?;
-                    match g.flatten(idx) {
-                        Some(flat) => Some(g.data[flat]),
-                        None => {
-                            if failure.is_none() {
-                                failure = Some(ExecError::StagedReadOutOfBox {
-                                    kernel: kernel_name.to_owned(),
-                                    array: r.array.clone(),
-                                    index: idx.to_vec(),
-                                });
-                            }
-                            Some(0.0)
-                        }
+    let staged_ref = router.staged;
+    let mut failure: Option<ExecError> = None;
+    {
+        let kernel_name = router.kernel;
+        let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
+            let g = staged_ref
+                .iter()
+                .find(|g| g.array == r.array && same_group(g.representative, r))?;
+            match g.flatten(idx) {
+                Some(flat) => Some(g.data[flat]),
+                None => {
+                    if failure.is_none() {
+                        failure = Some(ExecError::StagedReadOutOfBox {
+                            kernel: kernel_name.to_owned(),
+                            array: r.array.clone(),
+                            index: idx.to_vec(),
+                        });
                     }
-                };
-                exec_point_hooked(kernel, store, point, &mut hook);
+                    Some(0.0)
+                }
             }
-            if let Some(e) = failure {
-                router.failure.get_or_insert(e);
-            }
-        }
+        };
+        exec_point_hooked(kernel, store, point, &mut hook);
     }
-    match router.failure.take() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    failure.map_or(Ok(()), Err)
 }
 
 /// Executes a whole compiled program (every kernel in order) over the
@@ -942,7 +981,9 @@ fn run_thread_points(
 ///
 /// # Errors
 ///
-/// See [`ExecError`].
+/// See [`ExecError`]. The error is the first failure in execution order,
+/// the same under either engine; the store's contents after an `Err` are
+/// unspecified (a row finishes before its failure is reported).
 pub fn execute_compiled(
     program: &Program,
     mappings: &[GpuMapping],
@@ -1036,6 +1077,13 @@ mod tests {
         }
     }
 
+    fn reference_opts() -> ExecOptions {
+        ExecOptions {
+            engine: ExecEngine::Reference,
+            ..ExecOptions::default()
+        }
+    }
+
     fn emulate(
         src: &str,
         tiles: Vec<i64>,
@@ -1079,13 +1127,8 @@ mod tests {
     fn engines_agree_bitwise_with_identical_stats() {
         for tiles in [vec![4, 4, 4], vec![3, 5, 2], vec![1, 1, 1]] {
             let sizes: &[(&str, i64)] = &[("M", 9), ("N", 10), ("P", 7)];
-            let plan_opts = plan_opts();
-            let ref_opts = ExecOptions {
-                engine: ExecEngine::Reference,
-                ..ExecOptions::default()
-            };
-            let (plan_store, _, plan_stats) = emulate(MM, tiles.clone(), sizes, &plan_opts);
-            let (ref_store, _, ref_stats) = emulate(MM, tiles.clone(), sizes, &ref_opts);
+            let (plan_store, _, plan_stats) = emulate(MM, tiles.clone(), sizes, &plan_opts());
+            let (ref_store, _, ref_stats) = emulate(MM, tiles.clone(), sizes, &reference_opts());
             assert!(
                 compare_stores(&plan_store, &ref_store).is_empty(),
                 "tiles {tiles:?}: engines disagree"
@@ -1095,10 +1138,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_engine_is_correct_on_both_sides_of_the_threshold() {
-        // 9·10·7 = 630 points resolves to the reference walker,
-        // 13·13·13 = 2197 to the compiled plan; both must match the
-        // interpreter bitwise, so `Auto` is purely a performance knob.
+    fn default_engine_matches_interpreter_on_small_and_large_domains() {
+        // 630 and 2197 points: the two sides of the retired size-based
+        // engine choice; the default plan engine matches the interpreter
+        // bitwise on both.
         for sizes in [
             &[("M", 9), ("N", 10), ("P", 7)][..],
             &[("M", 13), ("N", 13), ("P", 13)][..],
@@ -1108,10 +1151,77 @@ mod tests {
                 emulate(MM, vec![4, 4, 4], sizes, &ExecOptions::default());
             assert!(
                 compare_stores(&emul, &reference).is_empty(),
-                "{points} points: auto engine diverges from interpreter"
+                "{points} points: default engine diverges from interpreter"
             );
             assert_eq!(stats.points as i64, points);
         }
+    }
+
+    /// Emulates under both engines and asserts bitwise-equal stores —
+    /// with each other and with the interpreter — and equal [`ExecStats`];
+    /// returns the mappings and the stats.
+    fn engines_agree(
+        src: &str,
+        tiles: Vec<i64>,
+        sizes: &[(&str, i64)],
+    ) -> (Vec<GpuMapping>, ExecStats) {
+        let (plan_store, interpreted, plan_stats) = emulate(src, tiles.clone(), sizes, &plan_opts());
+        let (ref_store, _, ref_stats) = emulate(src, tiles.clone(), sizes, &reference_opts());
+        assert!(compare_stores(&plan_store, &ref_store).is_empty(), "engines disagree");
+        assert!(compare_stores(&plan_store, &interpreted).is_empty(), "plan disagrees with interpreter");
+        assert_eq!(plan_stats, ref_stats, "stats diverge");
+        let p = parse_program(src).unwrap();
+        let sizes = ProblemSizes::new(sizes.iter().cloned());
+        let mappings = crate::Ppcg::new(GpuArch::ga100())
+            .compile(&p, &eatss_affine::tiling::TileConfig::new(tiles), &sizes, &CompileOptions::default())
+            .unwrap()
+            .mappings;
+        (mappings, plan_stats)
+    }
+
+    #[test]
+    fn thread_runs_with_multi_point_threads_first_match_the_reference() {
+        // One 40-wide tile over 32 x-threads: threads 0–7 own two points
+        // (x and x + 32), threads 8–31 one each — a chunk that runs eight
+        // threads on their own and fuses the other 24. The stencil reads
+        // go through a staged buffer.
+        let (mappings, stats) = engines_agree(
+            "kernel blur(N) {
+               for (i: N)
+                 B[i] = A[i - 1] + A[i] + A[i + 1];
+             }",
+            vec![64],
+            &[("N", 40)],
+        );
+        assert_eq!(mappings[0].thread_extents, vec![32]);
+        assert_eq!(stats.points, 40);
+    }
+
+    #[test]
+    fn thread_runs_under_multi_point_outer_threads_match_the_reference() {
+        // 13³ under a 13×13×4 block, as heat-3d at the oracle's caps: each
+        // z-thread owns three or four planes, so no chunk fuses whole.
+        let (mappings, stats) = engines_agree(
+            "kernel smooth(N) {
+               for (i: N) for (j: N) for (k: N)
+                 B[i][j][k] = A[i - 1][j][k] + A[i][j][k] + A[i][j][k + 1];
+             }",
+            vec![16, 16, 16],
+            &[("N", 13)],
+        );
+        assert_eq!(mappings[0].thread_extents, vec![13, 13, 4]);
+        assert_eq!(stats.points, 13 * 13 * 13);
+    }
+
+    #[test]
+    fn thread_runs_in_a_one_iteration_serial_tail_match_the_reference() {
+        // A serial tile of 16 over a trip of 17: the first step's threads
+        // own 16 k-points each and stay per-thread; the second step's own
+        // one each, and its chunks fuse.
+        let (mappings, stats) =
+            engines_agree(MM, vec![8, 8, 16], &[("M", 8), ("N", 8), ("P", 17)]);
+        assert_eq!(mappings[0].thread_extents, vec![8, 8]);
+        assert_eq!(stats.points, 8 * 8 * 17);
     }
 
     #[test]
@@ -1178,7 +1288,7 @@ mod tests {
                     .mappings
             })
             .collect();
-        for opts in [plan_opts(), ExecOptions::default()] {
+        for opts in [plan_opts(), reference_opts()] {
             let mut stores: Vec<Store> = configs
                 .iter()
                 .map(|_| seed_store(&p, &sizes, 42).unwrap())

@@ -59,7 +59,7 @@ pub mod space;
 
 pub use exec::{
     execute_compiled, execute_compiled_batch, BarrierFidelity, ExecEngine,
-    ExecError, ExecOptions, ExecStats, AUTO_PLAN_THRESHOLD_EMULATOR_POINTS,
+    ExecError, ExecOptions, ExecStats,
 };
 pub use mapping::{CompileError, CompileOptions, GpuMapping};
 pub use oracle::{

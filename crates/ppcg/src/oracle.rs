@@ -10,7 +10,6 @@ use crate::exec::{execute_compiled_batch, ExecError, ExecOptions};
 use crate::mapping::{CompileError, CompileOptions};
 use crate::Ppcg;
 use eatss_affine::interp::{compare_stores, run_program, InterpError, Store, StoreMismatch};
-use eatss_affine::interp::Array;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
@@ -126,16 +125,13 @@ pub fn seed_store(
 ) -> Result<Store, InterpError> {
     let mut store = Store::new();
     store.allocate_for(program, sizes)?;
-    let names: Vec<String> = store.arrays().map(|(n, _)| n.to_string()).collect();
-    let mut seeded = Store::new();
-    for name in names {
-        let extents = store.get(&name).expect("just listed").extents().to_vec();
+    for (name, array) in store.arrays_mut() {
         let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
         for b in name.bytes() {
             h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(b as u64);
         }
         let base = h;
-        let array = Array::from_fn(extents, |idx| {
+        array.fill_with(|idx| {
             let mut h = base;
             for &i in idx {
                 h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(i as u64);
@@ -146,9 +142,8 @@ pub fn seed_store(
             // pattern collapse: zero only when the hash says so.
             v as f64
         });
-        seeded.insert(name, array);
     }
-    Ok(seeded)
+    Ok(store)
 }
 
 /// Verifies one tile configuration: a [`verify_batch`] of one.
@@ -172,7 +167,9 @@ pub fn verify(
 /// Runs one program under each tile configuration through map
 /// ([`Ppcg::map`] — no CUDA text is emitted) → emulate and compares
 /// against the reference interpreter on identically seeded stores. The expensive invariants are shared across the batch:
-/// the reference interpretation runs once (it does not depend on tiles),
+/// the store is seeded once and cloned for the reference and each
+/// mappable configuration, the reference interpretation runs once (it
+/// does not depend on tiles),
 /// and the emulator executes through [`execute_compiled_batch`], which
 /// compiles each distinct per-kernel route signature once instead of once
 /// per configuration.
@@ -209,16 +206,18 @@ pub fn verify_batch(
         }
     }
 
-    // One seeded store per mappable config plus the reference's; an
-    // interpreter failure (unbound size) is every mappable config's.
+    if mappable.is_empty() {
+        return results;
+    }
+
+    // One seeded store, cloned for the reference and for each mappable
+    // config; an interpreter failure (unbound size) is every mappable
+    // config's.
     let seeded_and_interpreted = || -> Result<(Vec<Store>, Store), InterpError> {
-        let stores = mappable
-            .iter()
-            .map(|_| seed_store(program, sizes, seed))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut reference = seed_store(program, sizes, seed)?;
+        let seeded = seed_store(program, sizes, seed)?;
+        let mut reference = seeded.clone();
         run_program(program, sizes, &mut reference)?;
-        Ok((stores, reference))
+        Ok((vec![seeded; mappable.len()], reference))
     };
     let (mut stores, reference) = match seeded_and_interpreted() {
         Ok(ready) => ready,

@@ -40,7 +40,7 @@ fn check(name: &str, program: &Program, tiles: &TileConfig, sizes: &ProblemSizes
 
 #[test]
 fn polybench_agrees_on_default_and_adversarial_tiles() {
-    for bench in eatss_kernels::polybench() {
+    for bench in eatss_kernels::all() {
         let program = bench.program().expect("registry parses");
         let sizes = shrunk(&program, &bench.sizes(eatss_kernels::Dataset::Standard));
         let depth = program.max_depth();

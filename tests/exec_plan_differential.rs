@@ -72,12 +72,13 @@ fn compiled_interp_matches_reference_on_polybench() {
 
 /// The emulator's plan engine reproduces its reference engine bitwise —
 /// same stores *and* identical execution counters — across adversarial
-/// and random configurations of every mappable PolyBench kernel.
+/// and random configurations of every mappable registry kernel (PolyBench
+/// plus conv-2d, heat-3d, mttkrp and b2mm, the oracle's deepest nests).
 #[test]
 fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
     let arch = GpuArch::ga100();
     let ppcg = Ppcg::new(arch);
-    for bench in eatss_kernels::polybench() {
+    for bench in eatss_kernels::all() {
         let program = bench.program().expect("registry parses");
         let sizes = shrunk(&program, &bench.sizes(eatss_kernels::Dataset::Standard));
         let trips = trips(&program, &sizes);

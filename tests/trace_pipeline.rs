@@ -9,9 +9,14 @@
 
 use eatss::{Eatss, EatssConfig, SweepOptions};
 use eatss_affine::parser::parse_program;
+use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
-use eatss_ppcg::Ppcg;
+use eatss_integration::load;
+use eatss_kernels::Dataset;
+use eatss_ppcg::{
+    execute_compiled, seed_store, verify_sizes, CompileOptions, ExecEngine, ExecOptions, Ppcg,
+};
 use eatss_trace::{EventKind, Provenance};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -181,6 +186,47 @@ fn full_pipeline_trace_covers_solve_codegen_simulate() {
         .and_then(|v| v.get("provenance"))
         .and_then(|v| v.get("git_sha"))
         .is_some());
+}
+
+/// `exec.rows` tallies the plan engine's rows, so `exec.points` per row
+/// reads how far each row's set-up is amortized. heat-3d under its EATSS
+/// tiles (Xavier, warp fraction 1/8) at 13³ fuses each run of one-point
+/// x-threads into one row; matmul's threads each own a serial k row, one
+/// per serial tile step; the reference walker runs no rows at all.
+#[test]
+fn exec_rows_counts_one_per_plan_row() {
+    let _guard = session();
+    let rows_and_points = |program: &Program, tiles: Vec<i64>, sz: &ProblemSizes, engine| {
+        let compiled = Ppcg::new(GpuArch::ga100())
+            .compile(program, &TileConfig::new(tiles), sz, &CompileOptions::default())
+            .expect("compiles");
+        let mut store = seed_store(program, sz, 42).expect("seeds");
+        let opts = ExecOptions {
+            engine,
+            ..ExecOptions::default()
+        };
+        eatss_trace::start_collecting();
+        let stats = execute_compiled(program, &compiled.mappings, sz, &mut store, &opts)
+            .expect("emulates");
+        let trace = eatss_trace::drain(Provenance::collect(None));
+        assert_eq!(trace.metrics.counter("exec.points"), stats.points);
+        (trace.metrics.counter("exec.rows"), stats.points)
+    };
+    let (heat, full) = load("heat-3d", Dataset::Standard);
+    let heat_sizes = verify_sizes(&heat, &full, 13, 3);
+    assert_eq!(
+        rows_and_points(&heat, vec![1, 4, 4, 64], &heat_sizes, ExecEngine::Plan),
+        (1_014, 2 * 3 * 13 * 13 * 13)
+    );
+    let mm_sizes = sizes(9, 10, 7);
+    assert_eq!(
+        rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Plan),
+        (9 * 10 * 2, 9 * 10 * 7)
+    );
+    assert_eq!(
+        rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Reference),
+        (0, 9 * 10 * 7)
+    );
 }
 
 proptest! {
