@@ -4,7 +4,8 @@
 Drives the real `eatss-serve` binary end to end: a chaos mix of valid,
 infeasible, and malformed requests; SIGKILL with a request mid-flight;
 restart on the same cache directory; then asserts the warm-start hit
-rate is positive and the recovery counters are clean. Two inline sources
+rate is positive, the recovery counters are clean and the journal is
+the directory's one `journal.log`. Two inline sources
 that differ only in which array each read names ride along: they must be
 two cache entries with two answers before the kill and after the restart.
 Along the way it scrapes the `metrics` op (mid-load and after restart,
@@ -157,6 +158,9 @@ def main():
     print(f"phase 2 ready line: {json.dumps(ready)}")
     assert ready["replayed"] >= len(committed), ready
     assert ready["corrupt_records_skipped"] == 0, ready
+    # The journal is one file (the trace export beside it is `.json`).
+    logs = sorted(f for f in os.listdir(cache_dir) if f.endswith(".log"))
+    assert logs == ["journal.log"], logs
     sock, lines = connect(ready["addr"])
     for args, status, tiles in committed:
         reply = request(sock, lines, args)

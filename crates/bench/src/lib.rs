@@ -2,9 +2,9 @@
 //! table and figure of the EATSS paper (see DESIGN.md §5 for the index).
 //!
 //! Each figure/table has a dedicated binary under `src/bin/`; this
-//! library holds the common machinery: space exploration with caching of
-//! per-variant measurements, baseline extraction (default / median / best
-//! PPCG), and plain-text table rendering.
+//! library holds the common machinery: tile-space exploration, baseline
+//! extraction (default / median / best PPCG), and plain-text table
+//! rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

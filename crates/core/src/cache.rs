@@ -11,7 +11,7 @@
 //!
 //! Durability is a property of how the cache was built, not a second
 //! type: [`TileCache::new`] keeps everything in memory, and
-//! [`TileCache::open`] puts the sharded append-only [`Journal`] under the
+//! [`TileCache::open`] puts the append-only [`Journal`] under the
 //! same map. With a journal every *committed* result (a proved-optimal
 //! solution or a proved infeasibility — see
 //! [`is_committed`](crate::persist::is_committed)) is appended to disk
@@ -25,7 +25,7 @@
 //! bytes would today.
 
 use crate::config::EatssConfig;
-use crate::journal::{fnv1a64, Journal, JournalConfig, RecoveryStats, RECORD_PREFIX_BYTES};
+use crate::journal::{Journal, JournalConfig, RecoveryStats, RECORD_PREFIX_BYTES};
 use crate::model::{EatssError, EatssSolution, ModelGenerator};
 use crate::persist::{decode_result, encode_result};
 use eatss_affine::ir::{ArrayRef, Extent, RhsExpr};
@@ -291,9 +291,8 @@ impl TileCache {
     }
 
     /// Rewrites the journal to exactly the live committed entries,
-    /// dropping superseded duplicates and unreadable values (and moving
-    /// every record to the shard its key routes to under this build).
-    /// Does nothing without a journal.
+    /// dropping superseded duplicates, unreadable values and skipped
+    /// corrupt regions. Does nothing without a journal.
     ///
     /// # Errors
     ///
@@ -310,7 +309,7 @@ impl TileCache {
             let value = encode_result(&entry.result)?;
             entry.disk_bytes = record_size(key, &value);
             live_bytes += entry.disk_bytes;
-            Some((fnv1a64(key), key.as_slice(), value))
+            Some((key.as_slice(), value))
         }))?;
         self.live_bytes = live_bytes;
         Ok(())
@@ -351,12 +350,6 @@ impl TileCache {
         }
         1.0 - self.live_bytes.min(data) as f64 / data as f64
     }
-
-    /// Per-shard journal file sizes, headers included (empty without a
-    /// journal).
-    pub fn shard_bytes(&self) -> Vec<u64> {
-        self.journal.as_ref().map(Journal::shard_bytes).unwrap_or_default()
-    }
 }
 
 fn count_miss(stats: &mut TileCacheStats, result: &SelectResult) {
@@ -390,7 +383,7 @@ fn append(
     let Some(value) = encode_result(result) else {
         return Ok(0);
     };
-    if let Err(e) = journal.append(fnv1a64(key), key, &value) {
+    if let Err(e) = journal.append(key, &value) {
         eatss_trace::counter_add("journal.append_errors", 1);
         return Err(e);
     }
@@ -527,6 +520,7 @@ fn encode_rhs(e: &RhsExpr, k: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::HEADER_BYTES;
     use eatss_affine::parser::parse_program;
     use std::path::PathBuf;
 
@@ -572,7 +566,6 @@ mod tests {
         assert!(!in_memory.is_durable());
         assert_eq!((in_memory.persisted(), in_memory.journal_bytes()), (0, 0));
         assert_eq!((in_memory.live_bytes(), in_memory.garbage_ratio()), (0, 0.0));
-        assert!(in_memory.shard_bytes().is_empty());
         in_memory.flush().unwrap();
         in_memory.compact().unwrap();
 
@@ -734,7 +727,7 @@ mod tests {
         // One live record, zero garbage; accounting matches the disk.
         assert_eq!(cache.garbage_ratio(), 0.0);
         assert!(cache.live_bytes() > 0);
-        assert_eq!(cache.shard_bytes().len(), JournalConfig::default().shards as usize);
+        assert_eq!(cache.journal_bytes(), HEADER_BYTES + cache.live_bytes());
 
         // Re-journaling the same key supersedes the first record: the
         // two equal-size records make the ratio exactly 1/2.
@@ -782,24 +775,6 @@ mod tests {
         drop(cache);
         let cache = open(&dir);
         assert_eq!((cache.replayed(), cache.undecodable()), (1, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_routing_is_pinned_to_fnv1a() {
-        // Routing must not move between toolchains (std's default hasher
-        // may): FNV-1a 64 of the key, modulo the shard count.
-        let key = b"eatss/shard-routing-pin".to_vec();
-        assert_eq!(fnv1a64(&key), 0x289b_d277_f541_ca79);
-        let dir = temp_dir("route");
-        let mut cache = open(&dir);
-        let empty = cache.shard_bytes();
-        let infeasible = Err(EatssError::Unsatisfiable { reason: "r".into() });
-        cache.insert_key(key, infeasible).unwrap();
-        let grown: Vec<usize> = (0..empty.len())
-            .filter(|&i| cache.shard_bytes()[i] > empty[i])
-            .collect();
-        assert_eq!(grown, [1], "0x…ca79 % 8 shards");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

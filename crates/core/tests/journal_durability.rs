@@ -1,14 +1,17 @@
-//! Durability properties of the sharded tile-cache journal: arbitrary
-//! entries survive a write→reopen round trip, a torn tail truncated at
-//! *every* byte offset recovers all fully-written records, and bit-flip
-//! corruption is detected, skipped, and counted — never a panic, never
-//! a wrong record.
+//! Durability properties of the tile-cache journal: arbitrary entries
+//! survive a write→reopen round trip in append order, a torn tail
+//! truncated at *every* byte offset recovers all fully-written records,
+//! and a bit flip anywhere past the header costs exactly the record it
+//! lands in — detected, skipped, and counted; never a panic, never a
+//! wrong record, never a later record.
 
-use eatss::journal::{fnv1a64, HEADER_BYTES};
+use eatss::journal::{FILE_NAME, HEADER_BYTES, RECORD_PREFIX_BYTES};
 use eatss::{Journal, JournalConfig, SyncPolicy};
+use eatss_trace::fnv1a64;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -20,9 +23,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn config(shards: u32) -> JournalConfig {
+fn config() -> JournalConfig {
     JournalConfig {
-        shards,
         // The tests reopen from what reached the filesystem; syncing
         // every append only slows them down.
         sync: SyncPolicy::Never,
@@ -30,34 +32,33 @@ fn config(shards: u32) -> JournalConfig {
     }
 }
 
-fn write_entries(dir: &std::path::Path, shards: u32, entries: &[(Vec<u8>, Vec<u8>)]) {
-    let (mut journal, replayed) = Journal::open(dir, config(shards)).expect("open");
-    assert!(replayed.is_empty(), "fresh directory");
+fn append_all(journal: &mut Journal, entries: &[(Vec<u8>, Vec<u8>)]) {
     for (key, value) in entries {
-        journal.append(fnv1a64(key), key, value).expect("append");
+        journal.append(key, value).expect("append");
     }
     journal.flush().expect("flush");
 }
 
-/// Replay order within a shard is append order, so last-write-wins per
-/// key gives the expected final state.
-fn expected_map(entries: &[(Vec<u8>, Vec<u8>)]) -> BTreeMap<Vec<u8>, Vec<u8>> {
-    entries.iter().cloned().collect()
+fn write_entries(dir: &Path, entries: &[(Vec<u8>, Vec<u8>)]) {
+    let (mut journal, replayed) = Journal::open(dir, config()).expect("open");
+    assert!(replayed.is_empty(), "fresh directory");
+    append_all(&mut journal, entries);
 }
 
-fn replayed_map(replayed: Vec<(Vec<u8>, Vec<u8>)>) -> BTreeMap<Vec<u8>, Vec<u8>> {
-    replayed.into_iter().collect()
+/// `entries` without the one at `index`.
+fn without(entries: &[(Vec<u8>, Vec<u8>)], index: usize) -> Entries {
+    let mut rest = entries.to_vec();
+    rest.remove(index);
+    rest
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Round trip: any batch of entries (duplicate keys, empty values,
-    /// binary keys, any shard count) reloads to exactly the
-    /// last-write-wins map with clean recovery counters.
+    /// binary keys) reloads in append order with clean recovery counters.
     #[test]
     fn entries_round_trip_through_reopen(
-        shards in 1u32..6,
         entries in proptest::collection::vec(
             (
                 proptest::collection::vec(0u8..=255, 0..24),
@@ -67,9 +68,9 @@ proptest! {
         ),
     ) {
         let dir = temp_dir("roundtrip");
-        write_entries(&dir, shards, &entries);
-        let (journal, replayed) = Journal::open(&dir, config(shards)).expect("reopen");
-        prop_assert_eq!(replayed_map(replayed), expected_map(&entries));
+        write_entries(&dir, &entries);
+        let (journal, replayed) = Journal::open(&dir, config()).expect("reopen");
+        prop_assert_eq!(&replayed, &entries);
         let stats = journal.recovery();
         prop_assert_eq!(stats.records_recovered as usize, entries.len());
         prop_assert_eq!(stats.corrupt_records_skipped, 0);
@@ -81,24 +82,24 @@ proptest! {
 }
 
 /// A crash can tear the tail at any byte. For every prefix length of a
-/// single-shard journal: all records fully contained in the prefix are
-/// recovered, nothing else is, and the torn bytes are counted.
+/// journal: all records fully contained in the prefix are recovered,
+/// nothing else is, and the torn bytes are counted.
 #[test]
 fn torn_tail_recovers_every_complete_record_at_every_offset() {
     let dir = temp_dir("torn");
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = (0u8..5)
+    let entries: Entries = (0u8..5)
         .map(|i| (vec![i; 3 + i as usize], vec![0xA0 | i; 7 + i as usize]))
         .collect();
-    write_entries(&dir, 1, &entries);
-    let shard = dir.join("shard-000.log");
-    let full = std::fs::read(&shard).expect("read shard");
+    write_entries(&dir, &entries);
+    let path = dir.join(FILE_NAME);
+    let full = std::fs::read(&path).expect("read journal");
 
     // Record boundaries: reopen after truncating to each length and
     // note where the recovered count increases.
     let mut boundaries = vec![HEADER_BYTES as usize];
     for len in HEADER_BYTES as usize..=full.len() {
-        std::fs::write(&shard, &full[..len]).expect("truncate");
-        let (journal, replayed) = Journal::open(&dir, config(1)).expect("reopen torn");
+        std::fs::write(&path, &full[..len]).expect("truncate");
+        let (journal, replayed) = Journal::open(&dir, config()).expect("reopen torn");
         let stats = journal.recovery();
         drop(journal);
 
@@ -116,11 +117,11 @@ fn torn_tail_recovers_every_complete_record_at_every_offset() {
         if recovered == complete + 1 {
             boundaries.push(len);
         }
-        assert_eq!(replayed.len(), recovered, "len {len}");
-        for (i, (key, value)) in replayed.iter().enumerate() {
-            assert_eq!((key, value), (&entries[i].0, &entries[i].1), "len {len} record {i}");
-        }
-        assert_eq!(stats.corrupt_records_skipped, 0, "len {len}: a torn tail is not corruption");
+        assert_eq!(replayed, entries[..recovered], "len {len}");
+        assert_eq!(
+            stats.corrupt_records_skipped, 0,
+            "len {len}: a torn tail is not corruption"
+        );
         let partial = len - boundaries[recovered];
         if partial > 0 {
             assert_eq!(stats.torn_tails_truncated, 1, "len {len}");
@@ -137,89 +138,113 @@ fn torn_tail_recovers_every_complete_record_at_every_offset() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Flipping any single bit of any record body causes exactly that
-/// record (and, for a length-prefix hit, possibly the rest of the
-/// shard) to be dropped and counted — never a panic, never a record
-/// that decodes to wrong bytes.
+/// Flipping any single bit past the header — in a length prefix, a
+/// checksum or a payload — loses exactly the record it lands in: every
+/// other record comes back byte-exact and in order, and the loss is
+/// counted once (a skipped corrupt record, or a truncated tail when the
+/// damaged record is the last).
 #[test]
 fn bit_flips_are_detected_skipped_and_counted() {
     let dir = temp_dir("bitflip");
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = (0u8..4)
-        .map(|i| (vec![b'k', i], vec![i; 16]))
-        .collect();
-    write_entries(&dir, 1, &entries);
-    let shard = dir.join("shard-000.log");
-    let full = std::fs::read(&shard).expect("read shard");
-    let expected = expected_map(&entries);
+    let entries: Entries = (0u8..4).map(|i| (vec![b'k', i], vec![i; 16])).collect();
+    write_entries(&dir, &entries);
+    let path = dir.join(FILE_NAME);
+    let full = std::fs::read(&path).expect("read journal");
+    let record = RECORD_PREFIX_BYTES as usize + 4 + 2 + 16;
+    assert_eq!(full.len(), HEADER_BYTES as usize + entries.len() * record);
 
     for byte in HEADER_BYTES as usize..full.len() {
+        let hit = (byte - HEADER_BYTES as usize) / record;
         for bit in [0u8, 3, 7] {
             let mut corrupted = full.clone();
             corrupted[byte] ^= 1 << bit;
-            std::fs::write(&shard, &corrupted).expect("write corrupted");
-            let (journal, replayed) = Journal::open(&dir, config(1))
+            std::fs::write(&path, &corrupted).expect("write corrupted");
+            let (journal, replayed) = Journal::open(&dir, config())
                 .unwrap_or_else(|e| panic!("byte {byte} bit {bit}: open must not fail: {e}"));
             let stats = journal.recovery();
             drop(journal);
 
-            // Every record that does come back must be byte-exact.
-            for (key, value) in &replayed {
-                assert_eq!(
-                    expected.get(key),
-                    Some(value),
-                    "byte {byte} bit {bit}: corrupted record surfaced"
-                );
-            }
-            let lost = entries.len() - replayed.len();
-            assert!(lost >= 1, "byte {byte} bit {bit}: flip went undetected");
-            // Corrupt records are counted per record; only torn tails
-            // are counted in bytes.
-            assert!(
-                stats.corrupt_records_skipped >= 1 || stats.torn_tails_truncated >= 1,
-                "byte {byte} bit {bit}: loss not accounted: {stats:?}"
+            assert_eq!(replayed, without(&entries, hit), "byte {byte} bit {bit}");
+            let last = hit == entries.len() - 1;
+            assert_eq!(
+                (stats.corrupt_records_skipped, stats.torn_tails_truncated),
+                if last { (0, 1) } else { (1, 0) },
+                "byte {byte} bit {bit}: {stats:?}"
             );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Compaction preserves content and resets recovery debt: after
-/// corrupting, reopening, and compacting, a further reopen is clean.
+/// A length prefix broken mid-file (here: declaring more than the file
+/// holds) costs its own record only. Appends after recovery go on, and a
+/// further reopen returns every later record — the resynchronised ones
+/// and the new one.
+#[test]
+fn a_broken_length_prefix_loses_only_its_record() {
+    let dir = temp_dir("length");
+    let entries: Entries = (0u8..5).map(|i| (vec![b'l', i], vec![i; 9])).collect();
+    write_entries(&dir, &entries);
+    let path = dir.join(FILE_NAME);
+    let mut bytes = std::fs::read(&path).expect("read journal");
+    let record = RECORD_PREFIX_BYTES as usize + 4 + 2 + 9;
+    let second = HEADER_BYTES as usize + record;
+    bytes[second..second + 4].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write corrupted");
+
+    let (mut journal, replayed) = Journal::open(&dir, config()).expect("reopen");
+    assert_eq!(replayed, without(&entries, 1));
+    assert_eq!(journal.recovery().corrupt_records_skipped, 1);
+    assert_eq!(journal.recovery().torn_tails_truncated, 0);
+    let appended = vec![(b"after".to_vec(), b"the break".to_vec())];
+    append_all(&mut journal, &appended);
+    drop(journal);
+
+    let (journal, replayed) = Journal::open(&dir, config()).expect("reopen after append");
+    let mut expected = without(&entries, 1);
+    expected.extend(appended);
+    assert_eq!(replayed, expected);
+    assert_eq!(
+        journal.recovery().corrupt_records_skipped,
+        1,
+        "the damage stays until compaction"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compaction preserves content and resets recovery debt: after a bit
+/// flip mid-file and a torn tail, reopening, and compacting, a further
+/// reopen is clean.
 #[test]
 fn compaction_after_corruption_restores_a_clean_journal() {
     let dir = temp_dir("compact");
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = (0u8..6)
+    let entries: Entries = (0u8..6)
         .map(|i| (vec![b'c', i], vec![i ^ 0x5A; 9]))
         .collect();
-    write_entries(&dir, 2, &entries);
+    write_entries(&dir, &entries);
 
-    // Tear the tail of one shard.
-    for shard in [dir.join("shard-000.log"), dir.join("shard-001.log")] {
-        let bytes = std::fs::read(&shard).expect("read");
-        if bytes.len() > HEADER_BYTES as usize + 4 {
-            std::fs::write(&shard, &bytes[..bytes.len() - 3]).expect("tear");
-            break;
-        }
-    }
+    let path = dir.join(FILE_NAME);
+    let mut bytes = std::fs::read(&path).expect("read");
+    bytes[HEADER_BYTES as usize + 20] ^= 0x04;
+    bytes.truncate(bytes.len() - 3);
+    std::fs::write(&path, &bytes).expect("corrupt and tear");
 
-    let (mut journal, replayed) = Journal::open(&dir, config(2)).expect("reopen torn");
-    assert!(journal.recovery().torn_tails_truncated >= 1);
-    let survivors: Vec<(u64, Vec<u8>, Vec<u8>)> = replayed
-        .into_iter()
-        .map(|(k, v)| (fnv1a64(&k), k, v))
-        .collect();
+    let (mut journal, replayed) = Journal::open(&dir, config()).expect("reopen torn");
+    let stats = journal.recovery();
+    assert_eq!(
+        (stats.corrupt_records_skipped, stats.torn_tails_truncated),
+        (1, 1)
+    );
+    assert_eq!(replayed, entries[1..entries.len() - 1]);
     journal
-        .compact(survivors.iter().map(|(f, k, v)| (*f, k.as_slice(), v.clone())))
+        .compact(replayed.iter().map(|(k, v)| (k.as_slice(), v.clone())))
         .expect("compact");
     drop(journal);
 
-    let (journal, replayed) = Journal::open(&dir, config(2)).expect("reopen compacted");
+    let (journal, survivors) = Journal::open(&dir, config()).expect("reopen compacted");
     let stats = journal.recovery();
     assert_eq!(stats.corrupt_records_skipped, 0);
     assert_eq!(stats.torn_tails_truncated, 0);
-    assert_eq!(
-        replayed_map(replayed),
-        survivors.into_iter().map(|(_, k, v)| (k, v)).collect::<BTreeMap<_, _>>()
-    );
+    assert_eq!(survivors, replayed);
     let _ = std::fs::remove_dir_all(&dir);
 }

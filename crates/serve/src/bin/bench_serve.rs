@@ -5,7 +5,7 @@
 //! frames, slow-loris stalls, dropped connections, panic requests, tiny
 //! deadlines, gpusim measurement faults, queue-saturating bursts — then
 //! restarts the server (cleanly, and again after deliberately corrupting
-//! journal shards) and verifies:
+//! the journal) and verifies:
 //!
 //! * **zero crash** — the daemon answers a ping after everything above;
 //! * **zero lost entries** — every committed response (optimal solve or
@@ -24,6 +24,7 @@
 //! `REGRESSION:` line on stderr, and the exit code is non-zero iff there
 //! is one.
 
+use eatss::journal::{FILE_NAME, HEADER_BYTES};
 use eatss::SyncPolicy;
 use eatss_gpusim::FaultPlan;
 use eatss_serve::client::{Client, SelectArgs};
@@ -31,8 +32,7 @@ use eatss_serve::server::{start, Endpoint, ServerConfig};
 use eatss_trace::json::Json;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -166,15 +166,16 @@ fn main() -> ExitCode {
         }
     }
 
-    // ── Phase 2b: corrupt shards, restart, recovery must hold ─────────
+    // ── Phase 2b: corrupt the journal, restart, recovery must hold ────
     handle.shutdown();
     corrupt_journal(&cache_dir);
     let handle = start(server_config(&cache_dir)).expect("restart after corruption");
     let recovery = handle.recovery();
     let addr3 = handle.tcp_addr().expect("tcp endpoint").to_string();
     let alive_after_corruption = ping_ok(&addr3);
+    // The flip costs exactly its own record; the tear is truncated.
     let recovered_detected =
-        recovery.corrupt_records_skipped > 0 || recovery.torn_tails_truncated > 0;
+        (recovery.corrupt_records_skipped, recovery.torn_tails_truncated) == (1, 1);
     handle.shutdown();
 
     // ── Phase 3: server-side histograms vs client-side samples ────────
@@ -235,7 +236,11 @@ fn main() -> ExitCode {
         (
             "corruption_detected",
             recovered_detected,
-            "flipped bits and torn tails went unnoticed by journal recovery".to_owned(),
+            format!(
+                "journal recovery after one bit flip and one torn tail: {} corrupt record(s) \
+                 skipped, {} tail(s) truncated (want 1 and 1)",
+                recovery.corrupt_records_skipped, recovery.torn_tails_truncated
+            ),
         ),
         (
             "coalescing_observed",
@@ -582,53 +587,30 @@ fn reconnect(addr: &str) -> Client {
     panic!("server unreachable");
 }
 
-/// Flips one bit mid-record in one shard and truncates another shard's
-/// tail — the journal must skip/truncate and keep every other record.
+/// Flips one bit in the first half of the journal's records and tears a
+/// few bytes off its tail — recovery must skip the one damaged record,
+/// truncate the torn one, and keep every other record.
 fn corrupt_journal(dir: &Path) {
     let mut rng = Rng::new(SEED ^ 0xdead_beef);
-    let mut shards: Vec<PathBuf> = fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".log"))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    shards.sort();
-    let mut flipped = 0u64;
-    let mut truncated = 0u64;
-    for (i, path) in shards.iter().enumerate() {
-        let len = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        if len <= 24 {
-            continue; // header only — nothing to corrupt
-        }
-        if i % 2 == 0 {
-            // Bit flip somewhere after the 20-byte header.
-            let offset = 20 + rng.below(len - 21);
-            if let Ok(mut f) = fs::OpenOptions::new().read(true).write(true).open(path) {
-                use std::io::Read;
-                let mut byte = [0u8; 1];
-                if f.seek(SeekFrom::Start(offset)).is_ok() && f.read_exact(&mut byte).is_ok() {
-                    byte[0] ^= 1 << rng.below(8);
-                    if f.seek(SeekFrom::Start(offset)).is_ok() && f.write_all(&byte).is_ok() {
-                        flipped += 1;
-                    }
-                }
-            }
-        } else {
-            // Torn tail: drop the final few bytes.
-            let cut = 1 + rng.below(8);
-            let new_len = len.saturating_sub(cut).max(20);
-            if let Ok(f) = fs::OpenOptions::new().write(true).open(path) {
-                if f.set_len(new_len).is_ok() {
-                    truncated += len - new_len;
-                }
-            }
-        }
+    let path = dir.join(FILE_NAME);
+    let Ok(mut bytes) = fs::read(&path) else {
+        eprintln!("bench_serve: no journal at {} to corrupt", path.display());
+        return;
+    };
+    let record_bytes = bytes.len().saturating_sub(HEADER_BYTES as usize) as u64;
+    if record_bytes < 16 {
+        eprintln!("bench_serve: journal holds {record_bytes} record bytes — nothing to corrupt");
+        return;
     }
-    eprintln!("bench_serve: corrupted journal — {flipped} bit flips, {truncated} tail bytes cut");
+    // The flip stays clear of the torn tail, so the two are separate
+    // damages: a record skipped mid-file and a truncated tail.
+    let offset = HEADER_BYTES + rng.below(record_bytes / 2);
+    bytes[offset as usize] ^= 1 << rng.below(8);
+    let cut = 1 + rng.below(8);
+    bytes.truncate(bytes.len() - cut as usize);
+    if let Err(e) = fs::write(&path, &bytes) {
+        eprintln!("bench_serve: could not write the corrupted journal: {e}");
+        return;
+    }
+    eprintln!("bench_serve: corrupted journal — 1 bit flip at byte {offset}, {cut} tail bytes cut");
 }

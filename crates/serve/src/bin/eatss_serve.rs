@@ -19,7 +19,7 @@ USAGE:
 OPTIONS:
   --addr HOST:PORT       TCP listen address (default 127.0.0.1:7411; port 0 = ephemeral)
   --unix PATH            listen on a unix socket instead of TCP
-  --cache-dir DIR        journal the tile cache under DIR (default: in-memory only)
+  --cache-dir DIR        journal the tile cache to DIR/journal.log (default: in-memory only)
   --workers N            solver worker threads (default 4)
   --queue N              admission queue capacity (default 64)
   --deadline-ms N        default per-request solve deadline (default 2000)
@@ -27,7 +27,6 @@ OPTIONS:
   --read-timeout-ms N    mid-frame stall budget (default 5000)
   --arch NAME|PATH       default device: a builtin profile (ga100, xavier,
                          h100, orin, nano) or a JSON profile file (default ga100)
-  --shards N             journal shard count (default 8)
   --no-sync              journal without per-append fsync (faster, test-only)
   --access-log PATH      append one JSON line per request to PATH
   --flight N             flight-recorder ring capacity per ring (default 64)
@@ -86,9 +85,6 @@ fn main() -> ExitCode {
                         return ExitCode::from(2);
                     }
                 };
-            }
-            "--shards" => {
-                config.journal.shards = parse_num(&next_value(&mut args, "--shards")) as u32
             }
             "--no-sync" => config.journal.sync = SyncPolicy::Never,
             "--access-log" => {

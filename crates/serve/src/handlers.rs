@@ -11,7 +11,6 @@ use crate::protocol::{
 use crate::server::{bump, ServerStats, Shared};
 use crate::transport::{send, Stream};
 use eatss::cache::{encode_key, SelectResult};
-use eatss::journal::fnv1a64;
 use eatss::persist::is_committed;
 use eatss::{Eatss, EatssConfig, EatssError, EatssSolution, ModelGenerator, PipelineError};
 use eatss_affine::parser::{parse_program, ParseError};
@@ -21,7 +20,7 @@ use eatss_gpusim::{DeviceProfile, Gpu, SimReport};
 use eatss_kernels::Dataset;
 use eatss_ppcg::OracleError;
 use eatss_smt::{SolverConfig, WarmStart};
-use eatss_trace::{lane_scope, span, Event, Trace};
+use eatss_trace::{fnv1a64, lane_scope, span, Event, Trace};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -138,22 +137,13 @@ fn refresh_gauges(shared: &Shared) {
     eatss_trace::gauge_set("serve.errors", s.errors as f64);
     eatss_trace::gauge_set("serve.shed", s.shed as f64);
     eatss_trace::gauge_set("serve.coalesced", s.coalesced as f64);
-    let (garbage, bytes, live, shards) = {
+    let (garbage, bytes, live) = {
         let cache = shared.cache.lock().unwrap();
-        (
-            cache.garbage_ratio(),
-            cache.journal_bytes(),
-            cache.live_bytes(),
-            cache.shard_bytes(),
-        )
+        (cache.garbage_ratio(), cache.journal_bytes(), cache.live_bytes())
     };
     eatss_trace::gauge_set("journal.garbage_ratio", garbage);
     eatss_trace::gauge_set("journal.bytes", bytes as f64);
     eatss_trace::gauge_set("journal.live_bytes", live as f64);
-    eatss_trace::gauge_set(
-        "journal.largest_segment_bytes",
-        shards.iter().copied().max().unwrap_or(0) as f64,
-    );
 }
 
 /// What the request wrapper needs to know about how a `select` ended —

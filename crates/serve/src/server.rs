@@ -524,7 +524,7 @@ mod tests {
     use super::*;
     use crate::handlers::{cached_parse, require_source};
     use crate::protocol::{parse_request, Op, ProtocolError};
-    use eatss::journal::fnv1a64;
+    use eatss_trace::fnv1a64;
     use eatss_affine::parser::parse_program;
 
     const NEST: &str = "kernel k(N) { for (i: N) A[i] = B[i] + 1; }";

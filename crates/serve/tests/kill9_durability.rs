@@ -136,20 +136,29 @@ fn kill9_loses_no_committed_entry_and_warm_starts() {
 }
 
 #[test]
-fn zero_shards_is_a_start_up_error_not_a_panic() {
-    let dir = std::env::temp_dir().join(format!("eatss-serve-shards0-{}", std::process::id()));
+fn legacy_journal_directory_is_a_start_up_error_not_a_panic() {
+    // Every version-1 (sharded) journal directory holds `shard-000.log`;
+    // the daemon refuses to start on one and leaves it as it was.
+    let dir = std::env::temp_dir().join(format!("eatss-serve-legacy-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let legacy = dir.join("shard-000.log");
+    // A v1 shard header: magic, version 1, shard 0 of 8.
+    let v1: &[u8] = b"EATSSJNL\x01\0\0\0\0\0\0\0\x08\0\0\0";
+    std::fs::write(&legacy, v1).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_eatss-serve"))
-        .args(["--addr", "127.0.0.1:0", "--shards", "0", "--cache-dir"])
+        .args(["--addr", "127.0.0.1:0", "--cache-dir"])
         .arg(&dir)
         .output()
         .expect("spawn eatss-serve");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("error: failed to start:"), "{stderr}");
-    assert!(stderr.contains("at least one shard"), "{stderr}");
+    assert!(stderr.contains("shard-000.log"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(!dir.exists(), "a rejected start must not create the cache directory");
+    assert_eq!(std::fs::read(&legacy).unwrap(), v1, "the v1 file is untouched");
+    assert!(!dir.join("journal.log").exists(), "a rejected start creates no journal");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -157,9 +166,10 @@ fn fault_injection_is_not_a_launcher_flag() {
     // `--fault-rates 7,-3,nan` used to reach `FaultPlan::with_rates`'
     // assert (exit 101). Faults are configured in process
     // (`ServerConfig::fault_plan`); the launcher has no flag for them.
+    // `--shards` went with the one-file journal.
     // (The trailing `--help` only matters if a flag comes back: the
     // launcher then exits 0 instead of serving until the test times out.)
-    for flag in ["--fault-seed", "--fault-rates"] {
+    for flag in ["--fault-seed", "--fault-rates", "--shards"] {
         let out = Command::new(env!("CARGO_BIN_EXE_eatss-serve"))
             .args([flag, "1", "--help"])
             .output()

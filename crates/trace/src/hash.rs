@@ -1,9 +1,9 @@
 //! The workspace's one FNV-1a.
 //!
 //! Several of its users persist or print what it returns — journal record
-//! checksums and shard routing, the oracle sweep's per-benchmark seeds,
-//! the simulator's noise fingerprints — so the constants and the byte
-//! order of absorption are a stable format, pinned by the tests below.
+//! checksums, the oracle sweep's per-benchmark seeds, the simulator's
+//! noise fingerprints — so the constants and the byte order of absorption
+//! are a stable format, pinned by the tests below.
 
 /// The FNV-1a 64-bit offset basis.
 pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
