@@ -8,16 +8,21 @@ rate is positive, the recovery counters are clean and the journal is
 the directory's one `journal.log`. Two inline sources
 that differ only in which array each read names ride along: they must be
 two cache entries with two answers before the kill and after the restart.
+Three selects are also put to the `eatss` CLI: the daemon's tiles, live
+and replayed, must be the CLI's `tiles :` line for the same request.
 Along the way it scrapes the `metrics` op (mid-load and after restart,
 asserting the stage histograms and self-monitoring gauges are live) and
 validates the `trace` op's Chrome export with `trace_check` when its path
 is given.
 
-Usage: serve_smoke.py /path/to/eatss-serve [/path/to/trace_check]
+Usage: serve_smoke.py /path/to/eatss-serve [/path/to/trace_check [/path/to/eatss]]
+
+The `eatss` CLI defaults to the one beside `eatss-serve`.
 """
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -45,6 +50,23 @@ SELECTS = [
     {"kernel": "bicg", "n": 512},
     {"kernel": "gemm", "n": 8},  # provably unsatisfiable: a cached verdict
 ] + IDENTITY
+
+
+# (kernel, dataset, split, warp fraction): asked of the daemon after the
+# mix above has served gemm at other sizes, and of the CLI cold.
+AGREE = [("gemm", "standard", 1.0, 0.5), ("2mm", "xl", 0.0, 0.25), ("mvt", "standard", 0.5, 0.125)]
+
+
+def cli_tiles(cli, kernel, dataset, split, warp_frac):
+    """The tiles `eatss` prints for one selection, as a list."""
+    out = subprocess.run(
+        [cli, kernel, "--dataset", dataset, "--split", str(split), "--warp-frac", str(warp_frac)],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    line = next(l for l in out.splitlines() if l.startswith("tiles"))
+    return [int(t) for t in re.findall(r"\d+", line)]
 
 
 def spawn(binary, cache_dir):
@@ -116,6 +138,7 @@ def check_trace_op(sock, lines, trace_check, cache_dir):
 def main():
     binary = sys.argv[1]
     trace_check = sys.argv[2] if len(sys.argv) > 2 else None
+    cli = sys.argv[3] if len(sys.argv) > 3 else os.path.join(os.path.dirname(binary), "eatss")
     cache_dir = tempfile.mkdtemp(prefix="eatss-serve-smoke-")
 
     # Phase 1: chaos mix, then SIGKILL with a request in flight.
@@ -132,6 +155,16 @@ def main():
     # (phase 2 asserts both come back as hits with these same tiles).
     shared, distinct = (tiles for args, _, tiles in committed if args in IDENTITY)
     assert shared and distinct and shared != distinct, (shared, distinct)
+    # The daemon answers a select with the CLI's tiles, whatever it served
+    # before (phase 2 asserts the journaled answers are these too).
+    for kernel, dataset, split, warp_frac in AGREE:
+        args = {"kernel": kernel, "dataset": dataset, "split": split, "warp_frac": warp_frac}
+        reply = request(sock, lines, args)
+        assert reply["status"] == "ok" and reply["cache"] == "miss", reply
+        expected = cli_tiles(cli, kernel, dataset, split, warp_frac)
+        assert reply["tiles"] == expected, (args, reply["tiles"], expected)
+        committed.append((args, "ok", reply["tiles"]))
+    print(f"phase 1: {len(AGREE)} daemon selects equal the CLI's tiles")
     # Malformed garbage must get typed errors, not kill the connection.
     sock.sendall(b"this is not json\n")
     assert json.loads(lines.readline())["error"]["kind"] == "bad_json"

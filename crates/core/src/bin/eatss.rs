@@ -442,12 +442,9 @@ fn run(opts: &Options) -> Result<(), Failure> {
         }
     );
     println!(
-        "overhead  : {} nodes, {} bound prunes, {} warm seeds, {} warm cut hits, \
-         propagation {:.4} s, search {:.4} s",
+        "overhead  : {} nodes, {} bound prunes, propagation {:.4} s, search {:.4} s",
         solution.stats.nodes,
         solution.stats.bound_prunes,
-        solution.stats.warm_seeds,
-        solution.stats.warm_cut_hits,
         solution.stats.propagation_time.as_secs_f64(),
         solution.stats.search_time.as_secs_f64()
     );

@@ -430,12 +430,13 @@ impl EatssModel {
     /// feasible objective value, so it can only prune provably-suboptimal
     /// subtrees (see `eatss-smt`'s [`WarmStart`] docs for the full
     /// argument). The tiles are the same too whenever the optimum is
-    /// unique, and on every full-objective formulation of the sweep grid
-    /// today, tied or not; with equal-valued optima that differ in the
-    /// objective's own variables (mttkrp with the spatial term ablated) a
-    /// warm and a cold solve may each return a different one
-    /// ([`EatssModel::has_other_optimum`] tells). `solver_calls` and the
-    /// solver's work counters differ freely.
+    /// unique. With equal-valued optima that differ in the objective's own
+    /// variables a warm and a cold solve may each return a different one
+    /// ([`EatssModel::has_other_optimum`] tells): mttkrp with the spatial
+    /// term ablated, and a few full-objective sweep points — Xavier gemm at
+    /// n = 128, warp fraction 0.5, split 0, virtual cap, solves to
+    /// (80, 128, 16) along its warm chain and to (96, 112, 16) cold.
+    /// `solver_calls` and the solver's work counters differ freely.
     ///
     /// # Errors
     ///

@@ -29,7 +29,6 @@ OPTIONS:
                          h100, orin, nano) or a JSON profile file (default ga100)
   --no-sync              journal without per-append fsync (faster, test-only)
   --access-log PATH      append one JSON line per request to PATH
-  --flight N             flight-recorder ring capacity per ring (default 64)
   --compact-garbage-ratio F
                          auto-compact the journal once its garbage ratio
                          exceeds F in (0,1); 'off' disables (default 0.5)
@@ -90,7 +89,6 @@ fn main() -> ExitCode {
             "--access-log" => {
                 config.access_log = Some(PathBuf::from(next_value(&mut args, "--access-log")))
             }
-            "--flight" => config.flight_requests = parse_num(&next_value(&mut args, "--flight")),
             "--compact-garbage-ratio" => {
                 let spec = next_value(&mut args, "--compact-garbage-ratio");
                 config.compact_garbage_ratio = match spec.as_str() {

@@ -45,10 +45,11 @@ pub(crate) struct Job {
 }
 
 /// What a worker produced for a job: the outcome for the waiters, and
-/// the committed results to journal before they hear of it.
+/// the committed result of a select's own solve, to journal before they
+/// hear of it.
 pub(crate) struct Finished {
     pub(crate) outcome: Outcome,
-    pub(crate) commits: Vec<(Vec<u8>, SelectResult)>,
+    pub(crate) commit: Option<SelectResult>,
 }
 
 /// What every waiter of a job receives.
@@ -132,15 +133,18 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
                 instant("serve", "worker_panic", vec![]);
                 Finished {
                     outcome: Outcome::Panicked(panic_message(payload.as_ref())),
-                    commits: Vec::new(),
+                    commit: None,
                 }
             },
         );
         let solve_us = solve_started.elapsed().as_micros() as u64;
         shared.hist.solve_us.record(solve_us);
 
+        let journal_error = finished
+            .commit
+            .and_then(|result| journal(shared, &job, result));
         let completion = Arc::new(Completion {
-            journal_error: journal(shared, job.lane, finished.commits),
+            journal_error,
             outcome: finished.outcome,
             queue_us,
             solve_us,
@@ -164,33 +168,24 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Durability before visibility: journals a job's committed results
-/// before any waiter hears about them. A failed append is counted
-/// (`journal.append_errors`, by the cache) and its reason returned — the
-/// first one, when several fail.
-fn journal(shared: &Shared, lane: u64, commits: Vec<(Vec<u8>, SelectResult)>) -> Option<String> {
-    if commits.is_empty() {
-        return None;
-    }
-    let _lane = lane_scope(lane);
-    let mut error = None;
-    for (key, result) in commits {
-        let started = Instant::now();
-        let appended = {
-            let _sp = span("serve", "journal_append");
-            shared.cache.lock().unwrap().insert_key(key, result)
-        };
-        shared
-            .hist
-            .journal_append_us
-            .record(started.elapsed().as_micros() as u64);
-        if let Err(e) = appended {
-            error.get_or_insert(e.to_string());
-        }
-    }
+/// Durability before visibility: journals a select's committed result
+/// under its job's cache key before any waiter hears about it. A failed
+/// append is counted (`journal.append_errors`, by the cache) and its
+/// reason returned.
+fn journal(shared: &Shared, job: &Job, result: SelectResult) -> Option<String> {
+    let _lane = lane_scope(job.lane);
+    let started = Instant::now();
+    let appended = {
+        let _sp = span("serve", "journal_append");
+        shared.cache.lock().unwrap().insert_key(job.cache_key.clone(), result)
+    };
+    shared
+        .hist
+        .journal_append_us
+        .record(started.elapsed().as_micros() as u64);
     let threshold = shared.config.compact_garbage_ratio;
     auto_compact(&mut shared.cache.lock().unwrap(), threshold);
-    error
+    appended.err().map(|e| e.to_string())
 }
 
 /// Garbage-ratio-driven journal compaction: when the journal's garbage
@@ -213,45 +208,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "worker panicked".to_string()
-    }
-}
-
-/// A small bounded map in least-recently-used order (a `Vec` scan: the
-/// daemon's pools hold a few dozen entries).
-pub(crate) struct Lru<K, V> {
-    cap: usize,
-    /// Oldest first.
-    entries: Vec<(K, V)>,
-}
-
-impl<K: PartialEq, V> Lru<K, V> {
-    pub(crate) fn new(cap: usize) -> Self {
-        Lru {
-            cap,
-            entries: Vec::new(),
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The value whose key satisfies `is`, refreshed to most recent.
-    pub(crate) fn get(&mut self, is: impl Fn(&K) -> bool) -> Option<&V> {
-        let i = self.entries.iter().position(|(k, _)| is(k))?;
-        let entry = self.entries.remove(i);
-        self.entries.push(entry);
-        self.entries.last().map(|(_, v)| v)
-    }
-
-    /// Inserts (or replaces) `key` as most recent, evicting the least
-    /// recently used entry past the cap.
-    pub(crate) fn put(&mut self, key: K, value: V) {
-        self.entries.retain(|(k, _)| *k != key);
-        if self.entries.len() == self.cap {
-            self.entries.remove(0);
-        }
-        self.entries.push((key, value));
     }
 }

@@ -2,7 +2,7 @@
 //! path on the connection thread (resolve → cache → admission →
 //! respond), and the worker-side solve behind it.
 
-use crate::dispatch::{admit, Finished, Job, Lru, Query};
+use crate::dispatch::{admit, Finished, Job, Query};
 use crate::flight::RequestRecord;
 use crate::protocol::{
     parse_request, Op, ParetoReport, ProtocolError, Response, SelectRequest, SizeSpec,
@@ -13,14 +13,14 @@ use crate::transport::{send, Stream};
 use eatss::cache::{encode_key, SelectResult};
 use eatss::persist::is_committed;
 use eatss::{Eatss, EatssConfig, EatssError, EatssSolution, ModelGenerator, PipelineError};
-use eatss_affine::parser::{parse_program, ParseError};
+use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
-use eatss_affine::{ProblemSizes, Program};
+use eatss_affine::ProblemSizes;
 use eatss_gpusim::{DeviceProfile, Gpu, SimReport};
 use eatss_kernels::Dataset;
 use eatss_ppcg::OracleError;
-use eatss_smt::{SolverConfig, WarmStart};
-use eatss_trace::{fnv1a64, lane_scope, span, Event, Trace};
+use eatss_smt::SolverConfig;
+use eatss_trace::{lane_scope, span, Event, Trace};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -266,8 +266,7 @@ impl Exchange<'_> {
         // Evaluate runs inline off the cached solution (compile +
         // simulate, no solver). Pareto requests span many configurations,
         // so one cached selection cannot answer them — they always go
-        // through the queue (their per-config solves still hit the cache
-        // worker-side).
+        // through the queue.
         if chaos.is_none() && !pareto {
             if let Some(outcome) = cached_outcome(shared, &query, &cache_key) {
                 self.summary.cache = "hit";
@@ -429,15 +428,12 @@ fn resolve_request(shared: &Shared, select: &SelectRequest) -> Result<Query, Pro
     } else {
         let source = require_source(select)?;
         let t0 = Instant::now();
-        let parsed = cached_parse(&shared.parse_cache, source);
+        let parsed = parse_program(source);
         shared
             .hist
             .parse_us
             .record(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        let (program, cache_hit) = parsed.map_err(|e| ProtocolError::BadSource(e.to_string()))?;
-        if cache_hit {
-            eatss_trace::counter_add("parse.cache_hits", 1);
-        }
+        let program = parsed.map_err(|e| ProtocolError::BadSource(e.to_string()))?;
         let sizes = match &select.sizes {
             SizeSpec::Uniform(n) => ProblemSizes::uniform(program.params(), *n),
             SizeSpec::Explicit(pairs) => explicit(pairs),
@@ -465,32 +461,6 @@ pub(crate) fn require_source(select: &SelectRequest) -> Result<&str, ProtocolErr
         field: "source",
         expected: "either `kernel` or `source` on a select request",
     })
-}
-
-/// Parses `source`, consulting the shared parse cache first. Returns the
-/// program and whether it was a cache hit. Parsing happens outside the
-/// lock; the entry's key carries the full source next to its FNV-1a
-/// hash, so a hash collision degrades to a miss, never a wrong program.
-/// Parse errors are not cached — a failing client retrying pays the
-/// parse each time, but the cache can never pin a stale error.
-pub(crate) fn cached_parse(
-    parse_cache: &Mutex<Lru<(u64, String), Program>>,
-    source: &str,
-) -> Result<(Program, bool), ParseError> {
-    let hash = fnv1a64(source.as_bytes());
-    if let Some(program) = parse_cache
-        .lock()
-        .unwrap()
-        .get(|(h, src)| *h == hash && src == source)
-    {
-        return Ok((program.clone(), true));
-    }
-    let program = parse_program(source)?;
-    parse_cache
-        .lock()
-        .unwrap()
-        .put((hash, source.to_owned()), program.clone());
-    Ok((program, false))
 }
 
 /// How a job ended, as every waiter hears it. Short-lived (one per job,
@@ -538,13 +508,6 @@ fn cached_outcome(shared: &Shared, query: &Query, cache_key: &[u8]) -> Option<Ou
     Some(answer(shared, query, result, false))
 }
 
-/// Hashes the structural identity a warm-start pool entry is keyed on:
-/// architecture plus program shape (sizes and configs are deliberately
-/// excluded — those are exactly the axes warm hints transfer across).
-fn warm_key(query: &Query) -> u64 {
-    fnv1a64(format!("{}\0{:?}", query.arch.name, query.program).as_bytes())
-}
-
 /// The worker side of a job.
 pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
     let _lane = lane_scope(job.lane);
@@ -568,31 +531,20 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
     // A racing identical request may have committed between this job's
     // admission (cache miss) and now; serve the committed entry.
     if let Some(outcome) = cached_outcome(shared, query, &job.cache_key) {
-        let commits = Vec::new();
-        return Finished { outcome, commits };
+        return Finished { outcome, commit: None };
     }
 
+    // A cold solve of the request's own formulation: the answer is what
+    // `Eatss::select_tiles` returns, whatever the daemon served before.
     let solver_config = SolverConfig {
         deadline: Some(job.deadline),
         cancel: Some(shared.cancel.clone()),
         ..SolverConfig::default()
     };
-    // Pull the warm-start hints pooled for this program structure; solve
-    // against a local copy (workers must not hold the pool lock while
-    // solving), then publish the updated hints back (last writer wins).
-    let structure = warm_key(query);
-    let pooled = shared.warm.lock().unwrap().get(|k| *k == structure).cloned();
-    let mut hints = pooled.unwrap_or_else(WarmStart::new);
     let solved = ModelGenerator::new(&query.arch, query.cfg.clone())
         .with_solver_config(solver_config)
         .build(&query.program, Some(&query.sizes))
-        .and_then(|model| model.solve_warm(&mut hints));
-    if solved.as_ref().is_ok_and(|s| s.stats.warm_seeds > 0) {
-        bump(&shared.counters.warm_seeded);
-    }
-    if !hints.is_empty() {
-        shared.warm.lock().unwrap().put(structure, hints);
-    }
+        .and_then(|model| model.solve());
 
     // The anytime ladder's last rung: budget exhausted with nothing
     // feasible found ⇒ PPCG's default 32^d tiling, marked as fallback.
@@ -604,22 +556,17 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
         }
         other => (other, false),
     };
-    let commits = if is_committed(&result) {
-        vec![(job.cache_key.clone(), result.clone())]
-    } else {
-        Vec::new()
-    };
+    let commit = is_committed(&result).then(|| result.clone());
     let outcome = answer(shared, query, result, fell_back);
-    Finished { outcome, commits }
+    Finished { outcome, commit }
 }
 
 /// Answers an `{"op":"pareto"}` job: sweeps the §V-B splits at the
 /// requested warp fraction (both thread-block cap readings, default
-/// precision) on the requested device, commits every fully-solved
-/// configuration under its own structural cache key — so later `select`
-/// requests for those configurations are warm, and the front survives
-/// `kill -9` exactly like single selections — and returns the
-/// non-dominated energy-vs-performance front.
+/// precision) on the requested device and returns the non-dominated
+/// energy-vs-performance front. Nothing is journaled: the sweep solves
+/// along warm chains, and its points answer this request, not a later
+/// `select`.
 fn run_pareto(job: &Job) -> Finished {
     let query = &job.query;
     let mut sp = span("serve", "pareto");
@@ -648,20 +595,10 @@ fn run_pareto(job: &Job) -> Finished {
         Err(e) => {
             return Finished {
                 outcome: Outcome::Pareto(Err(e.to_string())),
-                commits: Vec::new(),
+                commit: None,
             }
         }
     };
-
-    let commits = outcome
-        .points
-        .iter()
-        .map(|p| {
-            let key = encode_key(&query.arch, &query.program, &query.sizes, &p.config);
-            (key, Ok(p.solution.clone()))
-        })
-        .filter(|(_, result)| is_committed(result))
-        .collect();
 
     let front_points = outcome.pareto_front();
     // Unlike a selection's fallback config, every front point is a real
@@ -682,7 +619,7 @@ fn run_pareto(job: &Job) -> Finished {
             infeasible: outcome.infeasible.len(),
             verify,
         })),
-        commits,
+        commit: None,
     }
 }
 

@@ -1172,7 +1172,6 @@ mod tests {
                 protocol_errors: 108,
                 panics_caught: 109,
                 fallbacks: 110,
-                warm_seeded: 111,
                 verified: 112,
             },
             cache: TileCacheStats {
@@ -1207,7 +1206,7 @@ mod tests {
             (Response::shutting_down(), Some("s1"), r#"{"v":1,"id":"s1","status":"error","error":{"kind":"shutting_down","message":"server is shutting down"}}"#),
             (error("empty_flight", "no requests recorded yet"), Some("t1"), r#"{"v":1,"id":"t1","status":"error","error":{"kind":"empty_flight","message":"no requests recorded yet"}}"#),
             (error("io", "disk full"), Some("c1"), r#"{"v":1,"id":"c1","status":"error","error":{"kind":"io","message":"disk full"}}"#),
-            (stats, Some("st"), r#"{"v":1,"id":"st","status":"ok","server":{"connections":101,"requests":102,"ok":103,"infeasible":104,"errors":105,"shed":106,"coalesced":107,"protocol_errors":108,"panics_caught":109,"fallbacks":110,"warm_seeded":111,"verified":112},"cache":{"hits":5,"misses":3,"infeasible":1,"errors":1,"replayed":0,"persisted":2,"journal_bytes":374,"durable":true},"recovery":{"records_recovered":0,"corrupt_records_skipped":0,"torn_tails_truncated":0,"bytes_discarded":0}}"#),
+            (stats, Some("st"), r#"{"v":1,"id":"st","status":"ok","server":{"connections":101,"requests":102,"ok":103,"infeasible":104,"errors":105,"shed":106,"coalesced":107,"protocol_errors":108,"panics_caught":109,"fallbacks":110,"verified":112},"cache":{"hits":5,"misses":3,"infeasible":1,"errors":1,"replayed":0,"persisted":2,"journal_bytes":374,"durable":true},"recovery":{"records_recovered":0,"corrupt_records_skipped":0,"torn_tails_truncated":0,"bytes_discarded":0}}"#),
         ];
         for (response, id, golden) in cases {
             assert_eq!(response.to_line(id), golden);

@@ -31,15 +31,14 @@
 //!    response is sent: an `ok` answer implies the entry survives
 //!    `kill -9` (an append that fails is counted and logged, not hidden).
 
-use crate::dispatch::{auto_compact, worker_loop, Dispatch, Lru};
+use crate::dispatch::{auto_compact, worker_loop, Dispatch};
 use crate::flight::FlightRecorder;
 use crate::handlers::SelectSummary;
 use crate::protocol::{object_line, str_field};
 use crate::transport::{acceptor_loop, listen, Stream};
 use eatss::{JournalConfig, TileCache, TileCacheStats};
-use eatss_affine::Program;
 use eatss_gpusim::{FaultPlan, GpuArch};
-use eatss_smt::{CancelToken, WarmStart};
+use eatss_smt::CancelToken;
 use eatss_trace::{Histogram, Provenance};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -80,23 +79,16 @@ pub struct ServerConfig {
     /// Mid-frame stall budget (slow-loris defence). Idle connections
     /// between frames are not subject to it.
     pub read_timeout: Duration,
-    /// Per-write socket timeout.
-    pub write_timeout: Duration,
     /// Solve deadline applied when a request names none.
     pub default_deadline: Duration,
     /// Upper clamp for requested deadlines.
     pub max_deadline: Duration,
-    /// How long shutdown waits for queued work before cancelling
-    /// in-flight solves.
-    pub drain_timeout: Duration,
     /// Honour test-only `chaos` request fields.
     pub allow_chaos: bool,
     /// Inject measurement faults into the evaluate path.
     pub fault_plan: Option<FaultPlan>,
     /// Architecture used when a request names none.
     pub default_arch: GpuArch,
-    /// Flight-recorder ring capacity (recent / slowest / errors each).
-    pub flight_requests: usize,
     /// Structured JSON-lines access log path (`None` disables).
     pub access_log: Option<PathBuf>,
     /// Auto-compact the journal when its garbage ratio exceeds this
@@ -115,14 +107,11 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_frame_bytes: 1 << 20,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             default_deadline: Duration::from_secs(2),
             max_deadline: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(5),
             allow_chaos: false,
             fault_plan: None,
             default_arch: GpuArch::ga100(),
-            flight_requests: 64,
             access_log: None,
             compact_garbage_ratio: Some(0.5),
         }
@@ -183,9 +172,6 @@ server_counters! {
     panics_caught,
     /// Deadline/budget exhaustion answered with the `32^d` fallback.
     fallbacks,
-    /// Solves whose branch-and-bound incumbent was seeded from a prior
-    /// solve of the same program structure (warm-start pool hits).
-    warm_seeded,
     /// Responses whose tiles were verified through the batched
     /// differential oracle (`verify: true` requests answered clean).
     verified,
@@ -210,19 +196,6 @@ pub(crate) struct Shared {
     /// Every accepted connection: a handle to close its socket at
     /// shutdown, and its thread to join afterwards.
     pub(crate) conns: Mutex<Vec<(Stream, JoinHandle<()>)>>,
-    /// Warm-start hints pooled by program structure: requests for the
-    /// same (arch, program) at different sizes or configs share every
-    /// constraint shape except the tile bounds, so prior optima seed the
-    /// next solve's incumbent. Bounded LRU; purely an accelerator —
-    /// complete solves return identical results with or without hints.
-    pub(crate) warm: Mutex<Lru<u64, WarmStart>>,
-    /// Parse-path cache for inline `source` requests: (FNV of the source
-    /// bytes, source) → parsed [`Program`]. Repeated submissions of the
-    /// same kernel text (autotuners resweeping, clients retrying) skip
-    /// the front end entirely. Bounded LRU like [`Shared::warm`]; the
-    /// full source is part of the key, so a hash collision can never
-    /// serve the wrong program.
-    pub(crate) parse_cache: Mutex<Lru<(u64, String), Program>>,
     /// Bounded per-request span-tree rings (`trace` op).
     pub(crate) flight: Mutex<FlightRecorder>,
     /// Line-buffered JSON-lines access log (one `write_all` per line).
@@ -244,11 +217,12 @@ pub(crate) struct ServeHistograms {
     pub(crate) parse_us: &'static Histogram,
 }
 
-/// Entries kept in [`Shared::warm`].
-const WARM_POOL_CAP: usize = 32;
+/// How long shutdown waits for queued work before cancelling in-flight
+/// solves.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Entries kept in [`Shared::parse_cache`].
-pub(crate) const PARSE_CACHE_CAP: usize = 64;
+/// Flight-recorder ring capacity (recent / slowest / errors each).
+const FLIGHT_REQUESTS: usize = 64;
 
 impl Shared {
     pub(crate) fn shutting_down(&self) -> bool {
@@ -403,7 +377,7 @@ impl ServerHandle {
         shared.work_cv.notify_all();
 
         // Wait for the queue to drain within the budget, then cancel.
-        let deadline = Instant::now() + shared.config.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         {
             let mut d = shared.dispatch.lock().unwrap();
             while (!d.queue.is_empty() || d.active > 0) && Instant::now() < deadline {
@@ -467,7 +441,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     };
 
     let workers = config.workers.max(1);
-    let flight = FlightRecorder::new(config.flight_requests);
     let shared = Arc::new(Shared {
         config,
         cache: Mutex::new(cache),
@@ -480,9 +453,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         cancel: CancelToken::new(),
         counters: Counters::default(),
         conns: Mutex::new(Vec::new()),
-        warm: Mutex::new(Lru::new(WARM_POOL_CAP)),
-        parse_cache: Mutex::new(Lru::new(PARSE_CACHE_CAP)),
-        flight: Mutex::new(flight),
+        flight: Mutex::new(FlightRecorder::new(FLIGHT_REQUESTS)),
         access_log,
         hist: ServeHistograms {
             request_us: eatss_trace::histogram("serve.request_us"),
@@ -521,11 +492,8 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::handlers::{cached_parse, require_source};
+    use crate::handlers::require_source;
     use crate::protocol::{parse_request, Op, ProtocolError};
-    use eatss_trace::fnv1a64;
-    use eatss_affine::parser::parse_program;
 
     const NEST: &str = "kernel k(N) { for (i: N) A[i] = B[i] + 1; }";
 
@@ -541,50 +509,5 @@ mod tests {
             Err(ProtocolError::BadField { field, .. }) => assert_eq!(field, "source"),
             other => panic!("expected bad_field, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn cached_parse_hits_on_repeat_and_preserves_the_program() {
-        let cache = Mutex::new(Lru::new(PARSE_CACHE_CAP));
-        let (first, hit) = cached_parse(&cache, NEST).unwrap();
-        assert!(!hit, "first parse must be a miss");
-        let (second, hit) = cached_parse(&cache, NEST).unwrap();
-        assert!(hit, "identical source must hit");
-        assert_eq!(first, second);
-        assert_eq!(first, parse_program(NEST).unwrap());
-        assert_eq!(cache.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn cached_parse_does_not_cache_errors() {
-        let cache = Mutex::new(Lru::new(PARSE_CACHE_CAP));
-        assert!(cached_parse(&cache, "kernel oops").is_err());
-        assert_eq!(cache.lock().unwrap().len(), 0);
-        assert!(cached_parse(&cache, "kernel oops").is_err());
-    }
-
-    #[test]
-    fn cached_parse_evicts_least_recently_used_at_cap() {
-        let cache = Mutex::new(Lru::new(PARSE_CACHE_CAP));
-        let sources: Vec<String> = (0..=PARSE_CACHE_CAP)
-            .map(|i| format!("kernel k{i}(N) {{ for (i: N) A[i] = B[i]; }}"))
-            .collect();
-        // Fill to cap, then refresh entry 0 so entry 1 is the LRU victim.
-        for src in &sources[..PARSE_CACHE_CAP] {
-            cached_parse(&cache, src).unwrap();
-        }
-        assert!(cached_parse(&cache, &sources[0]).unwrap().1);
-        cached_parse(&cache, &sources[PARSE_CACHE_CAP]).unwrap();
-        assert_eq!(cache.lock().unwrap().len(), PARSE_CACHE_CAP);
-        assert!(!cached_parse(&cache, &sources[1]).unwrap().1, "LRU entry must have been evicted");
-        assert!(cached_parse(&cache, &sources[0]).unwrap().1, "refreshed entry must survive");
-    }
-
-    #[test]
-    fn fnv_distinguishes_realistic_sources() {
-        let a = fnv1a64(NEST.as_bytes());
-        let b = fnv1a64(b"kernel k(N) { for (i: N) A[i] = B[i] + 2; }");
-        assert_ne!(a, b);
-        assert_eq!(a, fnv1a64(NEST.as_bytes()));
     }
 }

@@ -16,6 +16,9 @@ use std::time::Duration;
 /// notices shutdown and a mid-frame stall can be timed.
 const READ_TICK: Duration = Duration::from_millis(100);
 
+/// Per-write socket timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// What the daemon (and the client) need of a connected socket beyond
 /// reading and writing it.
 pub(crate) trait Socket: Read + Write + Send {
@@ -95,10 +98,7 @@ pub(crate) fn acceptor_loop(shared: &Arc<Shared>, accept: Listener) {
             continue;
         };
         bump(&shared.counters.connections);
-        if stream
-            .set_timeouts(READ_TICK, shared.config.write_timeout)
-            .is_err()
-        {
+        if stream.set_timeouts(READ_TICK, WRITE_TIMEOUT).is_err() {
             continue;
         }
         let closer = stream.duplicate();

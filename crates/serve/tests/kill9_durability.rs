@@ -166,10 +166,11 @@ fn fault_injection_is_not_a_launcher_flag() {
     // `--fault-rates 7,-3,nan` used to reach `FaultPlan::with_rates`'
     // assert (exit 101). Faults are configured in process
     // (`ServerConfig::fault_plan`); the launcher has no flag for them.
-    // `--shards` went with the one-file journal.
+    // `--shards` went with the one-file journal, `--flight` with the
+    // flight-recorder knob (the ring capacity is a constant).
     // (The trailing `--help` only matters if a flag comes back: the
     // launcher then exits 0 instead of serving until the test times out.)
-    for flag in ["--fault-seed", "--fault-rates", "--shards"] {
+    for flag in ["--fault-seed", "--fault-rates", "--shards", "--flight"] {
         let out = Command::new(env!("CARGO_BIN_EXE_eatss-serve"))
             .args([flag, "1", "--help"])
             .output()

@@ -1,9 +1,11 @@
 //! The daemon has one way to answer a `select`: whichever route a result
 //! takes to the client (connection-thread hit, a worker that finds the
-//! key already committed, a fresh solve), the answer is the same; and a
+//! key already committed, a fresh solve), the answer is the same, and it
+//! is the library's answer whatever the daemon served before; and a
 //! journal append that fails is visible rather than dropped.
 
-use eatss::JournalConfig;
+use eatss::{Eatss, EatssConfig, JournalConfig};
+use eatss_gpusim::GpuArch;
 use eatss_serve::client::{Client, SelectArgs};
 use eatss_serve::server::{start, ServerConfig, ServerHandle};
 use eatss_trace::json::Json;
@@ -65,6 +67,59 @@ fn hit_raced_hit_and_fresh_solve_answer_alike() {
     handle.shutdown();
 }
 
+fn tiles(reply: &Json) -> Vec<i64> {
+    let tiles = reply.get("tiles").and_then(Json::as_array).expect("tiles");
+    tiles.iter().filter_map(Json::as_f64).map(|t| t as i64).collect()
+}
+
+#[test]
+fn an_answer_does_not_depend_on_what_the_daemon_served_before() {
+    // The same program at another size and configuration, served first,
+    // must not steer the second request to another of its tied optima.
+    let dir = temp_dir("history");
+    let config = || ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let select = |n, split, warp_frac| SelectArgs {
+        n: Some(n),
+        split: Some(split),
+        warp_frac: Some(warp_frac),
+        ..SelectArgs::kernel("gemm")
+    };
+    let (before, asked) = (select(64, 0.0, 0.125), select(128, 1.0, 0.5));
+
+    let gemm = eatss_kernels::by_name("gemm").expect("registered");
+    let library = Eatss::new(GpuArch::ga100())
+        .select_tiles(
+            &gemm.program().expect("parses"),
+            &gemm.sizes_uniform(128),
+            &EatssConfig {
+                split_factor: 1.0,
+                warp_fraction: 0.5,
+                ..EatssConfig::default()
+            },
+        )
+        .expect("feasible");
+    assert_eq!(library.tiles.sizes(), [96, 112, 64]);
+
+    let handle = start(config()).unwrap();
+    let mut client = connect(&handle);
+    assert_eq!(text(&client.select(&before).unwrap(), "status"), "ok");
+    let live = client.select(&asked).unwrap();
+    assert_eq!((text(&live, "status"), text(&live, "cache")), ("ok", "miss"));
+    assert_eq!(tiles(&live), library.tiles.sizes(), "live answer");
+    handle.shutdown();
+
+    // What was journaled is that same answer.
+    let handle = start(config()).unwrap();
+    let replayed = connect(&handle).select(&asked).unwrap();
+    assert_eq!(text(&replayed, "cache"), "hit");
+    assert_eq!(tiles(&replayed), library.tiles.sizes(), "journaled answer");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sources_that_differ_only_in_array_identity_get_their_own_answers() {
     // Same shape, same name lengths; in the first every read shares one
@@ -82,13 +137,9 @@ fn sources_that_differ_only_in_array_identity_get_their_own_answers() {
     };
     let handle = start(ServerConfig::default()).unwrap();
     let mut client = connect(&handle);
-    let tiles = |reply: &Json| -> Vec<f64> {
-        let tiles = reply.get("tiles").and_then(Json::as_array).expect("tiles");
-        tiles.iter().filter_map(Json::as_f64).collect()
-    };
     for (reads, optimum) in [
-        (["A", "A", "A", "A"], [384.0, 16.0]),
-        (["A", "C", "D", "E"], [144.0, 16.0]),
+        (["A", "A", "A", "A"], [384, 16]),
+        (["A", "C", "D", "E"], [144, 16]),
     ] {
         let reply = client.select(&source(reads)).unwrap();
         assert_eq!(

@@ -414,15 +414,17 @@ fn stats_op_reports_counters() {
 }
 
 #[test]
-fn pareto_op_returns_front_and_journals_solved_configs() {
+fn pareto_does_not_answer_later_selects() {
     let handle = test_server(|_| {});
     let mut client = connect(&handle);
     let mut args = SelectArgs::kernel("gemm");
-    args.n = Some(1024);
+    args.n = Some(128);
+    args.warp_frac = Some(0.5);
+    args.arch = Some("xavier".to_string());
     args.pareto = true;
     let reply = client.select(&args).unwrap();
     assert_eq!(status(&reply), "ok");
-    assert_eq!(reply.get("device").and_then(Json::as_str), Some("GA100"));
+    assert_eq!(reply.get("device").and_then(Json::as_str), Some("Xavier"));
     let front: Vec<Json> = reply
         .get("front")
         .and_then(Json::as_array)
@@ -447,25 +449,33 @@ fn pareto_op_returns_front_and_journals_solved_configs() {
         assert!(pair[0].1 < pair[1].1, "front throughput not increasing");
     }
 
-    // The worker journaled each fully-solved configuration under its own
-    // structural key: selecting one of them is a cache hit, not a solve.
-    let solved = front
+    // The sweep solved split 0 along a warm chain and met another of its
+    // tied optima; a select of that configuration is solved on its own
+    // and gets the library's answer.
+    let gemm = eatss_kernels::by_name("gemm").expect("registered");
+    let xavier = eatss_gpusim::DeviceProfile::builtin("xavier").expect("builtin").into_arch();
+    let config = eatss::EatssConfig {
+        split_factor: 0.0,
+        ..eatss::EatssConfig::default()
+    };
+    let library = eatss::Eatss::new(xavier)
+        .select_tiles(&gemm.program().unwrap(), &gemm.sizes_uniform(128), &config)
+        .expect("feasible");
+    assert_eq!(library.tiles.sizes(), [96, 112, 16]);
+    args.pareto = false;
+    args.split = Some(0.0);
+    let select = client.select(&args).unwrap();
+    assert_eq!(status(&select), "ok");
+    assert_eq!(select.get("cache").and_then(Json::as_str), Some("miss"));
+    let tiles: Vec<i64> = select
+        .get("tiles")
+        .and_then(Json::as_array)
+        .expect("tiles")
         .iter()
-        .find(|e| e.get("provenance").and_then(Json::as_str) == Some("solved"))
-        .expect("at least one solved front point");
-    let mut select = SelectArgs::kernel("gemm");
-    select.n = Some(1024);
-    select.split = solved.get("split").and_then(Json::as_f64);
-    select.warp_frac = solved.get("warp_frac").and_then(Json::as_f64);
-    select.strict_cap = matches!(solved.get("strict_cap"), Some(Json::Bool(true)));
-    let hit = client.select(&select).unwrap();
-    assert_eq!(status(&hit), "ok");
-    assert_eq!(hit.get("cache").and_then(Json::as_str), Some("hit"));
-    assert_eq!(
-        format!("{:?}", hit.get("tiles").unwrap()),
-        format!("{:?}", solved.get("tiles").unwrap()),
-        "cached selection and front point disagree"
-    );
+        .filter_map(Json::as_f64)
+        .map(|t| t as i64)
+        .collect();
+    assert_eq!(tiles, library.tiles.sizes());
     handle.shutdown();
 }
 
@@ -553,7 +563,7 @@ fn select_without_kernel_or_source_is_typed_and_worker_survives() {
 }
 
 #[test]
-fn inline_source_selects_are_served_from_the_parse_cache() {
+fn inline_source_is_parsed_and_timed_per_request() {
     let handle = test_server(|_| {});
     let mut client = connect(&handle);
 
@@ -570,7 +580,6 @@ fn inline_source_selects_are_served_from_the_parse_cache() {
     // Counters are process-global, so assert monotone deltas rather than
     // absolute values.
     let bytes_before = counter(&mut client, "parse.bytes");
-    let hits_before = counter(&mut client, "parse.cache_hits");
 
     let source = "kernel scaled_copy(N) { for (i: N) out_buf[i] = in_buf[i] * 0.5; }";
     let args = SelectArgs {
@@ -582,14 +591,9 @@ fn inline_source_selects_are_served_from_the_parse_cache() {
     assert_eq!(status(&client.select(&args).unwrap()), "ok");
 
     let bytes_after = counter(&mut client, "parse.bytes");
-    let hits_after = counter(&mut client, "parse.cache_hits");
     assert!(
-        bytes_after >= bytes_before + source.len() as f64,
-        "first select must parse the source: {bytes_before} -> {bytes_after}"
-    );
-    assert!(
-        hits_after >= hits_before + 1.0,
-        "second identical select must hit the parse cache: {hits_before} -> {hits_after}"
+        bytes_after >= bytes_before + 2.0 * source.len() as f64,
+        "each select must parse the source: {bytes_before} -> {bytes_after}"
     );
 
     // The front-end stage has its own latency histogram.

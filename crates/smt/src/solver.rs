@@ -187,9 +187,12 @@ pub struct MaximizeOutcome {
 /// filtered under. (On EATSS formulations: over the 32-point sweep grid on
 /// the five builtin devices 862 of the 2 954 feasible full-objective
 /// formulations have tied optima — gemm's `Tk` under the strict cap — and
-/// warm and cold agree on every one; mttkrp with the spatial term ablated,
-/// `Π T` alone, is tied among objective variables and does not.
-/// `tests/warm_start_differential.rs` pins both.) Stale, foreign, or
+/// a solve seeded with its own optimum agrees with the cold one on every
+/// one. Seeded along a sweep's warm chain instead, a few do not: Xavier
+/// gemm at n = 128, warp fraction 0.5, split 0 returns (80, 128, 16)
+/// after the splits 0.67 and 0.5, and (96, 112, 16) cold. mttkrp with the
+/// spatial term ablated, `Π T` alone, differs even self-seeded.
+/// `tests/warm_start_differential.rs` pins both cases.) Stale, foreign, or
 /// infeasible hints are silently skipped, so sharing one handle across
 /// threads (even racily snapshotted) is sound.
 #[derive(Debug, Clone, Default)]

@@ -4,9 +4,9 @@
 //! as cold solves on every formulation — including infeasible ones, and
 //! including hint sets polluted with models from foreign benchmarks — and
 //! on these full-objective formulations the same tiles too. Tiles are
-//! *not* promised in general: the last test is a formulation whose optimum
-//! is tied among the objective's own variables, where warm and cold each
-//! return a different, equally optimal tiling.
+//! *not* promised in general: the last two tests are formulations whose
+//! optimum is tied among the objective's own variables, where warm and
+//! cold each return a different, equally optimal tiling.
 
 use eatss::{Ablation, EatssConfig, EatssError, ModelGenerator};
 use eatss_gpusim::GpuArch;
@@ -136,4 +136,46 @@ fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
     let third = build().solve_warm(&mut own).expect("feasible");
     assert_eq!(third.stats.warm_cut_hits, handed);
     assert_eq!(third.objective, cold.objective);
+}
+
+/// The same limit on a full-objective formulation, reached the way a
+/// sweep reaches it: Xavier gemm at n = 128, warp fraction 0.5, the
+/// virtual cap, solved along its warm chain (splits 0.67, 0.5, then 0).
+/// The split-0 point keeps the cold objective value, and both tilings are
+/// feasible; the tiles are not compared.
+#[test]
+fn sweep_chain_keeps_the_cold_value_at_a_tied_split_zero_point() {
+    let b = eatss_kernels::by_name("gemm").expect("registered");
+    let program = b.program().expect("benchmark parses");
+    let sizes = b.sizes_uniform(128);
+    let xavier = eatss_gpusim::DeviceProfile::builtin("xavier")
+        .expect("builtin")
+        .into_arch();
+    let build = |split_factor| {
+        ModelGenerator::new(
+            &xavier,
+            EatssConfig {
+                split_factor,
+                ..EatssConfig::default()
+            },
+        )
+        .build(&program, Some(&sizes))
+        .expect("formulation builds")
+    };
+
+    let mut chain = WarmStart::new();
+    for split in [0.67, 0.5] {
+        build(split).solve_warm(&mut chain).expect("feasible");
+    }
+    let warm = build(0.0).solve_warm(&mut chain).expect("feasible");
+    let mut own = WarmStart::new();
+    let cold = build(0.0).solve_warm(&mut own).expect("feasible");
+    assert_eq!(warm.objective, cold.objective);
+    assert!(warm.optimal && cold.optimal);
+
+    // Every model the chain holds, the warm tiling among them, and the
+    // cold tiling re-validate against all of split 0's constraints.
+    let handed = chain.len() as u64;
+    assert_eq!(build(0.0).solve_warm(&mut chain).unwrap().stats.warm_cut_hits, handed);
+    assert_eq!(build(0.0).solve_warm(&mut own).unwrap().stats.warm_cut_hits, 1);
 }
