@@ -65,7 +65,7 @@ pub use evaluate::{
     evaluate_program, evaluate_program_repeated, evaluate_program_with, EvaluateError,
 };
 pub use model::{Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance};
-pub use sweep::{pareto_front, SolveAttempt, SweepOptions, SweepOutcome, SweepPoint};
+pub use sweep::{pareto_front, SweepOptions, SweepOutcome, SweepPoint};
 
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};

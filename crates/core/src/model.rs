@@ -162,7 +162,6 @@ pub struct ModelGenerator {
     config: EatssConfig,
     ablation: Ablation,
     solver_config: SolverConfig,
-    coarsen: bool,
 }
 
 /// A built formulation, ready to be maximized.
@@ -188,7 +187,6 @@ impl ModelGenerator {
             config,
             ablation: Ablation::default(),
             solver_config: SolverConfig::default(),
-            coarsen: false,
         }
     }
 
@@ -202,16 +200,6 @@ impl ModelGenerator {
     /// by the built model.
     pub fn with_solver_config(mut self, solver_config: SolverConfig) -> Self {
         self.solver_config = solver_config;
-        self
-    }
-
-    /// Coarsens each tile variable's domain to geometric (doubling)
-    /// multiples of the warp-alignment factor instead of every multiple.
-    /// The space shrinks exponentially, trading tile granularity for a
-    /// search that finishes within tight budgets — the retry ladder's
-    /// last resort before the `32^d` fallback.
-    pub fn with_domain_coarsening(mut self, coarsen: bool) -> Self {
-        self.coarsen = coarsen;
         self
     }
 
@@ -269,23 +257,17 @@ impl ModelGenerator {
         // root probes `upper/align` values per variable, not `upper`. The
         // alignment constraint is still asserted below: it is the paper's
         // formulation, what `--emit-smt` prints and what the reference
-        // engine and every leaf's exact check evaluate.
+        // engine and every leaf's exact check evaluate. An empty candidate
+        // set (align > upper) is an honest unsatisfiability.
         let mut solver = Solver::with_config(self.solver_config.clone());
         let mut tile_vars: Vec<Option<IntExpr>> = Vec::with_capacity(depth);
         let align = if self.ablation.no_warp_alignment { 1 } else { waf };
-        // Coarsened: geometric multiples only, so the candidate count per
-        // variable drops from `upper/align` to `log2(upper/align)`, keeping
-        // hopeless budgets from thrashing. Either way an empty candidate
-        // set (align > upper) is an honest unsatisfiability.
-        let next = |&v: &i64| if self.coarsen { v.checked_mul(2) } else { v.checked_add(align) };
         for d in 0..depth {
             if is_time[d] {
                 tile_vars.push(None);
                 continue;
             }
-            let candidates: Vec<i64> = std::iter::successors(Some(align), next)
-                .take_while(|&v| v <= upper[d])
-                .collect();
+            let candidates: Vec<i64> = (1..=upper[d] / align).map(|k| k * align).collect();
             let t = solver.int_var_in(&format!("T{d}"), Domain::from_values(candidates));
             if !self.ablation.no_warp_alignment {
                 solver.assert(t.modulo(waf).eq_expr(0));
@@ -825,26 +807,6 @@ mod tests {
         assert!(err.to_string().contains("node limit"), "{err}");
     }
 
-    #[test]
-    fn coarsened_domains_stay_feasible_and_geometric() {
-        let s = ga(EatssConfig::default())
-            .with_domain_coarsening(true)
-            .build(&matmul(), None)
-            .unwrap()
-            .solve()
-            .unwrap();
-        let t = s.tiles.sizes();
-        // Coarse domains hold WAF·2^k values only, and every constraint of
-        // the full formulation still applies.
-        for &x in t {
-            assert!(x % 16 == 0, "{t:?}");
-            assert!((x / 16).count_ones() == 1, "not geometric: {t:?}");
-        }
-        assert!(t[0] * t[1] + t[2] * t[1] <= 12_288, "{t:?}");
-        assert!(t[0] * t[2] <= 6_144, "{t:?}");
-        assert!(s.objective > 0);
-    }
-
     /// Each tile variable's declared domain, in dimension order.
     fn tile_domains(model: &EatssModel) -> Vec<Vec<i64>> {
         model
@@ -892,18 +854,10 @@ mod tests {
                     assert!(asserted.contains(&aligned), "{what}: `{aligned}` not in {asserted:?}");
 
                     let unaligned = generator
-                        .clone()
                         .with_ablation(Ablation { no_warp_alignment: true, ..Ablation::default() })
                         .build(&program, Some(&sizes))
                         .unwrap();
                     assert_eq!(tile_domains(&unaligned), expect(&|_| true), "{what}");
-
-                    let coarse = generator
-                        .with_domain_coarsening(true)
-                        .build(&program, Some(&sizes))
-                        .unwrap();
-                    let doubling = |t: i64| t % waf == 0 && (t / waf).count_ones() == 1;
-                    assert_eq!(tile_domains(&coarse), expect(&doubling), "{what}");
                 }
             }
         }

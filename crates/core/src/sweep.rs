@@ -10,12 +10,11 @@
 //! # Robustness
 //!
 //! A sweep is a measurement campaign, and campaigns must not die on one
-//! bad point. Each configuration is solved through a retry ladder
-//! ([`SweepOptions::attempts`]): a cheap budget first, an escalated
-//! budget on exhaustion, then a coarsened (geometric) tile domain. When
-//! every rung fails — or the formulation is *proved* infeasible — the
-//! point degrades to PPCG's default `32^d` tiling so it still yields a
-//! measurement, tagged
+//! bad point. Each configuration is solved through a retry ladder of
+//! solver budgets ([`SweepOptions::attempts`]; by default one rung, 2 M
+//! nodes and 10 s). When every rung runs out — or the formulation is
+//! *proved* infeasible — the point degrades to PPCG's default `32^d`
+//! tiling so it still yields a measurement, tagged
 //! [`DefaultFallback`](crate::SolutionProvenance::DefaultFallback). Points
 //! whose measurement itself fails land in [`SweepOutcome::failures`] with
 //! full stage attribution. The sweep as a whole errors only when *no*
@@ -41,17 +40,6 @@ pub const PAPER_WARP_FRACTIONS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 // paper generates a handful of candidate configurations per benchmark
 // and keeps the best measured one.
 
-/// One rung of the per-point retry ladder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SolveAttempt {
-    /// Node budget for this attempt.
-    pub node_limit: u64,
-    /// Wall-clock budget for this attempt (the whole maximize loop).
-    pub deadline: Option<Duration>,
-    /// Whether to coarsen tile domains to geometric multiples.
-    pub coarsen: bool,
-}
-
 /// Degradation policy for a sweep.
 ///
 /// Two things are not options. A point that cannot be solved or measured
@@ -74,12 +62,12 @@ pub struct SolveAttempt {
 /// stay bit-identical even when search budgets bind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// The retry ladder, tried in order; later rungs run only when the
-    /// earlier ones exhaust their budget ([`EatssError::Exhausted`]).
-    /// A *proved* infeasibility stops the ladder immediately — a larger
-    /// budget cannot revive an empty space, and coarsening only shrinks
-    /// it.
-    pub attempts: Vec<SolveAttempt>,
+    /// The retry ladder: solver budgets (node limit, deadline,
+    /// cancellation) tried in order; a later rung runs only when the
+    /// earlier ones are exhausted ([`EatssError::Exhausted`]). A *proved*
+    /// infeasibility stops the ladder at once — a larger budget cannot
+    /// revive an empty space.
+    pub attempts: Vec<SolverConfig>,
     /// Worker threads for the sweep. `1` (the default) runs points
     /// sequentially on the caller's thread; `0` uses the machine's
     /// available parallelism. Results are identical regardless of the
@@ -93,22 +81,14 @@ pub struct SweepOptions {
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            attempts: vec![
-                // Normal budget: ample for every PolyBench-scale
-                // formulation, bounded so a pathological point cannot
-                // stall the campaign.
-                SolveAttempt {
-                    node_limit: 2_000_000,
-                    deadline: Some(Duration::from_secs(10)),
-                    coarsen: false,
-                },
-                // Escalated: an order of magnitude more of everything.
-                SolveAttempt {
-                    node_limit: 20_000_000,
-                    deadline: Some(Duration::from_secs(60)),
-                    coarsen: true,
-                },
-            ],
+            // Ample for every catalogue formulation (the largest takes a
+            // few hundred nodes), bounded so a pathological point cannot
+            // stall the campaign.
+            attempts: vec![SolverConfig {
+                node_limit: 2_000_000,
+                deadline: Some(Duration::from_secs(10)),
+                cancel: None,
+            }],
             jobs: 1,
         }
     }
@@ -238,16 +218,10 @@ fn solve_with_retries(
         if span.is_active() {
             span.arg("rung", rung);
             span.arg("node_limit", attempt.node_limit);
-            span.arg("coarsen", attempt.coarsen);
             eatss_trace::counter_add("sweep.solve_attempts", 1);
         }
         let result = crate::ModelGenerator::new(eatss.arch(), config.clone())
-            .with_solver_config(SolverConfig {
-                node_limit: attempt.node_limit,
-                deadline: attempt.deadline,
-                ..SolverConfig::default()
-            })
-            .with_domain_coarsening(attempt.coarsen)
+            .with_solver_config(attempt.clone())
             .build(program, Some(sizes))
             .and_then(|model| model.solve_warm(warm));
         match result {
@@ -632,12 +606,12 @@ mod tests {
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
         // A ladder whose every rung has a zero budget: each point stays
         // exhausted and must degrade to a measured fallback.
+        let zero = SolverConfig {
+            node_limit: 0,
+            ..SolverConfig::default()
+        };
         let opts = SweepOptions {
-            attempts: vec![SolveAttempt {
-                node_limit: 0,
-                deadline: None,
-                coarsen: false,
-            }],
+            attempts: vec![zero.clone()],
             ..SweepOptions::default()
         };
         let out = sweep_with(&eatss, &sizes, &opts).unwrap();
@@ -653,18 +627,7 @@ mod tests {
             &eatss,
             &sizes,
             &SweepOptions {
-                attempts: vec![
-                    SolveAttempt {
-                        node_limit: 0,
-                        deadline: None,
-                        coarsen: false,
-                    },
-                    SolveAttempt {
-                        node_limit: 2_000_000,
-                        deadline: None,
-                        coarsen: false,
-                    },
-                ],
+                attempts: vec![zero, SolverConfig::default()],
                 ..SweepOptions::default()
             },
         )
@@ -900,16 +863,10 @@ mod tests {
         let options = SweepOptions::default();
         let warm = run_with(&eatss, &mm(), &sizes, &PAPER_SPLITS, &[0.5, 1.0], &options).unwrap();
         assert_eq!(warm.points.len(), 12);
-        let rung = &options.attempts[0];
         let mut seeded = 0;
         for w in &warm.points {
             let cold = crate::ModelGenerator::new(eatss.arch(), w.config.clone())
-                .with_solver_config(SolverConfig {
-                    node_limit: rung.node_limit,
-                    deadline: rung.deadline,
-                    ..SolverConfig::default()
-                })
-                .with_domain_coarsening(rung.coarsen)
+                .with_solver_config(options.attempts[0].clone())
                 .build(&mm(), Some(&sizes))
                 .unwrap()
                 .solve()

@@ -524,7 +524,7 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
     }
 
     if job.pareto {
-        return run_pareto(job);
+        return run_pareto(shared, job);
     }
     let query = &job.query;
 
@@ -567,7 +567,7 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
 /// energy-vs-performance front. Nothing is journaled: the sweep solves
 /// along warm chains, and its points answer this request, not a later
 /// `select`.
-fn run_pareto(job: &Job) -> Finished {
+fn run_pareto(shared: &Shared, job: &Job) -> Finished {
     let query = &job.query;
     let mut sp = span("serve", "pareto");
     sp.arg("device", query.arch.name.clone());
@@ -575,12 +575,12 @@ fn run_pareto(job: &Job) -> Finished {
     // One rung, the job's deadline per configuration: the daemon's
     // latency contract is per-request, not per-campaign — a point that
     // exhausts its slice degrades to the measured 32^d fallback instead
-    // of stalling the worker.
+    // of stalling the worker. Shutdown cancels it as it does a select.
     let options = eatss::SweepOptions {
-        attempts: vec![eatss::SolveAttempt {
-            node_limit: 2_000_000,
+        attempts: vec![SolverConfig {
             deadline: Some(job.deadline),
-            coarsen: false,
+            cancel: Some(shared.cancel.clone()),
+            ..SolverConfig::default()
         }],
         jobs: 1,
     };

@@ -37,7 +37,8 @@ impl Domain {
         if lo > hi {
             return Domain { values: Vec::new() };
         }
-        let count = (hi - lo + 1) as u64;
+        // Counted in i128: `hi - lo` overflows i64 on a wide range.
+        let count = i128::from(hi) - i128::from(lo) + 1;
         assert!(
             count <= 1 << 22,
             "domain [{lo}, {hi}] too large to materialize ({count} values)"
@@ -143,6 +144,14 @@ mod tests {
         let d = Domain::range(3, 5);
         assert_eq!(d.values(), &[3, 4, 5]);
         assert!(Domain::range(5, 3).is_empty());
+        assert_eq!(Domain::range(i64::MAX, i64::MAX).values(), &[i64::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large to materialize")]
+    fn a_range_wider_than_i64_hits_the_size_assertion() {
+        // `0 - i64::MIN` overflows i64; the size assertion is the only panic.
+        Domain::range(i64::MIN, 0);
     }
 
     #[test]

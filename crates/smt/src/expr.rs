@@ -136,16 +136,17 @@ impl IntExpr {
     /// Collects the variables mentioned by this expression into `out`
     /// (deduplicated, in first-occurrence order).
     pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+        self.each_var(&mut |id, _| push_new(out, id));
+    }
+
+    /// Calls `f` on every variable occurrence, left to right.
+    pub(crate) fn each_var(&self, f: &mut dyn FnMut(VarId, &str)) {
         match &*self.0 {
             IntNode::Const(_) => {}
-            IntNode::Var(id, _) => {
-                if !out.contains(id) {
-                    out.push(*id);
-                }
-            }
+            IntNode::Var(id, name) => f(*id, name),
             IntNode::Add(xs) | IntNode::Mul(xs) => {
                 for x in xs {
-                    x.collect_vars(out);
+                    x.each_var(f);
                 }
             }
             IntNode::Sub(a, b)
@@ -153,10 +154,10 @@ impl IntExpr {
             | IntNode::Mod(a, b)
             | IntNode::Min(a, b)
             | IntNode::Max(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.each_var(f);
+                b.each_var(f);
             }
-            IntNode::Neg(a) => a.collect_vars(out),
+            IntNode::Neg(a) => a.each_var(f),
         }
     }
 }
@@ -251,20 +252,6 @@ pub enum CmpOp {
     Eq,
     /// `!=`
     Ne,
-}
-
-impl CmpOp {
-    /// Evaluates the comparison on concrete integers.
-    pub fn eval(self, a: i64, b: i64) -> bool {
-        match self {
-            CmpOp::Le => a <= b,
-            CmpOp::Lt => a < b,
-            CmpOp::Ge => a >= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-        }
-    }
 }
 
 impl fmt::Display for CmpOp {
@@ -369,23 +356,34 @@ impl BoolExpr {
     /// Collects the variables mentioned by this constraint into `out`
     /// (deduplicated, in first-occurrence order).
     pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+        self.each_var(&mut |id, _| push_new(out, id));
+    }
+
+    /// Calls `f` on every variable occurrence, left to right.
+    pub(crate) fn each_var(&self, f: &mut dyn FnMut(VarId, &str)) {
         match &*self.0 {
             BoolNode::True | BoolNode::False => {}
             BoolNode::Cmp(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.each_var(f);
+                b.each_var(f);
             }
             BoolNode::And(xs) | BoolNode::Or(xs) => {
                 for x in xs {
-                    x.collect_vars(out);
+                    x.each_var(f);
                 }
             }
-            BoolNode::Not(a) => a.collect_vars(out),
+            BoolNode::Not(a) => a.each_var(f),
             BoolNode::Implies(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.each_var(f);
+                b.each_var(f);
             }
         }
+    }
+}
+
+fn push_new(out: &mut Vec<VarId>, id: VarId) {
+    if !out.contains(&id) {
+        out.push(id);
     }
 }
 
@@ -461,16 +459,6 @@ mod tests {
         let mut bv = Vec::new();
         b.collect_vars(&mut bv);
         assert_eq!(bv.len(), 1);
-    }
-
-    #[test]
-    fn cmp_op_eval_matches_semantics() {
-        assert!(CmpOp::Le.eval(1, 1));
-        assert!(!CmpOp::Lt.eval(1, 1));
-        assert!(CmpOp::Ge.eval(2, 1));
-        assert!(CmpOp::Gt.eval(2, 1));
-        assert!(CmpOp::Eq.eval(3, 3));
-        assert!(CmpOp::Ne.eval(3, 4));
     }
 
     #[test]

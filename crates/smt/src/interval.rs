@@ -1,18 +1,20 @@
 //! Closed integer intervals with saturating non-linear arithmetic.
 //!
-//! Intervals are the abstract domain used by the solver's propagation pass:
-//! every integer expression is evaluated to an [`Interval`] that is
-//! guaranteed to contain the expression's value under every assignment
-//! drawn from the current variable domains.
+//! Intervals are the solver's one evaluator: every integer expression is
+//! evaluated to an [`Interval`] that is guaranteed to contain the
+//! expression's value under every assignment drawn from the current
+//! variable domains. Over singleton hulls that is point evaluation — the
+//! search's leaf check and [`Model::eval`](crate::Model::eval) alike.
 
 use std::fmt;
 
 /// A closed integer interval `[lo, hi]`.
 ///
 /// The empty interval is represented by `lo > hi` and can be obtained from
-/// [`Interval::empty`]. All arithmetic saturates at `i64::MIN/4` and
-/// `i64::MAX/4` so that downstream additions can never overflow; EATSS
-/// formulations stay far below those magnitudes (tile products are at most
+/// [`Interval::empty`]. Every operation computes its endpoints in `i128`
+/// and saturates them to the `i64` range, so on singletons each operator
+/// is exactly saturating `i64` arithmetic and none panics; EATSS
+/// formulations stay far below the clamp (tile products are at most
 /// `1024^5 ≈ 2^50`).
 ///
 /// # Examples
@@ -31,17 +33,9 @@ pub struct Interval {
     hi: i64,
 }
 
-/// Saturation bound; keeps sums of several products representable.
-const SAT: i64 = i64::MAX / 4;
-
+/// Saturates an exact `i128` endpoint to the `i64` range.
 fn clamp(v: i128) -> i64 {
-    if v > SAT as i128 {
-        SAT
-    } else if v < -(SAT as i128) {
-        -SAT
-    } else {
-        v as i64
-    }
+    v.clamp(i64::MIN.into(), i64::MAX.into()) as i64
 }
 
 impl Interval {
@@ -63,9 +57,11 @@ impl Interval {
         Interval { lo: 1, hi: 0 }
     }
 
-    /// The widest representable interval.
+    /// The whole `i64` range: any value at all. It is also what a `div` or
+    /// `mod` by a divisor that may be zero yields — an undefined value is
+    /// any value.
     pub fn top() -> Self {
-        Interval { lo: -SAT, hi: SAT }
+        Interval::new(i64::MIN, i64::MAX)
     }
 
     /// Lower bound (meaningless if [`Interval::is_empty`]).
@@ -95,9 +91,10 @@ impl Interval {
 
     /// Interval of Euclidean division `self div rhs`.
     ///
-    /// If `rhs` may be zero, the result is conservatively widened to
-    /// [`Interval::top`] (a concrete division by zero is still reported as
-    /// an error at model-evaluation time).
+    /// If `rhs` may be zero the result is [`Interval::top`]: the quotient
+    /// is undefined there, and an undefined value is any value. (A
+    /// [`Model`](crate::Model) reads a result that is not a single value as
+    /// [`SolveError::DivisionByZero`](crate::SolveError::DivisionByZero).)
     pub fn div_euclid(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::empty();
@@ -109,53 +106,50 @@ impl Interval {
         // monotone-by-parts function lie on corner combinations. Euclidean
         // division is monotone in the dividend for fixed divisor, and the
         // divisor extremes bound the quotient magnitude.
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
+        self.corners(rhs, i128::div_euclid)
+    }
+
+    /// The saturated span of `op` over the four corner pairs, each computed
+    /// exactly in `i128` (`MIN div -1` is `2^63`) — the whole image when
+    /// `op`'s extrema over the box lie on its corners.
+    fn corners(self, rhs: Interval, op: impl Fn(i128, i128) -> i128) -> Interval {
+        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
         for a in [self.lo, self.hi] {
             for b in [rhs.lo, rhs.hi] {
-                let q = a.div_euclid(b);
-                lo = lo.min(q);
-                hi = hi.max(q);
+                let v = op(a.into(), b.into());
+                (lo, hi) = (lo.min(v), hi.max(v));
             }
         }
-        Interval::new(lo, hi)
+        Interval::new(clamp(lo), clamp(hi))
     }
 
     /// Interval of Euclidean remainder `self mod rhs`.
     ///
-    /// The result is always within `[0, max|rhs| - 1]`; when both operands
-    /// are singletons the remainder is exact, and when the dividend interval
-    /// spans fewer values than the (singleton, positive) modulus and does not
-    /// wrap, the tight sub-range is returned.
+    /// [`Interval::top`] if `rhs` may be zero, as for
+    /// [`Interval::div_euclid`]. Otherwise the result is within
+    /// `[0, max|rhs| - 1]`; when both operands are singletons the remainder
+    /// is exact, and when the dividend interval spans fewer values than the
+    /// (singleton) modulus and does not wrap, the tight sub-range is
+    /// returned.
     pub fn rem_euclid(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::empty();
         }
         if rhs.contains(0) {
-            let m = rhs.lo.abs().max(rhs.hi.abs());
-            if m == 0 {
-                // Modulus is exactly zero everywhere: no valid result.
-                return Interval::empty();
-            }
-            return Interval::new(0, m - 1);
+            return Interval::top();
         }
-        let m_max = rhs.lo.abs().max(rhs.hi.abs());
-        if self.is_singleton() && rhs.is_singleton() {
-            return Interval::singleton(self.lo.rem_euclid(rhs.lo));
-        }
+        // `|MIN|` is `2^63`: moduli are taken in `i128`, and every
+        // remainder below one fits an `i64`.
+        let (lo, hi) = (i128::from(self.lo), i128::from(self.hi));
+        let m_max = i128::from(rhs.lo).abs().max(i128::from(rhs.hi).abs());
         if rhs.is_singleton() {
-            let m = rhs.lo.abs();
-            let span = self.hi as i128 - self.lo as i128;
-            if span < m as i128 {
-                let r_lo = self.lo.rem_euclid(m);
-                let r_hi = self.hi.rem_euclid(m);
-                if r_lo <= r_hi {
-                    return Interval::new(r_lo, r_hi);
-                }
+            let r_lo = lo.rem_euclid(m_max);
+            let r_hi = hi.rem_euclid(m_max);
+            if hi - lo < m_max && r_lo <= r_hi {
+                return Interval::new(r_lo as i64, r_hi as i64);
             }
-            return Interval::new(0, m - 1);
         }
-        Interval::new(0, m_max - 1)
+        Interval::new(0, clamp(m_max - 1))
     }
 
     /// Pointwise minimum.
@@ -218,7 +212,7 @@ impl std::ops::Neg for Interval {
         if self.is_empty() {
             return Interval::empty();
         }
-        Interval::new(-self.hi, -self.lo)
+        Interval::new(clamp(-i128::from(self.hi)), clamp(-i128::from(self.lo)))
     }
 }
 
@@ -231,15 +225,7 @@ impl std::ops::Mul for Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::empty();
         }
-        let corners = [
-            self.lo as i128 * rhs.lo as i128,
-            self.lo as i128 * rhs.hi as i128,
-            self.hi as i128 * rhs.lo as i128,
-            self.hi as i128 * rhs.hi as i128,
-        ];
-        let lo = corners.iter().copied().min().expect("non-empty corners");
-        let hi = corners.iter().copied().max().expect("non-empty corners");
-        Interval::new(clamp(lo), clamp(hi))
+        self.corners(rhs, |a, b| a * b)
     }
 }
 
@@ -292,8 +278,11 @@ mod tests {
     #[test]
     fn div_by_interval_containing_zero_is_top() {
         let a = Interval::new(10, 20);
-        let b = Interval::new(-1, 1);
-        assert_eq!(a.div_euclid(b), Interval::top());
+        assert_eq!(Interval::top(), Interval::new(i64::MIN, i64::MAX));
+        for b in [Interval::new(-1, 1), Interval::singleton(0)] {
+            assert_eq!(a.div_euclid(b), Interval::top());
+            assert_eq!(a.rem_euclid(b), Interval::top());
+        }
     }
 
     #[test]
@@ -331,11 +320,51 @@ mod tests {
 
     #[test]
     fn saturation_does_not_panic() {
-        let a = Interval::new(i64::MAX / 8, i64::MAX / 8);
-        let b = a * a;
-        assert!(b.hi() <= i64::MAX / 4);
-        let c = b + b;
-        assert!(c.hi() <= i64::MAX / 2);
+        let max = Interval::singleton(i64::MAX);
+        let a = Interval::singleton(i64::MAX / 8);
+        assert_eq!(a * a, max);
+        assert_eq!(max + max, max);
+        assert_eq!(-max - max, Interval::singleton(i64::MIN));
+        assert_eq!(-Interval::singleton(i64::MIN), max);
+    }
+
+    /// Every operator over every interval with endpoints drawn from the
+    /// `i64` extremes: nothing panics, and the result holds the exact
+    /// (`i128`) value, saturated to `i64`, at every sampled point.
+    #[test]
+    fn no_operator_panics_on_any_endpoint() {
+        const ENDS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let mut intervals = vec![Interval::empty()];
+        for lo in ENDS {
+            let above = ENDS.into_iter().filter(|&hi| lo <= hi);
+            intervals.extend(above.map(|hi| Interval::new(lo, hi)));
+        }
+        let points = |i: Interval| ENDS.into_iter().filter(move |&v| i.contains(v));
+        type Op = fn(Interval, Interval) -> Interval;
+        type Exact = fn(i128, i128) -> Option<i128>;
+        let ops: [(&str, Op, Exact); 8] = [
+            ("+", |a, b| a + b, i128::checked_add),
+            ("-", |a, b| a - b, i128::checked_sub),
+            ("*", |a, b| a * b, i128::checked_mul),
+            ("div", Interval::div_euclid, i128::checked_div_euclid),
+            ("mod", Interval::rem_euclid, i128::checked_rem_euclid),
+            ("min", Interval::min, |x, y| Some(x.min(y))),
+            ("max", Interval::max, |x, y| Some(x.max(y))),
+            ("neg-of-left", |a, _| -a, |x, _| Some(-x)),
+        ];
+        for &a in &intervals {
+            for &b in &intervals {
+                for (name, op, exact) in ops {
+                    let result = op(a, b);
+                    for (x, y) in points(a).flat_map(|x| points(b).map(move |y| (x, y))) {
+                        if let Some(v) = exact(x.into(), y.into()) {
+                            let hit = result.contains(clamp(v));
+                            assert!(hit, "{a} {name} {b} = {result} misses {x} {name} {y}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,13 +63,8 @@ impl NaiveSearch<'_> {
         }
         if let Some(values) = assignment_of(&domains) {
             let model = Model::new(values.clone(), self.names.to_vec());
-            for (c, _) in self.constraints {
-                match model.eval_bool(c) {
-                    Ok(true) => {}
-                    Ok(false) | Err(_) => return None,
-                }
-            }
-            return Some(values);
+            let satisfied = |(c, _): &(BoolExpr, _)| model.eval_bool(c) == Ok(true);
+            return self.constraints.iter().all(satisfied).then_some(values);
         }
         let (var_idx, _) = domains
             .iter()

@@ -44,7 +44,6 @@
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, BoolNode, CmpOp, IntExpr, IntNode, VarId};
 use crate::interval::Interval;
-use crate::model::{eval_bool, eval_int};
 use crate::solver::{budget_stop, SolverConfig, StopReason};
 use crate::stats::SolverStats;
 use crate::trail::Trail;
@@ -57,6 +56,21 @@ pub(crate) enum Tri {
     True,
     False,
     Unknown,
+}
+
+impl Tri {
+    /// `True` where `holds`, else `False` where `fails`, else `Unknown`.
+    fn of(holds: bool, fails: bool) -> Tri {
+        match (holds, fails) {
+            (true, _) => Tri::True,
+            (_, true) => Tri::False,
+            _ => Tri::Unknown,
+        }
+    }
+
+    fn not(self) -> Tri {
+        Tri::of(self == Tri::False, self == Tri::True)
+    }
 }
 
 /// Poll the clock/cancel flag every this many search nodes — often enough
@@ -432,13 +446,9 @@ impl<'a> Search<'a> {
             return None;
         }
         if let Some(values) = assignment_of(&self.domains) {
-            // Every domain is a singleton; do a final exact check (interval
-            // reasoning may have left some constraints undecided). Division
-            // by zero under this assignment: treat the candidate as
-            // violating, like Z3's total-function semantics never would
-            // satisfy our guarded uses.
-            let satisfied = |(c, _): &(BoolExpr, _)| matches!(eval_bool(c, &values), Ok(true));
-            if !self.constraints.iter().all(satisfied) {
+            // Every hull is a singleton: a final exact check (the visit
+            // budget may have left a constraint unrevised).
+            if !holds_at(self.constraints, &self.hulls) {
                 return None;
             }
             let Some(b) = &mut self.bound else {
@@ -447,8 +457,8 @@ impl<'a> Search<'a> {
             // Exact strict-improvement check: the incumbent bound admits
             // only models that beat it, matching the semantics of the
             // paper's asserted `OBJ > best` constraint.
-            match eval_int(b.objective, &values) {
-                Ok(value) if b.incumbent.is_none_or(|inc| value > inc) => {
+            match value_at(b.objective, &self.hulls) {
+                Some(value) if b.incumbent.is_none_or(|inc| value > inc) => {
                     // Record the improvement and tighten the incumbent in
                     // place; the search goes on, and each ancestor
                     // re-filters its level when control returns to it.
@@ -457,7 +467,7 @@ impl<'a> Search<'a> {
                     self.best = Some(values);
                     self.incumbents.push(value);
                 }
-                Ok(_) | Err(_) => self.stats.bound_prunes += 1,
+                _ => self.stats.bound_prunes += 1,
             }
             return None;
         }
@@ -667,90 +677,60 @@ pub(crate) fn bounds(expr: &IntExpr, hulls: &[Interval]) -> Interval {
     }
 }
 
+/// The value of `expr` at a point (every hull a singleton): `None` when
+/// it hinges on a division by zero, which leaves it any value.
+pub(crate) fn value_at(expr: &IntExpr, point: &[Interval]) -> Option<i64> {
+    let value = bounds(expr, point);
+    value.is_singleton().then_some(value.lo())
+}
+
+/// Whether every constraint holds at a point — the leaf check. One that
+/// hinges on a division by zero holds only if it holds whatever that
+/// division yields.
+pub(crate) fn holds_at(constraints: &[(BoolExpr, Vec<VarId>)], point: &[Interval]) -> bool {
+    constraints
+        .iter()
+        .all(|(c, _)| tri_bool(c, point) == Tri::True)
+}
+
 pub(crate) fn tri_cmp(op: crate::expr::CmpOp, a: Interval, b: Interval) -> Tri {
     use crate::expr::CmpOp::*;
     if a.is_empty() || b.is_empty() {
         return Tri::False;
     }
+    let equal = a.is_singleton() && a == b;
     match op {
-        Le => {
-            if a.hi() <= b.lo() {
-                Tri::True
-            } else if a.lo() > b.hi() {
-                Tri::False
-            } else {
-                Tri::Unknown
-            }
-        }
-        Lt => {
-            if a.hi() < b.lo() {
-                Tri::True
-            } else if a.lo() >= b.hi() {
-                Tri::False
-            } else {
-                Tri::Unknown
-            }
-        }
+        Le => Tri::of(a.hi() <= b.lo(), a.lo() > b.hi()),
+        Lt => Tri::of(a.hi() < b.lo(), a.lo() >= b.hi()),
         Ge => tri_cmp(Le, b, a),
         Gt => tri_cmp(Lt, b, a),
-        Eq => {
-            if a.is_singleton() && b.is_singleton() && a.lo() == b.lo() {
-                Tri::True
-            } else if a.intersect(b).is_empty() {
-                Tri::False
-            } else {
-                Tri::Unknown
-            }
-        }
-        Ne => match tri_cmp(Eq, a, b) {
-            Tri::True => Tri::False,
-            Tri::False => Tri::True,
-            Tri::Unknown => Tri::Unknown,
-        },
+        Eq => Tri::of(equal, a.intersect(b).is_empty()),
+        Ne => Tri::of(a.intersect(b).is_empty(), equal),
     }
 }
 
 /// Kleene three-valued evaluation of a constraint under interval hulls.
 pub(crate) fn tri_bool(expr: &BoolExpr, hulls: &[Interval]) -> Tri {
+    // A conjunction is decided by its first `False`, a disjunction by its
+    // first `True`; short of that, any `Unknown` leaves it open.
+    let any = |xs: &[BoolExpr], decisive: Tri| {
+        let mut verdict = decisive.not();
+        for x in xs {
+            match tri_bool(x, hulls) {
+                t if t == decisive => return decisive,
+                Tri::Unknown => verdict = Tri::Unknown,
+                _ => {}
+            }
+        }
+        verdict
+    };
     match &*expr.0 {
         BoolNode::True => Tri::True,
         BoolNode::False => Tri::False,
         BoolNode::Cmp(op, a, b) => tri_cmp(*op, bounds(a, hulls), bounds(b, hulls)),
-        BoolNode::And(xs) => {
-            let mut any_unknown = false;
-            for x in xs {
-                match tri_bool(x, hulls) {
-                    Tri::False => return Tri::False,
-                    Tri::Unknown => any_unknown = true,
-                    Tri::True => {}
-                }
-            }
-            if any_unknown {
-                Tri::Unknown
-            } else {
-                Tri::True
-            }
-        }
-        BoolNode::Or(xs) => {
-            let mut any_unknown = false;
-            for x in xs {
-                match tri_bool(x, hulls) {
-                    Tri::True => return Tri::True,
-                    Tri::Unknown => any_unknown = true,
-                    Tri::False => {}
-                }
-            }
-            if any_unknown {
-                Tri::Unknown
-            } else {
-                Tri::False
-            }
-        }
-        BoolNode::Not(a) => match tri_bool(a, hulls) {
-            Tri::True => Tri::False,
-            Tri::False => Tri::True,
-            Tri::Unknown => Tri::Unknown,
-        },
+        BoolNode::And(xs) => any(xs, Tri::False),
+        BoolNode::Or(xs) => any(xs, Tri::True),
+        BoolNode::Not(a) => tri_bool(a, hulls).not(),
         BoolNode::Implies(a, b) => match (tri_bool(a, hulls), tri_bool(b, hulls)) {
             (Tri::False, _) | (_, Tri::True) => Tri::True,
             (Tri::True, Tri::False) => Tri::False,
@@ -1051,6 +1031,21 @@ mod tests {
         for constraint in &unknown {
             assert_eq!(kept_shape(constraint, i, &hulls), Kept::Any, "{constraint}");
         }
+    }
+
+    #[test]
+    fn propagation_and_the_leaf_check_agree_past_two_to_the_61() {
+        // x·y·4 = 2^64 saturates to i64::MAX, above the bound, so
+        // propagation refutes what the leaf check would: a narrower clamp
+        // would saturate the product below the bound and entail it.
+        let mut s = Solver::new();
+        let x = s.int_var("x", 1 << 31, 1 << 31);
+        let y = s.int_var("y", 1 << 31, 1 << 31);
+        let c = (x * y * IntExpr::constant(4)).le(i64::MAX / 4 + 1);
+        let hulls = [Interval::singleton(1 << 31); 2];
+        assert_eq!(tri_bool(&c, &hulls), Tri::False);
+        s.assert(c);
+        assert!(s.check().unwrap().model.is_none());
     }
 
     #[test]

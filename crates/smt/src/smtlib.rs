@@ -196,8 +196,8 @@ mod tests {
 
     #[test]
     fn irregular_domain_is_spelled_out() {
-        // The `coarsen` rung's doubling candidates: the hull alone would
-        // admit 48, which the solver does not.
+        // Doubling candidates, no arithmetic progression: the hull alone
+        // would admit 48, which the solver does not.
         let mut s = Solver::new();
         s.int_var_in("T", Domain::from_values(vec![16, 32, 64, 128]));
         s.int_var_in("none", Domain::from_values(vec![]));

@@ -8,8 +8,9 @@
 
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
-use crate::model::{eval_bool, eval_int, Model};
-use crate::search::{Pass, Search, SearchMode};
+use crate::interval::Interval;
+use crate::model::Model;
+use crate::search::{holds_at, value_at, Pass, Search, SearchMode};
 use crate::stats::SolverStats;
 use std::error::Error;
 use std::fmt;
@@ -22,7 +23,8 @@ use std::time::{Duration, Instant};
 pub enum SolveError {
     /// An expression mentions a variable not registered with this solver.
     UnknownVariable(String),
-    /// A `div` or `mod` divisor evaluated to zero.
+    /// The value depends on a `div` or `mod` whose divisor evaluated to
+    /// zero.
     DivisionByZero,
 }
 
@@ -171,9 +173,11 @@ pub struct MaximizeOutcome {
 /// A hint is only ever used after being re-validated against the current
 /// formulation — each hinted value must lie in its variable's base domain
 /// and the full assignment must satisfy every asserted constraint exactly
-/// (via [`Model::eval_bool`]). A feasible hint with objective value `v`
-/// proves `v` is achievable, so the branch-and-bound incumbent can start
-/// at `v - 1` instead of at "nothing yet": subtrees whose objective hull
+/// (the search's own leaf check: interval evaluation on the hint's
+/// singleton hulls, as [`Model::eval_bool`] reads a model). A feasible
+/// hint with objective value `v` proves `v` is achievable, so the
+/// branch-and-bound incumbent can start at `v - 1` instead of at "nothing
+/// yet": subtrees whose objective hull
 /// cannot exceed `v - 1` are cut before any propagation is paid for.
 /// Because `v ≤ optimum`, no subtree containing an optimum-valued leaf is
 /// ever cut, so warm starting never changes the verdict, the optimal
@@ -430,7 +434,7 @@ impl Solver {
         let mut best: Option<i64> = None;
         let mut hits = 0u64;
         'hints: for hint in &warm.hints {
-            let mut values = Vec::with_capacity(self.names.len());
+            let mut point = Vec::with_capacity(self.names.len());
             for (name, domain) in self.names.iter().zip(&self.base_domains) {
                 let Some(&(_, v)) = hint.iter().find(|(n, _)| n == name) else {
                     continue 'hints;
@@ -438,14 +442,12 @@ impl Solver {
                 if !domain.contains(v) {
                     continue 'hints;
                 }
-                values.push(v);
+                point.push(Interval::singleton(v));
             }
-            for (c, _) in &self.constraints {
-                if !matches!(eval_bool(c, &values), Ok(true)) {
-                    continue 'hints;
-                }
+            if !holds_at(&self.constraints, &point) {
+                continue 'hints;
             }
-            let Ok(v) = eval_int(objective, &values) else {
+            let Some(v) = value_at(objective, &point) else {
                 continue 'hints;
             };
             hits += 1;

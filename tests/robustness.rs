@@ -2,10 +2,7 @@
 //! solving under deadlines, graceful degradation to PPCG's default `32^d`
 //! tiling, and deterministic fault injection in the GPU model.
 
-use eatss::{
-    Eatss, EatssConfig, PipelineError, PipelineStage, SolutionProvenance, SolveAttempt,
-    SweepOptions,
-};
+use eatss::{Eatss, EatssConfig, PipelineError, PipelineStage, SolutionProvenance, SweepOptions};
 use eatss_affine::parser::parse_program;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
@@ -84,10 +81,9 @@ fn fault_injected_sweep_exercises_all_provenances() {
     let plan = FaultPlan::new(42).force("mm(32, 32, 32)", FaultKind::NanReport);
     let eatss = Eatss::with_gpu(Gpu::with_faults(GpuArch::ga100(), plan));
     let opts = SweepOptions {
-        attempts: vec![SolveAttempt {
+        attempts: vec![SolverConfig {
             node_limit: 25,
-            deadline: None,
-            coarsen: false,
+            ..SolverConfig::default()
         }],
         ..SweepOptions::default()
     };
@@ -205,10 +201,9 @@ fn exhausted_ladder_degrades_instead_of_failing() {
     let eatss = Eatss::new(GpuArch::ga100());
     let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
     let opts = SweepOptions {
-        attempts: vec![SolveAttempt {
+        attempts: vec![SolverConfig {
             node_limit: 0,
-            deadline: None,
-            coarsen: false,
+            ..SolverConfig::default()
         }],
         ..SweepOptions::default()
     };
