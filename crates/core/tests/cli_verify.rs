@@ -221,3 +221,42 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
         assert!(stderr.contains(message) && !stderr.contains("usage:"), "{args:?}: {stderr}");
     }
 }
+
+/// The three selections the daemon is also asked for, live and replayed,
+/// in `eatss-serve`'s `one_request_path.rs`: the `tiles     :` line the
+/// CLI prints is the library's answer.
+#[test]
+fn cli_tiles_are_the_librarys() {
+    use eatss::{Eatss, EatssConfig};
+    use eatss_gpusim::GpuArch;
+    use eatss_kernels::Dataset;
+
+    for (kernel, (flag, dataset), split, warp_frac) in [
+        ("gemm", ("standard", Dataset::Standard), "1.0", "0.5"),
+        ("2mm", ("xl", Dataset::ExtraLarge), "0.0", "0.25"),
+        ("mvt", ("standard", Dataset::Standard), "0.5", "0.125"),
+    ] {
+        let out = eatss()
+            .args([kernel, "--dataset", flag, "--split", split, "--warp-frac", warp_frac])
+            .output()
+            .expect("spawn eatss");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{kernel}: {}", String::from_utf8_lossy(&out.stderr));
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("tiles     :"))
+            .unwrap_or_else(|| panic!("{kernel}: no tiles line in:\n{stdout}"));
+
+        let bench = eatss_kernels::by_name(kernel).expect("registered");
+        let config = EatssConfig {
+            split_factor: split.parse().unwrap(),
+            warp_fraction: warp_frac.parse().unwrap(),
+            ..EatssConfig::default()
+        };
+        let library = Eatss::new(GpuArch::ga100())
+            .select_tiles(&bench.program().unwrap(), &bench.sizes(dataset), &config)
+            .expect("feasible");
+        let sizes: Vec<String> = library.tiles.sizes().iter().map(i64::to_string).collect();
+        assert_eq!(line, format!("tiles     : ({})", sizes.join(", ")), "{kernel}");
+    }
+}

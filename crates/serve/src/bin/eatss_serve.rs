@@ -59,8 +59,12 @@ fn main() -> ExitCode {
             "--cache-dir" => {
                 config.cache_dir = Some(PathBuf::from(next_value(&mut args, "--cache-dir")))
             }
-            "--workers" => config.workers = parse_num(&next_value(&mut args, "--workers")),
-            "--queue" => config.queue_capacity = parse_num(&next_value(&mut args, "--queue")),
+            "--workers" => {
+                config.workers = parse_count("--workers", &next_value(&mut args, "--workers"))
+            }
+            "--queue" => {
+                config.queue_capacity = parse_count("--queue", &next_value(&mut args, "--queue"))
+            }
             "--deadline-ms" => {
                 config.default_deadline =
                     Duration::from_millis(parse_num(&next_value(&mut args, "--deadline-ms")) as u64)
@@ -153,4 +157,16 @@ fn parse_num(text: &str) -> usize {
         eprintln!("error: '{text}' is not a number");
         std::process::exit(2);
     })
+}
+
+/// A worker or queue-slot count: zero of either would serve something
+/// other than a daemon (no solves, or every miss shed).
+fn parse_count(flag: &str, text: &str) -> usize {
+    match parse_num(text) {
+        0 => {
+            eprintln!("error: {flag} must be at least 1");
+            std::process::exit(2);
+        }
+        n => n,
+    }
 }

@@ -1,6 +1,6 @@
-//! A small blocking client for the daemon — used by the CLI, the tests,
-//! and the `bench_serve` chaos harness. One request per call, parsed
-//! responses, explicit timeouts.
+//! A small blocking client for the daemon — used by the tests (the chaos
+//! and crash checks among them) and the end-to-end benchmark. One
+//! request per call, parsed responses, explicit timeouts.
 
 use crate::protocol::{object_line, str_field, FrameReader, ProtocolError};
 use crate::transport::{Socket, Stream};
@@ -90,7 +90,7 @@ impl Client {
         Json::parse(&line).map_err(ProtocolError::BadJson)
     }
 
-    /// Writes raw bytes without framing — chaos harness only.
+    /// Writes raw bytes without framing — for chaos tests.
     ///
     /// # Errors
     ///

@@ -92,7 +92,7 @@ pub(crate) fn admit(shared: &Shared, job: Job) -> Result<Admitted, Response<'sta
     if d.queue.len() >= shared.config.queue_capacity {
         bump(&shared.counters.shed);
         let backlog = (d.queue.len() + d.active) as u64;
-        let workers = shared.config.workers.max(1) as u64;
+        let workers = shared.config.workers as u64;
         return Err(Response::Overloaded {
             retry_after_ms: (backlog * 50 / workers).clamp(50, 5000),
         });

@@ -385,11 +385,13 @@ impl Exchange<'_> {
             Response::Error { kind: "shutting_down", .. } => "shutting_down",
             other => other.status(),
         };
-        bump(match self.summary.outcome {
-            "ok" => &counters.ok,
-            "infeasible" => &counters.infeasible,
-            _ => &counters.errors,
-        });
+        match response.status() {
+            "ok" => bump(&counters.ok),
+            "infeasible" => bump(&counters.infeasible),
+            "error" => bump(&counters.errors),
+            // `overloaded`: admission already counted it as `shed`.
+            _ => {}
+        }
         let _ = send(self.stream, self.id, response);
     }
 }

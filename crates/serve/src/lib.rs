@@ -10,8 +10,9 @@
 //! `kill -9`.
 //!
 //! See DESIGN.md §12 for the protocol grammar, the journal byte layout,
-//! the crash-safety argument, and the overload semantics. The
-//! load-test/chaos harness lives in the `bench_serve` binary.
+//! the crash-safety argument, and the overload semantics. The chaos,
+//! `kill -9` and journal-corruption checks are this crate's integration
+//! tests.
 //!
 //! # Examples
 //!

@@ -70,9 +70,9 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
     /// Journal layout/sync policy (used only with `cache_dir`).
     pub journal: JournalConfig,
-    /// Solver worker threads.
+    /// Solver worker threads (at least 1).
     pub workers: usize,
-    /// Bounded admission queue capacity; excess is shed.
+    /// Bounded admission queue capacity (at least 1); excess is shed.
     pub queue_capacity: usize,
     /// Maximum request line size in bytes.
     pub max_frame_bytes: usize,
@@ -162,7 +162,7 @@ server_counters! {
     infeasible,
     /// `error` responses (protocol + pipeline + panic).
     errors,
-    /// Requests shed by admission control.
+    /// Requests shed by admission control (`overloaded` responses).
     shed,
     /// Requests answered by joining an in-flight identical solve.
     coalesced,
@@ -413,8 +413,16 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Binding, journal-open, or socket-configuration failures.
+/// A configuration with no worker or no queue slot
+/// ([`io::ErrorKind::InvalidInput`]); binding, journal-open, or
+/// socket-configuration failures.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
+    if config.workers == 0 || config.queue_capacity == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a daemon needs at least one worker and one queue slot",
+        ));
+    }
     // The daemon self-monitors through the process-global trace
     // registry. Joining an already-active session (another in-process
     // server, or a harness that called start_collecting itself) must not
@@ -440,7 +448,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         None => None,
     };
 
-    let workers = config.workers.max(1);
+    let workers = config.workers;
     let shared = Arc::new(Shared {
         config,
         cache: Mutex::new(cache),
@@ -496,6 +504,24 @@ mod tests {
     use crate::protocol::{parse_request, Op, ProtocolError};
 
     const NEST: &str = "kernel k(N) { for (i: N) A[i] = B[i] + 1; }";
+
+    #[test]
+    fn a_daemon_without_a_worker_or_a_queue_slot_does_not_start() {
+        use super::{start, ServerConfig};
+        for config in [
+            ServerConfig {
+                workers: 0,
+                ..ServerConfig::default()
+            },
+            ServerConfig {
+                queue_capacity: 0,
+                ..ServerConfig::default()
+            },
+        ] {
+            let refused = start(config).err().expect("refused");
+            assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        }
+    }
 
     #[test]
     fn require_source_is_a_typed_error_not_a_panic() {

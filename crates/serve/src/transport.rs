@@ -138,13 +138,11 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: Stream) {
                 }
                 ProtocolError::Timeout
             }
-            Err(e) => {
-                bump(&shared.counters.errors);
-                e
-            }
+            Err(e) => e,
         };
         // Framing is lost: best-effort notice, then close.
         bump(&shared.counters.protocol_errors);
+        bump(&shared.counters.errors);
         let _ = send(&mut stream, None, &Response::from(&error));
         return;
     }

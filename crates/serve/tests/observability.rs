@@ -3,41 +3,24 @@
 //! Chrome trace), the structured access log, and garbage-ratio driven
 //! auto-compaction.
 
+mod common;
+
+use common::{at, connect, error_kind, number, status, temp_dir, test_server};
 use eatss::cache::encode_key;
 use eatss::{EatssConfig, JournalConfig, TileCache};
 use eatss_affine::parser::parse_program;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
-use eatss_serve::client::{Client, SelectArgs};
-use eatss_serve::server::{start, ServerConfig, ServerHandle};
+use eatss_serve::client::SelectArgs;
 use eatss_trace::json::Json;
-use std::path::PathBuf;
-use std::time::Duration;
 
-fn test_server(mutate: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
-    let mut config = ServerConfig {
-        read_timeout: Duration::from_millis(400),
-        ..ServerConfig::default()
-    };
-    mutate(&mut config);
-    start(config).expect("server starts")
-}
-
-fn connect(handle: &ServerHandle) -> Client {
-    Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).expect("connect")
-}
-
-fn status(reply: &Json) -> &str {
-    reply.get("status").and_then(Json::as_str).unwrap_or("")
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "eatss-observability-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// What `trace_check --expect-histogram` asks of a histogram: at least
+/// one sample, and quantile estimates in order.
+fn assert_sane_histogram(hist: &Json) {
+    let [count, p50, p99, max] =
+        ["count", "p50", "p99", "max"].map(|field| number(hist, &[field]).expect(field));
+    assert!(count >= 1.0, "count = {count}");
+    assert!(p50 <= p99 && p99 <= max, "p50={p50} p99={p99} max={max}");
 }
 
 fn mm() -> Program {
@@ -63,31 +46,14 @@ fn metrics_op_reports_histograms_and_gauges() {
     let metrics = reply.get("metrics").expect("metrics object");
 
     // Lifetime request counters are mirrored into the registry.
-    let requests = metrics
-        .get("gauges")
-        .and_then(|g| g.get("serve.requests"))
-        .and_then(Json::as_f64)
-        .expect("serve.requests gauge");
-    assert!(requests >= 1.0);
+    assert!(number(metrics, &["gauges", "serve.requests"]) >= Some(1.0));
 
     // The request latency histogram saw the select, and its quantiles
     // come back monotone.
-    let hist = metrics
-        .get("histograms")
-        .and_then(|h| h.get("serve.request_us"))
-        .expect("serve.request_us histogram");
-    let count = hist.get("count").and_then(Json::as_f64).unwrap();
-    assert!(count >= 1.0, "count = {count}");
-    let p50 = hist.get("p50").and_then(Json::as_f64).unwrap();
-    let p99 = hist.get("p99").and_then(Json::as_f64).unwrap();
-    let max = hist.get("max").and_then(Json::as_f64).unwrap();
-    assert!(p50 <= p99 && p99 <= max, "p50={p50} p99={p99} max={max}");
+    let hist = at(metrics, &["histograms", "serve.request_us"]).expect("serve.request_us");
+    assert_sane_histogram(hist);
     // The solve stage landed in its own histogram (the request missed).
-    let solve = metrics
-        .get("histograms")
-        .and_then(|h| h.get("serve.solve_us"))
-        .expect("serve.solve_us histogram");
-    assert!(solve.get("count").and_then(Json::as_f64).unwrap() >= 1.0);
+    assert!(number(metrics, &["histograms", "serve.solve_us", "count"]) >= Some(1.0));
 
     // Self-monitoring gauges refreshed by the op.
     let gauges = metrics.get("gauges").expect("gauges object");
@@ -112,10 +78,7 @@ fn trace_op_exports_chrome_trace_of_recorded_requests() {
     // Before any select, the flight recorder is empty.
     let empty = client.trace_export("slowest", 1).unwrap();
     assert_eq!(status(&empty), "error");
-    assert_eq!(
-        empty.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("empty_flight")
-    );
+    assert_eq!(error_kind(&empty), Some("empty_flight"));
 
     let mut args = SelectArgs::kernel("gemm");
     args.n = Some(512);
@@ -150,12 +113,17 @@ fn trace_op_exports_chrome_trace_of_recorded_requests() {
     assert!(spans.contains(&("serve", "request")), "{spans:?}");
     assert!(spans.contains(&("serve", "solve")), "{spans:?}");
     assert!(spans.contains(&("smt", "maximize")), "{spans:?}");
-    // Histograms ride along as counter samples (no cat on C events).
-    let names: Vec<&str> = events
+    // Histograms ride along as counter samples (no cat on C events),
+    // with a count and quantile estimates that are sane.
+    let sample = events
         .iter()
-        .filter_map(|e| e.get("name").and_then(Json::as_str))
-        .collect();
-    assert!(names.contains(&"serve.request_us"), "{names:?}");
+        .find(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("C")
+                && e.get("name").and_then(Json::as_str) == Some("serve.request_us")
+        })
+        .and_then(|e| e.get("args"))
+        .expect("serve.request_us sample");
+    assert_sane_histogram(sample);
 
     // `recent` returns newest first; both requests are present.
     let recent = client.trace_export("recent", 8).unwrap();
@@ -249,19 +217,10 @@ fn garbage_ratio_past_threshold_triggers_auto_compaction() {
     });
     let mut client = connect(&handle);
     let reply = client.metrics().unwrap();
-    let metrics = reply.get("metrics").unwrap();
-    let compactions = metrics
-        .get("counters")
-        .and_then(|c| c.get("journal.auto_compactions"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    assert!(compactions >= 1.0, "startup compaction not counted");
-    let ratio = metrics
-        .get("gauges")
-        .and_then(|g| g.get("journal.garbage_ratio"))
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert_eq!(ratio, 0.0, "compaction reclaims all garbage");
+    let compactions = number(&reply, &["metrics", "counters", "journal.auto_compactions"]);
+    assert!(compactions >= Some(1.0), "startup compaction not counted");
+    let ratio = number(&reply, &["metrics", "gauges", "journal.garbage_ratio"]);
+    assert_eq!(ratio, Some(0.0), "compaction reclaims all garbage");
     handle.shutdown();
 
     // With auto-compaction disabled the garbage survives startup.
@@ -278,12 +237,7 @@ fn garbage_ratio_past_threshold_triggers_auto_compaction() {
     });
     let mut client = connect(&handle);
     let reply = client.metrics().unwrap();
-    let ratio = reply
-        .get("metrics")
-        .and_then(|m| m.get("gauges"))
-        .and_then(|g| g.get("journal.garbage_ratio"))
-        .and_then(Json::as_f64)
-        .unwrap();
+    let ratio = number(&reply, &["metrics", "gauges", "journal.garbage_ratio"]).unwrap();
     assert!(ratio > 0.4, "garbage kept when auto-compaction is off: {ratio}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

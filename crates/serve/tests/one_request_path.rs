@@ -4,23 +4,16 @@
 //! is the library's answer whatever the daemon served before; and a
 //! journal append that fails is visible rather than dropped.
 
+mod common;
+
+use common::{array_identity_select, connect, number, temp_dir, tiles};
 use eatss::{Eatss, EatssConfig, JournalConfig};
 use eatss_gpusim::GpuArch;
-use eatss_serve::client::{Client, SelectArgs};
-use eatss_serve::server::{start, ServerConfig, ServerHandle};
+use eatss_kernels::Dataset;
+use eatss_serve::client::SelectArgs;
+use eatss_serve::server::{start, ServerConfig};
 use eatss_trace::json::Json;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-fn connect(handle: &ServerHandle) -> Client {
-    Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).expect("connect")
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eatss-one-path-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn text<'a>(reply: &'a Json, field: &str) -> &'a str {
     reply.get(field).and_then(Json::as_str).unwrap_or("")
@@ -67,81 +60,90 @@ fn hit_raced_hit_and_fresh_solve_answer_alike() {
     handle.shutdown();
 }
 
-fn tiles(reply: &Json) -> Vec<i64> {
-    let tiles = reply.get("tiles").and_then(Json::as_array).expect("tiles");
-    tiles.iter().filter_map(Json::as_f64).map(|t| t as i64).collect()
+/// A select of `kernel` at uniform extent `size`, or at dataset `size`,
+/// with its split factor and warp fraction, and the library's tiles for
+/// it on the GA100 (the daemon's default device).
+fn select_and_library(kernel: &str, size: &str, split: f64, warp: f64) -> (SelectArgs, Vec<i64>) {
+    let bench = eatss_kernels::by_name(kernel).expect("registered");
+    let (n, sizes) = match size.parse() {
+        Ok(n) => (Some(n), bench.sizes_uniform(n)),
+        Err(_) if size == "xl" => (None, bench.sizes(Dataset::ExtraLarge)),
+        Err(_) => (None, bench.sizes(Dataset::Standard)),
+    };
+    let config = EatssConfig {
+        split_factor: split,
+        warp_fraction: warp,
+        ..EatssConfig::default()
+    };
+    let library = Eatss::new(GpuArch::ga100())
+        .select_tiles(&bench.program().expect("parses"), &sizes, &config)
+        .expect("feasible");
+    let args = SelectArgs {
+        n,
+        dataset: n.is_none().then(|| size.to_string()),
+        split: Some(split),
+        warp_frac: Some(warp),
+        ..SelectArgs::kernel(kernel)
+    };
+    (args, library.tiles.sizes().to_vec())
 }
 
 #[test]
 fn an_answer_does_not_depend_on_what_the_daemon_served_before() {
-    // The same program at another size and configuration, served first,
-    // must not steer the second request to another of its tied optima.
+    // Each program at another size and configuration, served first, must
+    // not steer a later request to another of its tied optima. The
+    // dataset-sized selects are the three `eatss` CLI runs
+    // `cli_verify.rs::cli_tiles_are_the_librarys` checks against the
+    // library too: CLI, library and daemon give one answer.
     let dir = temp_dir("history");
     let config = || ServerConfig {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
-    let select = |n, split, warp_frac| SelectArgs {
-        n: Some(n),
-        split: Some(split),
-        warp_frac: Some(warp_frac),
-        ..SelectArgs::kernel("gemm")
-    };
-    let (before, asked) = (select(64, 0.0, 0.125), select(128, 1.0, 0.5));
-
-    let gemm = eatss_kernels::by_name("gemm").expect("registered");
-    let library = Eatss::new(GpuArch::ga100())
-        .select_tiles(
-            &gemm.program().expect("parses"),
-            &gemm.sizes_uniform(128),
-            &EatssConfig {
-                split_factor: 1.0,
-                warp_fraction: 0.5,
-                ..EatssConfig::default()
-            },
-        )
-        .expect("feasible");
-    assert_eq!(library.tiles.sizes(), [96, 112, 64]);
+    let before = ["gemm", "2mm", "mvt"].map(|k| select_and_library(k, "64", 0.0, 0.125).0);
+    let asked = [
+        select_and_library("gemm", "128", 1.0, 0.5),
+        select_and_library("gemm", "standard", 1.0, 0.5),
+        select_and_library("2mm", "xl", 0.0, 0.25),
+        select_and_library("mvt", "standard", 0.5, 0.125),
+    ];
+    assert_eq!(asked[0].1, [96, 112, 64]);
 
     let handle = start(config()).unwrap();
     let mut client = connect(&handle);
-    assert_eq!(text(&client.select(&before).unwrap(), "status"), "ok");
-    let live = client.select(&asked).unwrap();
-    assert_eq!((text(&live, "status"), text(&live, "cache")), ("ok", "miss"));
-    assert_eq!(tiles(&live), library.tiles.sizes(), "live answer");
+    for args in &before {
+        assert_eq!(text(&client.select(args).unwrap(), "status"), "ok");
+    }
+    for (args, library) in &asked {
+        let live = client.select(args).unwrap();
+        assert_eq!((text(&live, "status"), text(&live, "cache")), ("ok", "miss"));
+        assert_eq!(&tiles(&live), library, "live answer to {}", args.to_line());
+    }
     handle.shutdown();
 
     // What was journaled is that same answer.
     let handle = start(config()).unwrap();
-    let replayed = connect(&handle).select(&asked).unwrap();
-    assert_eq!(text(&replayed, "cache"), "hit");
-    assert_eq!(tiles(&replayed), library.tiles.sizes(), "journaled answer");
+    let mut client = connect(&handle);
+    for (args, library) in &asked {
+        let replayed = client.select(args).unwrap();
+        assert_eq!(text(&replayed, "cache"), "hit");
+        assert_eq!(&tiles(&replayed), library, "journaled answer to {}", args.to_line());
+    }
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sources_that_differ_only_in_array_identity_get_their_own_answers() {
-    // Same shape, same name lengths; in the first every read shares one
-    // array (and so its cache lines), in the second none do — a different
-    // register constraint, a different optimum, and it must be a
-    // different cache entry.
-    let source = |reads: [&str; 4]| SelectArgs {
-        source: Some(format!(
-            "kernel k(N) {{ for (i: N) for (j: N) \
-             B[i][j] = {}[i][j] + {}[i][j+1] + {}[i][j+2] + {}[i][j+3]; }}",
-            reads[0], reads[1], reads[2], reads[3]
-        )),
-        n: Some(4000),
-        ..SelectArgs::default()
-    };
+    // In the first every read shares one array, in the second none do —
+    // a different optimum, and it must be a different cache entry.
     let handle = start(ServerConfig::default()).unwrap();
     let mut client = connect(&handle);
     for (reads, optimum) in [
         (["A", "A", "A", "A"], [384, 16]),
         (["A", "C", "D", "E"], [144, 16]),
     ] {
-        let reply = client.select(&source(reads)).unwrap();
+        let reply = client.select(&array_identity_select(reads)).unwrap();
         assert_eq!(
             (text(&reply, "status"), text(&reply, "cache")),
             ("ok", "miss"),
@@ -174,13 +176,8 @@ fn failed_journal_append_still_answers_but_is_counted_and_logged() {
     assert_eq!((text(&reply, "status"), text(&reply, "cache")), ("ok", "miss"));
 
     let metrics = client.metrics().unwrap();
-    let append_errors = metrics
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("journal.append_errors"))
-        .and_then(Json::as_f64)
-        .expect("journal.append_errors counter");
-    assert!(append_errors >= 1.0);
+    let append_errors = number(&metrics, &["metrics", "counters", "journal.append_errors"]);
+    assert!(append_errors >= Some(1.0));
     handle.shutdown();
 
     let log = std::fs::read_to_string(&log_path).unwrap();

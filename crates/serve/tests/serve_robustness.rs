@@ -1,35 +1,19 @@
 //! In-process robustness tests for the tuning daemon: protocol
 //! hardening, coalescing, overload shedding, panic isolation, deadline
-//! anytime behaviour, infeasible caching, unix sockets, graceful drain.
+//! anytime behaviour, infeasible caching, unix sockets, graceful drain,
+//! measurement faults, and all of it at once under seeded chaos.
 
+mod common;
+
+use common::{at, connect, error_kind, number, status, temp_dir, test_server, tiles};
+use eatss_gpusim::FaultPlan;
 use eatss_serve::client::{Client, SelectArgs};
-use eatss_serve::server::{start, Endpoint, ServerConfig, ServerHandle};
+use eatss_serve::server::{Endpoint, ServerConfig};
 use eatss_trace::json::Json;
-use std::path::PathBuf;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn test_server(mutate: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
-    let mut config = ServerConfig {
-        read_timeout: Duration::from_millis(400),
-        ..ServerConfig::default()
-    };
-    mutate(&mut config);
-    start(config).expect("server starts")
-}
-
-fn connect(handle: &ServerHandle) -> Client {
-    Client::connect_tcp(&handle.tcp_addr().unwrap().to_string()).expect("connect")
-}
-
-fn status(reply: &Json) -> &str {
-    reply.get("status").and_then(Json::as_str).unwrap_or("")
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eatss-serve-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[test]
 fn select_solves_and_second_request_hits() {
@@ -39,10 +23,7 @@ fn select_solves_and_second_request_hits() {
     args.n = Some(1024);
     let first = client.select(&args).unwrap();
     assert_eq!(status(&first), "ok");
-    assert_eq!(
-        first.get("provenance").and_then(Json::as_str),
-        Some("solved")
-    );
+    assert_eq!(first.get("provenance").and_then(Json::as_str), Some("solved"));
     assert_eq!(first.get("cache").and_then(Json::as_str), Some("miss"));
     let tiles = format!("{:?}", first.get("tiles").unwrap());
 
@@ -89,32 +70,27 @@ fn malformed_lines_get_typed_errors_and_connection_survives() {
 
     let reply = client.request_line("this is not json").unwrap();
     assert_eq!(status(&reply), "error");
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("bad_json")
-    );
+    assert_eq!(error_kind(&reply), Some("bad_json"));
 
     let reply = client.request_line("[1, 2, 3]").unwrap();
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("not_an_object")
-    );
+    assert_eq!(error_kind(&reply), Some("not_an_object"));
 
     let reply = client.request_line(r#"{"op": "select"}"#).unwrap();
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("missing_field")
-    );
+    assert_eq!(error_kind(&reply), Some("missing_field"));
 
     let reply = client
         .request_line(r#"{"kernel": "not-a-kernel"}"#)
         .unwrap();
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("unknown_kernel")
-    );
+    assert_eq!(error_kind(&reply), Some("unknown_kernel"));
 
-    // After four garbage lines the same connection still works.
+    // A `sizes` the daemon cannot use is an error, never a reason to
+    // answer for the default dataset instead.
+    let reply = client
+        .request_line(r#"{"kernel":"gemm","sizes":[1,2]}"#)
+        .unwrap();
+    assert_eq!(error_kind(&reply), Some("bad_field"), "{reply:?}");
+
+    // After five garbage lines the same connection still works.
     assert_eq!(status(&client.ping().unwrap()), "ok");
     handle.shutdown();
 }
@@ -126,10 +102,7 @@ fn oversized_frame_is_rejected_and_connection_closed() {
     client.write_raw(&vec![b'a'; 4096]).unwrap();
     let reply = client.read_response().unwrap();
     assert_eq!(status(&reply), "error");
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("frame_too_large")
-    );
+    assert_eq!(error_kind(&reply), Some("frame_too_large"));
     // Framing is lost: the server closes. A fresh connection works.
     let mut fresh = connect(&handle);
     assert_eq!(status(&fresh.ping().unwrap()), "ok");
@@ -151,10 +124,9 @@ fn slow_loris_is_cut_off_idle_keepalive_is_not() {
     loris.write_raw(b"{\"op\": \"sel").unwrap();
     std::thread::sleep(Duration::from_millis(700));
     let reply = loris.read_response().unwrap();
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("timeout")
-    );
+    assert_eq!(error_kind(&reply), Some("timeout"));
+    // The cut-off is an `error` reply, and counted as one.
+    assert_eq!(handle.stats().errors, 1);
     handle.shutdown();
 }
 
@@ -167,10 +139,7 @@ fn worker_panic_becomes_error_response_and_daemon_survives() {
     args.chaos = Some("panic".to_string());
     let reply = client.select(&args).unwrap();
     assert_eq!(status(&reply), "error");
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("worker_panic")
-    );
+    assert_eq!(error_kind(&reply), Some("worker_panic"));
     assert_eq!(handle.stats().panics_caught, 1);
 
     // Same connection, same worker pool: a real solve still succeeds.
@@ -208,7 +177,10 @@ fn overload_sheds_with_retry_hint() {
         let hint = r.get("retry_after_ms").and_then(Json::as_f64);
         assert!(hint.is_some_and(|ms| ms >= 50.0), "hint in {r:?}");
     }
-    assert_eq!(handle.stats().shed, shed.len() as u64);
+    let stats = handle.stats();
+    assert_eq!(stats.shed, shed.len() as u64);
+    // A shed is an `overloaded` reply, not an `error` one.
+    assert_eq!(stats.errors, 0);
     handle.shutdown();
 }
 
@@ -405,11 +377,9 @@ fn stats_op_reports_counters() {
     client.select(&args).unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(status(&stats), "ok");
-    let cache = stats.get("cache").expect("cache section");
-    assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));
-    assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(1.0));
-    let server = stats.get("server").expect("server section");
-    assert!(server.get("requests").and_then(Json::as_f64).unwrap() >= 3.0);
+    assert_eq!(number(&stats, &["cache", "hits"]), Some(1.0));
+    assert_eq!(number(&stats, &["cache", "misses"]), Some(1.0));
+    assert!(number(&stats, &["server", "requests"]) >= Some(3.0));
     handle.shutdown();
 }
 
@@ -467,15 +437,7 @@ fn pareto_does_not_answer_later_selects() {
     let select = client.select(&args).unwrap();
     assert_eq!(status(&select), "ok");
     assert_eq!(select.get("cache").and_then(Json::as_str), Some("miss"));
-    let tiles: Vec<i64> = select
-        .get("tiles")
-        .and_then(Json::as_array)
-        .expect("tiles")
-        .iter()
-        .filter_map(Json::as_f64)
-        .map(|t| t as i64)
-        .collect();
-    assert_eq!(tiles, library.tiles.sizes());
+    assert_eq!(tiles(&select), library.tiles.sizes());
     handle.shutdown();
 }
 
@@ -528,13 +490,9 @@ fn device_field_scopes_requests_and_rejects_unknown_names() {
         .request_line(r#"{"kernel": "gemm", "device": "tpu9"}"#)
         .unwrap();
     assert_eq!(status(&reply), "error");
-    let err = reply.get("error").expect("error body");
-    assert_eq!(err.get("kind").and_then(Json::as_str), Some("bad_field"));
-    assert!(err
-        .get("message")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("device"));
+    assert_eq!(error_kind(&reply), Some("bad_field"));
+    let message = at(&reply, &["error", "message"]).and_then(Json::as_str);
+    assert!(message.unwrap().contains("device"));
     handle.shutdown();
 }
 
@@ -552,10 +510,7 @@ fn select_without_kernel_or_source_is_typed_and_worker_survives() {
         .request_line(r#"{"op": "select", "n": 64}"#)
         .unwrap();
     assert_eq!(status(&reply), "error");
-    assert_eq!(
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-        Some("missing_field")
-    );
+    assert_eq!(error_kind(&reply), Some("missing_field"));
 
     assert_eq!(status(&client.ping().unwrap()), "ok");
     assert_eq!(handle.stats().panics_caught, 0, "no worker panic");
@@ -568,14 +523,8 @@ fn inline_source_is_parsed_and_timed_per_request() {
     let mut client = connect(&handle);
 
     let counter = |client: &mut Client, name: &str| -> f64 {
-        client
-            .metrics()
-            .unwrap()
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
+        let reply = client.metrics().unwrap();
+        number(&reply, &["metrics", "counters", name]).unwrap_or(0.0)
     };
     // Counters are process-global, so assert monotone deltas rather than
     // absolute values.
@@ -597,15 +546,161 @@ fn inline_source_is_parsed_and_timed_per_request() {
     );
 
     // The front-end stage has its own latency histogram.
-    let parse_us = client
-        .metrics()
-        .unwrap()
-        .get("metrics")
-        .and_then(|m| m.get("histograms"))
-        .and_then(|h| h.get("serve.parse_us"))
-        .and_then(|h| h.get("count"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
+    let reply = client.metrics().unwrap();
+    let parse_us = number(&reply, &["metrics", "histograms", "serve.parse_us", "count"]);
+    let parse_us = parse_us.unwrap_or(0.0);
     assert!(parse_us >= 2.0, "both selects time the parse stage: {parse_us}");
     handle.shutdown();
+}
+
+#[test]
+fn measurement_fault_is_an_eval_error_in_an_ok_reply() {
+    // Every simulated launch fails: the selection stands, its
+    // measurement is reported as the error it is.
+    let handle =
+        test_server(|c| c.fault_plan = Some(FaultPlan::new(1).with_rates(1.0, 0.0, 0.0)));
+    let mut client = connect(&handle);
+    let mut args = SelectArgs::kernel("gemm");
+    args.n = Some(512);
+    args.evaluate = true;
+    let faulted = client.select(&args).unwrap();
+    assert_eq!(status(&faulted), "ok", "{faulted:?}");
+    assert!(faulted.get("eval").is_none(), "{faulted:?}");
+    let eval_error = at(&faulted, &["eval_error", "kind"]).and_then(Json::as_str);
+    assert_eq!(eval_error, Some("measure"), "{faulted:?}");
+
+    // The same connection serves a clean select of the committed answer.
+    args.evaluate = false;
+    let clean = client.select(&args).unwrap();
+    assert_eq!(status(&clean), "ok");
+    assert_eq!(clean.get("cache").and_then(Json::as_str), Some("hit"));
+    assert_eq!(tiles(&clean), tiles(&faulted));
+    handle.shutdown();
+}
+
+fn pick<T: Copy>(rng: &mut StdRng, choices: &[T]) -> T {
+    choices[rng.gen_range(0..choices.len())]
+}
+
+/// One chaos client: `requests` selects drawn from `seed`. About one
+/// select in sixteen comes after each of a malformed line, an oversized
+/// frame, a mid-frame stall and a mid-frame hang-up; as many ask for a
+/// worker panic, a 1–3 ms deadline or a proved infeasibility; one in four
+/// asks for a measurement. Returns every select with its reply.
+fn chaos_client(
+    addr: &str,
+    seed: u64,
+    requests: usize,
+    stall: Duration,
+) -> Vec<(SelectArgs, Json)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let mut replies = Vec::with_capacity(requests);
+    for _ in 0..requests {
+        let kernel = pick(&mut rng, &["gemm", "atax", "bicg", "mvt", "gesummv"]);
+        let mut args = SelectArgs::kernel(kernel);
+        args.n = Some(pick(&mut rng, &[512, 1024, 2000]));
+        args.split = Some(pick(&mut rng, &[0.0, 0.5, 0.67]));
+        args.warp_frac = Some(pick(&mut rng, &[0.125, 0.25, 0.5, 1.0]));
+        args.evaluate = rng.gen_range(0..4u32) == 0;
+        match rng.gen_range(0..16u32) {
+            0 => {
+                let reply = client.request_line(r#"{"op": "select", not json"#).unwrap();
+                assert_eq!(error_kind(&reply), Some("bad_json"));
+            }
+            // The daemon answers these two, then closes the connection.
+            1 => {
+                let _ = client.write_raw(&vec![b'x'; 80 << 10]);
+                let _ = client.read_response();
+                client = Client::connect_tcp(addr).unwrap();
+            }
+            2 => {
+                let _ = client.write_raw(br#"{"op": "sel"#);
+                std::thread::sleep(stall);
+                let _ = client.read_response();
+                client = Client::connect_tcp(addr).unwrap();
+            }
+            3 => {
+                let _ = client.write_raw(br#"{"kernel": "ge"#);
+                client = Client::connect_tcp(addr).unwrap();
+            }
+            4 => args.chaos = Some("panic".to_string()),
+            5 => args.deadline_ms = Some(rng.gen_range(1..4u64)),
+            // WAF 16 exceeds extents of 8.
+            6 => args = SelectArgs { n: Some(8), ..SelectArgs::kernel("gemm") },
+            _ => {}
+        }
+        let reply = client.select(&args).expect("every select is answered");
+        replies.push((args, reply));
+    }
+    replies
+}
+
+#[test]
+fn concurrent_chaos_mix_keeps_the_daemon_answering_and_its_commits_durable() {
+    let dir = temp_dir("chaos");
+    let read_timeout = Duration::from_millis(100);
+    // Two workers and one queue slot: four concurrent misses shed one.
+    let chaotic = |c: &mut ServerConfig| {
+        c.cache_dir = Some(dir.clone());
+        c.workers = 2;
+        c.queue_capacity = 1;
+        c.max_frame_bytes = 64 << 10;
+        c.read_timeout = read_timeout;
+        c.allow_chaos = true;
+        c.fault_plan = Some(FaultPlan::new(7).with_rates(0.05, 0.05, 0.05));
+    };
+    let handle = test_server(chaotic);
+    let addr = handle.tcp_addr().unwrap().to_string();
+    let stall = read_timeout + Duration::from_millis(150);
+    let clients: Vec<_> = (0..4u64)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || chaos_client(&addr, 42 + i, 25, stall))
+        })
+        .collect();
+    let replies: Vec<(SelectArgs, Json)> =
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect();
+    assert_eq!(status(&connect(&handle).ping().unwrap()), "ok", "the daemon survived");
+
+    // What the daemon committed: proved infeasibilities and solved
+    // selections, keyed by the request without what the cache key ignores.
+    let mut committed: BTreeMap<String, (SelectArgs, String, String)> = BTreeMap::new();
+    for (args, reply) in &replies {
+        let committed_answer = match status(reply) {
+            "overloaded" => {
+                let hint = reply.get("retry_after_ms").and_then(Json::as_f64);
+                assert!(hint.is_some(), "shed without a retry hint: {reply:?}");
+                false
+            }
+            "ok" => reply.get("provenance").and_then(Json::as_str) == Some("solved"),
+            "infeasible" => true,
+            _ => false,
+        };
+        if committed_answer {
+            let plain = SelectArgs {
+                chaos: None,
+                deadline_ms: None,
+                evaluate: false,
+                ..args.clone()
+            };
+            let tiles = format!("{:?}", reply.get("tiles"));
+            let st = status(reply).to_string();
+            committed.entry(plain.to_line()).or_insert((plain, st, tiles));
+        }
+    }
+    assert!(!committed.is_empty(), "the mix committed nothing");
+    handle.shutdown();
+
+    // After a restart every committed answer is a hit, and the same one.
+    let handle = test_server(chaotic);
+    let mut client = connect(&handle);
+    for (args, st, tiles) in committed.values() {
+        let reply = client.select(args).unwrap();
+        assert_eq!(status(&reply), st, "{reply:?}");
+        assert_eq!(reply.get("cache").and_then(Json::as_str), Some("hit"), "{reply:?}");
+        assert_eq!(&format!("{:?}", reply.get("tiles")), tiles);
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
