@@ -4,18 +4,18 @@
 //! as the size grows, dynamic power takes over and the total saturates
 //! towards the TDP.
 
-use eatss::evaluate_program;
+use eatss::evaluate_program_with;
 use eatss_affine::tiling::TileConfig;
 use eatss_bench::table::fmt_f;
 use eatss_bench::Table;
-use eatss_gpusim::GpuArch;
+use eatss_gpusim::{Gpu, GpuArch};
 use eatss_ppcg::CompileOptions;
 
 fn main() {
-    let arch = GpuArch::ga100();
+    let gpu = Gpu::new(GpuArch::ga100());
     let b = eatss_kernels::by_name("gemm").expect("gemm registered");
     let program = b.program().expect("gemm parses");
-    let opts = CompileOptions::with_split(&arch, 0.5, 8);
+    let opts = CompileOptions::with_split(gpu.arch(), 0.5, 8);
     let mut t = Table::new(vec![
         "M=N=K",
         "const (W)",
@@ -28,8 +28,9 @@ fn main() {
     println!("Figure 1: GEMM power vs problem size on GA100 (default 32^3 tiles)\n");
     for n in (1000..=7000).step_by(1000) {
         let sizes = b.sizes_uniform(n);
-        let r = evaluate_program(&arch, &program, &TileConfig::ppcg_default(3), &sizes, &opts)
-            .expect("gemm compiles");
+        let tiles = TileConfig::ppcg_default(3);
+        let r =
+            evaluate_program_with(&gpu, &program, &tiles, &sizes, &opts, 1).expect("gemm compiles");
         t.row(vec![
             n.to_string(),
             fmt_f(r.constant_power_w),
@@ -44,6 +45,6 @@ fn main() {
     println!(
         "Shape check: dynamic power should grow with size and the total\n\
          should approach (and be capped at) the {:.0} W TDP.",
-        arch.tdp_w
+        gpu.arch().tdp_w
     );
 }

@@ -7,7 +7,7 @@ use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
 use eatss::Eatss;
 use eatss_bench::table::fmt_f;
 use eatss_bench::Table;
-use eatss_gpusim::GpuArch;
+use eatss_gpusim::{Gpu, GpuArch};
 use eatss_kernels::Dataset;
 use eatss_ppcg::TileSpace;
 use eatss_vendor::{measure, VendorOp};
@@ -45,13 +45,15 @@ fn column(
     // Table IV measurements follow the paper's methodology: every variant
     // is looped 100 times, so power is sampled at steady state (the
     // vendor model assumes the same looped benchmark).
-    let ours = eatss::evaluate_program_repeated(&arch, &program, &best.solution.tiles, &sizes, &opts, 100)
+    let gpu = Gpu::new(arch.clone());
+    let tiles = &best.solution.tiles;
+    let ours = eatss::evaluate_program_with(&gpu, &program, tiles, &sizes, &opts, 100)
         .expect("EATSS tiles compile");
     let space = TileSpace::evaluation_grid(program.max_depth());
     let measured: Vec<_> = space
         .iter()
         .filter_map(|tiles| {
-            eatss::evaluate_program_repeated(&arch, &program, &tiles, &sizes, &opts, 100)
+            eatss::evaluate_program_with(&gpu, &program, &tiles, &sizes, &opts, 100)
                 .ok()
                 .filter(|r| r.valid)
         })

@@ -2,7 +2,7 @@
 
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
-use eatss_gpusim::{stats, GpuArch, SimReport};
+use eatss_gpusim::{stats, Gpu, GpuArch, SimReport};
 use eatss_ppcg::{CompileOptions, TileSpace};
 
 /// One measured variant of the exploration space.
@@ -48,11 +48,12 @@ pub fn explore_space(
     space: &TileSpace,
     options: &CompileOptions,
 ) -> Vec<Variant> {
+    let gpu = Gpu::new(arch.clone());
     space
         .iter()
         .map(|tiles| {
             let report =
-                eatss::evaluate_program(arch, program, &tiles, sizes, options)
+                eatss::evaluate_program_with(&gpu, program, &tiles, sizes, options, 1)
                     .unwrap_or_else(|_| SimReport::invalid(&program.name));
             Variant { tiles, report }
         })
@@ -67,12 +68,13 @@ pub fn summarize(
     variants: &[Variant],
     options: &CompileOptions,
 ) -> BaselineSummary {
-    let default = eatss::evaluate_program(
-        arch,
+    let default = eatss::evaluate_program_with(
+        &Gpu::new(arch.clone()),
         program,
         &TileConfig::ppcg_default(program.max_depth()),
         sizes,
         options,
+        1,
     )
     .unwrap_or_else(|_| SimReport::invalid(&program.name));
     let valid: Vec<&SimReport> = variants

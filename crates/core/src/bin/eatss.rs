@@ -16,7 +16,8 @@
 //!   --fp32                     single precision (default: FP64)
 //!   --strict-cap               literal B_size <= T_P_B (default: virtual)
 //!   --size NAME=VALUE          bind a problem-size parameter of the kernel
-//!                              to a positive integer (repeatable)
+//!                              to a positive integer (repeatable, once per
+//!                              name)
 //!   --dataset standard|xl      use a registered benchmark's dataset
 //!   --sweep                    run the split x warp-fraction x cap sweep in
 //!                              FP64 and measure every point; the per-point
@@ -152,6 +153,9 @@ fn parse_args() -> Result<Options, String> {
                 let v: i64 = v.parse().map_err(|e| format!("--size {k}: {e}"))?;
                 if v < 1 {
                     return Err(format!("--size {k}: expected a positive integer, got {v}"));
+                }
+                if opts.sizes.iter().any(|(name, _)| name == k) {
+                    return Err(format!("--size {k}: given twice"));
                 }
                 opts.sizes.push((k.to_owned(), v));
             }

@@ -199,7 +199,7 @@ mod tests {
         assert!(e.to_string().contains("empty space"));
 
         let e = PipelineError::from_eatss(
-            EatssError::Solver(SolveError::DivisionByZero),
+            EatssError::Solver(SolveError::UnknownVariable("T0".into())),
             "gemm",
         );
         assert_eq!(e.stage(), PipelineStage::Solve);

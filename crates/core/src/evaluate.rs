@@ -2,7 +2,7 @@
 
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
-use eatss_gpusim::{Gpu, GpuArch, SimFault, SimReport};
+use eatss_gpusim::{Gpu, SimFault, SimReport};
 use eatss_ppcg::{CompileError, CompileOptions, Ppcg};
 use std::error::Error;
 use std::fmt;
@@ -42,56 +42,25 @@ impl From<SimFault> for EvaluateError {
 
 /// Maps `program` with `tiles` ([`Ppcg::map`] — the CUDA text
 /// [`Ppcg::compile`] would add is never read here, so it is not emitted)
-/// and measures it on the GPU model.
+/// and measures it on `gpu`, a device that may carry an injected
+/// [`FaultPlan`](eatss_gpusim::FaultPlan).
 ///
 /// Stencil time loops multiply the single-launch measurement by the
 /// launch count, and multi-kernel programs aggregate as a sequence —
 /// exactly how the paper's per-benchmark numbers combine kernel runs.
-///
-/// # Errors
-///
-/// Returns [`EvaluateError`] when compilation fails. An *unexecutable*
-/// configuration (block too large for an SM) is not an error: it yields
-/// an invalid [`SimReport`] (`valid == false`), mirroring a failed launch
-/// on real hardware.
-pub fn evaluate_program(
-    arch: &GpuArch,
-    program: &Program,
-    tiles: &TileConfig,
-    sizes: &ProblemSizes,
-    options: &CompileOptions,
-) -> Result<SimReport, EvaluateError> {
-    evaluate_program_repeated(arch, program, tiles, sizes, options, 1)
-}
-
-/// Like [`evaluate_program`], but models a measurement that loops the
-/// whole program `repeats` times back-to-back (the paper's §V-A
-/// methodology runs each variant 100 times): the clock-boost power ramp
-/// is computed over the looped duration, so long sessions report
-/// steady-state power, while the returned time/energy stay per-call.
-///
-/// # Errors
-///
-/// Same conditions as [`evaluate_program`].
-pub fn evaluate_program_repeated(
-    arch: &GpuArch,
-    program: &Program,
-    tiles: &TileConfig,
-    sizes: &ProblemSizes,
-    options: &CompileOptions,
-    repeats: i64,
-) -> Result<SimReport, EvaluateError> {
-    evaluate_program_with(&Gpu::new(arch.clone()), program, tiles, sizes, options, repeats)
-}
-
-/// Like [`evaluate_program_repeated`], but measures on a caller-supplied
-/// device — the entry point that lets a [`Gpu`] carrying an injected
-/// [`FaultPlan`](eatss_gpusim::FaultPlan) flow through the pipeline.
+/// `repeats` models a measurement that loops the whole program that many
+/// times back-to-back (the paper's §V-A methodology runs each variant 100
+/// times; 1 is a single run): the clock-boost power ramp is computed over
+/// the looped duration, so long sessions report steady-state power, while
+/// the returned time/energy stay per-call.
 ///
 /// # Errors
 ///
 /// [`EvaluateError::Compile`] when compilation fails and
 /// [`EvaluateError::Simulation`] when an injected fault aborts a launch.
+/// An *unexecutable* configuration (block too large for an SM) is not an
+/// error: it yields an invalid [`SimReport`] (`valid == false`),
+/// mirroring a failed launch on real hardware.
 pub fn evaluate_program_with(
     gpu: &Gpu,
     program: &Program,
@@ -148,6 +117,7 @@ pub fn evaluate_program_with(
 mod tests {
     use super::*;
     use eatss_affine::parser::parse_program;
+    use eatss_gpusim::GpuArch;
 
     fn mm() -> Program {
         parse_program(
@@ -161,14 +131,15 @@ mod tests {
 
     #[test]
     fn matmul_evaluates_to_sane_numbers() {
-        let arch = GpuArch::ga100();
+        let gpu = Gpu::new(GpuArch::ga100());
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
-        let r = evaluate_program(
-            &arch,
+        let r = evaluate_program_with(
+            &gpu,
             &mm(),
             &TileConfig::ppcg_default(3),
             &sizes,
             &CompileOptions::default(),
+            1,
         )
         .unwrap();
         assert!(r.valid);
@@ -180,7 +151,7 @@ mod tests {
 
     #[test]
     fn launch_count_scales_stencils() {
-        let arch = GpuArch::ga100();
+        let gpu = Gpu::new(GpuArch::ga100());
         let p = parse_program(
             "kernel jac(T, N) {
                for seq (t: T) for (i: N) for (j: N)
@@ -192,8 +163,8 @@ mod tests {
         let small = ProblemSizes::new([("T", 10), ("N", 1000)]);
         let large = ProblemSizes::new([("T", 100), ("N", 1000)]);
         let opts = CompileOptions::default();
-        let r_small = evaluate_program(&arch, &p, &tiles, &small, &opts).unwrap();
-        let r_large = evaluate_program(&arch, &p, &tiles, &large, &opts).unwrap();
+        let r_small = evaluate_program_with(&gpu, &p, &tiles, &small, &opts, 1).unwrap();
+        let r_large = evaluate_program_with(&gpu, &p, &tiles, &large, &opts, 1).unwrap();
         let ratio = r_large.time_s / r_small.time_s;
         assert!((9.0..11.0).contains(&ratio), "ratio {ratio}");
         // Rates are launch-invariant.
@@ -202,14 +173,15 @@ mod tests {
 
     #[test]
     fn unmappable_kernel_is_a_compile_error() {
-        let arch = GpuArch::ga100();
+        let gpu = Gpu::new(GpuArch::ga100());
         let p = parse_program("kernel s(N) { for (i: N) A[i] = A[i-1] + 1.0; }").unwrap();
-        let e = evaluate_program(
-            &arch,
+        let e = evaluate_program_with(
+            &gpu,
             &p,
             &TileConfig::ppcg_default(1),
             &ProblemSizes::new([("N", 100)]),
             &CompileOptions::default(),
+            1,
         )
         .unwrap_err();
         assert!(matches!(e, EvaluateError::Compile(_)));
@@ -220,18 +192,19 @@ mod tests {
     fn oversized_shared_is_invalid_not_error() {
         // A huge staged tile exceeds the per-SM shared memory: the launch
         // is reported invalid rather than failing compilation.
-        let arch = GpuArch::ga100();
+        let gpu = Gpu::new(GpuArch::ga100());
         let sizes = ProblemSizes::new([("M", 4000), ("N", 4000), ("P", 4000)]);
         let opts = CompileOptions {
             shared_budget_bytes: 4 * 1024 * 1024, // permissive budget
             ..CompileOptions::default()
         };
-        let r = evaluate_program(
-            &arch,
+        let r = evaluate_program_with(
+            &gpu,
             &mm(),
             &TileConfig::new(vec![512, 4, 512]), // A-tile = 512*512*8 = 2 MiB
             &sizes,
             &opts,
+            1,
         )
         .unwrap();
         assert!(!r.valid);

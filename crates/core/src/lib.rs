@@ -61,9 +61,7 @@ pub use cache::TileCache as PersistentTileCache;
 pub use journal::{Journal, JournalConfig, RecoveryStats, ReplayedEntries, SyncPolicy};
 pub use config::{ConfigRangeError, EatssConfig, Precision, ThreadBlockCap};
 pub use error::{PipelineError, PipelineStage};
-pub use evaluate::{
-    evaluate_program, evaluate_program_repeated, evaluate_program_with, EvaluateError,
-};
+pub use evaluate::{evaluate_program_with, EvaluateError};
 pub use model::{Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance};
 pub use sweep::{pareto_front, SweepOptions, SweepOutcome, SweepPoint};
 

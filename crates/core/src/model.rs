@@ -12,6 +12,7 @@ use eatss_smt::{
 };
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroI64;
 use std::time::{Duration, Instant};
 
 /// EATSS failures.
@@ -262,6 +263,8 @@ impl ModelGenerator {
         let mut solver = Solver::with_config(self.solver_config.clone());
         let mut tile_vars: Vec<Option<IntExpr>> = Vec::with_capacity(depth);
         let align = if self.ablation.no_warp_alignment { 1 } else { waf };
+        // `warp_alignment_factor` is at least 1, so it is always a modulus.
+        let alignment = NonZeroI64::new(waf).filter(|_| !self.ablation.no_warp_alignment);
         for d in 0..depth {
             if is_time[d] {
                 tile_vars.push(None);
@@ -269,8 +272,8 @@ impl ModelGenerator {
             }
             let candidates: Vec<i64> = (1..=upper[d] / align).map(|k| k * align).collect();
             let t = solver.int_var_in(&format!("T{d}"), Domain::from_values(candidates));
-            if !self.ablation.no_warp_alignment {
-                solver.assert(t.modulo(waf).eq_expr(0));
+            if let Some(m) = alignment {
+                solver.assert(t.modulo(m).eq_expr(0));
             }
             tile_vars.push(Some(t));
         }
@@ -457,7 +460,7 @@ impl EatssModel {
             .tile_vars
             .iter()
             .zip(solution.tiles.sizes())
-            .filter_map(|(var, &size)| Some(var.as_ref()?.eq_expr(size).not()));
+            .filter_map(|(var, &size)| Some(var.as_ref()?.ne_expr(size)));
         self.solver.assert(BoolExpr::any(differs));
         self.solver.assert(self.objective.eq_expr(solution.objective));
         let other = self.solver.check()?;

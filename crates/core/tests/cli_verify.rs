@@ -311,6 +311,19 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
             "{flag} {value}: no answer is printed"
         );
     }
+    // A parameter bound twice is refused in either order, not settled by
+    // which binding came last.
+    for (first, second) in [("NI=8", "NI=4000"), ("NI=4000", "NI=8")] {
+        let out = eatss()
+            .args(["gemm", "--size", first, "--size", second])
+            .output()
+            .expect("spawn eatss");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{first} {second}: {stderr}");
+        let refused = stderr.contains("--size NI: given twice") && stderr.contains("usage:");
+        assert!(refused, "{stderr}");
+        assert!(out.stdout.is_empty(), "{first} {second}: no answer");
+    }
     // A sweep picks its own splits, warp fractions and caps in FP64 and
     // measures every point: a per-point flag it would ignore is refused,
     // not answered with the sweep of another request.

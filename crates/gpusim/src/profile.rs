@@ -703,6 +703,13 @@ mod tests {
             DeviceProfile::from_json("{"),
             Err(ProfileError::Parse(_))
         ));
+        // A field given twice: no order of the two decides the device.
+        let repeated = good.replacen("\"tdp_w\": 30", "\"tdp_w\": 30, \"tdp_w\": 300", 1);
+        assert_ne!(repeated, good);
+        assert!(matches!(
+            DeviceProfile::from_json(&repeated),
+            Err(ProfileError::Parse(e)) if e.contains("repeated key \"tdp_w\"")
+        ));
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl Ppcg {
     /// Maps every kernel of a program under a (program-wide) tile
     /// configuration: one [`GpuMapping`] per kernel, in program order.
     ///
-    /// This is what measurement (`eatss::evaluate_program*`) and the
+    /// This is what measurement (`eatss::evaluate_program_with`) and the
     /// [`oracle`] consume — a mapping lowers to a simulator spec
     /// ([`GpuMapping::to_exec_spec`]) and is what the emulator executes —
     /// so neither pays for CUDA text. It needs only the architecture, hence

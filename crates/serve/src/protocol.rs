@@ -992,6 +992,18 @@ mod tests {
             parse_request("not json"),
             Err(ProtocolError::BadJson(_))
         ));
+        // A repeated key is refused in either order, nested or not: no key
+        // order decides which value a request means.
+        for line in [
+            r#"{"kernel": "gemm", "sizes": {"NI": 8, "NJ": 8, "NK": 8, "NI": 4000}}"#,
+            r#"{"kernel": "gemm", "sizes": {"NI": 4000, "NJ": 8, "NK": 8, "NI": 8}}"#,
+            r#"{"kernel": "gemm", "split": 0.5, "split": 0.9}"#,
+        ] {
+            match parse_request(line) {
+                Err(ProtocolError::BadJson(e)) => assert!(e.contains("repeated key"), "{e}"),
+                other => panic!("{line}: expected bad_json, got {other:?}"),
+            }
+        }
         assert!(matches!(
             parse_request("[1, 2]"),
             Err(ProtocolError::NotAnObject)

@@ -1,10 +1,13 @@
 //! Integer and boolean expression trees.
 //!
-//! Expressions are cheap, reference-counted trees built with ordinary Rust
-//! operators (`+`, `-`, `*`) plus comparison combinators, mirroring the way
-//! the paper's model generator emits Z3 terms.
+//! Expressions are cheap, reference-counted trees over the one fragment the
+//! EATSS formulation uses: sums, products and `mod` by a constant, compared
+//! with `<=`, `==` or `!=`, and disjunctions of such atoms. They are built
+//! with ordinary Rust operators (`+`, `*`) plus comparison combinators,
+//! mirroring the way the paper's model generator emits Z3 terms.
 
 use std::fmt;
+use std::num::NonZeroI64;
 use std::rc::Rc;
 
 /// Identifier of an integer variable registered with a
@@ -25,21 +28,17 @@ pub(crate) enum IntNode {
     Var(VarId, String),
     Add(Vec<IntExpr>),
     Mul(Vec<IntExpr>),
-    Sub(IntExpr, IntExpr),
-    Neg(IntExpr),
-    Div(IntExpr, IntExpr),
-    Mod(IntExpr, IntExpr),
-    Min(IntExpr, IntExpr),
-    Max(IntExpr, IntExpr),
+    Mod(IntExpr, NonZeroI64),
 }
 
 /// An integer-valued expression over solver variables.
 ///
 /// `IntExpr` is a cheaply clonable handle (internally `Rc`). Build leaves
 /// via [`Solver::int_var`](crate::Solver::int_var) and
-/// [`IntExpr::constant`], then combine with `+`, `-`, `*`,
-/// [`IntExpr::div`], [`IntExpr::modulo`], [`IntExpr::min`],
-/// [`IntExpr::max`], and compare with [`IntExpr::le`] and friends.
+/// [`IntExpr::constant`], then combine with `+`, `*` and
+/// [`IntExpr::modulo`], and compare with [`IntExpr::le`],
+/// [`IntExpr::eq_expr`] and [`IntExpr::ne_expr`]. A difference `a − b` is
+/// written `a + (−1)·b`, and `a < b` is `a + 1 <= b`.
 ///
 /// # Examples
 ///
@@ -67,9 +66,9 @@ impl IntExpr {
     /// Sum of an iterator of expressions (0 if empty).
     pub fn sum<I: IntoIterator<Item = IntExpr>>(terms: I) -> Self {
         let v: Vec<IntExpr> = terms.into_iter().collect();
-        match v.len() {
-            0 => IntExpr::constant(0),
-            1 => v.into_iter().next().expect("len checked"),
+        match v.as_slice() {
+            [] => IntExpr::constant(0),
+            [one] => one.clone(),
             _ => IntExpr(Rc::new(IntNode::Add(v))),
         }
     }
@@ -77,52 +76,22 @@ impl IntExpr {
     /// Product of an iterator of expressions (1 if empty).
     pub fn product<I: IntoIterator<Item = IntExpr>>(factors: I) -> Self {
         let v: Vec<IntExpr> = factors.into_iter().collect();
-        match v.len() {
-            0 => IntExpr::constant(1),
-            1 => v.into_iter().next().expect("len checked"),
+        match v.as_slice() {
+            [] => IntExpr::constant(1),
+            [one] => one.clone(),
             _ => IntExpr(Rc::new(IntNode::Mul(v))),
         }
     }
 
-    /// Euclidean division `self div rhs`.
-    pub fn div(&self, rhs: impl Into<IntExpr>) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Div(self.clone(), rhs.into())))
-    }
-
-    /// Euclidean remainder `self mod rhs` (always non-negative for a
-    /// positive modulus).
-    pub fn modulo(&self, rhs: impl Into<IntExpr>) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Mod(self.clone(), rhs.into())))
-    }
-
-    /// Pointwise minimum.
-    pub fn min(&self, rhs: impl Into<IntExpr>) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Min(self.clone(), rhs.into())))
-    }
-
-    /// Pointwise maximum.
-    pub fn max(&self, rhs: impl Into<IntExpr>) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Max(self.clone(), rhs.into())))
+    /// Euclidean remainder `self mod modulus`, in `[0, |modulus| - 1]`.
+    /// The modulus is a constant, and a zero one cannot be built.
+    pub fn modulo(&self, modulus: NonZeroI64) -> IntExpr {
+        IntExpr(Rc::new(IntNode::Mod(self.clone(), modulus)))
     }
 
     /// Constraint `self <= rhs`.
     pub fn le(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
         BoolExpr::cmp(CmpOp::Le, self.clone(), rhs.into())
-    }
-
-    /// Constraint `self < rhs`.
-    pub fn lt(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Lt, self.clone(), rhs.into())
-    }
-
-    /// Constraint `self >= rhs`.
-    pub fn ge(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Ge, self.clone(), rhs.into())
-    }
-
-    /// Constraint `self > rhs`.
-    pub fn gt(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Gt, self.clone(), rhs.into())
     }
 
     /// Constraint `self == rhs`.
@@ -131,6 +100,11 @@ impl IntExpr {
     /// resolution.
     pub fn eq_expr(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
         BoolExpr::cmp(CmpOp::Eq, self.clone(), rhs.into())
+    }
+
+    /// Constraint `self != rhs`.
+    pub fn ne_expr(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
+        BoolExpr::cmp(CmpOp::Ne, self.clone(), rhs.into())
     }
 
     /// Collects the variables mentioned by this expression into `out`
@@ -149,15 +123,7 @@ impl IntExpr {
                     x.each_var(f);
                 }
             }
-            IntNode::Sub(a, b)
-            | IntNode::Div(a, b)
-            | IntNode::Mod(a, b)
-            | IntNode::Min(a, b)
-            | IntNode::Max(a, b) => {
-                a.each_var(f);
-                b.each_var(f);
-            }
-            IntNode::Neg(a) => a.each_var(f),
+            IntNode::Mod(a, _) => a.each_var(f),
         }
     }
 }
@@ -181,24 +147,10 @@ impl std::ops::Add for IntExpr {
     }
 }
 
-impl std::ops::Sub for IntExpr {
-    type Output = IntExpr;
-    fn sub(self, rhs: IntExpr) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Sub(self, rhs)))
-    }
-}
-
 impl std::ops::Mul for IntExpr {
     type Output = IntExpr;
     fn mul(self, rhs: IntExpr) -> IntExpr {
         IntExpr(Rc::new(IntNode::Mul(vec![self, rhs])))
-    }
-}
-
-impl std::ops::Neg for IntExpr {
-    type Output = IntExpr;
-    fn neg(self) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Neg(self)))
     }
 }
 
@@ -227,12 +179,7 @@ impl fmt::Display for IntExpr {
                 }
                 write!(f, ")")
             }
-            IntNode::Sub(a, b) => write!(f, "({a} - {b})"),
-            IntNode::Neg(a) => write!(f, "(-{a})"),
-            IntNode::Div(a, b) => write!(f, "({a} div {b})"),
-            IntNode::Mod(a, b) => write!(f, "({a} mod {b})"),
-            IntNode::Min(a, b) => write!(f, "min({a}, {b})"),
-            IntNode::Max(a, b) => write!(f, "max({a}, {b})"),
+            IntNode::Mod(a, m) => write!(f, "({a} mod {m})"),
         }
     }
 }
@@ -242,12 +189,6 @@ impl fmt::Display for IntExpr {
 pub enum CmpOp {
     /// `<=`
     Le,
-    /// `<`
-    Lt,
-    /// `>=`
-    Ge,
-    /// `>`
-    Gt,
     /// `==`
     Eq,
     /// `!=`
@@ -258,9 +199,6 @@ impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             CmpOp::Le => "<=",
-            CmpOp::Lt => "<",
-            CmpOp::Ge => ">=",
-            CmpOp::Gt => ">",
             CmpOp::Eq => "==",
             CmpOp::Ne => "!=",
         };
@@ -270,26 +208,24 @@ impl fmt::Display for CmpOp {
 
 #[derive(Debug)]
 pub(crate) enum BoolNode {
-    True,
-    False,
     Cmp(CmpOp, IntExpr, IntExpr),
-    And(Vec<BoolExpr>),
+    /// A disjunction; with no disjuncts it is `false`.
     Or(Vec<BoolExpr>),
-    Not(BoolExpr),
-    Implies(BoolExpr, BoolExpr),
 }
 
-/// A boolean constraint over integer expressions.
+/// A boolean constraint over integer expressions: a comparison atom or a
+/// disjunction of constraints.
 ///
 /// # Examples
 ///
 /// ```
-/// use eatss_smt::{BoolExpr, Solver};
+/// use eatss_smt::{IntExpr, Solver};
 ///
 /// let mut s = Solver::new();
 /// let x = s.int_var("x", 0, 100);
-/// let c = x.ge(10).and(x.le(20)).or(x.eq_expr(0));
-/// s.assert(c);
+/// // x <= 20 and (x == 0 or 10 <= x): one assertion per conjunct.
+/// s.assert(x.le(20));
+/// s.assert(x.eq_expr(0).or(IntExpr::constant(10).le(&x)));
 /// let model = s.check()?.model.expect("satisfiable");
 /// let v = model.value_of_name("x").expect("x is bound");
 /// assert!(v == 0 || (10..=20).contains(&v));
@@ -299,23 +235,8 @@ pub(crate) enum BoolNode {
 pub struct BoolExpr(pub(crate) Rc<BoolNode>);
 
 impl BoolExpr {
-    /// The constant `true`.
-    pub fn tru() -> Self {
-        BoolExpr(Rc::new(BoolNode::True))
-    }
-
-    /// The constant `false`.
-    pub fn fals() -> Self {
-        BoolExpr(Rc::new(BoolNode::False))
-    }
-
     pub(crate) fn cmp(op: CmpOp, a: IntExpr, b: IntExpr) -> Self {
         BoolExpr(Rc::new(BoolNode::Cmp(op, a, b)))
-    }
-
-    /// Conjunction.
-    pub fn and(&self, rhs: BoolExpr) -> BoolExpr {
-        BoolExpr(Rc::new(BoolNode::And(vec![self.clone(), rhs])))
     }
 
     /// Disjunction.
@@ -323,32 +244,11 @@ impl BoolExpr {
         BoolExpr(Rc::new(BoolNode::Or(vec![self.clone(), rhs])))
     }
 
-    /// Negation.
-    pub fn not(&self) -> BoolExpr {
-        BoolExpr(Rc::new(BoolNode::Not(self.clone())))
-    }
-
-    /// Implication `self -> rhs`.
-    pub fn implies(&self, rhs: BoolExpr) -> BoolExpr {
-        BoolExpr(Rc::new(BoolNode::Implies(self.clone(), rhs)))
-    }
-
-    /// Conjunction of an iterator of constraints (`true` if empty).
-    pub fn all<I: IntoIterator<Item = BoolExpr>>(items: I) -> BoolExpr {
-        let v: Vec<BoolExpr> = items.into_iter().collect();
-        match v.len() {
-            0 => BoolExpr::tru(),
-            1 => v.into_iter().next().expect("len checked"),
-            _ => BoolExpr(Rc::new(BoolNode::And(v))),
-        }
-    }
-
     /// Disjunction of an iterator of constraints (`false` if empty).
     pub fn any<I: IntoIterator<Item = BoolExpr>>(items: I) -> BoolExpr {
         let v: Vec<BoolExpr> = items.into_iter().collect();
-        match v.len() {
-            0 => BoolExpr::fals(),
-            1 => v.into_iter().next().expect("len checked"),
+        match v.as_slice() {
+            [one] => one.clone(),
             _ => BoolExpr(Rc::new(BoolNode::Or(v))),
         }
     }
@@ -362,20 +262,14 @@ impl BoolExpr {
     /// Calls `f` on every variable occurrence, left to right.
     pub(crate) fn each_var(&self, f: &mut dyn FnMut(VarId, &str)) {
         match &*self.0 {
-            BoolNode::True | BoolNode::False => {}
             BoolNode::Cmp(_, a, b) => {
                 a.each_var(f);
                 b.each_var(f);
             }
-            BoolNode::And(xs) | BoolNode::Or(xs) => {
+            BoolNode::Or(xs) => {
                 for x in xs {
                     x.each_var(f);
                 }
-            }
-            BoolNode::Not(a) => a.each_var(f),
-            BoolNode::Implies(a, b) => {
-                a.each_var(f);
-                b.each_var(f);
             }
         }
     }
@@ -390,19 +284,8 @@ fn push_new(out: &mut Vec<VarId>, id: VarId) {
 impl fmt::Display for BoolExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &*self.0 {
-            BoolNode::True => write!(f, "true"),
-            BoolNode::False => write!(f, "false"),
             BoolNode::Cmp(op, a, b) => write!(f, "({a} {op} {b})"),
-            BoolNode::And(xs) => {
-                write!(f, "(")?;
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " and ")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                write!(f, ")")
-            }
+            BoolNode::Or(xs) if xs.is_empty() => write!(f, "false"),
             BoolNode::Or(xs) => {
                 write!(f, "(")?;
                 for (i, x) in xs.iter().enumerate() {
@@ -413,8 +296,6 @@ impl fmt::Display for BoolExpr {
                 }
                 write!(f, ")")
             }
-            BoolNode::Not(a) => write!(f, "(not {a})"),
-            BoolNode::Implies(a, b) => write!(f, "({a} => {b})"),
         }
     }
 }
@@ -429,10 +310,11 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 10);
         let y = s.int_var("y", 0, 10);
-        let e = (x.clone() + y.clone()) * IntExpr::constant(2) - x.modulo(3);
-        assert_eq!(e.to_string(), "(((x + y) * 2) - (x mod 3))");
-        let b = x.le(y.clone()).and(y.gt(0));
-        assert_eq!(b.to_string(), "((x <= y) and (y > 0))");
+        let three = NonZeroI64::new(3).unwrap();
+        let e = (x.clone() + y.clone()) * IntExpr::constant(2) + x.modulo(three);
+        assert_eq!(e.to_string(), "(((x + y) * 2) + (x mod 3))");
+        let b = x.le(y.clone()).or(y.ne_expr(0));
+        assert_eq!(b.to_string(), "((x <= y) or (y != 0))");
     }
 
     #[test]
@@ -449,21 +331,22 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 10);
         let y = s.int_var("y", 0, 10);
-        let e = x.clone() * y.clone() + x.clone() + y;
+        let e = x.clone() * y.clone() + x.clone() + y.clone();
         let mut vars = Vec::new();
         e.collect_vars(&mut vars);
         assert_eq!(vars.len(), 2);
         assert_eq!(vars[0].index(), 0);
         assert_eq!(vars[1].index(), 1);
-        let b = x.gt(0).not();
+        let b = y.eq_expr(0).or(x.le(y.clone() + x.clone()));
         let mut bv = Vec::new();
         b.collect_vars(&mut bv);
-        assert_eq!(bv.len(), 1);
+        assert_eq!(bv, vars.into_iter().rev().collect::<Vec<_>>());
     }
 
     #[test]
-    fn all_and_any_edge_cases() {
-        assert_eq!(BoolExpr::all([]).to_string(), "true");
+    fn any_edge_cases() {
         assert_eq!(BoolExpr::any([]).to_string(), "false");
+        let atom = IntExpr::constant(1).le(2);
+        assert_eq!(BoolExpr::any([atom.clone()]).to_string(), "(1 <= 2)");
     }
 }

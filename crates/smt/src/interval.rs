@@ -7,6 +7,7 @@
 //! search's leaf check and [`Model::eval`](crate::Model::eval) alike.
 
 use std::fmt;
+use std::num::NonZeroI64;
 
 /// A closed integer interval `[lo, hi]`.
 ///
@@ -57,9 +58,7 @@ impl Interval {
         Interval { lo: 1, hi: 0 }
     }
 
-    /// The whole `i64` range: any value at all. It is also what a `div` or
-    /// `mod` by a divisor that may be zero yields — an undefined value is
-    /// any value.
+    /// The whole `i64` range: any value at all.
     pub fn top() -> Self {
         Interval::new(i64::MIN, i64::MAX)
     }
@@ -89,83 +88,24 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Interval of Euclidean division `self div rhs`.
+    /// Interval of Euclidean remainder `self mod modulus`.
     ///
-    /// If `rhs` may be zero the result is [`Interval::top`]: the quotient
-    /// is undefined there, and an undefined value is any value. (A
-    /// [`Model`](crate::Model) reads a result that is not a single value as
-    /// [`SolveError::DivisionByZero`](crate::SolveError::DivisionByZero).)
-    pub fn div_euclid(self, rhs: Interval) -> Interval {
-        if self.is_empty() || rhs.is_empty() {
+    /// Within `[0, |modulus| - 1]`; exact on a singleton, and the tight
+    /// sub-range when the dividend spans fewer values than the modulus and
+    /// does not wrap.
+    pub fn rem_euclid(self, modulus: NonZeroI64) -> Interval {
+        if self.is_empty() {
             return Interval::empty();
         }
-        if rhs.contains(0) {
-            return Interval::top();
-        }
-        // rhs is entirely positive or entirely negative; the extrema of a
-        // monotone-by-parts function lie on corner combinations. Euclidean
-        // division is monotone in the dividend for fixed divisor, and the
-        // divisor extremes bound the quotient magnitude.
-        self.corners(rhs, i128::div_euclid)
-    }
-
-    /// The saturated span of `op` over the four corner pairs, each computed
-    /// exactly in `i128` (`MIN div -1` is `2^63`) — the whole image when
-    /// `op`'s extrema over the box lie on its corners.
-    fn corners(self, rhs: Interval, op: impl Fn(i128, i128) -> i128) -> Interval {
-        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
-        for a in [self.lo, self.hi] {
-            for b in [rhs.lo, rhs.hi] {
-                let v = op(a.into(), b.into());
-                (lo, hi) = (lo.min(v), hi.max(v));
-            }
-        }
-        Interval::new(clamp(lo), clamp(hi))
-    }
-
-    /// Interval of Euclidean remainder `self mod rhs`.
-    ///
-    /// [`Interval::top`] if `rhs` may be zero, as for
-    /// [`Interval::div_euclid`]. Otherwise the result is within
-    /// `[0, max|rhs| - 1]`; when both operands are singletons the remainder
-    /// is exact, and when the dividend interval spans fewer values than the
-    /// (singleton) modulus and does not wrap, the tight sub-range is
-    /// returned.
-    pub fn rem_euclid(self, rhs: Interval) -> Interval {
-        if self.is_empty() || rhs.is_empty() {
-            return Interval::empty();
-        }
-        if rhs.contains(0) {
-            return Interval::top();
-        }
-        // `|MIN|` is `2^63`: moduli are taken in `i128`, and every
-        // remainder below one fits an `i64`.
+        // `|MIN|` is `2^63`: the modulus is taken in `i128`, and every
+        // remainder below it fits an `i64`.
         let (lo, hi) = (i128::from(self.lo), i128::from(self.hi));
-        let m_max = i128::from(rhs.lo).abs().max(i128::from(rhs.hi).abs());
-        if rhs.is_singleton() {
-            let r_lo = lo.rem_euclid(m_max);
-            let r_hi = hi.rem_euclid(m_max);
-            if hi - lo < m_max && r_lo <= r_hi {
-                return Interval::new(r_lo as i64, r_hi as i64);
-            }
+        let m = i128::from(modulus.get()).abs();
+        let (r_lo, r_hi) = (lo.rem_euclid(m), hi.rem_euclid(m));
+        if hi - lo < m && r_lo <= r_hi {
+            return Interval::new(r_lo as i64, r_hi as i64);
         }
-        Interval::new(0, clamp(m_max - 1))
-    }
-
-    /// Pointwise minimum.
-    pub fn min(self, rhs: Interval) -> Interval {
-        if self.is_empty() || rhs.is_empty() {
-            return Interval::empty();
-        }
-        Interval::new(self.lo.min(rhs.lo), self.hi.min(rhs.hi))
-    }
-
-    /// Pointwise maximum.
-    pub fn max(self, rhs: Interval) -> Interval {
-        if self.is_empty() || rhs.is_empty() {
-            return Interval::empty();
-        }
-        Interval::new(self.lo.max(rhs.lo), self.hi.max(rhs.hi))
+        Interval::new(0, clamp(m - 1))
     }
 
     /// Intersection of two intervals.
@@ -189,43 +129,23 @@ impl std::ops::Add for Interval {
     }
 }
 
-impl std::ops::Sub for Interval {
-    type Output = Interval;
-
-    /// Interval difference.
-    fn sub(self, rhs: Interval) -> Interval {
-        if self.is_empty() || rhs.is_empty() {
-            return Interval::empty();
-        }
-        Interval::new(
-            clamp(self.lo as i128 - rhs.hi as i128),
-            clamp(self.hi as i128 - rhs.lo as i128),
-        )
-    }
-}
-
-impl std::ops::Neg for Interval {
-    type Output = Interval;
-
-    /// Interval negation.
-    fn neg(self) -> Interval {
-        if self.is_empty() {
-            return Interval::empty();
-        }
-        Interval::new(clamp(-i128::from(self.hi)), clamp(-i128::from(self.lo)))
-    }
-}
-
 impl std::ops::Mul for Interval {
     type Output = Interval;
 
-    /// Interval product (handles mixed signs via the four corner
-    /// products).
+    /// Interval product: the saturated span of the four corner products,
+    /// each exact in `i128` (mixed signs included).
     fn mul(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::empty();
         }
-        self.corners(rhs, |a, b| a * b)
+        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
+        for a in [self.lo, self.hi] {
+            for b in [rhs.lo, rhs.hi] {
+                let v = i128::from(a) * i128::from(b);
+                (lo, hi) = (lo.min(v), hi.max(v));
+            }
+        }
+        Interval::new(clamp(lo), clamp(hi))
     }
 }
 
@@ -243,12 +163,17 @@ impl fmt::Display for Interval {
 mod tests {
     use super::*;
 
+    fn modulus(m: i64) -> NonZeroI64 {
+        NonZeroI64::new(m).unwrap()
+    }
+
     #[test]
     fn add_and_sub_are_exact_on_small_intervals() {
         let a = Interval::new(1, 3);
         let b = Interval::new(-2, 4);
         assert_eq!(a + b, Interval::new(-1, 7));
-        assert_eq!(a - b, Interval::new(-3, 5));
+        // A difference is `a + (−1)·b`.
+        assert_eq!(a + Interval::singleton(-1) * b, Interval::new(-3, 5));
     }
 
     #[test]
@@ -272,65 +197,41 @@ mod tests {
         let a = Interval::new(0, 10);
         assert!((e + a).is_empty());
         assert!((a * e).is_empty());
-        assert!((-e).is_empty());
-    }
-
-    #[test]
-    fn div_by_interval_containing_zero_is_top() {
-        let a = Interval::new(10, 20);
-        assert_eq!(Interval::top(), Interval::new(i64::MIN, i64::MAX));
-        for b in [Interval::new(-1, 1), Interval::singleton(0)] {
-            assert_eq!(a.div_euclid(b), Interval::top());
-            assert_eq!(a.rem_euclid(b), Interval::top());
-        }
-    }
-
-    #[test]
-    fn div_positive_is_tight_on_corners() {
-        let a = Interval::new(10, 21);
-        let b = Interval::new(2, 5);
-        assert_eq!(a.div_euclid(b), Interval::new(2, 10));
+        assert!(e.rem_euclid(modulus(16)).is_empty());
     }
 
     #[test]
     fn rem_singleton_is_exact() {
-        assert_eq!(
-            Interval::singleton(37).rem_euclid(Interval::singleton(16)),
-            Interval::singleton(5)
-        );
-        assert_eq!(
-            Interval::singleton(-3).rem_euclid(Interval::singleton(16)),
-            Interval::singleton(13)
-        );
+        let point = Interval::singleton;
+        assert_eq!(point(37).rem_euclid(modulus(16)), point(5));
+        assert_eq!(point(-3).rem_euclid(modulus(16)), point(13));
+        assert_eq!(point(-3).rem_euclid(modulus(-16)), point(13));
     }
 
     #[test]
     fn rem_narrow_dividend_is_tight() {
         // [33, 35] mod 16 = [1, 3]
-        assert_eq!(
-            Interval::new(33, 35).rem_euclid(Interval::singleton(16)),
-            Interval::new(1, 3)
-        );
+        let narrow = Interval::new(33, 35);
+        assert_eq!(narrow.rem_euclid(modulus(16)), Interval::new(1, 3));
         // Wrapping case falls back to [0, 15].
-        assert_eq!(
-            Interval::new(30, 35).rem_euclid(Interval::singleton(16)),
-            Interval::new(0, 15)
-        );
+        let wide = Interval::new(30, 35);
+        assert_eq!(wide.rem_euclid(modulus(16)), Interval::new(0, 15));
     }
 
     #[test]
     fn saturation_does_not_panic() {
-        let max = Interval::singleton(i64::MAX);
+        let (min, max) = (Interval::singleton(i64::MIN), Interval::singleton(i64::MAX));
         let a = Interval::singleton(i64::MAX / 8);
         assert_eq!(a * a, max);
         assert_eq!(max + max, max);
-        assert_eq!(-max - max, Interval::singleton(i64::MIN));
-        assert_eq!(-Interval::singleton(i64::MIN), max);
+        assert_eq!(min + min, min);
+        assert_eq!(min * Interval::singleton(-1), max);
     }
 
     /// Every operator over every interval with endpoints drawn from the
-    /// `i64` extremes: nothing panics, and the result holds the exact
-    /// (`i128`) value, saturated to `i64`, at every sampled point.
+    /// `i64` extremes, `mod` by every non-zero extreme: nothing panics, and
+    /// the result holds the exact (`i128`) value, saturated to `i64`, at
+    /// every sampled point.
     #[test]
     fn no_operator_panics_on_any_endpoint() {
         const ENDS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
@@ -341,27 +242,27 @@ mod tests {
         }
         let points = |i: Interval| ENDS.into_iter().filter(move |&v| i.contains(v));
         type Op = fn(Interval, Interval) -> Interval;
-        type Exact = fn(i128, i128) -> Option<i128>;
-        let ops: [(&str, Op, Exact); 8] = [
-            ("+", |a, b| a + b, i128::checked_add),
-            ("-", |a, b| a - b, i128::checked_sub),
-            ("*", |a, b| a * b, i128::checked_mul),
-            ("div", Interval::div_euclid, i128::checked_div_euclid),
-            ("mod", Interval::rem_euclid, i128::checked_rem_euclid),
-            ("min", Interval::min, |x, y| Some(x.min(y))),
-            ("max", Interval::max, |x, y| Some(x.max(y))),
-            ("neg-of-left", |a, _| -a, |x, _| Some(-x)),
+        type Exact = fn(i128, i128) -> i128;
+        let ops: [(&str, Op, Exact); 2] = [
+            ("+", |a, b| a + b, |x, y| x + y),
+            ("*", |a, b| a * b, |x, y| x * y),
         ];
         for &a in &intervals {
             for &b in &intervals {
                 for (name, op, exact) in ops {
                     let result = op(a, b);
                     for (x, y) in points(a).flat_map(|x| points(b).map(move |y| (x, y))) {
-                        if let Some(v) = exact(x.into(), y.into()) {
-                            let hit = result.contains(clamp(v));
-                            assert!(hit, "{a} {name} {b} = {result} misses {x} {name} {y}");
-                        }
+                        let hit = result.contains(clamp(exact(x.into(), y.into())));
+                        assert!(hit, "{a} {name} {b} = {result} misses {x} {name} {y}");
                     }
+                }
+            }
+            for m in ENDS.into_iter().filter_map(NonZeroI64::new) {
+                let result = a.rem_euclid(m);
+                for x in points(a) {
+                    let exact = i128::from(x).rem_euclid(i128::from(m.get()));
+                    let hit = result.contains(clamp(exact));
+                    assert!(hit, "{a} mod {m} = {result} misses {x} mod {m}");
                 }
             }
         }
@@ -376,13 +277,5 @@ mod tests {
         for v in 0..=20 {
             assert_eq!(c.contains(v), a.contains(v) && b.contains(v));
         }
-    }
-
-    #[test]
-    fn min_max_are_pointwise() {
-        let a = Interval::new(1, 10);
-        let b = Interval::new(4, 6);
-        assert_eq!(a.min(b), Interval::new(1, 6));
-        assert_eq!(a.max(b), Interval::new(4, 10));
     }
 }

@@ -4,8 +4,12 @@
 //!
 //! The EATSS tile-size formulations only ever involve a handful of integer
 //! variables, each bounded by a small interval (tile sizes live in
-//! `[1, T_P_B]` and are multiples of the warp-alignment factor), combined
-//! with products, sums and comparisons. Over such *finite* domains a
+//! `[1, T_P_B]` and are multiples of the warp-alignment factor), and one
+//! fragment of arithmetic: sums and products of tiles, `mod` by a constant
+//! (the alignment), compared by `<=` against a capacity or by `==`/`!=`,
+//! and disjunctions of such atoms. That fragment is the whole language —
+//! a difference is written `a + (−1)·b`, `a < b` is `a + 1 <= b`, a
+//! conjunction is one assertion per conjunct. Over such *finite* domains a
 //! propagation + depth-first branch-and-prune search is sound and complete,
 //! so it finds exactly the same satisfiable assignments Z3 would.
 //!
@@ -25,13 +29,15 @@
 //!
 //! ```
 //! use eatss_smt::Solver;
+//! use std::num::NonZeroI64;
 //!
 //! let mut s = Solver::new();
 //! let ti = s.int_var("Ti", 1, 1024);
 //! let tj = s.int_var("Tj", 1, 1024);
 //! // Tile sizes are multiples of the warp-alignment factor (16).
-//! s.assert(ti.modulo(16).eq_expr(0));
-//! s.assert(tj.modulo(16).eq_expr(0));
+//! let waf = NonZeroI64::new(16).expect("non-zero");
+//! s.assert(ti.modulo(waf).eq_expr(0));
+//! s.assert(tj.modulo(waf).eq_expr(0));
 //! // L1 capacity: Ti*Tj <= 4096 elements.
 //! s.assert((ti.clone() * tj.clone()).le(4096));
 //! // Maximize the parallelism term.
@@ -43,6 +49,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod domain;
 mod expr;

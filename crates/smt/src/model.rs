@@ -69,11 +69,10 @@ impl Model {
     /// # Errors
     ///
     /// Returns [`SolveError::UnknownVariable`] if the expression mentions a
-    /// variable not registered with the solver that produced this model,
-    /// and [`SolveError::DivisionByZero`] if its value is not one number —
-    /// which only a `div`/`mod` by zero makes it.
+    /// variable not registered with the solver that produced this model.
     pub fn eval(&self, expr: &IntExpr) -> Result<i64, SolveError> {
-        value_at(expr, self.point(|f| expr.each_var(f))?).ok_or(SolveError::DivisionByZero)
+        known_vars(|f| expr.each_var(f), self.point.len())?;
+        Ok(value_at(expr, &self.point))
     }
 
     /// Evaluates a boolean constraint under this assignment, as the search
@@ -83,27 +82,24 @@ impl Model {
     ///
     /// Same conditions as [`Model::eval`].
     pub fn eval_bool(&self, expr: &BoolExpr) -> Result<bool, SolveError> {
-        match tri_bool(expr, self.point(|f| expr.each_var(f))?) {
-            Tri::True => Ok(true),
-            Tri::False => Ok(false),
-            Tri::Unknown => Err(SolveError::DivisionByZero),
-        }
+        known_vars(|f| expr.each_var(f), self.point.len())?;
+        Ok(tri_bool(expr, &self.point) == Tri::True)
     }
+}
 
-    /// The assignment's singleton hulls, once every variable `each_var`
-    /// visits is known to be one of this model's.
-    fn point(
-        &self,
-        each_var: impl FnOnce(&mut dyn FnMut(VarId, &str)),
-    ) -> Result<&[Interval], SolveError> {
-        let mut foreign = None;
-        each_var(&mut |id, name| {
-            if id.index() >= self.point.len() {
-                foreign.get_or_insert_with(|| name.to_owned());
-            }
-        });
-        foreign.map_or(Ok(&self.point), |n| Err(SolveError::UnknownVariable(n)))
-    }
+/// `Ok` when every variable `each_var` visits is one of the first `count`
+/// registered; otherwise the first foreign one, by name.
+pub(crate) fn known_vars(
+    each_var: impl FnOnce(&mut dyn FnMut(VarId, &str)),
+    count: usize,
+) -> Result<(), SolveError> {
+    let mut foreign = None;
+    each_var(&mut |id, name| {
+        if id.index() >= count {
+            foreign.get_or_insert_with(|| name.to_owned());
+        }
+    });
+    foreign.map_or(Ok(()), |n| Err(SolveError::UnknownVariable(n)))
 }
 
 impl fmt::Display for Model {
@@ -124,6 +120,7 @@ mod tests {
     use super::*;
     use crate::Solver;
     use proptest::prelude::TestRng;
+    use std::num::NonZeroI64;
 
     fn fixed_model() -> (Model, IntExpr, IntExpr) {
         let mut s = Solver::new();
@@ -137,41 +134,33 @@ mod tests {
         (m, x, y)
     }
 
+    fn modulus(m: i64) -> NonZeroI64 {
+        NonZeroI64::new(m).unwrap()
+    }
+
     #[test]
     fn eval_arithmetic() {
         let (m, x, y) = fixed_model();
+        let minus_one = IntExpr::constant(-1);
         assert_eq!(m.eval(&(x.clone() + y.clone())).unwrap(), 10);
-        assert_eq!(m.eval(&(x.clone() - y.clone())).unwrap(), 4);
+        let difference = x.clone() + minus_one.clone() * y.clone();
+        assert_eq!(m.eval(&difference).unwrap(), 4);
         assert_eq!(m.eval(&(x.clone() * y.clone())).unwrap(), 21);
-        assert_eq!(m.eval(&x.div(y.clone())).unwrap(), 2);
-        assert_eq!(m.eval(&x.modulo(y.clone())).unwrap(), 1);
-        assert_eq!(m.eval(&x.min(y.clone())).unwrap(), 3);
-        assert_eq!(m.eval(&x.max(y.clone())).unwrap(), 7);
-        assert_eq!(m.eval(&(-x)).unwrap(), -7);
-        assert_eq!(m.eval(&-IntExpr::constant(i64::MIN)).unwrap(), i64::MAX);
+        assert_eq!(m.eval(&x.modulo(modulus(3))).unwrap(), 1);
+        assert_eq!(m.eval(&(minus_one.clone() * x)).unwrap(), -7);
+        let min = IntExpr::constant(i64::MIN);
+        assert_eq!(m.eval(&(minus_one * min)).unwrap(), i64::MAX);
     }
 
     #[test]
     fn eval_bool_connectives() {
         let (m, x, y) = fixed_model();
-        assert!(m.eval_bool(&x.gt(y.clone())).unwrap());
-        assert!(m.eval_bool(&x.gt(y.clone()).and(y.ge(3))).unwrap());
-        assert!(m.eval_bool(&x.lt(y.clone()).or(y.eq_expr(3))).unwrap());
-        assert!(m.eval_bool(&x.lt(y.clone()).not()).unwrap());
-        assert!(m.eval_bool(&x.lt(y.clone()).implies(y.gt(100))).unwrap());
-        assert!(!m.eval_bool(&x.gt(y).implies(x.eq_expr(0))).unwrap());
-    }
-
-    #[test]
-    fn division_by_zero_is_reported() {
-        use SolveError::DivisionByZero;
-        let (m, x, _) = fixed_model();
-        for dividend in [x, IntExpr::constant(i64::MIN), IntExpr::constant(i64::MAX)] {
-            for e in [dividend.div(0), dividend.modulo(0)] {
-                assert_eq!(m.eval(&e), Err(DivisionByZero), "{e}");
-                assert_eq!(m.eval_bool(&e.eq_expr(1)), Err(DivisionByZero), "{e}");
-            }
-        }
+        let one = IntExpr::constant(1);
+        assert!(m.eval_bool(&(y.clone() + one).le(&x)).unwrap());
+        assert!(m.eval_bool(&x.le(y.clone()).or(y.eq_expr(3))).unwrap());
+        assert!(m.eval_bool(&x.ne_expr(y.clone())).unwrap());
+        assert!(!m.eval_bool(&x.le(y.clone()).or(x.eq_expr(0))).unwrap());
+        assert!(!m.eval_bool(&BoolExpr::any([])).unwrap());
     }
 
     const MIN: i64 = i64::MIN;
@@ -184,80 +173,65 @@ mod tests {
 
     /// Variables, each with its value.
     type Vars = [(IntExpr, i64)];
-    /// A reference operation: exact in `i128`, `None` for a zero divisor.
-    type Op = fn(i128, i128) -> Option<i128>;
 
     fn pick(rng: &mut TestRng, n: usize) -> usize {
         (rng.next_u64() % n as u64) as usize
     }
 
-    /// The reference semantics: `op`, saturated to `i64`; `None` once an
-    /// operand is, or a divisor is zero.
-    fn apply(op: Op, x: Option<i64>, y: Option<i64>) -> Option<i64> {
-        let exact = op(x?.into(), y?.into())?;
-        Some(exact.clamp(MIN.into(), MAX.into()) as i64)
+    /// The reference semantics: `op` exact in `i128`, saturated to `i64`.
+    fn apply(op: fn(i128, i128) -> i128, x: i64, y: i64) -> i64 {
+        op(x.into(), y.into()).clamp(MIN.into(), MAX.into()) as i64
     }
 
     /// A random tree over `vars` — the shapes of `search.rs`'s `any_expr`,
     /// plus a three-term sum and product — and its reference value.
-    fn any_expr(rng: &mut TestRng, vars: &Vars, depth: u32) -> (IntExpr, Option<i64>) {
+    fn any_expr(rng: &mut TestRng, vars: &Vars, depth: u32) -> (IntExpr, i64) {
         if depth == 0 || pick(rng, 4) == 0 {
             let (var, value) = vars[pick(rng, vars.len())].clone();
             let constant = VALUES[pick(rng, VALUES.len())];
             return match pick(rng, 2) {
-                0 => (var, Some(value)),
-                _ => (IntExpr::constant(constant), Some(constant)),
+                0 => (var, value),
+                _ => (IntExpr::constant(constant), constant),
             };
         }
         let (a, av) = any_expr(rng, vars, depth - 1);
         let (b, bv) = any_expr(rng, vars, depth - 1);
         let (c, cv) = any_expr(rng, vars, depth - 1);
         let abc = [a.clone(), b.clone(), c];
-        let (add, mul): (Op, Op) = (i128::checked_add, i128::checked_mul);
-        match pick(rng, 10) {
+        let add: fn(i128, i128) -> i128 = |x, y| x + y;
+        let mul: fn(i128, i128) -> i128 = |x, y| x * y;
+        let m = VALUES[pick(rng, VALUES.len())];
+        match pick(rng, 5) {
             0 => (a + b, apply(add, av, bv)),
             1 => (a * b, apply(mul, av, bv)),
-            2 => (a - b, apply(i128::checked_sub, av, bv)),
-            3 => (-a, apply(i128::checked_sub, Some(0), av)),
-            4 => (a.min(b), apply(|x, y| Some(x.min(y)), av, bv)),
-            5 => (a.max(b), apply(|x, y| Some(x.max(y)), av, bv)),
-            6 => (a.div(b), apply(i128::checked_div_euclid, av, bv)),
-            7 => (a.modulo(b), apply(i128::checked_rem_euclid, av, bv)),
-            8 => (IntExpr::sum(abc), apply(add, apply(add, av, bv), cv)),
+            2 => match NonZeroI64::new(m) {
+                Some(m) => (a.modulo(m), apply(i128::rem_euclid, av, m.get())),
+                None => (a, av),
+            },
+            3 => (IntExpr::sum(abc), apply(add, apply(add, av, bv), cv)),
             _ => (IntExpr::product(abc), apply(mul, apply(mul, av, bv), cv)),
         }
     }
 
     /// A random constraint and its reference verdict.
-    fn any_bool(rng: &mut TestRng, vars: &Vars, depth: u32) -> (BoolExpr, Option<bool>) {
+    fn any_bool(rng: &mut TestRng, vars: &Vars, depth: u32) -> (BoolExpr, bool) {
         if depth == 0 || pick(rng, 3) == 0 {
             let ((a, av), (b, bv)) = (any_expr(rng, vars, 3), any_expr(rng, vars, 2));
-            let cmp = |op: fn(&i64, &i64) -> bool| Some(op(&av?, &bv?));
-            return match pick(rng, 6) {
-                0 => (a.le(b), cmp(i64::le)),
-                1 => (a.lt(b), cmp(i64::lt)),
-                2 => (a.ge(b), cmp(i64::ge)),
-                3 => (a.gt(b), cmp(i64::gt)),
-                4 => (a.eq_expr(b), cmp(i64::eq)),
-                _ => (a.eq_expr(b).not(), cmp(i64::ne)),
+            return match pick(rng, 3) {
+                0 => (a.le(b), av <= bv),
+                1 => (a.eq_expr(b), av == bv),
+                _ => (a.ne_expr(b), av != bv),
             };
         }
         let (p, pv) = any_bool(rng, vars, depth - 1);
         let (q, qv) = any_bool(rng, vars, depth - 1);
-        let pq = |op: fn(bool, bool) -> bool| Some(op(pv?, qv?));
-        match pick(rng, 4) {
-            0 => (p.and(q), pq(|x, y| x && y)),
-            1 => (p.or(q), pq(|x, y| x || y)),
-            2 => (p.implies(q), pq(|x, y| !x || y)),
-            _ => (p.not(), pv.map(|x| !x)),
-        }
+        (p.or(q), pv || qv)
     }
 
     #[test]
     fn eval_is_the_saturating_point_semantics() {
         let names = vec!["u".to_owned(), "v".to_owned(), "w".to_owned()];
         let var = |i: usize| IntExpr::var(VarId(i as u32), &names[i]);
-        let mut compared = 0;
         for case in 0..4000 {
             let rng = &mut TestRng::for_case("model_eval", case);
             let values = [(); 3].map(|()| VALUES[pick(rng, VALUES.len())]);
@@ -265,14 +239,9 @@ mod tests {
             let model = Model::new(values.to_vec(), names.clone());
             let (expr, v) = any_expr(rng, &vars, 4);
             let (constraint, b) = any_bool(rng, &vars, 2);
-            // Where the reference meets a zero divisor, only no panic.
-            let got_v = model.eval(&expr).ok();
-            let got_b = model.eval_bool(&constraint).ok();
-            assert!(v.is_none() || got_v == v, "{expr} under {model}");
-            assert!(b.is_none() || got_b == b, "{constraint} under {model}");
-            compared += usize::from(v.is_some()) + usize::from(b.is_some());
+            assert_eq!(model.eval(&expr), Ok(v), "{expr} under {model}");
+            assert_eq!(model.eval_bool(&constraint), Ok(b), "{constraint}, {model}");
         }
-        assert!(compared > 4000, "only {compared} cases compared");
     }
 
     #[test]
@@ -303,7 +272,7 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", -7, -7);
         let m = s.check().unwrap().model.unwrap();
-        assert_eq!(m.eval(&x.modulo(3)).unwrap(), 2);
-        assert_eq!(m.eval(&x.div(3)).unwrap(), -3);
+        assert_eq!(m.eval(&x.modulo(modulus(3))).unwrap(), 2);
+        assert_eq!(m.eval(&x.modulo(modulus(-3))).unwrap(), 2);
     }
 }

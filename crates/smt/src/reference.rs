@@ -169,11 +169,16 @@ pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximiz
         match outcome.model {
             Some(model) => {
                 let value = model.eval(objective)?;
-                let improve = objective.gt(value);
+                best = Some((value, model));
+                // `OBJ > best`, as `best + 1 <= OBJ`; nothing exceeds
+                // `i64::MAX`.
+                let Some(next) = value.checked_add(1) else {
+                    break;
+                };
+                let improve = IntExpr::constant(next).le(objective);
                 let mut vars = Vec::new();
                 improve.collect_vars(&mut vars);
                 constraints.push((improve, vars));
-                best = Some((value, model));
             }
             None => break,
         }
@@ -198,10 +203,10 @@ mod tests {
     fn reference_check_agrees_on_sat_and_unsat() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 10);
-        s.assert(x.ge(5));
+        s.assert(IntExpr::constant(5).le(&x));
         let r = check(&s).unwrap();
         assert!(r.model.is_some());
-        s.assert(x.lt(5));
+        s.assert((x.clone() + IntExpr::constant(1)).le(5));
         let r = check(&s).unwrap();
         assert!(r.model.is_none());
         assert!(r.nodes <= 10);

@@ -67,10 +67,6 @@ impl Tri {
             _ => Tri::Unknown,
         }
     }
-
-    fn not(self) -> Tri {
-        Tri::of(self == Tri::False, self == Tri::True)
-    }
 }
 
 /// Poll the clock/cancel flag every this many search nodes — often enough
@@ -138,9 +134,10 @@ impl Polarity {
 /// Syntactic polarity of `expr` in `var`. `hulls` are the search's base
 /// hulls: domains only shrink, so a factor that is non-negative over them
 /// stays non-negative, and a product of non-negative factors moves with
-/// each of them. Interval `+`, `-`, `*`, `min`, `max` and the saturating
-/// clamp are all monotone in their operands' ends, which is what carries
-/// the claim from the leaves to the root.
+/// each of them. Interval `+`, `*` of non-negative factors and the
+/// saturating clamp are monotone in their operands' ends, which is what
+/// carries the claim from the leaves to the root; a `mod` that mentions
+/// the variable has no polarity.
 fn polarity(expr: &IntExpr, var: VarId, hulls: &[Interval]) -> Polarity {
     let of = |x: &IntExpr| polarity(x, var, hulls);
     match &*expr.0 {
@@ -157,10 +154,7 @@ fn polarity(expr: &IntExpr, var: VarId, hulls: &[Interval]) -> Polarity {
                 joined
             }
         }
-        IntNode::Sub(a, b) => of(a).join(of(b).flip()),
-        IntNode::Neg(a) => of(a).flip(),
-        IntNode::Min(a, b) | IntNode::Max(a, b) => of(a).join(of(b)),
-        IntNode::Div(a, b) | IntNode::Mod(a, b) => match of(a).join(of(b)) {
+        IntNode::Mod(a, _) => match of(a) {
             Polarity::Const => Polarity::Const,
             _ => Polarity::Unknown,
         },
@@ -179,7 +173,7 @@ pub(crate) enum Kept {
 }
 
 /// The shape of the values of `var` that `constraint` keeps. Only a single
-/// ordering atom has one: `a <= b` is refuted by `lo(a) > hi(b)`, so when
+/// `<=` atom has one: `a <= b` is refuted by `lo(a) > hi(b)`, so when
 /// `a - b` moves one way in `var` the refuted values are one end of the
 /// domain.
 pub(crate) fn kept_shape(constraint: &BoolExpr, var: VarId, hulls: &[Interval]) -> Kept {
@@ -188,12 +182,8 @@ pub(crate) fn kept_shape(constraint: &BoolExpr, var: VarId, hulls: &[Interval]) 
     };
     let slope = polarity(a, var, hulls).join(polarity(b, var, hulls).flip());
     match (op, slope) {
-        (CmpOp::Le | CmpOp::Lt, Polarity::Up) | (CmpOp::Ge | CmpOp::Gt, Polarity::Down) => {
-            Kept::Prefix
-        }
-        (CmpOp::Le | CmpOp::Lt, Polarity::Down) | (CmpOp::Ge | CmpOp::Gt, Polarity::Up) => {
-            Kept::Suffix
-        }
+        (CmpOp::Le, Polarity::Up) => Kept::Prefix,
+        (CmpOp::Le, Polarity::Down) => Kept::Suffix,
         _ => Kept::Any,
     }
 }
@@ -457,17 +447,17 @@ impl<'a> Search<'a> {
             // Exact strict-improvement check: the incumbent bound admits
             // only models that beat it, matching the semantics of the
             // paper's asserted `OBJ > best` constraint.
-            match value_at(b.objective, &self.hulls) {
-                Some(value) if b.incumbent.is_none_or(|inc| value > inc) => {
-                    // Record the improvement and tighten the incumbent in
-                    // place; the search goes on, and each ancestor
-                    // re-filters its level when control returns to it.
-                    // Exhausting the tree is the optimality proof.
-                    b.incumbent = Some(value);
-                    self.best = Some(values);
-                    self.incumbents.push(value);
-                }
-                _ => self.stats.bound_prunes += 1,
+            let value = value_at(b.objective, &self.hulls);
+            if b.incumbent.is_none_or(|inc| value > inc) {
+                // Record the improvement and tighten the incumbent in
+                // place; the search goes on, and each ancestor re-filters
+                // its level when control returns to it. Exhausting the
+                // tree is the optimality proof.
+                b.incumbent = Some(value);
+                self.best = Some(values);
+                self.incumbents.push(value);
+            } else {
+                self.stats.bound_prunes += 1;
             }
             return None;
         }
@@ -668,74 +658,52 @@ pub(crate) fn bounds(expr: &IntExpr, hulls: &[Interval]) -> Interval {
         IntNode::Mul(xs) => xs
             .iter()
             .fold(Interval::singleton(1), |acc, x| acc * bounds(x, hulls)),
-        IntNode::Sub(a, b) => bounds(a, hulls) - bounds(b, hulls),
-        IntNode::Neg(a) => -bounds(a, hulls),
-        IntNode::Div(a, b) => bounds(a, hulls).div_euclid(bounds(b, hulls)),
-        IntNode::Mod(a, b) => bounds(a, hulls).rem_euclid(bounds(b, hulls)),
-        IntNode::Min(a, b) => bounds(a, hulls).min(bounds(b, hulls)),
-        IntNode::Max(a, b) => bounds(a, hulls).max(bounds(b, hulls)),
+        IntNode::Mod(a, m) => bounds(a, hulls).rem_euclid(*m),
     }
 }
 
-/// The value of `expr` at a point (every hull a singleton): `None` when
-/// it hinges on a division by zero, which leaves it any value.
-pub(crate) fn value_at(expr: &IntExpr, point: &[Interval]) -> Option<i64> {
-    let value = bounds(expr, point);
-    value.is_singleton().then_some(value.lo())
+/// The value of `expr` at a point (every hull a singleton, so every
+/// operation yields one value).
+pub(crate) fn value_at(expr: &IntExpr, point: &[Interval]) -> i64 {
+    bounds(expr, point).lo()
 }
 
-/// Whether every constraint holds at a point — the leaf check. One that
-/// hinges on a division by zero holds only if it holds whatever that
-/// division yields.
+/// Whether every constraint holds at a point — the leaf check.
 pub(crate) fn holds_at(constraints: &[(BoolExpr, Vec<VarId>)], point: &[Interval]) -> bool {
     constraints
         .iter()
         .all(|(c, _)| tri_bool(c, point) == Tri::True)
 }
 
-pub(crate) fn tri_cmp(op: crate::expr::CmpOp, a: Interval, b: Interval) -> Tri {
-    use crate::expr::CmpOp::*;
+fn tri_cmp(op: CmpOp, a: Interval, b: Interval) -> Tri {
     if a.is_empty() || b.is_empty() {
         return Tri::False;
     }
     let equal = a.is_singleton() && a == b;
     match op {
-        Le => Tri::of(a.hi() <= b.lo(), a.lo() > b.hi()),
-        Lt => Tri::of(a.hi() < b.lo(), a.lo() >= b.hi()),
-        Ge => tri_cmp(Le, b, a),
-        Gt => tri_cmp(Lt, b, a),
-        Eq => Tri::of(equal, a.intersect(b).is_empty()),
-        Ne => Tri::of(a.intersect(b).is_empty(), equal),
+        CmpOp::Le => Tri::of(a.hi() <= b.lo(), a.lo() > b.hi()),
+        CmpOp::Eq => Tri::of(equal, a.intersect(b).is_empty()),
+        CmpOp::Ne => Tri::of(a.intersect(b).is_empty(), equal),
     }
 }
 
 /// Kleene three-valued evaluation of a constraint under interval hulls.
 pub(crate) fn tri_bool(expr: &BoolExpr, hulls: &[Interval]) -> Tri {
-    // A conjunction is decided by its first `False`, a disjunction by its
-    // first `True`; short of that, any `Unknown` leaves it open.
-    let any = |xs: &[BoolExpr], decisive: Tri| {
-        let mut verdict = decisive.not();
-        for x in xs {
-            match tri_bool(x, hulls) {
-                t if t == decisive => return decisive,
-                Tri::Unknown => verdict = Tri::Unknown,
-                _ => {}
-            }
-        }
-        verdict
-    };
     match &*expr.0 {
-        BoolNode::True => Tri::True,
-        BoolNode::False => Tri::False,
         BoolNode::Cmp(op, a, b) => tri_cmp(*op, bounds(a, hulls), bounds(b, hulls)),
-        BoolNode::And(xs) => any(xs, Tri::False),
-        BoolNode::Or(xs) => any(xs, Tri::True),
-        BoolNode::Not(a) => tri_bool(a, hulls).not(),
-        BoolNode::Implies(a, b) => match (tri_bool(a, hulls), tri_bool(b, hulls)) {
-            (Tri::False, _) | (_, Tri::True) => Tri::True,
-            (Tri::True, Tri::False) => Tri::False,
-            _ => Tri::Unknown,
-        },
+        // Decided by the first `True`; short of that, any `Unknown` leaves
+        // it open.
+        BoolNode::Or(xs) => {
+            let mut verdict = Tri::False;
+            for x in xs {
+                match tri_bool(x, hulls) {
+                    Tri::True => return Tri::True,
+                    Tri::Unknown => verdict = Tri::Unknown,
+                    Tri::False => {}
+                }
+            }
+            verdict
+        }
     }
 }
 
@@ -751,6 +719,7 @@ mod tests {
     use super::*;
     use crate::Solver;
     use proptest::prelude::TestRng;
+    use std::num::NonZeroI64;
 
     const CASES: u32 = 2000;
 
@@ -782,7 +751,8 @@ mod tests {
         }))
     }
 
-    /// Any expression the tree admits, including the non-monotone ones.
+    /// Any expression the tree admits, including the non-monotone ones:
+    /// signed products, differences `a + (−1)·b` and `mod`.
     fn any_expr(rng: &mut TestRng, vars: &[IntExpr], depth: u32) -> IntExpr {
         if depth == 0 || pick(rng, 0, 3) == 0 {
             return match pick(rng, 0, 2) {
@@ -792,26 +762,24 @@ mod tests {
         }
         let a = any_expr(rng, vars, depth - 1);
         let b = any_expr(rng, vars, depth - 1);
-        match pick(rng, 0, 7) {
+        match pick(rng, 0, 3) {
             0 => a + b,
             1 => a * b,
-            2 => a - b,
-            3 => -a,
-            4 => a.min(b),
-            5 => a.max(b),
-            6 => a.div(b),
-            _ => a.modulo(b),
+            2 => a + IntExpr::constant(-1) * b,
+            _ => a.modulo(NonZeroI64::new(pick(rng, 1, 5)).unwrap()),
         }
     }
 
+    /// `a <= b`, `a < b` as `a + 1 <= b`, `a > b` as `b + 1 <= a`, `==` or
+    /// `!=`.
     fn comparison(rng: &mut TestRng, a: IntExpr, b: IntExpr) -> BoolExpr {
-        match pick(rng, 0, 5) {
+        let one = IntExpr::constant(1);
+        match pick(rng, 0, 4) {
             0 => a.le(b),
-            1 => a.lt(b),
-            2 => a.ge(b),
-            3 => a.gt(b),
-            4 => a.eq_expr(b),
-            _ => a.eq_expr(b).not(),
+            1 => (a + one).le(b),
+            2 => (b + one).le(a),
+            3 => a.eq_expr(b),
+            _ => a.ne_expr(b),
         }
     }
 
@@ -824,11 +792,12 @@ mod tests {
         let (constraint, objective) = if eatss_shaped {
             let cap = IntExpr::constant(pick(rng, 1, 400));
             let lhs = sum_of_products(rng, &vars);
+            let one = IntExpr::constant(1);
             let constraint = match pick(rng, 0, 3) {
                 0 => lhs.le(cap),
-                1 => lhs.lt(cap),
-                2 => cap.ge(lhs),
-                _ => cap.gt(lhs),
+                1 => (lhs + one).le(cap),
+                2 => cap.le(lhs),
+                _ => (cap + one).le(lhs),
             };
             (constraint, sum_of_products(rng, &vars))
         } else {
@@ -838,7 +807,7 @@ mod tests {
             };
             let constraint = match pick(rng, 0, 3) {
                 0 => atom(rng).or(atom(rng)),
-                1 => atom(rng).implies(atom(rng)),
+                1 => BoolExpr::any([atom(rng), atom(rng), atom(rng)]),
                 _ => atom(rng),
             };
             (constraint, any_expr(rng, &vars, 3))
@@ -1015,18 +984,19 @@ mod tests {
         let capacity = (ti.clone() * tj.clone() + IntExpr::constant(2) * tj.clone()).le(512);
         assert_eq!(kept_shape(&capacity, i, &hulls), Kept::Prefix);
         assert_eq!(kept_shape(&capacity, j, &hulls), Kept::Prefix);
-        assert_eq!(kept_shape(&ti.ge(tj.clone()), i, &hulls), Kept::Suffix);
-        assert_eq!(kept_shape(&ti.ge(tj.clone()), j, &hulls), Kept::Prefix);
+        assert_eq!(kept_shape(&tj.le(&ti), i, &hulls), Kept::Suffix);
+        assert_eq!(kept_shape(&tj.le(&ti), j, &hulls), Kept::Prefix);
         assert_eq!(bound_shape(&(ti.clone() * tj.clone()), i, &hulls), Kept::Suffix);
-        // Alignment, a difference of one variable with itself, a product
-        // with a factor that may be negative, and anything that is not a
-        // single ordering atom: no claim.
+        // Alignment, a difference, a product with a factor that may be
+        // negative, and anything that is not a single `<=` atom: no claim.
+        let minus = |x: IntExpr| IntExpr::constant(-1) * x;
         let unknown = [
-            ti.modulo(16).eq_expr(0),
-            (ti.clone() * tj.clone() - ti.clone()).le(100),
-            ((ti.clone() - IntExpr::constant(8)) * tj.clone()).le(100),
-            ti.le(8).or(ti.ge(32)),
+            ti.modulo(NonZeroI64::new(16).unwrap()).eq_expr(0),
+            (ti.clone() * tj.clone() + minus(ti.clone())).le(100),
+            ((ti.clone() + IntExpr::constant(-8)) * tj.clone()).le(100),
+            ti.le(8).or(IntExpr::constant(32).le(&ti)),
             ti.eq_expr(tj.clone()),
+            ti.ne_expr(tj.clone()),
         ];
         for constraint in &unknown {
             assert_eq!(kept_shape(constraint, i, &hulls), Kept::Any, "{constraint}");
@@ -1053,7 +1023,7 @@ mod tests {
         let mut s = Solver::new();
         let ti = s.int_var("Ti", 1, 64);
         let tj = s.int_var("Tj", 1, 64);
-        s.assert(ti.modulo(16).eq_expr(0));
+        s.assert(ti.modulo(NonZeroI64::new(16).unwrap()).eq_expr(0));
         s.assert((ti.clone() * tj.clone()).le(256));
         let config = SolverConfig::default();
         let mut stats = SolverStats::default();

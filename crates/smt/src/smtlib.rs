@@ -4,7 +4,7 @@
 //! formulations in SMT-LIB 2 keeps them inspectable with (and checkable
 //! against) a real SMT solver when one is available.
 
-use crate::expr::{BoolExpr, BoolNode, IntExpr, IntNode};
+use crate::expr::{BoolExpr, BoolNode, CmpOp, IntExpr, IntNode};
 use crate::solver::Solver;
 use std::fmt::Write as _;
 
@@ -15,10 +15,12 @@ use std::fmt::Write as _;
 ///
 /// ```
 /// use eatss_smt::{to_smtlib, Solver};
+/// use std::num::NonZeroI64;
 ///
 /// let mut s = Solver::new();
 /// let x = s.int_var("x", 1, 64);
-/// s.assert(x.modulo(16).eq_expr(0));
+/// let waf = NonZeroI64::new(16).expect("non-zero");
+/// s.assert(x.modulo(waf).eq_expr(0));
 /// let script = to_smtlib(&s, Some(&x));
 /// assert!(script.contains("(declare-const x Int)"));
 /// assert!(script.contains("(assert (= (mod x 16) 0))"));
@@ -87,70 +89,42 @@ fn int_sexp(expr: &IntExpr) -> String {
     match &*expr.0 {
         IntNode::Const(v) => const_sexp(*v),
         IntNode::Var(_, name) => name.clone(),
-        IntNode::Add(xs) => nary("+", xs),
-        IntNode::Mul(xs) => nary("*", xs),
-        IntNode::Sub(a, b) => format!("(- {} {})", int_sexp(a), int_sexp(b)),
-        IntNode::Neg(a) => format!("(- {})", int_sexp(a)),
-        IntNode::Div(a, b) => format!("(div {} {})", int_sexp(a), int_sexp(b)),
-        IntNode::Mod(a, b) => format!("(mod {} {})", int_sexp(a), int_sexp(b)),
-        IntNode::Min(a, b) => {
-            let (sa, sb) = (int_sexp(a), int_sexp(b));
-            format!("(ite (<= {sa} {sb}) {sa} {sb})")
-        }
-        IntNode::Max(a, b) => {
-            let (sa, sb) = (int_sexp(a), int_sexp(b));
-            format!("(ite (>= {sa} {sb}) {sa} {sb})")
-        }
+        IntNode::Add(xs) => nary("+", xs, int_sexp),
+        IntNode::Mul(xs) => nary("*", xs, int_sexp),
+        IntNode::Mod(a, m) => format!("(mod {} {})", int_sexp(a), const_sexp(m.get())),
     }
 }
 
-fn nary(op: &str, xs: &[IntExpr]) -> String {
+fn nary<T>(op: &str, xs: &[T], sexp: fn(&T) -> String) -> String {
     let mut s = format!("({op}");
     for x in xs {
         s.push(' ');
-        s.push_str(&int_sexp(x));
+        s.push_str(&sexp(x));
     }
     s.push(')');
     s
 }
 
 fn bool_sexp(expr: &BoolExpr) -> String {
-    use crate::expr::CmpOp::*;
     match &*expr.0 {
-        BoolNode::True => "true".to_owned(),
-        BoolNode::False => "false".to_owned(),
         BoolNode::Cmp(op, a, b) => {
             let sym = match op {
-                Le => "<=",
-                Lt => "<",
-                Ge => ">=",
-                Gt => ">",
-                Eq => "=",
-                Ne => "distinct",
+                CmpOp::Le => "<=",
+                CmpOp::Eq => "=",
+                CmpOp::Ne => "distinct",
             };
             format!("({sym} {} {})", int_sexp(a), int_sexp(b))
         }
-        BoolNode::And(xs) => nary_bool("and", xs),
-        BoolNode::Or(xs) => nary_bool("or", xs),
-        BoolNode::Not(a) => format!("(not {})", bool_sexp(a)),
-        BoolNode::Implies(a, b) => format!("(=> {} {})", bool_sexp(a), bool_sexp(b)),
+        BoolNode::Or(xs) if xs.is_empty() => "false".to_owned(),
+        BoolNode::Or(xs) => nary("or", xs, bool_sexp),
     }
-}
-
-fn nary_bool(op: &str, xs: &[BoolExpr]) -> String {
-    let mut s = format!("({op}");
-    for x in xs {
-        s.push(' ');
-        s.push_str(&bool_sexp(x));
-    }
-    s.push(')');
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Domain, IntExpr, Solver};
+    use std::num::NonZeroI64;
 
     #[test]
     fn exports_declarations_bounds_and_assertions() {
@@ -158,7 +132,7 @@ mod tests {
         let ti = s.int_var("Ti", 1, 1024);
         let tj = s.int_var("Tj", 1, 1024);
         s.assert((ti.clone() * tj.clone()).le(12_288));
-        s.assert(ti.modulo(16).eq_expr(0));
+        s.assert(ti.modulo(NonZeroI64::new(16).unwrap()).eq_expr(0));
         let script = to_smtlib(&s, None);
         assert!(script.starts_with("(set-logic QF_NIA)"));
         assert!(script.contains("(declare-const Ti Int)"));
@@ -212,29 +186,25 @@ mod tests {
     fn negative_constants_use_unary_minus() {
         let mut s = Solver::new();
         let x = s.int_var("x", -10, 10);
-        s.assert(x.ge(-5));
+        s.assert(IntExpr::constant(-5).le(&x));
+        s.assert(x.modulo(NonZeroI64::new(-3).unwrap()).ne_expr(1));
         let script = to_smtlib(&s, None);
-        assert!(script.contains("(assert (>= x (- 5)))"));
-    }
-
-    #[test]
-    fn min_max_lower_to_ite() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 0, 10);
-        let y = s.int_var("y", 0, 10);
-        s.assert(x.min(y.clone()).le(3));
-        let script = to_smtlib(&s, None);
-        assert!(script.contains("(ite (<= x y) x y)"));
+        assert!(script.contains("(assert (<= (- 5) x))"));
+        assert!(script.contains("(assert (distinct (mod x (- 3)) 1))"));
     }
 
     #[test]
     fn objective_and_connectives() {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 10);
-        s.assert(x.gt(2).and(x.lt(9)).or(x.eq_expr(0).not()));
+        s.assert(x.le(2).or(x.eq_expr(9)));
+        s.assert(BoolExpr::any([x.ne_expr(4)]));
+        s.assert(BoolExpr::any([]));
         let obj = x.clone() + IntExpr::constant(1);
         let script = to_smtlib(&s, Some(&obj));
-        assert!(script.contains("(or (and (> x 2) (< x 9)) (not (= x 0)))"));
+        assert!(script.contains("(assert (or (<= x 2) (= x 9)))"));
+        assert!(script.contains("(assert (distinct x 4))"));
+        assert!(script.contains("(assert false)\n"));
         assert!(script.contains("(maximize (+ x 1))"));
     }
 }

@@ -9,7 +9,7 @@
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
 use crate::interval::Interval;
-use crate::model::Model;
+use crate::model::{known_vars, Model};
 use crate::search::{holds_at, value_at, Pass, Search, SearchMode};
 use crate::stats::SolverStats;
 use std::error::Error;
@@ -23,9 +23,6 @@ use std::time::{Duration, Instant};
 pub enum SolveError {
     /// An expression mentions a variable not registered with this solver.
     UnknownVariable(String),
-    /// The value depends on a `div` or `mod` whose divisor evaluated to
-    /// zero.
-    DivisionByZero,
 }
 
 impl fmt::Display for SolveError {
@@ -34,7 +31,6 @@ impl fmt::Display for SolveError {
             SolveError::UnknownVariable(name) => {
                 write!(f, "expression mentions unregistered variable `{name}`")
             }
-            SolveError::DivisionByZero => write!(f, "division by zero during evaluation"),
         }
     }
 }
@@ -390,7 +386,9 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Propagates [`Solver::check`] errors.
+    /// Propagates [`Solver::check`] errors, and returns
+    /// [`SolveError::UnknownVariable`] if the objective mentions a variable
+    /// from another solver.
     pub fn maximize(&mut self, objective: &IntExpr) -> Result<MaximizeOutcome, SolveError> {
         self.search(SearchMode::Optimize {
             objective,
@@ -428,9 +426,12 @@ impl Solver {
 
     /// Best feasible hint value minus one, or `None` when no hint survives
     /// re-validation. Hints missing a variable of this solver, binding a
-    /// value outside its base domain, violating any asserted constraint,
-    /// or failing to evaluate are skipped — never trusted.
+    /// value outside its base domain, or violating any asserted constraint
+    /// are skipped — never trusted.
     fn warm_floor(&mut self, objective: &IntExpr, warm: &WarmStart) -> Option<i64> {
+        // An objective from another solver seeds nothing: the search
+        // refuses it.
+        known_vars(|f| objective.each_var(f), self.names.len()).ok()?;
         let mut best: Option<i64> = None;
         let mut hits = 0u64;
         'hints: for hint in &warm.hints {
@@ -447,9 +448,7 @@ impl Solver {
             if !holds_at(&self.constraints, &point) {
                 continue 'hints;
             }
-            let Some(v) = value_at(objective, &point) else {
-                continue 'hints;
-            };
+            let v = value_at(objective, &point);
             hits += 1;
             best = Some(best.map_or(v, |b: i64| b.max(v)));
         }
@@ -471,7 +470,10 @@ impl Solver {
         self.validate()?;
         let (name, maximizing, floor) = match mode {
             SearchMode::Satisfy => ("check", false, None),
-            SearchMode::Optimize { floor, .. } => ("maximize", true, floor),
+            SearchMode::Optimize { objective, floor } => {
+                known_vars(|f| objective.each_var(f), self.names.len())?;
+                ("maximize", true, floor)
+            }
         };
         let mut span = eatss_trace::span("smt", name);
         let stats_before = span.is_active().then(|| self.stats.clone());
@@ -579,18 +581,28 @@ pub(crate) fn budget_stop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroI64;
+
+    fn modulus(m: i64) -> NonZeroI64 {
+        NonZeroI64::new(m).unwrap()
+    }
+
+    /// `a < b`, written `a + 1 <= b`.
+    fn lt(a: &IntExpr, b: impl Into<IntExpr>) -> BoolExpr {
+        (a.clone() + IntExpr::constant(1)).le(b)
+    }
 
     #[test]
     fn trivially_sat_and_unsat() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 10);
-        s.assert(x.ge(5));
+        s.assert(IntExpr::constant(5).le(&x));
         let r = s.check().unwrap();
         assert!(r.complete);
         let m = r.model.unwrap();
         assert!(m.value_of_name("x").unwrap() >= 5);
 
-        s.assert(x.lt(5));
+        s.assert(lt(&x, 5));
         let r = s.check().unwrap();
         assert!(r.complete);
         assert!(r.model.is_none());
@@ -611,8 +623,8 @@ mod tests {
         let x = s.int_var("x", 1, 100);
         let y = s.int_var("y", 1, 100);
         s.assert((x.clone() * y.clone()).eq_expr(91)); // 7 * 13
-        s.assert(x.gt(1));
-        s.assert(x.lt(y.clone()));
+        s.assert(lt(&IntExpr::constant(1), &x));
+        s.assert(lt(&x, &y));
         let m = s.check().unwrap().model.unwrap();
         assert_eq!(m.value_of_name("x"), Some(7));
         assert_eq!(m.value_of_name("y"), Some(13));
@@ -622,8 +634,8 @@ mod tests {
     fn divisibility_constraints() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 64);
-        s.assert(x.modulo(16).eq_expr(0));
-        s.assert(x.modulo(3).eq_expr(0));
+        s.assert(x.modulo(modulus(16)).eq_expr(0));
+        s.assert(x.modulo(modulus(3)).eq_expr(0));
         let m = s.check().unwrap().model.unwrap();
         assert_eq!(m.value_of_name("x"), Some(48));
     }
@@ -648,7 +660,7 @@ mod tests {
     fn maximize_unsat_returns_no_model() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 10);
-        s.assert(x.gt(20));
+        s.assert(lt(&IntExpr::constant(20), &x));
         let out = s.maximize(&x).unwrap();
         assert!(out.model.is_none());
         assert_eq!(out.best, None);
@@ -668,7 +680,7 @@ mod tests {
         let tj = s.int_var("Tj", 1, 1024);
         let tk = s.int_var("Tk", 1, 1024);
         for t in [&ti, &tj, &tk] {
-            s.assert(t.modulo(16).eq_expr(0));
+            s.assert(t.modulo(modulus(16)).eq_expr(0));
         }
         let bsize = ti.clone() * tj.clone();
         s.assert((bsize.clone() * IntExpr::constant(3) * IntExpr::constant(2)).le(65_536));
@@ -704,7 +716,7 @@ mod tests {
         // must branch — which the zero node budget forbids.
         s.assert(
             (x.clone() * IntExpr::constant(31) + y.clone() * IntExpr::constant(17))
-                .modulo(97)
+                .modulo(modulus(97))
                 .eq_expr(3),
         );
         let r = s.check().unwrap();
@@ -719,7 +731,7 @@ mod tests {
         let build = |config| {
             let mut s = Solver::with_config(config);
             let x = s.int_var("x", 1, 10);
-            s.assert(x.ge(1));
+            s.assert(IntExpr::constant(1).le(&x));
             s
         };
         let mut s = build(SolverConfig {
@@ -743,7 +755,7 @@ mod tests {
             ..SolverConfig::default()
         });
         let x = s.int_var("x", 1, 10);
-        s.assert(x.ge(1));
+        s.assert(IntExpr::constant(1).le(&x));
         let r = s.check().unwrap();
         assert!(r.model.is_none());
         assert!(!r.complete);
@@ -760,7 +772,7 @@ mod tests {
         let tj = s.int_var("Tj", 1, 1024);
         let tk = s.int_var("Tk", 1, 1024);
         for t in [&ti, &tj, &tk] {
-            s.assert(t.modulo(waf).eq_expr(0));
+            s.assert(t.modulo(modulus(waf)).eq_expr(0));
         }
         let bsize = ti.clone() * tj.clone();
         s.assert((bsize.clone() * IntExpr::constant(3) * IntExpr::constant(2)).le(65_536));
@@ -875,7 +887,20 @@ mod tests {
         b.int_var("p", 0, 1);
         b.int_var("q", 0, 1);
         let foreign = b.int_var("r", 0, 1);
-        a.assert(foreign.ge(0));
+        let own = a.int_var("own", 0, 1);
+        let objective = own + foreign.clone();
+        assert!(matches!(
+            a.maximize(&objective),
+            Err(SolveError::UnknownVariable(name)) if name == "r"
+        ));
+        let mut warm = WarmStart::new();
+        warm.observe(&Model::new(vec![1], vec!["own".to_owned()]));
+        assert!(matches!(
+            a.maximize_warm(&objective, &warm),
+            Err(SolveError::UnknownVariable(name)) if name == "r"
+        ));
+        assert_eq!(a.stats().warm_cut_hits, 0);
+        a.assert(IntExpr::constant(0).le(&foreign));
         assert!(matches!(
             a.check(),
             Err(SolveError::UnknownVariable(_))
@@ -886,7 +911,7 @@ mod tests {
     fn stats_accumulate() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 100);
-        s.assert(x.modulo(7).eq_expr(0));
+        s.assert(x.modulo(modulus(7)).eq_expr(0));
         let _ = s.check().unwrap();
         let _ = s.check().unwrap();
         assert_eq!(s.stats().checks, 2);
@@ -897,31 +922,16 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 10);
         let y = s.int_var("y", 0, 10);
-        s.assert(x.gt(5).implies(y.eq_expr(0)));
-        s.assert(x.gt(5).or(x.eq_expr(0)));
-        s.assert(y.ge(0));
+        // `x > 5 → y = 0`, written as its disjunction.
+        s.assert(x.le(5).or(y.eq_expr(0)));
+        s.assert(lt(&IntExpr::constant(5), &x).or(x.eq_expr(0)));
+        s.assert(y.ne_expr(11));
         let m = s.check().unwrap().model.unwrap();
         let (xv, yv) = (
             m.value_of_name("x").unwrap(),
             m.value_of_name("y").unwrap(),
         );
         assert!((xv > 5 && yv == 0) || xv == 0);
-    }
-
-    #[test]
-    fn min_max_expressions_constrain() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 1, 20);
-        let y = s.int_var("y", 1, 20);
-        s.assert(x.min(y.clone()).eq_expr(5));
-        s.assert(x.max(y.clone()).eq_expr(9));
-        let m = s.check().unwrap().model.unwrap();
-        let (xv, yv) = (
-            m.value_of_name("x").unwrap(),
-            m.value_of_name("y").unwrap(),
-        );
-        assert_eq!(xv.min(yv), 5);
-        assert_eq!(xv.max(yv), 9);
     }
 
     /// Brute-force cross-check on a small non-linear problem.
@@ -932,8 +942,8 @@ mod tests {
         let y = s.int_var("y", 1, 12);
         let z = s.int_var("z", 1, 12);
         s.assert((x.clone() * y.clone() * z.clone()).le(50));
-        s.assert((x.clone() + y.clone()).gt(z.clone()));
-        s.assert(x.modulo(2).eq_expr(0));
+        s.assert(lt(&z, x.clone() + y.clone()));
+        s.assert(x.modulo(modulus(2)).eq_expr(0));
         let obj = x.clone() * y.clone() + z.clone();
         let out = s.maximize(&obj).unwrap();
         let mut best = i64::MIN;

@@ -76,6 +76,9 @@ impl Trail {
     ///
     /// Panics if no level is open — a search-engine invariant violation.
     pub(crate) fn pop_level(&mut self, domains: &mut [Domain], hulls: &mut [Interval]) {
+        // The search pairs every pop with its push: an unmatched pop is a
+        // bug in the engine, not an input.
+        #[allow(clippy::expect_used)]
         let (mark, _) = self.marks.pop().expect("pop_level without push_level");
         for (var, dom) in self.saved.drain(mark..).rev() {
             let idx = var as usize;

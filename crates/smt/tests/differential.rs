@@ -7,9 +7,11 @@
 //! Formulations mirror the shapes the EATSS model generator emits:
 //! bounded integer variables, divisibility constraints (warp alignment),
 //! product capacity constraints (shared-memory and register budgets), and
-//! linear/bilinear comparisons. Objectives stay `div`/`mod`-free like the
-//! paper's `COMP + GM ... + SM ...` objective. Domains are kept small so
-//! the exhaustive reference finishes in microseconds per case.
+//! linear/bilinear comparisons, in the solver's one language: `+`, `*`,
+//! `mod` by a constant, `<=`/`==`/`!=` and `or` (`a > b` is `b + 1 <= a`,
+//! `a − b` is `a + (−1)·b`). Objectives stay `mod`-free like the paper's
+//! `COMP + GM ... + SM ...` objective. Domains are kept small so the
+//! exhaustive reference finishes in microseconds per case.
 //!
 //! The fast engine filters monotone constraints by bisection and
 //! everything else by per-value probing, deciding which from the
@@ -24,6 +26,15 @@
 
 use eatss_smt::{reference, IntExpr, Solver};
 use proptest::prelude::*;
+use std::num::NonZeroI64;
+
+fn constant(v: i64) -> IntExpr {
+    IntExpr::constant(v)
+}
+
+fn modulus(m: i64) -> NonZeroI64 {
+    NonZeroI64::new(m).expect("the strategies draw non-zero moduli")
+}
 
 /// Builds a solver holding a randomized three-variable formulation and a
 /// bilinear objective. `sel` bits toggle optional constraints so the mix
@@ -32,7 +43,7 @@ fn build(
     hi: [i64; 3],
     cap: i64,
     sum_cap: i64,
-    modulus: i64,
+    m: i64,
     sel: u8,
 ) -> (Solver, IntExpr) {
     let mut s = Solver::new();
@@ -46,19 +57,19 @@ fn build(
         s.assert((x.clone() * y.clone() + y.clone() * z.clone()).le(sum_cap));
     }
     if sel & 2 != 0 {
-        s.assert(x.modulo(modulus).eq_expr(0));
+        s.assert(x.modulo(modulus(m)).eq_expr(0));
     }
     if sel & 4 != 0 {
-        s.assert((x.clone() + y.clone()).gt(z.clone()));
+        s.assert((z.clone() + constant(1)).le(x.clone() + y.clone()));
     }
     if sel & 8 != 0 {
         s.assert(x.le(y.clone()));
     }
     if sel & 16 != 0 {
         // Occasionally unsatisfiable: demand more than the capacity allows.
-        s.assert((x.clone() * y.clone()).gt(cap - 1));
-        s.assert(x.gt(1));
-        s.assert(y.gt(1));
+        s.assert(constant(cap).le(x.clone() * y.clone()));
+        s.assert(constant(2).le(&x));
+        s.assert(constant(2).le(&y));
     }
     let obj = x.clone() * y.clone() + z.clone() * IntExpr::constant(2) + y;
     (s, obj)
@@ -77,24 +88,26 @@ fn build_non_monotone(lo: [i64; 2], span: [i64; 3], cap: i64, k: i64, sel: u8) -
     // may be negative).
     s.assert((x.clone() * y.clone() + z.clone() * z.clone()).le(cap));
     if sel & 1 != 0 {
-        s.assert((x.clone() + y.clone()).modulo(k).eq_expr(1));
+        s.assert((x.clone() + y.clone()).modulo(modulus(k)).eq_expr(1));
     }
     if sel & 2 != 0 {
         // `z` on both sides of a difference: `3k·z − z²` rises, peaks inside
         // the domain and falls again.
-        let hump = IntExpr::constant(3 * k) * z.clone() - z.clone() * z.clone();
-        s.assert((hump - x.clone()).ge(cap / 8));
+        let hump = constant(3 * k) * z.clone() + constant(-1) * z.clone() * z.clone();
+        s.assert(constant(cap / 8).le(hump + constant(-1) * x.clone()));
     }
     if sel & 4 != 0 {
-        s.assert((x.clone() * y.clone()).gt(-k));
+        s.assert(constant(1 - k).le(x.clone() * y.clone()));
     }
     if sel & 8 != 0 {
-        s.assert(x.le(-1).or(y.ge(z.clone())));
+        s.assert(x.le(-1).or(z.le(&y)));
     }
     if sel & 16 != 0 {
-        s.assert((y.clone() - IntExpr::constant(k)).max(x.clone()).le(z.clone() + IntExpr::constant(2)));
+        // `max(y − k, x) <= z + 2`, one conjunct per assertion.
+        s.assert((y.clone() + constant(-k)).le(z.clone() + constant(2)));
+        s.assert(x.le(z.clone() + constant(2)));
     }
-    let obj = z.clone() * y.clone() - x.clone() * x + z;
+    let obj = z.clone() * y.clone() + constant(-1) * x.clone() * x + z;
     (s, obj)
 }
 

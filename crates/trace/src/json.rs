@@ -58,7 +58,9 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses a complete JSON document, rejecting trailing garbage.
+    /// Parses a complete JSON document, rejecting trailing garbage and an
+    /// object that repeats a key (the error names the key and its byte
+    /// offset).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
@@ -182,7 +184,13 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            // Keeping the first or the last of two values would let key
+            // order decide what a document says: refuse it instead.
+            if map.contains_key(&key) {
+                return Err(format!("repeated key \"{}\" at byte {at}", escape(&key)));
+            }
             self.skip_ws();
             self.expect(b':')?;
             let value = self.value()?;
@@ -315,6 +323,14 @@ mod tests {
         assert_eq!(v.get("a").and_then(Json::as_array).map(<[Json]>::len), Some(3));
         assert_eq!(v.get("c").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("d"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn rejects_a_repeated_key_at_its_offset() {
+        let err = Json::parse(r#"{"a": 1, "b": {"a": 2}, "a": 3}"#).unwrap_err();
+        assert_eq!(err, r#"repeated key "a" at byte 24"#);
+        // Even with equal values.
+        assert!(Json::parse(r#"{"s": {"N": 8, "N": 8}}"#).is_err());
     }
 
     #[test]

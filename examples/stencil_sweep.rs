@@ -6,7 +6,7 @@
 //! cargo run -p eatss-examples --bin stencil_sweep
 //! ```
 
-use eatss::{evaluate_program, Eatss, EatssConfig};
+use eatss::{evaluate_program_with, Eatss, EatssConfig};
 use eatss_gpusim::{Gpu, GpuArch};
 use eatss_kernels::Dataset;
 use eatss_ppcg::{CompileOptions, Ppcg, TileSpace};
@@ -27,18 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Explore a 3-dim space (time dim tiles are ignored by the
         // compiler, so enumerate the two space dims only).
         let space = TileSpace::new(2, vec![8, 16, 32, 64, 128, 256]);
+        let gpu = Gpu::new(arch.clone());
         let mut best = f64::NEG_INFINITY;
         let mut worst = f64::INFINITY;
         let mut count = 0;
         for cfg in space.iter() {
             let mut tiles = vec![1]; // time dim
             tiles.extend_from_slice(cfg.sizes());
-            let report = evaluate_program(
-                &arch,
+            let report = evaluate_program_with(
+                &gpu,
                 &program,
                 &eatss_affine::tiling::TileConfig::new(tiles),
                 &sizes,
                 &opts,
+                1,
             )?;
             if report.valid {
                 best = best.max(report.gflops);
@@ -77,7 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .join("\n");
             println!("generated CUDA (first kernel, excerpt):\n{first_kernel}\n");
             // And the simulator view of one launch:
-            let gpu = Gpu::new(arch);
             let r = gpu.simulate(&compiled.mappings[0].to_exec_spec());
             println!("single launch: {r}\n");
         }

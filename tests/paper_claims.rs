@@ -4,7 +4,7 @@
 use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
 use eatss::{Eatss, EatssConfig};
 use eatss_affine::tiling::TileConfig;
-use eatss_gpusim::{stats, GpuArch};
+use eatss_gpusim::{stats, Gpu, GpuArch};
 use eatss_integration::load;
 use eatss_kernels::Dataset;
 use eatss_ppcg::{CompileOptions, TileSpace};
@@ -131,10 +131,11 @@ fn eatss_bench_like_explore(
     space: &TileSpace,
     opts: &CompileOptions,
 ) -> Vec<(f64, f64)> {
+    let gpu = Gpu::new(arch.clone());
     space
         .iter()
         .filter_map(|tiles| {
-            eatss::evaluate_program(arch, program, &tiles, sizes, opts)
+            eatss::evaluate_program_with(&gpu, program, &tiles, sizes, opts, 1)
                 .ok()
                 .filter(|r| r.valid)
                 .map(|r| (r.l2_sectors_read as f64, r.avg_power_w))

@@ -10,6 +10,7 @@ use eatss_gpusim::{occupancy, traffic, GpuArch, KernelExecSpec, RefAccess};
 use eatss_ppcg::{CompileOptions, GpuMapping};
 use eatss_smt::{Solver, SolverConfig};
 use proptest::prelude::*;
+use std::num::NonZeroI64;
 
 proptest! {
     /// The solver's maximize returns a model satisfying every asserted
@@ -24,7 +25,7 @@ proptest! {
         let x = s.int_var("x", 1, hi_x);
         let y = s.int_var("y", 1, hi_y);
         s.assert((x.clone() * y.clone()).le(cap));
-        s.assert(x.modulo(modulus).eq_expr(0));
+        s.assert(x.modulo(NonZeroI64::new(modulus).expect("drawn from 2..6")).eq_expr(0));
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
         if let Some(model) = out.model {
@@ -71,7 +72,7 @@ proptest! {
         let x = s.int_var("x", 1, hi_x);
         let y = s.int_var("y", 1, hi_y);
         s.assert((x.clone() * y.clone()).le(cap));
-        s.assert(x.modulo(2).eq_expr(0));
+        s.assert(x.modulo(NonZeroI64::new(2).expect("non-zero")).eq_expr(0));
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
         // A budget stop and `complete` are two views of the same fact.

@@ -8,6 +8,7 @@ use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
 use eatss_smt::{IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
+use std::num::NonZeroI64;
 
 fn mm() -> Program {
     parse_program(
@@ -27,6 +28,7 @@ fn matmul_formulation(config: SolverConfig, waf: i64) -> (Solver, IntExpr) {
     let ti = s.int_var("Ti", 1, 1024);
     let tj = s.int_var("Tj", 1, 1024);
     let tk = s.int_var("Tk", 1, 1024);
+    let waf = NonZeroI64::new(waf).expect("a positive alignment");
     for t in [&ti, &tj, &tk] {
         s.assert(t.modulo(waf).eq_expr(0));
     }
