@@ -55,6 +55,13 @@ impl Domain {
         Domain { values }
     }
 
+    /// Domain from values already strictly ascending — a cut of another
+    /// domain keeps its order, so no sort or dedup is needed.
+    pub(crate) fn from_sorted(values: Vec<i64>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "unsorted domain");
+        Domain { values }
+    }
+
     /// Domain holding exactly one value.
     pub fn singleton(v: i64) -> Self {
         Domain { values: vec![v] }

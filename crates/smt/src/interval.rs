@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 //! Closed integer intervals with saturating non-linear arithmetic.
 //!
 //! Intervals are the solver's one evaluator: every integer expression is
@@ -5,6 +6,14 @@
 //! expression's value under every assignment drawn from the current
 //! variable domains. Over singleton hulls that is point evaluation — the
 //! search's leaf check and [`Model::eval`](crate::Model::eval) alike.
+//!
+//! Every endpoint is the exact value saturated to the `i64` range,
+//! computed in machine words: `i64` saturating `+` and `*` (clamping is
+//! monotone, so the span of clamped corners is the clamped span of the
+//! exact corners) and `i64` Euclidean remainders. No raw `+ - *` may
+//! appear outside the tests (`clippy::arithmetic_side_effects` is denied
+//! here); the tests hold the exact rules, in 128-bit integers, and check
+//! every operator against them bit for bit.
 
 use std::fmt;
 use std::num::NonZeroI64;
@@ -12,11 +21,12 @@ use std::num::NonZeroI64;
 /// A closed integer interval `[lo, hi]`.
 ///
 /// The empty interval is represented by `lo > hi` and can be obtained from
-/// [`Interval::empty`]. Every operation computes its endpoints in `i128`
-/// and saturates them to the `i64` range, so on singletons each operator
-/// is exactly saturating `i64` arithmetic and none panics; EATSS
-/// formulations stay far below the clamp (tile products are at most
-/// `1024^5 ≈ 2^50`).
+/// [`Interval::empty`]. Every operation yields the exact endpoints
+/// saturated to the `i64` range, computed with saturating `i64` operations
+/// (a product of two non-negative intervals takes two of them, `lo·lo` and
+/// `hi·hi`); on singletons each operator is exactly saturating `i64`
+/// arithmetic and none panics. EATSS formulations stay far below the
+/// clamp (tile products are at most `1024^5 ≈ 2^50`).
 ///
 /// # Examples
 ///
@@ -32,11 +42,6 @@ use std::num::NonZeroI64;
 pub struct Interval {
     lo: i64,
     hi: i64,
-}
-
-/// Saturates an exact `i128` endpoint to the `i64` range.
-fn clamp(v: i128) -> i64 {
-    v.clamp(i64::MIN.into(), i64::MAX.into()) as i64
 }
 
 impl Interval {
@@ -97,15 +102,18 @@ impl Interval {
         if self.is_empty() {
             return Interval::empty();
         }
-        // `|MIN|` is `2^63`: the modulus is taken in `i128`, and every
-        // remainder below it fits an `i64`.
-        let (lo, hi) = (i128::from(self.lo), i128::from(self.hi));
-        let m = i128::from(modulus.get()).abs();
-        let (r_lo, r_hi) = (lo.rem_euclid(m), hi.rem_euclid(m));
-        if hi - lo < m && r_lo <= r_hi {
-            return Interval::new(r_lo as i64, r_hi as i64);
+        // A remainder by `m` equals one by `−m`, so the sign stays. `m` is
+        // non-zero, so the one `None` is the `i64` overflow of
+        // `i64::MIN mod −1`, whose remainder is 0.
+        let m = modulus.get();
+        let rem = |x: i64| x.checked_rem_euclid(m).unwrap_or(0);
+        let (r_lo, r_hi) = (rem(self.lo), rem(self.hi));
+        // `hi − lo` and `|m|` are exact in `u64`, `|i64::MIN| = 2^63` too.
+        if self.hi.abs_diff(self.lo) < m.unsigned_abs() && r_lo <= r_hi {
+            return Interval::new(r_lo, r_hi);
         }
-        Interval::new(0, clamp(m - 1))
+        // `−1 mod m` is the largest remainder, `|m| − 1`.
+        Interval::new(0, rem(-1))
     }
 
     /// Intersection of two intervals.
@@ -123,8 +131,8 @@ impl std::ops::Add for Interval {
             return Interval::empty();
         }
         Interval::new(
-            clamp(self.lo as i128 + rhs.lo as i128),
-            clamp(self.hi as i128 + rhs.hi as i128),
+            self.lo.saturating_add(rhs.lo),
+            self.hi.saturating_add(rhs.hi),
         )
     }
 }
@@ -132,20 +140,29 @@ impl std::ops::Add for Interval {
 impl std::ops::Mul for Interval {
     type Output = Interval;
 
-    /// Interval product: the saturated span of the four corner products,
-    /// each exact in `i128` (mixed signs included).
+    /// Interval product: the span of the saturated corner products (mixed
+    /// signs included), or just `[lo·lo, hi·hi]` when neither factor can
+    /// be negative — every tile, capacity and coefficient.
     fn mul(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::empty();
         }
-        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
-        for a in [self.lo, self.hi] {
-            for b in [rhs.lo, rhs.hi] {
-                let v = i128::from(a) * i128::from(b);
-                (lo, hi) = (lo.min(v), hi.max(v));
-            }
+        if self.lo >= 0 && rhs.lo >= 0 {
+            return Interval::new(
+                self.lo.saturating_mul(rhs.lo),
+                self.hi.saturating_mul(rhs.hi),
+            );
         }
-        Interval::new(clamp(lo), clamp(hi))
+        let corners = [
+            self.lo.saturating_mul(rhs.lo),
+            self.lo.saturating_mul(rhs.hi),
+            self.hi.saturating_mul(rhs.lo),
+            self.hi.saturating_mul(rhs.hi),
+        ];
+        let (lo, hi) = corners
+            .into_iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        Interval::new(lo, hi)
     }
 }
 
@@ -162,9 +179,125 @@ impl fmt::Display for Interval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::TestRng;
 
     fn modulus(m: i64) -> NonZeroI64 {
         NonZeroI64::new(m).unwrap()
+    }
+
+    /// Endpoints at and beside the `i64` extremes.
+    const ENDS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+
+    /// Saturates an exact `i128` endpoint to the `i64` range.
+    fn clamp(v: i128) -> i64 {
+        v.clamp(i64::MIN.into(), i64::MAX.into()) as i64
+    }
+
+    // The spec: every endpoint exact in `i128`, then saturated to `i64`.
+    // The operators compute in `i64` and must equal these bit for bit.
+
+    fn spec_add(a: Interval, b: Interval) -> Interval {
+        if a.is_empty() || b.is_empty() {
+            return Interval::empty();
+        }
+        Interval::new(
+            clamp(i128::from(a.lo) + i128::from(b.lo)),
+            clamp(i128::from(a.hi) + i128::from(b.hi)),
+        )
+    }
+
+    fn spec_mul(a: Interval, b: Interval) -> Interval {
+        if a.is_empty() || b.is_empty() {
+            return Interval::empty();
+        }
+        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
+        for x in [a.lo, a.hi] {
+            for y in [b.lo, b.hi] {
+                let v = i128::from(x) * i128::from(y);
+                (lo, hi) = (lo.min(v), hi.max(v));
+            }
+        }
+        Interval::new(clamp(lo), clamp(hi))
+    }
+
+    fn spec_rem(a: Interval, modulus: NonZeroI64) -> Interval {
+        if a.is_empty() {
+            return Interval::empty();
+        }
+        let (lo, hi) = (i128::from(a.lo), i128::from(a.hi));
+        let m = i128::from(modulus.get()).abs();
+        let (r_lo, r_hi) = (lo.rem_euclid(m), hi.rem_euclid(m));
+        if hi - lo < m && r_lo <= r_hi {
+            return Interval::new(clamp(r_lo), clamp(r_hi));
+        }
+        Interval::new(0, clamp(m - 1))
+    }
+
+    /// A random endpoint: small, at an extreme, beside one, near the
+    /// `2^31`/`2^32` products cross `i64` at, or anywhere.
+    fn endpoint(rng: &mut TestRng) -> i64 {
+        let r = rng.next_u64();
+        let small = (r >> 8) as i64 % 41;
+        match r % 6 {
+            0 => small,
+            1 => -small,
+            2 => ENDS[(r >> 8) as usize % ENDS.len()],
+            3 => i64::MAX - small,
+            4 => (1 << (31 + (r >> 16) % 2)) - small,
+            _ => rng.next_u64() as i64,
+        }
+    }
+
+    /// A random interval — mixed-sign, one-signed or singleton; one in
+    /// eight is empty, inverted endpoints and all.
+    fn interval(rng: &mut TestRng) -> Interval {
+        let sign = |v: i64, negative: bool| if negative { v.saturating_neg() } else { v };
+        let (x, y) = (endpoint(rng), endpoint(rng));
+        let r = rng.next_u64();
+        let (x, y) = (sign(x, r.is_multiple_of(3)), sign(y, r.is_multiple_of(5)));
+        if r.is_multiple_of(8) {
+            Interval::new(x.max(y), x.min(y).saturating_sub(1))
+        } else if r.is_multiple_of(7) {
+            Interval::singleton(x)
+        } else {
+            Interval::new(x.min(y), x.max(y))
+        }
+    }
+
+    #[test]
+    fn every_operator_is_the_exact_rule_saturated_bit_for_bit() {
+        let mut intervals = vec![Interval::empty(), Interval::new(i64::MAX, i64::MIN)];
+        for lo in ENDS {
+            let above = ENDS.into_iter().filter(|&hi| lo <= hi);
+            intervals.extend(above.map(|hi| Interval::new(lo, hi)));
+        }
+        let moduli: Vec<NonZeroI64> = ENDS
+            .into_iter()
+            .chain([16, -16, 3])
+            .filter_map(NonZeroI64::new)
+            .collect();
+        let check = |a: Interval, b: Interval, m: NonZeroI64| {
+            assert_eq!(a + b, spec_add(a, b), "{a} + {b}");
+            assert_eq!(a * b, spec_mul(a, b), "{a} * {b}");
+            assert_eq!(a.rem_euclid(m), spec_rem(a, m), "{a} mod {m}");
+        };
+        for &a in &intervals {
+            for &b in &intervals {
+                for &m in &moduli {
+                    check(a, b, m);
+                }
+            }
+        }
+        for case in 0..20_000 {
+            let rng = &mut TestRng::for_case("interval_spec", case);
+            let (a, b) = (interval(rng), interval(rng));
+            let m = match rng.next_u64() % 4 {
+                0 => i64::MIN,
+                1 => endpoint(rng),
+                _ => (rng.next_u64() % 64) as i64 - 32,
+            };
+            check(a, b, NonZeroI64::new(m).unwrap_or(NonZeroI64::MIN));
+        }
     }
 
     #[test]
@@ -234,7 +367,6 @@ mod tests {
     /// every sampled point.
     #[test]
     fn no_operator_panics_on_any_endpoint() {
-        const ENDS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
         let mut intervals = vec![Interval::empty()];
         for lo in ENDS {
             let above = ENDS.into_iter().filter(|&hi| lo <= hi);

@@ -15,7 +15,7 @@ use crate::stats::SolverStats;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Errors reported by the solver and by model evaluation.
@@ -516,7 +516,12 @@ impl Solver {
         self.stats.solve_time += elapsed;
         if searched {
             if maximizing {
-                eatss_trace::histogram("smt.maximize_us").record(elapsed.as_micros() as u64);
+                // Interned once: the registry lookup takes a global lock
+                // that concurrent daemon workers would queue on.
+                static MAXIMIZE_US: OnceLock<&eatss_trace::Histogram> = OnceLock::new();
+                MAXIMIZE_US
+                    .get_or_init(|| eatss_trace::histogram("smt.maximize_us"))
+                    .record(elapsed.as_micros() as u64);
             }
             let propagation_delta = self
                 .stats
