@@ -1,7 +1,7 @@
 //! The EATSS model generator: affine program → non-linear integer
 //! formulation → iteratively maximized tile sizes (§IV of the paper).
 
-use crate::config::{EatssConfig, ThreadBlockCap};
+use crate::config::{ConfigRangeError, EatssConfig, ThreadBlockCap};
 use eatss_affine::analysis::AccessAnalysis;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
@@ -12,7 +12,6 @@ use eatss_smt::{
 };
 use std::error::Error;
 use std::fmt;
-use std::num::NonZeroI64;
 use std::time::{Duration, Instant};
 
 /// EATSS failures.
@@ -42,6 +41,9 @@ pub enum EatssError {
     UnboundParameter(String),
     /// The program has no kernels.
     EmptyProgram,
+    /// A configuration knob lies outside the range the formulation is
+    /// defined on ([`EatssConfig::validate`]).
+    Config(ConfigRangeError),
 }
 
 impl fmt::Display for EatssError {
@@ -63,6 +65,14 @@ impl fmt::Display for EatssError {
                 write!(f, "problem-size parameter `{p}` is unbound")
             }
             EatssError::EmptyProgram => write!(f, "program has no kernels"),
+            EatssError::Config(e) => {
+                let knob = match e {
+                    ConfigRangeError::SplitFactor => "split_factor",
+                    ConfigRangeError::WarpFraction => "warp_fraction",
+                };
+                let expected = e.expected();
+                write!(f, "configuration out of range: {knob} expects a {expected}")
+            }
         }
     }
 }
@@ -143,7 +153,9 @@ impl EatssSolution {
 /// All flags default to `false` (the full model).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ablation {
-    /// Drop the §IV-B warp-alignment constraint (`T % WAF == 0`).
+    /// Drop the §IV-B warp alignment: tiles range over every value in
+    /// `[1, upper]` instead of the multiples of WAF (the domain's step is
+    /// 1).
     pub no_warp_alignment: bool,
     /// Drop the §IV-G register-per-SM constraint.
     pub no_register_constraint: bool,
@@ -212,12 +224,14 @@ impl ModelGenerator {
     ///
     /// # Errors
     ///
-    /// See [`EatssError`].
+    /// [`EatssError::Config`] for a configuration out of range; otherwise
+    /// see [`EatssError`].
     pub fn build(
         &self,
         program: &Program,
         sizes: Option<&ProblemSizes>,
     ) -> Result<EatssModel, EatssError> {
+        self.config.validate().map_err(EatssError::Config)?;
         if program.kernels.is_empty() {
             return Err(EatssError::EmptyProgram);
         }
@@ -253,18 +267,14 @@ impl ModelGenerator {
             }
         }
 
-        // §IV-B: tile variables range over the warp-aligned candidates
-        // `align, 2·align, … ≤ upper` — the domain is the presolve, so the
-        // root probes `upper/align` values per variable, not `upper`. The
-        // alignment constraint is still asserted below: it is the paper's
-        // formulation, what `--emit-smt` prints and what the reference
-        // engine and every leaf's exact check evaluate. An empty candidate
-        // set (align > upper) is an honest unsatisfiability.
+        // §IV-B: a tile is a multiple of WAF, and that is its domain — the
+        // warp-aligned candidates `align, 2·align, … ≤ upper`, stated once
+        // and asserted nowhere else. `--emit-smt` prints it as the domain's
+        // congruence line. An empty candidate set (align > upper) is an
+        // honest unsatisfiability.
         let mut solver = Solver::with_config(self.solver_config.clone());
         let mut tile_vars: Vec<Option<IntExpr>> = Vec::with_capacity(depth);
         let align = if self.ablation.no_warp_alignment { 1 } else { waf };
-        // `warp_alignment_factor` is at least 1, so it is always a modulus.
-        let alignment = NonZeroI64::new(waf).filter(|_| !self.ablation.no_warp_alignment);
         for d in 0..depth {
             if is_time[d] {
                 tile_vars.push(None);
@@ -272,9 +282,6 @@ impl ModelGenerator {
             }
             let candidates: Vec<i64> = (1..=upper[d] / align).map(|k| k * align).collect();
             let t = solver.int_var_in(&format!("T{d}"), Domain::from_values(candidates));
-            if let Some(m) = alignment {
-                solver.assert(t.modulo(m).eq_expr(0));
-            }
             tile_vars.push(Some(t));
         }
         let tile_of = |d: usize| -> IntExpr {
@@ -287,7 +294,7 @@ impl ModelGenerator {
         let l1sh_elems = arch.l1_shared_bytes as i64 / elem;
         let l2_elems = arch.l2_bytes as i64 / elem;
         let l2_per_sm_elems = l2_elems / arch.sm_count as i64;
-        let split = cfg.split_factor.clamp(0.0, 1.0);
+        let split = cfg.split_factor;
         let cap_sh = (((l1sh_elems as f64) * split) as i64)
             .min(arch.max_shared_per_block as i64 / elem);
         let cap_l1 = ((l1sh_elems as f64) * (1.0 - split)) as i64;
@@ -766,7 +773,10 @@ mod tests {
         let s = model.to_smtlib();
         assert!(s.contains("(declare-const T0 Int)"));
         assert!(s.contains("(maximize"));
-        assert!(s.contains("mod T0 16"));
+        // The alignment is T0's domain, printed as its congruence, and
+        // asserted nowhere else.
+        assert!(s.contains("(assert (= (mod (- T0 16) 16) 0))"));
+        assert!(!s.contains("(mod T0 "), "{s}");
     }
 
     #[test]
@@ -826,8 +836,8 @@ mod tests {
 
     #[test]
     fn tile_variables_range_over_the_aligned_candidates() {
-        // §IV-B: T_d ∈ {WAF, 2·WAF, …} ≤ min(T_P_B, N_d) — as a domain (the
-        // presolve) *and* as the asserted constraint (the formulation).
+        // §IV-B: T_d ∈ {WAF, 2·WAF, …} ≤ min(T_P_B, N_d) — the domain is the
+        // whole statement of the alignment.
         let gemm = eatss_kernels::by_name("gemm").unwrap();
         let program = gemm.program().unwrap();
         // 200 is no multiple of 16 and clips below T_P_B; XL does not clip.
@@ -851,10 +861,6 @@ mod tests {
 
                     let model = generator.build(&program, Some(&sizes)).unwrap();
                     assert_eq!(tile_domains(&model), expect(&|t| t % waf == 0), "{what}");
-                    let aligned = format!("((T0 mod {waf}) == 0)");
-                    let asserted: Vec<String> =
-                        model.solver.assertions().map(ToString::to_string).collect();
-                    assert!(asserted.contains(&aligned), "{what}: `{aligned}` not in {asserted:?}");
 
                     let unaligned = generator
                         .with_ablation(Ablation { no_warp_alignment: true, ..Ablation::default() })
@@ -863,6 +869,111 @@ mod tests {
                     assert_eq!(tile_domains(&unaligned), expect(&|_| true), "{what}");
                 }
             }
+        }
+    }
+
+    /// Whether `atom` (an assertion's `Display`) is one `≤` atom with a
+    /// constant right side: `(lhs <= c)`, no comparison or `or` in `lhs`.
+    fn is_capacity_row(atom: &str) -> bool {
+        let Some((lhs, rhs)) = atom
+            .strip_prefix('(')
+            .and_then(|a| a.strip_suffix(')'))
+            .and_then(|a| a.rsplit_once(" <= "))
+        else {
+            return false;
+        };
+        let ops = [" <= ", " == ", " != ", " or "];
+        rhs.parse::<i64>().is_ok() && !ops.iter().any(|op| lhs.contains(op))
+    }
+
+    /// Every assertion of `model` is a capacity row, and every aligned
+    /// tile states its congruence through its domain line.
+    fn check_rows(model: &EatssModel, align: i64, what: &str) {
+        for atom in model.solver.assertions().map(ToString::to_string) {
+            assert!(is_capacity_row(&atom), "{what}: `{atom}` is no row");
+        }
+        let smt = model.to_smtlib();
+        let tiles = (0..model.tile_vars.len()).filter(|&d| model.tile_vars[d].is_some());
+        for (d, values) in tiles.zip(tile_domains(model)) {
+            if align > 1 && values.len() > 1 {
+                let line = format!("(assert (= (mod (- T{d} {align}) {align}) 0))");
+                assert!(smt.contains(&line), "{what}: no `{line}` in\n{smt}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_formulation_assertion_is_a_capacity_row() {
+        use eatss_gpusim::DeviceProfile;
+        let mut points = Vec::new();
+        for warp_fraction in [1.0, 0.5, 0.25, 0.125] {
+            for cap in [ThreadBlockCap::Virtual, ThreadBlockCap::Strict] {
+                for split_factor in [0.0, 0.5, 0.67, 1.0] {
+                    let config = EatssConfig {
+                        split_factor,
+                        warp_fraction,
+                        cap,
+                        ..EatssConfig::default()
+                    };
+                    points.push((config, Ablation::default()));
+                }
+            }
+        }
+        let only = |set: fn(&mut Ablation)| {
+            let mut ablation = Ablation::default();
+            set(&mut ablation);
+            (EatssConfig::default(), ablation)
+        };
+        points.extend([
+            only(|a| a.no_warp_alignment = true),
+            only(|a| a.no_register_constraint = true),
+            only(|a| a.no_memory_constraints = true),
+            only(|a| a.no_spatial_term = true),
+            only(|a| a.no_parallel_term = true),
+        ]);
+        assert_eq!(eatss_kernels::all().len(), 21);
+        for bench in eatss_kernels::all() {
+            let program = bench.program().unwrap();
+            let sizes = bench.sizes(eatss_kernels::Dataset::Standard);
+            for device in DeviceProfile::builtin_names() {
+                let arch = DeviceProfile::builtin(device).unwrap().into_arch();
+                for (config, ablation) in &points {
+                    let waf = config.warp_alignment_factor(&arch);
+                    let align = if ablation.no_warp_alignment { 1 } else { waf };
+                    let what = format!("{}, {device}, {config:?}, {ablation:?}", bench.name);
+                    let model = ModelGenerator::new(&arch, config.clone())
+                        .with_ablation(*ablation)
+                        .build(&program, Some(&sizes))
+                        .unwrap();
+                    check_rows(&model, align, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_configs_are_refused_before_formulating() {
+        let with = |split_factor, warp_fraction| EatssConfig {
+            split_factor,
+            warp_fraction,
+            ..EatssConfig::default()
+        };
+        let cases = [
+            (with(f64::NAN, 0.5), ConfigRangeError::SplitFactor),
+            (with(1.5, 0.5), ConfigRangeError::SplitFactor),
+            (with(-0.5, 0.5), ConfigRangeError::SplitFactor),
+            (with(0.5, f64::NAN), ConfigRangeError::WarpFraction),
+            (with(0.5, 0.0), ConfigRangeError::WarpFraction),
+            (with(0.5, 7.0), ConfigRangeError::WarpFraction),
+        ];
+        for (config, knob) in cases {
+            let what = format!("{config:?}");
+            let err = ga(config).build(&matmul(), None).unwrap_err();
+            assert_eq!(err, EatssError::Config(knob), "{what}");
+            assert!(err.to_string().contains(knob.expected()), "{what}: {err}");
+            // Neither a proof of infeasibility nor anything a journal keeps.
+            let result = Err(err);
+            assert!(!crate::persist::is_committed(&result), "{what}");
         }
     }
 

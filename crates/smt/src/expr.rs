@@ -1,13 +1,12 @@
 //! Integer and boolean expression trees.
 //!
 //! Expressions are cheap, reference-counted trees over the one fragment the
-//! EATSS formulation uses: sums, products and `mod` by a constant, compared
-//! with `<=`, `==` or `!=`, and disjunctions of such atoms. They are built
+//! EATSS formulation uses: sums and products, compared with `<=`, `==` or
+//! `!=`, and disjunctions of such atoms. They are built
 //! with ordinary Rust operators (`+`, `*`) plus comparison combinators,
 //! mirroring the way the paper's model generator emits Z3 terms.
 
 use std::fmt;
-use std::num::NonZeroI64;
 use std::rc::Rc;
 
 /// Identifier of an integer variable registered with a
@@ -28,16 +27,14 @@ pub(crate) enum IntNode {
     Var(VarId, String),
     Add(Vec<IntExpr>),
     Mul(Vec<IntExpr>),
-    Mod(IntExpr, NonZeroI64),
 }
 
 /// An integer-valued expression over solver variables.
 ///
 /// `IntExpr` is a cheaply clonable handle (internally `Rc`). Build leaves
 /// via [`Solver::int_var`](crate::Solver::int_var) and
-/// [`IntExpr::constant`], then combine with `+`, `*` and
-/// [`IntExpr::modulo`], and compare with [`IntExpr::le`],
-/// [`IntExpr::eq_expr`] and [`IntExpr::ne_expr`]. A difference `a − b` is
+/// [`IntExpr::constant`], then combine with `+` and `*`, and compare with
+/// [`IntExpr::le`], [`IntExpr::eq_expr`] and [`IntExpr::ne_expr`]. A difference `a − b` is
 /// written `a + (−1)·b`, and `a < b` is `a + 1 <= b`.
 ///
 /// # Examples
@@ -83,12 +80,6 @@ impl IntExpr {
         }
     }
 
-    /// Euclidean remainder `self mod modulus`, in `[0, |modulus| - 1]`.
-    /// The modulus is a constant, and a zero one cannot be built.
-    pub fn modulo(&self, modulus: NonZeroI64) -> IntExpr {
-        IntExpr(Rc::new(IntNode::Mod(self.clone(), modulus)))
-    }
-
     /// Constraint `self <= rhs`.
     pub fn le(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
         BoolExpr::cmp(CmpOp::Le, self.clone(), rhs.into())
@@ -123,7 +114,6 @@ impl IntExpr {
                     x.each_var(f);
                 }
             }
-            IntNode::Mod(a, _) => a.each_var(f),
         }
     }
 }
@@ -179,7 +169,6 @@ impl fmt::Display for IntExpr {
                 }
                 write!(f, ")")
             }
-            IntNode::Mod(a, m) => write!(f, "({a} mod {m})"),
         }
     }
 }
@@ -310,9 +299,8 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 10);
         let y = s.int_var("y", 0, 10);
-        let three = NonZeroI64::new(3).unwrap();
-        let e = (x.clone() + y.clone()) * IntExpr::constant(2) + x.modulo(three);
-        assert_eq!(e.to_string(), "(((x + y) * 2) + (x mod 3))");
+        let e = (x.clone() + y.clone()) * IntExpr::constant(2) + x.clone() * IntExpr::constant(3);
+        assert_eq!(e.to_string(), "(((x + y) * 2) + (x * 3))");
         let b = x.le(y.clone()).or(y.ne_expr(0));
         assert_eq!(b.to_string(), "((x <= y) or (y != 0))");
     }

@@ -10,13 +10,12 @@
 //! Every endpoint is the exact value saturated to the `i64` range,
 //! computed in machine words: `i64` saturating `+` and `*` (clamping is
 //! monotone, so the span of clamped corners is the clamped span of the
-//! exact corners) and `i64` Euclidean remainders. No raw `+ - *` may
+//! exact corners). No raw `+ - *` may
 //! appear outside the tests (`clippy::arithmetic_side_effects` is denied
 //! here); the tests hold the exact rules, in 128-bit integers, and check
 //! every operator against them bit for bit.
 
 use std::fmt;
-use std::num::NonZeroI64;
 
 /// A closed integer interval `[lo, hi]`.
 ///
@@ -93,29 +92,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Interval of Euclidean remainder `self mod modulus`.
-    ///
-    /// Within `[0, |modulus| - 1]`; exact on a singleton, and the tight
-    /// sub-range when the dividend spans fewer values than the modulus and
-    /// does not wrap.
-    pub fn rem_euclid(self, modulus: NonZeroI64) -> Interval {
-        if self.is_empty() {
-            return Interval::empty();
-        }
-        // A remainder by `m` equals one by `−m`, so the sign stays. `m` is
-        // non-zero, so the one `None` is the `i64` overflow of
-        // `i64::MIN mod −1`, whose remainder is 0.
-        let m = modulus.get();
-        let rem = |x: i64| x.checked_rem_euclid(m).unwrap_or(0);
-        let (r_lo, r_hi) = (rem(self.lo), rem(self.hi));
-        // `hi − lo` and `|m|` are exact in `u64`, `|i64::MIN| = 2^63` too.
-        if self.hi.abs_diff(self.lo) < m.unsigned_abs() && r_lo <= r_hi {
-            return Interval::new(r_lo, r_hi);
-        }
-        // `−1 mod m` is the largest remainder, `|m| − 1`.
-        Interval::new(0, rem(-1))
-    }
-
     /// Intersection of two intervals.
     pub fn intersect(self, rhs: Interval) -> Interval {
         Interval::new(self.lo.max(rhs.lo), self.hi.min(rhs.hi))
@@ -181,10 +157,6 @@ mod tests {
     use super::*;
     use proptest::prelude::TestRng;
 
-    fn modulus(m: i64) -> NonZeroI64 {
-        NonZeroI64::new(m).unwrap()
-    }
-
     /// Endpoints at and beside the `i64` extremes.
     const ENDS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
 
@@ -218,19 +190,6 @@ mod tests {
             }
         }
         Interval::new(clamp(lo), clamp(hi))
-    }
-
-    fn spec_rem(a: Interval, modulus: NonZeroI64) -> Interval {
-        if a.is_empty() {
-            return Interval::empty();
-        }
-        let (lo, hi) = (i128::from(a.lo), i128::from(a.hi));
-        let m = i128::from(modulus.get()).abs();
-        let (r_lo, r_hi) = (lo.rem_euclid(m), hi.rem_euclid(m));
-        if hi - lo < m && r_lo <= r_hi {
-            return Interval::new(clamp(r_lo), clamp(r_hi));
-        }
-        Interval::new(0, clamp(m - 1))
     }
 
     /// A random endpoint: small, at an extreme, beside one, near the
@@ -271,32 +230,19 @@ mod tests {
             let above = ENDS.into_iter().filter(|&hi| lo <= hi);
             intervals.extend(above.map(|hi| Interval::new(lo, hi)));
         }
-        let moduli: Vec<NonZeroI64> = ENDS
-            .into_iter()
-            .chain([16, -16, 3])
-            .filter_map(NonZeroI64::new)
-            .collect();
-        let check = |a: Interval, b: Interval, m: NonZeroI64| {
+        let check = |a: Interval, b: Interval| {
             assert_eq!(a + b, spec_add(a, b), "{a} + {b}");
             assert_eq!(a * b, spec_mul(a, b), "{a} * {b}");
-            assert_eq!(a.rem_euclid(m), spec_rem(a, m), "{a} mod {m}");
         };
         for &a in &intervals {
             for &b in &intervals {
-                for &m in &moduli {
-                    check(a, b, m);
-                }
+                check(a, b);
             }
         }
         for case in 0..20_000 {
             let rng = &mut TestRng::for_case("interval_spec", case);
             let (a, b) = (interval(rng), interval(rng));
-            let m = match rng.next_u64() % 4 {
-                0 => i64::MIN,
-                1 => endpoint(rng),
-                _ => (rng.next_u64() % 64) as i64 - 32,
-            };
-            check(a, b, NonZeroI64::new(m).unwrap_or(NonZeroI64::MIN));
+            check(a, b);
         }
     }
 
@@ -330,25 +276,6 @@ mod tests {
         let a = Interval::new(0, 10);
         assert!((e + a).is_empty());
         assert!((a * e).is_empty());
-        assert!(e.rem_euclid(modulus(16)).is_empty());
-    }
-
-    #[test]
-    fn rem_singleton_is_exact() {
-        let point = Interval::singleton;
-        assert_eq!(point(37).rem_euclid(modulus(16)), point(5));
-        assert_eq!(point(-3).rem_euclid(modulus(16)), point(13));
-        assert_eq!(point(-3).rem_euclid(modulus(-16)), point(13));
-    }
-
-    #[test]
-    fn rem_narrow_dividend_is_tight() {
-        // [33, 35] mod 16 = [1, 3]
-        let narrow = Interval::new(33, 35);
-        assert_eq!(narrow.rem_euclid(modulus(16)), Interval::new(1, 3));
-        // Wrapping case falls back to [0, 15].
-        let wide = Interval::new(30, 35);
-        assert_eq!(wide.rem_euclid(modulus(16)), Interval::new(0, 15));
     }
 
     #[test]
@@ -362,7 +289,7 @@ mod tests {
     }
 
     /// Every operator over every interval with endpoints drawn from the
-    /// `i64` extremes, `mod` by every non-zero extreme: nothing panics, and
+    /// `i64` extremes: nothing panics, and
     /// the result holds the exact (`i128`) value, saturated to `i64`, at
     /// every sampled point.
     #[test]
@@ -387,14 +314,6 @@ mod tests {
                         let hit = result.contains(clamp(exact(x.into(), y.into())));
                         assert!(hit, "{a} {name} {b} = {result} misses {x} {name} {y}");
                     }
-                }
-            }
-            for m in ENDS.into_iter().filter_map(NonZeroI64::new) {
-                let result = a.rem_euclid(m);
-                for x in points(a) {
-                    let exact = i128::from(x).rem_euclid(i128::from(m.get()));
-                    let hit = result.contains(clamp(exact));
-                    assert!(hit, "{a} mod {m} = {result} misses {x} mod {m}");
                 }
             }
         }

@@ -3,10 +3,10 @@
 //! paper (CGO 2024, §IV-L).
 //!
 //! The EATSS tile-size formulations only ever involve a handful of integer
-//! variables, each bounded by a small interval (tile sizes live in
-//! `[1, T_P_B]` and are multiples of the warp-alignment factor), and one
-//! fragment of arithmetic: sums and products of tiles, `mod` by a constant
-//! (the alignment), compared by `<=` against a capacity or by `==`/`!=`,
+//! variables, each over a small finite domain (tile sizes live in
+//! `[1, T_P_B]`, and the domain holds only the multiples of the
+//! warp-alignment factor), and one fragment of arithmetic: sums and
+//! products of tiles, compared by `<=` against a capacity or by `==`/`!=`,
 //! and disjunctions of such atoms. That fragment is the whole language —
 //! a difference is written `a + (−1)·b`, `a < b` is `a + 1 <= b`, a
 //! conjunction is one assertion per conjunct. Over such *finite* domains a
@@ -28,16 +28,14 @@
 //! formulation from §IV-A):
 //!
 //! ```
-//! use eatss_smt::Solver;
-//! use std::num::NonZeroI64;
+//! use eatss_smt::{Domain, Solver};
 //!
 //! let mut s = Solver::new();
-//! let ti = s.int_var("Ti", 1, 1024);
-//! let tj = s.int_var("Tj", 1, 1024);
-//! // Tile sizes are multiples of the warp-alignment factor (16).
-//! let waf = NonZeroI64::new(16).expect("non-zero");
-//! s.assert(ti.modulo(waf).eq_expr(0));
-//! s.assert(tj.modulo(waf).eq_expr(0));
+//! // Tile sizes are multiples of the warp-alignment factor (16): that is
+//! // their domain, not a constraint.
+//! let aligned = || Domain::from_values((1..=64).map(|k| 16 * k).collect());
+//! let ti = s.int_var_in("Ti", aligned());
+//! let tj = s.int_var_in("Tj", aligned());
 //! // L1 capacity: Ti*Tj <= 4096 elements.
 //! s.assert((ti.clone() * tj.clone()).le(4096));
 //! // Maximize the parallelism term.

@@ -120,7 +120,6 @@ mod tests {
     use super::*;
     use crate::Solver;
     use proptest::prelude::TestRng;
-    use std::num::NonZeroI64;
 
     fn fixed_model() -> (Model, IntExpr, IntExpr) {
         let mut s = Solver::new();
@@ -134,10 +133,6 @@ mod tests {
         (m, x, y)
     }
 
-    fn modulus(m: i64) -> NonZeroI64 {
-        NonZeroI64::new(m).unwrap()
-    }
-
     #[test]
     fn eval_arithmetic() {
         let (m, x, y) = fixed_model();
@@ -146,7 +141,6 @@ mod tests {
         let difference = x.clone() + minus_one.clone() * y.clone();
         assert_eq!(m.eval(&difference).unwrap(), 4);
         assert_eq!(m.eval(&(x.clone() * y.clone())).unwrap(), 21);
-        assert_eq!(m.eval(&x.modulo(modulus(3))).unwrap(), 1);
         assert_eq!(m.eval(&(minus_one.clone() * x)).unwrap(), -7);
         let min = IntExpr::constant(i64::MIN);
         assert_eq!(m.eval(&(minus_one * min)).unwrap(), i64::MAX);
@@ -200,15 +194,10 @@ mod tests {
         let abc = [a.clone(), b.clone(), c];
         let add: fn(i128, i128) -> i128 = |x, y| x + y;
         let mul: fn(i128, i128) -> i128 = |x, y| x * y;
-        let m = VALUES[pick(rng, VALUES.len())];
-        match pick(rng, 5) {
+        match pick(rng, 4) {
             0 => (a + b, apply(add, av, bv)),
             1 => (a * b, apply(mul, av, bv)),
-            2 => match NonZeroI64::new(m) {
-                Some(m) => (a.modulo(m), apply(i128::rem_euclid, av, m.get())),
-                None => (a, av),
-            },
-            3 => (IntExpr::sum(abc), apply(add, apply(add, av, bv), cv)),
+            2 => (IntExpr::sum(abc), apply(add, apply(add, av, bv), cv)),
             _ => (IntExpr::product(abc), apply(mul, apply(mul, av, bv), cv)),
         }
     }
@@ -265,14 +254,5 @@ mod tests {
         assert_eq!(m.to_string(), "{x = 7, y = 3}");
         assert_eq!(m.value_of_name("y"), Some(3));
         assert_eq!(m.value_of_name("zz"), None);
-    }
-
-    #[test]
-    fn euclidean_semantics_on_negatives() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", -7, -7);
-        let m = s.check().unwrap().model.unwrap();
-        assert_eq!(m.eval(&x.modulo(modulus(3))).unwrap(), 2);
-        assert_eq!(m.eval(&x.modulo(modulus(-3))).unwrap(), 2);
     }
 }

@@ -19,9 +19,7 @@ use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
 use crate::interval::Interval;
 use crate::model::Model;
-use crate::search::{
-    assignment_of, branch_order, tri_bool, Tri, MAX_PROPAGATION_ROUNDS, PROBE_LIMIT,
-};
+use crate::search::{assignment_of, branch_order, tri_bool, Tri, PROBE_LIMIT};
 use crate::solver::{SolveError, Solver};
 
 /// Result of a reference [`check`], with the work done to get it.
@@ -80,11 +78,12 @@ impl NaiveSearch<'_> {
         None
     }
 
-    /// Filters domains until fixpoint, rebuilding every hull for every
-    /// constraint each round — the O(V·C) behaviour the fast engine
-    /// replaced. Returns `false` on inconsistency.
+    /// Filters domains until a round changes nothing, rebuilding every
+    /// hull for every constraint each round — the O(V·C) behaviour the
+    /// fast engine replaced. Every round that goes on removed a value from
+    /// a finite domain, so it ends. Returns `false` on inconsistency.
     fn propagate(&mut self, domains: &mut [Domain]) -> bool {
-        for _ in 0..MAX_PROPAGATION_ROUNDS {
+        loop {
             let mut changed = false;
             for (constraint, vars) in self.constraints {
                 let hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
@@ -113,10 +112,9 @@ impl NaiveSearch<'_> {
                 }
             }
             if !changed {
-                break;
+                return true;
             }
         }
-        true
     }
 }
 

@@ -28,10 +28,11 @@
 //!   a syntactic polarity analysis ([`kept_shape`]) proves that, filtering
 //!   tests the extreme value (nothing to prune: one evaluation) and
 //!   otherwise bisects for the cut — `O(log |D|)` interval evaluations
-//!   instead of `|D|`, the same filtered domain. Everything else (the
-//!   `T % WAF == 0` alignment) is probed value by value; a unary
+//!   instead of `|D|`, the same filtered domain. Everything else (an
+//!   `=`, a `≠`, a disjunction) is probed value by value; a unary
 //!   constraint so probed at the root is entailed from then on and stops
-//!   watching its variable.
+//!   watching its variable. A tile's warp alignment is no constraint at
+//!   all: it is the domain the tile was declared with.
 //!
 //! All five preserve exact results: propagation only removes values proven
 //! inconsistent, the exhaustive search still visits every surviving
@@ -86,11 +87,6 @@ const BUDGET_POLL_PERIOD: u64 = 64;
 /// per-value probing is reserved for small domains where it pays off.
 pub(crate) const PROBE_LIMIT: usize = 4096;
 
-/// Propagation budget per search node, in constraint visits relative to a
-/// full pass: filtering stops after `MAX_PROPAGATION_ROUNDS × constraints`
-/// visits — weaker pruning, never unsoundness.
-pub(crate) const MAX_PROPAGATION_ROUNDS: u32 = 16;
-
 /// A branching variable's next candidate after `tried` (its first when
 /// `None`): the largest value below it. Large tiles score high, so the
 /// maximization climbs in few improvements (like Z3's default behaviour
@@ -144,8 +140,7 @@ impl Polarity {
 /// stays non-negative, and a product of non-negative factors moves with
 /// each of them. Interval `+`, `*` of non-negative factors and the
 /// saturating clamp are monotone in their operands' ends, which is what
-/// carries the claim from the leaves to the root; a `mod` that mentions
-/// the variable has no polarity.
+/// carries the claim from the leaves to the root.
 fn polarity(expr: &IntExpr, var: VarId, hulls: &[Interval]) -> Polarity {
     let of = |x: &IntExpr| polarity(x, var, hulls);
     match &*expr.0 {
@@ -162,10 +157,6 @@ fn polarity(expr: &IntExpr, var: VarId, hulls: &[Interval]) -> Polarity {
                 joined
             }
         }
-        IntNode::Mod(a, _) => match of(a) {
-            Polarity::Const => Polarity::Const,
-            _ => Polarity::Unknown,
-        },
     }
 }
 
@@ -444,11 +435,10 @@ impl<'a> Search<'a> {
             return None;
         }
         if let Some(values) = assignment_of(&self.domains) {
-            // Every hull is a singleton: a final exact check (the visit
-            // budget may have left a constraint unrevised).
-            if !holds_at(self.constraints, &self.hulls) {
-                return None;
-            }
+            // Every hull is a singleton, and propagation ran to its
+            // fixpoint: each constraint was revised after its last
+            // variable was pinned, exactly, and held.
+            debug_assert!(holds_at(self.constraints, &self.hulls));
             let Some(b) = &mut self.bound else {
                 return Some(values);
             };
@@ -509,26 +499,20 @@ impl<'a> Search<'a> {
         None
     }
 
-    /// Drains the dirty-constraint worklist to fixpoint (or the visit
-    /// budget). Returns `false` on inconsistency, with the queue cleared.
+    /// Drains the dirty-constraint worklist to its fixpoint. Returns
+    /// `false` on inconsistency, with the queue cleared.
+    ///
+    /// It terminates: within a call, a constraint is re-enqueued only after
+    /// [`Search::filter`] strictly narrows a finite domain of at most
+    /// [`PROBE_LIMIT`] values, so the visits are bounded by the queue it
+    /// starts with plus Σ|D| · watchers.
     fn propagate(&mut self) -> bool {
         let started = Instant::now();
-        // The visit budget mirrors the old engine's `rounds × constraints`
-        // worst case; hitting it merely weakens pruning, never soundness.
-        let mut visits_left =
-            (MAX_PROPAGATION_ROUNDS as u64).saturating_mul(self.constraints.len().max(1) as u64);
         let ok = loop {
             let Some(ci) = self.queue.pop_front() else {
                 break true;
             };
             self.in_queue[ci as usize] = false;
-            if visits_left == 0 {
-                // Budget exhausted: drop the remaining work. Sound — the
-                // search below simply branches on less-filtered domains.
-                self.clear_queue();
-                break true;
-            }
-            visits_left -= 1;
             self.stats.propagations += 1;
             let consistent = if (ci as usize) == self.constraints.len() {
                 self.revise_bound()
@@ -677,7 +661,6 @@ pub(crate) fn bounds(expr: &IntExpr, hulls: &[Interval]) -> Interval {
             .map(|x| bounds(x, hulls))
             .reduce(|acc, x| acc * x)
             .unwrap_or(Interval::singleton(1)),
-        IntNode::Mod(a, m) => bounds(a, hulls).rem_euclid(*m),
     }
 }
 
@@ -738,7 +721,6 @@ mod tests {
     use super::*;
     use crate::Solver;
     use proptest::prelude::TestRng;
-    use std::num::NonZeroI64;
 
     const CASES: u32 = 2000;
 
@@ -771,7 +753,7 @@ mod tests {
     }
 
     /// Any expression the tree admits, including the non-monotone ones:
-    /// signed products, differences `a + (−1)·b` and `mod`.
+    /// signed products and differences `a + (−1)·b`.
     fn any_expr(rng: &mut TestRng, vars: &[IntExpr], depth: u32) -> IntExpr {
         if depth == 0 || pick(rng, 0, 3) == 0 {
             return match pick(rng, 0, 2) {
@@ -781,11 +763,10 @@ mod tests {
         }
         let a = any_expr(rng, vars, depth - 1);
         let b = any_expr(rng, vars, depth - 1);
-        match pick(rng, 0, 3) {
+        match pick(rng, 0, 2) {
             0 => a + b,
             1 => a * b,
-            2 => a + IntExpr::constant(-1) * b,
-            _ => a.modulo(NonZeroI64::new(pick(rng, 1, 5)).unwrap()),
+            _ => a + IntExpr::constant(-1) * b,
         }
     }
 
@@ -994,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn eatss_shaped_atoms_are_cut_and_alignment_is_probed() {
+    fn eatss_shaped_atoms_are_cut_and_holes_are_probed() {
         let mut s = Solver::new();
         let ti = s.int_var("Ti", 1, 64);
         let tj = s.int_var("Tj", 1, 64);
@@ -1006,11 +987,11 @@ mod tests {
         assert_eq!(kept_shape(&tj.le(&ti), i, &hulls), Kept::Suffix);
         assert_eq!(kept_shape(&tj.le(&ti), j, &hulls), Kept::Prefix);
         assert_eq!(bound_shape(&(ti.clone() * tj.clone()), i, &hulls), Kept::Suffix);
-        // Alignment, a difference, a product with a factor that may be
+        // A hole, a difference, a product with a factor that may be
         // negative, and anything that is not a single `<=` atom: no claim.
         let minus = |x: IntExpr| IntExpr::constant(-1) * x;
         let unknown = [
-            ti.modulo(NonZeroI64::new(16).unwrap()).eq_expr(0),
+            (ti.clone() + tj.clone()).ne_expr(16),
             (ti.clone() * tj.clone() + minus(ti.clone())).le(100),
             ((ti.clone() + IntExpr::constant(-8)) * tj.clone()).le(100),
             ti.le(8).or(IntExpr::constant(32).le(&ti)),
@@ -1042,7 +1023,7 @@ mod tests {
         let mut s = Solver::new();
         let ti = s.int_var("Ti", 1, 64);
         let tj = s.int_var("Tj", 1, 64);
-        s.assert(ti.modulo(NonZeroI64::new(16).unwrap()).eq_expr(0));
+        s.assert(BoolExpr::any([16, 32, 48, 64].map(|v| ti.eq_expr(v))));
         s.assert((ti.clone() * tj.clone()).le(256));
         let config = SolverConfig::default();
         let mut stats = SolverStats::default();
@@ -1051,10 +1032,24 @@ mod tests {
         assert_eq!(search.watchers[0], vec![0, 1, 2]);
         assert!(search.revise(0));
         assert_eq!(search.domains[0].values(), &[16, 32, 48, 64]);
-        assert_eq!(search.watchers[0], vec![1, 2], "alignment is entailed from here on");
+        assert_eq!(search.watchers[0], vec![1, 2], "the choice is entailed from here on");
         // Below the root a probe is undone on backtrack, so it proves nothing.
         search.trail.push_level();
         assert!(search.revise(1));
         assert_eq!(search.watchers[1], vec![1, 2]);
+    }
+
+    #[test]
+    fn propagation_runs_to_its_fixpoint() {
+        // Each revision moves the ends by one value, so refuting the pair
+        // takes thousands of visits to two constraints: only a propagation
+        // that runs until nothing changes proves it without branching.
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 4000);
+        let y = s.int_var("y", 0, 4000);
+        s.assert((x.clone() + IntExpr::constant(1)).le(&y));
+        s.assert((y + IntExpr::constant(1)).le(&x));
+        assert!(s.check().unwrap().model.is_none());
+        assert_eq!(s.stats().nodes, 0, "root propagation alone proves it");
     }
 }

@@ -14,16 +14,16 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use eatss_smt::{to_smtlib, Solver};
-/// use std::num::NonZeroI64;
+/// use eatss_smt::{to_smtlib, Domain, Solver};
 ///
 /// let mut s = Solver::new();
-/// let x = s.int_var("x", 1, 64);
-/// let waf = NonZeroI64::new(16).expect("non-zero");
-/// s.assert(x.modulo(waf).eq_expr(0));
+/// // A tile aligned to 16 is a domain of multiples of 16.
+/// let x = s.int_var_in("x", Domain::from_values((1..=4).map(|k| 16 * k).collect()));
+/// s.assert(x.le(48));
 /// let script = to_smtlib(&s, Some(&x));
 /// assert!(script.contains("(declare-const x Int)"));
-/// assert!(script.contains("(assert (= (mod x 16) 0))"));
+/// assert!(script.contains("(assert (= (mod (- x 16) 16) 0))"));
+/// assert!(script.contains("(assert (<= x 48))"));
 /// assert!(script.contains("(maximize x)"));
 /// ```
 pub fn to_smtlib(solver: &Solver, objective: Option<&IntExpr>) -> String {
@@ -91,7 +91,6 @@ fn int_sexp(expr: &IntExpr) -> String {
         IntNode::Var(_, name) => name.clone(),
         IntNode::Add(xs) => nary("+", xs, int_sexp),
         IntNode::Mul(xs) => nary("*", xs, int_sexp),
-        IntNode::Mod(a, m) => format!("(mod {} {})", int_sexp(a), const_sexp(m.get())),
     }
 }
 
@@ -124,7 +123,6 @@ fn bool_sexp(expr: &BoolExpr) -> String {
 mod tests {
     use super::*;
     use crate::{Domain, IntExpr, Solver};
-    use std::num::NonZeroI64;
 
     #[test]
     fn exports_declarations_bounds_and_assertions() {
@@ -132,14 +130,14 @@ mod tests {
         let ti = s.int_var("Ti", 1, 1024);
         let tj = s.int_var("Tj", 1, 1024);
         s.assert((ti.clone() * tj.clone()).le(12_288));
-        s.assert(ti.modulo(NonZeroI64::new(16).unwrap()).eq_expr(0));
+        s.assert(ti.eq_expr(tj.clone()));
         let script = to_smtlib(&s, None);
         assert!(script.starts_with("(set-logic QF_NIA)"));
         assert!(script.contains("(declare-const Ti Int)"));
         assert!(script.contains("(declare-const Tj Int)"));
         assert!(script.contains("(assert (and (>= Ti 1) (<= Ti 1024)))"));
         assert!(script.contains("(assert (<= (* Ti Tj) 12288))"));
-        assert!(script.contains("(assert (= (mod Ti 16) 0))"));
+        assert!(script.contains("(assert (= Ti Tj))"));
         assert!(script.ends_with("(check-sat)\n(get-model)\n"));
     }
 
@@ -187,10 +185,10 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", -10, 10);
         s.assert(IntExpr::constant(-5).le(&x));
-        s.assert(x.modulo(NonZeroI64::new(-3).unwrap()).ne_expr(1));
+        s.assert((IntExpr::constant(-3) * x.clone()).ne_expr(1));
         let script = to_smtlib(&s, None);
         assert!(script.contains("(assert (<= (- 5) x))"));
-        assert!(script.contains("(assert (distinct (mod x (- 3)) 1))"));
+        assert!(script.contains("(assert (distinct (* (- 3) x) 1))"));
     }
 
     #[test]

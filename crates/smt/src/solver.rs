@@ -586,10 +586,10 @@ pub(crate) fn budget_stop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::num::NonZeroI64;
 
-    fn modulus(m: i64) -> NonZeroI64 {
-        NonZeroI64::new(m).unwrap()
+    /// The positive multiples of `step` up to `hi`: an aligned tile domain.
+    fn multiples(step: i64, hi: i64) -> Domain {
+        Domain::from_values((1..=hi / step).map(|k| k * step).collect())
     }
 
     /// `a < b`, written `a + 1 <= b`.
@@ -638,9 +638,9 @@ mod tests {
     #[test]
     fn divisibility_constraints() {
         let mut s = Solver::new();
-        let x = s.int_var("x", 1, 64);
-        s.assert(x.modulo(modulus(16)).eq_expr(0));
-        s.assert(x.modulo(modulus(3)).eq_expr(0));
+        let x = s.int_var_in("x", multiples(16, 64));
+        let k = s.int_var("k", 1, 21);
+        s.assert(x.eq_expr(IntExpr::constant(3) * k));
         let m = s.check().unwrap().model.unwrap();
         assert_eq!(m.value_of_name("x"), Some(48));
     }
@@ -681,12 +681,9 @@ mod tests {
         // The paper reports the solution Ti=16, Tj=384, Tk=16.
         let mut s = Solver::new();
         let cap = 12_288; // 96 KiB / 8 bytes (FP64 elements)
-        let ti = s.int_var("Ti", 1, 1024);
-        let tj = s.int_var("Tj", 1, 1024);
-        let tk = s.int_var("Tk", 1, 1024);
-        for t in [&ti, &tj, &tk] {
-            s.assert(t.modulo(modulus(16)).eq_expr(0));
-        }
+        let ti = s.int_var_in("Ti", multiples(16, 1024));
+        let tj = s.int_var_in("Tj", multiples(16, 1024));
+        let tk = s.int_var_in("Tk", multiples(16, 1024));
         let bsize = ti.clone() * tj.clone();
         s.assert((bsize.clone() * IntExpr::constant(3) * IntExpr::constant(2)).le(65_536));
         s.assert((ti.clone() * tj.clone() + tk.clone() * tj.clone()).le(cap));
@@ -716,14 +713,10 @@ mod tests {
         });
         let x = s.int_var("x", 1, 1000);
         let y = s.int_var("y", 1, 1000);
-        // Interval propagation cannot decide this (the mod image always
-        // contains 3 while either variable is non-singleton), so the solver
-        // must branch — which the zero node budget forbids.
-        s.assert(
-            (x.clone() * IntExpr::constant(31) + y.clone() * IntExpr::constant(17))
-                .modulo(modulus(97))
-                .eq_expr(3),
-        );
+        // Interval propagation cannot decide this (`v · [1, 91]` contains
+        // 91 for every `v ≤ 91`, prime factor or not), so the solver must
+        // branch — which the zero node budget forbids.
+        s.assert((x.clone() * y.clone()).eq_expr(91));
         let r = s.check().unwrap();
         assert!(r.model.is_none());
         assert!(!r.complete, "limit must be reported as incomplete");
@@ -773,12 +766,9 @@ mod tests {
     fn matmul_formulation(config: SolverConfig, waf: i64) -> (Solver, IntExpr) {
         let mut s = Solver::with_config(config);
         let cap = 12_288;
-        let ti = s.int_var("Ti", 1, 1024);
-        let tj = s.int_var("Tj", 1, 1024);
-        let tk = s.int_var("Tk", 1, 1024);
-        for t in [&ti, &tj, &tk] {
-            s.assert(t.modulo(modulus(waf)).eq_expr(0));
-        }
+        let ti = s.int_var_in("Ti", multiples(waf, 1024));
+        let tj = s.int_var_in("Tj", multiples(waf, 1024));
+        let tk = s.int_var_in("Tk", multiples(waf, 1024));
         let bsize = ti.clone() * tj.clone();
         s.assert((bsize.clone() * IntExpr::constant(3) * IntExpr::constant(2)).le(65_536));
         s.assert((ti.clone() * tj.clone() + tk.clone() * tj.clone()).le(cap));
@@ -916,7 +906,7 @@ mod tests {
     fn stats_accumulate() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 100);
-        s.assert(x.modulo(modulus(7)).eq_expr(0));
+        s.assert(x.ne_expr(7));
         let _ = s.check().unwrap();
         let _ = s.check().unwrap();
         assert_eq!(s.stats().checks, 2);
@@ -943,12 +933,11 @@ mod tests {
     #[test]
     fn matches_brute_force_on_small_space() {
         let mut s = Solver::new();
-        let x = s.int_var("x", 1, 12);
+        let x = s.int_var_in("x", multiples(2, 12));
         let y = s.int_var("y", 1, 12);
         let z = s.int_var("z", 1, 12);
         s.assert((x.clone() * y.clone() * z.clone()).le(50));
         s.assert(lt(&z, x.clone() + y.clone()));
-        s.assert(x.modulo(modulus(2)).eq_expr(0));
         let obj = x.clone() * y.clone() + z.clone();
         let out = s.maximize(&obj).unwrap();
         let mut best = i64::MIN;

@@ -5,35 +5,31 @@
 //! `maximize`.
 //!
 //! Formulations mirror the shapes the EATSS model generator emits:
-//! bounded integer variables, divisibility constraints (warp alignment),
-//! product capacity constraints (shared-memory and register budgets), and
+//! bounded integer variables, aligned domains (warp alignment is the
+//! domain of multiples, as `ModelGenerator::build` declares it), product
+//! capacity constraints (shared-memory and register budgets), and
 //! linear/bilinear comparisons, in the solver's one language: `+`, `*`,
-//! `mod` by a constant, `<=`/`==`/`!=` and `or` (`a > b` is `b + 1 <= a`,
-//! `a − b` is `a + (−1)·b`). Objectives stay `mod`-free like the paper's
-//! `COMP + GM ... + SM ...` objective. Domains are kept small so the
-//! exhaustive reference finishes in microseconds per case.
+//! `<=`/`==`/`!=` and `or` (`a > b` is `b + 1 <= a`, `a − b` is
+//! `a + (−1)·b`). Domains are kept small so the exhaustive reference
+//! finishes in microseconds per case.
 //!
 //! The fast engine filters monotone constraints by bisection and
 //! everything else by per-value probing, deciding which from the
 //! constraint's syntax; the reference probes every value of everything. So
 //! a second family of formulations is built from exactly the shapes the
-//! syntactic analysis must *not* take for monotone — `mod`, differences
-//! and products over domains that straddle zero, disjunctions — next to
+//! syntactic analysis must *not* take for monotone — holes (`≠`),
+//! differences and products over domains that straddle zero,
+//! disjunctions — next to
 //! the capacity constraints it should. (The filtered domains themselves
 //! are compared value for value by the unit properties in
 //! `src/search.rs`, which can see them; here the two engines meet at the
 //! public API.)
 
-use eatss_smt::{reference, IntExpr, Solver};
+use eatss_smt::{reference, Domain, IntExpr, Solver};
 use proptest::prelude::*;
-use std::num::NonZeroI64;
 
 fn constant(v: i64) -> IntExpr {
     IntExpr::constant(v)
-}
-
-fn modulus(m: i64) -> NonZeroI64 {
-    NonZeroI64::new(m).expect("the strategies draw non-zero moduli")
 }
 
 /// Builds a solver holding a randomized three-variable formulation and a
@@ -47,7 +43,14 @@ fn build(
     sel: u8,
 ) -> (Solver, IntExpr) {
     let mut s = Solver::new();
-    let x = s.int_var("x", 1, hi[0]);
+    let x = if sel & 2 != 0 {
+        // Aligned to `m`: the multiples of `m` up to `hi[0]` (none at all
+        // when `m > hi[0]`, an unsatisfiable formulation).
+        let multiples = (1..=hi[0] / m).map(|k| k * m).collect();
+        s.int_var_in("x", Domain::from_values(multiples))
+    } else {
+        s.int_var("x", 1, hi[0])
+    };
     let y = s.int_var("y", 1, hi[1]);
     let z = s.int_var("z", 1, hi[2]);
     // Capacity: the product of two tiles fits a budget (always on — the
@@ -55,9 +58,6 @@ fn build(
     s.assert((x.clone() * y.clone()).le(cap));
     if sel & 1 != 0 {
         s.assert((x.clone() * y.clone() + y.clone() * z.clone()).le(sum_cap));
-    }
-    if sel & 2 != 0 {
-        s.assert(x.modulo(modulus(m)).eq_expr(0));
     }
     if sel & 4 != 0 {
         s.assert((z.clone() + constant(1)).le(x.clone() + y.clone()));
@@ -88,7 +88,8 @@ fn build_non_monotone(lo: [i64; 2], span: [i64; 3], cap: i64, k: i64, sel: u8) -
     // may be negative).
     s.assert((x.clone() * y.clone() + z.clone() * z.clone()).le(cap));
     if sel & 1 != 0 {
-        s.assert((x.clone() + y.clone()).modulo(modulus(k)).eq_expr(1));
+        // A hole in the middle of the sum's range.
+        s.assert((x.clone() + y.clone()).ne_expr(k));
     }
     if sel & 2 != 0 {
         // `z` on both sides of a difference: `3k·z − z²` rises, peaks inside

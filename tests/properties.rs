@@ -8,9 +8,13 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{occupancy, traffic, GpuArch, KernelExecSpec, RefAccess};
 use eatss_ppcg::{CompileOptions, GpuMapping};
-use eatss_smt::{Solver, SolverConfig};
+use eatss_smt::{Domain, Solver, SolverConfig};
 use proptest::prelude::*;
-use std::num::NonZeroI64;
+
+/// The positive multiples of `step` up to `hi`: an aligned tile domain.
+fn multiples(step: i64, hi: i64) -> Domain {
+    Domain::from_values((1..=hi / step).map(|k| k * step).collect())
+}
 
 proptest! {
     /// The solver's maximize returns a model satisfying every asserted
@@ -22,10 +26,9 @@ proptest! {
         cap in 20i64..800, modulus in 2i64..6,
     ) {
         let mut s = Solver::new();
-        let x = s.int_var("x", 1, hi_x);
+        let x = s.int_var_in("x", multiples(modulus, hi_x));
         let y = s.int_var("y", 1, hi_y);
         s.assert((x.clone() * y.clone()).le(cap));
-        s.assert(x.modulo(NonZeroI64::new(modulus).expect("drawn from 2..6")).eq_expr(0));
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
         if let Some(model) = out.model {
@@ -69,10 +72,9 @@ proptest! {
             node_limit,
             ..SolverConfig::default()
         });
-        let x = s.int_var("x", 1, hi_x);
+        let x = s.int_var_in("x", multiples(2, hi_x));
         let y = s.int_var("y", 1, hi_y);
         s.assert((x.clone() * y.clone()).le(cap));
-        s.assert(x.modulo(NonZeroI64::new(2).expect("non-zero")).eq_expr(0));
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
         // A budget stop and `complete` are two views of the same fact.

@@ -6,9 +6,8 @@ use eatss::{Eatss, EatssConfig, PipelineError, PipelineStage, SolutionProvenance
 use eatss_affine::parser::parse_program;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
-use eatss_smt::{IntExpr, Solver, SolverConfig, StopReason};
+use eatss_smt::{Domain, IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
-use std::num::NonZeroI64;
 
 fn mm() -> Program {
     parse_program(
@@ -25,13 +24,10 @@ fn mm() -> Program {
 fn matmul_formulation(config: SolverConfig, waf: i64) -> (Solver, IntExpr) {
     let mut s = Solver::with_config(config);
     let cap = 12_288;
-    let ti = s.int_var("Ti", 1, 1024);
-    let tj = s.int_var("Tj", 1, 1024);
-    let tk = s.int_var("Tk", 1, 1024);
-    let waf = NonZeroI64::new(waf).expect("a positive alignment");
-    for t in [&ti, &tj, &tk] {
-        s.assert(t.modulo(waf).eq_expr(0));
-    }
+    let aligned = || Domain::from_values((1..=1024 / waf).map(|k| k * waf).collect());
+    let ti = s.int_var_in("Ti", aligned());
+    let tj = s.int_var_in("Tj", aligned());
+    let tk = s.int_var_in("Tk", aligned());
     let bsize = ti.clone() * tj.clone();
     s.assert((bsize.clone() * IntExpr::constant(3) * IntExpr::constant(2)).le(65_536));
     s.assert((ti.clone() * tj.clone() + tk.clone() * tj.clone()).le(cap));
