@@ -886,12 +886,16 @@ mod tests {
         rhs.parse::<i64>().is_ok() && !ops.iter().any(|op| lhs.contains(op))
     }
 
-    /// Every assertion of `model` is a capacity row, and every aligned
-    /// tile states its congruence through its domain line.
+    /// Every assertion of `model` is a capacity row, and it and the
+    /// objective lower to rows the search revises in closed form — no
+    /// silent fallback to probing; and every aligned tile states its
+    /// congruence through its domain line.
     fn check_rows(model: &EatssModel, align: i64, what: &str) {
         for atom in model.solver.assertions().map(ToString::to_string) {
             assert!(is_capacity_row(&atom), "{what}: `{atom}` is no row");
         }
+        let unlowered = model.solver.unlowered(&model.objective);
+        assert!(unlowered.is_empty(), "{what}: probed, not lowered: {unlowered:?}");
         let smt = model.to_smtlib();
         let tiles = (0..model.tile_vars.len()).filter(|&d| model.tile_vars[d].is_some());
         for (d, values) in tiles.zip(tile_domains(model)) {

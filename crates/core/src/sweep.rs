@@ -275,10 +275,13 @@ fn process_point(
         span.arg("cap", format!("{:?}", config.cap));
         eatss_trace::counter_add("sweep.points", 1);
     }
-    let context = format!(
-        "{} @ split={} wfrac={} cap={:?}",
-        program.name, config.split_factor, config.warp_fraction, config.cap
-    );
+    // Only an error reads it, so a point that succeeds formats nothing.
+    let context = || {
+        format!(
+            "{} @ split={} wfrac={} cap={:?}",
+            program.name, config.split_factor, config.warp_fraction, config.cap
+        )
+    };
     let mut infeasible = None;
     let mut failures = Vec::new();
     let solved = match solve_with_retries(eatss, program, sizes, &config, options, warm) {
@@ -297,7 +300,7 @@ fn process_point(
         }
         Err(systemic) => {
             span.arg("error", systemic.to_string());
-            return Err(PipelineError::from_eatss(systemic, context));
+            return Err(PipelineError::from_eatss(systemic, context()));
         }
     };
     // Measure the solved tiles; degrade to the default tiling when there
@@ -310,7 +313,7 @@ fn process_point(
                 record_measure_failure(&e.to_string(), false);
                 failures.push((
                     config.clone(),
-                    PipelineError::from_evaluate(e, context.clone()),
+                    PipelineError::from_evaluate(e, context()),
                 ));
             }
         }
@@ -327,7 +330,7 @@ fn process_point(
                 record_measure_failure(&e.to_string(), true);
                 failures.push((
                     config.clone(),
-                    PipelineError::from_evaluate(e, format!("{context} [fallback]")),
+                    PipelineError::from_evaluate(e, format!("{} [fallback]", context())),
                 ));
             }
         }

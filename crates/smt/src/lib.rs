@@ -54,6 +54,7 @@ mod expr;
 mod interval;
 mod model;
 pub mod reference;
+mod row;
 mod search;
 mod smtlib;
 mod solver;

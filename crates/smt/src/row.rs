@@ -1,0 +1,345 @@
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+//! Capacity rows: a constraint `Σ c·Πx ≤ cap`, or the objective `Σ c·Πx`,
+//! lowered to a flat sum of products and revised in one saturating pass.
+//!
+//! A sum of products *qualifies* as a row when every constant in it is
+//! `≥ 0`, every variable's base hull has `lo ≥ 0` and no variable appears
+//! twice in one product (a product of sums is not flat and does not
+//! qualify either). That is the shape of every capacity the model
+//! generator asserts and of its objective; anything else stays with the
+//! search's per-value probe.
+//!
+//! **Exactness.** Domains only shrink, so every operand of a row stays
+//! non-negative for the whole search, and on non-negative operands
+//! saturating `+` and `·` give `min(exact, i64::MAX)` at every step —
+//! exactly what interval evaluation of the tree computes, in any order of
+//! the operands. So one pass yields the tree's interval bit for bit, and
+//! with one variable pinned to `x` the row's low end is
+//! `min(a·x + b, i64::MAX)`, with `a` the sum over the variable's products
+//! of the other factors' low ends and `b` the rest of the row (likewise at
+//! the high ends). While neither the pass's end nor `a` saturated, both
+//! are exact, so the values a capacity keeps are `x ≤ ⌊(cap − b)/a⌋` and
+//! those the incumbent bound keeps are `x > ⌊(inc − b)/a⌋`: the cut the
+//! per-value probe finds, at no evaluation.
+
+use crate::expr::{BoolExpr, BoolNode, CmpOp, IntExpr, IntNode, VarId};
+use crate::interval::Interval;
+
+/// Which ends of the hulls a pass reads coefficients at: the low ends for
+/// a capacity (`lo(row) > cap` refutes a value), the high ends for the
+/// incumbent bound (`hi(row) ≤ incumbent` does).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) enum End {
+    #[default]
+    Lo,
+    Hi,
+}
+
+impl End {
+    fn pick(self, lo: i64, hi: i64) -> i64 {
+        match self {
+            End::Lo => lo,
+            End::Hi => hi,
+        }
+    }
+}
+
+/// A lowered row: the range of its products in [`Rows::terms`] and the
+/// sum of its variable-free products.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    start: usize,
+    end: usize,
+    constant: i64,
+}
+
+/// One product `coef · Π factors`, its factors a range of
+/// [`Rows::factors`].
+#[derive(Debug)]
+struct Term {
+    coef: i64,
+    start: usize,
+    end: usize,
+}
+
+/// A variable in a product: its hull index, and its slot — its position
+/// in the row's watched variables, where its coefficient is kept.
+#[derive(Debug)]
+struct Factor {
+    var: usize,
+    slot: usize,
+}
+
+/// Every row of one search, lowered into one flat buffer, plus what the
+/// last [`Rows::pass`] found.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    terms: Vec<Term>,
+    factors: Vec<Factor>,
+    /// Per factor of the product being passed: `coef` times the ends of
+    /// the factors before it.
+    prefix: Vec<i64>,
+    /// The last pass: the ends it read, and the row's end there.
+    last: (End, i64),
+    /// Per slot: the coefficient the last pass found.
+    coefs: Vec<i64>,
+}
+
+impl Rows {
+    /// Lowers `constraint` when it is `row ≤ c` with a constant `c`:
+    /// the row and `c`.
+    pub(crate) fn capacity(
+        &mut self,
+        constraint: &BoolExpr,
+        vars: &[VarId],
+        base: &[Interval],
+    ) -> Option<(Row, i64)> {
+        let BoolNode::Cmp(CmpOp::Le, lhs, rhs) = &*constraint.0 else {
+            return None;
+        };
+        let IntNode::Const(cap) = *rhs.0 else {
+            return None;
+        };
+        Some((self.lower(lhs, vars, base)?, cap))
+    }
+
+    /// Lowers `expr`, whose variables are `vars` (a variable's slot is its
+    /// position there), over the `base` hulls; `None`, keeping nothing,
+    /// when it does not qualify.
+    pub(crate) fn lower(
+        &mut self,
+        expr: &IntExpr,
+        vars: &[VarId],
+        base: &[Interval],
+    ) -> Option<Row> {
+        let (start, factors) = (self.terms.len(), self.factors.len());
+        let mut constant = 0;
+        if self.sum(expr, vars, base, &mut constant).is_none() {
+            self.terms.truncate(start);
+            self.factors.truncate(factors);
+            return None;
+        }
+        // Scratch for the longest product and the most slots of any row.
+        self.prefix.resize(self.factors.len(), 0);
+        self.coefs.resize(self.coefs.len().max(vars.len()), 0);
+        Some(Row {
+            start,
+            end: self.terms.len(),
+            constant,
+        })
+    }
+
+    fn sum(
+        &mut self,
+        expr: &IntExpr,
+        vars: &[VarId],
+        base: &[Interval],
+        constant: &mut i64,
+    ) -> Option<()> {
+        if let IntNode::Add(xs) = &*expr.0 {
+            return xs
+                .iter()
+                .try_for_each(|x| self.sum(x, vars, base, constant));
+        }
+        let start = self.factors.len();
+        let coef = self.product(expr, vars, base, start)?;
+        let end = self.factors.len();
+        if end == start {
+            *constant = constant.saturating_add(coef);
+        } else {
+            self.terms.push(Term { coef, start, end });
+        }
+        Some(())
+    }
+
+    /// Pushes the factors of one product (its first at `start`) and
+    /// returns the product of its constants.
+    fn product(
+        &mut self,
+        expr: &IntExpr,
+        vars: &[VarId],
+        base: &[Interval],
+        start: usize,
+    ) -> Option<i64> {
+        match &*expr.0 {
+            IntNode::Const(c) => (*c >= 0).then_some(*c),
+            IntNode::Var(id, _) => {
+                let slot = vars.iter().position(|v| v == id)?;
+                let repeated = self.factors[start..].iter().any(|f| f.slot == slot);
+                if repeated || base.get(id.index())?.lo() < 0 {
+                    return None;
+                }
+                self.factors.push(Factor {
+                    var: id.index(),
+                    slot,
+                });
+                Some(1)
+            }
+            IntNode::Mul(xs) => xs.iter().try_fold(1i64, |coef, x| {
+                Some(coef.saturating_mul(self.product(x, vars, base, start)?))
+            }),
+            IntNode::Add(_) => None,
+        }
+    }
+
+    /// One saturating pass over `row` under `hulls`: returns its interval
+    /// (the tree's, bit for bit — empty when a variable's hull is) and
+    /// keeps, per slot, the variable's coefficient at `end`: the sum over
+    /// its products of `coef` times the other factors' ends, from prefix
+    /// and suffix products. [`Rows::cut`] reads it.
+    pub(crate) fn pass(&mut self, row: Row, hulls: &[Interval], end: End) -> Interval {
+        let Rows {
+            terms,
+            factors,
+            prefix,
+            last,
+            coefs,
+        } = self;
+        coefs.fill(0);
+        let (mut lo, mut hi) = (row.constant, row.constant);
+        for term in &terms[row.start..row.end] {
+            let factors = &factors[term.start..term.end];
+            let prefix = &mut prefix[..factors.len()];
+            let (mut term_lo, mut term_hi) = (term.coef, term.coef);
+            for (factor, before) in factors.iter().zip(prefix.iter_mut()) {
+                let hull = hulls[factor.var];
+                if hull.is_empty() {
+                    return Interval::empty();
+                }
+                *before = end.pick(term_lo, term_hi);
+                term_lo = term_lo.saturating_mul(hull.lo());
+                term_hi = term_hi.saturating_mul(hull.hi());
+            }
+            let mut after = 1i64;
+            for (factor, before) in factors.iter().zip(prefix.iter()).rev() {
+                let coef = &mut coefs[factor.slot];
+                *coef = coef.saturating_add(before.saturating_mul(after));
+                let hull = hulls[factor.var];
+                after = after.saturating_mul(end.pick(hull.lo(), hull.hi()));
+            }
+            lo = lo.saturating_add(term_lo);
+            hi = hi.saturating_add(term_hi);
+        }
+        *last = (end, end.pick(lo, hi));
+        Interval::new(lo, hi)
+    }
+
+    /// The cut of the variable in `slot`, whose hull is `hull`, against
+    /// `level`, after a pass whose interval has `lo ≤ level < hi`:
+    /// `⌊(level − b)/a⌋` with `b = e − a·x`, where `e` and `x` are the
+    /// row's and the variable's ends the pass read. A capacity
+    /// `row ≤ level` ([`End::Lo`]) keeps the values up to the cut, the
+    /// bound `row > level` ([`End::Hi`]) those above it. `None` when `e`
+    /// or `a` saturated.
+    pub(crate) fn cut(&self, slot: usize, hull: Interval, level: i64) -> Option<i64> {
+        let (end, e) = self.last;
+        let (x, a) = (end.pick(hull.lo(), hull.hi()), self.coefs[slot]);
+        if e == i64::MAX || a == i64::MAX {
+            return None;
+        }
+        if a == 0 {
+            // Every value is kept.
+            return Some(end.pick(i64::MAX, i64::MIN));
+        }
+        let b = e.saturating_sub(a.saturating_mul(x));
+        level.saturating_sub(b).checked_div_euclid(a)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::search::bounds;
+    use crate::Solver;
+
+    /// Hull ends and weights at and beside the saturation scale.
+    const ENDS: [i64; 7] = [0, 1, 2, 1 << 31, 1 << 32, i64::MAX - 1, i64::MAX];
+
+    /// The hulls `[lo, hi]` over `ENDS`.
+    fn hulls() -> impl Iterator<Item = Interval> {
+        let ends = ENDS.iter().enumerate();
+        ends.flat_map(|(i, &lo)| ENDS[i..].iter().map(move |&hi| Interval::new(lo, hi)))
+    }
+
+    #[test]
+    fn a_pass_is_the_tree_bit_for_bit_at_the_saturation_scale() {
+        // `c0·x·y + c1·y + c2`: zero and near-`i64::MAX` weights, zero-valued
+        // and saturating variables, and an empty hull.
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 0);
+        let y = s.int_var("y", 0, 0);
+        let vars = [VarId(0), VarId(1)];
+        let base = [Interval::new(0, 1); 2];
+        for [c0, c1, c2] in [
+            [0, 0, 0],
+            [1, 2, 0],
+            [3, 0, 1 << 40],
+            [i64::MAX, 1, 0],
+            [2, i64::MAX - 1, i64::MAX],
+        ] {
+            let c = IntExpr::constant;
+            let expr = c(c0) * x.clone() * y.clone() + c(c1) * y.clone() + c(c2);
+            let mut rows = Rows::default();
+            let row = rows.lower(&expr, &vars, &base).expect("a row");
+            for hx in hulls().chain([Interval::empty()]) {
+                for hy in hulls() {
+                    let point = [hx, hy];
+                    let tree = bounds(&expr, &point);
+                    assert_eq!(
+                        rows.pass(row, &point, End::Hi),
+                        tree,
+                        "{expr} over {hx}, {hy}"
+                    );
+                    assert_eq!(
+                        rows.pass(row, &point, End::Lo),
+                        tree,
+                        "{expr} over {hx}, {hy}"
+                    );
+                    if tree.is_empty() {
+                        continue;
+                    }
+                    // The coefficients the pass keeps: `c0·lo(y)` and
+                    // `c0·lo(x) + c1`, saturated.
+                    let a_x = c0.saturating_mul(hy.lo());
+                    let a_y = c0.saturating_mul(hx.lo()).saturating_add(c1);
+                    assert_eq!(rows.coefs[..2], [a_x, a_y], "{expr} over {hx}, {hy}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cuts_decline_where_the_pass_saturated() {
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 0);
+        let y = s.int_var("y", 0, 0);
+        let vars = [VarId(0), VarId(1)];
+        let mut rows = Rows::default();
+        let row = rows
+            .lower(&(x * y), &vars, &[Interval::new(0, 1); 2])
+            .expect("a row");
+        // `x·y ≤ i64::MAX − 1` with `y = 2^62`: `x = 1` fits, `x = 2`
+        // saturates above the capacity.
+        let hulls = [Interval::new(0, 3), Interval::singleton(1 << 62)];
+        let ends = rows.pass(row, &hulls, End::Lo);
+        assert_eq!(ends, Interval::new(0, i64::MAX));
+        assert_eq!(rows.cut(0, hulls[0], i64::MAX - 1), Some(1));
+        // `y = i64::MAX`: `x`'s coefficient saturated, so the cut declines
+        // to the probe; `x = 0` leaves `y` a zero coefficient, which keeps
+        // every value.
+        let hulls = [Interval::new(0, 3), Interval::singleton(i64::MAX)];
+        let ends = rows.pass(row, &hulls, End::Lo);
+        assert_eq!(ends, Interval::new(0, i64::MAX));
+        assert_eq!(rows.cut(0, hulls[0], 5), None);
+        assert_eq!(rows.cut(1, hulls[1], 5), Some(i64::MAX));
+        // The bound reads the high ends: `hi = 3·2^61` is exact, and
+        // `x·2^61 > 2^62` keeps `x ≥ 3`; at `y = 2^62` the high end
+        // saturates and the bound declines.
+        let hulls = [Interval::new(0, 3), Interval::new(0, 1 << 61)];
+        assert_eq!(rows.pass(row, &hulls, End::Hi), Interval::new(0, 3 << 61));
+        assert_eq!(rows.cut(0, hulls[0], 1 << 62), Some(2));
+        let hulls = [Interval::new(0, 3), Interval::new(0, 1 << 62)];
+        assert_eq!(rows.pass(row, &hulls, End::Hi), Interval::new(0, i64::MAX));
+        assert_eq!(rows.cut(0, hulls[0], 1 << 62), None);
+    }
+}

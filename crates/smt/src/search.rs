@@ -1,5 +1,5 @@
 //! The solver's hot loop: trail-based depth-first search with worklist
-//! propagation, one-pass branch-and-bound and monotone cuts.
+//! propagation, one-pass branch-and-bound and closed-form rows.
 //!
 //! Five structural choices keep the cost low (the naive engine they
 //! replaced is retained verbatim in [`crate::reference`] for differential
@@ -22,17 +22,23 @@
 //!   (permanently at the root, trailed below it) before trying its next
 //!   candidate, so a subtree is refuted once — under the best incumbent
 //!   known when it is reached — and never re-entered.
-//! * **Monotone cuts**: EATSS constraints are sums of products of tile
-//!   sizes against a capacity, and the objective is one too, so the values
-//!   a constraint keeps are a prefix (or suffix) of the sorted domain. Where
-//!   a syntactic polarity analysis ([`kept_shape`]) proves that, filtering
-//!   tests the extreme value (nothing to prune: one evaluation) and
-//!   otherwise bisects for the cut — `O(log |D|)` interval evaluations
-//!   instead of `|D|`, the same filtered domain. Everything else (an
-//!   `=`, a `≠`, a disjunction) is probed value by value; a unary
-//!   constraint so probed at the root is entailed from then on and stops
-//!   watching its variable. A tile's warp alignment is no constraint at
-//!   all: it is the domain the tile was declared with.
+//! * **Closed-form rows**: every EATSS constraint is a sum of products of
+//!   tile sizes `≤` a capacity, and the objective is such a sum. Each is
+//!   lowered once per search into a flat row ([`crate::row`]) and revised
+//!   by one saturating pass that yields the row's interval and, per
+//!   watched variable, its coefficient `a`; the values a capacity keeps
+//!   are then `v ≤ ⌊(cap − b)/a⌋` and those the incumbent bound keeps
+//!   `v > ⌊(inc − b)/a⌋`, a cut found by `partition_point` at no
+//!   evaluation. It is exact: on non-negative operands saturating `+` and
+//!   `·` give `min(exact, i64::MAX)` at every step, which is what the
+//!   tree's interval evaluation computes, so a row's ends are the tree's
+//!   and each cut is the one the per-value probe finds; where the pass's
+//!   end or `a` saturated, the variable is probed. Everything that is not
+//!   a row (an `=`, a `≠`, a disjunction, a signed product, a repeated
+//!   factor) is probed value by value ([`Search::probe`], the spec); a
+//!   unary constraint so probed at the root is entailed from then on and
+//!   stops watching its variable. A tile's warp alignment is no
+//!   constraint at all: it is the domain the tile was declared with.
 //!
 //! All five preserve exact results: propagation only removes values proven
 //! inconsistent, the exhaustive search still visits every surviving
@@ -42,8 +48,21 @@
 //! what decides *which* of several equal-valued optima is met first, so
 //! none of the above touches them.
 //!
-//! Every hull check, probe and leaf check is one interval evaluation
-//! ([`bounds`], [`tri_bool`]), and their fixed cost is most of a solve's.
+//! Every hull check, probe and leaf check is one interval evaluation — a
+//! row pass, or [`bounds`]/[`tri_bool`] over the tree — and their fixed
+//! cost is most of a solve's. Per select of the `select-cold` benchmark
+//! workload (seed 1, counted on an instrumented build), closed-form rows
+//! replaced the polarity analysis and its bisection as follows:
+//!
+//! | evaluations per select | bisection | closed form |
+//! |---|---|---|
+//! | capacity hull checks (`revise`) | 166.1 | 166.1 row passes |
+//! | bound hull checks (`revise_bound`) | 29.9 | 29.9 row passes |
+//! | node-entry bound cuts (`dfs`) | 13.1 | 13.1 row passes |
+//! | leaf objective values | 5.4 | 5.4 |
+//! | filter probes: far-end tests + bisection steps | 176.3 + 357.9 | 0 (176.3 cuts) |
+//! | total | 748.6 | 214.3 |
+//!
 //! An endpoint is the exact value saturated to the `i64` range, computed
 //! with saturating `i64` operations (two products, not four, when no
 //! factor can be negative); see [`Interval`]. An inner node builds no
@@ -53,10 +72,12 @@
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, BoolNode, CmpOp, IntExpr, IntNode, VarId};
 use crate::interval::Interval;
+use crate::row::{End, Row, Rows};
 use crate::solver::{budget_stop, SolverConfig, StopReason};
 use crate::stats::SolverStats;
 use crate::trail::Trail;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Three-valued verdict of interval constraint evaluation.
@@ -106,97 +127,6 @@ pub(crate) fn branch_order(domain: &Domain) -> impl Iterator<Item = i64> + '_ {
     })
 }
 
-/// How an expression's interval moves as one variable grows, the others'
-/// hulls held fixed: both ends of the interval are non-decreasing (`Up`),
-/// non-increasing (`Down`), fixed (`Const`), or nothing is known.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Polarity {
-    Const,
-    Up,
-    Down,
-    Unknown,
-}
-
-impl Polarity {
-    fn join(self, other: Polarity) -> Polarity {
-        match (self, other) {
-            (Polarity::Const, p) | (p, Polarity::Const) => p,
-            (a, b) if a == b => a,
-            _ => Polarity::Unknown,
-        }
-    }
-
-    fn flip(self) -> Polarity {
-        match self {
-            Polarity::Up => Polarity::Down,
-            Polarity::Down => Polarity::Up,
-            p => p,
-        }
-    }
-}
-
-/// Syntactic polarity of `expr` in `var`. `hulls` are the search's base
-/// hulls: domains only shrink, so a factor that is non-negative over them
-/// stays non-negative, and a product of non-negative factors moves with
-/// each of them. Interval `+`, `*` of non-negative factors and the
-/// saturating clamp are monotone in their operands' ends, which is what
-/// carries the claim from the leaves to the root.
-fn polarity(expr: &IntExpr, var: VarId, hulls: &[Interval]) -> Polarity {
-    let of = |x: &IntExpr| polarity(x, var, hulls);
-    match &*expr.0 {
-        IntNode::Const(_) => Polarity::Const,
-        IntNode::Var(id, _) if *id == var => Polarity::Up,
-        IntNode::Var(..) => Polarity::Const,
-        IntNode::Add(xs) => xs.iter().fold(Polarity::Const, |p, x| p.join(of(x))),
-        IntNode::Mul(xs) => {
-            let joined = xs.iter().fold(Polarity::Const, |p, x| p.join(of(x)));
-            let signed = xs.iter().any(|x| bounds(x, hulls).lo() < 0);
-            if joined != Polarity::Const && signed {
-                Polarity::Unknown
-            } else {
-                joined
-            }
-        }
-    }
-}
-
-/// Which values of one variable's sorted domain a filter can keep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kept {
-    /// Provably a prefix: once a value is refuted, so is every larger one.
-    Prefix,
-    /// Provably a suffix: once a value is refuted, so is every smaller one.
-    Suffix,
-    /// No provable shape — every value is probed.
-    Any,
-}
-
-/// The shape of the values of `var` that `constraint` keeps. Only a single
-/// `<=` atom has one: `a <= b` is refuted by `lo(a) > hi(b)`, so when
-/// `a - b` moves one way in `var` the refuted values are one end of the
-/// domain.
-pub(crate) fn kept_shape(constraint: &BoolExpr, var: VarId, hulls: &[Interval]) -> Kept {
-    let BoolNode::Cmp(op, a, b) = &*constraint.0 else {
-        return Kept::Any;
-    };
-    let slope = polarity(a, var, hulls).join(polarity(b, var, hulls).flip());
-    match (op, slope) {
-        (CmpOp::Le, Polarity::Up) => Kept::Prefix,
-        (CmpOp::Le, Polarity::Down) => Kept::Suffix,
-        _ => Kept::Any,
-    }
-}
-
-/// The shape of the values of `var` whose objective upper bound can still
-/// beat an incumbent (`hi(objective) > incumbent`).
-pub(crate) fn bound_shape(objective: &IntExpr, var: VarId, hulls: &[Interval]) -> Kept {
-    match polarity(objective, var, hulls) {
-        Polarity::Up => Kept::Suffix,
-        Polarity::Down => Kept::Prefix,
-        _ => Kept::Any,
-    }
-}
-
 /// An objective being maximized under an incumbent. The search treats
 /// `objective > incumbent` as a *virtual constraint*: it sits in the
 /// propagation worklist like an asserted constraint (filtering domain
@@ -208,6 +138,8 @@ pub(crate) fn bound_shape(objective: &IntExpr, var: VarId, hulls: &[Interval]) -
 /// found (the bound is inert then — any model improves on nothing).
 struct ObjectiveBound<'a> {
     objective: &'a IntExpr,
+    /// The objective lowered to a row, when it qualifies.
+    row: Option<Row>,
     incumbent: Option<i64>,
 }
 
@@ -244,9 +176,10 @@ pub(crate) struct Pass {
 /// One `check` call's worth of search state.
 pub(crate) struct Search<'a> {
     constraints: &'a [(BoolExpr, Vec<VarId>)],
-    /// Per constraint, the [`Kept`] shape for each variable it watches
-    /// (parallel to the constraint's variable list).
-    shapes: Vec<Vec<Kept>>,
+    /// Every row of this search: the capacities and the objective.
+    rows: Rows,
+    /// Per constraint, its row and capacity when it lowered to one.
+    capacities: Vec<Option<(Row, i64)>>,
     config: &'a SolverConfig,
     stats: &'a mut SolverStats,
     /// Working copy of the variable domains (cloned once per check; all
@@ -269,8 +202,8 @@ pub(crate) struct Search<'a> {
     /// exhaustive pass proves optimality.
     bound: Option<ObjectiveBound<'a>>,
     /// Variables of the bound objective (they watch the virtual
-    /// constraint), each with the shape of the values the bound keeps.
-    bound_vars: Vec<(VarId, Kept)>,
+    /// constraint), in the order of its row's slots.
+    bound_vars: Vec<VarId>,
     /// Best assignment found so far in optimize mode, and the objective
     /// value of each incumbent taken on the way to it.
     best: Option<Vec<i64>>,
@@ -293,40 +226,37 @@ impl<'a> Search<'a> {
         let hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
         stats.hull_rebuilds += 1;
         let mut watchers = vec![Vec::new(); domains.len()];
-        let mut shapes = Vec::with_capacity(constraints.len());
+        let mut rows = Rows::default();
+        let mut capacities = Vec::with_capacity(constraints.len());
         for (ci, (constraint, vars)) in constraints.iter().enumerate() {
             for v in vars {
                 watchers[v.index()].push(ci as u32);
             }
-            shapes.push(
-                vars.iter()
-                    .map(|&v| kept_shape(constraint, v, &hulls))
-                    .collect(),
-            );
+            capacities.push(rows.capacity(constraint, vars, &hulls));
         }
         // The incumbent bound is a virtual constraint at index
         // `constraints.len()`: the objective's variables watch it so the
         // worklist revisits it like any asserted constraint.
+        let mut bound_vars = Vec::new();
         let bound = match mode {
             SearchMode::Satisfy => None,
-            SearchMode::Optimize { objective, floor } => Some(ObjectiveBound {
-                objective,
-                incumbent: floor,
-            }),
-        };
-        let mut bound_vars = Vec::new();
-        if let Some(b) = &bound {
-            let mut vars = Vec::new();
-            b.objective.collect_vars(&mut vars);
-            for v in vars {
-                watchers[v.index()].push(constraints.len() as u32);
-                bound_vars.push((v, bound_shape(b.objective, v, &hulls)));
+            SearchMode::Optimize { objective, floor } => {
+                objective.collect_vars(&mut bound_vars);
+                for v in &bound_vars {
+                    watchers[v.index()].push(constraints.len() as u32);
+                }
+                Some(ObjectiveBound {
+                    objective,
+                    row: rows.lower(objective, &bound_vars, &hulls),
+                    incumbent: floor,
+                })
             }
-        }
+        };
         let nodes_at_entry = stats.nodes;
         Search {
             constraints,
-            shapes,
+            rows,
+            capacities,
             config,
             stats,
             trail: Trail::new(domains.len()),
@@ -424,7 +354,7 @@ impl<'a> Search<'a> {
         // only after paying for a propagation pass.)
         if let Some(b) = &self.bound {
             if let Some(incumbent) = b.incumbent {
-                if bounds(b.objective, &self.hulls).hi() <= incumbent {
+                if b.hull(&mut self.rows, &self.hulls).hi() <= incumbent {
                     self.stats.bound_prunes += 1;
                     self.clear_queue();
                     return None;
@@ -503,9 +433,9 @@ impl<'a> Search<'a> {
     /// `false` on inconsistency, with the queue cleared.
     ///
     /// It terminates: within a call, a constraint is re-enqueued only after
-    /// [`Search::filter`] strictly narrows a finite domain of at most
-    /// [`PROBE_LIMIT`] values, so the visits are bounded by the queue it
-    /// starts with plus Σ|D| · watchers.
+    /// [`Search::probe`] or [`Search::cut`] strictly narrows a finite
+    /// domain of at most [`PROBE_LIMIT`] values, so the visits are bounded
+    /// by the queue it starts with plus Σ|D| · watchers.
     fn propagate(&mut self) -> bool {
         let started = Instant::now();
         let ok = loop {
@@ -528,62 +458,81 @@ impl<'a> Search<'a> {
         ok
     }
 
-    /// Filters `domains[idx]` down to the values `keep` accepts with the
-    /// variable's hull pinned to each in turn; `false` on a wipe-out.
-    /// Domains of one value (the hull check has spoken for it) or of more
-    /// than [`PROBE_LIMIT`] are left alone. A `Prefix`/`Suffix` shape is
-    /// trusted: the far end is tested first (kept means all kept) and the
-    /// cut is found by bisection; `Any` probes every value.
-    fn filter(&mut self, idx: usize, shape: Kept, keep: impl Fn(&[Interval]) -> bool) -> bool {
+    /// The per-value probe, every filter's spec: narrows `domains[idx]`
+    /// to the values `keep` accepts with the variable's hull pinned to
+    /// each in turn; `false` on a wipe-out. Domains of one value (the hull
+    /// check has spoken for it) or of more than [`PROBE_LIMIT`] are left
+    /// alone, here and in [`Search::cut`].
+    fn probe(&mut self, idx: usize, keep: impl Fn(&[Interval]) -> bool) -> bool {
         let values = self.domains[idx].values();
-        let [first, .., last] = *values else {
-            return true;
-        };
-        if values.len() > PROBE_LIMIT {
+        if !(2..=PROBE_LIMIT).contains(&values.len()) {
             return true;
         }
         // Pin this variable's hull to a singleton *in place* — no
         // `hulls.clone()` per variable.
         let saved_hull = self.hulls[idx];
         let hulls = &mut self.hulls;
-        let mut keeps = |v: i64| {
-            hulls[idx] = Interval::singleton(v);
-            keep(hulls)
-        };
-        let kept = match shape {
-            Kept::Prefix if keeps(last) => None,
-            Kept::Prefix => Some(values[..values.partition_point(|&v| keeps(v))].to_vec()),
-            Kept::Suffix if keeps(first) => None,
-            Kept::Suffix => Some(values[values.partition_point(|&v| !keeps(v))..].to_vec()),
-            Kept::Any => {
-                let kept: Vec<i64> = values.iter().copied().filter(|&v| keeps(v)).collect();
-                (kept.len() != values.len()).then_some(kept)
-            }
-        };
+        let kept: Vec<i64> = (values.iter().copied())
+            .filter(|&v| {
+                hulls[idx] = Interval::singleton(v);
+                keep(hulls)
+            })
+            .collect();
         self.hulls[idx] = saved_hull;
-        let Some(kept) = kept else {
+        self.keep_only(idx, kept)
+    }
+
+    /// Narrows `domains[idx]` to the positions a row's closed form keeps
+    /// (a prefix or a suffix of the sorted domain): no evaluation.
+    fn cut(&mut self, idx: usize, kept: impl FnOnce(&[i64]) -> Range<usize>) -> bool {
+        let values = self.domains[idx].values();
+        if !(2..=PROBE_LIMIT).contains(&values.len()) {
             return true;
-        };
-        self.stats.values_pruned += (values.len() - kept.len()) as u64;
+        }
+        let kept = kept(values);
+        if kept.len() == values.len() {
+            return true;
+        }
+        let kept = values[kept].to_vec();
+        self.keep_only(idx, kept)
+    }
+
+    /// Narrows `domains[idx]` to `kept`, a subsequence of it; `false` when
+    /// nothing is kept.
+    fn keep_only(&mut self, idx: usize, kept: Vec<i64>) -> bool {
+        let pruned = self.domains[idx].len() - kept.len();
+        if pruned == 0 {
+            return true;
+        }
+        self.stats.values_pruned += pruned as u64;
         if kept.is_empty() {
             return false;
         }
-        // `kept` is a cut or a subsequence of the sorted domain.
         self.narrow(idx, Domain::from_sorted(kept));
         true
     }
 
     /// Revises one constraint: entailment check by hulls, then exact
-    /// filtering of each small domain it watches ([`Search::filter`]).
-    /// Returns `false` on a wiped-out domain or a disentailed constraint.
+    /// filtering of each small domain it watches — a capacity row's cut in
+    /// closed form ([`Rows::cut`]), anything else by
+    /// [`Search::probe`]. Returns `false` on a wiped-out domain or a
+    /// disentailed constraint.
     fn revise(&mut self, ci: usize) -> bool {
         let (constraint, vars) = &self.constraints[ci];
-        match tri_bool(constraint, &self.hulls) {
+        let capacity = self.capacities[ci];
+        let verdict = match capacity {
+            Some((row, cap)) => {
+                let ends = self.rows.pass(row, &self.hulls, End::Lo);
+                tri_cmp(CmpOp::Le, ends, Interval::singleton(cap))
+            }
+            None => tri_bool(constraint, &self.hulls),
+        };
+        match verdict {
             Tri::False => return false,
             Tri::True => return true,
             Tri::Unknown => {}
         }
-        for (vi, &var) in vars.iter().enumerate() {
+        for (slot, &var) in vars.iter().enumerate() {
             let idx = var.index();
             // A unary constraint filtered exactly with no level open is
             // entailed for the rest of the search: root narrowing is
@@ -592,8 +541,12 @@ impl<'a> Search<'a> {
             if vars.len() == 1 && self.trail.depth() == 0 && self.domains[idx].len() <= PROBE_LIMIT {
                 self.watchers[idx].retain(|&c| c as usize != ci);
             }
-            let keep = |hulls: &[Interval]| tri_bool(constraint, hulls) != Tri::False;
-            if !self.filter(idx, self.shapes[ci][vi], keep) {
+            let cut = capacity.and_then(|(_, cap)| self.rows.cut(slot, self.hulls[idx], cap));
+            let consistent = match cut {
+                Some(t) => self.cut(idx, |values| 0..values.partition_point(|&v| v <= t)),
+                None => self.probe(idx, |hulls| tri_bool(constraint, hulls) != Tri::False),
+            };
+            if !consistent {
                 return false;
             }
         }
@@ -602,17 +555,18 @@ impl<'a> Search<'a> {
 
     /// Revises the virtual `objective > incumbent` constraint: refute the
     /// subtree when the hull upper bound cannot beat the incumbent, and
-    /// filter the objective's variables to drop values that cannot either.
+    /// filter the objective's variables to drop values that cannot either
+    /// — in closed form ([`Rows::cut`]) when the objective is a row.
     /// Every refutation here is incumbent-driven, so it counts toward
     /// [`SolverStats::bound_prunes`].
     fn revise_bound(&mut self) -> bool {
         let Some(b) = &self.bound else { return true };
-        let objective = b.objective;
         // No incumbent yet: the virtual constraint is inert.
         let Some(incumbent) = b.incumbent else {
             return true;
         };
-        let hull = bounds(objective, &self.hulls);
+        let (objective, row) = (b.objective, b.row);
+        let hull = b.hull(&mut self.rows, &self.hulls);
         if hull.is_empty() || hull.hi() <= incumbent {
             self.stats.bound_prunes += 1;
             return false;
@@ -620,15 +574,33 @@ impl<'a> Search<'a> {
         if hull.lo() > incumbent {
             return true; // Entailed: every assignment below improves.
         }
-        for vi in 0..self.bound_vars.len() {
-            let (var, shape) = self.bound_vars[vi];
-            let keep = |hulls: &[Interval]| bounds(objective, hulls).hi() > incumbent;
-            if !self.filter(var.index(), shape, keep) {
+        for slot in 0..self.bound_vars.len() {
+            let idx = self.bound_vars[slot].index();
+            let cut = row.and_then(|_| self.rows.cut(slot, self.hulls[idx], incumbent));
+            let consistent = match cut {
+                Some(t) => self.cut(idx, |values| {
+                    values.partition_point(|&v| v <= t)..values.len()
+                }),
+                None => self.probe(idx, |hulls| bounds(objective, hulls).hi() > incumbent),
+            };
+            if !consistent {
                 self.stats.bound_prunes += 1;
                 return false;
             }
         }
         true
+    }
+}
+
+impl ObjectiveBound<'_> {
+    /// The objective's interval over `hulls`: one pass of its row at the
+    /// high ends (keeping the coefficients [`Rows::cut`] reads), or the
+    /// tree's when it did not lower.
+    fn hull(&self, rows: &mut Rows, hulls: &[Interval]) -> Interval {
+        match self.row {
+            Some(row) => rows.pass(row, hulls, End::Hi),
+            None => bounds(self.objective, hulls),
+        }
     }
 }
 
@@ -711,12 +683,13 @@ pub(crate) fn tri_bool(expr: &BoolExpr, hulls: &[Interval]) -> Tri {
 
 #[cfg(test)]
 mod tests {
-    //! The two filtering paths must be one function: wherever the polarity
-    //! analysis claims a shape, bisection has to produce exactly the domain
-    //! the per-value probe (`Kept::Any`, the spec) produces, and the claim
-    //! itself has to survive a brute-force scan — on EATSS-shaped
-    //! constraints, where it should fire, and on non-monotone ones, where
-    //! it must not.
+    //! A row's closed form must be the per-value probe (the spec) in one
+    //! step: its interval is the tree's bit for bit, its cut keeps exactly
+    //! the values `tri_bool` keeps on a brute-force scan, and a search that
+    //! cuts builds node for node the tree of one that probes — on
+    //! EATSS-shaped formulations at every scale (tile-like, with zeros,
+    //! near `i64::MAX`, under `cap = i64::MAX`), and on unrestricted ones,
+    //! which must not lower.
 
     use super::*;
     use crate::Solver;
@@ -724,30 +697,103 @@ mod tests {
 
     const CASES: u32 = 2000;
 
+    /// A uniform draw from `lo..=hi`, for any `i64` range.
     fn pick(rng: &mut TestRng, lo: i64, hi: i64) -> i64 {
-        lo + (rng.next_u64() % (hi - lo + 1) as u64) as i64
+        let span = (i128::from(hi) - i128::from(lo) + 1) as u128;
+        (i128::from(lo) + (u128::from(rng.next_u64()) % span) as i128) as i64
+    }
+
+    /// The magnitudes of an EATSS-shaped case.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Scale {
+        /// Tile sizes, weights and capacities.
+        Tiles,
+        /// Zero weights, and variables that can be 0.
+        Zeros,
+        /// Small values or values up to `2^42`, weights up to `i64::MAX`,
+        /// and capacities and incumbents anywhere: products, ends and
+        /// coefficients saturate.
+        Huge,
+        /// Tile sizes under `cap = i64::MAX`.
+        CapMax,
     }
 
     /// Three variables over small domains: contiguous or thinned,
-    /// positive like tile sizes or (when `signed`) straddling zero.
-    fn variables(rng: &mut TestRng, s: &mut Solver, signed: bool) -> Vec<IntExpr> {
+    /// non-negative like tile sizes at `scale` or (when `None`)
+    /// straddling zero.
+    fn variables(rng: &mut TestRng, s: &mut Solver, scale: Option<Scale>) -> Vec<IntExpr> {
         (0..3)
             .map(|i| {
-                let lo = if signed { pick(rng, -6, 3) } else { pick(rng, 1, 4) };
-                let hi = lo + pick(rng, 0, 14);
+                let (lo, unit) = match scale {
+                    None => (pick(rng, -6, 3), 1),
+                    Some(Scale::Zeros) => (pick(rng, 0, 2), 1),
+                    Some(Scale::Huge) if pick(rng, 0, 1) == 0 => (pick(rng, 0, 3), 1),
+                    Some(Scale::Huge) => {
+                        (pick(rng, 0, 3) << pick(rng, 0, 40), 1 << pick(rng, 0, 30))
+                    }
+                    Some(Scale::Tiles | Scale::CapMax) => (pick(rng, 1, 4), 1),
+                };
+                let count = pick(rng, 0, 14);
                 let stride = pick(rng, 1, 3);
-                let values = (lo..=hi).filter(|v| v % stride == 0 || *v == lo).collect();
+                let values = (0..=count)
+                    .map(|k| lo + k * unit)
+                    .filter(|v| v % stride == 0 || *v == lo)
+                    .collect();
                 s.int_var_in(&format!("v{i}"), Domain::from_values(values))
             })
             .collect()
     }
 
-    /// A sum of products of variables with positive weights — the shape of
-    /// every EATSS capacity constraint and of the objective.
-    fn sum_of_products(rng: &mut TestRng, vars: &[IntExpr]) -> IntExpr {
+    /// A product's weight at `scale`.
+    fn weight(rng: &mut TestRng, scale: Scale) -> i64 {
+        match scale {
+            Scale::Zeros => pick(rng, 0, 3),
+            Scale::Huge if pick(rng, 0, 3) == 0 => i64::MAX - pick(rng, 0, 2),
+            Scale::Huge => pick(rng, 0, 3) << pick(rng, 0, 61),
+            Scale::Tiles | Scale::CapMax => pick(rng, 1, 5),
+        }
+    }
+
+    /// A value in `0..=i64::MAX >> k` for a random `k`, or as far below
+    /// `i64::MAX`, where saturated ends straddle it.
+    fn at_any_magnitude(rng: &mut TestRng) -> i64 {
+        let shift = pick(rng, 0, 62);
+        let below = pick(rng, 0, i64::MAX >> shift);
+        if pick(rng, 0, 1) == 0 {
+            below
+        } else {
+            i64::MAX - below
+        }
+    }
+
+    /// A capacity at `scale`.
+    fn capacity(rng: &mut TestRng, scale: Scale) -> i64 {
+        match scale {
+            Scale::Tiles => pick(rng, 1, 400),
+            Scale::Zeros => pick(rng, 0, 400),
+            Scale::Huge => at_any_magnitude(rng),
+            Scale::CapMax => i64::MAX,
+        }
+    }
+
+    /// An incumbent at the case's scale.
+    fn incumbent(rng: &mut TestRng, scale: Option<Scale>) -> i64 {
+        match scale {
+            Some(Scale::Huge) => at_any_magnitude(rng) - 50,
+            _ => pick(rng, -50, 400),
+        }
+    }
+
+    /// A sum of products of variables with non-negative weights — the
+    /// shape of every EATSS capacity constraint and of the objective. One
+    /// product in eight is a power of one variable; of degree two or more
+    /// it repeats the variable, and the sum does not lower.
+    fn sum_of_products(rng: &mut TestRng, vars: &[IntExpr], scale: Scale) -> IntExpr {
         IntExpr::sum((0..pick(rng, 1, 3)).map(|_| {
-            let weight = IntExpr::constant(pick(rng, 1, 5));
-            let factors = (0..pick(rng, 1, 3)).map(|_| vars[pick(rng, 0, 2) as usize].clone());
+            let weight = IntExpr::constant(weight(rng, scale));
+            let (first, count) = (pick(rng, 0, 2), pick(rng, 1, 3));
+            let step = if pick(rng, 0, 7) == 0 { 0 } else { 1 };
+            let factors = (0..count).map(|k| vars[((first + k * step) % 3) as usize].clone());
             IntExpr::product(std::iter::once(weight).chain(factors))
         }))
     }
@@ -784,22 +830,26 @@ mod tests {
     }
 
     /// One random formulation: a constraint and an objective, alternating
-    /// between the EATSS shape and the unrestricted one.
-    fn formulation(rng: &mut TestRng, case: u32) -> (Solver, IntExpr) {
+    /// between the EATSS shape (cycling through the scales) and the
+    /// unrestricted one, whose scale is `None`.
+    fn formulation(rng: &mut TestRng, case: u32) -> (Solver, IntExpr, Option<Scale>) {
         let mut s = Solver::new();
-        let eatss_shaped = case.is_multiple_of(2);
-        let vars = variables(rng, &mut s, !eatss_shaped);
-        let (constraint, objective) = if eatss_shaped {
-            let cap = IntExpr::constant(pick(rng, 1, 400));
-            let lhs = sum_of_products(rng, &vars);
+        let scales = [Scale::Tiles, Scale::Zeros, Scale::Huge, Scale::CapMax];
+        let scale = case
+            .is_multiple_of(2)
+            .then(|| scales[(case / 2 % 4) as usize]);
+        let vars = variables(rng, &mut s, scale);
+        let (constraint, objective) = if let Some(scale) = scale {
+            let cap = IntExpr::constant(capacity(rng, scale));
+            let lhs = sum_of_products(rng, &vars, scale);
             let one = IntExpr::constant(1);
-            let constraint = match pick(rng, 0, 3) {
-                0 => lhs.le(cap),
-                1 => (lhs + one).le(cap),
-                2 => cap.le(lhs),
+            let constraint = match pick(rng, 0, 5) {
+                0 | 1 => lhs.le(cap),
+                2 | 3 => (lhs + one).le(cap),
+                4 => cap.le(lhs),
                 _ => (cap + one).le(lhs),
             };
-            (constraint, sum_of_products(rng, &vars))
+            (constraint, sum_of_products(rng, &vars, scale))
         } else {
             let atom = |rng: &mut TestRng| {
                 let (a, b) = (any_expr(rng, &vars, 3), any_expr(rng, &vars, 2));
@@ -813,7 +863,7 @@ mod tests {
             (constraint, any_expr(rng, &vars, 3))
         };
         s.assert(constraint);
-        (s, objective)
+        (s, objective, scale)
     }
 
     /// A random sub-hull of every domain — the states a search can reach.
@@ -844,93 +894,158 @@ mod tests {
     }
 
     impl Search<'_> {
-        /// The spec: the same search with every shape forgotten, so all
-        /// filtering goes through the per-value probe.
+        /// The spec: the same search with every row forgotten, so all
+        /// filtering goes through the per-value probe and every hull
+        /// through the tree.
         fn probing(mut self) -> Self {
-            for shape in self.shapes.iter_mut().flatten() {
-                *shape = Kept::Any;
-            }
-            for (_, shape) in &mut self.bound_vars {
-                *shape = Kept::Any;
+            self.capacities.fill(None);
+            if let Some(b) = &mut self.bound {
+                b.row = None;
             }
             self
         }
+
+        /// How many of its constraints and objective lowered to rows.
+        fn lowered(&self) -> usize {
+            let objective = self.bound.as_ref().is_some_and(|b| b.row.is_some());
+            self.capacities.iter().flatten().count() + usize::from(objective)
+        }
     }
 
-    /// Whether the flags (one per domain value, ascending) contradict the
-    /// claimed shape: a kept value beyond a pruned one.
-    fn contradicts(shape: Kept, kept: &[bool]) -> bool {
-        match shape {
-            Kept::Prefix => kept.windows(2).any(|w| !w[0] && w[1]),
-            Kept::Suffix => kept.windows(2).any(|w| w[0] && !w[1]),
-            Kept::Any => false,
+    /// What a row is checked as: the capacity atom `row ≤ cap`, or the
+    /// incumbent bound `row > incumbent`.
+    #[derive(Clone, Copy)]
+    enum Side<'a> {
+        Capacity(&'a BoolExpr, i64),
+        Bound(i64),
+    }
+
+    /// Checks `row`, lowered from `expr`, in one narrowed state: its pass
+    /// is `bounds(expr)` bit for bit, at the state's hulls and at every
+    /// point of a brute-force scan of each watched variable; and where the
+    /// hull check leaves the row open, the closed-form cut keeps exactly
+    /// the values the scan keeps (`tri_bool` for a capacity, `hi > inc`
+    /// for the bound). Returns how many variables were cut in closed form
+    /// and how many declined because the pass saturated.
+    fn check_row(
+        rows: &mut Rows,
+        (row, expr): (Row, &IntExpr),
+        side: Side,
+        vars: &[VarId],
+        domains: &[Domain],
+    ) -> (u32, u32) {
+        let mut hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
+        let (end, level) = match side {
+            Side::Capacity(_, cap) => (End::Lo, cap),
+            Side::Bound(incumbent) => (End::Hi, incumbent),
+        };
+        let ends = rows.pass(row, &hulls, end);
+        assert_eq!(ends, bounds(expr, &hulls), "{expr}");
+        let keep = |h: &[Interval]| match side {
+            Side::Capacity(atom, _) => tri_bool(atom, h) != Tri::False,
+            Side::Bound(incumbent) => bounds(expr, h).hi() > incumbent,
+        };
+        if let Side::Capacity(atom, cap) = side {
+            let verdict = tri_cmp(CmpOp::Le, ends, Interval::singleton(cap));
+            assert_eq!(verdict, tri_bool(atom, &hulls), "{atom}");
         }
+        if ends.is_empty() || ends.lo() > level || ends.hi() <= level {
+            return (0, 0);
+        }
+        let cuts: Vec<Option<i64>> = (vars.iter().enumerate())
+            .map(|(slot, var)| rows.cut(slot, hulls[var.index()], level))
+            .collect();
+        let (mut cut, mut saturated) = (0, 0);
+        for (&var, t) in vars.iter().zip(cuts) {
+            let (idx, values) = (var.index(), domains[var.index()].values());
+            let saved = hulls[idx];
+            let mut flags = Vec::new();
+            for &v in values {
+                hulls[idx] = Interval::singleton(v);
+                assert_eq!(
+                    rows.pass(row, &hulls, end),
+                    bounds(expr, &hulls),
+                    "{expr} at {v}"
+                );
+                flags.push(keep(&hulls));
+            }
+            hulls[idx] = saved;
+            let Some(t) = t else {
+                saturated += 1;
+                continue;
+            };
+            cut += 1;
+            let closed: Vec<bool> = (values.iter())
+                .map(|&v| match side {
+                    Side::Capacity(..) => v <= t,
+                    Side::Bound(_) => v > t,
+                })
+                .collect();
+            assert_eq!(closed, flags, "{expr} vs {level} in {var:?}: cut at {t}");
+        }
+        (cut, saturated)
     }
 
     #[test]
-    fn claimed_shapes_survive_a_brute_force_scan() {
-        let mut claimed = 0;
+    fn lowered_rows_agree_with_tri_bool_on_every_point() {
+        let (mut lowered, mut cuts, mut saturated, mut cap_max) = (0, 0, 0, 0);
         for case in 0..CASES {
-            let rng = &mut TestRng::for_case("claimed_shapes", case);
-            let (solver, objective) = formulation(rng, case);
-            let base_hulls: Vec<Interval> =
-                solver.base_domains().iter().map(Domain::hull).collect();
-            let (constraint, vars) = &solver.constraint_entries()[0];
-            // Shapes are decided over the base hulls and must hold in every
+            let rng = &mut TestRng::for_case("lowered_rows", case);
+            let (solver, objective, scale) = formulation(rng, case);
+            let base: Vec<Interval> = solver.base_domains().iter().map(Domain::hull).collect();
+            let (atom, vars) = &solver.constraint_entries()[0];
+            let mut objective_vars = Vec::new();
+            objective.collect_vars(&mut objective_vars);
+            // Rows are lowered over the base hulls and must hold in every
             // state the search narrows them to.
+            let mut rows = Rows::default();
+            let capacity = rows.capacity(atom, vars, &base);
+            let objective_row = rows.lower(&objective, &objective_vars, &base);
+            lowered += u32::from(capacity.is_some()) + u32::from(objective_row.is_some());
             for _ in 0..4 {
                 let domains = narrowed(rng, solver.base_domains());
-                let mut hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
-                let incumbent = pick(rng, -50, 400);
-                let mut scan = |idx: usize, keep: &dyn Fn(&[Interval]) -> bool| {
-                    let saved = hulls[idx];
-                    let flags: Vec<bool> = (domains[idx].iter())
-                        .map(|v| {
-                            hulls[idx] = Interval::singleton(v);
-                            keep(&hulls)
-                        })
-                        .collect();
-                    hulls[idx] = saved;
-                    flags
+                let incumbent = incumbent(rng, scale);
+                let mut tally = |(c, s)| {
+                    cuts += c;
+                    saturated += s;
                 };
-                for &var in vars {
-                    let shape = kept_shape(constraint, var, &base_hulls);
-                    claimed += u32::from(shape != Kept::Any);
-                    let flags = scan(var.index(), &|h| tri_bool(constraint, h) != Tri::False);
-                    assert!(
-                        !contradicts(shape, &flags),
-                        "case {case}: {constraint} claims {shape:?} in {var:?}, scan {flags:?}"
-                    );
+                if let Some((row, cap)) = capacity {
+                    let BoolNode::Cmp(_, lhs, _) = &*atom.0 else {
+                        unreachable!("a capacity is a `<=` atom")
+                    };
+                    let side = Side::Capacity(atom, cap);
+                    tally(check_row(&mut rows, (row, lhs), side, vars, &domains));
+                    cap_max += u32::from(cap == i64::MAX);
                 }
-                let mut objective_vars = Vec::new();
-                objective.collect_vars(&mut objective_vars);
-                for var in objective_vars {
-                    let shape = bound_shape(&objective, var, &base_hulls);
-                    claimed += u32::from(shape != Kept::Any);
-                    let flags = scan(var.index(), &|h| bounds(&objective, h).hi() > incumbent);
-                    assert!(
-                        !contradicts(shape, &flags),
-                        "case {case}: {objective} > {incumbent} claims {shape:?} in {var:?}, \
-                         scan {flags:?}"
-                    );
+                if let Some(row) = objective_row {
+                    let side = Side::Bound(incumbent);
+                    let (objective, vars) = ((row, &objective), &objective_vars);
+                    tally(check_row(&mut rows, objective, side, vars, &domains));
                 }
             }
         }
-        assert!(claimed > CASES, "the analysis never fired: {claimed} claims");
+        let counts =
+            format!("{lowered} rows, {cuts} cuts, {saturated} saturated, {cap_max} at i64::MAX");
+        assert!(
+            lowered > CASES / 2 && cuts > CASES / 2 && saturated > 50 && cap_max > 50,
+            "{counts}"
+        );
     }
 
     #[test]
     fn one_revision_filters_exactly_like_the_per_value_probe() {
         let config = SolverConfig::default();
+        let mut lowered = 0;
         for case in 0..CASES {
             let rng = &mut TestRng::for_case("one_revision", case);
-            let (solver, objective) = formulation(rng, case);
+            let (solver, objective, scale) = formulation(rng, case);
             let domains = narrowed(rng, solver.base_domains());
-            let incumbent = pick(rng, -50, 400);
+            let incumbent = incumbent(rng, scale);
             let (mut stats_cut, mut stats_probe) = Default::default();
-            // Shapes come from the base hulls, the revision starts from a
-            // narrowed state: what a node deep in the tree sees.
+            // Rows are lowered over the base hulls, the revision starts
+            // from a narrowed state: what a node deep in the tree sees.
             let mut cut = search_over(solver.base_domains(), &solver, &config, &mut stats_cut, &objective);
+            lowered += cut.lowered();
             let mut probe =
                 search_over(solver.base_domains(), &solver, &config, &mut stats_probe, &objective)
                     .probing();
@@ -950,6 +1065,7 @@ mod tests {
             assert_eq!(cut.domains, probe.domains, "case {case}: domains after revise_bound");
             assert_eq!(stats_cut.values_pruned, stats_probe.values_pruned, "case {case}");
         }
+        assert!(lowered > CASES as usize / 2, "{lowered} rows");
     }
 
     #[test]
@@ -959,7 +1075,7 @@ mod tests {
         let config = SolverConfig::default();
         for case in 0..CASES {
             let rng = &mut TestRng::for_case("same_tree", case);
-            let (solver, objective) = formulation(rng, case);
+            let (solver, objective, _) = formulation(rng, case);
             let (mut stats_cut, mut stats_probe) = Default::default();
             let cut = search_over(solver.base_domains(), &solver, &config, &mut stats_cut, &objective)
                 .run();
@@ -970,6 +1086,7 @@ mod tests {
             assert_eq!(cut.values, probe.values, "case {case}: model");
             assert_eq!(cut.incumbents, probe.incumbents, "case {case}: improvements");
             assert_eq!(stats_cut.nodes, stats_probe.nodes, "case {case}: nodes");
+            assert_eq!(stats_cut.bound_prunes, stats_probe.bound_prunes, "case {case}");
             assert_eq!(stats_cut.values_pruned, stats_probe.values_pruned, "case {case}");
         }
     }
@@ -979,28 +1096,54 @@ mod tests {
         let mut s = Solver::new();
         let ti = s.int_var("Ti", 1, 64);
         let tj = s.int_var("Tj", 1, 64);
-        let hulls = [Interval::new(1, 64), Interval::new(1, 64)];
-        let (i, j) = (VarId(0), VarId(1));
-        let capacity = (ti.clone() * tj.clone() + IntExpr::constant(2) * tj.clone()).le(512);
-        assert_eq!(kept_shape(&capacity, i, &hulls), Kept::Prefix);
-        assert_eq!(kept_shape(&capacity, j, &hulls), Kept::Prefix);
-        assert_eq!(kept_shape(&tj.le(&ti), i, &hulls), Kept::Suffix);
-        assert_eq!(kept_shape(&tj.le(&ti), j, &hulls), Kept::Prefix);
-        assert_eq!(bound_shape(&(ti.clone() * tj.clone()), i, &hulls), Kept::Suffix);
+        let tk = s.int_var("Tk", -4, 64);
+        let base: Vec<Interval> = s.base_domains().iter().map(Domain::hull).collect();
+        let lowers = |atom: &BoolExpr| {
+            let mut vars = Vec::new();
+            atom.collect_vars(&mut vars);
+            Rows::default().capacity(atom, &vars, &base).is_some()
+        };
+        let c = IntExpr::constant;
+        // A capacity (registers nest a product in a product, memory sums
+        // volumes) and an objective, as the model generator builds them.
+        let capacity = (ti.clone() * tj.clone() + c(2) * tj.clone()).le(512);
+        assert!(lowers(&capacity));
+        assert!(lowers(&((ti.clone() * tj.clone()) * c(6)).le(65536)));
+        let volumes = (ti.clone() + tj.clone()) + (c(0) + tj.clone());
+        assert!(lowers(&volumes.le(4096)));
+        let objective = c(0) + ti.clone() * tj.clone() + c(16) * ti.clone();
+        let vars = [VarId(0), VarId(1)];
+        assert!(Rows::default().lower(&objective, &vars, &base).is_some());
         // A hole, a difference, a product with a factor that may be
-        // negative, and anything that is not a single `<=` atom: no claim.
-        let minus = |x: IntExpr| IntExpr::constant(-1) * x;
-        let unknown = [
+        // negative, a repeated factor, a product of sums, a right side
+        // that is no constant, and anything that is not a single `<=`
+        // atom: probed.
+        let minus = |x: IntExpr| c(-1) * x;
+        let probed = [
             (ti.clone() + tj.clone()).ne_expr(16),
             (ti.clone() * tj.clone() + minus(ti.clone())).le(100),
-            ((ti.clone() + IntExpr::constant(-8)) * tj.clone()).le(100),
-            ti.le(8).or(IntExpr::constant(32).le(&ti)),
+            (tk.clone() * tj.clone()).le(100),
+            (ti.clone() * ti.clone()).le(100),
+            ((ti.clone() + c(8)) * tj.clone()).le(100),
+            tj.le(&ti),
+            c(512).le(ti.clone() * tj.clone()),
+            ti.le(8).or(c(32).le(&ti)),
             ti.eq_expr(tj.clone()),
             ti.ne_expr(tj.clone()),
         ];
-        for constraint in &unknown {
-            assert_eq!(kept_shape(constraint, i, &hulls), Kept::Any, "{constraint}");
+        for atom in &probed {
+            assert!(!lowers(atom), "{atom}");
         }
+        // With `Tj = 16` the capacity keeps `16·Ti + 32 ≤ 512`, `Ti ≤ 30`,
+        // in one revision and without a probe.
+        s.assert(capacity);
+        let config = SolverConfig::default();
+        let mut stats = SolverStats::default();
+        let objective = ti * tj;
+        let mut search = search_over(s.base_domains(), &s, &config, &mut stats, &objective);
+        search.narrow(1, Domain::singleton(16));
+        assert!(search.revise(0));
+        assert_eq!(search.domains[0], Domain::range(1, 30));
     }
 
     #[test]

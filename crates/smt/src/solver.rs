@@ -2,7 +2,7 @@
 //! paper's iterative maximization loop.
 //!
 //! The search itself lives in the `search` module (trail-based DFS with
-//! worklist propagation, one-pass branch-and-bound and monotone cuts); the
+//! worklist propagation, one-pass branch-and-bound and closed-form rows); the
 //! pre-rewrite engine is retained in [`crate::reference`] for differential
 //! testing.
 
@@ -10,6 +10,7 @@ use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
 use crate::interval::Interval;
 use crate::model::{known_vars, Model};
+use crate::row::Rows;
 use crate::search::{holds_at, value_at, Pass, Search, SearchMode};
 use crate::stats::SolverStats;
 use std::error::Error;
@@ -309,6 +310,39 @@ impl Solver {
         self.constraints.iter().map(|(c, _)| c)
     }
 
+    /// The assertions that do not lower to a capacity row, then
+    /// `objective` if it does not lower to a row, in `Display` form. A
+    /// sum of products lowers when its constants are `≥ 0`, its variables'
+    /// domains are non-negative and no variable repeats in a product; a
+    /// capacity is such a sum `≤` a constant. The search revises a row in
+    /// closed form and probes everything else value by value — the same
+    /// answers at more interval evaluations.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eatss_smt::{IntExpr, Solver};
+    ///
+    /// let mut s = Solver::new();
+    /// let ti = s.int_var("Ti", 1, 64);
+    /// let tj = s.int_var("Tj", 1, 64);
+    /// s.assert((ti.clone() * tj.clone() + IntExpr::constant(2) * tj.clone()).le(512));
+    /// s.assert(ti.ne_expr(tj.clone()));
+    /// assert_eq!(s.unlowered(&(ti * tj)), ["(Ti != Tj)"]);
+    /// ```
+    pub fn unlowered(&self, objective: &IntExpr) -> Vec<String> {
+        let base: Vec<Interval> = self.base_domains.iter().map(Domain::hull).collect();
+        let mut rows = Rows::default();
+        let mut vars = Vec::new();
+        objective.collect_vars(&mut vars);
+        let objective_lowers = rows.lower(objective, &vars, &base).is_some();
+        (self.constraints.iter())
+            .filter(|(c, vars)| rows.capacity(c, vars, &base).is_none())
+            .map(|(c, _)| c.to_string())
+            .chain((!objective_lowers).then(|| objective.to_string()))
+            .collect()
+    }
+
     /// Registered variable names in registration order.
     pub fn var_names(&self) -> impl Iterator<Item = &str> + '_ {
         self.names.iter().map(String::as_str)
@@ -372,10 +406,11 @@ impl Solver {
     /// in propagation, cuts subtrees whose interval upper bound cannot
     /// beat it before any propagation is paid for (counted in
     /// [`SolverStats::bound_prunes`]), and is verified exactly at every
-    /// candidate leaf. Constraints and objectives that are monotone in a
-    /// variable — every EATSS capacity constraint and the objective itself
-    /// — are filtered by bisecting the sorted domain for the cut instead
-    /// of probing each value; the filtered domain is the same. Optima are
+    /// candidate leaf. Capacities and objectives that lower to a row
+    /// ([`Solver::unlowered`] names those that do not) — every EATSS
+    /// capacity constraint and the objective itself — are filtered by one
+    /// pass over the row and a cut in closed form instead of probing each
+    /// value; the filtered domain is the same. Optima are
     /// identical to the paper's asserted-constraint loop (the retained
     /// [`crate::reference`] engine); among several equal-valued optima the
     /// one returned is the first met under the unchanged branching order.
