@@ -218,43 +218,16 @@ impl AccessAnalysis {
 
 /// Groups a kernel's textual references by cache-line identity.
 fn collect_groups(kernel: &Kernel) -> Vec<RefGroup> {
-    #[derive(PartialEq)]
-    struct Key {
-        array: String,
-        linear: Vec<Vec<(usize, i64)>>,
-        slow_offsets: Vec<i64>,
-    }
-    fn key_of(r: &ArrayRef) -> Key {
-        let linear = r
-            .subscripts
-            .iter()
-            .map(|s| s.terms().to_vec())
-            .collect::<Vec<_>>();
-        let n = r.subscripts.len();
-        let slow_offsets = r.subscripts[..n.saturating_sub(1)]
-            .iter()
-            .map(|s| s.offset())
-            .collect();
-        Key {
-            array: r.array.clone(),
-            linear,
-            slow_offsets,
-        }
-    }
-
-    let mut keys: Vec<Key> = Vec::new();
     let mut groups: Vec<RefGroup> = Vec::new();
     let mut add = |r: &ArrayRef, written: bool, accumulated: bool| {
-        let key = key_of(r);
         let fast_off = r.fastest_subscript().map(|s| s.offset()).unwrap_or(0);
-        if let Some(i) = keys.iter().position(|k| *k == key) {
-            groups[i].members += 1;
-            groups[i].is_written |= written;
-            groups[i].is_accumulated |= accumulated;
-            let (lo, hi) = groups[i].fastest_offsets;
-            groups[i].fastest_offsets = (lo.min(fast_off), hi.max(fast_off));
+        if let Some(g) = groups.iter_mut().find(|g| g.representative.same_lines(r)) {
+            g.members += 1;
+            g.is_written |= written;
+            g.is_accumulated |= accumulated;
+            let (lo, hi) = g.fastest_offsets;
+            g.fastest_offsets = (lo.min(fast_off), hi.max(fast_off));
         } else {
-            keys.push(key);
             groups.push(RefGroup {
                 array: r.array.clone(),
                 representative: r.clone(),

@@ -113,7 +113,11 @@ fn pair_distance(w: &ArrayRef, r: &ArrayRef, depth: usize) -> Option<Vec<DepDist
     let mut distance = vec![DepDistance::Star; depth];
     let mut determined = vec![false; depth];
     for (ws, rs) in w.subscripts.iter().zip(&r.subscripts) {
-        let diff = ws.offset() - rs.offset();
+        // A distance past `i64` is none we can state: treat the pair as
+        // non-uniform, which is conservative.
+        let Some(diff) = ws.offset().checked_sub(rs.offset()) else {
+            return Some(vec![DepDistance::Star; depth]);
+        };
         let terms = ws.terms();
         match terms.len() {
             0 => {
@@ -125,10 +129,13 @@ fn pair_distance(w: &ArrayRef, r: &ArrayRef, depth: usize) -> Option<Vec<DepDist
             }
             1 => {
                 let (dim, coeff) = terms[0];
-                if diff % coeff != 0 {
+                let (Some(rem), Some(d)) = (diff.checked_rem(coeff), diff.checked_div(coeff))
+                else {
+                    return Some(vec![DepDistance::Star; depth]);
+                };
+                if rem != 0 {
                     return None; // offsets unreachable: no dependence
                 }
-                let d = diff / coeff;
                 match distance[dim] {
                     DepDistance::Const(prev) if determined[dim] && prev != d => {
                         // Conflicting requirements: no dependence.
@@ -321,6 +328,17 @@ mod tests {
     fn nonuniform_pair_is_conservative() {
         // A[2*i] written, A[i] read: non-uniform => Star => serial.
         let par = dims_of("kernel nu(N) { for (i: N) A[2*i] = A[i] + 1; }");
+        assert_eq!(par, vec![false]);
+    }
+
+    #[test]
+    fn offset_difference_past_i64_is_conservative() {
+        // MAX − (−MAX) does not fit an i64: the pair is non-uniform.
+        let par = dims_of(
+            "kernel ovf(N) {
+               for (i: N) A[i + 9223372036854775807] = A[i - 9223372036854775807] + 1;
+             }",
+        );
         assert_eq!(par, vec![false]);
     }
 

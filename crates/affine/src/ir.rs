@@ -222,6 +222,24 @@ impl ArrayRef {
         self.subscripts.last()
     }
 
+    /// Whether `self` and `other` touch the same cache lines: the same
+    /// array, the same linear part in every subscript, and the same
+    /// constant offsets in all but the fastest-varying subscript (§IV-G's
+    /// distinct-cache-line grouping, and the emulator's staging routes).
+    pub fn same_lines(&self, other: &ArrayRef) -> bool {
+        let n = self.subscripts.len();
+        self.array == other.array
+            && other.subscripts.len() == n
+            && self
+                .subscripts
+                .iter()
+                .zip(&other.subscripts)
+                .enumerate()
+                .all(|(p, (a, b))| {
+                    a.terms() == b.terms() && (p + 1 == n || a.offset() == b.offset())
+                })
+    }
+
     /// Whether iterator `dim` appears in any subscript.
     pub fn uses_dim(&self, dim: usize) -> bool {
         self.subscripts.iter().any(|s| s.uses(dim))

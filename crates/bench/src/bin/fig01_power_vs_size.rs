@@ -5,6 +5,7 @@
 //! towards the TDP.
 
 use eatss::evaluate_program_with;
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_bench::table::fmt_f;
 use eatss_bench::Table;
@@ -15,6 +16,7 @@ fn main() {
     let gpu = Gpu::new(GpuArch::ga100());
     let b = eatss_kernels::by_name("gemm").expect("gemm registered");
     let program = b.program().expect("gemm parses");
+    let analysed = AnalysedProgram::new(&program);
     let opts = CompileOptions::with_split(gpu.arch(), 0.5, 8);
     let mut t = Table::new(vec![
         "M=N=K",
@@ -30,7 +32,7 @@ fn main() {
         let sizes = b.sizes_uniform(n);
         let tiles = TileConfig::ppcg_default(3);
         let r =
-            evaluate_program_with(&gpu, &program, &tiles, &sizes, &opts, 1).expect("gemm compiles");
+            evaluate_program_with(&gpu, &analysed, &tiles, &sizes, &opts, 1).expect("gemm compiles");
         t.row(vec![
             n.to_string(),
             fmt_f(r.constant_power_w),

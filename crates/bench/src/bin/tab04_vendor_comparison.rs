@@ -5,6 +5,7 @@
 
 use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
 use eatss::Eatss;
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_bench::table::fmt_f;
 use eatss_bench::Table;
 use eatss_gpusim::{Gpu, GpuArch};
@@ -47,13 +48,14 @@ fn column(
     // vendor model assumes the same looped benchmark).
     let gpu = Gpu::new(arch.clone());
     let tiles = &best.solution.tiles;
-    let ours = eatss::evaluate_program_with(&gpu, &program, tiles, &sizes, &opts, 100)
+    let analysed = AnalysedProgram::new(&program);
+    let ours = eatss::evaluate_program_with(&gpu, &analysed, tiles, &sizes, &opts, 100)
         .expect("EATSS tiles compile");
     let space = TileSpace::evaluation_grid(program.max_depth());
     let measured: Vec<_> = space
         .iter()
         .filter_map(|tiles| {
-            eatss::evaluate_program_with(&gpu, &program, &tiles, &sizes, &opts, 100)
+            eatss::evaluate_program_with(&gpu, &analysed, &tiles, &sizes, &opts, 100)
                 .ok()
                 .filter(|r| r.valid)
         })

@@ -1,5 +1,6 @@
 //! Tile-space exploration shared by the figure experiments.
 
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{stats, Gpu, GpuArch, SimReport};
@@ -49,11 +50,12 @@ pub fn explore_space(
     options: &CompileOptions,
 ) -> Vec<Variant> {
     let gpu = Gpu::new(arch.clone());
+    let analysed = AnalysedProgram::new(program);
     space
         .iter()
         .map(|tiles| {
             let report =
-                eatss::evaluate_program_with(&gpu, program, &tiles, sizes, options, 1)
+                eatss::evaluate_program_with(&gpu, &analysed, &tiles, sizes, options, 1)
                     .unwrap_or_else(|_| SimReport::invalid(&program.name));
             Variant { tiles, report }
         })
@@ -70,7 +72,7 @@ pub fn summarize(
 ) -> BaselineSummary {
     let default = eatss::evaluate_program_with(
         &Gpu::new(arch.clone()),
-        program,
+        &AnalysedProgram::new(program),
         &TileConfig::ppcg_default(program.max_depth()),
         sizes,
         options,

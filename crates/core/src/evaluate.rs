@@ -1,7 +1,8 @@
 //! End-to-end evaluation: PPCG mapping + GPU-model measurement.
 
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
-use eatss_affine::{ProblemSizes, Program};
+use eatss_affine::ProblemSizes;
 use eatss_gpusim::{Gpu, SimFault, SimReport};
 use eatss_ppcg::{CompileError, CompileOptions, Ppcg};
 use std::error::Error;
@@ -40,10 +41,11 @@ impl From<SimFault> for EvaluateError {
     }
 }
 
-/// Maps `program` with `tiles` ([`Ppcg::map`] — the CUDA text
+/// Maps the analysed program with `tiles` ([`Ppcg::map`] — the CUDA text
 /// [`Ppcg::compile`] would add is never read here, so it is not emitted)
 /// and measures it on `gpu`, a device that may carry an injected
-/// [`FaultPlan`](eatss_gpusim::FaultPlan).
+/// [`FaultPlan`](eatss_gpusim::FaultPlan). A caller measuring many tilings
+/// of one program builds its [`AnalysedProgram`] once.
 ///
 /// Stencil time loops multiply the single-launch measurement by the
 /// launch count, and multi-kernel programs aggregate as a sequence —
@@ -63,20 +65,21 @@ impl From<SimFault> for EvaluateError {
 /// mirroring a failed launch on real hardware.
 pub fn evaluate_program_with(
     gpu: &Gpu,
-    program: &Program,
+    analysed: &AnalysedProgram,
     tiles: &TileConfig,
     sizes: &ProblemSizes,
     options: &CompileOptions,
     repeats: i64,
 ) -> Result<SimReport, EvaluateError> {
     let arch = gpu.arch();
+    let program = analysed.program();
     let mappings = {
         let mut stage = eatss_trace::span("pipeline", "map");
         if stage.is_active() {
             stage.arg("program", program.name.as_str());
             stage.arg("tiles", tiles.to_string());
         }
-        Ppcg::map(arch, program, tiles, sizes, options)?
+        Ppcg::map(arch, analysed, tiles, sizes, options)?
     };
     let mut stage = eatss_trace::span("pipeline", "simulate");
     if stage.is_active() {
@@ -117,6 +120,7 @@ pub fn evaluate_program_with(
 mod tests {
     use super::*;
     use eatss_affine::parser::parse_program;
+    use eatss_affine::Program;
     use eatss_gpusim::GpuArch;
 
     fn mm() -> Program {
@@ -135,7 +139,7 @@ mod tests {
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
         let r = evaluate_program_with(
             &gpu,
-            &mm(),
+            &AnalysedProgram::new(&mm()),
             &TileConfig::ppcg_default(3),
             &sizes,
             &CompileOptions::default(),
@@ -163,6 +167,7 @@ mod tests {
         let small = ProblemSizes::new([("T", 10), ("N", 1000)]);
         let large = ProblemSizes::new([("T", 100), ("N", 1000)]);
         let opts = CompileOptions::default();
+        let p = AnalysedProgram::new(&p);
         let r_small = evaluate_program_with(&gpu, &p, &tiles, &small, &opts, 1).unwrap();
         let r_large = evaluate_program_with(&gpu, &p, &tiles, &large, &opts, 1).unwrap();
         let ratio = r_large.time_s / r_small.time_s;
@@ -177,7 +182,7 @@ mod tests {
         let p = parse_program("kernel s(N) { for (i: N) A[i] = A[i-1] + 1.0; }").unwrap();
         let e = evaluate_program_with(
             &gpu,
-            &p,
+            &AnalysedProgram::new(&p),
             &TileConfig::ppcg_default(1),
             &ProblemSizes::new([("N", 100)]),
             &CompileOptions::default(),
@@ -200,7 +205,7 @@ mod tests {
         };
         let r = evaluate_program_with(
             &gpu,
-            &mm(),
+            &AnalysedProgram::new(&mm()),
             &TileConfig::new(vec![512, 4, 512]), // A-tile = 512*512*8 = 2 MiB
             &sizes,
             &opts,

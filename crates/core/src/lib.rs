@@ -65,6 +65,7 @@ pub use evaluate::{evaluate_program_with, EvaluateError};
 pub use model::{Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance};
 pub use sweep::{pareto_front, SweepOptions, SweepOutcome, SweepPoint};
 
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{Gpu, GpuArch, SimReport};
@@ -146,7 +147,7 @@ impl Eatss {
         config: &EatssConfig,
     ) -> Result<SimReport, EvaluateError> {
         let options = config.compile_options(self.arch());
-        evaluate_program_with(&self.gpu, program, tiles, sizes, &options, 1)
+        evaluate_program_with(&self.gpu, &AnalysedProgram::new(program), tiles, sizes, &options, 1)
     }
 
     /// Checks tile configurations with the execution oracle: each is

@@ -2,7 +2,7 @@
 //! formulation → iteratively maximized tile sizes (§IV of the paper).
 
 use crate::config::{ConfigRangeError, EatssConfig, ThreadBlockCap};
-use eatss_affine::analysis::AccessAnalysis;
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
@@ -231,6 +231,18 @@ impl ModelGenerator {
         program: &Program,
         sizes: Option<&ProblemSizes>,
     ) -> Result<EatssModel, EatssError> {
+        self.formulate(&AnalysedProgram::new(program), sizes)
+    }
+
+    /// [`ModelGenerator::build`] over a program analysed once by the
+    /// caller — the sweep formulates every configuration from one
+    /// analysis.
+    pub(crate) fn formulate(
+        &self,
+        analysed: &AnalysedProgram,
+        sizes: Option<&ProblemSizes>,
+    ) -> Result<EatssModel, EatssError> {
+        let program = analysed.program();
         self.config.validate().map_err(EatssError::Config)?;
         if program.kernels.is_empty() {
             return Err(EatssError::EmptyProgram);
@@ -300,8 +312,7 @@ impl ModelGenerator {
         let cap_l1 = ((l1sh_elems as f64) * (1.0 - split)) as i64;
 
         let mut objective = IntExpr::constant(0);
-        for kernel in &program.kernels {
-            let analysis = AccessAnalysis::analyze(kernel);
+        for (kernel, analysis) in analysed.kernels() {
             let kd = kernel.depth();
 
             // §IV-F: B_size = product of (≤ 3) outer parallel tile sizes.

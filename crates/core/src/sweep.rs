@@ -22,8 +22,11 @@
 
 use crate::config::{EatssConfig, ThreadBlockCap};
 use crate::error::PipelineError;
+use crate::evaluate::evaluate_program_with;
 use crate::model::{EatssError, EatssSolution};
 use crate::Eatss;
+use eatss_affine::analysis::AnalysedProgram;
+use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::SimReport;
 use eatss_smt::{SolverConfig, WarmStart};
@@ -204,7 +207,7 @@ pub fn pareto_front(points: &[SweepPoint]) -> Vec<&SweepPoint> {
 /// [`EatssError::Exhausted`]; every other error is definitive.
 fn solve_with_retries(
     eatss: &Eatss,
-    program: &Program,
+    analysed: &AnalysedProgram,
     sizes: &ProblemSizes,
     config: &EatssConfig,
     options: &SweepOptions,
@@ -222,7 +225,7 @@ fn solve_with_retries(
         }
         let result = crate::ModelGenerator::new(eatss.arch(), config.clone())
             .with_solver_config(attempt.clone())
-            .build(program, Some(sizes))
+            .formulate(analysed, Some(sizes))
             .and_then(|model| model.solve_warm(warm));
         match result {
             Ok(solution) => {
@@ -256,7 +259,7 @@ struct PointContribution {
 /// every point (solver bugs, unbound parameters, empty programs).
 fn process_point(
     eatss: &Eatss,
-    program: &Program,
+    analysed: &AnalysedProgram,
     sizes: &ProblemSizes,
     config: EatssConfig,
     options: &SweepOptions,
@@ -267,6 +270,7 @@ fn process_point(
     // lane), so parallel and sequential sweeps drain to the same
     // canonically ordered event stream.
     let _lane = eatss_trace::lane_scope(index as u64 + 1);
+    let program = analysed.program();
     let mut span = eatss_trace::span("sweep", "point");
     if span.is_active() {
         span.arg("index", index);
@@ -284,7 +288,7 @@ fn process_point(
     };
     let mut infeasible = None;
     let mut failures = Vec::new();
-    let solved = match solve_with_retries(eatss, program, sizes, &config, options, warm) {
+    let solved = match solve_with_retries(eatss, analysed, sizes, &config, options, warm) {
         Ok(solution) => Some(solution),
         Err(e @ (EatssError::Unsatisfiable { .. } | EatssError::Exhausted { .. })) => {
             if eatss_trace::collecting() {
@@ -303,11 +307,16 @@ fn process_point(
             return Err(PipelineError::from_eatss(systemic, context()));
         }
     };
-    // Measure the solved tiles; degrade to the default tiling when there
-    // are none or their measurement fails.
+    // Measure the solved tiles (`Eatss::evaluate` over the shared
+    // analysis); degrade to the default tiling when there are none or
+    // their measurement fails.
+    let compile = config.compile_options(eatss.arch());
+    let measure = |tiles: &TileConfig| {
+        evaluate_program_with(eatss.gpu(), analysed, tiles, sizes, &compile, 1)
+    };
     let mut measured = None;
     if let Some(solution) = solved {
-        match eatss.evaluate(program, &solution.tiles, sizes, &config) {
+        match measure(&solution.tiles) {
             Ok(report) => measured = Some((solution, report)),
             Err(e) => {
                 record_measure_failure(&e.to_string(), false);
@@ -324,7 +333,7 @@ fn process_point(
             eatss_trace::instant("sweep", "fallback", Vec::new());
         }
         let fallback = EatssSolution::ppcg_default(program.max_depth());
-        match eatss.evaluate(program, &fallback.tiles, sizes, &config) {
+        match measure(&fallback.tiles) {
             Ok(report) => measured = Some((fallback, report)),
             Err(e) => {
                 record_measure_failure(&e.to_string(), true);
@@ -417,10 +426,13 @@ pub(crate) fn run_with(
     // list, never on scheduling, so the parallel executor stays
     // bit-identical to the sequential one.
     let chains = warm_chains(&configs);
+    // The analysis depends on the program alone: every point of every
+    // chain formulates and maps from this one.
+    let analysed = AnalysedProgram::new(program);
     // Chains run on a scoped pool (inline for one job); whatever order
     // they finished in, their points go back into canonical order.
     let mut contributions: Vec<_> = eatss_trace::par_map_ordered(&chains, jobs, |chain| {
-        run_chain(eatss, program, sizes, &configs, chain, options)
+        run_chain(eatss, &analysed, sizes, &configs, chain, options)
     })
     .into_iter()
     .flatten()
@@ -491,7 +503,7 @@ fn warm_chains(configs: &[EatssConfig]) -> Vec<Vec<usize>> {
 /// (deterministically) which error wins.
 fn run_chain(
     eatss: &Eatss,
-    program: &Program,
+    analysed: &AnalysedProgram,
     sizes: &ProblemSizes,
     configs: &[EatssConfig],
     chain: &[usize],
@@ -501,7 +513,8 @@ fn run_chain(
     chain
         .iter()
         .map(|&i| {
-            let point = process_point(eatss, program, sizes, configs[i].clone(), options, i, &mut hints);
+            let config = configs[i].clone();
+            let point = process_point(eatss, analysed, sizes, config, options, i, &mut hints);
             (i, point)
         })
         .collect()

@@ -215,6 +215,7 @@ pub fn emit_kernel(kernel: &Kernel, mapping: &GpuMapping) -> String {
 mod tests {
     use super::*;
     use crate::mapping::{CompileOptions, GpuMapping};
+    use eatss_affine::analysis::AccessAnalysis;
     use eatss_affine::parser::parse_program;
     use eatss_affine::ProblemSizes;
     use eatss_gpusim::GpuArch;
@@ -224,6 +225,7 @@ mod tests {
         let k = &p.kernels[0];
         let m = GpuMapping::compute(
             k,
+            &AccessAnalysis::analyze(k),
             &TileConfig::new(tiles),
             &GpuArch::ga100(),
             &ProblemSizes::new(sizes.iter().cloned()),
@@ -271,6 +273,7 @@ mod tests {
             .unwrap();
         let m = GpuMapping::compute(
             &p.kernels[0],
+            &AccessAnalysis::analyze(&p.kernels[0]),
             &TileConfig::ppcg_default(2),
             &GpuArch::ga100(),
             &ProblemSizes::new([("N", 1000)]),

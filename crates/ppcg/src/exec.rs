@@ -270,25 +270,12 @@ impl StagedGroup<'_> {
     }
 }
 
-/// Two refs access the same staged lines iff they agree on everything but
-/// the fastest subscript's constant offset — the grouping key of
-/// `AccessAnalysis::collect_groups`.
-fn same_group(a: &ArrayRef, b: &ArrayRef) -> bool {
-    if a.array != b.array || a.subscripts.len() != b.subscripts.len() {
-        return false;
-    }
-    let last = a.subscripts.len().wrapping_sub(1);
-    a.subscripts.iter().zip(&b.subscripts).enumerate().all(|(p, (sa, sb))| {
-        sa.terms() == sb.terms() && (p == last || sa.offset() == sb.offset())
-    })
-}
-
 /// The staged route a statement read resolves to, if any — the routing
 /// rule shared by plan compilation and the reference hook.
 fn route_of(staged: &[StagedGroup<'_>], r: &ArrayRef) -> Option<usize> {
     staged
         .iter()
-        .position(|g| g.array == r.array && same_group(g.representative, r))
+        .position(|g| g.representative.same_lines(r))
 }
 
 /// Compiled plans shared across a batch of configurations of one kernel,
@@ -956,7 +943,7 @@ fn run_thread_points(
         let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
             let g = staged_ref
                 .iter()
-                .find(|g| g.array == r.array && same_group(g.representative, r))?;
+                .find(|g| g.representative.same_lines(r))?;
             match g.flatten(idx) {
                 Some(flat) => Some(g.data[flat]),
                 None => {

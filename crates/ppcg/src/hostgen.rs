@@ -149,6 +149,7 @@ fn array_extents(program: &Program, sizes: &ProblemSizes) -> BTreeMap<String, Ve
 mod tests {
     use super::*;
     use crate::mapping::{CompileOptions, GpuMapping};
+    use eatss_affine::analysis::AccessAnalysis;
     use eatss_affine::parser::parse_program;
     use eatss_affine::tiling::TileConfig;
     use eatss_gpusim::GpuArch;
@@ -162,6 +163,7 @@ mod tests {
             .map(|k| {
                 GpuMapping::compute(
                     k,
+                    &AccessAnalysis::analyze(k),
                     &TileConfig::new(tiles[..k.depth()].to_vec()),
                     &GpuArch::ga100(),
                     &sizes,

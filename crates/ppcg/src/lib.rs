@@ -67,6 +67,7 @@ pub use oracle::{
 };
 pub use space::TileSpace;
 
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
@@ -98,8 +99,10 @@ impl Ppcg {
         &self.arch
     }
 
-    /// Maps every kernel of a program under a (program-wide) tile
-    /// configuration: one [`GpuMapping`] per kernel, in program order.
+    /// Maps every kernel of an analysed program under a (program-wide)
+    /// tile configuration: one [`GpuMapping`] per kernel, in program order.
+    /// The kernels' access analyses are borrowed from `analysed`, so a
+    /// caller mapping many tilings of one program analyses it once.
     ///
     /// This is what measurement (`eatss::evaluate_program_with`) and the
     /// [`oracle`] consume — a mapping lowers to a simulator spec
@@ -117,13 +120,13 @@ impl Ppcg {
     /// size is unbound, or a kernel cannot be mapped.
     pub fn map(
         arch: &GpuArch,
-        program: &Program,
+        analysed: &AnalysedProgram,
         tiles: &TileConfig,
         sizes: &ProblemSizes,
         options: &CompileOptions,
     ) -> Result<Vec<GpuMapping>, CompileError> {
-        let mut mappings = Vec::with_capacity(program.kernels.len());
-        for kernel in &program.kernels {
+        let mut mappings = Vec::with_capacity(analysed.program().kernels.len());
+        for (kernel, analysis) in analysed.kernels() {
             if kernel.depth() > tiles.len() {
                 return Err(CompileError::NotEnoughTileSizes {
                     kernel: kernel.name.clone(),
@@ -136,14 +139,14 @@ impl Ppcg {
             if stage.is_active() {
                 stage.arg("kernel", kernel.name.as_str());
             }
-            mappings.push(GpuMapping::compute(kernel, &ktiles, arch, sizes, options)?);
+            mappings.push(GpuMapping::compute(kernel, analysis, &ktiles, arch, sizes, options)?);
         }
         Ok(mappings)
     }
 
-    /// Compiles a program: [`Ppcg::map`], then the CUDA-C text emitted
-    /// over the mappings it returned (one `__global__` per kernel, then the
-    /// host driver).
+    /// Compiles a program: [`Ppcg::map`] of its analysis, then the CUDA-C
+    /// text emitted over the mappings it returned (one `__global__` per
+    /// kernel, then the host driver).
     ///
     /// # Errors
     ///
@@ -161,7 +164,8 @@ impl Ppcg {
             span.arg("tiles", tiles.to_string());
             span.arg("kernels", program.kernels.len());
         }
-        let mappings = Ppcg::map(&self.arch, program, tiles, sizes, options)?;
+        let analysed = AnalysedProgram::new(program);
+        let mappings = Ppcg::map(&self.arch, &analysed, tiles, sizes, options)?;
         let mut cuda = codegen::program_header(&program.name, tiles);
         for (kernel, mapping) in program.kernels.iter().zip(&mappings) {
             let mut stage = eatss_trace::span("ppcg", "codegen");

@@ -142,19 +142,21 @@ pub struct GpuMapping {
 }
 
 impl GpuMapping {
-    /// Maps `kernel` tiled by `tiles` onto `arch` under `options`.
+    /// Maps `kernel`, whose access analysis is `analysis`, tiled by
+    /// `tiles` onto `arch` under `options`. The analysis depends on the
+    /// kernel alone, so a caller mapping many tilings computes it once.
     ///
     /// # Errors
     ///
     /// See [`CompileError`].
     pub fn compute(
         kernel: &Kernel,
+        analysis: &AccessAnalysis,
         tiles: &TileConfig,
         arch: &GpuArch,
         sizes: &ProblemSizes,
         options: &CompileOptions,
     ) -> Result<GpuMapping, CompileError> {
-        let analysis = AccessAnalysis::analyze(kernel);
         let depth = kernel.depth();
 
         let trip = |d: usize| -> Result<i64, CompileError> {
@@ -243,7 +245,7 @@ impl GpuMapping {
         // cache-line neighbours such as `A[i][j-1]`/`A[i][j+1]` read one
         // element to each side of the representative).
         let step_footprint = |g: &RefGroup| -> Result<i64, CompileError> {
-            let spread = g.fastest_offsets.1 - g.fastest_offsets.0;
+            let spread = g.fastest_offsets.1.saturating_sub(g.fastest_offsets.0);
             footprint_widened(&g.representative, spread, |d| {
                 if kernel.dims[d].explicit_serial {
                     Ok(1) // time dims do not widen a single launch's tile
@@ -275,7 +277,8 @@ impl GpuMapping {
             .collect();
         let mut sh_bytes = 0i64;
         for &i in &sh_candidates {
-            sh_bytes += step_footprint(&analysis.groups[i])? * elem;
+            sh_bytes =
+                sh_bytes.saturating_add(step_footprint(&analysis.groups[i])?.saturating_mul(elem));
         }
         let stage = !sh_candidates.is_empty()
             && options.shared_budget_bytes > 0
@@ -381,9 +384,9 @@ impl GpuMapping {
                             } else {
                                 trip(d).unwrap_or(1)
                             };
-                            c.abs().saturating_mul(t)
+                            c.saturating_abs().saturating_mul(t)
                         })
-                        .sum::<i64>()
+                        .fold(0i64, i64::saturating_add)
                         .max(1)
                 })
                 .unwrap_or(1);
@@ -490,16 +493,16 @@ where
         let mut span = 0i64;
         let mut parts = 0;
         for &(d, c) in s.terms() {
-            span += c.abs().saturating_mul(extent(d)?);
+            span = span.saturating_add(c.saturating_abs().saturating_mul(extent(d)?));
             parts += 1;
         }
         let mut span = if parts == 0 {
             1
         } else {
-            (span - (parts - 1)).max(1)
+            span.saturating_sub(parts - 1).max(1)
         };
         if i == last {
-            span += extra_last;
+            span = span.saturating_add(extra_last);
         }
         total = total.saturating_mul(span);
     }
@@ -532,6 +535,7 @@ mod tests {
         let k = matmul();
         let m = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::ppcg_default(3),
             &GpuArch::ga100(),
             &sizes(2000),
@@ -563,6 +567,7 @@ mod tests {
         let k = matmul();
         let m = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::new(vec![16, 384, 16]),
             &GpuArch::ga100(),
             &sizes(4000),
@@ -581,6 +586,7 @@ mod tests {
         let n = 2000;
         let m = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::new(vec![32, 64, 16]),
             &GpuArch::ga100(),
             &sizes(n),
@@ -623,6 +629,7 @@ mod tests {
         };
         let m = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::ppcg_default(3),
             &GpuArch::ga100(),
             &sizes(2000),
@@ -642,6 +649,7 @@ mod tests {
         };
         let m = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::ppcg_default(3),
             &GpuArch::ga100(),
             &sizes(2000),
@@ -663,6 +671,7 @@ mod tests {
         let sizes = ProblemSizes::new([("T", 500), ("N", 1300)]);
         let m = GpuMapping::compute(
             &p.kernels[0],
+            &AccessAnalysis::analyze(&p.kernels[0]),
             &TileConfig::ppcg_default(3),
             &GpuArch::ga100(),
             &sizes,
@@ -689,6 +698,7 @@ mod tests {
         let sizes = ProblemSizes::new([("H", 224), ("W", 224), ("R", 11), ("S", 11)]);
         let m = GpuMapping::compute(
             &p.kernels[0],
+            &AccessAnalysis::analyze(&p.kernels[0]),
             &TileConfig::new(vec![32, 32, 11, 11]),
             &GpuArch::ga100(),
             &sizes,
@@ -720,6 +730,7 @@ mod tests {
         .unwrap();
         let m = GpuMapping::compute(
             &p.kernels[0],
+            &AccessAnalysis::analyze(&p.kernels[0]),
             &TileConfig::new(vec![4, 4, 4]),
             &GpuArch::ga100(),
             &sizes(64),
@@ -746,6 +757,7 @@ mod tests {
         .unwrap();
         let m = GpuMapping::compute(
             &p.kernels[0],
+            &AccessAnalysis::analyze(&p.kernels[0]),
             &TileConfig::new(vec![8, 8, 8]),
             &GpuArch::ga100(),
             &sizes(64),
@@ -767,6 +779,7 @@ mod tests {
         let p = parse_program("kernel s(N) { for (i: N) A[i] = A[i-1] + 1; }").unwrap();
         let e = GpuMapping::compute(
             &p.kernels[0],
+            &AccessAnalysis::analyze(&p.kernels[0]),
             &TileConfig::ppcg_default(1),
             &GpuArch::ga100(),
             &ProblemSizes::new([("N", 100)]),
@@ -781,6 +794,7 @@ mod tests {
         let k = matmul();
         let e = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::ppcg_default(3),
             &GpuArch::ga100(),
             &ProblemSizes::new([("M", 100)]),
@@ -806,6 +820,7 @@ mod tests {
         let k = matmul();
         let m = GpuMapping::compute(
             &k,
+            &AccessAnalysis::analyze(&k),
             &TileConfig::new(vec![1024, 1024, 1024]),
             &GpuArch::ga100(),
             &sizes(100),

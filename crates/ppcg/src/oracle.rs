@@ -9,6 +9,7 @@
 use crate::exec::{execute_compiled_batch, ExecError, ExecOptions};
 use crate::mapping::{CompileError, CompileOptions};
 use crate::Ppcg;
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::interp::{compare_stores, run_program, InterpError, Store, StoreMismatch};
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
@@ -166,7 +167,9 @@ pub fn verify(
 
 /// Runs one program under each tile configuration through map
 /// ([`Ppcg::map`] — no CUDA text is emitted) → emulate and compares
-/// against the reference interpreter on identically seeded stores. The expensive invariants are shared across the batch:
+/// against the reference interpreter on identically seeded stores. The
+/// expensive invariants are shared across the batch: the program is
+/// analysed once ([`AnalysedProgram`]) for every configuration's mapping,
 /// the store is seeded once and cloned for the reference and each
 /// mappable configuration, the reference interpretation runs once (it
 /// does not depend on tiles),
@@ -195,8 +198,9 @@ pub fn verify_batch(
     let mut results: Vec<Result<OracleReport, OracleError>> = Vec::with_capacity(configs.len());
     let mut mappable: Vec<usize> = Vec::new();
     let mut mappings: Vec<Vec<crate::GpuMapping>> = Vec::new();
+    let analysed = AnalysedProgram::new(program);
     for (i, tiles) in configs.iter().enumerate() {
-        match Ppcg::map(arch, program, tiles, sizes, &options.compile) {
+        match Ppcg::map(arch, &analysed, tiles, sizes, &options.compile) {
             Ok(mapped) => {
                 mappable.push(i);
                 mappings.push(mapped);

@@ -7,6 +7,7 @@
 //! ```
 
 use eatss::{evaluate_program_with, Eatss, EatssConfig};
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_gpusim::{Gpu, GpuArch};
 use eatss_kernels::Dataset;
 use eatss_ppcg::{CompileOptions, Ppcg, TileSpace};
@@ -14,6 +15,7 @@ use eatss_ppcg::{CompileOptions, Ppcg, TileSpace};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = eatss_kernels::by_name("jacobi-2d").expect("jacobi-2d is registered");
     let program = bench.program()?;
+    let analysed = AnalysedProgram::new(&program);
 
     for (arch, dataset) in [
         (GpuArch::ga100(), Dataset::ExtraLarge),
@@ -36,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tiles.extend_from_slice(cfg.sizes());
             let report = evaluate_program_with(
                 &gpu,
-                &program,
+                &analysed,
                 &eatss_affine::tiling::TileConfig::new(tiles),
                 &sizes,
                 &opts,

@@ -3,6 +3,7 @@
 
 use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
 use eatss::{Eatss, EatssConfig};
+use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_gpusim::{stats, Gpu, GpuArch};
 use eatss_integration::load;
@@ -132,10 +133,11 @@ fn eatss_bench_like_explore(
     opts: &CompileOptions,
 ) -> Vec<(f64, f64)> {
     let gpu = Gpu::new(arch.clone());
+    let analysed = AnalysedProgram::new(program);
     space
         .iter()
         .filter_map(|tiles| {
-            eatss::evaluate_program_with(&gpu, program, &tiles, sizes, opts, 1)
+            eatss::evaluate_program_with(&gpu, &analysed, &tiles, sizes, opts, 1)
                 .ok()
                 .filter(|r| r.valid)
                 .map(|r| (r.l2_sectors_read as f64, r.avg_power_w))

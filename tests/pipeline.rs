@@ -123,13 +123,14 @@ fn cuda_codegen_is_structurally_sound_for_all_benchmarks() {
 /// the errors either can return.
 #[test]
 fn map_is_the_mapping_half_of_compile() {
+    use eatss_affine::analysis::AnalysedProgram;
     use eatss_ppcg::oracle::{sample_tile_config, sweep_rng};
     use eatss_ppcg::{CompileOptions, Ppcg};
     let arch = GpuArch::ga100();
     let ppcg = Ppcg::new(arch.clone());
     let options = CompileOptions::default();
     let both = |program: &eatss_affine::Program, tiles: &TileConfig, sizes: &eatss_affine::ProblemSizes| {
-        let mapped = Ppcg::map(&arch, program, tiles, sizes, &options);
+        let mapped = Ppcg::map(&arch, &AnalysedProgram::new(program), tiles, sizes, &options);
         let compiled = ppcg.compile(program, tiles, sizes, &options).map(|c| c.mappings);
         // `GpuMapping` is not `PartialEq`; its `Debug` prints every field.
         assert_eq!(format!("{mapped:?}"), format!("{compiled:?}"), "{} {tiles}", program.name);
@@ -208,4 +209,41 @@ fn both_cap_modes_produce_valid_gemm_selections() {
             .expect("compiles");
         assert!(report.valid);
     }
+}
+
+/// A sweep maps every point from one shared analysis of the program;
+/// each point's report must be bit for bit what `Eatss::evaluate` — which
+/// analyses afresh — measures for the same tiles and configuration,
+/// solved points and `32^d` fallbacks alike (fdtd-apml has fallbacks).
+#[test]
+fn sweep_points_measure_as_fresh_evaluations() {
+    use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
+    use eatss::SolutionProvenance;
+    let mut fallbacks = 0;
+    for arch in [GpuArch::ga100(), GpuArch::xavier()] {
+        let eatss = Eatss::new(arch);
+        for name in ["gemm", "2mm", "gemver", "jacobi-2d", "fdtd-apml"] {
+            let (program, sizes) = load(name, Dataset::Standard);
+            let outcome = eatss
+                .sweep(&program, &sizes, &PAPER_SPLITS, &PAPER_WARP_FRACTIONS)
+                .unwrap_or_else(|e| panic!("{name}: sweep failed: {e}"));
+            for point in &outcome.points {
+                let fresh = eatss
+                    .evaluate(&program, &point.solution.tiles, &sizes, &point.config)
+                    .unwrap_or_else(|e| panic!("{name} {}: {e}", point.solution.tiles));
+                // `Debug` prints every field, each float in a form that
+                // round-trips its bits.
+                assert_eq!(
+                    format!("{:?}", point.report),
+                    format!("{fresh:?}"),
+                    "{name} {:?} {}",
+                    point.config,
+                    point.solution.tiles
+                );
+                fallbacks +=
+                    usize::from(point.solution.provenance == SolutionProvenance::DefaultFallback);
+            }
+        }
+    }
+    assert!(fallbacks > 0, "no fallback point was compared");
 }

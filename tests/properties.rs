@@ -2,6 +2,7 @@
 
 use eatss::cache::encode_key;
 use eatss::{EatssConfig, TileCache};
+use eatss_affine::analysis::AccessAnalysis;
 use eatss_affine::ir::Extent;
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
@@ -165,6 +166,7 @@ proptest! {
         let sizes = ProblemSizes::new([("M", n), ("N", n), ("P", n)]);
         let mapping = GpuMapping::compute(
             &program.kernels[0],
+            &AccessAnalysis::analyze(&program.kernels[0]),
             &TileConfig::new(vec![ti, tj, tk]),
             &arch,
             &sizes,
@@ -257,7 +259,7 @@ proptest! {
         prop_assert_eq!(&reparsed, &program);
         // Analyses never panic and stay structurally consistent.
         for kernel in &program.kernels {
-            let analysis = eatss_affine::analysis::AccessAnalysis::analyze(kernel);
+            let analysis = AccessAnalysis::analyze(kernel);
             prop_assert_eq!(analysis.parallel.len(), kernel.depth());
             prop_assert!(analysis.distinct_line_refs() >= 1);
             let h = analysis.h_weights(16);

@@ -2,10 +2,15 @@
 //! solving under deadlines, graceful degradation to PPCG's default `32^d`
 //! tiling, and deterministic fault injection in the GPU model.
 
-use eatss::{Eatss, EatssConfig, PipelineError, PipelineStage, SolutionProvenance, SweepOptions};
+use eatss::{
+    Eatss, EatssConfig, EatssError, EvaluateError, PipelineError, PipelineStage,
+    SolutionProvenance, SweepOptions,
+};
 use eatss_affine::parser::parse_program;
+use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
+use eatss_ppcg::CompileError;
 use eatss_smt::{Domain, IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
 
@@ -216,4 +221,56 @@ fn exhausted_ladder_degrades_instead_of_failing() {
     }
     assert_eq!(out.infeasible.len(), 2);
     assert!(out.best_by_ppw().is_some());
+}
+
+/// Subscript constants at the ends of `i64` are values like any other:
+/// the analysis and the mapping never subtract them unchecked, so
+/// selection and measurement answer without a panic in any build.
+#[test]
+fn extreme_subscript_offsets_never_overflow() {
+    let eatss = Eatss::new(GpuArch::ga100());
+    let config = EatssConfig::default();
+
+    // MAX − (−MAX) is past `i64`: the pair counts as non-uniform, so `i`
+    // is serial and there is no parallel dimension to select or map.
+    let ovf = parse_program(
+        "kernel ovf(N) {
+           for (i: N) A[i + 9223372036854775807] = A[i - 9223372036854775807] + 1;
+         }",
+    )
+    .unwrap();
+    let sizes = ProblemSizes::new([("N", 1000)]);
+    match eatss.select_tiles(&ovf, &sizes, &config) {
+        Err(EatssError::Unsatisfiable { reason }) => {
+            assert!(reason.contains("no parallel dimension"), "{reason}")
+        }
+        other => panic!("expected an unsatisfiable formulation, got {other:?}"),
+    }
+    let err = eatss
+        .evaluate(&ovf, &TileConfig::ppcg_default(1), &sizes, &config)
+        .unwrap_err();
+    assert!(
+        matches!(err, EvaluateError::Compile(CompileError::NoParallelDim(_))),
+        "{err}"
+    );
+
+    // One cache-line group whose fastest offsets span the whole of
+    // `i64`: the staging spread saturates and the point still measures.
+    let spread = parse_program(
+        "kernel spread(N, M) {
+           for (i: N) for (j: M)
+             B[i][j + 9223372036854775807] =
+               A[i][j + 9223372036854775807] + A[i][j - 9223372036854775807];
+         }",
+    )
+    .unwrap();
+    let sizes = ProblemSizes::new([("N", 1000), ("M", 1000)]);
+    let solution = eatss
+        .select_tiles(&spread, &sizes, &config)
+        .expect("both loops are parallel");
+    for tiles in [solution.tiles, TileConfig::ppcg_default(2)] {
+        eatss
+            .evaluate(&spread, &tiles, &sizes, &config)
+            .unwrap_or_else(|e| panic!("{tiles}: {e}"));
+    }
 }

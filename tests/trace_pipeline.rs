@@ -188,6 +188,52 @@ fn full_pipeline_trace_covers_solve_codegen_simulate() {
         .is_some());
 }
 
+/// Spans named `cat:name` opened in `trace`.
+fn span_count(trace: &eatss_trace::Trace, cat: &str, name: &str) -> usize {
+    trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Begin { .. }) && e.cat == cat && e.name == name)
+        .count()
+}
+
+/// The access analysis depends on the program alone, so a sweep and a
+/// verification batch run it once however many configurations they map:
+/// one `affine:analyse` span, beside one `ppcg:map` per kernel per
+/// measured point.
+#[test]
+fn one_analysis_per_sweep_and_per_verify_batch() {
+    let _guard = session();
+    let (program, sz) = load("2mm", Dataset::Standard);
+    assert_eq!(program.kernels.len(), 2);
+    let eatss = Eatss::new(GpuArch::ga100());
+
+    eatss_trace::start_collecting();
+    let outcome = eatss
+        .sweep_with(&program, &sz, &[0.5, 0.25], &[0.5], &SweepOptions::default())
+        .expect("2mm sweeps");
+    let trace = eatss_trace::drain(Provenance::collect(None));
+    assert_eq!(outcome.points.len(), 4);
+    assert_eq!(trace.metrics.counter("sweep.fallbacks"), 0);
+    assert_eq!(span_count(&trace, "affine", "analyse"), 1);
+    assert_eq!(span_count(&trace, "ppcg", "map"), 2 * 4);
+
+    let config = EatssConfig::default();
+    let depth = program.max_depth();
+    let (default, other) = (TileConfig::ppcg_default(depth), TileConfig::new(vec![16; depth]));
+    eatss_trace::start_collecting();
+    let verdicts = eatss.verify(
+        &program,
+        &sz,
+        &[(&config, &default), (&config, &other)],
+        eatss::VERIFY_SEED,
+    );
+    let trace = eatss_trace::drain(Provenance::collect(None));
+    assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
+    assert_eq!(span_count(&trace, "affine", "analyse"), 1);
+    assert_eq!(span_count(&trace, "ppcg", "map"), 2 * 2);
+}
+
 /// `exec.rows` tallies the plan engine's rows, so `exec.points` per row
 /// reads how far each row's set-up is amortized. heat-3d under its EATSS
 /// tiles (Xavier, warp fraction 1/8) at 13³ fuses each run of one-point
