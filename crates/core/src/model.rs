@@ -831,6 +831,82 @@ mod tests {
         assert!(err.to_string().contains("node limit"), "{err}");
     }
 
+    /// The tie census of one builtin device: over the 21 registry kernels
+    /// at ExtraLarge sizes and the 32-point sweep grid, how many
+    /// formulations there are, how many are feasible, and how many of
+    /// those have an optimum other than the one `solve` returns.
+    fn tie_census(device: &str) -> [usize; 3] {
+        let arch = eatss_gpusim::DeviceProfile::builtin(device).unwrap().into_arch();
+        let grid = crate::sweep::grid(&[0.0, 0.5, 0.67, 1.0], &crate::sweep::PAPER_WARP_FRACTIONS);
+        let [mut formulations, mut feasible, mut ties] = [0; 3];
+        for bench in eatss_kernels::all() {
+            let program = bench.program().unwrap();
+            let sizes = bench.sizes(eatss_kernels::Dataset::ExtraLarge);
+            for config in &grid {
+                let generator = ModelGenerator::new(&arch, config.clone());
+                let build = || generator.build(&program, Some(&sizes)).unwrap();
+                formulations += 1;
+                let Ok(solution) = build().solve() else {
+                    continue;
+                };
+                feasible += 1;
+                ties += usize::from(build().has_other_optimum(&solution).unwrap());
+            }
+        }
+        [formulations, feasible, ties]
+    }
+
+    /// Per builtin device: formulations, feasible ones, tied ones. Over
+    /// all five, 3 360 formulations, 2 954 feasible and 858 tied.
+    const TIE_CENSUS: [(&str, [usize; 3]); 5] = [
+        ("ga100", [672, 592, 177]),
+        ("h100", [672, 592, 198]),
+        ("xavier", [672, 588, 140]),
+        ("orin", [672, 592, 177]),
+        ("nano", [672, 590, 166]),
+    ];
+
+    #[test]
+    fn tie_census_totals() {
+        let total = |i: usize| TIE_CENSUS.iter().map(|(_, c)| c[i]).sum::<usize>();
+        assert_eq!([total(0), total(1), total(2)], [3_360, 2_954, 858]);
+        let mut names: Vec<&str> = TIE_CENSUS.iter().map(|(d, _)| *d).collect();
+        names.sort_unstable();
+        let mut builtin = eatss_gpusim::DeviceProfile::builtin_names();
+        builtin.sort_unstable();
+        assert_eq!(names, builtin);
+    }
+
+    fn check_tie_census(device: &str) {
+        let (_, expected) = TIE_CENSUS.iter().find(|(d, _)| *d == device).unwrap();
+        assert_eq!(tie_census(device), *expected, "{device}");
+    }
+
+    #[test]
+    fn tie_census_ga100() {
+        check_tie_census("ga100");
+    }
+
+    #[test]
+    fn tie_census_h100() {
+        check_tie_census("h100");
+    }
+
+    #[test]
+    fn tie_census_xavier() {
+        check_tie_census("xavier");
+    }
+
+    #[test]
+    fn tie_census_orin() {
+        check_tie_census("orin");
+    }
+
+    #[test]
+    fn tie_census_nano() {
+        check_tie_census("nano");
+    }
+
     /// Each tile variable's declared domain, in dimension order.
     fn tile_domains(model: &EatssModel) -> Vec<Vec<i64>> {
         model
