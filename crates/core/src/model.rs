@@ -7,8 +7,8 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_smt::{
-    BoolExpr, Domain, IntExpr, MaximizeOutcome, SolveError, Solver, SolverConfig, SolverStats, StopReason,
-    WarmStart,
+    Domain, IntExpr, MaximizeOutcome, SolveError, Solver, SolverConfig, SolverStats, StopReason,
+    VarId, WarmStart,
 };
 use std::error::Error;
 use std::fmt;
@@ -464,24 +464,24 @@ impl EatssModel {
     }
 
     /// Whether some *other* tile assignment attains `solution`'s objective
-    /// value: one extra [`Solver::check`] of `OBJ == objective ∧ T ≠ tiles`
-    /// on this (unsolved) formulation. When it does, the formulation does
-    /// not determine the tiles — which of the tied optima a search returns
-    /// is its tie-break, not a property of the model.
+    /// value, `solution` being this (unsolved) formulation's optimum: for
+    /// each tiled dimension `d`, a maximization over `T_d`'s domain without
+    /// `solution`'s `t_d`, its incumbent seeded one below the optimum
+    /// ([`Solver::other_optimum`]). When one reaches the optimum, the
+    /// formulation does not determine the tiles — which of the tied
+    /// optima a search returns is its tie-break, not a property of the
+    /// model.
     ///
     /// # Errors
     ///
     /// [`EatssError::Exhausted`] when a search budget ran out before the
     /// question was settled.
     pub fn has_other_optimum(mut self, solution: &EatssSolution) -> Result<bool, EatssError> {
-        let differs = self
-            .tile_vars
-            .iter()
+        let optimum: Vec<(VarId, i64)> = (self.tile_vars.iter())
             .zip(solution.tiles.sizes())
-            .filter_map(|(var, &size)| Some(var.as_ref()?.ne_expr(size)));
-        self.solver.assert(BoolExpr::any(differs));
-        self.solver.assert(self.objective.eq_expr(solution.objective));
-        let other = self.solver.check()?;
+            .filter_map(|(var, &size)| Some((var.as_ref()?.as_var()?, size)))
+            .collect();
+        let other = (self.solver).other_optimum(&self.objective, solution.objective, &optimum)?;
         match other.model {
             Some(_) => Ok(true),
             None if other.complete => Ok(false),

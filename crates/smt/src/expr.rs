@@ -104,6 +104,14 @@ impl IntExpr {
         self.each_var(&mut |id, _| push_new(out, id));
     }
 
+    /// The variable this expression is, when it is a bare variable.
+    pub fn as_var(&self) -> Option<VarId> {
+        match &*self.0 {
+            IntNode::Var(id, _) => Some(*id),
+            _ => None,
+        }
+    }
+
     /// Calls `f` on every variable occurrence, left to right.
     pub(crate) fn each_var(&self, f: &mut dyn FnMut(VarId, &str)) {
         match &*self.0 {

@@ -387,7 +387,8 @@ impl Solver {
     /// Returns [`SolveError::UnknownVariable`] if a constraint references a
     /// variable from another solver.
     pub fn check(&mut self) -> Result<SolveResult, SolveError> {
-        let found = self.search(SearchMode::Satisfy)?;
+        let domains = self.base_domains.clone();
+        let found = self.search(&domains, SearchMode::Satisfy)?;
         Ok(SolveResult {
             model: found.model,
             complete: found.complete,
@@ -425,7 +426,8 @@ impl Solver {
     /// [`SolveError::UnknownVariable`] if the objective mentions a variable
     /// from another solver.
     pub fn maximize(&mut self, objective: &IntExpr) -> Result<MaximizeOutcome, SolveError> {
-        self.search(SearchMode::Optimize {
+        let domains = self.base_domains.clone();
+        self.search(&domains, SearchMode::Optimize {
             objective,
             floor: None,
         })
@@ -456,7 +458,54 @@ impl Solver {
         warm: &WarmStart,
     ) -> Result<MaximizeOutcome, SolveError> {
         let floor = self.warm_floor(objective, warm);
-        self.search(SearchMode::Optimize { objective, floor })
+        let domains = self.base_domains.clone();
+        self.search(&domains, SearchMode::Optimize { objective, floor })
+    }
+
+    /// Whether an assignment that differs from `optimum` in at least one
+    /// of its variables also attains `best`, the optimum of `objective`:
+    /// for each `(var, value)` of `optimum` in turn, a maximization over
+    /// `var`'s domain without `value`, its incumbent seeded at
+    /// `best − 1`, so that only a leaf worth `best` is taken. The first
+    /// that finds one, or that a budget stops, is returned; otherwise the
+    /// last, which proves there is no other optimum (an empty `optimum`
+    /// has none either). Each maximization has this solver's budgets.
+    ///
+    /// `best` must be the proved optimum: a leaf above it would be taken
+    /// too.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Solver::maximize`], and
+    /// [`SolveError::UnknownVariable`] for a variable of `optimum` that
+    /// is not this solver's.
+    pub fn other_optimum(
+        &mut self,
+        objective: &IntExpr,
+        best: i64,
+        optimum: &[(VarId, i64)],
+    ) -> Result<MaximizeOutcome, SolveError> {
+        let floor = Some(best.saturating_sub(1));
+        let mut outcome = MaximizeOutcome {
+            model: None,
+            best: None,
+            incumbents: Vec::new(),
+            solver_calls: 0,
+            complete: true,
+            stop: None,
+        };
+        for &(var, value) in optimum {
+            let mut domains = self.base_domains.clone();
+            let Some(domain) = domains.get_mut(var.index()) else {
+                return Err(SolveError::UnknownVariable(format!("var#{}", var.index())));
+            };
+            domain.retain(|&v| v != value);
+            outcome = self.search(&domains, SearchMode::Optimize { objective, floor })?;
+            if outcome.model.is_some() || !outcome.complete {
+                break;
+            }
+        }
+        Ok(outcome)
     }
 
     /// Best feasible hint value minus one, or `None` when no hint survives
@@ -501,7 +550,11 @@ impl Solver {
     /// [`SolverStats::checks`] unless a budget was already spent on entry
     /// — against a deadline fixed once at entry. A `Satisfy` pass reports
     /// its model with no `best` and one solver call.
-    fn search(&mut self, mode: SearchMode<'_>) -> Result<MaximizeOutcome, SolveError> {
+    fn search(
+        &mut self,
+        domains: &[Domain],
+        mode: SearchMode<'_>,
+    ) -> Result<MaximizeOutcome, SolveError> {
         self.validate()?;
         let (name, maximizing, floor) = match mode {
             SearchMode::Satisfy => ("check", false, None),
@@ -527,7 +580,7 @@ impl Solver {
             stop,
         } = if searched {
             Search::new(
-                &self.base_domains,
+                domains,
                 &self.constraints,
                 &self.config,
                 &mut self.stats,
