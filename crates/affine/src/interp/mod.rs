@@ -161,6 +161,9 @@ pub enum InterpError {
     MissingArray(String),
     /// A problem-size parameter is unbound.
     UnboundParameter(String),
+    /// An array's extent along some subscript — its offset's magnitude
+    /// plus its trip counts times their coefficients' — is past `i64`.
+    ExtentOverflow(String),
 }
 
 impl fmt::Display for InterpError {
@@ -169,6 +172,9 @@ impl fmt::Display for InterpError {
             InterpError::MissingArray(a) => write!(f, "array `{a}` not in the store"),
             InterpError::UnboundParameter(p) => {
                 write!(f, "problem-size parameter `{p}` is unbound")
+            }
+            InterpError::ExtentOverflow(a) => {
+                write!(f, "array `{a}` has an extent past the 64-bit range")
             }
         }
     }
@@ -244,7 +250,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Returns [`InterpError::UnboundParameter`] on unbound sizes.
+    /// Returns [`InterpError::UnboundParameter`] on unbound sizes, and
+    /// [`InterpError::ExtentOverflow`] for an extent past `i64`.
     pub fn allocate_for(
         &mut self,
         program: &Program,
@@ -275,15 +282,21 @@ impl Store {
         if r.subscripts.is_empty() {
             return Ok(vec![1]);
         }
+        let overflow = || InterpError::ExtentOverflow(r.array.clone());
         r.subscripts
             .iter()
             .map(|s| {
-                let mut extent = s.offset().abs() + 1;
+                let mut extent = (s.offset().checked_abs())
+                    .and_then(|o| o.checked_add(1))
+                    .ok_or_else(overflow)?;
                 for &(d, c) in s.terms() {
                     let n = kernel
                         .trip_count(d, sizes)
                         .map_err(InterpError::UnboundParameter)?;
-                    extent += c.abs() * n;
+                    extent = (c.checked_abs())
+                        .and_then(|c| c.checked_mul(n))
+                        .and_then(|span| extent.checked_add(span))
+                        .ok_or_else(overflow)?;
                 }
                 Ok(extent.max(1))
             })

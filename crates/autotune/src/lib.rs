@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use eatss_affine::tiling::TileConfig;
 use eatss_ppcg::TileSpace;
@@ -275,7 +276,9 @@ impl Autotuner {
                 untried.swap_remove(best_pos)
             };
             let cfg = space.config(pick);
-            let value = objective(&cfg);
+            // A NaN measures nothing: it is a failed evaluation, like
+            // `None`, kept out of the surrogate and the maximum.
+            let value = objective(&cfg).filter(|v| !v.is_nan());
             if let Some(v) = value {
                 evaluated.push((ln_coords(&cfg), v));
             }
@@ -285,7 +288,7 @@ impl Autotuner {
         let best = history
             .iter()
             .filter_map(|(c, v)| v.map(|v| (c.clone(), v)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("objective must be finite"));
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let tuning_seconds = history.len() as f64 * self.options.seconds_per_eval;
         match best {
             Some((tiles, value)) => TuneResult {
@@ -316,6 +319,27 @@ mod tests {
     fn quad_objective(cfg: &TileConfig) -> Option<f64> {
         let t = cfg.sizes();
         Some(-((t[0] - 32).pow(2) + (t[1] - 64).pow(2)) as f64)
+    }
+
+    #[test]
+    fn a_nan_objective_is_a_failed_evaluation() {
+        // One tile measures NaN: it is recorded as failed, and the search
+        // and its maximum carry on over the others.
+        let space = TileSpace::new(2, vec![4, 8, 16, 32, 64, 128, 256]);
+        let mut tuner = Autotuner::new(TuneOptions {
+            budget: 49,
+            seed: 1,
+            ..TuneOptions::default()
+        });
+        let r = tuner.tune(&space, |cfg| match cfg.sizes() {
+            [32, 64] => Some(f64::NAN),
+            _ => quad_objective(cfg),
+        });
+        assert_eq!(r.history.len(), 49);
+        let nan = r.history.iter().find(|(c, _)| c.sizes() == [32, 64]);
+        assert_eq!(nan.map(|(_, v)| *v), Some(None));
+        assert_eq!(r.best_value, -16.0 * 16.0, "(16, 64) is next best");
+        assert!(r.history.iter().all(|(_, v)| v.is_none_or(|v| !v.is_nan())));
     }
 
     #[test]

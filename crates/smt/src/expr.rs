@@ -1,10 +1,10 @@
-//! Integer and boolean expression trees.
+//! Integer expression trees and the capacity constraints over them.
 //!
 //! Expressions are cheap, reference-counted trees over the one fragment the
-//! EATSS formulation uses: sums and products, compared with `<=`, `==` or
-//! `!=`, and disjunctions of such atoms. They are built
-//! with ordinary Rust operators (`+`, `*`) plus comparison combinators,
-//! mirroring the way the paper's model generator emits Z3 terms.
+//! EATSS formulation uses: sums and products, and a sum of products
+//! compared `<=` a capacity. They are built with ordinary Rust operators
+//! (`+`, `*`) plus [`IntExpr::le`], mirroring the way the paper's model
+//! generator emits Z3 terms.
 
 use std::fmt;
 use std::rc::Rc;
@@ -33,9 +33,8 @@ pub(crate) enum IntNode {
 ///
 /// `IntExpr` is a cheaply clonable handle (internally `Rc`). Build leaves
 /// via [`Solver::int_var`](crate::Solver::int_var) and
-/// [`IntExpr::constant`], then combine with `+` and `*`, and compare with
-/// [`IntExpr::le`], [`IntExpr::eq_expr`] and [`IntExpr::ne_expr`]. A difference `a − b` is
-/// written `a + (−1)·b`, and `a < b` is `a + 1 <= b`.
+/// [`IntExpr::constant`], then combine with `+` and `*`, and bound with
+/// [`IntExpr::le`].
 ///
 /// # Examples
 ///
@@ -82,20 +81,10 @@ impl IntExpr {
 
     /// Constraint `self <= rhs`.
     pub fn le(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Le, self.clone(), rhs.into())
-    }
-
-    /// Constraint `self == rhs`.
-    ///
-    /// Named `eq_expr` to avoid shadowing `PartialEq::eq` in method
-    /// resolution.
-    pub fn eq_expr(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Eq, self.clone(), rhs.into())
-    }
-
-    /// Constraint `self != rhs`.
-    pub fn ne_expr(&self, rhs: impl Into<IntExpr>) -> BoolExpr {
-        BoolExpr::cmp(CmpOp::Ne, self.clone(), rhs.into())
+        BoolExpr {
+            lhs: self.clone(),
+            rhs: rhs.into(),
+        }
     }
 
     /// Collects the variables mentioned by this expression into `out`
@@ -181,37 +170,13 @@ impl fmt::Display for IntExpr {
     }
 }
 
-/// Comparison operator of a [`BoolExpr`] atom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `<=`
-    Le,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-}
-
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CmpOp::Le => "<=",
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-        };
-        f.write_str(s)
-    }
-}
-
-#[derive(Debug)]
-pub(crate) enum BoolNode {
-    Cmp(CmpOp, IntExpr, IntExpr),
-    /// A disjunction; with no disjuncts it is `false`.
-    Or(Vec<BoolExpr>),
-}
-
-/// A boolean constraint over integer expressions: a comparison atom or a
-/// disjunction of constraints.
+/// A capacity constraint `lhs <= rhs` over integer expressions — the one
+/// kind of assertion the solver takes.
+/// [`Solver::maximize`](crate::Solver::maximize) accepts it when it is a
+/// *row*: `rhs` a constant, `lhs` a sum of products whose constants are
+/// `>= 0`, whose variables range over non-negative domains, and in none
+/// of which a variable repeats; it refuses anything else with
+/// [`SolveError::NotARow`](crate::SolveError::NotARow).
 ///
 /// # Examples
 ///
@@ -220,36 +185,21 @@ pub(crate) enum BoolNode {
 ///
 /// let mut s = Solver::new();
 /// let x = s.int_var("x", 0, 100);
-/// // x <= 20 and (x == 0 or 10 <= x): one assertion per conjunct.
-/// s.assert(x.le(20));
-/// s.assert(x.eq_expr(0).or(IntExpr::constant(10).le(&x)));
-/// let model = s.check()?.model.expect("satisfiable");
-/// let v = model.value_of_name("x").expect("x is bound");
-/// assert!(v == 0 || (10..=20).contains(&v));
+/// let y = s.int_var("y", 0, 100);
+/// // 3·x·y + x <= 120: a row.
+/// let capacity = (IntExpr::constant(3) * x.clone() * y.clone() + x.clone()).le(120);
+/// assert_eq!(capacity.to_string(), "((((3 * x) * y) + x) <= 120)");
+/// s.assert(capacity);
+/// assert_eq!(s.maximize(&(x * y))?.best, Some(39));
 /// # Ok::<(), eatss_smt::SolveError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct BoolExpr(pub(crate) Rc<BoolNode>);
+pub struct BoolExpr {
+    pub(crate) lhs: IntExpr,
+    pub(crate) rhs: IntExpr,
+}
 
 impl BoolExpr {
-    pub(crate) fn cmp(op: CmpOp, a: IntExpr, b: IntExpr) -> Self {
-        BoolExpr(Rc::new(BoolNode::Cmp(op, a, b)))
-    }
-
-    /// Disjunction.
-    pub fn or(&self, rhs: BoolExpr) -> BoolExpr {
-        BoolExpr(Rc::new(BoolNode::Or(vec![self.clone(), rhs])))
-    }
-
-    /// Disjunction of an iterator of constraints (`false` if empty).
-    pub fn any<I: IntoIterator<Item = BoolExpr>>(items: I) -> BoolExpr {
-        let v: Vec<BoolExpr> = items.into_iter().collect();
-        match v.as_slice() {
-            [one] => one.clone(),
-            _ => BoolExpr(Rc::new(BoolNode::Or(v))),
-        }
-    }
-
     /// Collects the variables mentioned by this constraint into `out`
     /// (deduplicated, in first-occurrence order).
     pub fn collect_vars(&self, out: &mut Vec<VarId>) {
@@ -258,17 +208,8 @@ impl BoolExpr {
 
     /// Calls `f` on every variable occurrence, left to right.
     pub(crate) fn each_var(&self, f: &mut dyn FnMut(VarId, &str)) {
-        match &*self.0 {
-            BoolNode::Cmp(_, a, b) => {
-                a.each_var(f);
-                b.each_var(f);
-            }
-            BoolNode::Or(xs) => {
-                for x in xs {
-                    x.each_var(f);
-                }
-            }
-        }
+        self.lhs.each_var(f);
+        self.rhs.each_var(f);
     }
 }
 
@@ -280,20 +221,7 @@ fn push_new(out: &mut Vec<VarId>, id: VarId) {
 
 impl fmt::Display for BoolExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self.0 {
-            BoolNode::Cmp(op, a, b) => write!(f, "({a} {op} {b})"),
-            BoolNode::Or(xs) if xs.is_empty() => write!(f, "false"),
-            BoolNode::Or(xs) => {
-                write!(f, "(")?;
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " or ")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                write!(f, ")")
-            }
-        }
+        write!(f, "({} <= {})", self.lhs, self.rhs)
     }
 }
 
@@ -309,8 +237,7 @@ mod tests {
         let y = s.int_var("y", 0, 10);
         let e = (x.clone() + y.clone()) * IntExpr::constant(2) + x.clone() * IntExpr::constant(3);
         assert_eq!(e.to_string(), "(((x + y) * 2) + (x * 3))");
-        let b = x.le(y.clone()).or(y.ne_expr(0));
-        assert_eq!(b.to_string(), "((x <= y) or (y != 0))");
+        assert_eq!(e.le(12).to_string(), "((((x + y) * 2) + (x * 3)) <= 12)");
     }
 
     #[test]
@@ -333,16 +260,9 @@ mod tests {
         assert_eq!(vars.len(), 2);
         assert_eq!(vars[0].index(), 0);
         assert_eq!(vars[1].index(), 1);
-        let b = y.eq_expr(0).or(x.le(y.clone() + x.clone()));
+        let b = y.le(y.clone() + x.clone());
         let mut bv = Vec::new();
         b.collect_vars(&mut bv);
         assert_eq!(bv, vars.into_iter().rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn any_edge_cases() {
-        assert_eq!(BoolExpr::any([]).to_string(), "false");
-        let atom = IntExpr::constant(1).le(2);
-        assert_eq!(BoolExpr::any([atom.clone()]).to_string(), "(1 <= 2)");
     }
 }

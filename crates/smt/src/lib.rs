@@ -5,22 +5,24 @@
 //! The EATSS tile-size formulations only ever involve a handful of integer
 //! variables, each over a small finite domain (tile sizes live in
 //! `[1, T_P_B]`, and the domain holds only the multiples of the
-//! warp-alignment factor), and one fragment of arithmetic: sums and
-//! products of tiles, compared by `<=` against a capacity or by `==`/`!=`,
-//! and disjunctions of such atoms. That fragment is the whole language —
-//! a difference is written `a + (−1)·b`, `a < b` is `a + 1 <= b`, a
-//! conjunction is one assertion per conjunct. Over such *finite* domains a
-//! propagation + depth-first branch-and-prune search is sound and complete,
-//! so it finds exactly the same satisfiable assignments Z3 would.
+//! warp-alignment factor), and one shape of constraint: a *capacity row*
+//! `Σ c·Π T ≤ cap` — a sum of products of non-negative constants and
+//! distinct tile variables, bounded by a constant — under an objective
+//! that is such a sum too. That is the solver's whole language:
+//! [`Solver::maximize`] refuses any other assertion or objective with
+//! [`SolveError::NotARow`], and a conjunction is one assertion per
+//! conjunct. Over such *finite* domains a propagation + depth-first
+//! branch-and-prune search is sound and complete, so it finds exactly the
+//! optimum Z3 would.
 //!
 //! The solver mirrors the Z3 workflow the paper relies on:
 //!
-//! * build integer expressions ([`IntExpr`]) and boolean constraints
+//! * build integer expressions ([`IntExpr`]) and capacity constraints
 //!   ([`BoolExpr`]),
-//! * [`Solver::assert`] constraints, [`Solver::check`] satisfiability and
-//!   read back a [`Model`],
+//! * [`Solver::assert`] the constraints,
 //! * iteratively demand `OBJ > best` and re-solve — the exact §IV-L loop
-//!   — via [`Solver::maximize`].
+//!   — via [`Solver::maximize`], and read back a [`Model`];
+//! * ask whether the optimum is the only one ([`Solver::other_optimum`]).
 //!
 //! # Examples
 //!
@@ -62,12 +64,11 @@ mod stats;
 mod trail;
 
 pub use domain::Domain;
-pub use expr::{BoolExpr, CmpOp, IntExpr, VarId};
+pub use expr::{BoolExpr, IntExpr, VarId};
 pub use interval::Interval;
 pub use model::Model;
 pub use smtlib::to_smtlib;
 pub use solver::{
-    CancelToken, MaximizeOutcome, SolveError, SolveResult, Solver, SolverConfig, StopReason,
-    WarmStart,
+    CancelToken, MaximizeOutcome, SolveError, Solver, SolverConfig, StopReason, WarmStart,
 };
 pub use stats::SolverStats;

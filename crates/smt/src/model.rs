@@ -1,16 +1,13 @@
 //! Satisfying assignments returned by the solver.
 
-use crate::expr::{BoolExpr, IntExpr, VarId};
-use crate::interval::Interval;
-use crate::search::{tri_bool, value_at, Tri};
+use crate::expr::{IntExpr, IntNode, VarId};
 use crate::solver::SolveError;
 use std::fmt;
 
 /// A total assignment of concrete values to the solver's variables.
 ///
-/// Obtained from [`Solver::check`](crate::Solver::check) /
-/// [`Solver::maximize`](crate::Solver::maximize); evaluate any expression
-/// built from the same solver's variables against it.
+/// Obtained from [`Solver::maximize`](crate::Solver::maximize); evaluate
+/// any expression built from the same solver's variables against it.
 ///
 /// # Examples
 ///
@@ -19,23 +16,21 @@ use std::fmt;
 ///
 /// let mut s = Solver::new();
 /// let x = s.int_var("x", 5, 5);
-/// let model = s.check()?.model.expect("trivially satisfiable");
+/// let model = s.maximize(&x)?.model.expect("trivially satisfiable");
 /// assert_eq!(model.eval(&(x.clone() * x))?, 25);
 /// # Ok::<(), eatss_smt::SolveError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Model {
-    /// One singleton hull per variable, in registration order: the
-    /// assignment as the search's evaluator reads it.
-    point: Vec<Interval>,
+    /// One value per variable, in registration order.
+    values: Vec<i64>,
     names: Vec<String>,
 }
 
 impl Model {
     pub(crate) fn new(values: Vec<i64>, names: Vec<String>) -> Self {
         debug_assert_eq!(values.len(), names.len());
-        let point = values.into_iter().map(Interval::singleton).collect();
-        Model { point, names }
+        Model { values, names }
     }
 
     /// Value assigned to `var`.
@@ -43,7 +38,7 @@ impl Model {
     /// Returns [`None`] if the variable does not belong to this model's
     /// solver.
     pub fn value_of(&self, var: VarId) -> Option<i64> {
-        self.point.get(var.index()).map(|v| v.lo())
+        self.values.get(var.index()).copied()
     }
 
     /// Value assigned to the variable registered under `name`.
@@ -51,7 +46,7 @@ impl Model {
         self.names
             .iter()
             .position(|n| n == name)
-            .map(|i| self.point[i].lo())
+            .map(|i| self.values[i])
     }
 
     /// Pairs of `(name, value)` in registration order.
@@ -59,31 +54,30 @@ impl Model {
         self.names
             .iter()
             .map(String::as_str)
-            .zip(self.point.iter().map(|v| v.lo()))
+            .zip(self.values.iter().copied())
     }
 
-    /// Evaluates an integer expression under this assignment with the
-    /// search's own evaluator, on singleton hulls: every operation
-    /// saturates to the `i64` range, and none panics.
+    /// Evaluates an integer expression under this assignment: sums and
+    /// products folded left to right in saturating `i64` arithmetic, so
+    /// none panics. On a row every operand is non-negative and the value
+    /// is the exact one, saturated — what the search computes.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::UnknownVariable`] if the expression mentions a
     /// variable not registered with the solver that produced this model.
     pub fn eval(&self, expr: &IntExpr) -> Result<i64, SolveError> {
-        known_vars(|f| expr.each_var(f), self.point.len())?;
-        Ok(value_at(expr, &self.point))
+        known_vars(|f| expr.each_var(f), self.values.len())?;
+        Ok(self.value(expr))
     }
 
-    /// Evaluates a boolean constraint under this assignment, as the search
-    /// checks a leaf.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::eval`].
-    pub fn eval_bool(&self, expr: &BoolExpr) -> Result<bool, SolveError> {
-        known_vars(|f| expr.each_var(f), self.point.len())?;
-        Ok(tri_bool(expr, &self.point) == Tri::True)
+    fn value(&self, expr: &IntExpr) -> i64 {
+        match &*expr.0 {
+            IntNode::Const(v) => *v,
+            IntNode::Var(id, _) => self.values[id.index()],
+            IntNode::Add(xs) => (xs.iter()).fold(0, |acc, x| acc.saturating_add(self.value(x))),
+            IntNode::Mul(xs) => (xs.iter()).fold(1, |acc, x| acc.saturating_mul(self.value(x))),
+        }
     }
 }
 
@@ -126,7 +120,7 @@ mod tests {
         let x = s.int_var("x", 7, 7);
         let y = s.int_var("y", 3, 3);
         let m = s
-            .check()
+            .maximize(&x)
             .expect("no limits hit")
             .model
             .expect("fixed domains are satisfiable");
@@ -144,17 +138,6 @@ mod tests {
         assert_eq!(m.eval(&(minus_one.clone() * x)).unwrap(), -7);
         let min = IntExpr::constant(i64::MIN);
         assert_eq!(m.eval(&(minus_one * min)).unwrap(), i64::MAX);
-    }
-
-    #[test]
-    fn eval_bool_connectives() {
-        let (m, x, y) = fixed_model();
-        let one = IntExpr::constant(1);
-        assert!(m.eval_bool(&(y.clone() + one).le(&x)).unwrap());
-        assert!(m.eval_bool(&x.le(y.clone()).or(y.eq_expr(3))).unwrap());
-        assert!(m.eval_bool(&x.ne_expr(y.clone())).unwrap());
-        assert!(!m.eval_bool(&x.le(y.clone()).or(x.eq_expr(0))).unwrap());
-        assert!(!m.eval_bool(&BoolExpr::any([])).unwrap());
     }
 
     const MIN: i64 = i64::MIN;
@@ -177,8 +160,8 @@ mod tests {
         op(x.into(), y.into()).clamp(MIN.into(), MAX.into()) as i64
     }
 
-    /// A random tree over `vars` — the shapes of `search.rs`'s `any_expr`,
-    /// plus a three-term sum and product — and its reference value.
+    /// A random tree over `vars` — sums and products of two or three
+    /// terms, signed constants and variables — and its reference value.
     fn any_expr(rng: &mut TestRng, vars: &Vars, depth: u32) -> (IntExpr, i64) {
         if depth == 0 || pick(rng, 4) == 0 {
             let (var, value) = vars[pick(rng, vars.len())].clone();
@@ -202,21 +185,6 @@ mod tests {
         }
     }
 
-    /// A random constraint and its reference verdict.
-    fn any_bool(rng: &mut TestRng, vars: &Vars, depth: u32) -> (BoolExpr, bool) {
-        if depth == 0 || pick(rng, 3) == 0 {
-            let ((a, av), (b, bv)) = (any_expr(rng, vars, 3), any_expr(rng, vars, 2));
-            return match pick(rng, 3) {
-                0 => (a.le(b), av <= bv),
-                1 => (a.eq_expr(b), av == bv),
-                _ => (a.ne_expr(b), av != bv),
-            };
-        }
-        let (p, pv) = any_bool(rng, vars, depth - 1);
-        let (q, qv) = any_bool(rng, vars, depth - 1);
-        (p.or(q), pv || qv)
-    }
-
     #[test]
     fn eval_is_the_saturating_point_semantics() {
         let names = vec!["u".to_owned(), "v".to_owned(), "w".to_owned()];
@@ -227,9 +195,7 @@ mod tests {
             let vars: Vec<_> = (0..3).map(|i| (var(i), values[i])).collect();
             let model = Model::new(values.to_vec(), names.clone());
             let (expr, v) = any_expr(rng, &vars, 4);
-            let (constraint, b) = any_bool(rng, &vars, 2);
             assert_eq!(model.eval(&expr), Ok(v), "{expr} under {model}");
-            assert_eq!(model.eval_bool(&constraint), Ok(b), "{constraint}, {model}");
         }
     }
 

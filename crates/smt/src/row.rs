@@ -6,23 +6,26 @@
 //! `≥ 0`, every variable's base hull has `lo ≥ 0` and no variable appears
 //! twice in one product (a product of sums is not flat and does not
 //! qualify either). That is the shape of every capacity the model
-//! generator asserts and of its objective; anything else stays with the
-//! search's per-value probe.
+//! generator asserts and of its objective, and the solver takes nothing
+//! else: [`Lowered::new`] names the first assertion, or the objective,
+//! that does not qualify.
 //!
 //! **Exactness.** Domains only shrink, so every operand of a row stays
 //! non-negative for the whole search, and on non-negative operands
-//! saturating `+` and `·` give `min(exact, i64::MAX)` at every step —
-//! exactly what interval evaluation of the tree computes, in any order of
-//! the operands. So one pass yields the tree's interval bit for bit, and
-//! with one variable pinned to `x` the row's low end is
+//! saturating `+` and `·` give `min(exact, i64::MAX)` at every step, in
+//! any order of the operands. So one pass yields the row's exact interval
+//! saturated to `i64`, and with one variable pinned to `x` the row's low
+//! end is
 //! `min(a·x + b, i64::MAX)`, with `a` the sum over the variable's products
 //! of the other factors' low ends and `b` the rest of the row (likewise at
 //! the high ends). While neither the pass's end nor `a` saturated, both
 //! are exact, so the values a capacity keeps are `x ≤ ⌊(cap − b)/a⌋` and
 //! those the incumbent bound keeps are `x > ⌊(inc − b)/a⌋`: the cut the
-//! per-value probe finds, at no evaluation.
+//! per-value probe finds, at no evaluation. Where `a` or the end
+//! saturated the search probes instead: it pins the variable's hull to
+//! each value and runs the pass again.
 
-use crate::expr::{BoolExpr, BoolNode, CmpOp, IntExpr, IntNode, VarId};
+use crate::expr::{BoolExpr, IntExpr, IntNode, VarId};
 use crate::interval::Interval;
 
 /// Which ends of the hulls a pass reads coefficients at: the low ends for
@@ -55,7 +58,7 @@ pub(crate) struct Row {
 
 /// One product `coef · Π factors`, its factors a range of
 /// [`Rows::factors`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Term {
     coef: i64,
     start: usize,
@@ -64,7 +67,7 @@ struct Term {
 
 /// A variable in a product: its hull index, and its slot — its position
 /// in the row's watched variables, where its coefficient is kept.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Factor {
     var: usize,
     slot: usize,
@@ -72,7 +75,7 @@ struct Factor {
 
 /// Every row of one search, lowered into one flat buffer, plus what the
 /// last [`Rows::pass`] found.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Rows {
     terms: Vec<Term>,
     factors: Vec<Factor>,
@@ -85,28 +88,71 @@ pub(crate) struct Rows {
     coefs: Vec<i64>,
 }
 
+/// A formulation in rows: every assertion as a capacity, and the
+/// objective.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    pub(crate) rows: Rows,
+    /// Per assertion, in order: its row and its capacity.
+    pub(crate) capacities: Vec<(Row, i64)>,
+    pub(crate) objective: Row,
+    /// The objective's variables, in the order of its row's slots.
+    pub(crate) objective_vars: Vec<VarId>,
+}
+
+impl Lowered {
+    /// Lowers every assertion and `objective` over the `base` hulls;
+    /// `Err` carries the first that is not a row, in `Display` form.
+    pub(crate) fn new(
+        constraints: &[(BoolExpr, Vec<VarId>)],
+        objective: &IntExpr,
+        base: &[Interval],
+    ) -> Result<Lowered, String> {
+        let mut rows = Rows::default();
+        let capacities = (constraints.iter())
+            .map(|(c, vars)| rows.capacity(c, vars, base).ok_or_else(|| c.to_string()))
+            .collect::<Result<_, _>>()?;
+        let mut objective_vars = Vec::new();
+        objective.collect_vars(&mut objective_vars);
+        let objective = (rows.lower(objective, &objective_vars, base))
+            .ok_or_else(|| objective.to_string())?;
+        Ok(Lowered {
+            rows,
+            capacities,
+            objective,
+            objective_vars,
+        })
+    }
+
+    /// The objective's value at `point` (every hull a singleton), when
+    /// every capacity holds there.
+    pub(crate) fn value_at(&mut self, point: &[Interval]) -> Option<i64> {
+        let rows = &mut self.rows;
+        (self.capacities.iter())
+            .all(|&(row, cap)| rows.pass(row, point, End::Lo).hi() <= cap)
+            .then(|| rows.pass(self.objective, point, End::Hi).lo())
+    }
+}
+
 impl Rows {
     /// Lowers `constraint` when it is `row ≤ c` with a constant `c`:
     /// the row and `c`.
-    pub(crate) fn capacity(
+    fn capacity(
         &mut self,
         constraint: &BoolExpr,
         vars: &[VarId],
         base: &[Interval],
     ) -> Option<(Row, i64)> {
-        let BoolNode::Cmp(CmpOp::Le, lhs, rhs) = &*constraint.0 else {
+        let IntNode::Const(cap) = *constraint.rhs.0 else {
             return None;
         };
-        let IntNode::Const(cap) = *rhs.0 else {
-            return None;
-        };
-        Some((self.lower(lhs, vars, base)?, cap))
+        Some((self.lower(&constraint.lhs, vars, base)?, cap))
     }
 
     /// Lowers `expr`, whose variables are `vars` (a variable's slot is its
     /// position there), over the `base` hulls; `None`, keeping nothing,
     /// when it does not qualify.
-    pub(crate) fn lower(
+    fn lower(
         &mut self,
         expr: &IntExpr,
         vars: &[VarId],
@@ -183,7 +229,7 @@ impl Rows {
     }
 
     /// One saturating pass over `row` under `hulls`: returns its interval
-    /// (the tree's, bit for bit — empty when a variable's hull is) and
+    /// (exact, saturated to `i64` — empty when a variable's hull is) and
     /// keeps, per slot, the variable's coefficient at `end`: the sum over
     /// its products of `coef` times the other factors' ends, from prefix
     /// and suffix products. [`Rows::cut`] reads it.
@@ -249,11 +295,19 @@ impl Rows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::bounds;
     use crate::Solver;
 
     /// Hull ends and weights at and beside the saturation scale.
     const ENDS: [i64; 7] = [0, 1, 2, 1 << 31, 1 << 32, i64::MAX - 1, i64::MAX];
+
+    /// `Σ Π factors`, exact in `i128` (a partial result past `i64::MAX`
+    /// is held just past it: every factor is non-negative, so it only
+    /// grows), then saturated to `i64`.
+    fn exact(products: &[&[i64]]) -> i64 {
+        let past = i128::from(i64::MAX) + 1;
+        let product = |p: &&[i64]| p.iter().fold(1, |acc, &f| (acc * i128::from(f)).min(past));
+        products.iter().map(product).sum::<i128>().min(i128::from(i64::MAX)) as i64
+    }
 
     /// The hulls `[lo, hi]` over `ENDS`.
     fn hulls() -> impl Iterator<Item = Interval> {
@@ -263,6 +317,7 @@ mod tests {
 
     #[test]
     fn a_pass_is_the_tree_bit_for_bit_at_the_saturation_scale() {
+        // The tree's value is its exact one, saturated once: [`exact`].
         // `c0·x·y + c1·y + c2`: zero and near-`i64::MAX` weights, zero-valued
         // and saturating variables, and an empty hull.
         let mut s = Solver::new();
@@ -284,7 +339,12 @@ mod tests {
             for hx in hulls().chain([Interval::empty()]) {
                 for hy in hulls() {
                     let point = [hx, hy];
-                    let tree = bounds(&expr, &point);
+                    let at = |x: i64, y: i64| exact(&[&[c0, x, y], &[c1, y], &[c2]]);
+                    let tree = if hx.is_empty() {
+                        Interval::empty()
+                    } else {
+                        Interval::new(at(hx.lo(), hy.lo()), at(hx.hi(), hy.hi()))
+                    };
                     assert_eq!(
                         rows.pass(row, &point, End::Hi),
                         tree,

@@ -4,7 +4,7 @@
 //! formulations in SMT-LIB 2 keeps them inspectable with (and checkable
 //! against) a real SMT solver when one is available.
 
-use crate::expr::{BoolExpr, BoolNode, CmpOp, IntExpr, IntNode};
+use crate::expr::{BoolExpr, IntExpr, IntNode};
 use crate::solver::Solver;
 use std::fmt::Write as _;
 
@@ -105,18 +105,7 @@ fn nary<T>(op: &str, xs: &[T], sexp: fn(&T) -> String) -> String {
 }
 
 fn bool_sexp(expr: &BoolExpr) -> String {
-    match &*expr.0 {
-        BoolNode::Cmp(op, a, b) => {
-            let sym = match op {
-                CmpOp::Le => "<=",
-                CmpOp::Eq => "=",
-                CmpOp::Ne => "distinct",
-            };
-            format!("({sym} {} {})", int_sexp(a), int_sexp(b))
-        }
-        BoolNode::Or(xs) if xs.is_empty() => "false".to_owned(),
-        BoolNode::Or(xs) => nary("or", xs, bool_sexp),
-    }
+    format!("(<= {} {})", int_sexp(&expr.lhs), int_sexp(&expr.rhs))
 }
 
 #[cfg(test)]
@@ -130,14 +119,12 @@ mod tests {
         let ti = s.int_var("Ti", 1, 1024);
         let tj = s.int_var("Tj", 1, 1024);
         s.assert((ti.clone() * tj.clone()).le(12_288));
-        s.assert(ti.eq_expr(tj.clone()));
         let script = to_smtlib(&s, None);
         assert!(script.starts_with("(set-logic QF_NIA)"));
         assert!(script.contains("(declare-const Ti Int)"));
         assert!(script.contains("(declare-const Tj Int)"));
         assert!(script.contains("(assert (and (>= Ti 1) (<= Ti 1024)))"));
         assert!(script.contains("(assert (<= (* Ti Tj) 12288))"));
-        assert!(script.contains("(assert (= Ti Tj))"));
         assert!(script.ends_with("(check-sat)\n(get-model)\n"));
     }
 
@@ -185,24 +172,26 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", -10, 10);
         s.assert(IntExpr::constant(-5).le(&x));
-        s.assert((IntExpr::constant(-3) * x.clone()).ne_expr(1));
+        s.assert((IntExpr::constant(-3) * x.clone()).le(-1));
         let script = to_smtlib(&s, None);
         assert!(script.contains("(assert (<= (- 5) x))"));
-        assert!(script.contains("(assert (distinct (* (- 3) x) 1))"));
+        assert!(script.contains("(assert (<= (* (- 3) x) (- 1)))"));
     }
 
     #[test]
     fn objective_and_connectives() {
+        // The script's connectives are the domain lines' `and`/`or`; the
+        // objective is a νZ `maximize` directive.
         let mut s = Solver::new();
-        let x = s.int_var("x", 0, 10);
-        s.assert(x.le(2).or(x.eq_expr(9)));
-        s.assert(BoolExpr::any([x.ne_expr(4)]));
-        s.assert(BoolExpr::any([]));
+        let x = s.int_var_in("x", Domain::from_values(vec![0, 1, 5]));
+        s.int_var_in("none", Domain::from_values(vec![]));
+        s.assert((IntExpr::constant(2) * x.clone()).le(9));
         let obj = x.clone() + IntExpr::constant(1);
         let script = to_smtlib(&s, Some(&obj));
-        assert!(script.contains("(assert (or (<= x 2) (= x 9)))"));
-        assert!(script.contains("(assert (distinct x 4))"));
-        assert!(script.contains("(assert false)\n"));
+        assert!(script.contains("(assert (and (>= x 0) (<= x 5)))"));
+        assert!(script.contains("(assert (or (= x 0) (= x 1) (= x 5)))"));
+        assert!(script.contains("(assert false) ; empty domain for none"));
+        assert!(script.contains("(assert (<= (* 2 x) 9))"));
         assert!(script.contains("(maximize (+ x 1))"));
     }
 }

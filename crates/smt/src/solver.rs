@@ -2,16 +2,15 @@
 //! paper's iterative maximization loop.
 //!
 //! The search itself lives in the `search` module (trail-based DFS with
-//! worklist propagation, one-pass branch-and-bound and closed-form rows); the
-//! pre-rewrite engine is retained in [`crate::reference`] for differential
-//! testing.
+//! worklist propagation, one-pass branch-and-bound and closed-form rows);
+//! the exhaustive engine in [`crate::reference`] is its executable spec.
 
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, IntExpr, VarId};
 use crate::interval::Interval;
 use crate::model::{known_vars, Model};
-use crate::row::Rows;
-use crate::search::{holds_at, value_at, Pass, Search, SearchMode};
+use crate::row::Lowered;
+use crate::search::{Pass, Search};
 use crate::stats::SolverStats;
 use std::error::Error;
 use std::fmt;
@@ -24,6 +23,9 @@ use std::time::{Duration, Instant};
 pub enum SolveError {
     /// An expression mentions a variable not registered with this solver.
     UnknownVariable(String),
+    /// An assertion, or the objective, is not a row (see [`BoolExpr`]);
+    /// it is named in `Display` form.
+    NotARow(String),
 }
 
 impl fmt::Display for SolveError {
@@ -32,6 +34,11 @@ impl fmt::Display for SolveError {
             SolveError::UnknownVariable(name) => {
                 write!(f, "expression mentions unregistered variable `{name}`")
             }
+            SolveError::NotARow(expr) => write!(
+                f,
+                "`{expr}` is not a row: a sum of products of constants >= 0 and \
+                 distinct variables over non-negative domains (bounded <= a constant)"
+            ),
         }
     }
 }
@@ -88,13 +95,12 @@ impl CancelToken {
 /// Tunable limits for the search.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Maximum search-tree nodes per `check` call before giving up
+    /// Maximum search-tree nodes per search before giving up
     /// (`complete = false` in the result).
     pub node_limit: u64,
-    /// Wall-clock budget for one [`Solver::check`] or one whole
-    /// [`Solver::maximize`] / [`Solver::maximize_warm`], which then
-    /// returns its best-so-far model with `complete = false` (anytime
-    /// solving).
+    /// Wall-clock budget for one whole [`Solver::maximize`] /
+    /// [`Solver::maximize_warm`], which then returns its best-so-far model
+    /// with `complete = false` (anytime solving).
     pub deadline: Option<Duration>,
     /// Cooperative cancellation flag, checked at the same cadence as the
     /// deadline.
@@ -122,19 +128,6 @@ impl Default for SolverConfig {
             cancel: None,
         }
     }
-}
-
-/// Result of a [`Solver::check`] call.
-#[derive(Debug, Clone)]
-pub struct SolveResult {
-    /// A satisfying assignment, if one was found.
-    pub model: Option<Model>,
-    /// `true` if the search was exhaustive: a `None` model then proves
-    /// unsatisfiability. `false` means a budget was exhausted (see
-    /// [`SolveResult::stop`]).
-    pub complete: bool,
-    /// Why the search stopped early, when `complete` is `false`.
-    pub stop: Option<StopReason>,
 }
 
 /// Result of a [`Solver::maximize`] call.
@@ -170,8 +163,8 @@ pub struct MaximizeOutcome {
 /// A hint is only ever used after being re-validated against the current
 /// formulation — each hinted value must lie in its variable's base domain
 /// and the full assignment must satisfy every asserted constraint exactly
-/// (the search's own leaf check: interval evaluation on the hint's
-/// singleton hulls, as [`Model::eval_bool`] reads a model). A feasible
+/// (one pass of each row at the hint's point, the search's own leaf
+/// check). A feasible
 /// hint with objective value `v` proves `v` is achievable, so the
 /// branch-and-bound incumbent can start at `v - 1` instead of at "nothing
 /// yet": subtrees whose objective hull
@@ -185,11 +178,12 @@ pub struct MaximizeOutcome {
 /// settled by the value order alone (largest first), the same either way,
 /// but among the objective's variables the variable order follows the
 /// filtered domain sizes, and those depend on the incumbent each node was
-/// filtered under. (On EATSS formulations: over the 32-point sweep grid on
-/// the five builtin devices 862 of the 2 954 feasible full-objective
-/// formulations have tied optima — gemm's `Tk` under the strict cap — and
-/// a solve seeded with its own optimum agrees with the cold one on every
-/// one. Seeded along a sweep's warm chain instead, a few do not: Xavier
+/// filtered under. (On EATSS formulations: over the 21 registry kernels at
+/// ExtraLarge sizes, the 32-point sweep grid and the five builtin devices,
+/// 858 of the 2 954 feasible full-objective formulations have tied optima
+/// — gemm's `Tk` under the strict cap among them; 826 at no sizes, 869 at
+/// Standard ones — and a solve seeded with its own optimum agrees with the
+/// cold one on every one. Seeded along a sweep's warm chain instead, a few do not: Xavier
 /// gemm at n = 128, warp fraction 0.5, split 0 returns (80, 128, 16)
 /// after the splits 0.67 and 0.5, and (96, 112, 16) cold. mttkrp with the
 /// spatial term ablated, `Π T` alone, differs even self-seeded.
@@ -310,39 +304,6 @@ impl Solver {
         self.constraints.iter().map(|(c, _)| c)
     }
 
-    /// The assertions that do not lower to a capacity row, then
-    /// `objective` if it does not lower to a row, in `Display` form. A
-    /// sum of products lowers when its constants are `≥ 0`, its variables'
-    /// domains are non-negative and no variable repeats in a product; a
-    /// capacity is such a sum `≤` a constant. The search revises a row in
-    /// closed form and probes everything else value by value — the same
-    /// answers at more interval evaluations.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use eatss_smt::{IntExpr, Solver};
-    ///
-    /// let mut s = Solver::new();
-    /// let ti = s.int_var("Ti", 1, 64);
-    /// let tj = s.int_var("Tj", 1, 64);
-    /// s.assert((ti.clone() * tj.clone() + IntExpr::constant(2) * tj.clone()).le(512));
-    /// s.assert(ti.ne_expr(tj.clone()));
-    /// assert_eq!(s.unlowered(&(ti * tj)), ["(Ti != Tj)"]);
-    /// ```
-    pub fn unlowered(&self, objective: &IntExpr) -> Vec<String> {
-        let base: Vec<Interval> = self.base_domains.iter().map(Domain::hull).collect();
-        let mut rows = Rows::default();
-        let mut vars = Vec::new();
-        objective.collect_vars(&mut vars);
-        let objective_lowers = rows.lower(objective, &vars, &base).is_some();
-        (self.constraints.iter())
-            .filter(|(c, vars)| rows.capacity(c, vars, &base).is_none())
-            .map(|(c, _)| c.to_string())
-            .chain((!objective_lowers).then(|| objective.to_string()))
-            .collect()
-    }
-
     /// Registered variable names in registration order.
     pub fn var_names(&self) -> impl Iterator<Item = &str> + '_ {
         self.names.iter().map(String::as_str)
@@ -380,20 +341,13 @@ impl Solver {
         Ok(())
     }
 
-    /// Decides satisfiability of the asserted constraints.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::UnknownVariable`] if a constraint references a
-    /// variable from another solver.
-    pub fn check(&mut self) -> Result<SolveResult, SolveError> {
-        let domains = self.base_domains.clone();
-        let found = self.search(&domains, SearchMode::Satisfy)?;
-        Ok(SolveResult {
-            model: found.model,
-            complete: found.complete,
-            stop: found.stop,
-        })
+    /// Every assertion and `objective`, lowered to rows over the base
+    /// hulls.
+    fn lower(&self, objective: &IntExpr) -> Result<Lowered, SolveError> {
+        self.validate()?;
+        known_vars(|f| objective.each_var(f), self.names.len())?;
+        let base: Vec<Interval> = self.base_domains.iter().map(Domain::hull).collect();
+        Lowered::new(&self.constraints, objective, &base).map_err(SolveError::NotARow)
     }
 
     /// Maximizes `objective` with the paper's §IV-L improvement semantics
@@ -407,11 +361,9 @@ impl Solver {
     /// in propagation, cuts subtrees whose interval upper bound cannot
     /// beat it before any propagation is paid for (counted in
     /// [`SolverStats::bound_prunes`]), and is verified exactly at every
-    /// candidate leaf. Capacities and objectives that lower to a row
-    /// ([`Solver::unlowered`] names those that do not) — every EATSS
-    /// capacity constraint and the objective itself — are filtered by one
-    /// pass over the row and a cut in closed form instead of probing each
-    /// value; the filtered domain is the same. Optima are
+    /// candidate leaf. Every assertion and the objective are rows,
+    /// filtered by one pass over the row and a cut in closed form instead
+    /// of probing each value; the filtered domain is the same. Optima are
     /// identical to the paper's asserted-constraint loop (the retained
     /// [`crate::reference`] engine); among several equal-valued optima the
     /// one returned is the first met under the unchanged branching order.
@@ -422,15 +374,13 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Propagates [`Solver::check`] errors, and returns
-    /// [`SolveError::UnknownVariable`] if the objective mentions a variable
-    /// from another solver.
+    /// [`SolveError::UnknownVariable`] if an assertion or the objective
+    /// mentions a variable from another solver, and
+    /// [`SolveError::NotARow`] naming the first assertion — or else the
+    /// objective — that is not a row; both before any search.
     pub fn maximize(&mut self, objective: &IntExpr) -> Result<MaximizeOutcome, SolveError> {
-        let domains = self.base_domains.clone();
-        self.search(&domains, SearchMode::Optimize {
-            objective,
-            floor: None,
-        })
+        let lowered = self.lower(objective)?;
+        Ok(self.search(self.base_domains.clone(), lowered, None))
     }
 
     /// [`Solver::maximize`] seeded from previous solutions of structurally
@@ -457,9 +407,9 @@ impl Solver {
         objective: &IntExpr,
         warm: &WarmStart,
     ) -> Result<MaximizeOutcome, SolveError> {
-        let floor = self.warm_floor(objective, warm);
-        let domains = self.base_domains.clone();
-        self.search(&domains, SearchMode::Optimize { objective, floor })
+        let mut lowered = self.lower(objective)?;
+        let floor = self.warm_floor(&mut lowered, warm);
+        Ok(self.search(self.base_domains.clone(), lowered, floor))
     }
 
     /// Whether an assignment that differs from `optimum` in at least one
@@ -485,6 +435,7 @@ impl Solver {
         best: i64,
         optimum: &[(VarId, i64)],
     ) -> Result<MaximizeOutcome, SolveError> {
+        let lowered = self.lower(objective)?;
         let floor = Some(best.saturating_sub(1));
         let mut outcome = MaximizeOutcome {
             model: None,
@@ -500,7 +451,7 @@ impl Solver {
                 return Err(SolveError::UnknownVariable(format!("var#{}", var.index())));
             };
             domain.retain(|&v| v != value);
-            outcome = self.search(&domains, SearchMode::Optimize { objective, floor })?;
+            outcome = self.search(domains, lowered.clone(), floor);
             if outcome.model.is_some() || !outcome.complete {
                 break;
             }
@@ -512,10 +463,7 @@ impl Solver {
     /// re-validation. Hints missing a variable of this solver, binding a
     /// value outside its base domain, or violating any asserted constraint
     /// are skipped — never trusted.
-    fn warm_floor(&mut self, objective: &IntExpr, warm: &WarmStart) -> Option<i64> {
-        // An objective from another solver seeds nothing: the search
-        // refuses it.
-        known_vars(|f| objective.each_var(f), self.names.len()).ok()?;
+    fn warm_floor(&mut self, lowered: &mut Lowered, warm: &WarmStart) -> Option<i64> {
         let mut best: Option<i64> = None;
         let mut hits = 0u64;
         'hints: for hint in &warm.hints {
@@ -529,10 +477,9 @@ impl Solver {
                 }
                 point.push(Interval::singleton(v));
             }
-            if !holds_at(&self.constraints, &point) {
+            let Some(v) = lowered.value_at(&point) else {
                 continue 'hints;
-            }
-            let v = value_at(objective, &point);
+            };
             hits += 1;
             best = Some(best.map_or(v, |b: i64| b.max(v)));
         }
@@ -544,26 +491,18 @@ impl Solver {
         floor
     }
 
-    /// The one search driver: [`Solver::check`] runs it as an `smt:check`
-    /// span, the maximizers as `smt:maximize`. Each pass builds one
-    /// [`Search`] — so [`SolverStats::hull_rebuilds`] equals
+    /// The one search driver, an `smt:maximize` span: a maximization of
+    /// `lowered` over `domains` with the incumbent seeded at `floor`. Each
+    /// builds one [`Search`] — so [`SolverStats::hull_rebuilds`] equals
     /// [`SolverStats::checks`] unless a budget was already spent on entry
-    /// — against a deadline fixed once at entry. A `Satisfy` pass reports
-    /// its model with no `best` and one solver call.
+    /// — against a deadline fixed once at entry.
     fn search(
         &mut self,
-        domains: &[Domain],
-        mode: SearchMode<'_>,
-    ) -> Result<MaximizeOutcome, SolveError> {
-        self.validate()?;
-        let (name, maximizing, floor) = match mode {
-            SearchMode::Satisfy => ("check", false, None),
-            SearchMode::Optimize { objective, floor } => {
-                known_vars(|f| objective.each_var(f), self.names.len())?;
-                ("maximize", true, floor)
-            }
-        };
-        let mut span = eatss_trace::span("smt", name);
+        domains: Vec<Domain>,
+        lowered: Lowered,
+        floor: Option<i64>,
+    ) -> MaximizeOutcome {
+        let mut span = eatss_trace::span("smt", "maximize");
         let stats_before = span.is_active().then(|| self.stats.clone());
         if let Some(f) = floor {
             span.arg("warm_floor", f);
@@ -582,10 +521,11 @@ impl Solver {
             Search::new(
                 domains,
                 &self.constraints,
+                lowered,
+                floor,
                 &self.config,
                 &mut self.stats,
                 deadline_at,
-                mode,
             )
             .run()
         } else {
@@ -603,14 +543,12 @@ impl Solver {
         let elapsed = started.elapsed();
         self.stats.solve_time += elapsed;
         if searched {
-            if maximizing {
-                // Interned once: the registry lookup takes a global lock
-                // that concurrent daemon workers would queue on.
-                static MAXIMIZE_US: OnceLock<&eatss_trace::Histogram> = OnceLock::new();
-                MAXIMIZE_US
-                    .get_or_init(|| eatss_trace::histogram("smt.maximize_us"))
-                    .record(elapsed.as_micros() as u64);
-            }
+            // Interned once: the registry lookup takes a global lock that
+            // concurrent daemon workers would queue on.
+            static MAXIMIZE_US: OnceLock<&eatss_trace::Histogram> = OnceLock::new();
+            MAXIMIZE_US
+                .get_or_init(|| eatss_trace::histogram("smt.maximize_us"))
+                .record(elapsed.as_micros() as u64);
             let propagation_delta = self
                 .stats
                 .propagation_time
@@ -639,21 +577,21 @@ impl Solver {
             if let Some(reason) = stop {
                 span.arg("stop", reason.to_string());
             }
-            if searched && maximizing {
+            if searched {
                 if let Some(v) = best {
                     span.arg("best", v);
                 }
                 span.arg("solver_calls", solver_calls);
             }
         }
-        Ok(MaximizeOutcome {
+        MaximizeOutcome {
             model,
             best,
             incumbents,
             solver_calls,
             complete: stop.is_none(),
             stop,
-        })
+        }
     }
 }
 
@@ -680,23 +618,21 @@ mod tests {
         Domain::from_values((1..=hi / step).map(|k| k * step).collect())
     }
 
-    /// `a < b`, written `a + 1 <= b`.
-    fn lt(a: &IntExpr, b: impl Into<IntExpr>) -> BoolExpr {
-        (a.clone() + IntExpr::constant(1)).le(b)
+    fn c(v: i64) -> IntExpr {
+        IntExpr::constant(v)
     }
 
     #[test]
     fn trivially_sat_and_unsat() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 10);
-        s.assert(IntExpr::constant(5).le(&x));
-        let r = s.check().unwrap();
+        s.assert((c(2) * x.clone()).le(9));
+        let r = s.maximize(&x).unwrap();
         assert!(r.complete);
-        let m = r.model.unwrap();
-        assert!(m.value_of_name("x").unwrap() >= 5);
+        assert_eq!(r.model.unwrap().value_of_name("x"), Some(4));
 
-        s.assert(lt(&x, 5));
-        let r = s.check().unwrap();
+        s.assert((x.clone() + c(1)).le(1));
+        let r = s.maximize(&x).unwrap();
         assert!(r.complete);
         assert!(r.model.is_none());
     }
@@ -704,32 +640,33 @@ mod tests {
     #[test]
     fn empty_domain_is_unsat() {
         let mut s = Solver::new();
-        let _ = s.int_var("x", 10, 1);
-        let r = s.check().unwrap();
+        let x = s.int_var("x", 10, 1);
+        let r = s.maximize(&x).unwrap();
         assert!(r.model.is_none());
         assert!(r.complete);
     }
 
     #[test]
     fn nonlinear_product_constraint() {
+        // The largest `x + y` whose product fits 91 keeps one factor 1.
         let mut s = Solver::new();
-        let x = s.int_var("x", 1, 100);
-        let y = s.int_var("y", 1, 100);
-        s.assert((x.clone() * y.clone()).eq_expr(91)); // 7 * 13
-        s.assert(lt(&IntExpr::constant(1), &x));
-        s.assert(lt(&x, &y));
-        let m = s.check().unwrap().model.unwrap();
-        assert_eq!(m.value_of_name("x"), Some(7));
-        assert_eq!(m.value_of_name("y"), Some(13));
+        let x = s.int_var("x", 2, 100);
+        let y = s.int_var("y", 2, 100);
+        s.assert((x.clone() * y.clone()).le(91));
+        let r = s.maximize(&(x + y)).unwrap();
+        assert_eq!(r.best, Some(47));
+        let m = r.model.unwrap();
+        let (xv, yv) = (m.value_of_name("x").unwrap(), m.value_of_name("y").unwrap());
+        assert!(xv * yv <= 91 && xv + yv == 47, "{m}");
     }
 
     #[test]
     fn divisibility_constraints() {
+        // Divisibility is a domain of multiples: `3·x ≤ 150` keeps 48.
         let mut s = Solver::new();
         let x = s.int_var_in("x", multiples(16, 64));
-        let k = s.int_var("k", 1, 21);
-        s.assert(x.eq_expr(IntExpr::constant(3) * k));
-        let m = s.check().unwrap().model.unwrap();
+        s.assert((c(3) * x.clone()).le(150));
+        let m = s.maximize(&x).unwrap().model.unwrap();
         assert_eq!(m.value_of_name("x"), Some(48));
     }
 
@@ -745,15 +682,13 @@ mod tests {
         // Best of x + y with x*y <= 100 and x,y in [1,64]: x=1, y=64 -> 65.
         assert_eq!(out.best, Some(65));
         assert!(out.solver_calls >= 2, "at least one improve + final unsat");
-        // The scope was popped: the original problem is still satisfiable.
-        assert!(s.check().unwrap().model.is_some());
     }
 
     #[test]
     fn maximize_unsat_returns_no_model() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 10);
-        s.assert(lt(&IntExpr::constant(20), &x));
+        s.assert((c(2) * x.clone()).le(1));
         let out = s.maximize(&x).unwrap();
         assert!(out.model.is_none());
         assert_eq!(out.best, None);
@@ -801,11 +736,10 @@ mod tests {
         });
         let x = s.int_var("x", 1, 1000);
         let y = s.int_var("y", 1, 1000);
-        // Interval propagation cannot decide this (`v · [1, 91]` contains
-        // 91 for every `v ≤ 91`, prime factor or not), so the solver must
+        // Propagation leaves both domains wide, so the solver must
         // branch — which the zero node budget forbids.
-        s.assert((x.clone() * y.clone()).eq_expr(91));
-        let r = s.check().unwrap();
+        s.assert((x.clone() * y.clone()).le(1000));
+        let r = s.maximize(&(x + y)).unwrap();
         assert!(r.model.is_none());
         assert!(!r.complete, "limit must be reported as incomplete");
         assert_eq!(r.stop, Some(StopReason::NodeLimit));
@@ -817,32 +751,37 @@ mod tests {
         let build = |config| {
             let mut s = Solver::with_config(config);
             let x = s.int_var("x", 1, 10);
-            s.assert(IntExpr::constant(1).le(&x));
-            s
+            s.assert(x.le(9));
+            (s, x)
         };
-        let mut s = build(SolverConfig {
+        let (mut s, x) = build(SolverConfig {
             deadline: Some(Duration::ZERO),
             ..SolverConfig::default()
         });
-        let r = s.check().unwrap();
+        let r = s.maximize(&x).unwrap();
         assert!(!r.complete);
         assert_eq!(r.stop, Some(StopReason::Deadline));
         assert_eq!(s.stats().deadline_hits, 1);
         // An expired budget proves nothing: the problem is satisfiable.
-        assert!(build(SolverConfig::default()).check().unwrap().model.is_some());
+        let (mut s, x) = build(SolverConfig::default());
+        assert!(s.maximize(&x).unwrap().model.is_some());
     }
 
     #[test]
     fn cancelled_token_stops_check() {
+        // A cancelled token stops the tie question before it is settled.
+        let (mut free, obj) = matmul_formulation(SolverConfig::default(), 16);
+        let optimum = free.maximize(&obj).unwrap();
+        let m = optimum.model.unwrap();
+        let tiles: Vec<(VarId, i64)> = (0..3).map(|i| (VarId(i), m.value_of(VarId(i)).unwrap())).collect();
         let token = CancelToken::new();
         token.cancel();
-        let mut s = Solver::with_config(SolverConfig {
+        let config = SolverConfig {
             cancel: Some(token),
             ..SolverConfig::default()
-        });
-        let x = s.int_var("x", 1, 10);
-        s.assert(IntExpr::constant(1).le(&x));
-        let r = s.check().unwrap();
+        };
+        let (mut s, obj) = matmul_formulation(config, 16);
+        let r = s.other_optimum(&obj, optimum.best.unwrap(), &tiles).unwrap();
         assert!(r.model.is_none());
         assert!(!r.complete);
         assert_eq!(r.stop, Some(StopReason::Cancelled));
@@ -971,7 +910,7 @@ mod tests {
         b.int_var("q", 0, 1);
         let foreign = b.int_var("r", 0, 1);
         let own = a.int_var("own", 0, 1);
-        let objective = own + foreign.clone();
+        let objective = own.clone() + foreign.clone();
         assert!(matches!(
             a.maximize(&objective),
             Err(SolveError::UnknownVariable(name)) if name == "r"
@@ -983,9 +922,56 @@ mod tests {
             Err(SolveError::UnknownVariable(name)) if name == "r"
         ));
         assert_eq!(a.stats().warm_cut_hits, 0);
-        a.assert(IntExpr::constant(0).le(&foreign));
+        a.assert(foreign.le(0));
         assert!(matches!(
-            a.check(),
+            a.maximize(&own),
+            Err(SolveError::UnknownVariable(_))
+        ));
+    }
+
+    #[test]
+    fn non_rows_are_refused_before_any_search() {
+        // The first assertion that is no row is named, else the objective.
+        let refused = |s: &mut Solver, objective: &IntExpr| match s.maximize(objective) {
+            Err(SolveError::NotARow(text)) => text,
+            other => panic!("{other:?}"),
+        };
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 10);
+        let y = s.int_var("y", -1, 10);
+        s.assert(x.le(8));
+        assert_eq!(refused(&mut s, &(x.clone() + c(-1) * x.clone())), "(x + (-1 * x))");
+        assert_eq!(refused(&mut s, &(x.clone() * y.clone())), "(x * y)");
+        s.assert((x.clone() * x.clone()).le(64));
+        assert_eq!(refused(&mut s, &x), "((x * x) <= 64)");
+        assert!(SolveError::NotARow("x".into()).to_string().contains("not a row"));
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 10);
+        s.assert(c(2).le(&x));
+        assert_eq!(refused(&mut s, &x), "(2 <= x)", "`>=` is no row");
+        assert_eq!(s.stats().checks, 0, "refused before any search");
+    }
+
+    #[test]
+    fn other_optimum_finds_ties_and_proves_uniqueness() {
+        // `x + y ≤ 10`: `x + y` peaks at 10 along a whole diagonal,
+        // `2x + y` only at (10, 0).
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 10);
+        let y = s.int_var("y", 0, 10);
+        s.assert((x.clone() + y.clone()).le(10));
+        let point = [(VarId(0), 10), (VarId(1), 0)];
+        let tie = s.other_optimum(&(x.clone() + y.clone()), 10, &point).unwrap();
+        assert!(tie.complete);
+        let other = tie.model.expect("another point of the diagonal");
+        assert_ne!((other.value_of(VarId(0)), other.value_of(VarId(1))), (Some(10), Some(0)));
+        assert_eq!(other.eval(&(x.clone() + y.clone())), Ok(10));
+        let objective = c(2) * x + y;
+        let unique = s.other_optimum(&objective, 20, &point).unwrap();
+        assert!(unique.complete && unique.model.is_none());
+        assert!(s.other_optimum(&objective, 20, &[]).unwrap().model.is_none());
+        assert!(matches!(
+            s.other_optimum(&objective, 20, &[(VarId(7), 1)]),
             Err(SolveError::UnknownVariable(_))
         ));
     }
@@ -994,27 +980,10 @@ mod tests {
     fn stats_accumulate() {
         let mut s = Solver::new();
         let x = s.int_var("x", 1, 100);
-        s.assert(x.ne_expr(7));
-        let _ = s.check().unwrap();
-        let _ = s.check().unwrap();
+        s.assert(x.le(93));
+        let _ = s.maximize(&x).unwrap();
+        let _ = s.maximize(&x).unwrap();
         assert_eq!(s.stats().checks, 2);
-    }
-
-    #[test]
-    fn implies_and_or_constraints() {
-        let mut s = Solver::new();
-        let x = s.int_var("x", 0, 10);
-        let y = s.int_var("y", 0, 10);
-        // `x > 5 → y = 0`, written as its disjunction.
-        s.assert(x.le(5).or(y.eq_expr(0)));
-        s.assert(lt(&IntExpr::constant(5), &x).or(x.eq_expr(0)));
-        s.assert(y.ne_expr(11));
-        let m = s.check().unwrap().model.unwrap();
-        let (xv, yv) = (
-            m.value_of_name("x").unwrap(),
-            m.value_of_name("y").unwrap(),
-        );
-        assert!((xv > 5 && yv == 0) || xv == 0);
     }
 
     /// Brute-force cross-check on a small non-linear problem.
@@ -1025,14 +994,14 @@ mod tests {
         let y = s.int_var("y", 1, 12);
         let z = s.int_var("z", 1, 12);
         s.assert((x.clone() * y.clone() * z.clone()).le(50));
-        s.assert(lt(&z, x.clone() + y.clone()));
+        s.assert((c(3) * z.clone() + x.clone() * y.clone()).le(30));
         let obj = x.clone() * y.clone() + z.clone();
         let out = s.maximize(&obj).unwrap();
         let mut best = i64::MIN;
         for xv in 1..=12i64 {
             for yv in 1..=12i64 {
                 for zv in 1..=12i64 {
-                    if xv * yv * zv <= 50 && xv + yv > zv && xv % 2 == 0 {
+                    if xv * yv * zv <= 50 && 3 * zv + xv * yv <= 30 && xv % 2 == 0 {
                         best = best.max(xv * yv + zv);
                     }
                 }
@@ -1050,7 +1019,7 @@ mod tests {
         let (mut s, obj) = matmul_formulation(SolverConfig::default(), 16);
         let out = s.maximize(&obj).unwrap();
         assert!(out.complete);
-        let _ = s.check().unwrap();
+        let _ = s.maximize(&obj).unwrap();
         let stats = s.stats();
         assert_eq!(stats.checks, 2, "maximize is a single search pass");
         assert_eq!(

@@ -12,7 +12,7 @@ macro_rules! solver_counters {
         counts { $($(#[$count_doc:meta])* $count:ident,)* }
         times { $($(#[$time_doc:meta])* $time:ident,)* }
     ) => {
-        /// Counters accumulated across all `check` calls on one
+        /// Counters accumulated across all searches of one
         /// [`Solver`](crate::Solver).
         ///
         /// The paper's §V-G reports Z3 overheads (number of solver calls
@@ -80,7 +80,9 @@ macro_rules! solver_counters {
 
 solver_counters! {
     counts {
-        /// Number of `check` invocations (a `maximize` is one).
+        /// Number of searches (a `maximize` is one; the tie question
+        /// [`Solver::other_optimum`](crate::Solver::other_optimum) one
+        /// per tiled variable it tries).
         checks,
         /// Search-tree nodes expanded (variable assignments tried).
         nodes,
@@ -100,7 +102,7 @@ solver_counters! {
         /// could not beat the branch-and-bound incumbent.
         bound_prunes,
         /// Full O(vars) hull constructions. The worklist engine builds the
-        /// hull vector exactly once per `check` and maintains it
+        /// hull vector exactly once per search and maintains it
         /// incrementally afterwards, so this equals
         /// [`SolverStats::checks`] — the regression tests pin that
         /// invariant so per-probe rebuilds cannot creep back in.
@@ -114,7 +116,7 @@ solver_counters! {
         warm_cut_hits,
     }
     times {
-        /// Wall-clock time spent inside `check`.
+        /// Wall-clock time spent searching.
         solve_time,
         /// Portion of [`SolverStats::solve_time`] spent filtering domains
         /// (worklist propagation).
@@ -128,7 +130,7 @@ solver_counters! {
 
 impl SolverStats {
     /// Adds these counters to the `eatss-trace` metrics registry under
-    /// `smt.*` names. Called with per-`check` deltas by the instrumented
+    /// `smt.*` names. Called with per-search deltas by the instrumented
     /// solver entry points, so at the end of a trace session the registry
     /// totals equal the accumulated `SolverStats` (the trace tests pin
     /// this). No-op while trace collection is disabled.

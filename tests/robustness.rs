@@ -10,7 +10,8 @@ use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
-use eatss_ppcg::CompileError;
+use eatss_affine::interp::InterpError;
+use eatss_ppcg::{CompileError, OracleError};
 use eatss_smt::{Domain, IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
 
@@ -268,9 +269,22 @@ fn extreme_subscript_offsets_never_overflow() {
     let solution = eatss
         .select_tiles(&spread, &sizes, &config)
         .expect("both loops are parallel");
-    for tiles in [solution.tiles, TileConfig::ppcg_default(2)] {
+    for tiles in [solution.tiles.clone(), TileConfig::ppcg_default(2)] {
         eatss
             .evaluate(&spread, &tiles, &sizes, &config)
             .unwrap_or_else(|e| panic!("{tiles}: {e}"));
+    }
+    // The interpreter cannot hold an array that wide: verifying either
+    // tiling is a typed error naming the array, in every build.
+    let sizes = ProblemSizes::new([("N", 64), ("M", 64)]);
+    let default = TileConfig::ppcg_default(2);
+    let configs = [(&config, &solution.tiles), (&config, &default)];
+    for verdict in eatss.verify(&spread, &sizes, &configs, 1) {
+        match verdict {
+            Err(OracleError::Interp(InterpError::ExtentOverflow(array))) => {
+                assert!(array == "A" || array == "B", "{array}")
+            }
+            other => panic!("expected an extent overflow, got {other:?}"),
+        }
     }
 }
