@@ -75,14 +75,22 @@ impl Poly {
     /// The row's value with each variable `i` at `value(i)`, held at
     /// [`MAX`].
     fn at(&self, value: impl Fn(usize) -> i64) -> i128 {
-        self.products.iter().fold(self.constant, |sum, (coef, vars)| {
-            let product = (vars.iter()).fold(*coef, |p, &v| (p * i128::from(value(v))).min(MAX));
-            (sum + product).min(MAX)
-        })
+        self.products
+            .iter()
+            .fold(self.constant, |sum, (coef, vars)| {
+                let product =
+                    (vars.iter()).fold(*coef, |p, &v| (p * i128::from(value(v))).min(MAX));
+                (sum + product).min(MAX)
+            })
     }
 }
 
-fn product(expr: &IntExpr, domains: &[Domain], coef: &mut i128, vars: &mut Vec<usize>) -> Option<()> {
+fn product(
+    expr: &IntExpr,
+    domains: &[Domain],
+    coef: &mut i128,
+    vars: &mut Vec<usize>,
+) -> Option<()> {
     match &*expr.0 {
         IntNode::Const(c) if *c >= 0 => *coef = (*coef * i128::from(*c)).min(MAX),
         IntNode::Var(id, _) => {
@@ -115,7 +123,11 @@ struct NaiveSearch<'a> {
 impl NaiveSearch<'_> {
     /// Whether `row` can still hold over `domains`, with variable `pinned`
     /// (when given) at one value: the one end that could satisfy it.
-    fn possible((poly, check): &(&Poly, Check), domains: &[Domain], pinned: Option<(usize, i64)>) -> bool {
+    fn possible(
+        (poly, check): &(&Poly, Check),
+        domains: &[Domain],
+        pinned: Option<(usize, i64)>,
+    ) -> bool {
         let end = |pick: fn(&Domain) -> Option<i64>| {
             poly.at(|v| match pinned {
                 Some((p, value)) if p == v => value,
@@ -214,7 +226,10 @@ pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximiz
     loop {
         let rows = (capacities.iter())
             .map(|(poly, cap)| (poly, Check::Capacity(*cap)))
-            .chain(best.as_ref().map(|(value, _)| (&obj, Check::Above((*value).into()))))
+            .chain(
+                best.as_ref()
+                    .map(|(value, _)| (&obj, Check::Above((*value).into()))),
+            )
             .collect();
         let mut search = NaiveSearch { rows, nodes: 0 };
         let found = search.dfs(domains.to_vec());
@@ -268,6 +283,9 @@ mod tests {
         // Both refuse what is not a row, naming it alike.
         let minus = IntExpr::constant(-1) * y.clone();
         s.assert((x.clone() + minus.clone()).le(3));
-        assert_eq!(maximize(&s, &obj).unwrap_err(), s.maximize(&obj).unwrap_err());
+        assert_eq!(
+            maximize(&s, &obj).unwrap_err(),
+            s.maximize(&obj).unwrap_err()
+        );
     }
 }

@@ -6,11 +6,11 @@ use eatss::{
     Eatss, EatssConfig, EatssError, EvaluateError, PipelineError, PipelineStage,
     SolutionProvenance, SweepOptions,
 };
+use eatss_affine::interp::InterpError;
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
-use eatss_affine::interp::InterpError;
 use eatss_ppcg::{CompileError, OracleError};
 use eatss_smt::{Domain, IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
