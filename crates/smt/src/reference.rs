@@ -211,16 +211,16 @@ pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximiz
     let names = solver.names();
     known_vars(|f| objective.each_var(f), names.len())?;
     let domains = solver.base_domains();
-    let not_a_row = |text: String| SolveError::NotARow(text);
     let mut capacities = Vec::new();
     for (c, _) in solver.constraint_entries() {
         let IntNode::Const(cap) = *c.rhs.0 else {
-            return Err(not_a_row(c.to_string()));
+            return Err(SolveError::NotARow(c.to_string()));
         };
-        let poly = Poly::of(&c.lhs, domains).ok_or_else(|| not_a_row(c.to_string()))?;
+        let poly = Poly::of(&c.lhs, domains).ok_or_else(|| SolveError::NotARow(c.to_string()))?;
         capacities.push((poly, i128::from(cap)));
     }
-    let obj = Poly::of(objective, domains).ok_or_else(|| not_a_row(objective.to_string()))?;
+    let obj = Poly::of(objective, domains)
+        .ok_or_else(|| SolveError::NotARow(objective.to_string()))?;
     let mut best: Option<(i64, Vec<i64>)> = None;
     let (mut calls, mut nodes) = (0u32, 0u64);
     loop {

@@ -126,7 +126,7 @@ impl Lowered {
 
     /// The objective's value at `point` (every hull a singleton), when
     /// every capacity holds there.
-    pub(crate) fn value_at(&mut self, point: &[Interval]) -> Option<i64> {
+    pub(crate) fn objective_at(&mut self, point: &[Interval]) -> Option<i64> {
         let rows = &mut self.rows;
         (self.capacities.iter())
             .all(|&(row, cap)| rows.pass(row, point, End::Lo).hi() <= cap)

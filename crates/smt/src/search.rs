@@ -935,7 +935,7 @@ mod tests {
         let product = x * y * IntExpr::constant(4);
         s.assert(product.le(i64::MAX / 4 + 1));
         let mut lowered = lowered(&s, &product);
-        assert_eq!(lowered.value_at(&[Interval::singleton(1 << 31); 2]), None);
+        assert_eq!(lowered.objective_at(&[Interval::singleton(1 << 31); 2]), None);
         let outcome = s.maximize(&product).unwrap();
         assert!(outcome.model.is_none() && outcome.complete);
     }

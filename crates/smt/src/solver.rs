@@ -477,7 +477,7 @@ impl Solver {
                 }
                 point.push(Interval::singleton(v));
             }
-            let Some(v) = lowered.value_at(&point) else {
+            let Some(v) = lowered.objective_at(&point) else {
                 continue 'hints;
             };
             hits += 1;
