@@ -355,16 +355,16 @@ impl ModelGenerator {
                 m_l1 = m_l1 + m_sh;
                 m_sh = IntExpr::constant(0);
             } else if analysis.sh_set().next().is_some() && !self.ablation.no_memory_constraints {
-                solver.assert(m_sh.clone().le(cap_sh));
+                solver.assert(m_sh.le(cap_sh));
             }
             if self.ablation.no_memory_constraints {
                 // Ablated: only the L2 bound below survives.
             } else if split >= 1.0 {
                 // §IV-H: all combined memory is shared; the L1 constraint
                 // is replaced by the per-SM L2 share.
-                solver.assert(m_l1.clone().le(l2_per_sm_elems));
+                solver.assert(m_l1.le(l2_per_sm_elems));
             } else {
-                solver.assert(m_l1.clone().le(cap_l1));
+                solver.assert(m_l1.le(cap_l1));
             }
             // L2 holds every reference's data tile.
             solver.assert((m_l1 + m_sh).le(l2_elems));
@@ -405,7 +405,7 @@ impl EatssModel {
     }
 
     /// Decomposes the model into its solver and objective — for tools
-    /// that drive the solver directly (e.g. the engine-comparison bench
+    /// that drive the solver directly (e.g. `tests/solver_vs_bruteforce.rs`
     /// runs both the fast and the reference engine on the same
     /// formulation).
     pub fn into_parts(self) -> (Solver, IntExpr) {
@@ -959,24 +959,11 @@ mod tests {
         }
     }
 
-    /// Whether `atom` (an assertion's `Display`) has a constant right
-    /// side: `(lhs <= c)`.
-    fn is_capacity_row(atom: &str) -> bool {
-        let rhs = atom
-            .strip_prefix('(')
-            .and_then(|a| a.strip_suffix(')'))
-            .and_then(|a| a.rsplit_once(" <= "));
-        rhs.is_some_and(|(_, rhs)| rhs.parse::<i64>().is_ok())
-    }
-
-    /// Every assertion of `model` is a capacity row, and the solver takes
-    /// them and the objective (it refuses anything that is not a row
-    /// before a node is spent); and every aligned tile states its
-    /// congruence through its domain line.
+    /// The solver takes every assertion of `model` and its objective as
+    /// rows (it refuses anything that is not a row before a node is
+    /// spent); and every aligned tile states its congruence through its
+    /// domain line.
     fn check_rows(model: &mut EatssModel, align: i64, what: &str) {
-        for atom in model.solver.assertions().map(ToString::to_string) {
-            assert!(is_capacity_row(&atom), "{what}: `{atom}` is no row");
-        }
         let outcome = model.solver.maximize(&model.objective);
         assert!(outcome.is_ok(), "{what}: {outcome:?}");
         let smt = model.to_smtlib();

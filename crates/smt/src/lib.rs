@@ -8,17 +8,19 @@
 //! warp-alignment factor), and one shape of constraint: a *capacity row*
 //! `Σ c·Π T ≤ cap` — a sum of products of non-negative constants and
 //! distinct tile variables, bounded by a constant — under an objective
-//! that is such a sum too. That is the solver's whole language:
-//! [`Solver::maximize`] refuses any other assertion or objective with
-//! [`SolveError::NotARow`], and a conjunction is one assertion per
-//! conjunct. Over such *finite* domains a propagation + depth-first
-//! branch-and-prune search is sound and complete, so it finds exactly the
-//! optimum Z3 would.
+//! that is such a sum too. That is the solver's whole language, and the
+//! one its expressions are written in: an [`IntExpr`] is a row, multiplied
+//! out as it is built, and [`IntExpr::le`] bounds it by a constant.
+//! [`Solver::maximize`] refuses a row with a negative constant, a repeated
+//! factor or a variable that may be negative with [`SolveError::NotARow`],
+//! and a conjunction is one assertion per conjunct. Over such *finite*
+//! domains a propagation + depth-first branch-and-prune search is sound
+//! and complete, so it finds exactly the optimum Z3 would.
 //!
 //! The solver mirrors the Z3 workflow the paper relies on:
 //!
-//! * build integer expressions ([`IntExpr`]) and capacity constraints
-//!   ([`BoolExpr`]),
+//! * build rows ([`IntExpr`]: a constant plus terms `c·Π T`) and capacity
+//!   constraints ([`BoolExpr`]: a row `≤` a constant),
 //! * [`Solver::assert`] the constraints,
 //! * iteratively demand `OBJ > best` and re-solve — the exact §IV-L loop
 //!   — via [`Solver::maximize`], and read back a [`Model`];

@@ -1,6 +1,6 @@
 //! Satisfying assignments returned by the solver.
 
-use crate::expr::{IntExpr, IntNode, VarId};
+use crate::expr::{IntExpr, Var, VarId};
 use crate::solver::SolveError;
 use std::fmt;
 
@@ -57,43 +57,37 @@ impl Model {
             .zip(self.values.iter().copied())
     }
 
-    /// Evaluates an integer expression under this assignment: sums and
-    /// products folded left to right in saturating `i64` arithmetic, so
-    /// none panics. On a row every operand is non-negative and the value
-    /// is the exact one, saturated — what the search computes.
+    /// Evaluates an integer expression under this assignment: each term's
+    /// coefficient times its variables' values, added to the constant, in
+    /// saturating `i64` arithmetic, so none panics. On a row every operand
+    /// is non-negative and the value is the exact one, saturated — what
+    /// the search computes.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::UnknownVariable`] if the expression mentions a
     /// variable not registered with the solver that produced this model.
     pub fn eval(&self, expr: &IntExpr) -> Result<i64, SolveError> {
-        known_vars(|f| expr.each_var(f), self.values.len())?;
-        Ok(self.value(expr))
-    }
-
-    fn value(&self, expr: &IntExpr) -> i64 {
-        match &*expr.0 {
-            IntNode::Const(v) => *v,
-            IntNode::Var(id, _) => self.values[id.index()],
-            IntNode::Add(xs) => (xs.iter()).fold(0, |acc, x| acc.saturating_add(self.value(x))),
-            IntNode::Mul(xs) => (xs.iter()).fold(1, |acc, x| acc.saturating_mul(self.value(x))),
-        }
+        known_vars(expr.vars(), self.values.len())?;
+        let sum = &*expr.0;
+        Ok((sum.terms.iter()).fold(sum.constant, |total, term| {
+            let product = (term.vars.iter())
+                .fold(term.coef, |p, v| p.saturating_mul(self.values[v.id.index()]));
+            total.saturating_add(product)
+        }))
     }
 }
 
-/// `Ok` when every variable `each_var` visits is one of the first `count`
+/// `Ok` when every variable of `vars` is one of the first `count`
 /// registered; otherwise the first foreign one, by name.
-pub(crate) fn known_vars(
-    each_var: impl FnOnce(&mut dyn FnMut(VarId, &str)),
+pub(crate) fn known_vars<'a>(
+    mut vars: impl Iterator<Item = &'a Var>,
     count: usize,
 ) -> Result<(), SolveError> {
-    let mut foreign = None;
-    each_var(&mut |id, name| {
-        if id.index() >= count {
-            foreign.get_or_insert_with(|| name.to_owned());
-        }
-    });
-    foreign.map_or(Ok(()), |n| Err(SolveError::UnknownVariable(n)))
+    match vars.find(|v| v.id.index() >= count) {
+        Some(foreign) => Err(SolveError::UnknownVariable(foreign.name.to_string())),
+        None => Ok(()),
+    }
 }
 
 impl fmt::Display for Model {
@@ -140,13 +134,10 @@ mod tests {
         assert_eq!(m.eval(&(minus_one * min)).unwrap(), i64::MAX);
     }
 
-    const MIN: i64 = i64::MIN;
     const MAX: i64 = i64::MAX;
-    /// Constants and variable values: small ones and every `i64` extreme.
-    #[rustfmt::skip]
-    const VALUES: [i64; 16] = [
-        MIN, MIN + 1, -(1 << 31), -7, -2, -1, 0, 1, 2, 3, 16, 1 << 31, 1 << 50, 1 << 62, MAX - 1, MAX,
-    ];
+    /// Constants and variable values: small ones and the non-negative
+    /// `i64` extremes.
+    const VALUES: [i64; 10] = [0, 1, 2, 3, 16, 1 << 31, 1 << 50, 1 << 62, MAX - 1, MAX];
 
     /// Variables, each with its value.
     type Vars = [(IntExpr, i64)];
@@ -155,13 +146,15 @@ mod tests {
         (rng.next_u64() % n as u64) as usize
     }
 
-    /// The reference semantics: `op` exact in `i128`, saturated to `i64`.
+    /// The reference semantics: `op` exact in `i128`, saturated to `i64`
+    /// (on non-negative operands, the exact value saturated once).
     fn apply(op: fn(i128, i128) -> i128, x: i64, y: i64) -> i64 {
-        op(x.into(), y.into()).clamp(MIN.into(), MAX.into()) as i64
+        op(x.into(), y.into()).min(MAX.into()) as i64
     }
 
     /// A random tree over `vars` — sums and products of two or three
-    /// terms, signed constants and variables — and its reference value.
+    /// terms, non-negative constants and variables — built into a row
+    /// (products of sums multiplied out), and its reference value.
     fn any_expr(rng: &mut TestRng, vars: &Vars, depth: u32) -> (IntExpr, i64) {
         if depth == 0 || pick(rng, 4) == 0 {
             let (var, value) = vars[pick(rng, vars.len())].clone();
@@ -194,7 +187,7 @@ mod tests {
             let values = [(); 3].map(|()| VALUES[pick(rng, VALUES.len())]);
             let vars: Vec<_> = (0..3).map(|i| (var(i), values[i])).collect();
             let model = Model::new(values.to_vec(), names.clone());
-            let (expr, v) = any_expr(rng, &vars, 4);
+            let (expr, v) = any_expr(rng, &vars, 3);
             assert_eq!(model.eval(&expr), Ok(v), "{expr} under {model}");
         }
     }

@@ -5,11 +5,11 @@
 //! DFS node clones the full `Vec<Domain>`, every propagation round
 //! re-evaluates every row against the current domains and filters each
 //! variable by trying every value, and there is no incumbent pruning. It
-//! shares no code with the fast engine's rows or search: it flattens each
-//! row itself and has its own evaluator — a row's low end (every variable
-//! at its smallest value) against a capacity, and its high end against
-//! `OBJ > best` — in `i128`, held at `i64::MAX`, where the fast engine
-//! saturates machine words. Its one job is differential testing: the fast
+//! shares no code with the fast engine's rows or search: it reads each
+//! row's terms, checks them itself and has its own evaluator — a row's
+//! low end (every variable at its smallest value) against a capacity, and
+//! its high end against `OBJ > best` — in `i128`, held at `i64::MAX`,
+//! where the fast engine saturates machine words. Its one job is differential testing: the fast
 //! engine must return the same optimal objective values on every random
 //! small formulation (`crates/smt/tests/differential.rs`) and on every
 //! PolyBench formulation of the paper's setting
@@ -20,7 +20,7 @@
 //! formulations qualify).
 
 use crate::domain::Domain;
-use crate::expr::{IntExpr, IntNode};
+use crate::expr::IntExpr;
 use crate::model::{known_vars, Model};
 use crate::solver::{SolveError, Solver};
 
@@ -41,70 +41,29 @@ pub struct ReferenceMaximize {
 /// operand of a row is non-negative, so a value past it only grows).
 const MAX: i128 = i64::MAX as i128;
 
-/// A row flattened: a constant plus products `coef · Π vars`.
-#[derive(Debug, Default)]
-struct Poly {
-    constant: i128,
-    products: Vec<(i128, Vec<usize>)>,
-}
-
-impl Poly {
-    /// Flattens `expr` when it is a row over `domains`: constants `≥ 0`,
-    /// variables whose domains hold no negative value, no variable twice
-    /// in a product and no sum inside a product.
-    fn of(expr: &IntExpr, domains: &[Domain]) -> Option<Poly> {
-        let mut poly = Poly::default();
-        poly.add(expr, domains)?;
-        Some(poly)
-    }
-
-    fn add(&mut self, expr: &IntExpr, domains: &[Domain]) -> Option<()> {
-        if let IntNode::Add(xs) = &*expr.0 {
-            return xs.iter().try_for_each(|x| self.add(x, domains));
-        }
-        let (mut coef, mut vars) = (1, Vec::new());
-        product(expr, domains, &mut coef, &mut vars)?;
-        if vars.is_empty() {
-            self.constant = (self.constant + coef).min(MAX);
-        } else {
-            self.products.push((coef, vars));
-        }
-        Some(())
-    }
-
-    /// The row's value with each variable `i` at `value(i)`, held at
-    /// [`MAX`].
-    fn at(&self, value: impl Fn(usize) -> i64) -> i128 {
-        self.products
-            .iter()
-            .fold(self.constant, |sum, (coef, vars)| {
-                let product =
-                    (vars.iter()).fold(*coef, |p, &v| (p * i128::from(value(v))).min(MAX));
-                (sum + product).min(MAX)
+/// Whether `expr` is a row over `domains`: no negative constant went into
+/// it, no variable's domain holds a negative value, and no variable is
+/// twice in one product.
+fn is_row(expr: &IntExpr, domains: &[Domain]) -> bool {
+    let sum = &*expr.0;
+    !sum.negative
+        && (sum.terms.iter()).all(|term| {
+            (term.vars.iter().enumerate()).all(|(i, var)| {
+                let lo = domains[var.id.index()].values().first();
+                lo.is_none_or(|&lo| lo >= 0) && term.vars[..i].iter().all(|v| v.id != var.id)
             })
-    }
+        })
 }
 
-fn product(
-    expr: &IntExpr,
-    domains: &[Domain],
-    coef: &mut i128,
-    vars: &mut Vec<usize>,
-) -> Option<()> {
-    match &*expr.0 {
-        IntNode::Const(c) if *c >= 0 => *coef = (*coef * i128::from(*c)).min(MAX),
-        IntNode::Var(id, _) => {
-            let v = id.index();
-            let negative = domains[v].values().first().is_some_and(|&lo| lo < 0);
-            if negative || vars.contains(&v) {
-                return None;
-            }
-            vars.push(v);
-        }
-        IntNode::Mul(xs) => return xs.iter().try_for_each(|x| product(x, domains, coef, vars)),
-        IntNode::Const(_) | IntNode::Add(_) => return None,
-    }
-    Some(())
+/// The row's value with each variable `i` at `value(i)`, held at [`MAX`].
+fn at(row: &IntExpr, value: impl Fn(usize) -> i64) -> i128 {
+    let sum = &*row.0;
+    (sum.terms.iter()).fold(i128::from(sum.constant), |total, term| {
+        let product = (term.vars.iter()).fold(i128::from(term.coef), |p, v| {
+            (p * i128::from(value(v.id.index()))).min(MAX)
+        });
+        (total + product).min(MAX)
+    })
 }
 
 /// A row and the test its end must pass.
@@ -116,7 +75,7 @@ enum Check {
 }
 
 struct NaiveSearch<'a> {
-    rows: Vec<(&'a Poly, Check)>,
+    rows: Vec<(&'a IntExpr, Check)>,
     nodes: u64,
 }
 
@@ -124,12 +83,12 @@ impl NaiveSearch<'_> {
     /// Whether `row` can still hold over `domains`, with variable `pinned`
     /// (when given) at one value: the one end that could satisfy it.
     fn possible(
-        (poly, check): &(&Poly, Check),
+        (row, check): &(&IntExpr, Check),
         domains: &[Domain],
         pinned: Option<(usize, i64)>,
     ) -> bool {
         let end = |pick: fn(&Domain) -> Option<i64>| {
-            poly.at(|v| match pinned {
+            at(row, |v| match pinned {
                 Some((p, value)) if p == v => value,
                 _ => pick(&domains[v]).unwrap_or(0),
             })
@@ -179,13 +138,13 @@ impl NaiveSearch<'_> {
                 if !Self::possible(row, domains, None) {
                     return false;
                 }
-                for var in row.0.products.iter().flat_map(|(_, vars)| vars) {
-                    let mut kept = domains[*var].clone();
-                    if kept.retain(|&v| Self::possible(row, domains, Some((*var, v)))) {
+                for var in row.0.vars().map(|v| v.id.index()) {
+                    let mut kept = domains[var].clone();
+                    if kept.retain(|&v| Self::possible(row, domains, Some((var, v)))) {
                         if kept.is_empty() {
                             return false;
                         }
-                        domains[*var] = kept;
+                        domains[var] = kept;
                         changed = true;
                     }
                 }
@@ -209,26 +168,26 @@ impl NaiveSearch<'_> {
 pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximize, SolveError> {
     solver.validate()?;
     let names = solver.names();
-    known_vars(|f| objective.each_var(f), names.len())?;
+    known_vars(objective.vars(), names.len())?;
     let domains = solver.base_domains();
     let mut capacities = Vec::new();
     for (c, _) in solver.constraint_entries() {
-        let IntNode::Const(cap) = *c.rhs.0 else {
+        if !is_row(&c.lhs, domains) {
             return Err(SolveError::NotARow(c.to_string()));
-        };
-        let poly = Poly::of(&c.lhs, domains).ok_or_else(|| SolveError::NotARow(c.to_string()))?;
-        capacities.push((poly, i128::from(cap)));
+        }
+        capacities.push((&c.lhs, i128::from(c.cap)));
     }
-    let obj = Poly::of(objective, domains)
-        .ok_or_else(|| SolveError::NotARow(objective.to_string()))?;
+    if !is_row(objective, domains) {
+        return Err(SolveError::NotARow(objective.to_string()));
+    }
     let mut best: Option<(i64, Vec<i64>)> = None;
     let (mut calls, mut nodes) = (0u32, 0u64);
     loop {
         let rows = (capacities.iter())
-            .map(|(poly, cap)| (poly, Check::Capacity(*cap)))
+            .map(|&(row, cap)| (row, Check::Capacity(cap)))
             .chain(
                 best.as_ref()
-                    .map(|(value, _)| (&obj, Check::Above((*value).into()))),
+                    .map(|(value, _)| (objective, Check::Above((*value).into()))),
             )
             .collect();
         let mut search = NaiveSearch { rows, nodes: 0 };
@@ -237,7 +196,7 @@ pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximiz
         nodes += search.nodes;
         let Some(values) = found else { break };
         // Held at `i64::MAX`, which nothing exceeds.
-        let value = obj.at(|v| values[v]) as i64;
+        let value = at(objective, |v| values[v]) as i64;
         best = Some((value, values));
         if i128::from(value) == MAX {
             break;
@@ -280,12 +239,41 @@ mod tests {
         assert_eq!(naive.best, Some(65));
         assert_eq!(naive.best, fast.best);
         assert!(naive.solver_calls >= 2);
-        // Both refuse what is not a row, naming it alike.
-        let minus = IntExpr::constant(-1) * y.clone();
-        s.assert((x.clone() + minus.clone()).le(3));
-        assert_eq!(
-            maximize(&s, &obj).unwrap_err(),
-            s.maximize(&obj).unwrap_err()
-        );
+        // Both refuse what is not a row, naming it alike: a negative
+        // literal, cancelled or not, a repeated factor and a variable whose
+        // domain holds a negative value.
+        let c = IntExpr::constant;
+        let z = s.int_var("z", -1, 8);
+        let refused = [
+            x.clone() + c(-1) * y.clone(),
+            c(-1) * c(-1) * x.clone(),
+            x.clone() * y.clone() * x.clone(),
+            x.clone() * z,
+        ];
+        for lhs in refused {
+            // The same variables, under this one assertion.
+            let mut s = Solver::new();
+            s.int_var("x", 1, 64);
+            s.int_var("y", 1, 64);
+            s.int_var("z", -1, 8);
+            s.assert(lhs.le(30));
+            let fast = s.maximize(&obj).unwrap_err();
+            assert_eq!(fast, SolveError::NotARow(lhs.le(30).to_string()));
+            assert_eq!(maximize(&s, &obj).unwrap_err(), fast);
+        }
+    }
+
+    #[test]
+    fn a_product_of_sums_is_multiplied_out_and_solved() {
+        // `(x + y)·2 ≤ 20` is the row `2x + 2y ≤ 20`: `x + y` peaks at 10.
+        let mut s = Solver::new();
+        let x = s.int_var("x", 0, 64);
+        let y = s.int_var("y", 0, 64);
+        s.assert(((x.clone() + y.clone()) * IntExpr::constant(2)).le(20));
+        let obj = x + y;
+        let fast = s.maximize(&obj).unwrap();
+        assert!(fast.complete);
+        assert_eq!(fast.best, Some(10));
+        assert_eq!(maximize(&s, &obj).unwrap().best, Some(10));
     }
 }

@@ -1,14 +1,13 @@
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 //! Capacity rows: a constraint `Σ c·Πx ≤ cap`, or the objective `Σ c·Πx`,
-//! lowered to a flat sum of products and revised in one saturating pass.
+//! copied into one flat buffer and revised in one saturating pass.
 //!
-//! A sum of products *qualifies* as a row when every constant in it is
-//! `≥ 0`, every variable's base hull has `lo ≥ 0` and no variable appears
-//! twice in one product (a product of sums is not flat and does not
-//! qualify either). That is the shape of every capacity the model
-//! generator asserts and of its objective, and the solver takes nothing
-//! else: [`Lowered::new`] names the first assertion, or the objective,
-//! that does not qualify.
+//! An [`IntExpr`] is already a sum of products; it *qualifies* as a row
+//! when no constant it was built from is negative, every variable's base
+//! hull has `lo ≥ 0` and no variable appears twice in one product. That is
+//! the shape of every capacity the model generator asserts and of its
+//! objective, and the solver takes nothing else: [`Lowered::new`] names
+//! the first assertion, or the objective, that does not qualify.
 //!
 //! **Exactness.** Domains only shrink, so every operand of a row stays
 //! non-negative for the whole search, and on non-negative operands
@@ -25,7 +24,7 @@
 //! saturated the search probes instead: it pins the variable's hull to
 //! each value and runs the pass again.
 
-use crate::expr::{BoolExpr, IntExpr, IntNode, VarId};
+use crate::expr::{BoolExpr, IntExpr, VarId};
 use crate::interval::Interval;
 
 /// Which ends of the hulls a pass reads coefficients at: the low ends for
@@ -110,7 +109,10 @@ impl Lowered {
     ) -> Result<Lowered, String> {
         let mut rows = Rows::default();
         let capacities = (constraints.iter())
-            .map(|(c, vars)| rows.capacity(c, vars, base).ok_or_else(|| c.to_string()))
+            .map(|(c, vars)| {
+                let row = rows.lower(&c.lhs, vars, base);
+                row.map(|row| (row, c.cap)).ok_or_else(|| c.to_string())
+            })
             .collect::<Result<_, _>>()?;
         let mut objective_vars = Vec::new();
         objective.collect_vars(&mut objective_vars);
@@ -135,35 +137,36 @@ impl Lowered {
 }
 
 impl Rows {
-    /// Lowers `constraint` when it is `row ≤ c` with a constant `c`:
-    /// the row and `c`.
-    fn capacity(
-        &mut self,
-        constraint: &BoolExpr,
-        vars: &[VarId],
-        base: &[Interval],
-    ) -> Option<(Row, i64)> {
-        let IntNode::Const(cap) = *constraint.rhs.0 else {
-            return None;
-        };
-        Some((self.lower(&constraint.lhs, vars, base)?, cap))
-    }
-
     /// Lowers `expr`, whose variables are `vars` (a variable's slot is its
-    /// position there), over the `base` hulls; `None`, keeping nothing,
-    /// when it does not qualify.
-    fn lower(
-        &mut self,
-        expr: &IntExpr,
-        vars: &[VarId],
-        base: &[Interval],
-    ) -> Option<Row> {
-        let (start, factors) = (self.terms.len(), self.factors.len());
-        let mut constant = 0;
-        if self.sum(expr, vars, base, &mut constant).is_none() {
-            self.terms.truncate(start);
-            self.factors.truncate(factors);
+    /// position there), over the `base` hulls: a copy of its terms, or
+    /// `None` when it does not qualify.
+    fn lower(&mut self, expr: &IntExpr, vars: &[VarId], base: &[Interval]) -> Option<Row> {
+        let sum = &*expr.0;
+        let qualifies = !sum.negative
+            && (sum.terms.iter()).all(|term| {
+                (term.vars.iter().enumerate()).all(|(i, var)| {
+                    let repeated = term.vars[..i].iter().any(|v| v.id == var.id);
+                    !repeated && base.get(var.id.index()).is_some_and(|hull| hull.lo() >= 0)
+                })
+            });
+        if !qualifies {
             return None;
+        }
+        let start = self.terms.len();
+        for term in &sum.terms {
+            let first = self.factors.len();
+            for var in term.vars.iter() {
+                let slot = vars.iter().position(|&v| v == var.id)?;
+                self.factors.push(Factor {
+                    var: var.id.index(),
+                    slot,
+                });
+            }
+            self.terms.push(Term {
+                coef: term.coef,
+                start: first,
+                end: self.factors.len(),
+            });
         }
         // Scratch for the longest product and the most slots of any row.
         self.prefix.resize(self.factors.len(), 0);
@@ -171,61 +174,8 @@ impl Rows {
         Some(Row {
             start,
             end: self.terms.len(),
-            constant,
+            constant: sum.constant,
         })
-    }
-
-    fn sum(
-        &mut self,
-        expr: &IntExpr,
-        vars: &[VarId],
-        base: &[Interval],
-        constant: &mut i64,
-    ) -> Option<()> {
-        if let IntNode::Add(xs) = &*expr.0 {
-            return xs
-                .iter()
-                .try_for_each(|x| self.sum(x, vars, base, constant));
-        }
-        let start = self.factors.len();
-        let coef = self.product(expr, vars, base, start)?;
-        let end = self.factors.len();
-        if end == start {
-            *constant = constant.saturating_add(coef);
-        } else {
-            self.terms.push(Term { coef, start, end });
-        }
-        Some(())
-    }
-
-    /// Pushes the factors of one product (its first at `start`) and
-    /// returns the product of its constants.
-    fn product(
-        &mut self,
-        expr: &IntExpr,
-        vars: &[VarId],
-        base: &[Interval],
-        start: usize,
-    ) -> Option<i64> {
-        match &*expr.0 {
-            IntNode::Const(c) => (*c >= 0).then_some(*c),
-            IntNode::Var(id, _) => {
-                let slot = vars.iter().position(|v| v == id)?;
-                let repeated = self.factors[start..].iter().any(|f| f.slot == slot);
-                if repeated || base.get(id.index())?.lo() < 0 {
-                    return None;
-                }
-                self.factors.push(Factor {
-                    var: id.index(),
-                    slot,
-                });
-                Some(1)
-            }
-            IntNode::Mul(xs) => xs.iter().try_fold(1i64, |coef, x| {
-                Some(coef.saturating_mul(self.product(x, vars, base, start)?))
-            }),
-            IntNode::Add(_) => None,
-        }
     }
 
     /// One saturating pass over `row` under `hulls`: returns its interval
@@ -317,7 +267,7 @@ mod tests {
 
     #[test]
     fn a_pass_is_the_tree_bit_for_bit_at_the_saturation_scale() {
-        // The tree's value is its exact one, saturated once: [`exact`].
+        // The row's value is its exact one, saturated once: [`exact`].
         // `c0·x·y + c1·y + c2`: zero and near-`i64::MAX` weights, zero-valued
         // and saturating variables, and an empty hull.
         let mut s = Solver::new();
@@ -340,22 +290,22 @@ mod tests {
                 for hy in hulls() {
                     let point = [hx, hy];
                     let at = |x: i64, y: i64| exact(&[&[c0, x, y], &[c1, y], &[c2]]);
-                    let tree = if hx.is_empty() {
+                    let spec = if hx.is_empty() {
                         Interval::empty()
                     } else {
                         Interval::new(at(hx.lo(), hy.lo()), at(hx.hi(), hy.hi()))
                     };
                     assert_eq!(
                         rows.pass(row, &point, End::Hi),
-                        tree,
+                        spec,
                         "{expr} over {hx}, {hy}"
                     );
                     assert_eq!(
                         rows.pass(row, &point, End::Lo),
-                        tree,
+                        spec,
                         "{expr} over {hx}, {hy}"
                     );
-                    if tree.is_empty() {
+                    if spec.is_empty() {
                         continue;
                     }
                     // The coefficients the pass keeps: `c0·lo(y)` and

@@ -2,9 +2,11 @@
 //!
 //! The paper's artifact drives the Z3 Python bindings; exporting our
 //! formulations in SMT-LIB 2 keeps them inspectable with (and checkable
-//! against) a real SMT solver when one is available.
+//! against) a real SMT solver when one is available. Each assertion and
+//! the objective print as their rows do (`Display`), flat:
+//! `(<= (+ (* T0 T1) (* T1 T2)) 12288)`.
 
-use crate::expr::{BoolExpr, IntExpr, IntNode};
+use crate::expr::IntExpr;
 use crate::solver::Solver;
 use std::fmt::Write as _;
 
@@ -14,17 +16,21 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use eatss_smt::{to_smtlib, Domain, Solver};
+/// use eatss_smt::{to_smtlib, Domain, IntExpr, Solver};
 ///
 /// let mut s = Solver::new();
 /// // A tile aligned to 16 is a domain of multiples of 16.
 /// let x = s.int_var_in("x", Domain::from_values((1..=4).map(|k| 16 * k).collect()));
+/// let y = s.int_var("y", 1, 8);
 /// s.assert(x.le(48));
-/// let script = to_smtlib(&s, Some(&x));
+/// // A product of sums is written multiplied out.
+/// s.assert(((x.clone() + y.clone()) * IntExpr::constant(2)).le(100));
+/// let script = to_smtlib(&s, Some(&(x * y)));
 /// assert!(script.contains("(declare-const x Int)"));
 /// assert!(script.contains("(assert (= (mod (- x 16) 16) 0))"));
 /// assert!(script.contains("(assert (<= x 48))"));
-/// assert!(script.contains("(maximize x)"));
+/// assert!(script.contains("(assert (<= (+ (* 2 x) (* 2 y)) 100))"));
+/// assert!(script.contains("(maximize (* x y))"));
 /// ```
 pub fn to_smtlib(solver: &Solver, objective: Option<&IntExpr>) -> String {
     let mut out = String::new();
@@ -39,10 +45,10 @@ pub fn to_smtlib(solver: &Solver, objective: Option<&IntExpr>) -> String {
         }
     }
     for c in solver.assertions() {
-        let _ = writeln!(out, "(assert {})", bool_sexp(c));
+        let _ = writeln!(out, "(assert {c})");
     }
     if let Some(obj) = objective {
-        let _ = writeln!(out, "(maximize {})", int_sexp(obj));
+        let _ = writeln!(out, "(maximize {obj})");
     }
     out.push_str("(check-sat)\n(get-model)\n");
     out
@@ -77,35 +83,13 @@ fn domain_sexp(out: &mut String, name: &str, values: &[i64]) {
     }
 }
 
-fn const_sexp(v: i64) -> String {
+/// An integer literal: a negative one as unary minus.
+pub(crate) fn const_sexp(v: i64) -> String {
     if v < 0 {
         format!("(- {})", v.unsigned_abs())
     } else {
         v.to_string()
     }
-}
-
-fn int_sexp(expr: &IntExpr) -> String {
-    match &*expr.0 {
-        IntNode::Const(v) => const_sexp(*v),
-        IntNode::Var(_, name) => name.clone(),
-        IntNode::Add(xs) => nary("+", xs, int_sexp),
-        IntNode::Mul(xs) => nary("*", xs, int_sexp),
-    }
-}
-
-fn nary<T>(op: &str, xs: &[T], sexp: fn(&T) -> String) -> String {
-    let mut s = format!("({op}");
-    for x in xs {
-        s.push(' ');
-        s.push_str(&sexp(x));
-    }
-    s.push(')');
-    s
-}
-
-fn bool_sexp(expr: &BoolExpr) -> String {
-    format!("(<= {} {})", int_sexp(&expr.lhs), int_sexp(&expr.rhs))
 }
 
 #[cfg(test)]
@@ -171,10 +155,10 @@ mod tests {
     fn negative_constants_use_unary_minus() {
         let mut s = Solver::new();
         let x = s.int_var("x", -10, 10);
-        s.assert(IntExpr::constant(-5).le(&x));
+        s.assert((x.clone() + IntExpr::constant(-5)).le(-1));
         s.assert((IntExpr::constant(-3) * x.clone()).le(-1));
         let script = to_smtlib(&s, None);
-        assert!(script.contains("(assert (<= (- 5) x))"));
+        assert!(script.contains("(assert (<= (+ x (- 5)) (- 1)))"));
         assert!(script.contains("(assert (<= (* (- 3) x) (- 1)))"));
     }
 
