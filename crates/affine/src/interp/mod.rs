@@ -427,14 +427,13 @@ pub fn run_kernel(
     Ok(())
 }
 
-/// Runs a compiled plan over its whole (non-empty-trip) iteration space
-/// in lexicographic order, the innermost dimension as a plan row.
+/// Runs a compiled plan over its whole iteration space (at least one
+/// loop, every trip non-empty: what [`ExecPlan::compile`] accepts) in
+/// lexicographic order, the innermost dimension as a plan row.
+///
+/// [`ExecPlan::compile`]: crate::plan::ExecPlan::compile
 fn drive_plan(plan: &crate::plan::ExecPlan, trips: &[i64], store: &mut Store) {
     let mut point = vec![0i64; trips.len()];
-    if point.is_empty() {
-        plan.exec_point(store, &point);
-        return;
-    }
     // The innermost dimension runs as a row: linear addresses advance by
     // a precomputed stride instead of being re-derived per point.
     let mut scratch = plan.scratch();
@@ -619,5 +618,37 @@ mod tests {
         store.insert("A", Array::zeros(vec![1]));
         run_program(&p, &sizes, &mut store).unwrap();
         assert_eq!(store.get("A").unwrap().get(&[0]), 0.0);
+    }
+
+    #[test]
+    fn a_kernel_of_no_loops_runs_once_like_the_reference() {
+        // The parser always produces a loop; with its dimensions cleared
+        // the kernel is one point, which no plan compiles.
+        let mut p = parse_program(
+            "kernel k(N) {
+               for (i: N) {
+                 B[2] = A[1] * 2.0 + B[3];
+                 B[0] += A[0] / A[2];
+               }
+             }",
+        )
+        .unwrap();
+        let kernel = &mut p.kernels[0];
+        kernel.dims.clear();
+        let sizes = ProblemSizes::new([("N", 4)]);
+        let init = || {
+            let mut store = Store::new();
+            store.insert("A", Array::from_fn(vec![3], |i| 1.5 - i[0] as f64));
+            store.insert("B", Array::from_fn(vec![4], |i| i[0] as f64 * 0.25));
+            store
+        };
+        assert!(crate::plan::ExecPlan::compile(kernel, &[], &init()).is_none());
+        let (mut fast, mut slow) = (init(), init());
+        run_kernel(kernel, &sizes, &mut fast).unwrap();
+        reference::run_kernel(kernel, &sizes, &mut slow).unwrap();
+        assert!(compare_stores(&fast, &slow).is_empty());
+        let b = fast.get("B").unwrap();
+        assert_eq!(b.get(&[2]), 0.5 * 2.0 + 0.75);
+        assert_eq!(b.get(&[0]), 1.5 / -0.5);
     }
 }

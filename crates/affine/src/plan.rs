@@ -242,8 +242,9 @@ impl ExecPlan {
     ///
     /// The plan is only valid while the store keeps those layouts:
     /// replacing an array with different extents invalidates it.
-    /// Returns `None` for shapes beyond the plan's fixed buffers — the
-    /// caller falls back to the reference interpreter.
+    /// Returns `None` for shapes beyond the plan's fixed buffers, and for
+    /// a kernel of no loops (one the parser never produces: a plan runs
+    /// rows) — the caller falls back to the reference interpreter.
     pub fn compile(kernel: &Kernel, trips: &[i64], store: &Store) -> Option<ExecPlan> {
         ExecPlan::compile_routed(kernel, trips, store, |_| None)
     }
@@ -259,7 +260,7 @@ impl ExecPlan {
         mut router: impl FnMut(&ArrayRef) -> Option<usize>,
     ) -> Option<ExecPlan> {
         let _span = eatss_trace::span("pipeline", "plan_compile");
-        if trips.iter().any(|&t| t <= 0) {
+        if trips.is_empty() || trips.iter().any(|&t| t <= 0) {
             return None;
         }
         let mut stmts = Vec::with_capacity(kernel.stmts.len());
@@ -289,13 +290,6 @@ impl ExecPlan {
         Some(ExecPlan { stmts })
     }
 
-    /// Executes every statement at one iteration point, in textual
-    /// order — the compiled equivalent of
-    /// [`interp::exec_point`](crate::interp::exec_point).
-    pub fn exec_point(&self, store: &mut Store, point: &[i64]) {
-        self.exec_point_routed(store, point, &mut NoRoutes);
-    }
-
     /// Creates the row-execution scratch sized for this plan.
     pub fn scratch(&self) -> RowScratch {
         RowScratch {
@@ -312,7 +306,8 @@ impl ExecPlan {
 
     /// Executes `count` iteration points along `dim`, starting from the
     /// current `point` and stepping by `step` — bit-for-bit equivalent
-    /// to `count` calls to [`ExecPlan::exec_point`], but every
+    /// to `count` calls to
+    /// [`interp::exec_point`](crate::interp::exec_point), but every
     /// `Addr::Linear` address is resolved once at row entry and then
     /// advanced incrementally by `step × stride` per point.
     ///
@@ -730,65 +725,6 @@ impl ExecPlan {
             sc.write.0 = sc.write.0.wrapping_add(sc.write.1.wrapping_mul(L as i64));
         }
     }
-
-    /// Like [`ExecPlan::exec_point`], with routed reads served by
-    /// `routes` — the compiled equivalent of
-    /// [`interp::exec_point_hooked`](crate::interp::exec_point_hooked).
-    pub fn exec_point_routed(
-        &self,
-        store: &mut Store,
-        point: &[i64],
-        routes: &mut impl RouteSource,
-    ) {
-        for stmt in &self.stmts {
-            let mut stack = [0.0f64; MAX_STACK];
-            let mut top = 0usize;
-            for op in &stmt.tape {
-                match *op {
-                    Op::Num(v) => {
-                        stack[top] = v;
-                        top += 1;
-                    }
-                    Op::Read(i) => {
-                        stack[top] = read_addr(&stmt.reads[i as usize], store, point, routes);
-                        top += 1;
-                    }
-                    Op::Add => {
-                        top -= 1;
-                        stack[top - 1] += stack[top];
-                    }
-                    Op::Sub => {
-                        top -= 1;
-                        stack[top - 1] -= stack[top];
-                    }
-                    Op::Mul => {
-                        top -= 1;
-                        stack[top - 1] *= stack[top];
-                    }
-                    Op::Div => {
-                        top -= 1;
-                        stack[top - 1] /= stack[top];
-                    }
-                    Op::Neg => stack[top - 1] = -stack[top - 1],
-                    Op::Nan => {
-                        top -= 1;
-                        stack[top - 1] = f64::NAN;
-                    }
-                }
-            }
-            let value = stack[0];
-            let (slot, flat) = match resolve_write(&stmt.write, point) {
-                Some(loc) => loc,
-                None => continue,
-            };
-            let data = store.slot_array_mut(slot as usize).data_mut();
-            match data.get_mut(flat) {
-                Some(cell) if stmt.accumulate => *cell += value,
-                Some(cell) => *cell = value,
-                None => {}
-            }
-        }
-    }
 }
 
 /// Flattens an RHS tree to postfix (left operand first, matching the
@@ -1126,7 +1062,8 @@ mod tests {
         })
         .unwrap();
         let mut routes = Fixed(5.0, Vec::new());
-        plan.exec_point_routed(&mut store, &[2], &mut routes);
+        let mut scratch = plan.scratch();
+        plan.exec_row_routed(&mut store, &mut [2], 0, 1, 1, &mut scratch, &mut routes);
         assert_eq!(routes.1, vec![(3, vec![3])], "route id + evaluated index");
         assert_eq!(store.get("B").unwrap().get(&[2]), 10.0);
     }
