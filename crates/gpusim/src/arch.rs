@@ -104,6 +104,7 @@ impl GpuArch {
     /// The NVIDIA GA100 (A100-40GB) server GPU of Table III, loaded from
     /// the committed `profiles/ga100.json` device profile (pinned
     /// field-equal to the historical hard-wired values by test).
+    #[allow(clippy::expect_used)] // A committed builtin: its parse is pinned by test.
     pub fn ga100() -> Self {
         crate::profile::DeviceProfile::builtin("ga100")
             .expect("ga100 is a committed builtin profile")
@@ -112,6 +113,7 @@ impl GpuArch {
 
     /// The NVIDIA Jetson AGX Xavier embedded GPU of Table III, loaded
     /// from the committed `profiles/xavier.json` device profile.
+    #[allow(clippy::expect_used)] // A committed builtin: its parse is pinned by test.
     pub fn xavier() -> Self {
         crate::profile::DeviceProfile::builtin("xavier")
             .expect("xavier is a committed builtin profile")

@@ -17,12 +17,14 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Linear-interpolated percentile `p ∈ [0, 100]` (0 for an empty slice).
+/// Values are ranked by [`f64::total_cmp`], so a NaN ranks above every
+/// number (below, if its sign bit is set) instead of panicking.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in percentile input"));
+    v.sort_by(f64::total_cmp);
     let rank = (p / 100.0) * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -221,5 +223,14 @@ mod tests {
         let xs = [2.0, 8.0];
         assert!((geomean(&xs) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn nan_samples_rank_last_instead_of_panicking() {
+        assert_eq!(median(&[1.0, f64::NAN, 2.0]), 2.0);
+        assert!(percentile(&[f64::NAN, 3.0], 100.0).is_nan());
+        let bins = fd_histogram(&[1.0, f64::NAN, 2.0, 4.0, f64::NAN]);
+        assert_eq!(bins.iter().map(|b| b.count).sum::<usize>(), 5);
+        assert!(!fd_bin_width(&[f64::NAN, f64::NAN]).is_finite());
     }
 }
