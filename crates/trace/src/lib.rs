@@ -30,7 +30,7 @@
 //! When collection is disabled (the default) every entry point reduces to
 //! a single relaxed atomic load — no allocation, no locking, no clock
 //! read. Hot inner loops (the solver DFS, per-node propagation) are *not*
-//! instrumented at all; spans sit at call boundaries (`check`, `maximize`,
+//! instrumented at all; spans sit at call boundaries (`maximize`,
 //! one sweep point, one simulated launch).
 #![forbid(unsafe_code)]
 
