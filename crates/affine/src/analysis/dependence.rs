@@ -74,8 +74,7 @@ pub fn dependences(kernel: &Kernel) -> Vec<Dependence> {
             }
             for r in candidates {
                 if let Some(distance) = pair_distance(write, r, depth) {
-                    let is_reduction =
-                        ri == wi && ws.is_accumulation && std::ptr::eq(r, write);
+                    let is_reduction = ri == wi && ws.is_accumulation && std::ptr::eq(r, write);
                     let dep = Dependence {
                         array: write.array.clone(),
                         distance,
@@ -232,9 +231,7 @@ mod tests {
 
     #[test]
     fn copy_kernel_is_fully_parallel() {
-        let par = dims_of(
-            "kernel copy(N) { for (i: N) for (j: N) A[i][j] = B[i][j]; }",
-        );
+        let par = dims_of("kernel copy(N) { for (i: N) for (j: N) A[i][j] = B[i][j]; }");
         assert_eq!(par, vec![true, true]);
     }
 

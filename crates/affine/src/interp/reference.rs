@@ -104,12 +104,7 @@ fn eval_rhs_hooked(
     }
 }
 
-fn read_ref_hooked(
-    r: &ArrayRef,
-    store: &Store,
-    point: &[i64],
-    hook: &mut ReadHook<'_>,
-) -> f64 {
+fn read_ref_hooked(r: &ArrayRef, store: &Store, point: &[i64], hook: &mut ReadHook<'_>) -> f64 {
     let mut buf = IndexBuf::new();
     let idx = buf.fill(&r.subscripts, point);
     if let Some(v) = hook(r, idx) {

@@ -151,11 +151,7 @@ impl AffineExpr {
     ///
     /// Panics if the point has fewer dimensions than the expression uses.
     pub fn eval(&self, point: &[i64]) -> i64 {
-        self.terms
-            .iter()
-            .map(|&(d, c)| c * point[d])
-            .sum::<i64>()
-            + self.constant
+        self.terms.iter().map(|&(d, c)| c * point[d]).sum::<i64>() + self.constant
     }
 
     /// Renders using the given iterator names.
@@ -583,11 +579,7 @@ mod tests {
                     ArrayRef::new("In", vec![AffineExpr::var(0), AffineExpr::var(2)]),
                     ArrayRef::new("Ker", vec![AffineExpr::var(2), AffineExpr::var(1)]),
                 ],
-                rhs: RhsExpr::Bin(
-                    '*',
-                    Box::new(RhsExpr::Ref(0)),
-                    Box::new(RhsExpr::Ref(1)),
-                ),
+                rhs: RhsExpr::Bin('*', Box::new(RhsExpr::Ref(0)), Box::new(RhsExpr::Ref(1))),
                 is_accumulation: true,
                 flops: 2,
             }],
@@ -610,7 +602,10 @@ mod tests {
         assert_eq!(e.eval(&[10, 4]), 5);
         let names = vec!["i".to_string(), "j".to_string()];
         assert_eq!(e.display_with(&names).to_string(), "i-2*j+3");
-        assert_eq!(AffineExpr::constant(0).display_with(&names).to_string(), "0");
+        assert_eq!(
+            AffineExpr::constant(0).display_with(&names).to_string(),
+            "0"
+        );
         let neg = AffineExpr::from_terms(vec![(0, -1)], 0);
         assert_eq!(neg.display_with(&names).to_string(), "-i");
     }

@@ -154,7 +154,11 @@ fn gen_kernel(rng: &mut Rng, cfg: &GenConfig, idx: usize, out: &mut String) {
     }
     out.push_str(") {\n");
     for (d, ext) in extents.iter().enumerate() {
-        let seq = if d == 0 && rng.chance(1, 6) { "seq " } else { "" };
+        let seq = if d == 0 && rng.chance(1, 6) {
+            "seq "
+        } else {
+            ""
+        };
         let extent = match ext {
             Some(p) => p.clone(),
             None => format!("{}", 16 << rng.below(4)),
@@ -295,8 +299,7 @@ mod tests {
         };
         for seed in 0..64 {
             let src = generate_program(seed, &cfg);
-            super::super::parse_program(&src)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+            super::super::parse_program(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         }
     }
 }

@@ -80,7 +80,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}:{}: {}", self.line, self.col, self.message)
+        write!(
+            f,
+            "parse error at {}:{}: {}",
+            self.line, self.col, self.message
+        )
     }
 }
 
@@ -277,7 +281,11 @@ impl<'a> FastParser<'a> {
                 }
             }
             return Ok(Token {
-                kind: if is_float { TokKind::Float } else { TokKind::Int },
+                kind: if is_float {
+                    TokKind::Float
+                } else {
+                    TokKind::Int
+                },
                 start: start as u32,
                 end: self.pos as u32,
             });
@@ -449,7 +457,10 @@ impl<'a> FastParser<'a> {
         if taken.contains(&name_sym) {
             return Err(RawError {
                 offset: name_tok.start as usize,
-                message: format!("duplicate kernel name `{}`", self.interner.resolve(name_sym)),
+                message: format!(
+                    "duplicate kernel name `{}`",
+                    self.interner.resolve(name_sym)
+                ),
             });
         }
         self.eat_punct(b'(')?;
@@ -470,7 +481,10 @@ impl<'a> FastParser<'a> {
         self.eat_punct(b'}')?;
         // IR construction at the end: lower every statement's arena
         // expression into the boxed RhsExpr tree, then recycle the arena.
-        let stmts = raw_stmts.into_iter().map(|rs| self.lower_stmt(rs)).collect();
+        let stmts = raw_stmts
+            .into_iter()
+            .map(|rs| self.lower_stmt(rs))
+            .collect();
         self.arena.clear();
         Ok((
             name_sym,
@@ -604,7 +618,9 @@ impl<'a> FastParser<'a> {
         depth: usize,
     ) -> Result<u32, RawError> {
         if depth > MAX_EXPR_DEPTH {
-            return Err(self.err(format!("expression nesting exceeds {MAX_EXPR_DEPTH} levels")));
+            return Err(self.err(format!(
+                "expression nesting exceeds {MAX_EXPR_DEPTH} levels"
+            )));
         }
         let mut lhs = self.parse_unary(dim_syms, reads, flops, depth)?;
         loop {
@@ -806,7 +822,9 @@ fn lex_scan(src: &str) -> Option<RawError> {
             while let Some(&c) = bytes.get(pos) {
                 if c.is_ascii_digit() {
                     pos += 1;
-                } else if c == b'.' && !is_float && bytes.get(pos + 1).is_some_and(u8::is_ascii_digit)
+                } else if c == b'.'
+                    && !is_float
+                    && bytes.get(pos + 1).is_some_and(u8::is_ascii_digit)
                 {
                     is_float = true;
                     pos += 1;
@@ -921,10 +939,7 @@ pub fn parse_named_program(name: &str, src: &str) -> Result<Program, ParseError>
 /// --kernel-dir` output, by the CLI's `cli_verify` tests.
 ///
 /// `jobs = 0` uses all available cores.
-pub fn parse_files(
-    sources: &[(String, String)],
-    jobs: usize,
-) -> Vec<Result<Program, ParseError>> {
+pub fn parse_files(sources: &[(String, String)], jobs: usize) -> Vec<Result<Program, ParseError>> {
     let jobs = match jobs {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
@@ -1059,8 +1074,7 @@ mod tests {
 
     #[test]
     fn error_on_duplicate_iterator() {
-        let e =
-            parse_program("kernel f(N) { for (i: N) for (i: N) A[i] = B[i]; }").unwrap_err();
+        let e = parse_program("kernel f(N) { for (i: N) for (i: N) A[i] = B[i]; }").unwrap_err();
         assert!(e.message.contains("duplicate loop iterator"));
     }
 
@@ -1085,10 +1099,8 @@ mod tests {
 
     #[test]
     fn error_on_imperfect_nest() {
-        let e = parse_program(
-            "kernel f(N) { for (i: N) { for (j: N) A[i][j] = B[i][j]; } }",
-        )
-        .unwrap_err();
+        let e = parse_program("kernel f(N) { for (i: N) { for (j: N) A[i][j] = B[i][j]; } }")
+            .unwrap_err();
         assert!(e.message.contains("imperfectly nested"));
     }
 
@@ -1219,4 +1231,3 @@ mod tests {
         }
     }
 }
-

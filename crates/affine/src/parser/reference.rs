@@ -416,7 +416,9 @@ impl Parser {
         depth: usize,
     ) -> Result<RhsExpr, ParseError> {
         if depth > MAX_EXPR_DEPTH {
-            return Err(self.err(format!("expression nesting exceeds {MAX_EXPR_DEPTH} levels")));
+            return Err(self.err(format!(
+                "expression nesting exceeds {MAX_EXPR_DEPTH} levels"
+            )));
         }
         let mut lhs = self.parse_unary(dims, reads, flops, depth)?;
         loop {

@@ -78,7 +78,13 @@ pub trait RouteSource {
     /// through [`RouteSource::read_flat`] with no per-point subscript
     /// work. Returning `None` (the default) keeps per-point
     /// [`RouteSource::read`] calls.
-    fn row(&mut self, _route: usize, _start: &[i64], _delta: &[i64], _count: i64) -> Option<(i64, i64)> {
+    fn row(
+        &mut self,
+        _route: usize,
+        _start: &[i64],
+        _delta: &[i64],
+        _count: i64,
+    ) -> Option<(i64, i64)> {
         None
     }
 
@@ -353,7 +359,11 @@ impl ExecPlan {
                 *cursor = match read {
                     Addr::Linear { base, terms, .. } => {
                         let (flat, delta) = row_cursor(*base, terms, point, dim, step);
-                        RowCursor { flat, delta, direct: true }
+                        RowCursor {
+                            flat,
+                            delta,
+                            direct: true,
+                        }
                     }
                     Addr::Checked { subs, .. } => {
                         has_checked = true;
@@ -368,7 +378,11 @@ impl ExecPlan {
                             dlo = dlo.max(lo);
                             dhi = dhi.min(hi);
                         }
-                        RowCursor { flat, delta, direct: false }
+                        RowCursor {
+                            flat,
+                            delta,
+                            direct: false,
+                        }
                     }
                     Addr::Routed { route, subs } => {
                         let mut start = [0i64; MAX_RANK];
@@ -377,8 +391,17 @@ impl ExecPlan {
                             start[p] = s.eval(point);
                             delta[p] = step * s.coeff(dim);
                         }
-                        match routes.row(*route as usize, &start[..subs.len()], &delta[..subs.len()], count) {
-                            Some((flat, delta)) => RowCursor { flat, delta, direct: true },
+                        match routes.row(
+                            *route as usize,
+                            &start[..subs.len()],
+                            &delta[..subs.len()],
+                            count,
+                        ) {
+                            Some((flat, delta)) => RowCursor {
+                                flat,
+                                delta,
+                                direct: true,
+                            },
                             None => RowCursor::default(),
                         }
                     }
@@ -535,12 +558,12 @@ impl ExecPlan {
                         Op::Read(i) => {
                             let i = i as usize;
                             stack[top] = match &stmt.reads[i] {
-                                Addr::Linear { slot, .. } => {
-                                    store.slot_array(*slot as usize).data()[sc.reads[i].flat as usize]
-                                }
-                                Addr::Checked { slot, .. } if sc.reads[i].direct => {
-                                    store.slot_array(*slot as usize).data()[sc.reads[i].flat as usize]
-                                }
+                                Addr::Linear { slot, .. } => store
+                                    .slot_array(*slot as usize)
+                                    .data()[sc.reads[i].flat as usize],
+                                Addr::Checked { slot, .. } if sc.reads[i].direct => store
+                                    .slot_array(*slot as usize)
+                                    .data()[sc.reads[i].flat as usize],
                                 Addr::Routed { route, .. } if sc.reads[i].direct => {
                                     routes.read_flat(*route as usize, sc.reads[i].flat)
                                 }
@@ -574,8 +597,8 @@ impl ExecPlan {
                 let value = stack[0];
                 match &stmt.write {
                     Addr::Linear { slot, .. } => {
-                        let cell =
-                            &mut store.slot_array_mut(*slot as usize).data_mut()[sc.write.0 as usize];
+                        let cell = &mut store.slot_array_mut(*slot as usize).data_mut()
+                            [sc.write.0 as usize];
                         if stmt.accumulate {
                             *cell += value;
                         } else {
@@ -720,7 +743,9 @@ impl ExecPlan {
                 }
             }
             for cursor in &mut sc.reads {
-                cursor.flat = cursor.flat.wrapping_add(cursor.delta.wrapping_mul(L as i64));
+                cursor.flat = cursor
+                    .flat
+                    .wrapping_add(cursor.delta.wrapping_mul(L as i64));
             }
             sc.write.0 = sc.write.0.wrapping_add(sc.write.1.wrapping_mul(L as i64));
         }
@@ -864,7 +889,11 @@ fn direct_val(addr: &Addr, cur: &RowCursor, store: &Store, routes: &mut impl Rou
 #[inline]
 fn inbounds_interval(s: i64, d: i64, extent: i64, count: i64) -> (i64, i64) {
     if d == 0 {
-        return if s >= 0 && s < extent { (0, count) } else { (0, 0) };
+        return if s >= 0 && s < extent {
+            (0, count)
+        } else {
+            (0, 0)
+        };
     }
     // Normalize to a positive slope (negate the value and its bounds),
     // then `p ≥ ⌈(min_v - s)/d⌉` and `p ≤ ⌊(max_v - s)/d⌋`.
@@ -894,12 +923,7 @@ fn row_cursor(base: i64, terms: &[(u32, i64)], point: &[i64], dim: usize, step: 
 }
 
 #[inline]
-fn read_addr(
-    addr: &Addr,
-    store: &Store,
-    point: &[i64],
-    routes: &mut impl RouteSource,
-) -> f64 {
+fn read_addr(addr: &Addr, store: &Store, point: &[i64], routes: &mut impl RouteSource) -> f64 {
     match addr {
         Addr::Linear { slot, base, terms } => {
             let mut flat = *base;
@@ -1057,10 +1081,9 @@ mod tests {
         let mut store = Store::new();
         store.insert("A", Array::zeros(vec![8]));
         store.insert("B", Array::zeros(vec![8]));
-        let plan = ExecPlan::compile_routed(kernel, &[4], &store, |r| {
-            (r.array == "A").then_some(3)
-        })
-        .unwrap();
+        let plan =
+            ExecPlan::compile_routed(kernel, &[4], &store, |r| (r.array == "A").then_some(3))
+                .unwrap();
         let mut routes = Fixed(5.0, Vec::new());
         let mut scratch = plan.scratch();
         plan.exec_row_routed(&mut store, &mut [2], 0, 1, 1, &mut scratch, &mut routes);
@@ -1084,9 +1107,7 @@ mod tests {
         for name in arrays {
             store.insert(
                 *name,
-                Array::from_fn(vec![n], |i| {
-                    ((i[0].wrapping_mul(31) % 7) - 3) as f64 / 3.0
-                }),
+                Array::from_fn(vec![n], |i| ((i[0].wrapping_mul(31) % 7) - 3) as f64 / 3.0),
             );
         }
         set_simd_enabled(simd);
@@ -1109,7 +1130,10 @@ mod tests {
             let vector = run_fast(src, n, &["A", "C"], true);
             let scalar = run_fast(src, n, &["A", "C"], false);
             let mismatches = compare_stores(&vector, &scalar);
-            assert!(mismatches.is_empty(), "N={n}: simd != scalar: {mismatches:?}");
+            assert!(
+                mismatches.is_empty(),
+                "N={n}: simd != scalar: {mismatches:?}"
+            );
         }
     }
 

@@ -37,7 +37,12 @@ pub fn pretty_program(program: &Program) -> String {
 /// Renders one kernel.
 pub fn pretty_kernel(kernel: &Kernel) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "kernel {}({}) {{", kernel.name, kernel.params().join(", "));
+    let _ = writeln!(
+        out,
+        "kernel {}({}) {{",
+        kernel.name,
+        kernel.params().join(", ")
+    );
     let names = kernel.dim_names();
     let mut indent = String::from("  ");
     for dim in &kernel.dims {
@@ -83,11 +88,7 @@ fn rhs(e: &RhsExpr, stmt: &Statement, names: &[String]) -> String {
             .get(*i)
             .map(|r| r.display_with(names))
             .unwrap_or_else(|| "0.0".to_owned()),
-        RhsExpr::Bin(op, a, b) => format!(
-            "({} {op} {})",
-            rhs(a, stmt, names),
-            rhs(b, stmt, names)
-        ),
+        RhsExpr::Bin(op, a, b) => format!("({} {op} {})", rhs(a, stmt, names), rhs(b, stmt, names)),
         RhsExpr::Neg(a) => format!("(-{})", rhs(a, stmt, names)),
     }
 }
@@ -149,10 +150,8 @@ mod tests {
 
     #[test]
     fn pretty_kernel_shape() {
-        let p = parse_program(
-            "kernel mm(M, N) { for (i: M) for (j: N) C[i][j] += A[i][j]; }",
-        )
-        .unwrap();
+        let p =
+            parse_program("kernel mm(M, N) { for (i: M) for (j: N) C[i][j] += A[i][j]; }").unwrap();
         let text = pretty_kernel(&p.kernels[0]);
         assert!(text.starts_with("kernel mm(M, N) {"));
         assert!(text.contains("for (i: M)"));

@@ -36,7 +36,10 @@ impl fmt::Display for TilingError {
                 write!(f, "expected {expected} tile sizes, got {got}")
             }
             TilingError::NonPositiveTile { dim, value } => {
-                write!(f, "tile size for dimension {dim} must be positive, got {value}")
+                write!(
+                    f,
+                    "tile size for dimension {dim} must be positive, got {value}"
+                )
             }
         }
     }
@@ -155,7 +158,10 @@ mod tests {
     fn arity_and_positivity_are_validated() {
         assert_eq!(
             TileConfig::new(vec![32, 32]).validate_for(3),
-            Err(TilingError::WrongArity { expected: 3, got: 2 })
+            Err(TilingError::WrongArity {
+                expected: 3,
+                got: 2
+            })
         );
         assert_eq!(
             TileConfig::new(vec![32, 0, 32]).validate_for(3),

@@ -221,7 +221,12 @@ impl Autotuner {
             // pool position as the tie-break (stable sort).
             let mut scored: Vec<(f64, usize)> = pool
                 .iter()
-                .map(|&idx| (p.predict(&space.config(idx)).unwrap_or(f64::NEG_INFINITY), idx))
+                .map(|&idx| {
+                    (
+                        p.predict(&space.config(idx)).unwrap_or(f64::NEG_INFINITY),
+                        idx,
+                    )
+                })
                 .collect();
             scored.sort_by(|a, b| b.0.total_cmp(&a.0));
             pool = scored.into_iter().map(|(_, idx)| idx).collect();
@@ -229,8 +234,8 @@ impl Autotuner {
 
         let mut history: Vec<(TileConfig, Option<f64>)> = Vec::with_capacity(budget);
         let mut evaluated: Vec<(Vec<f64>, f64)> = Vec::new(); // (log-coords, value)
-        // Not-yet-tried pool entries; picks remove in O(1) (swap) or from
-        // the front (prior order), so the search always terminates.
+                                                              // Not-yet-tried pool entries; picks remove in O(1) (swap) or from
+                                                              // the front (prior order), so the search always terminates.
         let mut untried: Vec<usize> = pool;
 
         let random_only = self.options.strategy == Strategy::Random;
@@ -382,7 +387,10 @@ mod tests {
                 surrogate_wins += 1;
             }
         }
-        assert!(surrogate_wins >= 7, "surrogate won only {surrogate_wins}/10");
+        assert!(
+            surrogate_wins >= 7,
+            "surrogate won only {surrogate_wins}/10"
+        );
     }
 
     #[test]
@@ -559,7 +567,10 @@ mod tests {
         );
         // The very first warm pick is already near the prior's optimum.
         let first = warm_r.history[0].0.sizes().to_vec();
-        assert!((first[0] - 32).abs() <= 32 && (first[1] - 64).abs() <= 64, "{first:?}");
+        assert!(
+            (first[0] - 32).abs() <= 32 && (first[1] - 64).abs() <= 64,
+            "{first:?}"
+        );
     }
 
     #[test]
@@ -582,7 +593,11 @@ mod tests {
             .tune_with_prior(&space, quad_objective, Some(&SurrogatePrior::default()))
         };
         let a: Vec<_> = run_cold().history.into_iter().map(|(c, _)| c).collect();
-        let b: Vec<_> = run_empty_prior().history.into_iter().map(|(c, _)| c).collect();
+        let b: Vec<_> = run_empty_prior()
+            .history
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
         assert_eq!(a, b);
     }
 
@@ -598,7 +613,9 @@ mod tests {
         let r = tuner.tune(&space, |c| Some(c.sizes()[0] as f64));
         let k = r.evals_to_best().unwrap();
         assert_eq!(r.history[k - 1].1, Some(r.best_value));
-        assert!(r.history[..k - 1].iter().all(|(_, v)| *v != Some(r.best_value)));
+        assert!(r.history[..k - 1]
+            .iter()
+            .all(|(_, v)| *v != Some(r.best_value)));
         // No successful evaluation → no index.
         let mut none = Autotuner::new(TuneOptions {
             budget: 3,

@@ -82,7 +82,11 @@ fn main() {
         let mut full_ppw = None;
         for (label, ablation) in variants {
             let generator = ModelGenerator::new(&arch, config.clone()).with_ablation(ablation);
-            let build = || generator.build(&program, Some(&sizes)).expect("model builds");
+            let build = || {
+                generator
+                    .build(&program, Some(&sizes))
+                    .expect("model builds")
+            };
             let row = match build().solve() {
                 Ok(solution) => {
                     let tied = build()
@@ -99,9 +103,7 @@ fn main() {
                     if label == "full model" {
                         full_ppw = Some(report.ppw);
                     }
-                    let rel = full_ppw
-                        .map(|f| report.ppw / f)
-                        .unwrap_or(f64::NAN);
+                    let rel = full_ppw.map(|f| report.ppw / f).unwrap_or(f64::NAN);
                     if report.valid {
                         vec![
                             label.into(),

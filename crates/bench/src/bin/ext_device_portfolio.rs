@@ -278,7 +278,9 @@ fn run_transfer(regressions: &mut Vec<String>) -> Table {
 
     let (mut faster, mut slower) = (0, 0);
     for target in TRANSFER_TARGETS {
-        let arch = DeviceProfile::builtin(target).expect("builtin profile").into_arch();
+        let arch = DeviceProfile::builtin(target)
+            .expect("builtin profile")
+            .into_arch();
         let eatss = Eatss::new(arch);
         let opts = TuneOptions {
             budget: TRANSFER_BUDGET,
@@ -286,11 +288,12 @@ fn run_transfer(regressions: &mut Vec<String>) -> Table {
             ..TuneOptions::default()
         };
         let cold = Autotuner::new(opts.clone()).tune(&space, objective(&eatss));
-        let warm =
-            Autotuner::new(opts).tune_with_prior(&space, objective(&eatss), Some(&prior));
+        let warm = Autotuner::new(opts).tune_with_prior(&space, objective(&eatss), Some(&prior));
         let (Some(cold_evals), Some(warm_evals)) = (cold.evals_to_best(), warm.evals_to_best())
         else {
-            regressions.push(format!("transfer ga100->{target}: no successful evaluations"));
+            regressions.push(format!(
+                "transfer ga100->{target}: no successful evaluations"
+            ));
             continue;
         };
         faster += usize::from(warm_evals < cold_evals);

@@ -31,8 +31,8 @@ fn main() {
     for n in (1000..=7000).step_by(1000) {
         let sizes = b.sizes_uniform(n);
         let tiles = TileConfig::ppcg_default(3);
-        let r =
-            evaluate_program_with(&gpu, &analysed, &tiles, &sizes, &opts, 1).expect("gemm compiles");
+        let r = evaluate_program_with(&gpu, &analysed, &tiles, &sizes, &opts, 1)
+            .expect("gemm compiles");
         t.row(vec![
             n.to_string(),
             fmt_f(r.constant_power_w),

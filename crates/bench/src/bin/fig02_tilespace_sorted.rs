@@ -62,7 +62,10 @@ fn main() {
     }
     println!("(b) variants sorted by energy:\n{}", tb.render());
 
-    let beat_perf = perf.iter().filter(|v| v.0 * 1000.0 > default.gflops).count();
+    let beat_perf = perf
+        .iter()
+        .filter(|v| v.0 * 1000.0 > default.gflops)
+        .count();
     let beat_energy = perf.iter().filter(|v| v.1 < default.energy_j).count();
     println!(
         "baseline (default PPCG 32^3): {} TFLOP/s, {} J",

@@ -22,7 +22,10 @@ fn main() {
         let space = TileSpace::evaluation_grid(3);
         let variants = explore_space(&arch, &program, &sizes, &space, &opts);
         let s = summarize(&arch, &program, &sizes, &variants, &opts);
-        println!("--- {} ({} variants, {} valid) ---", arch.name, s.total, s.valid);
+        println!(
+            "--- {} ({} variants, {} valid) ---",
+            arch.name, s.total, s.valid
+        );
         let mut t = Table::new(vec!["metric", "min", "median", "max", "P (default)"]);
         let gf: Vec<f64> = variants
             .iter()
@@ -63,8 +66,7 @@ fn main() {
         };
         let mut grid = [[0usize; 10]; 10];
         for v in variants.iter().filter(|v| v.report.valid) {
-            grid[bucket(v.report.energy_j, emin, emax)]
-                [bucket(v.report.gflops, gmin, gmax)] += 1;
+            grid[bucket(v.report.energy_j, emin, emax)][bucket(v.report.gflops, gmin, gmax)] += 1;
         }
         let p_cell = (
             bucket(s.default.energy_j, emin, emax),

@@ -17,8 +17,7 @@ use eatss_ppcg::TileSpace;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let targets: Vec<(GpuArch, Dataset, String)> = match profiles::from_args(&args, "--profiles")
-    {
+    let targets: Vec<(GpuArch, Dataset, String)> = match profiles::from_args(&args, "--profiles") {
         Some(archs) => archs
             .into_iter()
             .map(|arch| {
@@ -66,11 +65,17 @@ fn main() {
             let sweep = match eatss.sweep(&program, &sizes, &PAPER_SPLITS, &[0.5, 0.25]) {
                 Ok(s) => s,
                 Err(e) => {
-                    t.row(vec![b.name.into(), b.class.to_string(), format!("infeasible: {e}")]);
+                    t.row(vec![
+                        b.name.into(),
+                        b.class.to_string(),
+                        format!("infeasible: {e}"),
+                    ]);
                     continue;
                 }
             };
-            let Some(best) = sweep.best_by_ppw() else { continue };
+            let Some(best) = sweep.best_by_ppw() else {
+                continue;
+            };
             let opts = best.config.compile_options(&arch);
             // Depth of the space excludes nothing: time dims get tile 1 via
             // EATSS; for the baseline space we keep the shared triple shape.

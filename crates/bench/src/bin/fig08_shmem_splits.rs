@@ -49,20 +49,23 @@ fn main() {
             for split in SPLITS {
                 // Solve under both §IV-F cap interpretations and keep the
                 // faster measured one (the sweep's behaviour).
-                let candidates = [eatss::ThreadBlockCap::Virtual, eatss::ThreadBlockCap::Strict]
-                    .into_iter()
-                    .filter_map(|cap| {
-                        let config = EatssConfig {
-                            cap,
-                            ..EatssConfig::with_split(split)
-                        };
-                        let solution = eatss.select_tiles(&program, &sizes, &config).ok()?;
-                        let report = eatss
-                            .evaluate(&program, &solution.tiles, &sizes, &config)
-                            .ok()?;
-                        report.valid.then_some((config, solution, report))
-                    })
-                    .collect::<Vec<_>>();
+                let candidates = [
+                    eatss::ThreadBlockCap::Virtual,
+                    eatss::ThreadBlockCap::Strict,
+                ]
+                .into_iter()
+                .filter_map(|cap| {
+                    let config = EatssConfig {
+                        cap,
+                        ..EatssConfig::with_split(split)
+                    };
+                    let solution = eatss.select_tiles(&program, &sizes, &config).ok()?;
+                    let report = eatss
+                        .evaluate(&program, &solution.tiles, &sizes, &config)
+                        .ok()?;
+                    report.valid.then_some((config, solution, report))
+                })
+                .collect::<Vec<_>>();
                 let Some((config, solution, ours)) = candidates
                     .into_iter()
                     .max_by(|a, b| a.2.gflops.partial_cmp(&b.2.gflops).expect("finite"))

@@ -53,61 +53,64 @@ fn main() {
         let mut evaluated = 0;
         for split in [0.0, 0.5] {
             for frac in [0.125, 0.25, 0.5, 1.0] {
-              for cap in [eatss::ThreadBlockCap::Virtual, eatss::ThreadBlockCap::Strict] {
-                let config = EatssConfig {
-                    split_factor: split,
-                    warp_fraction: frac,
-                    cap,
-                    ..EatssConfig::default()
-                };
-                match eatss.select_tiles(&program, &sizes, &config) {
-                    Ok(solution) => {
-                        let ours = eatss
-                            .evaluate(&program, &solution.tiles, &sizes, &config)
-                            .expect("EATSS tiles compile");
-                        let default = eatss
-                            .evaluate(
-                                &program,
-                                &TileConfig::ppcg_default(program.max_depth()),
-                                &sizes,
-                                &config,
-                            )
-                            .expect("default compiles");
-                        if !ours.valid || !default.valid {
+                for cap in [
+                    eatss::ThreadBlockCap::Virtual,
+                    eatss::ThreadBlockCap::Strict,
+                ] {
+                    let config = EatssConfig {
+                        split_factor: split,
+                        warp_fraction: frac,
+                        cap,
+                        ..EatssConfig::default()
+                    };
+                    match eatss.select_tiles(&program, &sizes, &config) {
+                        Ok(solution) => {
+                            let ours = eatss
+                                .evaluate(&program, &solution.tiles, &sizes, &config)
+                                .expect("EATSS tiles compile");
+                            let default = eatss
+                                .evaluate(
+                                    &program,
+                                    &TileConfig::ppcg_default(program.max_depth()),
+                                    &sizes,
+                                    &config,
+                                )
+                                .expect("default compiles");
+                            if !ours.valid || !default.valid {
+                                t.row(vec![
+                                    format!("{frac}"),
+                                    format!("{:.0}%", split * 100.0),
+                                    solution.tiles.to_string(),
+                                    "unexecutable".into(),
+                                    String::new(),
+                                ]);
+                                continue;
+                            }
+                            evaluated += 1;
+                            let speedup = default.time_s / ours.time_s;
+                            let energy = ours.energy_j / default.energy_j;
+                            if best.as_ref().map(|b| speedup > b.0).unwrap_or(true) {
+                                best = Some((speedup, energy, solution.tiles.clone()));
+                            }
                             t.row(vec![
-                                format!("{frac}"),
+                                format!("{frac} ({cap:?})"),
                                 format!("{:.0}%", split * 100.0),
                                 solution.tiles.to_string(),
-                                "unexecutable".into(),
+                                fmt_f(speedup),
+                                fmt_f(energy),
+                            ]);
+                        }
+                        Err(_) => {
+                            t.row(vec![
+                                format!("{frac} ({cap:?})"),
+                                format!("{:.0}%", split * 100.0),
+                                "infeasible".into(),
+                                String::new(),
                                 String::new(),
                             ]);
-                            continue;
                         }
-                        evaluated += 1;
-                        let speedup = default.time_s / ours.time_s;
-                        let energy = ours.energy_j / default.energy_j;
-                        if best.as_ref().map(|b| speedup > b.0).unwrap_or(true) {
-                            best = Some((speedup, energy, solution.tiles.clone()));
-                        }
-                        t.row(vec![
-                            format!("{frac} ({cap:?})"),
-                            format!("{:.0}%", split * 100.0),
-                            solution.tiles.to_string(),
-                            fmt_f(speedup),
-                            fmt_f(energy),
-                        ]);
-                    }
-                    Err(_) => {
-                        t.row(vec![
-                            format!("{frac} ({cap:?})"),
-                            format!("{:.0}%", split * 100.0),
-                            "infeasible".into(),
-                            String::new(),
-                            String::new(),
-                        ]);
                     }
                 }
-              }
             }
         }
         println!("--- {} ({} feasible configurations) ---", b.name, evaluated);

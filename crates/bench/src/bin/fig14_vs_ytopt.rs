@@ -35,7 +35,11 @@ fn main() {
         let sizes = b.sizes(Dataset::ExtraLarge);
 
         // --- EATSS ----------------------------------------------------
-        let fractions: &[f64] = if b.polybench { &[0.5] } else { &PAPER_WARP_FRACTIONS };
+        let fractions: &[f64] = if b.polybench {
+            &[0.5]
+        } else {
+            &PAPER_WARP_FRACTIONS
+        };
         let sweep = eatss
             .sweep(&program, &sizes, &PAPER_SPLITS, fractions)
             .expect("a feasible configuration");

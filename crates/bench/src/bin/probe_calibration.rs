@@ -17,7 +17,15 @@ fn main() {
     ] {
         println!("=== {} ===", arch);
         let eatss = Eatss::new(arch.clone());
-        for name in ["gemm", "2mm", "mvt", "jacobi-2d", "conv-2d", "heat-3d", "mttkrp"] {
+        for name in [
+            "gemm",
+            "2mm",
+            "mvt",
+            "jacobi-2d",
+            "conv-2d",
+            "heat-3d",
+            "mttkrp",
+        ] {
             let b = eatss_kernels::by_name(name).expect("registered benchmark");
             let program = b.program().expect("benchmark parses");
             let sizes = b.sizes(dataset);

@@ -99,10 +99,11 @@ fn main() {
                         ..EatssConfig::default()
                     };
                     let sizes = b.sizes(Dataset::ExtraLarge);
-                    let model = match ModelGenerator::new(&arch, config).build(&program, Some(&sizes)) {
-                        Ok(m) => m,
-                        Err(_) => continue,
-                    };
+                    let model =
+                        match ModelGenerator::new(&arch, config).build(&program, Some(&sizes)) {
+                            Ok(m) => m,
+                            Err(_) => continue,
+                        };
                     configs_run += 1;
                     if let Ok(solution) = model.solve() {
                         groups.entry(depth).or_default().push(Sample {

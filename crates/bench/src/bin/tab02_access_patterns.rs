@@ -26,7 +26,12 @@ fn main() {
             .map(|d| names[d].clone())
             .unwrap_or_else(|| "-".into())
     );
-    let mut t = Table::new(vec!["Array Reference", "Memory Type", "CMA Capable", "Reuse Type (Loop Dim)"]);
+    let mut t = Table::new(vec![
+        "Array Reference",
+        "Memory Type",
+        "CMA Capable",
+        "Reuse Type (Loop Dim)",
+    ]);
     for g in &analysis.groups {
         let reuse: Vec<String> = g
             .reuse(analysis.depth)

@@ -18,8 +18,16 @@ fn main() {
     );
     row(
         "L1 / L2 cache",
-        format!("{} KB / {} MB", ga.l1_shared_bytes / 1024, ga.l2_bytes / 1024 / 1024),
-        format!("{} KB / {} KB", xa.l1_shared_bytes / 1024, xa.l2_bytes / 1024),
+        format!(
+            "{} KB / {} MB",
+            ga.l1_shared_bytes / 1024,
+            ga.l2_bytes / 1024 / 1024
+        ),
+        format!(
+            "{} KB / {} KB",
+            xa.l1_shared_bytes / 1024,
+            xa.l2_bytes / 1024
+        ),
     );
     row(
         "Shared-mem per block & SM",

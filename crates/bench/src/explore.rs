@@ -54,9 +54,8 @@ pub fn explore_space(
     space
         .iter()
         .map(|tiles| {
-            let report =
-                eatss::evaluate_program_with(&gpu, &analysed, &tiles, sizes, options, 1)
-                    .unwrap_or_else(|_| SimReport::invalid(&program.name));
+            let report = eatss::evaluate_program_with(&gpu, &analysed, &tiles, sizes, options, 1)
+                .unwrap_or_else(|_| SimReport::invalid(&program.name));
             Variant { tiles, report }
         })
         .collect()

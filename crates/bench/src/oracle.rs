@@ -189,7 +189,12 @@ fn sweep_benchmark(
             }
         }
     }
-    let _ = writeln!(out.text, "  {}: {} config(s) checked", bench.name, plan.len());
+    let _ = writeln!(
+        out.text,
+        "  {}: {} config(s) checked",
+        bench.name,
+        plan.len()
+    );
     out
 }
 

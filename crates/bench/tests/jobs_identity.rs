@@ -19,7 +19,10 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
     assert_eq!(sequential.failures, 0, "sequential sweep must be clean");
     assert!(sequential.configs > 0 && sequential.points > 0);
     for jobs in [2, 4] {
-        let parallel = run_oracle_sweep(&OracleSweepOptions { jobs, ..base.clone() });
+        let parallel = run_oracle_sweep(&OracleSweepOptions {
+            jobs,
+            ..base.clone()
+        });
         assert_eq!(
             sequential.report, parallel.report,
             "jobs={jobs}: report differs from the sequential run"

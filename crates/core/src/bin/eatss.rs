@@ -203,8 +203,8 @@ fn parse_args() -> Result<Options, String> {
             "--trace" => opts.trace = Some(next_value(&mut args, "--trace")?),
             "--log-level" => {
                 let text = next_value(&mut args, "--log-level")?;
-                opts.log_level = Level::parse(&text)
-                    .ok_or_else(|| format!("unknown log level `{text}`"))?;
+                opts.log_level =
+                    Level::parse(&text).ok_or_else(|| format!("unknown log level `{text}`"))?;
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`"));
@@ -335,7 +335,11 @@ fn run_kernel_dir(dir: &str, opts: &Options) -> Result<(), String> {
             }
         }
     }
-    println!("parsed {}/{} file(s)", results.len() - failed, results.len());
+    println!(
+        "parsed {}/{} file(s)",
+        results.len() - failed,
+        results.len()
+    );
     if failed > 0 {
         return Err(format!("{failed} file(s) failed to parse"));
     }

@@ -190,7 +190,10 @@ impl TileCache {
 
     /// What journal recovery found on open (all zeros without a journal).
     pub fn recovery(&self) -> RecoveryStats {
-        self.journal.as_ref().map(Journal::recovery).unwrap_or_default()
+        self.journal
+            .as_ref()
+            .map(Journal::recovery)
+            .unwrap_or_default()
     }
 
     /// Journal records replayed into the map on open.
@@ -565,7 +568,10 @@ mod tests {
         body(&mut in_memory);
         assert!(!in_memory.is_durable());
         assert_eq!((in_memory.persisted(), in_memory.journal_bytes()), (0, 0));
-        assert_eq!((in_memory.live_bytes(), in_memory.garbage_ratio()), (0, 0.0));
+        assert_eq!(
+            (in_memory.live_bytes(), in_memory.garbage_ratio()),
+            (0, 0.0)
+        );
         in_memory.flush().unwrap();
         in_memory.compact().unwrap();
 
@@ -733,7 +739,11 @@ mod tests {
         // two equal-size records make the ratio exactly 1/2.
         let key = encode_key(&GpuArch::ga100(), &gemm(), &sizes(2000), &cfg);
         cache.insert_key(key, Ok(s)).unwrap();
-        assert!((cache.garbage_ratio() - 0.5).abs() < 1e-9, "{}", cache.garbage_ratio());
+        assert!(
+            (cache.garbage_ratio() - 0.5).abs() < 1e-9,
+            "{}",
+            cache.garbage_ratio()
+        );
 
         // Reopen sees the same ratio (replay keeps only the latest).
         drop(cache);

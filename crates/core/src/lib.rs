@@ -53,16 +53,18 @@ pub mod model;
 pub mod persist;
 pub mod sweep;
 
-pub use cache::{TileCache, TileCacheStats};
 /// The name `benchmark/src/tour.rs` (the ruler, which a product PR may not
 /// edit) still uses for a journaled [`TileCache`]. The next `[benchmark]`
 /// PR switches it to `TileCache` and deletes this line.
 pub use cache::TileCache as PersistentTileCache;
-pub use journal::{Journal, JournalConfig, RecoveryStats, ReplayedEntries, SyncPolicy};
+pub use cache::{TileCache, TileCacheStats};
 pub use config::{ConfigRangeError, EatssConfig, Precision, ThreadBlockCap};
 pub use error::{PipelineError, PipelineStage};
 pub use evaluate::{evaluate_program_with, EvaluateError};
-pub use model::{Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance};
+pub use journal::{Journal, JournalConfig, RecoveryStats, ReplayedEntries, SyncPolicy};
+pub use model::{
+    Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance,
+};
 pub use sweep::{pareto_front, SweepOptions, SweepOutcome, SweepPoint};
 
 use eatss_affine::analysis::AnalysedProgram;
@@ -147,7 +149,14 @@ impl Eatss {
         config: &EatssConfig,
     ) -> Result<SimReport, EvaluateError> {
         let options = config.compile_options(self.arch());
-        evaluate_program_with(&self.gpu, &AnalysedProgram::new(program), tiles, sizes, &options, 1)
+        evaluate_program_with(
+            &self.gpu,
+            &AnalysedProgram::new(program),
+            tiles,
+            sizes,
+            &options,
+            1,
+        )
     }
 
     /// Checks tile configurations with the execution oracle: each is
@@ -208,7 +217,13 @@ impl Eatss {
         splits: &[f64],
         warp_fractions: &[f64],
     ) -> Result<SweepOutcome, PipelineError> {
-        self.sweep_with(program, sizes, splits, warp_fractions, &SweepOptions::default())
+        self.sweep_with(
+            program,
+            sizes,
+            splits,
+            warp_fractions,
+            &SweepOptions::default(),
+        )
     }
 
     /// Like [`Eatss::sweep`], but under an explicit degradation policy.

@@ -53,7 +53,10 @@ impl fmt::Display for EatssError {
                 write!(f, "formulation is unsatisfiable: {reason}")
             }
             EatssError::Exhausted { reason } => {
-                write!(f, "search budget exhausted before a model was found: {reason}")
+                write!(
+                    f,
+                    "search budget exhausted before a model was found: {reason}"
+                )
             }
             EatssError::Solver(e) => write!(f, "solver failure: {e}"),
             EatssError::MissingObjective => write!(
@@ -286,7 +289,11 @@ impl ModelGenerator {
         // honest unsatisfiability.
         let mut solver = Solver::with_config(self.solver_config.clone());
         let mut tile_vars: Vec<Option<IntExpr>> = Vec::with_capacity(depth);
-        let align = if self.ablation.no_warp_alignment { 1 } else { waf };
+        let align = if self.ablation.no_warp_alignment {
+            1
+        } else {
+            waf
+        };
         for d in 0..depth {
             if is_time[d] {
                 tile_vars.push(None);
@@ -296,19 +303,16 @@ impl ModelGenerator {
             let t = solver.int_var_in(&format!("T{d}"), Domain::from_values(candidates));
             tile_vars.push(Some(t));
         }
-        let tile_of = |d: usize| -> IntExpr {
-            tile_vars[d]
-                .clone()
-                .unwrap_or_else(|| IntExpr::constant(1))
-        };
+        let tile_of =
+            |d: usize| -> IntExpr { tile_vars[d].clone().unwrap_or_else(|| IntExpr::constant(1)) };
 
         // Capacities in elements (§IV-J: limits scaled by datatype width).
         let l1sh_elems = arch.l1_shared_bytes as i64 / elem;
         let l2_elems = arch.l2_bytes as i64 / elem;
         let l2_per_sm_elems = l2_elems / arch.sm_count as i64;
         let split = cfg.split_factor;
-        let cap_sh = (((l1sh_elems as f64) * split) as i64)
-            .min(arch.max_shared_per_block as i64 / elem);
+        let cap_sh =
+            (((l1sh_elems as f64) * split) as i64).min(arch.max_shared_per_block as i64 / elem);
         let cap_l1 = ((l1sh_elems as f64) * (1.0 - split)) as i64;
 
         let mut objective = IntExpr::constant(0);
@@ -526,10 +530,7 @@ impl EatssModel {
 }
 
 /// Attaches the solve outcome to an `eatss.solve` span.
-fn finish_solve_span(
-    span: &mut eatss_trace::Span,
-    result: &Result<EatssSolution, EatssError>,
-) {
+fn finish_solve_span(span: &mut eatss_trace::Span, result: &Result<EatssSolution, EatssError>) {
     if !span.is_active() {
         return;
     }
@@ -599,7 +600,11 @@ mod tests {
         assert!(t[0] * t[2] <= 6_144, "{t:?}");
         // Objective at least as good as the paper's solution.
         let paper_obj = 16 * 384 + 32 * 384;
-        assert!(s.objective >= paper_obj, "objective {} < paper {paper_obj}", s.objective);
+        assert!(
+            s.objective >= paper_obj,
+            "objective {} < paper {paper_obj}",
+            s.objective
+        );
         // And the solution shape: Tj (the CMA dim) dominates.
         assert!(t[1] > t[0] && t[1] > t[2], "{t:?}");
         assert!(s.solver_calls >= 2);
@@ -688,7 +693,11 @@ mod tests {
              }",
         )
         .unwrap();
-        let s = ga(EatssConfig::default()).build(&p, None).unwrap().solve().unwrap();
+        let s = ga(EatssConfig::default())
+            .build(&p, None)
+            .unwrap()
+            .solve()
+            .unwrap();
         assert_eq!(s.tiles.sizes()[0], 1);
         assert!(s.tiles.sizes()[1] % 16 == 0);
     }
@@ -706,7 +715,11 @@ mod tests {
              }",
         )
         .unwrap();
-        let s = ga(EatssConfig::default()).build(&p, None).unwrap().solve().unwrap();
+        let s = ga(EatssConfig::default())
+            .build(&p, None)
+            .unwrap()
+            .solve()
+            .unwrap();
         assert_eq!(s.tiles.sizes().len(), 3);
         let t = s.tiles.sizes();
         // Both kernels' L1 constraints hold simultaneously.
@@ -836,7 +849,9 @@ mod tests {
     /// formulations there are, how many are feasible, and how many of
     /// those have an optimum other than the one `solve` returns.
     fn tie_census(device: &str) -> [usize; 3] {
-        let arch = eatss_gpusim::DeviceProfile::builtin(device).unwrap().into_arch();
+        let arch = eatss_gpusim::DeviceProfile::builtin(device)
+            .unwrap()
+            .into_arch();
         let grid = crate::sweep::grid(&[0.0, 0.5, 0.67, 1.0], &crate::sweep::PAPER_WARP_FRACTIONS);
         let [mut formulations, mut feasible, mut ties] = [0; 3];
         for bench in eatss_kernels::all() {
@@ -916,7 +931,12 @@ mod tests {
             .map(|t| {
                 let mut var = Vec::new();
                 t.collect_vars(&mut var);
-                model.solver.domain_of(var[0]).expect("own variable").values().to_vec()
+                model
+                    .solver
+                    .domain_of(var[0])
+                    .expect("own variable")
+                    .values()
+                    .to_vec()
             })
             .collect()
     }
@@ -928,11 +948,19 @@ mod tests {
         let gemm = eatss_kernels::by_name("gemm").unwrap();
         let program = gemm.program().unwrap();
         // 200 is no multiple of 16 and clips below T_P_B; XL does not clip.
-        for sizes in [gemm.sizes(eatss_kernels::Dataset::ExtraLarge), gemm.sizes_uniform(200)] {
+        for sizes in [
+            gemm.sizes(eatss_kernels::Dataset::ExtraLarge),
+            gemm.sizes_uniform(200),
+        ] {
             for device in eatss_gpusim::DeviceProfile::builtin_names() {
-                let arch = eatss_gpusim::DeviceProfile::builtin(device).unwrap().into_arch();
+                let arch = eatss_gpusim::DeviceProfile::builtin(device)
+                    .unwrap()
+                    .into_arch();
                 for warp_fraction in [0.5, 0.125] {
-                    let config = EatssConfig { warp_fraction, ..EatssConfig::default() };
+                    let config = EatssConfig {
+                        warp_fraction,
+                        ..EatssConfig::default()
+                    };
                     let waf = config.warp_alignment_factor(&arch);
                     let uppers: Vec<i64> = (0..3)
                         .map(|d| {
@@ -941,16 +969,23 @@ mod tests {
                         })
                         .collect();
                     let expect = |keep: &dyn Fn(i64) -> bool| -> Vec<Vec<i64>> {
-                        uppers.iter().map(|&u| (1..=u).filter(|&t| keep(t)).collect()).collect()
+                        uppers
+                            .iter()
+                            .map(|&u| (1..=u).filter(|&t| keep(t)).collect())
+                            .collect()
                     };
                     let generator = ModelGenerator::new(&arch, config);
-                    let what = format!("{device}, warp fraction {warp_fraction}, uppers {uppers:?}");
+                    let what =
+                        format!("{device}, warp fraction {warp_fraction}, uppers {uppers:?}");
 
                     let model = generator.build(&program, Some(&sizes)).unwrap();
                     assert_eq!(tile_domains(&model), expect(&|t| t % waf == 0), "{what}");
 
                     let unaligned = generator
-                        .with_ablation(Ablation { no_warp_alignment: true, ..Ablation::default() })
+                        .with_ablation(Ablation {
+                            no_warp_alignment: true,
+                            ..Ablation::default()
+                        })
                         .build(&program, Some(&sizes))
                         .unwrap();
                     assert_eq!(tile_domains(&unaligned), expect(&|_| true), "{what}");
@@ -1060,7 +1095,9 @@ mod tests {
         // N < WAF: the candidate set is empty, and the root propagation
         // proves it — no node is opened.
         let sizes = ProblemSizes::new([("M", 8), ("N", 64), ("P", 64)]);
-        let model = ga(EatssConfig::default()).build(&matmul(), Some(&sizes)).unwrap();
+        let model = ga(EatssConfig::default())
+            .build(&matmul(), Some(&sizes))
+            .unwrap();
         assert_eq!(tile_domains(&model)[0], Vec::<i64>::new());
         let (mut solver, objective) = model.into_parts();
         let outcome = solver.maximize(&objective).unwrap();

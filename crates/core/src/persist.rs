@@ -213,10 +213,8 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_trailing_bytes() {
-        let encoded = encode_result(&Err(EatssError::Unsatisfiable {
-            reason: "r".into(),
-        }))
-        .unwrap();
+        let encoded =
+            encode_result(&Err(EatssError::Unsatisfiable { reason: "r".into() })).unwrap();
         for cut in 0..encoded.len() {
             assert!(decode_result(&encoded[..cut]).is_none(), "cut at {cut}");
         }

@@ -176,9 +176,7 @@ impl SweepOutcome {
 pub fn pareto_front(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     let mut eligible: Vec<&SweepPoint> = points
         .iter()
-        .filter(|p| {
-            p.report.valid && p.report.energy_j.is_finite() && p.report.gflops.is_finite()
-        })
+        .filter(|p| p.report.valid && p.report.energy_j.is_finite() && p.report.gflops.is_finite())
         .collect();
     // Ascending energy, descending throughput; stable, so bit-equal
     // measurements keep their canonical-order position and the
@@ -320,10 +318,7 @@ fn process_point(
             Ok(report) => measured = Some((solution, report)),
             Err(e) => {
                 record_measure_failure(&e.to_string(), false);
-                failures.push((
-                    config.clone(),
-                    PipelineError::from_evaluate(e, context()),
-                ));
+                failures.push((config.clone(), PipelineError::from_evaluate(e, context())));
             }
         }
     }
@@ -487,11 +482,7 @@ fn warm_chains(configs: &[EatssConfig]) -> Vec<Vec<usize>> {
     }
     let mut chains: Vec<Vec<usize>> = keyed.into_iter().map(|(_, chain)| chain).collect();
     for chain in &mut chains {
-        chain.sort_by(|&a, &b| {
-            configs[b]
-                .split_factor
-                .total_cmp(&configs[a].split_factor)
-        });
+        chain.sort_by(|&a, &b| configs[b].split_factor.total_cmp(&configs[a].split_factor));
     }
     chains
 }
@@ -541,9 +532,7 @@ mod tests {
     fn paper_sweep_produces_points_and_best() {
         let eatss = Eatss::new(GpuArch::ga100());
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
-        let out = eatss
-            .sweep(&mm(), &sizes, &PAPER_SPLITS, &[0.5])
-            .unwrap();
+        let out = eatss.sweep(&mm(), &sizes, &PAPER_SPLITS, &[0.5]).unwrap();
         // All six configurations are feasible at this size: no fallbacks,
         // no bookkeeping entries.
         assert_eq!(out.points.len(), 6);
@@ -566,9 +555,7 @@ mod tests {
         let eatss = Eatss::new(GpuArch::ga100());
         // Tiny problem: WAF=32 has no aligned tile below the extents.
         let sizes = ProblemSizes::new([("M", 8), ("N", 8), ("P", 8)]);
-        let out = eatss
-            .sweep(&mm(), &sizes, &[0.5], &[1.0, 0.125])
-            .unwrap();
+        let out = eatss.sweep(&mm(), &sizes, &[0.5], &[1.0, 0.125]).unwrap();
         // The two infeasible cap variants are recorded AND measurable via
         // the 32^d fallback, so every configuration yields a point.
         assert_eq!(out.infeasible.len(), 2);
@@ -725,12 +712,12 @@ mod tests {
         // duplicate, and strictly-improving frontier points.
         let coords = [
             (10.0, 100.0),
-            (12.0, 90.0),  // dominated by (10, 100)
+            (12.0, 90.0), // dominated by (10, 100)
             (8.0, 80.0),
-            (8.0, 80.0),   // bit-identical duplicate: first kept
-            (9.0, 80.0),   // dominated by (8, 80)
+            (8.0, 80.0), // bit-identical duplicate: first kept
+            (9.0, 80.0), // dominated by (8, 80)
             (5.0, 40.0),
-            (5.0, 60.0),   // dominates (5, 40)
+            (5.0, 60.0), // dominates (5, 40)
             (20.0, 120.0),
             (3.0, 10.0),
         ];
@@ -747,8 +734,13 @@ mod tests {
         // Brute-force oracle: a point is on the front iff no other point
         // dominates it (≤ energy, ≥ gflops, strict in one) and it is not
         // a later duplicate of a kept point.
-        let expect: Vec<(f64, f64)> =
-            vec![(3.0, 10.0), (5.0, 60.0), (8.0, 80.0), (10.0, 100.0), (20.0, 120.0)];
+        let expect: Vec<(f64, f64)> = vec![
+            (3.0, 10.0),
+            (5.0, 60.0),
+            (8.0, 80.0),
+            (10.0, 100.0),
+            (20.0, 120.0),
+        ];
         let got: Vec<(f64, f64)> = front
             .iter()
             .map(|p| (p.report.energy_j, p.report.gflops))
@@ -758,8 +750,7 @@ mod tests {
             for p in &outcome.points {
                 let dominates = p.report.energy_j <= f.report.energy_j
                     && p.report.gflops >= f.report.gflops
-                    && (p.report.energy_j < f.report.energy_j
-                        || p.report.gflops > f.report.gflops);
+                    && (p.report.energy_j < f.report.energy_j || p.report.gflops > f.report.gflops);
                 assert!(!dominates, "front point is dominated");
             }
         }
@@ -783,7 +774,7 @@ mod tests {
     fn pareto_front_excludes_invalid_and_non_finite_points() {
         let points = vec![
             synthetic_point(10.0, 100.0, true),
-            synthetic_point(1.0, 500.0, false),     // invalid: would dominate all
+            synthetic_point(1.0, 500.0, false), // invalid: would dominate all
             synthetic_point(f64::NAN, 200.0, true), // NaN energy
             synthetic_point(2.0, f64::INFINITY, true), // infinite throughput
             synthetic_point(4.0, 50.0, true),
@@ -970,9 +961,15 @@ mod tests {
         // order) error a sequential run aborts with.
         let eatss = Eatss::new(GpuArch::ga100());
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000)]); // P unbound
-        let sequential =
-            run_with(&eatss, &mm(), &sizes, &[0.0, 0.5], &[0.5], &SweepOptions::default())
-                .unwrap_err();
+        let sequential = run_with(
+            &eatss,
+            &mm(),
+            &sizes,
+            &[0.0, 0.5],
+            &[0.5],
+            &SweepOptions::default(),
+        )
+        .unwrap_err();
         let parallel = run_with(
             &eatss,
             &mm(),

@@ -64,17 +64,27 @@ fn traced(args: &[&str]) -> Traced {
         .output()
         .expect("spawn eatss");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(out.status.success(), "{args:?}: {stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{args:?}: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
 
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{args:?}: trace is not JSON: {e}"));
     let provenance = doc.get("otherData").and_then(|d| d.get("provenance"));
     assert!(
-        provenance.and_then(|p| p.get("git_sha")).and_then(Json::as_str).is_some(),
+        provenance
+            .and_then(|p| p.get("git_sha"))
+            .and_then(Json::as_str)
+            .is_some(),
         "{args:?}: no otherData.provenance.git_sha"
     );
-    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents");
     assert!(!events.is_empty(), "{args:?}: no events");
     let mut traced = Traced {
         stdout,
@@ -160,7 +170,11 @@ fn a_trace_holds_every_stage_its_run_took() {
         "pipeline:plan_compile",
         "oracle:verify",
     ] {
-        assert!(verify.has_span(span), "--verify: no {span} in {:?}", verify.spans);
+        assert!(
+            verify.has_span(span),
+            "--verify: no {span} in {:?}",
+            verify.spans
+        );
     }
     for span in text_path {
         assert!(!verify.has_span(span), "--verify emitted CUDA text: {span}");
@@ -172,26 +186,44 @@ fn a_trace_holds_every_stage_its_run_took() {
         "exec.rows",
         "parse.bytes",
     ] {
-        assert!(verify.sample(counter, "value") >= Some(1.0), "--verify: counter {counter}");
+        assert!(
+            verify.sample(counter, "value") >= Some(1.0),
+            "--verify: counter {counter}"
+        );
     }
     // A histogram an operator can read: samples, and quantiles in order.
     let [count, p50, p99, max] = ["count", "p50", "p99", "max"]
         .map(|field| verify.sample("smt.maximize_us", field).expect(field));
-    assert!(count >= 1.0 && p50 <= p99 && p99 <= max, "{count} {p50} {p99} {max}");
+    assert!(
+        count >= 1.0 && p50 <= p99 && p99 <= max,
+        "{count} {p50} {p99} {max}"
+    );
 
     let cuda = traced(&["--kernel", "gemm", "--emit-cuda"]);
     for span in text_path {
-        assert!(cuda.has_span(span), "--emit-cuda: no {span} in {:?}", cuda.spans);
+        assert!(
+            cuda.has_span(span),
+            "--emit-cuda: no {span} in {:?}",
+            cuda.spans
+        );
     }
 
     // The only budget that binds: every point of gemm's 18-point sweep
     // exhausts its one rung and degrades to the measured 32^d fallback.
     let sweep = traced(&["gemm", "--sweep", "--deadline-ms", "0"]);
     for span in ["sweep:point", "sweep:solve_attempt"] {
-        assert!(sweep.has_span(span), "--sweep: no {span} in {:?}", sweep.spans);
+        assert!(
+            sweep.has_span(span),
+            "--sweep: no {span} in {:?}",
+            sweep.spans
+        );
     }
     for counter in ["sweep.solve_attempts", "sweep.fallbacks"] {
-        assert_eq!(sweep.sample(counter, "value"), Some(18.0), "--sweep: counter {counter}");
+        assert_eq!(
+            sweep.sample(counter, "value"),
+            Some(18.0),
+            "--sweep: counter {counter}"
+        );
     }
 }
 
@@ -200,12 +232,26 @@ fn verify_seed_is_reported_for_reproducibility() {
     // Decimal, or hex the way the usage text prints the default.
     for (given, seed) in [("1234", 1234u64), ("0xEA7550AC", 0xEA75_50AC)] {
         let out = eatss()
-            .args(["gemm", "--verify", "--verify-seed", given, "--log-level", "off"])
+            .args([
+                "gemm",
+                "--verify",
+                "--verify-seed",
+                given,
+                "--log-level",
+                "off",
+            ])
             .output()
             .expect("spawn eatss");
-        assert!(out.status.success(), "{given}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{given}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains(&format!("seed {seed})")), "{given}: {stdout}");
+        assert!(
+            stdout.contains(&format!("seed {seed})")),
+            "{given}: {stdout}"
+        );
     }
 }
 
@@ -242,7 +288,11 @@ fn emit_smt_prints_the_alignment_as_the_aligned_domain() {
         .output()
         .expect("spawn eatss");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     for line in [
         "(assert (and (>= T0 16) (<= T0 1024)))",
         "(assert (= (mod (- T0 16) 16) 0))",
@@ -272,7 +322,10 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
         .expect("spawn eatss");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--no-such-flag") && stderr.contains("usage:"), "{stderr}");
+    assert!(
+        stderr.contains("--no-such-flag") && stderr.contains("usage:"),
+        "{stderr}"
+    );
 
     // So is a configuration no front end accepts (the daemon answers the
     // same values with `bad_field`): out-of-range or NaN knobs, sizes < 1.
@@ -294,7 +347,11 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
         ("--size", "NI=0", "--size NI: expected a positive integer"),
         ("--size", "NI=-5", "--size NI: expected a positive integer"),
         // A name the kernel does not have is not silently dropped.
-        ("--size", "Ni=64", "--size Ni: `gemm` has no such parameter (it has NI, NJ, NK)"),
+        (
+            "--size",
+            "Ni=64",
+            "--size Ni: `gemm` has no such parameter (it has NI, NJ, NK)",
+        ),
     ] {
         let out = eatss()
             .args(["gemm", flag, value])
@@ -353,7 +410,14 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
     }
     // What a sweep does honour stays legal beside it.
     let out = eatss()
-        .args(["gemm", "--sweep", "--dataset", "standard", "--arch", "xavier"])
+        .args([
+            "gemm",
+            "--sweep",
+            "--dataset",
+            "standard",
+            "--arch",
+            "xavier",
+        ])
         .args(["--jobs", "2", "--deadline-ms", "500", "--log-level", "off"])
         .output()
         .expect("spawn eatss");
@@ -381,7 +445,10 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
         let out = eatss().args(&args).output().expect("spawn eatss");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains(message) && !stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(message) && !stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
     }
 }
 
@@ -400,11 +467,23 @@ fn cli_tiles_are_the_librarys() {
         ("mvt", ("standard", Dataset::Standard), "0.5", "0.125"),
     ] {
         let out = eatss()
-            .args([kernel, "--dataset", flag, "--split", split, "--warp-frac", warp_frac])
+            .args([
+                kernel,
+                "--dataset",
+                flag,
+                "--split",
+                split,
+                "--warp-frac",
+                warp_frac,
+            ])
             .output()
             .expect("spawn eatss");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "{kernel}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{kernel}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let line = tiles_line(&stdout);
 
         let bench = eatss_kernels::by_name(kernel).expect("registered");
@@ -446,7 +525,9 @@ fn every_committed_profile_loads_through_the_cli() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{}: {stderr}", path.display());
 
-        let arch = DeviceProfile::load(path).expect("profile loads").into_arch();
+        let arch = DeviceProfile::load(path)
+            .expect("profile loads")
+            .into_arch();
         let library = Eatss::new(arch)
             .select_tiles(
                 &gemm.program().unwrap(),
@@ -475,7 +556,11 @@ fn kernel_dir_ingestion_is_the_same_at_any_job_count() {
             .args(["--jobs", jobs, "--log-level", "off"])
             .output()
             .expect("spawn eatss");
-        assert!(out.status.success(), "--jobs {jobs}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "--jobs {jobs}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         String::from_utf8(out.stdout).expect("UTF-8 output")
     };
     let sequential = ingest("1");

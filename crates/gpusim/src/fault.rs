@@ -50,7 +50,11 @@ pub struct SimFault {
 
 impl fmt::Display for SimFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "simulated fault on kernel `{}`: {}", self.kernel, self.kind)
+        write!(
+            f,
+            "simulated fault on kernel `{}`: {}",
+            self.kernel, self.kind
+        )
     }
 }
 
@@ -189,10 +193,12 @@ mod tests {
     #[test]
     fn rates_are_deterministic_and_roughly_proportional() {
         let plan = FaultPlan::new(42).with_rates(0.2, 0.2, 0.2);
-        let verdicts: Vec<Option<FaultKind>> =
-            (0..500).map(|i| plan.fault_for(&spec(&format!("k{i}")))).collect();
-        let again: Vec<Option<FaultKind>> =
-            (0..500).map(|i| plan.fault_for(&spec(&format!("k{i}")))).collect();
+        let verdicts: Vec<Option<FaultKind>> = (0..500)
+            .map(|i| plan.fault_for(&spec(&format!("k{i}"))))
+            .collect();
+        let again: Vec<Option<FaultKind>> = (0..500)
+            .map(|i| plan.fault_for(&spec(&format!("k{i}"))))
+            .collect();
         assert_eq!(verdicts, again, "same plan, same spec, same verdict");
         let count = |k: FaultKind| verdicts.iter().filter(|v| **v == Some(k)).count();
         for kind in [

@@ -274,7 +274,10 @@ mod tests {
         assert!(!bad.valid);
         let mut zero_tau = mk(1.0, 200.0, 1e9);
         zero_tau.apply_power_ramp(60.0, 0.0);
-        assert!((zero_tau.avg_power_w - 200.0).abs() < 1e-9, "no-op on tau=0");
+        assert!(
+            (zero_tau.avg_power_w - 200.0).abs() < 1e-9,
+            "no-op on tau=0"
+        );
     }
 
     #[test]

@@ -204,7 +204,9 @@ impl DeviceProfile {
                     }
                 }
                 _ => {
-                    let n = field.as_f64().ok_or_else(|| bad(key, "expected a number"))?;
+                    let n = field
+                        .as_f64()
+                        .ok_or_else(|| bad(key, "expected a number"))?;
                     raw.scalars.insert(key.clone(), n);
                 }
             }
@@ -459,7 +461,9 @@ impl RawProfile {
             return Err(ProfileError::Parse(format!("unknown field `{extra}`")));
         }
         if let Some(extra) = self.power.keys().next() {
-            return Err(ProfileError::Parse(format!("unknown field `power.{extra}`")));
+            return Err(ProfileError::Parse(format!(
+                "unknown field `power.{extra}`"
+            )));
         }
         Ok(DeviceProfile { arch })
     }
@@ -572,7 +576,10 @@ mod tests {
             profile.validate().unwrap();
             assert!(!profile.arch().name.is_empty());
         }
-        assert!(DeviceProfile::builtin("GA100").is_some(), "case-insensitive");
+        assert!(
+            DeviceProfile::builtin("GA100").is_some(),
+            "case-insensitive"
+        );
         assert!(DeviceProfile::builtin("tpu").is_none());
     }
 
@@ -717,7 +724,11 @@ mod tests {
         let dir = std::env::temp_dir().join("eatss_profile_load_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dev.json");
-        std::fs::write(&path, DeviceProfile::builtin("orin").unwrap().to_json_pretty()).unwrap();
+        std::fs::write(
+            &path,
+            DeviceProfile::builtin("orin").unwrap().to_json_pretty(),
+        )
+        .unwrap();
         let loaded = DeviceProfile::load(&path).unwrap();
         assert_eq!(loaded.arch().name, "Orin");
         // A parseable but non-physical profile is rejected by load().
@@ -745,7 +756,10 @@ mod tests {
         // `resolve` takes a builtin name first, then an existing file
         // (whose load errors it passes on), and otherwise names the
         // builtins.
-        assert_eq!(DeviceProfile::resolve("ORIN").ok(), DeviceProfile::builtin("orin"));
+        assert_eq!(
+            DeviceProfile::resolve("ORIN").ok(),
+            DeviceProfile::builtin("orin")
+        );
         assert_eq!(DeviceProfile::resolve(path.to_str().unwrap()), Ok(loaded));
         assert!(matches!(
             DeviceProfile::resolve(broken.to_str().unwrap()),
@@ -754,7 +768,9 @@ mod tests {
         let absent = dir.join("absent.json");
         let unknown = DeviceProfile::resolve(absent.to_str().unwrap()).unwrap_err();
         assert!(matches!(unknown, ProfileError::UnknownDevice(_)));
-        assert!(unknown.to_string().contains(r#"["ga100", "xavier", "h100", "orin", "nano"]"#));
+        assert!(unknown
+            .to_string()
+            .contains(r#"["ga100", "xavier", "h100", "orin", "nano"]"#));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

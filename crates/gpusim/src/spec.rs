@@ -75,7 +75,10 @@ impl RefAccess {
             ("contiguous_x_elems", self.contiguous_x_elems),
         ] {
             if v < 0 {
-                return Err(format!("reference `{}`: {field} is negative ({v})", self.name));
+                return Err(format!(
+                    "reference `{}`: {field} is negative ({v})",
+                    self.name
+                ));
             }
         }
         Ok(())
@@ -115,7 +118,11 @@ pub struct SpecError {
 
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "inconsistent spec for `{}`: {}", self.kernel, self.message)
+        write!(
+            f,
+            "inconsistent spec for `{}`: {}",
+            self.kernel, self.message
+        )
     }
 }
 
@@ -394,7 +401,10 @@ mod tests {
             ("negative grid x", Box::new(|s| s.grid_x_blocks = -1)),
             ("zero threads", Box::new(|s| s.threads_per_block = 0)),
             ("negative points", Box::new(|s| s.points_per_thread = -1)),
-            ("negative steps", Box::new(|s| s.serial_steps_per_block = -2)),
+            (
+                "negative steps",
+                Box::new(|s| s.serial_steps_per_block = -2),
+            ),
             ("nan flops", Box::new(|s| s.flops_total = f64::NAN)),
             ("negative flops", Box::new(|s| s.flops_total = -1.0)),
             ("zero-width elems", Box::new(|s| s.elem_bytes = 0)),

@@ -75,8 +75,7 @@ pub fn model(
     // Multiple points per thread expose ILP and amortize addressing.
     let ilp = 1.0 + 0.15 * (1.0 - 1.0 / spec.points_per_thread.max(1) as f64);
     // Warp divergence/underfill: blocks smaller than a warp waste lanes.
-    let warp_fill =
-        (spec.threads_per_block as f64 / arch.threads_per_warp as f64).min(1.0);
+    let warp_fill = (spec.threads_per_block as f64 / arch.threads_per_warp as f64).min(1.0);
     let spill_penalty = if occ.register_spill { 0.5 } else { 1.0 };
     let compute_efficiency = (occ_eff * ilp * warp_fill * occ.tail_efficiency * spill_penalty)
         .clamp(0.0, 1.3)

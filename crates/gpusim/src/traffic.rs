@@ -87,7 +87,9 @@ pub fn model(arch: &GpuArch, spec: &KernelExecSpec, occ: &Occupancy) -> TrafficR
     let l1_thrash = l1_pressure > 1.0;
 
     // --- concurrent wave working set (for L2 filtering) ---------------
-    let wave_blocks = (arch.sm_count as f64 * occ.blocks_per_sm as f64).min(blocks).max(1.0);
+    let wave_blocks = (arch.sm_count as f64 * occ.blocks_per_sm as f64)
+        .min(blocks)
+        .max(1.0);
     let grid_x = spec.grid_x_blocks.max(1) as f64;
     let mut wave_ws_bytes = 0.0;
     for r in &spec.refs {
@@ -182,8 +184,7 @@ pub fn model(arch: &GpuArch, spec: &KernelExecSpec, occ: &Occupancy) -> TrafficR
         let amplification = if r.coalesced { 1.0 } else { sector / elem };
         let ref_dram_bytes = miss_elems * elem * amplification;
 
-        let row_eff = ((r.contiguous_x_elems.max(1) as f64 * elem)
-            / arch.dram_row_chunk_bytes)
+        let row_eff = ((r.contiguous_x_elems.max(1) as f64 * elem) / arch.dram_row_chunk_bytes)
             .clamp(1.0 / 16.0, 1.0);
         dram_bytes += ref_dram_bytes;
         dram_time_bytes += ref_dram_bytes / row_eff.max(0.25);
@@ -203,10 +204,7 @@ pub fn model(arch: &GpuArch, spec: &KernelExecSpec, occ: &Occupancy) -> TrafficR
     // point iteration: a thread covering many points keeps reloading its
     // spilled working set (the classic local-memory performance cliff).
     if occ.register_spill {
-        let spilled = occ
-            .regs_per_thread
-            .saturating_sub(occ.regs_granted)
-            .min(32) as f64;
+        let spilled = occ.regs_per_thread.saturating_sub(occ.regs_granted).min(32) as f64;
         let spill_bytes = spec.total_threads() as f64
             * spec.points_per_thread.max(1) as f64
             * spilled

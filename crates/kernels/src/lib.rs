@@ -226,9 +226,9 @@ mod tests {
     #[test]
     fn every_benchmark_parses() {
         for b in all() {
-            let p = b.program().unwrap_or_else(|e| {
-                panic!("benchmark `{}` failed to parse: {e}", b.name)
-            });
+            let p = b
+                .program()
+                .unwrap_or_else(|e| panic!("benchmark `{}` failed to parse: {e}", b.name));
             assert!(!p.kernels.is_empty(), "{}", b.name);
         }
     }
@@ -301,7 +301,10 @@ mod tests {
 
     #[test]
     fn stencils_have_serial_time_loop_or_multiple_kernels() {
-        for b in all().into_iter().filter(|b| b.class == KernelClass::Stencil) {
+        for b in all()
+            .into_iter()
+            .filter(|b| b.class == KernelClass::Stencil)
+        {
             let p = b.program().unwrap();
             let time_looped = p
                 .kernels

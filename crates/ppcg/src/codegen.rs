@@ -242,8 +242,14 @@ mod tests {
 
     #[test]
     fn kernel_structure() {
-        let cuda = emit(MM, vec![32, 64, 16], &[("M", 2000), ("N", 2000), ("P", 2000)]);
-        assert!(cuda.contains("__global__ void mm_kernel(double *C, double *A, double *B, int M, int N, int P)"));
+        let cuda = emit(
+            MM,
+            vec![32, 64, 16],
+            &[("M", 2000), ("N", 2000), ("P", 2000)],
+        );
+        assert!(cuda.contains(
+            "__global__ void mm_kernel(double *C, double *A, double *B, int M, int N, int P)"
+        ));
         // x = j, y = i.
         assert!(cuda.contains("int bj = blockIdx.x * 64; // j tile origin (BID.x)"));
         assert!(cuda.contains("int bi = blockIdx.y * 32; // i tile origin (BID.y)"));
@@ -269,8 +275,8 @@ mod tests {
 
     #[test]
     fn no_staging_no_shared_decl() {
-        let p = parse_program("kernel copy(N) { for (i: N) for (j: N) A[i][j] = B[i][j]; }")
-            .unwrap();
+        let p =
+            parse_program("kernel copy(N) { for (i: N) for (j: N) A[i][j] = B[i][j]; }").unwrap();
         let m = GpuMapping::compute(
             &p.kernels[0],
             &AccessAnalysis::analyze(&p.kernels[0]),
@@ -296,7 +302,11 @@ mod tests {
 
     #[test]
     fn launch_stub_reports_geometry() {
-        let cuda = emit(MM, vec![16, 384, 16], &[("M", 4000), ("N", 4000), ("P", 4000)]);
+        let cuda = emit(
+            MM,
+            vec![16, 384, 16],
+            &[("M", 4000), ("N", 4000), ("P", 4000)],
+        );
         assert!(cuda.contains("dim3 grid("));
         assert!(cuda.contains("point(s)/thread"));
     }
@@ -313,7 +323,11 @@ mod tests {
         // Regression: tiles wider than the thread extent used to emit a
         // single point per thread (`tj = blockIdx.x * tile + threadIdx.x`),
         // silently dropping every point past the first block-width.
-        let cuda = emit(MM, vec![16, 384, 16], &[("M", 4000), ("N", 4000), ("P", 4000)]);
+        let cuda = emit(
+            MM,
+            vec![16, 384, 16],
+            &[("M", 4000), ("N", 4000), ("P", 4000)],
+        );
         assert!(
             cuda.contains("for (int tj = bj + threadIdx.x; tj < min(N, bj + 384); tj += 32) {"),
             "thread must stride across the whole 384-wide tile:\n{cuda}"

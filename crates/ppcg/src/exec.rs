@@ -161,7 +161,11 @@ impl fmt::Display for ExecError {
                 f,
                 "{kernel}: staged array `{array}` is written but staging has no write-back"
             ),
-            ExecError::StagedReadOutOfBox { kernel, array, index } => write!(
+            ExecError::StagedReadOutOfBox {
+                kernel,
+                array,
+                index,
+            } => write!(
                 f,
                 "{kernel}: read of `{array}`{index:?} outside its staged box"
             ),
@@ -256,8 +260,7 @@ impl StagedGroup<'_> {
                 let dst_off = row * row_len + (ov_lo - last_lo) as usize;
                 let len = (ov_hi - ov_lo + 1) as usize;
                 let src = (base + ov_lo) as usize;
-                self.data[dst_off..dst_off + len]
-                    .copy_from_slice(&array.data()[src..src + len]);
+                self.data[dst_off..dst_off + len].copy_from_slice(&array.data()[src..src + len]);
             }
             for p in (0..idx.len()).rev() {
                 idx[p] += 1;
@@ -273,9 +276,7 @@ impl StagedGroup<'_> {
 /// The staged route a statement read resolves to, if any — the routing
 /// rule shared by plan compilation and the reference hook.
 fn route_of(staged: &[StagedGroup<'_>], r: &ArrayRef) -> Option<usize> {
-    staged
-        .iter()
-        .position(|g| g.representative.same_lines(r))
+    staged.iter().position(|g| g.representative.same_lines(r))
 }
 
 /// Compiled plans shared across a batch of configurations of one kernel,
@@ -350,7 +351,13 @@ impl RouteSource for StagedRouter<'_, '_> {
         }
     }
 
-    fn row(&mut self, route: usize, start: &[i64], delta: &[i64], count: i64) -> Option<(i64, i64)> {
+    fn row(
+        &mut self,
+        route: usize,
+        start: &[i64],
+        delta: &[i64],
+        count: i64,
+    ) -> Option<(i64, i64)> {
         // Subscripts move monotonically along a row, so checking the two
         // endpoints against the box proves the whole row stays inside it;
         // the box flatten is then linear in the subscripts.
@@ -752,7 +759,15 @@ fn run_step(
     let nthreads = thread_coords.len() / rank;
     for (c, chunk) in thread_coords.chunks(rank * width as usize).enumerate() {
         let (multi, live) = if fusable {
-            match inner_mapped_loops(mapping, tiles, trips, origins, &chunk[..rank], &mut row_point, 1..rank) {
+            match inner_mapped_loops(
+                mapping,
+                tiles,
+                trips,
+                origins,
+                &chunk[..rank],
+                &mut row_point,
+                1..rank,
+            ) {
                 InnerLoops::Empty => continue,
                 InnerLoops::Singleton => ((x_span - width).clamp(0, width), x_span.min(width)),
                 InnerLoops::Multi => (width, width),
@@ -790,8 +805,20 @@ fn run_step(
                 failure: None,
             };
             run_thread_points(
-                kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, &mut point,
-                0, plan.as_deref_mut(), &mut router, store, stats,
+                kernel,
+                mapping,
+                trips,
+                tiles,
+                serial_dims,
+                sorigins,
+                origins,
+                coord,
+                &mut point,
+                0,
+                plan.as_deref_mut(),
+                &mut router,
+                store,
+                stats,
             )?;
         }
         if let (true, Some(plan)) = (live > multi, plan.as_deref_mut()) {
@@ -801,7 +828,15 @@ fn run_step(
                 failure: None,
             };
             row_point[x_dim] = origins[0] + multi;
-            plan.run(store, &mut row_point, x_dim, live - multi, 1, &mut router, stats)?;
+            plan.run(
+                store,
+                &mut row_point,
+                x_dim,
+                live - multi,
+                1,
+                &mut router,
+                stats,
+            )?;
         }
     }
     if !staged.is_empty() {
@@ -872,7 +907,15 @@ fn run_thread_points(
             // thread (tile extent ≤ thread extent), the innermost serial
             // point loop is the hot loop: run it as a plan row.
             if let Some(plan) = plan.as_deref_mut() {
-                match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, 0..mapping.mapped_dims.len()) {
+                match inner_mapped_loops(
+                    mapping,
+                    tiles,
+                    trips,
+                    origins,
+                    coord,
+                    point,
+                    0..mapping.mapped_dims.len(),
+                ) {
                     InnerLoops::Empty => return Ok(()),
                     InnerLoops::Singleton => {
                         let count = end - sorigins[level];
@@ -890,8 +933,20 @@ fn run_thread_points(
         while v < end {
             point[d] = v;
             run_thread_points(
-                kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, point,
-                level + 1, plan.as_deref_mut(), router, store, stats,
+                kernel,
+                mapping,
+                trips,
+                tiles,
+                serial_dims,
+                sorigins,
+                origins,
+                coord,
+                point,
+                level + 1,
+                plan.as_deref_mut(),
+                router,
+                store,
+                stats,
             )?;
             v += 1;
         }
@@ -926,8 +981,20 @@ fn run_thread_points(
         while v < end {
             point[d] = v;
             run_thread_points(
-                kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, point,
-                level + 1, plan.as_deref_mut(), router, store, stats,
+                kernel,
+                mapping,
+                trips,
+                tiles,
+                serial_dims,
+                sorigins,
+                origins,
+                coord,
+                point,
+                level + 1,
+                plan.as_deref_mut(),
+                router,
+                store,
+                stats,
             )?;
             v += mapping.thread_extents[pos];
         }
@@ -941,9 +1008,7 @@ fn run_thread_points(
     {
         let kernel_name = router.kernel;
         let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
-            let g = staged_ref
-                .iter()
-                .find(|g| g.representative.same_lines(r))?;
+            let g = staged_ref.iter().find(|g| g.representative.same_lines(r))?;
             match g.flatten(idx) {
                 Some(flat) => Some(g.data[flat]),
                 None => {
@@ -983,7 +1048,11 @@ pub fn execute_compiled(
 }
 
 fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
-    program.kernels.iter().map(|_| KernelPlanCache::default()).collect()
+    program
+        .kernels
+        .iter()
+        .map(|_| KernelPlanCache::default())
+        .collect()
 }
 
 /// Every kernel in order, each against its own plan cache.
@@ -997,7 +1066,9 @@ fn execute_with_caches(
 ) -> Result<ExecStats, ExecError> {
     let mut stats = ExecStats::default();
     for ((kernel, mapping), cache) in program.kernels.iter().zip(mappings).zip(caches) {
-        stats.absorb(execute_mapped_kernel(kernel, mapping, sizes, store, opts, cache)?);
+        stats.absorb(execute_mapped_kernel(
+            kernel, mapping, sizes, store, opts, cache,
+        )?);
     }
     Ok(stats)
 }
@@ -1080,7 +1151,12 @@ mod tests {
         let p = parse_program(src).unwrap();
         let sizes = ProblemSizes::new(sizes.iter().cloned());
         let compiled = crate::Ppcg::new(GpuArch::ga100())
-            .compile(&p, &eatss_affine::tiling::TileConfig::new(tiles), &sizes, &CompileOptions::default())
+            .compile(
+                &p,
+                &eatss_affine::tiling::TileConfig::new(tiles),
+                &sizes,
+                &CompileOptions::default(),
+            )
             .unwrap();
         let mut emul = seed_store(&p, &sizes, 42).unwrap();
         let stats = execute_compiled(&p, &compiled.mappings, &sizes, &mut emul, opts).unwrap();
@@ -1091,8 +1167,12 @@ mod tests {
 
     #[test]
     fn matmul_agrees_with_interpreter() {
-        let (emul, reference, stats) =
-            emulate(MM, vec![4, 4, 4], &[("M", 9), ("N", 10), ("P", 7)], &plan_opts());
+        let (emul, reference, stats) = emulate(
+            MM,
+            vec![4, 4, 4],
+            &[("M", 9), ("N", 10), ("P", 7)],
+            &plan_opts(),
+        );
         assert!(compare_stores(&emul, &reference).is_empty());
         assert_eq!(stats.points, 9 * 10 * 7);
         assert_eq!(stats.launches, 1);
@@ -1101,8 +1181,12 @@ mod tests {
     #[test]
     fn non_divisible_and_unit_tiles_agree() {
         for tiles in [vec![1, 1, 1], vec![3, 5, 2], vec![16, 16, 16]] {
-            let (emul, reference, _) =
-                emulate(MM, tiles.clone(), &[("M", 7), ("N", 11), ("P", 5)], &plan_opts());
+            let (emul, reference, _) = emulate(
+                MM,
+                tiles.clone(),
+                &[("M", 7), ("N", 11), ("P", 5)],
+                &plan_opts(),
+            );
             assert!(
                 compare_stores(&emul, &reference).is_empty(),
                 "tiles {tiles:?} disagree"
@@ -1152,15 +1236,27 @@ mod tests {
         tiles: Vec<i64>,
         sizes: &[(&str, i64)],
     ) -> (Vec<GpuMapping>, ExecStats) {
-        let (plan_store, interpreted, plan_stats) = emulate(src, tiles.clone(), sizes, &plan_opts());
+        let (plan_store, interpreted, plan_stats) =
+            emulate(src, tiles.clone(), sizes, &plan_opts());
         let (ref_store, _, ref_stats) = emulate(src, tiles.clone(), sizes, &reference_opts());
-        assert!(compare_stores(&plan_store, &ref_store).is_empty(), "engines disagree");
-        assert!(compare_stores(&plan_store, &interpreted).is_empty(), "plan disagrees with interpreter");
+        assert!(
+            compare_stores(&plan_store, &ref_store).is_empty(),
+            "engines disagree"
+        );
+        assert!(
+            compare_stores(&plan_store, &interpreted).is_empty(),
+            "plan disagrees with interpreter"
+        );
         assert_eq!(plan_stats, ref_stats, "stats diverge");
         let p = parse_program(src).unwrap();
         let sizes = ProblemSizes::new(sizes.iter().cloned());
         let mappings = crate::Ppcg::new(GpuArch::ga100())
-            .compile(&p, &eatss_affine::tiling::TileConfig::new(tiles), &sizes, &CompileOptions::default())
+            .compile(
+                &p,
+                &eatss_affine::tiling::TileConfig::new(tiles),
+                &sizes,
+                &CompileOptions::default(),
+            )
             .unwrap()
             .mappings;
         (mappings, plan_stats)
@@ -1205,8 +1301,7 @@ mod tests {
         // A serial tile of 16 over a trip of 17: the first step's threads
         // own 16 k-points each and stay per-thread; the second step's own
         // one each, and its chunks fuse.
-        let (mappings, stats) =
-            engines_agree(MM, vec![8, 8, 16], &[("M", 8), ("N", 8), ("P", 17)]);
+        let (mappings, stats) = engines_agree(MM, vec![8, 8, 16], &[("M", 8), ("N", 8), ("P", 17)]);
         assert_eq!(mappings[0].thread_extents, vec![8, 8]);
         assert_eq!(stats.points, 8 * 8 * 17);
     }
@@ -1283,8 +1378,7 @@ mod tests {
             let results = execute_compiled_batch(&p, &configs, &sizes, &mut stores, &opts);
             for ((mappings, store), result) in configs.iter().zip(&stores).zip(results) {
                 let mut solo = seed_store(&p, &sizes, 42).unwrap();
-                let solo_stats =
-                    execute_compiled(&p, mappings, &sizes, &mut solo, &opts).unwrap();
+                let solo_stats = execute_compiled(&p, mappings, &sizes, &mut solo, &opts).unwrap();
                 assert!(
                     compare_stores(store, &solo).is_empty(),
                     "batched run diverges from sequential"
@@ -1308,8 +1402,14 @@ mod tests {
             .unwrap();
         let zero = ProblemSizes::new([("M", 0), ("N", 4), ("P", 4)]);
         let mut store = Store::new();
-        let stats = execute_compiled(&p, &compiled.mappings, &zero, &mut store, &ExecOptions::default())
-            .unwrap();
+        let stats = execute_compiled(
+            &p,
+            &compiled.mappings,
+            &zero,
+            &mut store,
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(stats.points, 0);
         assert_eq!(stats.blocks, 0);
     }

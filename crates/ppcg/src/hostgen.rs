@@ -15,11 +15,7 @@ use std::fmt::Write as _;
 /// Array extents are derived from the references: each subscript's extent
 /// is the maximum trip count of the dimensions it uses (halo offsets are
 /// padded by one tile's worth to stay conservative).
-pub fn emit_host(
-    program: &Program,
-    mappings: &[GpuMapping],
-    sizes: &ProblemSizes,
-) -> String {
+pub fn emit_host(program: &Program, mappings: &[GpuMapping], sizes: &ProblemSizes) -> String {
     let mut out = String::new();
     let arrays = array_extents(program, sizes);
     let _ = writeln!(out, "int main(void) {{");
@@ -125,17 +121,13 @@ fn array_extents(program: &Program, sizes: &ProblemSizes) -> BTreeMap<String, Ve
                     .subscripts
                     .iter()
                     .map(|s| {
-                        let span: i64 = s
-                            .terms()
-                            .iter()
-                            .map(|&(d, c)| c.abs() * trip(d))
-                            .sum();
+                        let span: i64 = s.terms().iter().map(|&(d, c)| c.abs() * trip(d)).sum();
                         (span + s.offset().abs()).max(1)
                     })
                     .collect();
-                let entry = arrays.entry(r.array.clone()).or_insert_with(|| {
-                    vec![1; extents.len()]
-                });
+                let entry = arrays
+                    .entry(r.array.clone())
+                    .or_insert_with(|| vec![1; extents.len()]);
                 for (e, n) in entry.iter_mut().zip(&extents) {
                     *e = (*e).max(*n);
                 }
@@ -194,7 +186,10 @@ mod tests {
     fn launch_uses_mapping_geometry() {
         let host = host_for(MM, vec![32, 64, 16], &[("M", 128), ("N", 128), ("P", 128)]);
         // grid: x = ceil(128/64) = 2, y = ceil(128/32) = 4.
-        assert!(host.contains("mm_kernel<<<dim3(2, 4, 1), dim3(32, 16, 1)>>>"), "{host}");
+        assert!(
+            host.contains("mm_kernel<<<dim3(2, 4, 1), dim3(32, 16, 1)>>>"),
+            "{host}"
+        );
         assert!(host.contains("C_dev, A_dev, B_dev"));
         assert!(host.contains("128 /* M */"));
     }

@@ -58,8 +58,8 @@ pub mod oracle;
 pub mod space;
 
 pub use exec::{
-    execute_compiled, execute_compiled_batch, BarrierFidelity, ExecEngine,
-    ExecError, ExecOptions, ExecStats,
+    execute_compiled, execute_compiled_batch, BarrierFidelity, ExecEngine, ExecError, ExecOptions,
+    ExecStats,
 };
 pub use mapping::{CompileError, CompileOptions, GpuMapping};
 pub use oracle::{
@@ -139,7 +139,9 @@ impl Ppcg {
             if stage.is_active() {
                 stage.arg("kernel", kernel.name.as_str());
             }
-            mappings.push(GpuMapping::compute(kernel, analysis, &ktiles, arch, sizes, options)?);
+            mappings.push(GpuMapping::compute(
+                kernel, analysis, &ktiles, arch, sizes, options,
+            )?);
         }
         Ok(mappings)
     }

@@ -259,9 +259,7 @@ impl GpuMapping {
         // element once, and staging it would only add footprint and
         // barriers.
         let has_reuse = |g: &RefGroup| -> bool {
-            (0..depth).any(|d| {
-                !kernel.dims[d].explicit_serial && !g.representative.uses_dim(d)
-            })
+            (0..depth).any(|d| !kernel.dims[d].explicit_serial && !g.representative.uses_dim(d))
         };
         // Written groups are never staged: the generated code has no
         // write-back phase, so a `__shared__` copy of a written array would
@@ -270,9 +268,7 @@ impl GpuMapping {
             .groups
             .iter()
             .enumerate()
-            .filter(|(_, g)| {
-                g.memory == MemoryKind::SharedMem && !g.is_written && has_reuse(g)
-            })
+            .filter(|(_, g)| g.memory == MemoryKind::SharedMem && !g.is_written && has_reuse(g))
             .map(|(i, _)| i)
             .collect();
         let mut sh_bytes = 0i64;
@@ -364,8 +360,7 @@ impl GpuMapping {
             // Coalescing: a reference is warp-friendly unless it indexes
             // the thread-x dimension with a stride (x used, but not as the
             // stride-1 dimension). x-invariant references broadcast.
-            let coalesced =
-                !g.representative.uses_dim(x_dim) || g.stride1_dim == Some(x_dim);
+            let coalesced = !g.representative.uses_dim(x_dim) || g.stride1_dim == Some(x_dim);
             // Contiguity along the fastest array dimension over the block's
             // lifetime: serial tile loops sweep their whole extent, and the
             // x-adjacent blocks of a wave cover the rest of a row, so any
@@ -479,11 +474,7 @@ where
 /// cache-line group (see `RefGroup::fastest_offsets`). Used for sizing
 /// shared-memory staging buffers, where covering every member's access is
 /// a correctness requirement, not a model estimate.
-fn footprint_widened<E>(
-    r: &ArrayRef,
-    extra_last: i64,
-    mut extent: E,
-) -> Result<i64, CompileError>
+fn footprint_widened<E>(r: &ArrayRef, extra_last: i64, mut extent: E) -> Result<i64, CompileError>
 where
     E: FnMut(usize) -> Result<i64, CompileError>,
 {

@@ -160,9 +160,16 @@ pub fn verify(
     options: &OracleOptions,
     seed: u64,
 ) -> Result<OracleReport, OracleError> {
-    verify_batch(program, std::slice::from_ref(tiles), arch, sizes, options, seed)
-        .pop()
-        .expect("one verdict per configuration")
+    verify_batch(
+        program,
+        std::slice::from_ref(tiles),
+        arch,
+        sizes,
+        options,
+        seed,
+    )
+    .pop()
+    .expect("one verdict per configuration")
 }
 
 /// Runs one program under each tile configuration through map
@@ -283,8 +290,7 @@ pub fn verify_sizes(
     let mut time_params: Vec<&str> = Vec::new();
     for kernel in &program.kernels {
         for dim in &kernel.dims {
-            if let (true, eatss_affine::ir::Extent::Param(p)) = (dim.explicit_serial, &dim.extent)
-            {
+            if let (true, eatss_affine::ir::Extent::Param(p)) = (dim.explicit_serial, &dim.extent) {
                 time_params.push(p.as_str());
             }
         }

@@ -39,8 +39,14 @@ fn verify_of_one_equals_batch_of_one() {
         let single = verify(&program, &tiles, &arch, &sizes, options, SEED);
         let after_single = eatss_trace::drain(Provenance::collect(None)).metrics;
         eatss_trace::start_collecting();
-        let mut batch =
-            verify_batch(&program, std::slice::from_ref(&tiles), &arch, &sizes, options, SEED);
+        let mut batch = verify_batch(
+            &program,
+            std::slice::from_ref(&tiles),
+            &arch,
+            &sizes,
+            options,
+            SEED,
+        );
         let after_batch = eatss_trace::drain(Provenance::collect(None)).metrics;
 
         assert_eq!(batch.len(), 1);
@@ -61,9 +67,16 @@ fn verify_of_one_equals_batch_of_one() {
     let report = verify(&program, &tiles, &arch, &sizes, &faithful, SEED).unwrap();
     assert_eq!(report.points, 9 * 10 * 7);
     match verify(&program, &tiles, &arch, &sizes, &skip, SEED) {
-        Err(OracleError::Mismatch { tiles: label, mismatches, total }) => {
+        Err(OracleError::Mismatch {
+            tiles: label,
+            mismatches,
+            total,
+        }) => {
             assert_eq!(label, tiles.to_string());
-            assert!(total > mismatches.len(), "the kept list is a prefix of {total}");
+            assert!(
+                total > mismatches.len(),
+                "the kept list is a prefix of {total}"
+            );
             assert_eq!(mismatches.len(), 8);
         }
         other => panic!("a barrier-less execution must be flagged, got {other:?}"),

@@ -70,14 +70,16 @@ fn main() -> ExitCode {
                     Duration::from_millis(parse_num(&next_value(&mut args, "--deadline-ms")) as u64)
             }
             "--max-deadline-ms" => {
-                config.max_deadline = Duration::from_millis(
-                    parse_num(&next_value(&mut args, "--max-deadline-ms")) as u64,
-                )
+                config.max_deadline = Duration::from_millis(parse_num(&next_value(
+                    &mut args,
+                    "--max-deadline-ms",
+                )) as u64)
             }
             "--read-timeout-ms" => {
-                config.read_timeout = Duration::from_millis(
-                    parse_num(&next_value(&mut args, "--read-timeout-ms")) as u64,
-                )
+                config.read_timeout = Duration::from_millis(parse_num(&next_value(
+                    &mut args,
+                    "--read-timeout-ms",
+                )) as u64)
             }
             "--arch" => {
                 let spec = next_value(&mut args, "--arch");

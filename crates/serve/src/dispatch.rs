@@ -127,16 +127,15 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
         let queue_us = job.admitted_at.elapsed().as_micros() as u64;
         shared.hist.queue_us.record(queue_us);
         let solve_started = Instant::now();
-        let finished = catch_unwind(AssertUnwindSafe(|| run_job(shared, &job))).unwrap_or_else(
-            |payload| {
+        let finished =
+            catch_unwind(AssertUnwindSafe(|| run_job(shared, &job))).unwrap_or_else(|payload| {
                 bump(&shared.counters.panics_caught);
                 instant("serve", "worker_panic", vec![]);
                 Finished {
                     outcome: Outcome::Panicked(panic_message(payload.as_ref())),
                     commit: None,
                 }
-            },
-        );
+            });
         let solve_us = solve_started.elapsed().as_micros() as u64;
         shared.hist.solve_us.record(solve_us);
 
@@ -177,7 +176,11 @@ fn journal(shared: &Shared, job: &Job, result: SelectResult) -> Option<String> {
     let started = Instant::now();
     let appended = {
         let _sp = span("serve", "journal_append");
-        shared.cache.lock().unwrap().insert_key(job.cache_key.clone(), result)
+        shared
+            .cache
+            .lock()
+            .unwrap()
+            .insert_key(job.cache_key.clone(), result)
     };
     shared
         .hist

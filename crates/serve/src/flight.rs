@@ -104,9 +104,7 @@ impl FlightRecorder {
         if self.slowest.len() < self.cap
             || record.dur_us > self.slowest.last().map_or(0, |r| r.dur_us)
         {
-            let at = self
-                .slowest
-                .partition_point(|r| r.dur_us >= record.dur_us);
+            let at = self.slowest.partition_point(|r| r.dur_us >= record.dur_us);
             self.slowest.insert(at, record.clone());
             self.slowest.truncate(self.cap);
         }

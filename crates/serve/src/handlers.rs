@@ -5,8 +5,8 @@
 use crate::dispatch::{admit, Finished, Job, Query};
 use crate::flight::RequestRecord;
 use crate::protocol::{
-    parse_request, Op, ParetoReport, ProtocolError, Response, SelectRequest, SizeSpec,
-    TraceQuery, VerifySummary,
+    parse_request, Op, ParetoReport, ProtocolError, Response, SelectRequest, SizeSpec, TraceQuery,
+    VerifySummary,
 };
 use crate::server::{bump, ServerStats, Shared};
 use crate::transport::{send, Stream};
@@ -47,7 +47,13 @@ pub(crate) fn handle_line(shared: &Shared, stream: &mut Stream, line: &str) -> b
         Op::Stats => {
             refresh_gauges(shared);
             let server = shared.counters.snapshot();
-            reply(shared, stream, id, "stats", &stats_response(shared, &server));
+            reply(
+                shared,
+                stream,
+                id,
+                "stats",
+                &stats_response(shared, &server),
+            );
         }
         Op::Metrics => {
             refresh_gauges(shared);
@@ -61,7 +67,10 @@ pub(crate) fn handle_line(shared: &Shared, stream: &mut Stream, line: &str) -> b
                 Err(e) => {
                     bump(&shared.counters.errors);
                     let message = e.to_string();
-                    Response::Error { kind: "io", message }
+                    Response::Error {
+                        kind: "io",
+                        message,
+                    }
                 }
             };
             reply(shared, stream, id, "compact", &response);
@@ -83,13 +92,26 @@ fn reply(shared: &Shared, stream: &mut Stream, id: Option<&str>, op: &str, respo
 /// Answers a `trace` op with the selected flight records.
 fn reply_trace(shared: &Shared, stream: &mut Stream, id: Option<&str>, query: TraceQuery) {
     refresh_gauges(shared);
-    let records = shared.flight.lock().unwrap().select(query.which, query.limit);
+    let records = shared
+        .flight
+        .lock()
+        .unwrap()
+        .select(query.which, query.limit);
     if records.is_empty() {
         let message = "no requests recorded yet".to_string();
         let kind = "empty_flight";
-        return reply(shared, stream, id, "trace", &Response::Error { kind, message });
+        return reply(
+            shared,
+            stream,
+            id,
+            "trace",
+            &Response::Error { kind, message },
+        );
     }
-    let mut events: Vec<Event> = records.iter().flat_map(|r| r.events.iter().cloned()).collect();
+    let mut events: Vec<Event> = records
+        .iter()
+        .flat_map(|r| r.events.iter().cloned())
+        .collect();
     events.sort_by_key(|e| (e.lane, e.seq));
     let trace = Trace {
         provenance: shared.provenance.clone(),
@@ -97,7 +119,13 @@ fn reply_trace(shared: &Shared, stream: &mut Stream, id: Option<&str>, query: Tr
         metrics: eatss_trace::metrics_snapshot(),
     };
     let (requests, trace) = (records.as_slice(), &trace);
-    reply(shared, stream, id, "trace", &Response::Trace { requests, trace });
+    reply(
+        shared,
+        stream,
+        id,
+        "trace",
+        &Response::Trace { requests, trace },
+    );
 }
 
 fn stats_response<'a>(shared: &Shared, server: &'a ServerStats) -> Response<'a> {
@@ -139,7 +167,11 @@ fn refresh_gauges(shared: &Shared) {
     eatss_trace::gauge_set("serve.coalesced", s.coalesced as f64);
     let (garbage, bytes, live) = {
         let cache = shared.cache.lock().unwrap();
-        (cache.garbage_ratio(), cache.journal_bytes(), cache.live_bytes())
+        (
+            cache.garbage_ratio(),
+            cache.journal_bytes(),
+            cache.live_bytes(),
+        )
     };
     eatss_trace::gauge_set("journal.garbage_ratio", garbage);
     eatss_trace::gauge_set("journal.bytes", bytes as f64);
@@ -209,7 +241,9 @@ fn handle_select(
         let _lane = lane_scope(lane);
         exchange.run(select, pareto)
     };
-    let Exchange { started, summary, .. } = exchange;
+    let Exchange {
+        started, summary, ..
+    } = exchange;
     let dur_us = started.elapsed().as_micros() as u64;
     shared.hist.request_us.record(dur_us);
     // Remove this lane and harvest it under the registry lock: a lane
@@ -231,7 +265,10 @@ fn handle_select(
         events,
     });
     let op = if pareto { "pareto" } else { "select" };
-    let device = select.arch.as_deref().unwrap_or(&shared.config.default_arch.name);
+    let device = select
+        .arch
+        .as_deref()
+        .unwrap_or(&shared.config.default_arch.name);
     shared.log_select(op, id, kernel, device, &summary, dur_us);
     keep
 }
@@ -364,9 +401,7 @@ impl Exchange<'_> {
                         cache,
                         latency_ms,
                     },
-                    Err(e) => {
-                        Response::from(&PipelineError::from_eatss(e.clone(), "serve"))
-                    }
+                    Err(e) => Response::from(&PipelineError::from_eatss(e.clone(), "serve")),
                 };
                 (response, verify.as_ref())
             }
@@ -382,7 +417,10 @@ impl Exchange<'_> {
     fn finish(&mut self, response: &Response) {
         let counters = &self.shared.counters;
         self.summary.outcome = match response {
-            Response::Error { kind: "shutting_down", .. } => "shutting_down",
+            Response::Error {
+                kind: "shutting_down",
+                ..
+            } => "shutting_down",
             other => other.status(),
         };
         match response.status() {
@@ -520,7 +558,10 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
         if chaos == "panic" {
             panic!("chaos: requested panic");
         }
-        if let Some(ms) = chaos.strip_prefix("sleep:").and_then(|s| s.parse::<u64>().ok()) {
+        if let Some(ms) = chaos
+            .strip_prefix("sleep:")
+            .and_then(|s| s.parse::<u64>().ok())
+        {
             std::thread::sleep(Duration::from_millis(ms.min(60_000)));
         }
     }
@@ -533,7 +574,10 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
     // A racing identical request may have committed between this job's
     // admission (cache miss) and now; serve the committed entry.
     if let Some(outcome) = cached_outcome(shared, query, &job.cache_key) {
-        return Finished { outcome, commit: None };
+        return Finished {
+            outcome,
+            commit: None,
+        };
     }
 
     // A cold solve of the request's own formulation: the answer is what

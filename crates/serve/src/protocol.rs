@@ -923,7 +923,10 @@ mod tests {
         assert_eq!(s.arch.as_deref(), Some("h100"));
         assert!(matches!(
             parse_request(r#"{"kernel": "gemm", "device": 3}"#),
-            Err(ProtocolError::BadField { field: "device", .. })
+            Err(ProtocolError::BadField {
+                field: "device",
+                ..
+            })
         ));
     }
 
@@ -1022,7 +1025,10 @@ mod tests {
         ));
         assert!(matches!(
             parse_request(r#"{"kernel": "gemm", "deadline_ms": -5}"#),
-            Err(ProtocolError::BadField { field: "deadline_ms", .. })
+            Err(ProtocolError::BadField {
+                field: "deadline_ms",
+                ..
+            })
         ));
         assert!(matches!(
             parse_request(r#"{"kernel": "gemm", "n": 2.5}"#),
@@ -1034,17 +1040,35 @@ mod tests {
         for (line, named) in [
             (r#"{"kernel": "gemm", "sizes": [1, 2]}"#, "sizes"),
             (r#"{"kernel": "gemm", "sizes": 5}"#, "sizes"),
-            (r#"{"kernel": "gemm", "n": 64, "sizes": {"NI": 4000}}"#, "sizes"),
+            (
+                r#"{"kernel": "gemm", "n": 64, "sizes": {"NI": 4000}}"#,
+                "sizes",
+            ),
             (r#"{"kernel": "gemm", "n": 64, "dataset": "xl"}"#, "dataset"),
-            (r#"{"kernel": "gemm", "sizes": {"NI": 64}, "dataset": "xl"}"#, "dataset"),
+            (
+                r#"{"kernel": "gemm", "sizes": {"NI": 64}, "dataset": "xl"}"#,
+                "dataset",
+            ),
             (r#"{"kernel": "gemm", "sizes": {"NI": 1e300}}"#, "sizes"),
-            (r#"{"kernel": "gemm", "sizes": {"NI": 1e18}, "evaluate": true}"#, "sizes"),
+            (
+                r#"{"kernel": "gemm", "sizes": {"NI": 1e18}, "evaluate": true}"#,
+                "sizes",
+            ),
             (r#"{"kernel": "gemm", "n": 1e18}"#, "n"),
             // A pareto fixes precision, split and cap itself: a request
             // that sets one is refused, not answered with the grid's front.
-            (r#"{"op": "pareto", "kernel": "gemm", "fp32": true}"#, "fp32"),
-            (r#"{"op": "pareto", "kernel": "gemm", "n": 1024, "split": 0.9}"#, "split"),
-            (r#"{"op": "pareto", "kernel": "gemm", "strict_cap": false}"#, "strict_cap"),
+            (
+                r#"{"op": "pareto", "kernel": "gemm", "fp32": true}"#,
+                "fp32",
+            ),
+            (
+                r#"{"op": "pareto", "kernel": "gemm", "n": 1024, "split": 0.9}"#,
+                "split",
+            ),
+            (
+                r#"{"op": "pareto", "kernel": "gemm", "strict_cap": false}"#,
+                "strict_cap",
+            ),
         ] {
             match parse_request(line) {
                 Err(ProtocolError::BadField { field, .. }) => assert_eq!(field, named, "{line}"),
@@ -1058,7 +1082,13 @@ mod tests {
         // What a pareto does honour stays legal on it.
         let honoured = r#"{"op": "pareto", "kernel": "gemm", "n": 1024, "warp_frac": 0.25,
             "device": "nano", "deadline_ms": 500, "verify": true}"#;
-        assert!(matches!(parse_request(honoured), Ok(Request { op: Op::Pareto(_), .. })));
+        assert!(matches!(
+            parse_request(honoured),
+            Ok(Request {
+                op: Op::Pareto(_),
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1090,7 +1120,6 @@ mod tests {
         ));
     }
 
-
     /// One literal line per response shape, captured from the build
     /// before the encoder moved into this module (with `latency_ms` then
     /// set to 1.5): the wire format must not drift by a byte.
@@ -1121,7 +1150,10 @@ mod tests {
         let fallback = EatssSolution::ppcg_default(3);
         let eval = Ok(measured(0.00125, 187.5, 0.234375, 12800.0, 68.25));
         let eval_error = Err("injected \"fault\"".to_string());
-        let verify = Ok(VerifySummary { configs: 2, points: 9826 });
+        let verify = Ok(VerifySummary {
+            configs: 2,
+            points: 9826,
+        });
         let verify_error = Err("mismatch at C[0][1]".to_string());
         let selected = |solution, cache, fell_back, eval, verify| Response::Selected {
             solution,
@@ -1144,7 +1176,13 @@ mod tests {
         let front = |verify| ParetoReport {
             device: "GA100".into(),
             front: vec![
-                point(vec![16, 384, 1], 0.0, ThreadBlockCap::Virtual, 0.21875, 11000.0),
+                point(
+                    vec![16, 384, 1],
+                    0.0,
+                    ThreadBlockCap::Virtual,
+                    0.21875,
+                    11000.0,
+                ),
                 point(vec![32, 64, 8], 0.67, ThreadBlockCap::Strict, 0.25, 12800.5),
             ],
             points: 6,
@@ -1153,7 +1191,10 @@ mod tests {
         };
         let (plain, verified, refuted) = (
             front(None),
-            front(Some(Ok(VerifySummary { configs: 2, points: 640 }))),
+            front(Some(Ok(VerifySummary {
+                configs: 2,
+                points: 640,
+            }))),
             front(Some(Err("oracle said no".to_string()))),
         );
         let pareto = |report, cache| Response::Pareto {

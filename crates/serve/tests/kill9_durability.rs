@@ -111,12 +111,11 @@ fn kill9_loses_no_committed_entry_and_warm_starts() {
         let daemon = Daemon::spawn(&dir);
         assert_eq!(daemon.ready_count("replayed"), 0.0);
         let mut client = daemon.client();
-        let named = [("gemm", 1024), ("atax", 2000), ("bicg", 512), ("gemm", 8)].map(|(k, n)| {
-            SelectArgs {
+        let named =
+            [("gemm", 1024), ("atax", 2000), ("bicg", 512), ("gemm", 8)].map(|(k, n)| SelectArgs {
                 n: Some(n),
                 ..SelectArgs::kernel(k)
-            }
-        });
+            });
         let identity_pair = [["A", "A", "A", "A"], ["A", "C", "D", "E"]].map(array_identity_select);
         let mut committed = Vec::new();
         for args in named.into_iter().chain(identity_pair) {
@@ -126,7 +125,10 @@ fn kill9_loses_no_committed_entry_and_warm_starts() {
             assert_eq!(reply.get("cache").and_then(Json::as_str), Some("miss"));
             committed.push((args, st, format!("{:?}", reply.get("tiles"))));
         }
-        assert_ne!(committed[4].2, committed[5].2, "array identity is part of the key");
+        assert_ne!(
+            committed[4].2, committed[5].2,
+            "array identity is part of the key"
+        );
         // Fire-and-forget: a request the daemon will die holding.
         let mut inflight = SelectArgs::kernel("mvt");
         inflight.n = Some(4000);
@@ -171,7 +173,11 @@ fn kill9_loses_no_committed_entry_and_warm_starts() {
     }
     let stats = client.stats().unwrap();
     let misses = number(&stats, &["cache", "misses"]);
-    assert_eq!(misses, Some(0.0), "warm start: nothing re-solved after restart");
+    assert_eq!(
+        misses,
+        Some(0.0),
+        "warm start: nothing re-solved after restart"
+    );
 
     // In-band shutdown drains cleanly.
     let reply = client.shutdown().unwrap();

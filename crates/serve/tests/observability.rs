@@ -57,15 +57,26 @@ fn metrics_op_reports_histograms_and_gauges() {
 
     // Self-monitoring gauges refreshed by the op.
     let gauges = metrics.get("gauges").expect("gauges object");
-    for name in ["serve.queue_depth", "serve.in_flight", "serve.shed_rate", "journal.garbage_ratio"] {
+    for name in [
+        "serve.queue_depth",
+        "serve.in_flight",
+        "serve.shed_rate",
+        "journal.garbage_ratio",
+    ] {
         assert!(gauges.get(name).is_some(), "missing gauge {name}");
     }
 
     // Prometheus text carries the same histogram as cumulative buckets.
     let prom = reply.get("prometheus").and_then(Json::as_str).unwrap();
     assert!(prom.contains("# TYPE serve_request_us histogram"), "{prom}");
-    assert!(prom.contains("serve_request_us_bucket{le=\"+Inf\"}"), "{prom}");
-    assert!(prom.contains("serve_request_us{quantile=\"0.99\"}"), "{prom}");
+    assert!(
+        prom.contains("serve_request_us_bucket{le=\"+Inf\"}"),
+        "{prom}"
+    );
+    assert!(
+        prom.contains("serve_request_us{quantile=\"0.99\"}"),
+        "{prom}"
+    );
     assert!(prom.contains("journal_garbage_ratio"), "{prom}");
     handle.shutdown();
 }
@@ -238,7 +249,10 @@ fn garbage_ratio_past_threshold_triggers_auto_compaction() {
     let mut client = connect(&handle);
     let reply = client.metrics().unwrap();
     let ratio = number(&reply, &["metrics", "gauges", "journal.garbage_ratio"]).unwrap();
-    assert!(ratio > 0.4, "garbage kept when auto-compaction is off: {ratio}");
+    assert!(
+        ratio > 0.4,
+        "garbage kept when auto-compaction is off: {ratio}"
+    );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

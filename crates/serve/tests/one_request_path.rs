@@ -40,9 +40,17 @@ fn hit_raced_hit_and_fresh_solve_answer_alike() {
     args.chaos = Some("sleep:0".to_string());
     let raced = client.select(&args).unwrap();
     let stats = handle.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (2, 1), "only the first request solved");
     assert_eq!(
-        [text(&fresh, "cache"), text(&hit, "cache"), text(&raced, "cache")],
+        (stats.hits, stats.misses),
+        (2, 1),
+        "only the first request solved"
+    );
+    assert_eq!(
+        [
+            text(&fresh, "cache"),
+            text(&hit, "cache"),
+            text(&raced, "cache")
+        ],
         ["miss", "hit", "miss"]
     );
 
@@ -116,7 +124,10 @@ fn an_answer_does_not_depend_on_what_the_daemon_served_before() {
     }
     for (args, library) in &asked {
         let live = client.select(args).unwrap();
-        assert_eq!((text(&live, "status"), text(&live, "cache")), ("ok", "miss"));
+        assert_eq!(
+            (text(&live, "status"), text(&live, "cache")),
+            ("ok", "miss")
+        );
         assert_eq!(&tiles(&live), library, "live answer to {}", args.to_line());
     }
     handle.shutdown();
@@ -127,7 +138,12 @@ fn an_answer_does_not_depend_on_what_the_daemon_served_before() {
     for (args, library) in &asked {
         let replayed = client.select(args).unwrap();
         assert_eq!(text(&replayed, "cache"), "hit");
-        assert_eq!(&tiles(&replayed), library, "journaled answer to {}", args.to_line());
+        assert_eq!(
+            &tiles(&replayed),
+            library,
+            "journaled answer to {}",
+            args.to_line()
+        );
     }
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -173,7 +189,10 @@ fn failed_journal_append_still_answers_but_is_counted_and_logged() {
     let mut args = SelectArgs::kernel("gemm");
     args.n = Some(512);
     let reply = client.select(&args).unwrap();
-    assert_eq!((text(&reply, "status"), text(&reply, "cache")), ("ok", "miss"));
+    assert_eq!(
+        (text(&reply, "status"), text(&reply, "cache")),
+        ("ok", "miss")
+    );
 
     let metrics = client.metrics().unwrap();
     let append_errors = number(&metrics, &["metrics", "counters", "journal.append_errors"]);

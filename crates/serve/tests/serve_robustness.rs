@@ -23,7 +23,10 @@ fn select_solves_and_second_request_hits() {
     args.n = Some(1024);
     let first = client.select(&args).unwrap();
     assert_eq!(status(&first), "ok");
-    assert_eq!(first.get("provenance").and_then(Json::as_str), Some("solved"));
+    assert_eq!(
+        first.get("provenance").and_then(Json::as_str),
+        Some("solved")
+    );
     assert_eq!(first.get("cache").and_then(Json::as_str), Some("miss"));
     let tiles = format!("{:?}", first.get("tiles").unwrap());
 
@@ -171,7 +174,10 @@ fn overload_sheds_with_retry_hint() {
         }));
     }
     let replies: Vec<Json> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-    let shed: Vec<&Json> = replies.iter().filter(|r| status(r) == "overloaded").collect();
+    let shed: Vec<&Json> = replies
+        .iter()
+        .filter(|r| status(r) == "overloaded")
+        .collect();
     assert!(!shed.is_empty(), "queue of 2 must shed some of 8 requests");
     for r in &shed {
         let hint = r.get("retry_after_ms").and_then(Json::as_f64);
@@ -213,12 +219,18 @@ fn identical_concurrent_requests_coalesce_to_one_solve() {
             format!("{:?}", r.get("tiles").unwrap())
         })
         .collect();
-    assert!(tiles.windows(2).all(|w| w[0] == w[1]), "all waiters share one solution");
+    assert!(
+        tiles.windows(2).all(|w| w[0] == w[1]),
+        "all waiters share one solution"
+    );
     let coalesced = replies
         .iter()
         .filter(|r| r.get("cache").and_then(Json::as_str) == Some("coalesced"))
         .count();
-    assert!(coalesced >= 4, "expected most requests to coalesce, got {coalesced}");
+    assert!(
+        coalesced >= 4,
+        "expected most requests to coalesce, got {coalesced}"
+    );
     // One solve for the whole herd.
     assert_eq!(handle.cache_stats().misses, 1);
     handle.shutdown();
@@ -293,7 +305,10 @@ fn inline_source_requests_work() {
     let reply = client.select(&args).unwrap();
     assert_eq!(status(&reply), "ok", "{reply:?}");
     assert_eq!(
-        reply.get("tiles").and_then(Json::as_array).map(<[Json]>::len),
+        reply
+            .get("tiles")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len),
         Some(3)
     );
     handle.shutdown();
@@ -333,7 +348,11 @@ fn graceful_drain_finishes_queued_work() {
     std::thread::sleep(Duration::from_millis(100));
     let stats = handle.shutdown(); // must drain, not abandon
     let reply = worker.join().unwrap();
-    assert_eq!(status(&reply), "ok", "in-flight request completes during drain");
+    assert_eq!(
+        status(&reply),
+        "ok",
+        "in-flight request completes during drain"
+    );
     assert_eq!(stats.ok, 1);
 
     // The drained result was committed before the response went out.
@@ -423,7 +442,9 @@ fn pareto_does_not_answer_later_selects() {
     // tied optima; a select of that configuration is solved on its own
     // and gets the library's answer.
     let gemm = eatss_kernels::by_name("gemm").expect("registered");
-    let xavier = eatss_gpusim::DeviceProfile::builtin("xavier").expect("builtin").into_arch();
+    let xavier = eatss_gpusim::DeviceProfile::builtin("xavier")
+        .expect("builtin")
+        .into_arch();
     let config = eatss::EatssConfig {
         split_factor: 0.0,
         ..eatss::EatssConfig::default()
@@ -506,9 +527,7 @@ fn select_without_kernel_or_source_is_typed_and_worker_survives() {
     let handle = test_server(|_| {});
     let mut client = connect(&handle);
 
-    let reply = client
-        .request_line(r#"{"op": "select", "n": 64}"#)
-        .unwrap();
+    let reply = client.request_line(r#"{"op": "select", "n": 64}"#).unwrap();
     assert_eq!(status(&reply), "error");
     assert_eq!(error_kind(&reply), Some("missing_field"));
 
@@ -547,9 +566,15 @@ fn inline_source_is_parsed_and_timed_per_request() {
 
     // The front-end stage has its own latency histogram.
     let reply = client.metrics().unwrap();
-    let parse_us = number(&reply, &["metrics", "histograms", "serve.parse_us", "count"]);
+    let parse_us = number(
+        &reply,
+        &["metrics", "histograms", "serve.parse_us", "count"],
+    );
     let parse_us = parse_us.unwrap_or(0.0);
-    assert!(parse_us >= 2.0, "both selects time the parse stage: {parse_us}");
+    assert!(
+        parse_us >= 2.0,
+        "both selects time the parse stage: {parse_us}"
+    );
     handle.shutdown();
 }
 
@@ -557,8 +582,7 @@ fn inline_source_is_parsed_and_timed_per_request() {
 fn measurement_fault_is_an_eval_error_in_an_ok_reply() {
     // Every simulated launch fails: the selection stands, its
     // measurement is reported as the error it is.
-    let handle =
-        test_server(|c| c.fault_plan = Some(FaultPlan::new(1).with_rates(1.0, 0.0, 0.0)));
+    let handle = test_server(|c| c.fault_plan = Some(FaultPlan::new(1).with_rates(1.0, 0.0, 0.0)));
     let mut client = connect(&handle);
     let mut args = SelectArgs::kernel("gemm");
     args.n = Some(512);
@@ -627,7 +651,12 @@ fn chaos_client(
             4 => args.chaos = Some("panic".to_string()),
             5 => args.deadline_ms = Some(rng.gen_range(1..4u64)),
             // WAF 16 exceeds extents of 8.
-            6 => args = SelectArgs { n: Some(8), ..SelectArgs::kernel("gemm") },
+            6 => {
+                args = SelectArgs {
+                    n: Some(8),
+                    ..SelectArgs::kernel("gemm")
+                }
+            }
             _ => {}
         }
         let reply = client.select(&args).expect("every select is answered");
@@ -659,9 +688,15 @@ fn concurrent_chaos_mix_keeps_the_daemon_answering_and_its_commits_durable() {
             std::thread::spawn(move || chaos_client(&addr, 42 + i, 25, stall))
         })
         .collect();
-    let replies: Vec<(SelectArgs, Json)> =
-        clients.into_iter().flat_map(|c| c.join().unwrap()).collect();
-    assert_eq!(status(&connect(&handle).ping().unwrap()), "ok", "the daemon survived");
+    let replies: Vec<(SelectArgs, Json)> = clients
+        .into_iter()
+        .flat_map(|c| c.join().unwrap())
+        .collect();
+    assert_eq!(
+        status(&connect(&handle).ping().unwrap()),
+        "ok",
+        "the daemon survived"
+    );
 
     // What the daemon committed: proved infeasibilities and solved
     // selections, keyed by the request without what the cache key ignores.
@@ -686,7 +721,9 @@ fn concurrent_chaos_mix_keeps_the_daemon_answering_and_its_commits_durable() {
             };
             let tiles = format!("{:?}", reply.get("tiles"));
             let st = status(reply).to_string();
-            committed.entry(plain.to_line()).or_insert((plain, st, tiles));
+            committed
+                .entry(plain.to_line())
+                .or_insert((plain, st, tiles));
         }
     }
     assert!(!committed.is_empty(), "the mix committed nothing");
@@ -698,7 +735,11 @@ fn concurrent_chaos_mix_keeps_the_daemon_answering_and_its_commits_durable() {
     for (args, st, tiles) in committed.values() {
         let reply = client.select(args).unwrap();
         assert_eq!(status(&reply), st, "{reply:?}");
-        assert_eq!(reply.get("cache").and_then(Json::as_str), Some("hit"), "{reply:?}");
+        assert_eq!(
+            reply.get("cache").and_then(Json::as_str),
+            Some("hit"),
+            "{reply:?}"
+        );
         assert_eq!(&format!("{:?}", reply.get("tiles")), tiles);
     }
     handle.shutdown();

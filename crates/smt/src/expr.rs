@@ -55,8 +55,7 @@ impl Sum {
     /// variables.
     fn products(&self) -> impl Iterator<Item = (i64, &[Var])> {
         let constant = (self.constant != 0 || self.terms.is_empty()).then_some(self.constant);
-        (self.terms.iter().map(|t| (t.coef, &t.vars[..])))
-            .chain(constant.map(|c| (c, &[][..])))
+        (self.terms.iter().map(|t| (t.coef, &t.vars[..]))).chain(constant.map(|c| (c, &[][..])))
     }
 }
 

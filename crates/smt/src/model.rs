@@ -71,8 +71,9 @@ impl Model {
         known_vars(expr.vars(), self.values.len())?;
         let sum = &*expr.0;
         Ok((sum.terms.iter()).fold(sum.constant, |total, term| {
-            let product = (term.vars.iter())
-                .fold(term.coef, |p, v| p.saturating_mul(self.values[v.id.index()]));
+            let product = (term.vars.iter()).fold(term.coef, |p, v| {
+                p.saturating_mul(self.values[v.id.index()])
+            });
             total.saturating_add(product)
         }))
     }

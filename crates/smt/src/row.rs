@@ -116,8 +116,8 @@ impl Lowered {
             .collect::<Result<_, _>>()?;
         let mut objective_vars = Vec::new();
         objective.collect_vars(&mut objective_vars);
-        let objective = (rows.lower(objective, &objective_vars, base))
-            .ok_or_else(|| objective.to_string())?;
+        let objective =
+            (rows.lower(objective, &objective_vars, base)).ok_or_else(|| objective.to_string())?;
         Ok(Lowered {
             rows,
             capacities,
@@ -256,7 +256,11 @@ mod tests {
     fn exact(products: &[&[i64]]) -> i64 {
         let past = i128::from(i64::MAX) + 1;
         let product = |p: &&[i64]| p.iter().fold(1, |acc, &f| (acc * i128::from(f)).min(past));
-        products.iter().map(product).sum::<i128>().min(i128::from(i64::MAX)) as i64
+        products
+            .iter()
+            .map(product)
+            .sum::<i128>()
+            .min(i128::from(i64::MAX)) as i64
     }
 
     /// The hulls `[lo, hi]` over `ENDS`.

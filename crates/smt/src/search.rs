@@ -470,7 +470,8 @@ impl<'a> Search<'a> {
             // for the rest of the search: root narrowing is permanent, and
             // no later narrowing can make a kept value refutable. It stops
             // watching its variable.
-            if vars.len() == 1 && self.trail.depth() == 0 && self.domains[idx].len() <= PROBE_LIMIT {
+            if vars.len() == 1 && self.trail.depth() == 0 && self.domains[idx].len() <= PROBE_LIMIT
+            {
                 self.watchers[idx].retain(|&c| c as usize != ci);
             }
             let consistent = match self.row_cut(slot, idx, cap) {
@@ -667,11 +668,13 @@ mod tests {
     fn exact(expr: &IntExpr, at: &dyn Fn(usize) -> i64) -> i64 {
         let sum = &*expr.0;
         let product = |term: &crate::expr::Term| {
-            (term.vars.iter())
-                .fold(i128::from(term.coef), |p, v| (p * i128::from(at(v.id.index()))).min(PAST))
+            (term.vars.iter()).fold(i128::from(term.coef), |p, v| {
+                (p * i128::from(at(v.id.index()))).min(PAST)
+            })
         };
-        let total = (sum.terms.iter())
-            .fold(i128::from(sum.constant), |t, term| (t + product(term)).min(PAST));
+        let total = (sum.terms.iter()).fold(i128::from(sum.constant), |t, term| {
+            (t + product(term)).min(PAST)
+        });
         total.min(i128::from(i64::MAX)) as i64
     }
 
@@ -702,7 +705,15 @@ mod tests {
     ) -> Search<'a> {
         let lowered = lowered(solver, objective);
         let entries = solver.constraint_entries();
-        Search::new(domains.to_vec(), entries, lowered, None, config, stats, None)
+        Search::new(
+            domains.to_vec(),
+            entries,
+            lowered,
+            None,
+            config,
+            stats,
+            None,
+        )
     }
 
     impl Search<'_> {
@@ -809,7 +820,13 @@ mod tests {
                     saturated += s;
                 };
                 let capacity = (row, &atom.lhs);
-                tally(check_row(&mut rows, capacity, Side::Capacity(cap), vars, &domains));
+                tally(check_row(
+                    &mut rows,
+                    capacity,
+                    Side::Capacity(cap),
+                    vars,
+                    &domains,
+                ));
                 cap_max += u32::from(cap == i64::MAX);
                 let bound = (objective_row, &objective);
                 let side = Side::Bound(incumbent);
@@ -817,7 +834,10 @@ mod tests {
             }
         }
         let counts = format!("{cuts} cuts, {saturated} saturated, {cap_max} at i64::MAX");
-        assert!(cuts > CASES / 2 && saturated > 50 && cap_max > 50, "{counts}");
+        assert!(
+            cuts > CASES / 2 && saturated > 50 && cap_max > 50,
+            "{counts}"
+        );
     }
 
     #[test]
@@ -843,11 +863,28 @@ mod tests {
                 search.clear_queue();
                 search.incumbent = Some(incumbent);
             }
-            assert_eq!(cut.revise(0), probe.revise(0), "case {case}: revise verdict");
-            assert_eq!(cut.domains, probe.domains, "case {case}: domains after revise");
-            assert_eq!(cut.revise_bound(), probe.revise_bound(), "case {case}: bound verdict");
-            assert_eq!(cut.domains, probe.domains, "case {case}: domains after revise_bound");
-            assert_eq!(stats_cut.values_pruned, stats_probe.values_pruned, "case {case}");
+            assert_eq!(
+                cut.revise(0),
+                probe.revise(0),
+                "case {case}: revise verdict"
+            );
+            assert_eq!(
+                cut.domains, probe.domains,
+                "case {case}: domains after revise"
+            );
+            assert_eq!(
+                cut.revise_bound(),
+                probe.revise_bound(),
+                "case {case}: bound verdict"
+            );
+            assert_eq!(
+                cut.domains, probe.domains,
+                "case {case}: domains after revise_bound"
+            );
+            assert_eq!(
+                stats_cut.values_pruned, stats_probe.values_pruned,
+                "case {case}"
+            );
         }
     }
 
@@ -866,10 +903,19 @@ mod tests {
                 .probing()
                 .run();
             assert_eq!(cut.values, probe.values, "case {case}: model");
-            assert_eq!(cut.incumbents, probe.incumbents, "case {case}: improvements");
+            assert_eq!(
+                cut.incumbents, probe.incumbents,
+                "case {case}: improvements"
+            );
             assert_eq!(stats_cut.nodes, stats_probe.nodes, "case {case}: nodes");
-            assert_eq!(stats_cut.bound_prunes, stats_probe.bound_prunes, "case {case}");
-            assert_eq!(stats_cut.values_pruned, stats_probe.values_pruned, "case {case}");
+            assert_eq!(
+                stats_cut.bound_prunes, stats_probe.bound_prunes,
+                "case {case}"
+            );
+            assert_eq!(
+                stats_cut.values_pruned, stats_probe.values_pruned,
+                "case {case}"
+            );
         }
     }
 
@@ -933,7 +979,10 @@ mod tests {
         let product = x * y * IntExpr::constant(4);
         s.assert(product.le(i64::MAX / 4 + 1));
         let mut lowered = lowered(&s, &product);
-        assert_eq!(lowered.objective_at(&[Interval::singleton(1 << 31); 2]), None);
+        assert_eq!(
+            lowered.objective_at(&[Interval::singleton(1 << 31); 2]),
+            None
+        );
         let outcome = s.maximize(&product).unwrap();
         assert!(outcome.model.is_none() && outcome.complete);
     }
@@ -954,7 +1003,11 @@ mod tests {
         assert_eq!(search.watchers[0], vec![0, 1, 2]);
         assert!(search.revise(0));
         assert_eq!(search.domains[0].values(), &[0]);
-        assert_eq!(search.watchers[0], vec![1, 2], "the row is entailed from here on");
+        assert_eq!(
+            search.watchers[0],
+            vec![1, 2],
+            "the row is entailed from here on"
+        );
         // Below the root a filter is undone on backtrack, so it proves
         // nothing.
         search.trail.push_level();
@@ -979,7 +1032,15 @@ mod tests {
         let lowered = lowered(&s, &objective);
         let domains = s.base_domains().to_vec();
         let entries = s.constraint_entries();
-        let search = Search::new(domains, entries, lowered, Some(7_999), &config, &mut stats, None);
+        let search = Search::new(
+            domains,
+            entries,
+            lowered,
+            Some(7_999),
+            &config,
+            &mut stats,
+            None,
+        );
         let pass = search.run();
         assert_eq!(pass.values, Some(vec![4000, 0]));
         assert_eq!(stats.nodes, 0, "root propagation alone proves it");

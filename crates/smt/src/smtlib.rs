@@ -72,7 +72,11 @@ fn domain_sexp(out: &mut String, name: &str, values: &[i64]) {
     let step = values.get(1).map_or(1, |second| second - lo);
     if values.windows(2).all(|w| w[1] - w[0] == step) {
         if step > 1 {
-            let _ = writeln!(out, "(assert (= (mod (- {name} {}) {step}) 0))", const_sexp(lo));
+            let _ = writeln!(
+                out,
+                "(assert (= (mod (- {name} {}) {step}) 0))",
+                const_sexp(lo)
+            );
         }
     } else {
         out.push_str("(assert (or");

@@ -209,10 +209,8 @@ impl WarmStart {
     /// Records a solved model as a hint for future maximizations.
     /// Duplicate assignments are not stored twice.
     pub fn observe(&mut self, model: &Model) {
-        let bindings: Vec<(String, i64)> = model
-            .bindings()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect();
+        let bindings: Vec<(String, i64)> =
+            model.bindings().map(|(n, v)| (n.to_owned(), v)).collect();
         if self.hints.contains(&bindings) {
             return;
         }
@@ -764,7 +762,9 @@ mod tests {
         let (mut free, obj) = matmul_formulation(SolverConfig::default(), 16);
         let optimum = free.maximize(&obj).unwrap();
         let m = optimum.model.unwrap();
-        let tiles: Vec<(VarId, i64)> = (0..3).map(|i| (VarId(i), m.value_of(VarId(i)).unwrap())).collect();
+        let tiles: Vec<(VarId, i64)> = (0..3)
+            .map(|i| (VarId(i), m.value_of(VarId(i)).unwrap()))
+            .collect();
         let token = CancelToken::new();
         token.cancel();
         let config = SolverConfig {
@@ -772,7 +772,9 @@ mod tests {
             ..SolverConfig::default()
         };
         let (mut s, obj) = matmul_formulation(config, 16);
-        let r = s.other_optimum(&obj, optimum.best.unwrap(), &tiles).unwrap();
+        let r = s
+            .other_optimum(&obj, optimum.best.unwrap(), &tiles)
+            .unwrap();
         assert!(r.model.is_none());
         assert!(!r.complete);
         assert_eq!(r.stop, Some(StopReason::Cancelled));
@@ -932,14 +934,19 @@ mod tests {
         let y = s.int_var("y", -1, 10);
         s.assert(x.le(8));
         // A negative literal, even one whose sign another cancels.
-        assert_eq!(refused(&mut s, &(x.clone() + c(-1) * x.clone())), "(+ x (* (- 1) x))");
+        assert_eq!(
+            refused(&mut s, &(x.clone() + c(-1) * x.clone())),
+            "(+ x (* (- 1) x))"
+        );
         assert_eq!(refused(&mut s, &(c(-1) * c(-1) * x.clone())), "x");
         // A variable whose domain holds a negative value.
         assert_eq!(refused(&mut s, &(x.clone() * y.clone())), "(* x y)");
         // A repeated factor.
         s.assert((x.clone() * x.clone()).le(64));
         assert_eq!(refused(&mut s, &x), "(<= (* x x) 64)");
-        assert!(SolveError::NotARow("x".into()).to_string().contains("not a row"));
+        assert!(SolveError::NotARow("x".into())
+            .to_string()
+            .contains("not a row"));
         assert_eq!(s.stats().checks, 0, "refused before any search");
     }
 
@@ -952,15 +959,24 @@ mod tests {
         let y = s.int_var("y", 0, 10);
         s.assert((x.clone() + y.clone()).le(10));
         let point = [(VarId(0), 10), (VarId(1), 0)];
-        let tie = s.other_optimum(&(x.clone() + y.clone()), 10, &point).unwrap();
+        let tie = s
+            .other_optimum(&(x.clone() + y.clone()), 10, &point)
+            .unwrap();
         assert!(tie.complete);
         let other = tie.model.expect("another point of the diagonal");
-        assert_ne!((other.value_of(VarId(0)), other.value_of(VarId(1))), (Some(10), Some(0)));
+        assert_ne!(
+            (other.value_of(VarId(0)), other.value_of(VarId(1))),
+            (Some(10), Some(0))
+        );
         assert_eq!(other.eval(&(x.clone() + y.clone())), Ok(10));
         let objective = c(2) * x + y;
         let unique = s.other_optimum(&objective, 20, &point).unwrap();
         assert!(unique.complete && unique.model.is_none());
-        assert!(s.other_optimum(&objective, 20, &[]).unwrap().model.is_none());
+        assert!(s
+            .other_optimum(&objective, 20, &[])
+            .unwrap()
+            .model
+            .is_none());
         assert!(matches!(
             s.other_optimum(&objective, 20, &[(VarId(7), 1)]),
             Err(SolveError::UnknownVariable(_))
@@ -1059,8 +1075,14 @@ mod tests {
         assert_eq!(warm_out.best, cold_out.best);
         assert_eq!(warm_out.complete, cold_out.complete);
         let warm_model = warm_out.model.unwrap();
-        let cold_bindings: Vec<_> = cold_model.bindings().map(|(n, v)| (n.to_owned(), v)).collect();
-        let warm_bindings: Vec<_> = warm_model.bindings().map(|(n, v)| (n.to_owned(), v)).collect();
+        let cold_bindings: Vec<_> = cold_model
+            .bindings()
+            .map(|(n, v)| (n.to_owned(), v))
+            .collect();
+        let warm_bindings: Vec<_> = warm_model
+            .bindings()
+            .map(|(n, v)| (n.to_owned(), v))
+            .collect();
         assert_eq!(warm_bindings, cold_bindings);
         // The warm run starts at the optimum's floor, so it needs at most
         // as many improvement passes as the cold run.

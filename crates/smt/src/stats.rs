@@ -171,7 +171,10 @@ mod tests {
         assert_eq!(SolverStats::REGISTRY_NAMES, registry);
 
         let shown = stats.to_string();
-        let shown: Vec<&str> = shown.split(' ').map(|f| f.split('=').next().unwrap()).collect();
+        let shown: Vec<&str> = shown
+            .split(' ')
+            .map(|f| f.split('=').next().unwrap())
+            .collect();
         assert_eq!(shown, names);
 
         let doubled = SolverStats::from_values(std::array::from_fn(|i| 2 * (i as u64 + 1)));

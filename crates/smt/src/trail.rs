@@ -93,7 +93,10 @@ mod tests {
     use super::*;
 
     fn doms(specs: &[(i64, i64)]) -> (Vec<Domain>, Vec<Interval>) {
-        let d: Vec<Domain> = specs.iter().map(|&(lo, hi)| Domain::range(lo, hi)).collect();
+        let d: Vec<Domain> = specs
+            .iter()
+            .map(|&(lo, hi)| Domain::range(lo, hi))
+            .collect();
         let h = d.iter().map(Domain::hull).collect();
         (d, h)
     }

@@ -54,14 +54,26 @@ fn build(hi: [i64; 3], cap: i64, sum_cap: i64, m: i64, sel: u8) -> Formulation {
     // backbone of every EATSS formulation).
     assert(&mut s, x.clone() * y.clone(), cap);
     if sel & 1 != 0 {
-        assert(&mut s, x.clone() * y.clone() + y.clone() * z.clone(), sum_cap);
+        assert(
+            &mut s,
+            x.clone() * y.clone() + y.clone() * z.clone(),
+            sum_cap,
+        );
     }
     if sel & 4 != 0 {
         // A register-like budget: a product nested in a product.
-        assert(&mut s, (x.clone() * y.clone()) * constant(3) * z.clone(), sum_cap);
+        assert(
+            &mut s,
+            (x.clone() * y.clone()) * constant(3) * z.clone(),
+            sum_cap,
+        );
     }
     if sel & 8 != 0 {
-        assert(&mut s, constant(2) * z.clone() + x.clone() + constant(1), cap);
+        assert(
+            &mut s,
+            constant(2) * z.clone() + x.clone() + constant(1),
+            cap,
+        );
     }
     if sel & 16 != 0 {
         // Occasionally unsatisfiable: every variable is at least 1.

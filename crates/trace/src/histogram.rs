@@ -80,7 +80,11 @@ impl Histogram {
     /// concurrent recorders have quiesced, never torn per-bucket).
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 

@@ -62,7 +62,10 @@ impl Json {
     /// object that repeats a key (the error names the key and its byte
     /// offset).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -256,8 +259,7 @@ impl Parser<'_> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -320,7 +322,10 @@ mod tests {
         let doc = r#"{"a": [1, 2.5, -3], "b": "x\"y", "c": true, "d": null, "e": {}}"#;
         let v = Json::parse(doc).unwrap();
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x\"y"));
-        assert_eq!(v.get("a").and_then(Json::as_array).map(<[Json]>::len), Some(3));
+        assert_eq!(
+            v.get("a").and_then(Json::as_array).map(<[Json]>::len),
+            Some(3)
+        );
         assert_eq!(v.get("c").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("d"), Some(&Json::Null));
     }

@@ -143,7 +143,11 @@ pub fn drain(provenance: Provenance) -> Trace {
     let mut events = std::mem::take(&mut *EVENTS.lock().unwrap());
     events.sort_by_key(|e| (e.lane, e.seq));
     let metrics = metrics::snapshot_and_reset();
-    Trace { provenance, events, metrics }
+    Trace {
+        provenance,
+        events,
+        metrics,
+    }
 }
 
 /// Sets the stderr log level (default [`Level::Info`]).
@@ -305,7 +309,14 @@ pub struct Span {
 #[must_use = "a span measures until it is dropped"]
 pub fn span(cat: &'static str, name: &'static str) -> Span {
     if !collecting() {
-        return Span { id: 0, lane: 0, start_us: 0, cat, name, args: Vec::new() };
+        return Span {
+            id: 0,
+            lane: 0,
+            start_us: 0,
+            cat,
+            name,
+            args: Vec::new(),
+        };
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let lane = current_lane();
@@ -321,7 +332,14 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
         args: Vec::new(),
         kind: EventKind::Begin { id, parent },
     });
-    Span { id, lane, start_us, cat, name, args: Vec::new() }
+    Span {
+        id,
+        lane,
+        start_us,
+        cat,
+        name,
+        args: Vec::new(),
+    }
 }
 
 impl Span {
@@ -359,7 +377,10 @@ impl Drop for Span {
             cat: self.cat,
             name: self.name.to_string(),
             args: std::mem::take(&mut self.args),
-            kind: EventKind::End { id: self.id, dur_us: end_us.saturating_sub(self.start_us) },
+            kind: EventKind::End {
+                id: self.id,
+                dur_us: end_us.saturating_sub(self.start_us),
+            },
         });
     }
 }

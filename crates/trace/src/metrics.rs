@@ -21,7 +21,11 @@ pub fn counter_add(name: &str, delta: u64) {
     if delta == 0 || !crate::collecting() {
         return;
     }
-    *COUNTERS.lock().unwrap().entry(name.to_string()).or_insert(0) += delta;
+    *COUNTERS
+        .lock()
+        .unwrap()
+        .entry(name.to_string())
+        .or_insert(0) += delta;
 }
 
 /// Sets the named gauge to `value`. No-op while collection is disabled.
@@ -142,7 +146,13 @@ impl MetricsSnapshot {
 fn prometheus_name(name: &str) -> String {
     let mut out: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, '_');

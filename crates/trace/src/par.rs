@@ -48,7 +48,11 @@ mod tests {
         let items: Vec<u64> = (0..97).collect();
         let expected: Vec<u64> = items.iter().map(|i| i * i).collect();
         for jobs in [0, 1, 2, 8, 200] {
-            assert_eq!(par_map_ordered(&items, jobs, |i| i * i), expected, "jobs={jobs}");
+            assert_eq!(
+                par_map_ordered(&items, jobs, |i| i * i),
+                expected,
+                "jobs={jobs}"
+            );
         }
         assert!(par_map_ordered(&[] as &[u64], 4, |i| *i).is_empty());
     }

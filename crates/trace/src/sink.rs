@@ -47,7 +47,9 @@ impl Provenance {
         Provenance {
             git_sha,
             rustc_version: env!("EATSS_RUSTC_VERSION").to_string(),
-            threads: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+            threads: std::thread::available_parallelism()
+                .map(usize::from)
+                .unwrap_or(1),
             jobs,
         }
     }
@@ -111,7 +113,11 @@ impl Trace {
         );
         let lanes: BTreeSet<u64> = self.events.iter().map(|e| e.lane).collect();
         for lane in &lanes {
-            let label = if *lane == 0 { "main".to_string() } else { format!("lane-{lane}") };
+            let label = if *lane == 0 {
+                "main".to_string()
+            } else {
+                format!("lane-{lane}")
+            };
             entries.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"args\":{{\"name\":\"{label}\"}}}}"
             ));

@@ -295,16 +295,25 @@ fn fixed_trace() -> Trace {
 #[test]
 fn chrome_output_matches_golden_file_and_is_valid_trace_events_json() {
     let rendered = fixed_trace().to_chrome_json();
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_trace.json");
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/chrome_trace.json"
+    );
     if std::env::var_os("EATSS_UPDATE_GOLDEN").is_some() {
         std::fs::write(golden_path, &rendered).expect("update golden");
     }
     let golden = std::fs::read_to_string(golden_path).expect("golden file");
-    assert_eq!(rendered, golden, "chrome sink output drifted from golden file");
+    assert_eq!(
+        rendered, golden,
+        "chrome sink output drifted from golden file"
+    );
 
     // Independently validate the structure with the JSON parser.
     let doc = Json::parse(&rendered).expect("valid JSON");
-    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents");
     // 1 process_name + 2 thread_name + 2 X + 1 i + 2 gauge/counter C + 1 histogram C.
     assert_eq!(events.len(), 9);
     let hist = events
@@ -325,7 +334,10 @@ fn chrome_output_matches_golden_file_and_is_valid_trace_events_json() {
     assert_eq!(check.get("dur").and_then(Json::as_f64), Some(40.0));
     assert_eq!(check.get("tid").and_then(Json::as_f64), Some(1.0));
     let args = check.get("args").expect("args");
-    assert_eq!(args.get("label").and_then(Json::as_str), Some("a \"quoted\" name"));
+    assert_eq!(
+        args.get("label").and_then(Json::as_str),
+        Some("a \"quoted\" name")
+    );
     assert_eq!(
         doc.get("otherData")
             .and_then(|d| d.get("provenance"))
@@ -343,7 +355,11 @@ fn compact_chrome_output_is_single_line_and_equivalent() {
     let a = Json::parse(&pretty).expect("pretty parses");
     let b = Json::parse(&compact).expect("compact parses");
     assert_eq!(
-        a.get("traceEvents").and_then(Json::as_array).map(|events| events.len()),
-        b.get("traceEvents").and_then(Json::as_array).map(|events| events.len())
+        a.get("traceEvents")
+            .and_then(Json::as_array)
+            .map(|events| events.len()),
+        b.get("traceEvents")
+            .and_then(Json::as_array)
+            .map(|events| events.len())
     );
 }

@@ -61,16 +61,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = GpuArch::ga100();
     let config = EatssConfig::default();
     let generator = ModelGenerator::new(&arch, config.clone());
-    let sizes = ProblemSizes::uniform(
-        ["B", "N", "M", "P", "K"],
-        2048,
-    );
+    let sizes = ProblemSizes::uniform(["B", "N", "M", "P", "K"], 2048);
     let model = generator.build(&program, Some(&sizes))?;
     println!("\nSMT-LIB formulation:\n{}", model.to_smtlib());
 
     // --- solve + generate CUDA ---------------------------------------
     let solution = model.solve()?;
-    println!("selected tiles: {} (objective {})", solution.tiles, solution.objective);
+    println!(
+        "selected tiles: {} (objective {})",
+        solution.tiles, solution.objective
+    );
     let compiled = Ppcg::new(arch).compile(
         &program,
         &solution.tiles,

@@ -54,8 +54,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let by_ppw = sweep.best_by_ppw().expect("at least one valid point");
     let by_perf = sweep.best_by_perf().expect("at least one valid point");
     let by_energy = sweep.best_by_energy().expect("at least one valid point");
-    println!("\nbest by PPW    : {} ({:.2} GFLOP/s/W)", by_ppw.solution.tiles, by_ppw.report.ppw);
-    println!("best by perf   : {} ({:.0} GFLOP/s)", by_perf.solution.tiles, by_perf.report.gflops);
-    println!("best by energy : {} ({:.2} J)", by_energy.solution.tiles, by_energy.report.energy_j);
+    println!(
+        "\nbest by PPW    : {} ({:.2} GFLOP/s/W)",
+        by_ppw.solution.tiles, by_ppw.report.ppw
+    );
+    println!(
+        "best by perf   : {} ({:.0} GFLOP/s)",
+        by_perf.solution.tiles, by_perf.report.gflops
+    );
+    println!(
+        "best by energy : {} ({:.2} J)",
+        by_energy.solution.tiles, by_energy.report.energy_j
+    );
     Ok(())
 }

@@ -128,12 +128,7 @@ mod tests {
     #[should_panic(expected = "failed at case")]
     fn runner_panics_on_failure_with_case_index() {
         let mut r = TestRunner::new(ProptestConfig::with_cases(3), "boom");
-        r.run(|_rng| {
-            (
-                "\n  x = 1".to_owned(),
-                Err(TestCaseError::fail("nope")),
-            )
-        });
+        r.run(|_rng| ("\n  x = 1".to_owned(), Err(TestCaseError::fail("nope"))));
     }
 
     #[test]

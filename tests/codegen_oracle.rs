@@ -46,9 +46,19 @@ fn polybench_agrees_on_default_and_adversarial_tiles() {
         let depth = program.max_depth();
         let trips = trips(&program, &sizes);
         // PPCG default.
-        check(bench.name, &program, &TileConfig::ppcg_default(depth), &sizes);
+        check(
+            bench.name,
+            &program,
+            &TileConfig::ppcg_default(depth),
+            &sizes,
+        );
         // Single-element tiles: every min guard and point loop degenerate.
-        check(bench.name, &program, &TileConfig::new(vec![1; depth]), &sizes);
+        check(
+            bench.name,
+            &program,
+            &TileConfig::new(vec![1; depth]),
+            &sizes,
+        );
         // Primes: nothing divides anything.
         let primes = [3, 5, 7, 11, 13];
         check(
@@ -100,7 +110,12 @@ fn eatss_selected_tiles_agree() {
             Err(e) => panic!("{name}: selection failed: {e}"),
         };
         let sizes = shrunk(&program, &std_sizes);
-        check(&format!("{name} (EATSS tiles)"), &program, &solution.tiles, &sizes);
+        check(
+            &format!("{name} (EATSS tiles)"),
+            &program,
+            &solution.tiles,
+            &sizes,
+        );
     }
 }
 

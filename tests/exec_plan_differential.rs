@@ -117,13 +117,15 @@ fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
             let fast_stats =
                 execute_compiled(&program, &compiled.mappings, &sizes, &mut fast, &plan_opts)
                     .unwrap_or_else(|e| panic!("{label}: plan engine: {e}"));
-            let ref_stats =
-                execute_compiled(&program, &compiled.mappings, &sizes, &mut reference, &ref_opts)
-                    .unwrap_or_else(|e| panic!("{label}: reference engine: {e}"));
-            assert_eq!(
-                fast_stats, ref_stats,
-                "{label}: execution counters diverge"
-            );
+            let ref_stats = execute_compiled(
+                &program,
+                &compiled.mappings,
+                &sizes,
+                &mut reference,
+                &ref_opts,
+            )
+            .unwrap_or_else(|e| panic!("{label}: reference engine: {e}"));
+            assert_eq!(fast_stats, ref_stats, "{label}: execution counters diverge");
             assert_bitwise(&label, &fast, &reference);
             checked.push((label, compiled.mappings, ref_stats, reference));
         }
@@ -137,7 +139,10 @@ fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
             checked.iter().zip(stores.iter().zip(results))
         {
             let stats = result.unwrap_or_else(|e| panic!("{label}: batched plan engine: {e}"));
-            assert_eq!(&stats, ref_stats, "{label}: batched execution counters diverge");
+            assert_eq!(
+                &stats, ref_stats,
+                "{label}: batched execution counters diverge"
+            );
             assert_bitwise(&format!("{label} batched"), store, reference);
         }
     }
@@ -200,7 +205,10 @@ fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
             assert_eq!(vector.len(), scalar.len());
             for (path, (v, s)) in vector.iter().zip(&scalar).enumerate() {
                 assert_bitwise(
-                    &format!("{} config {c} ({tiles}) path {path} simd-vs-scalar", bench.name),
+                    &format!(
+                        "{} config {c} ({tiles}) path {path} simd-vs-scalar",
+                        bench.name
+                    ),
                     v,
                     s,
                 );

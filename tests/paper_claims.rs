@@ -63,8 +63,7 @@ fn blas3_ppw_improves_on_both_gpus() {
         (GpuArch::xavier(), Dataset::Standard, 0.98),
     ] {
         for name in ["gemm", "2mm", "covariance"] {
-            let (_, ppw_ratio) =
-                best_vs_default(&arch, name, dataset, &PAPER_SPLITS, &[0.5, 0.25]);
+            let (_, ppw_ratio) = best_vs_default(&arch, name, dataset, &PAPER_SPLITS, &[0.5, 0.25]);
             assert!(
                 ppw_ratio > bar,
                 "{name} on {}: PPW ratio {ppw_ratio} below {bar}",
@@ -106,12 +105,8 @@ fn l2_sector_power_correlation_ordering() {
         // A coarser grid than the figure's (343 vs 729 variants for 3-D
         // kernels) keeps the debug-mode runtime reasonable while leaving
         // the correlation statistics intact.
-        let space = TileSpace::new(
-            program.max_depth(),
-            vec![8, 16, 32, 64, 128, 256, 512],
-        );
-        let variants =
-            eatss_bench_like_explore(&arch, &program, &sizes, &space, &opts);
+        let space = TileSpace::new(program.max_depth(), vec![8, 16, 32, 64, 128, 256, 512]);
+        let variants = eatss_bench_like_explore(&arch, &program, &sizes, &space, &opts);
         let sect: Vec<f64> = variants.iter().map(|v| v.0).collect();
         let pow: Vec<f64> = variants.iter().map(|v| v.1).collect();
         stats::pearson(&sect, &pow)

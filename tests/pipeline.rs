@@ -129,11 +129,26 @@ fn map_is_the_mapping_half_of_compile() {
     let arch = GpuArch::ga100();
     let ppcg = Ppcg::new(arch.clone());
     let options = CompileOptions::default();
-    let both = |program: &eatss_affine::Program, tiles: &TileConfig, sizes: &eatss_affine::ProblemSizes| {
-        let mapped = Ppcg::map(&arch, &AnalysedProgram::new(program), tiles, sizes, &options);
-        let compiled = ppcg.compile(program, tiles, sizes, &options).map(|c| c.mappings);
+    let both = |program: &eatss_affine::Program,
+                tiles: &TileConfig,
+                sizes: &eatss_affine::ProblemSizes| {
+        let mapped = Ppcg::map(
+            &arch,
+            &AnalysedProgram::new(program),
+            tiles,
+            sizes,
+            &options,
+        );
+        let compiled = ppcg
+            .compile(program, tiles, sizes, &options)
+            .map(|c| c.mappings);
         // `GpuMapping` is not `PartialEq`; its `Debug` prints every field.
-        assert_eq!(format!("{mapped:?}"), format!("{compiled:?}"), "{} {tiles}", program.name);
+        assert_eq!(
+            format!("{mapped:?}"),
+            format!("{compiled:?}"),
+            "{} {tiles}",
+            program.name
+        );
         mapped
     };
     let mut rng = sweep_rng(24);
@@ -150,13 +165,17 @@ fn map_is_the_mapping_half_of_compile() {
         // A tile tuple shorter than the deepest kernel.
         let short = both(&program, &TileConfig::ppcg_default(depth - 1), &sizes);
         assert!(
-            matches!(short, Err(eatss_ppcg::CompileError::NotEnoughTileSizes { .. })),
+            matches!(
+                short,
+                Err(eatss_ppcg::CompileError::NotEnoughTileSizes { .. })
+            ),
             "{}: {short:?}",
             b.name
         );
     }
-    let serial = eatss_affine::parser::parse_program("kernel s(N) { for (i: N) A[i] = A[i-1] + 1.0; }")
-        .expect("parses");
+    let serial =
+        eatss_affine::parser::parse_program("kernel s(N) { for (i: N) A[i] = A[i-1] + 1.0; }")
+            .expect("parses");
     let sizes = eatss_affine::ProblemSizes::new([("N", 100)]);
     assert!(both(&serial, &TileConfig::ppcg_default(1), &sizes).is_err());
 }
@@ -173,8 +192,7 @@ fn measurements_scale_with_problem_size() {
     let mut last_time = 0.0;
     let mut last_energy = 0.0;
     for n in [1000, 2000, 4000] {
-        let sizes =
-            eatss_affine::ProblemSizes::new([("NI", n), ("NJ", n), ("NK", n)]);
+        let sizes = eatss_affine::ProblemSizes::new([("NI", n), ("NJ", n), ("NK", n)]);
         let r = eatss
             .evaluate(&program, &tiles, &sizes, &config)
             .expect("gemm compiles");

@@ -201,11 +201,11 @@ proptest! {
 /// subscripts use random iterator subsets with small offsets.
 fn arb_kernel_source() -> impl Strategy<Value = String> {
     (
-        2usize..=4,                                  // depth
-        1usize..=3,                                  // number of reads
-        prop::collection::vec(0usize..4, 12),        // dim picks
-        prop::collection::vec(-1i64..=1, 12),        // offsets
-        prop::bool::ANY,                             // accumulation
+        2usize..=4,                           // depth
+        1usize..=3,                           // number of reads
+        prop::collection::vec(0usize..4, 12), // dim picks
+        prop::collection::vec(-1i64..=1, 12), // offsets
+        prop::bool::ANY,                      // accumulation
     )
         .prop_map(|(depth, nreads, dims, offsets, accum)| {
             let iters = ["i", "j", "k", "l"];

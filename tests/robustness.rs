@@ -105,7 +105,11 @@ fn fault_injected_sweep_exercises_all_provenances() {
         .sweep_with(&program, &tiny, &[0.5], &[1.0], &opts)
         .unwrap();
     assert_eq!(out_tiny.infeasible.len(), 2, "waf=32 proved infeasible");
-    assert_eq!(out_tiny.points.len(), 2, "both degrade to measurable fallbacks");
+    assert_eq!(
+        out_tiny.points.len(),
+        2,
+        "both degrade to measurable fallbacks"
+    );
 
     let provenances: HashSet<SolutionProvenance> = out_large
         .points
@@ -113,12 +117,18 @@ fn fault_injected_sweep_exercises_all_provenances() {
         .chain(&out_tiny.points)
         .map(|p| p.solution.provenance)
         .collect();
-    assert!(provenances.contains(&SolutionProvenance::Solved), "{provenances:?}");
+    assert!(
+        provenances.contains(&SolutionProvenance::Solved),
+        "{provenances:?}"
+    );
     assert!(
         provenances.contains(&SolutionProvenance::SolvedIncomplete),
         "waf=2 under a 25-node budget must stay anytime: {provenances:?}"
     );
-    assert!(provenances.contains(&SolutionProvenance::DefaultFallback), "{provenances:?}");
+    assert!(
+        provenances.contains(&SolutionProvenance::DefaultFallback),
+        "{provenances:?}"
+    );
 
     // Anytime points carry feasible (warp-aligned) tiles.
     for p in out_large

@@ -20,8 +20,7 @@ fn matmul_bruteforce(
     let fp = config.precision.fp_factor();
     let l1sh = arch.l1_shared_bytes as i64 / elem;
     let split = config.split_factor;
-    let cap_sh = ((l1sh as f64 * split) as i64)
-        .min(arch.max_shared_per_block as i64 / elem);
+    let cap_sh = ((l1sh as f64 * split) as i64).min(arch.max_shared_per_block as i64 / elem);
     let cap_l1 = (l1sh as f64 * (1.0 - split)) as i64;
     let l2 = arch.l2_bytes as i64 / elem;
     let tpb = arch.max_threads_per_block as i64;
@@ -98,8 +97,7 @@ fn solver_matches_bruteforce_across_configs() {
                             continue;
                         }
                         let n = 480i64;
-                        let sizes =
-                            ProblemSizes::new([("M", n), ("N", n), ("P", n)]);
+                        let sizes = ProblemSizes::new([("M", n), ("N", n), ("P", n)]);
                         let solved = ModelGenerator::new(&arch, config.clone())
                             .build(&program, Some(&sizes))
                             .expect("build succeeds")
@@ -148,8 +146,7 @@ fn solver_matches_bruteforce_with_tiny_extents() {
             .expect("build succeeds")
             .solve()
             .expect("feasible at WAF=8");
-        let brute =
-            matmul_bruteforce(&arch, &config, &[n, n, n]).expect("brute feasible");
+        let brute = matmul_bruteforce(&arch, &config, &[n, n, n]).expect("brute feasible");
         assert_eq!(solved.objective, brute.0, "n = {n}");
     }
 }
@@ -235,7 +232,11 @@ fn no_polybench_formulation_searches_more_than_its_domains_hold() {
             let sizes = bench.sizes(dataset);
             for config in sweep_grid() {
                 let generator = ModelGenerator::new(&arch, config.clone());
-                let build = || generator.build(&program, Some(&sizes)).expect("build succeeds");
+                let build = || {
+                    generator
+                        .build(&program, Some(&sizes))
+                        .expect("build succeeds")
+                };
                 let Ok(solution) = build().solve() else {
                     continue; // proved infeasible: nothing was climbed
                 };

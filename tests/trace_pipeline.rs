@@ -121,7 +121,10 @@ fn full_pipeline_trace_covers_solve_codegen_simulate() {
         ("sim", "timing"),
         ("sim", "power"),
     ] {
-        assert!(has(&names, cat, name), "missing span {cat}:{name} (got {names:?})");
+        assert!(
+            has(&names, cat, name),
+            "missing span {cat}:{name} (got {names:?})"
+        );
     }
     // The regression guard: text emission must not creep back onto the
     // measurement path.
@@ -135,7 +138,12 @@ fn full_pipeline_trace_covers_solve_codegen_simulate() {
     // An explicit compile is where the text is produced.
     eatss_trace::start_collecting();
     let compiled = Ppcg::new(arch.clone())
-        .compile(&program, &solution.tiles, &sz, &config.compile_options(&arch))
+        .compile(
+            &program,
+            &solution.tiles,
+            &sz,
+            &config.compile_options(&arch),
+        )
         .expect("mm compiles");
     let compile_trace = eatss_trace::drain(Provenance::collect(None));
     assert!(compiled.cuda_source.contains("__global__"));
@@ -210,7 +218,13 @@ fn one_analysis_per_sweep_and_per_verify_batch() {
 
     eatss_trace::start_collecting();
     let outcome = eatss
-        .sweep_with(&program, &sz, &[0.5, 0.25], &[0.5], &SweepOptions::default())
+        .sweep_with(
+            &program,
+            &sz,
+            &[0.5, 0.25],
+            &[0.5],
+            &SweepOptions::default(),
+        )
         .expect("2mm sweeps");
     let trace = eatss_trace::drain(Provenance::collect(None));
     assert_eq!(outcome.points.len(), 4);
@@ -220,7 +234,10 @@ fn one_analysis_per_sweep_and_per_verify_batch() {
 
     let config = EatssConfig::default();
     let depth = program.max_depth();
-    let (default, other) = (TileConfig::ppcg_default(depth), TileConfig::new(vec![16; depth]));
+    let (default, other) = (
+        TileConfig::ppcg_default(depth),
+        TileConfig::new(vec![16; depth]),
+    );
     eatss_trace::start_collecting();
     let verdicts = eatss.verify(
         &program,
@@ -244,7 +261,12 @@ fn exec_rows_counts_one_per_plan_row() {
     let _guard = session();
     let rows_and_points = |program: &Program, tiles: Vec<i64>, sz: &ProblemSizes, engine| {
         let compiled = Ppcg::new(GpuArch::ga100())
-            .compile(program, &TileConfig::new(tiles), sz, &CompileOptions::default())
+            .compile(
+                program,
+                &TileConfig::new(tiles),
+                sz,
+                &CompileOptions::default(),
+            )
             .expect("compiles");
         let mut store = seed_store(program, sz, 42).expect("seeds");
         let opts = ExecOptions {
@@ -252,8 +274,8 @@ fn exec_rows_counts_one_per_plan_row() {
             ..ExecOptions::default()
         };
         eatss_trace::start_collecting();
-        let stats = execute_compiled(program, &compiled.mappings, sz, &mut store, &opts)
-            .expect("emulates");
+        let stats =
+            execute_compiled(program, &compiled.mappings, sz, &mut store, &opts).expect("emulates");
         let trace = eatss_trace::drain(Provenance::collect(None));
         assert_eq!(trace.metrics.counter("exec.points"), stats.points);
         (trace.metrics.counter("exec.rows"), stats.points)

@@ -73,7 +73,11 @@ fn warm_solves_match_cold_across_polybench() {
         let first = solve(&arch, &program, &sizes, Some(&mut own));
         assert_eq!(first, cold, "{}: empty-hint warm differs from cold", b.name);
         let seeded = solve(&arch, &program, &sizes, Some(&mut own));
-        assert_eq!(seeded, cold, "{}: self-seeded warm differs from cold", b.name);
+        assert_eq!(
+            seeded, cold,
+            "{}: self-seeded warm differs from cold",
+            b.name
+        );
 
         // Feed the cross-benchmark hint pool for the second pass.
         let _ = solve(&arch, &program, &sizes, Some(&mut shared));
@@ -85,7 +89,10 @@ fn warm_solves_match_cold_across_polybench() {
     for (name, program, sizes, cold) in &cold_verdicts {
         let mut polluted = shared.clone();
         let warm = solve(&arch, program, sizes, Some(&mut polluted));
-        assert_eq!(&warm, cold, "{name}: cross-benchmark hints changed the verdict");
+        assert_eq!(
+            &warm, cold,
+            "{name}: cross-benchmark hints changed the verdict"
+        );
     }
 }
 
@@ -110,7 +117,11 @@ fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
         no_spatial_term: true,
         ..Ablation::default()
     });
-    let build = || generator.build(&program, Some(&sizes)).expect("formulation builds");
+    let build = || {
+        generator
+            .build(&program, Some(&sizes))
+            .expect("formulation builds")
+    };
 
     let cold = build().solve().expect("feasible");
     assert!(cold.optimal);
@@ -122,7 +133,11 @@ fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
 
     let mut own = WarmStart::new();
     let first = build().solve_warm(&mut own).expect("feasible");
-    assert_eq!(first.tiles.sizes(), cold.tiles.sizes(), "no hints yet: a cold solve");
+    assert_eq!(
+        first.tiles.sizes(),
+        cold.tiles.sizes(),
+        "no hints yet: a cold solve"
+    );
     let seeded = build().solve_warm(&mut own).expect("feasible");
     assert_eq!(seeded.objective, cold.objective);
     assert!(seeded.optimal);
@@ -176,6 +191,16 @@ fn sweep_chain_keeps_the_cold_value_at_a_tied_split_zero_point() {
     // Every model the chain holds, the warm tiling among them, and the
     // cold tiling re-validate against all of split 0's constraints.
     let handed = chain.len() as u64;
-    assert_eq!(build(0.0).solve_warm(&mut chain).unwrap().stats.warm_cut_hits, handed);
-    assert_eq!(build(0.0).solve_warm(&mut own).unwrap().stats.warm_cut_hits, 1);
+    assert_eq!(
+        build(0.0)
+            .solve_warm(&mut chain)
+            .unwrap()
+            .stats
+            .warm_cut_hits,
+        handed
+    );
+    assert_eq!(
+        build(0.0).solve_warm(&mut own).unwrap().stats.warm_cut_hits,
+        1
+    );
 }
