@@ -785,86 +785,21 @@ impl<'a> FastParser<'a> {
     }
 }
 
-/// Lex-only sweep over the whole input: the first lex-level error, if
-/// any. The reference engine tokenizes everything before parsing, so a
-/// lex error anywhere wins over any parse error; the single-pass engine
-/// restores that ordering here — on the error path only.
-fn lex_scan(src: &str) -> Option<RawError> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    loop {
-        loop {
-            match bytes.get(pos) {
-                Some(c) if c.is_ascii_whitespace() => pos += 1,
-                Some(b'/') if bytes.get(pos + 1) == Some(&b'/') => {
-                    while let Some(&c) = bytes.get(pos) {
-                        if c == b'\n' {
-                            break;
-                        }
-                        pos += 1;
-                    }
-                }
-                _ => break,
-            }
+/// Lex-only sweep over the whole input with [`FastParser::lex`]: the
+/// first lex-level error, if any, an undecodable integer literal
+/// included. The reference engine tokenizes everything before parsing,
+/// so a lex error anywhere wins over any parse error; the single-pass
+/// engine restores that ordering here — on the error path only.
+fn lex_scan(src: &str) -> Result<(), RawError> {
+    let mut lexer = FastParser::new(src)?;
+    let mut tok = lexer.tok;
+    while tok.kind != TokKind::Eof {
+        if tok.kind == TokKind::Int {
+            lexer.decode_int(tok)?;
         }
-        let start = pos;
-        let &c = bytes.get(pos)?;
-        if c.is_ascii_alphabetic() || c == b'_' {
-            pos += 1;
-            while bytes
-                .get(pos)
-                .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
-            {
-                pos += 1;
-            }
-        } else if c.is_ascii_digit() {
-            let mut is_float = false;
-            while let Some(&c) = bytes.get(pos) {
-                if c.is_ascii_digit() {
-                    pos += 1;
-                } else if c == b'.'
-                    && !is_float
-                    && bytes.get(pos + 1).is_some_and(u8::is_ascii_digit)
-                {
-                    is_float = true;
-                    pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let text = &src[start..pos];
-            if !is_float && text.parse::<i64>().is_err() {
-                return Some(RawError {
-                    offset: start,
-                    message: format!("invalid integer literal `{text}`"),
-                });
-            }
-        } else if c == b'+' && bytes.get(pos + 1) == Some(&b'=') {
-            pos += 2;
-        } else if matches!(
-            c,
-            b'(' | b')'
-                | b'{'
-                | b'}'
-                | b'['
-                | b']'
-                | b','
-                | b';'
-                | b':'
-                | b'='
-                | b'+'
-                | b'-'
-                | b'*'
-                | b'/'
-        ) {
-            pos += 1;
-        } else {
-            return Some(RawError {
-                offset: start,
-                message: format!("unexpected character `{}`", c as char),
-            });
-        }
+        tok = lexer.lex()?;
     }
+    Ok(())
 }
 
 /// Converts an internal failure into the public [`ParseError`]: a lex
@@ -872,7 +807,7 @@ fn lex_scan(src: &str) -> Option<RawError> {
 /// reference's tokenize-first ordering), then line/column are computed
 /// in one scan.
 fn finish_err(src: &str, parse_err: RawError) -> ParseError {
-    let raw = lex_scan(src).unwrap_or(parse_err);
+    let raw = lex_scan(src).err().unwrap_or(parse_err);
     let (line, col) = position(src, raw.offset);
     ParseError {
         line,

@@ -41,7 +41,8 @@
 //! usage text); 1 for a well-formed run that fails (the message alone).
 
 use eatss::{
-    ConfigRangeError, Eatss, EatssConfig, ModelGenerator, Precision, SweepOptions, ThreadBlockCap,
+    ConfigRangeError, Eatss, EatssConfig, ModelGenerator, Precision, SolutionProvenance,
+    SweepOptions, ThreadBlockCap,
 };
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
@@ -443,10 +444,9 @@ fn run(opts: &Options) -> Result<(), Failure> {
         "solver    : {} calls, {:.4} s, {}",
         solution.solver_calls,
         solution.solve_time.as_secs_f64(),
-        if solution.optimal {
-            "optimal".to_owned()
-        } else {
-            format!("anytime ({})", solution.provenance)
+        match solution.provenance {
+            SolutionProvenance::Solved => "optimal".to_owned(),
+            other => format!("anytime ({other})"),
         }
     );
     println!(

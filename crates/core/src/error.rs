@@ -57,12 +57,6 @@ pub enum PipelineError {
         /// What was being solved.
         context: String,
     },
-    /// A satisfiable maximization reported a model but no objective
-    /// value — an internal invariant violation, never expected.
-    MissingObjective {
-        /// What was being solved.
-        context: String,
-    },
     /// PPCG compilation rejected the tile configuration.
     Compile {
         /// The underlying compile error.
@@ -92,9 +86,7 @@ impl PipelineError {
     pub fn stage(&self) -> PipelineStage {
         match self {
             PipelineError::Formulate { .. } => PipelineStage::Formulate,
-            PipelineError::Solve { .. } | PipelineError::MissingObjective { .. } => {
-                PipelineStage::Solve
-            }
+            PipelineError::Solve { .. } => PipelineStage::Solve,
             PipelineError::Compile { .. } => PipelineStage::Compile,
             PipelineError::Measure { .. } | PipelineError::NoMeasurablePoint { .. } => {
                 PipelineStage::Measure
@@ -107,7 +99,6 @@ impl PipelineError {
         match self {
             PipelineError::Formulate { context, .. }
             | PipelineError::Solve { context, .. }
-            | PipelineError::MissingObjective { context }
             | PipelineError::Compile { context, .. }
             | PipelineError::Measure { context, .. }
             | PipelineError::NoMeasurablePoint { context, .. } => context,
@@ -119,7 +110,6 @@ impl PipelineError {
         let context = context.into();
         match source {
             EatssError::Solver(source) => PipelineError::Solve { source, context },
-            EatssError::MissingObjective => PipelineError::MissingObjective { context },
             other => PipelineError::Formulate {
                 source: other,
                 context,
@@ -146,11 +136,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Solve { source, context } => {
                 write!(f, "[solve] {context}: {source}")
             }
-            PipelineError::MissingObjective { context } => write!(
-                f,
-                "[solve] {context}: satisfiable maximization returned no objective value \
-                 (solver invariant violated)"
-            ),
             PipelineError::Compile { source, context } => {
                 write!(f, "[compile] {context}: {source}")
             }
@@ -173,9 +158,7 @@ impl Error for PipelineError {
             PipelineError::Solve { source, .. } => Some(source),
             PipelineError::Compile { source, .. } => Some(source),
             PipelineError::Measure { source, .. } => Some(source),
-            PipelineError::MissingObjective { .. } | PipelineError::NoMeasurablePoint { .. } => {
-                None
-            }
+            PipelineError::NoMeasurablePoint { .. } => None,
         }
     }
 }
@@ -204,10 +187,6 @@ mod tests {
         );
         assert_eq!(e.stage(), PipelineStage::Solve);
         assert!(e.source().is_some());
-
-        let e = PipelineError::from_eatss(EatssError::MissingObjective, "gemm");
-        assert_eq!(e.stage(), PipelineStage::Solve);
-        assert!(e.to_string().contains("invariant"));
 
         let e = PipelineError::Measure {
             source: SimFault {

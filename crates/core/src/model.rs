@@ -34,9 +34,6 @@ pub enum EatssError {
     },
     /// The underlying solver failed.
     Solver(SolveError),
-    /// A satisfiable maximization returned no objective value — an
-    /// internal solver invariant violation, never expected.
-    MissingObjective,
     /// A problem-size parameter was needed but unbound.
     UnboundParameter(String),
     /// The program has no kernels.
@@ -59,11 +56,6 @@ impl fmt::Display for EatssError {
                 )
             }
             EatssError::Solver(e) => write!(f, "solver failure: {e}"),
-            EatssError::MissingObjective => write!(
-                f,
-                "satisfiable maximization returned no objective value \
-                 (solver invariant violated)"
-            ),
             EatssError::UnboundParameter(p) => {
                 write!(f, "problem-size parameter `{p}` is unbound")
             }
@@ -111,7 +103,8 @@ impl fmt::Display for SolutionProvenance {
     }
 }
 
-/// A solved tile selection.
+/// A solved tile selection. Whether it is proved optimal is its
+/// [`SolutionProvenance`]: [`SolutionProvenance::Solved`] and nothing else.
 #[derive(Debug, Clone)]
 pub struct EatssSolution {
     /// Selected tile sizes (one per program dimension; serial *time*
@@ -123,9 +116,8 @@ pub struct EatssSolution {
     pub solver_calls: u32,
     /// Wall-clock time spent solving.
     pub solve_time: Duration,
-    /// Whether optimality was proved (final call exhausted the space).
-    pub optimal: bool,
-    /// How this selection was obtained.
+    /// How this selection was obtained, and so whether it is proved
+    /// optimal.
     pub provenance: SolutionProvenance,
     /// Solver counters accumulated while producing this solution (all
     /// zeros for a default fallback): nodes, propagation/search time
@@ -144,7 +136,6 @@ impl EatssSolution {
             objective: 0,
             solver_calls: 0,
             solve_time: Duration::ZERO,
-            optimal: false,
             provenance: SolutionProvenance::DefaultFallback,
             stats: SolverStats::default(),
         }
@@ -488,8 +479,8 @@ impl EatssModel {
         let other = (self.solver).other_optimum(&self.objective, solution.objective, &optimum)?;
         match other.model {
             Some(_) => Ok(true),
-            None if other.complete => Ok(false),
-            None => Err(no_model_error(false, other.stop)),
+            None if other.complete() => Ok(false),
+            None => Err(no_model_error(other.stop)),
         }
     }
 
@@ -500,12 +491,9 @@ impl EatssModel {
         started: Instant,
     ) -> Result<EatssSolution, EatssError> {
         let solve_time = started.elapsed();
-        let Some(model) = outcome.model else {
-            return Err(no_model_error(outcome.complete, outcome.stop));
+        let (Some(model), Some(objective)) = (&outcome.model, outcome.best()) else {
+            return Err(no_model_error(outcome.stop));
         };
-        // A model without an objective value would mean the maximize loop
-        // lost track of what it measured — surface it, never mask it as 0.
-        let objective = outcome.best.ok_or(EatssError::MissingObjective)?;
         let mut sizes = Vec::with_capacity(self.tile_vars.len());
         for v in &self.tile_vars {
             match v {
@@ -516,10 +504,9 @@ impl EatssModel {
         Ok(EatssSolution {
             tiles: TileConfig::new(sizes),
             objective,
-            solver_calls: outcome.solver_calls,
+            solver_calls: outcome.solver_calls(),
             solve_time,
-            optimal: outcome.complete,
-            provenance: if outcome.complete {
+            provenance: if outcome.complete() {
                 SolutionProvenance::Solved
             } else {
                 SolutionProvenance::SolvedIncomplete
@@ -539,28 +526,25 @@ fn finish_solve_span(span: &mut eatss_trace::Span, result: &Result<EatssSolution
             span.arg("tiles", solution.tiles.to_string());
             span.arg("objective", solution.objective);
             span.arg("solver_calls", solution.solver_calls);
-            span.arg("optimal", solution.optimal);
+            span.arg("optimal", solution.provenance == SolutionProvenance::Solved);
             span.arg("provenance", format!("{:?}", solution.provenance));
         }
         Err(e) => span.arg("error", e.to_string()),
     }
 }
 
-/// Distinguishes a *proved* empty space from a budget that ran out before
-/// any model was found.
-fn no_model_error(complete: bool, stop: Option<StopReason>) -> EatssError {
-    if complete {
-        EatssError::Unsatisfiable {
+/// Distinguishes a *proved* empty space (no budget stopped the search)
+/// from a budget that ran out before any model was found.
+fn no_model_error(stop: Option<StopReason>) -> EatssError {
+    match stop {
+        None => EatssError::Unsatisfiable {
             reason: "no tile assignment satisfies the resource constraints \
                      (try a smaller warp-alignment factor)"
                 .to_owned(),
-        }
-    } else {
-        EatssError::Exhausted {
-            reason: stop
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "budget".to_owned()),
-        }
+        },
+        Some(stop) => EatssError::Exhausted {
+            reason: stop.to_string(),
+        },
     }
 }
 
@@ -590,7 +574,7 @@ mod tests {
         // Ti=16, Tj=384, Tk=16 with OBJ = Ti*Tj + 32*Tj.
         let model = ga(EatssConfig::default()).build(&matmul(), None).unwrap();
         let s = model.solve().unwrap();
-        assert!(s.optimal);
+        assert_eq!(s.provenance, SolutionProvenance::Solved);
         let t = s.tiles.sizes();
         // All warp-aligned.
         assert!(t.iter().all(|x| x % 16 == 0), "{t:?}");
@@ -823,7 +807,6 @@ mod tests {
             .unwrap()
             .solve()
             .unwrap();
-        assert!(s.optimal);
         assert_eq!(s.provenance, SolutionProvenance::Solved);
     }
 
@@ -1101,7 +1084,7 @@ mod tests {
         assert_eq!(tile_domains(&model)[0], Vec::<i64>::new());
         let (mut solver, objective) = model.into_parts();
         let outcome = solver.maximize(&objective).unwrap();
-        assert!(outcome.model.is_none() && outcome.complete);
+        assert!(outcome.model.is_none() && outcome.complete());
         assert_eq!(solver.stats().nodes, 0);
     }
 
@@ -1110,7 +1093,6 @@ mod tests {
         let s = EatssSolution::ppcg_default(3);
         assert_eq!(s.tiles.sizes(), &[32, 32, 32]);
         assert_eq!(s.objective, 0);
-        assert!(!s.optimal);
         assert_eq!(s.provenance, SolutionProvenance::DefaultFallback);
         assert_eq!(s.provenance.to_string(), "fallback");
     }

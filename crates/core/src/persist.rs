@@ -48,7 +48,8 @@ pub fn encode_result(result: &SelectResult) -> Option<Vec<u8>> {
             v.extend_from_slice(&s.objective.to_le_bytes());
             v.extend_from_slice(&s.solver_calls.to_le_bytes());
             v.extend_from_slice(&(s.solve_time.as_micros() as u64).to_le_bytes());
-            v.push(u8::from(s.optimal));
+            // The optimal byte: only a proved-optimal solution is written.
+            v.push(1);
             for c in s.stats.values() {
                 v.extend_from_slice(&c.to_le_bytes());
             }
@@ -92,11 +93,9 @@ pub fn decode_result(mut bytes: &[u8]) -> Option<SelectResult> {
             let objective = i64::from_le_bytes(take(b)?);
             let solver_calls = u32::from_le_bytes(take(b)?);
             let solve_time = Duration::from_micros(u64::from_le_bytes(take(b)?));
-            let optimal = match take(b)? {
-                [0] => false,
-                [1] => true,
-                _ => return None,
-            };
+            if take(b)? != [1] {
+                return None; // a committed solution is proved optimal
+            }
             let mut counters = [0u64; SolverStats::NAMES.len()];
             for slot in &mut counters {
                 *slot = u64::from_le_bytes(take(b)?);
@@ -106,7 +105,6 @@ pub fn decode_result(mut bytes: &[u8]) -> Option<SelectResult> {
                 objective,
                 solver_calls,
                 solve_time,
-                optimal,
                 provenance: SolutionProvenance::Solved,
                 stats: SolverStats::from_values(counters),
             })
@@ -147,7 +145,6 @@ mod tests {
             objective: 6160,
             solver_calls: 9,
             solve_time: Duration::from_micros(1234),
-            optimal: true,
             provenance: SolutionProvenance::Solved,
             stats: SolverStats {
                 checks: 1,
@@ -176,7 +173,6 @@ mod tests {
         assert_eq!(decoded.objective, solution.objective);
         assert_eq!(decoded.solver_calls, solution.solver_calls);
         assert_eq!(decoded.solve_time, solution.solve_time);
-        assert_eq!(decoded.optimal, solution.optimal);
         assert_eq!(decoded.provenance, solution.provenance);
         assert_eq!(decoded.stats, solution.stats);
 
@@ -209,6 +205,21 @@ mod tests {
         ] {
             assert!(!is_committed(&result) && encode_result(&result).is_none());
         }
+    }
+
+    /// Only a proved-optimal solution is ever written, so a solution
+    /// record whose optimal byte is 0 is not one this version wrote: it
+    /// decodes to `None`, which the cache counts as undecodable.
+    #[test]
+    fn a_solution_record_not_proved_optimal_is_undecodable() {
+        let mut solved = EatssSolution::ppcg_default(2);
+        solved.provenance = SolutionProvenance::Solved;
+        let mut encoded = encode_result(&Ok(solved)).unwrap();
+        assert!(decode_result(&encoded).unwrap().is_ok());
+        let optimal_byte = encoded.len() - 8 * SolverStats::NAMES.len() - 1;
+        assert_eq!(encoded[optimal_byte], 1);
+        encoded[optimal_byte] = 0;
+        assert!(decode_result(&encoded).is_none());
     }
 
     #[test]

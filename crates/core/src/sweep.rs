@@ -63,7 +63,7 @@ pub const PAPER_WARP_FRACTIONS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 /// Each chain's hint sequence is fixed by the canonical configuration
 /// list, chains never sharing state, so parallel and sequential sweeps
 /// stay bit-identical even when search budgets bind.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// The retry ladder: solver budgets (node limit, deadline,
     /// cancellation) tried in order; a later rung runs only when the

@@ -81,8 +81,10 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// Freedman–Diaconis bin width: `2·IQR·n^(-1/3)` — the estimator the
 /// paper uses for the Fig. 11 histograms "to take data variability and
-/// data sizes into account".
+/// data sizes into account". Only the finite samples count: NaN and ±∞
+/// are dropped before the quartiles are taken.
 pub fn fd_bin_width(xs: &[f64]) -> f64 {
+    let xs = &finite(xs);
     if xs.len() < 2 {
         return 1.0;
     }
@@ -112,8 +114,16 @@ pub struct Bin {
     pub count: usize,
 }
 
-/// Histogram with Freedman–Diaconis bin widths.
+/// The finite samples of `xs`, in order.
+fn finite(xs: &[f64]) -> Vec<f64> {
+    xs.iter().copied().filter(|x| x.is_finite()).collect()
+}
+
+/// Histogram with Freedman–Diaconis bin widths over the finite samples
+/// of `xs`: NaN and ±∞ fall in no bin, so `Σ count` is the number of
+/// finite samples (empty when there are none).
 pub fn fd_histogram(xs: &[f64]) -> Vec<Bin> {
+    let xs = &finite(xs);
     if xs.is_empty() {
         return Vec::new();
     }
@@ -197,6 +207,28 @@ mod tests {
         assert!(fd_bin_width(&large) < fd_bin_width(&small));
     }
 
+    /// A NaN sample used to land in bin 0 (`NaN as usize` is 0) and to
+    /// poison the quartiles; only the finite samples are binned now.
+    #[test]
+    fn fd_histogram_bins_only_the_finite_samples() {
+        let with_nan = [1.0, f64::NAN, 2.0, 4.0, f64::NAN];
+        let bins = fd_histogram(&with_nan);
+        assert_eq!(bins.iter().map(|b| b.count).sum::<usize>(), 3);
+        assert_eq!(bins, fd_histogram(&[1.0, 2.0, 4.0]));
+
+        let nan = f64::NAN;
+        let ten = [1.0, nan, 2.0, 4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+        let finite: Vec<f64> = (1..=9).map(f64::from).collect();
+        assert_eq!(fd_bin_width(&ten), fd_bin_width(&finite));
+        let bins = fd_histogram(&ten);
+        assert_eq!(bins.iter().map(|b| b.count).sum::<usize>(), 9);
+        assert_eq!(bins, fd_histogram(&finite));
+        assert_eq!(bins.len(), 3);
+
+        assert!(fd_histogram(&[f64::NAN, f64::INFINITY]).is_empty());
+        assert_eq!(fd_bin_width(&[f64::NAN, f64::NAN]), 1.0);
+    }
+
     #[test]
     fn fd_histogram_covers_all_samples() {
         let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
@@ -229,8 +261,5 @@ mod tests {
     fn nan_samples_rank_last_instead_of_panicking() {
         assert_eq!(median(&[1.0, f64::NAN, 2.0]), 2.0);
         assert!(percentile(&[f64::NAN, 3.0], 100.0).is_nan());
-        let bins = fd_histogram(&[1.0, f64::NAN, 2.0, 4.0, f64::NAN]);
-        assert_eq!(bins.iter().map(|b| b.count).sum::<usize>(), 5);
-        assert!(!fd_bin_width(&[f64::NAN, f64::NAN]).is_finite());
     }
 }

@@ -12,7 +12,10 @@ use crate::server::{bump, ServerStats, Shared};
 use crate::transport::{send, Stream};
 use eatss::cache::{encode_key, SelectResult};
 use eatss::persist::is_committed;
-use eatss::{Eatss, EatssConfig, EatssError, EatssSolution, ModelGenerator, PipelineError};
+use eatss::{
+    Eatss, EatssConfig, EatssError, EatssSolution, ModelGenerator, PipelineError,
+    SolutionProvenance,
+};
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::ProblemSizes;
@@ -187,7 +190,9 @@ pub(crate) struct SelectSummary {
     pub(crate) deadline_ms: u64,
     pub(crate) queue_us: u64,
     pub(crate) solve_us: u64,
-    pub(crate) fell_back: bool,
+    /// The selection's provenance when the answer carried one; the access
+    /// log reads off it whether the answer was the `32^d` fallback.
+    pub(crate) provenance: Option<SolutionProvenance>,
     pub(crate) journal_error: Option<String>,
 }
 
@@ -384,14 +389,12 @@ impl Exchange<'_> {
                 result,
                 eval,
                 verify,
-                fell_back,
             } => {
-                self.summary.fell_back = *fell_back;
+                self.summary.provenance = result.as_ref().ok().map(|s| s.provenance);
                 let response = match result {
                     Ok(solution) => Response::Selected {
                         solution,
                         cache,
-                        fell_back: *fell_back,
                         latency_ms,
                         eval: eval.as_ref(),
                         verify: verify.as_ref(),
@@ -512,7 +515,6 @@ pub(crate) enum Outcome {
         result: SelectResult,
         eval: Option<Result<SimReport, String>>,
         verify: Option<Result<VerifySummary, String>>,
-        fell_back: bool,
     },
     Pareto(Result<ParetoReport, String>),
     Panicked(String),
@@ -521,7 +523,7 @@ pub(crate) enum Outcome {
 /// The post-solve step every `select` answer goes through, whether its
 /// result came from the cache or from a fresh solve: measure and verify
 /// the tiles, as asked.
-fn answer(shared: &Shared, query: &Query, result: SelectResult, fell_back: bool) -> Outcome {
+fn answer(shared: &Shared, query: &Query, result: SelectResult) -> Outcome {
     let solved = result.as_ref().ok();
     let eval = solved
         .filter(|_| query.evaluate)
@@ -537,7 +539,6 @@ fn answer(shared: &Shared, query: &Query, result: SelectResult, fell_back: bool)
         result,
         eval,
         verify,
-        fell_back,
     }
 }
 
@@ -545,7 +546,7 @@ fn answer(shared: &Shared, query: &Query, result: SelectResult, fell_back: bool)
 /// thread, or on a worker whose job lost a race to an identical one.
 fn cached_outcome(shared: &Shared, query: &Query, cache_key: &[u8]) -> Option<Outcome> {
     let result = shared.cache.lock().unwrap().lookup_key(cache_key)?;
-    Some(answer(shared, query, result, false))
+    Some(answer(shared, query, result))
 }
 
 /// The worker side of a job.
@@ -593,17 +594,17 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
         .and_then(|model| model.solve());
 
     // The anytime ladder's last rung: budget exhausted with nothing
-    // feasible found ⇒ PPCG's default 32^d tiling, marked as fallback.
-    let (result, fell_back) = match solved {
+    // feasible found ⇒ PPCG's default 32^d tiling, whose provenance marks
+    // it as the fallback.
+    let result = match solved {
         Err(EatssError::Exhausted { .. }) => {
             bump(&shared.counters.fallbacks);
-            let depth = query.program.max_depth();
-            (Ok(EatssSolution::ppcg_default(depth)), true)
+            Ok(EatssSolution::ppcg_default(query.program.max_depth()))
         }
-        other => (other, false),
+        other => other,
     };
     let commit = is_committed(&result).then(|| result.clone());
-    let outcome = answer(shared, query, result, fell_back);
+    let outcome = answer(shared, query, result);
     Finished { outcome, commit }
 }
 

@@ -17,7 +17,7 @@ use crate::flight::{RequestRecord, TraceWhich};
 use crate::server::ServerStats;
 use eatss::{
     ConfigRangeError, EatssConfig, EatssSolution, PipelineError, Precision, RecoveryStats,
-    SweepPoint, ThreadBlockCap, TileCacheStats,
+    SolutionProvenance, SweepPoint, ThreadBlockCap, TileCacheStats,
 };
 use eatss_gpusim::SimReport;
 use eatss_trace::json::{escape, number, Json};
@@ -560,11 +560,11 @@ pub(crate) struct ParetoReport {
 pub(crate) enum Response<'a> {
     /// `status: ok` for a `select`: the tiles, and — when asked for —
     /// their measurement and oracle verdict. `cache` is `hit`, `miss` or
-    /// `coalesced`; `fell_back` marks the `32^d` deadline fallback.
+    /// `coalesced`. Whether the tiles are proved optimal or are the `32^d`
+    /// deadline fallback is read off the solution's provenance.
     Selected {
         solution: &'a EatssSolution,
         cache: &'a str,
-        fell_back: bool,
         latency_ms: f64,
         eval: Option<&'a Result<SimReport, String>>,
         verify: Option<&'a Result<VerifySummary, String>>,
@@ -664,7 +664,6 @@ impl Response<'_> {
             Response::Selected {
                 solution,
                 cache,
-                fell_back,
                 latency_ms,
                 eval,
                 verify,
@@ -672,14 +671,17 @@ impl Response<'_> {
                 fields.push(("tiles", int_array(solution.tiles.sizes())));
                 fields.push(("objective", solution.objective.to_string()));
                 fields.push(("provenance", str_field(&solution.provenance.to_string())));
-                fields.push(("optimal", solution.optimal.to_string()));
+                let provenance = solution.provenance;
+                let optimal = provenance == SolutionProvenance::Solved;
+                let fallback = provenance == SolutionProvenance::DefaultFallback;
+                fields.push(("optimal", optimal.to_string()));
                 fields.push(("solver_calls", solution.solver_calls.to_string()));
                 fields.push((
                     "solve_ms",
                     number(solution.solve_time.as_secs_f64() * 1000.0),
                 ));
                 fields.push(("cache", str_field(cache)));
-                fields.push(("fell_back", fell_back.to_string()));
+                fields.push(("fell_back", fallback.to_string()));
                 fields.push(("latency_ms", number(*latency_ms)));
                 match eval {
                     Some(Ok(report)) => fields.push((
@@ -1134,7 +1136,6 @@ mod tests {
             objective: 6160,
             solver_calls: 9,
             solve_time: Duration::from_micros(2500),
-            optimal: true,
             provenance: SolutionProvenance::Solved,
             stats: Default::default(),
         };
@@ -1155,10 +1156,9 @@ mod tests {
             points: 9826,
         });
         let verify_error = Err("mismatch at C[0][1]".to_string());
-        let selected = |solution, cache, fell_back, eval, verify| Response::Selected {
+        let selected = |solution, cache, eval, verify| Response::Selected {
             solution,
             cache,
-            fell_back,
             latency_ms: 1.5,
             eval,
             verify,
@@ -1244,9 +1244,9 @@ mod tests {
         let cases = [
             (Response::Pong, Some("p1"), r#"{"v":1,"id":"p1","status":"ok","pong":true}"#),
             (Response::Ok, None, r#"{"v":1,"status":"ok"}"#),
-            (selected(&solution, "miss", false, None, None), Some("r1"), r#"{"v":1,"id":"r1","status":"ok","tiles":[16,384,1],"objective":6160,"provenance":"solved","optimal":true,"solver_calls":9,"solve_ms":2.5,"cache":"miss","fell_back":false,"latency_ms":1.5}"#),
-            (selected(&solution, "hit", false, Some(&eval), Some(&verify)), Some("r\"2"), r#"{"v":1,"id":"r\"2","status":"ok","tiles":[16,384,1],"objective":6160,"provenance":"solved","optimal":true,"solver_calls":9,"solve_ms":2.5,"cache":"hit","fell_back":false,"latency_ms":1.5,"eval":{"time_ms":1.25,"power_w":187.5,"energy_j":0.234375,"gflops":12800,"ppw":68.25},"verify":{"configs":2,"points":9826}}"#),
-            (selected(&fallback, "coalesced", true, Some(&eval_error), Some(&verify_error)), None, r#"{"v":1,"status":"ok","tiles":[32,32,32],"objective":0,"provenance":"fallback","optimal":false,"solver_calls":0,"solve_ms":0,"cache":"coalesced","fell_back":true,"latency_ms":1.5,"eval_error":{"kind":"measure","message":"injected \"fault\""},"verify_error":{"kind":"oracle","message":"mismatch at C[0][1]"}}"#),
+            (selected(&solution, "miss", None, None), Some("r1"), r#"{"v":1,"id":"r1","status":"ok","tiles":[16,384,1],"objective":6160,"provenance":"solved","optimal":true,"solver_calls":9,"solve_ms":2.5,"cache":"miss","fell_back":false,"latency_ms":1.5}"#),
+            (selected(&solution, "hit", Some(&eval), Some(&verify)), Some("r\"2"), r#"{"v":1,"id":"r\"2","status":"ok","tiles":[16,384,1],"objective":6160,"provenance":"solved","optimal":true,"solver_calls":9,"solve_ms":2.5,"cache":"hit","fell_back":false,"latency_ms":1.5,"eval":{"time_ms":1.25,"power_w":187.5,"energy_j":0.234375,"gflops":12800,"ppw":68.25},"verify":{"configs":2,"points":9826}}"#),
+            (selected(&fallback, "coalesced", Some(&eval_error), Some(&verify_error)), None, r#"{"v":1,"status":"ok","tiles":[32,32,32],"objective":0,"provenance":"fallback","optimal":false,"solver_calls":0,"solve_ms":0,"cache":"coalesced","fell_back":true,"latency_ms":1.5,"eval_error":{"kind":"measure","message":"injected \"fault\""},"verify_error":{"kind":"oracle","message":"mismatch at C[0][1]"}}"#),
             (infeasible, Some("r3"), r#"{"v":1,"id":"r3","status":"infeasible","reason":"WAF 16 exceeds extent 8","cache":"miss","latency_ms":1.5}"#),
             (pipeline(EatssError::EmptyProgram), Some("r4"), r#"{"v":1,"id":"r4","status":"error","error":{"kind":"pipeline","message":"[formulate] serve: program has no kernels"}}"#),
             (pipeline(EatssError::UnboundParameter("N".into())), Some("r4b"), r#"{"v":1,"id":"r4b","status":"error","error":{"kind":"pipeline","message":"[formulate] serve: problem-size parameter `N` is unbound"}}"#),

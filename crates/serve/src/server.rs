@@ -36,7 +36,7 @@ use crate::flight::FlightRecorder;
 use crate::handlers::SelectSummary;
 use crate::protocol::{object_line, str_field};
 use crate::transport::{acceptor_loop, listen, Stream};
-use eatss::{JournalConfig, TileCache, TileCacheStats};
+use eatss::{JournalConfig, SolutionProvenance, TileCache, TileCacheStats};
 use eatss_gpusim::{FaultPlan, GpuArch};
 use eatss_smt::CancelToken;
 use eatss_trace::{Histogram, Provenance};
@@ -258,7 +258,10 @@ impl Shared {
             ("cache", str_field(summary.cache)),
             ("queue_us", summary.queue_us.to_string()),
             ("solve_us", summary.solve_us.to_string()),
-            ("fell_back", summary.fell_back.to_string()),
+            (
+                "fell_back",
+                (summary.provenance == Some(SolutionProvenance::DefaultFallback)).to_string(),
+            ),
             ("latency_us", latency_us.to_string()),
             ("git_sha", str_field(&self.provenance.git_sha)),
         ];

@@ -246,7 +246,7 @@ impl fmt::Display for IntExpr {
 /// let capacity = (IntExpr::constant(3) * x.clone() * y.clone() + x.clone()).le(120);
 /// assert_eq!(capacity.to_string(), "(<= (+ (* 3 x y) x) 120)");
 /// s.assert(capacity);
-/// assert_eq!(s.maximize(&(x * y))?.best, Some(39));
+/// assert_eq!(s.maximize(&(x * y))?.best(), Some(39));
 /// # Ok::<(), eatss_smt::SolveError>(())
 /// ```
 #[derive(Debug, Clone)]

@@ -237,7 +237,7 @@ mod tests {
         let naive = maximize(&s, &obj).unwrap();
         let fast = s.maximize(&obj).unwrap();
         assert_eq!(naive.best, Some(65));
-        assert_eq!(naive.best, fast.best);
+        assert_eq!(naive.best, fast.best());
         assert!(naive.solver_calls >= 2);
         // Both refuse what is not a row, naming it alike: a negative
         // literal, cancelled or not, a repeated factor and a variable whose
@@ -272,8 +272,8 @@ mod tests {
         s.assert(((x.clone() + y.clone()) * IntExpr::constant(2)).le(20));
         let obj = x + y;
         let fast = s.maximize(&obj).unwrap();
-        assert!(fast.complete);
-        assert_eq!(fast.best, Some(10));
+        assert!(fast.complete());
+        assert_eq!(fast.best(), Some(10));
         assert_eq!(maximize(&s, &obj).unwrap().best, Some(10));
     }
 }

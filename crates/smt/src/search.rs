@@ -984,7 +984,7 @@ mod tests {
             None
         );
         let outcome = s.maximize(&product).unwrap();
-        assert!(outcome.model.is_none() && outcome.complete);
+        assert!(outcome.model.is_none() && outcome.complete());
     }
 
     #[test]

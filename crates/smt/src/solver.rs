@@ -71,7 +71,7 @@ impl fmt::Display for StopReason {
 /// Clone the token, hand one copy to [`SolverConfig::cancel`], and call
 /// [`CancelToken::cancel`] from another thread (or a signal handler) to
 /// stop the search at the next budget checkpoint. The solver reports the
-/// interruption as `complete = false` with [`StopReason::Cancelled`].
+/// interruption as [`MaximizeOutcome::stop`] = [`StopReason::Cancelled`].
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -96,29 +96,16 @@ impl CancelToken {
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Maximum search-tree nodes per search before giving up
-    /// (`complete = false` in the result).
+    /// ([`StopReason::NodeLimit`] in the result).
     pub node_limit: u64,
     /// Wall-clock budget for one whole [`Solver::maximize`] /
     /// [`Solver::maximize_warm`], which then returns its best-so-far model
-    /// with `complete = false` (anytime solving).
+    /// with [`StopReason::Deadline`] (anytime solving).
     pub deadline: Option<Duration>,
     /// Cooperative cancellation flag, checked at the same cadence as the
     /// deadline.
     pub cancel: Option<CancelToken>,
 }
-
-impl PartialEq for SolverConfig {
-    fn eq(&self, other: &Self) -> bool {
-        let token_eq = match (&self.cancel, &other.cancel) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(&a.0, &b.0),
-            _ => false,
-        };
-        self.node_limit == other.node_limit && self.deadline == other.deadline && token_eq
-    }
-}
-
-impl Eq for SolverConfig {}
 
 impl Default for SolverConfig {
     fn default() -> Self {
@@ -130,29 +117,44 @@ impl Default for SolverConfig {
     }
 }
 
-/// Result of a [`Solver::maximize`] call.
-#[derive(Debug, Clone)]
+/// Result of a [`Solver::maximize`] call: the run of incumbent values the
+/// search took and the model at the last of them. Everything else about
+/// the answer — its value, the §IV-L call count, whether it is proved —
+/// is read off these three fields by the methods below.
+#[derive(Debug, Clone, Default)]
 pub struct MaximizeOutcome {
-    /// The best model found (none if the constraints are unsatisfiable).
+    /// The model at the last incumbent; `Some` exactly when
+    /// [`MaximizeOutcome::incumbents`] is non-empty.
     pub model: Option<Model>,
-    /// Objective value of [`MaximizeOutcome::model`].
-    pub best: Option<i64>,
     /// The objective value of every incumbent the search took, in order:
-    /// strictly increasing, the last equal to [`MaximizeOutcome::best`].
-    /// Each is one satisfiable `check` of the paper's §IV-L loop (a warm
-    /// floor is not an incumbent — no model was found at it).
+    /// strictly increasing. Each is one satisfiable `check` of the paper's
+    /// §IV-L loop (a warm floor is not an incumbent — no model was found
+    /// at it).
     pub incumbents: Vec<i64>,
+    /// Why the loop stopped early; `None` when no budget interrupted it.
+    pub stop: Option<StopReason>,
+}
+
+impl MaximizeOutcome {
+    /// Objective value of [`MaximizeOutcome::model`]: the last incumbent.
+    pub fn best(&self) -> Option<i64> {
+        self.incumbents.last().copied()
+    }
+
     /// Number of `check` calls the §IV-L loop would perform for this
     /// improvement sequence: one per incumbent plus the final
     /// unsatisfiable one.
-    pub solver_calls: u32,
+    pub fn solver_calls(&self) -> u32 {
+        self.incumbents.len() as u32 + 1
+    }
+
     /// `true` if no budget interrupted the search: the model is proved
     /// optimal, or its absence proves unsatisfiability. `false` means the
     /// outcome is *anytime*: the model (if any) is feasible but possibly
     /// suboptimal, and a `None` model does not prove unsatisfiability.
-    pub complete: bool,
-    /// Why the loop stopped early, when `complete` is `false`.
-    pub stop: Option<StopReason>,
+    pub fn complete(&self) -> bool {
+        self.stop.is_none()
+    }
 }
 
 /// Reusable warm-start state for [`Solver::maximize_warm`]: the models of
@@ -426,14 +428,7 @@ impl Solver {
     ) -> Result<MaximizeOutcome, SolveError> {
         let lowered = self.lower(objective)?;
         let floor = Some(best.saturating_sub(1));
-        let mut outcome = MaximizeOutcome {
-            model: None,
-            best: None,
-            incumbents: Vec::new(),
-            solver_calls: 0,
-            complete: true,
-            stop: None,
-        };
+        let mut outcome = MaximizeOutcome::default();
         for &(var, value) in optimum {
             let mut domains = self.base_domains.clone();
             let Some(domain) = domains.get_mut(var.index()) else {
@@ -441,7 +436,7 @@ impl Solver {
             };
             domain.retain(|&v| v != value);
             outcome = self.search(domains, lowered.clone(), floor);
-            if outcome.model.is_some() || !outcome.complete {
+            if outcome.model.is_some() || !outcome.complete() {
                 break;
             }
         }
@@ -544,9 +539,11 @@ impl Solver {
                 .saturating_sub(propagation_before);
             self.stats.search_time += elapsed.saturating_sub(propagation_delta);
         }
-        let model = values.map(|values| Model::new(values, self.names.clone()));
-        let best = incumbents.last().copied();
-        let solver_calls = incumbents.len() as u32 + 1;
+        let outcome = MaximizeOutcome {
+            model: values.map(|values| Model::new(values, self.names.clone())),
+            incumbents,
+            stop,
+        };
         // Traced only (`stats_before` is `None` otherwise, so the untraced
         // hot path pays one atomic load): the per-call delta goes on the
         // span and flows into the metrics registry.
@@ -561,26 +558,19 @@ impl Solver {
             span.arg("hull_rebuilds", delta.hull_rebuilds);
             span.arg("propagation_us", delta.propagation_time.as_micros() as u64);
             span.arg("search_us", delta.search_time.as_micros() as u64);
-            span.arg("sat", model.is_some());
-            span.arg("complete", stop.is_none());
+            span.arg("sat", outcome.model.is_some());
+            span.arg("complete", outcome.complete());
             if let Some(reason) = stop {
                 span.arg("stop", reason.to_string());
             }
             if searched {
-                if let Some(v) = best {
+                if let Some(v) = outcome.best() {
                     span.arg("best", v);
                 }
-                span.arg("solver_calls", solver_calls);
+                span.arg("solver_calls", outcome.solver_calls());
             }
         }
-        MaximizeOutcome {
-            model,
-            best,
-            incumbents,
-            solver_calls,
-            complete: stop.is_none(),
-            stop,
-        }
+        outcome
     }
 }
 
@@ -617,12 +607,12 @@ mod tests {
         let x = s.int_var("x", 1, 10);
         s.assert((c(2) * x.clone()).le(9));
         let r = s.maximize(&x).unwrap();
-        assert!(r.complete);
+        assert!(r.complete());
         assert_eq!(r.model.unwrap().value_of_name("x"), Some(4));
 
         s.assert((x.clone() + c(1)).le(1));
         let r = s.maximize(&x).unwrap();
-        assert!(r.complete);
+        assert!(r.complete());
         assert!(r.model.is_none());
     }
 
@@ -632,7 +622,7 @@ mod tests {
         let x = s.int_var("x", 10, 1);
         let r = s.maximize(&x).unwrap();
         assert!(r.model.is_none());
-        assert!(r.complete);
+        assert!(r.complete());
     }
 
     #[test]
@@ -643,7 +633,7 @@ mod tests {
         let y = s.int_var("y", 2, 100);
         s.assert((x.clone() * y.clone()).le(91));
         let r = s.maximize(&(x + y)).unwrap();
-        assert_eq!(r.best, Some(47));
+        assert_eq!(r.best(), Some(47));
         let m = r.model.unwrap();
         let (xv, yv) = (m.value_of_name("x").unwrap(), m.value_of_name("y").unwrap());
         assert!(xv * yv <= 91 && xv + yv == 47, "{m}");
@@ -667,10 +657,13 @@ mod tests {
         s.assert((x.clone() * y.clone()).le(100));
         let obj = x.clone() + y.clone();
         let out = s.maximize(&obj).unwrap();
-        assert!(out.complete);
+        assert!(out.complete());
         // Best of x + y with x*y <= 100 and x,y in [1,64]: x=1, y=64 -> 65.
-        assert_eq!(out.best, Some(65));
-        assert!(out.solver_calls >= 2, "at least one improve + final unsat");
+        assert_eq!(out.best(), Some(65));
+        assert!(
+            out.solver_calls() >= 2,
+            "at least one improve + final unsat"
+        );
     }
 
     #[test]
@@ -680,9 +673,9 @@ mod tests {
         s.assert((c(2) * x.clone()).le(1));
         let out = s.maximize(&x).unwrap();
         assert!(out.model.is_none());
-        assert_eq!(out.best, None);
-        assert_eq!(out.solver_calls, 1);
-        assert!(out.complete);
+        assert_eq!(out.best(), None);
+        assert_eq!(out.solver_calls(), 1);
+        assert!(out.complete());
     }
 
     #[test]
@@ -702,8 +695,8 @@ mod tests {
         s.assert((ti.clone() * tk.clone()).le(cap));
         let obj = bsize + IntExpr::constant(2 * 16) * tj.clone();
         let out = s.maximize(&obj).unwrap();
-        assert!(out.complete);
-        let m = out.model.unwrap();
+        assert!(out.complete());
+        let m = out.model.as_ref().unwrap();
         let (i, j, k) = (
             m.value_of_name("Ti").unwrap(),
             m.value_of_name("Tj").unwrap(),
@@ -711,10 +704,10 @@ mod tests {
         );
         // Optimality: the paper's solution value is a lower bound on ours.
         let paper = 16 * 384 + 32 * 384;
-        assert!(out.best.unwrap() >= paper, "found {i},{j},{k}");
+        assert!(out.best().unwrap() >= paper, "found {i},{j},{k}");
         // And our solution must satisfy all constraints.
         assert!(i * j + k * j <= cap && i * k <= cap);
-        assert_eq!(out.best.unwrap(), i * j + 32 * j);
+        assert_eq!(out.best().unwrap(), i * j + 32 * j);
     }
 
     #[test]
@@ -730,7 +723,7 @@ mod tests {
         s.assert((x.clone() * y.clone()).le(1000));
         let r = s.maximize(&(x + y)).unwrap();
         assert!(r.model.is_none());
-        assert!(!r.complete, "limit must be reported as incomplete");
+        assert!(!r.complete(), "limit must be reported as incomplete");
         assert_eq!(r.stop, Some(StopReason::NodeLimit));
         assert_eq!(s.stats().node_limit_hits, 1);
     }
@@ -748,7 +741,7 @@ mod tests {
             ..SolverConfig::default()
         });
         let r = s.maximize(&x).unwrap();
-        assert!(!r.complete);
+        assert!(!r.complete());
         assert_eq!(r.stop, Some(StopReason::Deadline));
         assert_eq!(s.stats().deadline_hits, 1);
         // An expired budget proves nothing: the problem is satisfiable.
@@ -761,7 +754,7 @@ mod tests {
         // A cancelled token stops the tie question before it is settled.
         let (mut free, obj) = matmul_formulation(SolverConfig::default(), 16);
         let optimum = free.maximize(&obj).unwrap();
-        let m = optimum.model.unwrap();
+        let m = optimum.model.as_ref().unwrap();
         let tiles: Vec<(VarId, i64)> = (0..3)
             .map(|i| (VarId(i), m.value_of(VarId(i)).unwrap()))
             .collect();
@@ -773,10 +766,10 @@ mod tests {
         };
         let (mut s, obj) = matmul_formulation(config, 16);
         let r = s
-            .other_optimum(&obj, optimum.best.unwrap(), &tiles)
+            .other_optimum(&obj, optimum.best().unwrap(), &tiles)
             .unwrap();
         assert!(r.model.is_none());
-        assert!(!r.complete);
+        assert!(!r.complete());
         assert_eq!(r.stop, Some(StopReason::Cancelled));
         assert_eq!(s.stats().cancellations, 1);
     }
@@ -813,9 +806,12 @@ mod tests {
             2,
         );
         let out = s.maximize(&obj).unwrap();
-        assert!(!out.complete, "52 nodes cannot prove optimality here");
+        assert!(!out.complete(), "52 nodes cannot prove optimality here");
         assert_eq!(out.stop, Some(StopReason::NodeLimit));
-        let m = out.model.expect("anytime: best-so-far model returned");
+        let m = out
+            .model
+            .as_ref()
+            .expect("anytime: best-so-far model returned");
         // The returned model must satisfy the full formulation.
         let (i, j, k) = (
             m.value_of_name("Ti").unwrap(),
@@ -825,12 +821,12 @@ mod tests {
         assert!(i % 2 == 0 && j % 2 == 0 && k % 2 == 0);
         assert!(i * j * 6 <= 65_536);
         assert!(i * j + k * j <= 12_288 && i * k <= 12_288);
-        assert_eq!(out.best.unwrap(), i * j + 32 * j);
+        assert_eq!(out.best().unwrap(), i * j + 32 * j);
         assert_eq!(s.stats().node_limit_hits, 1);
         // With the budget lifted the same search proves a better optimum.
         let (mut s, obj) = matmul_formulation(SolverConfig::default(), 2);
         let proved = s.maximize(&obj).unwrap();
-        assert!(proved.complete && proved.best > out.best);
+        assert!(proved.complete() && proved.best() > out.best());
     }
 
     /// One pass still walks the paper's §IV-L sequence: every recorded
@@ -843,16 +839,14 @@ mod tests {
             let (mut s, obj) = matmul_formulation(SolverConfig::default(), waf);
             let naive = crate::reference::maximize(&s, &obj).unwrap();
             let fast = s.maximize(&obj).unwrap();
-            assert!(fast.complete);
+            assert!(fast.complete());
             assert!(!fast.incumbents.is_empty(), "waf {waf}: satisfiable");
             assert!(
                 fast.incumbents.windows(2).all(|w| w[0] < w[1]),
                 "waf {waf}: {:?}",
                 fast.incumbents
             );
-            assert_eq!(fast.incumbents.last().copied(), naive.best, "waf {waf}");
-            assert_eq!(fast.best, naive.best, "waf {waf}");
-            assert_eq!(fast.solver_calls as usize, fast.incumbents.len() + 1);
+            assert_eq!(fast.best(), naive.best, "waf {waf}");
         }
     }
 
@@ -869,30 +863,8 @@ mod tests {
         );
         let out = s.maximize(&obj).unwrap();
         assert!(out.model.is_none(), "cancelled before any model was found");
-        assert!(!out.complete);
+        assert!(!out.complete());
         assert_eq!(out.stop, Some(StopReason::Cancelled));
-    }
-
-    #[test]
-    fn config_equality_ignores_distinct_but_both_none_tokens() {
-        let a = SolverConfig::default();
-        let b = SolverConfig::default();
-        assert_eq!(a, b);
-        let t = CancelToken::new();
-        let c = SolverConfig {
-            cancel: Some(t.clone()),
-            ..SolverConfig::default()
-        };
-        let d = SolverConfig {
-            cancel: Some(t),
-            ..SolverConfig::default()
-        };
-        assert_eq!(c, d);
-        let e = SolverConfig {
-            cancel: Some(CancelToken::new()),
-            ..SolverConfig::default()
-        };
-        assert_ne!(c, e, "distinct tokens are distinct configs");
     }
 
     #[test]
@@ -962,7 +934,7 @@ mod tests {
         let tie = s
             .other_optimum(&(x.clone() + y.clone()), 10, &point)
             .unwrap();
-        assert!(tie.complete);
+        assert!(tie.complete());
         let other = tie.model.expect("another point of the diagonal");
         assert_ne!(
             (other.value_of(VarId(0)), other.value_of(VarId(1))),
@@ -971,7 +943,7 @@ mod tests {
         assert_eq!(other.eval(&(x.clone() + y.clone())), Ok(10));
         let objective = c(2) * x + y;
         let unique = s.other_optimum(&objective, 20, &point).unwrap();
-        assert!(unique.complete && unique.model.is_none());
+        assert!(unique.complete() && unique.model.is_none());
         assert!(s
             .other_optimum(&objective, 20, &[])
             .unwrap()
@@ -1014,7 +986,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(out.best, Some(best));
+        assert_eq!(out.best(), Some(best));
     }
 
     #[test]
@@ -1025,7 +997,7 @@ mod tests {
         // return, this count explodes past `checks`.
         let (mut s, obj) = matmul_formulation(SolverConfig::default(), 16);
         let out = s.maximize(&obj).unwrap();
-        assert!(out.complete);
+        assert!(out.complete());
         let _ = s.maximize(&obj).unwrap();
         let stats = s.stats();
         assert_eq!(stats.checks, 2, "maximize is a single search pass");
@@ -1039,7 +1011,7 @@ mod tests {
     fn maximize_prunes_with_incumbent_bound() {
         let (mut s, obj) = matmul_formulation(SolverConfig::default(), 16);
         let out = s.maximize(&obj).unwrap();
-        assert!(out.complete);
+        assert!(out.complete());
         assert!(
             s.stats().bound_prunes > 0,
             "branch-and-bound must cut subtrees that cannot beat the incumbent"
@@ -1064,7 +1036,7 @@ mod tests {
         // being unique, so must the returned model.
         let (mut cold, obj) = matmul_formulation(SolverConfig::default(), 16);
         let cold_out = cold.maximize(&obj).unwrap();
-        assert!(cold_out.complete);
+        assert!(cold_out.complete());
         let cold_model = cold_out.model.clone().unwrap();
 
         let mut warm_start = WarmStart::new();
@@ -1072,9 +1044,9 @@ mod tests {
 
         let (mut warm, obj2) = matmul_formulation(SolverConfig::default(), 16);
         let warm_out = warm.maximize_warm(&obj2, &warm_start).unwrap();
-        assert_eq!(warm_out.best, cold_out.best);
-        assert_eq!(warm_out.complete, cold_out.complete);
-        let warm_model = warm_out.model.unwrap();
+        assert_eq!(warm_out.best(), cold_out.best());
+        assert_eq!(warm_out.complete(), cold_out.complete());
+        let warm_model = warm_out.model.as_ref().unwrap();
         let cold_bindings: Vec<_> = cold_model
             .bindings()
             .map(|(n, v)| (n.to_owned(), v))
@@ -1086,7 +1058,7 @@ mod tests {
         assert_eq!(warm_bindings, cold_bindings);
         // The warm run starts at the optimum's floor, so it needs at most
         // as many improvement passes as the cold run.
-        assert!(warm_out.solver_calls <= cold_out.solver_calls);
+        assert!(warm_out.solver_calls() <= cold_out.solver_calls());
         assert_eq!(warm.stats().warm_seeds, 1);
         assert!(warm.stats().warm_cut_hits >= 1);
     }
@@ -1117,8 +1089,8 @@ mod tests {
         warm.observe(&Model::new(vec![3], vec!["x".to_owned()]));
 
         let out = s.maximize_warm(&obj, &warm).unwrap();
-        assert!(out.complete);
-        assert_eq!(out.best, Some(65));
+        assert!(out.complete());
+        assert_eq!(out.best(), Some(65));
         assert_eq!(s.stats().warm_seeds, 0, "no usable hint, no seed");
         assert_eq!(s.stats().warm_cut_hits, 0);
     }
@@ -1139,8 +1111,8 @@ mod tests {
             vec!["x".to_owned(), "y".to_owned()],
         ));
         let out = s.maximize_warm(&obj, &warm).unwrap();
-        assert!(out.complete);
-        assert_eq!(out.best, Some(65));
+        assert!(out.complete());
+        assert_eq!(out.best(), Some(65));
         assert_eq!(s.stats().warm_seeds, 1);
         assert_eq!(s.stats().warm_cut_hits, 1);
     }

@@ -95,9 +95,9 @@ proptest! {
         let (mut s, obj, rows) = build([hx, hy, hz], cap, sum_cap, modulus, sel);
         let naive = reference::maximize(&s, &obj).expect("reference maximize");
         let fast = s.maximize(&obj).expect("fast maximize");
-        prop_assert!(fast.complete, "no budgets configured");
-        prop_assert_eq!(naive.best, fast.best);
-        for (model, best) in [(&fast.model, fast.best), (&naive.model, naive.best)] {
+        prop_assert!(fast.complete(), "no budgets configured");
+        prop_assert_eq!(naive.best, fast.best());
+        for (model, best) in [(&fast.model, fast.best()), (&naive.model, naive.best)] {
             let (Some(model), Some(best)) = (model, best) else { continue };
             prop_assert_eq!(model.eval(&obj), Ok(best));
             for (lhs, cap) in &rows {

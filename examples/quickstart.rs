@@ -4,7 +4,7 @@
 //! cargo run -p eatss-examples --bin quickstart
 //! ```
 
-use eatss::{Eatss, EatssConfig};
+use eatss::{Eatss, EatssConfig, SolutionProvenance};
 use eatss_affine::parser::parse_program;
 use eatss_affine::ProblemSizes;
 use eatss_gpusim::GpuArch;
@@ -33,7 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "solver         : {} calls, {:.3} s{}",
         solution.solver_calls,
         solution.solve_time.as_secs_f64(),
-        if solution.optimal { " (optimal)" } else { "" }
+        if solution.provenance == SolutionProvenance::Solved {
+            " (optimal)"
+        } else {
+            ""
+        }
     );
 
     // 4. Measure the selection on the GPU model and compare with the

@@ -32,12 +32,12 @@ proptest! {
         s.assert((x.clone() * y.clone()).le(cap));
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
-        if let Some(model) = out.model {
+        if let Some(model) = &out.model {
             let xv = model.value_of_name("x").expect("x bound");
             let yv = model.value_of_name("y").expect("y bound");
             prop_assert!(xv * yv <= cap);
             prop_assert_eq!(xv % modulus, 0);
-            let claimed = out.best.expect("sat implies value");
+            let claimed = out.best().expect("sat implies value");
             prop_assert_eq!(claimed, xv * yv + yv);
             // Exhaustive cross-check (domains are small).
             let mut best = i64::MIN;
@@ -61,8 +61,8 @@ proptest! {
 
     /// Anytime soundness: under an arbitrary (often binding) node budget,
     /// any model `maximize` returns satisfies every asserted constraint,
-    /// budget exhaustion is always reported (`complete == false` with a
-    /// stop reason), and a *completed* search is still a true optimum.
+    /// budget exhaustion is always reported (a stop reason), and a
+    /// *completed* search is still a true optimum.
     #[test]
     fn anytime_maximize_is_sound_under_tiny_budgets(
         node_limit in 1u64..300,
@@ -78,8 +78,8 @@ proptest! {
         s.assert((x.clone() * y.clone()).le(cap));
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
-        // A budget stop and `complete` are two views of the same fact.
-        prop_assert_eq!(out.complete, out.stop.is_none());
+        // A model exists exactly when an incumbent was taken.
+        prop_assert_eq!(out.model.is_some(), !out.incumbents.is_empty());
         // Feasibility of whatever came back, complete or not.
         if let Some(model) = &out.model {
             let xv = model.value_of_name("x").expect("x bound");
@@ -87,16 +87,15 @@ proptest! {
             prop_assert!((1..=hi_x).contains(&xv) && (1..=hi_y).contains(&yv));
             prop_assert!(xv * yv <= cap);
             prop_assert_eq!(xv % 2, 0);
-            prop_assert_eq!(out.best.expect("model implies value"), xv * yv + yv);
+            prop_assert_eq!(out.best().expect("model implies value"), xv * yv + yv);
         }
         // x=2, y=1 is always feasible here, so a one-node budget cannot
         // finish assigning two free variables: the budget must bind.
         if node_limit == 1 {
-            prop_assert!(!out.complete);
             prop_assert!(out.stop.is_some());
         }
         // A completed search is exact: cross-check exhaustively.
-        if out.complete {
+        if out.complete() {
             let mut best = None;
             for cx in 1..=hi_x {
                 for cy in 1..=hi_y {
@@ -105,7 +104,20 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(out.best, best);
+            prop_assert_eq!(out.best(), best);
+        }
+        // The same invariant holds for the tie question, whose searches
+        // are seeded one below the optimum under the same budget.
+        if let (Some(model), Some(best)) = (&out.model, out.best()) {
+            let optimum: Vec<_> = [&x, &y]
+                .into_iter()
+                .map(|v| {
+                    let id = v.as_var().expect("a bare variable");
+                    (id, model.value_of(id).expect("bound"))
+                })
+                .collect();
+            let other = s.other_optimum(&obj, best, &optimum).expect("no solver error");
+            prop_assert_eq!(other.model.is_some(), !other.incumbents.is_empty());
         }
     }
 

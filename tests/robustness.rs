@@ -59,9 +59,12 @@ fn maximize_under_node_limit_is_anytime_on_matmul() {
         2,
     );
     let out = s.maximize(&obj).unwrap();
-    assert!(!out.complete);
+    assert!(!out.complete());
     assert_eq!(out.stop, Some(StopReason::NodeLimit));
-    let m = out.model.expect("anytime: best-so-far model returned");
+    let m = out
+        .model
+        .as_ref()
+        .expect("anytime: best-so-far model returned");
     let (i, j, k) = (
         m.value_of_name("Ti").unwrap(),
         m.value_of_name("Tj").unwrap(),
@@ -71,7 +74,7 @@ fn maximize_under_node_limit_is_anytime_on_matmul() {
     assert!(i * j * 6 <= 65_536);
     assert!(i * j + k * j <= 12_288);
     assert!(i * k <= 12_288);
-    assert_eq!(out.best.unwrap(), i * j + 32 * j);
+    assert_eq!(out.best().unwrap(), i * j + 32 * j);
 }
 
 #[test]
@@ -137,7 +140,6 @@ fn fault_injected_sweep_exercises_all_provenances() {
         .filter(|p| p.solution.provenance == SolutionProvenance::SolvedIncomplete)
     {
         assert!(p.solution.tiles.sizes().iter().all(|t| t % 2 == 0));
-        assert!(!p.solution.optimal);
         assert!(p.report.valid);
     }
 

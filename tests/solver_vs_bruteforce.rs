@@ -3,7 +3,7 @@
 //! must attain the true optimum of the §IV objective subject to the
 //! §IV constraints.
 
-use eatss::{EatssConfig, ModelGenerator, Precision, ThreadBlockCap};
+use eatss::{EatssConfig, ModelGenerator, Precision, SolutionProvenance, ThreadBlockCap};
 use eatss_affine::analysis::AccessAnalysis;
 use eatss_affine::parser::parse_program;
 use eatss_affine::ProblemSizes;
@@ -168,8 +168,8 @@ fn polybench_optima_match_the_reference_engine() {
         let reference =
             eatss_smt::reference::maximize(&solver, &objective).expect("reference maximize");
         let fast = solver.maximize(&objective).expect("fast maximize");
-        assert!(fast.complete, "{}: no budget is configured", bench.name);
-        assert_eq!(fast.best, reference.best, "{}", bench.name);
+        assert!(fast.complete(), "{}: no budget is configured", bench.name);
+        assert_eq!(fast.best(), reference.best, "{}", bench.name);
     }
 }
 
@@ -196,7 +196,7 @@ fn syrk_long_solve_is_refuted_once_not_once_per_improvement() {
         .expect("build succeeds")
         .solve()
         .expect("feasible");
-    assert!(solution.optimal);
+    assert_eq!(solution.provenance, SolutionProvenance::Solved);
     assert_eq!(solution.tiles.sizes(), &[8, 1012, 4]);
     assert_eq!(solution.objective, 12_144);
     assert!(

@@ -8,7 +8,7 @@
 //! optimum is tied among the objective's own variables, where warm and
 //! cold each return a different, equally optimal tiling.
 
-use eatss::{Ablation, EatssConfig, EatssError, ModelGenerator};
+use eatss::{Ablation, EatssConfig, EatssError, ModelGenerator, SolutionProvenance};
 use eatss_gpusim::GpuArch;
 use eatss_kernels::{polybench, Dataset};
 use eatss_smt::WarmStart;
@@ -42,7 +42,7 @@ fn solve(
         Ok(s) => Verdict::Solved {
             tiles: s.tiles.sizes().to_vec(),
             objective: s.objective,
-            optimal: s.optimal,
+            optimal: s.provenance == SolutionProvenance::Solved,
         },
         Err(EatssError::Unsatisfiable { reason }) => Verdict::Infeasible(reason),
         Err(e) => panic!("unexpected solve error: {e}"),
@@ -124,7 +124,7 @@ fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
     };
 
     let cold = build().solve().expect("feasible");
-    assert!(cold.optimal);
+    assert_eq!(cold.provenance, SolutionProvenance::Solved);
     assert!(
         build().has_other_optimum(&cold).expect("unbudgeted"),
         "the case needs a tie: some other tiling must attain {}",
@@ -140,7 +140,7 @@ fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
     );
     let seeded = build().solve_warm(&mut own).expect("feasible");
     assert_eq!(seeded.objective, cold.objective);
-    assert!(seeded.optimal);
+    assert_eq!(seeded.provenance, SolutionProvenance::Solved);
     assert_eq!(seeded.stats.warm_seeds, 1);
 
     // Both tilings are feasible under the formulation: every hint is
@@ -186,7 +186,8 @@ fn sweep_chain_keeps_the_cold_value_at_a_tied_split_zero_point() {
     let mut own = WarmStart::new();
     let cold = build(0.0).solve_warm(&mut own).expect("feasible");
     assert_eq!(warm.objective, cold.objective);
-    assert!(warm.optimal && cold.optimal);
+    assert_eq!(warm.provenance, SolutionProvenance::Solved);
+    assert_eq!(cold.provenance, SolutionProvenance::Solved);
 
     // Every model the chain holds, the warm tiling among them, and the
     // cold tiling re-validate against all of split 0's constraints.
