@@ -207,8 +207,8 @@ mod tests {
         assert!(fd_bin_width(&large) < fd_bin_width(&small));
     }
 
-    /// A NaN sample used to land in bin 0 (`NaN as usize` is 0) and to
-    /// poison the quartiles; only the finite samples are binned now.
+    /// A NaN must neither land in a bin (`NaN as usize` is 0) nor move
+    /// the quartiles: only the finite samples are binned.
     #[test]
     fn fd_histogram_bins_only_the_finite_samples() {
         let with_nan = [1.0, f64::NAN, 2.0, 4.0, f64::NAN];

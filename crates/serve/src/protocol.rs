@@ -673,7 +673,6 @@ impl Response<'_> {
                 fields.push(("provenance", str_field(&solution.provenance.to_string())));
                 let provenance = solution.provenance;
                 let optimal = provenance == SolutionProvenance::Solved;
-                let fallback = provenance == SolutionProvenance::DefaultFallback;
                 fields.push(("optimal", optimal.to_string()));
                 fields.push(("solver_calls", solution.solver_calls.to_string()));
                 fields.push((
@@ -681,6 +680,7 @@ impl Response<'_> {
                     number(solution.solve_time.as_secs_f64() * 1000.0),
                 ));
                 fields.push(("cache", str_field(cache)));
+                let fallback = provenance == SolutionProvenance::DefaultFallback;
                 fields.push(("fell_back", fallback.to_string()));
                 fields.push(("latency_ms", number(*latency_ms)));
                 match eval {
