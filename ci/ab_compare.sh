@@ -12,8 +12,9 @@
 #     first, each run started from its own checkout, and appends their
 #     --record lines to A.jsonl (parent) and B.jsonl (change) in the
 #     current directory,
-#   - adds one traced run per side and workload (per-layer metrics; they
-#     carry no verdict),
+#   - adds 3 traced pairs per workload (seeds 1-3, alternating the same
+#     way), so each per-layer row `--compare` prints is a median of 3
+#     runs per side (per-layer metrics carry no verdict),
 #   - prints `bench_e2e --compare A.jsonl B.jsonl` and exits with its
 #     status: 1 on a `Regressed` row or a higher share of failed ops.
 #
@@ -52,22 +53,29 @@ run() { # side-dir record-file workload seed trace
         --seconds "$window" --trace "$5" --record "$2" >/dev/null)
 }
 
+# One run per side, the parent first on odd seeds and the change first on
+# even ones.
+pair() { # workload seed trace
+    if [ $(($2 % 2)) -eq 1 ]; then
+        run "$parent" "$out/A.jsonl" "$1" "$2" "$3"
+        run "$change" "$out/B.jsonl" "$1" "$2" "$3"
+    else
+        run "$change" "$out/B.jsonl" "$1" "$2" "$3"
+        run "$parent" "$out/A.jsonl" "$1" "$2" "$3"
+    fi
+}
+
 started=$SECONDS
-for pair in $(seq 1 "$pairs"); do
+for seed in $(seq 1 "$pairs"); do
     for workload in $workloads; do
-        if [ $((pair % 2)) -eq 1 ]; then
-            run "$parent" "$out/A.jsonl" "$workload" "$pair" 0
-            run "$change" "$out/B.jsonl" "$workload" "$pair" 0
-        else
-            run "$change" "$out/B.jsonl" "$workload" "$pair" 0
-            run "$parent" "$out/A.jsonl" "$workload" "$pair" 0
-        fi
+        pair "$workload" "$seed" 0
     done
-    echo "ab_compare: pair $pair of $pairs done at $((SECONDS - started)) s" >&2
+    echo "ab_compare: pair $seed of $pairs done at $((SECONDS - started)) s" >&2
 done
-for workload in $workloads; do
-    run "$parent" "$out/A.jsonl" "$workload" 1 1
-    run "$change" "$out/B.jsonl" "$workload" 1 1
+for seed in 1 2 3; do
+    for workload in $workloads; do
+        pair "$workload" "$seed" 1
+    done
 done
 
 "$change/benchmark/target/release/bench_e2e" --compare "$out/A.jsonl" "$out/B.jsonl"

@@ -14,9 +14,14 @@
 //! * pairs with differing linear parts are handled conservatively: every
 //!   dimension gets [`DepDistance::Star`].
 //!
-//! A dimension is **serial** if some dependence may be carried at it
-//! (scanning outer→inner: a `Const(≠0)` distance definitely carries and
-//! shields inner dimensions; a `Star` may carry and scanning continues).
+//! A dimension is **serial** if some dependence may be carried at it.
+//! Scanning outer→inner, a `Const(≠0)` distance at an explicit `for seq`
+//! dimension is carried by its one-launch-per-iteration order and shields
+//! the inner dimensions. At any other dimension a `Const(≠0)` or a `Star`
+//! marks the dimension serial and the scan continues: a serial dimension
+//! that is not `seq` runs inside each thread, with no barrier between
+//! threads, so it carries nothing across the threads of an inner
+//! dimension.
 
 use crate::ir::{ArrayRef, Kernel};
 
@@ -164,7 +169,8 @@ fn pair_distance(w: &ArrayRef, r: &ArrayRef, depth: usize) -> Option<Vec<DepDist
 /// (`false`).
 ///
 /// A dimension declared `for seq` is always serial. Otherwise a dimension
-/// is serial if some dependence may be carried at it.
+/// is serial if some dependence may be carried at it; only a `for seq`
+/// dimension shields the dimensions inside it (see the module doc).
 ///
 /// # Examples
 ///
@@ -189,17 +195,15 @@ pub fn parallel_dims(kernel: &Kernel) -> Vec<bool> {
         }
     }
     for dep in dependences(kernel) {
-        // Scan outer to inner. Const(!=0) definitely carries here and
-        // shields inner dims; Star may carry here and scanning continues;
-        // Const(0) does not carry here.
+        // Scan outer to inner. Const(0) does not carry here. Const(!=0)
+        // carries here; at a `seq` dim (one launch per iteration) that
+        // shields the inner dims. Elsewhere, and for Star (may carry), the
+        // dim is serial and scanning continues.
         for (d, dist) in dep.distance.iter().enumerate() {
             match dist {
                 DepDistance::Const(0) => {}
-                DepDistance::Const(_) => {
-                    parallel[d] = false;
-                    break;
-                }
-                DepDistance::Star => {
+                DepDistance::Const(_) if kernel.dims[d].explicit_serial => break,
+                DepDistance::Const(_) | DepDistance::Star => {
                     parallel[d] = false;
                 }
             }
@@ -305,6 +309,26 @@ mod tests {
              }",
         );
         assert_eq!(par, vec![true, true, false]);
+    }
+
+    #[test]
+    fn a_serial_dim_inside_the_thread_does_not_shield_a_racing_dim() {
+        // k runs inside each thread with no barrier, so distance (1, −1)
+        // is carried across the threads of i as well.
+        let skewm = "kernel skewm(N) {
+               for (k: N) for (i: N) A[i][k] = A[i+1][k-1] + 1.0;
+             }";
+        assert_eq!(dims_of(skewm), vec![false, false]);
+        // One launch per k carries the distance: i is parallel.
+        let launched = "kernel skewm(N) {
+               for seq (k: N) for (i: N) A[i][k] = A[i+1][k-1] + 1.0;
+             }";
+        assert_eq!(dims_of(launched), vec![false, true]);
+        // Every i writes A[k]: i is serial beside the carried k.
+        let shared = "kernel sh(N) {
+               for (k: N) for (i: N) A[k] = A[k-1] + B[i];
+             }";
+        assert_eq!(dims_of(shared), vec![false, false]);
     }
 
     #[test]

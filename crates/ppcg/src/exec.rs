@@ -31,11 +31,18 @@
 //!
 //! The plan engine executes every point inside a *row* — one
 //! `exec_row_routed` call over points that differ in one coordinate.
-//! Within a thread, the innermost loop that iterates becomes a row; across
-//! threads, a run of x-adjacent threads that each own exactly one point
-//! becomes one row along mapped dim 0 (the same points in the same order
-//! as thread by thread). Rows run per kernel are tallied in the
-//! `exec.rows` trace counter, beside `exec.points` and `exec.blocks`.
+//! Within a thread, the innermost loop that iterates becomes a row.
+//! Across threads, a chunk of `thread_extents[0]` x-adjacent threads
+//! shares every loop but x, and runs those loops once with one row along
+//! mapped dim 0 per iteration, as a warp runs a loop iteration across its
+//! lanes. Over the chunk's whole x span (*lockstep*) this interleaves the
+//! threads' points, each thread's in its own order; it runs only where
+//! `lockstep_safe` proves every interleaving leaves the same store, and
+//! where it makes fewer rows than thread by thread. Otherwise, where the
+//! shared loops iterate once, the threads that own one point apiece run
+//! as one row (the same points in the same order as thread by thread).
+//! Rows run per kernel are tallied in the `exec.rows` trace counter,
+//! beside `exec.points` and `exec.blocks`.
 //!
 //! What is *not* modeled: warp scheduling, memory timing, and racy
 //! unsynchronized accesses (blocks and threads are independent by
@@ -49,7 +56,6 @@ use eatss_affine::ir::{ArrayRef, Kernel};
 use eatss_affine::plan::{ExecPlan, RouteSource, RowScratch};
 use eatss_affine::{ProblemSizes, Program};
 use std::fmt;
-use std::ops::Range;
 
 /// How faithfully `__syncthreads()` phases are honored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -385,11 +391,13 @@ impl RouteSource for StagedRouter<'_, '_> {
 }
 
 /// The plan engine's state for one kernel: the compiled plan, its
-/// reusable row scratch, and the rows run so far (the `exec.rows` tally).
+/// reusable row scratch, the rows run so far (the `exec.rows` tally), and
+/// whether a chunk's threads may run in lockstep ([`lockstep_safe`]).
 struct PlanRows<'p> {
     plan: &'p ExecPlan,
     scratch: RowScratch,
     rows: u64,
+    lockstep: bool,
 }
 
 impl PlanRows<'_> {
@@ -411,6 +419,42 @@ impl PlanRows<'_> {
         self.plan
             .exec_row_routed(store, point, dim, count, step, &mut self.scratch, router);
         router.failure.take().map_or(Ok(()), Err)
+    }
+
+    /// Executes one row along `x_dim`, `count` points from `x_start`
+    /// step 1, at every iteration of the shared `loops` (innermost last).
+    #[allow(clippy::too_many_arguments)]
+    fn run_chunk(
+        &mut self,
+        store: &mut Store,
+        point: &mut [i64],
+        loops: &[SharedLoop],
+        x_dim: usize,
+        x_start: i64,
+        count: i64,
+        router: &mut StagedRouter<'_, '_>,
+        stats: &mut ExecStats,
+    ) -> Result<(), ExecError> {
+        for l in loops {
+            point[l.dim] = l.start;
+        }
+        loop {
+            point[x_dim] = x_start;
+            self.run(store, point, x_dim, count, 1, router, stats)?;
+            let mut p = loops.len();
+            loop {
+                if p == 0 {
+                    return Ok(());
+                }
+                p -= 1;
+                let l = loops[p];
+                point[l.dim] += l.step;
+                if point[l.dim] < l.start + l.count * l.step {
+                    break;
+                }
+                point[l.dim] = l.start;
+            }
+        }
     }
 }
 
@@ -481,6 +525,7 @@ fn execute_mapped_kernel(
                 plan,
                 scratch: plan.scratch(),
                 rows: 0,
+                lockstep: lockstep_safe(kernel, mapping.mapped_dims[0]),
             }),
         ExecEngine::Reference => None,
     };
@@ -728,16 +773,21 @@ fn run_step(
     }
 
     // --- compute phase ------------------------------------------------------
-    // Threads run in linear order, one chunk of `thread_extents[0]`
-    // x-adjacent threads at a time (a chunk shares every coordinate but
-    // x). Thread x of a chunk owns the x points `origin₀ + x`, `+ width`,
-    // … below `end₀`, so threads under `multi` own several, threads from
-    // there up to `live` exactly one, and the rest none. When every other
-    // loop of the chunk's threads contributes exactly one iteration, the
-    // one-point threads run as one row along mapped dim 0 after the
-    // multi-point threads: the per-thread point sequence, point for
-    // point. The skip-barrier mode keeps the per-thread loop — each
-    // thread's own cyclic load is what it models.
+    // Threads run one chunk of `thread_extents[0]` x-adjacent threads at a
+    // time, in linear order. A chunk's threads share every loop but x: the
+    // serial point loops, then the mapped cyclic loops at positions
+    // `rank − 1 … 1` (`loops`, outermost first). Thread x of a chunk owns
+    // the x points `origin₀ + x`, `+ width`, … below `end₀`. Under the plan
+    // engine, threads below `solo` run their own loops; the x offsets
+    // `solo..row_end` run as one row per iteration of the shared loops.
+    // Lockstep: under `lockstep_safe` every interleaving of the chunk's
+    // threads leaves the same store, so the whole x span runs that way
+    // where it makes fewer rows than thread by thread; each thread's
+    // points keep their order, only the interleaving changes. Otherwise,
+    // where the shared loops iterate once, the threads that own one point
+    // run as one row after those that own several — the per-thread order,
+    // point for point. The skip-barrier mode keeps the per-thread loop —
+    // each thread's own cyclic load is what it models.
     let mut point = vec![0i64; depth];
     for (i, &d) in time_dims.iter().enumerate() {
         point[d] = tvals[i];
@@ -746,36 +796,69 @@ fn run_step(
     let width = mapping.thread_extents[0];
     let x_dim = mapping.mapped_dims[0];
     let x_span = (origins[0] + tiles[x_dim]).min(trips[x_dim]) - origins[0];
-    let fusable = plan.is_some()
-        && opts.barrier_fidelity == BarrierFidelity::Faithful
-        && serial_dims
-            .iter()
-            .zip(sorigins)
-            .all(|(&d, &s)| (s + tiles[d]).min(trips[d]) - s == 1);
-    let mut row_point = point.clone();
-    for (&d, &s) in serial_dims.iter().zip(sorigins) {
-        row_point[d] = s;
-    }
+    let faithful = opts.barrier_fidelity == BarrierFidelity::Faithful;
+    let mut loops: Vec<SharedLoop> = serial_dims
+        .iter()
+        .zip(sorigins)
+        .map(|(&dim, &start)| SharedLoop {
+            dim,
+            start,
+            count: (start + tiles[dim]).min(trips[dim]) - start,
+            step: 1,
+        })
+        .collect();
+    let nserial = loops.len();
     let nthreads = thread_coords.len() / rank;
     for (c, chunk) in thread_coords.chunks(rank * width as usize).enumerate() {
-        let (multi, live) = if fusable {
-            match inner_mapped_loops(
-                mapping,
-                tiles,
-                trips,
-                origins,
-                &chunk[..rank],
-                &mut row_point,
-                1..rank,
-            ) {
-                InnerLoops::Empty => continue,
-                InnerLoops::Singleton => ((x_span - width).clamp(0, width), x_span.min(width)),
-                InnerLoops::Multi => (width, width),
+        let (solo, row_end) = match plan.as_deref() {
+            Some(plan) if faithful => {
+                loops.truncate(nserial);
+                loops.extend((1..rank).rev().map(|pos| {
+                    let dim = mapping.mapped_dims[pos];
+                    let start = origins[pos] + chunk[pos];
+                    let end = (origins[pos] + tiles[dim]).min(trips[dim]);
+                    let step = mapping.thread_extents[pos];
+                    let count = if start < end {
+                        (end - start + step - 1) / step
+                    } else {
+                        0
+                    };
+                    SharedLoop {
+                        dim,
+                        start,
+                        count,
+                        step,
+                    }
+                }));
+                let shared: i64 = loops.iter().map(|l| l.count).product();
+                if shared == 0 {
+                    continue;
+                }
+                // Thread by thread, a thread owning several x points runs
+                // one x row per shared iteration; one owning a single x
+                // point runs its innermost iterating mapped loop as the
+                // row, else its innermost serial loop (see
+                // `run_thread_points`).
+                let row_len = loops[nserial..]
+                    .iter()
+                    .rev()
+                    .find(|l| l.count > 1)
+                    .or(loops[..nserial].last())
+                    .map_or(1, |l| l.count);
+                let multi = (x_span - width).clamp(0, width);
+                let live = x_span.min(width);
+                let per_thread_rows = multi * shared + (live - multi) * (shared / row_len);
+                if plan.lockstep && shared < per_thread_rows {
+                    (0, x_span)
+                } else if shared == 1 && live > multi {
+                    (multi, live)
+                } else {
+                    (width, 0)
+                }
             }
-        } else {
-            (width, width)
+            _ => (width, 0),
         };
-        for (x, coord) in chunk.chunks(rank).take(multi as usize).enumerate() {
+        for (x, coord) in chunk.chunks(rank).take(solo as usize).enumerate() {
             if opts.barrier_fidelity == BarrierFidelity::SkipLoadBarrier {
                 // This thread loads only its cyclic share before computing.
                 let tl = c * width as usize + x;
@@ -821,19 +904,19 @@ fn run_step(
                 stats,
             )?;
         }
-        if let (true, Some(plan)) = (live > multi, plan.as_deref_mut()) {
+        if let (true, Some(plan)) = (row_end > solo, plan.as_deref_mut()) {
             let mut router = StagedRouter {
                 staged,
                 kernel: &kernel.name,
                 failure: None,
             };
-            row_point[x_dim] = origins[0] + multi;
-            plan.run(
+            plan.run_chunk(
                 store,
-                &mut row_point,
+                &mut point,
+                &loops,
                 x_dim,
-                live - multi,
-                1,
+                origins[0] + solo,
+                row_end - solo,
                 &mut router,
                 stats,
             )?;
@@ -845,9 +928,42 @@ fn run_step(
     Ok(())
 }
 
-/// Classification of the mapped cyclic loops at `positions` for one
-/// thread: do they contribute no point at all, exactly one (coordinates
-/// assigned into `point`), or more than one?
+/// A loop the threads of a chunk share: `count` values of `dim` from
+/// `start`, `step` apart.
+#[derive(Debug, Clone, Copy)]
+struct SharedLoop {
+    dim: usize,
+    start: i64,
+    count: i64,
+    step: i64,
+}
+
+/// Whether the x-adjacent threads of a chunk may run their points in
+/// any interleaving, each thread's own points in order, and leave the
+/// same store. It holds when every statement writes through a subscript
+/// whose only term is `x`, and every reference to a written array is
+/// that array's write. Threads own disjoint x values, so each written
+/// element is then read and written by one thread only, in its own
+/// order; every other array is read-only (a staged group is never
+/// written).
+fn lockstep_safe(kernel: &Kernel, x_dim: usize) -> bool {
+    kernel.stmts.iter().all(|s| {
+        let w = &s.write;
+        w.subscripts
+            .iter()
+            .any(|sub| matches!(sub.terms(), [(d, _)] if *d == x_dim))
+            && kernel
+                .stmts
+                .iter()
+                .flat_map(|t| t.reads.iter().chain([&t.write]))
+                .all(|r| r.array != w.array || r == w)
+    })
+}
+
+/// Classification of the mapped cyclic loops inside position `inner`
+/// (positions `0..inner`) for one thread: do they contribute no point at
+/// all, exactly one (coordinates assigned into `point`), or more than
+/// one?
 enum InnerLoops {
     Empty,
     Singleton,
@@ -861,9 +977,9 @@ fn inner_mapped_loops(
     origins: &[i64],
     coord: &[i64],
     point: &mut [i64],
-    positions: Range<usize>,
+    inner: usize,
 ) -> InnerLoops {
-    for pos in positions.rev() {
+    for pos in (0..inner).rev() {
         let d = mapping.mapped_dims[pos];
         let end = (origins[pos] + tiles[d]).min(trips[d]);
         let start = origins[pos] + coord[pos];
@@ -914,7 +1030,7 @@ fn run_thread_points(
                     origins,
                     coord,
                     point,
-                    0..mapping.mapped_dims.len(),
+                    mapping.mapped_dims.len(),
                 ) {
                     InnerLoops::Empty => return Ok(()),
                     InnerLoops::Singleton => {
@@ -964,7 +1080,7 @@ fn run_thread_points(
         // loop inside it is a singleton for this thread: run it as a
         // plan row (point-loop multiplicity > 1, or the x loop itself).
         if let Some(plan) = plan.as_deref_mut() {
-            match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, 0..pos) {
+            match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, pos) {
                 InnerLoops::Empty => return Ok(()),
                 InnerLoops::Singleton => {
                     if start < end {
@@ -1033,9 +1149,13 @@ fn run_thread_points(
 ///
 /// # Errors
 ///
-/// See [`ExecError`]. The error is the first failure in execution order,
-/// the same under either engine; the store's contents after an `Err` are
-/// unspecified (a row finishes before its failure is reported).
+/// See [`ExecError`]. The error is the first failure in execution order:
+/// the same kind for the same kernel under either engine, though where
+/// the plan engine runs a chunk of threads in lockstep its
+/// [`ExecError::StagedReadOutOfBox`] may name another index (or another
+/// under-covered array) than the reference engine's. The store's contents
+/// after an `Err` are unspecified (a row finishes before its failure is
+/// reported).
 pub fn execute_compiled(
     program: &Program,
     mappings: &[GpuMapping],
@@ -1304,6 +1424,64 @@ mod tests {
         let (mappings, stats) = engines_agree(MM, vec![8, 8, 16], &[("M", 8), ("N", 8), ("P", 17)]);
         assert_eq!(mappings[0].thread_extents, vec![8, 8]);
         assert_eq!(stats.points, 8 * 8 * 17);
+    }
+
+    /// Every `B[i][·]` is written once, but no subscript of the write is
+    /// `j` alone, so threads along x (`j`) are not proven to own what
+    /// they write.
+    const SHEAR: &str = "kernel shear(N) {
+        for (i: N) for (j: N)
+          B[i][j + i] = A[i][j];
+      }";
+
+    #[test]
+    fn lockstep_is_safe_only_where_each_written_element_has_one_x() {
+        for name in ["heat-3d", "b2mm", "fdtd-apml"] {
+            let bench = eatss_kernels::by_name(name).unwrap();
+            let p = bench.program().unwrap();
+            let mappings = crate::Ppcg::new(GpuArch::ga100())
+                .compile(
+                    &p,
+                    &eatss_affine::tiling::TileConfig::ppcg_default(p.max_depth()),
+                    &bench.sizes(eatss_kernels::Dataset::Standard),
+                    &CompileOptions::default(),
+                )
+                .unwrap()
+                .mappings;
+            for (k, m) in p.kernels.iter().zip(&mappings) {
+                assert!(lockstep_safe(k, m.mapped_dims[0]), "{name}: {}", k.name);
+            }
+        }
+        // With x = i, the read A[i+1][k-1] is another thread's element.
+        let skewm = parse_program(
+            "kernel skewm(N) {
+               for (k: N) for (i: N) A[i][k] = A[i+1][k-1] + 1.0;
+             }",
+        )
+        .unwrap();
+        assert!(!lockstep_safe(&skewm.kernels[0], 1));
+        let shear = parse_program(SHEAR).unwrap();
+        assert!(!lockstep_safe(&shear.kernels[0], 1));
+    }
+
+    #[test]
+    fn a_kernel_that_fails_the_lockstep_test_runs_thread_by_thread() {
+        // No registry kernel fails the test, so this is the per-thread
+        // rows' coverage. Under 32 × 4 threads, [4, 40] runs eight
+        // two-point x-threads on their own, then the other 24 as one row;
+        // [3, 5] fuses one-point threads only; under 32 × 16 threads,
+        // [64, 64] gives threads two or three y points and up to two x
+        // points; under 8 × 16, [128, 8] gives each thread a y row.
+        for (tiles, n) in [
+            (vec![4, 40], 40),
+            (vec![3, 5], 11),
+            (vec![64, 64], 40),
+            (vec![128, 8], 20),
+        ] {
+            let (mappings, stats) = engines_agree(SHEAR, tiles, &[("N", n)]);
+            assert_eq!(mappings[0].mapped_dims[0], 1);
+            assert_eq!(stats.points as i64, n * n);
+        }
     }
 
     #[test]

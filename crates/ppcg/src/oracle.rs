@@ -328,3 +328,36 @@ pub fn sample_tile_config<R: Rng>(rng: &mut R, trips: &[i64]) -> TileConfig {
 pub fn sweep_rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eatss_affine::parser::parse_program;
+
+    #[test]
+    fn a_dependence_carried_inside_the_thread_maps_no_racing_dim() {
+        // Distance (1, −1): k runs inside each thread, so mapping i to
+        // threads would race; one launch per `seq` k carries it instead.
+        let verdict = |k_loop: &str| {
+            let program = parse_program(&format!(
+                "kernel skewm(N) {{
+                   {k_loop} for (i: N) A[i][k] = A[i+1][k-1] + 1.0;
+                 }}"
+            ))
+            .unwrap();
+            verify(
+                &program,
+                &TileConfig::new(vec![32, 32]),
+                &GpuArch::ga100(),
+                &ProblemSizes::new([("N", 40)]),
+                &OracleOptions::default(),
+                7,
+            )
+        };
+        assert!(matches!(
+            verdict("for (k: N)"),
+            Err(OracleError::Compile(CompileError::NoParallelDim(_)))
+        ));
+        assert!(verdict("for seq (k: N)").is_ok());
+    }
+}

@@ -252,10 +252,14 @@ fn one_analysis_per_sweep_and_per_verify_batch() {
 }
 
 /// `exec.rows` tallies the plan engine's rows, so `exec.points` per row
-/// reads how far each row's set-up is amortized. heat-3d under its EATSS
-/// tiles (Xavier, warp fraction 1/8) at 13³ fuses each run of one-point
-/// x-threads into one row; matmul's threads each own a serial k row, one
-/// per serial tile step; the reference walker runs no rows at all.
+/// reads how far each row's set-up is amortized. heat-3d at 13³, under its
+/// EATSS tiles (Xavier, warp fraction 1/8) and under `32^d`, and b2mm at
+/// 7⁵ under `32^d` run one x row per chunk of x-adjacent threads and
+/// iteration of the loops they share: 2 kernels × 3 steps × 13², and 7⁴.
+/// matmul's threads each own a serial k row per serial tile step, except
+/// where a chunk's 4 threads share a 3-long k tail: there 3 x rows beat 4
+/// k rows, 9 chunks in each of the two full-width j tiles. The reference
+/// walker runs no rows at all.
 #[test]
 fn exec_rows_counts_one_per_plan_row() {
     let _guard = session();
@@ -286,10 +290,20 @@ fn exec_rows_counts_one_per_plan_row() {
         rows_and_points(&heat, vec![1, 4, 4, 64], &heat_sizes, ExecEngine::Plan),
         (1_014, 2 * 3 * 13 * 13 * 13)
     );
+    assert_eq!(
+        rows_and_points(&heat, vec![32; 4], &heat_sizes, ExecEngine::Plan),
+        (1_014, 2 * 3 * 13 * 13 * 13)
+    );
+    let (b2mm, full) = load("b2mm", Dataset::Standard);
+    let b2mm_sizes = verify_sizes(&b2mm, &full, 7, 3);
+    assert_eq!(
+        rows_and_points(&b2mm, vec![32; 5], &b2mm_sizes, ExecEngine::Plan),
+        (2_401, 7 * 7 * 7 * 7 * 7)
+    );
     let mm_sizes = sizes(9, 10, 7);
     assert_eq!(
         rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Plan),
-        (9 * 10 * 2, 9 * 10 * 7)
+        (9 * 10 * 2 - 9 * 2, 9 * 10 * 7)
     );
     assert_eq!(
         rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Reference),
