@@ -930,7 +930,7 @@ fn run_step(
 
 /// A loop the threads of a chunk share: `count` values of `dim` from
 /// `start`, `step` apart.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct SharedLoop {
     dim: usize,
     start: i64,
