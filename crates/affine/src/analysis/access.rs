@@ -56,13 +56,12 @@ impl fmt::Display for ReuseKind {
 
 /// A group of textual references that touch the same cache lines: same
 /// array, same linear subscript parts, and identical constant offsets in
-/// all but the fastest-varying subscript.
+/// all but the fastest-varying subscript. It borrows its representative
+/// from the kernel it was found in.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefGroup {
-    /// Array name.
-    pub array: String,
-    /// Representative reference.
-    pub representative: ArrayRef,
+pub struct RefGroup<'k> {
+    /// Representative reference: the group's first textual reference.
+    pub representative: &'k ArrayRef,
     /// Number of textual references merged into this group.
     pub members: usize,
     /// Whether some member is written.
@@ -71,8 +70,6 @@ pub struct RefGroup {
     pub is_accumulated: bool,
     /// Loop dimension with stride-1 access, if any.
     pub stride1_dim: Option<usize>,
-    /// Loop dimensions indexing the reference (sorted).
-    pub used_dims: Vec<usize>,
     /// Memory the group is mapped to (filled by [`AccessAnalysis`]).
     pub memory: MemoryKind,
     /// Whether the group can be accessed with coalesced memory accesses
@@ -86,14 +83,32 @@ pub struct RefGroup {
     pub fastest_offsets: (i64, i64),
 }
 
-impl RefGroup {
+impl<'k> RefGroup<'k> {
+    /// Array name.
+    pub fn array(&self) -> &'k str {
+        &self.representative.array
+    }
+
+    /// Loop dimensions indexing the reference, ascending.
+    pub fn used_dims(&self) -> impl Iterator<Item = usize> + 'k {
+        let r = self.representative;
+        // Terms are sorted by dimension: each subscript's last is its
+        // deepest.
+        let end = (r.subscripts.iter())
+            .filter_map(|s| s.terms().last())
+            .map(|&(d, _)| d + 1)
+            .max()
+            .unwrap_or(0);
+        (0..end).filter(move |&d| r.uses_dim(d))
+    }
+
     /// Reuse kinds of this reference: `(dim, kind)` pairs, temporal reuse
     /// for unused dimensions and spatial reuse along the stride-1
     /// dimension.
     pub fn reuse(&self, depth: usize) -> Vec<(usize, ReuseKind)> {
         let mut out = Vec::new();
         for d in 0..depth {
-            if !self.used_dims.contains(&d) && !self.representative.subscripts.is_empty() {
+            if !self.representative.uses_dim(d) && !self.representative.subscripts.is_empty() {
                 out.push((d, ReuseKind::Temporal));
             }
         }
@@ -105,7 +120,7 @@ impl RefGroup {
     }
 }
 
-/// The complete access analysis of one kernel.
+/// The complete access analysis of one kernel, borrowing its references.
 ///
 /// # Examples
 ///
@@ -122,7 +137,7 @@ impl RefGroup {
 ///      }")?;
 /// let a = AccessAnalysis::analyze(&p.kernels[0]);
 /// assert_eq!(a.cma_dim, Some(1)); // loop j
-/// let mem: Vec<_> = a.groups.iter().map(|g| (g.array.as_str(), g.memory)).collect();
+/// let mem: Vec<_> = a.groups.iter().map(|g| (g.array(), g.memory)).collect();
 /// assert_eq!(mem, vec![
 ///     ("Out", MemoryKind::L1),
 ///     ("In", MemoryKind::SharedMem),
@@ -131,7 +146,7 @@ impl RefGroup {
 /// # Ok::<(), eatss_affine::parser::ParseError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct AccessAnalysis {
+pub struct AccessAnalysis<'k> {
     /// Loop depth of the analyzed kernel.
     pub depth: usize,
     /// Parallel (`true`) / serial (`false`) classification per dimension.
@@ -140,12 +155,12 @@ pub struct AccessAnalysis {
     /// stride-1 access.
     pub cma_dim: Option<usize>,
     /// Distinct-cache-line reference groups, in first-occurrence order.
-    pub groups: Vec<RefGroup>,
+    pub groups: Vec<RefGroup<'k>>,
 }
 
-impl AccessAnalysis {
+impl<'k> AccessAnalysis<'k> {
     /// Runs the full analysis on a kernel.
-    pub fn analyze(kernel: &Kernel) -> Self {
+    pub fn analyze(kernel: &'k Kernel) -> Self {
         let depth = kernel.depth();
         let parallel = parallel_dims(kernel);
         let mut groups = collect_groups(kernel);
@@ -176,12 +191,12 @@ impl AccessAnalysis {
     }
 
     /// Groups mapped to the L1 cache (`L1_set`, §IV-E).
-    pub fn l1_set(&self) -> impl Iterator<Item = &RefGroup> + '_ {
+    pub fn l1_set(&self) -> impl Iterator<Item = &RefGroup<'k>> + '_ {
         self.groups.iter().filter(|g| g.memory == MemoryKind::L1)
     }
 
     /// Groups mapped to shared memory (`SH_set`, §IV-E).
-    pub fn sh_set(&self) -> impl Iterator<Item = &RefGroup> + '_ {
+    pub fn sh_set(&self) -> impl Iterator<Item = &RefGroup<'k>> + '_ {
         self.groups
             .iter()
             .filter(|g| g.memory == MemoryKind::SharedMem)
@@ -217,9 +232,9 @@ impl AccessAnalysis {
 }
 
 /// Groups a kernel's textual references by cache-line identity.
-fn collect_groups(kernel: &Kernel) -> Vec<RefGroup> {
+fn collect_groups<'k>(kernel: &'k Kernel) -> Vec<RefGroup<'k>> {
     let mut groups: Vec<RefGroup> = Vec::new();
-    let mut add = |r: &ArrayRef, written: bool, accumulated: bool| {
+    let mut add = |r: &'k ArrayRef, written: bool, accumulated: bool| {
         let fast_off = r.fastest_subscript().map(|s| s.offset()).unwrap_or(0);
         if let Some(g) = groups.iter_mut().find(|g| g.representative.same_lines(r)) {
             g.members += 1;
@@ -229,13 +244,11 @@ fn collect_groups(kernel: &Kernel) -> Vec<RefGroup> {
             g.fastest_offsets = (lo.min(fast_off), hi.max(fast_off));
         } else {
             groups.push(RefGroup {
-                array: r.array.clone(),
-                representative: r.clone(),
+                representative: r,
                 members: 1,
                 is_written: written,
                 is_accumulated: accumulated,
                 stride1_dim: r.stride1_dim(),
-                used_dims: r.used_dims(),
                 memory: MemoryKind::L1, // refined by the caller
                 cma_capable: false,     // refined by the caller
                 fastest_offsets: (fast_off, fast_off),
@@ -278,9 +291,10 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
 
-    fn analyze(src: &str) -> AccessAnalysis {
+    fn analyze(src: &str) -> AccessAnalysis<'static> {
         let p = parse_program(src).expect("valid kernel source");
-        AccessAnalysis::analyze(&p.kernels[0])
+        // An analysis borrows its kernel: each test's lives for the run.
+        AccessAnalysis::analyze(&Box::leak(Box::new(p)).kernels[0])
     }
 
     const MATMUL: &str = "kernel matmul(M, N, P) {
@@ -294,7 +308,7 @@ mod tests {
         assert_eq!(a.cma_dim, Some(1));
         assert_eq!(a.distinct_line_refs(), 3);
         let out = &a.groups[0];
-        assert_eq!(out.array, "Out");
+        assert_eq!(out.array(), "Out");
         assert_eq!(out.memory, MemoryKind::L1);
         assert!(out.cma_capable);
         assert_eq!(
@@ -302,7 +316,7 @@ mod tests {
             vec![(1, ReuseKind::Spatial), (2, ReuseKind::Temporal)]
         );
         let inr = &a.groups[1];
-        assert_eq!(inr.array, "In");
+        assert_eq!(inr.array(), "In");
         assert_eq!(inr.memory, MemoryKind::SharedMem);
         assert!(!inr.cma_capable);
         assert_eq!(
@@ -310,7 +324,7 @@ mod tests {
             vec![(1, ReuseKind::Temporal), (2, ReuseKind::Spatial)]
         );
         let ker = &a.groups[2];
-        assert_eq!(ker.array, "Ker");
+        assert_eq!(ker.array(), "Ker");
         assert_eq!(ker.memory, MemoryKind::L1);
         assert_eq!(
             ker.reuse(3),
@@ -348,7 +362,7 @@ mod tests {
         let a_center = a
             .groups
             .iter()
-            .find(|g| g.array == "A" && g.members == 3)
+            .find(|g| g.array() == "A" && g.members == 3)
             .expect("merged center group");
         assert_eq!(a_center.stride1_dim, Some(1));
         assert_eq!(
@@ -356,7 +370,7 @@ mod tests {
             (-1, 1),
             "merged group spans the j-1..j+1 halo"
         );
-        let b = a.groups.iter().find(|g| g.array == "B").unwrap();
+        let b = a.groups.iter().find(|g| g.array() == "B").unwrap();
         assert_eq!(b.fastest_offsets, (0, 0));
     }
 
@@ -435,7 +449,7 @@ mod tests {
     fn scalars_are_ignored() {
         let a = analyze("kernel ax(N) { for (i: N) y[i] = alpha * x[i]; }");
         assert_eq!(a.distinct_line_refs(), 2);
-        assert!(a.groups.iter().all(|g| g.array != "alpha"));
+        assert!(a.groups.iter().all(|g| g.array() != "alpha"));
     }
 
     #[test]
@@ -447,7 +461,7 @@ mod tests {
                for (i: N) for (j: N) s[j][i] += A[j][i];
              }",
         );
-        let s = a.groups.iter().find(|g| g.array == "s").unwrap();
+        let s = a.groups.iter().find(|g| g.array() == "s").unwrap();
         assert_eq!(s.memory, MemoryKind::L1);
     }
 

@@ -12,7 +12,10 @@
 //! * dimensions used by *neither* subscript have unknown distance
 //!   ([`DepDistance::Star`]), e.g. the reduction dimension `k` of matmul;
 //! * pairs with differing linear parts are handled conservatively: every
-//!   dimension gets [`DepDistance::Star`].
+//!   dimension gets [`DepDistance::Star`];
+//! * a write against itself (an output dependence) has distance `Const(0)`
+//!   at each dimension the written element determines and `Star` at every
+//!   other non-`seq` dimension, e.g. both `i` and `j` of `A[i+j]`.
 //!
 //! A dimension is **serial** if some dependence may be carried at it.
 //! Scanning outer→inner, a `Const(≠0)` distance at an explicit `for seq`
@@ -36,133 +39,117 @@ pub enum DepDistance {
     Star,
 }
 
-/// A data dependence between a written reference and another reference of
-/// the same array.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dependence {
-    /// Array the dependence flows through.
-    pub array: String,
-    /// Distance per loop dimension, outermost first.
-    pub distance: Vec<DepDistance>,
-    /// Whether this is an accumulation self-dependence (`C[..] += ...`):
-    /// it serializes its carrying loop but, being a commutative
-    /// reduction, imposes no ordering constraint on loop permutation.
-    pub is_reduction: bool,
-}
-
-impl Dependence {
-    /// Whether every component is `Const(0)` (purely loop-independent).
-    pub fn is_all_zero(&self) -> bool {
-        self.distance
-            .iter()
-            .all(|d| matches!(d, DepDistance::Const(0)))
+/// Marks the dimensions at which the pair *(write `w`, reference `r`)*
+/// may carry a dependence: `distance` is their distance vector, or the
+/// pair is skipped when the subscript systems can never be equal.
+fn add_pair(
+    kernel: &Kernel,
+    w: &ArrayRef,
+    r: &ArrayRef,
+    distance: &mut [DepDistance],
+    parallel: &mut [bool],
+) {
+    if pair_distance(w, r, distance) {
+        carry(kernel, distance, parallel);
     }
 }
 
-/// Computes all (write, ref) dependences of a kernel.
-pub fn dependences(kernel: &Kernel) -> Vec<Dependence> {
-    let depth = kernel.depth();
-    let mut deps = Vec::new();
-    for (wi, ws) in kernel.stmts.iter().enumerate() {
-        let write = &ws.write;
-        for (ri, rs) in kernel.stmts.iter().enumerate() {
-            let mut candidates: Vec<&ArrayRef> = Vec::new();
-            // Reads of the same array...
-            candidates.extend(rs.reads.iter().filter(|r| r.array == write.array));
-            // ...the implicit read of an accumulation...
-            if ri == wi && ws.is_accumulation {
-                candidates.push(write);
-            }
-            // ...and output dependences with another statement's write.
-            if ri != wi && rs.write.array == write.array {
-                candidates.push(&rs.write);
-            }
-            for r in candidates {
-                if let Some(distance) = pair_distance(write, r, depth) {
-                    let is_reduction = ri == wi && ws.is_accumulation && std::ptr::eq(r, write);
-                    let dep = Dependence {
-                        array: write.array.clone(),
-                        distance,
-                        is_reduction,
-                    };
-                    if !dep.is_all_zero() || ri != wi || is_reduction {
-                        // Accumulation self-dependences are kept even with
-                        // an all-zero constant part: they are carried by
-                        // the unused (reduction) dimensions, already Star.
-                        deps.push(dep);
-                    }
-                }
-            }
-        }
-    }
-    deps
-}
-
-/// Distance vector for a (write, read) pair, or `None` when the subscript
-/// systems can never be equal (no dependence).
-fn pair_distance(w: &ArrayRef, r: &ArrayRef, depth: usize) -> Option<Vec<DepDistance>> {
+/// Writes the distance vector of a (write, read) pair into `distance`;
+/// `false` when the subscript systems can never be equal (no dependence).
+fn pair_distance(w: &ArrayRef, r: &ArrayRef, distance: &mut [DepDistance]) -> bool {
+    distance.fill(DepDistance::Star);
     if w.subscripts.len() != r.subscripts.len() {
         // Shape mismatch (should not happen in well-formed programs);
         // be conservative.
-        return Some(vec![DepDistance::Star; depth]);
+        return true;
     }
-    let uniform = w
-        .subscripts
-        .iter()
+    let uniform = (w.subscripts.iter())
         .zip(&r.subscripts)
-        .all(|(a, b)| a.linear_part() == b.linear_part());
+        .all(|(a, b)| a.terms() == b.terms());
     if !uniform {
-        return Some(vec![DepDistance::Star; depth]);
+        return true;
     }
-    let mut distance = vec![DepDistance::Star; depth];
-    let mut determined = vec![false; depth];
+    // A dimension's distance is `Const` once a one-term subscript has
+    // determined it, and `Star` until then.
     for (ws, rs) in w.subscripts.iter().zip(&r.subscripts) {
         // A distance past `i64` is none we can state: treat the pair as
         // non-uniform, which is conservative.
         let Some(diff) = ws.offset().checked_sub(rs.offset()) else {
-            return Some(vec![DepDistance::Star; depth]);
+            distance.fill(DepDistance::Star);
+            return true;
         };
-        let terms = ws.terms();
-        match terms.len() {
-            0 => {
-                // Constant subscript on both sides: unequal constants mean
-                // the references never alias through this subscript.
-                if diff != 0 {
-                    return None;
-                }
-            }
-            1 => {
-                let (dim, coeff) = terms[0];
+        match ws.terms() {
+            // Constant subscript on both sides: unequal constants mean the
+            // references never alias through this subscript.
+            [] if diff != 0 => return false,
+            [] => {}
+            &[(dim, coeff)] => {
                 let (Some(rem), Some(d)) = (diff.checked_rem(coeff), diff.checked_div(coeff))
                 else {
-                    return Some(vec![DepDistance::Star; depth]);
+                    distance.fill(DepDistance::Star);
+                    return true;
                 };
                 if rem != 0 {
-                    return None; // offsets unreachable: no dependence
+                    return false; // offsets unreachable: no dependence
                 }
                 match distance[dim] {
-                    DepDistance::Const(prev) if determined[dim] && prev != d => {
-                        // Conflicting requirements: no dependence.
-                        return None;
-                    }
-                    _ => {
-                        distance[dim] = DepDistance::Const(d);
-                        determined[dim] = true;
-                    }
+                    // Conflicting requirements: no dependence.
+                    DepDistance::Const(prev) if prev != d => return false,
+                    _ => distance[dim] = DepDistance::Const(d),
                 }
             }
-            _ => {
-                // Multiple iterators in one subscript (e.g. `in[i+p]`):
-                // the distance is under-determined for all of them.
-                for &(dim, _) in terms {
-                    if !determined[dim] {
-                        distance[dim] = DepDistance::Star;
-                    }
-                }
+            // Multiple iterators in one subscript (e.g. `in[i+p]`): the
+            // distance is under-determined for all of them, and stays
+            // `Star` unless another subscript determines it.
+            _ => {}
+        }
+    }
+    true
+}
+
+/// The output dependence of a write with itself: two iterations write
+/// one element when they agree on every dimension its subscripts
+/// determine, so the write carries a dependence at every other non-`seq`
+/// dimension — one it does not use, or one it uses only where it is not
+/// injective (`A[i+j]`). A dimension is determined when some subscript's
+/// only undetermined term is it (`B[i][j+i]` determines `i`, then `j`); a
+/// `seq` dimension orders its iterations by launches and counts as
+/// determined. Writes `Const(0)` at the determined dimensions and `Star`
+/// elsewhere into `distance`.
+fn self_output(kernel: &Kernel, write: &ArrayRef, distance: &mut [DepDistance]) {
+    for (slot, dim) in distance.iter_mut().zip(&kernel.dims) {
+        *slot = if dim.explicit_serial {
+            DepDistance::Const(0)
+        } else {
+            DepDistance::Star
+        };
+    }
+    let mut determined_one = true;
+    while determined_one {
+        determined_one = false;
+        for s in &write.subscripts {
+            let mut open = (s.terms().iter()).filter(|&&(d, _)| distance[d] == DepDistance::Star);
+            if let (Some(&(dim, _)), None) = (open.next(), open.next()) {
+                distance[dim] = DepDistance::Const(0);
+                determined_one = true;
             }
         }
     }
-    Some(distance)
+}
+
+/// Marks serial the dimensions at which a dependence of distance
+/// `distance` may be carried. Scan outer to inner. Const(0) does not
+/// carry here. Const(!=0) carries here; at a `seq` dim (one launch per
+/// iteration) that shields the inner dims. Elsewhere, and for Star (may
+/// carry), the dim is serial and scanning continues.
+fn carry(kernel: &Kernel, distance: &[DepDistance], parallel: &mut [bool]) {
+    for (d, dist) in distance.iter().enumerate() {
+        match dist {
+            DepDistance::Const(0) => {}
+            DepDistance::Const(_) if kernel.dims[d].explicit_serial => break,
+            DepDistance::Const(_) | DepDistance::Star => parallel[d] = false,
+        }
+    }
 }
 
 /// Classifies each loop dimension as parallel (`true`) or serial
@@ -170,7 +157,11 @@ fn pair_distance(w: &ArrayRef, r: &ArrayRef, depth: usize) -> Option<Vec<DepDist
 ///
 /// A dimension declared `for seq` is always serial. Otherwise a dimension
 /// is serial if some dependence may be carried at it; only a `for seq`
-/// dimension shields the dimensions inside it (see the module doc).
+/// dimension shields the dimensions inside it (see the module doc). The
+/// dependences are those of each write with every read of its array, with
+/// the other statements' writes of it, with its own implicit read when it
+/// accumulates, and with itself; each pair's distance is folded into the
+/// classification as it is found.
 ///
 /// # Examples
 ///
@@ -187,25 +178,24 @@ fn pair_distance(w: &ArrayRef, r: &ArrayRef, depth: usize) -> Option<Vec<DepDist
 /// # Ok::<(), eatss_affine::parser::ParseError>(())
 /// ```
 pub fn parallel_dims(kernel: &Kernel) -> Vec<bool> {
-    let depth = kernel.depth();
-    let mut parallel = vec![true; depth];
-    for (d, dim) in kernel.dims.iter().enumerate() {
-        if dim.explicit_serial {
-            parallel[d] = false;
-        }
-    }
-    for dep in dependences(kernel) {
-        // Scan outer to inner. Const(0) does not carry here. Const(!=0)
-        // carries here; at a `seq` dim (one launch per iteration) that
-        // shields the inner dims. Elsewhere, and for Star (may carry), the
-        // dim is serial and scanning continues.
-        for (d, dist) in dep.distance.iter().enumerate() {
-            match dist {
-                DepDistance::Const(0) => {}
-                DepDistance::Const(_) if kernel.dims[d].explicit_serial => break,
-                DepDistance::Const(_) | DepDistance::Star => {
-                    parallel[d] = false;
-                }
+    let mut parallel: Vec<bool> = kernel.dims.iter().map(|d| !d.explicit_serial).collect();
+    let mut distance = vec![DepDistance::Star; kernel.depth()];
+    for (wi, ws) in kernel.stmts.iter().enumerate() {
+        let write = &ws.write;
+        self_output(kernel, write, &mut distance);
+        carry(kernel, &distance, &mut parallel);
+        for (ri, rs) in kernel.stmts.iter().enumerate() {
+            // Reads of the same array...
+            for r in rs.reads.iter().filter(|r| r.array == write.array) {
+                add_pair(kernel, write, r, &mut distance, &mut parallel);
+            }
+            // ...the implicit read of an accumulation...
+            if ri == wi && ws.is_accumulation {
+                add_pair(kernel, write, write, &mut distance, &mut parallel);
+            }
+            // ...and output dependences with another statement's write.
+            if ri != wi && rs.write.array == write.array {
+                add_pair(kernel, write, &rs.write, &mut distance, &mut parallel);
             }
         }
     }
@@ -332,6 +322,27 @@ mod tests {
     }
 
     #[test]
+    fn a_write_depends_on_itself_where_two_points_write_one_element() {
+        // Every i writes A[k]: i is serial, in either loop order.
+        let omitted = "kernel w(N) { for (i: N) for (k: N) A[k] = B[i] + 1.0; }";
+        assert_eq!(dims_of(omitted), vec![false, true]);
+        let swapped = "kernel w(N) { for (k: N) for (i: N) A[k] = B[i] + 1.0; }";
+        assert_eq!(dims_of(swapped), vec![true, false]);
+        // A[i+j] is written by every (i, j) of one antidiagonal.
+        let summed = "kernel w(N) { for (i: N) for (j: N) A[i+j] = B[i][j] + 1.0; }";
+        assert_eq!(dims_of(summed), vec![false, false]);
+        // One launch per i: then j alone determines the element.
+        let launched = "kernel w(N) { for seq (i: N) for (j: N) A[i+j] = B[i][j] + 1.0; }";
+        assert_eq!(dims_of(launched), vec![false, true]);
+        // i determines the row, then j the column: one point per element.
+        let sheared = "kernel w(N) { for (i: N) for (j: N) B[i][j+i] = A[i][j]; }";
+        assert_eq!(dims_of(sheared), vec![true, true]);
+        // A constant element is written by every point.
+        let constant = "kernel w(N) { for (i: N) A[0] = B[i]; }";
+        assert_eq!(dims_of(constant), vec![false]);
+    }
+
+    #[test]
     fn output_dependence_between_statements() {
         // Both statements write A[i]; zero distance => no serialization.
         let par = dims_of(
@@ -366,14 +377,12 @@ mod tests {
     #[test]
     fn unreachable_offsets_mean_no_dependence() {
         // A[2*i] vs A[2*i+1]: parity differs, never alias.
-        let par = dims_of("kernel par(N) { for (i: N) A[2*i] = A[2*i+1] + 1; }");
-        assert_eq!(par, vec![true]);
-        let deps = dependences(
-            &parse_program("kernel par(N) { for (i: N) A[2*i] = A[2*i+1] + 1; }")
-                .unwrap()
-                .kernels[0],
-        );
-        assert!(deps.is_empty());
+        let src = "kernel par(N) { for (i: N) A[2*i] = A[2*i+1] + 1; }";
+        assert_eq!(dims_of(src), vec![true]);
+        let p = parse_program(src).unwrap();
+        let s = &p.kernels[0].stmts[0];
+        let mut distance = [DepDistance::Star];
+        assert!(!pair_distance(&s.write, &s.reads[0], &mut distance));
     }
 
     #[test]
@@ -391,16 +400,16 @@ mod tests {
              }",
         )
         .unwrap();
-        let deps = dependences(&p.kernels[0]);
-        assert_eq!(deps.len(), 1);
+        let write = &p.kernels[0].stmts[0].write;
+        let mut distance = [DepDistance::Const(7); 3];
+        assert!(pair_distance(write, write, &mut distance));
         assert_eq!(
-            deps[0].distance,
-            vec![
+            distance,
+            [
                 DepDistance::Const(0),
                 DepDistance::Const(0),
                 DepDistance::Star
             ]
         );
-        assert!(!deps[0].is_all_zero());
     }
 }

@@ -15,7 +15,7 @@ pub mod access;
 pub mod dependence;
 
 pub use access::{AccessAnalysis, MemoryKind, RefGroup, ReuseKind};
-pub use dependence::{parallel_dims, DepDistance, Dependence};
+pub use dependence::{parallel_dims, DepDistance};
 
 use crate::ir::{Kernel, Program};
 
@@ -24,8 +24,9 @@ use crate::ir::{Kernel, Program};
 /// The analysis depends on the kernels alone — no tile size, split, warp
 /// fraction or cap changes it — so a sweep or a verification batch builds
 /// this once and lends it to every configuration it runs. It borrows the
-/// program: while it exists the program cannot change, so the analysis
-/// cannot go stale.
+/// program, and each analysis's reference groups borrow their
+/// representatives from their kernel: while it exists the program cannot
+/// change, so the analysis cannot go stale, and no reference is copied.
 ///
 /// # Examples
 ///
@@ -45,7 +46,7 @@ use crate::ir::{Kernel, Program};
 #[derive(Debug)]
 pub struct AnalysedProgram<'p> {
     program: &'p Program,
-    analyses: Vec<AccessAnalysis>,
+    analyses: Vec<AccessAnalysis<'p>>,
 }
 
 impl<'p> AnalysedProgram<'p> {
@@ -72,7 +73,7 @@ impl<'p> AnalysedProgram<'p> {
     }
 
     /// Each kernel with its analysis, in program order.
-    pub fn kernels(&self) -> impl Iterator<Item = (&'p Kernel, &AccessAnalysis)> + '_ {
+    pub fn kernels(&self) -> impl Iterator<Item = (&'p Kernel, &AccessAnalysis<'p>)> + '_ {
         self.program.kernels.iter().zip(&self.analyses)
     }
 }

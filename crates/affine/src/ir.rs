@@ -257,24 +257,16 @@ impl ArrayRef {
     /// appears with coefficient ±1 in the fastest-varying subscript and
     /// nowhere else.
     pub fn stride1_dim(&self) -> Option<usize> {
-        let last = self.fastest_subscript()?;
-        let candidates: Vec<usize> = last
-            .terms()
-            .iter()
+        let (last, slower) = self.subscripts.split_last()?;
+        let mut candidates = (last.terms().iter())
             .filter(|&&(_, c)| c == 1 || c == -1)
-            .map(|&(d, _)| d)
-            .collect();
+            .map(|&(d, _)| d);
+        let first = candidates.clone().next();
         // Of those, prefer one not used in the slower subscripts (a dim
         // also indexing a slower subscript does not give contiguity).
         candidates
-            .iter()
-            .copied()
-            .find(|&d| {
-                !self.subscripts[..self.subscripts.len() - 1]
-                    .iter()
-                    .any(|s| s.uses(d))
-            })
-            .or_else(|| candidates.first().copied())
+            .find(|&d| !slower.iter().any(|s| s.uses(d)))
+            .or(first)
     }
 
     /// Renders using the given iterator names.

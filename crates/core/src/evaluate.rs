@@ -89,7 +89,7 @@ pub fn evaluate_program_with(
     let reports: Vec<SimReport> = mappings
         .iter()
         .map(|m| {
-            gpu.try_simulate(&m.to_exec_spec())
+            gpu.try_simulate(m.exec_spec())
                 .map(|r| r.repeated(m.launch_count))
         })
         .collect::<Result<_, SimFault>>()?;

@@ -256,6 +256,7 @@ impl Eatss {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eatss_ppcg::CompileError;
 
     #[test]
     fn verify_compiles_each_config_the_way_it_is_configured() {
@@ -279,5 +280,49 @@ mod tests {
         // No shared memory under a 0.0 split: nothing may be staged.
         assert_eq!(staged_elems[1], 0);
         assert!(staged_elems[0] > 0 && staged_elems[2] == staged_elems[0]);
+    }
+
+    #[test]
+    fn a_write_that_races_with_itself_maps_no_racing_dim() {
+        // Every point of a dim the write omits, or of dims its subscript
+        // sums, writes the same element: those dims are serial, and what
+        // is mapped verifies bitwise, under EATSS and under `32^d`.
+        let eatss = Eatss::new(GpuArch::ga100());
+        let config = EatssConfig::default();
+        let sizes = ProblemSizes::new([("N", 40)]);
+        let program = |nest: &str| {
+            eatss_affine::parser::parse_program(&format!("kernel w(N) {{ {nest} }}"))
+                .expect("parses")
+        };
+        for nest in [
+            "for (i: N) for (k: N) A[k] = B[i] + 1.0;",
+            "for (k: N) for (i: N) A[k] = B[i] + 1.0;",
+            "for seq (i: N) for (j: N) A[i+j] = B[i][j] + 1.0;",
+        ] {
+            let program = program(nest);
+            let selected = eatss.select_tiles(&program, &sizes, &config);
+            let tiles = selected.expect("a parallel dim is left").tiles;
+            let default = TileConfig::ppcg_default(2);
+            let configs = [(&config, &tiles), (&config, &default)];
+            for (verdict, tiles) in eatss
+                .verify(&program, &sizes, &configs, VERIFY_SEED)
+                .iter()
+                .zip([&tiles, &default])
+            {
+                assert!(verdict.is_ok(), "{nest} under {tiles}: {verdict:?}");
+            }
+        }
+        // `A[i+j]` with both dims in the grid: no dim can be mapped.
+        let program = program("for (i: N) for (j: N) A[i+j] = B[i][j] + 1.0;");
+        assert!(eatss.select_tiles(&program, &sizes, &config).is_err());
+        let default = TileConfig::ppcg_default(2);
+        let verdicts = eatss.verify(&program, &sizes, &[(&config, &default)], VERIFY_SEED);
+        assert!(
+            matches!(
+                &verdicts[0],
+                Err(OracleError::Compile(CompileError::NoParallelDim(_)))
+            ),
+            "{verdicts:?}"
+        );
     }
 }

@@ -290,8 +290,7 @@ impl ModelGenerator {
                 tile_vars.push(None);
                 continue;
             }
-            let candidates: Vec<i64> = (1..=upper[d] / align).map(|k| k * align).collect();
-            let t = solver.int_var_in(&format!("T{d}"), Domain::from_values(candidates));
+            let t = solver.int_var_in(&format!("T{d}"), Domain::multiples(align, upper[d]));
             tile_vars.push(Some(t));
         }
         let tile_of =
@@ -334,13 +333,7 @@ impl ModelGenerator {
 
             // §IV-C volumes and §IV-E / §IV-J memory constraints.
             let volume = |g: &eatss_affine::analysis::RefGroup| -> IntExpr {
-                IntExpr::product(
-                    g.used_dims
-                        .iter()
-                        .copied()
-                        .filter(|&d| !is_time[d])
-                        .map(tile_of),
-                )
+                IntExpr::product(g.used_dims().filter(|&d| !is_time[d]).map(tile_of))
             };
             let mut m_l1 = IntExpr::sum(analysis.l1_set().map(volume));
             let mut m_sh = IntExpr::sum(analysis.sh_set().map(volume));

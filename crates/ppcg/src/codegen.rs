@@ -10,6 +10,7 @@
 //! deterministic for golden comparisons.
 
 use crate::mapping::GpuMapping;
+use eatss_affine::analysis::AccessAnalysis;
 use eatss_affine::ir::Kernel;
 use eatss_affine::tiling::TileConfig;
 use std::fmt::Write as _;
@@ -25,8 +26,9 @@ pub fn program_header(name: &str, tiles: &TileConfig) -> String {
     )
 }
 
-/// Emits the `__global__` kernel and a host launch stub for one mapping.
-pub fn emit_kernel(kernel: &Kernel, mapping: &GpuMapping) -> String {
+/// Emits the `__global__` kernel and a host launch stub for one mapping
+/// of `kernel`, computed from its access analysis `analysis`.
+pub fn emit_kernel(kernel: &Kernel, analysis: &AccessAnalysis, mapping: &GpuMapping) -> String {
     let names = kernel.dim_names();
     let mut out = String::new();
     let dim_letters = ["x", "y", "z"];
@@ -70,7 +72,8 @@ pub fn emit_kernel(kernel: &Kernel, mapping: &GpuMapping) -> String {
             let _ = writeln!(
                 out,
                 "  __shared__ double {}_tile[{}];",
-                r.group.array, r.tile_footprint_elems
+                r.group_in(analysis).array(),
+                r.tile_footprint_elems
             );
         }
     }
@@ -112,7 +115,7 @@ pub fn emit_kernel(kernel: &Kernel, mapping: &GpuMapping) -> String {
         .refs
         .iter()
         .filter(|r| r.staged)
-        .map(|r| r.group.array.as_str())
+        .map(|r| r.group_in(analysis).array())
         .collect();
     if !staged.is_empty() {
         for a in &staged {
@@ -215,7 +218,6 @@ pub fn emit_kernel(kernel: &Kernel, mapping: &GpuMapping) -> String {
 mod tests {
     use super::*;
     use crate::mapping::{CompileOptions, GpuMapping};
-    use eatss_affine::analysis::AccessAnalysis;
     use eatss_affine::parser::parse_program;
     use eatss_affine::ProblemSizes;
     use eatss_gpusim::GpuArch;
@@ -223,16 +225,17 @@ mod tests {
     fn emit(src: &str, tiles: Vec<i64>, sizes: &[(&str, i64)]) -> String {
         let p = parse_program(src).unwrap();
         let k = &p.kernels[0];
+        let analysis = AccessAnalysis::analyze(k);
         let m = GpuMapping::compute(
             k,
-            &AccessAnalysis::analyze(k),
+            &analysis,
             &TileConfig::new(tiles),
             &GpuArch::ga100(),
             &ProblemSizes::new(sizes.iter().cloned()),
             &CompileOptions::default(),
         )
         .unwrap();
-        emit_kernel(k, &m)
+        emit_kernel(k, &analysis, &m)
     }
 
     const MM: &str = "kernel mm(M, N, P) {
@@ -277,16 +280,17 @@ mod tests {
     fn no_staging_no_shared_decl() {
         let p =
             parse_program("kernel copy(N) { for (i: N) for (j: N) A[i][j] = B[i][j]; }").unwrap();
+        let analysis = AccessAnalysis::analyze(&p.kernels[0]);
         let m = GpuMapping::compute(
             &p.kernels[0],
-            &AccessAnalysis::analyze(&p.kernels[0]),
+            &analysis,
             &TileConfig::ppcg_default(2),
             &GpuArch::ga100(),
             &ProblemSizes::new([("N", 1000)]),
             &CompileOptions::default(),
         )
         .unwrap();
-        let cuda = emit_kernel(&p.kernels[0], &m);
+        let cuda = emit_kernel(&p.kernels[0], &analysis, &m);
         assert!(!cuda.contains("__shared__"));
         assert!(!cuda.contains("__syncthreads"));
         assert_eq!(cuda.matches('{').count(), cuda.matches('}').count());

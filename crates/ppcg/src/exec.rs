@@ -9,10 +9,11 @@
 //! Out-of-bounds conventions match the interpreter exactly: global reads
 //! outside an array return `0.0` and writes outside are dropped, so the
 //! emulator and the untiled interpreter are comparable element-wise
-//! (bitwise, in fact: every write uses all mapped dims — otherwise the
-//! output dependence would have serialized the dim — so each output
-//! element is owned by one thread, and the per-element accumulation order
-//! is ascending serial order in both executions).
+//! (bitwise, in fact: the element a write writes determines every mapped
+//! dim — a write's output dependence with itself serializes each other
+//! non-`seq` dim, see [`eatss_affine::analysis::parallel_dims`] — so each
+//! output element is owned by one thread, and the per-element
+//! accumulation order is ascending serial order in both executions).
 //!
 //! # Execution engines
 //!
@@ -51,6 +52,7 @@
 //! exposes deliberately).
 
 use crate::mapping::GpuMapping;
+use eatss_affine::analysis::{AccessAnalysis, AnalysedProgram};
 use eatss_affine::interp::{exec_point_hooked, Array, Store};
 use eatss_affine::ir::{ArrayRef, Kernel};
 use eatss_affine::plan::{ExecPlan, RouteSource, RowScratch};
@@ -194,7 +196,6 @@ impl std::error::Error for ExecError {}
 /// A staged group prepared for emulation: which read refs route to the
 /// buffer, and the representative subscripts the box is derived from.
 struct StagedGroup<'a> {
-    array: String,
     representative: &'a ArrayRef,
     fastest_offsets: (i64, i64),
     declared_elems: i64,
@@ -205,6 +206,10 @@ struct StagedGroup<'a> {
 }
 
 impl StagedGroup<'_> {
+    fn array(&self) -> &str {
+        &self.representative.array
+    }
+
     fn box_elems(&self) -> i64 {
         self.bounds.iter().map(|(lo, hi)| hi - lo + 1).product()
     }
@@ -351,7 +356,7 @@ impl RouteSource for StagedRouter<'_, '_> {
         match g.flatten(index) {
             Some(flat) => g.data[flat],
             None => {
-                self.record_out_of_box(&g.array, index);
+                self.record_out_of_box(g.array(), index);
                 0.0
             }
         }
@@ -462,6 +467,7 @@ impl PlanRows<'_> {
 /// `cache` (compiled on the first use of a route signature).
 fn execute_mapped_kernel(
     kernel: &Kernel,
+    analysis: &AccessAnalysis,
     mapping: &GpuMapping,
     sizes: &ProblemSizes,
     store: &mut Store,
@@ -499,16 +505,16 @@ fn execute_mapped_kernel(
         if !r.staged {
             continue;
         }
-        if r.group.is_written {
+        let group = r.group_in(analysis);
+        if group.is_written {
             return Err(ExecError::StagedWrite {
                 kernel: kernel.name.clone(),
-                array: r.group.array.clone(),
+                array: group.array().to_owned(),
             });
         }
         staged.push(StagedGroup {
-            array: r.group.array.clone(),
-            representative: &r.group.representative,
-            fastest_offsets: r.group.fastest_offsets,
+            representative: group.representative,
+            fastest_offsets: group.fastest_offsets,
             declared_elems: r.tile_footprint_elems,
             bounds: Vec::new(),
             data: Vec::new(),
@@ -750,7 +756,7 @@ fn run_step(
         if elems > g.declared_elems {
             return Err(ExecError::SharedUndersized {
                 kernel: kernel.name.clone(),
-                array: g.array.clone(),
+                array: g.array().to_owned(),
                 box_elems: elems,
                 declared_elems: g.declared_elems,
             });
@@ -760,7 +766,7 @@ fn run_step(
             BarrierFidelity::Faithful => {
                 // Cooperative load, then the barrier: the buffer is fully
                 // populated before any thread computes.
-                g.load_box(store.get(&g.array));
+                g.load_box(store.get(g.array()));
                 stats.barriers += 1;
             }
             BarrierFidelity::SkipLoadBarrier => {
@@ -863,7 +869,7 @@ fn run_step(
                 // This thread loads only its cyclic share before computing.
                 let tl = c * width as usize + x;
                 for g in staged.iter_mut() {
-                    let array = store.get(&g.array);
+                    let array = store.get(g.array());
                     let elems = g.data.len();
                     let mut idx: Vec<i64> = g.bounds.iter().map(|&(lo, _)| lo).collect();
                     for flat in 0..elems {
@@ -1145,7 +1151,10 @@ fn run_thread_points(
 }
 
 /// Executes a whole compiled program (every kernel in order) over the
-/// store, mirroring the generated host `main`.
+/// store, mirroring the generated host `main`. `mappings` are
+/// `program`'s, from [`crate::Ppcg::map`] or [`crate::Ppcg::compile`]:
+/// their references index the groups of the program's access analysis,
+/// which this call computes once.
 ///
 /// # Errors
 ///
@@ -1164,7 +1173,8 @@ pub fn execute_compiled(
     opts: &ExecOptions,
 ) -> Result<ExecStats, ExecError> {
     let mut caches = kernel_plan_caches(program);
-    execute_with_caches(program, mappings, sizes, store, opts, &mut caches)
+    let analysed = AnalysedProgram::new(program);
+    execute_with_caches(&analysed, mappings, sizes, store, opts, &mut caches)
 }
 
 fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
@@ -1177,7 +1187,7 @@ fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
 
 /// Every kernel in order, each against its own plan cache.
 fn execute_with_caches(
-    program: &Program,
+    analysed: &AnalysedProgram,
     mappings: &[GpuMapping],
     sizes: &ProblemSizes,
     store: &mut Store,
@@ -1185,9 +1195,9 @@ fn execute_with_caches(
     caches: &mut [KernelPlanCache],
 ) -> Result<ExecStats, ExecError> {
     let mut stats = ExecStats::default();
-    for ((kernel, mapping), cache) in program.kernels.iter().zip(mappings).zip(caches) {
+    for (((kernel, analysis), mapping), cache) in analysed.kernels().zip(mappings).zip(caches) {
         stats.absorb(execute_mapped_kernel(
-            kernel, mapping, sizes, store, opts, cache,
+            kernel, analysis, mapping, sizes, store, opts, cache,
         )?);
     }
     Ok(stats)
@@ -1212,6 +1222,19 @@ pub fn execute_compiled_batch(
     stores: &mut [Store],
     opts: &ExecOptions,
 ) -> Vec<Result<ExecStats, ExecError>> {
+    execute_analysed_batch(&AnalysedProgram::new(program), configs, sizes, stores, opts)
+}
+
+/// [`execute_compiled_batch`] over the analysis the mappings were
+/// computed from.
+pub(crate) fn execute_analysed_batch(
+    analysed: &AnalysedProgram,
+    configs: &[Vec<GpuMapping>],
+    sizes: &ProblemSizes,
+    stores: &mut [Store],
+    opts: &ExecOptions,
+) -> Vec<Result<ExecStats, ExecError>> {
+    let program = analysed.program();
     assert_eq!(
         configs.len(),
         stores.len(),
@@ -1227,9 +1250,10 @@ pub fn execute_compiled_batch(
         .zip(stores.iter_mut())
         .map(|(mappings, store)| {
             if eatss_affine::interp::store_layout(store) != layout {
-                return execute_compiled(program, mappings, sizes, store, opts);
+                let mut own = kernel_plan_caches(program);
+                return execute_with_caches(analysed, mappings, sizes, store, opts, &mut own);
             }
-            execute_with_caches(program, mappings, sizes, store, opts, &mut caches)
+            execute_with_caches(analysed, mappings, sizes, store, opts, &mut caches)
         })
         .collect()
 }

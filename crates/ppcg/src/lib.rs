@@ -106,7 +106,7 @@ impl Ppcg {
     ///
     /// This is what measurement (`eatss::evaluate_program_with`) and the
     /// [`oracle`] consume — a mapping lowers to a simulator spec
-    /// ([`GpuMapping::to_exec_spec`]) and is what the emulator executes —
+    /// ([`GpuMapping::exec_spec`]) and is what the emulator executes —
     /// so neither pays for CUDA text. It needs only the architecture, hence
     /// no `self`.
     ///
@@ -169,12 +169,12 @@ impl Ppcg {
         let analysed = AnalysedProgram::new(program);
         let mappings = Ppcg::map(&self.arch, &analysed, tiles, sizes, options)?;
         let mut cuda = codegen::program_header(&program.name, tiles);
-        for (kernel, mapping) in program.kernels.iter().zip(&mappings) {
+        for ((kernel, analysis), mapping) in analysed.kernels().zip(&mappings) {
             let mut stage = eatss_trace::span("ppcg", "codegen");
             if stage.is_active() {
                 stage.arg("kernel", kernel.name.as_str());
             }
-            cuda.push_str(&codegen::emit_kernel(kernel, mapping));
+            cuda.push_str(&codegen::emit_kernel(kernel, analysis, mapping));
         }
         {
             let _stage = eatss_trace::span("ppcg", "hostgen");

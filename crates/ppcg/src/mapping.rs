@@ -100,26 +100,39 @@ impl CompileOptions {
     }
 }
 
-/// A mapped reference: the analysis group plus lowering results.
+/// A mapped reference: the analysis group's index plus lowering results.
 #[derive(Debug, Clone)]
 pub struct MappedRef {
-    /// The underlying analysis group.
-    pub group: RefGroup,
+    /// The underlying analysis group: an index into
+    /// [`AccessAnalysis::groups`] of the analysis the kernel was mapped
+    /// with ([`MappedRef::group_in`]).
+    pub group: usize,
     /// Whether it is staged through shared memory in the generated code.
     pub staged: bool,
     /// Per-step tile footprint in elements.
     pub tile_footprint_elems: i64,
 }
 
-/// The complete mapping of one kernel onto the GPU.
+impl MappedRef {
+    /// The group this reference maps, in `analysis`, the analysis its
+    /// kernel was mapped with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `analysis` has no group [`MappedRef::group`] — it is
+    /// another kernel's.
+    pub fn group_in<'a, 'k>(&self, analysis: &'a AccessAnalysis<'k>) -> &'a RefGroup<'k> {
+        &analysis.groups[self.group]
+    }
+}
+
+/// The complete mapping of one kernel onto the GPU. Its references are
+/// indices into the groups of the access analysis it was computed from,
+/// which the emulator and code generation read them in.
 #[derive(Debug, Clone)]
 pub struct GpuMapping {
-    /// Kernel name.
-    pub kernel_name: String,
     /// The applied tiling.
     pub tiles: TileConfig,
-    /// Parallel/serial classification per loop dimension.
-    pub parallel: Vec<bool>,
     /// Loop dims mapped to block/thread x, y, z (x first, up to 3).
     pub mapped_dims: Vec<usize>,
     /// Threads along x, y, z.
@@ -148,7 +161,8 @@ impl GpuMapping {
     ///
     /// # Errors
     ///
-    /// See [`CompileError`].
+    /// See [`CompileError`]; an unbound problem size is the first
+    /// dimension's, outermost first.
     pub fn compute(
         kernel: &Kernel,
         analysis: &AccessAnalysis,
@@ -159,11 +173,11 @@ impl GpuMapping {
     ) -> Result<GpuMapping, CompileError> {
         let depth = kernel.depth();
 
-        let trip = |d: usize| -> Result<i64, CompileError> {
-            kernel
-                .trip_count(d, sizes)
-                .map_err(CompileError::UnboundParameter)
-        };
+        // Every dimension's trip count, looked up once.
+        let trips: Vec<i64> = (0..depth)
+            .map(|d| kernel.trip_count(d, sizes))
+            .collect::<Result<_, _>>()
+            .map_err(CompileError::UnboundParameter)?;
 
         // PPCG quirk reproduced from the paper (§V-D, Fig. 10 note): "the
         // PPCG code generator ignores the tiling for the innermost loop
@@ -171,16 +185,16 @@ impl GpuMapping {
         let mut tiles = tiles.clone();
         if depth > 3 && !kernel.dims[depth - 1].explicit_serial {
             let mut sz = tiles.sizes().to_vec();
-            sz[depth - 1] = trip(depth - 1)?.max(1);
+            sz[depth - 1] = trips[depth - 1].max(1);
             tiles = TileConfig::new(sz);
         }
         let tiles = &tiles;
         tiles.validate_for(depth)?;
         let tile = |d: usize| tiles.sizes()[d];
-        let clipped = |d: usize| -> Result<i64, CompileError> { Ok(tile(d).min(trip(d)?)) };
+        let clipped = |d: usize| tile(d).min(trips[d]);
 
         // --- choose mapped dimensions (x first) -------------------------
-        let parallel = analysis.parallel.clone();
+        let parallel = &analysis.parallel;
         let mut mapped_dims: Vec<usize> = Vec::new();
         let x_dim = match analysis.cma_dim.filter(|&d| parallel[d]) {
             Some(d) => d,
@@ -203,20 +217,20 @@ impl GpuMapping {
         let mut used = 1i64;
         for (pos, &d) in mapped_dims.iter().enumerate() {
             let dim_cap = options.max_block_dims.get(pos).copied().unwrap_or(1);
-            let t = clipped(d)?.min(dim_cap.max(1)).min((cap / used).max(1));
+            let t = clipped(d).min(dim_cap.max(1)).min((cap / used).max(1));
             thread_extents.push(t);
             used *= t;
         }
         let tile_points: i64 = mapped_dims
             .iter()
             .map(|&d| clipped(d))
-            .try_fold(1i64, |acc, t| t.map(|t| acc.saturating_mul(t)))?;
+            .fold(1i64, i64::saturating_mul);
         let threads_per_block: i64 = thread_extents.iter().product();
         let points_per_thread = div_ceil(tile_points, threads_per_block.max(1)).max(1);
 
         let mut grid_extents = Vec::with_capacity(mapped_dims.len());
         for &d in &mapped_dims {
-            grid_extents.push(div_ceil(trip(d)?, tile(d)));
+            grid_extents.push(div_ceil(trips[d], tile(d)));
         }
         let grid_blocks: i64 = grid_extents.iter().product();
         let grid_x_blocks = grid_extents.first().copied().unwrap_or(1);
@@ -224,16 +238,16 @@ impl GpuMapping {
         // --- serial steps and launches -----------------------------------
         let mut serial_steps = 1i64;
         let mut launch_count = 1i64;
-        for d in 0..depth {
+        for (d, &trip) in trips.iter().enumerate() {
             if mapped_dims.contains(&d) {
                 continue;
             }
             if kernel.dims[d].explicit_serial {
                 // Time loops force global synchronization: PPCG re-launches
                 // the grid each iteration rather than tiling them.
-                launch_count = launch_count.saturating_mul(trip(d)?);
+                launch_count = launch_count.saturating_mul(trip);
             } else {
-                serial_steps = serial_steps.saturating_mul(div_ceil(trip(d)?, tile(d)));
+                serial_steps = serial_steps.saturating_mul(div_ceil(trip, tile(d)));
             }
         }
 
@@ -244,11 +258,11 @@ impl GpuMapping {
         // fastest subscript by the members' constant-offset spread (merged
         // cache-line neighbours such as `A[i][j-1]`/`A[i][j+1]` read one
         // element to each side of the representative).
-        let step_footprint = |g: &RefGroup| -> Result<i64, CompileError> {
+        let step_footprint = |g: &RefGroup| -> i64 {
             let spread = g.fastest_offsets.1.saturating_sub(g.fastest_offsets.0);
-            footprint_widened(&g.representative, spread, |d| {
+            footprint_widened(g.representative, spread, |d| {
                 if kernel.dims[d].explicit_serial {
-                    Ok(1) // time dims do not widen a single launch's tile
+                    1 // time dims do not widen a single launch's tile
                 } else {
                     clipped(d)
                 }
@@ -274,7 +288,7 @@ impl GpuMapping {
         let mut sh_bytes = 0i64;
         for &i in &sh_candidates {
             sh_bytes =
-                sh_bytes.saturating_add(step_footprint(&analysis.groups[i])?.saturating_mul(elem));
+                sh_bytes.saturating_add(step_footprint(&analysis.groups[i]).saturating_mul(elem));
         }
         let stage = !sh_candidates.is_empty()
             && options.shared_budget_bytes > 0
@@ -288,31 +302,31 @@ impl GpuMapping {
         let point_mult: Vec<i64> = mapped_dims
             .iter()
             .zip(&thread_extents)
-            .map(|(&d, &t)| Ok(div_ceil(clipped(d)?, t.max(1)).max(1)))
-            .collect::<Result<_, CompileError>>()?;
+            .map(|(&d, &t)| div_ceil(clipped(d), t.max(1)).max(1))
+            .collect();
         // L1 residency requirement of a reference: a ref with block-level
         // temporal reuse (some non-time dim it does not use) must keep its
         // whole per-step tile resident to exploit that reuse. A streaming
         // ref (every dim used — stencil reads, copies, mvt's matrix) only
         // keeps the band currently swept by the threads (+halo) live, no
         // matter how large the tile is.
-        let residency = |g: &RefGroup| -> Result<i64, CompileError> {
+        let residency = |g: &RefGroup| -> i64 {
             if has_reuse(g) {
                 return step_footprint(g);
             }
-            footprint(&g.representative, |d| {
+            footprint(g.representative, |d| {
                 if kernel.dims[d].explicit_serial {
-                    Ok(1)
+                    1
                 } else if let Some(pos) = mapped_dims.iter().position(|&m| m == d) {
-                    Ok(thread_extents[pos] + 2)
+                    thread_extents[pos] + 2
                 } else {
-                    Ok(2) // current + previous serial slice
+                    2 // current + previous serial slice
                 }
             })
         };
         let mut refs = Vec::with_capacity(analysis.groups.len());
         let mut sim_refs = Vec::with_capacity(analysis.groups.len());
-        for g in &analysis.groups {
+        for (group, g) in analysis.groups.iter().enumerate() {
             // Dynamic accesses per block, with register-level reuse:
             //  * a mapped dim contributes its tile extent, divided by the
             //    per-thread multiplicity when the ref is invariant in it;
@@ -320,43 +334,43 @@ impl GpuMapping {
             //  * an unused serial dim contributes one access per tile step
             //    (the value stays in a register across the point loop).
             let mut accesses = g.members as i64;
-            for d in 0..depth {
+            for (d, &trip) in trips.iter().enumerate() {
                 if kernel.dims[d].explicit_serial {
                     continue;
                 }
                 if let Some(pos) = mapped_dims.iter().position(|&m| m == d) {
-                    accesses = accesses.saturating_mul(clipped(d)?);
+                    accesses = accesses.saturating_mul(clipped(d));
                     if !g.representative.uses_dim(d) {
                         // Register reuse across unrolled points is limited
                         // by the compiler's unroll window.
                         accesses /= point_mult[pos].clamp(1, 4);
                     }
                 } else if g.representative.uses_dim(d) {
-                    accesses = accesses.saturating_mul(trip(d)?);
+                    accesses = accesses.saturating_mul(trip);
                 } else {
-                    accesses = accesses.saturating_mul(div_ceil(trip(d)?, tile(d)));
+                    accesses = accesses.saturating_mul(div_ceil(trip, tile(d)));
                 }
             }
             let staged =
                 stage && g.memory == MemoryKind::SharedMem && !g.is_written && has_reuse(g);
-            let tile_fp = step_footprint(g)?;
-            let resident_fp = if staged { tile_fp } else { residency(g)? };
-            let block_fp = footprint(&g.representative, |d| {
+            let tile_fp = step_footprint(g);
+            let resident_fp = if staged { tile_fp } else { residency(g) };
+            let block_fp = footprint(g.representative, |d| {
                 if kernel.dims[d].explicit_serial {
-                    Ok(1)
+                    1
                 } else if mapped_dims.contains(&d) {
                     clipped(d)
                 } else {
-                    trip(d)
+                    trips[d]
                 }
-            })?;
-            let total_fp = footprint(&g.representative, |d| {
+            });
+            let total_fp = footprint(g.representative, |d| {
                 if kernel.dims[d].explicit_serial {
-                    Ok(1)
+                    1
                 } else {
-                    trip(d)
+                    trips[d]
                 }
-            })?;
+            });
             // Coalescing: a reference is warp-friendly unless it indexes
             // the thread-x dimension with a stride (x used, but not as the
             // stride-1 dimension). x-invariant references broadcast.
@@ -377,7 +391,7 @@ impl GpuMapping {
                             let t = if kernel.dims[d].explicit_serial {
                                 1
                             } else {
-                                trip(d).unwrap_or(1)
+                                trips[d]
                             };
                             c.saturating_abs().saturating_mul(t)
                         })
@@ -394,7 +408,7 @@ impl GpuMapping {
                     .is_some_and(|&d| g.representative.uses_dim(d));
 
             sim_refs.push(RefAccess {
-                name: g.array.clone(),
+                name: g.array().to_owned(),
                 staged_shared: staged,
                 tile_footprint_elems: resident_fp,
                 block_footprint_elems: block_fp,
@@ -407,7 +421,7 @@ impl GpuMapping {
                 is_write: g.is_written,
             });
             refs.push(MappedRef {
-                group: g.clone(),
+                group,
                 staged,
                 tile_footprint_elems: tile_fp,
             });
@@ -432,9 +446,7 @@ impl GpuMapping {
         };
 
         Ok(GpuMapping {
-            kernel_name: kernel.name.clone(),
             tiles: tiles.clone(),
-            parallel,
             mapped_dims,
             thread_extents,
             grid_extents,
@@ -449,6 +461,11 @@ impl GpuMapping {
 
     /// The lowered execution spec for a single kernel launch (time loops
     /// re-launch it [`GpuMapping::launch_count`] times).
+    pub fn exec_spec(&self) -> &KernelExecSpec {
+        &self.spec
+    }
+
+    /// An owned copy of [`GpuMapping::exec_spec`].
     pub fn to_exec_spec(&self) -> KernelExecSpec {
         self.spec.clone()
     }
@@ -462,10 +479,7 @@ impl GpuMapping {
 /// Footprint of a reference as the product of per-subscript extents,
 /// where each dimension contributes `extent(dim)` and multiple iterators
 /// in one subscript add (e.g. `in[i+p]` spans `T_i + T_p − 1`).
-fn footprint<E>(r: &ArrayRef, extent: E) -> Result<i64, CompileError>
-where
-    E: FnMut(usize) -> Result<i64, CompileError>,
-{
+fn footprint(r: &ArrayRef, extent: impl FnMut(usize) -> i64) -> i64 {
     footprint_widened(r, 0, extent)
 }
 
@@ -474,17 +488,14 @@ where
 /// cache-line group (see `RefGroup::fastest_offsets`). Used for sizing
 /// shared-memory staging buffers, where covering every member's access is
 /// a correctness requirement, not a model estimate.
-fn footprint_widened<E>(r: &ArrayRef, extra_last: i64, mut extent: E) -> Result<i64, CompileError>
-where
-    E: FnMut(usize) -> Result<i64, CompileError>,
-{
+fn footprint_widened(r: &ArrayRef, extra_last: i64, mut extent: impl FnMut(usize) -> i64) -> i64 {
     let mut total = 1i64;
     let last = r.subscripts.len().saturating_sub(1);
     for (i, s) in r.subscripts.iter().enumerate() {
         let mut span = 0i64;
         let mut parts = 0;
         for &(d, c) in s.terms() {
-            span = span.saturating_add(c.saturating_abs().saturating_mul(extent(d)?));
+            span = span.saturating_add(c.saturating_abs().saturating_mul(extent(d)));
             parts += 1;
         }
         let mut span = if parts == 0 {
@@ -497,7 +508,7 @@ where
         }
         total = total.saturating_mul(span);
     }
-    Ok(total)
+    total
 }
 
 #[cfg(test)]
@@ -524,9 +535,10 @@ mod tests {
     #[test]
     fn matmul_default_mapping() {
         let k = matmul();
+        let analysis = AccessAnalysis::analyze(&k);
         let m = GpuMapping::compute(
             &k,
-            &AccessAnalysis::analyze(&k),
+            &analysis,
             &TileConfig::ppcg_default(3),
             &GpuArch::ga100(),
             &sizes(2000),
@@ -542,7 +554,9 @@ mod tests {
         assert_eq!(m.serial_steps, 63); // ceil(2000/32)
         assert_eq!(m.launch_count, 1);
         // A[i][k] is staged (32*32*8 = 8 KiB <= 48 KiB budget).
-        let a = m.refs.iter().find(|r| r.group.array == "A").unwrap();
+        let a = (m.refs.iter())
+            .find(|r| r.group_in(&analysis).array() == "A")
+            .unwrap();
         assert!(a.staged);
         assert_eq!(m.shared_bytes, 32 * 32 * 8);
         let spec = m.to_exec_spec();
@@ -719,17 +733,20 @@ mod tests {
              }",
         )
         .unwrap();
+        let analysis = AccessAnalysis::analyze(&p.kernels[0]);
         let m = GpuMapping::compute(
             &p.kernels[0],
-            &AccessAnalysis::analyze(&p.kernels[0]),
+            &analysis,
             &TileConfig::new(vec![4, 4, 4]),
             &GpuArch::ga100(),
             &sizes(64),
             &CompileOptions::default(),
         )
         .unwrap();
-        let a = m.refs.iter().find(|r| r.group.array == "A").unwrap();
-        assert!(a.group.is_written);
+        let a = (m.refs.iter())
+            .find(|r| r.group_in(&analysis).array() == "A")
+            .unwrap();
+        assert!(a.group_in(&analysis).is_written);
         assert!(!a.staged, "written groups must stay in global memory");
         assert_eq!(m.shared_bytes, 0);
     }
@@ -746,20 +763,26 @@ mod tests {
              }",
         )
         .unwrap();
+        let analysis = AccessAnalysis::analyze(&p.kernels[0]);
         let m = GpuMapping::compute(
             &p.kernels[0],
-            &AccessAnalysis::analyze(&p.kernels[0]),
+            &analysis,
             &TileConfig::new(vec![8, 8, 8]),
             &GpuArch::ga100(),
             &sizes(64),
             &CompileOptions::default(),
         )
         .unwrap();
-        let x = m.refs.iter().find(|r| r.group.array == "x").unwrap();
+        let of = |array: &str| {
+            (m.refs.iter())
+                .find(|r| r.group_in(&analysis).array() == array)
+                .unwrap()
+        };
+        let x = of("x");
         assert!(x.staged);
-        assert_eq!(x.group.fastest_offsets, (-1, 1));
+        assert_eq!(x.group_in(&analysis).fastest_offsets, (-1, 1));
         assert_eq!(x.tile_footprint_elems, 10, "8-wide tile + spread of 2");
-        let w = m.refs.iter().find(|r| r.group.array == "w").unwrap();
+        let w = of("w");
         assert!(w.staged);
         assert_eq!(w.tile_footprint_elems, 8);
         assert_eq!(m.shared_bytes, (10 + 8) * 8);

@@ -6,7 +6,7 @@
 //! solve → map → codegen semantics → emulate, compared against the
 //! reference interpreter on the same deterministically seeded inputs.
 
-use crate::exec::{execute_compiled_batch, ExecError, ExecOptions};
+use crate::exec::{execute_analysed_batch, ExecError, ExecOptions};
 use crate::mapping::{CompileError, CompileOptions};
 use crate::Ppcg;
 use eatss_affine::analysis::AnalysedProgram;
@@ -180,9 +180,10 @@ pub fn verify(
 /// the store is seeded once and cloned for the reference and each
 /// mappable configuration, the reference interpretation runs once (it
 /// does not depend on tiles),
-/// and the emulator executes through [`execute_compiled_batch`], which
-/// compiles each distinct per-kernel route signature once instead of once
-/// per configuration.
+/// and the emulator executes the mappings against that same analysis
+/// (as [`execute_compiled_batch`](crate::execute_compiled_batch) does),
+/// compiling each distinct per-kernel route signature once instead of
+/// once per configuration.
 ///
 /// Returns one verdict per configuration, in order; a configuration's
 /// verdict, report and trace counters do not depend on what else is in
@@ -240,7 +241,7 @@ pub fn verify_batch(
         }
     };
 
-    let stats = execute_compiled_batch(program, &mappings, sizes, &mut stores, &options.exec);
+    let stats = execute_analysed_batch(&analysed, &mappings, sizes, &mut stores, &options.exec);
 
     let arrays_compared = reference.arrays().count() as u64;
     for ((&i, store), stats) in mappable.iter().zip(&stores).zip(stats) {

@@ -4,9 +4,19 @@
 //! integer values it may still take. EATSS variables are tile sizes with at
 //! most a few thousand candidate values, so explicit sets are both simple
 //! and fast, and make divisibility filtering exact.
+//!
+//! A domain is a *window* `lo..hi` into a shared, sorted slice of values.
+//! Every narrowing the search makes most — a branch to one value, a
+//! capacity's cut to a prefix, the incumbent bound's cut to a suffix — is
+//! a sub-window of the domain it narrows, so it copies no value; cloning a
+//! domain bumps a reference count. Only a narrowing to an arbitrary
+//! subsequence ([`Domain::retain`], the search's per-value probe) builds
+//! new values.
 
 use crate::Interval;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A finite, sorted set of candidate values for one variable.
 ///
@@ -19,13 +29,23 @@ use std::fmt;
 /// d.retain(|v| v % 16 == 0);
 /// assert_eq!(d.iter().collect::<Vec<_>>(), vec![16, 32, 48, 64]);
 /// assert_eq!(d.hull().lo(), 16);
+/// assert_eq!(d, Domain::multiples(16, 64));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Domain {
-    values: Vec<i64>,
+    /// Strictly ascending; the domain is `values[window]`.
+    values: Arc<[i64]>,
+    window: Range<usize>,
 }
 
 impl Domain {
+    /// The domain of all of `values`, already strictly ascending.
+    fn whole(values: Arc<[i64]>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "unsorted domain");
+        let window = 0..values.len();
+        Domain { values, window }
+    }
+
     /// Domain containing every integer in `[lo, hi]`.
     ///
     /// # Panics
@@ -35,7 +55,7 @@ impl Domain {
     /// a formulation bug.
     pub fn range(lo: i64, hi: i64) -> Self {
         if lo > hi {
-            return Domain { values: Vec::new() };
+            return Domain::whole(Arc::new([]));
         }
         // Counted in i128: `hi - lo` overflows i64 on a wide range.
         let count = i128::from(hi) - i128::from(lo) + 1;
@@ -43,58 +63,90 @@ impl Domain {
             count <= 1 << 22,
             "domain [{lo}, {hi}] too large to materialize ({count} values)"
         );
-        Domain {
-            values: (lo..=hi).collect(),
-        }
+        Domain::whole((lo..=hi).collect())
+    }
+
+    /// The positive multiples of `step` up to `hi`: `step, 2·step, … ≤ hi`
+    /// (empty when `step > hi`). A warp-aligned tile's domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is not positive, or on more values than
+    /// [`Domain::range`] takes.
+    pub fn multiples(step: i64, hi: i64) -> Self {
+        assert!(step > 0, "multiples of a non-positive step {step}");
+        let count = hi.max(0) / step;
+        assert!(
+            count <= 1 << 22,
+            "domain of {count} multiples of {step} too large to materialize"
+        );
+        Domain::whole((1..=count).map(|k| k * step).collect())
     }
 
     /// Domain from an explicit list of values (sorted and deduplicated).
     pub fn from_values(mut values: Vec<i64>) -> Self {
         values.sort_unstable();
         values.dedup();
-        Domain { values }
+        Domain::whole(values.into())
     }
 
-    /// Domain from values already strictly ascending — a cut of another
+    /// Domain from values already strictly ascending — a filter of another
     /// domain keeps its order, so no sort or dedup is needed.
-    pub(crate) fn from_sorted(values: Vec<i64>) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "unsorted domain");
-        Domain { values }
+    pub(crate) fn from_sorted(values: &[i64]) -> Self {
+        Domain::whole(values.into())
+    }
+
+    /// The sub-domain at `positions` of [`Domain::values`]: a narrower
+    /// window into the same values, copying none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` is not within `0..self.len()`.
+    pub(crate) fn window(&self, positions: Range<usize>) -> Self {
+        assert!(
+            positions.start <= positions.end && positions.end <= self.len(),
+            "window {positions:?} of a domain of {} values",
+            self.len()
+        );
+        let start = self.window.start + positions.start;
+        Domain {
+            values: Arc::clone(&self.values),
+            window: start..start + positions.len(),
+        }
     }
 
     /// Domain holding exactly one value.
     pub fn singleton(v: i64) -> Self {
-        Domain { values: vec![v] }
+        Domain::whole(Arc::new([v]))
     }
 
     /// Number of remaining candidate values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.window.len()
     }
 
     /// Whether no values remain (the subproblem is unsatisfiable).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.window.is_empty()
     }
 
     /// Whether exactly one value remains.
     pub fn is_singleton(&self) -> bool {
-        self.values.len() == 1
+        self.len() == 1
     }
 
     /// The single remaining value, if [`Domain::is_singleton`].
     pub fn as_singleton(&self) -> Option<i64> {
-        if self.values.len() == 1 {
-            Some(self.values[0])
-        } else {
-            None
+        match self.values() {
+            &[v] => Some(v),
+            _ => None,
         }
     }
 
     /// The tightest interval containing all remaining values
     /// ([`Interval::empty`] if the domain is empty).
     pub fn hull(&self) -> Interval {
-        match (self.values.first(), self.values.last()) {
+        match (self.values().first(), self.values().last()) {
             (Some(&lo), Some(&hi)) => Interval::new(lo, hi),
             _ => Interval::empty(),
         }
@@ -102,42 +154,66 @@ impl Domain {
 
     /// Whether `v` is still a candidate.
     pub fn contains(&self, v: i64) -> bool {
-        self.values.binary_search(&v).is_ok()
+        self.values().binary_search(&v).is_ok()
     }
 
     /// Keeps only values satisfying `pred`; returns `true` if anything was
-    /// removed.
-    pub fn retain(&mut self, pred: impl FnMut(&i64) -> bool) -> bool {
-        let before = self.values.len();
-        let mut pred = pred;
-        self.values.retain(|v| pred(v));
-        self.values.len() != before
+    /// removed. A domain that loses nothing keeps its values; one that
+    /// does gets new ones.
+    pub fn retain(&mut self, mut pred: impl FnMut(&i64) -> bool) -> bool {
+        let values = self.values();
+        let Some(first_out) = values.iter().position(|v| !pred(v)) else {
+            return false;
+        };
+        let mut kept = values[..first_out].to_vec();
+        kept.extend(values[first_out + 1..].iter().filter(|v| pred(v)));
+        *self = Domain::from_sorted(&kept);
+        true
     }
 
     /// Iterates over remaining values in ascending order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = i64> + '_ {
-        self.values.iter().copied()
+        self.values().iter().copied()
     }
 
     /// All remaining values as a slice.
     pub fn values(&self) -> &[i64] {
-        &self.values
+        &self.values[self.window.clone()]
+    }
+}
+
+/// Two domains are equal when they hold the same values, whatever they
+/// are windows into.
+impl PartialEq for Domain {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Domain {}
+
+impl fmt::Debug for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Domain")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.values.len() > 8 {
+        let values = self.values();
+        if values.len() > 8 {
             write!(
                 f,
                 "{{{}, {}, .. {} values .. , {}}}",
-                self.values[0],
-                self.values[1],
-                self.values.len(),
-                self.values[self.values.len() - 1]
+                values[0],
+                values[1],
+                values.len(),
+                values[values.len() - 1]
             )
         } else {
-            write!(f, "{:?}", self.values)
+            write!(f, "{values:?}")
         }
     }
 }

@@ -9,7 +9,10 @@
 //! tested against):
 //!
 //! * **Trail-based undo** ([`crate::trail::Trail`]): a node saves only the
-//!   domains it narrows instead of cloning the whole `Vec<Domain>`.
+//!   domains it narrows instead of cloning the whole `Vec<Domain>`, and a
+//!   domain is a window into shared values ([`Domain`]), so a branch and a
+//!   closed-form cut narrow it to a sub-window and the trail saves and
+//!   restores windows: neither copies a value.
 //! * **Worklist propagation**: interval hulls are maintained incrementally
 //!   (updated when a domain changes, restored on backtrack) and an
 //!   AC-3-style queue revisits only the rows watching a changed variable.
@@ -40,8 +43,9 @@
 //! `OBJ > best` row would reject anyway. Variable order (smallest domain
 //! first) and value order ([`next_candidate`], largest first) are what
 //! decides *which* of several equal-valued optima is met first, so none of
-//! the above touches them. An inner node builds no assignment, and a cut
-//! keeps the domain's order instead of sorting it again.
+//! the above touches them. Only a leaf that improves on the incumbent
+//! builds an assignment, and a probe keeps the domain's order instead of
+//! sorting it again.
 
 use crate::domain::Domain;
 use crate::expr::{BoolExpr, VarId};
@@ -64,15 +68,17 @@ const BUDGET_POLL_PERIOD: u64 = 64;
 const PROBE_LIMIT: usize = 4096;
 
 /// A branching variable's next candidate after `tried` (its first when
-/// `None`): the largest value below it. Large tiles score high, so the
-/// maximization climbs in few improvements (like Z3's default behaviour
-/// on these formulations). Looking the successor up in the *current*
-/// domain lets a node skip candidates that a tightened incumbent removed
-/// while an earlier sibling was being searched.
-fn next_candidate(domain: &Domain, tried: Option<i64>) -> Option<i64> {
+/// `None`): the largest value below it, and its position in the domain.
+/// Large tiles score high, so the maximization climbs in few improvements
+/// (like Z3's default behaviour on these formulations). Looking the
+/// successor up in the *current* domain lets a node skip candidates that
+/// a tightened incumbent removed while an earlier sibling was being
+/// searched.
+fn next_candidate(domain: &Domain, tried: Option<i64>) -> Option<(usize, i64)> {
     let values = domain.values();
     let untried = tried.map_or(values.len(), |t| values.partition_point(|&v| v < t));
-    values[..untried].last().copied()
+    let at = untried.checked_sub(1)?;
+    Some((at, values[at]))
 }
 
 /// What one [`Search`] found.
@@ -127,6 +133,8 @@ pub(crate) struct Search<'a> {
     /// incumbent taken on the way to it.
     best: Option<Vec<i64>>,
     incumbents: Vec<i64>,
+    /// The values a probe keeps, reused from one probe to the next.
+    kept: Vec<i64>,
     /// Tests switch the closed form off to hold it against the probe.
     #[cfg(test)]
     probe_only: bool,
@@ -194,6 +202,7 @@ impl<'a> Search<'a> {
             stop: None,
             best: None,
             incumbents: Vec::new(),
+            kept: Vec::new(),
             #[cfg(test)]
             probe_only: false,
         }
@@ -287,7 +296,7 @@ impl<'a> Search<'a> {
         if !self.propagate() {
             return;
         }
-        if let Some(values) = assignment_of(&self.domains) {
+        if self.domains.iter().all(Domain::is_singleton) {
             // Every hull is a singleton, and propagation ran to its
             // fixpoint: each row was revised after its last variable was
             // pinned, exactly, and held.
@@ -300,9 +309,15 @@ impl<'a> Search<'a> {
                 // Record the improvement and tighten the incumbent in
                 // place; the search goes on, and each ancestor re-filters
                 // its level when control returns to it. Exhausting the
-                // tree is the optimality proof.
+                // tree is the optimality proof. Only here is the leaf's
+                // assignment collected.
                 self.incumbent = Some(value);
-                self.best = Some(values);
+                self.best = Some(
+                    self.domains
+                        .iter()
+                        .filter_map(Domain::as_singleton)
+                        .collect(),
+                );
                 self.incumbents.push(value);
             } else {
                 self.stats.bound_prunes += 1;
@@ -317,14 +332,15 @@ impl<'a> Search<'a> {
             return;
         };
         let mut candidate = next_candidate(&self.domains[var_idx], None);
-        while let Some(value) = candidate {
+        while let Some((at, value)) = candidate {
             if self.out_of_budget() {
                 return;
             }
             self.stats.nodes += 1;
             let incumbents_before = self.incumbents.len();
             self.trail.push_level();
-            self.narrow(var_idx, Domain::singleton(value));
+            let pinned = self.domains[var_idx].window(at..at + 1);
+            self.narrow(var_idx, pinned);
             self.dfs();
             self.trail.pop_level(&mut self.domains, &mut self.hulls);
             self.stats.backtracks += 1;
@@ -397,7 +413,9 @@ impl<'a> Search<'a> {
     /// passes `row` again over the restored hulls, so the coefficients
     /// the next cut reads are the row's. Domains of one value (the hull
     /// check has spoken for it) or of more than [`PROBE_LIMIT`] are left
-    /// alone, here and in [`Search::cut`].
+    /// alone, here and in [`Search::cut`]. The kept values, any
+    /// subsequence of the domain, are the one narrowing that copies
+    /// values.
     fn probe(&mut self, idx: usize, row: Row, end: End, keep: impl Fn(Interval) -> bool) -> bool {
         let values = self.domains[idx].values();
         if !(2..=PROBE_LIMIT).contains(&values.len()) {
@@ -406,36 +424,38 @@ impl<'a> Search<'a> {
         // Pin this variable's hull to a singleton *in place* — no
         // `hulls.clone()` per variable.
         let saved_hull = self.hulls[idx];
-        let (rows, hulls) = (&mut self.rows, &mut self.hulls);
-        let kept: Vec<i64> = (values.iter().copied())
-            .filter(|&v| {
-                hulls[idx] = Interval::singleton(v);
-                keep(rows.pass(row, hulls, end))
-            })
-            .collect();
+        let (rows, hulls, kept) = (&mut self.rows, &mut self.hulls, &mut self.kept);
+        kept.clear();
+        kept.extend(values.iter().copied().filter(|&v| {
+            hulls[idx] = Interval::singleton(v);
+            keep(rows.pass(row, hulls, end))
+        }));
         self.hulls[idx] = saved_hull;
         self.rows.pass(row, &self.hulls, end);
-        self.keep_only(idx, kept)
+        let narrowed = match self.kept.len() {
+            0 => self.domains[idx].window(0..0),
+            kept if kept == self.domains[idx].len() => return true,
+            _ => Domain::from_sorted(&self.kept),
+        };
+        self.keep_only(idx, narrowed)
     }
 
     /// Narrows `domains[idx]` to the positions a row's closed form keeps
-    /// (a prefix or a suffix of the sorted domain): no evaluation.
+    /// (a prefix or a suffix of the sorted domain): a window, with no
+    /// evaluation and no copy.
     fn cut(&mut self, idx: usize, kept: impl FnOnce(&[i64]) -> Range<usize>) -> bool {
-        let values = self.domains[idx].values();
-        if !(2..=PROBE_LIMIT).contains(&values.len()) {
+        let domain = &self.domains[idx];
+        if !(2..=PROBE_LIMIT).contains(&domain.len()) {
             return true;
         }
-        let kept = kept(values);
-        if kept.len() == values.len() {
-            return true;
-        }
-        let kept = values[kept].to_vec();
-        self.keep_only(idx, kept)
+        let kept = kept(domain.values());
+        let narrowed = domain.window(kept);
+        self.keep_only(idx, narrowed)
     }
 
-    /// Narrows `domains[idx]` to `kept`, a subsequence of it; `false` when
+    /// Narrows `domains[idx]` to `kept`, a sub-domain of it; `false` when
     /// nothing is kept.
-    fn keep_only(&mut self, idx: usize, kept: Vec<i64>) -> bool {
+    fn keep_only(&mut self, idx: usize, kept: Domain) -> bool {
         let pruned = self.domains[idx].len() - kept.len();
         if pruned == 0 {
             return true;
@@ -444,7 +464,7 @@ impl<'a> Search<'a> {
         if kept.is_empty() {
             return false;
         }
-        self.narrow(idx, Domain::from_sorted(kept));
+        self.narrow(idx, kept);
         true
     }
 
@@ -519,16 +539,6 @@ impl<'a> Search<'a> {
         }
         true
     }
-}
-
-/// The assignment a search state pins, if every domain is a singleton.
-/// Checked before anything is collected, so an inner node allocates
-/// nothing.
-fn assignment_of(domains: &[Domain]) -> Option<Vec<i64>> {
-    if !domains.iter().all(Domain::is_singleton) {
-        return None;
-    }
-    Some(domains.iter().filter_map(Domain::as_singleton).collect())
 }
 
 #[cfg(test)]

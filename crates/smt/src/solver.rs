@@ -594,7 +594,7 @@ mod tests {
 
     /// The positive multiples of `step` up to `hi`: an aligned tile domain.
     fn multiples(step: i64, hi: i64) -> Domain {
-        Domain::from_values((1..=hi / step).map(|k| k * step).collect())
+        Domain::multiples(step, hi)
     }
 
     fn c(v: i64) -> IntExpr {

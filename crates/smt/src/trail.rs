@@ -91,6 +91,7 @@ impl Trail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::TestRng;
 
     fn doms(specs: &[(i64, i64)]) -> (Vec<Domain>, Vec<Interval>) {
         let d: Vec<Domain> = specs
@@ -153,6 +154,92 @@ mod tests {
         let mut h = vec![d[0].hull()];
         t.pop_level(&mut d, &mut h);
         assert_eq!(d[0].len(), 3, "root narrowing survives backtracking");
+    }
+
+    /// A draw from `0..n`.
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    #[test]
+    fn narrowed_windows_match_copied_values_and_pop_restores_them_exactly() {
+        // Random branch / cut / probe narrowings under random levels, each
+        // mirrored on a plain `Vec` per variable: the windows always hold
+        // the model's values, and a pop restores each window to the very
+        // slice (address and length) it was at the level's entry.
+        for case in 0..500 {
+            let rng = &mut TestRng::for_case("narrowed_windows", case);
+            let vars = 1 + below(rng, 4);
+            let mut model: Vec<Vec<i64>> = (0..vars)
+                .map(|_| {
+                    let count = below(rng, 12);
+                    let mut values: Vec<i64> = (0..count).map(|_| below(rng, 40) as i64).collect();
+                    values.sort_unstable();
+                    values.dedup();
+                    values
+                })
+                .collect();
+            let mut domains: Vec<Domain> = model
+                .iter()
+                .map(|v| Domain::from_values(v.clone()))
+                .collect();
+            let mut hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
+            let mut trail = Trail::new(vars);
+            let window = |d: &Domain| (d.values().as_ptr(), d.len());
+            let mut entries = Vec::new();
+            for step in 0..60 {
+                let var = below(rng, vars);
+                let len = model[var].len();
+                let narrowed = match below(rng, 5) {
+                    0 => {
+                        entries.push((
+                            model.clone(),
+                            domains.iter().map(window).collect::<Vec<_>>(),
+                        ));
+                        trail.push_level();
+                        None
+                    }
+                    1 => {
+                        let Some((values, windows)) = entries.pop() else {
+                            continue;
+                        };
+                        trail.pop_level(&mut domains, &mut hulls);
+                        model = values;
+                        let restored: Vec<_> = domains.iter().map(window).collect();
+                        assert_eq!(restored, windows, "case {case} step {step}: pop");
+                        None
+                    }
+                    // A branch: one value.
+                    2 if len > 0 => {
+                        let at = below(rng, len);
+                        Some((domains[var].window(at..at + 1), vec![model[var][at]]))
+                    }
+                    // A closed-form cut: a prefix or a suffix.
+                    3 => {
+                        let at = below(rng, len + 1);
+                        let kept = if below(rng, 2) == 0 { 0..at } else { at..len };
+                        Some((domains[var].window(kept.clone()), model[var][kept].to_vec()))
+                    }
+                    // A probe: any subsequence.
+                    4 => {
+                        let kept: Vec<i64> = (model[var].iter().copied())
+                            .filter(|_| below(rng, 3) != 0)
+                            .collect();
+                        Some((Domain::from_sorted(&kept), kept))
+                    }
+                    _ => None,
+                };
+                if let Some((domain, values)) = narrowed {
+                    trail.replace(var, &mut domains, domain);
+                    hulls[var] = domains[var].hull();
+                    model[var] = values;
+                }
+                for (v, (domain, values)) in domains.iter().zip(&model).enumerate() {
+                    assert_eq!(domain.values(), values, "case {case} step {step}: var {v}");
+                    assert_eq!(hulls[v], domain.hull(), "case {case} step {step}: hull {v}");
+                }
+            }
+        }
     }
 
     #[test]

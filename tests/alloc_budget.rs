@@ -1,0 +1,256 @@
+//! The heap allocations of one `select-cold` op, pinned stage by stage.
+//!
+//! The op is the paper's compile-time cost as the benchmark's
+//! `select-cold` workload runs it: parse a registry kernel, select its
+//! tiles (`Eatss::select_tiles`), then evaluate the selected tiles and
+//! PPCG's `32^d`, with nothing cached between ops. The catalogue is the
+//! workload's (restated here, since the benchmark crate is not a
+//! dependency): every registry kernel × the five builtin device profiles
+//! × the size menu `[1000, 2000, 4000]` on ga100 and h100, `[256, 512,
+//! 1024]` on the others, at warp fraction 0.125 for fdtd-apml, b2mm,
+//! conv-2d and heat-3d and 0.5 otherwise — 315 ops.
+//!
+//! A counting `#[global_allocator]` counts `alloc`, `alloc_zeroed` and
+//! `realloc` calls into a thread-local, so the harness's other threads do
+//! not count. Each stage is counted at a public seam of the op:
+//!
+//! * `parse` — `parse_named_program`;
+//! * `analyse` — one `AnalysedProgram::new` (the op runs three: one in
+//!   `select_tiles`, one per `evaluate`);
+//! * `formulate` — `ModelGenerator::build` less one analysis;
+//! * `maximize` — `select_tiles` less `build`: the model generator it
+//!   makes, the solve and the solution's extraction;
+//! * `map` — `Ppcg::map` of one of the two tilings;
+//! * `simulate` — `evaluate` less one analysis and its `map`, plus the
+//!   `32^d` tiling itself.
+//!
+//! The op's total is `parse + select_tiles + 2 · evaluate`, measured
+//! directly and checked to be the sum of the stages. The counts are the
+//! same in debug and release builds.
+//!
+//! Before the search's domains became windows into shared values and the
+//! analysis and the mapping stopped copying reference groups, the same
+//! count read, per op (catalogue totals over 315 ops): parse 69.4
+//! (21 855), analyse 3 × 59.8 (3 × 18 825), formulate 81.2 (25 575),
+//! maximize 141.5 (44 561), map 2 × 67.3 (42 375 for both) and simulate
+//! 2 × 28.3 (17 805 for both): 662.4 in all (208 646). Pinned below: 321.8
+//! (101 373).
+//!
+//! A change that allocates more or less moves a pinned total; update the
+//! pin with the table the failure prints, and say why in the change.
+
+use eatss::{Eatss, EatssConfig, ModelGenerator};
+use eatss_affine::analysis::AnalysedProgram;
+use eatss_affine::parser::parse_named_program;
+use eatss_affine::tiling::TileConfig;
+use eatss_gpusim::DeviceProfile;
+use eatss_ppcg::Ppcg;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread may still allocate after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; counting touches
+// only a const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations `f` makes on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const STAGES: [&str; 6] = [
+    "parse",
+    "analyse",
+    "formulate",
+    "maximize",
+    "map",
+    "simulate",
+];
+
+/// How many times one op runs each stage's count: one analysis is
+/// counted and three are run; `map` and `simulate` already count both
+/// tilings.
+const RUNS_PER_OP: [u64; 6] = [1, 3, 1, 1, 1, 1];
+
+/// The pinned catalogue totals, stage by stage, in [`STAGES`] order (the
+/// `analyse` total is one analysis per op; `map` and `simulate` sum both
+/// tilings).
+const PINNED: [u64; 6] = [21_855, 2_610, 25_575, 15_153, 19_095, 11_865];
+
+/// Kernels the workload selects at an eighth of a warp.
+const EIGHTH_WARP_KERNELS: [&str; 4] = ["fdtd-apml", "b2mm", "conv-2d", "heat-3d"];
+
+fn size_menu(device: &str) -> [i64; 3] {
+    match device {
+        "ga100" | "h100" => [1000, 2000, 4000],
+        _ => [256, 512, 1024],
+    }
+}
+
+fn config_for(kernel: &str) -> EatssConfig {
+    let warp_fraction = if EIGHTH_WARP_KERNELS.contains(&kernel) {
+        0.125
+    } else {
+        0.5
+    };
+    EatssConfig {
+        warp_fraction,
+        ..EatssConfig::default()
+    }
+}
+
+/// One op, counted stage by stage, plus its directly counted total.
+fn one_op(eatss: &Eatss, bench: &eatss_kernels::Benchmark, n: i64) -> ([u64; 6], u64) {
+    let sizes = bench.sizes_uniform(n);
+    let config = config_for(bench.name);
+    let arch = eatss.arch();
+    let options = config.compile_options(arch);
+    let mut stages = [0u64; 6];
+
+    // The op itself, as the workload runs it.
+    let (total, ()) = counted(|| {
+        let program = parse_named_program(bench.name, bench.source).expect("parses");
+        let solution = eatss
+            .select_tiles(&program, &sizes, &config)
+            .expect("selects");
+        let default = TileConfig::ppcg_default(program.max_depth());
+        for tiles in [&solution.tiles, &default] {
+            let report = eatss
+                .evaluate(&program, tiles, &sizes, &config)
+                .expect("evaluates");
+            assert!(
+                report.valid,
+                "{} n={n}: {tiles} is unexecutable",
+                bench.name
+            );
+        }
+    });
+
+    // Its stages, at their seams.
+    let (parse, program) =
+        counted(|| parse_named_program(bench.name, bench.source).expect("parses"));
+    let (analyse, analysed) = counted(|| AnalysedProgram::new(&program));
+    let generator = ModelGenerator::new(arch, config.clone());
+    let (build, model) = counted(|| generator.build(&program, Some(&sizes)).expect("builds"));
+    drop(model);
+    let (select, solution) = counted(|| {
+        eatss
+            .select_tiles(&program, &sizes, &config)
+            .expect("selects")
+    });
+    stages[0] = parse;
+    stages[1] = analyse;
+    stages[2] = build - analyse;
+    stages[3] = select - build;
+    let (tiling, default) = counted(|| TileConfig::ppcg_default(program.max_depth()));
+    stages[5] += tiling;
+    for tiles in [&solution.tiles, &default] {
+        let (map, mappings) =
+            counted(|| Ppcg::map(arch, &analysed, tiles, &sizes, &options).expect("maps"));
+        drop(mappings);
+        let (evaluate, _) = counted(|| {
+            eatss
+                .evaluate(&program, tiles, &sizes, &config)
+                .expect("evaluates")
+        });
+        stages[4] += map;
+        stages[5] += evaluate - analyse - map;
+    }
+    (stages, total)
+}
+
+#[test]
+fn a_cold_select_allocates_what_is_pinned() {
+    let engines: Vec<(&str, Eatss)> = DeviceProfile::builtin_names()
+        .into_iter()
+        .map(|name| {
+            let profile = DeviceProfile::builtin(name).expect("builtin");
+            (name, Eatss::new(profile.into_arch()))
+        })
+        .collect();
+    let benches = eatss_kernels::all();
+    // One uncounted pass first: what a process allocates once (interned
+    // histograms, lazy statics) is not an op's.
+    for (device, eatss) in &engines {
+        for bench in &benches {
+            one_op(eatss, bench, size_menu(device)[0]);
+        }
+    }
+    let mut per_kernel: BTreeMap<&str, [u64; 6]> = BTreeMap::new();
+    let (mut totals, mut direct, mut ops) = ([0u64; 6], 0u64, 0u64);
+    for bench in &benches {
+        for (device, eatss) in &engines {
+            for n in size_menu(device) {
+                let (stages, total) = one_op(eatss, bench, n);
+                let row = per_kernel.entry(bench.name).or_default();
+                for s in 0..STAGES.len() {
+                    row[s] += stages[s];
+                    totals[s] += stages[s];
+                }
+                direct += total;
+                ops += 1;
+            }
+        }
+    }
+    assert_eq!(ops, 315, "the catalogue");
+    let summed: u64 = (totals.iter().zip(RUNS_PER_OP)).map(|(t, r)| t * r).sum();
+    let mut table = format!("{:<12}", "kernel");
+    for stage in STAGES {
+        let _ = write!(table, "{stage:>10}");
+    }
+    table.push('\n');
+    for (kernel, row) in &per_kernel {
+        let _ = write!(table, "{kernel:<12}");
+        for v in row {
+            let _ = write!(table, "{v:>10}");
+        }
+        table.push('\n');
+    }
+    let _ = write!(table, "{:<12}", "total");
+    for v in totals {
+        let _ = write!(table, "{v:>10}");
+    }
+    let _ = write!(
+        table,
+        "\nper op: {:.1} ({direct} over {ops} ops)",
+        direct as f64 / ops as f64
+    );
+    assert_eq!(summed, direct, "the stages sum to the op\n{table}");
+    assert_eq!(totals, PINNED, "allocations per stage\n{table}");
+}
