@@ -309,6 +309,31 @@ fn exec_rows_counts_one_per_plan_row() {
         rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Reference),
         (0, 9 * 10 * 7)
     );
+    // `B[i][j + i]` fails the lockstep test along x = `j`, so every chunk
+    // runs thread by thread (one-point threads fused where the shared
+    // loops iterate once): the per-thread row rule's own pins. Under
+    // [4, 40], each of 10 blocks × 4 y-chunks runs 8 two-point x rows
+    // and one row of the 24 one-point threads: 360.
+    let shear = parse_program(
+        "kernel shear(N) {
+           for (i: N) for (j: N)
+             B[i][j + i] = A[i][j];
+         }",
+    )
+    .expect("shear parses");
+    for (tiles, n, rows) in [
+        (vec![4, 40], 40, 360),
+        (vec![3, 5], 11, 33),
+        (vec![64, 64], 40, 704),
+        (vec![128, 8], 20, 116),
+    ] {
+        let sz = ProblemSizes::new([("N", n)]);
+        assert_eq!(
+            rows_and_points(&shear, tiles.clone(), &sz, ExecEngine::Plan),
+            (rows, (n * n) as u64),
+            "shear under {tiles:?} at N = {n}"
+        );
+    }
 }
 
 proptest! {
