@@ -7,11 +7,11 @@
 # PARENT_DIR and CHANGE_DIR are two checkouts of this repository (a `git
 # clone` or `git archive` of the parent commit, and the change). The script
 #   - builds benchmark/ in both (offline, release),
-#   - runs PAIRS pairs of every workload at the driver's settings (25 s
-#     window, --trace 0, seed = pair number), alternating which side runs
-#     first, each run started from its own checkout, and appends their
-#     --record lines to A.jsonl (parent) and B.jsonl (change) in the
-#     current directory,
+#   - runs PAIRS pairs of every workload BENCHMARK.json lists, each run
+#     over its `run_seconds` window (--trace 0, seed = pair number),
+#     alternating which side runs first, each run started from its own
+#     checkout, and appends their --record lines to A.jsonl (parent)
+#     and B.jsonl (change) in the current directory,
 #   - adds 3 traced pairs per workload (seeds 1-3, alternating the same
 #     way), so each per-layer row `--compare` prints is a median of 3
 #     runs per side (per-layer metrics carry no verdict),
@@ -21,7 +21,7 @@
 # Every run made is in the two files; nothing is dropped or re-run. Both
 # sides must hold the same benchmark/ — a change to the ruler is its own
 # PR — and the script refuses to compare otherwise. SECONDS_PER_RUN
-# overrides the window for a quick look (the driver's is 25).
+# overrides the window for a quick look. Needs `jq`.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -31,15 +31,17 @@ fi
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
 pairs="${3:-10}"
-window="${SECONDS_PER_RUN:-25}"
 out="$PWD"
-workloads="select-cold verify-oracle sweep-front serve-mixed"
 
 if ! diff -r -x target -x out "$parent/benchmark" "$change/benchmark" >/dev/null ||
     ! cmp -s "$parent/BENCHMARK.json" "$change/BENCHMARK.json"; then
     echo "ab_compare: the two checkouts hold different rulers (benchmark/ or BENCHMARK.json)" >&2
     exit 2
 fi
+
+# The workloads and the window are the ruler's own.
+workloads="$(jq -r '.workloads[].name' "$change/BENCHMARK.json")"
+window="${SECONDS_PER_RUN:-$(jq -r '.run_seconds' "$change/BENCHMARK.json")}"
 
 # Each checkout builds into its own benchmark/target.
 unset CARGO_TARGET_DIR

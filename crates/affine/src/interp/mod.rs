@@ -21,8 +21,10 @@
 //! is differentially proven to produce bitwise-identical stores.
 
 use crate::ir::{ArrayRef, Kernel, Program};
+use crate::plan::{for_each_row, Loop};
 use crate::ProblemSizes;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 
 pub mod reference;
@@ -423,37 +425,22 @@ pub fn run_kernel(
         Some(plan) => plan,
         None => return reference::run_kernel(kernel, sizes, store),
     };
-    drive_plan(&plan, &trips, store);
-    Ok(())
-}
-
-/// Runs a compiled plan over its whole iteration space (at least one
-/// loop, every trip non-empty: what [`ExecPlan::compile`] accepts) in
-/// lexicographic order, the innermost dimension as a plan row.
-///
-/// [`ExecPlan::compile`]: crate::plan::ExecPlan::compile
-fn drive_plan(plan: &crate::plan::ExecPlan, trips: &[i64], store: &mut Store) {
-    let mut point = vec![0i64; trips.len()];
-    // The innermost dimension runs as a row: linear addresses advance by
-    // a precomputed stride instead of being re-derived per point.
+    // Every dim is a loop from 0, the innermost the row: linear addresses
+    // advance by a precomputed stride instead of being re-derived per point.
+    let loops: Vec<Loop> = (trips.iter().enumerate())
+        .map(|(dim, &count)| Loop {
+            dim,
+            start: 0,
+            count,
+            step: 1,
+        })
+        .collect();
     let mut scratch = plan.scratch();
-    let last = trips.len() - 1;
-    loop {
-        point[last] = 0;
-        plan.exec_row(store, &mut point, last, trips[last], 1, &mut scratch);
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            point[d] += 1;
-            if point[d] < trips[d] {
-                break;
-            }
-            point[d] = 0;
-        }
-    }
+    let Ok(()) = for_each_row(&mut vec![0; trips.len()], &loops, |point, row| {
+        plan.exec_row(store, point, row.dim, row.count, row.step, &mut scratch);
+        Ok::<(), Infallible>(())
+    });
+    Ok(())
 }
 
 /// The `(name, slot, extents)` layout fingerprint compiled plans depend

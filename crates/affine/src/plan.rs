@@ -752,6 +752,60 @@ impl ExecPlan {
     }
 }
 
+/// One loop of a loop nest: `count` values of `dim` from `start`, `step`
+/// (positive) apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Loop {
+    /// The iteration-point coordinate the loop sets.
+    pub dim: usize,
+    /// Its first value.
+    pub start: i64,
+    /// How many values it takes.
+    pub count: i64,
+    /// The distance between two of its values.
+    pub step: i64,
+}
+
+/// Walks the loop nest `loops` (outermost first) in lexicographic order
+/// and calls `run_row` once per iteration of all loops but the last: the
+/// last loop is the row. `run_row` receives `point` with every outer
+/// loop's coordinate at its current value and the row's at its start, and
+/// may clobber the row's coordinate (as [`ExecPlan::exec_row`] does). The
+/// walk stops at the first `Err`, which it returns; a loop of no values
+/// makes the nest empty.
+pub fn for_each_row<E>(
+    point: &mut [i64],
+    loops: &[Loop],
+    mut run_row: impl FnMut(&mut [i64], &Loop) -> Result<(), E>,
+) -> Result<(), E> {
+    let Some((row, outer)) = loops.split_last() else {
+        return Ok(());
+    };
+    if loops.iter().any(|l| l.count <= 0) {
+        return Ok(());
+    }
+    for l in outer {
+        point[l.dim] = l.start;
+    }
+    loop {
+        point[row.dim] = row.start;
+        run_row(point, row)?;
+        let mut p = outer.len();
+        loop {
+            if p == 0 {
+                return Ok(());
+            }
+            p -= 1;
+            let l = &outer[p];
+            point[l.dim] += l.step;
+            if point[l.dim] < l.start + l.count * l.step {
+                break;
+            }
+            point[l.dim] = l.start;
+        }
+    }
+}
+
 /// Flattens an RHS tree to postfix (left operand first, matching the
 /// tree-walker's evaluation order).
 fn lower_expr(e: &crate::ir::RhsExpr, tape: &mut Vec<Op>) {
@@ -1149,6 +1203,39 @@ mod tests {
             &[("N", 9)],
             &[("A", vec![10])],
         );
+    }
+
+    #[test]
+    fn the_odometer_issues_rows_in_lexicographic_order_and_stops_at_a_failure() {
+        let lp = |dim, start, count, step| Loop {
+            dim,
+            start,
+            count,
+            step,
+        };
+        let loops = [lp(2, 5, 2, 3), lp(0, 1, 2, 1), lp(1, 0, 4, 2)];
+        let mut rows = Vec::new();
+        let mut point = [9; 3];
+        let walk = for_each_row(&mut point, &loops, |point, row| {
+            rows.push((point.to_vec(), row.count));
+            point[row.dim] = -1; // a row may clobber its own coordinate
+            if rows.len() == 3 {
+                return Err(rows.len());
+            }
+            Ok(())
+        });
+        assert_eq!(walk, Err(3), "the first failure stops the walk");
+        let starts = [[1, 0, 5], [2, 0, 5], [1, 0, 8]];
+        assert_eq!(rows, starts.map(|p| (p.to_vec(), 4)));
+        let mut all = 0;
+        let walk = for_each_row(&mut point, &loops, |_, _| {
+            all += 1;
+            Ok::<(), ()>(())
+        });
+        assert_eq!((walk, all), (Ok(()), 4));
+        let empty = [lp(0, 0, 3, 1), lp(1, 0, 0, 1), lp(2, 0, 3, 1)];
+        let walk = for_each_row(&mut point, &empty, |_, _| Err(()));
+        assert_eq!(walk, Ok(()), "a loop of no values makes the nest empty");
     }
 
     #[test]

@@ -164,8 +164,8 @@ pub struct Ablation {
 
 /// Builds formulations for programs on an architecture.
 #[derive(Debug, Clone)]
-pub struct ModelGenerator {
-    arch: GpuArch,
+pub struct ModelGenerator<'a> {
+    arch: &'a GpuArch,
     config: EatssConfig,
     ablation: Ablation,
     solver_config: SolverConfig,
@@ -186,11 +186,11 @@ impl fmt::Debug for EatssModel {
     }
 }
 
-impl ModelGenerator {
+impl<'a> ModelGenerator<'a> {
     /// Creates a generator for an architecture and configuration.
-    pub fn new(arch: &GpuArch, config: EatssConfig) -> Self {
+    pub fn new(arch: &'a GpuArch, config: EatssConfig) -> Self {
         ModelGenerator {
-            arch: arch.clone(),
+            arch,
             config,
             ablation: Ablation::default(),
             solver_config: SolverConfig::default(),
@@ -242,7 +242,7 @@ impl ModelGenerator {
             return Err(EatssError::EmptyProgram);
         }
         let depth = program.max_depth();
-        let arch = &self.arch;
+        let arch = self.arch;
         let cfg = &self.config;
         let waf = cfg.warp_alignment_factor(arch);
         let elem = cfg.precision.elem_bytes() as i64;
@@ -557,8 +557,9 @@ mod tests {
         .unwrap()
     }
 
-    fn ga(config: EatssConfig) -> ModelGenerator {
-        ModelGenerator::new(&GpuArch::ga100(), config)
+    fn ga(config: EatssConfig) -> ModelGenerator<'static> {
+        static GA100: std::sync::LazyLock<GpuArch> = std::sync::LazyLock::new(GpuArch::ga100);
+        ModelGenerator::new(&GA100, config)
     }
 
     #[test]

@@ -11,7 +11,8 @@ use eatss_kernels::Dataset;
 
 #[test]
 fn every_registry_formulation_matches_its_golden_text() {
-    let generator = ModelGenerator::new(&GpuArch::ga100(), EatssConfig::default());
+    let arch = GpuArch::ga100();
+    let generator = ModelGenerator::new(&arch, EatssConfig::default());
     let mut rendered = String::new();
     for bench in eatss_kernels::all() {
         let program = bench.program().expect("registry kernels parse");

@@ -55,7 +55,7 @@ use crate::mapping::GpuMapping;
 use eatss_affine::analysis::{AccessAnalysis, AnalysedProgram};
 use eatss_affine::interp::{exec_point_hooked, Array, Store};
 use eatss_affine::ir::{ArrayRef, Kernel};
-use eatss_affine::plan::{ExecPlan, RouteSource, RowScratch};
+use eatss_affine::plan::{for_each_row, ExecPlan, Loop, RouteSource, RowScratch};
 use eatss_affine::{ProblemSizes, Program};
 use std::fmt;
 
@@ -405,64 +405,6 @@ struct PlanRows<'p> {
     lockstep: bool,
 }
 
-impl PlanRows<'_> {
-    /// Executes `count > 0` points along `dim` from `point`, `step` apart,
-    /// as one row; the first out-of-box staged read is the error.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        store: &mut Store,
-        point: &mut [i64],
-        dim: usize,
-        count: i64,
-        step: i64,
-        router: &mut StagedRouter<'_, '_>,
-        stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        stats.points += count as u64;
-        self.rows += 1;
-        self.plan
-            .exec_row_routed(store, point, dim, count, step, &mut self.scratch, router);
-        router.failure.take().map_or(Ok(()), Err)
-    }
-
-    /// Executes one row along `x_dim`, `count` points from `x_start`
-    /// step 1, at every iteration of the shared `loops` (innermost last).
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk(
-        &mut self,
-        store: &mut Store,
-        point: &mut [i64],
-        loops: &[SharedLoop],
-        x_dim: usize,
-        x_start: i64,
-        count: i64,
-        router: &mut StagedRouter<'_, '_>,
-        stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        for l in loops {
-            point[l.dim] = l.start;
-        }
-        loop {
-            point[x_dim] = x_start;
-            self.run(store, point, x_dim, count, 1, router, stats)?;
-            let mut p = loops.len();
-            loop {
-                if p == 0 {
-                    return Ok(());
-                }
-                p -= 1;
-                let l = loops[p];
-                point[l.dim] += l.step;
-                if point[l.dim] < l.start + l.count * l.step {
-                    break;
-                }
-                point[l.dim] = l.start;
-            }
-        }
-    }
-}
-
 /// Executes one compiled kernel over the store, taking its plan from
 /// `cache` (compiled on the first use of a route signature).
 fn execute_mapped_kernel(
@@ -782,9 +724,10 @@ fn run_step(
     // Threads run one chunk of `thread_extents[0]` x-adjacent threads at a
     // time, in linear order. A chunk's threads share every loop but x: the
     // serial point loops, then the mapped cyclic loops at positions
-    // `rank − 1 … 1` (`loops`, outermost first). Thread x of a chunk owns
-    // the x points `origin₀ + x`, `+ width`, … below `end₀`. Under the plan
-    // engine, threads below `solo` run their own loops; the x offsets
+    // `rank − 1 … 1` (`loops`, outermost first). Thread x of a chunk adds
+    // its x loop, the points `origin₀ + x`, `+ width`, … below `end₀`, and
+    // runs its loops with the row `thread_row` picks. Under the plan
+    // engine, threads below `solo` run on their own; the x offsets
     // `solo..row_end` run as one row per iteration of the shared loops.
     // Lockstep: under `lockstep_safe` every interleaving of the chunk's
     // threads leaves the same store, so the whole x span runs that way
@@ -803,10 +746,24 @@ fn run_step(
     let x_dim = mapping.mapped_dims[0];
     let x_span = (origins[0] + tiles[x_dim]).min(trips[x_dim]) - origins[0];
     let faithful = opts.barrier_fidelity == BarrierFidelity::Faithful;
-    let mut loops: Vec<SharedLoop> = serial_dims
+    // The cyclic loop at mapped position `pos` of a thread at `coord`
+    // along it: every `thread_extents[pos]`-th point of the tile from it.
+    let mapped_loop = |pos: usize, coord: i64| {
+        let dim = mapping.mapped_dims[pos];
+        let start = origins[pos] + coord;
+        let end = (origins[pos] + tiles[dim]).min(trips[dim]);
+        let step = mapping.thread_extents[pos];
+        Loop {
+            dim,
+            start,
+            count: ((end - start + step - 1) / step).max(0),
+            step,
+        }
+    };
+    let mut loops: Vec<Loop> = serial_dims
         .iter()
         .zip(sorigins)
-        .map(|(&dim, &start)| SharedLoop {
+        .map(|(&dim, &start)| Loop {
             dim,
             start,
             count: (start + tiles[dim]).min(trips[dim]) - start,
@@ -814,43 +771,22 @@ fn run_step(
         })
         .collect();
     let nserial = loops.len();
+    let mut thread_loops: Vec<Loop> = Vec::with_capacity(nserial + rank);
     let nthreads = thread_coords.len() / rank;
     for (c, chunk) in thread_coords.chunks(rank * width as usize).enumerate() {
+        loops.truncate(nserial);
+        loops.extend((1..rank).rev().map(|pos| mapped_loop(pos, chunk[pos])));
+        let shared: i64 = loops.iter().map(|l| l.count).product();
+        if shared == 0 && faithful {
+            continue; // no thread of the chunk owns a point
+        }
         let (solo, row_end) = match plan.as_deref() {
             Some(plan) if faithful => {
-                loops.truncate(nserial);
-                loops.extend((1..rank).rev().map(|pos| {
-                    let dim = mapping.mapped_dims[pos];
-                    let start = origins[pos] + chunk[pos];
-                    let end = (origins[pos] + tiles[dim]).min(trips[dim]);
-                    let step = mapping.thread_extents[pos];
-                    let count = if start < end {
-                        (end - start + step - 1) / step
-                    } else {
-                        0
-                    };
-                    SharedLoop {
-                        dim,
-                        start,
-                        count,
-                        step,
-                    }
-                }));
-                let shared: i64 = loops.iter().map(|l| l.count).product();
-                if shared == 0 {
-                    continue;
-                }
                 // Thread by thread, a thread owning several x points runs
                 // one x row per shared iteration; one owning a single x
-                // point runs its innermost iterating mapped loop as the
-                // row, else its innermost serial loop (see
-                // `run_thread_points`).
-                let row_len = loops[nserial..]
-                    .iter()
-                    .rev()
-                    .find(|l| l.count > 1)
-                    .or(loops[..nserial].last())
-                    .map_or(1, |l| l.count);
+                // point (its x loop, last, of one value) runs the row
+                // `thread_row` picks.
+                let row_len = (loops.get(thread_row(&loops, nserial))).map_or(1, |l| l.count);
                 let multi = (x_span - width).clamp(0, width);
                 let live = x_span.min(width);
                 let per_thread_rows = multi * shared + (live - multi) * (shared / row_len);
@@ -865,7 +801,7 @@ fn run_step(
             _ => (width, 0),
         };
         for (x, coord) in chunk.chunks(rank).take(solo as usize).enumerate() {
-            if opts.barrier_fidelity == BarrierFidelity::SkipLoadBarrier {
+            if !faithful {
                 // This thread loads only its cyclic share before computing.
                 let tl = c * width as usize + x;
                 for g in staged.iter_mut() {
@@ -886,44 +822,35 @@ fn run_step(
                     }
                 }
             }
-            // Serial point loops (dim order), then mapped cyclic point
-            // loops — the loop structure of the generated kernel.
-            let mut router = StagedRouter {
-                staged,
-                kernel: &kernel.name,
-                failure: None,
-            };
-            run_thread_points(
+            thread_loops.clear();
+            thread_loops.extend_from_slice(&loops);
+            thread_loops.push(mapped_loop(0, coord[0]));
+            let row = thread_row(&thread_loops, nserial);
+            thread_loops[row..].rotate_left(1);
+            run_rows(
                 kernel,
-                mapping,
-                trips,
-                tiles,
-                serial_dims,
-                sorigins,
-                origins,
-                coord,
-                &mut point,
-                0,
                 plan.as_deref_mut(),
-                &mut router,
+                staged,
                 store,
+                &mut point,
+                &thread_loops,
                 stats,
             )?;
         }
-        if let (true, Some(plan)) = (row_end > solo, plan.as_deref_mut()) {
-            let mut router = StagedRouter {
+        if row_end > solo {
+            loops.push(Loop {
+                dim: x_dim,
+                start: origins[0] + solo,
+                count: row_end - solo,
+                step: 1,
+            });
+            run_rows(
+                kernel,
+                plan.as_deref_mut(),
                 staged,
-                kernel: &kernel.name,
-                failure: None,
-            };
-            plan.run_chunk(
                 store,
                 &mut point,
                 &loops,
-                x_dim,
-                origins[0] + solo,
-                row_end - solo,
-                &mut router,
                 stats,
             )?;
         }
@@ -934,14 +861,65 @@ fn run_step(
     Ok(())
 }
 
-/// A loop the threads of a chunk share: `count` values of `dim` from
-/// `start`, `step` apart.
-#[derive(Clone, Copy)]
-struct SharedLoop {
-    dim: usize,
-    start: i64,
-    count: i64,
-    step: i64,
+/// The row of one thread's loops — its serial point loops in dim order,
+/// then its mapped cyclic loops at positions `rank − 1 … 0`, the first
+/// `nserial` serial: the innermost mapped loop that iterates; else the
+/// innermost serial loop; else the outermost mapped loop. Every loop
+/// inside the row takes one value, so running the row last keeps the
+/// thread's point order.
+fn thread_row(loops: &[Loop], nserial: usize) -> usize {
+    (nserial..loops.len())
+        .rev()
+        .find(|&i| loops[i].count > 1)
+        .unwrap_or(nserial.saturating_sub(1))
+}
+
+/// Walks the loop nest `loops` from `point` and executes each row: as one
+/// plan row, or, with no plan, point by point through the reference
+/// walker. The first out-of-box staged read is the error.
+fn run_rows(
+    kernel: &Kernel,
+    mut plan: Option<&mut PlanRows<'_>>,
+    staged: &[StagedGroup<'_>],
+    store: &mut Store,
+    point: &mut [i64],
+    loops: &[Loop],
+    stats: &mut ExecStats,
+) -> Result<(), ExecError> {
+    let mut router = StagedRouter {
+        staged,
+        kernel: &kernel.name,
+        failure: None,
+    };
+    for_each_row(point, loops, |point, row| {
+        stats.points += row.count as u64;
+        match plan.as_deref_mut() {
+            Some(plan) => {
+                plan.rows += 1;
+                plan.plan.exec_row_routed(
+                    store,
+                    point,
+                    row.dim,
+                    row.count,
+                    row.step,
+                    &mut plan.scratch,
+                    &mut router,
+                );
+            }
+            None => {
+                for _ in 0..row.count {
+                    exec_point_hooked(kernel, store, point, &mut |r, idx| {
+                        route_of(staged, r).map(|route| router.read(route, idx))
+                    });
+                    if router.failure.is_some() {
+                        break;
+                    }
+                    point[row.dim] += row.step;
+                }
+            }
+        }
+        router.failure.take().map_or(Ok(()), Err)
+    })
 }
 
 /// Whether the x-adjacent threads of a chunk may run their points in
@@ -964,190 +942,6 @@ fn lockstep_safe(kernel: &Kernel, x_dim: usize) -> bool {
                 .flat_map(|t| t.reads.iter().chain([&t.write]))
                 .all(|r| r.array != w.array || r == w)
     })
-}
-
-/// Classification of the mapped cyclic loops inside position `inner`
-/// (positions `0..inner`) for one thread: do they contribute no point at
-/// all, exactly one (coordinates assigned into `point`), or more than
-/// one?
-enum InnerLoops {
-    Empty,
-    Singleton,
-    Multi,
-}
-
-fn inner_mapped_loops(
-    mapping: &GpuMapping,
-    tiles: &[i64],
-    trips: &[i64],
-    origins: &[i64],
-    coord: &[i64],
-    point: &mut [i64],
-    inner: usize,
-) -> InnerLoops {
-    for pos in (0..inner).rev() {
-        let d = mapping.mapped_dims[pos];
-        let end = (origins[pos] + tiles[d]).min(trips[d]);
-        let start = origins[pos] + coord[pos];
-        if start >= end {
-            return InnerLoops::Empty;
-        }
-        if start + mapping.thread_extents[pos] < end {
-            return InnerLoops::Multi;
-        }
-        point[d] = start;
-    }
-    InnerLoops::Singleton
-}
-
-/// Recursively enumerates this thread's points: serial point dims first
-/// (in dim order), then the mapped dims' cyclic loops (x innermost), and
-/// executes the kernel statements at each point through the chosen engine
-/// (staged reads pre-routed by the plan, or the reference staging hook).
-#[allow(clippy::too_many_arguments)]
-fn run_thread_points(
-    kernel: &Kernel,
-    mapping: &GpuMapping,
-    trips: &[i64],
-    tiles: &[i64],
-    serial_dims: &[usize],
-    sorigins: &[i64],
-    origins: &[i64],
-    coord: &[i64],
-    point: &mut Vec<i64>,
-    level: usize,
-    mut plan: Option<&mut PlanRows<'_>>,
-    router: &mut StagedRouter<'_, '_>,
-    store: &mut Store,
-    stats: &mut ExecStats,
-) -> Result<(), ExecError> {
-    if level < serial_dims.len() {
-        let d = serial_dims[level];
-        let end = (sorigins[level] + tiles[d]).min(trips[d]);
-        if level + 1 == serial_dims.len() {
-            // When every mapped cyclic loop is a singleton for this
-            // thread (tile extent ≤ thread extent), the innermost serial
-            // point loop is the hot loop: run it as a plan row.
-            if let Some(plan) = plan.as_deref_mut() {
-                match inner_mapped_loops(
-                    mapping,
-                    tiles,
-                    trips,
-                    origins,
-                    coord,
-                    point,
-                    mapping.mapped_dims.len(),
-                ) {
-                    InnerLoops::Empty => return Ok(()),
-                    InnerLoops::Singleton => {
-                        let count = end - sorigins[level];
-                        if count > 0 {
-                            point[d] = sorigins[level];
-                            plan.run(store, point, d, count, 1, router, stats)?;
-                        }
-                        return Ok(());
-                    }
-                    InnerLoops::Multi => {}
-                }
-            }
-        }
-        let mut v = sorigins[level];
-        while v < end {
-            point[d] = v;
-            run_thread_points(
-                kernel,
-                mapping,
-                trips,
-                tiles,
-                serial_dims,
-                sorigins,
-                origins,
-                coord,
-                point,
-                level + 1,
-                plan.as_deref_mut(),
-                router,
-                store,
-                stats,
-            )?;
-            v += 1;
-        }
-        return Ok(());
-    }
-    // Mapped dims, outermost last-mapped first, x (pos 0) innermost.
-    let m = level - serial_dims.len();
-    if m < mapping.mapped_dims.len() {
-        let pos = mapping.mapped_dims.len() - 1 - m;
-        let d = mapping.mapped_dims[pos];
-        let end = (origins[pos] + tiles[d]).min(trips[d]);
-        let step = mapping.thread_extents[pos];
-        let start = origins[pos] + coord[pos];
-        // This cyclic loop is the innermost one that iterates when every
-        // loop inside it is a singleton for this thread: run it as a
-        // plan row (point-loop multiplicity > 1, or the x loop itself).
-        if let Some(plan) = plan.as_deref_mut() {
-            match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, pos) {
-                InnerLoops::Empty => return Ok(()),
-                InnerLoops::Singleton => {
-                    if start < end {
-                        point[d] = start;
-                        let count = (end - start + step - 1) / step;
-                        plan.run(store, point, d, count, step, router, stats)?;
-                    }
-                    return Ok(());
-                }
-                InnerLoops::Multi => {}
-            }
-        }
-        let mut v = start;
-        while v < end {
-            point[d] = v;
-            run_thread_points(
-                kernel,
-                mapping,
-                trips,
-                tiles,
-                serial_dims,
-                sorigins,
-                origins,
-                coord,
-                point,
-                level + 1,
-                plan.as_deref_mut(),
-                router,
-                store,
-                stats,
-            )?;
-            v += mapping.thread_extents[pos];
-        }
-        return Ok(());
-    }
-    // A full point. Only the reference walker gets here: under a plan the
-    // x loop (nothing is mapped inside it) is always a row.
-    stats.points += 1;
-    let staged_ref = router.staged;
-    let mut failure: Option<ExecError> = None;
-    {
-        let kernel_name = router.kernel;
-        let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
-            let g = staged_ref.iter().find(|g| g.representative.same_lines(r))?;
-            match g.flatten(idx) {
-                Some(flat) => Some(g.data[flat]),
-                None => {
-                    if failure.is_none() {
-                        failure = Some(ExecError::StagedReadOutOfBox {
-                            kernel: kernel_name.to_owned(),
-                            array: r.array.clone(),
-                            index: idx.to_vec(),
-                        });
-                    }
-                    Some(0.0)
-                }
-            }
-        };
-        exec_point_hooked(kernel, store, point, &mut hook);
-    }
-    failure.map_or(Ok(()), Err)
 }
 
 /// Executes a whole compiled program (every kernel in order) over the

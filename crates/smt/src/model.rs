@@ -49,6 +49,11 @@ impl Model {
             .map(|i| self.values[i])
     }
 
+    /// The values, one per variable in registration order.
+    pub(crate) fn values(&self) -> &[i64] {
+        &self.values
+    }
+
     /// Pairs of `(name, value)` in registration order.
     pub fn bindings(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
         self.names

@@ -189,14 +189,18 @@ impl MaximizeOutcome {
 /// gemm at n = 128, warp fraction 0.5, split 0 returns (80, 128, 16)
 /// after the splits 0.67 and 0.5, and (96, 112, 16) cold. mttkrp with the
 /// spatial term ablated, `Π T` alone, differs even self-seeded.
-/// `tests/warm_start_differential.rs` pins both cases.) Stale, foreign, or
-/// infeasible hints are silently skipped, so sharing one handle across
-/// threads (even racily snapshotted) is sound.
+/// `tests/warm_start_differential.rs` pins both cases.) A hint is a
+/// model's values, one per variable in registration order, so it carries
+/// over to a re-built solver that registers its variables in the same
+/// order. A hint of another length, or one outside the domains or the
+/// constraints, is silently skipped; one of the same length from another
+/// formulation is checked like any other, and if it passes it is a
+/// feasible point of this one. So sharing one handle across threads (even
+/// racily snapshotted) is sound.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
-    /// Most-recent-last ring of full variable assignments, stored by name
-    /// so they survive re-built solvers with the same variable layout.
-    hints: Vec<Vec<(String, i64)>>,
+    /// Most-recent-last ring of full variable assignments.
+    hints: Vec<Vec<i64>>,
 }
 
 impl WarmStart {
@@ -211,15 +215,14 @@ impl WarmStart {
     /// Records a solved model as a hint for future maximizations.
     /// Duplicate assignments are not stored twice.
     pub fn observe(&mut self, model: &Model) {
-        let bindings: Vec<(String, i64)> =
-            model.bindings().map(|(n, v)| (n.to_owned(), v)).collect();
-        if self.hints.contains(&bindings) {
+        let values = model.values();
+        if self.hints.iter().any(|hint| hint == values) {
             return;
         }
         if self.hints.len() == Self::MAX_HINTS {
             self.hints.remove(0);
         }
-        self.hints.push(bindings);
+        self.hints.push(values.to_vec());
     }
 
     /// Number of retained hints.
@@ -444,25 +447,21 @@ impl Solver {
     }
 
     /// Best feasible hint value minus one, or `None` when no hint survives
-    /// re-validation. Hints missing a variable of this solver, binding a
-    /// value outside its base domain, or violating any asserted constraint
-    /// are skipped — never trusted.
+    /// re-validation. Hints of another length than this solver's variable
+    /// count, binding a value outside its base domain, or violating any
+    /// asserted constraint are skipped — never trusted.
     fn warm_floor(&mut self, lowered: &mut Lowered, warm: &WarmStart) -> Option<i64> {
         let mut best: Option<i64> = None;
         let mut hits = 0u64;
-        'hints: for hint in &warm.hints {
-            let mut point = Vec::with_capacity(self.names.len());
-            for (name, domain) in self.names.iter().zip(&self.base_domains) {
-                let Some(&(_, v)) = hint.iter().find(|(n, _)| n == name) else {
-                    continue 'hints;
-                };
-                if !domain.contains(v) {
-                    continue 'hints;
-                }
-                point.push(Interval::singleton(v));
+        for hint in &warm.hints {
+            if hint.len() != self.base_domains.len() {
+                continue;
             }
-            let Some(v) = lowered.objective_at(&point) else {
-                continue 'hints;
+            let point: Option<Vec<Interval>> = (hint.iter().zip(&self.base_domains))
+                .map(|(&v, domain)| domain.contains(v).then(|| Interval::singleton(v)))
+                .collect();
+            let Some(v) = point.and_then(|point| lowered.objective_at(&point)) else {
+                continue;
             };
             hits += 1;
             best = Some(best.map_or(v, |b: i64| b.max(v)));

@@ -157,7 +157,8 @@ fn solver_matches_bruteforce_with_tiny_extents() {
 /// loop) finds, fdtd-apml's "none" included.
 #[test]
 fn polybench_optima_match_the_reference_engine() {
-    let generator = ModelGenerator::new(&GpuArch::ga100(), EatssConfig::default());
+    let arch = GpuArch::ga100();
+    let generator = ModelGenerator::new(&arch, EatssConfig::default());
     for bench in eatss_kernels::polybench() {
         let program = bench.program().expect("parses");
         let sizes = bench.sizes(eatss_kernels::Dataset::ExtraLarge);

@@ -106,8 +106,9 @@ fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
     let b = eatss_kernels::by_name("mttkrp").expect("registered");
     let program = b.program().expect("benchmark parses");
     let sizes = b.sizes(Dataset::ExtraLarge);
+    let arch = GpuArch::ga100();
     let generator = ModelGenerator::new(
-        &GpuArch::ga100(),
+        &arch,
         EatssConfig {
             warp_fraction: 0.125,
             ..EatssConfig::default()
