@@ -16,9 +16,12 @@
 //! compile each kernel into an [`ExecPlan`](crate::plan::ExecPlan) —
 //! arrays resolved to dense store slots, subscripts lowered to linear
 //! address functions, right-hand sides flattened to postfix opcode
-//! tapes — and execute through the plan. The original tree-walking interpreter is retained verbatim in
-//! [`mod@reference`] and remains the executable specification; the fast path
-//! is differentially proven to produce bitwise-identical stores.
+//! tapes — and execute through the plan, one row per innermost loop,
+//! walked by the plan's loop-nest odometer ([`for_each_row`]), which the
+//! `eatss-ppcg` emulator's threads and chunks share. The original
+//! tree-walking interpreter is retained verbatim in [`mod@reference`] and
+//! remains the executable specification; the fast path is differentially
+//! proven to produce bitwise-identical stores.
 
 use crate::ir::{ArrayRef, Kernel, Program};
 use crate::plan::{for_each_row, Loop};

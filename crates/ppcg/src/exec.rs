@@ -30,9 +30,12 @@
 //! engines produce bitwise-identical stores and identical [`ExecStats`]
 //! (differentially tested over the whole benchmark suite).
 //!
-//! The plan engine executes every point inside a *row* — one
-//! `exec_row_routed` call over points that differ in one coordinate.
-//! Within a thread, the innermost loop that iterates becomes a row.
+//! Every point runs inside a *row* — points that differ in one
+//! coordinate, one `exec_row_routed` call under the plan engine, point by
+//! point under the reference one — and every row is issued by one
+//! loop-nest odometer, [`eatss_affine::plan::for_each_row`]. A thread's
+//! nest is its serial point loops, then its mapped cyclic loops (x
+//! innermost), with the innermost loop that iterates as its row.
 //! Across threads, a chunk of `thread_extents[0]` x-adjacent threads
 //! shares every loop but x, and runs those loops once with one row along
 //! mapped dim 0 per iteration, as a warp runs a loop iteration across its
