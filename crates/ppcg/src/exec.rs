@@ -763,18 +763,16 @@ fn run_step(
             step,
         }
     };
-    let mut loops: Vec<Loop> = serial_dims
-        .iter()
-        .zip(sorigins)
-        .map(|(&dim, &start)| Loop {
-            dim,
-            start,
-            count: (start + tiles[dim]).min(trips[dim]) - start,
-            step: 1,
-        })
-        .collect();
+    // The shared loops, then room for one more: a thread's x loop or a
+    // chunk's x row.
+    let mut loops: Vec<Loop> = Vec::with_capacity(serial_dims.len() + rank);
+    loops.extend(serial_dims.iter().zip(sorigins).map(|(&dim, &start)| Loop {
+        dim,
+        start,
+        count: (start + tiles[dim]).min(trips[dim]) - start,
+        step: 1,
+    }));
     let nserial = loops.len();
-    let mut thread_loops: Vec<Loop> = Vec::with_capacity(nserial + rank);
     let nthreads = thread_coords.len() / rank;
     for (c, chunk) in thread_coords.chunks(rank * width as usize).enumerate() {
         loops.truncate(nserial);
@@ -825,20 +823,21 @@ fn run_step(
                     }
                 }
             }
-            thread_loops.clear();
-            thread_loops.extend_from_slice(&loops);
-            thread_loops.push(mapped_loop(0, coord[0]));
-            let row = thread_row(&thread_loops, nserial);
-            thread_loops[row..].rotate_left(1);
+            // The thread's nest, its row moved last and then back.
+            loops.push(mapped_loop(0, coord[0]));
+            let row = thread_row(&loops, nserial);
+            loops[row..].rotate_left(1);
             run_rows(
                 kernel,
                 plan.as_deref_mut(),
                 staged,
                 store,
                 &mut point,
-                &thread_loops,
+                &loops,
                 stats,
             )?;
+            loops[row..].rotate_right(1);
+            loops.pop();
         }
         if row_end > solo {
             loops.push(Loop {
