@@ -259,11 +259,14 @@ fn one_analysis_per_sweep_and_per_verify_batch() {
 /// matmul's threads each own a serial k row per serial tile step, except
 /// where a chunk's 4 threads share a 3-long k tail: there 3 x rows beat 4
 /// k rows, 9 chunks in each of the two full-width j tiles. The reference
-/// walker runs no rows at all.
+/// walker runs no rows at all. Every other `ExecStats` field is pinned
+/// beside them: one launch per time step (heat-3d's 2 kernels × 3 steps),
+/// the blocks of each grid, and matmul's staged boxes and barriers: two
+/// barriers per serial k step, 2 steps in each of its 9 blocks.
 #[test]
 fn exec_rows_counts_one_per_plan_row() {
     let _guard = session();
-    let rows_and_points = |program: &Program, tiles: Vec<i64>, sz: &ProblemSizes, engine| {
+    let counts = |program: &Program, tiles: Vec<i64>, sz: &ProblemSizes, engine| {
         let compiled = Ppcg::new(GpuArch::ga100())
             .compile(
                 program,
@@ -282,32 +285,44 @@ fn exec_rows_counts_one_per_plan_row() {
             execute_compiled(program, &compiled.mappings, sz, &mut store, &opts).expect("emulates");
         let trace = eatss_trace::drain(Provenance::collect(None));
         assert_eq!(trace.metrics.counter("exec.points"), stats.points);
-        (trace.metrics.counter("exec.rows"), stats.points)
+        assert_eq!(trace.metrics.counter("exec.blocks"), stats.blocks);
+        (
+            trace.metrics.counter("exec.rows"),
+            stats.points,
+            stats.launches,
+            stats.blocks,
+            stats.barriers,
+            stats.staged_elems,
+        )
     };
+    // (rows, points, launches, blocks, barriers, staged_elems): the walks
+    // over launches, blocks and tile steps are shared by both engines, so
+    // the plan-vs-reference differential cannot catch a change to them;
+    // these pins do.
     let (heat, full) = load("heat-3d", Dataset::Standard);
     let heat_sizes = verify_sizes(&heat, &full, 13, 3);
     assert_eq!(
-        rows_and_points(&heat, vec![1, 4, 4, 64], &heat_sizes, ExecEngine::Plan),
-        (1_014, 2 * 3 * 13 * 13 * 13)
+        counts(&heat, vec![1, 4, 4, 64], &heat_sizes, ExecEngine::Plan),
+        (1_014, 2 * 3 * 13 * 13 * 13, 6, 96, 0, 0)
     );
     assert_eq!(
-        rows_and_points(&heat, vec![32; 4], &heat_sizes, ExecEngine::Plan),
-        (1_014, 2 * 3 * 13 * 13 * 13)
+        counts(&heat, vec![32; 4], &heat_sizes, ExecEngine::Plan),
+        (1_014, 2 * 3 * 13 * 13 * 13, 6, 6, 0, 0)
     );
     let (b2mm, full) = load("b2mm", Dataset::Standard);
     let b2mm_sizes = verify_sizes(&b2mm, &full, 7, 3);
     assert_eq!(
-        rows_and_points(&b2mm, vec![32; 5], &b2mm_sizes, ExecEngine::Plan),
-        (2_401, 7 * 7 * 7 * 7 * 7)
+        counts(&b2mm, vec![32; 5], &b2mm_sizes, ExecEngine::Plan),
+        (2_401, 7 * 7 * 7 * 7 * 7, 1, 1, 2, 2_401)
     );
     let mm_sizes = sizes(9, 10, 7);
     assert_eq!(
-        rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Plan),
-        (9 * 10 * 2 - 9 * 2, 9 * 10 * 7)
+        counts(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Plan),
+        (9 * 10 * 2 - 9 * 2, 9 * 10 * 7, 1, 9, 36, 189)
     );
     assert_eq!(
-        rows_and_points(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Reference),
-        (0, 9 * 10 * 7)
+        counts(&mm(), vec![4, 4, 4], &mm_sizes, ExecEngine::Reference),
+        (0, 9 * 10 * 7, 1, 9, 36, 189)
     );
     // `B[i][j + i]` fails the lockstep test along x = `j`, so every chunk
     // runs thread by thread (one-point threads fused where the shared
@@ -321,16 +336,16 @@ fn exec_rows_counts_one_per_plan_row() {
          }",
     )
     .expect("shear parses");
-    for (tiles, n, rows) in [
-        (vec![4, 40], 40, 360),
-        (vec![3, 5], 11, 33),
-        (vec![64, 64], 40, 704),
-        (vec![128, 8], 20, 116),
+    for (tiles, n, rows, blocks) in [
+        (vec![4, 40], 40, 360, 10),
+        (vec![3, 5], 11, 33, 12),
+        (vec![64, 64], 40, 704, 1),
+        (vec![128, 8], 20, 116, 3),
     ] {
         let sz = ProblemSizes::new([("N", n)]);
         assert_eq!(
-            rows_and_points(&shear, tiles.clone(), &sz, ExecEngine::Plan),
-            (rows, (n * n) as u64),
+            counts(&shear, tiles.clone(), &sz, ExecEngine::Plan),
+            (rows, (n * n) as u64, 1, blocks, 0, 0),
             "shear under {tiles:?} at N = {n}"
         );
     }
