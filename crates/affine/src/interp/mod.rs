@@ -24,7 +24,7 @@
 //! proven to produce bitwise-identical stores.
 
 use crate::ir::{ArrayRef, Kernel, Program};
-use crate::plan::{for_each_row, Loop};
+use crate::plan::{for_each_point, for_each_row, Loop};
 use crate::ProblemSizes;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -75,43 +75,37 @@ impl Array {
     ///
     /// # Panics
     ///
-    /// Panics if any extent is non-positive.
+    /// Panics if any extent is non-positive, or if the elements are more
+    /// than a `Vec<f64>` can hold.
     pub fn zeros(extents: Vec<i64>) -> Self {
         assert!(extents.iter().all(|&e| e > 0), "extents must be positive");
-        let len: i64 = extents.iter().product();
+        let len = element_count(&extents).expect("a Vec<f64> holds the elements");
         Array {
             extents,
-            data: vec![0.0; len as usize],
+            data: vec![0.0; len],
         }
     }
 
-    /// Builds an array from extents and a fill function over indices.
-    ///
-    /// The buffer is filled through a single linear cursor: the row-major
-    /// multi-index is maintained incrementally rather than re-flattened
-    /// per element.
+    /// Builds an array from extents and a fill function over indices,
+    /// filled as [`Array::fill_with`] fills it.
     pub fn from_fn(extents: Vec<i64>, f: impl FnMut(&[i64]) -> f64) -> Self {
         let mut a = Array::zeros(extents);
         a.fill_with(f);
         a
     }
 
-    /// Overwrites every element with `f` of its index, in row-major order
-    /// through the same linear cursor as [`Array::from_fn`].
+    /// Overwrites every element with `f` of its index, in row-major order:
+    /// the plan's point walker visits the indices as a linear cursor runs
+    /// over the buffer.
     pub fn fill_with(&mut self, mut f: impl FnMut(&[i64]) -> f64) {
-        let mut idx = vec![0i64; self.extents.len()];
-        for slot in self.data.iter_mut() {
-            *slot = f(&idx);
-            // Advance the odometer (last dimension fastest); it runs out
-            // exactly when the linear cursor does.
-            for d in (0..idx.len()).rev() {
-                idx[d] += 1;
-                if idx[d] < self.extents[d] {
-                    break;
-                }
-                idx[d] = 0;
+        let loops = full_nest(&self.extents);
+        let mut slots = self.data.iter_mut();
+        let Ok(()) = for_each_point(&mut vec![0; loops.len()], &loops, |idx| {
+            if let Some(slot) = slots.next() {
+                *slot = f(idx);
             }
-        }
+            Ok::<(), Infallible>(())
+        });
     }
 
     /// Array extents.
@@ -256,7 +250,8 @@ impl Store {
     /// # Errors
     ///
     /// Returns [`InterpError::UnboundParameter`] on unbound sizes, and
-    /// [`InterpError::ExtentOverflow`] for an extent past `i64`.
+    /// [`InterpError::ExtentOverflow`] for an extent past `i64` or more
+    /// elements than a `Vec<f64>` can hold.
     pub fn allocate_for(
         &mut self,
         program: &Program,
@@ -288,8 +283,7 @@ impl Store {
             return Ok(vec![1]);
         }
         let overflow = || InterpError::ExtentOverflow(r.array.clone());
-        r.subscripts
-            .iter()
+        let extents: Vec<i64> = (r.subscripts.iter())
             .map(|s| {
                 let mut extent = (s.offset().checked_abs())
                     .and_then(|o| o.checked_add(1))
@@ -305,7 +299,9 @@ impl Store {
                 }
                 Ok(extent.max(1))
             })
-            .collect()
+            .collect::<Result<_, _>>()?;
+        element_count(&extents).ok_or_else(overflow)?;
+        Ok(extents)
     }
 }
 
@@ -430,20 +426,35 @@ pub fn run_kernel(
     };
     // Every dim is a loop from 0, the innermost the row: linear addresses
     // advance by a precomputed stride instead of being re-derived per point.
-    let loops: Vec<Loop> = (trips.iter().enumerate())
-        .map(|(dim, &count)| Loop {
-            dim,
-            start: 0,
-            count,
-            step: 1,
-        })
-        .collect();
+    let loops = full_nest(&trips);
     let mut scratch = plan.scratch();
     let Ok(()) = for_each_row(&mut vec![0; trips.len()], &loops, |point, row| {
         plan.exec_row(store, point, row.dim, row.count, row.step, &mut scratch);
         Ok::<(), Infallible>(())
     });
     Ok(())
+}
+
+/// How many elements positive `extents` hold, where a `Vec<f64>` can hold
+/// that many.
+fn element_count(extents: &[i64]) -> Option<usize> {
+    let count =
+        (extents.iter()).try_fold(1usize, |n, &e| n.checked_mul(usize::try_from(e).ok()?))?;
+    std::alloc::Layout::array::<f64>(count)
+        .is_ok()
+        .then_some(count)
+}
+
+/// The nest whose loop `d` takes every value `0..counts[d]`.
+fn full_nest(counts: &[i64]) -> Vec<Loop> {
+    (counts.iter().enumerate())
+        .map(|(dim, &count)| Loop {
+            dim,
+            start: 0,
+            count,
+            step: 1,
+        })
+        .collect()
 }
 
 /// The `(name, slot, extents)` layout fingerprint compiled plans depend

@@ -806,6 +806,27 @@ pub fn for_each_row<E>(
     }
 }
 
+/// Walks the loop nest `loops` as [`for_each_row`] does and calls `f` at
+/// every point, each row's points in order. `f` may move coordinates the
+/// nest does not set (an inner walk over other dims), but not its own. An
+/// empty nest is one point; a loop of no values makes the nest empty.
+pub fn for_each_point<E>(
+    point: &mut [i64],
+    loops: &[Loop],
+    mut f: impl FnMut(&mut [i64]) -> Result<(), E>,
+) -> Result<(), E> {
+    if loops.is_empty() {
+        return f(point);
+    }
+    for_each_row(point, loops, |point, row| {
+        for _ in 0..row.count {
+            f(point)?;
+            point[row.dim] += row.step;
+        }
+        Ok(())
+    })
+}
+
 /// Flattens an RHS tree to postfix (left operand first, matching the
 /// tree-walker's evaluation order).
 fn lower_expr(e: &crate::ir::RhsExpr, tape: &mut Vec<Op>) {
@@ -1236,6 +1257,47 @@ mod tests {
         let empty = [lp(0, 0, 3, 1), lp(1, 0, 0, 1), lp(2, 0, 3, 1)];
         let walk = for_each_row(&mut point, &empty, |_, _| Err(()));
         assert_eq!(walk, Ok(()), "a loop of no values makes the nest empty");
+    }
+
+    #[test]
+    fn the_point_walker_visits_each_row_point_by_point() {
+        let lp = |dim, start, count, step| Loop {
+            dim,
+            start,
+            count,
+            step,
+        };
+        let loops = [lp(1, 0, 2, 4), lp(0, 3, 3, 2)];
+        let mut points = Vec::new();
+        let mut point = [9; 3];
+        let walk = for_each_point(&mut point, &loops, |point| {
+            points.push(point.to_vec());
+            point[2] += 1; // coordinates outside the nest are the caller's
+            Ok::<(), ()>(())
+        });
+        assert_eq!(walk, Ok(()));
+        let want = [[3, 0], [5, 0], [7, 0], [3, 4], [5, 4], [7, 4]];
+        let want: Vec<Vec<i64>> = (want.iter().zip(9..))
+            .map(|(&[x, y], z)| vec![x, y, z])
+            .collect();
+        assert_eq!(points, want);
+        let mut seen = 0;
+        let walk = for_each_point(&mut point, &loops, |_| {
+            seen += 1;
+            if seen == 4 {
+                return Err(seen);
+            }
+            Ok(())
+        });
+        assert_eq!(walk, Err(4), "the first failure stops the walk");
+        let mut once = 0;
+        let walk = for_each_point(&mut point, &[], |_| {
+            once += 1;
+            Ok::<(), ()>(())
+        });
+        assert_eq!((walk, once), (Ok(()), 1), "an empty nest is one point");
+        let walk = for_each_point(&mut point, &[lp(0, 0, 2, 1), lp(1, 0, 0, 1)], |_| Err(()));
+        assert_eq!(walk, Ok(()), "a loop of no values gives no points");
     }
 
     #[test]

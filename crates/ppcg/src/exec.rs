@@ -30,10 +30,24 @@
 //! engines produce bitwise-identical stores and identical [`ExecStats`]
 //! (differentially tested over the whole benchmark suite).
 //!
+//! # One walker for every index
+//!
+//! Every index the emulator enumerates goes through the plan's loop-nest
+//! odometer. A kernel run is three nested
+//! [`eatss_affine::plan::for_each_point`] walks over one `origin`, a value
+//! per kernel dim: the launches (each time dim over its trip), in each
+//! the blocks (mapped positions `rank − 1 … 0` over their tile origins,
+//! so x is fastest, CUDA's linear order), and in each block the serial
+//! tile steps. A step reads its staging box, the start of each thread's
+//! loops and its time coordinates off `origin`, and walks its chunks of
+//! threads over positions `rank − 1 … 1`. A staged box loads row by row
+//! through [`eatss_affine::plan::for_each_row`], and point by point under
+//! a skipped barrier.
+//!
 //! Every point runs inside a *row* — points that differ in one
 //! coordinate, one `exec_row_routed` call under the plan engine, point by
-//! point under the reference one — and every row is issued by one
-//! loop-nest odometer, [`eatss_affine::plan::for_each_row`]. A thread's
+//! point under the reference one — and every row is issued by
+//! [`eatss_affine::plan::for_each_row`]. A thread's
 //! nest is its serial point loops, then its mapped cyclic loops (x
 //! innermost), with the innermost loop that iterates as its row.
 //! Across threads, a chunk of `thread_extents[0]` x-adjacent threads
@@ -54,12 +68,13 @@
 //! except across a skipped barrier, which [`BarrierFidelity::SkipLoadBarrier`]
 //! exposes deliberately).
 
-use crate::mapping::GpuMapping;
+use crate::mapping::{GpuMapping, MAX_BLOCK_DIMS};
 use eatss_affine::analysis::{AccessAnalysis, AnalysedProgram};
 use eatss_affine::interp::{exec_point_hooked, Array, Store};
 use eatss_affine::ir::{ArrayRef, Kernel};
-use eatss_affine::plan::{for_each_row, ExecPlan, Loop, RouteSource, RowScratch};
+use eatss_affine::plan::{for_each_point, for_each_row, ExecPlan, Loop, RouteSource, RowScratch};
 use eatss_affine::{ProblemSizes, Program};
+use std::convert::Infallible;
 use std::fmt;
 
 /// How faithfully `__syncthreads()` phases are honored.
@@ -232,6 +247,18 @@ impl StagedGroup<'_> {
         Some(flat as usize)
     }
 
+    /// The box as a loop nest over its subscripts, the last fastest.
+    fn box_nest(&self) -> Vec<Loop> {
+        (self.bounds.iter().enumerate())
+            .map(|(dim, &(lo, hi))| Loop {
+                dim,
+                start: lo,
+                count: hi - lo + 1,
+                step: 1,
+            })
+            .collect()
+    }
+
     /// Cooperative-load fast path: fills the box from `array` row by row
     /// (last subscript contiguous), with out-of-bounds elements zero —
     /// element-for-element what a per-index `Array::get` loop produces.
@@ -259,31 +286,31 @@ impl StagedGroup<'_> {
         for p in (0..n - 1).rev() {
             strides[p] = strides[p + 1] * extents[p + 1];
         }
-        let mut idx: Vec<i64> = self.bounds[..n - 1].iter().map(|&(lo, _)| lo).collect();
-        for row in 0..elems / row_len {
-            let mut base = 0i64;
-            let mut oob = false;
-            for (p, &v) in idx.iter().enumerate() {
-                if v < 0 || v >= extents[p] {
-                    oob = true;
-                    break;
-                }
-                base += v * strides[p];
+        let mut dst = (ov_lo - last_lo) as usize;
+        let Ok(()) = for_each_row(&mut vec![0; n], &self.box_nest(), |idx, _| {
+            let outer = &idx[..n - 1];
+            if ov_lo <= ov_hi && outer.iter().zip(extents).all(|(&v, &e)| 0 <= v && v < e) {
+                let base: i64 = outer.iter().zip(&strides).map(|(v, s)| v * s).sum();
+                let (src, len) = ((base + ov_lo) as usize, (ov_hi - ov_lo + 1) as usize);
+                self.data[dst..dst + len].copy_from_slice(&array.data()[src..src + len]);
             }
-            if !oob && ov_lo <= ov_hi {
-                let dst_off = row * row_len + (ov_lo - last_lo) as usize;
-                let len = (ov_hi - ov_lo + 1) as usize;
-                let src = (base + ov_lo) as usize;
-                self.data[dst_off..dst_off + len].copy_from_slice(&array.data()[src..src + len]);
+            dst += row_len;
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// One thread's share of the load when the barrier is skipped: the
+    /// box elements `thread`, `thread + threads`, … in row-major order.
+    fn load_share(&mut self, array: Option<&Array>, thread: i64, threads: i64) {
+        let nest = self.box_nest();
+        let mut flat = 0;
+        let Ok(()) = for_each_point(&mut vec![0; nest.len()], &nest, |idx| {
+            if flat % threads == thread {
+                self.data[flat as usize] = array.map_or(0.0, |a| a.get(idx));
             }
-            for p in (0..idx.len()).rev() {
-                idx[p] += 1;
-                if idx[p] <= self.bounds[p].1 {
-                    break;
-                }
-                idx[p] = self.bounds[p].0;
-            }
-        }
+            flat += 1;
+            Ok::<(), Infallible>(())
+        });
     }
 }
 
@@ -408,8 +435,33 @@ struct PlanRows<'p> {
     lockstep: bool,
 }
 
+/// One kernel's emulation: what its tile steps read, and what they
+/// change. `point` and `loops` are a thread's point and loop nest,
+/// reused across steps.
+struct KernelRun<'a> {
+    kernel: &'a Kernel,
+    mapping: &'a GpuMapping,
+    trips: Vec<i64>,
+    faithful: bool,
+    /// The block's chunks of x-adjacent threads: mapped positions
+    /// `rank − 1 … 1`, each over its thread coordinates.
+    chunks: Vec<Loop>,
+    plan: Option<PlanRows<'a>>,
+    staged: Vec<StagedGroup<'a>>,
+    store: &'a mut Store,
+    stats: ExecStats,
+    point: Vec<i64>,
+    loops: Vec<Loop>,
+}
+
 /// Executes one compiled kernel over the store, taking its plan from
 /// `cache` (compiled on the first use of a route signature).
+///
+/// A kernel run is three walks over one `origin`, a value per kernel dim:
+/// the launches (one per time step), in each the blocks (each mapped dim
+/// over its tile origins, x fastest), and in each block the serial tile
+/// steps; at each step `origin` holds the step's time coordinates and
+/// the first point of its tile along every other dim.
 fn execute_mapped_kernel(
     kernel: &Kernel,
     analysis: &AccessAnalysis,
@@ -432,17 +484,9 @@ fn execute_mapped_kernel(
                 .map_err(ExecError::UnboundParameter)
         })
         .collect::<Result<_, _>>()?;
-    let mut stats = ExecStats::default();
     if trips.iter().any(|&t| t <= 0) {
-        return Ok(stats);
+        return Ok(ExecStats::default());
     }
-    let tiles = mapping.tiles.sizes();
-    let time_dims: Vec<usize> = (0..depth)
-        .filter(|&d| kernel.dims[d].explicit_serial)
-        .collect();
-    let serial_dims: Vec<usize> = (0..depth)
-        .filter(|&d| !mapping.mapped_dims.contains(&d) && !kernel.dims[d].explicit_serial)
-        .collect();
 
     // Prepare staged groups and route each statement read to its buffer.
     let mut staged: Vec<StagedGroup<'_>> = Vec::new();
@@ -469,7 +513,7 @@ fn execute_mapped_kernel(
     // Choose the execution core once per kernel: staged reads resolve to
     // their route here, at compile time, instead of a group search per
     // read per point.
-    let mut plan: Option<PlanRows<'_>> = match opts.engine {
+    let plan: Option<PlanRows<'_>> = match opts.engine {
         ExecEngine::Plan => cache
             .lookup_or_compile(kernel, &trips, store, &staged)
             .map(|plan| PlanRows {
@@ -481,386 +525,259 @@ fn execute_mapped_kernel(
         ExecEngine::Reference => None,
     };
 
-    // Thread coordinates in linear order, x fastest (CUDA convention),
-    // one `thread_extents.len()`-wide record per thread — built once per
-    // kernel, shared by every launch and tile step.
-    let rank = mapping.thread_extents.len();
-    let threads_total: i64 = mapping.thread_extents.iter().product();
-    let mut thread_coords: Vec<i64> = Vec::with_capacity(threads_total as usize * rank);
-    let mut c = vec![0i64; rank];
-    'threads: loop {
-        thread_coords.extend_from_slice(&c);
-        for (p, v) in c.iter_mut().enumerate() {
-            *v += 1;
-            if *v < mapping.thread_extents[p] {
-                continue 'threads;
-            }
-            *v = 0;
-        }
-        break;
-    }
-
-    // --- launch loop over time-dim values ----------------------------------
-    let mut tvals: Vec<i64> = vec![0; time_dims.len()];
-    loop {
-        stats.absorb(run_launch(
-            kernel,
-            mapping,
-            &trips,
-            tiles,
-            &time_dims,
-            &tvals,
-            &serial_dims,
-            &thread_coords,
-            plan.as_mut(),
-            &mut staged,
-            store,
-            opts,
-        )?);
-        // Increment the time multi-index (lexicographic, last fastest).
-        let mut d = time_dims.len();
-        loop {
-            if d == 0 {
-                let rows = plan.as_ref().map_or(0, |p| p.rows);
-                if span.is_active() {
-                    span.arg("points", stats.points);
-                    span.arg("blocks", stats.blocks);
-                    span.arg("rows", rows);
-                }
-                eatss_trace::counter_add("exec.points", stats.points);
-                eatss_trace::counter_add("exec.blocks", stats.blocks);
-                eatss_trace::counter_add("exec.rows", rows);
-                return Ok(stats);
-            }
-            d -= 1;
-            tvals[d] += 1;
-            if tvals[d] < trips[time_dims[d]] {
-                break;
-            }
-            tvals[d] = 0;
-        }
-    }
-}
-
-/// One grid launch: every block, every serial tile step, staging + compute.
-#[allow(clippy::too_many_arguments)]
-fn run_launch(
-    kernel: &Kernel,
-    mapping: &GpuMapping,
-    trips: &[i64],
-    tiles: &[i64],
-    time_dims: &[usize],
-    tvals: &[i64],
-    serial_dims: &[usize],
-    thread_coords: &[i64],
-    mut plan: Option<&mut PlanRows<'_>>,
-    staged: &mut [StagedGroup<'_>],
-    store: &mut Store,
-    opts: &ExecOptions,
-) -> Result<ExecStats, ExecError> {
-    let mut stats = ExecStats {
-        launches: 1,
-        ..ExecStats::default()
+    let tiles = mapping.tiles.sizes();
+    let mapped = &mapping.mapped_dims;
+    let time = |d: &usize| kernel.dims[*d].explicit_serial;
+    let every = |dim, count, step| Loop {
+        dim,
+        start: 0,
+        count,
+        step,
     };
-    let mut block = vec![0i64; mapping.grid_extents.len()];
-    'blocks: loop {
-        stats.blocks += 1;
-        // Tile origins along mapped dims for this block.
-        let origins: Vec<i64> = mapping
-            .mapped_dims
-            .iter()
-            .enumerate()
-            .map(|(pos, &d)| block[pos] * tiles[d])
-            .collect();
-        // Reset persistent buffers per block (shared memory has block
-        // lifetime; contents start undefined — zeros here, which the
-        // skip-barrier mode deliberately observes).
-        for g in staged.iter_mut() {
-            g.bounds.clear();
-            g.data.clear();
-        }
-        // Serial tile loop (lexicographic over serial-dim tile indices).
-        let mut step = vec![0i64; serial_dims.len()];
-        loop {
-            let sorigins: Vec<i64> = serial_dims
-                .iter()
-                .zip(&step)
-                .map(|(&d, &s)| s * tiles[d])
-                .collect();
-            run_step(
-                kernel,
-                mapping,
-                trips,
-                tiles,
-                time_dims,
-                tvals,
-                serial_dims,
-                &sorigins,
-                &origins,
-                thread_coords,
-                plan.as_deref_mut(),
-                staged,
-                store,
-                opts,
-                &mut stats,
-            )?;
-            // Advance the serial step odometer (last dim fastest).
-            let mut advanced = false;
-            let mut d = serial_dims.len();
-            while d > 0 {
-                d -= 1;
-                step[d] += 1;
-                if step[d] * tiles[serial_dims[d]] < trips[serial_dims[d]] {
-                    advanced = true;
-                    break;
-                }
-                step[d] = 0;
+    let launches: Vec<Loop> = (0..depth)
+        .filter(time)
+        .map(|d| every(d, trips[d], 1))
+        .collect();
+    let blocks: Vec<Loop> = (mapped.iter().zip(&mapping.grid_extents).rev())
+        .map(|(&d, &count)| every(d, count, tiles[d]))
+        .collect();
+    let steps: Vec<Loop> = (0..depth)
+        .filter(|d| !mapped.contains(d) && !time(d))
+        .map(|d| every(d, (trips[d] - 1) / tiles[d] + 1, tiles[d]))
+        .collect();
+    let mut run = KernelRun {
+        kernel,
+        mapping,
+        trips,
+        faithful: opts.barrier_fidelity == BarrierFidelity::Faithful,
+        chunks: (1..mapped.len())
+            .rev()
+            .map(|pos| every(pos, mapping.thread_extents[pos], 1))
+            .collect(),
+        plan,
+        staged,
+        store,
+        stats: ExecStats::default(),
+        point: vec![0; depth],
+        loops: Vec::with_capacity(steps.len() + mapped.len()),
+    };
+    for_each_point(&mut vec![0; depth], &launches, |origin| {
+        run.stats.launches += 1;
+        for_each_point(origin, &blocks, |origin| {
+            run.stats.blocks += 1;
+            // Shared memory has block lifetime; its contents start
+            // undefined — zeros here, which the skip-barrier mode
+            // deliberately observes.
+            for g in &mut run.staged {
+                g.bounds.clear();
+                g.data.clear();
             }
-            if !advanced {
-                break;
-            }
-        }
-        // Advance the block index (x fastest, CUDA linear order).
-        let mut p = 0;
-        loop {
-            if p == block.len() {
-                break 'blocks;
-            }
-            block[p] += 1;
-            if block[p] < mapping.grid_extents[p] {
-                continue 'blocks;
-            }
-            block[p] = 0;
-            p += 1;
-        }
+            for_each_point(origin, &steps, |origin| run.step(origin, &steps))
+        })
+    })?;
+    let (stats, rows) = (run.stats, run.plan.map_or(0, |p| p.rows));
+    if span.is_active() {
+        span.arg("points", stats.points);
+        span.arg("blocks", stats.blocks);
+        span.arg("rows", rows);
     }
+    eatss_trace::counter_add("exec.points", stats.points);
+    eatss_trace::counter_add("exec.blocks", stats.blocks);
+    eatss_trace::counter_add("exec.rows", rows);
     Ok(stats)
 }
 
-/// One serial tile step inside one block: staging phase, barrier, compute.
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    kernel: &Kernel,
-    mapping: &GpuMapping,
-    trips: &[i64],
-    tiles: &[i64],
-    time_dims: &[usize],
-    tvals: &[i64],
-    serial_dims: &[usize],
-    sorigins: &[i64],
-    origins: &[i64],
-    thread_coords: &[i64],
-    mut plan: Option<&mut PlanRows<'_>>,
-    staged: &mut [StagedGroup<'_>],
-    store: &mut Store,
-    opts: &ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<(), ExecError> {
-    let depth = kernel.depth();
-    // Per-dim value ranges for the staging box.
-    let mut ranges = vec![(0i64, 0i64); depth];
-    for (i, &d) in time_dims.iter().enumerate() {
-        ranges[d] = (tvals[i], tvals[i]);
-    }
-    for (i, &d) in serial_dims.iter().enumerate() {
-        ranges[d] = (sorigins[i], (sorigins[i] + tiles[d]).min(trips[d]) - 1);
-    }
-    for (pos, &d) in mapping.mapped_dims.iter().enumerate() {
-        ranges[d] = (origins[pos], (origins[pos] + tiles[d]).min(trips[d]) - 1);
-    }
+impl KernelRun<'_> {
+    /// One serial tile step inside one block, from `origin`, of the
+    /// block's tile-step loops `steps`: staging phase, barrier, compute.
+    fn step(&mut self, origin: &[i64], steps: &[Loop]) -> Result<(), ExecError> {
+        let (kernel, mapping, trips) = (self.kernel, self.mapping, &self.trips);
+        let tiles = mapping.tiles.sizes();
+        // Where dim `d`'s tile ends in this step (exclusive), and the
+        // values the dim takes: its time step, or its tile.
+        let end = |d: usize| (origin[d] + tiles[d]).min(trips[d]);
+        let range = |d: usize| match kernel.dims[d].explicit_serial {
+            true => (origin[d], origin[d]),
+            false => (origin[d], end(d) - 1),
+        };
 
-    // --- staging phase ------------------------------------------------------
-    for g in staged.iter_mut() {
-        let nsubs = g.representative.subscripts.len();
-        let mut bounds = Vec::with_capacity(nsubs);
-        for (p, s) in g.representative.subscripts.iter().enumerate() {
-            let mut lo = 0i64;
-            let mut hi = 0i64;
-            for &(d, c) in s.terms() {
-                let (rlo, rhi) = ranges[d];
-                if c >= 0 {
-                    lo += c * rlo;
-                    hi += c * rhi;
-                } else {
-                    lo += c * rhi;
-                    hi += c * rlo;
+        // --- staging phase --------------------------------------------------
+        for g in &mut self.staged {
+            let nsubs = g.representative.subscripts.len();
+            g.bounds.clear();
+            for (p, s) in g.representative.subscripts.iter().enumerate() {
+                let mut lo = 0i64;
+                let mut hi = 0i64;
+                for &(d, c) in s.terms() {
+                    let (rlo, rhi) = range(d);
+                    if c >= 0 {
+                        lo += c * rlo;
+                        hi += c * rhi;
+                    } else {
+                        lo += c * rhi;
+                        hi += c * rlo;
+                    }
                 }
+                if p + 1 == nsubs {
+                    // Fastest subscript: span all member offsets.
+                    lo += g.fastest_offsets.0;
+                    hi += g.fastest_offsets.1;
+                } else {
+                    lo += s.offset();
+                    hi += s.offset();
+                }
+                g.bounds.push((lo, hi));
             }
-            if p + 1 == nsubs {
-                // Fastest subscript: span all member offsets.
-                lo += g.fastest_offsets.0;
-                hi += g.fastest_offsets.1;
-            } else {
-                lo += s.offset();
-                hi += s.offset();
+            let elems = g.box_elems();
+            if elems > g.declared_elems {
+                return Err(ExecError::SharedUndersized {
+                    kernel: kernel.name.clone(),
+                    array: g.array().to_owned(),
+                    box_elems: elems,
+                    declared_elems: g.declared_elems,
+                });
             }
-            bounds.push((lo, hi));
-        }
-        g.bounds = bounds;
-        let elems = g.box_elems();
-        if elems > g.declared_elems {
-            return Err(ExecError::SharedUndersized {
-                kernel: kernel.name.clone(),
-                array: g.array().to_owned(),
-                box_elems: elems,
-                declared_elems: g.declared_elems,
-            });
-        }
-        stats.staged_elems += elems as u64;
-        match opts.barrier_fidelity {
-            BarrierFidelity::Faithful => {
+            self.stats.staged_elems += elems as u64;
+            if self.faithful {
                 // Cooperative load, then the barrier: the buffer is fully
                 // populated before any thread computes.
-                g.load_box(store.get(g.array()));
-                stats.barriers += 1;
-            }
-            BarrierFidelity::SkipLoadBarrier => {
+                g.load_box(self.store.get(g.array()));
+                self.stats.barriers += 1;
+            } else {
                 // Loads happen per-thread, interleaved with compute below;
                 // keep whatever was in the buffer (stale or zero) and only
                 // grow it to the box size.
                 g.data.resize(elems as usize, 0.0);
             }
         }
-    }
 
-    // --- compute phase ------------------------------------------------------
-    // Threads run one chunk of `thread_extents[0]` x-adjacent threads at a
-    // time, in linear order. A chunk's threads share every loop but x: the
-    // serial point loops, then the mapped cyclic loops at positions
-    // `rank − 1 … 1` (`loops`, outermost first). Thread x of a chunk adds
-    // its x loop, the points `origin₀ + x`, `+ width`, … below `end₀`, and
-    // runs its loops with the row `thread_row` picks. Under the plan
-    // engine, threads below `solo` run on their own; the x offsets
-    // `solo..row_end` run as one row per iteration of the shared loops.
-    // Lockstep: under `lockstep_safe` every interleaving of the chunk's
-    // threads leaves the same store, so the whole x span runs that way
-    // where it makes fewer rows than thread by thread; each thread's
-    // points keep their order, only the interleaving changes. Otherwise,
-    // where the shared loops iterate once, the threads that own one point
-    // run as one row after those that own several — the per-thread order,
-    // point for point. The skip-barrier mode keeps the per-thread loop —
-    // each thread's own cyclic load is what it models.
-    let mut point = vec![0i64; depth];
-    for (i, &d) in time_dims.iter().enumerate() {
-        point[d] = tvals[i];
-    }
-    let rank = mapping.thread_extents.len();
-    let width = mapping.thread_extents[0];
-    let x_dim = mapping.mapped_dims[0];
-    let x_span = (origins[0] + tiles[x_dim]).min(trips[x_dim]) - origins[0];
-    let faithful = opts.barrier_fidelity == BarrierFidelity::Faithful;
-    // The cyclic loop at mapped position `pos` of a thread at `coord`
-    // along it: every `thread_extents[pos]`-th point of the tile from it.
-    let mapped_loop = |pos: usize, coord: i64| {
-        let dim = mapping.mapped_dims[pos];
-        let start = origins[pos] + coord;
-        let end = (origins[pos] + tiles[dim]).min(trips[dim]);
-        let step = mapping.thread_extents[pos];
-        Loop {
-            dim,
-            start,
-            count: ((end - start + step - 1) / step).max(0),
-            step,
-        }
-    };
-    // The shared loops, then room for one more: a thread's x loop or a
-    // chunk's x row.
-    let mut loops: Vec<Loop> = Vec::with_capacity(serial_dims.len() + rank);
-    loops.extend(serial_dims.iter().zip(sorigins).map(|(&dim, &start)| Loop {
-        dim,
-        start,
-        count: (start + tiles[dim]).min(trips[dim]) - start,
-        step: 1,
-    }));
-    let nserial = loops.len();
-    let nthreads = thread_coords.len() / rank;
-    for (c, chunk) in thread_coords.chunks(rank * width as usize).enumerate() {
-        loops.truncate(nserial);
-        loops.extend((1..rank).rev().map(|pos| mapped_loop(pos, chunk[pos])));
-        let shared: i64 = loops.iter().map(|l| l.count).product();
-        if shared == 0 && faithful {
-            continue; // no thread of the chunk owns a point
-        }
-        let (solo, row_end) = match plan.as_deref() {
-            Some(plan) if faithful => {
-                // Thread by thread, a thread owning several x points runs
-                // one x row per shared iteration; one owning a single x
-                // point (its x loop, last, of one value) runs the row
-                // `thread_row` picks.
-                let row_len = (loops.get(thread_row(&loops, nserial))).map_or(1, |l| l.count);
-                let multi = (x_span - width).clamp(0, width);
-                let live = x_span.min(width);
-                let per_thread_rows = multi * shared + (live - multi) * (shared / row_len);
-                if plan.lockstep && shared < per_thread_rows {
-                    (0, x_span)
-                } else if shared == 1 && live > multi {
-                    (multi, live)
-                } else {
-                    (width, 0)
-                }
+        // --- compute phase --------------------------------------------------
+        // Threads run one chunk of `thread_extents[0]` x-adjacent threads at
+        // a time, in linear order. A chunk's threads share every loop but x:
+        // the serial point loops, then the mapped cyclic loops at positions
+        // `rank − 1 … 1` (`loops`, outermost first). Thread x of a chunk adds
+        // its x loop, the points `origin₀ + x`, `+ width`, … below `end₀`,
+        // and runs its loops with the row `thread_row` picks. Under the plan
+        // engine, threads below `solo` run on their own; the x offsets
+        // `solo..row_end` run as one row per iteration of the shared loops.
+        // Lockstep: under `lockstep_safe` every interleaving of the chunk's
+        // threads leaves the same store, so the whole x span runs that way
+        // where it makes fewer rows than thread by thread; each thread's
+        // points keep their order, only the interleaving changes. Otherwise,
+        // where the shared loops iterate once, the threads that own one point
+        // run as one row after those that own several — the per-thread order,
+        // point for point. The skip-barrier mode keeps the per-thread loop —
+        // each thread's own cyclic load is what it models.
+        let rank = mapping.thread_extents.len();
+        let width = mapping.thread_extents[0];
+        let threads: i64 = mapping.thread_extents.iter().product();
+        let x_dim = mapping.mapped_dims[0];
+        let x_span = end(x_dim) - origin[x_dim];
+        // The cyclic loop at mapped position `pos` of a thread at `coord`
+        // along it: every `thread_extents[pos]`-th point of the tile from it.
+        let mapped_loop = |pos: usize, coord: i64| {
+            let dim = mapping.mapped_dims[pos];
+            let start = origin[dim] + coord;
+            let step = mapping.thread_extents[pos];
+            Loop {
+                dim,
+                start,
+                count: ((end(dim) - start + step - 1) / step).max(0),
+                step,
             }
-            _ => (width, 0),
         };
-        for (x, coord) in chunk.chunks(rank).take(solo as usize).enumerate() {
-            if !faithful {
-                // This thread loads only its cyclic share before computing.
-                let tl = c * width as usize + x;
-                for g in staged.iter_mut() {
-                    let array = store.get(g.array());
-                    let elems = g.data.len();
-                    let mut idx: Vec<i64> = g.bounds.iter().map(|&(lo, _)| lo).collect();
-                    for flat in 0..elems {
-                        if flat % nthreads == tl {
-                            g.data[flat] = array.map_or(0.0, |a| a.get(&idx));
-                        }
-                        for p in (0..idx.len()).rev() {
-                            idx[p] += 1;
-                            if idx[p] <= g.bounds[p].1 {
-                                break;
-                            }
-                            idx[p] = g.bounds[p].0;
-                        }
+        // The point starts at the step's time coordinates; the loops set
+        // the rest. The shared loops, then room for one more: a thread's x
+        // loop or a chunk's x row.
+        self.point.copy_from_slice(origin);
+        self.loops.clear();
+        self.loops
+            .extend(steps.iter().map(|&Loop { dim, .. }| Loop {
+                dim,
+                start: origin[dim],
+                count: end(dim) - origin[dim],
+                step: 1,
+            }));
+        let nserial = self.loops.len();
+        let mut first_thread = 0;
+        let mut coord = [0i64; MAX_BLOCK_DIMS.len()];
+        for_each_point(&mut coord, &self.chunks, |coord| {
+            let first = first_thread;
+            first_thread += width;
+            let loops = &mut self.loops;
+            loops.truncate(nserial);
+            loops.extend((1..rank).rev().map(|pos| mapped_loop(pos, coord[pos])));
+            let shared: i64 = loops.iter().map(|l| l.count).product();
+            if shared == 0 && self.faithful {
+                return Ok(()); // no thread of the chunk owns a point
+            }
+            let (solo, row_end) = match &self.plan {
+                Some(plan) if self.faithful => {
+                    // Thread by thread, a thread owning several x points
+                    // runs one x row per shared iteration; one owning a
+                    // single x point (its x loop, last, of one value) runs
+                    // the row `thread_row` picks.
+                    let row_len = (loops.get(thread_row(loops, nserial))).map_or(1, |l| l.count);
+                    let multi = (x_span - width).clamp(0, width);
+                    let live = x_span.min(width);
+                    let per_thread_rows = multi * shared + (live - multi) * (shared / row_len);
+                    if plan.lockstep && shared < per_thread_rows {
+                        (0, x_span)
+                    } else if shared == 1 && live > multi {
+                        (multi, live)
+                    } else {
+                        (width, 0)
                     }
                 }
+                _ => (width, 0),
+            };
+            for x in 0..solo {
+                if !self.faithful {
+                    // This thread loads only its cyclic share before computing.
+                    for g in &mut self.staged {
+                        g.load_share(self.store.get(g.array()), first + x, threads);
+                    }
+                }
+                // The thread's nest, its row moved last and then back.
+                loops.push(mapped_loop(0, x));
+                let row = thread_row(loops, nserial);
+                loops[row..].rotate_left(1);
+                run_rows(
+                    kernel,
+                    self.plan.as_mut(),
+                    &self.staged,
+                    self.store,
+                    &mut self.point,
+                    loops,
+                    &mut self.stats,
+                )?;
+                loops[row..].rotate_right(1);
+                loops.pop();
             }
-            // The thread's nest, its row moved last and then back.
-            loops.push(mapped_loop(0, coord[0]));
-            let row = thread_row(&loops, nserial);
-            loops[row..].rotate_left(1);
-            run_rows(
-                kernel,
-                plan.as_deref_mut(),
-                staged,
-                store,
-                &mut point,
-                &loops,
-                stats,
-            )?;
-            loops[row..].rotate_right(1);
-            loops.pop();
+            if row_end > solo {
+                loops.push(Loop {
+                    dim: x_dim,
+                    start: origin[x_dim] + solo,
+                    count: row_end - solo,
+                    step: 1,
+                });
+                run_rows(
+                    kernel,
+                    self.plan.as_mut(),
+                    &self.staged,
+                    self.store,
+                    &mut self.point,
+                    loops,
+                    &mut self.stats,
+                )?;
+            }
+            Ok(())
+        })?;
+        if !self.staged.is_empty() {
+            self.stats.barriers += 1; // barrier after the compute phase
         }
-        if row_end > solo {
-            loops.push(Loop {
-                dim: x_dim,
-                start: origins[0] + solo,
-                count: row_end - solo,
-                step: 1,
-            });
-            run_rows(
-                kernel,
-                plan.as_deref_mut(),
-                staged,
-                store,
-                &mut point,
-                &loops,
-                stats,
-            )?;
-        }
+        Ok(())
     }
-    if !staged.is_empty() {
-        stats.barriers += 1; // barrier after the compute phase
-    }
-    Ok(())
 }
 
 /// The row of one thread's loops — its serial point loops in dim order,

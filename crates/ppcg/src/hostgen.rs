@@ -21,7 +21,7 @@ pub fn emit_host(program: &Program, mappings: &[GpuMapping], sizes: &ProblemSize
     let _ = writeln!(out, "int main(void) {{");
     // --- allocations -----------------------------------------------------
     for (name, extents) in &arrays {
-        let count: i64 = extents.iter().product();
+        let count = extents.iter().fold(1i64, |n, &e| n.saturating_mul(e));
         let _ = writeln!(
             out,
             "  double *{name}_dev; cudaMalloc(&{name}_dev, {count}UL * sizeof(double)); \
@@ -107,7 +107,8 @@ fn dim3(extents: &[i64]) -> String {
 
 /// Per-array extents across the whole program: each subscript position's
 /// extent is the max trip count of the dims it uses (plus the constant
-/// offset span for halos), maximized over all references.
+/// offset span for halos), maximized over all references. An extent past
+/// `i64` saturates at `i64::MAX`, as does the element count above.
 fn array_extents(program: &Program, sizes: &ProblemSizes) -> BTreeMap<String, Vec<i64>> {
     let mut arrays: BTreeMap<String, Vec<i64>> = BTreeMap::new();
     for kernel in &program.kernels {
@@ -121,8 +122,10 @@ fn array_extents(program: &Program, sizes: &ProblemSizes) -> BTreeMap<String, Ve
                     .subscripts
                     .iter()
                     .map(|s| {
-                        let span: i64 = s.terms().iter().map(|&(d, c)| c.abs() * trip(d)).sum();
-                        (span + s.offset().abs()).max(1)
+                        (s.terms().iter())
+                            .map(|&(d, c)| c.saturating_abs().saturating_mul(trip(d)))
+                            .fold(s.offset().saturating_abs(), i64::saturating_add)
+                            .max(1)
                     })
                     .collect();
                 let entry = arrays

@@ -66,11 +66,12 @@ pub struct CompileOptions {
     pub shared_budget_bytes: u64,
     /// L1 carve-out left for hardware caching, bytes per SM.
     pub l1_avail_bytes: u64,
-    /// PPCG's per-dimension thread-block caps (`--block-sizes`, default
-    /// 32×16×4): tiles larger than the block give each thread several
-    /// points, cyclically strided so coalescing is preserved.
-    pub max_block_dims: [i64; 3],
 }
+
+/// PPCG's per-dimension thread-block caps along x, y, z (its
+/// `--block-sizes` defaults): tiles larger than the block give each
+/// thread several points, cyclically strided so coalescing is preserved.
+pub(crate) const MAX_BLOCK_DIMS: [i64; 3] = [32, 16, 4];
 
 impl Default for CompileOptions {
     fn default() -> Self {
@@ -78,7 +79,6 @@ impl Default for CompileOptions {
             elem_bytes: 8,
             shared_budget_bytes: 48 * 1024,
             l1_avail_bytes: 96 * 1024,
-            max_block_dims: [32, 16, 4],
         }
     }
 }
@@ -95,7 +95,6 @@ impl CompileOptions {
             elem_bytes,
             shared_budget_bytes: shared_total.min(arch.max_shared_per_block),
             l1_avail_bytes: arch.l1_shared_bytes - shared_total,
-            max_block_dims: [32, 16, 4],
         }
     }
 }
@@ -216,7 +215,7 @@ impl GpuMapping {
         let mut thread_extents = Vec::with_capacity(mapped_dims.len());
         let mut used = 1i64;
         for (pos, &d) in mapped_dims.iter().enumerate() {
-            let dim_cap = options.max_block_dims.get(pos).copied().unwrap_or(1);
+            let dim_cap = MAX_BLOCK_DIMS.get(pos).copied().unwrap_or(1);
             let t = clipped(d).min(dim_cap.max(1)).min((cap / used).max(1));
             thread_extents.push(t);
             used *= t;

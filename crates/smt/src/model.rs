@@ -2,12 +2,13 @@
 
 use crate::expr::{IntExpr, Var, VarId};
 use crate::solver::SolveError;
-use std::fmt;
 
 /// A total assignment of concrete values to the solver's variables.
 ///
 /// Obtained from [`Solver::maximize`](crate::Solver::maximize); evaluate
-/// any expression built from the same solver's variables against it.
+/// any expression built from the same solver's variables against it. It
+/// holds values only: a variable's name is the solver's
+/// ([`Solver::var_names`](crate::Solver::var_names), in the same order).
 ///
 /// # Examples
 ///
@@ -24,13 +25,11 @@ use std::fmt;
 pub struct Model {
     /// One value per variable, in registration order.
     values: Vec<i64>,
-    names: Vec<String>,
 }
 
 impl Model {
-    pub(crate) fn new(values: Vec<i64>, names: Vec<String>) -> Self {
-        debug_assert_eq!(values.len(), names.len());
-        Model { values, names }
+    pub(crate) fn new(values: Vec<i64>) -> Self {
+        Model { values }
     }
 
     /// Value assigned to `var`.
@@ -41,25 +40,9 @@ impl Model {
         self.values.get(var.index()).copied()
     }
 
-    /// Value assigned to the variable registered under `name`.
-    pub fn value_of_name(&self, name: &str) -> Option<i64> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.values[i])
-    }
-
     /// The values, one per variable in registration order.
-    pub(crate) fn values(&self) -> &[i64] {
+    pub fn values(&self) -> &[i64] {
         &self.values
-    }
-
-    /// Pairs of `(name, value)` in registration order.
-    pub fn bindings(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
-        self.names
-            .iter()
-            .map(String::as_str)
-            .zip(self.values.iter().copied())
     }
 
     /// Evaluates an integer expression under this assignment: each term's
@@ -93,19 +76,6 @@ pub(crate) fn known_vars<'a>(
     match vars.find(|v| v.id.index() >= count) {
         Some(foreign) => Err(SolveError::UnknownVariable(foreign.name.to_string())),
         None => Ok(()),
-    }
-}
-
-impl fmt::Display for Model {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, (name, v)) in self.bindings().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{name} = {v}")?;
-        }
-        write!(f, "}}")
     }
 }
 
@@ -186,15 +156,15 @@ mod tests {
 
     #[test]
     fn eval_is_the_saturating_point_semantics() {
-        let names = vec!["u".to_owned(), "v".to_owned(), "w".to_owned()];
-        let var = |i: usize| IntExpr::var(VarId(i as u32), &names[i]);
+        let names = ["u", "v", "w"];
+        let var = |i: usize| IntExpr::var(VarId(i as u32), names[i]);
         for case in 0..4000 {
             let rng = &mut TestRng::for_case("model_eval", case);
             let values = [(); 3].map(|()| VALUES[pick(rng, VALUES.len())]);
             let vars: Vec<_> = (0..3).map(|i| (var(i), values[i])).collect();
-            let model = Model::new(values.to_vec(), names.clone());
+            let model = Model::new(values.to_vec());
             let (expr, v) = any_expr(rng, &vars, 3);
-            assert_eq!(model.eval(&expr), Ok(v), "{expr} under {model}");
+            assert_eq!(model.eval(&expr), Ok(v), "{expr} under {values:?}");
         }
     }
 
@@ -212,12 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn bindings_and_display() {
-        let (m, _, _) = fixed_model();
-        let pairs: Vec<_> = m.bindings().collect();
+    fn values_follow_registration_order() {
+        let mut s = Solver::new();
+        let x = s.int_var("x", 7, 7);
+        let y = s.int_var("y", 3, 3);
+        let m = s.maximize(&x).unwrap().model.unwrap();
+        let pairs: Vec<_> = s.var_names().zip(m.values().iter().copied()).collect();
         assert_eq!(pairs, vec![("x", 7), ("y", 3)]);
-        assert_eq!(m.to_string(), "{x = 7, y = 3}");
-        assert_eq!(m.value_of_name("y"), Some(3));
-        assert_eq!(m.value_of_name("zz"), None);
+        assert_eq!(m.value_of(y.as_var().unwrap()), Some(3));
     }
 }

@@ -167,9 +167,8 @@ impl NaiveSearch<'_> {
 /// the first assertion, or else the objective, that is not a row.
 pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximize, SolveError> {
     solver.validate()?;
-    let names = solver.names();
-    known_vars(objective.vars(), names.len())?;
     let domains = solver.base_domains();
+    known_vars(objective.vars(), domains.len())?;
     let mut capacities = Vec::new();
     for (c, _) in solver.constraint_entries() {
         if !is_row(&c.lhs, domains) {
@@ -204,7 +203,7 @@ pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximiz
     }
     Ok(ReferenceMaximize {
         best: best.as_ref().map(|(v, _)| *v),
-        model: best.map(|(_, values)| Model::new(values, names.to_vec())),
+        model: best.map(|(_, values)| Model::new(values)),
         solver_calls: calls,
         nodes,
     })

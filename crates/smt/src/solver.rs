@@ -317,10 +317,6 @@ impl Solver {
         self.base_domains.get(var.index())
     }
 
-    pub(crate) fn names(&self) -> &[String] {
-        &self.names
-    }
-
     pub(crate) fn base_domains(&self) -> &[Domain] {
         &self.base_domains
     }
@@ -539,7 +535,7 @@ impl Solver {
             self.stats.search_time += elapsed.saturating_sub(propagation_delta);
         }
         let outcome = MaximizeOutcome {
-            model: values.map(|values| Model::new(values, self.names.clone())),
+            model: values.map(Model::new),
             incumbents,
             stop,
         };
@@ -596,6 +592,13 @@ mod tests {
         Domain::multiples(step, hi)
     }
 
+    /// The value `m` gives the variable `s` registered as `name`: a model
+    /// holds values only, and the names are the solver's.
+    fn named(s: &Solver, m: &Model, name: &str) -> i64 {
+        let i = s.var_names().position(|n| n == name).expect("registered");
+        m.values()[i]
+    }
+
     fn c(v: i64) -> IntExpr {
         IntExpr::constant(v)
     }
@@ -607,7 +610,7 @@ mod tests {
         s.assert((c(2) * x.clone()).le(9));
         let r = s.maximize(&x).unwrap();
         assert!(r.complete());
-        assert_eq!(r.model.unwrap().value_of_name("x"), Some(4));
+        assert_eq!(r.model.unwrap().values(), [4]);
 
         s.assert((x.clone() + c(1)).le(1));
         let r = s.maximize(&x).unwrap();
@@ -634,8 +637,8 @@ mod tests {
         let r = s.maximize(&(x + y)).unwrap();
         assert_eq!(r.best(), Some(47));
         let m = r.model.unwrap();
-        let (xv, yv) = (m.value_of_name("x").unwrap(), m.value_of_name("y").unwrap());
-        assert!(xv * yv <= 91 && xv + yv == 47, "{m}");
+        let (xv, yv) = (named(&s, &m, "x"), named(&s, &m, "y"));
+        assert!(xv * yv <= 91 && xv + yv == 47, "{m:?}");
     }
 
     #[test]
@@ -645,7 +648,7 @@ mod tests {
         let x = s.int_var_in("x", multiples(16, 64));
         s.assert((c(3) * x.clone()).le(150));
         let m = s.maximize(&x).unwrap().model.unwrap();
-        assert_eq!(m.value_of_name("x"), Some(48));
+        assert_eq!(named(&s, &m, "x"), 48);
     }
 
     #[test]
@@ -696,11 +699,7 @@ mod tests {
         let out = s.maximize(&obj).unwrap();
         assert!(out.complete());
         let m = out.model.as_ref().unwrap();
-        let (i, j, k) = (
-            m.value_of_name("Ti").unwrap(),
-            m.value_of_name("Tj").unwrap(),
-            m.value_of_name("Tk").unwrap(),
-        );
+        let (i, j, k) = (named(&s, m, "Ti"), named(&s, m, "Tj"), named(&s, m, "Tk"));
         // Optimality: the paper's solution value is a lower bound on ours.
         let paper = 16 * 384 + 32 * 384;
         assert!(out.best().unwrap() >= paper, "found {i},{j},{k}");
@@ -812,11 +811,7 @@ mod tests {
             .as_ref()
             .expect("anytime: best-so-far model returned");
         // The returned model must satisfy the full formulation.
-        let (i, j, k) = (
-            m.value_of_name("Ti").unwrap(),
-            m.value_of_name("Tj").unwrap(),
-            m.value_of_name("Tk").unwrap(),
-        );
+        let (i, j, k) = (named(&s, m, "Ti"), named(&s, m, "Tj"), named(&s, m, "Tk"));
         assert!(i % 2 == 0 && j % 2 == 0 && k % 2 == 0);
         assert!(i * j * 6 <= 65_536);
         assert!(i * j + k * j <= 12_288 && i * k <= 12_288);
@@ -880,7 +875,7 @@ mod tests {
             Err(SolveError::UnknownVariable(name)) if name == "r"
         ));
         let mut warm = WarmStart::new();
-        warm.observe(&Model::new(vec![1], vec!["own".to_owned()]));
+        warm.observe(&Model::new(vec![1]));
         assert!(matches!(
             a.maximize_warm(&objective, &warm),
             Err(SolveError::UnknownVariable(name)) if name == "r"
@@ -1046,14 +1041,8 @@ mod tests {
         assert_eq!(warm_out.best(), cold_out.best());
         assert_eq!(warm_out.complete(), cold_out.complete());
         let warm_model = warm_out.model.as_ref().unwrap();
-        let cold_bindings: Vec<_> = cold_model
-            .bindings()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect();
-        let warm_bindings: Vec<_> = warm_model
-            .bindings()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect();
+        let cold_bindings: Vec<_> = cold.var_names().zip(cold_model.values()).collect();
+        let warm_bindings: Vec<_> = warm.var_names().zip(warm_model.values()).collect();
         assert_eq!(warm_bindings, cold_bindings);
         // The warm run starts at the optimum's floor, so it needs at most
         // as many improvement passes as the cold run.
@@ -1075,17 +1064,11 @@ mod tests {
 
         let mut warm = WarmStart::new();
         // Infeasible: x*y = 50*50 violates the capacity constraint.
-        warm.observe(&Model::new(
-            vec![50, 50],
-            vec!["x".to_owned(), "y".to_owned()],
-        ));
+        warm.observe(&Model::new(vec![50, 50]));
         // Out of domain: y = 200 > 64.
-        warm.observe(&Model::new(
-            vec![1, 200],
-            vec!["x".to_owned(), "y".to_owned()],
-        ));
+        warm.observe(&Model::new(vec![1, 200]));
         // Foreign formulation: misses `y` entirely.
-        warm.observe(&Model::new(vec![3], vec!["x".to_owned()]));
+        warm.observe(&Model::new(vec![3]));
 
         let out = s.maximize_warm(&obj, &warm).unwrap();
         assert!(out.complete());
@@ -1105,10 +1088,7 @@ mod tests {
         let obj = x.clone() + y.clone();
 
         let mut warm = WarmStart::new();
-        warm.observe(&Model::new(
-            vec![2, 50],
-            vec!["x".to_owned(), "y".to_owned()],
-        ));
+        warm.observe(&Model::new(vec![2, 50]));
         let out = s.maximize_warm(&obj, &warm).unwrap();
         assert!(out.complete());
         assert_eq!(out.best(), Some(65));
@@ -1119,13 +1099,12 @@ mod tests {
     #[test]
     fn warm_start_observe_dedups_and_evicts_oldest() {
         let mut warm = WarmStart::new();
-        let names = vec!["x".to_owned()];
-        let m = Model::new(vec![7], names.clone());
+        let m = Model::new(vec![7]);
         warm.observe(&m);
         warm.observe(&m);
         assert_eq!(warm.len(), 1, "identical bindings are deduplicated");
         for v in 0..(WarmStart::MAX_HINTS as i64 + 4) {
-            warm.observe(&Model::new(vec![v], names.clone()));
+            warm.observe(&Model::new(vec![v]));
         }
         assert_eq!(warm.len(), WarmStart::MAX_HINTS, "bounded ring of hints");
     }

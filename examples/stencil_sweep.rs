@@ -10,7 +10,7 @@ use eatss::{evaluate_program_with, Eatss, EatssConfig};
 use eatss_affine::analysis::AnalysedProgram;
 use eatss_gpusim::{Gpu, GpuArch};
 use eatss_kernels::Dataset;
-use eatss_ppcg::{CompileOptions, Ppcg, TileSpace};
+use eatss_ppcg::{Ppcg, TileSpace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = eatss_kernels::by_name("jacobi-2d").expect("jacobi-2d is registered");
@@ -67,12 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Also show the generated CUDA for the selection.
         if arch.name == "GA100" {
-            let compiled = Ppcg::new(arch.clone()).compile(
-                &program,
-                &solution.tiles,
-                &sizes,
-                &CompileOptions { ..opts.clone() },
-            )?;
+            let compiled =
+                Ppcg::new(arch.clone()).compile(&program, &solution.tiles, &sizes, &opts)?;
             let first_kernel: String = compiled
                 .cuda_source
                 .lines()

@@ -33,8 +33,8 @@ proptest! {
         let obj = x.clone() * y.clone() + y.clone();
         let out = s.maximize(&obj).expect("no solver error");
         if let Some(model) = &out.model {
-            let xv = model.value_of_name("x").expect("x bound");
-            let yv = model.value_of_name("y").expect("y bound");
+            let xv = model.eval(&x).expect("x bound");
+            let yv = model.eval(&y).expect("y bound");
             prop_assert!(xv * yv <= cap);
             prop_assert_eq!(xv % modulus, 0);
             let claimed = out.best().expect("sat implies value");
@@ -82,8 +82,8 @@ proptest! {
         prop_assert_eq!(out.model.is_some(), !out.incumbents.is_empty());
         // Feasibility of whatever came back, complete or not.
         if let Some(model) = &out.model {
-            let xv = model.value_of_name("x").expect("x bound");
-            let yv = model.value_of_name("y").expect("y bound");
+            let xv = model.eval(&x).expect("x bound");
+            let yv = model.eval(&y).expect("y bound");
             prop_assert!((1..=hi_x).contains(&xv) && (1..=hi_y).contains(&yv));
             prop_assert!(xv * yv <= cap);
             prop_assert_eq!(xv % 2, 0);

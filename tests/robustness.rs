@@ -11,7 +11,7 @@ use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
-use eatss_ppcg::{CompileError, OracleError};
+use eatss_ppcg::{CompileError, CompileOptions, OracleError, Ppcg};
 use eatss_smt::{Domain, IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
 
@@ -65,11 +65,13 @@ fn maximize_under_node_limit_is_anytime_on_matmul() {
         .model
         .as_ref()
         .expect("anytime: best-so-far model returned");
-    let (i, j, k) = (
-        m.value_of_name("Ti").unwrap(),
-        m.value_of_name("Tj").unwrap(),
-        m.value_of_name("Tk").unwrap(),
-    );
+    // A model holds values, in the order the solver registered its names.
+    let names: Vec<&str> = s.var_names().collect();
+    assert_eq!(names, ["Ti", "Tj", "Tk"]);
+    let [i, j, k] = m.values() else {
+        panic!("one value per tile variable: {m:?}")
+    };
+    let (i, j, k) = (*i, *j, *k);
     assert!(i % 2 == 0 && j % 2 == 0 && k % 2 == 0);
     assert!(i * j * 6 <= 65_536);
     assert!(i * j + k * j <= 12_288);
@@ -298,5 +300,31 @@ fn extreme_subscript_offsets_never_overflow() {
             }
             other => panic!("expected an extent overflow, got {other:?}"),
         }
+    }
+    // Host code declares that width saturated, and emission stays total.
+    let compiled = Ppcg::new(GpuArch::ga100())
+        .compile(&spread, &default, &sizes, &CompileOptions::default())
+        .expect("emission is infallible");
+    assert!(
+        (compiled.cuda_source).contains("// [64][9223372036854775807]"),
+        "{}",
+        compiled.cuda_source
+    );
+
+    // Each extent of `A` fits `i64` but their product does not: the
+    // interpreter refuses the array's element count as it refuses an
+    // extent.
+    let wide = parse_program(
+        "kernel mm(M, N, P) {
+           for (i: M) for (j: N) for (k: P)
+             C[i][j] += A[i][k + 4611686018427387904] * B[k][j];
+         }",
+    )
+    .unwrap();
+    let sizes = ProblemSizes::new([("M", 40), ("N", 40), ("P", 40)]);
+    let default = TileConfig::ppcg_default(3);
+    match &eatss.verify(&wide, &sizes, &[(&config, &default)], 1)[..] {
+        [Err(OracleError::Interp(InterpError::ExtentOverflow(array)))] => assert_eq!(array, "A"),
+        other => panic!("expected an element-count overflow, got {other:?}"),
     }
 }
