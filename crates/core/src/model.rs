@@ -420,14 +420,9 @@ impl EatssModel {
     /// the same formulation: a warm floor is always strictly below a
     /// feasible objective value, so it can only prune provably-suboptimal
     /// subtrees (see `eatss-smt`'s [`WarmStart`] docs for the full
-    /// argument). The tiles are the same too whenever the optimum is
-    /// unique. With equal-valued optima that differ in the objective's own
-    /// variables a warm and a cold solve may each return a different one
-    /// ([`EatssModel::has_other_optimum`] tells): mttkrp with the spatial
-    /// term ablated, and a few full-objective sweep points — Xavier gemm at
-    /// n = 128, warp fraction 0.5, split 0, virtual cap, solves to
-    /// (80, 128, 16) along its warm chain and to (96, 112, 16) cold.
-    /// `solver_calls` and the solver's work counters differ freely.
+    /// argument), and so are the tiles: among tied optima both return the
+    /// lexicographically greatest. `solver_calls` and the solver's work
+    /// counters differ freely.
     ///
     /// # Errors
     ///

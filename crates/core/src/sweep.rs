@@ -48,18 +48,11 @@ pub const PAPER_WARP_FRACTIONS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 /// Two things are not options. A point that cannot be solved or measured
 /// always degrades to PPCG's default `32^d` tiling. And the per-point
 /// maximizations are always warm-started along chains (see
-/// `warm_chains`): verdicts, objective values and optimality flags are
-/// those of cold solves — a warm floor sits strictly below a feasible
-/// objective value, so only provably-suboptimal subtrees are pruned — and
-/// so are the tiles wherever the optimum is unique. Among tied optima a
-/// warm solve may meet a different one first, and on a few full-objective
-/// points it does: over 21 kernels × 5 builtin devices × seven uniform
-/// sizes (64 to 4000) × four warp fractions × both caps, 23 of the 16 737
-/// solved chain points return other tiles than a cold solve. Xavier gemm
-/// at n = 128, warp fraction 0.5, split 0, virtual cap, is one
-/// (`tests/warm_start_differential.rs` pins it). A point's tiles answer
-/// the sweep, not a `select` of its configuration
-/// (`warm_sweep_is_bit_identical_to_cold` pins a grid where they agree).
+/// `warm_chains`): a completed solve's verdict, objective value,
+/// optimality flag and tiles are those of a cold `select` of the point's
+/// configuration — a warm floor sits strictly below a feasible objective
+/// value, so only provably-suboptimal subtrees are pruned, and among tied
+/// optima every search returns the lexicographically greatest.
 /// Each chain's hint sequence is fixed by the canonical configuration
 /// list, chains never sharing state, so parallel and sequential sweeps
 /// stay bit-identical even when search budgets bind.
@@ -868,8 +861,16 @@ mod tests {
         let eatss = Eatss::new(GpuArch::ga100());
         let sizes = ProblemSizes::new([("M", 2000), ("N", 2000), ("P", 2000)]);
         let options = SweepOptions::default();
-        let warm = run_with(&eatss, &mm(), &sizes, &PAPER_SPLITS, &[0.5, 1.0], &options).unwrap();
-        assert_eq!(warm.points.len(), 12);
+        let warm = run_with(
+            &eatss,
+            &mm(),
+            &sizes,
+            &PAPER_SPLITS,
+            &PAPER_WARP_FRACTIONS,
+            &options,
+        )
+        .unwrap();
+        assert_eq!(warm.points.len(), 24);
         let mut seeded = 0;
         for w in &warm.points {
             let cold = crate::ModelGenerator::new(eatss.arch(), w.config.clone())

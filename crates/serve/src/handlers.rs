@@ -611,9 +611,9 @@ pub(crate) fn run_job(shared: &Shared, job: &Job) -> Finished {
 /// Answers an `{"op":"pareto"}` job: sweeps the §V-B splits at the
 /// requested warp fraction (both thread-block cap readings, default
 /// precision) on the requested device and returns the non-dominated
-/// energy-vs-performance front. Nothing is journaled: the sweep solves
-/// along warm chains, and its points answer this request, not a later
-/// `select`.
+/// energy-vs-performance front. Nothing is journaled: a later `select`
+/// solves its own configuration, to the front point's tiles wherever the
+/// point's solve completed.
 fn run_pareto(shared: &Shared, job: &Job) -> Finished {
     let query = &job.query;
     let mut sp = span("serve", "pareto");

@@ -110,10 +110,9 @@ impl NaiveSearch<'_> {
             let holds = |row| Self::possible(row, &domains, None);
             return self.rows.iter().all(holds).then_some(values);
         }
-        let (var, _) = (domains.iter().enumerate())
-            .filter(|(_, d)| d.len() > 1)
-            .min_by_key(|(_, d)| d.len())?;
-        // Largest value first, as the fast engine branches.
+        // The first open variable in registration order, largest value
+        // first, as the fast engine branches.
+        let var = domains.iter().position(|d| d.len() > 1)?;
         for &value in domains[var].values().iter().rev() {
             self.nodes += 1;
             let mut child = domains.clone();

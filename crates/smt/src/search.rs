@@ -40,10 +40,12 @@
 //! All five preserve exact results: propagation only removes values proven
 //! inconsistent, the exhaustive search still visits every surviving
 //! assignment, and bound pruning discards only subtrees the
-//! `OBJ > best` row would reject anyway. Variable order (smallest domain
-//! first) and value order ([`next_candidate`], largest first) are what
-//! decides *which* of several equal-valued optima is met first, so none of
-//! the above touches them. Only a leaf that improves on the incumbent
+//! `OBJ > best` row would reject anyway. The branching order decides
+//! which of several equal-valued optima is returned: the first open
+//! variable in registration order, largest value first
+//! ([`next_candidate`]), meets leaves in lexicographically descending
+//! order, so the answer is the lexicographically greatest optimum, whatever
+//! the incumbent was seeded at. Only a leaf that improves on the incumbent
 //! builds an assignment, and a probe keeps the domain's order instead of
 //! sorting it again.
 
@@ -146,9 +148,7 @@ impl<'a> Search<'a> {
     /// incumbent below a known-achievable objective value (warm start):
     /// every subtree that survives the seeded bound has objective upper
     /// bound `> floor`, so subtrees containing an optimum-valued leaf are
-    /// never cut. The seed only removes provably-suboptimal work; it can
-    /// change *which* optimum-valued leaf is met first when there are
-    /// several (see [`crate::WarmStart`]).
+    /// never cut. The seed only removes provably-suboptimal work.
     pub(crate) fn new(
         domains: Vec<Domain>,
         constraints: &'a [(BoolExpr, Vec<VarId>)],
@@ -324,11 +324,8 @@ impl<'a> Search<'a> {
             }
             return;
         }
-        // Branch on the smallest non-singleton domain.
-        let Some((var_idx, _)) = (self.domains.iter().enumerate())
-            .filter(|(_, d)| d.len() > 1)
-            .min_by_key(|(_, d)| d.len())
-        else {
+        // Branch on the first non-singleton domain in registration order.
+        let Some(var_idx) = self.domains.iter().position(|d| d.len() > 1) else {
             return;
         };
         let mut candidate = next_candidate(&self.domains[var_idx], None);

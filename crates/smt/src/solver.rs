@@ -173,23 +173,9 @@ impl MaximizeOutcome {
 /// cannot exceed `v - 1` are cut before any propagation is paid for.
 /// Because `v ≤ optimum`, no subtree containing an optimum-valued leaf is
 /// ever cut, so warm starting never changes the verdict, the optimal
-/// objective value or the optimality flag — only how much work is pruned.
-/// The returned *model* is the cold search's whenever the optimum is
-/// unique. When several assignments attain it the two searches may meet
-/// different ones first: a variable the objective does not mention is
-/// settled by the value order alone (largest first), the same either way,
-/// but among the objective's variables the variable order follows the
-/// filtered domain sizes, and those depend on the incumbent each node was
-/// filtered under. (On EATSS formulations: over the 21 registry kernels at
-/// ExtraLarge sizes, the 32-point sweep grid and the five builtin devices,
-/// 858 of the 2 954 feasible full-objective formulations have tied optima
-/// — gemm's `Tk` under the strict cap among them; 826 at no sizes, 869 at
-/// Standard ones — and a solve seeded with its own optimum agrees with the
-/// cold one on every one. Seeded along a sweep's warm chain instead, a few do not: Xavier
-/// gemm at n = 128, warp fraction 0.5, split 0 returns (80, 128, 16)
-/// after the splits 0.67 and 0.5, and (96, 112, 16) cold. mttkrp with the
-/// spatial term ablated, `Π T` alone, differs even self-seeded.
-/// `tests/warm_start_differential.rs` pins both cases.) A hint is a
+/// objective value, the optimality flag or the model — only how much work
+/// is pruned: a completed search returns the lexicographically greatest
+/// optimal assignment whatever its floor ([`Solver::maximize`]). A hint is a
 /// model's values, one per variable in registration order, so it carries
 /// over to a re-built solver that registers its variables in the same
 /// order. A hint of another length, or one outside the domains or the
@@ -355,8 +341,10 @@ impl Solver {
     /// filtered by one pass over the row and a cut in closed form instead
     /// of probing each value; the filtered domain is the same. Optima are
     /// identical to the paper's asserted-constraint loop (the retained
-    /// [`crate::reference`] engine); among several equal-valued optima the
-    /// one returned is the first met under the unchanged branching order.
+    /// [`crate::reference`] engine), and so is the model: the search
+    /// branches on the first open variable in registration order, largest
+    /// value first, so among equal-valued optima it returns the
+    /// lexicographically greatest.
     /// [`MaximizeOutcome::incumbents`] is the improvement sequence, and
     /// [`MaximizeOutcome::solver_calls`] its length plus one: the number
     /// of `check` calls the §IV-L loop would have made for it, the n-th
@@ -380,8 +368,7 @@ impl Solver {
     /// `v - 1`, so the search starts with the pruning power a cold run
     /// only earns after climbing to `v` itself. The verdict, the optimal
     /// objective value and the optimality flag are those of a cold
-    /// [`Solver::maximize`], and so is the model whenever the optimum is
-    /// unique (see [`WarmStart`] for the argument and the tie case);
+    /// [`Solver::maximize`], and so is the model (see [`WarmStart`]);
     /// [`MaximizeOutcome::solver_calls`] (improvements actually taken) and
     /// the work counters shrink. Hints used/validated are counted in
     /// [`SolverStats::warm_seeds`] / [`SolverStats::warm_cut_hits`].
