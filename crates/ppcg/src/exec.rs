@@ -71,7 +71,7 @@
 use crate::mapping::{GpuMapping, MAX_BLOCK_DIMS};
 use eatss_affine::analysis::{AccessAnalysis, AnalysedProgram};
 use eatss_affine::interp::{exec_point_hooked, Array, Store};
-use eatss_affine::ir::{ArrayRef, Kernel};
+use eatss_affine::ir::{AffineExpr, ArrayRef, Kernel};
 use eatss_affine::plan::{for_each_point, for_each_row, ExecPlan, Loop, RouteSource, RowScratch};
 use eatss_affine::{ProblemSizes, Program};
 use std::convert::Infallible;
@@ -175,6 +175,14 @@ pub enum ExecError {
         /// Elements the mapping declared.
         declared_elems: i64,
     },
+    /// A staged box's bounds or element count is past the 64-bit range
+    /// (a subscript constant near the end of `i64`).
+    StagedBoxOverflow {
+        /// Kernel name.
+        kernel: String,
+        /// Array name.
+        array: String,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -205,6 +213,10 @@ impl fmt::Display for ExecError {
                 "{kernel}: staged box of `{array}` needs {box_elems} elems, \
                  __shared__ declares {declared_elems}"
             ),
+            ExecError::StagedBoxOverflow { kernel, array } => write!(
+                f,
+                "{kernel}: staged box of `{array}` is past the 64-bit range"
+            ),
         }
     }
 }
@@ -228,8 +240,11 @@ impl StagedGroup<'_> {
         &self.representative.array
     }
 
-    fn box_elems(&self) -> i64 {
-        self.bounds.iter().map(|(lo, hi)| hi - lo + 1).product()
+    /// The box's element count, `None` past `i64`.
+    fn box_elems(&self) -> Option<i64> {
+        (self.bounds.iter()).try_fold(1i64, |elems, (lo, hi)| {
+            elems.checked_mul(hi.checked_sub(*lo)?.checked_add(1)?)
+        })
     }
 
     /// Flattens a global multi-index into the box, or `None` if outside.
@@ -259,11 +274,11 @@ impl StagedGroup<'_> {
             .collect()
     }
 
-    /// Cooperative-load fast path: fills the box from `array` row by row
-    /// (last subscript contiguous), with out-of-bounds elements zero —
-    /// element-for-element what a per-index `Array::get` loop produces.
-    fn load_box(&mut self, array: Option<&Array>) {
-        let elems = self.box_elems() as usize;
+    /// Cooperative-load fast path: fills the box of `elems` elements from
+    /// `array` row by row (last subscript contiguous), with out-of-bounds
+    /// elements zero — element-for-element what a per-index `Array::get`
+    /// loop produces.
+    fn load_box(&mut self, elems: usize, array: Option<&Array>) {
         self.data.clear();
         self.data.resize(elems, 0.0);
         let array = match array {
@@ -601,34 +616,36 @@ impl KernelRun<'_> {
             false => (origin[d], end(d) - 1),
         };
 
+        // A staged box's bounds along one subscript, `None` past `i64`.
+        let bounds = |s: &AffineExpr, (lo_offset, hi_offset): (i64, i64)| {
+            let (mut lo, mut hi) = (0i64, 0i64);
+            for &(d, c) in s.terms() {
+                let (rlo, rhi) = range(d);
+                let (at_lo, at_hi) = if c >= 0 { (rlo, rhi) } else { (rhi, rlo) };
+                lo = lo.checked_add(c.checked_mul(at_lo)?)?;
+                hi = hi.checked_add(c.checked_mul(at_hi)?)?;
+            }
+            Some((lo.checked_add(lo_offset)?, hi.checked_add(hi_offset)?))
+        };
+
         // --- staging phase --------------------------------------------------
         for g in &mut self.staged {
             let nsubs = g.representative.subscripts.len();
             g.bounds.clear();
+            let array = g.representative;
+            let overflow = || ExecError::StagedBoxOverflow {
+                kernel: kernel.name.clone(),
+                array: array.array.clone(),
+            };
             for (p, s) in g.representative.subscripts.iter().enumerate() {
-                let mut lo = 0i64;
-                let mut hi = 0i64;
-                for &(d, c) in s.terms() {
-                    let (rlo, rhi) = range(d);
-                    if c >= 0 {
-                        lo += c * rlo;
-                        hi += c * rhi;
-                    } else {
-                        lo += c * rhi;
-                        hi += c * rlo;
-                    }
-                }
-                if p + 1 == nsubs {
-                    // Fastest subscript: span all member offsets.
-                    lo += g.fastest_offsets.0;
-                    hi += g.fastest_offsets.1;
-                } else {
-                    lo += s.offset();
-                    hi += s.offset();
-                }
-                g.bounds.push((lo, hi));
+                // Fastest subscript: span all member offsets.
+                let offsets = match p + 1 == nsubs {
+                    true => g.fastest_offsets,
+                    false => (s.offset(), s.offset()),
+                };
+                g.bounds.push(bounds(s, offsets).ok_or_else(overflow)?);
             }
-            let elems = g.box_elems();
+            let elems = g.box_elems().ok_or_else(overflow)?;
             if elems > g.declared_elems {
                 return Err(ExecError::SharedUndersized {
                     kernel: kernel.name.clone(),
@@ -641,7 +658,7 @@ impl KernelRun<'_> {
             if self.faithful {
                 // Cooperative load, then the barrier: the buffer is fully
                 // populated before any thread computes.
-                g.load_box(self.store.get(g.array()));
+                g.load_box(elems as usize, self.store.get(g.array()));
                 self.stats.barriers += 1;
             } else {
                 // Loads happen per-thread, interleaved with compute below;

@@ -160,6 +160,7 @@ pub fn verify(
     options: &OracleOptions,
     seed: u64,
 ) -> Result<OracleReport, OracleError> {
+    #[allow(clippy::expect_used)] // `verify_batch` answers each configuration once.
     verify_batch(
         program,
         std::slice::from_ref(tiles),

@@ -68,17 +68,7 @@ impl TileSpace {
     /// Iterates over every configuration in row-major (last dimension
     /// fastest) order.
     pub fn iter(&self) -> impl Iterator<Item = TileConfig> + '_ {
-        let n = self.candidates.len();
-        let total = self.len();
-        let depth = self.depth;
-        (0..total).map(move |mut idx| {
-            let mut sizes = vec![0i64; depth];
-            for d in (0..depth).rev() {
-                sizes[d] = self.candidates[idx % n];
-                idx /= n;
-            }
-            TileConfig::new(sizes)
-        })
+        (0..self.len()).map(|index| self.at(index))
     }
 
     /// The `i`-th configuration (same order as [`TileSpace::iter`]).
@@ -88,7 +78,19 @@ impl TileSpace {
     /// Panics if `index >= len()`.
     pub fn config(&self, index: usize) -> TileConfig {
         assert!(index < self.len(), "tile-space index out of range");
-        self.iter().nth(index).expect("index checked against len")
+        self.at(index)
+    }
+
+    /// The `index`-th configuration, `index < len()`: its digits in base
+    /// `candidates.len()`, the last dimension fastest.
+    fn at(&self, mut index: usize) -> TileConfig {
+        let n = self.candidates.len();
+        let mut sizes = vec![0i64; self.depth];
+        for size in sizes.iter_mut().rev() {
+            *size = self.candidates[index % n];
+            index /= n;
+        }
+        TileConfig::new(sizes)
     }
 }
 

@@ -438,9 +438,9 @@ fn pareto_does_not_answer_later_selects() {
         assert!(pair[0].1 < pair[1].1, "front throughput not increasing");
     }
 
-    // The sweep solved split 0 along a warm chain and met another of its
-    // tied optima; a select of that configuration is solved on its own
-    // and gets the library's answer.
+    // The sweep solved split 0, a tied formulation, along a warm chain; a
+    // select of that configuration is solved on its own and gets the
+    // library's answer.
     let gemm = eatss_kernels::by_name("gemm").expect("registered");
     let xavier = eatss_gpusim::DeviceProfile::builtin("xavier")
         .expect("builtin")
@@ -459,6 +459,13 @@ fn pareto_does_not_answer_later_selects() {
     assert_eq!(status(&select), "ok");
     assert_eq!(select.get("cache").and_then(Json::as_str), Some("miss"));
     assert_eq!(tiles(&select), library.tiles.sizes());
+    // A select at a front point's configuration gets the point's tiles.
+    for point in &front {
+        args.split = point.get("split").and_then(Json::as_f64);
+        args.strict_cap = point.get("strict_cap").and_then(Json::as_bool) == Some(true);
+        let select = client.select(&args).unwrap();
+        assert_eq!(tiles(&select), tiles(point), "{point:?}");
+    }
     handle.shutdown();
 }
 

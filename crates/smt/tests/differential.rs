@@ -97,6 +97,9 @@ proptest! {
         let fast = s.maximize(&obj).expect("fast maximize");
         prop_assert!(fast.complete(), "no budgets configured");
         prop_assert_eq!(naive.best, fast.best());
+        // Both branch in registration order, largest value first: the
+        // same (lexicographically greatest) optimum.
+        prop_assert_eq!(&naive.model, &fast.model);
         for (model, best) in [(&fast.model, fast.best()), (&naive.model, naive.best)] {
             let (Some(model), Some(best)) = (model, best) else { continue };
             prop_assert_eq!(model.eval(&obj), Ok(best));

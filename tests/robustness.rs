@@ -6,12 +6,14 @@ use eatss::{
     Eatss, EatssConfig, EatssError, EvaluateError, PipelineError, PipelineStage,
     SolutionProvenance, SweepOptions,
 };
-use eatss_affine::interp::InterpError;
+use eatss_affine::interp::{Array, InterpError, Store};
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::{FaultKind, FaultPlan, Gpu, GpuArch};
-use eatss_ppcg::{CompileError, CompileOptions, OracleError, Ppcg};
+use eatss_ppcg::{
+    execute_compiled, CompileError, CompileOptions, ExecError, ExecOptions, OracleError, Ppcg,
+};
 use eatss_smt::{Domain, IntExpr, Solver, SolverConfig, StopReason};
 use std::collections::HashSet;
 
@@ -326,5 +328,36 @@ fn extreme_subscript_offsets_never_overflow() {
     match &eatss.verify(&wide, &sizes, &[(&config, &default)], 1)[..] {
         [Err(OracleError::Interp(InterpError::ExtentOverflow(array)))] => assert_eq!(array, "A"),
         other => panic!("expected an element-count overflow, got {other:?}"),
+    }
+
+    // A store the caller built skips the interpreter's extent check: the
+    // emulator's staged box of `A` is then past `i64` itself, a typed
+    // error in every build.
+    let near_max = parse_program(
+        "kernel mm(M, N, P) {
+           for (i: M) for (j: N) for (k: P)
+             C[i][j] += A[i][k + 9223372036854775806] * B[k][j];
+         }",
+    )
+    .unwrap();
+    let mappings = Ppcg::new(GpuArch::ga100())
+        .compile(&near_max, &default, &sizes, &CompileOptions::default())
+        .expect("maps")
+        .mappings;
+    let mut store = Store::new();
+    for name in ["A", "B", "C"] {
+        store.insert(name, Array::zeros(vec![40, 40]));
+    }
+    match execute_compiled(
+        &near_max,
+        &mappings,
+        &sizes,
+        &mut store,
+        &ExecOptions::default(),
+    ) {
+        Err(ExecError::StagedBoxOverflow { kernel, array }) => {
+            assert_eq!((kernel.as_str(), array.as_str()), ("mm", "A"))
+        }
+        other => panic!("expected a staged-box overflow, got {other:?}"),
     }
 }

@@ -171,6 +171,7 @@ fn polybench_optima_match_the_reference_engine() {
         let fast = solver.maximize(&objective).expect("fast maximize");
         assert!(fast.complete(), "{}: no budget is configured", bench.name);
         assert_eq!(fast.best(), reference.best, "{}", bench.name);
+        assert_eq!(fast.model, reference.model, "{}", bench.name);
     }
 }
 
@@ -216,11 +217,11 @@ fn no_polybench_formulation_searches_more_than_its_domains_hold() {
     // than `K × Σ|D_i|` nodes, `D_i` being tile variable i's declared
     // domain — `build` declares each variable over its warp-aligned
     // candidates, so the domain's length is the count. Measured maximum
-    // over the 2 720 formulations: 0.496 (syr2k on xavier, split 0, warp
-    // fraction 0.125, Virtual — 381 nodes against 768 candidates); the
-    // re-diving search took 23 362 there, thirty times the domains. K
-    // leaves half as much again.
-    const K: f64 = 0.75;
+    // over the 2 720 formulations: 0.458 (fdtd-apml on orin, split 0,
+    // warp fraction 0.125, Virtual — 22 nodes against 48 candidates); the
+    // re-diving search took 23 362 nodes on syr2k on xavier, thirty times
+    // its domains. K leaves half as much again.
+    const K: f64 = 0.7;
     let mut worst = (0.0, String::new());
     for device in DeviceProfile::builtin_names() {
         let arch = DeviceProfile::builtin(device).expect("builtin").into_arch();

@@ -4,10 +4,13 @@
 //! lexicographically greatest, so warm solves must return the *same*
 //! verdicts, optima and tiles as cold solves on every formulation —
 //! including infeasible ones, tied ones, and hint sets polluted with
-//! models from foreign benchmarks.
+//! models from foreign benchmarks — and every sweep point the tiles a
+//! `select` of its configuration returns.
 
+use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
 use eatss::{
-    Ablation, EatssConfig, EatssError, EatssSolution, ModelGenerator, SolutionProvenance,
+    Ablation, Eatss, EatssConfig, EatssError, EatssSolution, ModelGenerator, SolutionProvenance,
+    SweepOptions,
 };
 use eatss_gpusim::{DeviceProfile, GpuArch};
 use eatss_kernels::{polybench, Dataset};
@@ -157,4 +160,75 @@ fn warm_solves_match_cold_across_polybench() {
     assert!(build(0.0).has_other_optimum(&cold).expect("unbudgeted"));
     assert_eq!(cold.tiles.sizes(), [96, 112, 16]);
     assert_eq!(verdict(Ok(warm)), verdict(Ok(cold)));
+}
+
+/// Every point of a sweep over the paper's grid has the tiles a `select`
+/// of its configuration returns, and a point that fell back is one the
+/// `select` refuses: for every registry kernel on one device, at the
+/// device's paper dataset and at uniform n = 128.
+fn sweep_points_are_selects(device: &str) {
+    let arch = DeviceProfile::builtin(device).expect("builtin").into_arch();
+    // The Fig 7 pairing: datacenter parts run EXTRALARGE, embedded ones
+    // STANDARD.
+    let dataset = if arch.sm_count >= 32 {
+        Dataset::ExtraLarge
+    } else {
+        Dataset::Standard
+    };
+    let eatss = Eatss::new(arch);
+    let suite = eatss_kernels::all();
+    assert_eq!(suite.len(), 21);
+    let mut solved = 0;
+    for b in &suite {
+        let program = b.program().expect("benchmark parses");
+        for sizes in [b.sizes(dataset), b.sizes_uniform(128)] {
+            let outcome = eatss
+                .sweep_with(
+                    &program,
+                    &sizes,
+                    &PAPER_SPLITS,
+                    &PAPER_WARP_FRACTIONS,
+                    &SweepOptions::default(),
+                )
+                .expect("sweeps");
+            for point in &outcome.points {
+                let select = eatss.select_tiles(&program, &sizes, &point.config);
+                let at = format!("{device} {} {sizes:?} {:?}", b.name, point.config);
+                match point.solution.provenance {
+                    SolutionProvenance::Solved => {
+                        let select = select.unwrap_or_else(|e| panic!("{at}: {e}"));
+                        assert_eq!(point.solution.tiles.sizes(), select.tiles.sizes(), "{at}");
+                        solved += 1;
+                    }
+                    _ => assert!(select.is_err(), "{at}: the sweep fell back"),
+                }
+            }
+        }
+    }
+    assert!(solved > 0, "{device}: no point solved");
+}
+
+#[test]
+fn sweep_points_are_selects_ga100() {
+    sweep_points_are_selects("ga100");
+}
+
+#[test]
+fn sweep_points_are_selects_h100() {
+    sweep_points_are_selects("h100");
+}
+
+#[test]
+fn sweep_points_are_selects_xavier() {
+    sweep_points_are_selects("xavier");
+}
+
+#[test]
+fn sweep_points_are_selects_orin() {
+    sweep_points_are_selects("orin");
+}
+
+#[test]
+fn sweep_points_are_selects_nano() {
+    sweep_points_are_selects("nano");
 }
