@@ -632,10 +632,10 @@ impl KernelRun<'_> {
         for g in &mut self.staged {
             let nsubs = g.representative.subscripts.len();
             g.bounds.clear();
-            let array = g.representative;
+            let representative = g.representative;
             let overflow = || ExecError::StagedBoxOverflow {
                 kernel: kernel.name.clone(),
-                array: array.array.clone(),
+                array: representative.array.clone(),
             };
             for (p, s) in g.representative.subscripts.iter().enumerate() {
                 // Fastest subscript: span all member offsets.

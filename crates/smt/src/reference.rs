@@ -10,8 +10,8 @@
 //! low end (every variable at its smallest value) against a capacity, and
 //! its high end against `OBJ > best` — in `i128`, held at `i64::MAX`,
 //! where the fast engine saturates machine words. Its one job is differential testing: the fast
-//! engine must return the same optimal objective values on every random
-//! small formulation (`crates/smt/tests/differential.rs`) and on every
+//! engine must return the same optimal objective values and models on
+//! every random small formulation (`crates/smt/tests/differential.rs`) and on every
 //! PolyBench formulation of the paper's setting
 //! (`tests/solver_vs_bruteforce.rs`).
 //!
