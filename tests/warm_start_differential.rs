@@ -65,10 +65,7 @@ fn xavier() -> GpuArch {
 /// once seeded with its own optimum (the tightest possible floor), and
 /// once through a hint set accumulated across *all* benchmarks — foreign
 /// hints with matching `T{d}` names are either feasible (a valid cut) or
-/// skipped, never able to change the result. Two tied formulations, where
-/// many tilings attain the optimum, return the cold tiles too: mttkrp with
-/// the spatial term ablated, self-seeded, and Xavier gemm at n = 128,
-/// split 0, along a sweep's warm chain.
+/// skipped, never able to change the result.
 #[test]
 fn warm_solves_match_cold_across_polybench() {
     let arch = GpuArch::ga100();
@@ -109,10 +106,18 @@ fn warm_solves_match_cold_across_polybench() {
             "{name}: cross-benchmark hints changed the verdict"
         );
     }
+}
 
-    // mttkrp with the spatial term ablated: `Π T` alone, tied.
+/// A tied formulation keeps its value warm, and its tiles too. With the
+/// spatial term ablated mttkrp's objective is `Π T` alone and many tilings
+/// attain its maximum; a cold solve and a solve seeded with that solve's
+/// own optimum both return the lexicographically greatest of them.
+#[test]
+fn tied_optimum_keeps_its_value_warm_but_not_its_tiles() {
     let b = eatss_kernels::by_name("mttkrp").expect("registered");
-    let (program, sizes) = (b.program().expect("parses"), b.sizes(Dataset::ExtraLarge));
+    let program = b.program().expect("benchmark parses");
+    let sizes = b.sizes(Dataset::ExtraLarge);
+    let arch = GpuArch::ga100();
     let generator = ModelGenerator::new(
         &arch,
         EatssConfig {
@@ -124,42 +129,99 @@ fn warm_solves_match_cold_across_polybench() {
         no_spatial_term: true,
         ..Ablation::default()
     });
-    let build = || generator.build(&program, Some(&sizes)).expect("builds");
-    let cold = build().solve().expect("feasible");
-    assert!(build().has_other_optimum(&cold).expect("unbudgeted"));
-    assert_eq!(cold.tiles.sizes(), [256, 32, 4, 4]);
-    let mut own = WarmStart::new();
-    for _ in 0..2 {
-        assert_eq!(
-            verdict(build().solve_warm(&mut own)),
-            verdict(Ok(cold.clone()))
-        );
-    }
+    let build = || {
+        generator
+            .build(&program, Some(&sizes))
+            .expect("formulation builds")
+    };
 
-    // Xavier gemm at n = 128, warp fraction 0.5, the virtual cap: split 0
-    // solved after the splits 0.67 and 0.5, as a sweep chains it.
+    let cold = build().solve().expect("feasible");
+    assert_eq!(cold.provenance, SolutionProvenance::Solved);
+    assert!(
+        build().has_other_optimum(&cold).expect("unbudgeted"),
+        "the case needs a tie: some other tiling must attain {}",
+        cold.objective
+    );
+    assert_eq!(cold.tiles.sizes(), [256, 32, 4, 4]);
+
+    let mut own = WarmStart::new();
+    let first = build().solve_warm(&mut own).expect("feasible");
+    assert_eq!(
+        first.tiles.sizes(),
+        cold.tiles.sizes(),
+        "no hints yet: a cold solve"
+    );
+    let seeded = build().solve_warm(&mut own).expect("feasible");
+    assert_eq!(seeded.objective, cold.objective);
+    assert_eq!(seeded.provenance, SolutionProvenance::Solved);
+    assert_eq!(seeded.stats.warm_seeds, 1);
+    assert_eq!(verdict(Ok(seeded)), verdict(Ok(cold.clone())));
+
+    // Every hint is re-validated against all of the formulation's
+    // constraints before it may seed a floor, and a third solve accepts
+    // each tiling it was handed.
+    let handed = own.len() as u64;
+    let third = build().solve_warm(&mut own).expect("feasible");
+    assert_eq!(third.stats.warm_cut_hits, handed);
+    assert_eq!(verdict(Ok(third)), verdict(Ok(cold)));
+}
+
+/// The same tie on a full-objective formulation, reached the way a sweep
+/// reaches it: Xavier gemm at n = 128, warp fraction 0.5, the virtual cap,
+/// solved along its warm chain (splits 0.67, 0.5, then 0). The split-0
+/// point keeps the cold objective value and the cold tiles.
+#[test]
+fn sweep_chain_keeps_the_cold_value_at_a_tied_split_zero_point() {
     let b = eatss_kernels::by_name("gemm").expect("registered");
-    let (program, sizes) = (b.program().expect("parses"), b.sizes_uniform(128));
+    let program = b.program().expect("benchmark parses");
+    let sizes = b.sizes_uniform(128);
     let xavier = xavier();
     let build = |split_factor| {
-        let config = EatssConfig {
-            split_factor,
-            ..EatssConfig::default()
-        };
-        ModelGenerator::new(&xavier, config)
-            .build(&program, Some(&sizes))
-            .expect("builds")
+        ModelGenerator::new(
+            &xavier,
+            EatssConfig {
+                split_factor,
+                ..EatssConfig::default()
+            },
+        )
+        .build(&program, Some(&sizes))
+        .expect("formulation builds")
     };
+
     let mut chain = WarmStart::new();
     for split in [0.67, 0.5] {
         build(split).solve_warm(&mut chain).expect("feasible");
     }
     let warm = build(0.0).solve_warm(&mut chain).expect("feasible");
     assert!(warm.stats.warm_seeds > 0, "the chain seeded split 0");
-    let cold = build(0.0).solve().expect("feasible");
+    let mut own = WarmStart::new();
+    let cold = build(0.0).solve_warm(&mut own).expect("feasible");
+    assert_eq!(warm.objective, cold.objective);
+    assert_eq!(warm.provenance, SolutionProvenance::Solved);
+    assert_eq!(cold.provenance, SolutionProvenance::Solved);
     assert!(build(0.0).has_other_optimum(&cold).expect("unbudgeted"));
     assert_eq!(cold.tiles.sizes(), [96, 112, 16]);
     assert_eq!(verdict(Ok(warm)), verdict(Ok(cold)));
+
+    // Every model the chain holds, the warm tiling among them, and the
+    // cold tiling re-validate against all of split 0's constraints.
+    let handed = chain.len() as u64;
+    assert_eq!(
+        build(0.0)
+            .solve_warm(&mut chain)
+            .expect("feasible")
+            .stats
+            .warm_cut_hits,
+        handed
+    );
+    assert_eq!(
+        build(0.0)
+            .solve_warm(&mut own)
+            .expect("feasible")
+            .stats
+            .warm_cut_hits,
+        1
+    );
 }
 
 /// Every point of a sweep over the paper's grid has the tiles a `select`
