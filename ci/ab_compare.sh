@@ -15,8 +15,14 @@
 #   - adds 3 traced pairs per workload (seeds 1-3, alternating the same
 #     way), so each per-layer row `--compare` prints is a median of 3
 #     runs per side (per-layer metrics carry no verdict),
-#   - prints `bench_e2e --compare A.jsonl B.jsonl` and exits with its
-#     status: 1 on a `Regressed` row or a higher share of failed ops.
+#   - prints `bench_e2e --compare A.jsonl B.jsonl`,
+#   - then prints, per workload over the untraced runs, each side's median
+#     `ops_per_s` as measured on the wall clock and median
+#     `machine.reference_ms`, and in how many pairs the change was faster
+#     as measured: `--compare` scales every rate by the run's reference,
+#     which the product's own heap use can move,
+#   - and exits with `--compare`'s status: 1 on a `Regressed` row or a
+#     higher share of failed ops.
 #
 # Every run made is in the two files; nothing is dropped or re-run. Both
 # sides must hold the same benchmark/ — a change to the ruler is its own
@@ -80,4 +86,29 @@ for seed in 1 2 3; do
     done
 done
 
-"$change/benchmark/target/release/bench_e2e" --compare "$out/A.jsonl" "$out/B.jsonl"
+status=0
+"$change/benchmark/target/release/bench_e2e" --compare "$out/A.jsonl" "$out/B.jsonl" || status=$?
+
+# The rates as measured, beside the reference each side sampled.
+jq -rn --slurpfile a "$out/A.jsonl" --slurpfile b "$out/B.jsonl" \
+    --argjson workloads "$(jq -c '[.workloads[].name]' "$change/BENCHMARK.json")" '
+    def median: sort | if length == 0 then null
+        else (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2 end;
+    def cell: (. // "-") | tostring | if length < 14 then . + " " * (14 - length) else . end;
+    def runs($side; $w): [$side[] | select(.workload == $w and (.traced | not))];
+    def rate: .provenance.as_measured.ops_per_s;
+    def reference: .provenance["machine.reference_ms"];
+    def rounded($places): if . == null then null else . * $places | round / $places end;
+    "\nas measured (untraced runs, medians; A = parent, B = change):",
+    (["workload", "A ops/s", "B ops/s", "A ref ms", "B ref ms", "B faster"] | map(cell) | add),
+    ($workloads[] as $w | runs($a; $w) as $ra | runs($b; $w) as $rb
+        | [$ra[] as $x | $rb[] | select(.provenance.seed == $x.provenance.seed)
+            | rate > ($x | rate)] as $won
+        | [$w,
+           ([$ra[] | rate] | median | rounded(1)),
+           ([$rb[] | rate] | median | rounded(1)),
+           ([$ra[] | reference] | median | rounded(1000)),
+           ([$rb[] | reference] | median | rounded(1000)),
+           "\([$won[] | select(.)] | length) of \($won | length) pairs"]
+        | map(cell) | add)'
+exit "$status"

@@ -272,16 +272,18 @@ fn collect_groups<'k>(kernel: &'k Kernel) -> Vec<RefGroup<'k>> {
 /// their only stride-1 access on the serial loop). Ties prefer the
 /// innermost dimension.
 fn select_cma_dim(groups: &[RefGroup], parallel: &[bool]) -> Option<usize> {
-    let mut counts = vec![0usize; parallel.len()];
-    for g in groups {
-        if let Some(d) = g.stride1_dim {
-            counts[d] += g.members;
-        }
-    }
+    let count = |d: usize| -> usize {
+        (groups.iter().filter(|g| g.stride1_dim == Some(d)))
+            .map(|g| g.members)
+            .sum()
+    };
     let best = |pred: &dyn Fn(usize) -> bool| -> Option<usize> {
         (0..parallel.len())
-            .filter(|&d| pred(d) && counts[d] > 0)
-            .max_by_key(|&d| (counts[d], d))
+            .filter(|&d| pred(d))
+            .map(|d| (count(d), d))
+            .filter(|&(count, _)| count > 0)
+            .max()
+            .map(|(_, d)| d)
     };
     best(&|d| parallel[d]).or_else(|| best(&|_| true))
 }

@@ -79,6 +79,8 @@ impl Array {
     /// than a `Vec<f64>` can hold.
     pub fn zeros(extents: Vec<i64>) -> Self {
         assert!(extents.iter().all(|&e| e > 0), "extents must be positive");
+        // The documented panic: more elements than a `Vec<f64>` holds.
+        #[allow(clippy::expect_used)]
         let len = element_count(&extents).expect("a Vec<f64> holds the elements");
         Array {
             extents,
@@ -264,7 +266,7 @@ impl Store {
                     match self.get(&r.array) {
                         Some(existing) if existing.extents().len() >= extents.len() => {}
                         _ => {
-                            self.insert(r.array.clone(), Array::zeros(extents));
+                            self.insert(r.array.to_string(), Array::zeros(extents));
                         }
                     }
                 }
@@ -282,7 +284,7 @@ impl Store {
         if r.subscripts.is_empty() {
             return Ok(vec![1]);
         }
-        let overflow = || InterpError::ExtentOverflow(r.array.clone());
+        let overflow = || InterpError::ExtentOverflow(r.array.to_string());
         let extents: Vec<i64> = (r.subscripts.iter())
             .map(|s| {
                 let mut extent = (s.offset().checked_abs())
@@ -461,15 +463,8 @@ fn full_nest(counts: &[i64]) -> Vec<Loop> {
 /// on: plans embed dense slot numbers and row-major strides, so two
 /// stores can share plans exactly when their fingerprints are equal.
 pub fn store_layout(store: &Store) -> Vec<(String, usize, Vec<i64>)> {
-    store
-        .arrays()
-        .map(|(name, a)| {
-            (
-                name.to_owned(),
-                store.slot(name).expect("listed arrays have slots"),
-                a.extents().to_vec(),
-            )
-        })
+    (store.index.iter())
+        .map(|(name, &slot)| (name.clone(), slot, store.slots[slot].extents().to_vec()))
         .collect()
 }
 

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Loop extent: either a symbolic problem-size parameter or a constant.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -57,47 +58,129 @@ pub struct LoopDim {
 pub struct AffineExpr {
     /// `(dimension index, coefficient)` pairs, sorted by dimension, no
     /// zero coefficients, no duplicate dimensions.
-    terms: Vec<(usize, i64)>,
+    terms: Terms,
     /// Constant offset.
     constant: i64,
+}
+
+/// How many terms an [`AffineExpr`] holds without a heap allocation: a
+/// subscript rarely names more than two iterators.
+const INLINE_TERMS: usize = 3;
+
+/// An [`AffineExpr`]'s terms: in place while they fit, then on the heap.
+/// Equal, hashed and printed as the slice of terms.
+#[derive(Clone)]
+enum Terms {
+    Inline(u8, [(usize, i64); INLINE_TERMS]),
+    Heap(Vec<(usize, i64)>),
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Terms::Inline(0, [(0, 0); INLINE_TERMS])
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(usize, i64)] {
+        match self {
+            Terms::Inline(len, terms) => &terms[..usize::from(*len)],
+            Terms::Heap(terms) => terms,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(usize, i64)] {
+        match self {
+            Terms::Inline(len, terms) => &mut terms[..usize::from(*len)],
+            Terms::Heap(terms) => terms,
+        }
+    }
+
+    /// Inserts `term` at position `at` (at most the length).
+    fn insert(&mut self, at: usize, term: (usize, i64)) {
+        match self {
+            Terms::Inline(len, terms) if usize::from(*len) < INLINE_TERMS => {
+                terms.copy_within(at..usize::from(*len), at + 1);
+                terms[at] = term;
+                *len += 1;
+            }
+            Terms::Inline(_, terms) => {
+                let mut heap = Vec::with_capacity(INLINE_TERMS * 2);
+                heap.extend_from_slice(terms);
+                heap.insert(at, term);
+                *self = Terms::Heap(heap);
+            }
+            Terms::Heap(terms) => terms.insert(at, term),
+        }
+    }
+
+    /// Removes the term at position `at`.
+    fn remove(&mut self, at: usize) {
+        match self {
+            Terms::Inline(len, terms) => {
+                terms.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            Terms::Heap(terms) => {
+                terms.remove(at);
+            }
+        }
+    }
+}
+
+impl PartialEq for Terms {
+    fn eq(&self, other: &Terms) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Terms {}
+
+impl std::hash::Hash for Terms {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Terms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 impl AffineExpr {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
         AffineExpr {
-            terms: Vec::new(),
+            terms: Terms::default(),
             constant: c,
         }
     }
 
     /// The single-iterator expression `iter_dim` (coefficient 1).
     pub fn var(dim: usize) -> Self {
-        AffineExpr {
-            terms: vec![(dim, 1)],
-            constant: 0,
-        }
+        let mut e = AffineExpr::constant(0);
+        e.add_term(dim, 1);
+        e
     }
 
     /// Builds from raw `(dim, coeff)` terms plus a constant, normalizing
     /// (merging duplicates, dropping zeros, sorting by dimension).
     pub fn from_terms(terms: Vec<(usize, i64)>, constant: i64) -> Self {
-        let mut map: BTreeMap<usize, i64> = BTreeMap::new();
+        let mut e = AffineExpr::constant(constant);
         for (d, c) in terms {
-            *map.entry(d).or_insert(0) += c;
+            e.add_term(d, c);
         }
-        AffineExpr {
-            terms: map.into_iter().filter(|&(_, c)| c != 0).collect(),
-            constant,
-        }
+        e
     }
 
     /// Adds `coeff·iter_dim` to the expression.
     pub fn add_term(&mut self, dim: usize, coeff: i64) {
-        match self.terms.binary_search_by_key(&dim, |&(d, _)| d) {
+        match self.terms().binary_search_by_key(&dim, |&(d, _)| d) {
             Ok(i) => {
-                self.terms[i].1 += coeff;
-                if self.terms[i].1 == 0 {
+                let c = &mut self.terms.as_mut_slice()[i].1;
+                *c += coeff;
+                if *c == 0 {
                     self.terms.remove(i);
                 }
             }
@@ -116,10 +199,8 @@ impl AffineExpr {
 
     /// Coefficient of dimension `dim` (0 if absent).
     pub fn coeff(&self, dim: usize) -> i64 {
-        self.terms
-            .binary_search_by_key(&dim, |&(d, _)| d)
-            .map(|i| self.terms[i].1)
-            .unwrap_or(0)
+        let terms = self.terms();
+        (terms.binary_search_by_key(&dim, |&(d, _)| d)).map_or(0, |i| terms[i].1)
     }
 
     /// Constant offset.
@@ -129,7 +210,7 @@ impl AffineExpr {
 
     /// Non-zero `(dim, coeff)` pairs sorted by dimension.
     pub fn terms(&self) -> &[(usize, i64)] {
-        &self.terms
+        self.terms.as_slice()
     }
 
     /// Whether iterator `dim` appears with non-zero coefficient.
@@ -151,7 +232,7 @@ impl AffineExpr {
     ///
     /// Panics if the point has fewer dimensions than the expression uses.
     pub fn eval(&self, point: &[i64]) -> i64 {
-        self.terms.iter().map(|&(d, c)| c * point[d]).sum::<i64>() + self.constant
+        self.terms().iter().map(|&(d, c)| c * point[d]).sum::<i64>() + self.constant
     }
 
     /// Renders using the given iterator names.
@@ -160,7 +241,7 @@ impl AffineExpr {
         impl fmt::Display for D<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 let mut first = true;
-                for &(d, c) in &self.0.terms {
+                for &(d, c) in self.0.terms() {
                     let name: &str = self.1.get(d).map(String::as_str).unwrap_or("?");
                     if first {
                         match c {
@@ -198,15 +279,15 @@ impl AffineExpr {
 /// A single array reference, e.g. `In[i][k]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayRef {
-    /// Array name.
-    pub array: String,
+    /// Array name, shared by the references to one array a parse builds.
+    pub array: Arc<str>,
     /// Subscript expressions, slowest-varying first. Empty for scalars.
     pub subscripts: Vec<AffineExpr>,
 }
 
 impl ArrayRef {
     /// Creates a reference from an array name and subscripts.
-    pub fn new(array: impl Into<String>, subscripts: Vec<AffineExpr>) -> Self {
+    pub fn new(array: impl Into<Arc<str>>, subscripts: Vec<AffineExpr>) -> Self {
         ArrayRef {
             array: array.into(),
             subscripts,
@@ -271,7 +352,7 @@ impl ArrayRef {
 
     /// Renders using the given iterator names.
     pub fn display_with<'a>(&'a self, names: &'a [String]) -> String {
-        let mut s = self.array.clone();
+        let mut s = self.array.to_string();
         for sub in &self.subscripts {
             s.push('[');
             s.push_str(&sub.display_with(names).to_string());
@@ -389,7 +470,7 @@ impl Kernel {
     pub fn array_names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = Vec::new();
         for r in self.unique_refs() {
-            if !v.contains(&r.array.as_str()) {
+            if !v.contains(&&*r.array) {
                 v.push(&r.array);
             }
         }

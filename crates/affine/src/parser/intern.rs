@@ -8,6 +8,13 @@
 //! FNV-1a over the bytes, open addressing with linear probing, capacity
 //! kept a power of two and grown at 75% load. No `unsafe` (the crate
 //! forbids it): slots index into `syms` rather than aliasing pointers.
+//!
+//! A symbol the IR names shares one heap copy of its text ([`shared`]),
+//! made the first time it is asked for.
+//!
+//! [`shared`]: Interner::shared
+
+use std::sync::Arc;
 
 /// Pre-interned symbol for the contextual keyword `kernel`.
 pub(crate) const KW_KERNEL: u32 = 0;
@@ -19,8 +26,9 @@ pub(crate) const KW_SEQ: u32 = 2;
 const EMPTY: u32 = u32::MAX;
 
 pub(crate) struct Interner<'a> {
-    /// Symbol → string, in insertion order.
-    syms: Vec<&'a str>,
+    /// Symbol → string, in insertion order, and its shared copy once one
+    /// was made.
+    syms: Vec<(&'a str, Option<Arc<str>>)>,
     /// Open-addressed table of symbol ids; `EMPTY` marks a free slot.
     /// Length is always a power of two.
     table: Vec<u32>,
@@ -49,12 +57,12 @@ impl<'a> Interner<'a> {
         loop {
             match self.table[slot] {
                 EMPTY => break,
-                sym if self.syms[sym as usize] == s => return sym,
+                sym if self.syms[sym as usize].0 == s => return sym,
                 _ => slot = (slot + 1) & mask,
             }
         }
         let sym = self.syms.len() as u32;
-        self.syms.push(s);
+        self.syms.push((s, None));
         self.table[slot] = sym;
         if self.syms.len() * 4 >= self.table.len() * 3 {
             self.grow();
@@ -63,14 +71,20 @@ impl<'a> Interner<'a> {
     }
 
     pub(crate) fn resolve(&self, sym: u32) -> &'a str {
-        self.syms[sym as usize]
+        self.syms[sym as usize].0
+    }
+
+    /// `sym`'s text as a shared string: one heap copy per symbol.
+    pub(crate) fn shared(&mut self, sym: u32) -> Arc<str> {
+        let (s, shared) = &mut self.syms[sym as usize];
+        Arc::clone(shared.get_or_insert_with(|| Arc::from(*s)))
     }
 
     fn grow(&mut self) {
         let new_len = self.table.len() * 2;
         let mask = new_len - 1;
         let mut table = vec![EMPTY; new_len];
-        for (sym, s) in self.syms.iter().enumerate() {
+        for (sym, (s, _)) in self.syms.iter().enumerate() {
             let mut slot = (eatss_trace::fnv1a64(s.as_bytes()) as usize) & mask;
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;

@@ -33,9 +33,8 @@
 //!   the contextual keywords `kernel`/`for`/`seq` pre-interned by
 //!   length/byte dispatch, so every hot name comparison (keyword checks,
 //!   duplicate iterators, dimension lookups) is a `u32` equality;
-//! * right-hand-side expressions are built in a per-kernel **arena** of
-//!   `Copy` nodes and lowered to the boxed [`RhsExpr`] IR only when the
-//!   kernel is complete;
+//! * the IR is built as it is parsed, each name allocated once: an
+//!   array's name is one shared string for every reference to it;
 //! * errors carry **byte offsets** internally; line/column are computed
 //!   by a single scan only on the error path, and the caret snippet of
 //!   [`render_snippet`] is rendered only on display.
@@ -163,26 +162,6 @@ struct Token {
     end: u32,
 }
 
-/// Arena node for right-hand-side expressions: `Copy`, indexed by `u32`
-/// into [`FastParser::arena`], lowered to the boxed [`RhsExpr`] IR at
-/// kernel end.
-#[derive(Clone, Copy)]
-enum ANode {
-    Num(f64),
-    Ref(u32),
-    Bin(u8, u32, u32),
-    Neg(u32),
-}
-
-/// A statement parsed into arena form; lowered at kernel end.
-struct RawStmt {
-    write: ArrayRef,
-    reads: Vec<ArrayRef>,
-    root: u32,
-    is_accumulation: bool,
-    flops: u32,
-}
-
 struct FastParser<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -192,8 +171,9 @@ struct FastParser<'a> {
     /// mirroring the reference parser's `tokens[idx]`.
     tok: Token,
     interner: Interner<'a>,
-    /// Per-kernel expression arena, cleared after each kernel lowers.
-    arena: Vec<ANode>,
+    /// The symbols in scope in the kernel being parsed: its parameters,
+    /// then its loop iterators, outermost first. Reused across kernels.
+    scope: Vec<u32>,
 }
 
 impl<'a> FastParser<'a> {
@@ -208,7 +188,7 @@ impl<'a> FastParser<'a> {
                 end: 0,
             },
             interner: Interner::new(),
-            arena: Vec::new(),
+            scope: Vec::new(),
         };
         p.tok = p.lex()?;
         Ok(p)
@@ -425,17 +405,10 @@ impl<'a> FastParser<'a> {
         self.interner.resolve(sym).to_owned()
     }
 
-    fn node(&mut self, n: ANode) -> u32 {
-        self.arena.push(n);
-        (self.arena.len() - 1) as u32
-    }
-
     fn parse_program(&mut self, name: &str) -> Result<Program, RawError> {
         let mut kernels: Vec<Kernel> = Vec::new();
-        let mut taken: Vec<u32> = Vec::new();
         while self.tok.kind != TokKind::Eof {
-            let (sym, kernel) = self.parse_kernel(&taken)?;
-            taken.push(sym);
+            let kernel = self.parse_kernel(&kernels)?;
             kernels.push(kernel);
         }
         if kernels.is_empty() {
@@ -447,27 +420,42 @@ impl<'a> FastParser<'a> {
         })
     }
 
-    fn parse_kernel(&mut self, taken: &[u32]) -> Result<(u32, Kernel), RawError> {
+    fn parse_kernel(&mut self, taken: &[Kernel]) -> Result<Kernel, RawError> {
         self.eat_keyword(KW_KERNEL, "kernel")?;
         let name_tok = self.tok;
         let name_sym = self.eat_ident()?;
+        let name = self.interner.resolve(name_sym);
         // Downstream lookups are name-keyed (execution plans, verify
         // batches, serve requests); a duplicate would silently shadow
-        // one of the nests. Symbol equality makes this a u32 scan.
-        if taken.contains(&name_sym) {
+        // one of the nests.
+        if taken.iter().any(|k| k.name == name) {
             return Err(RawError {
                 offset: name_tok.start as usize,
-                message: format!(
-                    "duplicate kernel name `{}`",
-                    self.interner.resolve(name_sym)
-                ),
+                message: format!("duplicate kernel name `{name}`"),
             });
         }
         self.eat_punct(b'(')?;
-        let mut params: Vec<u32> = Vec::new();
+        let mut scope = std::mem::take(&mut self.scope);
+        scope.clear();
+        let stmts = self.parse_kernel_body(&mut scope);
+        self.scope = scope;
+        let (dims, stmts) = stmts?;
+        Ok(Kernel {
+            name: name.to_owned(),
+            dims,
+            stmts,
+        })
+    }
+
+    /// A kernel from its parameter list on, with `scope` (empty) to hold
+    /// the symbols it declares.
+    fn parse_kernel_body(
+        &mut self,
+        scope: &mut Vec<u32>,
+    ) -> Result<(Vec<LoopDim>, Vec<Statement>), RawError> {
         if self.tok.kind != TokKind::Punct(b')') {
             loop {
-                params.push(self.eat_ident()?);
+                scope.push(self.eat_ident()?);
                 if !self.try_punct(b',')? {
                     break;
                 }
@@ -476,32 +464,19 @@ impl<'a> FastParser<'a> {
         self.eat_punct(b')')?;
         self.eat_punct(b'{')?;
         let mut dims: Vec<LoopDim> = Vec::new();
-        let mut dim_syms: Vec<u32> = Vec::new();
-        let raw_stmts = self.parse_loop(&params, &mut dims, &mut dim_syms)?;
+        let stmts = self.parse_loop(scope.len(), scope, &mut dims)?;
         self.eat_punct(b'}')?;
-        // IR construction at the end: lower every statement's arena
-        // expression into the boxed RhsExpr tree, then recycle the arena.
-        let stmts = raw_stmts
-            .into_iter()
-            .map(|rs| self.lower_stmt(rs))
-            .collect();
-        self.arena.clear();
-        Ok((
-            name_sym,
-            Kernel {
-                name: self.name(name_sym),
-                dims,
-                stmts,
-            },
-        ))
+        Ok((dims, stmts))
     }
 
+    /// A loop nest: `scope` holds `params` parameters, then the iterators
+    /// of the loops around it.
     fn parse_loop(
         &mut self,
-        params: &[u32],
+        params: usize,
+        scope: &mut Vec<u32>,
         dims: &mut Vec<LoopDim>,
-        dim_syms: &mut Vec<u32>,
-    ) -> Result<Vec<RawStmt>, RawError> {
+    ) -> Result<Vec<Statement>, RawError> {
         if dims.len() >= MAX_LOOP_DEPTH {
             return Err(self.err(format!("loop nesting exceeds {MAX_LOOP_DEPTH} levels")));
         }
@@ -514,13 +489,14 @@ impl<'a> FastParser<'a> {
         };
         self.eat_punct(b'(')?;
         let iter = self.eat_ident()?;
+        let (param_syms, dim_syms) = scope.split_at(params);
         if dim_syms.contains(&iter) {
             return Err(self.err(format!(
                 "duplicate loop iterator `{}`",
                 self.interner.resolve(iter)
             )));
         }
-        if params.contains(&iter) {
+        if param_syms.contains(&iter) {
             return Err(self.err(format!(
                 "loop iterator `{}` shadows a problem-size parameter",
                 self.interner.resolve(iter)
@@ -531,7 +507,7 @@ impl<'a> FastParser<'a> {
         let extent = match ext.kind {
             TokKind::Int => Extent::Const(self.decode_int(ext)?),
             TokKind::Ident(p) => {
-                if !params.contains(&p) {
+                if !scope[..params].contains(&p) {
                     return Err(self.err(format!(
                         "unknown extent parameter `{}`",
                         self.interner.resolve(p)
@@ -552,10 +528,11 @@ impl<'a> FastParser<'a> {
             extent,
             explicit_serial,
         });
-        dim_syms.push(iter);
+        scope.push(iter);
+        let dim_syms = &scope[params..];
         // body
         if self.at_keyword(KW_FOR) {
-            return self.parse_loop(params, dims, dim_syms);
+            return self.parse_loop(params, scope, dims);
         }
         if self.try_punct(b'{')? {
             if self.at_keyword(KW_FOR) {
@@ -578,7 +555,7 @@ impl<'a> FastParser<'a> {
         }
     }
 
-    fn parse_stmt(&mut self, dim_syms: &[u32]) -> Result<RawStmt, RawError> {
+    fn parse_stmt(&mut self, dim_syms: &[u32]) -> Result<Statement, RawError> {
         let write = self.parse_ref(dim_syms)?;
         let is_accumulation = if self.try_plus_eq()? {
             true
@@ -588,12 +565,12 @@ impl<'a> FastParser<'a> {
         };
         let mut reads = Vec::new();
         let mut flops = u32::from(is_accumulation);
-        let root = self.parse_expr(dim_syms, &mut reads, &mut flops, 0)?;
+        let rhs = self.parse_expr(dim_syms, &mut reads, &mut flops, 0)?;
         self.eat_punct(b';')?;
-        Ok(RawStmt {
+        Ok(Statement {
             write,
             reads,
-            root,
+            rhs,
             is_accumulation,
             flops,
         })
@@ -616,7 +593,7 @@ impl<'a> FastParser<'a> {
         reads: &mut Vec<ArrayRef>,
         flops: &mut u32,
         depth: usize,
-    ) -> Result<u32, RawError> {
+    ) -> Result<RhsExpr, RawError> {
         if depth > MAX_EXPR_DEPTH {
             return Err(self.err(format!(
                 "expression nesting exceeds {MAX_EXPR_DEPTH} levels"
@@ -631,7 +608,7 @@ impl<'a> FastParser<'a> {
             self.bump()?;
             *flops += 1;
             let rhs = self.parse_unary(dim_syms, reads, flops, depth)?;
-            lhs = self.node(ANode::Bin(op, lhs, rhs));
+            lhs = RhsExpr::Bin(op as char, Box::new(lhs), Box::new(rhs));
         }
     }
 
@@ -641,18 +618,16 @@ impl<'a> FastParser<'a> {
         reads: &mut Vec<ArrayRef>,
         flops: &mut u32,
         depth: usize,
-    ) -> Result<u32, RawError> {
+    ) -> Result<RhsExpr, RawError> {
         let negated = self.try_punct(b'-')?;
         let inner = match self.tok.kind {
             TokKind::Int => {
                 let t = self.bump()?;
-                let v = self.decode_int(t)?;
-                self.node(ANode::Num(v as f64))
+                RhsExpr::Num(self.decode_int(t)? as f64)
             }
             TokKind::Float => {
                 let t = self.bump()?;
-                let v = self.decode_float(t);
-                self.node(ANode::Num(v))
+                RhsExpr::Num(self.decode_float(t))
             }
             TokKind::Punct(b'(') => {
                 self.bump()?;
@@ -661,9 +636,8 @@ impl<'a> FastParser<'a> {
                 e
             }
             TokKind::Ident(_) => {
-                let r = self.parse_ref(dim_syms)?;
-                reads.push(r);
-                self.node(ANode::Ref((reads.len() - 1) as u32))
+                reads.push(self.parse_ref(dim_syms)?);
+                RhsExpr::Ref(reads.len() - 1)
             }
             _ => {
                 return Err(self.err(format!(
@@ -673,7 +647,7 @@ impl<'a> FastParser<'a> {
             }
         };
         Ok(if negated {
-            self.node(ANode::Neg(inner))
+            RhsExpr::Neg(Box::new(inner))
         } else {
             inner
         })
@@ -687,7 +661,7 @@ impl<'a> FastParser<'a> {
             self.eat_punct(b']')?;
         }
         Ok(ArrayRef {
-            array: self.name(array),
+            array: self.interner.shared(array),
             subscripts,
         })
     }
@@ -761,27 +735,6 @@ impl<'a> FastParser<'a> {
                 self.interner.resolve(name)
             ))
         })
-    }
-
-    fn lower_stmt(&self, rs: RawStmt) -> Statement {
-        Statement {
-            rhs: self.lower(rs.root),
-            write: rs.write,
-            reads: rs.reads,
-            is_accumulation: rs.is_accumulation,
-            flops: rs.flops,
-        }
-    }
-
-    fn lower(&self, id: u32) -> RhsExpr {
-        match self.arena[id as usize] {
-            ANode::Num(v) => RhsExpr::Num(v),
-            ANode::Ref(i) => RhsExpr::Ref(i as usize),
-            ANode::Bin(op, a, b) => {
-                RhsExpr::Bin(op as char, Box::new(self.lower(a)), Box::new(self.lower(b)))
-            }
-            ANode::Neg(a) => RhsExpr::Neg(Box::new(self.lower(a))),
-        }
     }
 }
 
@@ -903,7 +856,7 @@ mod tests {
         let s = &k.stmts[0];
         assert!(s.is_accumulation);
         assert_eq!(s.flops, 2);
-        assert_eq!(s.write.array, "Out");
+        assert_eq!(&*s.write.array, "Out");
         assert_eq!(s.reads.len(), 2);
         assert_eq!(s.reads[0].subscripts[1], AffineExpr::var(2));
     }
@@ -1077,7 +1030,7 @@ mod tests {
         // the reference's string comparisons.
         let p = parse_program("kernel seq(N) { for (i: N) kernel[i] = for_[i]; }").unwrap();
         assert_eq!(p.kernels[0].name, "seq");
-        assert_eq!(p.kernels[0].stmts[0].write.array, "kernel");
+        assert_eq!(&*p.kernels[0].stmts[0].write.array, "kernel");
     }
 
     #[test]

@@ -43,6 +43,7 @@ impl fmt::Display for Tok {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -52,6 +53,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -113,9 +115,7 @@ impl<'a> Lexer<'a> {
                     break;
                 }
             }
-            let s = std::str::from_utf8(&self.src[start..self.pos])
-                .expect("ascii ident")
-                .to_owned();
+            let s = self.text[start..self.pos].to_owned();
             return Ok((Tok::Ident(s), line, col));
         }
         if c.is_ascii_digit() {
@@ -132,7 +132,7 @@ impl<'a> Lexer<'a> {
                     break;
                 }
             }
-            let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii number");
+            let text = &self.text[start..self.pos];
             let tok = if is_float {
                 Tok::Float(text.parse().map_err(|_| ParseError {
                     line,
@@ -423,9 +423,10 @@ impl Parser {
         let mut lhs = self.parse_unary(dims, reads, flops, depth)?;
         loop {
             let op = match self.peek() {
-                Tok::Punct(p) if matches!(*p, "+" | "-" | "*" | "/") => {
-                    p.chars().next().expect("single-char operator")
-                }
+                Tok::Punct("+") => '+',
+                Tok::Punct("-") => '-',
+                Tok::Punct("*") => '*',
+                Tok::Punct("/") => '/',
                 _ => return Ok(lhs),
             };
             self.bump();
@@ -476,7 +477,10 @@ impl Parser {
             subscripts.push(self.parse_affine(dims)?);
             self.eat_punct("]")?;
         }
-        Ok(ArrayRef { array, subscripts })
+        Ok(ArrayRef {
+            array: array.into(),
+            subscripts,
+        })
     }
 
     /// affine := ["-"] aterm (("+"|"-") aterm)*

@@ -1157,7 +1157,7 @@ mod tests {
         store.insert("A", Array::zeros(vec![8]));
         store.insert("B", Array::zeros(vec![8]));
         let plan =
-            ExecPlan::compile_routed(kernel, &[4], &store, |r| (r.array == "A").then_some(3))
+            ExecPlan::compile_routed(kernel, &[4], &store, |r| (&*r.array == "A").then_some(3))
                 .unwrap();
         let mut routes = Fixed(5.0, Vec::new());
         let mut scratch = plan.scratch();

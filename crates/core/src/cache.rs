@@ -479,7 +479,7 @@ fn put(k: &mut Vec<u8>, v: u64) {
 fn encode_ref<'p>(r: &'p ArrayRef, arrays: &mut Vec<&'p str>, k: &mut Vec<u8>) {
     let id = arrays
         .iter()
-        .position(|&a| a == r.array)
+        .position(|&a| a == &*r.array)
         .unwrap_or_else(|| {
             arrays.push(&r.array);
             arrays.len() - 1

@@ -95,12 +95,15 @@ pub fn evaluate_program_with(
         .collect::<Result<_, SimFault>>()?;
     drop(stage);
     let mut combined = SimReport::sequence(&reports);
-    combined.name = program.name.clone();
+    // Into the buffer of the launch name it replaces, which usually fits.
+    combined.name.clone_from(&program.name);
     // The measurement-level power ramp (§II / Fig. 1): short measurement
     // sessions are sampled mostly during clock boost and average near
-    // idle power. The ramp is driven by the looped session length.
-    let session = combined.repeated(repeats.max(1));
-    let mut ramped = session.clone();
+    // idle power. The ramp is driven by the looped session length; it
+    // reads no name, so the session is a copy without one.
+    let name = std::mem::take(&mut combined.name);
+    let mut ramped = combined.clone().repeated(repeats.max(1));
+    combined.name = name;
     ramped.apply_power_ramp(arch.idle_power_w(), arch.power_ramp_tau_s);
     combined.avg_power_w = ramped.avg_power_w;
     combined.dynamic_power_w = ramped.dynamic_power_w;

@@ -138,11 +138,15 @@ fn header_bytes() -> [u8; HEADER_BYTES as usize] {
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+    let mut le = [0; 4];
+    le.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_le_bytes(le)
 }
 
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+    let mut le = [0; 8];
+    le.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(le)
 }
 
 fn bad_data(detail: String) -> io::Error {

@@ -12,6 +12,7 @@ use eatss_smt::{
 };
 use std::error::Error;
 use std::fmt;
+use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// EATSS failures.
@@ -171,6 +172,19 @@ pub struct ModelGenerator<'a> {
     solver_config: SolverConfig,
 }
 
+/// Room for `T{d}` for any `usize` `d`.
+const TILE_NAME_BYTES: usize = 24;
+
+/// `T{d}`, the name of dimension `d`'s tile variable, written into `buf`
+/// rather than a heap string: the solver keeps its own copy.
+fn tile_name(d: usize, buf: &mut [u8; TILE_NAME_BYTES]) -> &str {
+    let mut rest = &mut buf[..];
+    // 21 bytes at most, so the write cannot run out of room.
+    let _ = write!(rest, "T{d}");
+    let len = TILE_NAME_BYTES - rest.len();
+    std::str::from_utf8(&buf[..len]).unwrap_or_default()
+}
+
 /// A built formulation, ready to be maximized.
 pub struct EatssModel {
     solver: Solver,
@@ -285,12 +299,13 @@ impl<'a> ModelGenerator<'a> {
         } else {
             waf
         };
+        let mut name = [0; TILE_NAME_BYTES];
         for d in 0..depth {
             if is_time[d] {
                 tile_vars.push(None);
                 continue;
             }
-            let t = solver.int_var_in(&format!("T{d}"), Domain::multiples(align, upper[d]));
+            let t = solver.int_var_in(tile_name(d, &mut name), Domain::multiples(align, upper[d]));
             tile_vars.push(Some(t));
         }
         let tile_of =
@@ -310,16 +325,16 @@ impl<'a> ModelGenerator<'a> {
             let kd = kernel.depth();
 
             // §IV-F: B_size = product of (≤ 3) outer parallel tile sizes.
-            let par_dims: Vec<usize> = (0..kd)
+            let mut par_dims = (0..kd)
                 .filter(|&d| analysis.parallel[d] && !is_time[d])
                 .take(3)
-                .collect();
-            if par_dims.is_empty() {
+                .peekable();
+            if par_dims.peek().is_none() {
                 return Err(EatssError::Unsatisfiable {
                     reason: format!("kernel `{}` has no parallel dimension", kernel.name),
                 });
             }
-            let b_size = IntExpr::product(par_dims.iter().map(|&d| tile_of(d)));
+            let b_size = IntExpr::product(par_dims.map(tile_of));
             if cfg.cap == ThreadBlockCap::Strict {
                 solver.assert(b_size.le(tpb));
             }
@@ -408,7 +423,7 @@ impl EatssModel {
     /// Returns [`EatssError::Unsatisfiable`] when no feasible tile
     /// assignment exists.
     pub fn solve(self) -> Result<EatssSolution, EatssError> {
-        self.solve_warm(&mut WarmStart::new())
+        self.solve_with(None)
     }
 
     /// Like [`EatssModel::solve`], but seeds the branch-and-bound
@@ -428,20 +443,26 @@ impl EatssModel {
     ///
     /// Returns [`EatssError::Unsatisfiable`] when no feasible tile
     /// assignment exists.
-    pub fn solve_warm(mut self, warm: &mut WarmStart) -> Result<EatssSolution, EatssError> {
+    pub fn solve_warm(self, warm: &mut WarmStart) -> Result<EatssSolution, EatssError> {
+        self.solve_with(Some(warm))
+    }
+
+    /// [`EatssModel::solve_warm`], or with no `warm` handle a cold solve,
+    /// which has no hints to read and records none.
+    fn solve_with(mut self, warm: Option<&mut WarmStart>) -> Result<EatssSolution, EatssError> {
         let mut span = eatss_trace::span("eatss", "solve");
-        span.arg("warm_hints", warm.len() as u64);
+        span.arg("warm_hints", warm.as_ref().map_or(0, |w| w.len()) as u64);
         let started = Instant::now();
-        let result = self
-            .solver
-            .maximize_warm(&self.objective, warm)
-            .map_err(EatssError::from)
-            .and_then(|outcome| {
-                if let Some(model) = &outcome.model {
-                    warm.observe(model);
-                }
-                self.into_solution(outcome, started)
-            });
+        let outcome = match &warm {
+            Some(warm) => self.solver.maximize_warm(&self.objective, warm),
+            None => self.solver.maximize(&self.objective),
+        };
+        let result = outcome.map_err(EatssError::from).and_then(|outcome| {
+            if let (Some(warm), Some(model)) = (warm, &outcome.model) {
+                warm.observe(model);
+            }
+            self.into_solution(outcome, started)
+        });
         finish_solve_span(&mut span, &result);
         result
     }

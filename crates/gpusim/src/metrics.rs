@@ -104,10 +104,10 @@ impl SimReport {
     /// The report of launching this kernel `n` times back-to-back (PPCG
     /// re-launches stencil grids once per time step): time, energy,
     /// counters and FLOPs scale by `n`; rates (power, GFLOP/s, PPW) are
-    /// unchanged.
-    pub fn repeated(&self, n: i64) -> SimReport {
+    /// unchanged. It takes the report, so scaling one costs no copy.
+    pub fn repeated(self, n: i64) -> SimReport {
         let n = n.max(1);
-        let mut r = self.clone();
+        let mut r = self;
         if !r.valid {
             return r;
         }
@@ -283,14 +283,14 @@ mod tests {
     #[test]
     fn repeated_scales_totals_not_rates() {
         let r = mk(2.0, 150.0, 4e12);
-        let r3 = r.repeated(3);
+        let r3 = r.clone().repeated(3);
         assert!((r3.time_s - 6.0).abs() < 1e-12);
         assert!((r3.energy_j - 3.0 * r.energy_j).abs() < 1e-9);
         assert!((r3.flops_total - 1.2e13).abs() < 1.0);
         assert!((r3.avg_power_w - r.avg_power_w).abs() < 1e-12);
         assert_eq!(r3.l2_sectors_read, 300);
         // n <= 1 is identity.
-        assert_eq!(r.repeated(0).time_s.to_bits(), r.time_s.to_bits());
+        assert_eq!(r.clone().repeated(0).time_s.to_bits(), r.time_s.to_bits());
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! block-level sharing. The PPCG stand-in (`eatss-ppcg`) lowers a tiled
 //! affine kernel to this form.
 
+use std::sync::Arc;
+
 /// Per-reference memory behaviour within one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefAccess {
-    /// Array name (diagnostics only).
-    pub name: String,
+    /// Array name (diagnostics only), shared with the program's
+    /// references to it.
+    pub name: Arc<str>,
     /// Staged through software-managed shared memory (the `SH_set` of
     /// §IV-E) rather than relying on the L1 cache.
     pub staged_shared: bool,
@@ -45,7 +48,7 @@ impl RefAccess {
     /// (the extra accesses are repeats, not new elements).
     pub fn streaming(name: &str, total_elems: i64, per_block: i64, coalesced: bool) -> Self {
         RefAccess {
-            name: name.to_owned(),
+            name: name.into(),
             staged_shared: false,
             tile_footprint_elems: per_block,
             block_footprint_elems: per_block,

@@ -22,12 +22,13 @@
 use crate::arch::GpuArch;
 use crate::occupancy::Occupancy;
 use crate::spec::KernelExecSpec;
+use std::sync::Arc;
 
 /// Traffic of one reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefTrafficReport {
     /// Reference name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Element requests from L1/SMs to L2 over the whole launch.
     pub l2_request_elems: f64,
     /// 32-byte L2 sectors read over the whole launch.
@@ -124,19 +125,13 @@ pub fn model(arch: &GpuArch, spec: &KernelExecSpec, occ: &Occupancy) -> TrafficR
     let mut shared_bytes = 0.0;
     let mut l1_hit_bytes = 0.0;
 
-    let mut arrays_seen: Vec<&str> = Vec::new();
-    for r in &spec.refs {
+    for (i, r) in spec.refs.iter().enumerate() {
         let accesses = r.accesses_per_block.max(0) as f64;
         let footprint = r.block_footprint_elems.max(0) as f64;
         // Only the first reference group of an array pays its compulsory
         // DRAM traffic; sibling groups (stencil halos) touch the same
         // lines and are satisfied by L2.
-        let first_of_array = if arrays_seen.contains(&r.name.as_str()) {
-            false
-        } else {
-            arrays_seen.push(&r.name);
-            true
-        };
+        let first_of_array = !spec.refs[..i].iter().any(|p| p.name == r.name);
 
         // Requests that escape the SM towards L2.
         let (request_elems, thrashed) = if r.staged_shared {
@@ -191,7 +186,7 @@ pub fn model(arch: &GpuArch, spec: &KernelExecSpec, occ: &Occupancy) -> TrafficR
         dram_energy_bytes += ref_dram_bytes * (2.0 - row_eff);
 
         per_ref.push(RefTrafficReport {
-            name: r.name.clone(),
+            name: Arc::clone(&r.name),
             l2_request_elems: total_requests,
             l2_sectors: sectors,
             dram_bytes: ref_dram_bytes,

@@ -268,7 +268,7 @@ mod tests {
     fn mvt_second_kernel_is_transposed() {
         let p = parse_program(MVT).unwrap();
         let a = &p.kernels[1].stmts[0].reads[0];
-        assert_eq!(a.array, "A");
+        assert_eq!(&*a.array, "A");
         // A[j][i]: first subscript uses dim 1 (j).
         assert!(a.subscripts[0].uses(1));
         assert!(a.subscripts[1].uses(0));

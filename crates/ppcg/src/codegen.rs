@@ -38,7 +38,7 @@ pub fn emit_kernel(kernel: &Kernel, analysis: &AccessAnalysis, mapping: &GpuMapp
         kernel
             .unique_refs()
             .iter()
-            .any(|r| r.array == name && r.subscripts.is_empty())
+            .any(|r| &*r.array == name && r.subscripts.is_empty())
     };
     let mut params: Vec<String> = kernel
         .array_names()

@@ -635,7 +635,7 @@ impl KernelRun<'_> {
             let representative = g.representative;
             let overflow = || ExecError::StagedBoxOverflow {
                 kernel: kernel.name.clone(),
-                array: representative.array.clone(),
+                array: representative.array.to_string(),
             };
             for (p, s) in g.representative.subscripts.iter().enumerate() {
                 // Fastest subscript: span all member offsets.

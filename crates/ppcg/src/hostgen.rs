@@ -41,7 +41,7 @@ pub fn emit_host(program: &Program, mappings: &[GpuMapping], sizes: &ProblemSize
             kernel
                 .unique_refs()
                 .iter()
-                .any(|r| r.array == name && r.subscripts.is_empty())
+                .any(|r| &*r.array == name && r.subscripts.is_empty())
         };
         let mut args: Vec<String> = kernel
             .array_names()
@@ -129,7 +129,7 @@ fn array_extents(program: &Program, sizes: &ProblemSizes) -> BTreeMap<String, Ve
                     })
                     .collect();
                 let entry = arrays
-                    .entry(r.array.clone())
+                    .entry(r.array.to_string())
                     .or_insert_with(|| vec![1; extents.len()]);
                 for (e, n) in entry.iter_mut().zip(&extents) {
                     *e = (*e).max(*n);

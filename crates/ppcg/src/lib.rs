@@ -72,6 +72,7 @@ use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
+use std::borrow::Cow;
 
 /// The PPCG stand-in compiler.
 #[derive(Debug, Clone)]
@@ -135,7 +136,10 @@ impl Ppcg {
                     got: tiles.len(),
                 });
             }
-            let ktiles = tiles.truncated(kernel.depth());
+            let ktiles = match tiles.len() == kernel.depth() {
+                true => Cow::Borrowed(tiles),
+                false => Cow::Owned(tiles.truncated(kernel.depth())),
+            };
             let mut stage = eatss_trace::span("ppcg", "map");
             if stage.is_active() {
                 stage.arg("kernel", kernel.name.as_str());

@@ -7,7 +7,8 @@ use eatss_affine::tiling::{div_ceil, TileConfig, TilingError};
 use eatss_affine::ProblemSizes;
 use eatss_gpusim::{GpuArch, KernelExecSpec, RefAccess};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Compilation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,16 +179,17 @@ impl GpuMapping {
             .collect::<Result<_, _>>()
             .map_err(CompileError::UnboundParameter)?;
 
-        // PPCG quirk reproduced from the paper (§V-D, Fig. 10 note): "the
-        // PPCG code generator ignores the tiling for the innermost loop
-        // when depth > 3" — that dimension runs untiled.
-        let mut tiles = tiles.clone();
+        // The mapping's own copy of the tiling. PPCG quirk reproduced from
+        // the paper (§V-D, Fig. 10 note): "the PPCG code generator ignores
+        // the tiling for the innermost loop when depth > 3" — that
+        // dimension runs untiled.
+        let mut tile_sizes = tiles.sizes().to_vec();
         if depth > 3 && !kernel.dims[depth - 1].explicit_serial {
-            let mut sz = tiles.sizes().to_vec();
-            sz[depth - 1] = trips[depth - 1].max(1);
-            tiles = TileConfig::new(sz);
+            if let Some(size) = tile_sizes.get_mut(depth - 1) {
+                *size = trips[depth - 1].max(1);
+            }
         }
-        let tiles = &tiles;
+        let tiles = TileConfig::new(tile_sizes);
         tiles.validate_for(depth)?;
         let tile = |d: usize| tiles.sizes()[d];
         let clipped = |d: usize| tile(d).min(trips[d]);
@@ -277,19 +279,14 @@ impl GpuMapping {
         // Written groups are never staged: the generated code has no
         // write-back phase, so a `__shared__` copy of a written array would
         // silently fork it from global memory.
-        let sh_candidates: Vec<usize> = analysis
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.memory == MemoryKind::SharedMem && !g.is_written && has_reuse(g))
-            .map(|(i, _)| i)
-            .collect();
-        let mut sh_bytes = 0i64;
-        for &i in &sh_candidates {
-            sh_bytes =
-                sh_bytes.saturating_add(step_footprint(&analysis.groups[i]).saturating_mul(elem));
+        let sh_candidate =
+            |g: &RefGroup| g.memory == MemoryKind::SharedMem && !g.is_written && has_reuse(g);
+        let (mut any_candidate, mut sh_bytes) = (false, 0i64);
+        for g in analysis.groups.iter().filter(|g| sh_candidate(g)) {
+            any_candidate = true;
+            sh_bytes = sh_bytes.saturating_add(step_footprint(g).saturating_mul(elem));
         }
-        let stage = !sh_candidates.is_empty()
+        let stage = any_candidate
             && options.shared_budget_bytes > 0
             && sh_bytes as u64 <= options.shared_budget_bytes;
         let shared_bytes = if stage { sh_bytes as u64 } else { 0 };
@@ -298,11 +295,8 @@ impl GpuMapping {
         // Per-thread point multiplicity along each mapped dim: point loops
         // are unrolled, so a reference invariant along a mapped dim is
         // register-cached across that dim's points.
-        let point_mult: Vec<i64> = mapped_dims
-            .iter()
-            .zip(&thread_extents)
-            .map(|(&d, &t)| div_ceil(clipped(d), t.max(1)).max(1))
-            .collect();
+        let point_mult =
+            |pos: usize| div_ceil(clipped(mapped_dims[pos]), thread_extents[pos].max(1)).max(1);
         // L1 residency requirement of a reference: a ref with block-level
         // temporal reuse (some non-time dim it does not use) must keep its
         // whole per-step tile resident to exploit that reuse. A streaming
@@ -342,7 +336,7 @@ impl GpuMapping {
                     if !g.representative.uses_dim(d) {
                         // Register reuse across unrolled points is limited
                         // by the compiler's unroll window.
-                        accesses /= point_mult[pos].clamp(1, 4);
+                        accesses /= point_mult(pos).clamp(1, 4);
                     }
                 } else if g.representative.uses_dim(d) {
                     accesses = accesses.saturating_mul(trip);
@@ -350,8 +344,7 @@ impl GpuMapping {
                     accesses = accesses.saturating_mul(div_ceil(trip, tile(d)));
                 }
             }
-            let staged =
-                stage && g.memory == MemoryKind::SharedMem && !g.is_written && has_reuse(g);
+            let staged = stage && sh_candidate(g);
             let tile_fp = step_footprint(g);
             let resident_fp = if staged { tile_fp } else { residency(g) };
             let block_fp = footprint(g.representative, |d| {
@@ -407,7 +400,7 @@ impl GpuMapping {
                     .is_some_and(|&d| g.representative.uses_dim(d));
 
             sim_refs.push(RefAccess {
-                name: g.array().to_owned(),
+                name: Arc::clone(&g.representative.array),
                 staged_shared: staged,
                 tile_footprint_elems: resident_fp,
                 block_footprint_elems: block_fp,
@@ -429,8 +422,11 @@ impl GpuMapping {
         let total_flops = kernel
             .total_flops(sizes)
             .map_err(CompileError::UnboundParameter)? as f64;
+        // Room for `(s, s, …)` at 20 digits a size, so it is written once.
+        let mut name = String::with_capacity(kernel.name.len() + 2 + 22 * depth);
+        let _ = write!(name, "{}{}", kernel.name, tiles);
         let spec = KernelExecSpec {
-            name: format!("{}{}", kernel.name, tiles),
+            name,
             grid_blocks,
             grid_x_blocks,
             threads_per_block,
@@ -445,7 +441,7 @@ impl GpuMapping {
         };
 
         Ok(GpuMapping {
-            tiles: tiles.clone(),
+            tiles,
             mapped_dims,
             thread_extents,
             grid_extents,
@@ -598,20 +594,20 @@ mod tests {
         )
         .unwrap();
         let spec = m.to_exec_spec();
-        let c = spec.refs.iter().find(|r| r.name == "C").unwrap();
+        let c = spec.refs.iter().find(|r| &*r.name == "C").unwrap();
         assert_eq!(c.tile_footprint_elems, 32 * 64);
         assert_eq!(c.block_footprint_elems, 32 * 64);
         assert_eq!(c.total_footprint_elems, n * n);
         assert!(c.coalesced);
         assert!(c.is_write);
         assert!(c.varies_block_x && c.varies_block_y);
-        let a = spec.refs.iter().find(|r| r.name == "A").unwrap();
+        let a = spec.refs.iter().find(|r| &*r.name == "A").unwrap();
         assert_eq!(a.tile_footprint_elems, 32 * 16);
         assert_eq!(a.block_footprint_elems, 32 * n);
         assert!(a.staged_shared);
         assert!(a.coalesced, "x-invariant references broadcast");
         assert!(!a.varies_block_x && a.varies_block_y);
-        let b = spec.refs.iter().find(|r| r.name == "B").unwrap();
+        let b = spec.refs.iter().find(|r| &*r.name == "B").unwrap();
         assert_eq!(b.tile_footprint_elems, 16 * 64);
         assert_eq!(b.block_footprint_elems, n * 64);
         assert!(b.coalesced);
@@ -710,12 +706,12 @@ mod tests {
         )
         .unwrap();
         let spec = m.to_exec_spec();
-        let in_ref = spec.refs.iter().find(|r| r.name == "in").unwrap();
+        let in_ref = spec.refs.iter().find(|r| &*r.name == "in").unwrap();
         // `in` uses every dimension → streaming: its live set is the
         // thread band plus halo, (ty+2 + 2 − 1) × (tx+2 + 2 − 1) with the
         // 32×16 block caps, not the whole (32+11−1)² tile.
         assert_eq!(in_ref.tile_footprint_elems, 19 * 35);
-        let w = spec.refs.iter().find(|r| r.name == "w").unwrap();
+        let w = spec.refs.iter().find(|r| &*r.name == "w").unwrap();
         assert!(w.staged_shared, "w is not CMA-capable and fits shared");
     }
 

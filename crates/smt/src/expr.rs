@@ -23,26 +23,44 @@ impl VarId {
     }
 }
 
-/// A variable occurrence: its id and the name it was registered under.
+/// A variable occurrence: its id and the name it was registered under
+/// (shared with the solver, so a copy costs no allocation). The first
+/// variable of a term also carries the term's coefficient and its number
+/// of variables; the others carry 0 there.
 #[derive(Debug, Clone)]
 pub(crate) struct Var {
     pub(crate) id: VarId,
     pub(crate) name: Rc<str>,
+    coef: i64,
+    len: u32,
 }
 
-/// One term `coef · Π vars`, with at least one variable. Its variables
-/// are shared: a sum copies a term without copying them.
-#[derive(Debug, Clone)]
-pub(crate) struct Term {
+impl Var {
+    /// This occurrence, heading a term of `len` variables and coefficient
+    /// `coef` — or not heading one, with `(0, 0)`.
+    fn head(&self, coef: i64, len: usize) -> Var {
+        Var {
+            coef,
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            ..self.clone()
+        }
+    }
+}
+
+/// One term `coef · Π vars`, with at least one variable.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Term<'a> {
     pub(crate) coef: i64,
-    pub(crate) vars: Rc<[Var]>,
+    pub(crate) vars: &'a [Var],
 }
 
-/// The row behind an [`IntExpr`].
+/// The row behind an [`IntExpr`]: a constant plus its terms, stored as
+/// one run of variables per term, one term after another — so a sum
+/// concatenates two runs and a product appends to one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Sum {
     pub(crate) constant: i64,
-    pub(crate) terms: Vec<Term>,
+    vars: Vec<Var>,
     /// Whether a negative constant went into it. Constants fold as they
     /// are multiplied, so `(−1)·(−1)` leaves no negative coefficient
     /// behind; this keeps such a sum from passing for a row.
@@ -50,12 +68,43 @@ pub(crate) struct Sum {
 }
 
 impl Sum {
+    /// The terms, in construction order.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = Term<'_>> + Clone {
+        let mut rest = &self.vars[..];
+        std::iter::from_fn(move || {
+            let head = rest.first()?;
+            let (vars, tail) = rest.split_at_checked(head.len as usize)?;
+            rest = tail;
+            Some(Term {
+                coef: head.coef,
+                vars,
+            })
+        })
+    }
+
     /// The products `*` multiplies out: the terms, then the constant
     /// (when it is not 0, or there are no terms) as a product of no
     /// variables.
     fn products(&self) -> impl Iterator<Item = (i64, &[Var])> {
-        let constant = (self.constant != 0 || self.terms.is_empty()).then_some(self.constant);
-        (self.terms.iter().map(|t| (t.coef, &t.vars[..]))).chain(constant.map(|c| (c, &[][..])))
+        let constant = (self.constant != 0 || self.vars.is_empty()).then_some(self.constant);
+        (self.terms().map(|t| (t.coef, t.vars))).chain(constant.map(|c| (c, &[][..])))
+    }
+
+    /// Appends the term `coef · Π vars` (`vars` not empty).
+    fn push_term<'a>(&mut self, coef: i64, mut vars: impl Iterator<Item = &'a Var>, len: usize) {
+        if let Some(first) = vars.next() {
+            self.vars.push(first.head(coef, len));
+            self.vars.extend(vars.map(|v| v.head(0, 0)));
+        }
+    }
+
+    /// Whether this is exactly one term and no constant.
+    fn is_one_term(&self) -> bool {
+        self.constant == 0
+            && self
+                .vars
+                .first()
+                .is_some_and(|h| h.len as usize == self.vars.len())
     }
 }
 
@@ -87,18 +136,19 @@ impl IntExpr {
     pub fn constant(v: i64) -> Self {
         IntExpr(Rc::new(Sum {
             constant: v,
-            terms: Vec::new(),
+            vars: Vec::new(),
             negative: v < 0,
         }))
     }
 
-    pub(crate) fn var(id: VarId, name: &str) -> Self {
-        let vars = Rc::new([Var {
-            id,
-            name: name.into(),
-        }]);
+    pub(crate) fn var(id: VarId, name: Rc<str>) -> Self {
         IntExpr(Rc::new(Sum {
-            terms: vec![Term { coef: 1, vars }],
+            vars: vec![Var {
+                id,
+                name,
+                coef: 1,
+                len: 1,
+            }],
             ..Sum::default()
         }))
     }
@@ -137,16 +187,29 @@ impl IntExpr {
 
     /// The variable this expression is, when it is a bare variable.
     pub fn as_var(&self) -> Option<VarId> {
-        let [Term { coef: 1, vars }] = &self.0.terms[..] else {
+        let [var @ Var { coef: 1, .. }] = &self.0.vars[..] else {
             return None;
         };
-        let [var] = &vars[..] else { return None };
         (self.0.constant == 0 && !self.0.negative).then_some(var.id)
     }
 
     /// Every variable occurrence, term by term.
     pub(crate) fn vars(&self) -> impl Iterator<Item = &Var> {
-        self.0.terms.iter().flat_map(|t| t.vars.iter())
+        self.0.vars.iter()
+    }
+
+    /// This expression times `c`: every coefficient and the constant
+    /// scaled, in place unless the expression is shared.
+    fn scaled(mut self, c: i64, negative: bool) -> IntExpr {
+        let sum = Rc::make_mut(&mut self.0);
+        sum.constant = sum.constant.saturating_mul(c);
+        sum.negative = negative;
+        let mut at = 0;
+        while let Some(head) = sum.vars.get_mut(at) {
+            head.coef = head.coef.saturating_mul(c);
+            at += (head.len as usize).max(1);
+        }
+        self
     }
 }
 
@@ -156,11 +219,12 @@ impl std::ops::Add for IntExpr {
         let sum = Rc::make_mut(&mut self.0);
         sum.constant = sum.constant.saturating_add(rhs.0.constant);
         sum.negative = sum.negative || rhs.0.negative;
-        // An unshared right side gives up its terms; a shared one is copied
-        // term by term (the variables of a term are shared either way).
+        // An unshared right side gives up its terms (all of its buffer when
+        // the left has none); a shared one is copied, its names shared.
         match Rc::try_unwrap(rhs.0) {
-            Ok(rhs) => sum.terms.extend(rhs.terms),
-            Err(rhs) => sum.terms.extend(rhs.terms.iter().cloned()),
+            Ok(rhs) if sum.vars.is_empty() => sum.vars = rhs.vars,
+            Ok(rhs) => sum.vars.extend(rhs.vars),
+            Err(rhs) => sum.vars.extend_from_slice(&rhs.vars),
         }
         self
     }
@@ -171,20 +235,41 @@ impl std::ops::Mul for IntExpr {
     /// Multiplies out: every product of the left times every product of
     /// the right, left-major, each its coefficients' product over its
     /// factors in order.
-    fn mul(self, rhs: IntExpr) -> IntExpr {
+    ///
+    /// A constant side scales the other, and one term times one term
+    /// appends the right's variables to the left's; either happens in
+    /// place when the side it changes is not shared.
+    fn mul(mut self, rhs: IntExpr) -> IntExpr {
+        let negative = self.0.negative || rhs.0.negative;
+        if rhs.0.vars.is_empty() {
+            return self.scaled(rhs.0.constant, negative);
+        }
+        if self.0.vars.is_empty() {
+            return rhs.scaled(self.0.constant, negative);
+        }
+        if let (Some(sum), true) = (Rc::get_mut(&mut self.0), rhs.0.is_one_term()) {
+            if sum.is_one_term() {
+                let (coef, len) = (sum.vars[0].coef, sum.vars.len());
+                let (b, b_vars) = (rhs.0.vars[0].coef, &rhs.0.vars);
+                sum.vars[0] = sum.vars[0].head(coef.saturating_mul(b), len + b_vars.len());
+                sum.vars.extend(b_vars.iter().map(|v| v.head(0, 0)));
+                sum.negative = negative;
+                return self;
+            }
+        }
         let mut product = Sum {
-            negative: self.0.negative || rhs.0.negative,
+            negative,
             ..Sum::default()
         };
         for (a, a_vars) in self.0.products() {
             for (b, b_vars) in rhs.0.products() {
                 let coef = a.saturating_mul(b);
-                if a_vars.is_empty() && b_vars.is_empty() {
+                let len = a_vars.len() + b_vars.len();
+                if len == 0 {
                     // The two constants: met once.
                     product.constant = coef;
                 } else {
-                    let vars = a_vars.iter().chain(b_vars).cloned().collect();
-                    product.terms.push(Term { coef, vars });
+                    product.push_term(coef, a_vars.iter().chain(b_vars), len);
                 }
             }
         }

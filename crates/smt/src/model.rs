@@ -58,7 +58,7 @@ impl Model {
     pub fn eval(&self, expr: &IntExpr) -> Result<i64, SolveError> {
         known_vars(expr.vars(), self.values.len())?;
         let sum = &*expr.0;
-        Ok((sum.terms.iter()).fold(sum.constant, |total, term| {
+        Ok(sum.terms().fold(sum.constant, |total, term| {
             let product = (term.vars.iter()).fold(term.coef, |p, v| {
                 p.saturating_mul(self.values[v.id.index()])
             });
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn eval_is_the_saturating_point_semantics() {
         let names = ["u", "v", "w"];
-        let var = |i: usize| IntExpr::var(VarId(i as u32), names[i]);
+        let var = |i: usize| IntExpr::var(VarId(i as u32), names[i].into());
         for case in 0..4000 {
             let rng = &mut TestRng::for_case("model_eval", case);
             let values = [(); 3].map(|()| VALUES[pick(rng, VALUES.len())]);

@@ -47,7 +47,7 @@ const MAX: i128 = i64::MAX as i128;
 fn is_row(expr: &IntExpr, domains: &[Domain]) -> bool {
     let sum = &*expr.0;
     !sum.negative
-        && (sum.terms.iter()).all(|term| {
+        && sum.terms().all(|term| {
             (term.vars.iter().enumerate()).all(|(i, var)| {
                 let lo = domains[var.id.index()].values().first();
                 lo.is_none_or(|&lo| lo >= 0) && term.vars[..i].iter().all(|v| v.id != var.id)
@@ -58,7 +58,7 @@ fn is_row(expr: &IntExpr, domains: &[Domain]) -> bool {
 /// The row's value with each variable `i` at `value(i)`, held at [`MAX`].
 fn at(row: &IntExpr, value: impl Fn(usize) -> i64) -> i128 {
     let sum = &*row.0;
-    (sum.terms.iter()).fold(i128::from(sum.constant), |total, term| {
+    sum.terms().fold(i128::from(sum.constant), |total, term| {
         let product = (term.vars.iter()).fold(i128::from(term.coef), |p, v| {
             (p * i128::from(value(v.id.index()))).min(MAX)
         });
@@ -169,7 +169,7 @@ pub fn maximize(solver: &Solver, objective: &IntExpr) -> Result<ReferenceMaximiz
     let domains = solver.base_domains();
     known_vars(objective.vars(), domains.len())?;
     let mut capacities = Vec::new();
-    for (c, _) in solver.constraint_entries() {
+    for c in solver.constraints() {
         if !is_row(&c.lhs, domains) {
             return Err(SolveError::NotARow(c.to_string()));
         }

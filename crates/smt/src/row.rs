@@ -24,7 +24,7 @@
 //! saturated the search probes instead: it pins the variable's hull to
 //! each value and runs the pass again.
 
-use crate::expr::{BoolExpr, IntExpr, VarId};
+use crate::expr::{BoolExpr, IntExpr};
 use crate::interval::Interval;
 
 /// Which ends of the hulls a pass reads coefficients at: the low ends for
@@ -46,12 +46,15 @@ impl End {
     }
 }
 
-/// A lowered row: the range of its products in [`Rows::terms`] and the
-/// sum of its variable-free products.
+/// A lowered row: the range of its products in [`Rows::terms`], the
+/// range of its variables in [`Rows::vars`] and the sum of its
+/// variable-free products.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Row {
     start: usize,
     end: usize,
+    vars_start: usize,
+    vars_end: usize,
     constant: i64,
 }
 
@@ -78,6 +81,9 @@ struct Factor {
 pub(crate) struct Rows {
     terms: Vec<Term>,
     factors: Vec<Factor>,
+    /// Per row, its variables' hull indices in first-occurrence order: a
+    /// variable's slot is its position among its row's.
+    vars: Vec<usize>,
     /// Per factor of the product being passed: `coef` times the ends of
     /// the factors before it.
     prefix: Vec<i64>,
@@ -95,34 +101,42 @@ pub(crate) struct Lowered {
     /// Per assertion, in order: its row and its capacity.
     pub(crate) capacities: Vec<(Row, i64)>,
     pub(crate) objective: Row,
-    /// The objective's variables, in the order of its row's slots.
-    pub(crate) objective_vars: Vec<VarId>,
+    /// The base hulls the rows were lowered over: a search's working
+    /// hulls start as these.
+    pub(crate) hulls: Vec<Interval>,
 }
 
 impl Lowered {
     /// Lowers every assertion and `objective` over the `base` hulls;
-    /// `Err` carries the first that is not a row, in `Display` form.
+    /// `Err` carries the first that is not a row, in `Display` form. Every
+    /// buffer is sized once, up front.
     pub(crate) fn new(
-        constraints: &[(BoolExpr, Vec<VarId>)],
+        constraints: &[BoolExpr],
         objective: &IntExpr,
-        base: &[Interval],
+        base: Vec<Interval>,
     ) -> Result<Lowered, String> {
-        let mut rows = Rows::default();
-        let capacities = (constraints.iter())
-            .map(|(c, vars)| {
-                let row = rows.lower(&c.lhs, vars, base);
-                row.map(|row| (row, c.cap)).ok_or_else(|| c.to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        let mut objective_vars = Vec::new();
-        objective.collect_vars(&mut objective_vars);
-        let objective =
-            (rows.lower(objective, &objective_vars, base)).ok_or_else(|| objective.to_string())?;
+        let exprs = || (constraints.iter().map(|c| &c.lhs)).chain([objective]);
+        let terms = exprs().flat_map(|e| e.0.terms()).count();
+        let factors = exprs().flat_map(IntExpr::vars).count();
+        let mut rows = Rows {
+            terms: Vec::with_capacity(terms),
+            factors: Vec::with_capacity(factors),
+            vars: Vec::with_capacity(factors),
+            prefix: Vec::with_capacity(factors),
+            coefs: Vec::with_capacity(factors),
+            ..Rows::default()
+        };
+        let mut capacities = Vec::with_capacity(constraints.len());
+        for c in constraints {
+            let row = rows.lower(&c.lhs, &base).ok_or_else(|| c.to_string())?;
+            capacities.push((row, c.cap));
+        }
+        let objective = (rows.lower(objective, &base)).ok_or_else(|| objective.to_string())?;
         Ok(Lowered {
             rows,
             capacities,
             objective,
-            objective_vars,
+            hulls: base,
         })
     }
 
@@ -137,13 +151,12 @@ impl Lowered {
 }
 
 impl Rows {
-    /// Lowers `expr`, whose variables are `vars` (a variable's slot is its
-    /// position there), over the `base` hulls: a copy of its terms, or
-    /// `None` when it does not qualify.
-    fn lower(&mut self, expr: &IntExpr, vars: &[VarId], base: &[Interval]) -> Option<Row> {
+    /// Lowers `expr` over the `base` hulls: a copy of its terms and its
+    /// variables, or `None` when it does not qualify.
+    fn lower(&mut self, expr: &IntExpr, base: &[Interval]) -> Option<Row> {
         let sum = &*expr.0;
         let qualifies = !sum.negative
-            && (sum.terms.iter()).all(|term| {
+            && sum.terms().all(|term| {
                 (term.vars.iter().enumerate()).all(|(i, var)| {
                     let repeated = term.vars[..i].iter().any(|v| v.id == var.id);
                     !repeated && base.get(var.id.index()).is_some_and(|hull| hull.lo() >= 0)
@@ -152,15 +165,17 @@ impl Rows {
         if !qualifies {
             return None;
         }
-        let start = self.terms.len();
-        for term in &sum.terms {
+        let (start, vars_start) = (self.terms.len(), self.vars.len());
+        for term in sum.terms() {
             let first = self.factors.len();
-            for var in term.vars.iter() {
-                let slot = vars.iter().position(|&v| v == var.id)?;
-                self.factors.push(Factor {
-                    var: var.id.index(),
-                    slot,
-                });
+            for var in term.vars {
+                let var = var.id.index();
+                let vars = &self.vars[vars_start..];
+                let slot = vars.iter().position(|&v| v == var).unwrap_or(vars.len());
+                if slot == vars.len() {
+                    self.vars.push(var);
+                }
+                self.factors.push(Factor { var, slot });
             }
             self.terms.push(Term {
                 coef: term.coef,
@@ -169,13 +184,21 @@ impl Rows {
             });
         }
         // Scratch for the longest product and the most slots of any row.
+        let slots = self.vars.len().saturating_sub(vars_start);
         self.prefix.resize(self.factors.len(), 0);
-        self.coefs.resize(self.coefs.len().max(vars.len()), 0);
+        self.coefs.resize(self.coefs.len().max(slots), 0);
         Some(Row {
             start,
             end: self.terms.len(),
+            vars_start,
+            vars_end: self.vars.len(),
             constant: sum.constant,
         })
+    }
+
+    /// The hull indices of `row`'s variables, in the order of its slots.
+    pub(crate) fn vars(&self, row: Row) -> &[usize] {
+        &self.vars[row.vars_start..row.vars_end]
     }
 
     /// One saturating pass over `row` under `hulls`: returns its interval
@@ -187,6 +210,7 @@ impl Rows {
         let Rows {
             terms,
             factors,
+            vars: _,
             prefix,
             last,
             coefs,
@@ -277,7 +301,6 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 0);
         let y = s.int_var("y", 0, 0);
-        let vars = [VarId(0), VarId(1)];
         let base = [Interval::new(0, 1); 2];
         for [c0, c1, c2] in [
             [0, 0, 0],
@@ -289,7 +312,7 @@ mod tests {
             let c = IntExpr::constant;
             let expr = c(c0) * x.clone() * y.clone() + c(c1) * y.clone() + c(c2);
             let mut rows = Rows::default();
-            let row = rows.lower(&expr, &vars, &base).expect("a row");
+            let row = rows.lower(&expr, &base).expect("a row");
             for hx in hulls().chain([Interval::empty()]) {
                 for hy in hulls() {
                     let point = [hx, hy];
@@ -327,10 +350,9 @@ mod tests {
         let mut s = Solver::new();
         let x = s.int_var("x", 0, 0);
         let y = s.int_var("y", 0, 0);
-        let vars = [VarId(0), VarId(1)];
         let mut rows = Rows::default();
         let row = rows
-            .lower(&(x * y), &vars, &[Interval::new(0, 1); 2])
+            .lower(&(x * y), &[Interval::new(0, 1); 2])
             .expect("a row");
         // `x·y ≤ i64::MAX − 1` with `y = 2^62`: `x = 1` fits, `x = 2`
         // saturates above the capacity.

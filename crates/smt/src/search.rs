@@ -50,7 +50,6 @@
 //! sorting it again.
 
 use crate::domain::Domain;
-use crate::expr::{BoolExpr, VarId};
 use crate::interval::Interval;
 use crate::row::{End, Lowered, Row, Rows};
 use crate::solver::{budget_stop, SolverConfig, StopReason};
@@ -95,18 +94,24 @@ pub(crate) struct Pass {
     pub(crate) stop: Option<StopReason>,
 }
 
+/// A row's place on the worklist.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowState {
+    /// On the worklist.
+    queued: bool,
+    /// The trail depth at which the row was found entailed, if it was: it
+    /// sleeps (is never enqueued) until the search backtracks above that
+    /// depth, and for the rest of the search when that depth is the root.
+    entailed_at: Option<usize>,
+}
+
 /// One maximization's worth of search state.
 pub(crate) struct Search<'a> {
-    /// The assertions' variables: a capacity row's slot is its variable's
-    /// position in its list.
-    constraints: &'a [(BoolExpr, Vec<VarId>)],
     rows: Rows,
     /// Per assertion, its row and capacity.
     capacities: Vec<(Row, i64)>,
-    /// The objective's row, and its variables in the order of its slots
-    /// (they watch the incumbent bound).
+    /// The objective's row (its variables watch the incumbent bound).
     objective: Row,
-    objective_vars: Vec<VarId>,
     /// The incumbent: an improving leaf does not end the search — it
     /// becomes the new incumbent and the search continues, so one
     /// exhaustive pass proves optimality. `None` until a first model is
@@ -122,12 +127,14 @@ pub(crate) struct Search<'a> {
     /// narrowing, restored from the trailed domain on backtrack.
     hulls: Vec<Interval>,
     trail: Trail,
-    /// Row indices watching each variable; the incumbent bound is index
-    /// `constraints.len()`.
-    watchers: Vec<Vec<u32>>,
-    /// Dirty-row worklist plus its membership flags.
+    /// The rows watching each variable, in one buffer: variable `v`'s are
+    /// `watching[watch_starts[v]..watch_starts[v + 1]]`. The incumbent
+    /// bound is row index `capacities.len()`.
+    watch_starts: Vec<usize>,
+    watching: Vec<u32>,
+    /// Dirty-row worklist, plus each row's state, the bound's last.
     queue: VecDeque<u32>,
-    in_queue: Vec<bool>,
+    row_state: Vec<RowState>,
     nodes_at_entry: u64,
     deadline_at: Option<Instant>,
     stop: Option<StopReason>,
@@ -140,6 +147,9 @@ pub(crate) struct Search<'a> {
     /// Tests switch the closed form off to hold it against the probe.
     #[cfg(test)]
     probe_only: bool,
+    /// Tests keep entailed rows awake to hold sleeping against it.
+    #[cfg(test)]
+    no_sleep: bool,
 }
 
 impl<'a> Search<'a> {
@@ -151,52 +161,63 @@ impl<'a> Search<'a> {
     /// never cut. The seed only removes provably-suboptimal work.
     pub(crate) fn new(
         domains: Vec<Domain>,
-        constraints: &'a [(BoolExpr, Vec<VarId>)],
         lowered: Lowered,
         floor: Option<i64>,
         config: &'a SolverConfig,
         stats: &'a mut SolverStats,
         deadline_at: Option<Instant>,
     ) -> Self {
-        // The only full O(V) hull construction in a search: every later
-        // update is per-variable. `SolverStats::hull_rebuilds` counts these
-        // so a regression back to per-round rebuilds is detectable.
-        let hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
-        stats.hull_rebuilds += 1;
-        let mut watchers = vec![Vec::new(); domains.len()];
-        for (ci, (_, vars)) in constraints.iter().enumerate() {
-            for v in vars {
-                watchers[v.index()].push(ci as u32);
-            }
-        }
         let Lowered {
             rows,
             capacities,
             objective,
-            objective_vars,
+            mut hulls,
         } = lowered;
-        // The incumbent bound is a virtual row at index
-        // `constraints.len()`: the objective's variables watch it so the
-        // worklist revisits it like any assertion.
-        for v in &objective_vars {
-            watchers[v.index()].push(constraints.len() as u32);
+        // The only full O(V) hull construction in a search: every later
+        // update is per-variable. `SolverStats::hull_rebuilds` counts these
+        // so a regression back to per-round rebuilds is detectable.
+        hulls.clear();
+        hulls.extend(domains.iter().map(Domain::hull));
+        stats.hull_rebuilds += 1;
+        // The incumbent bound is a virtual row at index `capacities.len()`:
+        // the objective's variables watch it so the worklist revisits it
+        // like any assertion. Each variable's watchers are in row order:
+        // counted, then placed from the last row back.
+        let bound = capacities.len();
+        let row_at = |ci: usize| capacities.get(ci).map_or(objective, |&(row, _)| row);
+        let mut watch_starts = vec![0; domains.len() + 1];
+        for ci in 0..=bound {
+            for &v in rows.vars(row_at(ci)) {
+                watch_starts[v] += 1;
+            }
+        }
+        let mut total = 0;
+        for start in &mut watch_starts {
+            total += *start;
+            *start = total;
+        }
+        let mut watching = vec![0; total];
+        for ci in (0..=bound).rev() {
+            for &v in rows.vars(row_at(ci)) {
+                watch_starts[v] -= 1;
+                watching[watch_starts[v]] = ci as u32;
+            }
         }
         let nodes_at_entry = stats.nodes;
         Search {
-            constraints,
             rows,
-            capacities,
             objective,
-            objective_vars,
             incumbent: floor,
             config,
             stats,
             trail: Trail::new(domains.len()),
             domains,
             hulls,
-            watchers,
-            queue: VecDeque::with_capacity(constraints.len() + 1),
-            in_queue: vec![false; constraints.len() + 1],
+            watch_starts,
+            watching,
+            queue: VecDeque::with_capacity(bound + 1),
+            row_state: vec![RowState::default(); bound + 1],
+            capacities,
             nodes_at_entry,
             deadline_at,
             stop: None,
@@ -205,6 +226,8 @@ impl<'a> Search<'a> {
             kept: Vec::new(),
             #[cfg(test)]
             probe_only: false,
+            #[cfg(test)]
+            no_sleep: false,
         }
     }
 
@@ -212,7 +235,7 @@ impl<'a> Search<'a> {
     pub(crate) fn run(mut self) -> Pass {
         // Seed the worklist with every row, the incumbent bound included:
         // the root propagation must consider all once.
-        for ci in 0..=self.constraints.len() {
+        for ci in 0..=self.capacities.len() {
             self.enqueue(ci as u32);
         }
         self.dfs();
@@ -247,22 +270,48 @@ impl<'a> Search<'a> {
         false
     }
 
+    /// Puts row `ci` on the worklist, unless it is there already or
+    /// sleeps.
     fn enqueue(&mut self, ci: u32) {
-        if !self.in_queue[ci as usize] {
-            self.in_queue[ci as usize] = true;
+        let state = &mut self.row_state[ci as usize];
+        if !state.queued && state.entailed_at.is_none() {
+            state.queued = true;
             self.queue.push_back(ci);
         }
     }
 
     fn enqueue_watchers(&mut self, var: usize) {
-        for wi in 0..self.watchers[var].len() {
-            self.enqueue(self.watchers[var][wi]);
+        for wi in self.watch_starts[var]..self.watch_starts[var + 1] {
+            self.enqueue(self.watching[wi]);
         }
     }
 
     fn clear_queue(&mut self) {
         while let Some(ci) = self.queue.pop_front() {
-            self.in_queue[ci as usize] = false;
+            self.row_state[ci as usize].queued = false;
+        }
+    }
+
+    /// Row `ci` is entailed under the current domains. Domains only shrink
+    /// until the search backtracks, and a capacity row's ends only fall as
+    /// they shrink, so it stays entailed until then: it sleeps.
+    fn sleep(&mut self, ci: usize) {
+        #[cfg(test)]
+        if self.no_sleep {
+            return;
+        }
+        self.row_state[ci].entailed_at = Some(self.trail.depth());
+    }
+
+    /// Closes the innermost decision level, restoring its domains, and
+    /// wakes the rows found entailed inside it.
+    fn pop_level(&mut self) {
+        self.trail.pop_level(&mut self.domains, &mut self.hulls);
+        let depth = self.trail.depth();
+        for state in &mut self.row_state {
+            if state.entailed_at.is_some_and(|at| at > depth) {
+                state.entailed_at = None;
+            }
         }
     }
 
@@ -312,12 +361,10 @@ impl<'a> Search<'a> {
                 // tree is the optimality proof. Only here is the leaf's
                 // assignment collected.
                 self.incumbent = Some(value);
-                self.best = Some(
-                    self.domains
-                        .iter()
-                        .filter_map(Domain::as_singleton)
-                        .collect(),
-                );
+                let best =
+                    (self.best).get_or_insert_with(|| Vec::with_capacity(self.domains.len()));
+                best.clear();
+                best.extend(self.domains.iter().filter_map(Domain::as_singleton));
                 self.incumbents.push(value);
             } else {
                 self.stats.bound_prunes += 1;
@@ -339,7 +386,7 @@ impl<'a> Search<'a> {
             let pinned = self.domains[var_idx].window(at..at + 1);
             self.narrow(var_idx, pinned);
             self.dfs();
-            self.trail.pop_level(&mut self.domains, &mut self.hulls);
+            self.pop_level();
             self.stats.backtracks += 1;
             if self.stop.is_some() {
                 return;
@@ -350,7 +397,7 @@ impl<'a> Search<'a> {
             // cascades through the watchers, and everything else about
             // this level is already at fixpoint.
             if self.incumbents.len() != incumbents_before {
-                self.enqueue(self.constraints.len() as u32);
+                self.enqueue(self.capacities.len() as u32);
                 if !self.propagate() {
                     return;
                 }
@@ -378,9 +425,9 @@ impl<'a> Search<'a> {
             let Some(ci) = self.queue.pop_front() else {
                 break true;
             };
-            self.in_queue[ci as usize] = false;
+            self.row_state[ci as usize].queued = false;
             self.stats.propagations += 1;
-            let consistent = if (ci as usize) == self.constraints.len() {
+            let consistent = if (ci as usize) == self.capacities.len() {
                 self.revise_bound()
             } else {
                 self.revise(ci as usize)
@@ -466,30 +513,29 @@ impl<'a> Search<'a> {
     }
 
     /// Revises one capacity row: entailment check by one pass at the low
-    /// ends, then exact filtering of each small domain it watches — in
-    /// closed form ([`Rows::cut`]), or by [`Search::probe`] where the pass
-    /// saturated. Returns `false` on a wiped-out domain or a disentailed
-    /// row.
+    /// ends (an entailed row sleeps), then exact filtering of each small
+    /// domain it watches — in closed form ([`Rows::cut`]), or by
+    /// [`Search::probe`] where the pass saturated. Returns `false` on a
+    /// wiped-out domain or a disentailed row.
     fn revise(&mut self, ci: usize) -> bool {
-        let constraints = self.constraints;
-        let vars = &constraints[ci].1;
         let (row, cap) = self.capacities[ci];
         let ends = self.rows.pass(row, &self.hulls, End::Lo);
         if ends.is_empty() || ends.lo() > cap {
             return false;
         }
         if ends.hi() <= cap {
+            self.sleep(ci);
             return true;
         }
-        for (slot, &var) in vars.iter().enumerate() {
-            let idx = var.index();
+        let unary = self.rows.vars(row).len() == 1;
+        for slot in 0..self.rows.vars(row).len() {
+            let idx = self.rows.vars(row)[slot];
             // A unary row filtered exactly with no level open is entailed
             // for the rest of the search: root narrowing is permanent, and
-            // no later narrowing can make a kept value refutable. It stops
-            // watching its variable.
-            if vars.len() == 1 && self.trail.depth() == 0 && self.domains[idx].len() <= PROBE_LIMIT
-            {
-                self.watchers[idx].retain(|&c| c as usize != ci);
+            // no later narrowing can make a kept value refutable. It sleeps
+            // from here on.
+            if unary && self.trail.depth() == 0 && self.domains[idx].len() <= PROBE_LIMIT {
+                self.sleep(ci);
             }
             let consistent = match self.row_cut(slot, idx, cap) {
                 Some(t) => self.cut(idx, |values| 0..values.partition_point(|&v| v <= t)),
@@ -521,8 +567,8 @@ impl<'a> Search<'a> {
         if hull.lo() > incumbent {
             return true; // Entailed: every assignment below improves.
         }
-        for slot in 0..self.objective_vars.len() {
-            let idx = self.objective_vars[slot].index();
+        for slot in 0..self.rows.vars(self.objective).len() {
+            let idx = self.rows.vars(self.objective)[slot];
             let consistent = match self.row_cut(slot, idx, incumbent) {
                 Some(t) => self.cut(idx, |values| {
                     values.partition_point(|&v| v <= t)..values.len()
@@ -549,7 +595,7 @@ mod tests {
     //! (tile-like, with zeros, near `i64::MAX`, under `cap = i64::MAX`).
 
     use super::*;
-    use crate::expr::IntExpr;
+    use crate::expr::{BoolExpr, IntExpr};
     use crate::Solver;
     use proptest::prelude::TestRng;
 
@@ -674,12 +720,12 @@ mod tests {
     /// saturated to `i64`.
     fn exact(expr: &IntExpr, at: &dyn Fn(usize) -> i64) -> i64 {
         let sum = &*expr.0;
-        let product = |term: &crate::expr::Term| {
+        let product = |term: crate::expr::Term| {
             (term.vars.iter()).fold(i128::from(term.coef), |p, v| {
                 (p * i128::from(at(v.id.index()))).min(PAST)
             })
         };
-        let total = (sum.terms.iter()).fold(i128::from(sum.constant), |t, term| {
+        let total = sum.terms().fold(i128::from(sum.constant), |t, term| {
             (t + product(term)).min(PAST)
         });
         total.min(i128::from(i64::MAX)) as i64
@@ -700,7 +746,7 @@ mod tests {
 
     fn lowered(solver: &Solver, objective: &IntExpr) -> Lowered {
         let base: Vec<Interval> = solver.base_domains().iter().map(Domain::hull).collect();
-        Lowered::new(solver.constraint_entries(), objective, &base).expect("rows")
+        Lowered::new(solver.constraints(), objective, base).expect("rows")
     }
 
     fn search_over<'a>(
@@ -711,16 +757,7 @@ mod tests {
         objective: &IntExpr,
     ) -> Search<'a> {
         let lowered = lowered(solver, objective);
-        let entries = solver.constraint_entries();
-        Search::new(
-            domains.to_vec(),
-            entries,
-            lowered,
-            None,
-            config,
-            stats,
-            None,
-        )
+        Search::new(domains.to_vec(), lowered, None, config, stats, None)
     }
 
     impl Search<'_> {
@@ -728,6 +765,12 @@ mod tests {
         /// so every filter is the per-value probe.
         fn probing(mut self) -> Self {
             self.probe_only = true;
+            self
+        }
+
+        /// The same search with every entailed row kept awake.
+        fn awake(mut self) -> Self {
+            self.no_sleep = true;
             self
         }
     }
@@ -751,9 +794,9 @@ mod tests {
         rows: &mut Rows,
         (row, expr): (Row, &IntExpr),
         side: Side,
-        vars: &[VarId],
         domains: &[Domain],
     ) -> (u32, u32) {
+        let vars = rows.vars(row).to_vec();
         let mut hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
         let (end, level) = match side {
             Side::Capacity(cap) => (End::Lo, cap),
@@ -770,11 +813,11 @@ mod tests {
             return (0, 0);
         }
         let cuts: Vec<Option<i64>> = (vars.iter().enumerate())
-            .map(|(slot, var)| rows.cut(slot, hulls[var.index()], level))
+            .map(|(slot, var)| rows.cut(slot, hulls[*var], level))
             .collect();
         let (mut cut, mut saturated) = (0, 0);
-        for (&var, t) in vars.iter().zip(cuts) {
-            let (idx, values) = (var.index(), domains[var.index()].values());
+        for (&idx, t) in vars.iter().zip(cuts) {
+            let values = domains[idx].values();
             let saved = hulls[idx];
             let mut scan = Vec::new();
             for &v in values {
@@ -798,7 +841,7 @@ mod tests {
                     Side::Bound(_) => v > t,
                 })
                 .collect();
-            assert_eq!(closed, scan, "{expr} vs {level} in {var:?}: cut at {t}");
+            assert_eq!(closed, scan, "{expr} vs {level} in var {idx}: cut at {t}");
         }
         (cut, saturated)
     }
@@ -815,9 +858,9 @@ mod tests {
                 mut rows,
                 capacities,
                 objective: objective_row,
-                objective_vars,
+                ..
             } = lowered(&solver, &objective);
-            let (atom, vars) = &solver.constraint_entries()[0];
+            let atom = &solver.constraints()[0];
             let (row, cap) = capacities[0];
             for _ in 0..4 {
                 let domains = narrowed(rng, solver.base_domains());
@@ -831,13 +874,12 @@ mod tests {
                     &mut rows,
                     capacity,
                     Side::Capacity(cap),
-                    vars,
                     &domains,
                 ));
                 cap_max += u32::from(cap == i64::MAX);
                 let bound = (objective_row, &objective);
                 let side = Side::Bound(incumbent);
-                tally(check_row(&mut rows, bound, side, &objective_vars, &domains));
+                tally(check_row(&mut rows, bound, side, &domains));
             }
         }
         let counts = format!("{cuts} cuts, {saturated} saturated, {cap_max} at i64::MAX");
@@ -934,12 +976,8 @@ mod tests {
         let tk = s.int_var("Tk", -4, 64);
         let base: Vec<Interval> = s.base_domains().iter().map(Domain::hull).collect();
         let c = IntExpr::constant;
-        let lowers = |atom: &BoolExpr| {
-            let mut vars = Vec::new();
-            atom.collect_vars(&mut vars);
-            let entries = [(atom.clone(), vars)];
-            Lowered::new(&entries, &c(0), &base).is_ok()
-        };
+        let lowers =
+            |atom: &BoolExpr| Lowered::new(std::slice::from_ref(atom), &c(0), base.clone()).is_ok();
         // A capacity (registers nest a product in a product, memory sums
         // volumes) and an objective, as the model generator builds them.
         let capacity = (ti.clone() * tj.clone() + c(2) * tj.clone()).le(512);
@@ -950,7 +988,7 @@ mod tests {
         // A product of sums is a sum of products.
         assert!(lowers(&((ti.clone() + c(8)) * tj.clone()).le(100)));
         let objective = c(0) + ti.clone() * tj.clone() + c(16) * ti.clone();
-        assert!(Lowered::new(&[], &objective, &base).is_ok());
+        assert!(Lowered::new(&[], &objective, base.clone()).is_ok());
         // A difference, a cancelled sign, a product with a factor that may
         // be negative and a repeated factor: refused.
         let minus = |x: IntExpr| c(-1) * x;
@@ -1007,19 +1045,65 @@ mod tests {
         let mut stats = SolverStats::default();
         let objective = ti * tj;
         let mut search = search_over(s.base_domains(), &s, &config, &mut stats, &objective);
-        assert_eq!(search.watchers[0], vec![0, 1, 2]);
+        let watchers = |search: &Search, v: usize| {
+            search.watching[search.watch_starts[v]..search.watch_starts[v + 1]].to_vec()
+        };
+        assert_eq!(watchers(&search, 0), [0, 1, 2]);
+        assert_eq!(watchers(&search, 1), [1, 2]);
         assert!(search.revise(0));
         assert_eq!(search.domains[0].values(), &[0]);
-        assert_eq!(
-            search.watchers[0],
-            vec![1, 2],
-            "the row is entailed from here on"
-        );
-        // Below the root a filter is undone on backtrack, so it proves
-        // nothing.
+        let entailed = |search: &Search| -> Vec<_> {
+            search.row_state.iter().map(|r| r.entailed_at).collect()
+        };
+        assert_eq!(entailed(&search)[0], Some(0), "entailed from here on");
+        search.enqueue_watchers(0);
+        assert_eq!(search.queue, [1, 2], "a sleeping row is not enqueued");
+        search.clear_queue();
+        // Below the root an entailment lasts until the search backtracks
+        // above it: `Ti·Tj = 0` sleeps at depth 1 and wakes at the root.
         search.trail.push_level();
         assert!(search.revise(1));
-        assert_eq!(search.watchers[1], vec![1, 2]);
+        assert_eq!(entailed(&search)[..2], [Some(0), Some(1)]);
+        search.pop_level();
+        assert_eq!(entailed(&search)[..2], [Some(0), None]);
+    }
+
+    #[test]
+    fn sleeping_rows_leave_the_search_tree_unchanged() {
+        // An entailed row stays entailed until backtrack, so not revising
+        // it changes no domain: the same tree, with no more revisions.
+        let config = SolverConfig::default();
+        let (mut slept, mut woken) = (0, 0);
+        for case in 0..CASES {
+            let rng = &mut TestRng::for_case("sleeping_rows", case);
+            let (solver, objective, _) = formulation(rng, case);
+            let (mut stats_sleep, mut stats_awake) = Default::default();
+            let base = solver.base_domains();
+            let sleep = search_over(base, &solver, &config, &mut stats_sleep, &objective).run();
+            let awake = search_over(base, &solver, &config, &mut stats_awake, &objective)
+                .awake()
+                .run();
+            assert_eq!(sleep.values, awake.values, "case {case}: model");
+            assert_eq!(sleep.incumbents, awake.incumbents, "case {case}");
+            assert_eq!(stats_sleep.nodes, stats_awake.nodes, "case {case}: nodes");
+            assert_eq!(
+                stats_sleep.bound_prunes, stats_awake.bound_prunes,
+                "case {case}"
+            );
+            assert_eq!(
+                stats_sleep.values_pruned, stats_awake.values_pruned,
+                "case {case}"
+            );
+            assert!(
+                stats_sleep.propagations <= stats_awake.propagations,
+                "case {case}: {} > {} propagations",
+                stats_sleep.propagations,
+                stats_awake.propagations
+            );
+            slept += stats_awake.propagations - stats_sleep.propagations;
+            woken += stats_awake.propagations;
+        }
+        assert!(slept > 0, "no revision of {woken} was saved");
     }
 
     #[test]
@@ -1038,16 +1122,7 @@ mod tests {
         let (config, mut stats) = (SolverConfig::default(), SolverStats::default());
         let lowered = lowered(&s, &objective);
         let domains = s.base_domains().to_vec();
-        let entries = s.constraint_entries();
-        let search = Search::new(
-            domains,
-            entries,
-            lowered,
-            Some(7_999),
-            &config,
-            &mut stats,
-            None,
-        );
+        let search = Search::new(domains, lowered, Some(7_999), &config, &mut stats, None);
         let pass = search.run();
         assert_eq!(pass.values, Some(vec![4000, 0]));
         assert_eq!(stats.nodes, 0, "root propagation alone proves it");

@@ -14,6 +14,7 @@ use crate::search::{Pass, Search};
 use crate::stats::SolverStats;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -228,9 +229,10 @@ impl WarmStart {
 /// reproduction and a worked example.
 #[derive(Debug)]
 pub struct Solver {
-    names: Vec<String>,
+    /// Shared with every expression over the variable.
+    names: Vec<Rc<str>>,
     base_domains: Vec<Domain>,
-    constraints: Vec<(BoolExpr, Vec<VarId>)>,
+    constraints: Vec<BoolExpr>,
     stats: SolverStats,
     config: SolverConfig,
 }
@@ -271,16 +273,15 @@ impl Solver {
     /// Registers an integer variable with an explicit candidate set.
     pub fn int_var_in(&mut self, name: &str, domain: Domain) -> IntExpr {
         let id = VarId(self.names.len() as u32);
-        self.names.push(name.to_owned());
+        let name: Rc<str> = name.into();
+        self.names.push(Rc::clone(&name));
         self.base_domains.push(domain);
         IntExpr::var(id, name)
     }
 
     /// Adds a constraint.
     pub fn assert(&mut self, constraint: BoolExpr) {
-        let mut vars = Vec::new();
-        constraint.collect_vars(&mut vars);
-        self.constraints.push((constraint, vars));
+        self.constraints.push(constraint);
     }
 
     /// Accumulated search statistics.
@@ -290,12 +291,12 @@ impl Solver {
 
     /// The constraints currently asserted, in assertion order.
     pub fn assertions(&self) -> impl Iterator<Item = &BoolExpr> + '_ {
-        self.constraints.iter().map(|(c, _)| c)
+        self.constraints.iter()
     }
 
     /// Registered variable names in registration order.
     pub fn var_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.names.iter().map(String::as_str)
+        self.names.iter().map(|name| &**name)
     }
 
     /// Domain of a registered variable, if `var` belongs to this solver.
@@ -307,14 +308,14 @@ impl Solver {
         &self.base_domains
     }
 
-    pub(crate) fn constraint_entries(&self) -> &[(BoolExpr, Vec<VarId>)] {
+    pub(crate) fn constraints(&self) -> &[BoolExpr] {
         &self.constraints
     }
 
     /// `Ok` when every assertion's variables are this solver's.
     pub(crate) fn validate(&self) -> Result<(), SolveError> {
         let count = self.names.len();
-        (self.constraints.iter()).try_for_each(|(c, _)| known_vars(c.lhs.vars(), count))
+        (self.constraints.iter()).try_for_each(|c| known_vars(c.lhs.vars(), count))
     }
 
     /// Every assertion and `objective`, lowered to rows over the base
@@ -322,8 +323,8 @@ impl Solver {
     fn lower(&self, objective: &IntExpr) -> Result<Lowered, SolveError> {
         self.validate()?;
         known_vars(objective.vars(), self.names.len())?;
-        let base: Vec<Interval> = self.base_domains.iter().map(Domain::hull).collect();
-        Lowered::new(&self.constraints, objective, &base).map_err(SolveError::NotARow)
+        let base = self.base_domains.iter().map(Domain::hull).collect();
+        Lowered::new(&self.constraints, objective, base).map_err(SolveError::NotARow)
     }
 
     /// Maximizes `objective` with the paper's §IV-L improvement semantics
@@ -486,7 +487,6 @@ impl Solver {
         } = if searched {
             Search::new(
                 domains,
-                &self.constraints,
                 lowered,
                 floor,
                 &self.config,

@@ -32,11 +32,14 @@ pub(crate) struct Trail {
 }
 
 impl Trail {
-    /// A trail for `num_vars` variables with no open level.
+    /// A trail for `num_vars` variables with no open level, sized for a
+    /// depth-first search that pins one open variable per level: it opens
+    /// at most `num_vars` levels, and the `L`-th saves at most the
+    /// `num_vars − L + 1` variables its ancestors left open.
     pub(crate) fn new(num_vars: usize) -> Self {
         Trail {
-            saved: Vec::new(),
-            marks: Vec::new(),
+            saved: Vec::with_capacity(num_vars * (num_vars + 1) / 2),
+            marks: Vec::with_capacity(num_vars),
             next_id: 1,
             stamp: vec![0; num_vars],
         }

@@ -1,4 +1,5 @@
-//! The heap allocations of one `select-cold` op, pinned stage by stage.
+//! The heap allocations of one `select-cold` op, pinned stage by stage,
+//! and the search counts of the catalogue's selects.
 //!
 //! The op is the paper's compile-time cost as the benchmark's
 //! `select-cold` workload runs it: parse a registry kernel, select its
@@ -37,11 +38,24 @@
 //! 321.8 (101 373), maximize 48.1 (15 153); since the warm-start hints
 //! became value vectors and the model generator borrows its
 //! architecture, maximize reads 44.3 (13 953); since a model holds its
-//! values and no copy of the variable names, 40.5 (12 753). Pinned
-//! below: 314.2 (98 973).
+//! values and no copy of the variable names, 40.5 (12 753); since
+//! completed searches all return the lexicographically greatest optimum,
+//! 39.8 (12 531), the op 313.5 (98 751). Since expressions, array names
+//! and affine terms stopped allocating per use and the search its
+//! buffers per node, per op: parse 45.0 (14 160), analyse 3 × 6.5
+//! (2 055), formulate 51.2 (16 125), maximize 18.7 (5 897), map 2 × 15.2
+//! (9 600 for both) and simulate 2 × 6.1 (3 855 for both): 177.1
+//! (55 802), pinned below.
 //!
 //! A change that allocates more or less moves a pinned total; update the
 //! pin with the table the failure prints, and say why in the change.
+//!
+//! The search counts — nodes, bound prunes, values pruned and
+//! propagations, summed over the catalogue's 315 selects — repeat exactly
+//! too, and are pinned beside the allocations: a change to the search
+//! that should leave its tree alone must leave the first three as they
+//! are. Since entailed rows sleep until backtrack, propagations read
+//! 42 859 (61 014 before).
 
 use eatss::{Eatss, EatssConfig, ModelGenerator};
 use eatss_affine::analysis::AnalysedProgram;
@@ -115,7 +129,7 @@ const RUNS_PER_OP: [u64; 6] = [1, 3, 1, 1, 1, 1];
 /// The pinned catalogue totals, stage by stage, in [`STAGES`] order (the
 /// `analyse` total is one analysis per op; `map` and `simulate` sum both
 /// tilings).
-const PINNED: [u64; 6] = [21_855, 2_610, 25_575, 12_531, 19_095, 11_865];
+const PINNED: [u64; 6] = [14_160, 2_055, 16_125, 5_897, 9_600, 3_855];
 
 /// Kernels the workload selects at an eighth of a warp.
 const EIGHTH_WARP_KERNELS: [&str; 4] = ["fdtd-apml", "b2mm", "conv-2d", "heat-3d"];
@@ -199,16 +213,56 @@ fn one_op(eatss: &Eatss, bench: &eatss_kernels::Benchmark, n: i64) -> ([u64; 6],
     (stages, total)
 }
 
-#[test]
-fn a_cold_select_allocates_what_is_pinned() {
-    let engines: Vec<(&str, Eatss)> = DeviceProfile::builtin_names()
+/// One engine per builtin device profile, by profile name.
+fn engines() -> Vec<(&'static str, Eatss)> {
+    DeviceProfile::builtin_names()
         .into_iter()
         .map(|name| {
             let profile = DeviceProfile::builtin(name).expect("builtin");
             (name, Eatss::new(profile.into_arch()))
         })
-        .collect();
-    let benches = eatss_kernels::all();
+        .collect()
+}
+
+/// The search counts pinned for the catalogue's 315 selects, summed:
+/// nodes, bound prunes, values pruned and propagations.
+const PINNED_SEARCH: [u64; 4] = [4_122, 2_131, 258_886, 42_859];
+
+#[test]
+fn the_catalogue_searches_what_is_pinned() {
+    let (engines, benches) = (engines(), eatss_kernels::all());
+    let (mut counts, mut ops) = ([0u64; 4], 0u64);
+    for bench in &benches {
+        for (device, eatss) in &engines {
+            for n in size_menu(device) {
+                let program = parse_named_program(bench.name, bench.source).expect("parses");
+                let sizes = bench.sizes_uniform(n);
+                let stats = (eatss.select_tiles(&program, &sizes, &config_for(bench.name)))
+                    .expect("selects")
+                    .stats;
+                let op = [
+                    stats.nodes,
+                    stats.bound_prunes,
+                    stats.values_pruned,
+                    stats.propagations,
+                ];
+                for (total, v) in counts.iter_mut().zip(op) {
+                    *total += v;
+                }
+                ops += 1;
+            }
+        }
+    }
+    assert_eq!(ops, 315, "the catalogue");
+    assert_eq!(
+        counts, PINNED_SEARCH,
+        "nodes, bound prunes, values pruned, propagations"
+    );
+}
+
+#[test]
+fn a_cold_select_allocates_what_is_pinned() {
+    let (engines, benches) = (engines(), eatss_kernels::all());
     // One uncounted pass first: what a process allocates once (interned
     // histograms, lazy statics) is not an op's.
     for (device, eatss) in &engines {

@@ -345,7 +345,7 @@ fn renamed(program: &Program, sizes: &ProblemSizes) -> (Program, ProblemSizes) {
         }
         for stmt in &mut kernel.stmts {
             for r in std::iter::once(&mut stmt.write).chain(&mut stmt.reads) {
-                r.array = fresh(&mut arrays, "arr", &r.array);
+                r.array = fresh(&mut arrays, "arr", &r.array).into();
             }
         }
     }
