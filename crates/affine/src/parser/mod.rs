@@ -507,7 +507,7 @@ impl<'a> FastParser<'a> {
         let extent = match ext.kind {
             TokKind::Int => Extent::Const(self.decode_int(ext)?),
             TokKind::Ident(p) => {
-                if !scope[..params].contains(&p) {
+                if !param_syms.contains(&p) {
                     return Err(self.err(format!(
                         "unknown extent parameter `{}`",
                         self.interner.resolve(p)

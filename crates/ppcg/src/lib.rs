@@ -136,9 +136,10 @@ impl Ppcg {
                     got: tiles.len(),
                 });
             }
-            let ktiles = match tiles.len() == kernel.depth() {
-                true => Cow::Borrowed(tiles),
-                false => Cow::Owned(tiles.truncated(kernel.depth())),
+            let ktiles = if tiles.len() == kernel.depth() {
+                Cow::Borrowed(tiles)
+            } else {
+                Cow::Owned(tiles.truncated(kernel.depth()))
             };
             let mut stage = eatss_trace::span("ppcg", "map");
             if stage.is_active() {

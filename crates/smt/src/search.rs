@@ -16,6 +16,9 @@
 //! * **Worklist propagation**: interval hulls are maintained incrementally
 //!   (updated when a domain changes, restored on backtrack) and an
 //!   AC-3-style queue revisits only the rows watching a changed variable.
+//!   A capacity row found entailed sleeps until the search backtracks
+//!   above the depth where it was found (for good at the root): domains
+//!   only shrink until then, so it stays entailed and is not revisited.
 //! * **Objective-bound pruning**: the incumbent acts as a virtual
 //!   `objective > incumbent` row, and any subtree whose objective upper
 //!   bound cannot beat it is cut before propagation is paid for.
@@ -32,8 +35,8 @@
 //!   no evaluation. Where the pass's end or `a` saturated, the variable is
 //!   probed instead: its hull is pinned to each value in turn and the pass
 //!   run again ([`Search::probe`]) — the same filter, value by value. A
-//!   unary row filtered at the root is entailed from then on and stops
-//!   watching its variable. A tile's warp alignment is no row at all: it
+//!   unary row filtered at the root is entailed from then on and sleeps
+//!   for good. A tile's warp alignment is no row at all: it
 //!   is the domain the tile was declared with, and a domain with a hole in
 //!   it (the tie question's) is cut the same way.
 //!
