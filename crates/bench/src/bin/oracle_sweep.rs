@@ -16,9 +16,9 @@
 //! RNGs, so the output is byte-identical to the sequential run (see
 //! `eatss_bench::oracle`). Each benchmark's configurations are verified as
 //! one batch (one reference interpretation, shared emulator plans).
-//! Exits non-zero on a failure count > 0. Run with no arguments it is an
-//! entry of `eatss_bench::EXPERIMENTS`: `run_all` writes its report to
-//! `results/oracle_sweep.txt`.
+//! Exits non-zero on a failure count > 0. Its no-argument run is the
+//! `oracle_sweep` entry of `eatss_bench::EXPERIMENTS`, whose report is
+//! `results/oracle_sweep.txt` (that entry ignores `EATSS_ORACLE_SEED`).
 
 use eatss_bench::oracle::{run_oracle_sweep, OracleSweepOptions};
 use std::process::ExitCode;

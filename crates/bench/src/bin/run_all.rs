@@ -1,81 +1,93 @@
-//! Runs every table/figure experiment — each one its own sibling
-//! binary, spawned in turn — and writes each output under `results/`:
-//! the one-command regeneration entry point.
+//! Regenerates the reproduction's reports, every experiment in this one
+//! process.
 //!
 //! ```text
-//! cargo run --release -p eatss-bench --bin run_all -- [out-dir]
+//! cargo run --release -p eatss-bench --bin run_all -- [OUT_DIR]
+//! cargo run --release -p eatss-bench --bin run_all -- --only NAME [--profiles LIST]
 //! ```
+//!
+//! Without `--only` it writes each of [`EXPERIMENTS`] to
+//! `OUT_DIR/<name>.txt` (`results/` by default). `--only NAME` prints one
+//! experiment's report to stdout; `--profiles LIST` retargets it onto
+//! comma-separated builtin profile names or profile files (Figs. 7, 8 and
+//! 10; Fig. 10 takes one device). Bad arguments exit 2, a failed
+//! experiment exits 1.
 
-use eatss_bench::EXPERIMENTS;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use eatss_bench::{profiles, ExperimentError, EXPERIMENTS};
+use std::path::Path;
+use std::process::ExitCode;
 
-/// The output directory: the one optional positional argument.
-fn parse_args() -> Result<PathBuf, String> {
-    let mut out_dir = None;
-    for arg in std::env::args().skip(1) {
-        if arg.starts_with('-') {
-            return Err(format!("unknown option `{arg}`"));
-        }
-        if out_dir.replace(PathBuf::from(arg)).is_some() {
-            return Err("multiple output directories given".to_owned());
-        }
-    }
-    Ok(out_dir.unwrap_or_else(|| PathBuf::from("results")))
+/// Prints one experiment's report, as far as it got.
+fn run_one(name: &str, device_list: Option<&str>) -> Result<(), ExperimentError> {
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| ExperimentError::Usage(format!("no experiment named `{name}`")))?;
+    let devices = device_list
+        .map(|list| profiles::resolve(list.split(',')))
+        .transpose()?;
+    let mut report = String::new();
+    let result = run.write(&mut report, devices.as_deref());
+    print!("{report}");
+    result
 }
 
-fn run_experiments(out_dir: &Path) -> usize {
-    // Each experiment binary lives next to this one.
-    let self_path = std::env::current_exe().expect("current exe path");
-    let bin_dir = self_path.parent().expect("exe has a parent directory");
+/// Writes every report under `out_dir`, going on past a failed one.
+fn run_all(out_dir: &Path) -> Result<(), ExperimentError> {
+    std::fs::create_dir_all(out_dir).map_err(|e| {
+        ExperimentError::Failed(format!("cannot create {}: {e}", out_dir.display()))
+    })?;
     let mut failures = 0;
-    for name in EXPERIMENTS {
-        let bin = bin_dir.join(name);
+    for (name, run) in EXPERIMENTS {
         let out_file = out_dir.join(format!("{name}.txt"));
         print!("{name:<32} ");
-        match Command::new(&bin).output() {
-            Ok(output) if output.status.success() => {
-                if let Err(e) = std::fs::write(&out_file, &output.stdout) {
-                    println!("write failed: {e}");
-                    failures += 1;
-                } else {
-                    println!("ok -> {}", out_file.display());
-                }
-            }
-            Ok(output) => {
-                // The experiment's own account of why (a failed check's
-                // `REGRESSION:` lines) belongs in the log.
-                println!("FAILED ({})", output.status);
-                print!("{}", String::from_utf8_lossy(&output.stderr));
-                failures += 1;
-            }
-            Err(e) => {
-                println!("FAILED to launch ({e}); build with `cargo build --release -p eatss-bench` first");
-                failures += 1;
-            }
+        let mut report = String::new();
+        let written = run
+            .write(&mut report, None)
+            .and_then(|()| Ok(std::fs::write(&out_file, &report)?));
+        if let Err(e) = written {
+            // The experiment's own account of why (a failed check's
+            // `REGRESSION:` lines) belongs in the log.
+            println!("FAILED");
+            eatss_trace::error!("{name}: {e}");
+            failures += 1;
+        } else {
+            println!("ok -> {}", out_file.display());
         }
     }
-    failures
+    if failures > 0 {
+        return Err(ExperimentError::Failed(format!(
+            "{failures} experiment(s) failed"
+        )));
+    }
+    println!("\nall {} experiments regenerated", EXPERIMENTS.len());
+    Ok(())
 }
 
-fn main() -> std::process::ExitCode {
-    let out_dir = match parse_args() {
-        Ok(out_dir) => out_dir,
-        Err(e) => {
-            eatss_trace::error!("{e}");
-            return std::process::ExitCode::from(2);
-        }
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let result = match args[..] {
+        [] => run_all(Path::new("results")),
+        [dir] if !dir.starts_with('-') => run_all(Path::new(dir)),
+        ["--only", name] => run_one(name, None),
+        ["--only", name, "--profiles", list] => run_one(name, Some(list)),
+        _ => Err(ExperimentError::Usage(format!(
+            "cannot run `{}`",
+            args.join(" ")
+        ))),
     };
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eatss_trace::error!("cannot create {}: {e}", out_dir.display());
-        return std::process::ExitCode::FAILURE;
-    }
-    let failures = run_experiments(&out_dir);
-    if failures == 0 {
-        println!("\nall {} experiments regenerated", EXPERIMENTS.len());
-        std::process::ExitCode::SUCCESS
-    } else {
-        println!("\n{failures} experiment(s) failed");
-        std::process::ExitCode::FAILURE
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(ExperimentError::Usage(e)) => {
+            eatss_trace::error!(
+                "{e}\nusage: run_all [OUT_DIR] | run_all --only NAME [--profiles LIST]"
+            );
+            ExitCode::from(2)
+        }
+        Err(ExperimentError::Failed(e)) => {
+            eatss_trace::error!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }

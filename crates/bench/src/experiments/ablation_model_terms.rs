@@ -14,13 +14,10 @@
 //! determine the selection and the measured columns belong to whichever
 //! optimum the search met first.
 
-use eatss::{Ablation, Eatss, EatssConfig, ModelGenerator};
-use eatss_bench::table::fmt_f;
-use eatss_bench::Table;
-use eatss_gpusim::GpuArch;
-use eatss_kernels::Dataset;
+use super::*;
+use eatss::{Ablation, ModelGenerator};
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let arch = GpuArch::ga100();
     let eatss = Eatss::new(arch.clone());
     let variants: [(&str, Ablation); 6] = [
@@ -61,10 +58,12 @@ fn main() {
             },
         ),
     ];
-    println!("Ablation: contribution of each formulation component (GA100)\n");
+    writeln!(
+        out,
+        "Ablation: contribution of each formulation component (GA100)\n"
+    )?;
     for name in ["gemm", "mttkrp", "jacobi-2d"] {
-        let b = eatss_kernels::by_name(name).expect("registered");
-        let program = b.program().expect("parses");
+        let (b, program) = benchmark(name)?;
         let sizes = b.sizes(Dataset::ExtraLarge);
         let config = EatssConfig {
             warp_fraction: if program.max_depth() > 3 { 0.125 } else { 0.5 },
@@ -82,24 +81,16 @@ fn main() {
         let mut full_ppw = None;
         for (label, ablation) in variants {
             let generator = ModelGenerator::new(&arch, config.clone()).with_ablation(ablation);
-            let build = || {
-                generator
-                    .build(&program, Some(&sizes))
-                    .expect("model builds")
-            };
-            let row = match build().solve() {
+            let build = || generator.build(&program, Some(&sizes));
+            let row = match build()?.solve() {
                 Ok(solution) => {
-                    let tied = build()
-                        .has_other_optimum(&solution)
-                        .expect("the tie check is unbudgeted");
+                    let tied = build()?.has_other_optimum(&solution)?;
                     let tiles = if tied {
                         format!("{} (tie)", solution.tiles)
                     } else {
                         solution.tiles.to_string()
                     };
-                    let report = eatss
-                        .evaluate(&program, &solution.tiles, &sizes, &config)
-                        .expect("selection compiles");
+                    let report = eatss.evaluate(&program, &solution.tiles, &sizes, &config)?;
                     if label == "full model" {
                         full_ppw = Some(report.ppw);
                     }
@@ -127,7 +118,8 @@ fn main() {
             };
             t.row(row);
         }
-        println!("--- {name} ---");
-        println!("{}", t.render());
+        writeln!(out, "--- {name} ---")?;
+        writeln!(out, "{}", t.render())?;
     }
+    Ok(())
 }

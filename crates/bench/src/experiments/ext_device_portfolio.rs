@@ -2,7 +2,7 @@
 //! sweep on every committed [`DeviceProfile`], reduced to per-device
 //! energy-vs-performance Pareto fronts, then the GA100's tuning history
 //! transferred to every other device through the RBF surrogate. Three
-//! checks are wired to the exit code:
+//! checks fail the experiment:
 //!
 //! 1. *Dominance* — every front point is re-checked against a brute-force
 //!    dominance oracle over the whole sweep, and the front's deterministic
@@ -15,19 +15,15 @@
 //!    must reduce evals-to-best on more of the other devices than it
 //!    slows down, compared to a cold search with the same budget and seed.
 //!
-//! A failed check is a `REGRESSION:` line on stderr and a non-zero exit
-//! (`run_all` shows both). Everything printed on stdout repeats exactly
-//! and is committed as `results/ext_device_portfolio.txt`.
+//! A failed check is a `REGRESSION:` line in the returned
+//! [`ExperimentError::Failed`]. The report repeats exactly and is
+//! committed as `results/ext_device_portfolio.txt`.
 
-use eatss::sweep::{SweepOutcome, SweepPoint, PAPER_SPLITS};
-use eatss::{Eatss, EatssConfig, VERIFY_SEED};
+use super::*;
+use crate::profiles::dataset_for;
+use eatss::VERIFY_SEED;
 use eatss_autotune::{Autotuner, SurrogatePrior, TuneOptions, TuneResult};
-use eatss_bench::profiles::dataset_for;
-use eatss_bench::table::fmt_f;
-use eatss_bench::Table;
 use eatss_gpusim::DeviceProfile;
-use eatss_ppcg::TileSpace;
-use std::process::ExitCode;
 
 const KERNELS: [&str; 4] = ["gemm", "2mm", "mvt", "jacobi-2d"];
 const WARP_FRACTIONS: [f64; 2] = [0.5, 0.25];
@@ -40,19 +36,16 @@ const SOURCE_SEED: u64 = 7;
 const TARGET_SEED: u64 = 9;
 const TRANSFER_BUDGET: usize = 40;
 
-fn main() -> ExitCode {
-    if std::env::args().len() > 1 {
-        eprintln!("usage: ext_device_portfolio   (takes no arguments)");
-        return ExitCode::from(2);
-    }
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let devices = DeviceProfile::builtin_names();
-    println!(
+    writeln!(
+        out,
         "Extension (device portfolio): Pareto fronts of the configuration sweep, \
          {} devices x {} kernels x {} warp fractions\n",
         devices.len(),
         KERNELS.len(),
         WARP_FRACTIONS.len()
-    );
+    )?;
 
     let mut regressions: Vec<String> = Vec::new();
     let mut summary = Table::new(vec![
@@ -78,13 +71,10 @@ fn main() -> ExitCode {
     ]);
 
     for device in &devices {
-        let arch = DeviceProfile::builtin(device)
-            .expect("builtin profile")
-            .into_arch();
+        let arch = builtin(device)?;
         let eatss = Eatss::new(arch.clone());
         for name in KERNELS {
-            let b = eatss_kernels::by_name(name).expect("registered benchmark");
-            let program = b.program().expect("benchmark parses");
+            let (b, program) = benchmark(name)?;
             let sizes = b.sizes(dataset_for(&arch));
             let outcome = match eatss.sweep(&program, &sizes, &PAPER_SPLITS, &WARP_FRACTIONS) {
                 Ok(o) => o,
@@ -128,25 +118,39 @@ fn main() -> ExitCode {
             }
         }
     }
-    println!("{}", summary.render());
-    println!("Front points, ascending energy within each device x kernel:\n");
-    println!("{}", fronts.render());
+    writeln!(out, "{}", summary.render())?;
+    writeln!(
+        out,
+        "Front points, ascending energy within each device x kernel:\n"
+    )?;
+    writeln!(out, "{}", fronts.render())?;
 
     // --- surrogate transfer: GA100 history seeds every other device ---
-    println!(
+    writeln!(
+        out,
         "Surrogate transfer: gemm tuned on GA100 (budget {TRANSFER_BUDGET}), its history \
          seeding the search on each other device:\n"
-    );
-    println!("{}", run_transfer(&mut regressions).render());
+    )?;
+    writeln!(out, "{}", run_transfer(&mut regressions)?.render())?;
 
-    for r in &regressions {
-        eprintln!("REGRESSION: {r}");
-    }
     if !regressions.is_empty() {
-        return ExitCode::FAILURE;
+        let lines: Vec<String> = regressions
+            .iter()
+            .map(|r| format!("REGRESSION: {r}"))
+            .collect();
+        return Err(ExperimentError::Failed(lines.join("\n")));
     }
-    println!("all fronts non-dominated, oracle-verified; transfer reduces evals-to-best");
-    ExitCode::SUCCESS
+    writeln!(
+        out,
+        "all fronts non-dominated, oracle-verified; transfer reduces evals-to-best"
+    )?;
+    Ok(())
+}
+
+fn builtin(device: &str) -> Result<GpuArch, ExperimentError> {
+    DeviceProfile::builtin(device)
+        .map(DeviceProfile::into_arch)
+        .ok_or_else(|| ExperimentError::Failed(format!("no builtin profile `{device}`")))
 }
 
 /// The dominance gate: ordering, brute-force non-domination, and
@@ -232,7 +236,7 @@ fn verify_front(
 /// negatives — a datacenter prior can mislead an embedded part and vice
 /// versa) are rows of the returned table rather than failures of their
 /// own.
-fn run_transfer(regressions: &mut Vec<String>) -> Table {
+fn run_transfer(regressions: &mut Vec<String>) -> Result<Table, ExperimentError> {
     let mut table = Table::new(vec![
         "source",
         "target",
@@ -242,8 +246,7 @@ fn run_transfer(regressions: &mut Vec<String>) -> Table {
         "cold best GF",
         "warm best GF",
     ]);
-    let b = eatss_kernels::by_name("gemm").expect("gemm registered");
-    let program = b.program().expect("gemm parses");
+    let (b, program) = benchmark("gemm")?;
     let sizes = b.sizes_uniform(1024);
     let space = TileSpace::evaluation_grid(program.max_depth());
     let cfg = EatssConfig::default();
@@ -262,8 +265,7 @@ fn run_transfer(regressions: &mut Vec<String>) -> Table {
         }
     };
 
-    let source_arch = DeviceProfile::builtin("ga100").expect("ga100").into_arch();
-    let source = Eatss::new(source_arch);
+    let source = Eatss::new(builtin("ga100")?);
     let fitted: TuneResult = Autotuner::new(TuneOptions {
         budget: TRANSFER_BUDGET,
         seed: SOURCE_SEED,
@@ -273,15 +275,12 @@ fn run_transfer(regressions: &mut Vec<String>) -> Table {
     let prior = SurrogatePrior::from_result(&fitted);
     if prior.is_empty() {
         regressions.push("transfer: empty GA100 prior (no successful evaluations)".into());
-        return table;
+        return Ok(table);
     }
 
     let (mut faster, mut slower) = (0, 0);
     for target in TRANSFER_TARGETS {
-        let arch = DeviceProfile::builtin(target)
-            .expect("builtin profile")
-            .into_arch();
-        let eatss = Eatss::new(arch);
+        let eatss = Eatss::new(builtin(target)?);
         let opts = TuneOptions {
             budget: TRANSFER_BUDGET,
             seed: TARGET_SEED,
@@ -313,5 +312,5 @@ fn run_transfer(regressions: &mut Vec<String>) -> Table {
             "transfer: warm start reduced evals-to-best on {faster} target(s) but slowed {slower}"
         ));
     }
-    table
+    Ok(table)
 }

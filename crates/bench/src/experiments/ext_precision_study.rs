@@ -6,16 +6,16 @@
 //! constraints' element budgets) and halves the register pressure, so
 //! FP32 selections use larger tiles and reach higher throughput.
 
-use eatss::{Eatss, EatssConfig, Precision};
-use eatss_bench::table::fmt_f;
-use eatss_bench::Table;
-use eatss_gpusim::GpuArch;
-use eatss_kernels::Dataset;
+use super::*;
+use eatss::Precision;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let arch = GpuArch::ga100();
     let eatss = Eatss::new(arch.clone());
-    println!("Extension (§IV-I): FP32 vs FP64 tile selection on GA100\n");
+    writeln!(
+        out,
+        "Extension (§IV-I): FP32 vs FP64 tile selection on GA100\n"
+    )?;
     let mut t = Table::new(vec![
         "benchmark",
         "precision",
@@ -26,8 +26,7 @@ fn main() {
         "PPW",
     ]);
     for name in ["gemm", "covariance", "jacobi-2d", "mttkrp"] {
-        let b = eatss_kernels::by_name(name).expect("registered benchmark");
-        let program = b.program().expect("benchmark parses");
+        let (b, program) = benchmark(name)?;
         let sizes = b.sizes(Dataset::ExtraLarge);
         for precision in [Precision::F64, Precision::F32] {
             let config = EatssConfig {
@@ -37,9 +36,7 @@ fn main() {
             };
             match eatss.select_tiles(&program, &sizes, &config) {
                 Ok(solution) => {
-                    let report = eatss
-                        .evaluate(&program, &solution.tiles, &sizes, &config)
-                        .expect("selection compiles");
+                    let report = eatss.evaluate(&program, &solution.tiles, &sizes, &config)?;
                     t.row(vec![
                         name.into(),
                         format!("{precision:?}"),
@@ -58,11 +55,13 @@ fn main() {
             }
         }
     }
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "Shape check: FP32 halves the per-element capacity and register \
          costs (FP_factor 1 vs 2), so its selections admit larger data \
          tiles and land at higher GFLOP/s and PPW (the FP32 peak is also \
          2x the FP64 peak)."
-    );
+    )?;
+    Ok(())
 }

@@ -4,18 +4,14 @@
 //! as the size grows, dynamic power takes over and the total saturates
 //! towards the TDP.
 
+use super::*;
 use eatss::evaluate_program_with;
 use eatss_affine::analysis::AnalysedProgram;
-use eatss_affine::tiling::TileConfig;
-use eatss_bench::table::fmt_f;
-use eatss_bench::Table;
-use eatss_gpusim::{Gpu, GpuArch};
-use eatss_ppcg::CompileOptions;
+use eatss_gpusim::Gpu;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let gpu = Gpu::new(GpuArch::ga100());
-    let b = eatss_kernels::by_name("gemm").expect("gemm registered");
-    let program = b.program().expect("gemm parses");
+    let (b, program) = benchmark("gemm")?;
     let analysed = AnalysedProgram::new(&program);
     let opts = CompileOptions::with_split(gpu.arch(), 0.5, 8);
     let mut t = Table::new(vec![
@@ -27,12 +23,14 @@ fn main() {
         "GFLOP/s",
         "throttled",
     ]);
-    println!("Figure 1: GEMM power vs problem size on GA100 (default 32^3 tiles)\n");
+    writeln!(
+        out,
+        "Figure 1: GEMM power vs problem size on GA100 (default 32^3 tiles)\n"
+    )?;
     for n in (1000..=7000).step_by(1000) {
         let sizes = b.sizes_uniform(n);
         let tiles = TileConfig::ppcg_default(3);
-        let r = evaluate_program_with(&gpu, &analysed, &tiles, &sizes, &opts, 1)
-            .expect("gemm compiles");
+        let r = evaluate_program_with(&gpu, &analysed, &tiles, &sizes, &opts, 1)?;
         t.row(vec![
             n.to_string(),
             fmt_f(r.constant_power_w),
@@ -43,10 +41,12 @@ fn main() {
             r.dvfs_throttled.to_string(),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "Shape check: dynamic power should grow with size and the total\n\
          should approach (and be capped at) the {:.0} W TDP.",
         gpu.arch().tdp_w
-    );
+    )?;
+    Ok(())
 }

@@ -4,24 +4,20 @@
 //! prints the sorted series as percentile samples plus the headline
 //! statistic: only a small fraction of variants beats the default.
 
-use eatss_affine::tiling::TileConfig;
-use eatss_bench::table::fmt_f;
-use eatss_bench::{explore::summarize, explore_space, Table};
-use eatss_gpusim::GpuArch;
-use eatss_ppcg::{CompileOptions, TileSpace};
+use super::*;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let arch = GpuArch::ga100();
-    let b = eatss_kernels::by_name("2mm").expect("2mm registered");
-    let program = b.program().expect("2mm parses");
+    let (b, program) = benchmark("2mm")?;
     let sizes = b.sizes_uniform(4000);
     let opts = CompileOptions::with_split(&arch, 0.5, 8);
     // Tile dims of 2mm: both kernels are depth 3 → one shared triple.
     let space = TileSpace::motivation_grid(3);
-    println!(
+    writeln!(
+        out,
         "Figure 2: {} tiled 2mm variants on GA100, N=4000\n",
         space.len()
-    );
+    )?;
     let variants = explore_space(&arch, &program, &sizes, &space, &opts);
     let summary = summarize(&arch, &program, &sizes, &variants, &opts);
     let default = &summary.default;
@@ -33,7 +29,7 @@ fn main() {
         .collect();
 
     // (a) sorted by performance.
-    perf.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    perf.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut ta = Table::new(vec!["percentile", "TFLOP/s", "energy (J)", "tiles"]);
     for pct in [0, 10, 25, 50, 75, 90, 95, 99, 100] {
         let idx = (pct * (perf.len() - 1)) / 100;
@@ -45,10 +41,10 @@ fn main() {
             tiles.to_string(),
         ]);
     }
-    println!("(a) variants sorted by performance:\n{}", ta.render());
+    writeln!(out, "(a) variants sorted by performance:\n{}", ta.render())?;
 
     // (b) sorted by energy.
-    perf.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
+    perf.sort_by(|a, b| a.1.total_cmp(&b.1));
     let mut tb = Table::new(vec!["percentile", "energy (J)", "TFLOP/s", "tiles"]);
     for pct in [0, 10, 25, 50, 75, 90, 100] {
         let idx = (pct * (perf.len() - 1)) / 100;
@@ -60,28 +56,31 @@ fn main() {
             tiles.to_string(),
         ]);
     }
-    println!("(b) variants sorted by energy:\n{}", tb.render());
+    writeln!(out, "(b) variants sorted by energy:\n{}", tb.render())?;
 
     let beat_perf = perf
         .iter()
         .filter(|v| v.0 * 1000.0 > default.gflops)
         .count();
     let beat_energy = perf.iter().filter(|v| v.1 < default.energy_j).count();
-    println!(
+    writeln!(
+        out,
         "baseline (default PPCG 32^3): {} TFLOP/s, {} J",
         fmt_f(default.gflops / 1000.0),
         fmt_f(default.energy_j)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "variants beating the default: {:.1}% by performance, {:.1}% by energy",
         100.0 * beat_perf as f64 / perf.len() as f64,
         100.0 * beat_energy as f64 / perf.len() as f64
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "({} of {} variants executable; paper observes only ~12% of 2mm \
          variants beat the default on a GA100)",
         summary.valid, summary.total
-    );
+    )?;
     // Variants that match default performance but differ in energy
     // (the paper's key §II observation).
     let near_default: Vec<&(f64, f64, TileConfig)> = perf
@@ -97,7 +96,8 @@ fn main() {
             .iter()
             .map(|v| v.1)
             .fold(f64::NEG_INFINITY, f64::max);
-        println!(
+        writeln!(
+            out,
             "among {} variants within ±5% of default performance, energy \
              spans {} J to {} J ({}x) — equal-performance variants differ \
              in energy (§II insight)",
@@ -105,6 +105,7 @@ fn main() {
             fmt_f(e_min),
             fmt_f(e_max),
             fmt_f(e_max / e_min)
-        );
+        )?;
     }
+    Ok(())
 }

@@ -3,29 +3,28 @@
 //! (`P`) marked. Printed as summary statistics plus a coarse ASCII
 //! scatter (performance vs energy deciles).
 
-use eatss_bench::table::fmt_f;
-use eatss_bench::{explore::summarize, explore_space, Table};
-use eatss_gpusim::{stats, GpuArch};
-use eatss_kernels::Dataset;
-use eatss_ppcg::{CompileOptions, TileSpace};
+use super::*;
 
-fn main() {
-    println!("Figure 3: 2mm tile-space performance/energy on GA100 and Xavier\n");
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
+    writeln!(
+        out,
+        "Figure 3: 2mm tile-space performance/energy on GA100 and Xavier\n"
+    )?;
     for (arch, dataset) in [
         (GpuArch::ga100(), Dataset::ExtraLarge),
         (GpuArch::xavier(), Dataset::Standard),
     ] {
-        let b = eatss_kernels::by_name("2mm").expect("2mm registered");
-        let program = b.program().expect("2mm parses");
+        let (b, program) = benchmark("2mm")?;
         let sizes = b.sizes(dataset);
         let opts = CompileOptions::with_split(&arch, 0.5, 8);
         let space = TileSpace::evaluation_grid(3);
         let variants = explore_space(&arch, &program, &sizes, &space, &opts);
         let s = summarize(&arch, &program, &sizes, &variants, &opts);
-        println!(
+        writeln!(
+            out,
             "--- {} ({} variants, {} valid) ---",
             arch.name, s.total, s.valid
-        );
+        )?;
         let mut t = Table::new(vec!["metric", "min", "median", "max", "P (default)"]);
         let gf: Vec<f64> = variants
             .iter()
@@ -51,7 +50,7 @@ fn main() {
             fmt_f(stats::percentile(&en, 100.0)),
             fmt_f(s.default.energy_j),
         ]);
-        println!("{}", t.render());
+        writeln!(out, "{}", t.render())?;
 
         // ASCII scatter: normalized performance (x) vs energy (y), 2D
         // histogram of deciles; 'P' marks the default's cell.
@@ -72,7 +71,7 @@ fn main() {
             bucket(s.default.energy_j, emin, emax),
             bucket(s.default.gflops, gmin, gmax),
         );
-        println!("energy ↓ / performance → (counts; P = default PPCG)");
+        writeln!(out, "energy ↓ / performance → (counts; P = default PPCG)")?;
         for (r, row) in grid.iter().enumerate() {
             let cells: Vec<String> = row
                 .iter()
@@ -87,8 +86,9 @@ fn main() {
                     }
                 })
                 .collect();
-            println!("  {}", cells.join(""));
+            writeln!(out, "  {}", cells.join(""))?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }

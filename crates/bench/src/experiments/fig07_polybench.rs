@@ -4,43 +4,20 @@
 //! point (`U`), in performance, energy and performance-per-watt; plus the
 //! paper's headline median PPW improvement.
 //!
-//! `--profiles a,b,...` replaces the GA100/Xavier pair with any builtin
-//! or on-disk device profiles (datasets chosen by SM count).
+//! The device list replaces the GA100/Xavier pair with any builtin or
+//! on-disk device profiles (datasets chosen by SM count).
 
-use eatss::sweep::PAPER_SPLITS;
-use eatss::Eatss;
-use eatss_bench::table::fmt_f;
-use eatss_bench::{explore::summarize, explore_space, profiles, Table};
-use eatss_gpusim::{stats, GpuArch};
-use eatss_kernels::Dataset;
-use eatss_ppcg::TileSpace;
+use super::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let targets: Vec<(GpuArch, Dataset, String)> = match profiles::from_args(&args, "--profiles") {
-        Some(archs) => archs
-            .into_iter()
-            .map(|arch| {
-                let dataset = profiles::dataset_for(&arch);
-                let label = format!("7: {} / {dataset:?}", arch.name);
-                (arch, dataset, label)
-            })
-            .collect(),
-        None => vec![
-            (
-                GpuArch::ga100(),
-                Dataset::ExtraLarge,
-                "7a: GA100 / EXTRALARGE".to_owned(),
-            ),
-            (
-                GpuArch::xavier(),
-                Dataset::Standard,
-                "7b: Xavier / STANDARD".to_owned(),
-            ),
-        ],
-    };
-    for (arch, dataset, label) in targets {
-        println!("=== Figure {label} ===\n");
+pub(super) fn run(out: &mut String, devices: &[GpuArch]) -> Result<(), ExperimentError> {
+    for (arch, panel) in devices.iter().zip(('a'..='z').cycle()) {
+        let dataset = profiles::dataset_for(arch);
+        let dataset_name = format!("{dataset:?}").to_uppercase();
+        writeln!(
+            out,
+            "=== Figure 7{panel}: {} / {dataset_name} ===\n",
+            arch.name
+        )?;
         let eatss = Eatss::new(arch.clone());
         let mut t = Table::new(vec![
             "benchmark",
@@ -57,7 +34,7 @@ fn main() {
         ]);
         let mut ppw_ratios: Vec<f64> = Vec::new();
         for b in eatss_kernels::polybench() {
-            let program = b.program().expect("benchmark parses");
+            let program = b.program()?;
             let sizes = b.sizes(dataset);
             // Half-warp alignment by default; the quarter-warp fallback
             // recovers kernels whose extents are too small on the Xavier
@@ -76,12 +53,12 @@ fn main() {
             let Some(best) = sweep.best_by_ppw() else {
                 continue;
             };
-            let opts = best.config.compile_options(&arch);
+            let opts = best.config.compile_options(arch);
             // Depth of the space excludes nothing: time dims get tile 1 via
             // EATSS; for the baseline space we keep the shared triple shape.
             let space = TileSpace::evaluation_grid(program.max_depth());
-            let variants = explore_space(&arch, &program, &sizes, &space, &opts);
-            let s = summarize(&arch, &program, &sizes, &variants, &opts);
+            let variants = explore_space(arch, &program, &sizes, &space, &opts);
+            let s = summarize(arch, &program, &sizes, &variants, &opts);
             let def_ppw = s.default.ppw;
             let ratio = if def_ppw > 0.0 {
                 best.report.ppw / def_ppw
@@ -105,11 +82,13 @@ fn main() {
                 best.solution.provenance.to_string(),
             ]);
         }
-        println!("{}", t.render());
-        println!(
+        writeln!(out, "{}", t.render())?;
+        writeln!(
+            out,
             "median EATSS PPW improvement over default PPCG: {}x  (paper: \
              1.5x on GA100, 1.2x on Xavier)\n",
             fmt_f(stats::median(&ppw_ratios))
-        );
+        )?;
     }
+    Ok(())
 }

@@ -3,37 +3,22 @@
 //! normalized to default PPCG under the same shared-memory quota.
 //! Speedup > 1 is better; normalized energy < 1 is better.
 //!
-//! `--profiles a,b,...` replaces the GA100/Xavier pair with any builtin
-//! or on-disk device profiles (datasets chosen by SM count).
+//! The device list replaces the GA100/Xavier pair with any builtin or
+//! on-disk device profiles (datasets chosen by SM count).
 
-use eatss::{Eatss, EatssConfig};
-use eatss_affine::tiling::TileConfig;
-use eatss_bench::table::fmt_f;
-use eatss_bench::{profiles, Table};
-use eatss_gpusim::GpuArch;
-use eatss_kernels::Dataset;
+use super::*;
 
 const SPLITS: [f64; 4] = [0.0, 0.5, 0.67, 1.0];
 const BENCHMARKS: [&str; 4] = ["gemm", "2mm", "mvt", "jacobi-2d"];
 
-fn main() {
-    println!("Figure 8: EATSS under shared-memory/L1 splits (vs default PPCG, same quota)\n");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let targets: Vec<(GpuArch, Dataset)> = match profiles::from_args(&args, "--profiles") {
-        Some(archs) => archs
-            .into_iter()
-            .map(|arch| {
-                let dataset = profiles::dataset_for(&arch);
-                (arch, dataset)
-            })
-            .collect(),
-        None => vec![
-            (GpuArch::ga100(), Dataset::ExtraLarge),
-            (GpuArch::xavier(), Dataset::Standard),
-        ],
-    };
-    for (arch, dataset) in targets {
-        println!("--- {} ---", arch.name);
+pub(super) fn run(out: &mut String, devices: &[GpuArch]) -> Result<(), ExperimentError> {
+    writeln!(
+        out,
+        "Figure 8: EATSS under shared-memory/L1 splits (vs default PPCG, same quota)\n"
+    )?;
+    for arch in devices {
+        let dataset = profiles::dataset_for(arch);
+        writeln!(out, "--- {} ---", arch.name)?;
         let eatss = Eatss::new(arch.clone());
         let mut t = Table::new(vec![
             "benchmark",
@@ -43,8 +28,7 @@ fn main() {
             "norm. energy",
         ]);
         for name in BENCHMARKS {
-            let b = eatss_kernels::by_name(name).expect("registered benchmark");
-            let program = b.program().expect("benchmark parses");
+            let (b, program) = benchmark(name)?;
             let sizes = b.sizes(dataset);
             for split in SPLITS {
                 // Solve under both §IV-F cap interpretations and keep the
@@ -68,7 +52,7 @@ fn main() {
                 .collect::<Vec<_>>();
                 let Some((config, solution, ours)) = candidates
                     .into_iter()
-                    .max_by(|a, b| a.2.gflops.partial_cmp(&b.2.gflops).expect("finite"))
+                    .max_by(|a, b| a.2.gflops.total_cmp(&b.2.gflops))
                 else {
                     t.row(vec![
                         name.into(),
@@ -79,14 +63,12 @@ fn main() {
                     ]);
                     continue;
                 };
-                let default = eatss
-                    .evaluate(
-                        &program,
-                        &TileConfig::ppcg_default(program.max_depth()),
-                        &sizes,
-                        &config,
-                    )
-                    .expect("default tiles compile");
+                let default = eatss.evaluate(
+                    &program,
+                    &TileConfig::ppcg_default(program.max_depth()),
+                    &sizes,
+                    &config,
+                )?;
                 let (speedup, energy) = if ours.valid && default.valid {
                     (
                         default.time_s / ours.time_s,
@@ -104,11 +86,13 @@ fn main() {
                 ]);
             }
         }
-        println!("{}", t.render());
+        writeln!(out, "{}", t.render())?;
     }
-    println!(
+    writeln!(
+        out,
         "Shape check (paper): 100% shared memory is not always best; BLAS3 \
          favors more shared memory, low-dimensional kernels (mvt) often \
          favor 0%/50%."
-    );
+    )?;
+    Ok(())
 }

@@ -4,16 +4,15 @@
 //! (jacobi-2d, mvt) do not. The paper reports Pearson's r of 0.85 and
 //! 0.75 for 2mm and gemm.
 
-use eatss_bench::table::fmt_f;
-use eatss_bench::{explore_space, Table};
-use eatss_gpusim::{stats, GpuArch};
-use eatss_kernels::Dataset;
-use eatss_ppcg::{CompileOptions, TileSpace};
+use super::*;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let arch = GpuArch::ga100();
     let opts = CompileOptions::with_split(&arch, 0.5, 8);
-    println!("Figure 9: L2 sectors read vs average power across the tile space (GA100)\n");
+    writeln!(
+        out,
+        "Figure 9: L2 sectors read vs average power across the tile space (GA100)\n"
+    )?;
     let mut t = Table::new(vec![
         "benchmark",
         "variants",
@@ -24,8 +23,7 @@ fn main() {
         "power p90 (W)",
     ]);
     for name in ["2mm", "gemm", "jacobi-2d", "mvt"] {
-        let b = eatss_kernels::by_name(name).expect("registered benchmark");
-        let program = b.program().expect("benchmark parses");
+        let (b, program) = benchmark(name)?;
         let sizes = b.sizes(Dataset::ExtraLarge);
         let space = TileSpace::evaluation_grid(program.max_depth());
         let variants = explore_space(&arch, &program, &sizes, &space, &opts);
@@ -47,9 +45,11 @@ fn main() {
             fmt_f(stats::percentile(&power, 90.0)),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "Shape check (paper): r(2mm) ≈ 0.85 and r(gemm) ≈ 0.75 (strong), \
          while jacobi-2d and mvt show substantially weaker correlation."
-    );
+    )?;
+    Ok(())
 }

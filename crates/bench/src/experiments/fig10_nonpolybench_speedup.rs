@@ -6,41 +6,32 @@
 //! would need to be multiples of the full alignment factor). The paper
 //! reports up to 4.8x (conv-2d), 6.3x (heat-3d) and 2.0x (mttkrp).
 //!
-//! `--profile NAME|PATH` retargets the study from the GA100 to any
-//! builtin or on-disk device profile (dataset chosen by SM count).
+//! A one-device list retargets the study from the GA100 to any builtin
+//! or on-disk device profile (dataset chosen by SM count).
 
-use eatss::{Eatss, EatssConfig};
-use eatss_affine::tiling::TileConfig;
-use eatss_bench::table::fmt_f;
-use eatss_bench::{profiles, Table};
-use eatss_gpusim::GpuArch;
-use eatss_kernels::Dataset;
+use super::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (arch, dataset) = match profiles::from_args(&args, "--profile") {
-        Some(mut archs) => {
-            if archs.len() != 1 {
-                eprintln!("--profile takes exactly one device");
-                std::process::exit(2);
-            }
-            let arch = archs.remove(0);
-            let dataset = profiles::dataset_for(&arch);
-            (arch, dataset)
-        }
-        None => (GpuArch::ga100(), Dataset::ExtraLarge),
+pub(super) fn run(out: &mut String, devices: &[GpuArch]) -> Result<(), ExperimentError> {
+    let [arch] = devices else {
+        return Err(ExperimentError::Usage(format!(
+            "Figure 10 takes exactly one device, not {}",
+            devices.len()
+        )));
     };
+    let dataset = profiles::dataset_for(arch);
     let eatss = Eatss::new(arch.clone());
-    println!(
+    writeln!(
+        out,
         "Figure 10: non-Polybench kernels on {} (vs default PPCG, same quota)\n",
         arch.name
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "note: PPCG ignores the innermost tile when depth > 3 (that \
          dimension runs untiled, the paper's overline)\n"
-    );
+    )?;
     for b in eatss_kernels::case_study() {
-        let program = b.program().expect("benchmark parses");
+        let program = b.program()?;
         let sizes = b.sizes(dataset);
         let mut t = Table::new(vec![
             "warp frac",
@@ -65,17 +56,14 @@ fn main() {
                     };
                     match eatss.select_tiles(&program, &sizes, &config) {
                         Ok(solution) => {
-                            let ours = eatss
-                                .evaluate(&program, &solution.tiles, &sizes, &config)
-                                .expect("EATSS tiles compile");
-                            let default = eatss
-                                .evaluate(
-                                    &program,
-                                    &TileConfig::ppcg_default(program.max_depth()),
-                                    &sizes,
-                                    &config,
-                                )
-                                .expect("default compiles");
+                            let ours =
+                                eatss.evaluate(&program, &solution.tiles, &sizes, &config)?;
+                            let default = eatss.evaluate(
+                                &program,
+                                &TileConfig::ppcg_default(program.max_depth()),
+                                &sizes,
+                                &config,
+                            )?;
                             if !ours.valid || !default.valid {
                                 t.row(vec![
                                     format!("{frac}"),
@@ -113,19 +101,26 @@ fn main() {
                 }
             }
         }
-        println!("--- {} ({} feasible configurations) ---", b.name, evaluated);
-        println!("{}", t.render());
+        writeln!(
+            out,
+            "--- {} ({} feasible configurations) ---",
+            b.name, evaluated
+        )?;
+        writeln!(out, "{}", t.render())?;
         if let Some((speedup, energy, tiles)) = best {
-            println!(
+            writeln!(
+                out,
                 "best: {}x speedup, {} normalized energy, tiles {}\n",
                 fmt_f(speedup),
                 fmt_f(energy),
                 tiles
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "Shape check (paper): overall speedups of 4.8x (conv-2d), 6.3x \
          (heat-3d), 2.0x (mttkrp), with matching energy improvements."
-    );
+    )?;
+    Ok(())
 }

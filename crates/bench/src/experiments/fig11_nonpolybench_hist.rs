@@ -3,18 +3,12 @@
 //! widths, marking the default PPCG (`P`), the median (`M`) and the best
 //! EATSS variant (`U`).
 
-use eatss::sweep::PAPER_WARP_FRACTIONS;
-use eatss::Eatss;
-use eatss_bench::table::fmt_f;
-use eatss_bench::{explore::summarize, explore_space};
-use eatss_gpusim::{stats, GpuArch};
-use eatss_kernels::Dataset;
-use eatss_ppcg::TileSpace;
+use super::*;
 
-fn ascii_hist(values: &[f64], marks: &[(char, f64)]) {
+fn ascii_hist(out: &mut String, values: &[f64], marks: &[(char, f64)]) -> std::fmt::Result {
     let bins = stats::fd_histogram(values);
     let max = bins.iter().map(|b| b.count).max().unwrap_or(1).max(1);
-    for bin in &bins {
+    for (i, bin) in bins.iter().enumerate() {
         let bar_len = bin.count * 50 / max;
         let mut line = format!(
             "  [{:>9}, {:>9})  {:>4} {}",
@@ -24,25 +18,29 @@ fn ascii_hist(values: &[f64], marks: &[(char, f64)]) {
             "#".repeat(bar_len)
         );
         for &(c, v) in marks {
-            if v >= bin.lo && (v < bin.hi || bin == bins.last().expect("non-empty")) {
+            if v >= bin.lo && (v < bin.hi || i + 1 == bins.len()) {
                 line.push_str(&format!("  <-- {c}"));
             }
         }
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
+    Ok(())
 }
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let arch = GpuArch::ga100();
     let eatss = Eatss::new(arch.clone());
-    println!("Figure 11: non-Polybench tile-space histograms (GA100)\n");
+    writeln!(
+        out,
+        "Figure 11: non-Polybench tile-space histograms (GA100)\n"
+    )?;
     for b in eatss_kernels::case_study() {
-        let program = b.program().expect("benchmark parses");
+        let program = b.program()?;
         let sizes = b.sizes(Dataset::ExtraLarge);
-        let sweep = eatss
-            .sweep(&program, &sizes, &[0.0, 0.5], &PAPER_WARP_FRACTIONS)
-            .expect("some configuration feasible");
-        let best = sweep.best_by_perf().expect("a valid EATSS point");
+        let sweep = eatss.sweep(&program, &sizes, &[0.0, 0.5], &PAPER_WARP_FRACTIONS)?;
+        let best = sweep
+            .best_by_perf()
+            .ok_or_else(|| ExperimentError::Failed(format!("{}: no valid EATSS point", b.name)))?;
         let opts = best.config.compile_options(&arch);
         let space = TileSpace::evaluation_grid(program.max_depth());
         let variants = explore_space(&arch, &program, &sizes, &space, &opts);
@@ -52,44 +50,50 @@ fn main() {
             .filter(|v| v.report.valid)
             .map(|v| v.report.gflops)
             .collect();
-        println!(
+        writeln!(
+            out,
             "--- {} (n = {} of {} executable) ---",
             b.name,
             gflops.len(),
             s.total
-        );
-        println!("performance histogram (GFLOP/s):");
+        )?;
+        writeln!(out, "performance histogram (GFLOP/s):")?;
         ascii_hist(
+            out,
             &gflops,
             &[
                 ('P', s.default.gflops),
                 ('M', stats::median(&gflops)),
                 ('U', best.report.gflops),
             ],
-        );
+        )?;
         let energy: Vec<f64> = variants
             .iter()
             .filter(|v| v.report.valid)
             .map(|v| v.report.energy_j)
             .collect();
-        println!("energy histogram (J):");
+        writeln!(out, "energy histogram (J):")?;
         ascii_hist(
+            out,
             &energy,
             &[
                 ('P', s.default.energy_j),
                 ('M', stats::median(&energy)),
                 ('U', best.report.energy_j),
             ],
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "P = default PPCG, M = median of space, U = best EATSS; best \
              empirical variant: {} GFLOP/s\n",
             fmt_f(s.best_gflops)
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "Shape check (paper): P and M sit in the poorly-performing mass of \
          the distribution; U lands near the high-performance / low-energy \
          corner at a small exploration cost."
-    );
+    )?;
+    Ok(())
 }

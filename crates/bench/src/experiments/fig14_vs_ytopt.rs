@@ -6,19 +6,17 @@
 //! the EATSS solve seconds, which are printed last, below
 //! [`MEASURED_BELOW`].
 
-use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
-use eatss::Eatss;
+use super::*;
+use crate::MEASURED_BELOW;
 use eatss_autotune::{Autotuner, TuneOptions, OPENMP_OFFLOAD_PENALTY};
-use eatss_bench::table::fmt_f;
-use eatss_bench::{Table, MEASURED_BELOW};
-use eatss_gpusim::GpuArch;
-use eatss_kernels::Dataset;
-use eatss_ppcg::TileSpace;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let arch = GpuArch::ga100();
     let eatss = Eatss::new(arch.clone());
-    println!("Figure 14: EATSS vs ytopt (Bayesian autotuner over OpenMP offload) on A100\n");
+    writeln!(
+        out,
+        "Figure 14: EATSS vs ytopt (Bayesian autotuner over OpenMP offload) on A100\n"
+    )?;
     let mut t = Table::new(vec![
         "benchmark",
         "ytopt tiles",
@@ -30,8 +28,7 @@ fn main() {
     ]);
     let mut measured = Table::new(vec!["benchmark", "EATSS solve (s)"]);
     for name in ["2mm", "gemm", "heat-3d", "mttkrp"] {
-        let b = eatss_kernels::by_name(name).expect("registered benchmark");
-        let program = b.program().expect("benchmark parses");
+        let (b, program) = benchmark(name)?;
         let sizes = b.sizes(Dataset::ExtraLarge);
 
         // --- EATSS ----------------------------------------------------
@@ -40,10 +37,8 @@ fn main() {
         } else {
             &PAPER_WARP_FRACTIONS
         };
-        let sweep = eatss
-            .sweep(&program, &sizes, &PAPER_SPLITS, fractions)
-            .expect("a feasible configuration");
-        let best = sweep.best_by_ppw().expect("a valid EATSS point");
+        let sweep = eatss.sweep(&program, &sizes, &PAPER_SPLITS, fractions)?;
+        let best = best_by_ppw(&sweep, b.name)?;
         let solve_s: f64 = sweep
             .points
             .iter()
@@ -73,9 +68,7 @@ fn main() {
             t.row(vec![name.into(), "no valid variant".into()]);
             continue;
         };
-        let yreport = eatss
-            .evaluate(&program, &ytiles, &sizes, &config)
-            .expect("tuned tiles compile");
+        let yreport = eatss.evaluate(&program, &ytiles, &sizes, &config)?;
         let ytopt_gflops = yreport.gflops * OPENMP_OFFLOAD_PENALTY;
         let ytopt_time = yreport.time_s / OPENMP_OFFLOAD_PENALTY;
         let ytopt_energy = yreport.avg_power_w * ytopt_time;
@@ -91,12 +84,14 @@ fn main() {
         ]);
         measured.row(vec![name.into(), fmt_f(solve_s)]);
     }
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "Shape check (paper): EATSS beats the OpenMP-offload ytopt variants \
          in both speedup and energy, and the tuning time drops from ~17 \
          minutes to seconds."
-    );
-    println!("\n{MEASURED_BELOW}\n");
-    print!("{}", measured.render());
+    )?;
+    writeln!(out, "\n{MEASURED_BELOW}\n")?;
+    write!(out, "{}", measured.render())?;
+    Ok(())
 }

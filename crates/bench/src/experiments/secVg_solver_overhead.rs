@@ -8,12 +8,10 @@
 //! 32-point sweep grid by name, so a regression in the tail says which
 //! kernel it is; the seconds follow [`MEASURED_BELOW`].
 
-use eatss::sweep::{grid, PAPER_WARP_FRACTIONS};
-use eatss::{EatssConfig, ModelGenerator};
-use eatss_bench::table::fmt_f;
-use eatss_bench::{Table, MEASURED_BELOW};
-use eatss_gpusim::GpuArch;
-use eatss_kernels::Dataset;
+use super::*;
+use crate::MEASURED_BELOW;
+use eatss::sweep::grid;
+use eatss::ModelGenerator;
 use std::collections::BTreeMap;
 
 /// One solved formulation's overhead sample.
@@ -35,10 +33,10 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 /// the ruler's `sweep-front` runs — every kernel on the paper's two
 /// testbeds (§V-A datasets), 4 splits × 4 warp fractions × 2 thread-block
 /// caps — each solved cold, so the counts repeat exactly.
-fn longest_formulations() -> Table {
+fn longest_formulations() -> Result<Table, ExperimentError> {
     let mut solved = Vec::new();
     for b in eatss_kernels::all() {
-        let program = b.program().expect("benchmark parses");
+        let program = b.program()?;
         for (device, arch, dataset) in [
             ("ga100", GpuArch::ga100(), Dataset::ExtraLarge),
             ("xavier", GpuArch::xavier(), Dataset::Standard),
@@ -80,15 +78,18 @@ fn longest_formulations() -> Table {
             solution.tiles.to_string(),
         ]);
     }
-    table
+    Ok(table)
 }
 
-fn main() {
-    println!("Section V-G: solver overhead by kernel dimensionality\n");
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
+    writeln!(
+        out,
+        "Section V-G: solver overhead by kernel dimensionality\n"
+    )?;
     let mut groups: BTreeMap<usize, Vec<Sample>> = BTreeMap::new();
     let mut configs_run = 0;
     for b in eatss_kernels::all() {
-        let program = b.program().expect("benchmark parses");
+        let program = b.program()?;
         let depth = program.max_depth();
         for arch in [GpuArch::ga100(), GpuArch::xavier()] {
             for split in [0.0, 0.5, 0.67] {
@@ -154,22 +155,29 @@ fn main() {
     }
     let mean_t = mean(groups.values().flatten().map(|s| s.time_s));
     let mean_c = mean(groups.values().flatten().map(|s| s.calls as f64));
-    println!("{}", counts.render());
-    println!(
+    writeln!(out, "{}", counts.render())?;
+    writeln!(
+        out,
         "{configs_run} configurations solved; overall mean {} solver calls",
         fmt_f(mean_c)
-    );
-    println!("\nTen longest formulations of the 32-point sweep grid (cold solves, by nodes):\n");
-    println!("{}", longest_formulations().render());
-    println!(
+    )?;
+    writeln!(
+        out,
+        "\nTen longest formulations of the 32-point sweep grid (cold solves, by nodes):\n"
+    )?;
+    writeln!(out, "{}", longest_formulations()?.render())?;
+    writeln!(
+        out,
         "Shape check (paper, with Z3): 1.1 s (2D), 1.4 s (3D/4D), 2.2 s \
          (5D) end-to-end; 0.29 s per call; 4-7 calls per formulation."
-    );
-    println!("\n{MEASURED_BELOW}\n");
-    println!("{}", seconds.render());
-    println!(
+    )?;
+    writeln!(out, "\n{MEASURED_BELOW}\n")?;
+    writeln!(out, "{}", seconds.render())?;
+    writeln!(
+        out,
         "overall mean end-to-end {} s, {} s per call",
         fmt_f(mean_t),
         fmt_f(mean_t / mean_c.max(1.0)),
-    );
+    )?;
+    Ok(())
 }

@@ -2,10 +2,9 @@
 //! (GA100 example column), regenerated from the architecture
 //! description.
 
-use eatss_bench::Table;
-use eatss_gpusim::GpuArch;
+use super::*;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let ga = GpuArch::ga100();
     let mut t = Table::new(vec!["Abbreviation", "Description", "Example (GA100)"]);
     t.row(vec![
@@ -43,6 +42,10 @@ fn main() {
         "L2 Memory".into(),
         format!("{}MB", ga.l2_bytes / 1024 / 1024),
     ]);
-    println!("Table I: GPU-specific (GA100) input parameters to model\n");
-    println!("{}", t.render());
+    writeln!(
+        out,
+        "Table I: GPU-specific (GA100) input parameters to model\n"
+    )?;
+    writeln!(out, "{}", t.render())?;
+    Ok(())
 }

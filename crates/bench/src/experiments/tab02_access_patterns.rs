@@ -2,30 +2,33 @@
 //! capability, and reuse types, regenerated from the access-pattern
 //! analysis of §IV.
 
+use super::*;
 use eatss_affine::analysis::{AccessAnalysis, ReuseKind};
 use eatss_affine::parser::parse_program;
-use eatss_bench::Table;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let program = parse_program(
         "kernel matmul(M, N, P) {
            for (i: M) for (j: N) for (k: P)
              Out[i][j] += In[i][k] * Ker[k][j];
          }",
-    )
-    .expect("embedded matmul parses");
+    )?;
     let kernel = &program.kernels[0];
     let names = kernel.dim_names();
     let analysis = AccessAnalysis::analyze(kernel);
 
-    println!("Table II: matmul array properties (CMA, reuse type per loop dim)\n");
-    println!(
+    writeln!(
+        out,
+        "Table II: matmul array properties (CMA, reuse type per loop dim)\n"
+    )?;
+    writeln!(
+        out,
         "CMA loop dimension l_s1 = loop-{} (stride-1 in most references)\n",
         analysis
             .cma_dim
             .map(|d| names[d].clone())
             .unwrap_or_else(|| "-".into())
-    );
+    )?;
     let mut t = Table::new(vec![
         "Array Reference",
         "Memory Type",
@@ -51,13 +54,16 @@ fn main() {
             reuse.join(", "),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "no.references (distinct cache lines, §IV-G): {}",
         analysis.distinct_line_refs()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "H weights at WARP_ALIGNMENT_FACTOR=16 (§IV-K): {:?}",
         analysis.h_weights(16)
-    );
+    )?;
+    Ok(())
 }

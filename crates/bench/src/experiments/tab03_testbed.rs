@@ -1,10 +1,9 @@
 //! **Table III** — GPU testbed specifications, regenerated from the two
 //! architecture descriptions.
 
-use eatss_bench::Table;
-use eatss_gpusim::GpuArch;
+use super::*;
 
-fn main() {
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
     let ga = GpuArch::ga100();
     let xa = GpuArch::xavier();
     let mut t = Table::new(vec!["", "GA100", "AGX Xavier"]);
@@ -62,6 +61,7 @@ fn main() {
         format!("{:.0}W", ga.tdp_w),
         format!("{:.0}W", xa.tdp_w),
     );
-    println!("Table III: GPU Testbed Specifications\n");
-    println!("{}", t.render());
+    writeln!(out, "Table III: GPU Testbed Specifications\n")?;
+    writeln!(out, "{}", t.render())?;
+    Ok(())
 }

@@ -3,14 +3,9 @@
 //! the roofline models in `eatss-vendor` (tensor cores enabled); PPCG
 //! median and EATSS numbers come from the simulated tile spaces.
 
-use eatss::sweep::{PAPER_SPLITS, PAPER_WARP_FRACTIONS};
-use eatss::Eatss;
+use super::*;
 use eatss_affine::analysis::AnalysedProgram;
-use eatss_bench::table::fmt_f;
-use eatss_bench::Table;
-use eatss_gpusim::{Gpu, GpuArch};
-use eatss_kernels::Dataset;
-use eatss_ppcg::TileSpace;
+use eatss_gpusim::Gpu;
 use eatss_vendor::{measure, VendorOp};
 
 struct Column {
@@ -33,15 +28,12 @@ fn column(
     bench: &str,
     op: VendorOp,
     fractions: &[f64],
-) -> Column {
-    let b = eatss_kernels::by_name(bench).expect("registered benchmark");
-    let program = b.program().expect("benchmark parses");
+) -> Result<Column, ExperimentError> {
+    let (b, program) = benchmark(bench)?;
     let sizes = b.sizes(dataset);
     let eatss = Eatss::new(arch.clone());
-    let sweep = eatss
-        .sweep(&program, &sizes, &PAPER_SPLITS, fractions)
-        .expect("a feasible configuration");
-    let best = sweep.best_by_ppw().expect("a valid EATSS point");
+    let sweep = eatss.sweep(&program, &sizes, &PAPER_SPLITS, fractions)?;
+    let best = best_by_ppw(&sweep, b.name)?;
     let opts = best.config.compile_options(&arch);
     // Table IV measurements follow the paper's methodology: every variant
     // is looped 100 times, so power is sampled at steady state (the
@@ -49,8 +41,7 @@ fn column(
     let gpu = Gpu::new(arch.clone());
     let tiles = &best.solution.tiles;
     let analysed = AnalysedProgram::new(&program);
-    let ours = eatss::evaluate_program_with(&gpu, &analysed, tiles, &sizes, &opts, 100)
-        .expect("EATSS tiles compile");
+    let ours = eatss::evaluate_program_with(&gpu, &analysed, tiles, &sizes, &opts, 100)?;
     let space = TileSpace::evaluation_grid(program.max_depth());
     let measured: Vec<_> = space
         .iter()
@@ -65,7 +56,7 @@ fn column(
         eatss_gpusim::stats::median(&vals)
     };
     let vendor = measure(&arch, &op, 8);
-    Column {
+    Ok(Column {
         label: label.to_string(),
         vendor_ppw: vendor.ppw,
         ppcg_median_ppw: median(&|r| r.ppw),
@@ -76,11 +67,14 @@ fn column(
         vendor_gflops: vendor.gflops,
         ppcg_median_gflops: median(&|r| r.gflops),
         our_gflops: ours.gflops,
-    }
+    })
 }
 
-fn main() {
-    println!("Table IV: comparison against cuBLAS / cuDNN (vendor roofline models)\n");
+pub(super) fn run(out: &mut String) -> Result<(), ExperimentError> {
+    writeln!(
+        out,
+        "Table IV: comparison against cuBLAS / cuDNN (vendor roofline models)\n"
+    )?;
     let cols = vec![
         column(
             "cuBLAS gemm GA100",
@@ -89,7 +83,7 @@ fn main() {
             "gemm",
             VendorOp::Gemm { n: 4000 },
             &[0.5],
-        ),
+        )?,
         column(
             "cuBLAS gemm Xavier",
             GpuArch::xavier(),
@@ -97,7 +91,7 @@ fn main() {
             "gemm",
             VendorOp::Gemm { n: 1024 },
             &[0.5],
-        ),
+        )?,
         column(
             "cuDNN conv-2d GA100",
             GpuArch::ga100(),
@@ -110,7 +104,7 @@ fn main() {
                 s: 32,
             },
             &PAPER_WARP_FRACTIONS,
-        ),
+        )?,
     ];
     let mut t = Table::new(
         std::iter::once("Description".to_string())
@@ -131,18 +125,21 @@ fn main() {
     t.row(row("cuXXX GFLOP/s", &|c| c.vendor_gflops));
     t.row(row("PPCG Median GFLOP/s", &|c| c.ppcg_median_gflops));
     t.row(row("Our GFLOP/s", &|c| c.our_gflops));
-    println!("{}", t.render());
-    println!(
+    writeln!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "Shape check (paper): on the GA100, EATSS reaches a large fraction \
          of the tensor-core cuBLAS PPW (paper: 75%) and clearly beats the \
          PPCG median; on the Xavier EATSS exceeds the cuBLAS PPW \
          (paper: >2.1x)."
-    );
+    )?;
     for c in &cols {
-        println!(
+        writeln!(
+            out,
             "  {}: our/vendor PPW = {}",
             c.label,
             fmt_f(c.our_ppw / c.vendor_ppw)
-        );
+        )?;
     }
+    Ok(())
 }

@@ -23,16 +23,8 @@ pub struct BaselineSummary {
     pub default: SimReport,
     /// Median GFLOP/s across valid variants.
     pub median_gflops: f64,
-    /// Median energy (J) across valid variants.
-    pub median_energy: f64,
-    /// Median PPW across valid variants.
-    pub median_ppw: f64,
     /// Best GFLOP/s in the space.
     pub best_gflops: f64,
-    /// Lowest energy in the space.
-    pub best_energy: f64,
-    /// Best PPW in the space.
-    pub best_ppw: f64,
     /// Number of valid variants.
     pub valid: usize,
     /// Number of enumerated variants.
@@ -84,16 +76,10 @@ pub fn summarize(
         .filter(|r| r.valid)
         .collect();
     let gflops: Vec<f64> = valid.iter().map(|r| r.gflops).collect();
-    let energy: Vec<f64> = valid.iter().map(|r| r.energy_j).collect();
-    let ppw: Vec<f64> = valid.iter().map(|r| r.ppw).collect();
     BaselineSummary {
         default,
         median_gflops: stats::median(&gflops),
-        median_energy: stats::median(&energy),
-        median_ppw: stats::median(&ppw),
         best_gflops: gflops.iter().cloned().fold(0.0, f64::max),
-        best_energy: energy.iter().cloned().fold(f64::INFINITY, f64::min),
-        best_ppw: ppw.iter().cloned().fold(0.0, f64::max),
         valid: valid.len(),
         total: variants.len(),
     }
@@ -126,8 +112,6 @@ mod tests {
         assert!(summary.valid > 0);
         assert!(summary.default.valid);
         assert!(summary.best_gflops >= summary.median_gflops);
-        assert!(summary.best_energy <= summary.median_energy);
-        assert!(summary.best_ppw >= summary.median_ppw);
         // The default 32^3 is inside the space, so best >= default.
         assert!(summary.best_gflops * 1.03 >= summary.default.gflops);
     }
