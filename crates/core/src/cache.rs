@@ -12,28 +12,51 @@
 //! Durability is a property of how the cache was built, not a second
 //! type: [`TileCache::new`] keeps everything in memory, and
 //! [`TileCache::open`] puts the append-only [`Journal`] under the
-//! same map. With a journal every *committed* result (a proved-optimal
-//! solution or a proved infeasibility — see
+//! same entries. With a journal every *committed* result (a
+//! proved-optimal solution or a proved infeasibility — see
 //! [`is_committed`](crate::persist::is_committed)) is appended to disk
 //! when it is memoized, and opening the cache replays the journal to
-//! warm-start the map. Anytime (budget-limited) and fallback selections
-//! are served but never persisted — a later request with a larger budget
+//! warm-start it. Anytime (budget-limited) and fallback selections are
+//! served but never persisted — a later request with a larger budget
 //! must be able to improve on them. Replay skips, and counts, any record
 //! whose value does not decode or whose *key* is not in this build's
 //! [`encode_key`] format: no lookup could name it, and a key written
 //! under an older encoding may describe a different kernel than the same
 //! bytes would today.
+//!
+//! # Memory
+//!
+//! At most [`RESIDENT_CAP`] entries are held in memory, key and result,
+//! under CLOCK (second-chance) replacement: a hit sets the entry's
+//! reference bit, and when a new entry needs a slot the clock hand
+//! clears set bits until it reaches an entry whose bit is clear, which is
+//! evicted. An evicted *journaled* entry keeps only the offset of its
+//! record in `journal.log`, indexed by the FNV-1a 64 fingerprint of its
+//! key (8 + 8 bytes in a hash map); a lookup that lands on one reads the
+//! record back with a positional read, checks its checksum, compares the
+//! full key, and makes it resident again. Keys that share a fingerprint
+//! are all kept and all compared. Every other evicted entry — an
+//! uncommitted result, or any entry of an in-memory cache — is dropped,
+//! and is solved again if it is asked for. Replay indexes every record
+//! and makes none resident: the first lookup of each reads it back.
 
 use crate::config::EatssConfig;
-use crate::journal::{Journal, JournalConfig, RecoveryStats, RECORD_PREFIX_BYTES};
+use crate::journal::{Journal, JournalConfig, Live, Record, RecoveryStats, RECORD_PREFIX_BYTES};
 use crate::model::{EatssError, EatssSolution, ModelGenerator};
 use crate::persist::{decode_result, encode_result};
 use eatss_affine::ir::{ArrayRef, Extent, RhsExpr};
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
+use eatss_trace::fnv1a64;
 use std::collections::hash_map::{Entry as Slot, HashMap};
 use std::io;
 use std::path::Path;
+
+/// Entries a [`TileCache`] holds in memory at most. Enough for the
+/// working set of a JIT that recompiles a few hundred kernel shapes; an
+/// entry costs its key (about 100–650 bytes for the registry kernels)
+/// and its result (about 250 bytes).
+pub const RESIDENT_CAP: usize = 1024;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,13 +76,56 @@ pub struct TileCacheStats {
 /// What a selection request resolves to (failures are memoized too).
 pub type SelectResult = Result<EatssSolution, EatssError>;
 
-/// One memoized selection.
+/// Where a journal record lies.
+#[derive(Debug, Clone, Copy)]
+struct Disk {
+    offset: u64,
+    bytes: u64,
+}
+
+/// One memoized selection held in memory.
 #[derive(Debug)]
-struct Entry {
+struct Resident {
+    key: Vec<u8>,
+    fingerprint: u64,
     result: SelectResult,
-    /// On-disk size of the journal record currently backing this entry
-    /// (0 when it lives in memory only).
-    disk_bytes: u64,
+    /// The journal record backing this entry; `None` when it lives in
+    /// memory only, and is dropped on eviction.
+    disk: Option<Disk>,
+    /// CLOCK's reference bit: set by a hit, cleared as the hand passes.
+    referenced: bool,
+}
+
+/// Where an indexed entry lives: a resident slot (top bit set), or the
+/// journal offset of its record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc(u64);
+
+impl Loc {
+    const RESIDENT: u64 = 1 << 63;
+
+    fn resident(slot: usize) -> Loc {
+        Loc(Loc::RESIDENT | slot as u64)
+    }
+
+    fn slot(self) -> Option<usize> {
+        (self.0 & Loc::RESIDENT != 0).then_some((self.0 & !Loc::RESIDENT) as usize)
+    }
+}
+
+/// Which index entry of a fingerprint: the map's, or one of the
+/// colliding ones beside it.
+#[derive(Debug, Clone, Copy)]
+enum Pos {
+    Primary,
+    Collision(usize),
+}
+
+/// An entry found by key.
+enum Found {
+    Resident(usize),
+    /// Evicted: its record, read back, and the record's offset.
+    Evicted(Record, u64),
 }
 
 /// A memoizing front end over the EATSS pipeline for JIT-style use.
@@ -70,8 +136,10 @@ struct Entry {
 /// * committed results are appended to the on-disk journal *before*
 ///   [`TileCache::insert_key`] memoizes them, so an `Ok` from it implies
 ///   durability (under [`SyncPolicy::Always`](crate::SyncPolicy::Always));
-/// * opening the cache replays the journal, warm-starting the map across
+/// * opening the cache replays the journal, warm-starting it across
 ///   restarts and hard kills;
+/// * entries evicted from memory stay findable through the journal (see
+///   the [module docs](self));
 /// * [`TileCache::compact`] rewrites the journal to the live entry set,
 ///   atomically.
 ///
@@ -100,8 +168,17 @@ struct Entry {
 #[derive(Debug)]
 pub struct TileCache {
     arch: GpuArch,
-    /// Memoized selections by full structural key ([`encode_key`]).
-    entries: HashMap<Vec<u8>, Entry>,
+    /// Every entry by its key's fingerprint; a second entry under one
+    /// fingerprint goes to `collisions`.
+    index: HashMap<u64, Loc>,
+    /// Entries whose fingerprint `index` already maps to another entry.
+    collisions: Vec<(u64, Loc)>,
+    /// The resident entries, at most [`RESIDENT_CAP`].
+    slots: Vec<Resident>,
+    /// The CLOCK hand: the next slot considered for eviction.
+    hand: usize,
+    /// The key fingerprint ([`fnv1a64`]; a test may force collisions).
+    fingerprint: fn(&[u8]) -> u64,
     stats: TileCacheStats,
     /// Where committed entries are made durable; `None` keeps the cache
     /// in memory only.
@@ -113,10 +190,9 @@ pub struct TileCache {
     undecodable: u64,
     /// Entries appended to the journal over this cache's lifetime.
     persisted: u64,
-    /// On-disk bytes of the *latest* record per key — the sum of the
-    /// entries' `disk_bytes`, maintained incrementally. Superseded
-    /// records, undecodable values and corrupt skipped bytes are the
-    /// complement: garbage.
+    /// On-disk bytes of the *latest* record per key, maintained
+    /// incrementally. Superseded records, undecodable values and corrupt
+    /// skipped bytes are the complement: garbage.
     live_bytes: u64,
 }
 
@@ -125,7 +201,11 @@ impl TileCache {
     pub fn new(arch: GpuArch) -> Self {
         TileCache {
             arch,
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            collisions: Vec::new(),
+            slots: Vec::new(),
+            hand: 0,
+            fingerprint: fnv1a64,
             stats: TileCacheStats::default(),
             journal: None,
             replayed: 0,
@@ -142,22 +222,54 @@ impl TileCache {
     ///
     /// Propagates journal I/O and format errors — see [`Journal::open`].
     pub fn open(dir: &Path, arch: GpuArch, config: JournalConfig) -> io::Result<Self> {
-        let (journal, records) = Journal::open(dir, config)?;
-        let mut cache = TileCache::new(arch);
-        cache.journal = Some(journal);
-        for (key, value) in records {
-            match decode_result(&value).filter(|_| is_current_key(&key)) {
-                // Later records supersede earlier ones for the same key
-                // (compaction leaves one; a crashed compaction may leave
-                // the append-order duplicates, which replay idempotently).
-                // Replay touches no statistics: entries were counted by
-                // the process that first solved them.
-                Some(result) => {
-                    let disk_bytes = record_size(&key, &value);
-                    cache.memoize(key, result, disk_bytes);
-                    cache.replayed += 1;
+        TileCache::open_with(dir, arch, config, fnv1a64)
+    }
+
+    fn open_with(
+        dir: &Path,
+        arch: GpuArch,
+        config: JournalConfig,
+        fingerprint: fn(&[u8]) -> u64,
+    ) -> io::Result<Self> {
+        let mut cache = TileCache {
+            fingerprint,
+            ..TileCache::new(arch)
+        };
+        // Records whose fingerprint is already indexed: a later record
+        // for the same key (a crashed compaction may leave append-order
+        // duplicates, which replay idempotently) or a collision. Telling
+        // the two apart takes the earlier record's key, read back once
+        // the journal is open.
+        let mut shared = Vec::new();
+        let journal = Journal::open(dir, config, |offset, key, value| {
+            if !is_current_key(key) || decode_result(value).is_none() {
+                cache.undecodable += 1;
+                return;
+            }
+            // Replay touches no statistics: entries were counted by the
+            // process that first solved them.
+            cache.replayed += 1;
+            cache.live_bytes += record_size(key, value);
+            let fp = fingerprint(key);
+            match cache.index.entry(fp) {
+                Slot::Vacant(slot) => {
+                    slot.insert(Loc(offset));
                 }
-                None => cache.undecodable += 1,
+                Slot::Occupied(_) => shared.push((fp, offset)),
+            }
+        })?;
+        cache.journal = Some(journal);
+        for (fp, offset) in shared {
+            let Some(record) = cache.read(offset) else {
+                continue;
+            };
+            match cache.find(fp, record.key()) {
+                // Later records supersede earlier ones for the same key.
+                Some((pos, Found::Evicted(old, _))) => {
+                    cache.live_bytes -= old.disk_bytes();
+                    cache.set(fp, pos, Loc(offset));
+                }
+                _ => cache.collisions.push((fp, Loc(offset))),
             }
         }
         Ok(cache)
@@ -168,14 +280,20 @@ impl TileCache {
         &self.arch
     }
 
-    /// Number of memoized formulations (feasible or not).
+    /// Number of memoized formulations (feasible or not), resident or
+    /// evicted to the journal.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len() + self.collisions.len()
     }
 
     /// Whether nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
+    }
+
+    /// Number of entries held in memory, at most [`RESIDENT_CAP`].
+    pub fn resident_len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Hit/miss counters (replay does not count).
@@ -196,7 +314,7 @@ impl TileCache {
             .unwrap_or_default()
     }
 
-    /// Journal records replayed into the map on open.
+    /// Journal records replayed on open.
     pub fn replayed(&self) -> u64 {
         self.replayed
     }
@@ -230,24 +348,23 @@ impl TileCache {
         config: &EatssConfig,
     ) -> Result<&EatssSolution, EatssError> {
         let key = encode_key(&self.arch, program, sizes, config);
-        let entry = match self.entries.entry(key) {
-            Slot::Occupied(slot) => {
+        let fingerprint = (self.fingerprint)(&key);
+        let slot = match self.get(fingerprint, &key) {
+            Some(slot) => {
                 self.stats.hits += 1;
-                slot.into_mut()
+                slot
             }
-            Slot::Vacant(slot) => {
+            None => {
                 let result = ModelGenerator::new(&self.arch, config.clone())
                     .build(program, Some(sizes))
                     .and_then(|model| model.solve());
                 count_miss(&mut self.stats, &result);
-                let disk_bytes =
-                    append(&mut self.journal, &mut self.persisted, slot.key(), &result)
-                        .unwrap_or(0);
-                self.live_bytes += disk_bytes;
-                slot.insert(Entry { result, disk_bytes })
+                let disk =
+                    append(&mut self.journal, &mut self.persisted, &key, &result).unwrap_or(None);
+                self.memoize(fingerprint, key, result, disk)
             }
         };
-        match &entry.result {
+        match &self.slots[slot].result {
             Ok(solution) => Ok(solution),
             Err(e) => Err(e.clone()),
         }
@@ -257,9 +374,9 @@ impl TileCache {
     /// when present. Absence counts nothing — the caller decides whether
     /// it becomes a miss (via [`TileCache::insert_key`]) or is abandoned.
     pub fn lookup_key(&mut self, key: &[u8]) -> Option<SelectResult> {
-        let entry = self.entries.get(key)?;
+        let slot = self.get((self.fingerprint)(key), key)?;
         self.stats.hits += 1;
-        Some(entry.result.clone())
+        Some(self.slots[slot].result.clone())
     }
 
     /// Memoizes an externally computed result, counting a miss plus the
@@ -272,30 +389,196 @@ impl TileCache {
     ///
     /// # Errors
     ///
-    /// Journal I/O failures (the map and the statistics are left
+    /// Journal I/O failures (the entries and the statistics are left
     /// unchanged); each one also bumps the `journal.append_errors` trace
     /// counter.
     pub fn insert_key(&mut self, key: Vec<u8>, result: SelectResult) -> io::Result<()> {
-        let disk_bytes = append(&mut self.journal, &mut self.persisted, &key, &result)?;
+        let disk = append(&mut self.journal, &mut self.persisted, &key, &result)?;
         count_miss(&mut self.stats, &result);
-        self.memoize(key, result, disk_bytes);
+        self.memoize((self.fingerprint)(&key), key, result, disk);
         Ok(())
     }
 
-    /// Puts `result` in the map as the live entry for `key`, backed by a
-    /// journal record of `disk_bytes`; the record it supersedes (if any)
-    /// becomes garbage.
-    fn memoize(&mut self, key: Vec<u8>, result: SelectResult, disk_bytes: u64) {
-        let superseded = self
-            .entries
-            .insert(key, Entry { result, disk_bytes })
-            .map_or(0, |old| old.disk_bytes);
-        self.live_bytes = self.live_bytes + disk_bytes - superseded;
+    /// The resident slot of `key`, with its reference bit set; an evicted
+    /// entry is read back from the journal and made resident.
+    fn get(&mut self, fingerprint: u64, key: &[u8]) -> Option<usize> {
+        let slot = match self.find(fingerprint, key)? {
+            (_, Found::Resident(slot)) => slot,
+            (pos, Found::Evicted(record, offset)) => {
+                let result = decode_result(record.value())?;
+                self.remove(fingerprint, pos);
+                self.admit(Resident {
+                    key: key.to_vec(),
+                    fingerprint,
+                    result,
+                    disk: Some(Disk {
+                        offset,
+                        bytes: record.disk_bytes(),
+                    }),
+                    referenced: false,
+                })
+            }
+        };
+        self.slots[slot].referenced = true;
+        Some(slot)
+    }
+
+    /// Puts `result` in the cache as the live entry for `key`, backed by
+    /// the journal record `disk` when one was written; the record it
+    /// supersedes (if any) becomes garbage. Returns its resident slot.
+    fn memoize(
+        &mut self,
+        fingerprint: u64,
+        key: Vec<u8>,
+        result: SelectResult,
+        disk: Option<Disk>,
+    ) -> usize {
+        self.live_bytes += disk.map_or(0, |d| d.bytes);
+        match self.find(fingerprint, &key) {
+            Some((_, Found::Resident(slot))) => {
+                let entry = &mut self.slots[slot];
+                self.live_bytes -= entry.disk.map_or(0, |d| d.bytes);
+                entry.result = result;
+                entry.disk = disk;
+                slot
+            }
+            found => {
+                if let Some((pos, Found::Evicted(old, _))) = found {
+                    self.live_bytes -= old.disk_bytes();
+                    self.remove(fingerprint, pos);
+                }
+                self.admit(Resident {
+                    key,
+                    fingerprint,
+                    result,
+                    disk,
+                    referenced: false,
+                })
+            }
+        }
+    }
+
+    /// Where the entry for `key` is, if there is one: each entry under
+    /// its fingerprint is compared on the full key, an evicted one by
+    /// reading its record back.
+    fn find(&self, fingerprint: u64, key: &[u8]) -> Option<(Pos, Found)> {
+        let primary = *self.index.get(&fingerprint)?;
+        let colliding = self
+            .collisions
+            .iter()
+            .enumerate()
+            .filter(|(_, (fp, _))| *fp == fingerprint)
+            .map(|(i, &(_, loc))| (Pos::Collision(i), loc));
+        for (pos, loc) in std::iter::once((Pos::Primary, primary)).chain(colliding) {
+            match loc.slot() {
+                Some(slot) if self.slots[slot].key == key => {
+                    return Some((pos, Found::Resident(slot)));
+                }
+                Some(_) => {}
+                None => {
+                    if let Some(record) = self.read(loc.0).filter(|r| r.key() == key) {
+                        return Some((pos, Found::Evicted(record, loc.0)));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The journal record at `offset`, if one validates there. Each read
+    /// is counted in the `cache.journal_reads` trace counter; one that
+    /// fails is a record not found, also counted in
+    /// `cache.journal_read_errors`.
+    fn read(&self, offset: u64) -> Option<Record> {
+        eatss_trace::counter_add("cache.journal_reads", 1);
+        match self.journal.as_ref()?.read_at(offset) {
+            Ok(record) => record,
+            Err(_) => {
+                eatss_trace::counter_add("cache.journal_read_errors", 1);
+                None
+            }
+        }
+    }
+
+    /// Makes `entry` resident — in a free slot, or in the one CLOCK
+    /// evicts — and indexes it there. Returns the slot.
+    fn admit(&mut self, entry: Resident) -> usize {
+        let fingerprint = entry.fingerprint;
+        let slot = if self.slots.len() < RESIDENT_CAP {
+            self.slots.push(entry);
+            self.slots.len() - 1
+        } else {
+            while std::mem::take(&mut self.slots[self.hand].referenced) {
+                self.hand = (self.hand + 1) % RESIDENT_CAP;
+            }
+            let slot = self.hand;
+            self.hand = (slot + 1) % RESIDENT_CAP;
+            let victim = std::mem::replace(&mut self.slots[slot], entry);
+            // A journaled victim stays findable by its record; any other
+            // is dropped.
+            if let Some(pos) = self.position(victim.fingerprint, Loc::resident(slot)) {
+                match victim.disk {
+                    Some(disk) => self.set(victim.fingerprint, pos, Loc(disk.offset)),
+                    None => self.remove(victim.fingerprint, pos),
+                }
+            }
+            slot
+        };
+        match self.index.entry(fingerprint) {
+            Slot::Vacant(vacant) => {
+                vacant.insert(Loc::resident(slot));
+            }
+            Slot::Occupied(_) => self.collisions.push((fingerprint, Loc::resident(slot))),
+        }
+        slot
+    }
+
+    /// The index entry that holds `loc` under `fingerprint`.
+    fn position(&self, fingerprint: u64, loc: Loc) -> Option<Pos> {
+        if self.index.get(&fingerprint) == Some(&loc) {
+            return Some(Pos::Primary);
+        }
+        self.collisions
+            .iter()
+            .position(|&entry| entry == (fingerprint, loc))
+            .map(Pos::Collision)
+    }
+
+    fn set(&mut self, fingerprint: u64, pos: Pos, loc: Loc) {
+        match pos {
+            Pos::Primary => {
+                self.index.insert(fingerprint, loc);
+            }
+            Pos::Collision(i) => self.collisions[i].1 = loc,
+        }
+    }
+
+    /// Drops an index entry; a colliding one takes the map's place.
+    fn remove(&mut self, fingerprint: u64, pos: Pos) {
+        let i = match pos {
+            Pos::Collision(i) => i,
+            Pos::Primary => match self
+                .collisions
+                .iter()
+                .position(|&(fp, _)| fp == fingerprint)
+            {
+                Some(i) => {
+                    self.index.insert(fingerprint, self.collisions[i].1);
+                    i
+                }
+                None => {
+                    self.index.remove(&fingerprint);
+                    return;
+                }
+            },
+        };
+        self.collisions.swap_remove(i);
     }
 
     /// Rewrites the journal to exactly the live committed entries,
     /// dropping superseded duplicates, unreadable values and skipped
-    /// corrupt regions. Does nothing without a journal.
+    /// corrupt regions: resident entries are encoded, evicted ones copied
+    /// from the old file. Does nothing without a journal.
     ///
     /// # Errors
     ///
@@ -304,18 +587,66 @@ impl TileCache {
         let Some(journal) = &mut self.journal else {
             return Ok(());
         };
-        // The journal then holds exactly one record per committed entry:
+        let entries: Vec<(u64, Loc)> = self
+            .index
+            .iter()
+            .map(|(&fp, &loc)| (fp, loc))
+            .chain(self.collisions.iter().copied())
+            .collect();
+        // What is written, with each resident record's size; resident
+        // entries that are not committed stay as they are.
+        let mut written = Vec::with_capacity(entries.len());
+        let mut kept = Vec::new();
+        let mut live = Vec::with_capacity(entries.len());
+        for (fp, loc) in entries {
+            match loc.slot() {
+                Some(slot) => {
+                    let entry = &self.slots[slot];
+                    match encode_result(&entry.result) {
+                        Some(value) => {
+                            written.push((fp, loc, record_size(&entry.key, &value)));
+                            live.push(Live::Encode(&entry.key, value));
+                        }
+                        None => kept.push((fp, loc)),
+                    }
+                }
+                None => {
+                    written.push((fp, loc, 0));
+                    live.push(Live::Copy(loc.0));
+                }
+            }
+        }
+        let offsets = journal.compact(live)?;
+        // The journal now holds exactly one record per committed entry:
         // re-anchor the accounting on what is written, so the garbage
         // ratio returns to 0.
-        let mut live_bytes = 0;
-        journal.compact(self.entries.iter_mut().filter_map(|(key, entry)| {
-            let value = encode_result(&entry.result)?;
-            entry.disk_bytes = record_size(key, &value);
-            live_bytes += entry.disk_bytes;
-            Some((key.as_slice(), value))
-        }))?;
-        self.live_bytes = live_bytes;
+        self.live_bytes = journal.data_bytes();
+        self.index.clear();
+        self.collisions.clear();
+        for (fp, loc) in kept {
+            self.add(fp, loc);
+        }
+        for ((fp, loc, bytes), offset) in written.into_iter().zip(offsets) {
+            match (loc.slot(), offset) {
+                (Some(slot), Some(offset)) => {
+                    self.slots[slot].disk = Some(Disk { offset, bytes });
+                    self.add(fp, loc);
+                }
+                (None, Some(offset)) => self.add(fp, Loc(offset)),
+                // A record that no longer validates is gone.
+                (_, None) => {}
+            }
+        }
         Ok(())
+    }
+
+    fn add(&mut self, fingerprint: u64, loc: Loc) {
+        match self.index.entry(fingerprint) {
+            Slot::Vacant(vacant) => {
+                vacant.insert(loc);
+            }
+            Slot::Occupied(_) => self.collisions.push((fingerprint, loc)),
+        }
     }
 
     /// Flushes OS buffers (meaningful under
@@ -371,35 +702,38 @@ fn record_size(key: &[u8], value: &[u8]) -> u64 {
 }
 
 /// Appends `result` under `key` when there is a journal and the result
-/// is committed, counting the record in `persisted`. Returns the size of
-/// the record written — 0 when none was, because there is no journal or
-/// nothing to persist.
+/// is committed, counting the record in `persisted`. Returns where the
+/// record was written — `None` when none was, because there is no
+/// journal or nothing to persist.
 fn append(
     journal: &mut Option<Journal>,
     persisted: &mut u64,
     key: &[u8],
     result: &SelectResult,
-) -> io::Result<u64> {
+) -> io::Result<Option<Disk>> {
     let Some(journal) = journal else {
-        return Ok(0);
+        return Ok(None);
     };
     let Some(value) = encode_result(result) else {
-        return Ok(0);
+        return Ok(None);
     };
-    if let Err(e) = journal.append(key, &value) {
+    let offset = journal.append(key, &value).inspect_err(|_| {
         eatss_trace::counter_add("journal.append_errors", 1);
-        return Err(e);
-    }
+    })?;
     *persisted += 1;
-    Ok(record_size(key, &value))
+    Ok(Some(Disk {
+        offset,
+        bytes: record_size(key, &value),
+    }))
 }
 
 /// Format byte opening every key [`encode_key`] writes. Keys from before
 /// it existed open with the low byte of the architecture name's length
 /// (4–6 for the builtin profiles); the high bit keeps the two apart, so a
 /// journal record keyed under an older encoding can never answer a
-/// lookup. Bump it whenever the encoding below changes meaning.
-const KEY_FORMAT: u8 = 0x81;
+/// lookup. Bump it whenever the encoding below changes meaning: `0x81`
+/// wrote every integer as 8 bytes, `0x82` as a varint.
+const KEY_FORMAT: u8 = 0x82;
 
 /// Whether `key` was written by this build's [`encode_key`] — journal
 /// replay drops records for which it was not.
@@ -416,6 +750,10 @@ fn is_current_key(key: &[u8]) -> bool {
 /// which references share an array decides cache-line sharing and hence
 /// the formulation. Two requests are interchangeable iff their encodings
 /// are equal; this is the full key the cache compares on lookup.
+///
+/// Integers are LEB128 varints (signed ones zigzagged first, so `-1` is
+/// one byte); floats are their 8 bits little-endian. Every field's width
+/// follows from its own bytes, so the encoding stays injective.
 pub fn encode_key(
     arch: &GpuArch,
     program: &Program,
@@ -432,8 +770,8 @@ pub fn encode_key(
     put(&mut k, arch.sm_count as u64);
     put(&mut k, arch.max_threads_per_block as u64);
     put(&mut k, arch.max_shared_per_block);
-    put(&mut k, config.split_factor.to_bits());
-    put(&mut k, config.warp_fraction.to_bits());
+    k.extend_from_slice(&config.split_factor.to_bits().to_le_bytes());
+    k.extend_from_slice(&config.warp_fraction.to_bits().to_le_bytes());
     put(&mut k, config.precision.elem_bytes() as u64);
     put(
         &mut k,
@@ -450,7 +788,7 @@ pub fn encode_key(
             match &dim.extent {
                 Extent::Const(c) => {
                     put(&mut k, 0);
-                    put(&mut k, *c as u64);
+                    put_signed(&mut k, *c);
                 }
                 Extent::Param(p) => {
                     put(&mut k, 1);
@@ -472,8 +810,19 @@ pub fn encode_key(
     k
 }
 
-fn put(k: &mut Vec<u8>, v: u64) {
-    k.extend_from_slice(&v.to_le_bytes());
+/// Appends `v` as an LEB128 varint: 7 bits a byte, low first, the high
+/// bit set on every byte but the last.
+fn put(k: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        k.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    k.push(v as u8);
+}
+
+/// Appends a signed `v` zigzagged (0, -1, 1, -2, … → 0, 1, 2, 3, …).
+fn put_signed(k: &mut Vec<u8>, v: i64) {
+    put(k, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 fn encode_ref<'p>(r: &'p ArrayRef, arrays: &mut Vec<&'p str>, k: &mut Vec<u8>) {
@@ -490,9 +839,9 @@ fn encode_ref<'p>(r: &'p ArrayRef, arrays: &mut Vec<&'p str>, k: &mut Vec<u8>) {
         put(k, s.terms().len() as u64);
         for &(d, c) in s.terms() {
             put(k, d as u64);
-            put(k, c as u64);
+            put_signed(k, c);
         }
-        put(k, s.offset() as u64);
+        put_signed(k, s.offset());
     }
 }
 
@@ -504,7 +853,7 @@ fn encode_rhs(e: &RhsExpr, k: &mut Vec<u8>) {
         }
         RhsExpr::Ref(i) => {
             k.push(1);
-            k.extend_from_slice(&(*i as u64).to_le_bytes());
+            put(k, *i as u64);
         }
         RhsExpr::Bin(op, a, b) => {
             k.push(2);
@@ -761,31 +1110,35 @@ mod tests {
 
     #[test]
     fn old_format_keys_are_skipped_at_replay_and_reclaimed_by_compact() {
-        let dir = temp_dir("old-key");
         let cfg = EatssConfig::default();
         let key = encode_key(&GpuArch::ga100(), &gemm(), &sizes(2000), &cfg);
-        // What a build before the key-format byte left behind: a valid
-        // record under a key that opens with the arch-name length.
-        let old_key = &key[1..];
-        {
+        // What older builds left behind: a valid record under a key that
+        // opens with the arch-name length (before the key-format byte), or
+        // under format 0x81 (8-byte integers).
+        let mut fixed_width = key.clone();
+        fixed_width[0] = 0x81;
+        for old_key in [key[1..].to_vec(), fixed_width] {
+            let dir = temp_dir("old-key");
+            {
+                let mut cache = open(&dir);
+                let s = cache.select(&gemm(), &sizes(2000), &cfg).unwrap().clone();
+                cache.insert_key(old_key.clone(), Ok(s)).unwrap();
+            }
             let mut cache = open(&dir);
-            let s = cache.select(&gemm(), &sizes(2000), &cfg).unwrap().clone();
-            cache.insert_key(old_key.to_vec(), Ok(s)).unwrap();
+            assert_eq!(
+                (cache.replayed(), cache.undecodable(), cache.len()),
+                (1, 1, 1)
+            );
+            assert!(cache.lookup_key(&old_key).is_none(), "never served");
+            assert!(cache.lookup_key(&key).is_some());
+            assert!(cache.garbage_ratio() > 0.4, "{}", cache.garbage_ratio());
+            cache.compact().unwrap();
+            assert_eq!(cache.garbage_ratio(), 0.0);
+            drop(cache);
+            let cache = open(&dir);
+            assert_eq!((cache.replayed(), cache.undecodable()), (1, 0));
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let mut cache = open(&dir);
-        assert_eq!(
-            (cache.replayed(), cache.undecodable(), cache.len()),
-            (1, 1, 1)
-        );
-        assert!(cache.lookup_key(old_key).is_none(), "never served");
-        assert!(cache.lookup_key(&key).is_some());
-        assert!(cache.garbage_ratio() > 0.4, "{}", cache.garbage_ratio());
-        cache.compact().unwrap();
-        assert_eq!(cache.garbage_ratio(), 0.0);
-        drop(cache);
-        let cache = open(&dir);
-        assert_eq!((cache.replayed(), cache.undecodable()), (1, 0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -811,6 +1164,206 @@ mod tests {
         cache.select(&gemm(), &sizes(2000), &cfg).unwrap();
         assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
         assert_eq!((cache.live_bytes(), cache.garbage_ratio()), (0, 0.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn open_never(dir: &Path, fingerprint: fn(&[u8]) -> u64) -> TileCache {
+        // Eviction tests append thousands of records: no fsync each.
+        let config = JournalConfig {
+            sync: crate::SyncPolicy::Never,
+            ..JournalConfig::default()
+        };
+        TileCache::open_with(dir, GpuArch::ga100(), config, fingerprint).unwrap()
+    }
+
+    fn is_resident(cache: &TileCache, key: &[u8]) -> bool {
+        cache.slots.iter().any(|entry| entry.key == key)
+    }
+
+    /// A key in this build's format (so replay keeps its record) that
+    /// no encoded request equals.
+    fn test_key(name: &str) -> Vec<u8> {
+        let mut key = vec![KEY_FORMAT];
+        key.extend_from_slice(name.as_bytes());
+        key
+    }
+
+    /// Inserts `n` distinct journaled entries, numbered from `from`.
+    fn fill(cache: &mut TileCache, from: usize, n: usize) {
+        for i in from..from + n {
+            let reason = format!("filler {i}");
+            let key = test_key(&reason);
+            cache
+                .insert_key(key, Err(EatssError::Unsatisfiable { reason }))
+                .unwrap();
+        }
+    }
+
+    fn encoded(result: Option<SelectResult>) -> Vec<u8> {
+        encode_result(&result.expect("present")).expect("committed")
+    }
+
+    #[test]
+    fn keys_are_varints() {
+        let cfg = EatssConfig::default();
+        let key = encode_key(&GpuArch::ga100(), &gemm(), &sizes(2000), &cfg);
+        assert_eq!(key[0], KEY_FORMAT);
+        // Three statements' worth of 1-byte fields, not 8 bytes each.
+        assert!(key.len() < 120, "{} bytes", key.len());
+        let mut v = Vec::new();
+        for x in [0, 127, 128, 300, u64::MAX] {
+            put(&mut v, x);
+        }
+        assert_eq!(v[..5], [0, 127, 0x80, 1, 0xAC]);
+        assert_eq!(v.len(), 1 + 1 + 2 + 2 + 10);
+        let mut z = Vec::new();
+        for x in [0, -1, 1, -2, i64::MIN] {
+            put_signed(&mut z, x);
+        }
+        assert_eq!(z[..4], [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn an_evicted_entry_reads_back_equal_to_the_inserted_one() {
+        let dir = temp_dir("evicted");
+        let cfg = EatssConfig::default();
+        let key = encode_key(&GpuArch::ga100(), &gemm(), &sizes(2000), &cfg);
+        let mut cache = open_never(&dir, fnv1a64);
+        let inserted = encode_result(&cache.select(&gemm(), &sizes(2000), &cfg).cloned()).unwrap();
+        fill(&mut cache, 0, RESIDENT_CAP);
+        assert!(
+            !is_resident(&cache, &key),
+            "the oldest unreferenced entry goes first"
+        );
+        assert_eq!(
+            (cache.resident_len(), cache.len()),
+            (RESIDENT_CAP, RESIDENT_CAP + 1)
+        );
+        let hits = cache.stats().hits;
+        assert_eq!(encoded(cache.lookup_key(&key)), inserted);
+        assert!(is_resident(&cache, &key), "read back into memory");
+        assert_eq!(cache.stats().hits, hits + 1);
+        assert_eq!(cache.garbage_ratio(), 0.0);
+
+        // Superseding an evicted entry makes its old record garbage. The
+        // hit gave the entry a second chance: two sweeps evict it.
+        fill(&mut cache, RESIDENT_CAP, 2 * RESIDENT_CAP);
+        assert!(!is_resident(&cache, &key));
+        let live = cache.live_bytes();
+        cache
+            .insert_key(key.clone(), decode_result(&inserted).unwrap())
+            .unwrap();
+        assert_eq!(cache.live_bytes(), live, "an equal-size record replaced");
+        assert_eq!(cache.len(), 3 * RESIDENT_CAP + 1);
+
+        // After compaction (which copies evicted records) and a reopen.
+        fill(&mut cache, 3 * RESIDENT_CAP, RESIDENT_CAP);
+        cache.compact().unwrap();
+        assert_eq!(cache.garbage_ratio(), 0.0);
+        assert_eq!(cache.live_bytes() + HEADER_BYTES, cache.journal_bytes());
+        assert_eq!(cache.len(), 4 * RESIDENT_CAP + 1);
+        assert!(!is_resident(&cache, &key));
+        assert_eq!(encoded(cache.lookup_key(&key)), inserted);
+        assert!(cache.lookup_key(&test_key("filler 5")).is_some());
+        drop(cache);
+        let mut cache = open_never(&dir, fnv1a64);
+        assert_eq!(
+            (cache.len(), cache.resident_len()),
+            (4 * RESIDENT_CAP + 1, 0)
+        );
+        assert_eq!(encoded(cache.lookup_key(&key)), inserted);
+        assert_eq!(cache.garbage_ratio(), 0.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_in_memory_cache_drops_what_it_evicts() {
+        let mut cache = TileCache::new(GpuArch::ga100());
+        let cfg = EatssConfig::default();
+        cache.select(&gemm(), &sizes(2000), &cfg).unwrap();
+        fill(&mut cache, 0, RESIDENT_CAP);
+        assert_eq!(cache.len(), RESIDENT_CAP);
+        cache.select(&gemm(), &sizes(2000), &cfg).unwrap();
+        assert_eq!(
+            (cache.stats().misses, cache.stats().hits),
+            (RESIDENT_CAP as u64 + 2, 0)
+        );
+    }
+
+    #[test]
+    fn a_key_hit_between_evictions_stays_resident() {
+        let dir = temp_dir("second-chance");
+        let mut cache = open_never(&dir, fnv1a64);
+        let cfg = EatssConfig::default();
+        let hot = encode_key(&GpuArch::ga100(), &gemm(), &sizes(2000), &cfg);
+        let cold = encode_key(&GpuArch::ga100(), &gemm(), &sizes(1000), &cfg);
+        cache.select(&gemm(), &sizes(2000), &cfg).unwrap();
+        cache.select(&gemm(), &sizes(1000), &cfg).unwrap();
+        for round in 0..20 {
+            fill(&mut cache, round * 500, 500);
+            assert!(is_resident(&cache, &hot), "round {round}");
+            assert!(cache.lookup_key(&hot).is_some());
+        }
+        assert!(!is_resident(&cache, &cold), "never hit, so evicted");
+        assert_eq!(cache.len(), 2 + 20 * 500);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every test key named `collide …` has fingerprint 7.
+    fn colliding(key: &[u8]) -> u64 {
+        if key
+            .get(1..)
+            .is_some_and(|name| name.starts_with(b"collide"))
+        {
+            7
+        } else {
+            fnv1a64(key)
+        }
+    }
+
+    #[test]
+    fn keys_that_share_a_fingerprint_all_stay_findable() {
+        let dir = temp_dir("collide");
+        let keys: Vec<Vec<u8>> = (0..3).map(|i| test_key(&format!("collide {i}"))).collect();
+        let result = |i: usize| {
+            Err(EatssError::Unsatisfiable {
+                reason: format!("answer {i}"),
+            })
+        };
+        let answers = |cache: &mut TileCache| -> Vec<Vec<u8>> {
+            keys.iter().map(|k| encoded(cache.lookup_key(k))).collect()
+        };
+        let expected: Vec<Vec<u8>> = (0..3).map(|i| encode_result(&result(i)).unwrap()).collect();
+        let mut cache = open_never(&dir, colliding);
+        for (i, key) in keys.iter().enumerate() {
+            cache.insert_key(key.clone(), result(i)).unwrap();
+        }
+        assert_eq!(cache.len(), 3);
+        assert_eq!(answers(&mut cache), expected, "resident");
+        // The hits gave them a second chance: two sweeps evict them.
+        fill(&mut cache, 0, 2 * RESIDENT_CAP);
+        assert!(keys.iter().all(|k| !is_resident(&cache, k)));
+        assert_eq!(answers(&mut cache), expected, "evicted");
+        assert!(cache.lookup_key(&test_key("collide 3")).is_none());
+
+        // A colliding key superseded while evicted keeps its neighbours.
+        fill(&mut cache, 2 * RESIDENT_CAP, 2 * RESIDENT_CAP);
+        assert!(keys.iter().all(|k| !is_resident(&cache, k)));
+        cache.insert_key(keys[1].clone(), result(1)).unwrap();
+        assert_eq!(cache.len(), 3 + 4 * RESIDENT_CAP);
+        assert_eq!(answers(&mut cache), expected, "superseded");
+        cache.compact().unwrap();
+        assert_eq!(answers(&mut cache), expected, "compacted");
+        drop(cache);
+
+        // Replay tells a collision from a superseded record by its key.
+        let mut cache = open_never(&dir, colliding);
+        cache.insert_key(keys[2].clone(), result(2)).unwrap();
+        drop(cache);
+        let mut cache = open_never(&dir, colliding);
+        assert_eq!(cache.len(), 3 + 4 * RESIDENT_CAP);
+        assert!(cache.garbage_ratio() > 0.0);
+        assert_eq!(answers(&mut cache), expected, "reopened");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

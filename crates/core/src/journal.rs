@@ -28,8 +28,11 @@
 //! of the full record, so a crash — including `kill -9` — can only
 //! produce a *torn tail*: a prefix of the last record.
 //!
-//! Recovery walks the file from the header and replays records in append
-//! order. A record *validates* when its length is plausible (room for the
+//! Recovery walks the file from the header, reading it through a 64 KiB
+//! window, and hands each record to the caller in append order with its
+//! offset, at which [`Journal::read_at`] reads it back later with
+//! positional reads — that is how the cache finds an entry it evicted
+//! from memory. A record *validates* when its length is plausible (room for the
 //! key length, at most the configured maximum, inside the file), its
 //! checksum matches and its key length fits the payload. Where no record
 //! validates, the boundary chain is broken — a flipped bit in a length,
@@ -46,14 +49,15 @@
 //! like any other format-version mismatch; its entries are solved again
 //! on demand once it is moved aside.
 //!
-//! Compaction writes the live entries to `journal.log.tmp`, fsyncs it,
-//! and atomically renames it over `journal.log` (then fsyncs the
-//! directory), so a crash mid-compaction leaves either the old or the new
-//! file — never a mix.
+//! Compaction writes the live entries to `journal.log.tmp` — each one
+//! encoded, or copied byte for byte from the old file — fsyncs it, and
+//! atomically renames it over `journal.log` (then fsyncs the directory),
+//! so a crash mid-compaction leaves either the old or the new file —
+//! never a mix.
 
 use eatss_trace::fnv1a64;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening the journal file.
@@ -100,10 +104,6 @@ impl Default for JournalConfig {
     }
 }
 
-/// The `(key, value)` pairs recovered from a journal at open, in append
-/// order.
-pub type ReplayedEntries = Vec<(Vec<u8>, Vec<u8>)>;
-
 /// What recovery found (and repaired) while opening a journal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
@@ -130,6 +130,41 @@ pub struct Journal {
     recovery: RecoveryStats,
 }
 
+/// One whole record read back from the journal: its prefix and payload,
+/// exactly as they are on disk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    bytes: Vec<u8>,
+    key_len: usize,
+}
+
+impl Record {
+    /// The record's key.
+    pub fn key(&self) -> &[u8] {
+        let start = RECORD_PREFIX_BYTES as usize + 4;
+        &self.bytes[start..start + self.key_len]
+    }
+
+    /// The record's value.
+    pub fn value(&self) -> &[u8] {
+        &self.bytes[RECORD_PREFIX_BYTES as usize + 4 + self.key_len..]
+    }
+
+    /// The record's size on disk: prefix, key length, key and value.
+    pub fn disk_bytes(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+}
+
+/// A record for [`Journal::compact`] to write.
+#[derive(Debug)]
+pub enum Live<'a> {
+    /// Encode a record from a key and a value.
+    Encode(&'a [u8], Vec<u8>),
+    /// Copy the record at this offset of the current file as it is.
+    Copy(u64),
+}
+
 fn header_bytes() -> [u8; HEADER_BYTES as usize] {
     let mut h = [0u8; HEADER_BYTES as usize];
     h[..8].copy_from_slice(MAGIC);
@@ -153,6 +188,19 @@ fn bad_data(detail: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
 }
 
+/// Fills `buf` from byte `at` of `file` without moving its cursor (on
+/// Unix; elsewhere appends seek before they write anyway).
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, at)
+}
+
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    file.seek(SeekFrom::Start(at))?;
+    io::Read::read_exact(&mut file, buf)
+}
+
 /// One on-disk record (see the module docs): length, checksum, payload.
 fn encode_record(key: &[u8], value: &[u8]) -> Vec<u8> {
     let payload_len = 4 + key.len() + value.len();
@@ -167,58 +215,122 @@ fn encode_record(key: &[u8], value: &[u8]) -> Vec<u8> {
     record
 }
 
-/// The record starting at byte `at` of `bytes`, if a whole one validates
-/// there (see the module docs), as `(key, value, end)`.
-fn record_at(bytes: &[u8], at: usize, max_payload: u32) -> Option<(&[u8], &[u8], usize)> {
-    let start = at + RECORD_PREFIX_BYTES as usize;
-    let prefix = bytes.get(at..start)?;
+/// The payload length a record prefix declares, if it is plausible: room
+/// for the key length, at most `max_payload`, and ending by `file_len`
+/// for a record at `at`.
+fn declared_payload(prefix: &[u8], at: u64, max_payload: u32, file_len: u64) -> Option<usize> {
     let payload_len = read_u32(prefix, 0);
-    if payload_len > max_payload {
-        return None;
-    }
-    let payload = bytes.get(start..start + payload_len as usize)?;
-    let key_len = read_u32(payload.get(..4)?, 0) as usize;
-    if key_len > payload.len() - 4 || fnv1a64(payload) != read_u64(prefix, 4) {
-        return None;
-    }
-    Some((
-        &payload[4..4 + key_len],
-        &payload[4 + key_len..],
-        start + payload.len(),
-    ))
+    let end = at + RECORD_PREFIX_BYTES + u64::from(payload_len);
+    ((4..=max_payload).contains(&payload_len) && end <= file_len).then_some(payload_len as usize)
 }
 
-/// Replays the records after the header of `bytes` into `records`,
-/// resynchronising past damage (see the module docs). Returns the length
-/// of the prefix to keep: all of `bytes` unless its tail holds nothing
-/// that validates.
-fn replay(
-    bytes: &[u8],
+/// The key length of a record whose prefix and payload are these, if
+/// the checksum matches and the key fits the payload.
+fn validate(prefix: &[u8], payload: &[u8]) -> Option<usize> {
+    let key_len = read_u32(payload, 0) as usize;
+    (key_len <= payload.len() - 4 && fnv1a64(payload) == read_u64(prefix, 4)).then_some(key_len)
+}
+
+/// Bytes read into a replay [`Window`] at a time.
+const REPLAY_CHUNK: usize = 64 << 10;
+
+/// A record that validated: its size on disk, its key and its value.
+type Validated<'a> = (usize, &'a [u8], &'a [u8]);
+
+/// A forward-moving view of the journal file for replay: it holds the
+/// bytes from `base` on and reads more, in chunks, as records need them,
+/// so replay never holds more than a chunk or one record.
+struct Window<'f> {
+    file: &'f File,
+    file_len: u64,
+    base: u64,
+    buf: Vec<u8>,
+}
+
+impl Window<'_> {
+    /// Bytes `at..at + n` of the file; `at + n` is never past its end.
+    /// Resynchronising after a damaged record steps back to one byte
+    /// past its start, which a refill for its payload may have dropped.
+    fn get(&mut self, at: u64, n: usize) -> io::Result<&[u8]> {
+        let end = at + n as u64;
+        let held = self.base + self.buf.len() as u64;
+        if at < self.base || end > held {
+            if (self.base..=held).contains(&at) {
+                self.buf.drain(..(at - self.base) as usize);
+            } else {
+                self.buf.clear();
+            }
+            self.base = at;
+            let have = self.buf.len();
+            let want = (n.max(REPLAY_CHUNK) as u64).min(self.file_len - at) as usize;
+            self.buf.resize(want, 0);
+            read_exact_at(self.file, &mut self.buf[have..], at + have as u64)?;
+        }
+        let from = (at - self.base) as usize;
+        Ok(&self.buf[from..from + n])
+    }
+
+    /// The record at `at`, if a whole one validates there, as its size
+    /// on disk, its key and its value.
+    fn record_at(&mut self, at: u64, max_payload: u32) -> io::Result<Option<Validated<'_>>> {
+        if at + RECORD_PREFIX_BYTES > self.file_len {
+            return Ok(None);
+        }
+        let mut prefix = [0u8; RECORD_PREFIX_BYTES as usize];
+        prefix.copy_from_slice(self.get(at, RECORD_PREFIX_BYTES as usize)?);
+        let Some(payload_len) = declared_payload(&prefix, at, max_payload, self.file_len) else {
+            return Ok(None);
+        };
+        let payload = self.get(at + RECORD_PREFIX_BYTES, payload_len)?;
+        Ok(validate(&prefix, payload).map(|key_len| {
+            let (key, value) = payload[4..].split_at(key_len);
+            (RECORD_PREFIX_BYTES as usize + payload_len, key, value)
+        }))
+    }
+}
+
+/// Streams the records after the header of `file` (`file_len` bytes) to
+/// `visit` as `(offset, key, value)`, resynchronising past damage (see
+/// the module docs). Returns the length of the prefix to keep: all of
+/// the file unless its tail holds nothing that validates.
+fn replay<F>(
+    file: &File,
+    file_len: u64,
     max_payload: u32,
-    records: &mut ReplayedEntries,
     stats: &mut RecoveryStats,
-) -> usize {
-    let mut pos = HEADER_BYTES as usize;
-    while pos < bytes.len() {
-        if let Some((key, value, end)) = record_at(bytes, pos, max_payload) {
-            records.push((key.to_vec(), value.to_vec()));
+    visit: &mut F,
+) -> io::Result<u64>
+where
+    F: FnMut(u64, &[u8], &[u8]),
+{
+    let mut window = Window {
+        file,
+        file_len,
+        base: HEADER_BYTES,
+        buf: Vec::new(),
+    };
+    let mut pos = HEADER_BYTES;
+    while pos < file_len {
+        if let Some((len, key, value)) = window.record_at(pos, max_payload)? {
+            visit(pos, key, value);
             stats.records_recovered += 1;
-            pos = end;
+            pos += len as u64;
             continue;
         }
-        match (pos + 1..bytes.len()).find(|&at| record_at(bytes, at, max_payload).is_some()) {
-            Some(next) => {
-                stats.corrupt_records_skipped += 1;
-                pos = next;
-            }
-            None => {
-                stats.torn_tails_truncated = 1;
-                stats.bytes_discarded = (bytes.len() - pos) as u64;
-                return pos;
-            }
+        let mut next = pos + 1;
+        while next < file_len && window.record_at(next, max_payload)?.is_none() {
+            next += 1;
+        }
+        if next < file_len {
+            stats.corrupt_records_skipped += 1;
+            pos = next;
+        } else {
+            stats.torn_tails_truncated = 1;
+            stats.bytes_discarded = file_len - pos;
+            return Ok(pos);
         }
     }
-    pos
+    Ok(pos)
 }
 
 /// Best-effort directory fsync so renames and creations are durable.
@@ -230,15 +342,20 @@ fn sync_dir(dir: &Path) {
 
 impl Journal {
     /// Opens (creating if needed) the journal in `dir`, recovering every
-    /// committed record. Returns the journal and the replayed records in
-    /// append order.
+    /// committed record: each one is handed to `visit` as `(offset, key,
+    /// value)`, in append order, as replay reaches it. The offset is
+    /// where [`Journal::read_at`] finds the record again.
     ///
     /// # Errors
     ///
     /// I/O failures, or [`io::ErrorKind::InvalidData`] when `dir` holds a
     /// version-1 journal (nothing is touched) or `journal.log` carries a
     /// foreign magic or version.
-    pub fn open(dir: &Path, config: JournalConfig) -> io::Result<(Journal, ReplayedEntries)> {
+    pub fn open(
+        dir: &Path,
+        config: JournalConfig,
+        mut visit: impl FnMut(u64, &[u8], &[u8]),
+    ) -> io::Result<Journal> {
         let legacy = dir.join(LEGACY_SHARD);
         if legacy.exists() {
             return Err(bad_data(format!(
@@ -255,16 +372,14 @@ impl Journal {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let file_len = file.metadata()?.len();
 
         let mut recovery = RecoveryStats::default();
-        let mut records = Vec::new();
-        let len = if bytes.len() < HEADER_BYTES as usize {
+        let len = if file_len < HEADER_BYTES {
             // Empty or torn header (a crash during creation): start over.
-            if !bytes.is_empty() {
+            if file_len > 0 {
                 recovery.torn_tails_truncated = 1;
-                recovery.bytes_discarded = bytes.len() as u64;
+                recovery.bytes_discarded = file_len;
             }
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -272,37 +387,42 @@ impl Journal {
             file.sync_data()?;
             HEADER_BYTES
         } else {
-            if &bytes[..8] != MAGIC {
+            let mut header = [0u8; HEADER_BYTES as usize];
+            read_exact_at(&file, &mut header, 0)?;
+            if &header[..8] != MAGIC {
                 return Err(bad_data(format!(
                     "{}: not an EATSS journal (bad magic)",
                     path.display()
                 )));
             }
-            let version = read_u32(&bytes, 8);
+            let version = read_u32(&header, 8);
             if version != FORMAT_VERSION {
                 return Err(bad_data(format!(
                     "{}: journal format v{version}, this build reads v{FORMAT_VERSION}",
                     path.display()
                 )));
             }
-            let keep = replay(&bytes, config.max_record_bytes, &mut records, &mut recovery);
-            if keep < bytes.len() {
-                file.set_len(keep as u64)?;
+            let keep = replay(
+                &file,
+                file_len,
+                config.max_record_bytes,
+                &mut recovery,
+                &mut visit,
+            )?;
+            if keep < file_len {
+                file.set_len(keep)?;
                 file.sync_data()?;
             }
-            keep as u64
+            keep
         };
         sync_dir(dir);
-        Ok((
-            Journal {
-                dir: dir.to_path_buf(),
-                file,
-                len,
-                config,
-                recovery,
-            },
-            records,
-        ))
+        Ok(Journal {
+            dir: dir.to_path_buf(),
+            file,
+            len,
+            config,
+            recovery,
+        })
     }
 
     /// What recovery found while opening.
@@ -310,14 +430,15 @@ impl Journal {
         self.recovery
     }
 
-    /// Appends one record. On `Ok` under [`SyncPolicy::Always`] the
-    /// record is durable against hard kills.
+    /// Appends one record and returns the offset it starts at. On `Ok`
+    /// under [`SyncPolicy::Always`] the record is durable against hard
+    /// kills.
     ///
     /// # Errors
     ///
     /// I/O failures; the record is rejected (`InvalidData`) if it exceeds
     /// the configured maximum payload size.
-    pub fn append(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
+    pub fn append(&mut self, key: &[u8], value: &[u8]) -> io::Result<u64> {
         let payload_len = 4 + key.len() + value.len();
         if payload_len > self.config.max_record_bytes as usize {
             return Err(bad_data(format!(
@@ -326,18 +447,48 @@ impl Journal {
             )));
         }
         let record = encode_record(key, value);
-        self.file.seek(SeekFrom::Start(self.len))?;
+        let offset = self.len;
+        self.file.seek(SeekFrom::Start(offset))?;
         if let Err(e) = self.file.write_all(&record) {
             // A partial append is a torn tail; trim it now so the live
             // handle keeps its invariants without waiting for recovery.
-            let _ = self.file.set_len(self.len);
+            let _ = self.file.set_len(offset);
             return Err(e);
         }
         if self.config.sync == SyncPolicy::Always {
             self.file.sync_data()?;
         }
         self.len += record.len() as u64;
-        Ok(())
+        Ok(offset)
+    }
+
+    /// Reads back the record that starts at `offset` with positional
+    /// reads. `None` when no whole record validates there — its length,
+    /// checksum and key length are checked as at recovery.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn read_at(&self, offset: u64) -> io::Result<Option<Record>> {
+        if offset < HEADER_BYTES || offset + RECORD_PREFIX_BYTES > self.len {
+            return Ok(None);
+        }
+        let mut prefix = [0u8; RECORD_PREFIX_BYTES as usize];
+        read_exact_at(&self.file, &mut prefix, offset)?;
+        let Some(payload_len) =
+            declared_payload(&prefix, offset, self.config.max_record_bytes, self.len)
+        else {
+            return Ok(None);
+        };
+        let mut bytes = vec![0u8; RECORD_PREFIX_BYTES as usize + payload_len];
+        bytes[..RECORD_PREFIX_BYTES as usize].copy_from_slice(&prefix);
+        read_exact_at(
+            &self.file,
+            &mut bytes[RECORD_PREFIX_BYTES as usize..],
+            offset + RECORD_PREFIX_BYTES,
+        )?;
+        let (prefix, payload) = bytes.split_at(RECORD_PREFIX_BYTES as usize);
+        Ok(validate(prefix, payload).map(|key_len| Record { bytes, key_len }))
     }
 
     /// Flushes OS buffers (meaningful under [`SyncPolicy::Never`]).
@@ -350,33 +501,58 @@ impl Journal {
     }
 
     /// Atomically replaces the journal with a snapshot of `entries`
-    /// (dropping superseded duplicates and skipped garbage). Write-temp +
+    /// (dropping superseded duplicates and skipped garbage): each one is
+    /// encoded, or copied from the current file as it is. Write-temp +
     /// fsync + rename + directory fsync: a crash leaves either the old or
-    /// the new file intact.
+    /// the new file intact. Returns, per entry, the offset of its record
+    /// in the new file — `None` for a copy whose source no longer
+    /// validates, which is left out.
     ///
     /// # Errors
     ///
     /// I/O failures; on error the old file remains authoritative.
-    pub fn compact<'a, I>(&mut self, entries: I) -> io::Result<()>
-    where
-        I: Iterator<Item = (&'a [u8], Vec<u8>)>,
-    {
+    pub fn compact<'a>(
+        &mut self,
+        entries: impl IntoIterator<Item = Live<'a>>,
+    ) -> io::Result<Vec<Option<u64>>> {
         let path = self.dir.join(FILE_NAME);
         let tmp_path = path.with_extension("log.tmp");
+        let mut offsets = Vec::new();
         {
-            let mut tmp = File::create(&tmp_path)?;
+            let mut tmp = io::BufWriter::new(File::create(&tmp_path)?);
             tmp.write_all(&header_bytes())?;
-            for (key, value) in entries {
-                tmp.write_all(&encode_record(key, &value))?;
+            let mut len = HEADER_BYTES;
+            for entry in entries {
+                let written = match entry {
+                    Live::Encode(key, value) => {
+                        let record = encode_record(key, &value);
+                        tmp.write_all(&record)?;
+                        Some(record.len())
+                    }
+                    Live::Copy(offset) => match self.read_at(offset)? {
+                        Some(record) => {
+                            tmp.write_all(&record.bytes)?;
+                            Some(record.bytes.len())
+                        }
+                        None => None,
+                    },
+                };
+                offsets.push(written.map(|bytes| {
+                    let at = len;
+                    len += bytes as u64;
+                    at
+                }));
             }
-            tmp.sync_all()?;
+            tmp.into_inner()
+                .map_err(io::IntoInnerError::into_error)?
+                .sync_all()?;
         }
         fs::rename(&tmp_path, &path)?;
         sync_dir(&self.dir);
         // Reopen the live handle on the new file.
         self.file = OpenOptions::new().read(true).write(true).open(&path)?;
         self.len = self.file.metadata()?.len();
-        Ok(())
+        Ok(offsets)
     }
 
     /// Size of the journal file, header included.
@@ -405,11 +581,18 @@ mod tests {
         dir
     }
 
-    fn open(dir: &Path) -> (Journal, ReplayedEntries) {
-        Journal::open(dir, JournalConfig::default()).unwrap()
+    type Replayed = Vec<(Vec<u8>, Vec<u8>)>;
+
+    fn open(dir: &Path) -> (Journal, Replayed) {
+        let mut records = Vec::new();
+        let journal = Journal::open(dir, JournalConfig::default(), |_, key, value| {
+            records.push((key.to_vec(), value.to_vec()))
+        })
+        .unwrap();
+        (journal, records)
     }
 
-    fn keys(records: &ReplayedEntries) -> Vec<&[u8]> {
+    fn keys(records: &Replayed) -> Vec<&[u8]> {
         records.iter().map(|(k, _)| k.as_slice()).collect()
     }
 
@@ -511,7 +694,7 @@ mod tests {
         let legacy = dir.join(LEGACY_SHARD);
         fs::write(&legacy, &shard).unwrap();
 
-        let err = Journal::open(&dir, JournalConfig::default()).unwrap_err();
+        let err = Journal::open(&dir, JournalConfig::default(), |_, _, _| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(LEGACY_SHARD), "{err}");
         assert_eq!(
@@ -532,13 +715,57 @@ mod tests {
                 .unwrap();
         }
         let before = j.bytes();
-        j.compact([(b"same-key".as_slice(), b"rev9".to_vec())].into_iter())
+        j.compact([Live::Encode(b"same-key", b"rev9".to_vec())])
             .unwrap();
         assert!(j.bytes() < before);
         drop(j);
         let (_, recovered) = open(&dir);
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].1, b"rev9");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_are_read_back_at_their_offsets_and_copied_by_compaction() {
+        let dir = temp_dir("read-at");
+        let (mut j, _) = open(&dir);
+        let first = j.append(b"k0", b"v0").unwrap();
+        let second = j.append(b"key-1", b"value-1").unwrap();
+        assert_eq!(first, HEADER_BYTES);
+        let record = j.read_at(second).unwrap().unwrap();
+        assert_eq!(
+            (record.key(), record.value()),
+            (&b"key-1"[..], &b"value-1"[..])
+        );
+        assert_eq!(record.disk_bytes(), j.bytes() - second);
+        // An offset inside a record, or past the end, holds no record.
+        assert_eq!(j.read_at(second + 1).unwrap(), None);
+        assert_eq!(j.read_at(j.bytes()).unwrap(), None);
+
+        // Offsets seen at replay are the ones appends returned.
+        drop(j);
+        let mut offsets = Vec::new();
+        let mut j =
+            Journal::open(&dir, JournalConfig::default(), |at, _, _| offsets.push(at)).unwrap();
+        assert_eq!(offsets, [first, second]);
+
+        // Compaction copies a record byte for byte, encodes another, and
+        // leaves out a copy whose source does not validate.
+        let moved = j
+            .compact([
+                Live::Copy(second),
+                Live::Copy(second + 1),
+                Live::Encode(b"k2", b"v2".to_vec()),
+            ])
+            .unwrap();
+        assert_eq!(moved[0], Some(HEADER_BYTES));
+        assert_eq!(moved[1], None);
+        assert_eq!(j.read_at(HEADER_BYTES).unwrap(), Some(record.clone()));
+        let k2 = j.read_at(moved[2].unwrap()).unwrap().unwrap();
+        assert_eq!((k2.key(), k2.value()), (&b"k2"[..], &b"v2"[..]));
+        drop(j);
+        let (_, recovered) = open(&dir);
+        assert_eq!(keys(&recovered), [&b"key-1"[..], b"k2"]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

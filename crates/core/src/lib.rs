@@ -62,7 +62,7 @@ pub use cache::{TileCache, TileCacheStats};
 pub use config::{ConfigRangeError, EatssConfig, Precision, ThreadBlockCap};
 pub use error::{PipelineError, PipelineStage};
 pub use evaluate::{evaluate_program_with, EvaluateError};
-pub use journal::{Journal, JournalConfig, RecoveryStats, ReplayedEntries, SyncPolicy};
+pub use journal::{Journal, JournalConfig, RecoveryStats, SyncPolicy};
 pub use model::{
     Ablation, EatssError, EatssModel, EatssSolution, ModelGenerator, SolutionProvenance,
 };

@@ -5,7 +5,7 @@
 //! lands in — detected, skipped, and counted; never a panic, never a
 //! wrong record, never a later record.
 
-use eatss::journal::{FILE_NAME, HEADER_BYTES, RECORD_PREFIX_BYTES};
+use eatss::journal::{Live, FILE_NAME, HEADER_BYTES, RECORD_PREFIX_BYTES};
 use eatss::{Journal, JournalConfig, SyncPolicy};
 use eatss_trace::fnv1a64;
 use proptest::prelude::*;
@@ -32,6 +32,15 @@ fn config() -> JournalConfig {
     }
 }
 
+/// Opens the journal in `dir`, collecting what replay hands over.
+fn open(dir: &Path) -> std::io::Result<(Journal, Entries)> {
+    let mut replayed = Vec::new();
+    let journal = Journal::open(dir, config(), |_, key, value| {
+        replayed.push((key.to_vec(), value.to_vec()))
+    })?;
+    Ok((journal, replayed))
+}
+
 fn append_all(journal: &mut Journal, entries: &[(Vec<u8>, Vec<u8>)]) {
     for (key, value) in entries {
         journal.append(key, value).expect("append");
@@ -40,7 +49,7 @@ fn append_all(journal: &mut Journal, entries: &[(Vec<u8>, Vec<u8>)]) {
 }
 
 fn write_entries(dir: &Path, entries: &[(Vec<u8>, Vec<u8>)]) {
-    let (mut journal, replayed) = Journal::open(dir, config()).expect("open");
+    let (mut journal, replayed) = open(dir).expect("open");
     assert!(replayed.is_empty(), "fresh directory");
     append_all(&mut journal, entries);
 }
@@ -69,7 +78,7 @@ proptest! {
     ) {
         let dir = temp_dir("roundtrip");
         write_entries(&dir, &entries);
-        let (journal, replayed) = Journal::open(&dir, config()).expect("reopen");
+        let (journal, replayed) = open(&dir).expect("reopen");
         prop_assert_eq!(&replayed, &entries);
         let stats = journal.recovery();
         prop_assert_eq!(stats.records_recovered as usize, entries.len());
@@ -99,7 +108,7 @@ fn torn_tail_recovers_every_complete_record_at_every_offset() {
     let mut boundaries = vec![HEADER_BYTES as usize];
     for len in HEADER_BYTES as usize..=full.len() {
         std::fs::write(&path, &full[..len]).expect("truncate");
-        let (journal, replayed) = Journal::open(&dir, config()).expect("reopen torn");
+        let (journal, replayed) = open(&dir).expect("reopen torn");
         let stats = journal.recovery();
         drop(journal);
 
@@ -159,7 +168,7 @@ fn bit_flips_are_detected_skipped_and_counted() {
             let mut corrupted = full.clone();
             corrupted[byte] ^= 1 << bit;
             std::fs::write(&path, &corrupted).expect("write corrupted");
-            let (journal, replayed) = Journal::open(&dir, config())
+            let (journal, replayed) = open(&dir)
                 .unwrap_or_else(|e| panic!("byte {byte} bit {bit}: open must not fail: {e}"));
             let stats = journal.recovery();
             drop(journal);
@@ -192,7 +201,7 @@ fn a_broken_length_prefix_loses_only_its_record() {
     bytes[second..second + 4].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
     std::fs::write(&path, &bytes).expect("write corrupted");
 
-    let (mut journal, replayed) = Journal::open(&dir, config()).expect("reopen");
+    let (mut journal, replayed) = open(&dir).expect("reopen");
     assert_eq!(replayed, without(&entries, 1));
     assert_eq!(journal.recovery().corrupt_records_skipped, 1);
     assert_eq!(journal.recovery().torn_tails_truncated, 0);
@@ -200,7 +209,7 @@ fn a_broken_length_prefix_loses_only_its_record() {
     append_all(&mut journal, &appended);
     drop(journal);
 
-    let (journal, replayed) = Journal::open(&dir, config()).expect("reopen after append");
+    let (journal, replayed) = open(&dir).expect("reopen after append");
     let mut expected = without(&entries, 1);
     expected.extend(appended);
     assert_eq!(replayed, expected);
@@ -229,7 +238,7 @@ fn compaction_after_corruption_restores_a_clean_journal() {
     bytes.truncate(bytes.len() - 3);
     std::fs::write(&path, &bytes).expect("corrupt and tear");
 
-    let (mut journal, replayed) = Journal::open(&dir, config()).expect("reopen torn");
+    let (mut journal, replayed) = open(&dir).expect("reopen torn");
     let stats = journal.recovery();
     assert_eq!(
         (stats.corrupt_records_skipped, stats.torn_tails_truncated),
@@ -237,14 +246,48 @@ fn compaction_after_corruption_restores_a_clean_journal() {
     );
     assert_eq!(replayed, entries[1..entries.len() - 1]);
     journal
-        .compact(replayed.iter().map(|(k, v)| (k.as_slice(), v.clone())))
+        .compact(replayed.iter().map(|(k, v)| Live::Encode(k, v.clone())))
         .expect("compact");
     drop(journal);
 
-    let (journal, survivors) = Journal::open(&dir, config()).expect("reopen compacted");
+    let (journal, survivors) = open(&dir).expect("reopen compacted");
     let stats = journal.recovery();
     assert_eq!(stats.corrupt_records_skipped, 0);
     assert_eq!(stats.torn_tails_truncated, 0);
     assert_eq!(survivors, replayed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay reads the file through a window of a few tens of KiB. A
+/// journal several windows long, with a bit flipped in one record's
+/// payload — in turn every record, so some straddle a window's edge —
+/// loses exactly that record.
+#[test]
+fn damage_anywhere_in_a_journal_longer_than_the_replay_window_costs_one_record() {
+    let dir = temp_dir("window");
+    let entries: Entries = (0u8..48)
+        .map(|i| (vec![b'w', i], vec![i; 4000 + 97 * i as usize]))
+        .collect();
+    write_entries(&dir, &entries);
+    let path = dir.join(FILE_NAME);
+    let full = std::fs::read(&path).expect("read journal");
+    assert!(full.len() > 256 << 10, "{} bytes", full.len());
+
+    let mut start = HEADER_BYTES as usize;
+    for (hit, (key, value)) in entries.iter().enumerate() {
+        let record = RECORD_PREFIX_BYTES as usize + 4 + key.len() + value.len();
+        let mut corrupted = full.clone();
+        corrupted[start + record / 2] ^= 0x08;
+        std::fs::write(&path, &corrupted).expect("write corrupted");
+        let (journal, replayed) = open(&dir).expect("reopen");
+        assert_eq!(replayed, without(&entries, hit), "record {hit}");
+        let last = hit == entries.len() - 1;
+        assert_eq!(
+            journal.recovery().corrupt_records_skipped,
+            u64::from(!last),
+            "record {hit}"
+        );
+        start += record;
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 /// select, evaluate and verify.
 pub(crate) struct Query {
     pub(crate) arch: GpuArch,
-    pub(crate) program: Program,
+    /// Shared with the daemon's parsed registry for a named kernel.
+    pub(crate) program: Arc<Program>,
     pub(crate) sizes: ProblemSizes,
     pub(crate) cfg: EatssConfig,
     pub(crate) evaluate: bool,

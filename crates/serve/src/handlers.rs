@@ -25,7 +25,7 @@ use eatss_ppcg::OracleError;
 use eatss_smt::SolverConfig;
 use eatss_trace::{lane_scope, span, Event, Trace};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Handles one request line. Returns whether the connection should stay
@@ -136,9 +136,12 @@ fn stats_response<'a>(shared: &Shared, server: &'a ServerStats) -> Response<'a> 
     Response::Stats {
         server,
         cache: cache.stats(),
+        entries: cache.len(),
+        resident: cache.resident_len(),
         replayed: cache.replayed(),
         persisted: cache.persisted(),
         journal_bytes: cache.journal_bytes(),
+        garbage_ratio: cache.garbage_ratio(),
         durable: cache.is_durable(),
         recovery: cache.recovery(),
     }
@@ -456,11 +459,16 @@ fn resolve_request(shared: &Shared, select: &SelectRequest) -> Result<Query, Pro
         |pairs: &[(String, i64)]| ProblemSizes::new(pairs.iter().map(|(k, v)| (k.as_str(), *v)));
 
     let (program, sizes) = if let Some(name) = &select.kernel {
-        let bench = eatss_kernels::by_name(name)
+        let (bench, program) = shared
+            .registry
+            .iter()
+            .find(|(bench, _)| bench.name == name)
             .ok_or_else(|| ProtocolError::UnknownKernel(name.clone()))?;
-        let program = bench
-            .program()
-            .map_err(|e| ProtocolError::BadSource(e.to_string()))?;
+        let program = Arc::clone(
+            program
+                .as_ref()
+                .map_err(|e| ProtocolError::BadSource(e.clone()))?,
+        );
         let sizes = match &select.sizes {
             SizeSpec::Dataset(d) if d == "xl" => bench.sizes(Dataset::ExtraLarge),
             SizeSpec::Dataset(_) => bench.sizes(Dataset::Standard),
@@ -476,7 +484,7 @@ fn resolve_request(shared: &Shared, select: &SelectRequest) -> Result<Query, Pro
             .hist
             .parse_us
             .record(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        let program = parsed.map_err(|e| ProtocolError::BadSource(e.to_string()))?;
+        let program = Arc::new(parsed.map_err(|e| ProtocolError::BadSource(e.to_string()))?);
         let sizes = match &select.sizes {
             SizeSpec::Uniform(n) => ProblemSizes::uniform(program.params(), *n),
             SizeSpec::Explicit(pairs) => explicit(pairs),

@@ -585,15 +585,19 @@ pub(crate) enum Response<'a> {
     Overloaded { retry_after_ms: u64 },
     /// `status: error` with a stable `kind` and a one-line `message`.
     Error { kind: &'a str, message: String },
-    /// `stats`: server counters, cache counters (with the journal's
-    /// `replayed`/`persisted`/`journal_bytes`/`durable`), and what journal
+    /// `stats`: server counters, cache counters (with the entries held,
+    /// in all and in memory, and the journal's `replayed`/`persisted`/
+    /// `journal_bytes`/`garbage_ratio`/`durable`), and what journal
     /// recovery found at startup.
     Stats {
         server: &'a ServerStats,
         cache: TileCacheStats,
+        entries: usize,
+        resident: usize,
         replayed: u64,
         persisted: u64,
         journal_bytes: u64,
+        garbage_ratio: f64,
         durable: bool,
         recovery: RecoveryStats,
     },
@@ -750,9 +754,12 @@ impl Response<'_> {
             Response::Stats {
                 server,
                 cache,
+                entries,
+                resident,
                 replayed,
                 persisted,
                 journal_bytes,
+                garbage_ratio,
                 durable,
                 recovery,
             } => {
@@ -764,9 +771,12 @@ impl Response<'_> {
                         ("misses", cache.misses.to_string()),
                         ("infeasible", cache.infeasible.to_string()),
                         ("errors", cache.errors.to_string()),
+                        ("entries", entries.to_string()),
+                        ("resident", resident.to_string()),
                         ("replayed", replayed.to_string()),
                         ("persisted", persisted.to_string()),
                         ("journal_bytes", journal_bytes.to_string()),
+                        ("garbage_ratio", number(*garbage_ratio)),
                         ("durable", durable.to_string()),
                     ]),
                 ));
@@ -1233,9 +1243,12 @@ mod tests {
                 infeasible: 1,
                 errors: 1,
             },
+            entries: 4,
+            resident: 3,
             replayed: 0,
             persisted: 2,
             journal_bytes: 374,
+            garbage_ratio: 0.25,
             durable: true,
             recovery: RecoveryStats::default(),
         };
@@ -1259,7 +1272,7 @@ mod tests {
             (Response::shutting_down(), Some("s1"), r#"{"v":1,"id":"s1","status":"error","error":{"kind":"shutting_down","message":"server is shutting down"}}"#),
             (error("empty_flight", "no requests recorded yet"), Some("t1"), r#"{"v":1,"id":"t1","status":"error","error":{"kind":"empty_flight","message":"no requests recorded yet"}}"#),
             (error("io", "disk full"), Some("c1"), r#"{"v":1,"id":"c1","status":"error","error":{"kind":"io","message":"disk full"}}"#),
-            (stats, Some("st"), r#"{"v":1,"id":"st","status":"ok","server":{"connections":101,"requests":102,"ok":103,"infeasible":104,"errors":105,"shed":106,"coalesced":107,"protocol_errors":108,"panics_caught":109,"fallbacks":110,"verified":112},"cache":{"hits":5,"misses":3,"infeasible":1,"errors":1,"replayed":0,"persisted":2,"journal_bytes":374,"durable":true},"recovery":{"records_recovered":0,"corrupt_records_skipped":0,"torn_tails_truncated":0,"bytes_discarded":0}}"#),
+            (stats, Some("st"), r#"{"v":1,"id":"st","status":"ok","server":{"connections":101,"requests":102,"ok":103,"infeasible":104,"errors":105,"shed":106,"coalesced":107,"protocol_errors":108,"panics_caught":109,"fallbacks":110,"verified":112},"cache":{"hits":5,"misses":3,"infeasible":1,"errors":1,"entries":4,"resident":3,"replayed":0,"persisted":2,"journal_bytes":374,"garbage_ratio":0.25,"durable":true},"recovery":{"records_recovered":0,"corrupt_records_skipped":0,"torn_tails_truncated":0,"bytes_discarded":0}}"#),
         ];
         for (response, id, golden) in cases {
             assert_eq!(response.to_line(id), golden);

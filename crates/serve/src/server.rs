@@ -37,7 +37,9 @@ use crate::handlers::SelectSummary;
 use crate::protocol::{object_line, str_field};
 use crate::transport::{acceptor_loop, listen, Stream};
 use eatss::{JournalConfig, SolutionProvenance, TileCache, TileCacheStats};
+use eatss_affine::Program;
 use eatss_gpusim::{FaultPlan, GpuArch};
+use eatss_kernels::Benchmark;
 use eatss_smt::CancelToken;
 use eatss_trace::{Histogram, Provenance};
 use std::fs::{File, OpenOptions};
@@ -206,6 +208,9 @@ pub(crate) struct Shared {
     /// Provenance captured once at startup (`Provenance::collect` shells
     /// out to git; not a per-request cost).
     pub(crate) provenance: Provenance,
+    /// Every registry kernel, parsed once at startup; a request naming
+    /// one shares its program.
+    pub(crate) registry: Vec<(Benchmark, Result<Arc<Program>, String>)>,
 }
 
 /// `&'static` handles into the trace crate's histogram registry.
@@ -250,6 +255,9 @@ impl Shared {
         summary: &SelectSummary,
         latency_us: u64,
     ) {
+        if self.access_log.is_none() {
+            return;
+        }
         let mut fields = vec![
             ("kernel", str_field(kernel)),
             ("device", str_field(device)),
@@ -474,6 +482,13 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
             parse_us: eatss_trace::histogram("serve.parse_us"),
         },
         provenance: Provenance::collect(None),
+        registry: eatss_kernels::all()
+            .into_iter()
+            .map(|bench| {
+                let program = bench.program().map(Arc::new).map_err(|e| e.to_string());
+                (bench, program)
+            })
+            .collect(),
     });
 
     let mut threads = Vec::with_capacity(workers + 1);
