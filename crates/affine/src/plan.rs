@@ -20,6 +20,13 @@
 //!   value stack — no recursion, no `Box` dispatch. Tape order equals
 //!   the tree-walker's evaluation order, so reads happen in the same
 //!   sequence (observable through routed reads).
+//! * **Rows → blocks.** [`ExecPlan::exec_row`] runs the points of one
+//!   row. A single statement with a linear write that no read aliases
+//!   runs the tape over up to 32 points per opcode dispatch and writes
+//!   the values back in point order — bitwise what the per-point loop
+//!   does, fixed-cell reductions, staged reads and halo edges included.
+//!   `W += R0·R1` keeps a fused loop; aliased and multi-statement rows
+//!   walk the tape point by point.
 //!
 //! External executors (the `eatss-ppcg` GPU emulator) can pre-route
 //! individual reads to a [`RouteSource`], resolving its
@@ -42,24 +49,26 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// fall back to the reference interpreter.
 pub const MAX_STACK: usize = 16;
 
-/// Lanes of the chunked (SIMD-style) row loop.
-pub const SIMD_LANES: usize = 4;
+/// Points per block of the block row loop: each opcode of a block row
+/// is one dispatch over this many points.
+const BLOCK: usize = 32;
 
-/// Runtime switch for the chunked row loop — differential tests flip it
-/// to pin the vector path bitwise against the scalar one.
+/// Runtime switch for the block row loop — differential tests flip it
+/// to pin the block path bitwise against the scalar one.
 static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables the chunked (SIMD-style) row loop globally.
+/// Enables or disables the block row loop globally.
 ///
-/// The vector path is only ever taken where it is provably bitwise
+/// The block loop is only ever taken where it is provably bitwise
 /// identical to the scalar loop (see [`ExecPlan::exec_row`]), so this
 /// switch can never change results — it exists so differential tests
-/// can compare both paths on identical inputs.
+/// can compare both paths on identical inputs. Disabled, every row runs
+/// the fused or scalar loop.
 pub fn set_simd_enabled(enabled: bool) {
     SIMD_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether the chunked row loop is currently enabled.
+/// Whether the block row loop is currently enabled.
 pub fn simd_enabled() -> bool {
     SIMD_ENABLED.load(Ordering::Relaxed)
 }
@@ -74,10 +83,10 @@ pub trait RouteSource {
     /// Offers a whole row to the source: `count` reads starting at the
     /// subscript vector `start`, advancing by `delta` per point. A source
     /// that can prove the whole row resolves within its buffer returns
-    /// the starting flat offset and per-point flat delta; reads then go
-    /// through [`RouteSource::read_flat`] with no per-point subscript
-    /// work. Returning `None` (the default) keeps per-point
-    /// [`RouteSource::read`] calls.
+    /// the starting flat offset and per-point flat delta; the row then
+    /// reads [`RouteSource::row_data`] at those offsets, with no
+    /// per-point subscript work and no per-point state. Returning `None`
+    /// (the default) keeps per-point [`RouteSource::read`] calls.
     fn row(
         &mut self,
         _route: usize,
@@ -88,9 +97,10 @@ pub trait RouteSource {
         None
     }
 
-    /// Reads a pre-linearized flat offset produced by [`RouteSource::row`].
-    fn read_flat(&mut self, _route: usize, _flat: i64) -> f64 {
-        0.0
+    /// The buffer behind `route` that the flat offsets of
+    /// [`RouteSource::row`] index. Only called for rows `row` accepted.
+    fn row_data(&self, _route: usize) -> &[f64] {
+        &[]
     }
 }
 
@@ -217,12 +227,15 @@ pub struct ExecPlan {
 }
 
 /// Reusable scratch for [`ExecPlan::exec_row`]: one `(flat, delta)`
-/// cursor per lowered access. Create once per kernel launch with
-/// [`ExecPlan::scratch`] and reuse across rows — row setup then costs
-/// one dot product per access instead of one per access *per point*.
+/// cursor per lowered access, and the block loop's value stack. Create
+/// once per kernel launch with [`ExecPlan::scratch`] and reuse across
+/// rows — row setup then costs one dot product per access instead of one
+/// per access *per point*, and no row initializes the 4 KiB stack (the
+/// emulator's block rows average about 11 points).
 #[derive(Debug, Clone, Default)]
 pub struct RowScratch {
     stmts: Vec<StmtScratch>,
+    block: Box<[[f64; BLOCK]; MAX_STACK]>,
 }
 
 #[derive(Debug, Clone)]
@@ -234,12 +247,18 @@ struct StmtScratch {
 /// One access's incremental state along a row. `direct` marks cursors
 /// whose flat offset is valid for the whole row — linear store accesses,
 /// and routed reads the [`RouteSource`] linearized via
-/// [`RouteSource::row`]. Everything else is recomputed per point.
+/// [`RouteSource::row`]. Everything else is recomputed per point by the
+/// scalar loop. `lo..hi` is the interval of row points at which the
+/// access is in bounds: the whole row for linear and linearized
+/// accesses, a checked read's in-bounds interval, empty for a miss. The
+/// block loop reads `flat + p·delta` inside it and `0.0` outside.
 #[derive(Debug, Clone, Copy, Default)]
 struct RowCursor {
     flat: i64,
     delta: i64,
     direct: bool,
+    lo: i64,
+    hi: i64,
 }
 
 impl ExecPlan {
@@ -307,6 +326,7 @@ impl ExecPlan {
                     write: (0, 0),
                 })
                 .collect(),
+            block: Box::default(),
         }
     }
 
@@ -316,6 +336,25 @@ impl ExecPlan {
     /// [`interp::exec_point`](crate::interp::exec_point), but every
     /// `Addr::Linear` address is resolved once at row entry and then
     /// advanced incrementally by `step × stride` per point.
+    ///
+    /// A row runs one of three loops:
+    ///
+    /// * the **fused** `W += R0·R1` loop, for a single `mul_acc`
+    ///   statement whose every read is a direct cursor (in a register
+    ///   when the write cell is fixed and no read shares its slot);
+    /// * the **block** loop, for any other single statement with a
+    ///   linear write whose reads are linear, checked, missing or
+    ///   linearized routed accesses, none in the written slot: it
+    ///   evaluates the tape over up to [`BLOCK`] points per opcode and
+    ///   writes their values back in point order, which is what makes it
+    ///   bitwise identical to the scalar loop (no read can see a write of
+    ///   the row, and the writes, fixed-cell adds included, happen in the
+    ///   scalar order);
+    /// * the **scalar** loop, for everything else (aliased slots,
+    ///   multi-statement bodies, routed reads the source would not
+    ///   linearize, checked writes), split at the checked reads'
+    ///   common in-bounds interval so only the edge points pay per-point
+    ///   bounds checks.
     ///
     /// `point[dim]` is clobbered (it tracks the row for checked and
     /// routed accesses); every other coordinate is left untouched.
@@ -347,10 +386,12 @@ impl ExecPlan {
             return;
         }
         // Checked subscripts are linear in the row variable, so each
-        // one's in-bounds region is a contiguous interval of points;
-        // `dlo..dhi` is the intersection over every checked read. Inside
-        // it the checked cursors become direct flat walks, and only the
-        // edge points pay the per-point bounds checks.
+        // one's in-bounds region is a contiguous interval of points; a
+        // checked read's interval is the intersection over its
+        // subscripts, and `dlo..dhi` the intersection over every checked
+        // read. Inside it the scalar loop walks the checked cursors as
+        // direct flat offsets, and only the edge points pay the
+        // per-point bounds checks.
         let mut dlo = 0i64;
         let mut dhi = count;
         let mut has_checked = false;
@@ -363,25 +404,32 @@ impl ExecPlan {
                             flat,
                             delta,
                             direct: true,
+                            lo: 0,
+                            hi: count,
                         }
                     }
                     Addr::Checked { subs, .. } => {
                         has_checked = true;
                         let mut flat = 0i64;
                         let mut delta = 0i64;
+                        let (mut lo, mut hi) = (0, count);
                         for sub in subs {
                             let s = sub.index.eval(point);
                             let d = step * sub.index.coeff(dim);
                             flat = flat.wrapping_add(s.wrapping_mul(sub.stride));
                             delta = delta.wrapping_add(d.wrapping_mul(sub.stride));
-                            let (lo, hi) = inbounds_interval(s, d, sub.extent, count);
-                            dlo = dlo.max(lo);
-                            dhi = dhi.min(hi);
+                            let (sub_lo, sub_hi) = inbounds_interval(s, d, sub.extent, count);
+                            lo = lo.max(sub_lo);
+                            hi = hi.min(sub_hi);
                         }
+                        dlo = dlo.max(lo);
+                        dhi = dhi.min(hi);
                         RowCursor {
                             flat,
                             delta,
                             direct: false,
+                            lo,
+                            hi,
                         }
                     }
                     Addr::Routed { route, subs } => {
@@ -401,6 +449,8 @@ impl ExecPlan {
                                 flat,
                                 delta,
                                 direct: true,
+                                lo: 0,
+                                hi: count,
                             },
                             None => RowCursor::default(),
                         }
@@ -412,6 +462,14 @@ impl ExecPlan {
                 Addr::Linear { base, terms, .. } => row_cursor(*base, terms, point, dim, step),
                 _ => (0, 0),
             };
+        }
+        if simd_enabled() {
+            if let Some(wslot) = self.block_eligible(scratch) {
+                let RowScratch { stmts, block } = scratch;
+                self.run_row_block(store, count, &stmts[0], routes, wslot, block);
+                point[dim] += step * count;
+                return;
+            }
         }
         if !has_checked {
             self.run_row_body(store, point, dim, count, step, scratch, routes);
@@ -457,23 +515,6 @@ impl ExecPlan {
         scratch: &mut RowScratch,
         routes: &mut impl RouteSource,
     ) {
-        // Chunked (SIMD-style) path: rows where bitwise identity with the
-        // scalar loops is provable run in [`SIMD_LANES`]-wide chunks; the
-        // scalar loops below take the tail, continuing from the advanced
-        // cursors.
-        let mut count = count;
-        if simd_enabled() && count >= SIMD_LANES as i64 {
-            if let Some(wslot) = self.simd_eligible(scratch) {
-                let chunks = count / SIMD_LANES as i64;
-                self.run_row_simd(store, scratch, chunks, wslot);
-                let done = chunks * SIMD_LANES as i64;
-                point[dim] += step * done;
-                count -= done;
-                if count == 0 {
-                    return;
-                }
-            }
-        }
         // Fused fast path for the dominant single-statement shape
         // `W += R0 * R1` with every address resolved to a direct cursor:
         // no tape dispatch, no stack, no per-point write resolution.
@@ -487,38 +528,20 @@ impl ExecPlan {
                 let Addr::Linear { slot: wslot, .. } = stmt.write else {
                     unreachable!("guarded by the matches! above")
                 };
-                if sc.write.1 == 0 {
+                if sc.write.1 == 0 && !stmt.reads_slot(wslot) {
                     // The write cell is fixed along the row (a reduction,
-                    // e.g. `C[i][j] += A[i][k]·B[k][j]` rowed over `k`):
-                    // accumulate in a register and store once. Identical
-                    // rounding — the adds happen in the same order.
-                    enum Rd<'a> {
-                        Slice(&'a [f64]),
-                        Route(usize),
-                    }
-                    let resolve = |addr: &Addr| match addr {
-                        Addr::Linear { slot, .. } | Addr::Checked { slot, .. } => {
-                            Rd::Slice(store.slot_array(*slot as usize).data())
-                        }
-                        Addr::Routed { route, .. } => Rd::Route(*route as usize),
-                        Addr::Miss => unreachable!("non-direct cursors are excluded above"),
-                    };
-                    let r0 = resolve(&stmt.reads[0]);
-                    let r1 = resolve(&stmt.reads[1]);
+                    // e.g. `C[i][j] += A[i][k]·B[k][j]` rowed over `k`)
+                    // and no read sees it: accumulate in a register and
+                    // store once. Identical rounding — the adds happen in
+                    // the same order.
+                    let r0 = direct_data(&stmt.reads[0], store, routes);
+                    let r1 = direct_data(&stmt.reads[1], store, routes);
                     let (mut fa, da) = (sc.reads[0].flat, sc.reads[0].delta);
                     let (mut fb, db) = (sc.reads[1].flat, sc.reads[1].delta);
                     let wflat = sc.write.0 as usize;
                     let mut acc = store.slot_array(wslot as usize).data()[wflat];
                     for _ in 0..count {
-                        let a = match &r0 {
-                            Rd::Slice(d) => d[fa as usize],
-                            Rd::Route(r) => routes.read_flat(*r, fa),
-                        };
-                        let b = match &r1 {
-                            Rd::Slice(d) => d[fb as usize],
-                            Rd::Route(r) => routes.read_flat(*r, fb),
-                        };
-                        acc += a * b;
+                        acc += r0[fa as usize] * r1[fb as usize];
                         fa = fa.wrapping_add(da);
                         fb = fb.wrapping_add(db);
                     }
@@ -531,8 +554,8 @@ impl ExecPlan {
                     return;
                 }
                 for _ in 0..count {
-                    let a = direct_val(&stmt.reads[0], &sc.reads[0], store, routes);
-                    let b = direct_val(&stmt.reads[1], &sc.reads[1], store, routes);
+                    let a = direct_data(&stmt.reads[0], store, routes)[sc.reads[0].flat as usize];
+                    let b = direct_data(&stmt.reads[1], store, routes)[sc.reads[1].flat as usize];
                     let cell =
                         &mut store.slot_array_mut(wslot as usize).data_mut()[sc.write.0 as usize];
                     *cell += a * b;
@@ -565,7 +588,7 @@ impl ExecPlan {
                                     .slot_array(*slot as usize)
                                     .data()[sc.reads[i].flat as usize],
                                 Addr::Routed { route, .. } if sc.reads[i].direct => {
-                                    routes.read_flat(*route as usize, sc.reads[i].flat)
+                                    routes.row_data(*route as usize)[sc.reads[i].flat as usize]
                                 }
                                 other => read_addr(other, store, point, routes),
                             };
@@ -628,128 +651,136 @@ impl ExecPlan {
         }
     }
 
-    /// Whether the row in flight may take the chunked lane loop with
-    /// provable bitwise identity to the scalar loops: a single statement
-    /// whose write walks a *distinct* linear cell per point (row delta
-    /// ≠ 0), with every read a direct cursor into a store slot other
-    /// than the written one. Distinct write cells mean lanes never race;
-    /// slot disjointness means no point can observe another point's
-    /// write; direct store-backed cursors mean each lane performs
-    /// exactly the scalar op sequence on exactly the scalar operands.
-    /// Fixed-cell reductions (write delta 0) are deliberately excluded —
-    /// reassociating the accumulation would change rounding — as are
-    /// routed reads, whose sources may be stateful.
-    fn simd_eligible(&self, scratch: &RowScratch) -> Option<u32> {
-        if self.stmts.len() != 1 {
+    /// The written slot, when the row in flight may take the block loop
+    /// with provable bitwise identity to the scalar loop: a single
+    /// statement with an `Addr::Linear` write, whose reads are linear,
+    /// checked or missing store accesses in other slots, or routed reads
+    /// the source linearized for the whole row. Slot disjointness means
+    /// no point can observe another point's write, so the values of a
+    /// block may be computed before any of them is written; a linearized
+    /// route and a checked read's interval leave no per-point state. Rows
+    /// the fused `mul_acc` loop takes whole stay there.
+    fn block_eligible(&self, scratch: &RowScratch) -> Option<u32> {
+        let [stmt] = self.stmts.as_slice() else {
             return None;
-        }
-        let stmt = &self.stmts[0];
+        };
         let sc = &scratch.stmts[0];
         let Addr::Linear { slot: wslot, .. } = stmt.write else {
             return None;
         };
-        if sc.write.1 == 0 || !sc.reads.iter().all(|c| c.direct) {
+        if stmt.mul_acc && sc.reads.iter().all(|c| c.direct) {
             return None;
         }
-        let disjoint = stmt.reads.iter().all(|r| match r {
-            Addr::Linear { slot, .. } | Addr::Checked { slot, .. } => *slot != wslot,
-            Addr::Routed { .. } | Addr::Miss => false,
-        });
-        disjoint.then_some(wslot)
+        let routes_linearized = (stmt.reads.iter().zip(&sc.reads))
+            .all(|(r, c)| c.direct || !matches!(r, Addr::Routed { .. }));
+        (routes_linearized && !stmt.reads_slot(wslot)).then_some(wslot)
     }
 
-    /// Executes `chunks × SIMD_LANES` points of a row admitted by
-    /// [`ExecPlan::simd_eligible`], evaluating the opcode tape on a
-    /// stack of [`SIMD_LANES`]-wide value vectors. Each lane applies the
-    /// scalar op sequence to the scalar operands of its point, and the
-    /// written cells are pairwise distinct and unobserved by any read,
-    /// so the result is bitwise identical to the scalar loop. Cursors
-    /// are left advanced past the chunks; `point[dim]` is advanced by
-    /// the caller (no checked or routed access remains that needs it).
-    fn run_row_simd(&self, store: &mut Store, scratch: &mut RowScratch, chunks: i64, wslot: u32) {
-        const L: usize = SIMD_LANES;
+    /// Executes a whole `count`-point row admitted by
+    /// [`ExecPlan::block_eligible`], [`BLOCK`] points at a time on
+    /// `stack`: each opcode is one dispatch and a loop over the block's
+    /// lanes, each lane applying the scalar op to the scalar operands of
+    /// its point (no reassociation, no contraction), and the block's
+    /// values are then written back in point order — fixed-cell
+    /// accumulations get the same adds in the same order.
+    fn run_row_block(
+        &self,
+        store: &mut Store,
+        count: i64,
+        sc: &StmtScratch,
+        routes: &impl RouteSource,
+        wslot: u32,
+        stack: &mut [[f64; BLOCK]; MAX_STACK],
+    ) {
         let stmt = &self.stmts[0];
-        let sc = &mut scratch.stmts[0];
-        let mut stack = [[0.0f64; L]; MAX_STACK];
-        for _ in 0..chunks {
+        let (wflat, wdelta) = sc.write;
+        let mut first = 0i64;
+        while first < count {
+            let n = (count - first).min(BLOCK as i64) as usize;
             let mut top = 0usize;
             for op in &stmt.tape {
                 match *op {
                     Op::Num(v) => {
-                        stack[top] = [v; L];
+                        stack[top] = [v; BLOCK];
                         top += 1;
                     }
                     Op::Read(i) => {
                         let i = i as usize;
-                        let slot = match &stmt.reads[i] {
-                            Addr::Linear { slot, .. } | Addr::Checked { slot, .. } => *slot,
-                            _ => unreachable!("simd_eligible admits only slot-backed reads"),
-                        };
-                        let data = store.slot_array(slot as usize).data();
-                        let (f, d) = (sc.reads[i].flat, sc.reads[i].delta);
-                        for (lane, v) in stack[top].iter_mut().enumerate() {
-                            *v = data[f.wrapping_add(d.wrapping_mul(lane as i64)) as usize];
-                        }
+                        let data = direct_data(&stmt.reads[i], store, routes);
+                        read_lanes(&mut stack[top][..n], data, &sc.reads[i], first);
                         top += 1;
                     }
-                    Op::Add => {
-                        top -= 1;
-                        let rhs = stack[top];
-                        for (v, r) in stack[top - 1].iter_mut().zip(rhs) {
-                            *v += r;
-                        }
-                    }
-                    Op::Sub => {
-                        top -= 1;
-                        let rhs = stack[top];
-                        for (v, r) in stack[top - 1].iter_mut().zip(rhs) {
-                            *v -= r;
-                        }
-                    }
-                    Op::Mul => {
-                        top -= 1;
-                        let rhs = stack[top];
-                        for (v, r) in stack[top - 1].iter_mut().zip(rhs) {
-                            *v *= r;
-                        }
-                    }
-                    Op::Div => {
-                        top -= 1;
-                        let rhs = stack[top];
-                        for (v, r) in stack[top - 1].iter_mut().zip(rhs) {
-                            *v /= r;
-                        }
-                    }
+                    Op::Add => top = combine(stack, top, |a, b| a + b),
+                    Op::Sub => top = combine(stack, top, |a, b| a - b),
+                    Op::Mul => top = combine(stack, top, |a, b| a * b),
+                    Op::Div => top = combine(stack, top, |a, b| a / b),
                     Op::Neg => {
-                        for v in stack[top - 1].iter_mut() {
+                        for v in &mut stack[top - 1] {
                             *v = -*v;
                         }
                     }
-                    Op::Nan => {
-                        top -= 1;
-                        stack[top - 1] = [f64::NAN; L];
-                    }
+                    Op::Nan => top = combine(stack, top, |_, _| f64::NAN),
                 }
             }
-            let vals = stack[0];
-            let (wf, wd) = (sc.write.0, sc.write.1);
             let data = store.slot_array_mut(wslot as usize).data_mut();
-            for (lane, v) in vals.iter().enumerate() {
-                let cell = &mut data[wf.wrapping_add(wd.wrapping_mul(lane as i64)) as usize];
+            let mut flat = wflat.wrapping_add(wdelta.wrapping_mul(first));
+            for &v in &stack[0][..n] {
+                let cell = &mut data[flat as usize];
                 if stmt.accumulate {
-                    *cell += *v;
+                    *cell += v;
                 } else {
-                    *cell = *v;
+                    *cell = v;
                 }
+                flat = flat.wrapping_add(wdelta);
             }
-            for cursor in &mut sc.reads {
-                cursor.flat = cursor
-                    .flat
-                    .wrapping_add(cursor.delta.wrapping_mul(L as i64));
-            }
-            sc.write.0 = sc.write.0.wrapping_add(sc.write.1.wrapping_mul(L as i64));
+            first += n as i64;
         }
     }
+}
+
+impl StmtPlan {
+    /// Whether any read of the statement is a store access to `slot`.
+    fn reads_slot(&self, slot: u32) -> bool {
+        self.reads.iter().any(|r| match r {
+            Addr::Linear { slot: s, .. } | Addr::Checked { slot: s, .. } => *s == slot,
+            Addr::Routed { .. } | Addr::Miss => false,
+        })
+    }
+}
+
+/// Fills a block's lanes with one read: row point `first + lane` reads
+/// `data[flat + (first + lane)·delta]` inside the cursor's in-bounds
+/// interval and `0.0` outside it — exactly what the scalar loop's checked
+/// read yields there.
+#[inline]
+fn read_lanes(lanes: &mut [f64], data: &[f64], cursor: &RowCursor, first: i64) {
+    let n = lanes.len() as i64;
+    let hi = (cursor.hi - first).clamp(0, n) as usize;
+    let lo = ((cursor.lo - first).clamp(0, n) as usize).min(hi);
+    lanes[..lo].fill(0.0);
+    lanes[hi..].fill(0.0);
+    let mut flat = cursor
+        .flat
+        .wrapping_add(cursor.delta.wrapping_mul(first + lo as i64));
+    for v in &mut lanes[lo..hi] {
+        *v = data[flat as usize];
+        flat = flat.wrapping_add(cursor.delta);
+    }
+}
+
+/// Pops the top block of lanes and combines it into the one below,
+/// lane by lane; returns the new stack height.
+#[inline]
+fn combine(
+    stack: &mut [[f64; BLOCK]; MAX_STACK],
+    top: usize,
+    op: impl Fn(f64, f64) -> f64,
+) -> usize {
+    let (below, above) = stack.split_at_mut(top - 1);
+    for (lhs, &rhs) in below[top - 2].iter_mut().zip(&above[0]) {
+        *lhs = op(*lhs, rhs);
+    }
+    top - 1
 }
 
 /// One loop of a loop nest: `count` values of `dim` from `start`, `step`
@@ -946,16 +977,17 @@ fn lower_access(r: &ArrayRef, trips: &[i64], store: &Store, route: Option<usize>
     })
 }
 
-/// Reads through a direct row cursor (linear store access or a routed
-/// read the source linearized).
+/// The buffer a direct row cursor indexes: the store slot of a linear or
+/// checked access, the source's buffer for a linearized routed read
+/// (empty for a miss, which is never indexed).
 #[inline]
-fn direct_val(addr: &Addr, cur: &RowCursor, store: &Store, routes: &mut impl RouteSource) -> f64 {
+fn direct_data<'a>(addr: &Addr, store: &'a Store, routes: &'a impl RouteSource) -> &'a [f64] {
     match addr {
         Addr::Linear { slot, .. } | Addr::Checked { slot, .. } => {
-            store.slot_array(*slot as usize).data()[cur.flat as usize]
+            store.slot_array(*slot as usize).data()
         }
-        Addr::Routed { route, .. } => routes.read_flat(*route as usize, cur.flat),
-        Addr::Miss => 0.0,
+        Addr::Routed { route, .. } => routes.row_data(*route as usize),
+        Addr::Miss => &[],
     }
 }
 
@@ -1170,11 +1202,12 @@ mod tests {
     /// comparisons below are only meaningful while it holds still.
     static SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// Runs the plan-backed interpreter with the chunked row loop forced
-    /// on or off, returning the resulting store. Arrays are seeded with
-    /// the same irregular values as [`run_both`]; the division in the
-    /// sources below makes them inexact, so any reordering would show.
-    fn run_fast(src: &str, n: i64, arrays: &[&str], simd: bool) -> Store {
+    /// Runs the plan-backed interpreter — with the block row loop forced
+    /// on or off — or the reference tree-walker, returning the resulting
+    /// store. Arrays are seeded tight (extent `N`) with the same irregular
+    /// values as [`run_both`]; the division makes them inexact, so any
+    /// reordering would show.
+    fn run_fast(src: &str, n: i64, arrays: &[&str], engine: Engine) -> Store {
         let p = parse_program(src).unwrap();
         let sizes = ProblemSizes::new([("N", n)]);
         let mut store = Store::new();
@@ -1185,37 +1218,133 @@ mod tests {
                 Array::from_fn(vec![n], |i| ((i[0].wrapping_mul(31) % 7) - 3) as f64 / 3.0),
             );
         }
-        set_simd_enabled(simd);
-        let result = crate::interp::run_program(&p, &sizes, &mut store);
-        set_simd_enabled(true);
+        let result = match engine {
+            Engine::Block | Engine::Scalar => {
+                set_simd_enabled(engine == Engine::Block);
+                let result = crate::interp::run_program(&p, &sizes, &mut store);
+                set_simd_enabled(true);
+                result
+            }
+            Engine::Reference => reference::run_program(&p, &sizes, &mut store),
+        };
         result.unwrap();
         store
     }
 
-    /// The chunked row loop is bitwise identical to the scalar loop on
-    /// direct-assign and moving-cell accumulation rows, across every row
-    /// length from a pure tail (shorter than a lane) through exact
-    /// chunks to chunk-plus-tail.
-    #[test]
-    fn simd_rows_match_scalar_rows_including_short_tails() {
-        let _guard = SIMD_LOCK.lock().unwrap();
-        let src = "kernel s(N) { for (i: N) B[i] = 0.5 * A[i] - C[i] / 3.0; }
-                   kernel m(N) { for (i: N) W[i] += A[i] * C[i]; }";
-        for n in 1..=11 {
-            let vector = run_fast(src, n, &["A", "C"], true);
-            let scalar = run_fast(src, n, &["A", "C"], false);
-            let mismatches = compare_stores(&vector, &scalar);
-            assert!(
-                mismatches.is_empty(),
-                "N={n}: simd != scalar: {mismatches:?}"
-            );
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Engine {
+        Block,
+        Scalar,
+        Reference,
+    }
+
+    /// Runs `src` at each row length on the block loop, the scalar loop
+    /// and the tree-walker, and requires all three stores to be equal.
+    fn block_matches_scalar_and_reference(src: &str, arrays: &[&str], lengths: &[i64]) {
+        let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for &n in lengths {
+            let block = run_fast(src, n, arrays, Engine::Block);
+            for other in [Engine::Scalar, Engine::Reference] {
+                let mismatches = compare_stores(&block, &run_fast(src, n, arrays, other));
+                assert!(
+                    mismatches.is_empty(),
+                    "N={n}: block != {}: {mismatches:?}",
+                    if other == Engine::Scalar {
+                        "scalar"
+                    } else {
+                        "reference"
+                    }
+                );
+            }
         }
     }
 
-    /// `A[i+1]` reads the cell written one point earlier: a chunked loop
+    /// The block row loop is bitwise identical to the scalar loop on
+    /// direct-assign and moving-cell accumulation rows, across every row
+    /// length from 1 to 11 (one partial block each).
+    #[test]
+    fn simd_rows_match_scalar_rows_including_short_tails() {
+        block_matches_scalar_and_reference(
+            "kernel s(N) { for (i: N) B[i] = 0.5 * A[i] - C[i] / 3.0; }
+             kernel m(N) { for (i: N) W[i] += A[i] * C[i]; }",
+            &["A", "C"],
+            &(1..=11).collect::<Vec<_>>(),
+        );
+    }
+
+    /// Rows one short of a block, exactly one, one past, and two blocks
+    /// plus a tail: `alpha·A·C` (a tape the fused loop does not take)
+    /// accumulated into one fixed cell — the adds must reach it in point
+    /// order across block boundaries — and into a distinct cell per point,
+    /// and a halo read of a tight array, out of bounds at both ends of
+    /// its row, whose edge lanes must read 0.
+    #[test]
+    fn block_rows_match_scalar_rows_across_block_boundaries() {
+        block_matches_scalar_and_reference(
+            "kernel fixed(N) { for (i: N) S[0] += alpha * A[i] * C[i]; }
+             kernel moving(N) { for (i: N) W[i] += alpha * A[i] * C[i]; }
+             kernel halo(N) { for (i: N) H[i] = A[i-1] / 3.0 - A[i+1]; }",
+            &["alpha", "A", "C"],
+            &[31, 32, 33, 67],
+        );
+    }
+
+    /// A fixed-cell `+=` row that reads its own cell (`C[i]` at `k = i`)
+    /// must see the sum so far, as the scalar loop does: neither the
+    /// fused register loop nor the block loop may take it.
+    #[test]
+    fn reductions_that_read_their_own_cell_stay_sequential() {
+        block_matches_scalar_and_reference(
+            "kernel a(N) { for (i: N) for (k: N) C[i] += C[k] * A[k]; }
+             kernel b(N) { for (i: N) for (k: N) C[i] += alpha * C[k] * A[k]; }",
+            &["alpha", "A", "C"],
+            &[5, 33],
+        );
+    }
+
+    /// A route source that linearizes every row it is offered serves the
+    /// block loop from its buffer, with no per-point reads.
+    #[test]
+    fn linearized_routes_serve_block_rows_from_their_buffer() {
+        struct Buffer(Vec<f64>, usize);
+        impl RouteSource for Buffer {
+            fn read(&mut self, _route: usize, _index: &[i64]) -> f64 {
+                self.1 += 1;
+                0.0
+            }
+            fn row(
+                &mut self,
+                _: usize,
+                start: &[i64],
+                delta: &[i64],
+                _: i64,
+            ) -> Option<(i64, i64)> {
+                Some((start[0], delta[0]))
+            }
+            fn row_data(&self, _route: usize) -> &[f64] {
+                &self.0
+            }
+        }
+        let p = parse_program("kernel r(N) { for (i: N) B[i] = A[i+1] * 2.0; }").unwrap();
+        let mut store = Store::new();
+        store.insert("A", Array::zeros(vec![41]));
+        store.insert("B", Array::zeros(vec![40]));
+        let plan = ExecPlan::compile_routed(&p.kernels[0], &[40], &store, |r| {
+            (&*r.array == "A").then_some(0)
+        })
+        .unwrap();
+        let mut routes = Buffer((0..41).map(f64::from).collect(), 0);
+        let mut scratch = plan.scratch();
+        plan.exec_row_routed(&mut store, &mut [0], 0, 40, 1, &mut scratch, &mut routes);
+        assert_eq!(routes.1, 0, "no per-point route reads");
+        let b = store.get("B").unwrap();
+        assert!((0..40).all(|i| b.get(&[i]) == 2.0 * (i + 1) as f64));
+    }
+
+    /// `A[i+1]` reads the cell written one point earlier: a block loop
     /// would read stale lanes, so eligibility must decline rows whose
     /// read slot is the written slot. The reference comparison (with the
-    /// chunked loop at its default, enabled) pins the sequential
+    /// block loop at its default, enabled) pins the sequential
     /// propagation.
     #[test]
     fn aliased_rows_stay_scalar_and_propagate_sequentially() {

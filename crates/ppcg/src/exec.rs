@@ -435,8 +435,8 @@ impl RouteSource for StagedRouter<'_, '_> {
         Some((flat, flat_delta))
     }
 
-    fn read_flat(&mut self, route: usize, flat: i64) -> f64 {
-        self.staged[route].data[flat as usize]
+    fn row_data(&self, route: usize) -> &[f64] {
+        &self.staged[route].data
     }
 }
 

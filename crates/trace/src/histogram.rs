@@ -159,7 +159,7 @@ static HISTOGRAMS: Mutex<BTreeMap<String, &'static Histogram>> = Mutex::new(BTre
 /// first use) and returns a `'static` handle. Cache the handle at hot
 /// call sites — the lookup takes the registry lock, `record` never does.
 pub fn histogram(name: &str) -> &'static Histogram {
-    let mut registry = HISTOGRAMS.lock().unwrap();
+    let mut registry = crate::lock(&HISTOGRAMS);
     if let Some(h) = registry.get(name).copied() {
         return h;
     }
@@ -171,9 +171,7 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// Snapshots every registered histogram with at least one observation,
 /// in canonical name order.
 pub(crate) fn snapshot_all() -> BTreeMap<String, HistogramSnapshot> {
-    HISTOGRAMS
-        .lock()
-        .unwrap()
+    crate::lock(&HISTOGRAMS)
         .iter()
         .filter_map(|(name, h)| {
             let snap = h.snapshot();
@@ -185,7 +183,7 @@ pub(crate) fn snapshot_all() -> BTreeMap<String, HistogramSnapshot> {
 /// Zeroes every registered histogram's buckets. Registrations (the
 /// leaked allocations and cached handles) stay valid across sessions.
 pub(crate) fn reset_all() {
-    for h in HISTOGRAMS.lock().unwrap().values() {
+    for h in crate::lock(&HISTOGRAMS).values() {
         h.reset();
     }
 }

@@ -33,10 +33,11 @@
 //! instrumented at all; spans sit at call boundaries (`maximize`,
 //! one sweep point, one simulated launch).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 mod event;
@@ -123,7 +124,7 @@ pub fn collecting() -> bool {
 /// that share a process (tests) must serialize sessions.
 pub fn start_collecting() {
     EPOCH.get_or_init(Instant::now);
-    EVENTS.lock().unwrap().clear();
+    lock(&EVENTS).clear();
     metrics::reset();
     NEXT_SEQ.store(0, Ordering::Relaxed);
     NEXT_SPAN_ID.store(1, Ordering::Relaxed);
@@ -140,7 +141,7 @@ pub fn stop_collecting() {
 /// registry. Both buffers are reset for the next session.
 pub fn drain(provenance: Provenance) -> Trace {
     COLLECTING.store(false, Ordering::Relaxed);
-    let mut events = std::mem::take(&mut *EVENTS.lock().unwrap());
+    let mut events = std::mem::take(&mut *lock(&EVENTS));
     events.sort_by_key(|e| (e.lane, e.seq));
     let metrics = metrics::snapshot_and_reset();
     Trace {
@@ -219,6 +220,14 @@ macro_rules! debug {
     };
 }
 
+/// Locks one of the crate's registries. Every update under these locks
+/// leaves a valid map or list at every step (a panic mid-way can at most
+/// drop the events a harvest had taken), so a poisoned lock is recovered
+/// instead of failing every later metric or event call in the process.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn now_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
@@ -228,7 +237,7 @@ fn next_seq() -> u64 {
 }
 
 fn push_event(event: Event) {
-    EVENTS.lock().unwrap().push(event);
+    lock(&EVENTS).push(event);
 }
 
 /// Restores the previous lane on drop; see [`lane_scope`].
@@ -276,7 +285,7 @@ pub fn alloc_lane() -> u64 {
 /// stays bounded by the in-flight set instead of growing for the
 /// process lifetime. Collection stays enabled.
 pub fn harvest_lane(lane: u64, keep: impl Fn(u64) -> bool) -> Vec<Event> {
-    let mut events = EVENTS.lock().unwrap();
+    let mut events = lock(&EVENTS);
     let all = std::mem::take(&mut *events);
     let mut taken = Vec::new();
     for event in all {
@@ -401,4 +410,24 @@ pub fn instant(cat: &'static str, name: &'static str, args: Vec<(&'static str, A
         args,
         kind: EventKind::Instant { level: Level::Info },
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_registry_lock_is_recovered() {
+        let registry = Mutex::new(1u64);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock(&registry);
+                panic!("a panic while the registry is locked");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && registry.is_poisoned());
+        *lock(&registry) += 1;
+        assert_eq!(*lock(&registry), 2, "later calls still reach the data");
+    }
 }

@@ -11,6 +11,7 @@ use std::sync::Mutex;
 
 use crate::histogram::{self, HistogramSnapshot};
 use crate::json::{escape, number};
+use crate::lock;
 
 static COUNTERS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 static GAUGES: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
@@ -21,11 +22,14 @@ pub fn counter_add(name: &str, delta: u64) {
     if delta == 0 || !crate::collecting() {
         return;
     }
-    *COUNTERS
-        .lock()
-        .unwrap()
-        .entry(name.to_string())
-        .or_insert(0) += delta;
+    let mut counters = lock(&COUNTERS);
+    // Look the name up first: only a counter's first bump allocates.
+    match counters.get_mut(name) {
+        Some(count) => *count += delta,
+        None => {
+            counters.insert(name.to_string(), delta);
+        }
+    }
 }
 
 /// Sets the named gauge to `value`. No-op while collection is disabled.
@@ -33,7 +37,13 @@ pub fn gauge_set(name: &str, value: f64) {
     if !crate::collecting() {
         return;
     }
-    GAUGES.lock().unwrap().insert(name.to_string(), value);
+    let mut gauges = lock(&GAUGES);
+    match gauges.get_mut(name) {
+        Some(gauge) => *gauge = value,
+        None => {
+            gauges.insert(name.to_string(), value);
+        }
+    }
 }
 
 /// A point-in-time copy of the registry, in canonical (sorted) key order.
@@ -163,16 +173,16 @@ fn prometheus_name(name: &str) -> String {
 /// Copies the current registry contents without resetting them.
 pub fn metrics_snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
-        counters: COUNTERS.lock().unwrap().clone(),
-        gauges: GAUGES.lock().unwrap().clone(),
+        counters: lock(&COUNTERS).clone(),
+        gauges: lock(&GAUGES).clone(),
         histograms: histogram::snapshot_all(),
     }
 }
 
 pub(crate) fn snapshot_and_reset() -> MetricsSnapshot {
     let snapshot = MetricsSnapshot {
-        counters: std::mem::take(&mut *COUNTERS.lock().unwrap()),
-        gauges: std::mem::take(&mut *GAUGES.lock().unwrap()),
+        counters: std::mem::take(&mut *lock(&COUNTERS)),
+        gauges: std::mem::take(&mut *lock(&GAUGES)),
         histograms: histogram::snapshot_all(),
     };
     histogram::reset_all();
@@ -180,7 +190,7 @@ pub(crate) fn snapshot_and_reset() -> MetricsSnapshot {
 }
 
 pub(crate) fn reset() {
-    COUNTERS.lock().unwrap().clear();
-    GAUGES.lock().unwrap().clear();
+    lock(&COUNTERS).clear();
+    lock(&GAUGES).clear();
     histogram::reset_all();
 }

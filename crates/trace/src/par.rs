@@ -1,7 +1,7 @@
 //! The workspace's one scoped worker pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Maps `f` over `items` on up to `jobs` scoped threads and returns the
 /// results in input order, whatever order the workers finished in — so a
@@ -25,15 +25,18 @@ pub fn par_map_ordered<I: Sync, T: Send>(
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("slot poisoned") = Some(f(item));
+                *crate::lock(&slots[i]) = Some(f(item));
             });
         }
     });
     slots
         .into_iter()
         .map(|slot| {
+            // A panic in `f` has already propagated out of the scope, so
+            // every slot was filled.
+            #[allow(clippy::expect_used)]
             slot.into_inner()
-                .expect("slot poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("every index was claimed by a worker")
         })
         .collect()

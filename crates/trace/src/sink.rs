@@ -223,13 +223,14 @@ impl Trace {
         events.sort_by_key(|e| (e.lane, e.seq));
         let mut open: Vec<(u64, Vec<u64>)> = Vec::new(); // (lane, stack)
         for event in events {
-            let stack = match open.iter_mut().find(|(lane, _)| *lane == event.lane) {
-                Some((_, stack)) => stack,
+            let at = match open.iter().position(|(lane, _)| *lane == event.lane) {
+                Some(at) => at,
                 None => {
                     open.push((event.lane, Vec::new()));
-                    &mut open.last_mut().unwrap().1
+                    open.len() - 1
                 }
             };
+            let stack = &mut open[at].1;
             match &event.kind {
                 EventKind::Begin { id, .. } => stack.push(*id),
                 EventKind::End { id, .. } => match stack.pop() {

@@ -149,15 +149,26 @@ fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
 }
 
 /// Serializes `set_simd_enabled` flips across this binary's threads —
-/// the vector/scalar comparisons are only meaningful while the global
+/// the block/scalar comparisons are only meaningful while the global
 /// flag holds still. (Every *other* test here is valid under either
 /// setting, so only these tests need the lock.)
 static SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// The compile options the block-versus-scalar comparisons run under:
+/// PPCG's default (no staging) and the oracle's staged split, whose
+/// shared-memory reads reach the rows as routed reads.
+fn compile_options() -> [CompileOptions; 2] {
+    [
+        CompileOptions::default(),
+        EatssConfig::with_split(0.5).compile_options(&GpuArch::ga100()),
+    ]
+}
+
 /// Runs both fast paths — the plan interpreter (whose rows span a whole
 /// innermost trip count, whatever the tiles) and, where the configuration
 /// is mappable, the emulator's plan engine (whose rows are tile-clipped)
-/// — with the chunked (SIMD-style) row loop forced on or off.
+/// under each of [`compile_options`] — with the block row loop forced on
+/// or off.
 fn run_fast_paths(
     program: &Program,
     sizes: &ProblemSizes,
@@ -170,27 +181,28 @@ fn run_fast_paths(
     interp::run_program(program, sizes, &mut store).expect("plan interp");
     out.push(store);
     let ppcg = Ppcg::new(GpuArch::ga100());
-    if let Ok(compiled) = ppcg.compile(program, tiles, sizes, &CompileOptions::default()) {
-        let mut store = seed_store(program, sizes, SEED).expect("store seeds");
-        let opts = ExecOptions {
-            engine: ExecEngine::Plan,
-            ..ExecOptions::default()
-        };
-        execute_compiled(program, &compiled.mappings, sizes, &mut store, &opts)
-            .expect("plan engine");
-        out.push(store);
+    for options in compile_options() {
+        if let Ok(compiled) = ppcg.compile(program, tiles, sizes, &options) {
+            let mut store = seed_store(program, sizes, SEED).expect("store seeds");
+            let opts = ExecOptions {
+                engine: ExecEngine::Plan,
+                ..ExecOptions::default()
+            };
+            execute_compiled(program, &compiled.mappings, sizes, &mut store, &opts)
+                .expect("plan engine");
+            out.push(store);
+        }
     }
     set_simd_enabled(true);
     out
 }
 
-/// The chunked row loop reproduces the scalar loop bitwise on both fast
-/// paths, across the pinned adversarial tiles plus tiles of 2 and 3 —
-/// shapes whose every row ends in a tail shorter than a lane (or *is*
-/// one).
+/// The block row loop reproduces the scalar loop bitwise on both fast
+/// paths, staged and unstaged, across the pinned adversarial tiles plus
+/// tiles of 2 and 3 — shapes whose every row is shorter than a block.
 #[test]
 fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
-    let _guard = SIMD_LOCK.lock().unwrap();
+    let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for bench in eatss_kernels::polybench() {
         let program = bench.program().expect("registry parses");
         let sizes = shrunk(&program, &bench.sizes(eatss_kernels::Dataset::Standard));
@@ -206,7 +218,7 @@ fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
             for (path, (v, s)) in vector.iter().zip(&scalar).enumerate() {
                 assert_bitwise(
                     &format!(
-                        "{} config {c} ({tiles}) path {path} simd-vs-scalar",
+                        "{} config {c} ({tiles}) path {path} block-vs-scalar",
                         bench.name
                     ),
                     v,
@@ -214,6 +226,41 @@ fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
                 );
             }
         }
+    }
+}
+
+/// Rows of 70 points span three blocks (32 + 32 + 6): gemm at `NK = 70`
+/// is a fixed-cell reduction carried across blocks, and the scaling
+/// kernel a distinct-cell row of 70. The seeded values are integers, so
+/// each gemm term is divided by 3 to make the sums depend on their
+/// order. Both paths match the scalar loop and the tree-walker bitwise;
+/// the emulator runs tiles whose `k` and `j` tiles hold the whole row,
+/// staged and unstaged.
+#[test]
+fn block_rows_spanning_several_blocks_match_scalar_rows() {
+    let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let program = eatss_affine::parser::parse_program(
+        "kernel gemm(NI, NJ, NK) {
+           for (i: NI) for (j: NJ) for (k: NK)
+             C[i][j] += alpha * A[i][k] * B[k][j] / 3.0;
+         }
+         kernel scale(NI, NJ) {
+           for (i: NI) for (j: NJ)
+             D[i][j] = C[i][j] / 3.0 - 0.5 * A[i][j];
+         }",
+    )
+    .expect("parses");
+    let sizes = ProblemSizes::new([("NI", 3), ("NJ", 70), ("NK", 70)]);
+    let mut reference = seed_store(&program, &sizes, SEED).expect("store seeds");
+    interp::reference::run_program(&program, &sizes, &mut reference).expect("reference interp");
+    let tiles = TileConfig::new(vec![1, 96, 96]);
+    let block = run_fast_paths(&program, &sizes, &tiles, true);
+    let scalar = run_fast_paths(&program, &sizes, &tiles, false);
+    assert_eq!(block.len(), 3, "the interpreter and both emulator runs");
+    assert_eq!(scalar.len(), block.len());
+    for (path, (b, s)) in block.iter().zip(&scalar).enumerate() {
+        assert_bitwise(&format!("path {path} block-vs-scalar"), b, s);
+        assert_bitwise(&format!("path {path} block-vs-reference"), b, &reference);
     }
 }
 
@@ -258,9 +305,9 @@ proptest! {
         }
     }
 
-    /// Random *small* tiles (1..=6) force rows that are pure tails,
-    /// exact chunks, and chunk-plus-tail mixes: the chunked row loop
-    /// stays bitwise identical to the scalar loop on both fast paths.
+    /// Random *small* tiles (1..=6) force short rows, each one partial
+    /// block: the block row loop stays bitwise identical to the scalar
+    /// loop on both fast paths, staged and unstaged.
     #[test]
     fn simd_rows_match_scalar_rows_on_random_small_tiles(
         kernel_idx in 0usize..17,
@@ -277,7 +324,7 @@ proptest! {
         prop_assert_eq!(vector.len(), scalar.len());
         for (path, (v, s)) in vector.iter().zip(&scalar).enumerate() {
             assert_bitwise(
-                &format!("{} ({tiles}) path {path} simd-vs-scalar", bench.name),
+                &format!("{} ({tiles}) path {path} block-vs-scalar", bench.name),
                 v,
                 s,
             );
