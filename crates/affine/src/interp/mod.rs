@@ -405,7 +405,8 @@ pub fn run_program(
 /// compiled [`ExecPlan`](crate::plan::ExecPlan). Kernels the plan
 /// compiler cannot lower (rank or expression depth beyond its fixed
 /// buffers) fall back to [`reference::run_kernel`]; results are bitwise
-/// identical either way.
+/// identical either way. A plan's rows publish the points each row loop
+/// ran ([`RowScratch::publish`](crate::plan::RowScratch::publish)).
 ///
 /// # Errors
 ///
@@ -434,6 +435,7 @@ pub fn run_kernel(
         plan.exec_row(store, point, row.dim, row.count, row.step, &mut scratch);
         Ok::<(), Infallible>(())
     });
+    scratch.publish();
     Ok(())
 }
 
@@ -456,15 +458,6 @@ fn full_nest(counts: &[i64]) -> Vec<Loop> {
             count,
             step: 1,
         })
-        .collect()
-}
-
-/// The `(name, slot, extents)` layout fingerprint compiled plans depend
-/// on: plans embed dense slot numbers and row-major strides, so two
-/// stores can share plans exactly when their fingerprints are equal.
-pub fn store_layout(store: &Store) -> Vec<(String, usize, Vec<i64>)> {
-    (store.index.iter())
-        .map(|(name, &slot)| (name.clone(), slot, store.slots[slot].extents().to_vec()))
         .collect()
 }
 

@@ -21,12 +21,16 @@
 //!   the tree-walker's evaluation order, so reads happen in the same
 //!   sequence (observable through routed reads).
 //! * **Rows → blocks.** [`ExecPlan::exec_row`] runs the points of one
-//!   row. A single statement with a linear write that no read aliases
-//!   runs the tape over up to 32 points per opcode dispatch and writes
-//!   the values back in point order — bitwise what the per-point loop
-//!   does, fixed-cell reductions, staged reads and halo edges included.
-//!   `W += R0·R1` keeps a fused loop; aliased and multi-statement rows
-//!   walk the tape point by point.
+//!   row. A single statement with a linear write runs the tape over up to
+//!   32 points per opcode dispatch and writes the values back in point
+//!   order — bitwise what the per-point loop does, fixed-cell reductions,
+//!   staged reads, halo edges and in-place updates (`A[i] = A[i] + …`,
+//!   each point reading only the cell it writes) included. A fixed-cell
+//!   `W += R0·R1` keeps a fused register loop; rows that read the written
+//!   slot anywhere else, and multi-statement rows, walk the tape point by
+//!   point. The points each loop runs are the `exec.points_block`,
+//!   `exec.points_fused` and `exec.points_scalar` trace counters
+//!   ([`RowScratch::publish`]).
 //!
 //! External executors (the `eatss-ppcg` GPU emulator) can pre-route
 //! individual reads to a [`RouteSource`], resolving its
@@ -227,15 +231,30 @@ pub struct ExecPlan {
 }
 
 /// Reusable scratch for [`ExecPlan::exec_row`]: one `(flat, delta)`
-/// cursor per lowered access, and the block loop's value stack. Create
-/// once per kernel launch with [`ExecPlan::scratch`] and reuse across
-/// rows — row setup then costs one dot product per access instead of one
-/// per access *per point*, and no row initializes the 4 KiB stack (the
-/// emulator's block rows average about 11 points).
+/// cursor per lowered access, the block loop's value stack, and the
+/// points each row loop has run. Create once per kernel launch with
+/// [`ExecPlan::scratch`] and reuse across rows — row setup then costs one
+/// dot product per access instead of one per access *per point*, and no
+/// row initializes the 4 KiB stack (the emulator's block rows average
+/// about 11 points).
 #[derive(Debug, Clone, Default)]
 pub struct RowScratch {
     stmts: Vec<StmtScratch>,
     block: Box<[[f64; BLOCK]; MAX_STACK]>,
+    points_block: u64,
+    points_fused: u64,
+    points_scalar: u64,
+}
+
+impl RowScratch {
+    /// Adds the points run by the block, fused and scalar row loops to the
+    /// `exec.points_block`, `exec.points_fused` and `exec.points_scalar`
+    /// trace counters: call once per kernel, after its last row.
+    pub fn publish(&self) {
+        eatss_trace::counter_add("exec.points_block", self.points_block);
+        eatss_trace::counter_add("exec.points_fused", self.points_fused);
+        eatss_trace::counter_add("exec.points_scalar", self.points_scalar);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -326,7 +345,7 @@ impl ExecPlan {
                     write: (0, 0),
                 })
                 .collect(),
-            block: Box::default(),
+            ..RowScratch::default()
         }
     }
 
@@ -340,21 +359,26 @@ impl ExecPlan {
     /// A row runs one of three loops:
     ///
     /// * the **fused** `W += R0·R1` loop, for a single `mul_acc`
-    ///   statement whose every read is a direct cursor (in a register
-    ///   when the write cell is fixed and no read shares its slot);
+    ///   statement whose every read is a direct cursor, none in the
+    ///   written slot, accumulating into one fixed cell in a register;
     /// * the **block** loop, for any other single statement with a
     ///   linear write whose reads are linear, checked, missing or
-    ///   linearized routed accesses, none in the written slot: it
-    ///   evaluates the tape over up to [`BLOCK`] points per opcode and
-    ///   writes their values back in point order, which is what makes it
-    ///   bitwise identical to the scalar loop (no read can see a write of
-    ///   the row, and the writes, fixed-cell adds included, happen in the
+    ///   linearized routed accesses, and whose only reads of the written
+    ///   slot (if any) are linear reads on the write's own moving cursor —
+    ///   an in-place update such as `A[i][j] = A[i][j] + …`: it evaluates
+    ///   the tape over up to 32 points per opcode and writes their
+    ///   values back in point order, which is what makes it bitwise
+    ///   identical to the scalar loop (no read can see another point's
+    ///   write, and the writes, fixed-cell adds included, happen in the
     ///   scalar order);
-    /// * the **scalar** loop, for everything else (aliased slots,
-    ///   multi-statement bodies, routed reads the source would not
-    ///   linearize, checked writes), split at the checked reads'
+    /// * the **scalar** loop, for everything else (any other read of the
+    ///   written slot, multi-statement bodies, routed reads the source
+    ///   would not linearize, checked writes), split at the checked reads'
     ///   common in-bounds interval so only the edge points pay per-point
     ///   bounds checks.
+    ///
+    /// `scratch` tallies the points each loop runs
+    /// ([`RowScratch::publish`]).
     ///
     /// `point[dim]` is clobbered (it tracks the row for checked and
     /// routed accesses); every other coordinate is left untouched.
@@ -465,8 +489,9 @@ impl ExecPlan {
         }
         if simd_enabled() {
             if let Some(wslot) = self.block_eligible(scratch) {
-                let RowScratch { stmts, block } = scratch;
+                let RowScratch { stmts, block, .. } = scratch;
                 self.run_row_block(store, count, &stmts[0], routes, wslot, block);
+                scratch.points_block += count as u64;
                 point[dim] += step * count;
                 return;
             }
@@ -515,59 +540,35 @@ impl ExecPlan {
         scratch: &mut RowScratch,
         routes: &mut impl RouteSource,
     ) {
-        // Fused fast path for the dominant single-statement shape
-        // `W += R0 * R1` with every address resolved to a direct cursor:
-        // no tape dispatch, no stack, no per-point write resolution.
-        if self.stmts.len() == 1 {
+        // Fused path for the dominant reduction `W += R0 * R1`, its write
+        // cell fixed along the row (e.g. `C[i][j] += A[i][k]·B[k][j]`
+        // rowed over `k`) and seen by no read: accumulate in a register
+        // and store once. Identical rounding — the adds happen in the same
+        // order.
+        if let Some(wslot) = self.fused_slot(scratch) {
             let stmt = &self.stmts[0];
             let sc = &mut scratch.stmts[0];
-            if stmt.mul_acc
-                && matches!(stmt.write, Addr::Linear { .. })
-                && sc.reads.iter().all(|c| c.direct)
-            {
-                let Addr::Linear { slot: wslot, .. } = stmt.write else {
-                    unreachable!("guarded by the matches! above")
-                };
-                if sc.write.1 == 0 && !stmt.reads_slot(wslot) {
-                    // The write cell is fixed along the row (a reduction,
-                    // e.g. `C[i][j] += A[i][k]·B[k][j]` rowed over `k`)
-                    // and no read sees it: accumulate in a register and
-                    // store once. Identical rounding — the adds happen in
-                    // the same order.
-                    let r0 = direct_data(&stmt.reads[0], store, routes);
-                    let r1 = direct_data(&stmt.reads[1], store, routes);
-                    let (mut fa, da) = (sc.reads[0].flat, sc.reads[0].delta);
-                    let (mut fb, db) = (sc.reads[1].flat, sc.reads[1].delta);
-                    let wflat = sc.write.0 as usize;
-                    let mut acc = store.slot_array(wslot as usize).data()[wflat];
-                    for _ in 0..count {
-                        acc += r0[fa as usize] * r1[fb as usize];
-                        fa = fa.wrapping_add(da);
-                        fb = fb.wrapping_add(db);
-                    }
-                    store.slot_array_mut(wslot as usize).data_mut()[wflat] = acc;
-                    // Persist the cursor advance — a split row's next
-                    // segment continues from these.
-                    sc.reads[0].flat = fa;
-                    sc.reads[1].flat = fb;
-                    point[dim] += step * count;
-                    return;
-                }
-                for _ in 0..count {
-                    let a = direct_data(&stmt.reads[0], store, routes)[sc.reads[0].flat as usize];
-                    let b = direct_data(&stmt.reads[1], store, routes)[sc.reads[1].flat as usize];
-                    let cell =
-                        &mut store.slot_array_mut(wslot as usize).data_mut()[sc.write.0 as usize];
-                    *cell += a * b;
-                    for cursor in &mut sc.reads {
-                        cursor.flat = cursor.flat.wrapping_add(cursor.delta);
-                    }
-                    sc.write.0 = sc.write.0.wrapping_add(sc.write.1);
-                }
-                point[dim] += step * count;
-                return;
+            let r0 = direct_data(&stmt.reads[0], store, routes);
+            let r1 = direct_data(&stmt.reads[1], store, routes);
+            let (mut fa, da) = (sc.reads[0].flat, sc.reads[0].delta);
+            let (mut fb, db) = (sc.reads[1].flat, sc.reads[1].delta);
+            let wflat = sc.write.0 as usize;
+            let mut acc = store.slot_array(wslot as usize).data()[wflat];
+            for _ in 0..count {
+                acc += r0[fa as usize] * r1[fb as usize];
+                fa = fa.wrapping_add(da);
+                fb = fb.wrapping_add(db);
             }
+            store.slot_array_mut(wslot as usize).data_mut()[wflat] = acc;
+            // Persist the cursor advance — a split row's next segment
+            // continues from these.
+            sc.reads[0].flat = fa;
+            sc.reads[1].flat = fb;
+            scratch.points_fused += count as u64;
+            point[dim] += step * count;
+            return;
         }
+        scratch.points_scalar += count as u64;
         let mut stack = [0.0f64; MAX_STACK];
         for _ in 0..count {
             for (stmt, sc) in self.stmts.iter().zip(&mut scratch.stmts) {
@@ -651,15 +652,39 @@ impl ExecPlan {
         }
     }
 
+    /// The written slot, when the row in flight takes the fused register
+    /// loop: a single `mul_acc` statement whose reads are direct cursors,
+    /// none in the written slot, and whose linear write stays on one cell.
+    fn fused_slot(&self, scratch: &RowScratch) -> Option<u32> {
+        let [stmt] = self.stmts.as_slice() else {
+            return None;
+        };
+        let sc = &scratch.stmts[0];
+        match stmt.write {
+            Addr::Linear { slot, .. }
+                if stmt.mul_acc
+                    && sc.write.1 == 0
+                    && sc.reads.iter().all(|c| c.direct)
+                    && !stmt.reads_slot(slot) =>
+            {
+                Some(slot)
+            }
+            _ => None,
+        }
+    }
+
     /// The written slot, when the row in flight may take the block loop
     /// with provable bitwise identity to the scalar loop: a single
     /// statement with an `Addr::Linear` write, whose reads are linear,
-    /// checked or missing store accesses in other slots, or routed reads
-    /// the source linearized for the whole row. Slot disjointness means
-    /// no point can observe another point's write, so the values of a
-    /// block may be computed before any of them is written; a linearized
-    /// route and a checked read's interval leave no per-point state. Rows
-    /// the fused `mul_acc` loop takes whole stay there.
+    /// checked or missing store accesses, or routed reads the source
+    /// linearized for the whole row. A read of the written slot is
+    /// admitted only as a linear read on the write's own cursor (the same
+    /// flat offset and a nonzero per-point delta): each point then reads
+    /// only its own cell, before its own write, and no other point of the
+    /// row touches that cell. So no point can observe another point's
+    /// write, and the values of a block may be computed before any of them
+    /// is written; a linearized route and a checked read's interval leave
+    /// no per-point state. Rows the fused loop takes stay there.
     fn block_eligible(&self, scratch: &RowScratch) -> Option<u32> {
         let [stmt] = self.stmts.as_slice() else {
             return None;
@@ -668,12 +693,18 @@ impl ExecPlan {
         let Addr::Linear { slot: wslot, .. } = stmt.write else {
             return None;
         };
-        if stmt.mul_acc && sc.reads.iter().all(|c| c.direct) {
+        if self.fused_slot(scratch).is_some() {
             return None;
         }
-        let routes_linearized = (stmt.reads.iter().zip(&sc.reads))
-            .all(|(r, c)| c.direct || !matches!(r, Addr::Routed { .. }));
-        (routes_linearized && !stmt.reads_slot(wslot)).then_some(wslot)
+        let admitted = (stmt.reads.iter().zip(&sc.reads)).all(|(r, c)| match r {
+            Addr::Linear { slot, .. } => {
+                *slot != wslot || ((c.flat, c.delta) == sc.write && c.delta != 0)
+            }
+            Addr::Checked { slot, .. } => *slot != wslot,
+            Addr::Routed { .. } => c.direct,
+            Addr::Miss => true,
+        });
+        admitted.then_some(wslot)
     }
 
     /// Executes a whole `count`-point row admitted by
@@ -1300,6 +1331,56 @@ mod tests {
             &["alpha", "A", "C"],
             &[5, 33],
         );
+    }
+
+    /// Runs the one kernel of `src` over one row of `n` points on the
+    /// plan, from a store `allocate_for` sized, and returns the points the
+    /// block, fused and scalar loops ran.
+    fn row_loop_points(src: &str, n: i64) -> (u64, u64, u64) {
+        let p = parse_program(src).unwrap();
+        let mut store = Store::new();
+        store
+            .allocate_for(&p, &ProblemSizes::new([("N", n)]))
+            .unwrap();
+        let plan = ExecPlan::compile(&p.kernels[0], &[n], &store).unwrap();
+        let mut scratch = plan.scratch();
+        let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        plan.exec_row(&mut store, &mut [0], 0, n, 1, &mut scratch);
+        (
+            scratch.points_block,
+            scratch.points_fused,
+            scratch.points_scalar,
+        )
+    }
+
+    /// An in-place update reads each written cell on the write's own
+    /// cursor, before writing it, so the block loop takes it — `=` and a
+    /// moving `W += W·B` alike — bitwise as the scalar loop and the
+    /// tree-walker on inexact values, across block boundaries. A read one
+    /// cell behind the write (`A[i+1] = A[i] + …`, `A` sized to keep the
+    /// write linear) sees the previous point's write, so that row stays
+    /// scalar and propagates.
+    #[test]
+    fn in_place_rows_run_blocked_and_shifted_rows_stay_scalar() {
+        const UPDATE: &str = "kernel update(N) { for (i: N) A[i] = A[i] + B[i] / 3.0; }";
+        const SCALE: &str = "kernel scale(N) { for (i: N) W[i] += W[i] * B[i]; }";
+        const SHIFT: &str = "kernel shift(N) { for (i: N) A[i+1] = A[i] + B[i] / 3.0; }";
+        let lengths = [31, 32, 33, 67];
+        block_matches_scalar_and_reference(
+            &format!("{UPDATE} {SCALE}"),
+            &["A", "B", "W"],
+            &lengths,
+        );
+        block_matches_scalar_and_reference(SHIFT, &["B"], &lengths);
+        for n in lengths {
+            let all = n as u64;
+            assert_eq!(row_loop_points(UPDATE, n), (all, 0, 0), "N={n}");
+            assert_eq!(row_loop_points(SCALE, n), (all, 0, 0), "N={n}");
+            assert_eq!(row_loop_points(SHIFT, n), (0, 0, all), "N={n}");
+        }
+        // The fixed-cell `+=` of two reads stays in its register loop.
+        let dot = "kernel dot(N) { for (i: N) S[0] += A[i] * B[i]; }";
+        assert_eq!(row_loop_points(dot, 33), (0, 33, 0));
     }
 
     /// A route source that linearizes every row it is offered serves the

@@ -19,7 +19,7 @@
 //!
 //! By default each kernel is compiled once per distinct staged-route
 //! signature (once per [`execute_compiled`] call, once per batch under
-//! [`execute_compiled_batch`]) into an
+//! [`verify_batch`](crate::verify_batch)) into an
 //! [`ExecPlan`]: reads that match a staged
 //! group are pre-routed to its buffer at compile time (one slot lookup
 //! instead of a string-compare group search per read per point), all
@@ -60,7 +60,9 @@
 //! shared loops iterate once, the threads that own one point apiece run
 //! as one row (the same points in the same order as thread by thread).
 //! Rows run per kernel are tallied in the `exec.rows` trace counter,
-//! beside `exec.points` and `exec.blocks`.
+//! beside `exec.points` and `exec.blocks`, and the points by row loop in
+//! `exec.points_block`, `exec.points_fused` and `exec.points_scalar`
+//! ([`RowScratch::publish`]).
 //!
 //! What is *not* modeled: warp scheduling, memory timing, and racy
 //! unsynchronized accesses (blocks and threads are independent by
@@ -344,7 +346,7 @@ fn route_of(staged: &[StagedGroup<'_>], r: &ArrayRef) -> Option<usize> {
 /// batch of one. An entry holding `None` caches a kernel the plan
 /// compiler cannot lower.
 #[derive(Default)]
-struct KernelPlanCache {
+pub(crate) struct KernelPlanCache {
     entries: Vec<(Vec<Option<usize>>, Option<ExecPlan>)>,
 }
 
@@ -590,6 +592,9 @@ fn execute_mapped_kernel(
             for_each_point(origin, &steps, |origin| run.step(origin, &steps))
         })
     })?;
+    if let Some(plan) = &run.plan {
+        plan.scratch.publish();
+    }
     let (stats, rows) = (run.stats, run.plan.map_or(0, |p| p.rows));
     if span.is_active() {
         span.arg("points", stats.points);
@@ -907,7 +912,8 @@ pub fn execute_compiled(
     execute_with_caches(&analysed, mappings, sizes, store, opts, &mut caches)
 }
 
-fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
+/// One empty plan cache per kernel of `program`.
+pub(crate) fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
     program
         .kernels
         .iter()
@@ -915,8 +921,10 @@ fn kernel_plan_caches(program: &Program) -> Vec<KernelPlanCache> {
         .collect()
 }
 
-/// Every kernel in order, each against its own plan cache.
-fn execute_with_caches(
+/// Every kernel in order, each against its own plan cache. The caches
+/// may be shared by runs over stores of one layout (the slots and
+/// extents a plan embeds) at the same sizes.
+pub(crate) fn execute_with_caches(
     analysed: &AnalysedProgram,
     mappings: &[GpuMapping],
     sizes: &ProblemSizes,
@@ -931,61 +939,6 @@ fn execute_with_caches(
         )?);
     }
     Ok(stats)
-}
-
-/// Executes one program under many tile configurations, compiling each
-/// distinct per-kernel plan once and sharing it across the batch.
-///
-/// Within a batch the problem sizes (hence trip counts) and — when every
-/// store carries the layout of `stores[0]` — the slot layout are
-/// invariant; only the staged-route assignment varies with the tile
-/// configuration. Plans are therefore cached per kernel keyed by route
-/// signature (`KernelPlanCache`), so configs that stage the same reads
-/// reuse one compiled plan instead of recompiling per config. A store
-/// whose layout diverges from `stores[0]` runs through
-/// [`execute_compiled`] against caches of its own; results are
-/// bitwise-identical to running each config through `execute_compiled`.
-pub fn execute_compiled_batch(
-    program: &Program,
-    configs: &[Vec<GpuMapping>],
-    sizes: &ProblemSizes,
-    stores: &mut [Store],
-    opts: &ExecOptions,
-) -> Vec<Result<ExecStats, ExecError>> {
-    execute_analysed_batch(&AnalysedProgram::new(program), configs, sizes, stores, opts)
-}
-
-/// [`execute_compiled_batch`] over the analysis the mappings were
-/// computed from.
-pub(crate) fn execute_analysed_batch(
-    analysed: &AnalysedProgram,
-    configs: &[Vec<GpuMapping>],
-    sizes: &ProblemSizes,
-    stores: &mut [Store],
-    opts: &ExecOptions,
-) -> Vec<Result<ExecStats, ExecError>> {
-    let program = analysed.program();
-    assert_eq!(
-        configs.len(),
-        stores.len(),
-        "one store per tile configuration"
-    );
-    let Some(first) = stores.first() else {
-        return Vec::new();
-    };
-    let layout = eatss_affine::interp::store_layout(first);
-    let mut caches = kernel_plan_caches(program);
-    configs
-        .iter()
-        .zip(stores.iter_mut())
-        .map(|(mappings, store)| {
-            if eatss_affine::interp::store_layout(store) != layout {
-                let mut own = kernel_plan_caches(program);
-                return execute_with_caches(analysed, mappings, sizes, store, opts, &mut own);
-            }
-            execute_with_caches(analysed, mappings, sizes, store, opts, &mut caches)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1275,49 +1228,6 @@ mod tests {
             !compare_stores(&emul, &reference).is_empty(),
             "reordering __syncthreads() phases must be observable"
         );
-    }
-
-    #[test]
-    fn batched_execution_matches_sequential_bitwise_with_identical_stats() {
-        let p = parse_program(MM).unwrap();
-        let sizes = ProblemSizes::new([("M", 9), ("N", 10), ("P", 7)]);
-        let tile_sets = [
-            vec![4, 4, 4],
-            vec![3, 5, 2],
-            vec![1, 1, 1],
-            vec![16, 16, 16],
-            vec![4, 4, 4], // duplicate config: exercises plan-cache hits
-        ];
-        let configs: Vec<Vec<GpuMapping>> = tile_sets
-            .iter()
-            .map(|tiles| {
-                crate::Ppcg::new(GpuArch::ga100())
-                    .compile(
-                        &p,
-                        &eatss_affine::tiling::TileConfig::new(tiles.clone()),
-                        &sizes,
-                        &CompileOptions::default(),
-                    )
-                    .unwrap()
-                    .mappings
-            })
-            .collect();
-        for opts in [plan_opts(), reference_opts()] {
-            let mut stores: Vec<Store> = configs
-                .iter()
-                .map(|_| seed_store(&p, &sizes, 42).unwrap())
-                .collect();
-            let results = execute_compiled_batch(&p, &configs, &sizes, &mut stores, &opts);
-            for ((mappings, store), result) in configs.iter().zip(&stores).zip(results) {
-                let mut solo = seed_store(&p, &sizes, 42).unwrap();
-                let solo_stats = execute_compiled(&p, mappings, &sizes, &mut solo, &opts).unwrap();
-                assert!(
-                    compare_stores(store, &solo).is_empty(),
-                    "batched run diverges from sequential"
-                );
-                assert_eq!(result.unwrap(), solo_stats, "stats diverge");
-            }
-        }
     }
 
     #[test]

@@ -58,10 +58,7 @@ pub mod mapping;
 pub mod oracle;
 pub mod space;
 
-pub use exec::{
-    execute_compiled, execute_compiled_batch, BarrierFidelity, ExecEngine, ExecError, ExecOptions,
-    ExecStats,
-};
+pub use exec::{execute_compiled, BarrierFidelity, ExecEngine, ExecError, ExecOptions, ExecStats};
 pub use mapping::{CompileError, CompileOptions, GpuMapping};
 pub use oracle::{
     seed_store, verify, verify_batch, verify_sizes, OracleError, OracleOptions, OracleReport,

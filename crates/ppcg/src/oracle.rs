@@ -6,15 +6,17 @@
 //! solve → map → codegen semantics → emulate, compared against the
 //! reference interpreter on the same deterministically seeded inputs.
 
-use crate::exec::{execute_analysed_batch, ExecError, ExecOptions};
+use crate::exec::{execute_with_caches, kernel_plan_caches, ExecError, ExecOptions};
 use crate::mapping::{CompileError, CompileOptions};
 use crate::Ppcg;
 use eatss_affine::analysis::AnalysedProgram;
-use eatss_affine::interp::{compare_stores, run_program, InterpError, Store, StoreMismatch};
+use eatss_affine::interp::{compare_stores, run_program, Array, InterpError, Store, StoreMismatch};
+use eatss_affine::plan::{for_each_point, Loop};
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 use std::fmt;
 
 /// Oracle knobs.
@@ -114,7 +116,9 @@ impl From<InterpError> for OracleError {
 /// deterministic integers in `[-3, 3]` — exactly representable, so any
 /// divergence between executions is a real ordering/coverage bug, never
 /// floating-point noise. The pattern depends on the array name, the
-/// element index, and `seed`.
+/// element index, and `seed`: the name's hash, then one hash step per
+/// subscript, outermost first. Arrays fill one row (last subscript) at a
+/// time, the outer subscripts hashed once per row.
 ///
 /// # Errors
 ///
@@ -131,20 +135,42 @@ pub fn seed_store(
         for b in name.bytes() {
             h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(b as u64);
         }
-        let base = h;
-        array.fill_with(|idx| {
-            let mut h = base;
-            for &i in idx {
-                h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(i as u64);
-                h ^= h >> 29;
-            }
-            let v = (h % 7) as i64 - 3;
-            // Keep scalars (and everything else) away from an all-zero
-            // pattern collapse: zero only when the hash says so.
-            v as f64
-        });
+        seed_rows(array, h);
     }
     Ok(store)
+}
+
+/// One step of the seed hash: folds subscript value `i` into `h`.
+fn hash_step(h: u64, i: i64) -> u64 {
+    let h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(i as u64);
+    h ^ (h >> 29)
+}
+
+/// Fills `array` from the hash `base` of its name, row by row.
+fn seed_rows(array: &mut Array, base: u64) {
+    let value = |h: u64| ((h % 7) as i64 - 3) as f64;
+    let Some((&row_len, outer)) = array.extents().split_last() else {
+        array.data_mut().fill(value(base));
+        return;
+    };
+    let rows: Vec<Loop> = (outer.iter().enumerate())
+        .map(|(dim, &count)| Loop {
+            dim,
+            start: 0,
+            count,
+            step: 1,
+        })
+        .collect();
+    let mut data = array.data_mut().chunks_exact_mut(row_len as usize);
+    let Ok(()) = for_each_point(&mut vec![0; rows.len()], &rows, |idx| {
+        let h = idx.iter().fold(base, |h, &i| hash_step(h, i));
+        if let Some(row) = data.next() {
+            for (i, v) in (0..).zip(row) {
+                *v = value(hash_step(h, i));
+            }
+        }
+        Ok::<(), Infallible>(())
+    });
 }
 
 /// Verifies one tile configuration: a [`verify_batch`] of one.
@@ -178,13 +204,14 @@ pub fn verify(
 /// against the reference interpreter on identically seeded stores. The
 /// expensive invariants are shared across the batch: the program is
 /// analysed once ([`AnalysedProgram`]) for every configuration's mapping,
-/// the store is seeded once and cloned for the reference and each
-/// mappable configuration, the reference interpretation runs once (it
-/// does not depend on tiles),
-/// and the emulator executes the mappings against that same analysis
-/// (as [`execute_compiled_batch`](crate::execute_compiled_batch) does),
-/// compiling each distinct per-kernel route signature once instead of
-/// once per configuration.
+/// the store is seeded once, the reference interpretation runs once on a
+/// clone of it (it does not depend on tiles), and the mappable
+/// configurations run in order on one more clone, the working store,
+/// against one set of plan caches — each distinct per-kernel route
+/// signature compiles once per batch. Before each configuration after the
+/// first, the arrays a statement writes are copied back in place from the
+/// seeded store; after a configuration whose verdict is not `Ok`, every
+/// array is. So each configuration starts from the seeded values.
 ///
 /// Returns one verdict per configuration, in order; a configuration's
 /// verdict, report and trace counters do not depend on what else is in
@@ -205,14 +232,12 @@ pub fn verify_batch(
     }
     // Map every config first; only mappable ones enter the batch.
     let mut results: Vec<Result<OracleReport, OracleError>> = Vec::with_capacity(configs.len());
-    let mut mappable: Vec<usize> = Vec::new();
-    let mut mappings: Vec<Vec<crate::GpuMapping>> = Vec::new();
+    let mut mappable = Vec::new();
     let analysed = AnalysedProgram::new(program);
     for (i, tiles) in configs.iter().enumerate() {
         match Ppcg::map(arch, &analysed, tiles, sizes, &options.compile) {
             Ok(mapped) => {
-                mappable.push(i);
-                mappings.push(mapped);
+                mappable.push((i, mapped));
                 results.push(Ok(OracleReport::default()));
             }
             Err(e) => results.push(Err(e.into())),
@@ -223,31 +248,52 @@ pub fn verify_batch(
         return results;
     }
 
-    // One seeded store, cloned for the reference and for each mappable
-    // config; an interpreter failure (unbound size) is every mappable
-    // config's.
-    let seeded_and_interpreted = || -> Result<(Vec<Store>, Store), InterpError> {
+    // One seeded store and its reference interpretation; an interpreter
+    // failure (unbound size) is every mappable config's.
+    let seeded_and_interpreted = || -> Result<(Store, Store), InterpError> {
         let seeded = seed_store(program, sizes, seed)?;
         let mut reference = seeded.clone();
         run_program(program, sizes, &mut reference)?;
-        Ok((vec![seeded; mappable.len()], reference))
+        Ok((seeded, reference))
     };
-    let (mut stores, reference) = match seeded_and_interpreted() {
+    let (seeded, reference) = match seeded_and_interpreted() {
         Ok(ready) => ready,
         Err(e) => {
-            for &i in &mappable {
-                results[i] = Err(e.clone().into());
+            for (i, _) in &mappable {
+                results[*i] = Err(e.clone().into());
             }
             return results;
         }
     };
 
-    let stats = execute_analysed_batch(&analysed, &mappings, sizes, &mut stores, &options.exec);
-
+    let every: Vec<usize> = (seeded.arrays())
+        .filter_map(|(name, _)| seeded.slot(name))
+        .collect();
+    let mut written: Vec<usize> = (program.kernels.iter())
+        .flat_map(|k| &k.stmts)
+        .filter_map(|s| seeded.slot(&s.write.array))
+        .collect();
+    written.sort_unstable();
+    written.dedup();
+    let mut store = seeded.clone();
+    let mut caches = kernel_plan_caches(program);
     let arrays_compared = reference.arrays().count() as u64;
-    for ((&i, store), stats) in mappable.iter().zip(&stores).zip(stats) {
-        results[i] = stats.map_err(OracleError::from).and_then(|stats| {
-            let mut mismatches = compare_stores(store, &reference);
+    // The slots the last configuration may have changed.
+    let mut dirty: &[usize] = &[];
+    for (i, mappings) in &mappable {
+        for &slot in dirty {
+            (store.slot_array_mut(slot).data_mut()).copy_from_slice(seeded.slot_array(slot).data());
+        }
+        let stats = execute_with_caches(
+            &analysed,
+            mappings,
+            sizes,
+            &mut store,
+            &options.exec,
+            &mut caches,
+        );
+        let verdict = stats.map_err(OracleError::from).and_then(|stats| {
+            let mut mismatches = compare_stores(&store, &reference);
             eatss_trace::counter_add("oracle.points", stats.points);
             eatss_trace::counter_add("oracle.configs", 1);
             if mismatches.is_empty() {
@@ -266,16 +312,18 @@ pub fn verify_batch(
             eatss_trace::error!(
                 "oracle: {}: tiles {} disagree on {} element(s)",
                 program.name,
-                configs[i],
+                configs[*i],
                 total
             );
             mismatches.truncate(MAX_MISMATCHES);
             Err(OracleError::Mismatch {
-                tiles: configs[i].to_string(),
+                tiles: configs[*i].to_string(),
                 mismatches,
                 total,
             })
         });
+        dirty = if verdict.is_ok() { &written } else { &every };
+        results[*i] = verdict;
     }
     results
 }

@@ -7,7 +7,8 @@
 //!
 //! The emulator pair also runs the product's own inputs: the EATSS
 //! selection beside the adversarial tiles, and the oracle's path, every
-//! configuration of a kernel in one [`execute_compiled_batch`].
+//! configuration of a kernel in one [`verify_batch`], on one working
+//! store.
 
 use eatss::{Eatss, EatssConfig};
 use eatss_affine::interp::{self, compare_stores, Store};
@@ -18,8 +19,8 @@ use eatss_gpusim::GpuArch;
 use eatss_integration::trips;
 use eatss_ppcg::oracle::{sample_tile_config, sweep_rng, verify_sizes};
 use eatss_ppcg::{
-    execute_compiled, execute_compiled_batch, seed_store, CompileOptions, ExecEngine, ExecOptions,
-    Ppcg,
+    execute_compiled, seed_store, verify_batch, CompileOptions, ExecEngine, ExecOptions,
+    OracleOptions, Ppcg,
 };
 use proptest::prelude::*;
 
@@ -78,12 +79,13 @@ fn compiled_interp_matches_reference_on_polybench() {
 /// and random configurations of every mappable registry kernel (PolyBench
 /// plus conv-2d, heat-3d, mttkrp and b2mm, the oracle's deepest nests) and
 /// its EATSS selection, run one by one and as the oracle runs them, all of
-/// a kernel's configurations in one batch.
+/// a kernel's configurations in one `verify_batch`, whose reports carry
+/// the reference engine's counters.
 #[test]
 fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
     let arch = GpuArch::ga100();
     let ppcg = Ppcg::new(arch.clone());
-    let eatss = Eatss::new(arch);
+    let eatss = Eatss::new(arch.clone());
     let plan_opts = ExecOptions {
         engine: ExecEngine::Plan,
         ..ExecOptions::default()
@@ -102,7 +104,9 @@ fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
         if let Ok(selection) = eatss.select_tiles(&program, &std_sizes, &EatssConfig::default()) {
             configs.push(selection.tiles);
         }
-        // (label, mappings, the reference engine's counters and store)
+        let mut interpreted = seed_store(&program, &sizes, SEED).expect("store seeds");
+        interp::run_program(&program, &sizes, &mut interpreted).expect("plan interp");
+        // (label, tiles, the reference engine's counters)
         let mut checked = Vec::new();
         for (c, tiles) in configs.iter().enumerate() {
             let compiled = match ppcg.compile(&program, tiles, &sizes, &CompileOptions::default()) {
@@ -127,23 +131,34 @@ fn plan_engine_matches_reference_engine_on_adversarial_tiles() {
             .unwrap_or_else(|e| panic!("{label}: reference engine: {e}"));
             assert_eq!(fast_stats, ref_stats, "{label}: execution counters diverge");
             assert_bitwise(&label, &fast, &reference);
-            checked.push((label, compiled.mappings, ref_stats, reference));
+            assert_bitwise(&format!("{label} interpreter"), &reference, &interpreted);
+            checked.push((label, tiles.clone(), ref_stats));
         }
-        let batch: Vec<_> = checked.iter().map(|(_, m, _, _)| m.clone()).collect();
-        let mut stores: Vec<Store> = batch
-            .iter()
-            .map(|_| seed_store(&program, &sizes, SEED).expect("store seeds"))
-            .collect();
-        let results = execute_compiled_batch(&program, &batch, &sizes, &mut stores, &plan_opts);
-        for ((label, _, ref_stats, reference), (store, result)) in
-            checked.iter().zip(stores.iter().zip(results))
-        {
-            let stats = result.unwrap_or_else(|e| panic!("{label}: batched plan engine: {e}"));
+        let batch: Vec<TileConfig> = checked.iter().map(|(_, t, _)| t.clone()).collect();
+        let options = OracleOptions {
+            compile: CompileOptions::default(),
+            exec: plan_opts,
+        };
+        let verdicts = verify_batch(&program, &batch, &arch, &sizes, &options, SEED);
+        for ((label, _, ref_stats), verdict) in checked.iter().zip(verdicts) {
+            let report = verdict.unwrap_or_else(|e| panic!("{label}: batched plan engine: {e}"));
             assert_eq!(
-                &stats, ref_stats,
+                (
+                    report.launches,
+                    report.blocks,
+                    report.points,
+                    report.barriers,
+                    report.staged_elems
+                ),
+                (
+                    ref_stats.launches,
+                    ref_stats.blocks,
+                    ref_stats.points,
+                    ref_stats.barriers,
+                    ref_stats.staged_elems
+                ),
                 "{label}: batched execution counters diverge"
             );
-            assert_bitwise(&format!("{label} batched"), store, reference);
         }
     }
 }
@@ -164,26 +179,42 @@ fn compile_options() -> [CompileOptions; 2] {
     ]
 }
 
+/// The oracle's seeded store, every value divided by 3 when `thirds`. The
+/// seeded values are integers in −3..=3, so every sum over them is exact
+/// and a change in the order of adds cannot show; thirds make it show.
+fn seeded(program: &Program, sizes: &ProblemSizes, thirds: bool) -> Store {
+    let mut store = seed_store(program, sizes, SEED).expect("store seeds");
+    if thirds {
+        for (_, array) in store.arrays_mut() {
+            for v in array.data_mut() {
+                *v /= 3.0;
+            }
+        }
+    }
+    store
+}
+
 /// Runs both fast paths — the plan interpreter (whose rows span a whole
 /// innermost trip count, whatever the tiles) and, where the configuration
 /// is mappable, the emulator's plan engine (whose rows are tile-clipped)
 /// under each of [`compile_options`] — with the block row loop forced on
-/// or off.
+/// or off, from the [`seeded`] store.
 fn run_fast_paths(
     program: &Program,
     sizes: &ProblemSizes,
     tiles: &TileConfig,
     simd: bool,
+    thirds: bool,
 ) -> Vec<Store> {
     set_simd_enabled(simd);
     let mut out = Vec::new();
-    let mut store = seed_store(program, sizes, SEED).expect("store seeds");
+    let mut store = seeded(program, sizes, thirds);
     interp::run_program(program, sizes, &mut store).expect("plan interp");
     out.push(store);
     let ppcg = Ppcg::new(GpuArch::ga100());
     for options in compile_options() {
         if let Ok(compiled) = ppcg.compile(program, tiles, sizes, &options) {
-            let mut store = seed_store(program, sizes, SEED).expect("store seeds");
+            let mut store = seeded(program, sizes, thirds);
             let opts = ExecOptions {
                 engine: ExecEngine::Plan,
                 ..ExecOptions::default()
@@ -199,7 +230,8 @@ fn run_fast_paths(
 
 /// The block row loop reproduces the scalar loop bitwise on both fast
 /// paths, staged and unstaged, across the pinned adversarial tiles plus
-/// tiles of 2 and 3 — shapes whose every row is shorter than a block.
+/// tiles of 2 and 3 — shapes whose every row is shorter than a block —
+/// from the seeded integers and again from their thirds.
 #[test]
 fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
     let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -212,18 +244,20 @@ fn simd_rows_match_scalar_rows_on_adversarial_tiles() {
         configs.push(TileConfig::new(vec![2; depth]));
         configs.push(TileConfig::new(vec![3; depth]));
         for (c, tiles) in configs.iter().enumerate() {
-            let vector = run_fast_paths(&program, &sizes, tiles, true);
-            let scalar = run_fast_paths(&program, &sizes, tiles, false);
-            assert_eq!(vector.len(), scalar.len());
-            for (path, (v, s)) in vector.iter().zip(&scalar).enumerate() {
-                assert_bitwise(
-                    &format!(
-                        "{} config {c} ({tiles}) path {path} block-vs-scalar",
-                        bench.name
-                    ),
-                    v,
-                    s,
-                );
+            for thirds in [false, true] {
+                let vector = run_fast_paths(&program, &sizes, tiles, true, thirds);
+                let scalar = run_fast_paths(&program, &sizes, tiles, false, thirds);
+                assert_eq!(vector.len(), scalar.len());
+                for (path, (v, s)) in vector.iter().zip(&scalar).enumerate() {
+                    assert_bitwise(
+                        &format!(
+                            "{} config {c} ({tiles}) thirds {thirds} path {path} block-vs-scalar",
+                            bench.name
+                        ),
+                        v,
+                        s,
+                    );
+                }
             }
         }
     }
@@ -254,8 +288,8 @@ fn block_rows_spanning_several_blocks_match_scalar_rows() {
     let mut reference = seed_store(&program, &sizes, SEED).expect("store seeds");
     interp::reference::run_program(&program, &sizes, &mut reference).expect("reference interp");
     let tiles = TileConfig::new(vec![1, 96, 96]);
-    let block = run_fast_paths(&program, &sizes, &tiles, true);
-    let scalar = run_fast_paths(&program, &sizes, &tiles, false);
+    let block = run_fast_paths(&program, &sizes, &tiles, true, false);
+    let scalar = run_fast_paths(&program, &sizes, &tiles, false, false);
     assert_eq!(block.len(), 3, "the interpreter and both emulator runs");
     assert_eq!(scalar.len(), block.len());
     for (path, (b, s)) in block.iter().zip(&scalar).enumerate() {
@@ -319,8 +353,8 @@ proptest! {
         let program = bench.program().expect("registry parses");
         let sizes = shrunk(&program, &bench.sizes(eatss_kernels::Dataset::Standard));
         let tiles = TileConfig::new(dims[..program.max_depth()].to_vec());
-        let vector = run_fast_paths(&program, &sizes, &tiles, true);
-        let scalar = run_fast_paths(&program, &sizes, &tiles, false);
+        let vector = run_fast_paths(&program, &sizes, &tiles, true, false);
+        let scalar = run_fast_paths(&program, &sizes, &tiles, false, false);
         prop_assert_eq!(vector.len(), scalar.len());
         for (path, (v, s)) in vector.iter().zip(&scalar).enumerate() {
             assert_bitwise(

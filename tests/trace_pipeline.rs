@@ -11,11 +11,13 @@ use eatss::{Eatss, EatssConfig, SweepOptions};
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
-use eatss_gpusim::GpuArch;
-use eatss_integration::load;
+use eatss_gpusim::{DeviceProfile, GpuArch};
+use eatss_integration::{load, trips};
 use eatss_kernels::Dataset;
+use eatss_ppcg::oracle::{sample_tile_config, sweep_rng};
 use eatss_ppcg::{
-    execute_compiled, seed_store, verify_sizes, CompileOptions, ExecEngine, ExecOptions, Ppcg,
+    execute_compiled, seed_store, verify_batch, verify_sizes, CompileOptions, ExecEngine,
+    ExecOptions, OracleError, OracleOptions, Ppcg,
 };
 use eatss_trace::{EventKind, Provenance};
 use proptest::prelude::*;
@@ -286,6 +288,13 @@ fn exec_rows_counts_one_per_plan_row() {
         let trace = eatss_trace::drain(Provenance::collect(None));
         assert_eq!(trace.metrics.counter("exec.points"), stats.points);
         assert_eq!(trace.metrics.counter("exec.blocks"), stats.blocks);
+        let by_loop: u64 = ROW_LOOPS.iter().map(|c| trace.metrics.counter(c)).sum();
+        let planned = if engine == ExecEngine::Plan {
+            stats.points
+        } else {
+            0
+        };
+        assert_eq!(by_loop, planned, "every plan point runs one row loop");
         (
             trace.metrics.counter("exec.rows"),
             stats.points,
@@ -349,6 +358,95 @@ fn exec_rows_counts_one_per_plan_row() {
             "shear under {tiles:?} at N = {n}"
         );
     }
+}
+
+/// The points each plan row loop ran, as `RowScratch::publish` counts them.
+const ROW_LOOPS: [&str; 3] = [
+    "exec.points_block",
+    "exec.points_fused",
+    "exec.points_scalar",
+];
+
+/// The `verify-oracle` workload's seed mix (`benchmark/src/inputs.rs`),
+/// from which each op's random tile draws are seeded.
+fn mix(seed: u64, tag: &str) -> u64 {
+    let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
+    for b in tag.bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The `verify-oracle` catalogue, one pass: every registry kernel on both
+/// testbeds (GA100 at ExtraLarge, Xavier at Standard), each one
+/// `verify_batch` of its EATSS tiles, `32^d` and four seeded draws at the
+/// workload's caps. No point runs the scalar row loop — in-place updates
+/// run blocked — and the three loops' points add up to every point the
+/// plans ran: the emulator's and the reference interpretation's.
+#[test]
+fn the_oracle_catalogue_runs_no_point_on_the_scalar_row_loop() {
+    let _guard = session();
+    let reference_points = |program: &Program, sz: &ProblemSizes| -> u64 {
+        (program.kernels.iter())
+            .map(|k| k.iteration_space_size(sz).expect("bound") as u64)
+            .sum()
+    };
+    let mut interpreted = 0;
+    eatss_trace::set_log_level(eatss_trace::Level::Off);
+    eatss_trace::start_collecting();
+    for bench in eatss_kernels::all() {
+        let program = bench.program().expect("registry parses");
+        for (device, dataset) in [
+            ("ga100", Dataset::ExtraLarge),
+            ("xavier", Dataset::Standard),
+        ] {
+            let arch = DeviceProfile::builtin(device).expect("builtin").into_arch();
+            let full = bench.sizes(dataset);
+            let eighth = ["fdtd-apml", "b2mm", "conv-2d", "heat-3d"].contains(&bench.name);
+            let config = EatssConfig {
+                warp_fraction: if eighth { 0.125 } else { 0.5 },
+                ..EatssConfig::default()
+            };
+            let selected = Eatss::new(arch.clone())
+                .select_tiles(&program, &full, &config)
+                .expect("selects");
+            let sz = ([19, 13, 9, 7].iter())
+                .map(|&cap| verify_sizes(&program, &full, cap, 3))
+                .find(|sz| reference_points(&program, sz) <= 20_000)
+                .expect("a cap fits");
+            let mut configs = vec![
+                selected.tiles,
+                TileConfig::ppcg_default(program.max_depth()),
+            ];
+            let draws = mix(0xEA75_50AC, &format!("draws/{}/{device}", bench.name));
+            let mut rng = sweep_rng(draws);
+            let domain = trips(&program, &sz);
+            configs.extend((0..4).map(|_| sample_tile_config(&mut rng, &domain)));
+            let verdicts = verify_batch(
+                &program,
+                &configs,
+                &arch,
+                &sz,
+                &OracleOptions::default(),
+                0xEA75_50AC,
+            );
+            for (tiles, verdict) in configs.iter().zip(&verdicts) {
+                assert!(
+                    matches!(verdict, Ok(_) | Err(OracleError::Compile(_))),
+                    "{} on {device}, tiles {tiles}: {verdict:?}",
+                    bench.name
+                );
+            }
+            interpreted += reference_points(&program, &sz);
+        }
+    }
+    let metrics = eatss_trace::drain(Provenance::collect(None)).metrics;
+    let [block, fused, scalar] = ROW_LOOPS.map(|c| metrics.counter(c));
+    assert_eq!(scalar, 0, "block {block}, fused {fused}");
+    assert_eq!(block + fused, metrics.counter("exec.points") + interpreted);
 }
 
 proptest! {
