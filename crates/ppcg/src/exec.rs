@@ -235,6 +235,10 @@ struct StagedGroup<'a> {
     bounds: Vec<(i64, i64)>,
     /// Buffer contents, row-major over the box.
     data: Vec<f64>,
+    /// The box as a loop nest and an index into it, rebuilt in place at
+    /// each load.
+    nest: Vec<Loop>,
+    index: Vec<i64>,
 }
 
 impl StagedGroup<'_> {
@@ -264,16 +268,17 @@ impl StagedGroup<'_> {
         Some(flat as usize)
     }
 
-    /// The box as a loop nest over its subscripts, the last fastest.
-    fn box_nest(&self) -> Vec<Loop> {
-        (self.bounds.iter().enumerate())
-            .map(|(dim, &(lo, hi))| Loop {
-                dim,
-                start: lo,
-                count: hi - lo + 1,
-                step: 1,
-            })
-            .collect()
+    /// Sets `nest` to the box as a loop nest over its subscripts, the
+    /// last fastest.
+    fn box_nest(&mut self) {
+        self.nest.clear();
+        (self.nest).extend(self.bounds.iter().enumerate().map(|(dim, &(lo, hi))| Loop {
+            dim,
+            start: lo,
+            count: hi - lo + 1,
+            step: 1,
+        }));
+        self.index.resize(self.bounds.len(), 0);
     }
 
     /// Cooperative-load fast path: fills the box of `elems` elements from
@@ -299,17 +304,17 @@ impl StagedGroup<'_> {
         // Overlap of the box row with the array's last dimension.
         let ov_lo = last_lo.max(0);
         let ov_hi = last_hi.min(extents[n - 1] - 1);
-        let mut strides = vec![1i64; n];
-        for p in (0..n - 1).rev() {
-            strides[p] = strides[p + 1] * extents[p + 1];
-        }
         let mut dst = (ov_lo - last_lo) as usize;
-        let Ok(()) = for_each_row(&mut vec![0; n], &self.box_nest(), |idx, _| {
+        self.box_nest();
+        let data = &mut self.data;
+        let Ok(()) = for_each_row(&mut self.index, &self.nest, |idx, _| {
             let outer = &idx[..n - 1];
             if ov_lo <= ov_hi && outer.iter().zip(extents).all(|(&v, &e)| 0 <= v && v < e) {
-                let base: i64 = outer.iter().zip(&strides).map(|(v, s)| v * s).sum();
+                // The row's first element, flattened over the extents.
+                let base = (outer.iter().zip(extents)).fold(0, |flat, (v, e)| flat * e + v)
+                    * extents[n - 1];
                 let (src, len) = ((base + ov_lo) as usize, (ov_hi - ov_lo + 1) as usize);
-                self.data[dst..dst + len].copy_from_slice(&array.data()[src..src + len]);
+                data[dst..dst + len].copy_from_slice(&array.data()[src..src + len]);
             }
             dst += row_len;
             Ok::<(), Infallible>(())
@@ -319,11 +324,12 @@ impl StagedGroup<'_> {
     /// One thread's share of the load when the barrier is skipped: the
     /// box elements `thread`, `thread + threads`, … in row-major order.
     fn load_share(&mut self, array: Option<&Array>, thread: i64, threads: i64) {
-        let nest = self.box_nest();
+        self.box_nest();
+        let data = &mut self.data;
         let mut flat = 0;
-        let Ok(()) = for_each_point(&mut vec![0; nest.len()], &nest, |idx| {
+        let Ok(()) = for_each_point(&mut self.index, &self.nest, |idx| {
             if flat % threads == thread {
-                self.data[flat as usize] = array.map_or(0.0, |a| a.get(idx));
+                data[flat as usize] = array.map_or(0.0, |a| a.get(idx));
             }
             flat += 1;
             Ok::<(), Infallible>(())
@@ -524,6 +530,8 @@ fn execute_mapped_kernel(
             declared_elems: r.tile_footprint_elems,
             bounds: Vec::new(),
             data: Vec::new(),
+            nest: Vec::new(),
+            index: Vec::new(),
         });
     }
 
@@ -975,6 +983,7 @@ mod tests {
         sizes: &[(&str, i64)],
         opts: &ExecOptions,
     ) -> (Store, Store, ExecStats) {
+        let _session = crate::oracle::tests::session();
         let p = parse_program(src).unwrap();
         let sizes = ProblemSizes::new(sizes.iter().cloned());
         let compiled = crate::Ppcg::new(GpuArch::ga100())
@@ -1232,6 +1241,7 @@ mod tests {
 
     #[test]
     fn zero_trip_is_a_noop() {
+        let _session = crate::oracle::tests::session();
         let p = parse_program(MM).unwrap();
         let sizes = ProblemSizes::new([("M", 4), ("N", 4), ("P", 4)]);
         let compiled = crate::Ppcg::new(GpuArch::ga100())

@@ -6,8 +6,10 @@
 //! solve → map → codegen semantics → emulate, compared against the
 //! reference interpreter on the same deterministically seeded inputs.
 
-use crate::exec::{execute_with_caches, kernel_plan_caches, ExecError, ExecOptions};
-use crate::mapping::{CompileError, CompileOptions};
+use crate::exec::{
+    execute_with_caches, kernel_plan_caches, ExecError, ExecOptions, KernelPlanCache,
+};
+use crate::mapping::{CompileError, CompileOptions, GpuMapping};
 use crate::Ppcg;
 use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::interp::{compare_stores, run_program, Array, InterpError, Store, StoreMismatch};
@@ -16,8 +18,10 @@ use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Oracle knobs.
 #[derive(Debug, Clone, Default)]
@@ -32,7 +36,7 @@ pub struct OracleOptions {
 const MAX_MISMATCHES: usize = 8;
 
 /// What a successful verification covered.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleReport {
     /// Kernels executed.
     pub kernels: u64,
@@ -130,14 +134,22 @@ pub fn seed_store(
 ) -> Result<Store, InterpError> {
     let mut store = Store::new();
     store.allocate_for(program, sizes)?;
-    for (name, array) in store.arrays_mut() {
-        let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-        for b in name.bytes() {
-            h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(b as u64);
-        }
-        seed_rows(array, h);
-    }
+    reseed(&mut store, seed, |_| true);
     Ok(store)
+}
+
+/// Fills the arrays of `store` that `pick` names with their
+/// [`seed_store`] values again, in place.
+fn reseed(store: &mut Store, seed: u64, pick: impl Fn(&str) -> bool) {
+    for (name, array) in store.arrays_mut() {
+        if pick(name) {
+            let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
+            for b in name.bytes() {
+                h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(b as u64);
+            }
+            seed_rows(array, h);
+        }
+    }
 }
 
 /// One step of the seed hash: folds subscript value `i` into `h`.
@@ -204,18 +216,24 @@ pub fn verify(
 /// against the reference interpreter on identically seeded stores. The
 /// expensive invariants are shared across the batch: the program is
 /// analysed once ([`AnalysedProgram`]) for every configuration's mapping,
-/// the store is seeded once, the reference interpretation runs once on a
-/// clone of it (it does not depend on tiles), and the mappable
-/// configurations run in order on one more clone, the working store,
-/// against one set of plan caches — each distinct per-kernel route
-/// signature compiles once per batch. Before each configuration after the
-/// first, the arrays a statement writes are copied back in place from the
-/// seeded store; after a configuration whose verdict is not `Ok`, every
-/// array is. So each configuration starts from the seeded values.
+/// and the reference interpretation runs once, on a [`seed_store`] store
+/// (it does not depend on tiles).
+///
+/// The mappable configurations are dealt round-robin into one group per
+/// available core, at most one per configuration, and the groups run at
+/// once through [`eatss_trace::par_map_ordered`]: the calling thread runs
+/// one, so a two-way batch spawns one thread, and on one core the batch
+/// runs inline. Each group has its own freshly seeded working store and
+/// its own plan caches, so each distinct per-kernel route signature
+/// compiles once per group. Between a group's configurations the arrays
+/// a statement writes are seeded again in place; after a verdict that is
+/// not `Ok`, every array is. So each configuration starts from the
+/// seeded values, and a two-way batch holds three stores: the reference
+/// and two working stores.
 ///
 /// Returns one verdict per configuration, in order; a configuration's
 /// verdict, report and trace counters do not depend on what else is in
-/// the batch.
+/// the batch, nor on how many cores ran it.
 pub fn verify_batch(
     program: &Program,
     configs: &[TileConfig],
@@ -224,6 +242,24 @@ pub fn verify_batch(
     options: &OracleOptions,
     seed: u64,
 ) -> Vec<Result<OracleReport, OracleError>> {
+    // Asked once: on Linux the answer reads the process's cgroup files.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    verify_batch_on(program, configs, arch, sizes, options, seed, cores)
+}
+
+type Verdict = Result<OracleReport, OracleError>;
+
+/// [`verify_batch`] over at most `jobs` groups.
+fn verify_batch_on(
+    program: &Program,
+    configs: &[TileConfig],
+    arch: &GpuArch,
+    sizes: &ProblemSizes,
+    options: &OracleOptions,
+    seed: u64,
+    jobs: usize,
+) -> Vec<Verdict> {
     let mut span = eatss_trace::span("oracle", "verify");
     if span.is_active() {
         span.arg("program", program.name.as_str());
@@ -231,7 +267,7 @@ pub fn verify_batch(
         span.arg("seed", seed);
     }
     // Map every config first; only mappable ones enter the batch.
-    let mut results: Vec<Result<OracleReport, OracleError>> = Vec::with_capacity(configs.len());
+    let mut results: Vec<Verdict> = Vec::with_capacity(configs.len());
     let mut mappable = Vec::new();
     let analysed = AnalysedProgram::new(program);
     for (i, tiles) in configs.iter().enumerate() {
@@ -248,16 +284,14 @@ pub fn verify_batch(
         return results;
     }
 
-    // One seeded store and its reference interpretation; an interpreter
-    // failure (unbound size) is every mappable config's.
-    let seeded_and_interpreted = || -> Result<(Store, Store), InterpError> {
-        let seeded = seed_store(program, sizes, seed)?;
-        let mut reference = seeded.clone();
+    // The reference interpretation; an interpreter failure (unbound
+    // size) is every mappable config's.
+    let interpreted = seed_store(program, sizes, seed).and_then(|mut reference| {
         run_program(program, sizes, &mut reference)?;
-        Ok((seeded, reference))
-    };
-    let (seeded, reference) = match seeded_and_interpreted() {
-        Ok(ready) => ready,
+        Ok(reference)
+    });
+    let reference = match interpreted {
+        Ok(reference) => reference,
         Err(e) => {
             for (i, _) in &mappable {
                 results[*i] = Err(e.clone().into());
@@ -266,66 +300,118 @@ pub fn verify_batch(
         }
     };
 
-    let every: Vec<usize> = (seeded.arrays())
-        .filter_map(|(name, _)| seeded.slot(name))
+    let batch = Batch {
+        analysed: &analysed,
+        configs,
+        sizes,
+        options,
+        seed,
+        written: (program.kernels.iter())
+            .flat_map(|k| &k.stmts)
+            .map(|s| &*s.write.array)
+            .collect(),
+        arrays_compared: reference.arrays().count() as u64,
+        reference: &reference,
+    };
+    let groups = jobs.clamp(1, mappable.len());
+    let dealt: Vec<Vec<&Mapped>> = (0..groups)
+        .map(|g| mappable.iter().skip(g).step_by(groups).collect())
         .collect();
-    let mut written: Vec<usize> = (program.kernels.iter())
-        .flat_map(|k| &k.stmts)
-        .filter_map(|s| seeded.slot(&s.write.array))
-        .collect();
-    written.sort_unstable();
-    written.dedup();
-    let mut store = seeded.clone();
-    let mut caches = kernel_plan_caches(program);
-    let arrays_compared = reference.arrays().count() as u64;
-    // The slots the last configuration may have changed.
-    let mut dirty: &[usize] = &[];
-    for (i, mappings) in &mappable {
-        for &slot in dirty {
-            (store.slot_array_mut(slot).data_mut()).copy_from_slice(seeded.slot_array(slot).data());
+    for group in eatss_trace::par_map_ordered(&dealt, groups, |group| batch.run(group)) {
+        for (i, verdict) in group {
+            results[i] = verdict;
         }
-        let stats = execute_with_caches(
-            &analysed,
-            mappings,
-            sizes,
-            &mut store,
-            &options.exec,
-            &mut caches,
-        );
-        let verdict = stats.map_err(OracleError::from).and_then(|stats| {
-            let mut mismatches = compare_stores(&store, &reference);
-            eatss_trace::counter_add("oracle.points", stats.points);
-            eatss_trace::counter_add("oracle.configs", 1);
-            if mismatches.is_empty() {
-                return Ok(OracleReport {
-                    kernels: program.kernels.len() as u64,
-                    launches: stats.launches,
-                    blocks: stats.blocks,
-                    points: stats.points,
-                    barriers: stats.barriers,
-                    staged_elems: stats.staged_elems,
-                    arrays_compared,
-                });
-            }
-            let total = mismatches.len();
-            eatss_trace::counter_add("oracle.mismatches", total as u64);
-            eatss_trace::error!(
-                "oracle: {}: tiles {} disagree on {} element(s)",
-                program.name,
-                configs[*i],
-                total
-            );
-            mismatches.truncate(MAX_MISMATCHES);
-            Err(OracleError::Mismatch {
-                tiles: configs[*i].to_string(),
-                mismatches,
-                total,
-            })
-        });
-        dirty = if verdict.is_ok() { &written } else { &every };
-        results[*i] = verdict;
     }
     results
+}
+
+/// A mappable configuration: its index in the batch and its mapping.
+type Mapped = (usize, Vec<GpuMapping>);
+
+/// What every group of one batch shares.
+struct Batch<'a> {
+    analysed: &'a AnalysedProgram<'a>,
+    configs: &'a [TileConfig],
+    sizes: &'a ProblemSizes,
+    options: &'a OracleOptions,
+    seed: u64,
+    /// The arrays a statement writes.
+    written: BTreeSet<&'a str>,
+    arrays_compared: u64,
+    reference: &'a Store,
+}
+
+impl Batch<'_> {
+    /// Runs one group's configurations in order on its own working store
+    /// and plan caches, and returns their verdicts by batch index.
+    fn run(&self, group: &[&Mapped]) -> Vec<(usize, Verdict)> {
+        let program = self.analysed.program();
+        let mut store = match seed_store(program, self.sizes, self.seed) {
+            Ok(store) => store,
+            // The reference's store was seeded from the same program and
+            // sizes, so this does not happen.
+            Err(e) => {
+                return (group.iter())
+                    .map(|(i, _)| (*i, Err(e.clone().into())))
+                    .collect()
+            }
+        };
+        let mut caches = kernel_plan_caches(program);
+        let mut verdicts: Vec<(usize, Verdict)> = Vec::with_capacity(group.len());
+        for (i, mappings) in group {
+            if let Some((_, last)) = verdicts.last() {
+                let every = last.is_err();
+                reseed(&mut store, self.seed, |name| {
+                    every || self.written.contains(name)
+                });
+            }
+            let verdict = self.verify(*i, mappings, &mut store, &mut caches);
+            verdicts.push((*i, verdict));
+        }
+        verdicts
+    }
+
+    /// Emulates configuration `i` on `store` and compares the result with
+    /// the reference.
+    fn verify(
+        &self,
+        i: usize,
+        mappings: &[GpuMapping],
+        store: &mut Store,
+        caches: &mut [KernelPlanCache],
+    ) -> Verdict {
+        let program = self.analysed.program();
+        let opts = &self.options.exec;
+        let stats = execute_with_caches(self.analysed, mappings, self.sizes, store, opts, caches)?;
+        let mut mismatches = compare_stores(store, self.reference);
+        eatss_trace::counter_add("oracle.points", stats.points);
+        eatss_trace::counter_add("oracle.configs", 1);
+        if mismatches.is_empty() {
+            return Ok(OracleReport {
+                kernels: program.kernels.len() as u64,
+                launches: stats.launches,
+                blocks: stats.blocks,
+                points: stats.points,
+                barriers: stats.barriers,
+                staged_elems: stats.staged_elems,
+                arrays_compared: self.arrays_compared,
+            });
+        }
+        let total = mismatches.len();
+        eatss_trace::counter_add("oracle.mismatches", total as u64);
+        eatss_trace::error!(
+            "oracle: {}: tiles {} disagree on {} element(s)",
+            program.name,
+            self.configs[i],
+            total
+        );
+        mismatches.truncate(MAX_MISMATCHES);
+        Err(OracleError::Mismatch {
+            tiles: self.configs[i].to_string(),
+            mismatches,
+            total,
+        })
+    }
 }
 
 /// Shrinks problem sizes so exhaustive interpretation stays fast: spatial
@@ -380,12 +466,132 @@ pub fn sweep_rng(seed: u64) -> rand::rngs::StdRng {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use eatss_affine::parser::parse_program;
+    use eatss_gpusim::DeviceProfile;
+    use eatss_kernels::Dataset;
+    use eatss_trace::Provenance;
+    use std::sync::{Mutex, MutexGuard};
+
+    static SESSION: Mutex<()> = Mutex::new(());
+
+    /// Serializes the tests that emulate or interpret: the trace
+    /// counters are process-global, and one test reads them.
+    pub(crate) fn session() -> MutexGuard<'static, ()> {
+        SESSION.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The benchmark's `verify-oracle` seed mix (`benchmark/src/inputs.rs`).
+    fn mix(seed: u64, tag: &str) -> u64 {
+        let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
+        for b in tag.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The `verify-oracle` catalogue but for its EATSS tiles (the solver
+    /// is not a dependency of this crate): every registry kernel on both
+    /// testbeds at the workload's shrunk sizes, under `32^d` and the
+    /// workload's four seeded draws — a program, an architecture, sizes
+    /// and configurations per op.
+    fn draws_catalogue() -> Vec<(Program, GpuArch, ProblemSizes, Vec<TileConfig>)> {
+        let points = |program: &Program, sizes: &ProblemSizes| -> i64 {
+            (program.kernels.iter())
+                .map(|k| k.iteration_space_size(sizes).unwrap())
+                .sum()
+        };
+        let mut ops = Vec::new();
+        for bench in eatss_kernels::all() {
+            let program = bench.program().unwrap();
+            for (device, dataset) in [
+                ("ga100", Dataset::ExtraLarge),
+                ("xavier", Dataset::Standard),
+            ] {
+                let full = bench.sizes(dataset);
+                let sizes = ([19, 13, 9, 7].iter())
+                    .map(|&cap| verify_sizes(&program, &full, cap, 3))
+                    .find(|sizes| points(&program, sizes) <= 20_000)
+                    .unwrap();
+                let mut trips = vec![1i64; program.max_depth()];
+                for k in &program.kernels {
+                    for (d, t) in trips.iter_mut().enumerate().take(k.depth()) {
+                        *t = (*t).max(k.trip_count(d, &sizes).unwrap_or(1));
+                    }
+                }
+                let mut rng =
+                    sweep_rng(mix(0xEA75_50AC, &format!("draws/{}/{device}", bench.name)));
+                let mut configs = vec![TileConfig::ppcg_default(program.max_depth())];
+                configs.extend((0..4).map(|_| sample_tile_config(&mut rng, &trips)));
+                let arch = DeviceProfile::builtin(device).unwrap().into_arch();
+                ops.push((program.clone(), arch, sizes, configs));
+            }
+        }
+        ops
+    }
+
+    /// One, two and three groups give the same verdicts and reports, the
+    /// same `exec.*` and `oracle.*` counters, and the same trace on the
+    /// caller's lane, over the catalogue — all but plan compilation: each
+    /// group compiles the plans its configurations need into its own
+    /// caches, so `exec.plan_compiles` and the `pipeline:plan_compile`
+    /// spans count at least the one-group compiles and at most that many
+    /// per group.
+    #[test]
+    fn verify_batch_is_identical_for_every_worker_count() {
+        let _session = session();
+        let catalogue = draws_catalogue();
+        let lane = eatss_trace::alloc_lane();
+        let run = |jobs: usize| {
+            eatss_trace::start_collecting();
+            let verdicts: Vec<Vec<Verdict>> = {
+                let _lane = eatss_trace::lane_scope(lane);
+                (catalogue.iter())
+                    .map(|(program, arch, sizes, configs)| {
+                        let options = OracleOptions::default();
+                        verify_batch_on(program, configs, arch, sizes, &options, 0xEA75_50AC, jobs)
+                    })
+                    .collect()
+            };
+            let trace = eatss_trace::drain(Provenance::collect(None));
+            let compiles = trace.metrics.counter("exec.plan_compiles");
+            let counters: Vec<(String, u64)> = (trace.metrics.counters.into_iter())
+                .filter(|(name, _)| name.starts_with("exec.") || name.starts_with("oracle."))
+                .filter(|(name, _)| name != "exec.plan_compiles")
+                .collect();
+            let events: Vec<String> = (trace.events.iter())
+                .filter(|e| e.lane == lane && e.name != "plan_compile")
+                .map(|e| format!("{}|{}|{}", e.cat, e.name, e.kind.code()))
+                .collect();
+            (verdicts, counters, events, compiles)
+        };
+        let one = run(1);
+        let verified = one.0.iter().flatten().filter(|v| v.is_ok()).count();
+        assert_eq!(one.0.len(), 42);
+        assert!(verified > 42, "{verified} configurations verified");
+        let configs = one.1.iter().find(|(name, _)| name == "oracle.configs");
+        assert_eq!(configs.map(|(_, n)| *n as usize), Some(verified));
+        for jobs in [2, 3] {
+            let other = run(jobs);
+            assert!(one.0 == other.0, "verdicts at {jobs} workers");
+            assert_eq!(one.1, other.1, "counters at {jobs} workers");
+            assert!(one.2 == other.2, "trace at {jobs} workers");
+            let compiles = one.3..=one.3 * jobs as u64;
+            assert!(
+                compiles.contains(&other.3),
+                "{} compiles at {jobs}",
+                other.3
+            );
+        }
+    }
 
     #[test]
     fn a_dependence_carried_inside_the_thread_maps_no_racing_dim() {
+        let _session = session();
         // Distance (1, −1): k runs inside each thread, so mapping i to
         // threads would race; one launch per `seq` k carries it instead.
         let verdict = |k_loop: &str| {

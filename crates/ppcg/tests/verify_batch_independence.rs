@@ -1,7 +1,6 @@
-//! One `verify_batch` runs its configurations in turn on one working
-//! store, copied back from the seeded store between them: each verdict,
-//! report and trace counter must be what `verify` of that configuration
-//! alone gives. Its own binary, because trace collection is
+//! One `verify_batch` runs its configurations in turn on a working store
+//! per core, seeded again between them: each verdict, report and trace
+//! counter must be what `verify` of that configuration alone gives. Its own binary, because trace collection is
 //! process-global. Also pins `seed_store`'s row-at-a-time fill to the
 //! per-index hash it replaced.
 

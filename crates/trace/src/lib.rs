@@ -110,6 +110,9 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 thread_local! {
     static LANE: Cell<u64> = const { Cell::new(0) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Events a pool item records, held back from [`EVENTS`] until the
+    /// pool publishes them in item order; see [`Context::run`].
+    static HELD: RefCell<Option<Vec<Event>>> = const { RefCell::new(None) };
 }
 
 /// True while events are being recorded. This is the *only* check on the
@@ -237,7 +240,78 @@ fn next_seq() -> u64 {
 }
 
 fn push_event(event: Event) {
-    lock(&EVENTS).push(event);
+    HELD.with(|held| match &mut *held.borrow_mut() {
+        Some(held) => held.push(event),
+        None => lock(&EVENTS).push(event),
+    });
+}
+
+/// Where a pool item's events belong: the lane and the innermost open
+/// span of the thread that started the pool.
+#[derive(Clone, Copy)]
+pub(crate) struct Context {
+    lane: u64,
+    parent: Option<u64>,
+}
+
+/// Puts a thread's lane, span stack and held events back as they were
+/// before [`Context::run`], also when the item panics.
+struct Restore {
+    lane: u64,
+    depth: usize,
+    held: Option<Vec<Event>>,
+}
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        LANE.with(|l| l.set(self.lane));
+        SPAN_STACK.with(|s| s.borrow_mut().truncate(self.depth));
+        HELD.with(|h| *h.borrow_mut() = self.held.take());
+    }
+}
+
+impl Context {
+    /// This thread's context.
+    pub(crate) fn current() -> Context {
+        Context {
+            lane: current_lane(),
+            parent: SPAN_STACK.with(|s| s.borrow().last().copied()),
+        }
+    }
+
+    /// Runs `f` on this thread in the context: on its lane, its spans
+    /// opened under its parent span, and the events it records held back
+    /// and returned, for [`publish`] to add in item order.
+    pub(crate) fn run<T>(self, f: impl FnOnce() -> T) -> (T, Vec<Event>) {
+        let restore = Restore {
+            lane: LANE.with(|l| l.replace(self.lane)),
+            depth: SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                let depth = stack.len();
+                if let Some(parent) = self.parent.filter(|p| stack.last() != Some(p)) {
+                    stack.push(parent);
+                }
+                depth
+            }),
+            held: HELD.with(|h| h.replace(Some(Vec::new()))),
+        };
+        let out = f();
+        let events = HELD.with(|h| h.borrow_mut().take()).unwrap_or_default();
+        drop(restore);
+        (out, events)
+    }
+}
+
+/// Records events that [`Context::run`] held back, sequenced now: an
+/// item's events follow everything recorded before, in their own order.
+pub(crate) fn publish(mut events: Vec<Event>) {
+    for event in &mut events {
+        event.seq = next_seq();
+    }
+    HELD.with(|held| match &mut *held.borrow_mut() {
+        Some(held) => held.append(&mut events),
+        None => lock(&EVENTS).append(&mut events),
+    });
 }
 
 /// Restores the previous lane on drop; see [`lane_scope`].

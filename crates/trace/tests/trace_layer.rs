@@ -155,6 +155,62 @@ fn lanes_merge_in_canonical_order_regardless_of_thread_timing() {
     );
 }
 
+/// A pool's items record on the caller's lane, under the caller's open
+/// span, and land in the trace in item order: the trace of a two-worker
+/// map reads as the inline one does. Each item waits for both workers,
+/// so the caller and the helper run one each, at the same time.
+#[test]
+fn pool_items_trace_on_the_callers_lane_in_item_order() {
+    let _session = SESSION.lock().unwrap();
+    let run = |jobs: usize| {
+        let both = std::sync::Barrier::new(jobs);
+        eatss_trace::start_collecting();
+        {
+            let _lane = eatss_trace::lane_scope(7);
+            let _outer = eatss_trace::span("t", "outer");
+            eatss_trace::par_map_ordered(&["first", "second"], jobs, |name| {
+                both.wait();
+                let mut item = eatss_trace::span("t", "item");
+                item.arg("name", *name);
+                eatss_trace::instant("t", "mark", Vec::new());
+            });
+        }
+        eatss_trace::drain(test_provenance())
+    };
+    let (inline, pooled) = (run(1), run(2));
+    pooled.check_balance().expect("balanced");
+    assert_eq!(pooled.signature(), inline.signature());
+    assert_eq!(
+        pooled.signature(),
+        [
+            "7|t|outer|B",
+            "7|t|item|B",
+            "7|t|mark|I",
+            "7|t|item|E",
+            "7|t|item|B",
+            "7|t|mark|I",
+            "7|t|item|E",
+            "7|t|outer|E"
+        ]
+    );
+    let names: Vec<&ArgValue> = (pooled.events.iter())
+        .filter(|e| matches!(e.kind, EventKind::End { .. }) && e.name == "item")
+        .map(|e| &e.args[0].1)
+        .collect();
+    assert_eq!(names, [&ArgValue::from("first"), &ArgValue::from("second")]);
+    let outer = pooled.events[0].kind.clone();
+    let EventKind::Begin { id: outer, .. } = outer else {
+        panic!("the outer span opens first")
+    };
+    for event in &pooled.events {
+        if let EventKind::Begin { parent, .. } = event.kind {
+            if event.name == "item" {
+                assert_eq!(parent, outer, "an item's span nests under the caller's");
+            }
+        }
+    }
+}
+
 #[test]
 fn lane_scope_restores_previous_lane() {
     assert_eq!(eatss_trace::current_lane(), 0);

@@ -1,5 +1,6 @@
 //! The heap allocations of one `select-cold` op, pinned stage by stage,
-//! and the search counts of the catalogue's selects.
+//! the search counts of the catalogue's selects, and the allocations of
+//! one pass of the `verify-oracle` catalogue.
 //!
 //! The op is the paper's compile-time cost as the benchmark's
 //! `select-cold` workload runs it: parse a registry kernel, select its
@@ -62,7 +63,8 @@ use eatss_affine::analysis::AnalysedProgram;
 use eatss_affine::parser::parse_named_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_gpusim::DeviceProfile;
-use eatss_ppcg::Ppcg;
+use eatss_integration::{oracle_catalogue, ORACLE_SEED};
+use eatss_ppcg::{verify, OracleError, OracleOptions, Ppcg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -311,4 +313,68 @@ fn a_cold_select_allocates_what_is_pinned() {
     );
     assert_eq!(summed, direct, "the stages sum to the op\n{table}");
     assert_eq!(totals, PINNED, "allocations per stage\n{table}");
+}
+
+/// The pinned allocations of one pass over the `verify-oracle` catalogue
+/// (42 ops, six configurations each), every configuration verified alone:
+/// 1 272.6 per op. While a staged box built its loop nest, index and
+/// strides anew at every tile step, the same pass made 76 527 (1 822.1
+/// per op).
+const PINNED_VERIFY: u64 = 53_448;
+
+/// The `verify` stage: the catalogue of the benchmark's `verify-oracle`
+/// workload, each op's configurations verified one at a time. A batch of
+/// several splits its configurations over the machine's cores, and a
+/// thread-local count sees only the caller's share, so each configuration
+/// is its own batch of one, which runs on the caller's thread on every
+/// machine: map, seed and interpret the reference, seed the working
+/// store, emulate and compare.
+#[test]
+fn a_verify_allocates_what_is_pinned() {
+    let catalogue = oracle_catalogue();
+    let options = OracleOptions::default();
+    let op = |op: &eatss_integration::OracleOp| -> u64 {
+        (op.configs.iter())
+            .map(|tiles| {
+                let (n, verdict) = counted(|| {
+                    verify(
+                        &op.program,
+                        tiles,
+                        &op.arch,
+                        &op.sizes,
+                        &options,
+                        ORACLE_SEED,
+                    )
+                });
+                assert!(
+                    matches!(verdict, Ok(_) | Err(OracleError::Compile(_))),
+                    "{}, tiles {tiles}: {verdict:?}",
+                    op.what
+                );
+                n
+            })
+            .sum()
+    };
+    // One uncounted pass first, as for the select stages.
+    for o in &catalogue {
+        op(o);
+    }
+    let mut table = String::new();
+    let mut total = 0;
+    for o in &catalogue {
+        let n = op(o);
+        let _ = writeln!(table, "{:<22}{n:>8}", o.what);
+        total += n;
+    }
+    let _ = write!(
+        table,
+        "total {total} over {} ops, {:.1} per op",
+        catalogue.len(),
+        total as f64 / catalogue.len() as f64
+    );
+    assert_eq!(catalogue.len(), 42, "the catalogue");
+    assert_eq!(
+        total, PINNED_VERIFY,
+        "allocations of the verify stage\n{table}"
+    );
 }

@@ -7,8 +7,8 @@
 //!
 //! The emulator pair also runs the product's own inputs: the EATSS
 //! selection beside the adversarial tiles, and the oracle's path, every
-//! configuration of a kernel in one [`verify_batch`], on one working
-//! store.
+//! configuration of a kernel in one [`verify_batch`], on its working
+//! stores.
 
 use eatss::{Eatss, EatssConfig};
 use eatss_affine::interp::{self, compare_stores, Store};

@@ -11,10 +11,9 @@ use eatss::{Eatss, EatssConfig, SweepOptions};
 use eatss_affine::parser::parse_program;
 use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
-use eatss_gpusim::{DeviceProfile, GpuArch};
-use eatss_integration::{load, trips};
+use eatss_gpusim::GpuArch;
+use eatss_integration::{load, oracle_catalogue, reference_points, ORACLE_SEED};
 use eatss_kernels::Dataset;
-use eatss_ppcg::oracle::{sample_tile_config, sweep_rng};
 use eatss_ppcg::{
     execute_compiled, seed_store, verify_batch, verify_sizes, CompileOptions, ExecEngine,
     ExecOptions, OracleError, OracleOptions, Ppcg,
@@ -253,6 +252,59 @@ fn one_analysis_per_sweep_and_per_verify_batch() {
     assert_eq!(span_count(&trace, "ppcg", "map"), 2 * 2);
 }
 
+/// A batch's configurations may run on a helper thread, but their events
+/// stay on the caller's lane — where a daemon request harvests its span
+/// tree — in configuration order and balanced: a two-configuration
+/// `Eatss::verify` on lane 9 puts all of its `exec:kernel` spans (2mm's
+/// two kernels, each configuration) on lane 9, under the batch's span.
+#[test]
+fn a_verify_batch_traces_on_the_callers_lane() {
+    let _guard = session();
+    let (program, sz) = load("2mm", Dataset::Standard);
+    let depth = program.max_depth();
+    let (config, default, other) = (
+        EatssConfig::default(),
+        TileConfig::ppcg_default(depth),
+        TileConfig::new(vec![16; depth]),
+    );
+    eatss_trace::start_collecting();
+    let verdicts = {
+        let _lane = eatss_trace::lane_scope(9);
+        Eatss::new(GpuArch::ga100()).verify(
+            &program,
+            &sz,
+            &[(&config, &default), (&config, &other)],
+            eatss::VERIFY_SEED,
+        )
+    };
+    let trace = eatss_trace::drain(Provenance::collect(None));
+    assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
+    trace.check_balance().expect("balanced spans");
+    let batch = (trace.events.iter())
+        .find_map(|e| match e.kind {
+            EventKind::Begin { id, .. } if e.name == "verify" => Some(id),
+            _ => None,
+        })
+        .expect("the batch's span");
+    let kernels: Vec<&eatss_trace::Event> = (trace.events.iter())
+        .filter(|e| e.cat == "exec" && e.name == "kernel")
+        .collect();
+    assert_eq!(kernels.len(), 2 * 2 * 2, "{kernels:?}");
+    for event in &kernels {
+        assert_eq!(event.lane, 9, "{event:?}");
+        if let EventKind::Begin { parent, .. } = event.kind {
+            assert_eq!(parent, batch, "{event:?}");
+        }
+    }
+    // Configuration order: both kernels under `32^d`, then under 16s.
+    let tiles: Vec<&eatss_trace::ArgValue> = (kernels.iter())
+        .flat_map(|e| e.args.iter().filter(|(k, _)| *k == "tiles"))
+        .map(|(_, v)| v)
+        .collect();
+    let [first, second] = [&default, &other].map(|t| eatss_trace::ArgValue::from(t.to_string()));
+    assert_eq!(tiles, [&first, &first, &second, &second]);
+}
+
 /// `exec.rows` tallies the plan engine's rows, so `exec.points` per row
 /// reads how far each row's set-up is amortized. heat-3d at 13³, under its
 /// EATSS tiles (Xavier, warp fraction 1/8) and under `32^d`, and b2mm at
@@ -367,19 +419,6 @@ const ROW_LOOPS: [&str; 3] = [
     "exec.points_scalar",
 ];
 
-/// The `verify-oracle` workload's seed mix (`benchmark/src/inputs.rs`),
-/// from which each op's random tile draws are seeded.
-fn mix(seed: u64, tag: &str) -> u64 {
-    let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
-    for b in tag.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-    }
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The `verify-oracle` catalogue, one pass: every registry kernel on both
 /// testbeds (GA100 at ExtraLarge, Xavier at Standard), each one
 /// `verify_batch` of its EATSS tiles, `32^d` and four seeded draws at the
@@ -389,59 +428,27 @@ fn mix(seed: u64, tag: &str) -> u64 {
 #[test]
 fn the_oracle_catalogue_runs_no_point_on_the_scalar_row_loop() {
     let _guard = session();
-    let reference_points = |program: &Program, sz: &ProblemSizes| -> u64 {
-        (program.kernels.iter())
-            .map(|k| k.iteration_space_size(sz).expect("bound") as u64)
-            .sum()
-    };
+    let catalogue = oracle_catalogue();
     let mut interpreted = 0;
     eatss_trace::set_log_level(eatss_trace::Level::Off);
     eatss_trace::start_collecting();
-    for bench in eatss_kernels::all() {
-        let program = bench.program().expect("registry parses");
-        for (device, dataset) in [
-            ("ga100", Dataset::ExtraLarge),
-            ("xavier", Dataset::Standard),
-        ] {
-            let arch = DeviceProfile::builtin(device).expect("builtin").into_arch();
-            let full = bench.sizes(dataset);
-            let eighth = ["fdtd-apml", "b2mm", "conv-2d", "heat-3d"].contains(&bench.name);
-            let config = EatssConfig {
-                warp_fraction: if eighth { 0.125 } else { 0.5 },
-                ..EatssConfig::default()
-            };
-            let selected = Eatss::new(arch.clone())
-                .select_tiles(&program, &full, &config)
-                .expect("selects");
-            let sz = ([19, 13, 9, 7].iter())
-                .map(|&cap| verify_sizes(&program, &full, cap, 3))
-                .find(|sz| reference_points(&program, sz) <= 20_000)
-                .expect("a cap fits");
-            let mut configs = vec![
-                selected.tiles,
-                TileConfig::ppcg_default(program.max_depth()),
-            ];
-            let draws = mix(0xEA75_50AC, &format!("draws/{}/{device}", bench.name));
-            let mut rng = sweep_rng(draws);
-            let domain = trips(&program, &sz);
-            configs.extend((0..4).map(|_| sample_tile_config(&mut rng, &domain)));
-            let verdicts = verify_batch(
-                &program,
-                &configs,
-                &arch,
-                &sz,
-                &OracleOptions::default(),
-                0xEA75_50AC,
+    for op in &catalogue {
+        let verdicts = verify_batch(
+            &op.program,
+            &op.configs,
+            &op.arch,
+            &op.sizes,
+            &OracleOptions::default(),
+            ORACLE_SEED,
+        );
+        for (tiles, verdict) in op.configs.iter().zip(&verdicts) {
+            assert!(
+                matches!(verdict, Ok(_) | Err(OracleError::Compile(_))),
+                "{}, tiles {tiles}: {verdict:?}",
+                op.what
             );
-            for (tiles, verdict) in configs.iter().zip(&verdicts) {
-                assert!(
-                    matches!(verdict, Ok(_) | Err(OracleError::Compile(_))),
-                    "{} on {device}, tiles {tiles}: {verdict:?}",
-                    bench.name
-                );
-            }
-            interpreted += reference_points(&program, &sz);
         }
+        interpreted += reference_points(&op.program, &op.sizes);
     }
     let metrics = eatss_trace::drain(Provenance::collect(None)).metrics;
     let [block, fused, scalar] = ROW_LOOPS.map(|c| metrics.counter(c));
