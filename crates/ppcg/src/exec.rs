@@ -983,7 +983,6 @@ mod tests {
         sizes: &[(&str, i64)],
         opts: &ExecOptions,
     ) -> (Store, Store, ExecStats) {
-        let _session = crate::oracle::tests::session();
         let p = parse_program(src).unwrap();
         let sizes = ProblemSizes::new(sizes.iter().cloned());
         let compiled = crate::Ppcg::new(GpuArch::ga100())
@@ -1241,7 +1240,6 @@ mod tests {
 
     #[test]
     fn zero_trip_is_a_noop() {
-        let _session = crate::oracle::tests::session();
         let p = parse_program(MM).unwrap();
         let sizes = ProblemSizes::new([("M", 4), ("N", 4), ("P", 4)]);
         let compiled = crate::Ppcg::new(GpuArch::ga100())

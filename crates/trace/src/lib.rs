@@ -302,6 +302,11 @@ impl Context {
     }
 }
 
+/// True on a thread while it runs an item of a pool that split.
+pub(crate) fn in_pool_item() -> bool {
+    HELD.with(|held| held.borrow().is_some())
+}
+
 /// Records events that [`Context::run`] held back, sequenced now: an
 /// item's events follow everything recorded before, in their own order.
 pub(crate) fn publish(mut events: Vec<Event>) {

@@ -1,6 +1,6 @@
 //! The workspace's one scoped worker pool.
 
-use crate::{lock, publish, Context};
+use crate::{in_pool_item, lock, publish, Context};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -8,9 +8,12 @@ use std::sync::{Mutex, PoisonError};
 /// in input order, whatever order the workers finished in — so a caller
 /// whose `f` is a pure function of its item gets output that is
 /// bit-identical for every `jobs` value. Runs inline on the caller's
-/// thread when `jobs <= 1` or there is at most one item. Otherwise the
-/// caller is one of the workers: it spawns `jobs - 1` scoped threads
-/// (one for a two-way split) and claims items beside them.
+/// thread when `jobs <= 1`, there is at most one item, or the caller is
+/// itself an item of a pool that split — so nested pools (a sweep's
+/// items, each verifying a batch) never hold more threads than the outer
+/// one asked for. Otherwise the caller is one of the workers: it spawns
+/// `jobs - 1` scoped threads (one for a two-way split) and claims items
+/// beside them.
 ///
 /// Each item runs on the caller's lane, its spans under the caller's
 /// innermost open span, and the events it records are held back and
@@ -24,7 +27,7 @@ pub fn par_map_ordered<I: Sync, T: Send>(
     f: impl Fn(&I) -> T + Sync,
 ) -> Vec<T> {
     let workers = jobs.min(items.len());
-    if workers <= 1 {
+    if workers <= 1 || in_pool_item() {
         return items.iter().map(f).collect();
     }
     let context = Context::current();
@@ -91,5 +94,27 @@ mod tests {
         });
         assert_eq!(ids.iter().filter(|id| **id == here).count(), 1);
         assert!(ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2]);
+    }
+
+    /// A pool started inside an item of a pool that split runs inline on
+    /// that item's thread; one started after the outer pool returned
+    /// splits again.
+    #[test]
+    fn a_pool_inside_a_pool_item_runs_inline() {
+        let both = Barrier::new(2);
+        let inner_on_own_thread = par_map_ordered(&[1, 2], 2, |_| {
+            both.wait();
+            let item = std::thread::current().id();
+            let ids = par_map_ordered(&[1, 2, 3], 3, |_| std::thread::current().id());
+            ids.iter().all(|id| *id == item)
+        });
+        assert_eq!(inner_on_own_thread, [true, true]);
+        let here = std::thread::current().id();
+        let all_three = Barrier::new(3);
+        let ids = par_map_ordered(&[1, 2, 3], 3, |_| {
+            all_three.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(ids.iter().filter(|id| **id == here).count(), 1);
     }
 }

@@ -14,6 +14,7 @@ use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
 use eatss_integration::{load, oracle_catalogue, reference_points, ORACLE_SEED};
 use eatss_kernels::Dataset;
+use eatss_ppcg::oracle::verify_batch_on;
 use eatss_ppcg::{
     execute_compiled, seed_store, verify_batch, verify_sizes, CompileOptions, ExecEngine,
     ExecOptions, OracleError, OracleOptions, Ppcg,
@@ -454,6 +455,74 @@ fn the_oracle_catalogue_runs_no_point_on_the_scalar_row_loop() {
     let [block, fused, scalar] = ROW_LOOPS.map(|c| metrics.counter(c));
     assert_eq!(scalar, 0, "block {block}, fused {fused}");
     assert_eq!(block + fused, metrics.counter("exec.points") + interpreted);
+}
+
+/// One, two and three groups give the same verdicts and reports, the
+/// same `exec.*` and `oracle.*` counters, and the same trace on the
+/// caller's lane, over the `verify-oracle` catalogue — all but plan
+/// compilation: each group compiles the plans its configurations need
+/// into its own caches, so `exec.plan_compiles` and the
+/// `pipeline:plan_compile` spans count at least the one-group compiles
+/// and at most that many per group. Batches under the split floor run as
+/// one group whatever the count; most of the catalogue's are above it.
+#[test]
+fn verify_batch_is_identical_for_every_worker_count() {
+    let _guard = session();
+    let catalogue = oracle_catalogue();
+    let split = (catalogue.iter())
+        .filter(|op| reference_points(&op.program, &op.sizes) * op.configs.len() as u64 >= 10_000)
+        .count();
+    assert!(split > catalogue.len() / 2, "{split} batches split");
+    eatss_trace::set_log_level(eatss_trace::Level::Off);
+    let lane = eatss_trace::alloc_lane();
+    let run = |jobs: usize| {
+        eatss_trace::start_collecting();
+        let verdicts: Vec<Vec<_>> = {
+            let _lane = eatss_trace::lane_scope(lane);
+            (catalogue.iter())
+                .map(|op| {
+                    verify_batch_on(
+                        &op.program,
+                        &op.configs,
+                        &op.arch,
+                        &op.sizes,
+                        &OracleOptions::default(),
+                        ORACLE_SEED,
+                        jobs,
+                    )
+                })
+                .collect()
+        };
+        let trace = eatss_trace::drain(Provenance::collect(None));
+        let compiles = trace.metrics.counter("exec.plan_compiles");
+        let counters: Vec<(String, u64)> = (trace.metrics.counters.into_iter())
+            .filter(|(name, _)| name.starts_with("exec.") || name.starts_with("oracle."))
+            .filter(|(name, _)| name != "exec.plan_compiles")
+            .collect();
+        let events: Vec<String> = (trace.events.iter())
+            .filter(|e| e.lane == lane && e.name != "plan_compile")
+            .map(|e| format!("{}|{}|{}", e.cat, e.name, e.kind.code()))
+            .collect();
+        (verdicts, counters, events, compiles)
+    };
+    let one = run(1);
+    let verified = one.0.iter().flatten().filter(|v| v.is_ok()).count();
+    assert_eq!(one.0.len(), 42);
+    assert!(verified > 42, "{verified} configurations verified");
+    let configs = one.1.iter().find(|(name, _)| name == "oracle.configs");
+    assert_eq!(configs.map(|(_, n)| *n as usize), Some(verified));
+    for jobs in [2, 3] {
+        let other = run(jobs);
+        assert!(one.0 == other.0, "verdicts at {jobs} workers");
+        assert_eq!(one.1, other.1, "counters at {jobs} workers");
+        assert!(one.2 == other.2, "trace at {jobs} workers");
+        let compiles = one.3..=one.3 * jobs as u64;
+        assert!(
+            compiles.contains(&other.3),
+            "{} compiles at {jobs}",
+            other.3
+        );
+    }
 }
 
 proptest! {
